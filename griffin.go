@@ -72,6 +72,12 @@ type Config = core.Config
 // Engine executes conjunctive queries against one index.
 type Engine = core.Engine
 
+// Request is one query and how to run it (Engine.Query): the terms plus,
+// optionally, an explicit arrival on the device timeline, a live-delta
+// overlay, and overload options. Engine.Search(terms) is Query with only
+// Terms set.
+type Request = core.Request
+
 // Result is a completed query: top-k docs plus simulated execution stats.
 type Result = core.Result
 
@@ -190,6 +196,10 @@ type Cluster = cluster.Cluster
 // ClusterConfig parameterizes a Cluster (replicas, routing, per-shard
 // engine template, shard timeout).
 type ClusterConfig = cluster.Config
+
+// ClusterRequest is one scatter-gather query and how to run it
+// (Cluster.Query): the cluster-level counterpart of Request.
+type ClusterRequest = cluster.Request
 
 // ClusterStats is one scatter-gather query's execution record: critical
 // path, merge cost, and per-shard outcomes including degradation.

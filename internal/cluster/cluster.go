@@ -38,7 +38,7 @@ import (
 	"griffin/internal/overload"
 )
 
-// ErrAllShardsFailed wraps the error Search returns when no shard
+// ErrAllShardsFailed wraps the error Query returns when no shard
 // produced a result; chaos drivers match it with errors.Is to count a
 // failed query instead of aborting the run.
 var ErrAllShardsFailed = errors.New("cluster: all shards failed")
@@ -117,7 +117,7 @@ type Config struct {
 	// budgets, and brownout tiers. The zero value disables all of them —
 	// a cluster configured without overload control behaves byte-
 	// identically to one built before the layer existed. Per-query
-	// deadlines and classes arrive via SearchWith's QueryOpts.
+	// deadlines and classes arrive via Request's QueryOpts.
 	Overload overload.Config
 }
 
@@ -126,9 +126,8 @@ type Cluster struct {
 	cfg    Config
 	shards []*shardGroup
 	// seq drives the modeled clock for untimed queries: breakers and
-	// fault schedules need a monotone "now", so each Search ticks the
-	// cluster one millisecond. Timed queries (SearchAt) use their
-	// arrival instead.
+	// fault schedules need a monotone "now", so each Query ticks the
+	// cluster one millisecond. Timed queries use their arrival instead.
 	seq atomic.Int64
 
 	// Self-healing counters, cluster lifetime.
@@ -419,43 +418,6 @@ type Result struct {
 	Stats Stats
 }
 
-// Search scatter-gathers one conjunctive query: one replica per shard is
-// chosen by the routing policy (skipping tripped circuit breakers), all
-// shards execute concurrently, and the per-shard top-k lists merge into
-// the global top-k. A shard whose sub-query fails hard is retried on a
-// sibling replica (with modeled backoff); a slow shard may be hedged on
-// a sibling. Shards that still error or exceed ShardTimeout degrade the
-// result rather than failing it; an error is returned only when every
-// shard failed (errors.Is(err, ErrAllShardsFailed)).
-//
-// ctx cancels straggler sub-queries: when it is done, in-flight shard
-// plans abort at the next operator boundary and Search returns ctx's
-// error without waiting for them. A nil ctx means no cancellation.
-func (c *Cluster) Search(ctx context.Context, terms []string) (*Result, error) {
-	return c.search(ctx, terms, 0, false, nil, QueryOpts{})
-}
-
-// SearchWith is Search with per-query overload options: an explicit
-// deadline budget and a criticality class. Zero opts is Search exactly.
-func (c *Cluster) SearchWith(ctx context.Context, terms []string, qo QueryOpts) (*Result, error) {
-	return c.search(ctx, terms, 0, false, nil, qo)
-}
-
-// SearchAtWith is SearchAt with per-query overload options.
-func (c *Cluster) SearchAtWith(ctx context.Context, terms []string, arrival time.Duration, qo QueryOpts) (*Result, error) {
-	return c.search(ctx, terms, arrival, true, nil, qo)
-}
-
-// SearchOverlayWith is SearchOverlay with per-query overload options.
-func (c *Cluster) SearchOverlayWith(ctx context.Context, terms []string, ov Overlay, qo QueryOpts) (*Result, error) {
-	return c.search(ctx, terms, 0, false, ov, qo)
-}
-
-// SearchOverlayAtWith is SearchOverlayAt with per-query overload options.
-func (c *Cluster) SearchOverlayAtWith(ctx context.Context, terms []string, arrival time.Duration, ov Overlay, qo QueryOpts) (*Result, error) {
-	return c.search(ctx, terms, arrival, true, ov, qo)
-}
-
 // Overlay supplies per-shard execution overlays for one query — the
 // live-ingestion read path. Shard s's sub-query threads Shard(s) into
 // its engine: the delta view reconciles the shard's main-segment
@@ -467,24 +429,28 @@ type Overlay interface {
 	Shard(s int) *exec.Overlay
 }
 
-// SearchOverlay is Search with a per-shard live-delta overlay.
-func (c *Cluster) SearchOverlay(ctx context.Context, terms []string, ov Overlay) (*Result, error) {
-	return c.search(ctx, terms, 0, false, ov, QueryOpts{})
+// Request is one cluster query and how to run it. Only Terms is
+// required: the zero value of every other field is the service path —
+// untimed, frozen corpus, default deadline, interactive class.
+type Request struct {
+	Terms []string
+	// Arrival places the query at an explicit simulated time on every
+	// shard runtime's global timeline — the load-study path, as
+	// core.Request.Arrival. Backlog earlier arrivals left on a shard's
+	// device delays this query's sub-query there, so the returned latency
+	// is the arrival-to-completion sojourn of the slowest shard plus
+	// merge. It is honoured only when Timed is set: 0 is a valid arrival,
+	// not "none".
+	Arrival time.Duration
+	Timed   bool
+	// Overlay is the query's per-shard live-delta overlay.
+	Overlay Overlay
+	QueryOpts
 }
 
-// SearchOverlayAt is SearchAt with a per-shard live-delta overlay.
-func (c *Cluster) SearchOverlayAt(ctx context.Context, terms []string, arrival time.Duration, ov Overlay) (*Result, error) {
-	return c.search(ctx, terms, arrival, true, ov, QueryOpts{})
-}
-
-// SearchAt runs one cluster query arriving at an explicit simulated time
-// on every shard runtime's global timeline — the load-study entry point,
-// mirroring core.Engine.SearchAt. Backlog earlier arrivals left on a
-// shard's device delays this query's sub-query there, so the returned
-// latency is the arrival-to-completion sojourn of the slowest shard plus
-// merge.
-func (c *Cluster) SearchAt(ctx context.Context, terms []string, arrival time.Duration) (*Result, error) {
-	return c.search(ctx, terms, arrival, true, nil, QueryOpts{})
+// Search is Query for a bare term list.
+func (c *Cluster) Search(ctx context.Context, terms []string) (*Result, error) {
+	return c.Query(ctx, Request{Terms: terms})
 }
 
 // shardOutcome is one shard's gathered sub-query: the attempt that
@@ -506,93 +472,102 @@ type shardOutcome struct {
 	hedgeSkipped   bool
 }
 
-func (c *Cluster) search(parent context.Context, terms []string, arrival time.Duration, timed bool, ov Overlay, qo QueryOpts) (*Result, error) {
+// Query scatter-gathers one conjunctive query: one replica per shard is
+// chosen by the routing policy (skipping tripped circuit breakers), all
+// shards execute concurrently, and the per-shard top-k lists merge into
+// the global top-k. A shard whose sub-query fails hard is retried on a
+// sibling replica (with modeled backoff); a slow shard may be hedged on
+// a sibling. Shards that still error or exceed ShardTimeout degrade the
+// result rather than failing it; an error is returned only when every
+// shard failed (errors.Is(err, ErrAllShardsFailed)).
+//
+// ctx cancels straggler sub-queries: when it is done, in-flight shard
+// plans abort at the next operator boundary and Query returns ctx's
+// error without waiting for them. A nil ctx means context.Background().
+func (c *Cluster) Query(ctx context.Context, req Request) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	c.queries.Add(1)
 	// "Now" for breakers and fault schedules: the arrival for timed
 	// queries, a 1ms-per-query internal clock otherwise.
-	now := arrival
-	if !timed {
+	now := req.Arrival
+	if !req.Timed {
 		now = time.Duration(c.seq.Add(1)) * time.Millisecond
 	}
 
 	// Resolve the query's deadline budget (explicit beats the default)
 	// and consult the brownout ladder before fanning out. All of this is
 	// inert — level 0, no deadline — when overload control is off.
-	deadline := qo.Deadline
+	deadline := req.Deadline
 	if deadline <= 0 {
 		deadline = c.cfg.Overload.DefaultDeadline
 	}
 	level := 0
 	if c.brownout != nil {
-		level = c.brownout.Observe(now, c.pressure(now, timed))
+		level = c.brownout.Observe(now, c.pressure(now, req.Timed))
 	}
-	if level >= 1 && qo.Class == overload.Batch {
+	if level >= 1 && req.Class == overload.Batch {
 		// Tier 1: batch traffic is shed outright under pressure.
 		c.brownout.NoteBatchShed()
 		return nil, fmt.Errorf("cluster: batch query shed at brownout level %d: %w", level, overload.ErrShed)
 	}
-	var so core.SearchOptions
+	// sub is the sub-query every shard runs (each with its own overlay):
+	// the brownout degradation and the shard sub-deadline ride in its
+	// options.
+	sub := core.Request{Terms: req.Terms, Arrival: req.Arrival, Timed: req.Timed}
 	skipHedge := level >= 1
 	if level >= 2 {
 		// Tier 2: interactive queries are degraded, never refused —
 		// reduced top-k and a CPU-only plan that bypasses the contended
 		// device timeline entirely.
-		so.ForceCPU = true
-		so.TopK = c.degradedTopK
+		sub.ForceCPU = true
+		sub.TopK = c.degradedTopK
 		c.brownout.NoteDegraded()
 	}
-	shardBudget := time.Duration(0)
 	if deadline > 0 {
-		if shardBudget = deadline - c.mergeReserve; shardBudget <= 0 {
+		if sub.Budget = deadline - c.mergeReserve; sub.Budget <= 0 {
 			c.deadlineInfeasible.Add(1)
 			return nil, fmt.Errorf("cluster: deadline %v below merge reserve %v: %w", deadline, c.mergeReserve, overload.ErrDeadline)
 		}
 	}
 
-	ctx := parent
-	var cancel context.CancelFunc
-	if ctx != nil {
-		// Derived so returning cancels stragglers at their next operator
-		// boundary instead of leaking them to plan completion.
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
+	// Derived so returning cancels stragglers at their next operator
+	// boundary instead of leaking them to plan completion.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	outs := make([]shardOutcome, len(c.shards))
 	var wg sync.WaitGroup
 	for s, g := range c.shards {
-		var shOv *exec.Overlay
-		if ov != nil {
-			shOv = ov.Shard(s)
+		shard := sub
+		if req.Overlay != nil {
+			shard.Overlay = req.Overlay.Shard(s)
 		}
 		wg.Add(1)
-		go func(s int, g *shardGroup, shOv *exec.Overlay) {
+		go func(s int, g *shardGroup) {
 			defer wg.Done()
-			outs[s] = c.searchShard(ctx, g, terms, arrival, timed, now, shOv, so, shardBudget, skipHedge)
-		}(s, g, shOv)
+			outs[s] = c.searchShard(ctx, g, shard, now, skipHedge)
+		}(s, g)
 	}
-	if ctx != nil {
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			// The caller is gone: the derived cancel (deferred above)
-			// aborts the stragglers; don't wait for them.
-			c.failed.Add(1)
-			return nil, ctx.Err()
-		}
-	} else {
-		wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-ctx.Done():
+		// The caller is gone: the derived cancel (deferred above)
+		// aborts the stragglers; don't wait for them.
+		c.failed.Add(1)
+		return nil, ctx.Err()
 	}
 
 	st := Stats{Shards: make([]ShardStats, len(c.shards))}
 	st.Deadline = deadline
-	st.Class = qo.Class
+	st.Class = req.Class
 	st.BrownoutLevel = level
-	if so.ForceCPU {
+	if sub.ForceCPU {
 		st.ForcedCPU = true
-		st.DegradedTopK = so.TopK
+		st.DegradedTopK = sub.TopK
 	}
 	parts := make([][]kernels.ScoredDoc, 0, len(c.shards))
 	failures := 0
@@ -630,7 +605,7 @@ func (c *Cluster) search(parent context.Context, terms []string, arrival time.Du
 			if c.cfg.ShardTimeout > st.MaxShard {
 				st.MaxShard = c.cfg.ShardTimeout
 			}
-		case shardBudget > 0 && out.effective > shardBudget:
+		case sub.Budget > 0 && out.effective > sub.Budget:
 			// Deadline propagation's gather side: the shard answered, but
 			// past its sub-deadline — the result could not make the cluster
 			// deadline, so the shard is dropped and the critical path
@@ -639,8 +614,8 @@ func (c *Cluster) search(parent context.Context, terms []string, arrival time.Du
 			ss.Query = out.res.Stats
 			st.Degraded = true
 			st.Missing = append(st.Missing, s)
-			if shardBudget > st.MaxShard {
-				st.MaxShard = shardBudget
+			if sub.Budget > st.MaxShard {
+				st.MaxShard = sub.Budget
 			}
 		default:
 			ss.Query = out.res.Stats
@@ -690,8 +665,8 @@ func (c *Cluster) search(parent context.Context, terms []string, arrival time.Du
 	}
 
 	topK := c.cfg.TopK
-	if so.TopK > 0 {
-		topK = so.TopK
+	if sub.TopK > 0 {
+		topK = sub.TopK
 	}
 	docs, work := MergeTopK(parts, topK)
 	st.MergeTime = c.cfg.CPU.Time(work)
@@ -716,13 +691,13 @@ func (c *Cluster) search(parent context.Context, terms []string, arrival time.Du
 // breaker and sheds traffic to a healthy sibling. The returned duration
 // is the attempt's effective latency (engine latency plus any injected
 // stall); it is zero when err is non-nil.
-func (c *Cluster) attempt(ctx context.Context, rep *replica, terms []string, arrival time.Duration, timed bool, now time.Duration, ov *exec.Overlay, so core.SearchOptions) (*core.Result, time.Duration, error) {
+func (c *Cluster) attempt(ctx context.Context, rep *replica, req core.Request, now time.Duration) (*core.Result, time.Duration, error) {
 	stall, err := c.cfg.Fault.AdmitQuery(rep.site, now)
 	if err != nil {
 		rep.breaker.Record(now, false)
 		return nil, 0, err
 	}
-	res, err := rep.search(ctx, terms, arrival, timed, ov, so)
+	res, err := rep.search(ctx, req)
 	if err != nil {
 		if gpu.IsBudget(err) {
 			// The device refused the work to protect the deadline; the
@@ -748,10 +723,11 @@ func (c *Cluster) attempt(ctx context.Context, rep *replica, terms []string, arr
 // shed), route (breaker-aware), attempt, retry on a sibling with modeled
 // backoff while the retry budget and token bucket last, then hedge a
 // slow result on a sibling when configured and the brownout/token state
-// allows. so carries the query's brownout degradation; shardBudget the
-// shard sub-deadline (0 = none).
-func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string, arrival time.Duration, timed bool, now time.Duration, ov *exec.Overlay, so core.SearchOptions, shardBudget time.Duration, skipHedge bool) shardOutcome {
+// allows. req's options carry the query's brownout degradation and, in
+// Budget, the shard sub-deadline (0 = none).
+func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, req core.Request, now time.Duration, skipHedge bool) shardOutcome {
 	var out shardOutcome
+	timed, shardBudget := req.Timed, req.Budget
 	ri, rep := g.pick(c.cfg.Routing, now, timed)
 	out.replica = ri
 
@@ -760,7 +736,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 	// sub-query is not retried — shedding then retrying on a sibling
 	// would amplify the very overload being shed. CPU-degraded queries
 	// skip the check: they never join the device queue.
-	if !so.ForceCPU && !rep.shed.Offer(now, rep.queueDelay(now, timed)) {
+	if !req.ForceCPU && !rep.shed.Offer(now, rep.queueDelay(now, timed)) {
 		rep.breaker.Cancel() // the admitted probe (if any) never executes
 		out.shed = true
 		out.err = fmt.Errorf("shard %d replica %d admission: %w", g.id, ri, overload.ErrShed)
@@ -770,9 +746,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 	// fractional retry/hedge token.
 	g.budget.Admit()
 
-	soP := so
-	soP.Budget = shardBudget
-	res, eff, err := c.attempt(ctx, rep, terms, arrival, timed, now, ov, soP)
+	res, eff, err := c.attempt(ctx, rep, req, now)
 	out.res, out.effective, out.err = res, eff, err
 
 	// Sibling retries: each failed attempt is charged the backoff before
@@ -785,7 +759,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 	backoff := c.retryBackoff()
 	var waited time.Duration
 	for out.err != nil && retriesLeft > 0 && len(g.replicas) > 1 {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return out
 		}
 		if shardBudget > 0 && shardBudget-(waited+backoff) <= 0 {
@@ -801,11 +775,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 		waited += backoff
 		prev := out.replica
 		ri, rep = g.pickExcluding(c.cfg.Routing, now+waited, timed, prev)
-		soR := so
-		if soR.Budget = shardBudget; shardBudget > 0 {
-			soR.Budget = shardBudget - waited
-		}
-		res, eff, err = c.attempt(ctx, rep, terms, arrival+waited, timed, now+waited, ov, soR)
+		res, eff, err = c.attempt(ctx, rep, delayed(req, waited), now+waited)
 		if err == nil {
 			out.replica, out.res, out.err = ri, res, nil
 			out.effective = waited + eff
@@ -829,7 +799,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 	// work first), and each hedge spends a token when the bucket is
 	// configured.
 	if c.cfg.HedgeDelay > 0 && len(g.replicas) > 1 && out.effective > c.cfg.HedgeDelay {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return out
 		}
 		if skipHedge || !g.budget.Take() {
@@ -841,11 +811,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 		hi, hrep := g.pickExcluding(c.cfg.Routing, hNow, timed, out.replica)
 		out.hedged = true
 		c.hedges.Add(1)
-		soH := so
-		if soH.Budget = shardBudget; shardBudget > 0 {
-			soH.Budget = shardBudget - c.cfg.HedgeDelay
-		}
-		hres, heff, herr := c.attempt(ctx, hrep, terms, arrival+c.cfg.HedgeDelay, timed, hNow, ov, soH)
+		hres, heff, herr := c.attempt(ctx, hrep, delayed(req, c.cfg.HedgeDelay), hNow)
 		if herr == nil {
 			if hedgePath := c.cfg.HedgeDelay + heff; hedgePath < out.effective {
 				out.replica, out.res, out.effective = hi, hres, hedgePath
@@ -855,6 +821,16 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, terms []string
 		}
 	}
 	return out
+}
+
+// delayed is req dispatched d later: its arrival moves out and its
+// sub-deadline budget (when it has one) shrinks by the same amount.
+func delayed(req core.Request, d time.Duration) core.Request {
+	req.Arrival += d
+	if req.Budget > 0 {
+		req.Budget -= d
+	}
+	return req
 }
 
 // ShardTelemetry is one replica engine's live state, the /statz surface.

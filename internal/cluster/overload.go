@@ -7,9 +7,8 @@ import (
 	"griffin/internal/overload"
 )
 
-// QueryOpts carries one query's overload parameters into SearchWith.
-// The zero value — no explicit deadline, interactive class — makes
-// SearchWith identical to Search.
+// QueryOpts carries one query's overload parameters. The zero value is
+// no explicit deadline and the interactive class.
 type QueryOpts struct {
 	// Deadline is this query's deadline budget on the modeled clock,
 	// overriding Config.Overload.DefaultDeadline (0 = use the default;

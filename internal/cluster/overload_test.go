@@ -14,51 +14,73 @@ import (
 )
 
 // The overload-control contract, cluster layer: zero QueryOpts and a
-// zero Overload config are byte-identical to the legacy paths; a
-// deadline propagates as a shrinking budget down to device admission;
-// brownout sheds batch then degrades interactive; the retry/hedge
-// token bucket bounds amplification without changing low-load behavior.
+// zero Overload config are inert; a deadline propagates as a shrinking
+// budget down to device admission; brownout sheds batch then degrades
+// interactive; the retry/hedge token bucket bounds amplification
+// without changing low-load behavior.
 
-// TestSearchWithZeroOptsParity pins the inertness guarantee: SearchWith
-// (and SearchAtWith) under a zero QueryOpts on an overload-free cluster
-// returns byte-identical docs and deep-equal stats to legacy Search.
-func TestSearchWithZeroOptsParity(t *testing.T) {
+// TestQueryOnePath: every way of asking goes through Query. The Search
+// shim is Query with only Terms set (nil ctx included), on an
+// overload-free cluster that reports itself as such; an arrival of 0 is
+// an arrival, not an untimed query.
+func TestQueryOnePath(t *testing.T) {
 	c := parityCorpus(t)
-	queries := parityQueries(c, 40)
 	cfg := Config{Engine: core.Config{Mode: core.Hybrid}, TopK: 10}
-	legacy := buildCluster(t, c, 2, cfg)
-	defer legacy.Close()
-	with := buildCluster(t, c, 2, cfg)
-	defer with.Close()
 
-	for i, q := range queries {
-		arrival := time.Duration(i) * 50 * time.Microsecond
-		want, err := legacy.SearchAt(context.Background(), q.Terms, arrival)
-		if err != nil {
-			t.Fatalf("query %d legacy: %v", i, err)
-		}
-		got, err := with.SearchAtWith(context.Background(), q.Terms, arrival, QueryOpts{})
-		if err != nil {
-			t.Fatalf("query %d SearchAtWith: %v", i, err)
-		}
-		if !reflect.DeepEqual(got.Stats, want.Stats) {
-			t.Fatalf("query %d stats diverge:\n got %+v\nwant %+v", i, got.Stats, want.Stats)
-		}
-		if len(got.Docs) != len(want.Docs) {
-			t.Fatalf("query %d: %d docs != %d", i, len(got.Docs), len(want.Docs))
-		}
-		for j := range want.Docs {
-			if got.Docs[j].DocID != want.Docs[j].DocID ||
-				math.Float32bits(got.Docs[j].Score) != math.Float32bits(want.Docs[j].Score) {
-				t.Fatalf("query %d doc[%d] diverges: {%d %x} != {%d %x}", i, j,
-					got.Docs[j].DocID, math.Float32bits(got.Docs[j].Score),
-					want.Docs[j].DocID, math.Float32bits(want.Docs[j].Score))
+	t.Run("Search equals Query", func(t *testing.T) {
+		shim := buildCluster(t, c, 2, cfg)
+		defer shim.Close()
+		direct := buildCluster(t, c, 2, cfg)
+		defer direct.Close()
+		for i, q := range parityQueries(c, 40) {
+			want, err := shim.Search(context.Background(), q.Terms)
+			if err != nil {
+				t.Fatalf("query %d Search: %v", i, err)
+			}
+			var none context.Context // nil means context.Background()
+			got, err := direct.Query(none, Request{Terms: q.Terms})
+			if err != nil {
+				t.Fatalf("query %d Query: %v", i, err)
+			}
+			if !reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Fatalf("query %d stats diverge:\n got %+v\nwant %+v", i, got.Stats, want.Stats)
+			}
+			if len(got.Docs) != len(want.Docs) {
+				t.Fatalf("query %d: %d docs != %d", i, len(got.Docs), len(want.Docs))
+			}
+			for j := range want.Docs {
+				if got.Docs[j].DocID != want.Docs[j].DocID ||
+					math.Float32bits(got.Docs[j].Score) != math.Float32bits(want.Docs[j].Score) {
+					t.Fatalf("query %d doc[%d] diverges: {%d %x} != {%d %x}", i, j,
+						got.Docs[j].DocID, math.Float32bits(got.Docs[j].Score),
+						want.Docs[j].DocID, math.Float32bits(want.Docs[j].Score))
+				}
 			}
 		}
-	}
-	if legacy.OverloadEnabled() || with.OverloadEnabled() {
-		t.Fatal("zero Overload config reports enabled")
-	}
+		if shim.OverloadEnabled() || direct.OverloadEnabled() {
+			t.Fatal("zero Overload config reports enabled")
+		}
+	})
+
+	t.Run("arrival 0 pays the backlog", func(t *testing.T) {
+		cl := buildCluster(t, c, 1, cfg)
+		defer cl.Close()
+		req := Request{Terms: parityQueries(c, 1)[0].Terms, Timed: true}
+		first, err := cl.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := first.Stats.Shards[0].Query.GPUWait; w != 0 {
+			t.Fatalf("first arrival waited %v on an empty timeline", w)
+		}
+		second, err := cl.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Stats.Shards[0].Query.GPUWait <= 0 {
+			t.Fatal("arrival 0 behind backlog saw no GPUWait: taken for an untimed query")
+		}
+	})
 }
 
 // TestDeadlineInfeasibleRefused: a deadline below the merge reserve can
@@ -72,7 +94,7 @@ func TestDeadlineInfeasibleRefused(t *testing.T) {
 		t.Fatalf("merge reserve %v not positive", cl.MergeReserve())
 	}
 	q := parityQueries(c, 1)[0]
-	_, err := cl.SearchWith(context.Background(), q.Terms, QueryOpts{Deadline: time.Nanosecond})
+	_, err := cl.Query(context.Background(), Request{Terms: q.Terms, QueryOpts: QueryOpts{Deadline: time.Nanosecond}})
 	if !errors.Is(err, overload.ErrDeadline) {
 		t.Fatalf("error %v does not wrap ErrDeadline", err)
 	}
@@ -96,13 +118,13 @@ func TestDeadlineBudgetRejectsBackloggedDevice(t *testing.T) {
 
 	// Pile work onto the single replica's device at arrival 0.
 	for i := 0; i < 25; i++ {
-		if _, err := cl.SearchAt(context.Background(), q.Terms, 0); err != nil {
+		if _, err := cl.Query(context.Background(), Request{Terms: q.Terms, Timed: true}); err != nil {
 			t.Fatalf("backlog query %d: %v", i, err)
 		}
 	}
 
 	tight := cl.MergeReserve() + 50*time.Microsecond
-	_, err := cl.SearchAtWith(context.Background(), q.Terms, time.Microsecond, QueryOpts{Deadline: tight})
+	_, err := cl.Query(context.Background(), Request{Terms: q.Terms, Arrival: time.Microsecond, Timed: true, QueryOpts: QueryOpts{Deadline: tight}})
 	if !errors.Is(err, overload.ErrDeadline) {
 		t.Fatalf("tight deadline: error %v does not wrap ErrDeadline", err)
 	}
@@ -113,7 +135,7 @@ func TestDeadlineBudgetRejectsBackloggedDevice(t *testing.T) {
 
 	// The same cluster serves an ample deadline: the rejection left the
 	// device timeline untouched and nothing is wedged.
-	res, err := cl.SearchAtWith(context.Background(), q.Terms, 2*time.Microsecond, QueryOpts{Deadline: 10 * time.Second})
+	res, err := cl.Query(context.Background(), Request{Terms: q.Terms, Arrival: 2 * time.Microsecond, Timed: true, QueryOpts: QueryOpts{Deadline: 10 * time.Second}})
 	if err != nil {
 		t.Fatalf("ample deadline: %v", err)
 	}
@@ -136,7 +158,7 @@ func TestDeadlineExceededDropsLateShard(t *testing.T) {
 
 	// CPU shard latency is far above 1us; both shards blow the budget.
 	deadline := cl.MergeReserve() + time.Microsecond
-	res, err := cl.SearchWith(context.Background(), q.Terms, QueryOpts{Deadline: deadline})
+	res, err := cl.Query(context.Background(), Request{Terms: q.Terms, QueryOpts: QueryOpts{Deadline: deadline}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +210,7 @@ func TestDeadlineMissMarksLateAnswer(t *testing.T) {
 		t.Fatal("no query produced a mergeable result")
 	}
 	deadline := probe.Stats.Latency - time.Nanosecond
-	res, err := cl.SearchWith(context.Background(), terms, QueryOpts{Deadline: deadline})
+	res, err := cl.Query(context.Background(), Request{Terms: terms, QueryOpts: QueryOpts{Deadline: deadline}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +246,7 @@ func TestBrownoutShedsBatchThenDegradesInteractive(t *testing.T) {
 
 	// Cold cluster: batch is served normally at level 0.
 	qs := parityQueries(c, 30)
-	res, err := cl.SearchAtWith(context.Background(), qs[0].Terms, 0, QueryOpts{Class: overload.Batch})
+	res, err := cl.Query(context.Background(), Request{Terms: qs[0].Terms, Timed: true, QueryOpts: QueryOpts{Class: overload.Batch}})
 	if err != nil {
 		t.Fatalf("cold batch query: %v", err)
 	}
@@ -236,7 +258,7 @@ func TestBrownoutShedsBatchThenDegradesInteractive(t *testing.T) {
 	// legitimately empty) so the degraded answer is observable.
 	var q []string
 	for _, cand := range qs {
-		r, err := cl.SearchAtWith(context.Background(), cand.Terms, 0, QueryOpts{})
+		r, err := cl.Query(context.Background(), Request{Terms: cand.Terms, Timed: true})
 		if err != nil {
 			t.Fatalf("probe query: %v", err)
 		}
@@ -251,17 +273,17 @@ func TestBrownoutShedsBatchThenDegradesInteractive(t *testing.T) {
 
 	// Pile device work until pressure is far past the escalate threshold.
 	for i := 0; i < 30; i++ {
-		if _, err := cl.SearchAt(context.Background(), q, 0); err != nil {
+		if _, err := cl.Query(context.Background(), Request{Terms: q, Timed: true}); err != nil {
 			t.Fatalf("backlog query %d: %v", i, err)
 		}
 	}
 
-	_, err = cl.SearchAtWith(context.Background(), q, time.Microsecond, QueryOpts{Class: overload.Batch})
+	_, err = cl.Query(context.Background(), Request{Terms: q, Arrival: time.Microsecond, Timed: true, QueryOpts: QueryOpts{Class: overload.Batch}})
 	if !errors.Is(err, overload.ErrShed) {
 		t.Fatalf("hot batch query: error %v does not wrap ErrShed", err)
 	}
 
-	res, err = cl.SearchAtWith(context.Background(), q, 2*time.Microsecond, QueryOpts{})
+	res, err = cl.Query(context.Background(), Request{Terms: q, Arrival: 2 * time.Microsecond, Timed: true})
 	if err != nil {
 		t.Fatalf("hot interactive query: %v", err)
 	}
@@ -298,12 +320,12 @@ func TestCoDelShedderShedsSustainedOverage(t *testing.T) {
 	// Build the backlog at arrival 0: the overage clock starts but no
 	// interval elapses, so every builder query is admitted.
 	for i := 0; i < 30; i++ {
-		if _, err := cl.SearchAt(context.Background(), q.Terms, 0); err != nil {
+		if _, err := cl.Query(context.Background(), Request{Terms: q.Terms, Timed: true}); err != nil {
 			t.Fatalf("backlog query %d: %v", i, err)
 		}
 	}
 	// 20us later the overage has been sustained past the interval.
-	_, err := cl.SearchAtWith(context.Background(), q.Terms, 20*time.Microsecond, QueryOpts{})
+	_, err := cl.Query(context.Background(), Request{Terms: q.Terms, Arrival: 20 * time.Microsecond, Timed: true})
 	if !errors.Is(err, overload.ErrShed) {
 		t.Fatalf("error %v does not wrap ErrShed", err)
 	}

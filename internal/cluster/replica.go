@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"griffin/internal/core"
-	"griffin/internal/exec"
 	"griffin/internal/fault"
 	"griffin/internal/overload"
 )
@@ -120,24 +119,20 @@ func (r *replica) close() {
 	r.cur.Load().release()
 }
 
-// backlog returns the replica's routing signal: the least-loaded
+// queueDelay returns the replica's routing signal: the least-loaded
 // device's pending compute time (the node-level sched.DeviceBacklog
-// view) plus that device's remaining injected reset window, or zero for
-// CPU-only replicas. A multi-device replica is as attractive as its best
-// device — a new sub-query would be placed there — and each device's
-// reset window is charged at its own fault site, so one resetting GPU of
-// a node does not poison routing to its healthy siblings.
-func (r *replica) backlog(now time.Duration) time.Duration {
-	return r.queueDelay(now, false)
-}
-
-// queueDelay is backlog with a timed variant: discrete-event (timed)
-// queries measure the lanes' residual work at their arrival point
-// (PendingAt) — an idle-in-wall-clock device still charges the backlog
-// scheduled past the arrival — while service-path queries use the live
-// PendingTime signal. The overload controls (CoDel shedder, brownout
-// pressure) consult this so sequential load studies see the same
-// queueing delay the device timeline will actually charge.
+// view) plus that device's remaining injected reset window, or just the
+// reset window for CPU-only replicas. A multi-device replica is as
+// attractive as its best device — a new sub-query would be placed there
+// — and each device's reset window is charged at its own fault site, so
+// one resetting GPU of a node does not poison routing to its healthy
+// siblings. Discrete-event (timed) queries measure the lanes' residual
+// work at their arrival point (PendingAt) — an idle-in-wall-clock device
+// still charges the backlog scheduled past the arrival — while
+// service-path queries use the live PendingTime signal. The overload
+// controls (CoDel shedder, brownout pressure) consult this too, so
+// sequential load studies see the same queueing delay the device
+// timeline will actually charge.
 func (r *replica) queueDelay(now time.Duration, timed bool) time.Duration {
 	node := r.engine().Node()
 	if node == nil {
@@ -163,19 +158,14 @@ func (r *replica) queueDelay(now time.Duration, timed bool) time.Duration {
 // search runs one sub-query, tracking in-flight and served counters for
 // the router and telemetry. The engine incarnation is pinned for the
 // query's whole execution: a concurrent index swap never tears a result.
-// A zero opts takes the legacy engine paths byte for byte; a non-zero
-// opts threads the query's deadline budget and brownout degradation
-// into the engine (budget rejections surface as gpu.ErrBudget).
-func (r *replica) search(ctx context.Context, terms []string, arrival time.Duration, timed bool, ov *exec.Overlay, opts core.SearchOptions) (*core.Result, error) {
+// Budget rejections surface as gpu.ErrBudget.
+func (r *replica) search(ctx context.Context, req core.Request) (*core.Result, error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	r.served.Add(1)
 	er := r.acquire()
 	defer er.release()
-	if timed {
-		return er.eng.SearchOptsAtContext(ctx, terms, arrival, ov, opts)
-	}
-	return er.eng.SearchOptsContext(ctx, terms, ov, opts)
+	return er.eng.Query(ctx, req)
 }
 
 // shardGroup is one shard's replica set.

@@ -451,7 +451,7 @@ func TestChaosDeterministic(t *testing.T) {
 		var at time.Duration
 		for _, q := range queries {
 			at += 500 * time.Microsecond
-			r, err := cl.SearchAt(context.Background(), q.Terms, at)
+			r, err := cl.Query(context.Background(), Request{Terms: q.Terms, Arrival: at, Timed: true})
 			if err != nil {
 				if !errors.Is(err, ErrAllShardsFailed) {
 					t.Fatal(err)

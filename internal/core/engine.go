@@ -383,7 +383,40 @@ type Result struct {
 	Stats QueryStats
 }
 
-// Search runs one conjunctive query and returns the top-k scored docs.
+// Request is one conjunctive query and how to run it. Only Terms is
+// required: the zero value of every other field is the service path —
+// untimed admission, frozen corpus, configured top-k and plan mode.
+type Request struct {
+	Terms []string
+	// Arrival places the query at an explicit simulated time on the
+	// device runtime's global timeline — the load-study path. A driver
+	// generating (e.g. Poisson) arrivals issues queries in arrival order;
+	// backlog left on the device by earlier arrivals delays this query
+	// even though the driver executes queries one at a time, so the
+	// returned latency is the arrival-to-completion sojourn time. It is
+	// honoured only when Timed is set: 0 is a valid arrival, not "none".
+	Arrival time.Duration
+	Timed   bool
+	// Overlay is a live-ingestion overlay: the query executes against
+	// this engine's main segment plus the pinned delta view, and the
+	// overlay's scorer evaluates the snapshot's collection statistics. A
+	// nil overlay (or one with an empty view and nil scorer) is the
+	// frozen-corpus path byte for byte.
+	Overlay *exec.Overlay
+	SearchOptions
+}
+
+// Search is Query for a bare term list.
+func (e *Engine) Search(terms []string) (*Result, error) {
+	return e.Query(context.Background(), Request{Terms: terms})
+}
+
+// SearchContext is Query for a bare term list under ctx.
+func (e *Engine) SearchContext(ctx context.Context, terms []string) (*Result, error) {
+	return e.Query(ctx, Request{Terms: terms})
+}
+
+// Query runs one conjunctive query and returns the top-k scored docs.
 // Terms missing from the index make the conjunction empty: the result is
 // well-formed (non-nil empty Docs, fetch ops traced, latency set) rather
 // than a zero value.
@@ -395,57 +428,30 @@ type Result struct {
 // shared DeviceRuntime: a query running alone reproduces the paper's
 // per-query numbers exactly, while queries overlapping in wall clock
 // contend for the modeled device and pay queueing delay (Stats.GPUWait).
-func (e *Engine) Search(terms []string) (*Result, error) {
-	return e.SearchContext(nil, terms)
-}
-
-// SearchContext is Search with a cancellation context: ctx (when
-// non-nil) is checked between plan operators, so a caller that no longer
+// A budget rejection (gpu.ErrBudget) leaves the device timeline as the
+// query found it.
+//
+// ctx is checked between plan operators, so a caller that no longer
 // needs the answer — a cluster query whose hedge already won, a closed
-// HTTP request — aborts the remaining work with ctx's error.
-func (e *Engine) SearchContext(ctx context.Context, terms []string) (*Result, error) {
-	return e.SearchOverlayContext(ctx, terms, nil)
-}
-
-// SearchOverlayContext is SearchContext with a live-ingestion overlay:
-// the query executes against this engine's main segment plus the pinned
-// delta view, and the overlay's scorer evaluates the snapshot's
-// collection statistics. A nil overlay (or one with an empty view and
-// nil scorer) degenerates to the frozen-corpus path byte for byte.
-func (e *Engine) SearchOverlayContext(ctx context.Context, terms []string, ov *exec.Overlay) (*Result, error) {
+// HTTP request — aborts the remaining work with ctx's error. A nil ctx
+// means context.Background().
+func (e *Engine) Query(ctx context.Context, req Request) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var h *gpu.QueryStream
-	if e.node != nil {
-		h = e.node.AdmitOn(e.placeDevice(terms))
+	if e.node != nil && !req.ForceCPU {
+		adm := gpu.Admission{Arrival: req.Arrival, Timed: req.Timed, Budget: req.Budget}
+		if req.Budget > 0 {
+			adm.Est = e.estimateDeviceCost(req.Terms)
+		}
+		var err error
+		if h, err = e.node.AdmitOnWith(e.placeDevice(req), adm); err != nil {
+			return nil, err
+		}
 		defer h.Release()
 	}
-	return e.search(ctx, terms, h, ov)
-}
-
-// SearchAt runs one query arriving at an explicit simulated time on the
-// device runtime's global timeline — the load-study entry point. A
-// driver generating (e.g. Poisson) arrivals calls SearchAt in arrival
-// order; backlog left on the device by earlier arrivals delays this
-// query even though the driver executes queries one at a time, so the
-// returned latency is the arrival-to-completion sojourn time.
-func (e *Engine) SearchAt(terms []string, arrival time.Duration) (*Result, error) {
-	return e.SearchAtContext(nil, terms, arrival)
-}
-
-// SearchAtContext is SearchAt with a cancellation context (see
-// SearchContext).
-func (e *Engine) SearchAtContext(ctx context.Context, terms []string, arrival time.Duration) (*Result, error) {
-	return e.SearchOverlayAtContext(ctx, terms, arrival, nil)
-}
-
-// SearchOverlayAtContext is SearchAtContext with a live-ingestion
-// overlay (see SearchOverlayContext).
-func (e *Engine) SearchOverlayAtContext(ctx context.Context, terms []string, arrival time.Duration, ov *exec.Overlay) (*Result, error) {
-	var h *gpu.QueryStream
-	if e.node != nil {
-		h = e.node.AdmitAtOn(e.placeDeviceAt(terms, arrival), arrival)
-		defer h.Release()
-	}
-	return e.search(ctx, terms, h, ov)
+	return e.search(ctx, req, h)
 }
 
 // placeDevice chooses the device for one query. Single-device nodes skip
@@ -453,47 +459,32 @@ func (e *Engine) SearchOverlayAtContext(ctx context.Context, terms []string, arr
 // devices=1 engine byte-identical to the pre-node one. At Devices > 1
 // the placement policy sees each device's compute backlog plus, when the
 // engine caches lists, the upload time each device's resident lists
-// would save this query (the affinity signal).
-func (e *Engine) placeDevice(terms []string) int {
+// would save this query (the affinity signal) and, when it batches, the
+// rebate each device's open batches offer. A timed query reads both
+// signals relative to its arrival point on the global timeline, so
+// discrete-event load studies see queue skew even though their driver
+// runs queries one at a time in wall clock.
+func (e *Engine) placeDevice(req Request) int {
 	if e.node.Devices() == 1 {
 		return 0
 	}
-	return e.place(terms, e.node.Backlogs(), e.batchSavings())
-}
-
-// placeDeviceAt is placeDevice for explicit-arrival admissions: the
-// backlog each device shows is relative to the arrival point on the
-// global timeline, so discrete-event load studies see queue skew even
-// though their driver runs queries one at a time in wall clock.
-func (e *Engine) placeDeviceAt(terms []string, arrival time.Duration) int {
-	if e.node.Devices() == 1 {
-		return 0
+	var info sched.NodeInfo
+	batching := e.cfg.BatchWindow > 0
+	if req.Timed {
+		info.Backlog = e.node.BacklogsAt(req.Arrival)
+		if batching {
+			info.BatchSaving = e.node.BatchSavingsAt(req.Arrival)
+		}
+	} else {
+		info.Backlog = e.node.Backlogs()
+		if batching {
+			info.BatchSaving = e.node.BatchSavings()
+		}
 	}
-	return e.place(terms, e.node.BacklogsAt(arrival), e.batchSavingsAt(arrival))
-}
-
-func (e *Engine) place(terms []string, backlog, batchSaving []time.Duration) int {
-	info := sched.NodeInfo{Backlog: backlog, BatchSaving: batchSaving}
 	if e.caches != nil {
-		info.Saving = e.affinitySavings(terms)
+		info.Saving = e.affinitySavings(req.Terms)
 	}
 	return e.placement.Place(info)
-}
-
-// batchSavings reads the per-device batch-affinity placement signal (nil
-// when the batching stage is disabled, so placement math is untouched).
-func (e *Engine) batchSavings() []time.Duration {
-	if e.cfg.BatchWindow <= 0 {
-		return nil
-	}
-	return e.node.BatchSavings()
-}
-
-func (e *Engine) batchSavingsAt(arrival time.Duration) []time.Duration {
-	if e.cfg.BatchWindow <= 0 {
-		return nil
-	}
-	return e.node.BatchSavingsAt(arrival)
 }
 
 // affinitySavings estimates, per device, the transfer time the query's
@@ -518,14 +509,10 @@ func (e *Engine) affinitySavings(terms []string) []time.Duration {
 	return out
 }
 
-func (e *Engine) search(cancel context.Context, terms []string, h *gpu.QueryStream, ov *exec.Overlay) (*Result, error) {
-	return e.searchOpts(cancel, terms, h, ov, SearchOptions{})
-}
-
-// searchOpts is search parameterized by per-query overload options: a
-// top-k override and a forced CPU-only plan (brownout degradation). The
-// zero SearchOptions reproduces search exactly.
-func (e *Engine) searchOpts(cancel context.Context, terms []string, h *gpu.QueryStream, ov *exec.Overlay, opts SearchOptions) (*Result, error) {
+// search plans and executes req on the admitted handle h (nil for
+// CPU-only engines and ForceCPU requests).
+func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream) (*Result, error) {
+	terms, ov := req.Terms, req.Overlay
 	fetches := make([]exec.Fetch, len(terms))
 	for i, t := range terms {
 		fetches[i] = exec.Fetch{Term: t}
@@ -542,8 +529,8 @@ func (e *Engine) searchOpts(cancel context.Context, terms []string, h *gpu.Query
 		device = e.node.Runtime(h.Device()).Device()
 	}
 	topK := e.cfg.TopK
-	if opts.TopK > 0 {
-		topK = opts.TopK
+	if req.TopK > 0 {
+		topK = req.TopK
 	}
 	ctx := &exec.Context{
 		Ctx:           cancel,
@@ -562,7 +549,7 @@ func (e *Engine) searchOpts(cancel context.Context, terms []string, h *gpu.Query
 		}
 	}
 	builder := e.planBuilder(e.queryPolicy(h))
-	if opts.ForceCPU {
+	if req.ForceCPU {
 		// Brownout degradation: the hybrid symmetry that backs fault
 		// fallback also backs load shedding — the CPU plan computes the
 		// same answer without touching the contended device timeline.
@@ -572,7 +559,7 @@ func (e *Engine) searchOpts(cancel context.Context, terms []string, h *gpu.Query
 	}
 	out, err := exec.Run(ctx, fetches, builder)
 	if err != nil {
-		if fault.IsDeviceFault(err) && !e.cfg.NoCPUFallback && e.cfg.Mode != CPUOnly && !opts.ForceCPU {
+		if fault.IsDeviceFault(err) && !e.cfg.NoCPUFallback && e.cfg.Mode != CPUOnly && !req.ForceCPU {
 			return e.fallbackCPU(cancel, fetches, h, ov, err, topK)
 		}
 		return nil, err

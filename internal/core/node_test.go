@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -195,14 +196,14 @@ func TestWarmupStripesAcrossDevices(t *testing.T) {
 	if !ok {
 		t.Fatal("warm term missing")
 	}
-	if got := e.placeDevice([]string{pl.Term}); got != 1 {
+	if got := e.placeDevice(Request{Terms: []string{pl.Term}}); got != 1 {
 		t.Fatalf("query for term warmed on device 1 placed on device %d", got)
 	}
 }
 
-// Under AdmitAt-style load the affinity default balances: saturating
+// Under timed load the affinity default balances: saturating
 // arrivals spread across devices rather than all queueing on one.
-func TestSearchAtSpreadsLoadAcrossDevices(t *testing.T) {
+func TestTimedQueriesSpreadAcrossDevices(t *testing.T) {
 	c := testCorpus(t)
 	e, err := New(c.Index, Config{
 		Mode:    Hybrid,
@@ -219,7 +220,7 @@ func TestSearchAtSpreadsLoadAcrossDevices(t *testing.T) {
 	// Arrivals far faster than service: without spreading, backlog grows
 	// unboundedly on device 0.
 	for i, q := range queries {
-		if _, err := e.SearchAt(q.Terms, time.Duration(i)*time.Microsecond); err != nil {
+		if _, err := e.Query(context.Background(), Request{Terms: q.Terms, Arrival: time.Duration(i) * time.Microsecond, Timed: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

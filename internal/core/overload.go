@@ -1,16 +1,10 @@
 package core
 
-import (
-	"context"
-	"time"
-
-	"griffin/internal/exec"
-	"griffin/internal/gpu"
-)
+import "time"
 
 // SearchOptions carries a query's overload-control parameters into the
-// engine. The zero value reproduces the un-optioned search paths byte
-// for byte — no budget check, configured top-k, configured plan mode.
+// engine. The zero value means no budget check, the configured top-k,
+// and the configured plan mode.
 type SearchOptions struct {
 	// Budget is the query's remaining deadline budget on the modeled
 	// clock. When positive, device admission rejects the query
@@ -26,42 +20,6 @@ type SearchOptions struct {
 	TopK int
 }
 
-// SearchOptsContext is SearchOverlayContext with overload options. A
-// zero opts delegates to the legacy path unchanged.
-func (e *Engine) SearchOptsContext(ctx context.Context, terms []string, ov *exec.Overlay, opts SearchOptions) (*Result, error) {
-	if opts == (SearchOptions{}) {
-		return e.SearchOverlayContext(ctx, terms, ov)
-	}
-	var h *gpu.QueryStream
-	if e.node != nil && !opts.ForceCPU {
-		var err error
-		if h, err = e.node.AdmitOnBudget(e.placeDevice(terms), opts.Budget, e.estimateDeviceCost(terms)); err != nil {
-			return nil, err
-		}
-		defer h.Release()
-	}
-	return e.searchOpts(ctx, terms, h, ov, opts)
-}
-
-// SearchOptsAtContext is SearchOverlayAtContext with overload options
-// (explicit arrival on the global timeline). A zero opts delegates to
-// the legacy path unchanged; a budget rejection leaves the device
-// timeline untouched, so shed arrivals are invisible to later queries.
-func (e *Engine) SearchOptsAtContext(ctx context.Context, terms []string, arrival time.Duration, ov *exec.Overlay, opts SearchOptions) (*Result, error) {
-	if opts == (SearchOptions{}) {
-		return e.SearchOverlayAtContext(ctx, terms, arrival, ov)
-	}
-	var h *gpu.QueryStream
-	if e.node != nil && !opts.ForceCPU {
-		var err error
-		if h, err = e.node.AdmitAtOnBudget(e.placeDeviceAt(terms, arrival), arrival, opts.Budget, e.estimateDeviceCost(terms)); err != nil {
-			return nil, err
-		}
-		defer h.Release()
-	}
-	return e.searchOpts(ctx, terms, h, ov, opts)
-}
-
 // estimateDeviceCost is the admission-time estimate of a query's device
 // work: the transfer time of each term's compressed list, the same
 // hwmodel quantity the affinity placement signal prices. It is a cheap
@@ -69,9 +27,6 @@ func (e *Engine) SearchOptsAtContext(ctx context.Context, terms []string, arriva
 // right bias for admission: an op rejected on the lower bound alone
 // could never have met its deadline.
 func (e *Engine) estimateDeviceCost(terms []string) time.Duration {
-	if e.node == nil {
-		return 0
-	}
 	model := e.node.Model()
 	var est time.Duration
 	for _, t := range terms {

@@ -152,7 +152,7 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 	}
 	var drain time.Duration
 	for _, q := range sample {
-		r, err := burst.SearchAt(context.Background(), q, 0)
+		r, err := burst.Query(context.Background(), cluster.Request{Terms: q, Timed: true})
 		if err != nil {
 			burst.Close()
 			return OverloadSweepResult{}, nil, err

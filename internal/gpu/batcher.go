@@ -274,7 +274,7 @@ func (rt *DeviceRuntime) BatchSaving() time.Duration {
 }
 
 // BatchSavingAt is BatchSaving for a query arriving at an explicit point
-// on the global timeline (the AdmitAt placement path): open batches are
+// on the global timeline (the timed placement path): open batches are
 // judged against the arrival, and a drained device does not forfeit them
 // (timed admissions never flush).
 func (rt *DeviceRuntime) BatchSavingAt(arrival time.Duration) time.Duration {

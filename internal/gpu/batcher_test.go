@@ -122,8 +122,8 @@ func TestBatcherWindowFlush(t *testing.T) {
 	rt := NewRuntime(dev, 1)
 	rt.EnableBatching(BatchConfig{Window: window})
 
-	h1 := rt.AdmitAt(0)
-	h2 := rt.AdmitAt(window * 2) // ready past h1's window
+	h1 := admitAt(rt, 0)
+	h2 := admitAt(rt, window*2) // ready past h1's window
 	defer h1.Release()
 	defer h2.Release()
 

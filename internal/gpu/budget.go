@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"errors"
-	"fmt"
-	"time"
-)
+import "errors"
 
 // ErrBudget is wrapped by budget-aware admissions that reject an op
 // whose estimated completion already exceeds the caller's remaining
@@ -13,60 +9,3 @@ var ErrBudget = errors.New("gpu: admission exceeds deadline budget")
 
 // IsBudget reports whether err is a deadline-budget admission rejection.
 func IsBudget(err error) bool { return errors.Is(err, ErrBudget) }
-
-// AdmitBudget is Admit with a deadline budget: if the compute backlog
-// plus the caller's cost estimate already exceeds budget, the query is
-// rejected (ErrBudget) without being anchored to the timeline. budget
-// <= 0 means unbudgeted — identical to Admit. The idle fast-forward and
-// batch flush still run before the check, exactly as Admit would, so a
-// rejected admission leaves the runtime in the same state a plain Admit
-// on an idle device would have found.
-func (rt *DeviceRuntime) AdmitBudget(budget, est time.Duration) (*QueryStream, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.active == 0 {
-		if rt.horizon > rt.clock {
-			rt.clock = rt.horizon
-		}
-		if rt.batch != nil {
-			rt.batch.flushAll()
-		}
-	}
-	if budget > 0 {
-		if backlog := rt.pendingLocked(rt.clock); backlog+est > budget {
-			return nil, fmt.Errorf("backlog %v + est %v > budget %v: %w", backlog, est, budget, ErrBudget)
-		}
-	}
-	return rt.admitLocked(rt.clock), nil
-}
-
-// AdmitAtBudget is AdmitAt with a deadline budget: if the backlog the
-// arrival would face plus the cost estimate already exceeds budget, the
-// query is rejected (ErrBudget) with no timeline mutation at all — the
-// runtime clock does not advance, so a rejected arrival is invisible to
-// later queries. budget <= 0 is identical to AdmitAt.
-func (rt *DeviceRuntime) AdmitAtBudget(arrival, budget, est time.Duration) (*QueryStream, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if budget > 0 {
-		if backlog := rt.pendingLocked(arrival); backlog+est > budget {
-			return nil, fmt.Errorf("backlog %v + est %v > budget %v: %w", backlog, est, budget, ErrBudget)
-		}
-	}
-	if arrival > rt.clock {
-		rt.clock = arrival
-	}
-	return rt.admitLocked(arrival), nil
-}
-
-// AdmitOnBudget admits on device i with a deadline budget (see
-// DeviceRuntime.AdmitBudget).
-func (n *NodeRuntime) AdmitOnBudget(i int, budget, est time.Duration) (*QueryStream, error) {
-	return n.devs[i].AdmitBudget(budget, est)
-}
-
-// AdmitAtOnBudget admits an arrival on device i with a deadline budget
-// (see DeviceRuntime.AdmitAtBudget).
-func (n *NodeRuntime) AdmitAtOnBudget(i int, arrival, budget, est time.Duration) (*QueryStream, error) {
-	return n.devs[i].AdmitAtBudget(arrival, budget, est)
-}

@@ -19,26 +19,29 @@ func submitCompute(t *testing.T, h *QueryStream) {
 	}
 }
 
-func TestAdmitBudgetUnbudgetedMatchesAdmit(t *testing.T) {
-	rt := NewRuntime(New(hwmodel.DefaultGPU(), 0), 1)
-	h, err := rt.AdmitBudget(0, time.Hour)
-	if err != nil || h == nil {
-		t.Fatalf("unbudgeted admit: %v", err)
-	}
-	h.Release()
-	// Negative budget is also "no budget".
-	h, err = rt.AdmitBudget(-time.Second, time.Hour)
-	if err != nil || h == nil {
-		t.Fatalf("negative budget admit: %v", err)
-	}
-	h.Release()
+// admitAt admits an unbudgeted query at an explicit arrival.
+func admitAt(rt *DeviceRuntime, arrival time.Duration) *QueryStream {
+	h, _ := rt.AdmitWith(Admission{Arrival: arrival, Timed: true})
+	return h
 }
 
-func TestAdmitAtBudgetRejectsWithoutTimelineMutation(t *testing.T) {
+func TestAdmitWithoutBudgetIgnoresEstimate(t *testing.T) {
+	rt := NewRuntime(New(hwmodel.DefaultGPU(), 0), 1)
+	// Zero and negative budgets are both "no budget".
+	for _, budget := range []time.Duration{0, -time.Second} {
+		h, err := rt.AdmitWith(Admission{Budget: budget, Est: time.Hour})
+		if err != nil || h == nil {
+			t.Fatalf("budget %v: %v", budget, err)
+		}
+		h.Release()
+	}
+}
+
+func TestTimedBudgetRejectionLeavesTimelineUntouched(t *testing.T) {
 	rt := NewRuntime(New(hwmodel.DefaultGPU(), 0), 1)
 	// Build real backlog on the single compute lane.
 	for i := 0; i < 4; i++ {
-		h := rt.AdmitAt(0)
+		h := admitAt(rt, 0)
 		submitCompute(t, h)
 		h.Release()
 	}
@@ -51,12 +54,12 @@ func TestAdmitAtBudgetRejectsWithoutTimelineMutation(t *testing.T) {
 	admittedBefore := rt.Stats().Admitted
 
 	// Budget smaller than backlog alone: rejected.
-	h, err := rt.AdmitAtBudget(time.Microsecond, backlog/2, 0)
+	h, err := rt.AdmitWith(Admission{Arrival: time.Microsecond, Timed: true, Budget: backlog / 2})
 	if !IsBudget(err) || h != nil {
 		t.Fatalf("want budget rejection, got %v", err)
 	}
 	// Budget covers backlog but not backlog+est: rejected.
-	if _, err := rt.AdmitAtBudget(time.Microsecond, backlog+time.Nanosecond, time.Millisecond); !IsBudget(err) {
+	if _, err := rt.AdmitWith(Admission{Arrival: time.Microsecond, Timed: true, Budget: backlog + time.Nanosecond, Est: time.Millisecond}); !IsBudget(err) {
 		t.Fatalf("want budget rejection with est, got %v", err)
 	}
 	// Rejections leave no trace: same admitted count, same horizon, and a
@@ -71,22 +74,22 @@ func TestAdmitAtBudgetRejectsWithoutTimelineMutation(t *testing.T) {
 		t.Errorf("rejection changed backlog: %v != %v", got, backlog)
 	}
 
-	// Ample budget: admitted, identical to AdmitAt.
-	h, err = rt.AdmitAtBudget(time.Microsecond, backlog+10*time.Millisecond, time.Millisecond)
+	// Ample budget: admitted.
+	h, err = rt.AdmitWith(Admission{Arrival: time.Microsecond, Timed: true, Budget: backlog + 10*time.Millisecond, Est: time.Millisecond})
 	if err != nil || h == nil {
 		t.Fatalf("ample budget rejected: %v", err)
 	}
 	h.Release()
 }
 
-func TestAdmitBudgetIdleFastForwardClearsBacklog(t *testing.T) {
+func TestUntimedBudgetIdleFastForwardClearsBacklog(t *testing.T) {
 	rt := NewRuntime(New(hwmodel.DefaultGPU(), 0), 1)
 	// Accumulate work, then drain: the untimed path fast-forwards past
 	// the horizon, so an idle device never rejects.
 	h := rt.Admit()
 	submitCompute(t, h)
 	h.Release()
-	got, err := rt.AdmitBudget(time.Nanosecond, 0)
+	got, err := rt.AdmitWith(Admission{Budget: time.Nanosecond})
 	if err != nil || got == nil {
 		t.Fatalf("idle device rejected a tiny budget: %v", err)
 	}
@@ -97,7 +100,7 @@ func TestNodeBudgetAdmission(t *testing.T) {
 	n := NewNode(New(hwmodel.DefaultGPU(), 0), 2, 1)
 	// Load device 0 only.
 	for i := 0; i < 4; i++ {
-		h := n.AdmitAtOn(0, 0)
+		h := admitAt(n.Runtime(0), 0)
 		submitCompute(t, h)
 		h.Release()
 	}
@@ -105,16 +108,17 @@ func TestNodeBudgetAdmission(t *testing.T) {
 	if backlog[0] <= 0 || backlog[1] != 0 {
 		t.Fatalf("backlogs: %v", backlog)
 	}
-	if _, err := n.AdmitAtOnBudget(0, time.Microsecond, backlog[0]/2, 0); !IsBudget(err) {
+	timed := Admission{Arrival: time.Microsecond, Timed: true, Budget: backlog[0] / 2}
+	if _, err := n.AdmitOnWith(0, timed); !IsBudget(err) {
 		t.Fatalf("loaded device: want rejection, got %v", err)
 	}
-	h, err := n.AdmitAtOnBudget(1, time.Microsecond, backlog[0]/2, 0)
+	h, err := n.AdmitOnWith(1, timed)
 	if err != nil || h == nil {
 		t.Fatalf("idle device rejected: %v", err)
 	}
 	h.Release()
-	if h2, err := n.AdmitOnBudget(1, time.Hour, 0); err != nil {
-		t.Fatalf("AdmitOnBudget: %v", err)
+	if h2, err := n.AdmitOnWith(1, Admission{Budget: time.Hour}); err != nil {
+		t.Fatalf("untimed budgeted admission: %v", err)
 	} else {
 		h2.Release()
 	}

@@ -79,14 +79,12 @@ func (n *NodeRuntime) Runtime(i int) *DeviceRuntime { return n.devs[i] }
 // transfers with.
 func (n *NodeRuntime) Model() *hwmodel.GPUModel { return n.devs[0].dev.Model() }
 
-// AdmitOn registers a query with no explicit arrival time on device i
-// (see DeviceRuntime.Admit).
+// AdmitOn admits a query on device i (see DeviceRuntime.Admit).
 func (n *NodeRuntime) AdmitOn(i int) *QueryStream { return n.devs[i].Admit() }
 
-// AdmitAtOn registers a query arriving at an explicit point on device i's
-// global timeline (see DeviceRuntime.AdmitAt).
-func (n *NodeRuntime) AdmitAtOn(i int, arrival time.Duration) *QueryStream {
-	return n.devs[i].AdmitAt(arrival)
+// AdmitOnWith admits a query on device i (see DeviceRuntime.AdmitWith).
+func (n *NodeRuntime) AdmitOnWith(i int, a Admission) (*QueryStream, error) {
+	return n.devs[i].AdmitWith(a)
 }
 
 // Backlogs reports each device's current compute backlog — the per-device
@@ -100,8 +98,8 @@ func (n *NodeRuntime) Backlogs() []time.Duration {
 }
 
 // BacklogsAt reports each device's compute backlog as seen by a query
-// arriving at the given timeline point (the AdmitAtOn placement signal;
-// see DeviceRuntime.PendingAt).
+// arriving at the given timeline point (the placement signal of a timed
+// Admission; see DeviceRuntime.PendingAt).
 func (n *NodeRuntime) BacklogsAt(arrival time.Duration) []time.Duration {
 	out := make([]time.Duration, len(n.devs))
 	for i, rt := range n.devs {
@@ -173,7 +171,8 @@ func (n *NodeRuntime) BatchSavings() []time.Duration {
 }
 
 // BatchSavingsAt is BatchSavings for a query arriving at an explicit
-// point on the global timeline (the AdmitAtOn placement signal).
+// point on the global timeline (the placement signal of a timed
+// Admission).
 func (n *NodeRuntime) BatchSavingsAt(arrival time.Duration) []time.Duration {
 	out := make([]time.Duration, len(n.devs))
 	for i, rt := range n.devs {

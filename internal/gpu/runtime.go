@@ -15,6 +15,7 @@
 package gpu
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -183,47 +184,70 @@ type QueryStream struct {
 	released bool
 }
 
-// Admit registers a query with no explicit arrival time (the service
-// path: Search, SearchBatch, HTTP handlers). If the device is idle the
-// query is anchored past all previously accumulated work — it sees no
-// backlog — otherwise it joins the in-flight queries' epoch and contends
-// with them on the timeline.
+// Admission parameterizes one query's admission to a device runtime.
+// The zero value is the service path (Search, SearchBatch, HTTP
+// handlers): no explicit arrival, no deadline budget.
+type Admission struct {
+	// Arrival places the query at an explicit point on the global
+	// timeline — the load-study path, where a driver generates simulated
+	// (e.g. Poisson) arrivals and executes queries in arrival order.
+	// Backlog left by earlier-arriving queries delays this one even
+	// though the driver runs queries one at a time in wall clock. It is
+	// honoured only when Timed is set: 0 is a valid arrival, not "none".
+	Arrival time.Duration
+	Timed   bool
+	// Budget, when positive, is the caller's remaining deadline budget:
+	// the query is rejected (ErrBudget) if the compute backlog it would
+	// face plus Est, the caller's cost estimate, already exceeds it.
+	Budget time.Duration
+	Est    time.Duration
+}
+
+// Admit is AdmitWith for the zero Admission.
 func (rt *DeviceRuntime) Admit() *QueryStream {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.active == 0 {
-		if rt.horizon > rt.clock {
-			rt.clock = rt.horizon
-		}
-		// The device drained before this query arrived: no prior query's
-		// work is still pending, so no open batch may absorb this query's
-		// ops. (Timed admissions — AdmitAt — never flush: their overlap
-		// lives on the simulated timeline, not in wall clock.)
-		if rt.batch != nil {
-			rt.batch.flushAll()
-		}
-	}
-	return rt.admitLocked(rt.clock)
+	h, _ := rt.AdmitWith(Admission{}) // only a budgeted admission can be rejected
+	return h
 }
 
-// AdmitAt registers a query arriving at an explicit point on the global
-// timeline — the load-study path, where a driver generates simulated
-// (e.g. Poisson) arrivals and executes queries in arrival order. Backlog
-// left by earlier-arriving queries delays this one even though the
-// driver runs queries one at a time in wall clock.
-func (rt *DeviceRuntime) AdmitAt(arrival time.Duration) *QueryStream {
+// AdmitWith registers a query on the runtime. An untimed query arriving
+// at an idle device is anchored past all previously accumulated work —
+// it sees no backlog — otherwise it joins the in-flight queries' epoch
+// and contends with them on the timeline. A timed query is anchored at
+// its arrival whatever the wall-clock state of the device. A budget
+// rejection does not anchor the query: a rejected timed arrival leaves
+// the timeline untouched and is invisible to later queries, a rejected
+// untimed one leaves the runtime as an admission to an idle device
+// would have found it.
+func (rt *DeviceRuntime) AdmitWith(a Admission) (*QueryStream, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if arrival > rt.clock {
-		rt.clock = arrival
+	anchor := a.Arrival
+	if !a.Timed {
+		if rt.active == 0 {
+			if rt.horizon > rt.clock {
+				rt.clock = rt.horizon
+			}
+			// The device drained before this query arrived: no prior query's
+			// work is still pending, so no open batch may absorb this query's
+			// ops. (Timed admissions never flush: their overlap lives on the
+			// simulated timeline, not in wall clock.)
+			if rt.batch != nil {
+				rt.batch.flushAll()
+			}
+		}
+		anchor = rt.clock
 	}
-	return rt.admitLocked(arrival)
-}
-
-func (rt *DeviceRuntime) admitLocked(anchor time.Duration) *QueryStream {
+	if a.Budget > 0 {
+		if backlog := rt.pendingLocked(anchor); backlog+a.Est > a.Budget {
+			return nil, fmt.Errorf("backlog %v + est %v > budget %v: %w", backlog, a.Est, a.Budget, ErrBudget)
+		}
+	}
+	if anchor > rt.clock {
+		rt.clock = anchor
+	}
 	rt.admitted++
 	rt.active++
-	return &QueryStream{rt: rt, s: rt.dev.NewStream(), id: rt.admitted, anchor: anchor}
+	return &QueryStream{rt: rt, s: rt.dev.NewStream(), id: rt.admitted, anchor: anchor}, nil
 }
 
 // Release returns the query's slot; the runtime fast-forwards its idle
@@ -397,11 +421,12 @@ func (rt *DeviceRuntime) PendingTime() time.Duration {
 }
 
 // PendingAt reports the compute backlog a query arriving at the given
-// point on the global timeline (AdmitAt) would face. Unlike PendingTime
-// it does not treat an idle device as backlog-free: in discrete-event
-// load studies the lanes legitimately hold work scheduled past the
-// arrival even when no query is in flight in wall clock, and that
-// residual is exactly the queueing delay the arrival would be charged.
+// point on the global timeline (a timed Admission) would face. Unlike
+// PendingTime it does not treat an idle device as backlog-free: in
+// discrete-event load studies the lanes legitimately hold work scheduled
+// past the arrival even when no query is in flight in wall clock, and
+// that residual is exactly the queueing delay the arrival would be
+// charged.
 func (rt *DeviceRuntime) PendingAt(arrival time.Duration) time.Duration {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -156,11 +156,11 @@ func TestRuntimeEnginesQueueIndependently(t *testing.T) {
 // Explicit arrival times: a query arriving after the previous one's work
 // has drained sees no delay; one arriving mid-service queues for the
 // remainder.
-func TestRuntimeAdmitAt(t *testing.T) {
+func TestRuntimeTimedAdmission(t *testing.T) {
 	dev := New(hwmodel.DefaultGPU(), 0)
 	rt := NewRuntime(dev, 1)
 
-	h1 := rt.AdmitAt(0)
+	h1 := admitAt(rt, 0)
 	if err := h1.Submit(ComputeEngine, func(s *Stream) error {
 		s.Launch(testKernel("a"))
 		return nil
@@ -172,7 +172,7 @@ func TestRuntimeAdmitAt(t *testing.T) {
 
 	// Arrive halfway through h1's service: wait for the remainder.
 	mid := end1 / 2
-	h2 := rt.AdmitAt(mid)
+	h2 := admitAt(rt, mid)
 	if err := h2.Submit(ComputeEngine, func(s *Stream) error {
 		s.Launch(testKernel("b"))
 		return nil
@@ -186,7 +186,7 @@ func TestRuntimeAdmitAt(t *testing.T) {
 	h2.Release()
 
 	// Arrive after everything drained: no delay.
-	h3 := rt.AdmitAt(end2 + time.Millisecond)
+	h3 := admitAt(rt, end2+time.Millisecond)
 	if err := h3.Submit(ComputeEngine, func(s *Stream) error {
 		s.Launch(testKernel("c"))
 		return nil

@@ -308,7 +308,7 @@ func (c *Cluster) Gen() uint64 { return c.genA.Load() }
 
 // Cluster returns the current serving cluster (telemetry surface). The
 // pointer is only safe for reads that tolerate a concurrent rebuild;
-// queries must go through Search.
+// queries must go through Query.
 func (c *Cluster) Cluster() *cluster.Cluster {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -541,47 +541,27 @@ type ClusterResult struct {
 	Gen uint64
 }
 
-// Search scatter-gathers one conjunctive query against the freshest
-// cluster snapshot.
+// Search is Query for a bare term list.
 func (c *Cluster) Search(terms []string) (*ClusterResult, error) {
-	return c.SearchContext(nil, terms)
+	return c.Query(context.Background(), cluster.Request{Terms: terms})
 }
 
-// SearchContext is Search with a cancellation context.
-func (c *Cluster) SearchContext(ctx context.Context, terms []string) (*ClusterResult, error) {
-	return c.search(ctx, terms, 0, false, cluster.QueryOpts{})
-}
-
-// SearchOptsContext is SearchContext with per-query overload options
-// (deadline budget, criticality class), threaded through to the
-// underlying cluster. Zero opts is SearchContext exactly.
-func (c *Cluster) SearchOptsContext(ctx context.Context, terms []string, qo cluster.QueryOpts) (*ClusterResult, error) {
-	return c.search(ctx, terms, 0, false, qo)
-}
-
-// SearchAt runs one cluster query arriving at an explicit simulated time
-// on every shard runtime's timeline (the load-study entry point).
-func (c *Cluster) SearchAt(terms []string, arrival time.Duration) (*ClusterResult, error) {
-	return c.search(nil, terms, arrival, true, cluster.QueryOpts{})
-}
-
-func (c *Cluster) search(ctx context.Context, terms []string, arrival time.Duration, timed bool, qo cluster.QueryOpts) (*ClusterResult, error) {
+// Query scatter-gathers req against the freshest cluster snapshot: it
+// pins the snapshot, sets req.Overlay to that snapshot's per-shard
+// delta overlays (replacing any the caller supplied), and delegates to
+// the underlying cluster.
+func (c *Cluster) Query(ctx context.Context, req cluster.Request) (*ClusterResult, error) {
 	s, err := c.acquireFresh()
 	if err != nil {
 		return nil, err
 	}
 	defer c.gate.RUnlock()
 
-	var ov cluster.Overlay
+	req.Overlay = nil
 	if !s.clean {
-		ov = c.overlayFor(s, terms)
+		req.Overlay = c.overlayFor(s, req.Terms)
 	}
-	var res *cluster.Result
-	if timed {
-		res, err = s.topo.c.SearchOverlayAtWith(ctx, terms, arrival, ov, qo)
-	} else {
-		res, err = s.topo.c.SearchOverlayWith(ctx, terms, ov, qo)
-	}
+	res, err := s.topo.c.Query(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -731,11 +711,9 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 	// merge through the ordinary submit hooks.
 	var devTime, cpuTime time.Duration
 	if node := t.c.ShardNode(s); node != nil && len(plan.changed) > 0 {
-		var h *gpu.QueryStream
-		if timed {
-			h = node.AdmitAtOn(0, arrival)
-		} else {
-			h = node.AdmitOn(0)
+		h, err := node.AdmitOnWith(0, gpu.Admission{Arrival: arrival, Timed: timed})
+		if err != nil {
+			return err
 		}
 		gm := node.Model()
 		for _, ch := range plan.changed {

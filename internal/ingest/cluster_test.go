@@ -1,9 +1,12 @@
 package ingest
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -129,6 +132,60 @@ func TestClusterLiveParity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClusterQueryOnePath: Search is Query with only Terms set; the
+// live layer decorates the request (pinned snapshot's per-shard
+// overlays, Gen stamp) and the rest of it — arrival, ctx — reaches the
+// serving cluster.
+func TestClusterQueryOnePath(t *testing.T) {
+	const vocab = 16
+	base := seedCorpus(23, 150, vocab)
+	script := genScript(24, base.clone(), 60, vocab)
+	live := func(t *testing.T) *Cluster {
+		lc := base.clone()
+		c, err := NewCluster(lc.build(t, index.CodecEF), ClusterConfig{
+			Shards:  2,
+			Cluster: cluster.Config{Engine: core.Config{Mode: core.Hybrid}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		for _, m := range script {
+			applyCluster(t, c, lc, m)
+		}
+		return c
+	}
+
+	t.Run("Search equals Query", func(t *testing.T) {
+		shim, direct := live(t), live(t)
+		for qi, q := range queryLog(vocab) {
+			want, err := shim.Search(q)
+			if err != nil {
+				t.Fatalf("q%d Search: %v", qi, err)
+			}
+			// A caller-supplied overlay is replaced by the snapshot's: empty
+			// shard overlays would otherwise hide the unmerged deltas.
+			got, err := direct.Query(context.Background(), cluster.Request{Terms: q, Overlay: make(shardOverlays, 2)})
+			if err != nil {
+				t.Fatalf("q%d Query: %v", qi, err)
+			}
+			if got.Gen != want.Gen || !sameDocs(clusterBits(got), clusterBits(want)) ||
+				!reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Fatalf("q%d %v diverges:\n got gen %d %+v\nwant gen %d %+v", qi, q, got.Gen, got.Result, want.Gen, want.Result)
+			}
+		}
+	})
+
+	t.Run("timed query under a cancelled ctx", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := live(t).Query(ctx, cluster.Request{Terms: queryLog(vocab)[0], Timed: true})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error = %v, want context.Canceled", err)
+		}
+	})
 }
 
 // TestClusterQuiescedGoldenParity: after mutations and a Quiesce

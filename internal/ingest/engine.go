@@ -435,35 +435,24 @@ type Result struct {
 	Gen uint64
 }
 
-// Search runs one conjunctive query against the freshest snapshot.
+// Search is Query for a bare term list.
 func (e *Engine) Search(terms []string) (*Result, error) {
-	return e.SearchContext(nil, terms)
+	return e.Query(context.Background(), core.Request{Terms: terms})
 }
 
-// SearchContext is Search with a cancellation context.
-func (e *Engine) SearchContext(ctx context.Context, terms []string) (*Result, error) {
+// Query runs req against the freshest snapshot: it pins the snapshot,
+// sets req.Overlay to that snapshot's delta overlay (replacing any the
+// caller supplied), and delegates to the serving core engine. A timed
+// request queues behind earlier queries *and background merges* on the
+// shared device timeline.
+func (e *Engine) Query(ctx context.Context, req core.Request) (*Result, error) {
 	s, err := e.acquireFresh()
 	if err != nil {
 		return nil, err
 	}
 	defer s.release()
-	r, err := s.seg.eng.SearchOverlayContext(ctx, terms, e.overlayFor(s))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Result: r, Gen: s.view.gen}, nil
-}
-
-// SearchAt runs one query arriving at an explicit simulated time on the
-// shared device timeline — the load-study entry point; backlog left by
-// earlier queries *and background merges* delays it.
-func (e *Engine) SearchAt(terms []string, arrival time.Duration) (*Result, error) {
-	s, err := e.acquireFresh()
-	if err != nil {
-		return nil, err
-	}
-	defer s.release()
-	r, err := s.seg.eng.SearchOverlayAtContext(nil, terms, arrival, e.overlayFor(s))
+	req.Overlay = e.overlayFor(s)
+	r, err := s.seg.eng.Query(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -491,7 +480,7 @@ func (e *Engine) bm25() rank.BM25Params {
 
 // Engine returns the current serving engine (telemetry surface: node,
 // caches, batching). The pointer is only safe for reads that tolerate a
-// concurrent swap; queries must go through Search.
+// concurrent swap; queries must go through Query.
 func (e *Engine) Engine() *core.Engine { return e.snap.Load().seg.eng }
 
 // Index returns the current main segment (excluding the delta).

@@ -1,15 +1,19 @@
 package ingest
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"griffin/internal/core"
+	"griffin/internal/exec"
 	"griffin/internal/fault"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
@@ -610,13 +614,68 @@ func TestMergeInterferenceOnSharedDevice(t *testing.T) {
 		t.Errorf("merge billed no CPU encode time: %+v", st)
 	}
 	// A query arriving while the merge's device work is still queued waits.
-	r, err := e.SearchAt([]string{word(0), word(1)}, 0)
+	r, err := e.Query(context.Background(), core.Request{Terms: []string{word(0), word(1)}, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats.GPUWait <= 0 {
 		t.Errorf("query behind merge backlog saw no GPUWait (got %v)", r.Stats.GPUWait)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// One query path: Search is Query with only Terms set; the live layer
+// decorates the request (pinned snapshot's overlay, Gen stamp) and the
+// rest of it — arrival, ctx — reaches the serving engine.
+// ---------------------------------------------------------------------------
+
+func TestEngineQueryOnePath(t *testing.T) {
+	const vocab = 16
+	base := seedCorpus(53, 200, vocab)
+	script := genScript(54, base.clone(), 60, vocab)
+	live := func(t *testing.T) *Engine {
+		c := base.clone()
+		e, err := New(c.build(t, index.CodecEF), Config{
+			Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		for _, m := range script {
+			apply(t, e, c, m)
+		}
+		return e
+	}
+
+	t.Run("Search equals Query", func(t *testing.T) {
+		shim, direct := live(t), live(t)
+		for qi, q := range queryLog(vocab) {
+			want, err := shim.Search(q)
+			if err != nil {
+				t.Fatalf("q%d Search: %v", qi, err)
+			}
+			// A caller-supplied overlay is replaced by the snapshot's: an
+			// empty one would otherwise hide the unmerged delta.
+			got, err := direct.Query(context.Background(), core.Request{Terms: q, Overlay: &exec.Overlay{}})
+			if err != nil {
+				t.Fatalf("q%d Query: %v", qi, err)
+			}
+			if got.Gen != want.Gen || !sameDocs(bitsOf(got.Result), bitsOf(want.Result)) ||
+				!reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Fatalf("q%d %v diverges:\n got gen %d %+v\nwant gen %d %+v", qi, q, got.Gen, got.Result, want.Gen, want.Result)
+			}
+		}
+	})
+
+	t.Run("timed query under a cancelled ctx", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err := live(t).Query(ctx, core.Request{Terms: queryLog(vocab)[0], Timed: true})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("error = %v, want context.Canceled", err)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------

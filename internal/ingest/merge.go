@@ -134,11 +134,9 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	// itself is host work, billed on the CPU model.
 	var devTime, cpuTime time.Duration
 	if node := cur.seg.eng.Node(); node != nil && len(plan.changed) > 0 {
-		var h *gpu.QueryStream
-		if timed {
-			h = node.AdmitAtOn(0, arrival)
-		} else {
-			h = node.AdmitOn(0)
+		h, err := node.AdmitOnWith(0, gpu.Admission{Arrival: arrival, Timed: timed})
+		if err != nil {
+			return err
 		}
 		gm := node.Model()
 		for _, ch := range plan.changed {

@@ -45,10 +45,10 @@ func (r ClusterResult) Available() float64 {
 
 // RunCluster drives a sharded cluster under Poisson load, the cluster
 // analogue of RunEngine: each query is admitted at its generated arrival
-// time on every shard replica's device timeline (cluster.SearchAt), so a
-// shard whose device still carries backlog from earlier arrivals delays
-// the queries routed to it — and, through the max-over-shards critical
-// path, the whole cluster response. Sequential wall-clock execution in
+// time on every shard replica's device timeline (a timed
+// cluster.Request), so a shard whose device still carries backlog from
+// earlier arrivals delays the queries routed to it — and, through the
+// max-over-shards critical path, the whole cluster response. Sequential wall-clock execution in
 // arrival order remains a faithful discrete-event evaluation because
 // every replica runtime's engine queue serves FCFS.
 //
@@ -65,7 +65,7 @@ func RunCluster(cl *cluster.Cluster, queries [][]string, spec Spec) (ClusterResu
 	answered := 0
 	for _, q := range queries {
 		t += time.Duration(rng.ExpFloat64() / spec.ArrivalRate * float64(time.Second))
-		r, err := cl.SearchAt(context.Background(), q, t)
+		r, err := cl.Query(context.Background(), cluster.Request{Terms: q, Arrival: t, Timed: true})
 		if err != nil {
 			if spec.TolerateFailures && errors.Is(err, cluster.ErrAllShardsFailed) {
 				res.Failed++

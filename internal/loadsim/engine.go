@@ -1,6 +1,7 @@
 package loadsim
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -10,7 +11,8 @@ import (
 
 // RunEngine drives the *real* engine under Poisson load through its
 // shared device runtime, instead of replaying extracted segment traces:
-// each query is admitted at its generated arrival time (core.SearchAt),
+// each query is admitted at its generated arrival time (a timed
+// core.Request),
 // executes its actual plan, and pays modeled queueing delay behind the
 // device backlog earlier arrivals left. Because the runtime's engine
 // queues serve FCFS and queries are driven in arrival order, sequential
@@ -37,7 +39,7 @@ func RunEngine(e *core.Engine, queries [][]string, spec Spec) (Result, error) {
 	var t time.Duration
 	for _, q := range queries {
 		t += time.Duration(rng.ExpFloat64() / spec.ArrivalRate * float64(time.Second))
-		r, err := e.SearchAt(q, t)
+		r, err := e.Query(context.Background(), core.Request{Terms: q, Arrival: t, Timed: true})
 		if err != nil {
 			return res, err
 		}

@@ -1,9 +1,11 @@
 package loadsim
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
+	"griffin/internal/core"
 	"griffin/internal/ingest"
 	"griffin/internal/stats"
 )
@@ -130,7 +132,7 @@ func RunMixed(e *ingest.Engine, queries [][]string, muts []Mutation, spec MixedS
 			continue
 		}
 		res.Reads++
-		r, err := e.SearchAt(queries[qi], t)
+		r, err := e.Query(context.Background(), core.Request{Terms: queries[qi], Arrival: t, Timed: true})
 		qi++
 		if err != nil {
 			res.Failed++

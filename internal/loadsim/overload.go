@@ -82,7 +82,7 @@ func (r OverloadResult) Goodput() float64 {
 }
 
 // RunOverload drives a cluster through a deadline-scored saturation
-// study: Poisson arrivals on the modeled clock (cluster.SearchAtWith),
+// study: Poisson arrivals on the modeled clock (timed cluster.Requests),
 // each query scored good only when answered complete and within the
 // deadline. Overload refusals (ErrShed/ErrDeadline wraps) are counted
 // as sheds, not failures — they are the control system working. The
@@ -110,7 +110,7 @@ func RunOverload(cl *cluster.Cluster, queries [][]string, spec OverloadSpec) (Ov
 				qo.Class = overload.Batch
 			}
 		}
-		r, err := cl.SearchAtWith(context.Background(), q, t, qo)
+		r, err := cl.Query(context.Background(), cluster.Request{Terms: q, Arrival: t, Timed: true, QueryOpts: qo})
 		switch {
 		case err != nil && overload.IsOverload(err):
 			out.Shed++

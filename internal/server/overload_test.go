@@ -219,6 +219,33 @@ func TestGateCancelledWaiterDoesNotLeakSlot(t *testing.T) {
 	}
 }
 
+// TestCancelledClientIsNotAServerError: a search that dies on the
+// client's own cancelled request context — the client left, as in the
+// gate above — writes nothing and leaves /statz errors unchanged.
+func TestCancelledClientIsNotAServerError(t *testing.T) {
+	for name, srv := range map[string]*Server{
+		"engine":  newTestServer(t),
+		"cluster": newTestClusterServer(t, 2, 1, 0),
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		req := httptest.NewRequest(http.MethodGet, "/search?q=quick+fox", nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Body.Len() != 0 {
+			t.Errorf("%s: wrote %q to a client that left", name, rec.Body.Bytes())
+		}
+		_, body := get(t, srv, "/statz")
+		var st StatsResponse
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Errors != 0 || st.Queries != 0 {
+			t.Errorf("%s: cancelled request counted: errors=%d queries=%d", name, st.Errors, st.Queries)
+		}
+	}
+}
+
 // TestStatzOverloadBlock drives a cluster with overload controls on and
 // checks the /statz block carries the cluster-side counters.
 func TestStatzOverloadBlock(t *testing.T) {

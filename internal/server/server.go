@@ -271,13 +271,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// The live path pins a (segment, delta) snapshot for the whole
 		// query — concurrent mutations and merge commits never tear it.
 		var lr *ingest.Result
-		if lr, err = s.live.SearchContext(r.Context(), terms); err == nil {
+		if lr, err = s.live.Query(r.Context(), core.Request{Terms: terms}); err == nil {
 			res = lr.Result
 		}
 	} else {
 		res, err = s.engine.SearchContext(r.Context(), terms)
 	}
 	if err != nil {
+		if r.Context().Err() != nil {
+			return // the client left mid-query: not a server error, nothing useful to write
+		}
 		s.errors.Add(1)
 		http.Error(w, "search failed: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -326,15 +329,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 // rides through to the shard sub-queries: a client that disconnects
 // cancels the stragglers at their next plan-operator boundary.
 func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []string, k int, trace bool, qo cluster.QueryOpts) {
+	req := cluster.Request{Terms: terms, QueryOpts: qo}
 	var res *cluster.Result
 	var err error
 	if s.liveCluster != nil {
 		var lr *ingest.ClusterResult
-		if lr, err = s.liveCluster.SearchOptsContext(r.Context(), terms, qo); err == nil {
+		if lr, err = s.liveCluster.Query(r.Context(), req); err == nil {
 			res = lr.Result
 		}
 	} else {
-		res, err = s.cluster.SearchWith(r.Context(), terms, qo)
+		res, err = s.cluster.Query(r.Context(), req)
 	}
 	if err != nil {
 		if overload.IsOverload(err) {
@@ -345,6 +349,9 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "overloaded: "+err.Error(), http.StatusServiceUnavailable)
 			return
+		}
+		if r.Context().Err() != nil {
+			return // the client left mid-query: not a server error, nothing useful to write
 		}
 		s.errors.Add(1)
 		http.Error(w, "search failed: "+err.Error(), http.StatusInternalServerError)
