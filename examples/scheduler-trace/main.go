@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("  %-12s -> %-3s  ratio %7.1f  |short|=%-8d |long|=%-8d out=%-7d %v\n",
 			op.Stage, op.Where, op.Ratio, op.ShortLen, op.LongLen, op.OutLen, op.Took)
 	}
-	fmt.Printf("\nphysical plan (one line per executed operator):\n")
+	fmt.Printf("\nphysical plan (one line per executed operator; device operators of a step overlap):\n")
 	for _, op := range res.Stats.Plan {
 		algo := op.Algo.String()
 		if algo != "" {
@@ -93,14 +93,15 @@ func main() {
 		if term != "" {
 			term = " " + term
 		}
-		fmt.Printf("  %-10s -> %-3s%-15s  in=%-8d out=%-8d took %-12v est %v\n",
-			op.Kind, op.Where, algo+term, op.NIn, op.NOut, op.Took, op.Est)
+		fmt.Printf("  %-10s -> %-3s%-15s  in=%-8d out=%-8d at %-12v took %-12v est %v\n",
+			op.Kind, op.Where, algo+term, op.NIn, op.NOut, op.Start, op.Took, op.Est)
 	}
 
 	fmt.Printf("\nmigrated GPU->CPU: %v\n", res.Stats.Migrated)
-	fmt.Printf("simulated latency: %.3f ms (GPU %.3f ms + CPU %.3f ms)\n",
+	fmt.Printf("simulated latency: %.3f ms (GPU %.3f ms + CPU %.3f ms; %.3f ms of device work hidden by overlap)\n",
 		float64(res.Stats.Latency.Microseconds())/1000,
 		float64(res.Stats.GPUTime.Microseconds())/1000,
-		float64(res.Stats.CPUTime.Microseconds())/1000)
+		float64(res.Stats.CPUTime.Microseconds())/1000,
+		float64(res.Stats.Overlapped.Microseconds())/1000)
 	fmt.Printf("matches: %d\n", res.Stats.Candidates)
 }

@@ -13,9 +13,9 @@
 //     from device to host when the query's characteristics shift.
 //
 // Per-query latency is simulated: CPU operations report work counts priced
-// by hwmodel.CPUModel, device operations accumulate on a gpu.Stream; the
-// two interleave on a single sequential timeline, matching how the paper's
-// prototype executes one query.
+// by hwmodel.CPUModel, device operations accumulate on the query's
+// gpu.StreamSet (one stream per engine, so copies overlap kernels); host
+// and device phases alternate on one timeline.
 package core
 
 import (
@@ -246,11 +246,19 @@ func New(ix *index.Index, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Close releases any device memory the engine holds (the list caches).
-// Engines without caching need no cleanup.
+// Close releases the device memory the engine holds: the list caches, and
+// the free blocks its queries left in the devices' memory pools, whose
+// sizes fit this engine's lists and nobody else's. A successor adopting
+// the node (a live index swap) therefore starts, like a fresh build, from
+// an empty pool.
 func (e *Engine) Close() {
 	for _, c := range e.caches {
 		c.drop()
+	}
+	if e.node != nil {
+		for d := 0; d < e.node.Devices(); d++ {
+			e.node.Runtime(d).Device().Trim()
+		}
 	}
 }
 
@@ -316,8 +324,8 @@ func (e *Engine) Warmup(terms []string) (int, time.Duration, error) {
 	elapsed := func() time.Duration {
 		var max time.Duration
 		for _, h := range handles {
-			if h != nil && h.Stream().Elapsed() > max {
-				max = h.Stream().Elapsed()
+			if h != nil && h.Elapsed() > max {
+				max = h.Elapsed()
 			}
 		}
 		return max
@@ -578,7 +586,7 @@ func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream)
 func (e *Engine) fallbackCPU(cancel context.Context, fetches []exec.Fetch, h *gpu.QueryStream, ov *exec.Overlay, cause error, topK int) (*Result, error) {
 	var wasted time.Duration
 	if h != nil {
-		wasted = h.Stream().Elapsed()
+		wasted = h.Elapsed()
 	}
 	ctx := &exec.Context{
 		Ctx:           cancel,

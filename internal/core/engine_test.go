@@ -341,28 +341,42 @@ func TestGriffinNotSlowerThanBothBaselines(t *testing.T) {
 }
 
 func TestSearchDeterministic(t *testing.T) {
-	// The whole pipeline is deterministic: repeating a query yields
-	// identical results AND identical simulated latency, at any host
-	// parallelism — the property that makes recorded experiment numbers
-	// reproducible.
+	// The whole pipeline is deterministic: the same sequence of queries on
+	// a fresh engine yields identical results AND identical simulated
+	// latencies, at any host parallelism — the property that makes
+	// recorded experiment numbers reproducible. Within one engine a repeat
+	// is never slower than the first run, which paid the cudaMallocs that
+	// stocked the device's memory pool, and repeats of a repeat agree.
 	c := testCorpus(t)
-	_, gpuE, hybE := newEngines(t, c)
 	q := []string{c.Terms[1], c.Terms[4], c.Terms[9]}
-	for _, e := range []*Engine{gpuE, hybE} {
-		r1, err := e.Search(q)
-		if err != nil {
-			t.Fatal(err)
+	run := func(e *Engine) [3]*Result {
+		var rs [3]*Result
+		for i := range rs {
+			r, err := e.Search(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs[i] = r
 		}
-		r2, err := e.Search(q)
-		if err != nil {
-			t.Fatal(err)
+		return rs
+	}
+	_, gpuA, hybA := newEngines(t, c)
+	_, gpuB, hybB := newEngines(t, c)
+	for _, pair := range [][2]*Engine{{gpuA, gpuB}, {hybA, hybB}} {
+		a, b := run(pair[0]), run(pair[1])
+		mode := pair[0].Mode()
+		for i := range a {
+			if !reflect.DeepEqual(docIDsOf(a[i]), docIDsOf(a[0])) {
+				t.Fatalf("%v: results differ across runs", mode)
+			}
+			if !reflect.DeepEqual(docIDsOf(a[i]), docIDsOf(b[i])) || a[i].Stats.Latency != b[i].Stats.Latency {
+				t.Fatalf("%v: run %d differs between two fresh engines: %v vs %v",
+					mode, i, a[i].Stats.Latency, b[i].Stats.Latency)
+			}
 		}
-		if !reflect.DeepEqual(docIDsOf(r1), docIDsOf(r2)) {
-			t.Fatalf("%v: results differ across runs", e.Mode())
-		}
-		if r1.Stats.Latency != r2.Stats.Latency {
-			t.Fatalf("%v: simulated latency differs: %v vs %v",
-				e.Mode(), r1.Stats.Latency, r2.Stats.Latency)
+		if a[1].Stats.Latency > a[0].Stats.Latency || a[2].Stats.Latency != a[1].Stats.Latency {
+			t.Fatalf("%v: simulated latency of repeats: %v, %v, %v",
+				mode, a[0].Stats.Latency, a[1].Stats.Latency, a[2].Stats.Latency)
 		}
 	}
 }

@@ -5,14 +5,18 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
+	"griffin/internal/sched"
 	"griffin/internal/workload"
 )
 
@@ -23,9 +27,15 @@ import (
 // pre-plan-refactor engine (the four search* monoliths); the refactored
 // plan-builder/executor pipeline must reproduce them bit for bit.
 //
-// Regenerate (only when intentionally changing engine semantics) with:
+// Regenerate (only when intentionally changing the modeled timeline) with:
 //
 //	go test ./internal/core -run TestGoldenEquivalence -update-goldens
+//
+// Regeneration is guarded: it refuses to overwrite the committed corpus
+// when anything but the took_ns of a GPU-placed op differs from it, so a
+// timing change cannot smuggle a change of results, plans or placements
+// into the goldens. A deliberate semantic change means deleting the
+// committed file first.
 
 var updateGoldens = flag.Bool("update-goldens", false, "rewrite the golden-equivalence corpus from the current engine")
 
@@ -93,14 +103,16 @@ type goldenFile struct {
 	Modes map[string][]goldenQuery `json:"modes"`
 }
 
+// goldenModes builds one engine per mode, each on a device of its own: a
+// query's device time depends on which blocks the device's memory pool
+// already holds, so modes sharing a device would pin each other's history.
 func goldenModes(t testing.TB, c *workload.Corpus) map[string]*Engine {
 	t.Helper()
-	dev := gpu.New(hwmodel.DefaultGPU(), 0)
 	out := make(map[string]*Engine)
 	for _, m := range []Mode{CPUOnly, GPUOnly, Hybrid, PerQueryHybrid} {
 		cfg := Config{Mode: m}
 		if m != CPUOnly {
-			cfg.Device = dev
+			cfg.Device = gpu.New(hwmodel.DefaultGPU(), 0)
 		}
 		e, err := New(c.Index, cfg)
 		if err != nil {
@@ -155,6 +167,11 @@ func TestGoldenEquivalence(t *testing.T) {
 				t.Fatalf("%s query %d %v: contention-free query charged %v queueing delay",
 					name, i, q.Terms, res.Stats.GPUWait)
 			}
+			// Every buffer goes back to the device's pool at query end.
+			if e.cfg.Device != nil && e.cfg.Device.Allocated() != 0 {
+				t.Fatalf("%s query %d %v: %d device bytes still live after the query",
+					name, i, q.Terms, e.cfg.Device.Allocated())
+			}
 			rec := goldenRecord(res)
 			rec.Terms = q.Terms
 			rows[i] = rec
@@ -163,6 +180,21 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 
 	if *updateGoldens {
+		if data, err := readGolden(goldenPath); err == nil {
+			var committed goldenFile
+			if err := json.Unmarshal(data, &committed); err != nil {
+				t.Fatal(err)
+			}
+			if semantic, _ := diffGoldenFiles(&got, &committed); len(semantic) > 0 {
+				for _, m := range semantic {
+					t.Error(m)
+				}
+				t.Fatalf("refusing to rewrite %s: %d fields other than the took_ns of GPU-placed ops differ from the committed corpus",
+					goldenPath, len(semantic))
+			}
+		} else if !os.IsNotExist(err) {
+			t.Fatalf("read committed goldens: %v", err)
+		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -185,45 +217,91 @@ func TestGoldenEquivalence(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-
-	for name, wantRows := range want.Modes {
-		gotRows, ok := got.Modes[name]
-		if !ok {
-			t.Fatalf("mode %s missing from run", name)
-		}
-		if len(gotRows) != len(wantRows) {
-			t.Fatalf("%s: %d queries, golden has %d", name, len(gotRows), len(wantRows))
-		}
-		for i := range wantRows {
-			compareGolden(t, name, i, gotRows[i], wantRows[i])
-		}
+	semantic, timing := diffGoldenFiles(&got, &want)
+	for _, m := range semantic {
+		t.Errorf("semantic: %s", m)
+	}
+	for _, m := range timing {
+		t.Errorf("timing: %s", m)
+	}
+	if len(semantic)+len(timing) > 0 {
+		t.Errorf("%d semantic mismatches (results, plans or placements moved), %d timing-only mismatches (took_ns of GPU-placed ops)",
+			len(semantic), len(timing))
 	}
 }
 
-func compareGolden(t *testing.T, mode string, qi int, got, want goldenQuery) {
-	t.Helper()
+// diffGoldenFiles compares a run against a golden corpus mode by mode.
+func diffGoldenFiles(got, want *goldenFile) (semantic, timing []string) {
+	for _, name := range sortedModes(want) {
+		wantRows, gotRows := want.Modes[name], got.Modes[name]
+		if len(gotRows) != len(wantRows) {
+			semantic = append(semantic, fmt.Sprintf("%s: %d queries, golden has %d", name, len(gotRows), len(wantRows)))
+			continue
+		}
+		for i := range wantRows {
+			s, tm := diffGolden(name, i, gotRows[i], wantRows[i])
+			semantic, timing = append(semantic, s...), append(timing, tm...)
+		}
+	}
+	return semantic, timing
+}
+
+func sortedModes(f *goldenFile) []string {
+	names := make([]string, 0, len(f.Modes))
+	for name := range f.Modes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// diffGolden compares one query's record with its golden. A mismatch is
+// timing-only when it is the took_ns of a GPU-placed op; everything else —
+// results, candidate counts, the migration flag, an op's placement or
+// operand sizes, and the took_ns of a CPU-placed op, which no device
+// change can move — is semantic.
+func diffGolden(mode string, qi int, got, want goldenQuery) (semantic, timing []string) {
+	at := fmt.Sprintf("%s q%d %v", mode, qi, want.Terms)
+	if !reflect.DeepEqual(got.Terms, want.Terms) {
+		semantic = append(semantic, fmt.Sprintf("%s: terms %v", at, got.Terms))
+	}
 	if got.Candidates != want.Candidates {
-		t.Errorf("%s q%d %v: candidates %d != golden %d", mode, qi, want.Terms, got.Candidates, want.Candidates)
+		semantic = append(semantic, fmt.Sprintf("%s: candidates %d != golden %d", at, got.Candidates, want.Candidates))
 	}
 	if got.Migrated != want.Migrated {
-		t.Errorf("%s q%d %v: migrated %v != golden %v", mode, qi, want.Terms, got.Migrated, want.Migrated)
+		semantic = append(semantic, fmt.Sprintf("%s: migrated %v != golden %v", at, got.Migrated, want.Migrated))
 	}
-	if len(got.Docs) != len(want.Docs) {
-		t.Errorf("%s q%d %v: %d docs != golden %d", mode, qi, want.Terms, len(got.Docs), len(want.Docs))
-	} else {
-		for j := range want.Docs {
-			if got.Docs[j] != want.Docs[j] {
-				t.Errorf("%s q%d %v: doc[%d] %+v != golden %+v", mode, qi, want.Terms, j, got.Docs[j], want.Docs[j])
-			}
-		}
+	if !reflect.DeepEqual(got.Docs, want.Docs) {
+		semantic = append(semantic, fmt.Sprintf("%s: docs %+v != golden %+v", at, got.Docs, want.Docs))
 	}
 	if len(got.Ops) != len(want.Ops) {
-		t.Errorf("%s q%d %v: %d ops != golden %d", mode, qi, want.Terms, len(got.Ops), len(want.Ops))
-		return
+		return append(semantic, fmt.Sprintf("%s: %d ops != golden %d", at, len(got.Ops), len(want.Ops))), timing
 	}
-	for j := range want.Ops {
-		if got.Ops[j] != want.Ops[j] {
-			t.Errorf("%s q%d %v: op[%d]\n got    %+v\n golden %+v", mode, qi, want.Terms, j, got.Ops[j], want.Ops[j])
+	for j, w := range want.Ops {
+		g := got.Ops[j]
+		took := g.TookNS
+		g.TookNS = w.TookNS
+		switch {
+		case g != w:
+			semantic = append(semantic, fmt.Sprintf("%s: op[%d]\n got    %+v\n golden %+v", at, j, got.Ops[j], w))
+		case took != w.TookNS && w.Where != sched.GPU.String():
+			semantic = append(semantic, fmt.Sprintf("%s: op[%d] on the %s took %d ns != golden %d", at, j, w.Where, took, w.TookNS))
+		case took != w.TookNS:
+			timing = append(timing, fmt.Sprintf("%s: op[%d] took %d ns != golden %d", at, j, took, w.TookNS))
 		}
+	}
+	return semantic, timing
+}
+
+// compareGolden reports every mismatch between one query's record and its
+// golden, semantic and timing alike.
+func compareGolden(t *testing.T, mode string, qi int, got, want goldenQuery) {
+	t.Helper()
+	semantic, timing := diffGolden(mode, qi, got, want)
+	for _, m := range semantic {
+		t.Errorf("semantic: %s", m)
+	}
+	for _, m := range timing {
+		t.Errorf("timing: %s", m)
 	}
 }

@@ -10,8 +10,9 @@
 // builders* (builders.go): they differ only in which operators they emit
 // and where they place them. A single executor (run.go) walks whatever
 // the builder produces with one shared execution context — device-buffer
-// lifetime tracking, the sequential simulated timeline, and per-operator
-// trace emission — so a new placement strategy is a new builder, not a
+// lifetime tracking, the simulated timeline (device operators of a step
+// overlap across the copy and compute engines), and per-operator trace
+// emission — so a new placement strategy is a new builder, not a
 // new copy of the pipeline. Griffin's §3.2 scheduler lives exactly where
 // the paper puts it conceptually: sched.Policy is a callback the Hybrid
 // builder consults before each intersection, including the sticky
@@ -199,7 +200,7 @@ func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Dura
 	case OpUpload:
 		var bytes int64
 		if op.Arg.List != nil {
-			bytes = compressedBytes(op.Arg.List.N)
+			bytes = sched.CompressedBytes(op.Arg.List.N)
 		} else {
 			bytes = int64(op.ShortLen) * 4
 		}
@@ -210,10 +211,11 @@ func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Dura
 			Blocks:           (n + 127) / 128,
 			ThreadsPerBlock:  128,
 			Ops:              int64(6 * n),
-			GlobalReadBytes:  compressedBytes(n),
+			GlobalReadBytes:  sched.CompressedBytes(n),
 			GlobalWriteBytes: int64(4 * n),
 		}
-		return gpuM.AllocTime(int64(n)*4) + gpuM.KernelTime(&st)
+		// The output buffer comes from the device's pool: no cudaMalloc.
+		return gpuM.KernelTime(&st)
 	case OpIntersect:
 		return estimateIntersect(op, cpuM, gpuM)
 	case OpMigrate:
@@ -232,10 +234,6 @@ func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Dura
 	}
 	return 0
 }
-
-// compressedBytes approximates an Elias-Fano list's PCIe payload
-// (~7 bits/doc on the paper's collections).
-func compressedBytes(n int) int64 { return int64(n) * 7 / 8 }
 
 // estimateIntersect prices one intersection under either placement.
 func estimateIntersect(op *Op, cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Duration {

@@ -112,7 +112,7 @@ type Context struct {
 	// When set, every device operator is submitted through it — occupying
 	// the runtime's copy/compute engine queues and getting charged modeled
 	// queueing delay behind concurrent queries' work. When nil the query
-	// gets a private stream with an independent clock (the paper's
+	// gets private streams with an independent clock (the paper's
 	// single-query prototype behaviour).
 	Handle *gpu.QueryStream
 	// Lists provides device-resident compressed lists to cacheable
@@ -144,9 +144,18 @@ type Outcome struct {
 // Run executes one query: it prices the term fetches, SvS-orders the
 // lists, then walks the plan the builder produces step by step with one
 // shared execution context — device-buffer lifetime tracking, the
-// sequential simulated timeline, per-operator trace emission — and
-// finishes with host-side BM25 scoring and top-k selection. mkBuilder
-// receives the SvS-ordered lists and returns the mode's plan builder.
+// simulated timeline, per-operator trace emission — and finishes with
+// host-side BM25 scoring and top-k selection. mkBuilder receives the
+// SvS-ordered lists and returns the mode's plan builder.
+//
+// Device operators are issued asynchronously, in program order, to one
+// in-order stream per engine: uploads to copy-in, kernels to compute,
+// migrations to copy-out, each waiting on the events of the buffers it
+// reads. The host joins the streams only where it needs a result — before
+// each Builder.Next (which reads the intermediate's length), before host
+// operators, and at the final drain — so the next list's upload hides
+// under the previous list's decompression and a query's device time is
+// the critical path through its streams, not the sum of its operators.
 //
 // Device buffers allocated during the run (and cache references taken by
 // uploads) are released when Run returns, success or error.
@@ -158,8 +167,6 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 	lists := make([]*index.PostingList, 0, len(fetches))
 	missing := false
 	for _, f := range fetches {
-		took := ctx.CPU.Time(hwmodel.CPUWork{CachedProbes: 1})
-		r.stats.CPUTime += took
 		n := 0
 		if f.List != nil {
 			n = f.List.N
@@ -167,7 +174,8 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 		} else {
 			missing = true
 		}
-		r.record(OpRecord{Kind: OpFetch, Where: sched.CPU, Term: f.Term, NOut: n, Took: took, Est: took})
+		took := ctx.CPU.Time(hwmodel.CPUWork{CachedProbes: 1})
+		r.recordCPU(OpRecord{Kind: OpFetch, Term: f.Term, NOut: n, Took: took, Est: took})
 	}
 
 	if !missing && len(lists) > 0 {
@@ -185,6 +193,7 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 
 		b := mkBuilder(ordered)
 		for {
+			r.settle() // the builder reads the intermediate's length
 			ops := b.Next(State{Len: r.stateLen(), OnDevice: r.onDevice})
 			if ops == nil {
 				break
@@ -217,11 +226,9 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 		base := len(r.hostIDs)
 		merged, work := ctx.Delta.Reconcile(r.hostIDs, terms)
 		est := (&Op{Kind: OpDeltaScan, ShortLen: base, LongLen: len(merged)}).Estimate(&ctx.CPU, r.gpuModel())
-		took := ctx.CPU.Time(work)
-		r.stats.CPUTime += took
 		r.hostIDs = merged
 		r.onDevice = false
-		r.record(OpRecord{Kind: OpDeltaScan, Where: sched.CPU, NIn: base, NOut: len(merged), Took: took, Est: est})
+		r.recordCPU(OpRecord{Kind: OpDeltaScan, NIn: base, NOut: len(merged), Took: ctx.CPU.Time(work), Est: est})
 	}
 
 	// Rank: BM25 over the candidates, then the CPU partial sort (the
@@ -231,15 +238,11 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 	if len(r.hostIDs) > 0 {
 		est := (&Op{Kind: OpScore, ShortLen: len(r.hostIDs), LongLen: len(lists)}).Estimate(&ctx.CPU, r.gpuModel())
 		scored, work := ctx.Scorer.ScoreCandidates(lists, r.hostIDs)
-		took := ctx.CPU.Time(work)
-		r.stats.CPUTime += took
-		r.record(OpRecord{Kind: OpScore, Where: sched.CPU, NIn: len(r.hostIDs), NOut: len(scored), Took: took, Est: est})
+		r.recordCPU(OpRecord{Kind: OpScore, NIn: len(r.hostIDs), NOut: len(scored), Took: ctx.CPU.Time(work), Est: est})
 
 		est = (&Op{Kind: OpTopK, ShortLen: len(scored)}).Estimate(&ctx.CPU, r.gpuModel())
 		top, tkWork := rank.TopKCPU(scored, ctx.TopK)
-		took = ctx.CPU.Time(tkWork)
-		r.stats.CPUTime += took
-		r.record(OpRecord{Kind: OpTopK, Where: sched.CPU, NIn: len(scored), NOut: len(top), Took: took, Est: est})
+		r.recordCPU(OpRecord{Kind: OpTopK, NIn: len(scored), NOut: len(top), Took: ctx.CPU.Time(tkWork), Est: est})
 		docs = append(docs, top...)
 	}
 
@@ -247,34 +250,38 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 	if ctx.Handle != nil {
 		r.stats.GPUWait = ctx.Handle.Waited()
 	}
+	r.stats.Overlapped = r.gpuOpTime - r.stats.GPUTime
 	r.stats.Latency = r.stats.CPUTime + r.stats.GPUTime
 	return &Outcome{Docs: docs, Candidates: r.hostIDs, Stats: r.stats}, nil
 }
 
-// devEntry tracks one posting list's device-resident forms.
+// devEntry tracks one posting list's device-resident forms, each with the
+// event that signals when its producer has finished.
 type devEntry struct {
-	comp *gpu.Buffer
-	dec  *gpu.Buffer
+	comp, dec           *gpu.Buffer
+	compReady, decReady gpu.Event
 }
 
 // runner is the executor's per-query state: the running intermediate
 // (host slice or device IntersectResult), device-buffer ownership, and
-// the stream-clock watermark that splits GPU time between trace entries.
+// the device-clock watermark that splits GPU time between trace entries.
 type runner struct {
-	ctx    *Context
-	stream *gpu.Stream
-	lists  []*index.PostingList
-	stats  QueryStats
+	ctx     *Context
+	streams *gpu.StreamSet
+	lists   []*index.PostingList
+	stats   QueryStats
 
 	hostIDs  []uint32                 // intermediate when on host
 	devRes   *kernels.IntersectResult // intermediate when on device
+	resReady gpu.Event                // signals devRes
 	onDevice bool
 	started  bool // true once the first intersection produced an intermediate
 
-	env      map[*index.PostingList]*devEntry
-	owned    []*gpu.Buffer // buffers to free at query end
-	releases []func()      // cache references to drop at query end
-	last     time.Duration // last settled stream clock
+	env       map[*index.PostingList]*devEntry
+	owned     []*gpu.Buffer // buffers to free at query end
+	releases  []func()      // cache references to drop at query end
+	last      time.Duration // device clock at the last join
+	gpuOpTime time.Duration // sum of the device operators' own Took
 }
 
 func (r *runner) cleanup() {
@@ -297,6 +304,16 @@ func (r *runner) record(rec OpRecord) {
 	r.stats.Plan = append(r.stats.Plan, rec)
 }
 
+// recordCPU bills one host operator: the host is a single thread that has
+// waited for the device before it computes, so the operator starts at the
+// joined device clock plus the host time spent so far.
+func (r *runner) recordCPU(rec OpRecord) {
+	rec.Where = sched.CPU
+	rec.Start = r.stats.CPUTime + r.settle()
+	r.stats.CPUTime += rec.Took
+	r.record(rec)
+}
+
 // stateLen is the Builder-visible intermediate length: the shortest
 // list's length before the first intersection, the running result after.
 func (r *runner) stateLen() int {
@@ -313,42 +330,53 @@ func (r *runner) stateLen() int {
 	}
 }
 
-func (r *runner) ensureStream() error {
-	if r.stream != nil {
-		return nil
+// submitDevice issues one device operator to the query's stream for the
+// given engine, after making that stream wait for deps, the events of the
+// buffers the operator reads. With a runtime handle the item goes through
+// the shared device: it occupies the engine's queue on the global
+// timeline and the stream is charged queueing delay first when the engine
+// is busy with other queries' work; the operator's batch key lets the
+// runtime's batching stage coalesce it with compatible ops from
+// concurrent queries. Without a handle it runs directly on the private
+// stream (no cross-query contention, never batched). rec receives the
+// operator's start on the query's timeline, its own service time and its
+// batch membership; the returned event signals the operator's completion.
+func (r *runner) submitDevice(class gpu.EngineClass, op *Op, rec *OpRecord, fn func(*gpu.Stream) error, deps ...gpu.Event) (gpu.Event, error) {
+	if r.streams == nil {
+		switch {
+		case r.ctx.Handle != nil:
+			r.streams = r.ctx.Handle.Streams()
+		case r.ctx.Device != nil:
+			r.streams = r.ctx.Device.NewStreamSet()
+		default:
+			return gpu.Event{}, fmt.Errorf("exec: plan places work on the GPU but the context has no device")
+		}
 	}
-	if r.ctx.Handle != nil {
-		r.stream = r.ctx.Handle.Stream()
-		return nil
+	s := r.streams.On(class)
+	for _, e := range deps {
+		s.Wait(e)
 	}
-	if r.ctx.Device == nil {
-		return fmt.Errorf("exec: plan places work on the GPU but the context has no device")
-	}
-	r.stream = r.ctx.Device.NewStream()
-	return nil
-}
-
-// submitDevice runs one device work item on the query's stream. With a
-// runtime handle the item goes through the shared device: it occupies
-// the given engine's queue on the global timeline and the stream is
-// charged queueing delay first when the engine is busy with other
-// queries' work; key (Op.BatchKey) lets the runtime's batching stage
-// coalesce the item with compatible ops from concurrent queries, and
-// the returned membership is threaded into the op's plan record.
-// Without a handle it runs directly on the private stream (no
-// cross-query contention, never batched).
-func (r *runner) submitDevice(class gpu.EngineClass, key string, fn func(*gpu.Stream) error) (gpu.Batched, error) {
-	if err := r.ensureStream(); err != nil {
-		return gpu.Batched{}, err
-	}
+	start := s.Elapsed()
+	var m gpu.Batched
+	var err error
 	if h := r.ctx.Handle; h != nil {
-		return h.SubmitOp(class, key, fn)
+		m, err = h.SubmitOp(class, op.BatchKey(), fn)
+	} else {
+		err = fn(s)
 	}
-	return gpu.Batched{}, fn(r.stream)
+	if err != nil {
+		return gpu.Event{}, err
+	}
+	rec.BatchID, rec.BatchSize = m.ID, m.Seq
+	rec.Device = r.deviceID()
+	rec.Start = r.stats.CPUTime + start
+	rec.Took = s.Elapsed() - start
+	r.gpuOpTime += rec.Took
+	return s.Record(), nil
 }
 
 // deviceID is the node-relative ordinal of the device this query was
-// placed on (0 without a runtime handle, i.e. a private stream or a
+// placed on (0 without a runtime handle, i.e. private streams or a
 // single-device node).
 func (r *runner) deviceID() int {
 	if r.ctx.Handle != nil {
@@ -357,21 +385,16 @@ func (r *runner) deviceID() int {
 	return 0
 }
 
-func (r *runner) elapsed() time.Duration {
-	if r.stream == nil {
-		return 0
-	}
-	return r.stream.Elapsed()
-}
-
-// settle returns the stream time consumed since the previous settle
-// point — the legacy accounting where one traced GPU intersection spans
-// the uploads, decompressions, and kernels of its whole step.
+// settle joins the query's streams — the host waits for the device — and
+// bills the device clock's advance since the previous join to GPUTime. It
+// returns the joined clock.
 func (r *runner) settle() time.Duration {
-	now := r.elapsed()
-	d := now - r.last
-	r.last = now
-	return d
+	if r.streams != nil {
+		now := r.streams.Join()
+		r.stats.GPUTime += now - r.last
+		r.last = now
+	}
+	return r.last
 }
 
 func (r *runner) gpuModel() *hwmodel.GPUModel {
@@ -396,26 +419,31 @@ func (r *runner) traceOp(op *Op, outLen int, took time.Duration) {
 	})
 }
 
-// exec runs one operator, advancing the shared timeline and emitting its
-// plan record (and, for Trace-flagged ops, the legacy trace entry).
-func (r *runner) exec(op *Op) error {
-	est := op.Estimate(&r.ctx.CPU, r.gpuModel())
-	rec := OpRecord{Kind: op.Kind, Algo: op.Algo, Where: op.Where, Est: est}
-	if op.Kind == OpUpload || op.Kind == OpDecompress || op.Kind == OpMigrate ||
-		(op.Kind == OpIntersect && op.Where == sched.GPU) {
-		rec.Device = r.deviceID()
+// traceStep joins the streams and, for Trace-flagged device operators,
+// emits the legacy trace entry spanning the makespan of everything issued
+// since the previous join — upload, decompression and kernels of the
+// whole step, as the paper's prototype accounts a scheduled operation.
+func (r *runner) traceStep(op *Op, outLen int) {
+	before := r.last
+	now := r.settle()
+	if op.Trace {
+		r.traceOp(op, outLen, now-before)
 	}
+}
+
+// exec issues one operator, advancing the query's timeline and emitting
+// its plan record (and, for Trace-flagged ops, the legacy trace entry).
+func (r *runner) exec(op *Op) error {
+	rec := OpRecord{Kind: op.Kind, Algo: op.Algo, Where: op.Where, Est: op.Estimate(&r.ctx.CPU, r.gpuModel())}
 
 	switch op.Kind {
 	case OpUpload:
-		if err := r.ensureStream(); err != nil {
-			return err
-		}
-		start := r.elapsed()
 		if op.Arg.List == nil {
-			// Raw intermediate upload (host -> device).
+			// Raw intermediate upload (host -> device). The host produced
+			// the intermediate after its last join, which every stream's
+			// clock is already past.
 			var buf *gpu.Buffer
-			m, err := r.submitDevice(gpu.CopyEngine, op.BatchKey(), func(s *gpu.Stream) error {
+			done, err := r.submitDevice(gpu.CopyEngine, op, &rec, func(s *gpu.Stream) error {
 				b, err := s.H2D(r.hostIDs, int64(len(r.hostIDs))*4)
 				buf = b
 				return err
@@ -423,9 +451,9 @@ func (r *runner) exec(op *Op) error {
 			if err != nil {
 				return err
 			}
-			rec.BatchID, rec.BatchSize = m.ID, m.Seq
 			r.track(buf)
 			r.devRes = &kernels.IntersectResult{Out: buf, Count: len(r.hostIDs)}
+			r.resReady = done
 			r.onDevice = true
 			rec.NIn, rec.NOut = len(r.hostIDs), len(r.hostIDs)
 			rec.Bytes = int64(len(r.hostIDs)) * 4
@@ -436,7 +464,7 @@ func (r *runner) exec(op *Op) error {
 				provider = directUpload{}
 			}
 			var dl DeviceList
-			m, err := r.submitDevice(gpu.CopyEngine, op.BatchKey(), func(s *gpu.Stream) error {
+			done, err := r.submitDevice(gpu.CopyEngine, op, &rec, func(s *gpu.Stream) error {
 				var err error
 				dl, err = provider.DeviceCompressed(s, r.deviceID(), pl)
 				return err
@@ -444,43 +472,40 @@ func (r *runner) exec(op *Op) error {
 			if err != nil {
 				return err
 			}
-			rec.BatchID, rec.BatchSize = m.ID, m.Seq
 			if dl.Release != nil {
 				r.releases = append(r.releases, dl.Release)
 			} else {
 				r.track(dl.Buf)
 			}
-			r.entry(pl).comp = dl.Buf
+			e := r.entry(pl)
+			e.comp = dl.Buf
+			// A cache hit was resident before the query began: its event
+			// stays the zero Event, already signalled.
+			if dl.Uploaded || dl.Peer {
+				e.compReady = done
+				rec.Bytes = pl.EF.CompressedBytes()
+			}
 			rec.Term = pl.Term
 			rec.NIn, rec.NOut = pl.N, pl.N
 			rec.Peer = dl.Peer
-			if dl.Uploaded || dl.Peer {
-				rec.Bytes = pl.EF.CompressedBytes()
-			}
 		}
-		rec.Took = r.elapsed() - start
 
 	case OpDecompress:
-		if err := r.ensureStream(); err != nil {
-			return err
-		}
-		start := r.elapsed()
 		pl := op.Arg.List
+		e := r.entry(pl)
 		var dec *gpu.Buffer
-		m, err := r.submitDevice(gpu.ComputeEngine, op.BatchKey(), func(s *gpu.Stream) error {
-			d, _, err := kernels.ParaEFDecompress(s, r.entry(pl).comp)
+		done, err := r.submitDevice(gpu.ComputeEngine, op, &rec, func(s *gpu.Stream) error {
+			d, _, err := kernels.ParaEFDecompress(s, e.comp)
 			dec = d
 			return err
-		})
+		}, e.compReady)
 		if err != nil {
 			return err
 		}
-		rec.BatchID, rec.BatchSize = m.ID, m.Seq
 		r.track(dec)
-		r.entry(pl).dec = dec
+		e.dec, e.decReady = dec, done
 		rec.Term = pl.Term
 		rec.NIn, rec.NOut = pl.N, pl.N
-		rec.Took = r.elapsed() - start
 
 	case OpIntersect:
 		if op.Where == sched.CPU {
@@ -525,16 +550,14 @@ func (r *runner) intersectCPU(op *Op, rec *OpRecord) error {
 	} else {
 		step = intersect.Pair(short, index.EFView{L: op.Long.List.EF}, r.ctx.SkipThreshold)
 	}
-	took := r.ctx.CPU.Time(step.Work)
-	r.stats.CPUTime += took
 	r.hostIDs = step.IDs
 	r.onDevice = false
 	r.started = true
 	rec.NIn, rec.NOut = op.ShortLen, len(step.IDs)
-	rec.Took = took
-	r.record(*rec)
+	rec.Took = r.ctx.CPU.Time(step.Work)
+	r.recordCPU(*rec)
 	if op.Trace {
-		r.traceOp(op, len(step.IDs), took)
+		r.traceOp(op, len(step.IDs), rec.Took)
 	}
 	return nil
 }
@@ -542,44 +565,42 @@ func (r *runner) intersectCPU(op *Op, rec *OpRecord) error {
 // intersectGPU runs one device intersection kernel over the declared
 // operands' resident buffers.
 func (r *runner) intersectGPU(op *Op, rec *OpRecord) error {
-	if err := r.ensureStream(); err != nil {
-		return err
-	}
-	start := r.elapsed()
 	var shortBuf *gpu.Buffer
+	var shortReady gpu.Event
 	if op.Short.List != nil {
-		shortBuf = r.entry(op.Short.List).dec
+		e := r.entry(op.Short.List)
+		shortBuf, shortReady = e.dec, e.decReady
 	} else {
 		// Trim the buffer view to the match count for downstream kernels.
-		shortBuf = r.devRes.Out
+		shortBuf, shortReady = r.devRes.Out, r.resReady
 		shortBuf.Data = r.devRes.Matches()
 	}
+	long := r.entry(op.Long.List)
+	longBuf, longReady := long.dec, long.decReady
+	if op.Algo == AlgoBinarySkips {
+		longBuf, longReady = long.comp, long.compReady
+	}
 	var out *kernels.IntersectResult
-	m, err := r.submitDevice(gpu.ComputeEngine, op.BatchKey(), func(s *gpu.Stream) error {
+	done, err := r.submitDevice(gpu.ComputeEngine, op, rec, func(s *gpu.Stream) error {
 		var err error
 		if op.Algo == AlgoBinarySkips {
-			out, err = kernels.IntersectBinarySkips(s, shortBuf, r.entry(op.Long.List).comp)
+			out, err = kernels.IntersectBinarySkips(s, shortBuf, longBuf)
 		} else {
-			out, err = kernels.IntersectMergePath(s, shortBuf, r.entry(op.Long.List).dec)
+			out, err = kernels.IntersectMergePath(s, shortBuf, longBuf)
 		}
 		return err
-	})
+	}, shortReady, longReady)
 	if err != nil {
 		return err
 	}
-	rec.BatchID, rec.BatchSize = m.ID, m.Seq
 	r.track(out.Out)
-	r.devRes = out
+	r.devRes, r.resReady = out, done
 	r.onDevice = true
 	r.started = true
 	rec.NIn, rec.NOut = op.ShortLen, out.Count
-	rec.Took = r.elapsed() - start
 	r.record(*rec)
-	if op.Trace {
-		d := r.settle()
-		r.stats.GPUTime += d
-		r.traceOp(op, out.Count, d)
-	}
+	// The host reads the match count before it plans the next step.
+	r.traceStep(op, out.Count)
 	return nil
 }
 
@@ -587,64 +608,47 @@ func (r *runner) intersectGPU(op *Op, rec *OpRecord) error {
 // migration (sets Migrated), the end-of-plan drain (Final), or the
 // single-list decompressed-list drain (Arg.List set).
 func (r *runner) migrate(op *Op, rec *OpRecord) error {
-	if err := r.ensureStream(); err != nil {
-		return err
-	}
-	start := r.elapsed()
-	d2h := func(buf *gpu.Buffer, bytes int64) ([]uint32, error) {
+	d2h := func(buf *gpu.Buffer, ready gpu.Event, n int) ([]uint32, error) {
 		var ids []uint32
-		m, err := r.submitDevice(gpu.CopyOutEngine, op.BatchKey(), func(s *gpu.Stream) error {
-			ids = s.D2H(buf, bytes).([]uint32)
+		_, err := r.submitDevice(gpu.CopyOutEngine, op, rec, func(s *gpu.Stream) error {
+			ids = s.D2H(buf, int64(n)*4).([]uint32)[:n]
 			return nil
-		})
-		if err == nil {
-			rec.BatchID, rec.BatchSize = m.ID, m.Seq
-		}
+		}, ready)
+		rec.Bytes = int64(n) * 4
 		return ids, err
 	}
+	var err error
 	switch {
 	case op.Arg.List != nil:
 		// Drain a decompressed posting list (single-term device plan).
 		pl := op.Arg.List
-		ids, err := d2h(r.entry(pl).dec, int64(pl.N)*4)
-		if err != nil {
-			return err
-		}
-		r.hostIDs = ids
-		rec.NIn, rec.NOut = pl.N, len(ids)
-		rec.Bytes = int64(pl.N) * 4
-	case op.Final:
+		e := r.entry(pl)
+		r.hostIDs, err = d2h(e.dec, e.decReady, pl.N)
+		rec.NIn = pl.N
+	case op.Final && r.devRes.Count == 0:
+		// Nothing to transfer: the drain is a host-side no-op.
 		r.hostIDs = []uint32{}
-		if r.devRes.Count > 0 {
-			ids, err := d2h(r.devRes.Out, int64(r.devRes.Count)*4)
-			if err != nil {
-				return err
-			}
-			r.hostIDs = ids[:r.devRes.Count]
-			rec.Bytes = int64(r.devRes.Count) * 4
-		}
-		rec.NIn, rec.NOut = r.devRes.Count, len(r.hostIDs)
+		rec.Device = r.deviceID()
+		rec.Start = r.stats.CPUTime + r.settle()
 	default:
-		// Mid-query migration: execution moves to the CPU (§3.2).
-		ids, err := d2h(r.devRes.Out, int64(r.devRes.Count)*4)
-		if err != nil {
-			return err
+		// The end-of-plan drain, or a mid-query migration: execution moves
+		// to the CPU (§3.2).
+		r.hostIDs, err = d2h(r.devRes.Out, r.resReady, r.devRes.Count)
+		if !op.Final {
+			r.stats.Migrated = true
 		}
-		r.hostIDs = ids[:r.devRes.Count]
-		r.stats.Migrated = true
-		rec.NIn, rec.NOut = r.devRes.Count, len(r.hostIDs)
-		rec.Bytes = int64(r.devRes.Count) * 4
+		rec.NIn = r.devRes.Count
 	}
+	if err != nil {
+		return err
+	}
+	rec.NOut = len(r.hostIDs)
 	r.onDevice = false
 	r.started = true
-	d := r.settle()
-	r.stats.GPUTime += d
-	rec.Took = r.elapsed() - start
 	r.record(*rec)
-	if op.Trace {
-		// Single-term device plans trace the drain as their one operation,
-		// spanning the whole upload+decompress+transfer step.
-		r.traceOp(op, len(r.hostIDs), d)
-	}
+	// The host consumes the drained intermediate next. Single-term device
+	// plans trace the drain as their one operation, spanning the whole
+	// upload+decompress+transfer step.
+	r.traceStep(op, len(r.hostIDs))
 	return nil
 }

@@ -23,8 +23,9 @@ type OpTrace struct {
 // finer-grained trace beneath OpTrace. Every operator the executor runs
 // (including uploads, decompressions, migrations, scoring, and top-k)
 // produces one record, so the records replay the query's full resource
-// timeline: summing Took over records on each processor reproduces
-// CPUTime and GPUTime exactly.
+// timeline: summing Took over the host records reproduces CPUTime, and
+// summing it over the device records gives GPUTime plus
+// QueryStats.Overlapped, the device work that ran side by side.
 type OpRecord struct {
 	// Kind and Algo identify the operator.
 	Kind OpKind
@@ -46,7 +47,13 @@ type OpRecord struct {
 	NIn, NOut int
 	// Bytes is the PCIe payload of transfers (Upload, Migrate).
 	Bytes int64
-	// Took is the operator's simulated duration.
+	// Start is when the operator began, as an offset on the query's own
+	// timeline (0 = the first fetch, Latency = the end of top-k). Device
+	// operators of one step overlap: the next list's upload starts while
+	// the previous list is still being decompressed.
+	Start time.Duration
+	// Took is the operator's own simulated duration: service time plus,
+	// on a shared device, the queueing delay it was charged.
 	Took time.Duration
 	// Est is the operator's closed-form cost-hook prediction (Op.Estimate),
 	// recorded alongside the measured time so re-planners can judge the
@@ -67,13 +74,20 @@ type OpRecord struct {
 type QueryStats struct {
 	// Latency is the end-to-end simulated response time.
 	Latency time.Duration
-	// CPUTime and GPUTime split the latency by processor.
+	// CPUTime and GPUTime split the latency by processor. GPUTime is the
+	// advance of the query's device clock — the critical path through its
+	// copy-in, compute and copy-out streams, not the sum of its operators.
 	CPUTime time.Duration
 	GPUTime time.Duration
+	// Overlapped is the device time the query saved by running operators
+	// of one step side by side on different engines: the sum of the
+	// device-placed Plan records' Took minus Overlapped equals GPUTime.
+	Overlapped time.Duration
 	// GPUWait is the modeled queueing delay the query was charged while
 	// the shared device runtime served other queries' work. It is part
-	// of GPUTime (the waits happen on the device timeline); zero when
-	// the query ran contention-free or on a private stream.
+	// of the device operators' Took (the waits happen on the device
+	// timeline); zero when the query ran contention-free or on private
+	// streams.
 	GPUWait time.Duration
 	// Migrated reports whether a Hybrid query moved from GPU to CPU.
 	Migrated bool

@@ -352,7 +352,7 @@ func TestRuntimeHookFailsSubmission(t *testing.T) {
 		t.Fatalf("hooked submission error = %v, want injected DeviceFault", err)
 	}
 	// The failed item must not have occupied the lane or charged time.
-	if got := h.Stream().Elapsed(); got != 0 {
+	if got := h.Elapsed(); got != 0 {
 		t.Fatalf("failed submission advanced the stream clock: %v", got)
 	}
 	// Rule exhausted (Until 1): next submission succeeds.

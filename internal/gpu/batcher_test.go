@@ -37,7 +37,7 @@ func TestBatcherCoalescesAcrossQueries(t *testing.T) {
 	defer h2.Release()
 
 	m1 := launchOp(t, h1, "intersect:mergepath")
-	service := h1.Stream().Elapsed()
+	service := h1.Elapsed()
 	m2 := launchOp(t, h2, "intersect:mergepath")
 
 	if m1.ID == 0 || m1.Seq != 1 || m1.Saved != 0 {
@@ -49,7 +49,7 @@ func TestBatcherCoalescesAcrossQueries(t *testing.T) {
 	}
 	// The follower's clock: waited behind the leader's service, ran the
 	// same kernel, got the rebate back.
-	if got, want := h2.Stream().Elapsed(), service+service-wantRebate; got != want {
+	if got, want := h2.Elapsed(), service+service-wantRebate; got != want {
 		t.Fatalf("follower clock %v, want %v", got, want)
 	}
 	st := rt.BatchStats()
@@ -71,7 +71,7 @@ func TestBatcherNeverSelfBatches(t *testing.T) {
 		var ms [2]Batched
 		ms[0] = launchOp(t, h, "decompress")
 		ms[1] = launchOp(t, h, "decompress")
-		return h.Stream().Elapsed(), ms
+		return h.Elapsed(), ms
 	}
 	offClock, _ := run(0)
 	onClock, ms := run(10 * time.Millisecond)

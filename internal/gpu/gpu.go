@@ -20,12 +20,13 @@
 // Device memory is explicit: data reaches the device through H2D, leaves
 // through D2H, both charged at modeled PCIe cost, and the 5 GB capacity of
 // the K20 is enforced — exactly the overheads the Griffin scheduler weighs
-// when it decides where a query operation should run.
+// when it decides where a query operation should run. Allocations go
+// through the device's caching pool (pool.go), so only a pool miss pays
+// the modeled cudaMalloc.
 package gpu
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,8 @@ type Device struct {
 	model hwmodel.GPUModel
 
 	mu        sync.Mutex
-	allocated int64
+	allocated int64 // live bytes, as requested by callers
+	pool      pool
 
 	workers int
 
@@ -68,7 +70,9 @@ func (d *Device) Model() *hwmodel.GPUModel { return &d.model }
 // template device.
 func (d *Device) Clone() *Device { return New(d.model, d.workers) }
 
-// Allocated returns the currently allocated device memory in bytes.
+// Allocated returns the live device memory in bytes: what callers asked
+// for and have not freed. Blocks the pool retains are not counted (see
+// Reserved).
 func (d *Device) Allocated() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -79,9 +83,9 @@ func (d *Device) Allocated() int64 {
 func (d *Device) Launches() int64 { return d.launches.Load() }
 
 // Stream is an in-order queue of device operations; its Elapsed clock
-// accumulates the simulated cost of every operation issued to it. Each
-// query gets its own stream so per-query latency is the stream's elapsed
-// simulated time.
+// accumulates the simulated cost of every operation issued to it. A query
+// drives one stream per hardware engine (StreamSet), tied together by
+// events, so its device time is the critical path through the three.
 type Stream struct {
 	dev     *Device
 	elapsed time.Duration
@@ -92,12 +96,14 @@ type Stream struct {
 	// per batch instead of once per op (see DeviceRuntime.EnableBatching).
 	fixed time.Duration
 
-	profiling bool
-	events    []ProfileEvent
+	// lane names the stream in profile reports; log is where its events go
+	// (nil = profiling off). The streams of a StreamSet share one log.
+	lane string
+	log  *profileLog
 }
 
 // NewStream returns a fresh stream with a zeroed simulated clock.
-func (d *Device) NewStream() *Stream { return &Stream{dev: d} }
+func (d *Device) NewStream() *Stream { return &Stream{dev: d, lane: "stream"} }
 
 // Elapsed returns the simulated time consumed by operations on the stream.
 func (s *Stream) Elapsed() time.Duration { return s.elapsed }
@@ -113,25 +119,26 @@ type Buffer struct {
 	dev   *Device
 	Bytes int64
 	Data  any
+	block int64 // the pool block backing the buffer (Bytes rounded up)
 	freed bool
 }
 
-// Alloc reserves bytes of device memory on the stream, charging modeled
-// allocation time. The payload starts nil; kernels or copies fill it.
+// Alloc takes bytes of device memory from the device's pool. A block
+// reused from the pool costs no device time; only a miss charges the
+// modeled cudaMalloc. The payload starts nil; kernels or copies fill it.
 func (s *Stream) Alloc(bytes int64) (*Buffer, error) {
 	d := s.dev
-	d.mu.Lock()
-	if d.allocated+bytes > d.model.MemoryBytes {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d + %d > %d", ErrOutOfMemory, d.allocated, bytes, d.model.MemoryBytes)
+	block, miss, err := d.take(bytes)
+	if err != nil {
+		return nil, err
 	}
-	d.allocated += bytes
-	d.mu.Unlock()
-	took := d.model.AllocTime(bytes)
-	s.record("alloc", "", bytes, s.elapsed, took)
-	s.elapsed += took
-	s.fixed += d.model.AllocOverhead
-	return &Buffer{dev: d, Bytes: bytes}, nil
+	if miss {
+		took := d.model.AllocTime(bytes)
+		s.record("alloc", "", bytes, s.elapsed, took)
+		s.elapsed += took
+		s.fixed += d.model.AllocOverhead
+	}
+	return &Buffer{dev: d, Bytes: bytes, block: block}, nil
 }
 
 // H2D copies host data to a fresh device buffer, charging allocation plus
@@ -181,15 +188,14 @@ func (s *Stream) PeerIn(data any, bytes int64) (*Buffer, error) {
 	return b, nil
 }
 
-// Free releases the buffer's device memory. Freeing twice is a no-op.
+// Free returns the buffer's block to the device's pool and drops the
+// payload. Freeing twice is a no-op.
 func (b *Buffer) Free() {
 	if b == nil || b.freed {
 		return
 	}
 	b.freed = true
-	b.dev.mu.Lock()
-	b.dev.allocated -= b.Bytes
-	b.dev.mu.Unlock()
+	b.dev.give(b.Bytes, b.block)
 	b.Data = nil
 }
 
@@ -224,53 +230,53 @@ type Ctx struct {
 	// Shared is the block's shared-memory state (MakeShared's result).
 	Shared any
 
-	stats *blockStats
+	// stats accumulates the counters of every thread the owning host
+	// worker runs in one phase, without atomics; Launch merges the workers'
+	// sets into the launch totals at the phase barrier.
+	stats hwmodel.LaunchStats
+	// Workers' contexts sit side by side in one slice; the padding keeps
+	// their counters on separate cache lines.
+	_ [64]byte
 }
 
 // GlobalID returns the flattened global thread id.
 func (c *Ctx) GlobalID() int { return c.Block*c.BlockDim + c.Thread }
 
-// blockStats accumulates counters for one block without atomics; merged
-// into the launch totals after the block finishes.
-type blockStats struct {
-	ops, globalRead, globalWrite, shared, divergent, dependent, uncoalesced int64
-}
-
 // Op records n simple arithmetic/logic operations.
-func (c *Ctx) Op(n int) { c.stats.ops += int64(n) }
+func (c *Ctx) Op(n int) { c.stats.Ops += int64(n) }
 
 // DivergentOp records n operations executed under warp divergence (charged
 // with warp serialization by the model).
-func (c *Ctx) DivergentOp(n int) { c.stats.divergent += int64(n) }
+func (c *Ctx) DivergentOp(n int) { c.stats.DivergentOps += int64(n) }
 
 // DependentOp records n operations in a single-lane dependent chain (a
 // pointer chase or serial scan): charged with full warp serialization plus
 // a latency-stall multiplier, the cost that punishes direct ports of
 // sequential CPU algorithms.
-func (c *Ctx) DependentOp(n int) { c.stats.dependent += int64(n) }
+func (c *Ctx) DependentOp(n int) { c.stats.DependentOps += int64(n) }
 
 // GlobalRead records n bytes of coalesced global-memory reads.
-func (c *Ctx) GlobalRead(n int) { c.stats.globalRead += int64(n) }
+func (c *Ctx) GlobalRead(n int) { c.stats.GlobalReadBytes += int64(n) }
 
 // GlobalWrite records n bytes of coalesced global-memory writes.
-func (c *Ctx) GlobalWrite(n int) { c.stats.globalWrite += int64(n) }
+func (c *Ctx) GlobalWrite(n int) { c.stats.GlobalWriteBytes += int64(n) }
 
 // UncoalescedRead records n bytes of scattered global reads (counted in
 // both the global and uncoalesced totals).
 func (c *Ctx) UncoalescedRead(n int) {
-	c.stats.globalRead += int64(n)
-	c.stats.uncoalesced += int64(n)
+	c.stats.GlobalReadBytes += int64(n)
+	c.stats.UncoalescedBytes += int64(n)
 }
 
 // UncoalescedWrite records n bytes of scattered global writes (counted in
 // both the global and uncoalesced totals).
 func (c *Ctx) UncoalescedWrite(n int) {
-	c.stats.globalWrite += int64(n)
-	c.stats.uncoalesced += int64(n)
+	c.stats.GlobalWriteBytes += int64(n)
+	c.stats.UncoalescedBytes += int64(n)
 }
 
 // SharedAccess records n bytes of shared-memory traffic.
-func (c *Ctx) SharedAccess(n int) { c.stats.shared += int64(n) }
+func (c *Ctx) SharedAccess(n int) { c.stats.SharedBytes += int64(n) }
 
 // Launch executes the kernel functionally and charges its modeled time to
 // the stream. It returns the counters for inspection by tests and the
@@ -285,36 +291,29 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 		Phases:          len(k.Phases),
 	}
 
-	shared := make([]any, k.Grid)
-	if k.MakeShared != nil {
-		for b := range shared {
-			shared[b] = k.MakeShared(b)
-		}
+	shared := k.sharedState()
+
+	// One context per host worker, reused across blocks and phases.
+	workers := max(1, min(d.workers, k.Grid))
+	ctxs := make([]Ctx, workers)
+	for w := range ctxs {
+		ctxs[w].Grid, ctxs[w].BlockDim = k.Grid, k.Block
 	}
 
-	var mu sync.Mutex
 	for _, phase := range k.Phases {
 		// Device-wide barrier between phases: complete the parallel-for
 		// over all blocks before starting the next phase.
-		parallelFor(k.Grid, d.workers, func(b int) {
-			st := &blockStats{}
-			ctx := Ctx{Block: b, Grid: k.Grid, BlockDim: k.Block, Shared: shared[b], stats: st}
-			for t := 0; t < k.Block; t++ {
-				ctx.Thread = t
-				phase(&ctx)
+		if workers == 1 {
+			for b := 0; b < k.Grid; b++ {
+				ctxs[0].runBlock(phase, shared, b)
 			}
-			mu.Lock()
-			total.Add(&hwmodel.LaunchStats{
-				Ops:              st.ops,
-				GlobalReadBytes:  st.globalRead,
-				GlobalWriteBytes: st.globalWrite,
-				SharedBytes:      st.shared,
-				DivergentOps:     st.divergent,
-				DependentOps:     st.dependent,
-				UncoalescedBytes: st.uncoalesced,
-			})
-			mu.Unlock()
-		})
+		} else {
+			parallelFor(k.Grid, workers, func(w, b int) { ctxs[w].runBlock(phase, shared, b) })
+		}
+		for w := range ctxs {
+			total.Add(&ctxs[w].stats)
+			ctxs[w].stats = hwmodel.LaunchStats{}
+		}
 	}
 
 	took := d.model.KernelTime(total)
@@ -324,9 +323,36 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 	return total
 }
 
-// parallelFor runs f(0..n-1) across at most workers goroutines, chunked to
-// keep scheduling overhead low for large grids.
-func parallelFor(n, workers int, f func(i int)) {
+// sharedState allocates each block's shared-memory state; nil for kernels
+// that use none.
+func (k *Kernel) sharedState() []any {
+	if k.MakeShared == nil {
+		return nil
+	}
+	shared := make([]any, k.Grid)
+	for b := range shared {
+		shared[b] = k.MakeShared(b)
+	}
+	return shared
+}
+
+// runBlock runs every thread of block b through one phase on c.
+func (c *Ctx) runBlock(phase Phase, shared []any, b int) {
+	c.Block = b
+	if shared != nil {
+		c.Shared = shared[b]
+	}
+	for t := 0; t < c.BlockDim; t++ {
+		c.Thread = t
+		phase(c)
+	}
+}
+
+// parallelFor runs f(worker, 0..n-1) across at most workers goroutines,
+// chunked to keep scheduling overhead low for large grids. worker is the
+// index of the goroutine making the call, so f can keep per-worker state
+// without synchronization.
+func parallelFor(n, workers int, f func(worker, i int)) {
 	if n == 0 {
 		return
 	}
@@ -335,7 +361,7 @@ func parallelFor(n, workers int, f func(i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -347,7 +373,7 @@ func parallelFor(n, workers int, f func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				start := int(next.Add(int64(chunk))) - chunk
@@ -359,10 +385,10 @@ func parallelFor(n, workers int, f func(i int)) {
 					end = n
 				}
 				for i := start; i < end; i++ {
-					f(i)
+					f(w, i)
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

@@ -232,6 +232,21 @@ func TestLaunchChargesTime(t *testing.T) {
 	}
 }
 
+// A launch costs the host a fixed, small number of allocations whatever
+// the grid: the returned counters and one context per host worker. The
+// simulator's wall clock depends on it (every modeled kernel of every
+// query pays this), so the count is pinned.
+func TestLaunchHostAllocations(t *testing.T) {
+	d := New(hwmodel.DefaultGPU(), 1)
+	s := d.NewStream()
+	for _, grid := range []int{1, 64} {
+		k := &Kernel{Name: "noop", Grid: grid, Block: 128, Phases: []Phase{func(c *Ctx) { c.Op(1) }, func(c *Ctx) { c.GlobalRead(4) }}}
+		if got := testing.AllocsPerRun(100, func() { s.Launch(k) }); got > 3 {
+			t.Errorf("grid %d: %v allocations per launch, want <= 3", grid, got)
+		}
+	}
+}
+
 func TestStreamsIndependentClocks(t *testing.T) {
 	d := newTestDevice()
 	s1, s2 := d.NewStream(), d.NewStream()
@@ -247,7 +262,7 @@ func TestParallelForCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 		for _, workers := range []int{1, 2, 8} {
 			hits := make([]int32, n)
-			parallelFor(n, workers, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			parallelFor(n, workers, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("n=%d workers=%d: index %d hit %d times", n, workers, i, h)

@@ -78,9 +78,9 @@ func TestNodeDeviceTimelinesIndependent(t *testing.T) {
 	if h0.Waited() != 0 || h1.Waited() != 0 {
 		t.Fatalf("cross-device queueing charged: dev0 %v, dev1 %v", h0.Waited(), h1.Waited())
 	}
-	if h0.Stream().Elapsed() != h1.Stream().Elapsed() {
+	if h0.Elapsed() != h1.Elapsed() {
 		t.Fatalf("identical kernels on sibling devices cost %v vs %v",
-			h0.Stream().Elapsed(), h1.Stream().Elapsed())
+			h0.Elapsed(), h1.Elapsed())
 	}
 	h0.Release()
 	h1.Release()

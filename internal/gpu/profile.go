@@ -8,6 +8,10 @@ import (
 
 // ProfileEvent records one operation on a profiled stream.
 type ProfileEvent struct {
+	// Stream names the stream the operation ran on: the engine class for
+	// the streams of a StreamSet ("copy-in", "compute", "copy-out"),
+	// "stream" for a standalone one.
+	Stream string
 	// Kind is "launch", "h2d", "d2h", "p2p", "alloc", or "wait".
 	Kind string
 	// Name is the kernel name for launches, empty otherwise.
@@ -20,22 +24,38 @@ type ProfileEvent struct {
 	Took  time.Duration
 }
 
+// profileLog collects events in issue order. The streams of a StreamSet
+// append to one log, so the lanes of an overlapped query interleave in it.
+type profileLog struct{ events []ProfileEvent }
+
 // EnableProfiling turns on per-operation event recording for the stream,
 // the nvprof-style visibility used to understand where a query's
 // simulated time goes. Recording costs nothing on the simulated clock.
-func (s *Stream) EnableProfiling() { s.profiling = true }
+func (s *Stream) EnableProfiling() {
+	if s.log == nil {
+		s.log = &profileLog{}
+	}
+}
 
 // Profile returns the recorded events (nil unless EnableProfiling was
-// called before the operations of interest).
-func (s *Stream) Profile() []ProfileEvent { return s.events }
+// called before the operations of interest). For a stream of a StreamSet
+// these are the events of all the set's streams, in issue order.
+func (s *Stream) Profile() []ProfileEvent {
+	if s.log == nil {
+		return nil
+	}
+	return s.log.events
+}
 
-// ProfileReport renders the recorded events as an aligned text timeline.
+// ProfileReport renders the recorded events as an aligned text timeline,
+// one row per event with the stream it ran on: for a StreamSet, the
+// three-lane picture of which copies hid under which kernels.
 func (s *Stream) ProfileReport() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-10s %-26s %12s %12s %10s\n", "kind", "name", "start(us)", "took(us)", "bytes")
-	for _, e := range s.events {
-		fmt.Fprintf(&sb, "%-10s %-26s %12.1f %12.1f %10d\n",
-			e.Kind, e.Name,
+	fmt.Fprintf(&sb, "%-9s %-10s %-26s %12s %12s %10s\n", "stream", "kind", "name", "start(us)", "took(us)", "bytes")
+	for _, e := range s.Profile() {
+		fmt.Fprintf(&sb, "%-9s %-10s %-26s %12.1f %12.1f %10d\n",
+			e.Stream, e.Kind, e.Name,
 			float64(e.Start)/float64(time.Microsecond),
 			float64(e.Took)/float64(time.Microsecond),
 			e.Bytes)
@@ -46,10 +66,10 @@ func (s *Stream) ProfileReport() string {
 // record appends an event if profiling is enabled; called by the Stream
 // operations with the pre-operation clock and the charged duration.
 func (s *Stream) record(kind, name string, bytes int64, start, took time.Duration) {
-	if !s.profiling {
+	if s.log == nil {
 		return
 	}
-	s.events = append(s.events, ProfileEvent{
-		Kind: kind, Name: name, Bytes: bytes, Start: start, Took: took,
+	s.log.events = append(s.log.events, ProfileEvent{
+		Stream: s.lane, Kind: kind, Name: name, Bytes: bytes, Start: start, Took: took,
 	})
 }

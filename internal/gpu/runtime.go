@@ -1,7 +1,7 @@
 // Device runtime: the device as a *shared, timed* resource.
 //
-// A Stream models one query's private view of the device: its clock is
-// that query's service time, and two streams know nothing about each
+// A StreamSet models one query's private view of the device: its clock is
+// that query's service time, and two queries' sets know nothing about each
 // other. That is faithful to the paper's single-query prototype but
 // makes multi-user load invisible — concurrent queries would each see an
 // idle device. DeviceRuntime closes the gap: it owns a bounded set of
@@ -170,12 +170,12 @@ func (rt *DeviceRuntime) CopySpans() [][]LaneSpan {
 }
 
 // QueryStream is one admitted query's handle on the runtime: a private
-// Stream carrying the query's service time plus an anchor placing that
-// stream on the global device timeline. Submit work through it; Release
+// StreamSet carrying the query's service time plus an anchor placing its
+// streams on the global device timeline. Submit work through it; Release
 // it when the query completes.
 type QueryStream struct {
 	rt     *DeviceRuntime
-	s      *Stream
+	set    *StreamSet
 	id     int64
 	anchor time.Duration
 
@@ -247,7 +247,7 @@ func (rt *DeviceRuntime) AdmitWith(a Admission) (*QueryStream, error) {
 	}
 	rt.admitted++
 	rt.active++
-	return &QueryStream{rt: rt, s: rt.dev.NewStream(), id: rt.admitted, anchor: anchor}, nil
+	return &QueryStream{rt: rt, set: rt.dev.NewStreamSet(), id: rt.admitted, anchor: anchor}, nil
 }
 
 // Release returns the query's slot; the runtime fast-forwards its idle
@@ -266,9 +266,14 @@ func (h *QueryStream) Release() {
 	rt.mu.Unlock()
 }
 
-// Stream returns the query's underlying stream (for profiling and for
-// reading the query's simulated clock).
-func (h *QueryStream) Stream() *Stream { return h.s }
+// Streams returns the query's streams, one per engine: where callers
+// record and wait on events between submissions, join, and enable
+// profiling.
+func (h *QueryStream) Streams() *StreamSet { return h.set }
+
+// Elapsed returns the query's device clock — service time plus queueing
+// delay so far, along the critical path through its streams.
+func (h *QueryStream) Elapsed() time.Duration { return h.set.Elapsed() }
 
 // Waited returns the total queueing delay charged to this query so far.
 func (h *QueryStream) Waited() time.Duration {
@@ -292,12 +297,14 @@ func (h *QueryStream) Submit(class EngineClass, fn func(*Stream) error) error {
 	return err
 }
 
-// SubmitOp runs one work item on the given engine. The item becomes
-// ready at the query's current position on the global timeline (anchor +
-// stream clock); if the chosen engine lane is still busy with other
-// queries' work, the difference is charged to the query's stream as
-// queueing delay *before* fn runs, then fn executes on the stream and
-// its service time occupies the lane. fn's error is returned unchanged.
+// SubmitOp runs one work item on the given engine, on the query's stream
+// for that engine. The item becomes ready at that stream's position on
+// the global timeline (anchor + the stream's clock, which the caller has
+// already moved past the events of the item's inputs); if the chosen
+// engine lane is still busy with other queries' work, the difference is
+// charged to the stream as queueing delay *before* fn runs, then fn
+// executes on the stream and its service time occupies the lane. fn's
+// error is returned unchanged.
 //
 // key names the item's batch-compatibility class (exec.Op.BatchKey).
 // When the runtime's batching stage is enabled and key is non-empty, the
@@ -321,7 +328,8 @@ func (h *QueryStream) SubmitOp(class EngineClass, key string, fn func(*Stream) e
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 
-	ready := h.anchor + h.s.Elapsed()
+	s := h.set.On(class)
+	ready := h.anchor + s.Elapsed()
 	if rt.hook != nil {
 		if err := rt.hook(class, ready); err != nil {
 			return Batched{}, err
@@ -333,30 +341,30 @@ func (h *QueryStream) SubmitOp(class EngineClass, key string, fn func(*Stream) e
 		start = ln.busyUntil
 	}
 	if delay := start - ready; delay > 0 {
-		h.s.record("wait", class.String(), 0, h.s.elapsed, delay)
-		h.s.elapsed += delay
+		s.record("wait", class.String(), 0, s.elapsed, delay)
+		s.elapsed += delay
 		h.mu.Lock()
 		h.waited += delay
 		h.mu.Unlock()
 		rt.waited += delay
 	}
 
-	fixedBefore := h.s.fixed
-	before := h.s.Elapsed()
-	err := fn(h.s)
-	took := h.s.Elapsed() - before
+	fixedBefore := s.fixed
+	before := s.Elapsed()
+	err := fn(s)
+	took := s.Elapsed() - before
 
 	var m Batched
 	if err == nil && rt.batch != nil && key != "" {
-		fixed := h.s.fixed - fixedBefore
+		fixed := s.fixed - fixedBefore
 		var rebate time.Duration
 		m, rebate = rt.batch.admit(class, key, h.id, ready, fixed, rt.dev.model.BatchMemberOverhead, took)
 		if rebate > 0 {
 			// Credit the follower's share of the already-paid fixed costs
 			// back to its stream (a negative-duration profile event keeps
 			// the per-op timeline reconstructible).
-			h.s.record("batch", key, int64(m.Seq), h.s.elapsed, -rebate)
-			h.s.elapsed -= rebate
+			s.record("batch", key, int64(m.Seq), s.elapsed, -rebate)
+			s.elapsed -= rebate
 			took -= rebate
 		}
 	}
@@ -396,15 +404,15 @@ func (rt *DeviceRuntime) pickLane(class EngineClass) *lane {
 }
 
 // PendingTime reports the queueing delay a kernel submitted by this
-// query right now would experience: how far past the query's current
-// timeline position the earliest compute lane frees up. Load-aware
+// query right now would experience: how far past the query's compute
+// stream's timeline position the earliest compute lane frees up. Load-aware
 // scheduling policies (sched.LoadAwarePolicy) read it to decide whether
 // the device is worth waiting for.
 func (h *QueryStream) PendingTime() time.Duration {
 	rt := h.rt
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ready := h.anchor + h.s.Elapsed()
+	ready := h.anchor + h.set.On(ComputeEngine).Elapsed()
 	return rt.pendingLocked(ready)
 }
 
@@ -465,6 +473,8 @@ type RuntimeStats struct {
 	// Utilization is ComputeBusy over the compute lanes' total timeline
 	// capacity (Streams x Horizon), in [0,1].
 	Utilization float64
+	// Pool is the device's memory-pool telemetry.
+	Pool PoolStats
 }
 
 // Stats returns a telemetry snapshot.
@@ -479,6 +489,7 @@ func (rt *DeviceRuntime) Stats() RuntimeStats {
 		CopyBusy:    rt.copyBusy,
 		Waited:      rt.waited,
 		Horizon:     rt.horizon,
+		Pool:        rt.dev.PoolStats(),
 	}
 	if rt.active > 0 {
 		st.Backlog = rt.pendingLocked(rt.clock)

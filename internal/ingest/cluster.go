@@ -722,7 +722,7 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 				return err
 			}
 		}
-		devTime = h.Stream().Elapsed()
+		devTime = h.Elapsed()
 		h.Release()
 	}
 	for _, ch := range plan.changed {

@@ -145,7 +145,7 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 				return err
 			}
 		}
-		devTime = h.Stream().Elapsed()
+		devTime = h.Elapsed()
 		h.Release()
 	}
 	for _, ch := range plan.changed {
@@ -328,7 +328,9 @@ func mergePostings(pl *index.PostingList, mainIDs []uint32, v *View, term string
 
 // priceChanged bills one re-encoded list's device path on the shared
 // runtime: upload the old compressed blocks, decompress, migrate the
-// merged expansion back to the host. Each submission passes the
+// merged expansion back to the host. The three steps feed each other, so
+// the host joins the streams after each one: a list's path is serial even
+// though it crosses all three engines. Each submission passes the
 // device's fault hook, so an injected device fault aborts the merge.
 func priceChanged(h *gpu.QueryStream, cpuM *hwmodel.CPUModel, gm *hwmodel.GPUModel, ch changedList) error {
 	type step struct {
@@ -355,6 +357,7 @@ func priceChanged(h *gpu.QueryStream, cpuM *hwmodel.CPUModel, gm *hwmodel.GPUMod
 		}); err != nil {
 			return err
 		}
+		h.Streams().Join()
 	}
 	return nil
 }

@@ -44,11 +44,15 @@ type Segment struct {
 //
 // Engine traces carry the full physical-plan record (QueryStats.Plan):
 // every executed operator — fetch, upload, decompress, intersect,
-// migrate, score, top-k — becomes a segment on the processor it ran on
+// migrate, score, top-k — lands in a segment on the processor it ran on
 // (adjacent same-resource operators merge), so the replayed timeline is
-// exactly the executor's, operator by operator. For hand-built stats
-// without a plan, the legacy conversion applies: each traced intersection
-// is a segment, and the residual CPU/GPU time forms trailing segments.
+// exactly the executor's. Host operators run one after another and add
+// up; the device operators between two host phases overlap across the
+// copy and compute engines, so their segment is the span they cover on
+// the query's timeline (OpRecord.Start), which sums to GPUTime. For
+// hand-built stats without a plan, the legacy conversion applies: each
+// traced intersection is a segment, and the residual CPU/GPU time forms
+// trailing segments.
 func SegmentsFromStats(qs core.QueryStats) []Segment {
 	var segs []Segment
 	var opCPU time.Duration
@@ -63,15 +67,28 @@ func SegmentsFromStats(qs core.QueryStats) []Segment {
 		segs = append(segs, Segment{Res: r, D: d})
 	}
 	if len(qs.Plan) > 0 {
-		// Operator-trace replay: the plan records partition the query's
+		// Operator-trace replay: the plan records account for the query's
 		// entire CPU and GPU time, so no residual pushes are needed.
-		for _, op := range qs.Plan {
-			if op.Where == sched.GPU {
-				push(ResGPU, op.Took)
-			} else {
-				push(ResCPU, op.Took)
+		var from, to time.Duration // span of the current run of device ops
+		inRun := false
+		endRun := func() {
+			if inRun {
+				push(ResGPU, to-from)
+				inRun = false
 			}
 		}
+		for _, op := range qs.Plan {
+			if op.Where != sched.GPU {
+				endRun()
+				push(ResCPU, op.Took)
+				continue
+			}
+			if !inRun {
+				from, to, inRun = op.Start, op.Start, true
+			}
+			to = max(to, op.Start+op.Took)
+		}
+		endRun()
 		return segs
 	}
 	for _, op := range qs.Ops {

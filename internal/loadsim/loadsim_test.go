@@ -142,16 +142,20 @@ func TestFCFSOrderPreserved(t *testing.T) {
 
 func TestSegmentsFromPlanTrace(t *testing.T) {
 	// Stats carrying a physical-plan trace replay operator by operator:
-	// adjacent same-processor operators merge and nothing is residual.
+	// adjacent same-processor operators merge, overlapping device
+	// operators count once, and nothing is residual.
 	qs := core.QueryStats{
-		CPUTime: ms(6),
-		GPUTime: ms(9),
+		CPUTime:    ms(6),
+		GPUTime:    ms(9),
+		Overlapped: ms(2),
 		Plan: []core.PlanRecord{
-			{Where: sched.CPU, Took: ms(1)}, // fetch
-			{Where: sched.GPU, Took: ms(4)}, // upload + decompress
-			{Where: sched.GPU, Took: ms(5)}, // intersect
-			{Where: sched.CPU, Took: ms(2)}, // migrated intersect
-			{Where: sched.CPU, Took: ms(3)}, // score + topk
+			{Where: sched.CPU, Start: ms(0), Took: ms(1)},  // fetch
+			{Where: sched.GPU, Start: ms(1), Took: ms(3)},  // upload A
+			{Where: sched.GPU, Start: ms(4), Took: ms(3)},  // decompress A, under which...
+			{Where: sched.GPU, Start: ms(4), Took: ms(2)},  // ...upload B hides
+			{Where: sched.GPU, Start: ms(7), Took: ms(3)},  // intersect
+			{Where: sched.CPU, Start: ms(10), Took: ms(2)}, // migrated intersect
+			{Where: sched.CPU, Start: ms(12), Took: ms(3)}, // score + topk
 		},
 	}
 	segs := SegmentsFromStats(qs)

@@ -36,14 +36,17 @@ func NewCostPolicy() *CostPolicy {
 	return &CostPolicy{GPU: hwmodel.DefaultGPU(), CPU: hwmodel.DefaultCPU(), Sticky: true}
 }
 
-// compressedBytes estimates the PCIe payload of an EF-compressed list.
-func compressedBytes(n int) int64 { return int64(n) * 7 / 8 }
+// CompressedBytes estimates the PCIe payload of an Elias-Fano-compressed
+// list of n postings at 7 bits/posting — the paper's collections; the
+// serving benchmark's synthetic fixture measures 7.44. Every closed-form
+// estimator (this policy, exec.Op.Estimate) prices transfers with it.
+func CompressedBytes(n int) int64 { return int64(n) * 7 / 8 }
 
 // estimateGPU approximates the device cost of one intersection: upload
 // the long list compressed, decompress it (Para-EF is bandwidth-bound),
 // and run the merge-path kernels, each paying a launch.
 func (p *CostPolicy) estimateGPU(shortLen, longLen int) time.Duration {
-	transfer := p.GPU.TransferTime(compressedBytes(longLen))
+	transfer := p.GPU.TransferTime(CompressedBytes(longLen))
 	// Para-EF decompression + intersection kernels: both stream the data;
 	// dominated by global-memory traffic at ~5 bytes/element effective,
 	// with ~5 launches across the pipeline.
@@ -121,7 +124,7 @@ func (p *CostPolicy) EstimateQuery(listLens []int) (cpu, gpu time.Duration) {
 		return 0, 0
 	}
 	cur := listLens[0]
-	gpu = p.GPU.TransferTime(compressedBytes(cur))
+	gpu = p.GPU.TransferTime(CompressedBytes(cur))
 	for _, l := range listLens[1:] {
 		short, long := cur, l
 		if long < short {

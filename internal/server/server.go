@@ -160,13 +160,18 @@ type SearchResponse struct {
 
 // PlanOpJSON is one executed plan operator of a traced request.
 type PlanOpJSON struct {
-	Op        string  `json:"op"`
-	Algo      string  `json:"algo,omitempty"`
-	Where     string  `json:"where"`
-	Term      string  `json:"term,omitempty"`
-	NIn       int     `json:"n_in"`
-	NOut      int     `json:"n_out"`
-	Bytes     int64   `json:"bytes,omitempty"`
+	Op    string `json:"op"`
+	Algo  string `json:"algo,omitempty"`
+	Where string `json:"where"`
+	Term  string `json:"term,omitempty"`
+	NIn   int    `json:"n_in"`
+	NOut  int    `json:"n_out"`
+	Bytes int64  `json:"bytes,omitempty"`
+	// StartUS places the operator on the query's own timeline (0 = the
+	// first fetch, simulated_latency_ms = the end of top-k): device
+	// operators of one step overlap, so start_us + took_us of an upload
+	// can pass the start_us of the next row.
+	StartUS   float64 `json:"start_us"`
 	TookUS    float64 `json:"took_us"`
 	EstTookUS float64 `json:"est_took_us"`
 	// Device is the node device the operator ran on; Peer marks an upload
@@ -313,6 +318,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				NIn:       op.NIn,
 				NOut:      op.NOut,
 				Bytes:     op.Bytes,
+				StartUS:   float64(op.Start) / float64(time.Microsecond),
 				TookUS:    float64(op.Took) / float64(time.Microsecond),
 				EstTookUS: float64(op.Est) / float64(time.Microsecond),
 				Device:    op.Device,
@@ -756,7 +762,10 @@ type CacheStatsJSON struct {
 
 // DeviceStatsJSON reports one device runtime's state: how busy the
 // modeled GPU has been, how much queueing delay concurrent queries paid
-// for it, and the backlog a query admitted now would face.
+// for it, the backlog a query admitted now would face, and its memory
+// pool — allocations served from a free block (pool_hits) against the
+// ones that paid a cudaMalloc (pool_misses), the device memory the pool
+// holds (live plus free blocks) and how often it gave its free blocks up.
 type DeviceStatsJSON struct {
 	Streams        int     `json:"streams"`
 	ActiveQueries  int     `json:"active_queries"`
@@ -767,6 +776,10 @@ type DeviceStatsJSON struct {
 	QueueWaitMS    float64 `json:"queue_wait_ms"`
 	BacklogMS      float64 `json:"backlog_ms"`
 	TimelineSpanMS float64 `json:"timeline_span_ms"`
+	PoolHits       int64   `json:"pool_hits"`
+	PoolMisses     int64   `json:"pool_misses"`
+	PoolReservedMB float64 `json:"pool_reserved_mb"`
+	PoolTrims      int64   `json:"pool_trims"`
 }
 
 // ShardStatsJSON is one shard replica's telemetry row.
@@ -835,6 +848,10 @@ func deviceJSON(st gpu.RuntimeStats) DeviceStatsJSON {
 		QueueWaitMS:    ms(st.Waited),
 		BacklogMS:      ms(st.Backlog),
 		TimelineSpanMS: ms(st.Horizon),
+		PoolHits:       st.Pool.Hits,
+		PoolMisses:     st.Pool.Misses,
+		PoolReservedMB: float64(st.Pool.Reserved) / (1 << 20),
+		PoolTrims:      st.Pool.Trims,
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -240,6 +241,17 @@ func TestStatsDeviceTelemetry(t *testing.T) {
 	if d.QueueWaitMS < 0 || d.BacklogMS < 0 || d.TimelineSpanMS <= 0 {
 		t.Fatalf("implausible device stats: %+v", d)
 	}
+	// The memory-pool columns are always present on a device row, and
+	// every allocation is either a hit or a miss.
+	for _, key := range []string{`"pool_hits"`, `"pool_misses"`, `"pool_reserved_mb"`, `"pool_trims"`} {
+		if !bytes.Contains(body, []byte(key)) {
+			t.Errorf("/statz device row has no %s: %s", key, body)
+		}
+	}
+	if d.PoolHits < 0 || d.PoolMisses < 0 || d.PoolTrims < 0 || d.PoolReservedMB < 0 ||
+		(d.PoolMisses == 0) != (d.PoolReservedMB == 0) {
+		t.Fatalf("implausible pool stats: %+v", d)
+	}
 
 	// CPU-only engines have no runtime: the field is omitted.
 	b := index.NewBuilder(index.CodecEF)
@@ -342,12 +354,25 @@ func TestSearchTraceParameter(t *testing.T) {
 	if len(resp.Plan) == 0 {
 		t.Fatal("trace=1 response has no plan")
 	}
+	if n := bytes.Count(body, []byte(`"start_us"`)); n != len(resp.Plan) {
+		t.Errorf("%d of %d plan rows carry start_us", n, len(resp.Plan))
+	}
 	kinds := map[string]bool{}
+	var end float64
 	for _, op := range resp.Plan {
 		kinds[op.Op] = true
 		if op.Where == "" {
 			t.Errorf("plan op %q missing placement", op.Op)
 		}
+		if op.StartUS < 0 {
+			t.Errorf("plan op %q starts at %v us", op.Op, op.StartUS)
+		}
+		end = max(end, op.StartUS+op.TookUS)
+	}
+	// The rows place themselves on the query's timeline: the last one
+	// ends at the response's latency.
+	if math.Abs(end-resp.LatencyMS*1000) > 1e-6 {
+		t.Errorf("plan rows end at %v us, simulated latency is %v us", end, resp.LatencyMS*1000)
 	}
 	for _, want := range []string{"fetch", "intersect", "score", "topk"} {
 		if !kinds[want] {
