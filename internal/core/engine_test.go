@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"griffin/internal/exec"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
@@ -337,6 +338,50 @@ func TestGriffinNotSlowerThanBothBaselines(t *testing.T) {
 	}
 	if hybTot > gpuTot*1.05 {
 		t.Fatalf("griffin (%.4fs) slower than gpu-only (%.4fs)", hybTot, gpuTot)
+	}
+}
+
+// An intersection's output buffer is sized at its upper bound,
+// min(|A|,|B|), before the launch: the block it needs depends on the
+// operand lengths alone, so a repeat of a query finds every block it asks
+// for in the pool its first run stocked — no device operator of the repeat
+// pays a cudaMalloc, and no device intersection is slower than it was.
+func TestWarmPoolRepeatAllocatesNothing(t *testing.T) {
+	c := testCorpus(t)
+	queries := workload.GenerateQueryLog(c, workload.QuerySpec{NumQueries: 40, PopularityAlpha: 0.7, Seed: 7})
+	for _, mode := range []Mode{GPUOnly, Hybrid} {
+		dev := gpu.New(hwmodel.DefaultGPU(), 0)
+		e, err := New(c.Index, Config{Mode: mode, Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deviceIntersects := 0
+		for qi, q := range queries {
+			first, err := e.Search(q.Terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			misses := dev.PoolStats().Misses
+			again, err := e.Search(q.Terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := dev.PoolStats().Misses - misses; got != 0 {
+				t.Fatalf("%v q%d %v: the repeat paid %d cudaMallocs", mode, qi, q.Terms, got)
+			}
+			for i, op := range again.Stats.Plan {
+				if op.Kind != exec.OpIntersect || op.Where != sched.GPU {
+					continue
+				}
+				deviceIntersects++
+				if op.Took > first.Stats.Plan[i].Took {
+					t.Fatalf("%v q%d op[%d]: repeat intersect took %v, first run %v", mode, qi, i, op.Took, first.Stats.Plan[i].Took)
+				}
+			}
+		}
+		if deviceIntersects == 0 {
+			t.Fatalf("%v: no device intersection ran", mode)
+		}
 	}
 }
 

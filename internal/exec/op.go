@@ -24,6 +24,7 @@ import (
 
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/kernels"
 	"griffin/internal/sched"
 )
 
@@ -206,16 +207,7 @@ func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Dura
 		}
 		return gpuM.TransferTime(bytes)
 	case OpDecompress:
-		n := op.LongLen
-		st := hwmodel.LaunchStats{
-			Blocks:           (n + 127) / 128,
-			ThreadsPerBlock:  128,
-			Ops:              int64(6 * n),
-			GlobalReadBytes:  sched.CompressedBytes(n),
-			GlobalWriteBytes: int64(4 * n),
-		}
-		// The output buffer comes from the device's pool: no cudaMalloc.
-		return gpuM.KernelTime(&st)
+		return sched.DecompressTime(op.LongLen, gpuM)
 	case OpIntersect:
 		return estimateIntersect(op, cpuM, gpuM)
 	case OpMigrate:
@@ -252,15 +244,10 @@ func estimateIntersect(op *Op, cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) t
 			CachedProbes: int64(4 * short),
 			SelectProbes: int64(7 * short),
 		})
-	case AlgoMergePath, AlgoBinarySkips:
-		st := hwmodel.LaunchStats{
-			Blocks:           (long + 127) / 128,
-			ThreadsPerBlock:  128,
-			Ops:              int64(8 * (short + long)),
-			GlobalReadBytes:  int64(5 * (short + long)),
-			GlobalWriteBytes: int64(4 * (short + long)),
-		}
-		return gpuM.KernelTime(&st) + 4*gpuM.LaunchOverhead
+	case AlgoMergePath:
+		return kernels.EstimateMergePath(short, long, gpuM)
+	case AlgoBinarySkips:
+		return kernels.EstimateBinarySkips(short, long, gpuM)
 	}
 	return 0
 }

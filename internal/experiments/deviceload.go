@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"griffin/internal/core"
 	"griffin/internal/loadsim"
+	"griffin/internal/stats"
 	"griffin/internal/workload"
 )
 
@@ -74,6 +76,24 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 	drain := probe.Runtime().Stats().ComputeBusy / time.Duration(len(sample))
 	res := EngineLoadResult{MeanService: mean}
 
+	// What a spilled query pays instead of the queue is its CPU plan, and
+	// the tail of that is the floor under the spill engine's P99. No
+	// device change moves it, so it is measured here and the overloaded
+	// run is sized against it below.
+	cpuOnly, err := core.New(c.Index, core.Config{Mode: core.CPUOnly, CPU: cfg.CPU})
+	if err != nil {
+		return EngineLoadResult{}, nil, err
+	}
+	cpuLat := stats.NewLatencyRecorder(len(sample))
+	for _, q := range sample {
+		r, err := cpuOnly.Search(q)
+		if err != nil {
+			return EngineLoadResult{}, nil, err
+		}
+		cpuLat.Record(r.Stats.Latency)
+	}
+	cpuP99 := cpuLat.Percentile(99)
+
 	t := &Table{
 		Title: "Extension: engine-driven load study (real plans, shared device runtime)",
 		Header: []string{"load (q/s)", "vs drain rate", "static P99", "spill P99",
@@ -90,15 +110,31 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 	// load's transient bursts don't push heavy queries onto their much
 	// slower CPU plans.
 	spillAt := 2 * mean
-	for _, frac := range []float64{0.5, 1.5, 3.0} {
+	fracs := []float64{0.5, 1.5, 3.0}
+	for i, frac := range fracs {
 		rate := frac / drain.Seconds()
 		spec := loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 177}
+		arrivals := sample
+		if i == len(fracs)-1 {
+			// The overload point. n arrivals at frac times the drain rate
+			// leave a queue of at most n x drain x (1 - 1/frac) behind
+			// them, so on a short sample "overload" is a bounded burst,
+			// and the faster the device drains the smaller it is. The
+			// static engine's tail is unbounded only against the spill's
+			// once that queue outgrows the plan the spill falls back on:
+			// replay the sample until it reaches twice the CPU plan's P99.
+			need := float64(2*cpuP99) / (float64(drain) * (1 - 1/frac))
+			arrivals = replay(sample, int(math.Ceil(need)))
+			t.Notes = append(t.Notes, fmt.Sprintf(
+				"%.0f%% row: %d arrivals, enough for an undrained queue to reach 2x the CPU-only P99 (%s ms); other rows %d",
+				frac*100, len(arrivals), ms(cpuP99), len(sample)))
+		}
 
 		static, err := mkEngine(1, 0)
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
-		rs, err := loadsim.RunEngine(static, sample, spec)
+		rs, err := loadsim.RunEngine(static, arrivals, spec)
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
@@ -106,12 +142,12 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
-		ra, err := loadsim.RunEngine(spillE, sample, spec)
+		ra, err := loadsim.RunEngine(spillE, arrivals, spec)
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
 
-		nq := time.Duration(len(sample))
+		nq := time.Duration(len(arrivals))
 		p := EngineLoadPoint{
 			ArrivalRate: rate,
 			StaticP99:   rs.Latencies.Percentile(99),
@@ -128,6 +164,19 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 		})
 	}
 	return res, t, nil
+}
+
+// replay cycles through sample until it has n arrivals; a sample that is
+// already long enough is returned as it is.
+func replay(sample [][]string, n int) [][]string {
+	if n <= len(sample) {
+		return sample
+	}
+	out := make([][]string, n)
+	for i := range out {
+		out[i] = sample[i%len(sample)]
+	}
+	return out
 }
 
 // StreamSweepPoint is one compute-lane count of the concurrency sweep.

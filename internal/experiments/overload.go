@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"griffin/internal/cluster"
@@ -211,6 +212,15 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 		DegradedTopK:     5,
 	}
 
+	// Every point replays the sample for the same number of arrivals, sized
+	// from the calibration: n arrivals at twice the saturation rate leave
+	// an uncontrolled backlog of n / (2 x saturation) behind them, and the
+	// baseline only collapses — rather than merely ending a short burst
+	// late — once that is several deadlines deep. The deadline hangs on the
+	// CPU-only mean while saturation follows the device, so a faster device
+	// needs more arrivals for the same depth: three deadlines at 2x.
+	arrivals := replay(sample, int(math.Ceil(3*deadline.Seconds()*2*saturation)))
+
 	res := OverloadSweepResult{Deadline: deadline, Saturation: saturation}
 	t := &Table{
 		Title: "Extension: overload sweep (goodput vs offered load, hardened vs baseline)",
@@ -223,6 +233,8 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 			"goodput = complete answers within the deadline over offered interactive queries",
 			fmt.Sprintf("deadline %s ms = max(8x clean mean %s ms, 4x cpu-only mean %s ms); saturation %.0f q/s from burst drain makespan",
 				ms(deadline), ms(cleanMean), ms(cpuMean), saturation),
+			fmt.Sprintf("%d arrivals per point (the %d-query sample replayed): an uncontrolled backlog at 2x reaches 3 deadlines",
+				len(arrivals), len(sample)),
 		},
 	}
 
@@ -245,7 +257,7 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 			}
 			sp := spec
 			sp.PropagateDeadline = hard
-			r, err := loadsim.RunOverload(cl, sample, sp)
+			r, err := loadsim.RunOverload(cl, arrivals, sp)
 			if err != nil {
 				cl.Close()
 				return loadsim.OverloadResult{}, nil, err

@@ -105,6 +105,10 @@ type Stream struct {
 // NewStream returns a fresh stream with a zeroed simulated clock.
 func (d *Device) NewStream() *Stream { return &Stream{dev: d, lane: "stream"} }
 
+// Device returns the device the stream issues to; kernels size their
+// launch geometry from its model.
+func (s *Stream) Device() *Device { return s.dev }
+
 // Elapsed returns the simulated time consumed by operations on the stream.
 func (s *Stream) Elapsed() time.Duration { return s.elapsed }
 
@@ -210,6 +214,13 @@ type Kernel struct {
 	SharedBytes int
 	MakeShared  func(block int) any
 	Phases      []Phase
+	// Lane0, when Lane0[i] is set, declares that only thread 0 of each
+	// block works in Phases[i] (a tile scan, a per-block boundary search):
+	// the phase is invoked once per block, with Thread == 0, instead of once
+	// per thread. Counters and modeled time are those of the full block — the
+	// idle lanes report nothing either way; only the host saves the calls.
+	// May be shorter than Phases (missing entries are false).
+	Lane0 []bool
 }
 
 // Phase is one barrier-delimited stage of a kernel, invoked once per
@@ -300,15 +311,19 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 		ctxs[w].Grid, ctxs[w].BlockDim = k.Grid, k.Block
 	}
 
-	for _, phase := range k.Phases {
+	for i, phase := range k.Phases {
+		threads := k.Block
+		if i < len(k.Lane0) && k.Lane0[i] {
+			threads = 1
+		}
 		// Device-wide barrier between phases: complete the parallel-for
 		// over all blocks before starting the next phase.
 		if workers == 1 {
 			for b := 0; b < k.Grid; b++ {
-				ctxs[0].runBlock(phase, shared, b)
+				ctxs[0].runBlock(phase, shared, b, threads)
 			}
 		} else {
-			parallelFor(k.Grid, workers, func(w, b int) { ctxs[w].runBlock(phase, shared, b) })
+			parallelFor(k.Grid, workers, func(w, b int) { ctxs[w].runBlock(phase, shared, b, threads) })
 		}
 		for w := range ctxs {
 			total.Add(&ctxs[w].stats)
@@ -336,13 +351,14 @@ func (k *Kernel) sharedState() []any {
 	return shared
 }
 
-// runBlock runs every thread of block b through one phase on c.
-func (c *Ctx) runBlock(phase Phase, shared []any, b int) {
+// runBlock runs the first threads threads of block b through one phase
+// on c.
+func (c *Ctx) runBlock(phase Phase, shared []any, b, threads int) {
 	c.Block = b
 	if shared != nil {
 		c.Shared = shared[b]
 	}
-	for t := 0; t < c.BlockDim; t++ {
+	for t := 0; t < threads; t++ {
 		c.Thread = t
 		phase(c)
 	}

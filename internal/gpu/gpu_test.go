@@ -116,6 +116,51 @@ func TestKernelExecutesAllThreads(t *testing.T) {
 	}
 }
 
+// A Lane0 phase is invoked once per block, as thread 0, and the launch
+// reports the counters and the modeled time of the same kernel written
+// with a thread-0 guard in a per-thread phase.
+func TestLane0PhaseRunsOncePerBlock(t *testing.T) {
+	d := newTestDevice()
+	const grid, block = 19, 128
+	launch := func(lane0 bool) (calls [2]int64, st *hwmodel.LaunchStats, took time.Duration) {
+		s := d.NewStream()
+		k := &Kernel{
+			Name: "tile-scan", Grid: grid, Block: block,
+			Phases: []Phase{
+				func(c *Ctx) { // per thread in both variants
+					atomic.AddInt64(&calls[0], 1)
+					c.GlobalRead(4)
+				},
+				func(c *Ctx) {
+					atomic.AddInt64(&calls[1], 1)
+					if c.Thread != 0 {
+						return
+					}
+					c.Op(block)
+					c.SharedAccess(4 * block)
+					c.GlobalWrite(8 + c.Block)
+				},
+			},
+		}
+		if lane0 {
+			k.Lane0 = []bool{false, true}
+		}
+		st = s.Launch(k)
+		return calls, st, s.Elapsed()
+	}
+	guarded, wantStats, wantTook := launch(false)
+	once, gotStats, gotTook := launch(true)
+	if guarded != [2]int64{grid * block, grid * block} {
+		t.Fatalf("per-thread phases ran %v times", guarded)
+	}
+	if once != [2]int64{grid * block, grid} {
+		t.Fatalf("Lane0 phase ran %d times for %d blocks (per-thread phase: %d)", once[1], grid, once[0])
+	}
+	if *gotStats != *wantStats || gotTook != wantTook {
+		t.Fatalf("Lane0 changed the launch: %+v in %v, want %+v in %v", *gotStats, gotTook, *wantStats, wantTook)
+	}
+}
+
 func TestKernelPhasesAreBarriers(t *testing.T) {
 	// Phase 1 writes per-thread values; phase 2 reads values written by
 	// *other* blocks. Correct only if a device-wide barrier separates the

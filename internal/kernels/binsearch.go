@@ -1,9 +1,10 @@
 package kernels
 
 import (
+	"sync/atomic"
+
 	"griffin/internal/ef"
 	"griffin/internal/gpu"
-	"griffin/internal/hwmodel"
 )
 
 // IntersectBinarySearch intersects a short decompressed device array with a
@@ -12,78 +13,52 @@ import (
 // paper compares MergePath against (Figure 13, "GPU binary"): fast thanks
 // to raw parallelism, but warp-divergent and uncoalesced — each probe
 // lands threads in distant memory — which is why MergePath still beats it
-// by up to 2.29x on comparable-length lists.
+// by up to 2.29x on comparable-length lists. One launch: the probe phase
+// and the compaction tail.
 func IntersectBinarySearch(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*IntersectResult, error) {
 	a := shortBuf.Data.([]uint32)
 	b := longBuf.Data.([]uint32)
-
-	flags := make([]int32, len(a))
-	grid := gpu.GridFor(len(a), ThreadsPerBlock)
-	agg := &hwmodel.LaunchStats{}
-
-	if len(a) > 0 {
-		k := &gpu.Kernel{
-			Name:  "binsearch_intersect",
-			Grid:  grid,
-			Block: ThreadsPerBlock,
-			Phases: []gpu.Phase{func(c *gpu.Ctx) {
-				i := c.GlobalID()
-				if i >= len(a) {
-					return
-				}
-				found, probes := binarySearch(b, a[i])
-				if found {
-					flags[i] = 1
-				}
-				// Every probe is a scattered read and a data-dependent
-				// branch: neighbors diverge almost every step (§2.3).
-				c.DivergentOp(probes)
-				c.UncoalescedRead(4 * probes)
-			}},
-		}
-		st := s.Launch(k)
-		agg.Add(st)
-		agg.Blocks, agg.ThreadsPerBlock, agg.Phases = st.Blocks, st.ThreadsPerBlock, st.Phases
-	}
-
-	return compactFlagged(s, a, flags, grid, agg)
-}
-
-// compactFlagged scans the match flags and gathers flagged elements of a
-// into a fresh device buffer, preserving order.
-func compactFlagged(s *gpu.Stream, a []uint32, flags []int32, grid int, agg *hwmodel.LaunchStats) (*IntersectResult, error) {
-	offsets, total, scanSt := ScanExclusive(s, flags)
-	agg.Add(scanSt)
-	agg.Phases += scanSt.Phases
-
-	outBuf, err := s.Alloc(total * 4)
+	outBuf, out, err := allocOutput(s, min(len(a), len(b)))
 	if err != nil {
 		return nil, err
 	}
-	result := make([]uint32, total)
-	outBuf.Data = result
-
-	if len(a) > 0 {
-		ck := &gpu.Kernel{
-			Name:  "compact_flagged",
-			Grid:  grid,
-			Block: ThreadsPerBlock,
-			Phases: []gpu.Phase{func(c *gpu.Ctx) {
-				i := c.GlobalID()
-				if i >= len(a) || flags[i] == 0 {
-					return
-				}
-				result[offsets[i]] = a[i]
-				c.GlobalRead(8)
-				c.GlobalWrite(4)
-				c.Op(1)
-			}},
-		}
-		cst := s.Launch(ck)
-		agg.Add(cst)
-		agg.Phases += cst.Phases
+	if len(out) == 0 {
+		return &IntersectResult{Out: outBuf}, nil
 	}
-	return &IntersectResult{Out: outBuf, Count: int(total), Stats: *agg}, nil
+
+	grid := gpu.GridFor(len(a), ThreadsPerBlock)
+	tail := newCompactTail(grid)
+	tailPhases, tailLane0 := tail.phases(out, gatherFlagged(a))
+	st := s.Launch(&gpu.Kernel{
+		Name:  "binsearch_intersect",
+		Grid:  grid,
+		Block: ThreadsPerBlock,
+		Lane0: append([]bool{false}, tailLane0...),
+		Phases: append([]gpu.Phase{func(c *gpu.Ctx) {
+			i := c.GlobalID()
+			if i >= len(a) {
+				return
+			}
+			found, probes := binarySearch(b, a[i])
+			if found {
+				tail.counts[i] = 1
+			}
+			// Every probe is a scattered read and a data-dependent
+			// branch: neighbors diverge almost every step (§2.3).
+			c.DivergentOp(probes)
+			c.UncoalescedRead(4 * probes)
+		}}, tailPhases...),
+	})
+	return &IntersectResult{Out: outBuf, Count: tail.total, Stats: *st}, nil
+}
+
+// gatherFlagged is the compaction tail's emit for the one-thread-per-
+// element kernels: thread k's only possible match is a[k] itself.
+func gatherFlagged(a []uint32) func(c *gpu.Ctx, k int, dst []uint32) {
+	return func(c *gpu.Ctx, k int, dst []uint32) {
+		dst[0] = a[k]
+		c.GlobalRead(4)
+	}
 }
 
 // binarySearch probes sorted b for v, returning whether it was found and
@@ -114,18 +89,27 @@ func binarySearch(b []uint32, v uint32) (found bool, probes int) {
 // the bulk of the decompression work — the effect behind the paper's
 // lambda > 128 block-skipping analysis (Figure 9).
 //
+// Two launches, because the second one's grid is the number of blocks the
+// first one found to be needed:
+//
+//  1. skips_route: route every short element to its candidate block over
+//     the skip pointers and mark the block (atomic-or); then scan the marks
+//     and gather the needed blocks' ids into a dense list;
+//  2. skips_probe: decompress only the needed blocks (Para-EF on the
+//     subset), binary search each short element inside its block, and run
+//     the compaction tail.
+//
 // longList must be the *ef.List payload of a device buffer (UploadEF).
 func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*IntersectResult, error) {
 	a := shortBuf.Data.([]uint32)
 	l := longBuf.Data.(*ef.List)
 	numBlocks := len(l.Blocks)
-
-	flags := make([]int32, len(a))
-	grid := gpu.GridFor(len(a), ThreadsPerBlock)
-	agg := &hwmodel.LaunchStats{}
-
-	if len(a) == 0 || numBlocks == 0 {
-		return compactFlagged(s, a, flags, grid, agg)
+	outBuf, out, err := allocOutput(s, min(len(a), l.N))
+	if err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		return &IntersectResult{Out: outBuf}, nil
 	}
 
 	// Skip-pointer array: first docID of each block (device-resident as
@@ -135,96 +119,102 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 		firsts[i] = l.Blocks[i].FirstDocID
 	}
 
-	// Kernel 1: route each short-list element to the candidate block and
-	// mark that block as needed.
+	grid := gpu.GridFor(len(a), ThreadsPerBlock)
 	blockOf := make([]int32, len(a))
-	needed := make([]int32, numBlocks)
-	k1 := &gpu.Kernel{
+	needed := make([]atomic.Bool, numBlocks)
+	slotOf := make([]int32, numBlocks)
+	var neededIDs []int32
+	st1 := s.Launch(&gpu.Kernel{
 		Name:  "skips_route",
 		Grid:  grid,
 		Block: ThreadsPerBlock,
-		Phases: []gpu.Phase{func(c *gpu.Ctx) {
-			i := c.GlobalID()
-			if i >= len(a) {
-				return
-			}
-			bi, probes := upperBoundBlock(firsts, a[i])
-			blockOf[i] = int32(bi)
-			c.DivergentOp(probes)
-			c.UncoalescedRead(4 * probes)
-		}},
-	}
-	st1 := s.Launch(k1)
-	agg.Add(st1)
-	agg.Blocks, agg.ThreadsPerBlock, agg.Phases = st1.Blocks, st1.ThreadsPerBlock, st1.Phases
-	// Mark needed blocks (an atomic-or kernel on real hardware; the write
-	// set is data-dependent, so it runs after the routing barrier).
-	for _, bi := range blockOf {
-		needed[bi] = 1
-	}
+		Lane0: []bool{false, true},
+		Phases: []gpu.Phase{
+			// Phase 1: route each short-list element to its candidate block
+			// and mark the block as needed.
+			func(c *gpu.Ctx) {
+				i := c.GlobalID()
+				if i >= len(a) {
+					return
+				}
+				bi, probes := upperBoundBlock(firsts, a[i])
+				blockOf[i] = int32(bi)
+				needed[bi].Store(true)
+				c.DivergentOp(probes)
+				c.UncoalescedRead(4 * probes)
+				c.UncoalescedWrite(4) // the atomic-or on the block's mark
+				c.Op(1)
+			},
+			// Phase 2: scan the marks and gather the needed blocks' ids
+			// (and each needed block's slot in that list). The grid strides
+			// over the marks; walked by one lane here and charged as the
+			// strided scan.
+			func(c *gpu.Ctx) {
+				if c.Block != 0 {
+					return
+				}
+				for bi := range needed {
+					if needed[bi].Load() {
+						slotOf[bi] = int32(len(neededIDs))
+						neededIDs = append(neededIDs, int32(bi))
+					}
+				}
+				c.Op(numBlocks)
+				c.GlobalRead(4 * numBlocks)
+				c.GlobalWrite(8 * len(neededIDs))
+			},
+		},
+	})
+	agg := *st1
 
-	// Gather the needed block list and decompress only those blocks
-	// (Para-EF on the subset).
-	var neededIDs []int32
-	for bi, f := range needed {
-		if f != 0 {
-			neededIDs = append(neededIDs, int32(bi))
-		}
-	}
+	// One block per needed EF block decompresses; one thread per short
+	// element probes. The grid is the larger of the two, and the blocks a
+	// phase has no work for idle through it.
 	scratch := make([]uint32, len(neededIDs)*ef.BlockSize)
 	scratchLen := make([]int32, len(neededIDs))
-	slotOf := make([]int32, numBlocks)
-	for slot, bi := range neededIDs {
-		slotOf[bi] = int32(slot)
-	}
-	k2 := &gpu.Kernel{
-		Name:  "skips_decompress_subset",
-		Grid:  len(neededIDs),
+	tail := newCompactTail(grid)
+	tailPhases, tailLane0 := tail.phases(out, gatherFlagged(a))
+	st2 := s.Launch(&gpu.Kernel{
+		Name:  "skips_probe",
+		Grid:  max(grid, len(neededIDs)),
 		Block: ThreadsPerBlock,
-		Phases: []gpu.Phase{func(c *gpu.Ctx) {
-			if c.Thread != 0 {
-				return
-			}
-			blk := &l.Blocks[neededIDs[c.Block]]
-			n := blk.DecompressInto(scratch[c.Block*ef.BlockSize : (c.Block+1)*ef.BlockSize])
-			scratchLen[c.Block] = int32(n)
-			// Charged as the Para-EF phases would be for one block: the
-			// full Algorithm-1 pipeline per element.
-			c.GlobalRead(int(blk.HighLen+7)/8 + (n*blk.B+7)/8)
-			c.Op(8 * n)
-			c.SharedAccess(10 * n)
-			c.GlobalWrite(4 * n)
-		}},
-	}
-	st2 := s.Launch(k2)
+		Lane0: append([]bool{true, false}, tailLane0...),
+		Phases: append([]gpu.Phase{
+			// Phase 1: one block per needed EF block decompresses it.
+			func(c *gpu.Ctx) {
+				if c.Block >= len(neededIDs) {
+					return
+				}
+				blk := &l.Blocks[neededIDs[c.Block]]
+				n := blk.DecompressInto(scratch[c.Block*ef.BlockSize : (c.Block+1)*ef.BlockSize])
+				scratchLen[c.Block] = int32(n)
+				// Charged as the Para-EF phases would be for one block: the
+				// full Algorithm-1 pipeline per element.
+				c.GlobalRead(int(blk.HighLen+7)/8 + (n*blk.B+7)/8)
+				c.Op(8 * n)
+				c.SharedAccess(10 * n)
+				c.GlobalWrite(4 * n)
+			},
+			// Phase 2: binary search within the candidate block.
+			func(c *gpu.Ctx) {
+				i := c.GlobalID()
+				if i >= len(a) {
+					return
+				}
+				slot := int(slotOf[blockOf[i]])
+				blkVals := scratch[slot*ef.BlockSize : slot*ef.BlockSize+int(scratchLen[slot])]
+				found, probes := binarySearch(blkVals, a[i])
+				if found {
+					tail.counts[i] = 1
+				}
+				c.DivergentOp(probes)
+				c.UncoalescedRead(4 * probes)
+			},
+		}, tailPhases...),
+	})
 	agg.Add(st2)
 	agg.Phases += st2.Phases
-
-	// Kernel 3: binary search within the candidate block.
-	k3 := &gpu.Kernel{
-		Name:  "skips_probe_block",
-		Grid:  grid,
-		Block: ThreadsPerBlock,
-		Phases: []gpu.Phase{func(c *gpu.Ctx) {
-			i := c.GlobalID()
-			if i >= len(a) {
-				return
-			}
-			slot := slotOf[blockOf[i]]
-			blkVals := scratch[int(slot)*ef.BlockSize : int(slot)*ef.BlockSize+int(scratchLen[slot])]
-			found, probes := binarySearch(blkVals, a[i])
-			if found {
-				flags[i] = 1
-			}
-			c.DivergentOp(probes)
-			c.UncoalescedRead(4 * probes)
-		}},
-	}
-	st3 := s.Launch(k3)
-	agg.Add(st3)
-	agg.Phases += st3.Phases
-
-	return compactFlagged(s, a, flags, grid, agg)
+	return &IntersectResult{Out: outBuf, Count: tail.total, Stats: agg}, nil
 }
 
 // upperBoundBlock returns the index of the last block whose first docID is

@@ -112,27 +112,6 @@ func TestMergePathMatchesReference(t *testing.T) {
 	}
 }
 
-func TestMergePathBoundaryStraddle(t *testing.T) {
-	// Force matches to land exactly on partition boundaries: identical
-	// lists make every element a match and every boundary a straddle
-	// candidate.
-	s := newStream()
-	n := BlockElems * 4
-	a := make([]uint32, n)
-	for i := range a {
-		a[i] = uint32(i * 2)
-	}
-	b := make([]uint32, n)
-	copy(b, a)
-	res, err := IntersectMergePath(s, upload(t, s, a), upload(t, s, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Matches(), a) {
-		t.Fatalf("identical-list intersection lost elements: got %d want %d", res.Count, n)
-	}
-}
-
 func TestMergePathDisjoint(t *testing.T) {
 	s := newStream()
 	a := []uint32{2, 4, 6, 8}

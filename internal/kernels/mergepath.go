@@ -5,18 +5,60 @@ import (
 	"griffin/internal/hwmodel"
 )
 
-// VT is the number of merge-path steps (elements from A plus elements
-// from B) each thread merges serially — moderngpu's "values per thread".
-const VT = 32
+// mergePathVTs are the values-per-thread a MergePath launch chooses from:
+// the number of merge-path steps (elements from A plus elements from B)
+// each thread merges serially — moderngpu's "VT".
+var mergePathVTs = [...]int{32, 16, 8, 4}
 
-// BlockElems is the number of path steps covered by one thread block:
-// its partition pair is what must fit in shared memory (GPU MergePath's
-// sizing rule, §3.1.2): 4096 x 4 bytes x 2 lists = 32 KB, within the
-// K20's 48 KB per block.
-const BlockElems = ThreadsPerBlock * VT
+// mergePathPhases is the number of barrier-delimited phases of the fused
+// MergePath kernel: coarse partition, merge, and the compaction tail's
+// three.
+const mergePathPhases = 5
+
+// Geometry is the launch shape of one fused device intersection, a pure
+// function of the operand lengths and the device model. The kernel
+// launches with it and the closed-form estimators (exec.Op.Estimate,
+// sched.CostPolicy) price it, so the two cannot drift apart.
+type Geometry struct {
+	// VT is the number of merge-path steps one thread merges; a block's
+	// tile — what its partition pair stages through shared memory
+	// (GPU MergePath's sizing rule, §3.1.2) — is ThreadsPerBlock*VT steps:
+	// at VT = 32 that is 4096 x 4 bytes x 2 lists = 32 KB, within the
+	// K20's 48 KB per block, and it shrinks with VT.
+	VT int
+	// Blocks is the grid size; every block has ThreadsPerBlock threads.
+	Blocks int
+	// Phases is the number of barrier-delimited phases the launch pays for.
+	Phases int
+}
+
+// Threads is the launch's total thread count.
+func (g Geometry) Threads() int { return g.Blocks * ThreadsPerBlock }
+
+// Tile is the number of merge-path steps one block covers.
+func (g Geometry) Tile() int { return g.VT * ThreadsPerBlock }
+
+// MergePathGeometry sizes the MergePath launch to its operands: the
+// largest VT whose thread count still fills the device
+// (GPUModel.SaturationThreads), else the smallest, so a 10 K-element merge
+// spreads over 20 blocks instead of idling on 3 while a multi-million one
+// keeps the long serial merges that amortize its partition searches.
+func MergePathGeometry(lenA, lenB int, m *hwmodel.GPUModel) Geometry {
+	total := lenA + lenB
+	vt := mergePathVTs[len(mergePathVTs)-1]
+	for _, v := range mergePathVTs {
+		if (total+v-1)/v >= m.SaturationThreads {
+			vt = v
+			break
+		}
+	}
+	return Geometry{VT: vt, Blocks: gpu.GridFor(total, vt*ThreadsPerBlock), Phases: mergePathPhases}
+}
 
 // IntersectResult carries the output of a device intersection: the device
-// buffer holding the compacted matches and the match count.
+// buffer holding the compacted matches and the match count. The buffer is
+// sized at the intersection's upper bound, min(|A|,|B|) elements; the
+// first Count hold the result.
 type IntersectResult struct {
 	Out   *gpu.Buffer
 	Count int
@@ -28,78 +70,86 @@ func (r *IntersectResult) Matches() []uint32 {
 	return r.Out.Data.([]uint32)[:r.Count]
 }
 
+// allocOutput takes an intersection's output buffer from the device pool
+// at its upper bound, before the launch, so the host never waits for the
+// match total to size it.
+func allocOutput(s *gpu.Stream, bound int) (*gpu.Buffer, []uint32, error) {
+	buf, err := s.Alloc(int64(bound) * 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]uint32, bound)
+	buf.Data = out
+	return buf, out, nil
+}
+
 // IntersectMergePath intersects two decompressed, strictly-ascending
 // device arrays using the GPU MergePath algorithm (Green, McColl, Bader —
 // ICS 2012), the load-balanced parallel intersection Griffin-GPU uses when
-// list lengths are comparable (§3.1.2).
+// list lengths are comparable (§3.1.2). One intersection is one launch,
+// its grid sized to the operands (MergePathGeometry).
 //
 // Partitioning is two-level, as in the reference CUDA implementations:
 //
 //  1. a coarse diagonal binary search against global memory finds each
-//     thread block's boundary on the merge path (one search per 4096 path
-//     steps — Figure 6's cross-diagonal construction);
+//     thread block's boundary on the merge path (one search per tile —
+//     Figure 6's cross-diagonal construction);
 //  2. each block stages its partition pair into shared memory, and every
-//     thread runs a fine diagonal search there to carve out its own VT
-//     path steps, then merges them serially (Figure 5's even partitions:
-//     perfectly load-balanced, no synchronization during the merge).
+//     thread runs a fine diagonal search there for the start of its own VT
+//     path steps, then walks exactly that many steps serially (Figure 5's
+//     even partitions: perfectly load-balanced, no synchronization during
+//     the merge).
 //
 // A match whose A-copy and B-copy straddle a partition boundary is claimed
 // by the right-hand partition (the straddle check), keeping counts exact.
-// A scan over per-thread match counts and a compaction pass produce the
-// final dense result.
+// The compaction tail (compactTail) then scans the per-thread match counts
+// and gathers the matches into the dense result, inside the same launch.
 func IntersectMergePath(s *gpu.Stream, aBuf, bBuf *gpu.Buffer) (*IntersectResult, error) {
 	a := aBuf.Data.([]uint32)
 	b := bBuf.Data.([]uint32)
-	total := len(a) + len(b)
-	if total == 0 {
-		out, err := s.Alloc(0)
-		if err != nil {
-			return nil, err
-		}
-		out.Data = []uint32{}
-		return &IntersectResult{Out: out}, nil
+	outBuf, out, err := allocOutput(s, min(len(a), len(b)))
+	if err != nil {
+		return nil, err
+	}
+	if len(out) == 0 {
+		// An empty operand matches nothing: no launch.
+		return &IntersectResult{Out: outBuf}, nil
 	}
 
-	numBlocks := (total + BlockElems - 1) / BlockElems
-	numParts := numBlocks * ThreadsPerBlock
-	blockA := make([]int32, numBlocks+1) // coarse boundaries in A
-	counts := make([]int32, numParts)
-	temp := make([]uint32, numParts*VT/2+1)
+	total := len(a) + len(b)
+	g := MergePathGeometry(len(a), len(b), s.Device().Model())
+	vt, tile := g.VT, g.Tile()
+	// A thread finds at most one straddle match plus one per two of its
+	// remaining vt-1 steps.
+	stride := vt / 2
+	blockA := make([]int32, g.Blocks+1) // coarse boundaries in A
+	blockA[g.Blocks] = int32(len(a))    // the path ends having consumed A
+	staged := make([]uint32, g.Threads()*stride)
+	tail := newCompactTail(g.Blocks)
 
-	agg := &hwmodel.LaunchStats{}
-
+	tailPhases, tailLane0 := tail.phases(out, func(c *gpu.Ctx, k int, dst []uint32) {
+		copy(dst, staged[k*stride:])
+		c.GlobalRead(4 * len(dst))
+	})
 	k := &gpu.Kernel{
 		Name:        "mergepath_intersect",
-		Grid:        numBlocks,
+		Grid:        g.Blocks,
 		Block:       ThreadsPerBlock,
-		SharedBytes: 2 * BlockElems * 4,
-		Phases: []gpu.Phase{
-			// Phase 1: coarse diagonal search, one boundary per block
-			// (thread 0), plus the terminal boundary (thread 1, block 0).
+		SharedBytes: 2 * tile * 4,
+		Lane0:       append([]bool{true, false}, tailLane0...),
+		Phases: append([]gpu.Phase{
+			// Phase 1: coarse diagonal search, one boundary per block.
 			func(c *gpu.Ctx) {
-				if c.Thread == 0 {
-					d := c.Block * BlockElems
-					i, probes := diagonalSearch(a, b, 0, len(a), d)
-					blockA[c.Block] = int32(i)
-					c.DivergentOp(probes)
-					c.UncoalescedRead(8 * probes)
-				}
-				if c.Block == 0 && c.Thread == 1 {
-					i, probes := diagonalSearch(a, b, 0, len(a), total)
-					blockA[numBlocks] = int32(i)
-					c.DivergentOp(probes)
-					c.UncoalescedRead(8 * probes)
-				}
+				i, probes := diagonalSearch(a, b, 0, len(a), 0, len(b), c.Block*tile)
+				blockA[c.Block] = int32(i)
+				c.DivergentOp(probes)
+				c.UncoalescedRead(8 * probes)
 			},
 			// Phase 2: stage the block's partition pair through shared
 			// memory, fine-partition per thread, merge serially.
 			func(c *gpu.Ctx) {
-				blkLo := c.Block * BlockElems
-				blkHi := blkLo + BlockElems
-				if blkHi > total {
-					blkHi = total
-				}
-				aLo, aHi := int(blockA[c.Block]), int(blockA[c.Block+1])
+				blkLo := c.Block * tile
+				blkHi := min(blkLo+tile, total)
 				if c.Thread == 0 {
 					// The cooperative staging load: every element of the
 					// block's A- and B-ranges moves global -> shared once,
@@ -109,118 +159,85 @@ func IntersectMergePath(s *gpu.Stream, aBuf, bBuf *gpu.Buffer) (*IntersectResult
 					c.SharedAccess(loadBytes)
 				}
 
-				d := blkLo + c.Thread*VT
+				d := blkLo + c.Thread*vt
 				if d >= blkHi {
 					return
 				}
-				dEnd := d + VT
-				if dEnd > blkHi {
-					dEnd = blkHi
-				}
-				// Fine diagonal searches run against the staged copy:
+				// The fine diagonal search runs against the staged copy:
 				// shared-memory traffic, full occupancy.
-				i0, probes0 := diagonalSearch(a, b, aLo, aHi, d)
-				i1, probes1 := diagonalSearch(a, b, aLo, aHi, dEnd)
-				c.Op(probes0 + probes1)
-				c.SharedAccess(8 * (probes0 + probes1))
+				aLo, aHi := int(blockA[c.Block]), int(blockA[c.Block+1])
+				i, probes := diagonalSearch(a, b, aLo, aHi, blkLo-aLo, blkHi-aHi, d)
+				c.Op(probes)
+				c.SharedAccess(8 * probes)
 
-				j0, j1 := d-i0, dEnd-i1
-				kIdx := c.Block*ThreadsPerBlock + c.Thread
-				out := temp[kIdx*VT/2:]
-				n := 0
+				// Walk the thread's steps of the path from (i, j). Ties
+				// advance A first, so a match is an A-step followed by a
+				// B-step.
+				j := d - i
+				left := min(vt, blkHi-d)
+				kIdx := c.GlobalID()
+				found := staged[kIdx*stride:]
+				n, iters := 0, 0
 				// Straddle check: a match split across the partition
 				// boundary has its A-copy as the previous partition's last
 				// step and its B-copy as this partition's first.
-				if j0 < j1 && i0 > 0 && b[j0] == a[i0-1] {
-					out[n] = b[j0]
+				if i > 0 && j < len(b) && b[j] == a[i-1] {
+					found[n] = b[j]
 					n++
+					j++
+					left--
 				}
-				i, j := i0, j0
-				steps := 0
-				for i < i1 && j < j1 {
-					steps++
+				for left > 0 && i < len(a) && j < len(b) {
+					iters++
 					switch {
 					case a[i] < b[j]:
 						i++
+						left--
 					case a[i] > b[j]:
 						j++
+						left--
+					case left == 1:
+						// The B-copy is the next partition's first step;
+						// its straddle check claims the match.
+						left = 0
 					default:
-						out[n] = a[i]
+						found[n] = a[i]
 						n++
 						i++
 						j++
+						left -= 2
 					}
 				}
-				counts[kIdx] = int32(n)
-				c.Op(steps)
-				c.SharedAccess(8 * steps)
-				c.GlobalWrite(4 * n)
+				tail.counts[kIdx] = int32(n)
+				c.Op(iters)
+				c.SharedAccess(4*iters + 12) // one new element per step after the first pair; the count
+				c.GlobalWrite(4 * n)         // matches staged for the gather
 			},
-		},
+		}, tailPhases...),
 	}
 	st := s.Launch(k)
-	agg.Add(st)
-	agg.Blocks, agg.ThreadsPerBlock, agg.Phases = st.Blocks, st.ThreadsPerBlock, st.Phases
-
-	// Scan match counts for stable output offsets, then compact.
-	offsets, totalMatches, scanSt := ScanExclusive(s, counts)
-	agg.Add(scanSt)
-	agg.Phases += scanSt.Phases
-
-	outBuf, err := s.Alloc(totalMatches * 4)
-	if err != nil {
-		return nil, err
-	}
-	result := make([]uint32, totalMatches)
-	outBuf.Data = result
-	ck := &gpu.Kernel{
-		Name:  "mergepath_compact",
-		Grid:  numBlocks,
-		Block: ThreadsPerBlock,
-		Phases: []gpu.Phase{func(c *gpu.Ctx) {
-			kIdx := c.GlobalID()
-			if kIdx >= numParts {
-				return
-			}
-			n := int(counts[kIdx])
-			if n == 0 {
-				return
-			}
-			copy(result[offsets[kIdx]:], temp[kIdx*VT/2:kIdx*VT/2+n])
-			c.GlobalRead(4 * n)
-			c.GlobalWrite(4 * n)
-			c.Op(n)
-		}},
-	}
-	cst := s.Launch(ck)
-	agg.Add(cst)
-	agg.Phases += cst.Phases
-
-	return &IntersectResult{Out: outBuf, Count: int(totalMatches), Stats: *agg}, nil
+	return &IntersectResult{Out: outBuf, Count: tail.total, Stats: *st}, nil
 }
 
 // diagonalSearch finds the merge-path crossing of the diagonal at combined
-// offset d: the number of rightward (A-consuming) steps in the first d
-// path steps, constrained to lie in [aLo, aHi]. Returns that count and the
-// number of binary-search probes performed.
+// offset d inside the path rectangle [aLo,aHi] x [bLo,bHi] (the whole
+// operands for the coarse search, one tile's partition pair for the fine
+// one): the number of rightward (A-consuming) steps in the first d path
+// steps. Returns that count and the number of binary-search probes
+// performed. The search interval is the part of the diagonal inside the
+// rectangle, so its length is bounded by the rectangle's shorter side.
 //
 // Uses the classic merge-path invariant with the tie rule "advance A on
 // equality", matching the intersection's A-first order.
-func diagonalSearch(a, b []uint32, aLo, aHi, d int) (i, probes int) {
-	lo := d - len(b)
-	if lo < aLo {
-		lo = aLo
-	}
-	hi := d
-	if hi > aHi {
-		hi = aHi
-	}
+func diagonalSearch(a, b []uint32, aLo, aHi, bLo, bHi, d int) (i, probes int) {
+	lo := max(d-bHi, aLo)
+	hi := min(d-bLo, aHi)
 	for lo < hi {
 		probes++
 		mid := (lo + hi) / 2
-		j := d - mid - 1
-		// The path takes step mid+1 from A iff a[mid] <= b[j].
-		if j >= len(b) || (j >= 0 && a[mid] <= b[j]) {
+		// The path takes step mid+1 from A iff a[mid] <= b[d-mid-1]; the
+		// interval's bounds keep that index inside [bLo, bHi).
+		if a[mid] <= b[d-mid-1] {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -82,6 +82,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 				indexArray: make([]int32, ThreadsPerBlock),
 			}
 		},
+		Lane0: []bool{false, true},
 		Phases: []gpu.Phase{
 			// Phase 1: popcount per 32-bit word.
 			func(c *gpu.Ctx) {
@@ -99,9 +100,6 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			},
 			// Phase 2: prefix sum of popcounts (lane 0; word count <= 10).
 			func(c *gpu.Ctx) {
-				if c.Thread != 0 {
-					return
-				}
 				blk := &blocks[c.Block]
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)

@@ -48,6 +48,7 @@ func PFDDecompressGPU(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 		Name:  "pfd_decompress_direct_port",
 		Grid:  len(blocks),
 		Block: ThreadsPerBlock,
+		Lane0: []bool{false, true, true},
 		Phases: []gpu.Phase{
 			// Phase 1: parallel unpack of b-bit slots (gaps or chain
 			// pointers — indistinguishable until the chain walk).
@@ -67,9 +68,6 @@ func PFDDecompressGPU(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			// divergence the paper calls out), and each hop is a
 			// dependent, scattered read.
 			func(c *gpu.Ctx) {
-				if c.Thread != 0 {
-					return
-				}
 				blk := &blocks[c.Block]
 				base := c.Block * pfordelta.BlockSize
 				idx := blk.FirstException
@@ -87,9 +85,6 @@ func PFDDecompressGPU(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			// already forced per-block serialization, and the paper's
 			// complaint is about the combination).
 			func(c *gpu.Ctx) {
-				if c.Thread != 0 {
-					return
-				}
 				blk := &blocks[c.Block]
 				base := c.Block * pfordelta.BlockSize
 				acc := blk.FirstDocID

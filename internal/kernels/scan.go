@@ -6,9 +6,9 @@ import (
 )
 
 // ScanExclusive computes the exclusive prefix sum of vals on the device and
-// returns the per-element offsets plus the grand total. It is the
-// compaction building block both intersection kernels use to turn
-// per-partition match counts into stable output offsets.
+// returns the per-element offsets plus the grand total: the building block
+// of the radix sort's and bucketSelect's scatter passes. (The intersection
+// kernels scan inside their own launch: compactTail.)
 //
 // Classic two-level device scan:
 //
@@ -32,13 +32,11 @@ func ScanExclusive(s *gpu.Stream, vals []int32) ([]int32, int64, *hwmodel.Launch
 		Name:  "scan_exclusive",
 		Grid:  grid,
 		Block: ThreadsPerBlock,
+		Lane0: []bool{true, true},
 		Phases: []gpu.Phase{
 			// Phase 1: per-tile exclusive scan (lane 0 walks the tile; a
 			// warp-shuffle scan on real hardware, charged as such).
 			func(c *gpu.Ctx) {
-				if c.Thread != 0 {
-					return
-				}
 				lo := c.Block * ThreadsPerBlock
 				hi := lo + ThreadsPerBlock
 				if hi > n {
@@ -56,7 +54,7 @@ func ScanExclusive(s *gpu.Stream, vals []int32) ([]int32, int64, *hwmodel.Launch
 			},
 			// Phase 2: scan the tile totals.
 			func(c *gpu.Ctx) {
-				if c.Block != 0 || c.Thread != 0 {
+				if c.Block != 0 {
 					return
 				}
 				var acc int64

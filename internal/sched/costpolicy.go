@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"griffin/internal/hwmodel"
+	"griffin/internal/kernels"
 )
 
 // CostPolicy schedules each intersection by comparing closed-form cost
@@ -42,23 +43,28 @@ func NewCostPolicy() *CostPolicy {
 // estimator (this policy, exec.Op.Estimate) prices transfers with it.
 func CompressedBytes(n int) int64 { return int64(n) * 7 / 8 }
 
-// estimateGPU approximates the device cost of one intersection: upload
-// the long list compressed, decompress it (Para-EF is bandwidth-bound),
-// and run the merge-path kernels, each paying a launch.
-func (p *CostPolicy) estimateGPU(shortLen, longLen int) time.Duration {
-	transfer := p.GPU.TransferTime(CompressedBytes(longLen))
-	// Para-EF decompression + intersection kernels: both stream the data;
-	// dominated by global-memory traffic at ~5 bytes/element effective,
-	// with ~5 launches across the pipeline.
+// DecompressTime estimates the Para-EF decompression of an n-posting list:
+// one thread per element streaming the compressed input in and the docIDs
+// out, bandwidth-bound. The output buffer comes from the device's pool, so
+// no cudaMalloc is priced.
+func DecompressTime(n int, m *hwmodel.GPUModel) time.Duration {
 	st := hwmodel.LaunchStats{
-		Blocks:           (longLen + 127) / 128,
+		Blocks:           (n + 127) / 128,
 		ThreadsPerBlock:  128,
-		Ops:              int64(8 * (shortLen + longLen)),
-		GlobalReadBytes:  int64(5 * (shortLen + longLen)),
-		GlobalWriteBytes: int64(4 * (shortLen + longLen)),
+		Ops:              int64(6 * n),
+		GlobalReadBytes:  CompressedBytes(n),
+		GlobalWriteBytes: int64(4 * n),
 	}
-	kernels := p.GPU.KernelTime(&st)
-	return transfer + kernels + 4*p.GPU.LaunchOverhead
+	return m.KernelTime(&st)
+}
+
+// estimateGPU approximates the device cost of one intersection: upload
+// the long list compressed, decompress it, and run the fused MergePath
+// launch, priced by the kernel's own closed form.
+func (p *CostPolicy) estimateGPU(shortLen, longLen int) time.Duration {
+	return p.GPU.TransferTime(CompressedBytes(longLen)) +
+		DecompressTime(longLen, &p.GPU) +
+		kernels.EstimateMergePath(shortLen, longLen, &p.GPU)
 }
 
 // estimateCPU approximates the host cost: below the CPU's own merge/skip
