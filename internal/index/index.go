@@ -13,6 +13,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"griffin/internal/ef"
@@ -206,7 +207,6 @@ const (
 type Builder struct {
 	codec    Codec
 	postings map[string]*building
-	prebuilt map[string]*PostingList
 	docLens  map[uint32]uint32
 	maxDocID uint32
 	hasDocs  bool
@@ -261,41 +261,40 @@ func (b *Builder) AddPostings(term string, docIDs []uint32, freqs []uint32) erro
 	if freqs != nil && len(freqs) != len(docIDs) {
 		return fmt.Errorf("index: %d freqs for %d docIDs", len(freqs), len(docIDs))
 	}
+	// Validate the whole run before touching the builder, then append it
+	// in bulk: one growth per slice instead of one per posting.
 	p := b.postings[term]
+	prev, hasPrev := uint32(0), p != nil && len(p.docIDs) > 0
+	if hasPrev {
+		prev = p.docIDs[len(p.docIDs)-1]
+	}
+	for _, id := range docIDs {
+		if hasPrev && id <= prev {
+			return fmt.Errorf("%w: term %q docID %d", ef.ErrNotAscending, term, id)
+		}
+		prev, hasPrev = id, true
+	}
 	if p == nil {
 		p = &building{}
 		b.postings[term] = p
 	}
-	for i, id := range docIDs {
-		if len(p.docIDs) > 0 && id <= p.docIDs[len(p.docIDs)-1] {
-			return fmt.Errorf("%w: term %q docID %d", ef.ErrNotAscending, term, id)
-		}
-		p.docIDs = append(p.docIDs, id)
-		if freqs != nil {
-			p.freqs = append(p.freqs, freqs[i])
-		} else {
+	if len(docIDs) == 0 {
+		return nil
+	}
+	p.docIDs = append(p.docIDs, docIDs...)
+	if freqs != nil {
+		p.freqs = append(p.freqs, freqs...)
+	} else {
+		p.freqs = slices.Grow(p.freqs, len(docIDs))
+		for range docIDs {
 			p.freqs = append(p.freqs, 1)
 		}
-		if !b.hasDocs || id > b.maxDocID {
-			b.maxDocID = id
-			b.hasDocs = true
-		}
+	}
+	if !b.hasDocs || prev > b.maxDocID {
+		b.maxDocID = prev
+		b.hasDocs = true
 	}
 	return nil
-}
-
-// AddPrebuilt installs an already-compressed posting list verbatim —
-// the segment-copy path of a live merge: a term untouched by the delta
-// keeps its compressed blocks (the codecs are deterministic, so
-// re-encoding the same postings would reproduce them byte for byte).
-// The caller guarantees the list's documents are registered via
-// SetDocLen (they determine NumDocs); a term added both ways keeps the
-// rebuilt form.
-func (b *Builder) AddPrebuilt(pl *PostingList) {
-	if b.prebuilt == nil {
-		b.prebuilt = make(map[string]*PostingList)
-	}
-	b.prebuilt[pl.Term] = pl
 }
 
 // SetDocLen records a document's token length for scoring (used with
@@ -310,10 +309,7 @@ func (b *Builder) SetDocLen(docID uint32, n uint32) {
 
 // Build compresses every accumulated posting list and returns the Index.
 func (b *Builder) Build() (*Index, error) {
-	ix := &Index{terms: make(map[string]*PostingList, len(b.postings)+len(b.prebuilt))}
-	for term, pl := range b.prebuilt {
-		ix.terms[term] = pl
-	}
+	ix := &Index{terms: make(map[string]*PostingList, len(b.postings))}
 	if b.hasDocs {
 		ix.NumDocs = int(b.maxDocID) + 1
 		ix.DocLens = make([]uint32, ix.NumDocs)
@@ -330,26 +326,9 @@ func (b *Builder) Build() (*Index, error) {
 	}
 
 	for term, raw := range b.postings {
-		efList, err := ef.Compress(raw.docIDs)
+		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs, b.codec)
 		if err != nil {
-			return nil, fmt.Errorf("term %q: %w", term, err)
-		}
-		pl := &PostingList{
-			Term:  term,
-			N:     len(raw.docIDs),
-			EF:    efList,
-			Freqs: PackFreqs(raw.freqs),
-		}
-		if b.codec == CodecBoth {
-			pfdList, err := pfordelta.Compress(raw.docIDs)
-			if err != nil {
-				return nil, fmt.Errorf("term %q: %w", term, err)
-			}
-			pl.PFD = pfdList
-		}
-		pl.Skips = make([]SkipPointer, len(efList.Blocks))
-		for i := range efList.Blocks {
-			pl.Skips[i] = SkipPointer{FirstDocID: efList.Blocks[i].FirstDocID, Block: int32(i)}
+			return nil, err
 		}
 		ix.terms[term] = pl
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"griffin/internal/ef"
 )
@@ -34,54 +35,94 @@ const (
 // ErrBadFormat is returned when the input is not a valid index file.
 var ErrBadFormat = errors.New("index: bad file format")
 
-// WriteTo serializes the index. It implements io.WriterTo.
+// WriteTo serializes the index. It implements io.WriterTo. Every field
+// is encoded into the writer's own 1 MB buffer, so serializing allocates
+// that buffer and the sorted term list whatever the index size.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: bufio.NewWriterSize(w, 1<<20)}
-	write := func(v any) {
-		if cw.err == nil {
-			cw.err = binary.Write(cw, binary.LittleEndian, v)
-		}
+	e := &encoder{w: bufio.NewWriterSize(w, 1<<20)}
+	e.str(magic)
+	e.u32(version)
+	e.u64(uint64(ix.NumDocs))
+	e.u64(math.Float64bits(ix.AvgDocLen))
+	for _, l := range ix.DocLens {
+		e.u32(l)
 	}
-	if _, err := cw.Write([]byte(magic)); err != nil {
-		return cw.n, err
-	}
-	write(uint32(version))
-	write(uint64(ix.NumDocs))
-	write(ix.AvgDocLen)
-	write(ix.DocLens)
 	terms := ix.Terms()
-	write(uint64(len(terms)))
+	e.u64(uint64(len(terms)))
 	for _, term := range terms {
 		p := ix.terms[term]
-		write(uint16(len(term)))
-		if cw.err == nil {
-			_, cw.err = cw.Write([]byte(term))
-		}
-		write(uint64(p.N))
-		write(uint32(len(p.EF.Blocks)))
+		e.u16(uint16(len(term)))
+		e.str(term)
+		e.u64(uint64(p.N))
+		e.u32(uint32(len(p.EF.Blocks)))
 		for i := range p.EF.Blocks {
 			blk := &p.EF.Blocks[i]
-			write(blk.FirstDocID)
-			write(uint16(blk.N))
-			write(uint8(blk.B))
-			write(uint32(blk.HighLen))
-			write(uint32(len(blk.HighBits)))
-			write(blk.HighBits)
-			write(uint32(len(blk.LowBits)))
-			write(blk.LowBits)
+			e.u32(blk.FirstDocID)
+			e.u16(uint16(blk.N))
+			e.u8(uint8(blk.B))
+			e.u32(uint32(blk.HighLen))
+			e.u32(uint32(len(blk.HighBits)))
+			e.words(blk.HighBits)
+			e.u32(uint32(len(blk.LowBits)))
+			e.words(blk.LowBits)
 		}
-		write(uint32(len(p.Freqs.blocks)))
+		e.u32(uint32(len(p.Freqs.blocks)))
 		for i := range p.Freqs.blocks {
 			fb := &p.Freqs.blocks[i]
-			write(fb.b)
-			write(uint16(len(fb.words)))
-			write(fb.words)
+			e.u8(fb.b)
+			e.u16(uint16(len(fb.words)))
+			e.words(fb.words)
 		}
 	}
-	if cw.err == nil {
-		cw.err = cw.w.(*bufio.Writer).Flush()
+	if e.err == nil {
+		e.err = e.w.Flush()
 	}
-	return cw.n, cw.err
+	return e.n, e.err
+}
+
+// encoder appends little-endian fields to a buffered writer, keeping the
+// byte count and the first error.
+type encoder struct {
+	w   *bufio.Writer
+	n   int64
+	err error
+}
+
+func (e *encoder) wrote(n int, err error) {
+	e.n += int64(n)
+	e.err = err
+}
+
+func (e *encoder) bytes(p []byte) {
+	if e.err == nil {
+		e.wrote(e.w.Write(p))
+	}
+}
+
+func (e *encoder) str(s string) {
+	if e.err == nil {
+		e.wrote(e.w.WriteString(s))
+	}
+}
+
+func (e *encoder) u8(v uint8) { e.bytes(append(e.w.AvailableBuffer(), v)) }
+
+func (e *encoder) u16(v uint16) {
+	e.bytes(binary.LittleEndian.AppendUint16(e.w.AvailableBuffer(), v))
+}
+
+func (e *encoder) u32(v uint32) {
+	e.bytes(binary.LittleEndian.AppendUint32(e.w.AvailableBuffer(), v))
+}
+
+func (e *encoder) u64(v uint64) {
+	e.bytes(binary.LittleEndian.AppendUint64(e.w.AvailableBuffer(), v))
+}
+
+func (e *encoder) words(ws []uint64) {
+	for _, w := range ws {
+		e.u64(w)
+	}
 }
 
 // ReadIndex deserializes an index written by WriteTo.
@@ -221,12 +262,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("%w: term payload: %v", ErrBadFormat, err)
 		}
 		term := string(termBytes)
-		pl := &PostingList{Term: term, N: int(n), EF: l, Freqs: fs}
-		pl.Skips = make([]SkipPointer, len(l.Blocks))
-		for i := range l.Blocks {
-			pl.Skips[i] = SkipPointer{FirstDocID: l.Blocks[i].FirstDocID, Block: int32(i)}
-		}
-		ix.terms[term] = pl
+		ix.terms[term] = &PostingList{Term: term, N: int(n), EF: l, Freqs: fs, Skips: skipsOf(l)}
 	}
 	return ix, nil
 }
@@ -236,20 +272,4 @@ func min64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-type countingWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-	return n, err
 }

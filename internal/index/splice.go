@@ -1,0 +1,109 @@
+package index
+
+import (
+	"fmt"
+
+	"griffin/internal/ef"
+	"griffin/internal/pfordelta"
+)
+
+// Elias-Fano, PForDelta and FreqStore blocks are each encoded from their
+// own <= BlockSize elements alone (docIDs relative to the block's first
+// one, frequencies at the block's own width), so a list whose first
+// k*BlockSize postings did not change keeps its first k blocks of all
+// three forms byte for byte. The helpers below are what a live merge
+// builds on: decode a list from block k, re-encode only that tail behind
+// the shared prefix, and assemble an Index from the finished lists.
+// Builder.Build encodes through the same SpliceList (k = 0), which is
+// what makes a spliced segment identical to a fresh build of the same
+// logical corpus.
+
+// DecodeFrom decodes the postings of blocks [k, end): docIDs and their
+// parallel frequencies, as fresh slices.
+func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
+	skip := k * BlockSize
+	n := p.N - skip
+	ids = make([]uint32, n)
+	off := 0
+	for i := k; i < len(p.EF.Blocks); i++ {
+		off += p.EF.Blocks[i].DecompressInto(ids[off:])
+	}
+	freqs = make([]uint32, n)
+	for i := range freqs {
+		freqs[i] = p.Freqs.At(skip + i)
+	}
+	return ids, freqs
+}
+
+// SpliceList returns term's posting list made of old's blocks [0, k),
+// shared by reference, followed by the encoding of the tail postings
+// (ids strictly ascending and above every prefix docID, freqs parallel).
+// With k == 0 nothing of old is used (it may be nil) and the result is
+// the plain encoding of the tail. codec selects the compressed forms;
+// CodecBoth with k > 0 needs old to carry its PForDelta form.
+func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec Codec) (*PostingList, error) {
+	if len(freqs) != len(ids) {
+		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))
+	}
+	if k > 0 {
+		if k > len(old.EF.Blocks) || old.EF.Blocks[k-1].N != BlockSize {
+			return nil, fmt.Errorf("index: term %q: splice at block %d of %d", term, k, len(old.EF.Blocks))
+		}
+		if last := old.EF.Blocks[k-1].Get(BlockSize - 1); len(ids) > 0 && ids[0] <= last {
+			return nil, fmt.Errorf("%w: term %q docID %d after %d", ef.ErrNotAscending, term, ids[0], last)
+		}
+		if codec == CodecBoth && old.PFD == nil {
+			return nil, fmt.Errorf("index: term %q: splice at block %d without a PForDelta prefix", term, k)
+		}
+	}
+	efTail, err := ef.Compress(ids)
+	if err != nil {
+		return nil, fmt.Errorf("term %q: %w", term, err)
+	}
+	pl := &PostingList{
+		Term:  term,
+		N:     k*BlockSize + len(ids),
+		EF:    efTail,
+		Freqs: PackFreqs(freqs),
+	}
+	if k > 0 {
+		pl.EF = &ef.List{N: pl.N, Blocks: append(old.EF.Blocks[:k:k], efTail.Blocks...)}
+		pl.Freqs = &FreqStore{n: pl.N, blocks: append(old.Freqs.blocks[:k:k], pl.Freqs.blocks...)}
+	}
+	if codec == CodecBoth {
+		pl.PFD, err = pfordelta.Compress(ids)
+		if err != nil {
+			return nil, fmt.Errorf("term %q: %w", term, err)
+		}
+		if k > 0 {
+			pl.PFD = &pfordelta.List{N: pl.N, Blocks: append(old.PFD.Blocks[:k:k], pl.PFD.Blocks...)}
+		}
+	}
+	pl.Skips = skipsOf(pl.EF)
+	return pl, nil
+}
+
+// skipsOf derives a list's skip pointers from its block headers.
+func skipsOf(l *ef.List) []SkipPointer {
+	skips := make([]SkipPointer, len(l.Blocks))
+	for i := range l.Blocks {
+		skips[i] = SkipPointer{FirstDocID: l.Blocks[i].FirstDocID, Block: int32(i)}
+	}
+	return skips
+}
+
+// Assemble returns the Index over finished posting lists (shared with
+// the caller, one per term) and the collection statistics given — the
+// last step of a merge, which already knows all three exactly.
+func Assemble(lists []*PostingList, numDocs int, docLens []uint32, avgDocLen float64) *Index {
+	ix := &Index{
+		NumDocs:   numDocs,
+		DocLens:   docLens,
+		AvgDocLen: avgDocLen,
+		terms:     make(map[string]*PostingList, len(lists)),
+	}
+	for _, pl := range lists {
+		ix.terms[pl.Term] = pl
+	}
+	return ix
+}

@@ -1,0 +1,205 @@
+package index
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"griffin/internal/ef"
+)
+
+// randomPostings draws n strictly ascending docIDs with gaps (so inserts
+// have room) and parallel frequencies of uneven widths.
+func randomPostings(r *rand.Rand, n int) (ids, freqs []uint32) {
+	ids = make([]uint32, n)
+	freqs = make([]uint32, n)
+	d := uint32(r.Intn(50))
+	for i := range ids {
+		d += 2 + uint32(r.Intn(40))
+		ids[i] = d
+		freqs[i] = 1 + uint32(r.Intn(1<<uint(r.Intn(9))))
+	}
+	return ids, freqs
+}
+
+// build encodes one list through the Builder, the reference every splice
+// must equal.
+func buildList(t *testing.T, ids, freqs []uint32, codec Codec) *PostingList {
+	t.Helper()
+	b := NewBuilder(codec)
+	if err := b.AddPostings("t", ids, freqs); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _ := ix.Lookup("t")
+	return pl
+}
+
+// TestSpliceMergeEqualsRebuildPerList is the block-independence property
+// the live merge rests on: for every split block k, keeping blocks [0,k)
+// of a list and re-encoding an edited tail gives exactly the list the
+// Builder produces from the edited postings as a whole.
+func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
+	for _, codec := range []Codec{CodecEF, CodecBoth} {
+		r := rand.New(rand.NewSource(int64(16 + codec)))
+		for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 700} {
+			ids, freqs := randomPostings(r, n)
+			old := buildList(t, ids, freqs, codec)
+			nb := len(old.EF.Blocks)
+			for k := 0; k <= nb; k++ {
+				if k > 0 && old.EF.Blocks[k-1].N != BlockSize {
+					continue // a prefix must end on a full block
+				}
+				tailIDs, tailFreqs := old.DecodeFrom(k)
+				if !reflect.DeepEqual(tailIDs, ids[k*BlockSize:]) || !reflect.DeepEqual(tailFreqs, freqs[k*BlockSize:]) {
+					t.Fatalf("codec %d n=%d: DecodeFrom(%d) diverges from the input", codec, n, k)
+				}
+				// Edit the tail: drop every third posting, squeeze a new docID
+				// into each gap that has room, append two past the end.
+				var eIDs, eFreqs []uint32
+				for i, d := range tailIDs {
+					if i%3 != 1 {
+						eIDs = append(eIDs, d)
+						eFreqs = append(eFreqs, tailFreqs[i])
+					}
+					if i%5 == 0 {
+						eIDs = append(eIDs, d+1)
+						eFreqs = append(eFreqs, 300)
+					}
+				}
+				last := ids[n-1]
+				eIDs = append(eIDs, last+7, last+9)
+				eFreqs = append(eFreqs, 1, 2)
+
+				got, err := SpliceList("t", old, k, eIDs, eFreqs, codec)
+				if err != nil {
+					t.Fatalf("codec %d n=%d k=%d: %v", codec, n, k, err)
+				}
+				wantIDs := append(append([]uint32(nil), ids[:k*BlockSize]...), eIDs...)
+				wantFreqs := append(append([]uint32(nil), freqs[:k*BlockSize]...), eFreqs...)
+				want := buildList(t, wantIDs, wantFreqs, codec)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("codec %d n=%d k=%d: spliced list differs from the rebuilt one", codec, n, k)
+				}
+				for b := 0; b < k; b++ {
+					if &got.EF.Blocks[b].HighBits[0] != &old.EF.Blocks[b].HighBits[0] {
+						t.Fatalf("codec %d n=%d k=%d: prefix block %d was copied, not shared", codec, n, k, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestSpliceListRejectsBadJoins(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	ids, freqs := randomPostings(r, 300)
+	old := buildList(t, ids, freqs, CodecEF)
+	if _, err := SpliceList("t", old, 1, []uint32{ids[127]}, []uint32{1}, CodecEF); !errors.Is(err, ef.ErrNotAscending) {
+		t.Errorf("tail starting at the prefix's last docID: err = %v, want ErrNotAscending", err)
+	}
+	if _, err := SpliceList("t", old, 3, nil, nil, CodecEF); err == nil {
+		t.Error("splice behind a partial block accepted")
+	}
+	if _, err := SpliceList("t", old, 4, nil, nil, CodecEF); err == nil {
+		t.Error("splice past the last block accepted")
+	}
+	if _, err := SpliceList("t", old, 1, []uint32{ids[299] + 1}, []uint32{1}, CodecBoth); err == nil {
+		t.Error("CodecBoth splice over a list without a PForDelta form accepted")
+	}
+	if _, err := SpliceList("t", old, 0, []uint32{1, 2}, []uint32{1}, CodecEF); err == nil {
+		t.Error("freqs shorter than docIDs accepted")
+	}
+}
+
+func TestAssembleEqualsBuild(t *testing.T) {
+	b := NewBuilder(CodecEF)
+	for id, toks := range [][]string{{"a", "b"}, {"b"}, {"a", "c", "c"}} {
+		if err := b.AddDocument(uint32(id), toks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lists []*PostingList
+	for _, term := range want.Terms() {
+		pl, _ := want.Lookup(term)
+		lists = append(lists, pl)
+	}
+	got := Assemble(lists, want.NumDocs, want.DocLens, want.AvgDocLen)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("assembled index differs from the built one")
+	}
+}
+
+// TestAddPostingsBulk pins the bulk path's contract: runs append across
+// calls, a bad run is rejected whole, nil freqs mean 1.
+func TestAddPostingsBulk(t *testing.T) {
+	b := NewBuilder(CodecEF)
+	if err := b.AddPostings("t", []uint32{3, 9}, []uint32{2, 5}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]uint32{{9, 12}, {10, 10}, {12, 11}} {
+		if err := b.AddPostings("t", bad, nil); !errors.Is(err, ef.ErrNotAscending) {
+			t.Errorf("run %v after docID 9: err = %v, want ErrNotAscending", bad, err)
+		}
+	}
+	if err := b.AddPostings("t", []uint32{10, 40}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _ := ix.Lookup("t")
+	if got := pl.DocIDs(); !reflect.DeepEqual(got, []uint32{3, 9, 10, 40}) {
+		t.Errorf("docIDs = %v", got)
+	}
+	if got := pl.Freqs.Decode(); !reflect.DeepEqual(got, []uint32{2, 5, 1, 1}) {
+		t.Errorf("freqs = %v", got)
+	}
+	if ix.NumDocs != 41 {
+		t.Errorf("NumDocs = %d, want 41", ix.NumDocs)
+	}
+}
+
+// TestWriteToAllocatesItsBuffer: serializing goes through one 1 MB
+// buffer, not through a per-field allocation the size of the field.
+func TestWriteToAllocatesItsBuffer(t *testing.T) {
+	b := NewBuilder(CodecEF)
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		ids, freqs := randomPostings(r, 20000)
+		if err := b.AddPostings(string(rune('a'+i)), ids, freqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.SetDocLen(2_000_000, 3)
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	out.Grow(16 << 20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := ix.WriteTo(&out)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 8<<20 {
+		t.Fatalf("fixture serializes to %d bytes, want > 8 MB", n)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("WriteTo of %d bytes allocated %d bytes, want <= 2 MB", n, got)
+	}
+}

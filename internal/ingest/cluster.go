@@ -637,8 +637,9 @@ func (s *shardScorer) ScoreCandidates(lists []*index.PostingList, candidates []u
 	return out, work
 }
 
-// MergeShard folds shard s's delta into a freshly re-encoded shard
-// segment and swaps it into every replica atomically. Aborted merges
+// MergeShard folds shard s's delta into a new shard segment (the same
+// block splice Engine.Merge runs) and swaps it into every replica
+// atomically. Aborted merges
 // (injected faults) leave the published state untouched and retry up to
 // the configured budget.
 func (c *Cluster) MergeShard(s int) error { return c.mergeShard(s, 0, false) }
@@ -700,9 +701,9 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 		stall = stl
 	}
 
-	plan, err := planMerge(main, v)
+	plan, err := planMerge(main, v, c.codec)
 	if err != nil {
-		return err
+		return fmt.Errorf("ingest: shard %d merge build: %w", s, err)
 	}
 
 	// Price the re-encode on the shard's replica-0 node — the same
@@ -732,11 +733,6 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 		})
 	}
 
-	ix2, err := plan.build(c.codec)
-	if err != nil {
-		return fmt.Errorf("ingest: shard %d merge build: %w", s, err)
-	}
-
 	// Commit: drain in-flight queries at the gate, stamp the segment
 	// with the current global statistics (best effort — overlays carry
 	// the exact live values while the cluster is dirty), swap it into
@@ -750,15 +746,13 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 		c.gate.Unlock()
 		return nil
 	}
-	ix2.NumDocs = c.numDocs
 	lens := make([]uint32, c.numDocs)
-	copy(lens, c.liveLens[:min(len(c.liveLens), c.numDocs)])
-	ix2.DocLens = lens
+	copy(lens, c.liveLens)
+	var avg float64
 	if c.lenCnt > 0 {
-		ix2.AvgDocLen = float64(c.lenSum) / float64(c.lenCnt)
-	} else {
-		ix2.AvgDocLen = 0
+		avg = float64(c.lenSum) / float64(c.lenCnt)
 	}
+	ix2 := index.Assemble(plan.lists, c.numDocs, lens, avg)
 	if err := t.c.ReplaceShard(s, ix2); err != nil {
 		c.mu.Unlock()
 		c.gate.Unlock()
@@ -766,7 +760,7 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 	}
 	sh.d.drop(upto)
 	sh.ix = ix2
-	sh.st = statsOf(ix2)
+	sh.st = mainStats{ix: ix2, lenSum: c.lenSum, lenCnt: c.lenCnt} // every live document is below numDocs
 	c.exact = false
 	c.publishLocked()
 	c.mu.Unlock()
@@ -863,7 +857,8 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 		seen := make(map[string]bool)
 		for _, term := range sh.ix.Terms() {
 			pl, _ := sh.ix.Lookup(term)
-			ids, freqs := mergePostings(pl, pl.DocIDs(), v, term)
+			ids, freqs := pl.DecodeFrom(0)
+			ids, freqs = mergePostings(ids, freqs, v, term)
 			seen[term] = true
 			if len(ids) > 0 {
 				terms[term] = append(terms[term], slice{ids, freqs})

@@ -4,11 +4,13 @@
 // snapshot-isolated — each query pins an immutable (main segment, delta
 // generation) pair, so concurrent mutations never tear a result and a
 // quiesced engine is byte-identical to one freshly built over the same
-// logical corpus. A background merger re-encodes delta postings into the
-// compressed main index through the ordinary index.Builder codecs
-// (Elias-Fano / PForDelta), priced on the shared device and CPU
-// timelines so merge/query interference is visible, and swaps the new
-// segment in atomically with epoch-based retirement of the old snapshot.
+// logical corpus. A background merger folds delta postings into the
+// compressed main index with the index.Builder's own block encoders
+// (Elias-Fano / PForDelta) — re-encoding each changed list from the first
+// block the delta touches and sharing everything before it — priced on
+// the shared device and CPU timelines so merge/query interference is
+// visible, and swaps the new segment in atomically with epoch-based
+// retirement of the old snapshot.
 package ingest
 
 import (

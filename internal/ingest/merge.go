@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 	"griffin/internal/index"
 )
 
-// Merge folds the current delta into a freshly re-encoded main segment
-// and swaps it in atomically. The old snapshot retires when its last
+// Merge folds the current delta into a new main segment — untouched
+// blocks shared with the old one, the rest re-encoded — and swaps it in
+// atomically. The old snapshot retires when its last
 // pinned query finishes; an aborted merge (injected fault on the merge
 // path) leaves the published snapshot untouched — never a torn state —
 // and is retried up to the configured budget.
@@ -84,7 +86,7 @@ func (e *Engine) Quiesce() error {
 	}
 }
 
-// mergeOnce runs one merge attempt: freeze, price, re-encode, swap.
+// mergeOnce runs one merge attempt: freeze, splice, price, swap.
 func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	// Pin the segment and freeze a view covering every mutation so far.
 	// Mutations landing after this point survive the merge in the delta
@@ -120,9 +122,9 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 		stall = s
 	}
 
-	plan, err := planMerge(main, v)
+	plan, err := planMerge(main, v, e.codec)
 	if err != nil {
-		return err
+		return fmt.Errorf("ingest: merge build: %w", err)
 	}
 
 	// Price the re-encode. Changed lists pay the device path — upload the
@@ -155,10 +157,8 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 		})
 	}
 
-	ix2, err := plan.build(e.codec)
-	if err != nil {
-		return fmt.Errorf("ingest: merge build: %w", err)
-	}
+	// The view already carries the merged corpus' exact statistics.
+	ix2 := index.Assemble(plan.lists, v.numDocs, v.docLens(main.DocLens), v.AvgDocLen())
 
 	// The successor engine adopts the node: device timelines, submit
 	// hooks, and the batching stage survive the swap, so in-flight
@@ -180,7 +180,7 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	// still the live segment.
 	e.mu.Lock()
 	e.d.drop(upto)
-	seg2 := &segment{eng: eng2, st: statsOf(ix2)}
+	seg2 := &segment{eng: eng2, st: mainStats{ix: ix2, lenSum: v.lenSum, lenCnt: v.lenCnt}}
 	v2 := e.d.freeze(seg2.st)
 	old := e.snap.Load()
 	e.snap.Store(newSnapshot(seg2, v2))
@@ -200,82 +200,61 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	return nil
 }
 
-// changedList describes one posting list the merge re-encodes.
+// changedList describes one posting list the merge re-encodes: the
+// inputs of its modeled price. The price is list-granular — the whole old
+// list up, the whole merged list back — however few blocks the splice
+// re-encoded on the host.
 type changedList struct {
 	term   string
 	old    *index.PostingList // nil for delta-only terms
 	oldN   int
 	merged int
-	ids    []uint32
-	freqs  []uint32
 }
 
-// mergePlan is the merge's logical output: re-encoded lists, shared
-// lists, and the live document lengths.
+// mergePlan is the merge's output: the merged segment's posting lists
+// (untouched ones shared with the old segment, changed ones spliced) and
+// the changed set the modeled clock bills.
 type mergePlan struct {
 	changed []changedList
-	shared  []*index.PostingList
-	docLens map[uint32]uint32
+	lists   []*index.PostingList
 }
 
-// build materializes the plan through the ordinary index builder — the
-// exact constructor a fresh build over the live corpus would use, which
-// is what makes quiesced golden parity hold by construction.
-func (p *mergePlan) build(codec index.Codec) (*index.Index, error) {
-	b := index.NewBuilder(codec)
-	for _, pl := range p.shared {
-		b.AddPrebuilt(pl)
+// planMerge folds the view into the main segment's lists. A list none of
+// whose postings is shadowed and that gains no delta posting is shared as
+// is. Any other list is spliced at its first affected block k: blocks
+// [0,k) are shared, blocks [k,end) are decoded, filtered through the
+// shadow set, merged with the delta's live postings and re-encoded.
+// Every block of all three codecs is encoded from its own elements alone,
+// so the result equals an index.Builder run over the same logical corpus
+// — k = 0 is that run.
+func planMerge(main *index.Index, v *View, codec index.Codec) (*mergePlan, error) {
+	p := &mergePlan{}
+	shadow := make([]uint32, 0, len(v.docs))
+	for id := range v.docs {
+		shadow = append(shadow, id)
 	}
-	for _, ch := range p.changed {
-		if len(ch.ids) == 0 {
-			continue // fully tombstoned: the term leaves the dictionary
-		}
-		if err := b.AddPostings(ch.term, ch.ids, ch.freqs); err != nil {
-			return nil, err
-		}
-	}
-	for id, l := range p.docLens {
-		b.SetDocLen(id, l)
-	}
-	return b.Build()
-}
-
-// planMerge computes the merged logical corpus: every main term filtered
-// through the shadow set and unioned with the delta's live postings,
-// plus delta-only terms, plus the live document-length map.
-func planMerge(main *index.Index, v *View) (*mergePlan, error) {
-	p := &mergePlan{docLens: make(map[uint32]uint32)}
-
-	for d, l := range main.DocLens {
-		if l > 0 && v.docs[uint32(d)] == nil {
-			p.docLens[uint32(d)] = l
-		}
-	}
-	for id, rec := range v.docs {
-		if rec.live() {
-			p.docLens[id] = rec.length
-		}
-	}
+	slices.Sort(shadow)
 
 	for _, term := range main.Terms() {
 		pl, _ := main.Lookup(term)
 		deltaIDs := v.postings[term]
-		ids := pl.DocIDs()
-		shadowed := false
-		for _, d := range ids {
-			if v.docs[d] != nil {
-				shadowed = true
-				break
+		k := firstShadowedBlock(pl, shadow)
+		if len(deltaIDs) > 0 {
+			if bd := max(blockOf(pl, 0, deltaIDs[0]), 0); k < 0 || bd < k {
+				k = bd
 			}
 		}
-		if !shadowed && len(deltaIDs) == 0 {
-			p.shared = append(p.shared, pl)
+		if k < 0 {
+			p.lists = append(p.lists, pl)
 			continue
 		}
-		mIDs, mFreqs := mergePostings(pl, ids, v, term)
-		p.changed = append(p.changed, changedList{
-			term: term, old: pl, oldN: pl.N, merged: len(mIDs), ids: mIDs, freqs: mFreqs,
-		})
+		if codec == index.CodecBoth && pl.PFD == nil {
+			k = 0 // a segment loaded from disk has no PForDelta prefix to share
+		}
+		tailIDs, tailFreqs := pl.DecodeFrom(k)
+		if err := p.splice(term, pl, k, tailIDs, tailFreqs, v, codec); err != nil {
+			return nil, err
+		}
 	}
 
 	// Delta-only terms (absent from the main dictionary), sorted for a
@@ -288,17 +267,70 @@ func planMerge(main *index.Index, v *View) (*mergePlan, error) {
 	}
 	sort.Strings(fresh)
 	for _, term := range fresh {
-		mIDs, mFreqs := mergePostings(nil, nil, v, term)
-		p.changed = append(p.changed, changedList{
-			term: term, merged: len(mIDs), ids: mIDs, freqs: mFreqs,
-		})
+		if err := p.splice(term, nil, 0, nil, nil, v, codec); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }
 
-// mergePostings merges one term's live main postings (shadow-filtered)
-// with its live delta postings, both ascending.
-func mergePostings(pl *index.PostingList, mainIDs []uint32, v *View, term string) ([]uint32, []uint32) {
+// splice merges one changed term's decoded tail with the delta, records
+// its price inputs and, unless every posting died (the term leaves the
+// dictionary), its re-encoded list.
+func (p *mergePlan) splice(term string, old *index.PostingList, k int, tailIDs, tailFreqs []uint32, v *View, codec index.Codec) error {
+	ids, freqs := mergePostings(tailIDs, tailFreqs, v, term)
+	ch := changedList{term: term, old: old, merged: k*index.BlockSize + len(ids)}
+	if old != nil {
+		ch.oldN = old.N
+	}
+	p.changed = append(p.changed, ch)
+	if ch.merged == 0 {
+		return nil
+	}
+	pl, err := index.SpliceList(term, old, k, ids, freqs, codec)
+	if err != nil {
+		return err
+	}
+	p.lists = append(p.lists, pl)
+	return nil
+}
+
+// blockOf returns the last block at or after from whose first docID is
+// <= d — the only one that can hold d — or from-1 when d precedes block
+// from.
+func blockOf(pl *index.PostingList, from int, d uint32) int {
+	blocks := pl.EF.Blocks[from:]
+	return from + sort.Search(len(blocks), func(i int) bool { return blocks[i].FirstDocID > d }) - 1
+}
+
+// firstShadowedBlock returns the block holding pl's first shadowed
+// posting, -1 when no shadowed document (ascending docIDs) appears in
+// the list. The probe walks the skip pointers forward and decodes a block
+// only when a probe lands in a new one, so its cost follows the shadow
+// set, not the list.
+func firstShadowedBlock(pl *index.PostingList, shadow []uint32) int {
+	var buf [index.BlockSize]uint32
+	decoded, n := -1, 0
+	bi := 0
+	for _, d := range shadow {
+		if bi = blockOf(pl, bi, d); bi < 0 {
+			bi = 0
+			continue
+		}
+		if bi != decoded {
+			n = pl.EF.Blocks[bi].DecompressInto(buf[:])
+			decoded = bi
+		}
+		if _, found := slices.BinarySearch(buf[:n], d); found {
+			return bi
+		}
+	}
+	return -1
+}
+
+// mergePostings merges one term's main postings (dropping the shadowed
+// ones) with its live delta postings, both ascending.
+func mergePostings(mainIDs, mainFreqs []uint32, v *View, term string) ([]uint32, []uint32) {
 	deltaIDs := v.postings[term]
 	ids := make([]uint32, 0, len(mainIDs)+len(deltaIDs))
 	freqs := make([]uint32, 0, len(mainIDs)+len(deltaIDs))
@@ -308,13 +340,9 @@ func mergePostings(pl *index.PostingList, mainIDs []uint32, v *View, term string
 			i++ // shadowed: superseded or tombstoned
 			continue
 		}
-		takeMain := j >= len(deltaIDs) || (i < len(mainIDs) && mainIDs[i] < deltaIDs[j])
-		if takeMain {
-			if i >= len(mainIDs) {
-				break
-			}
+		if j >= len(deltaIDs) || (i < len(mainIDs) && mainIDs[i] < deltaIDs[j]) {
 			ids = append(ids, mainIDs[i])
-			freqs = append(freqs, pl.FreqOf(i))
+			freqs = append(freqs, mainFreqs[i])
 			i++
 		} else {
 			d := deltaIDs[j]

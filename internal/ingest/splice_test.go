@@ -1,0 +1,517 @@
+package ingest
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+
+	"griffin/internal/cluster"
+	"griffin/internal/core"
+	"griffin/internal/index"
+	"griffin/internal/workload"
+)
+
+// ---------------------------------------------------------------------------
+// Reference: the decode-everything merge through index.Builder. Every list
+// is decoded whole, filtered through the shadow set, unioned with the delta
+// and re-added posting run by posting run — what a from-scratch build over
+// the merged logical corpus does. The block splice must equal it exactly.
+// ---------------------------------------------------------------------------
+
+// pricedList is what the modeled clock sees of one changed list.
+type pricedList struct {
+	term   string
+	hasOld bool
+	oldN   int
+	merged int
+}
+
+func pricedOf(changed []changedList) []pricedList {
+	var out []pricedList
+	for _, ch := range changed {
+		out = append(out, pricedList{term: ch.term, hasOld: ch.old != nil, oldN: ch.oldN, merged: ch.merged})
+	}
+	return out
+}
+
+func rebuildMerge(t testing.TB, main *index.Index, v *View, codec index.Codec) (*index.Index, []pricedList) {
+	t.Helper()
+	b := index.NewBuilder(codec)
+	for d, l := range main.DocLens {
+		if l > 0 && v.docs[uint32(d)] == nil {
+			b.SetDocLen(uint32(d), l)
+		}
+	}
+	for id, rec := range v.docs {
+		if rec.live() {
+			b.SetDocLen(id, rec.length)
+		}
+	}
+
+	type posting struct{ id, tf uint32 }
+	var priced []pricedList
+	fold := func(term string, pl *index.PostingList) {
+		var out []posting
+		shadowed := false
+		if pl != nil {
+			freqs := pl.Freqs.Decode()
+			for i, d := range pl.DocIDs() {
+				if v.docs[d] != nil {
+					shadowed = true
+					continue
+				}
+				out = append(out, posting{d, freqs[i]})
+			}
+		}
+		for _, d := range v.postings[term] {
+			out = append(out, posting{d, v.docs[d].tf[term]})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+		if shadowed || len(v.postings[term]) > 0 {
+			p := pricedList{term: term, hasOld: pl != nil, merged: len(out)}
+			if pl != nil {
+				p.oldN = pl.N
+			}
+			priced = append(priced, p)
+		}
+		if len(out) == 0 {
+			return
+		}
+		ids, freqs := make([]uint32, len(out)), make([]uint32, len(out))
+		for i, p := range out {
+			ids[i], freqs[i] = p.id, p.tf
+		}
+		if err := b.AddPostings(term, ids, freqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, term := range main.Terms() {
+		pl, _ := main.Lookup(term)
+		fold(term, pl)
+	}
+	var fresh []string
+	for term := range v.postings {
+		if _, ok := main.Lookup(term); !ok {
+			fresh = append(fresh, term)
+		}
+	}
+	sort.Strings(fresh)
+	for _, term := range fresh {
+		fold(term, nil)
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, priced
+}
+
+func serialized(t testing.TB, ix *index.Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkSameIndex holds got to want: statistics, dictionary, every list's
+// three compressed forms and skip pointers deep-equal, and the serialized
+// bytes equal. GlobalN is left out — a shard's shared lists keep their
+// partition-time stamp, a rebuilt list has none.
+func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
+	t.Helper()
+	if got.NumDocs != want.NumDocs {
+		t.Errorf("%s: NumDocs %d, want %d", tag, got.NumDocs, want.NumDocs)
+	}
+	if math.Float64bits(got.AvgDocLen) != math.Float64bits(want.AvgDocLen) {
+		t.Errorf("%s: AvgDocLen %v, want %v", tag, got.AvgDocLen, want.AvgDocLen)
+	}
+	if !reflect.DeepEqual(got.DocLens, want.DocLens) {
+		t.Errorf("%s: DocLens diverge", tag)
+	}
+	if !reflect.DeepEqual(got.Terms(), want.Terms()) {
+		t.Fatalf("%s: dictionaries diverge:\n got=%v\nwant=%v", tag, got.Terms(), want.Terms())
+	}
+	for _, term := range want.Terms() {
+		gp, _ := got.Lookup(term)
+		wp, _ := want.Lookup(term)
+		g := *gp
+		g.GlobalN = 0
+		if !reflect.DeepEqual(&g, wp) {
+			t.Errorf("%s: term %q (N %d, want %d) is not the list a rebuild encodes", tag, term, gp.N, wp.N)
+		}
+	}
+	if !bytes.Equal(serialized(t, got), serialized(t, want)) {
+		t.Errorf("%s: serialized bytes diverge", tag)
+	}
+}
+
+// mergeEngineAgainstRebuild merges e's whole delta and checks the new
+// segment, its aggregates and the priced changed set against the rebuild.
+func mergeEngineAgainstRebuild(t *testing.T, e *Engine, codec index.Codec, tag string) {
+	t.Helper()
+	e.refresh()
+	cur := e.snap.Load()
+	main, v := cur.seg.st.ix, cur.view
+	want, wantPriced := rebuildMerge(t, main, v, codec)
+	plan, err := planMerge(main, v, codec)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if got := pricedOf(plan.changed); !reflect.DeepEqual(got, wantPriced) {
+		t.Errorf("%s: priced lists diverge:\n got=%+v\nwant=%+v", tag, got, wantPriced)
+	}
+	if err := e.Merge(); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if v.Empty() {
+		if e.Index() != main {
+			t.Errorf("%s: an empty delta replaced the segment", tag)
+		}
+		if len(plan.changed) != 0 || len(plan.lists) != main.NumTerms() {
+			t.Errorf("%s: an empty delta changed %d lists and kept %d of %d", tag, len(plan.changed), len(plan.lists), main.NumTerms())
+		}
+		return
+	}
+	got := e.Index()
+	checkSameIndex(t, got, want, tag)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: merged index is not deep-equal to the rebuild", tag)
+	}
+	if st, scan := e.snap.Load().seg.st, statsOf(got); st.lenSum != scan.lenSum || st.lenCnt != scan.lenCnt {
+		t.Errorf("%s: segment aggregates (%d,%d), a scan gives (%d,%d)", tag, st.lenSum, st.lenCnt, scan.lenSum, scan.lenCnt)
+	}
+}
+
+// mergeShardAgainstRebuild is the same check for one cluster shard. The
+// cluster stamps a merged shard with the global statistics, so the
+// rebuild's are overwritten the same way.
+func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec, tag string) {
+	t.Helper()
+	c.mu.Lock()
+	sh := c.t.shards[s]
+	main, v := sh.ix, sh.d.freeze(sh.st)
+	c.mu.Unlock()
+	want, wantPriced := rebuildMerge(t, main, v, codec)
+	plan, err := planMerge(main, v, codec)
+	if err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	if got := pricedOf(plan.changed); !reflect.DeepEqual(got, wantPriced) {
+		t.Errorf("%s: priced lists diverge:\n got=%+v\nwant=%+v", tag, got, wantPriced)
+	}
+	if err := c.MergeShard(s); err != nil {
+		t.Fatalf("%s: %v", tag, err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v.Empty() {
+		if sh.ix != main {
+			t.Errorf("%s: an empty delta replaced the shard segment", tag)
+		}
+		return
+	}
+	want.NumDocs = c.numDocs
+	want.DocLens = make([]uint32, c.numDocs)
+	copy(want.DocLens, c.liveLens)
+	want.AvgDocLen = 0
+	if c.lenCnt > 0 {
+		want.AvgDocLen = float64(c.lenSum) / float64(c.lenCnt)
+	}
+	checkSameIndex(t, sh.ix, want, tag)
+	if scan := statsOf(sh.ix); sh.st.lenSum != scan.lenSum || sh.st.lenCnt != scan.lenCnt {
+		t.Errorf("%s: shard aggregates (%d,%d), a scan gives (%d,%d)", tag, sh.st.lenSum, sh.st.lenCnt, scan.lenSum, scan.lenCnt)
+	}
+}
+
+// spliceCorpus is 700 documents on the even docIDs 0..1398 (odd ones are
+// gaps to insert into). "big" is in all of them — five full blocks and a
+// 60-posting tail; "l127", "l128" and "l129" are in the first 127, 128
+// and 129, so their lists end one short of, exactly on and one past a
+// block boundary; "rare" is in documents 10 and 20 only.
+const spliceMaxDoc = 1398
+
+func spliceCorpus() *logicalCorpus {
+	c := newLogicalCorpus()
+	for i := 0; i < 700; i++ {
+		toks := []string{"big", word(i % 5), word(i % 5)}
+		for _, n := range []int{127, 128, 129} {
+			if i < n {
+				toks = append(toks, fmt.Sprintf("l%d", n))
+			}
+		}
+		if i == 5 || i == 10 {
+			toks = append(toks, "rare")
+		}
+		c.docs[uint32(2*i)] = toks
+	}
+	return c
+}
+
+var spliceCases = []struct {
+	name string
+	muts []mutation
+}{
+	{"tail appends", []mutation{
+		{kind: mutAdd, docID: 1400, tokens: []string{"big", "l127", "l128", "l129", "l129"}},
+		{kind: mutAdd, docID: 1401, tokens: []string{"big", "l127"}},
+	}},
+	{"append to 127", []mutation{{kind: mutAdd, docID: 1500, tokens: []string{"l127"}}}},
+	{"gap in block 0", []mutation{{kind: mutAdd, docID: 3, tokens: []string{"big", "l128", word(1)}}}},
+	{"gap in a middle block", []mutation{{kind: mutAdd, docID: 601, tokens: []string{"big", "big", word(2)}}}},
+	{"gap in the last block", []mutation{{kind: mutAdd, docID: 1381, tokens: []string{"big", word(3)}}}},
+	{"update in block 0", []mutation{
+		{kind: mutUpdate, docID: 0, tokens: []string{"big", "big", "big", "other"}},
+		{kind: mutUpdate, docID: 4, tokens: []string{"other"}},
+	}},
+	{"delete in block 0", []mutation{{kind: mutDelete, docID: 2}}},
+	{"delete at block boundaries", []mutation{
+		{kind: mutDelete, docID: 2 * 126}, {kind: mutDelete, docID: 2 * 127}, {kind: mutDelete, docID: 2 * 128},
+	}},
+	{"fully tombstoned list", []mutation{{kind: mutDelete, docID: 10}, {kind: mutDelete, docID: 20}}},
+	{"delete the maximum docID", []mutation{{kind: mutDelete, docID: spliceMaxDoc}}},
+	{"delta-only term", []mutation{
+		{kind: mutAdd, docID: 1400, tokens: []string{"fresh", "fresh"}},
+		{kind: mutUpdate, docID: 6, tokens: []string{"fresh2", "big"}},
+	}},
+	{"empty delta", nil},
+	{"add then delete in one delta", []mutation{
+		{kind: mutAdd, docID: 7, tokens: []string{"big"}},
+		{kind: mutDelete, docID: 7},
+	}},
+}
+
+// followUp runs after every case's first merge, so each case also splices
+// a segment that is itself the product of a splice.
+var followUp = []mutation{
+	{kind: mutAdd, docID: 1600, tokens: []string{"big", "l127", "l128", "l129", "rare"}},
+	{kind: mutDelete, docID: 300},
+	{kind: mutUpdate, docID: 1000, tokens: []string{"l129", "late"}},
+}
+
+// TestSpliceMergeEqualsRebuild: a merge shares every block before the
+// first one the delta touches and re-encodes the rest; the segment it
+// publishes, and the changed set the modeled clock bills, must be exactly
+// what decoding and rebuilding the whole corpus gives.
+func TestSpliceMergeEqualsRebuild(t *testing.T) {
+	codecs := map[string]index.Codec{"ef": index.CodecEF, "both": index.CodecBoth}
+	for cname, codec := range codecs {
+		t.Run("engine/"+cname, func(t *testing.T) {
+			for _, tc := range spliceCases {
+				lc := spliceCorpus()
+				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}, Codec: CodecAuto})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range tc.muts {
+					apply(t, e, lc, m)
+				}
+				mergeEngineAgainstRebuild(t, e, codec, tc.name)
+				checkSameIndex(t, e.Index(), lc.build(t, codec), tc.name+": vs logical corpus")
+				for _, m := range followUp {
+					apply(t, e, lc, m)
+				}
+				mergeEngineAgainstRebuild(t, e, codec, tc.name+", follow-up")
+				checkSameIndex(t, e.Index(), lc.build(t, codec), tc.name+", follow-up: vs logical corpus")
+				e.Close()
+			}
+		})
+		t.Run("shard/"+cname, func(t *testing.T) {
+			for _, tc := range spliceCases {
+				lc := spliceCorpus()
+				c, err := NewCluster(lc.build(t, codec), ClusterConfig{
+					Shards: 2, Codec: CodecAuto,
+					Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round, muts := range [][]mutation{tc.muts, followUp} {
+					for _, m := range muts {
+						applyCluster(t, c, lc, m)
+					}
+					for s := 0; s < 2; s++ {
+						mergeShardAgainstRebuild(t, c, s, codec, fmt.Sprintf("%s, round %d, shard %d", tc.name, round, s))
+					}
+				}
+				c.Close()
+			}
+		})
+		t.Run("seeded/"+cname, func(t *testing.T) {
+			const vocab = 12
+			for seed := int64(1); seed <= 4; seed++ {
+				lc := seedCorpus(seed, 600, vocab)
+				script := genScript(seed+100, lc.clone(), 240, vocab)
+				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}, Codec: CodecAuto})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := NewCluster(lc.build(t, codec), ClusterConfig{
+					Shards: 3, Codec: CodecAuto,
+					Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				clc := lc.clone()
+				for i, m := range script {
+					apply(t, e, lc, m)
+					applyCluster(t, c, clc, m)
+					if i%60 == 59 {
+						tag := fmt.Sprintf("seed %d, mutation %d", seed, i)
+						mergeEngineAgainstRebuild(t, e, codec, tag)
+						mergeShardAgainstRebuild(t, c, i/60%3, codec, tag)
+					}
+				}
+				checkSameIndex(t, e.Index(), lc.build(t, codec), fmt.Sprintf("seed %d: vs logical corpus", seed))
+				e.Close()
+				c.Close()
+			}
+		})
+	}
+}
+
+// A checkpoint segment comes back from disk without its PForDelta form;
+// a CodecBoth merge over it has no prefix to share and re-encodes changed
+// lists whole, as the rebuild does.
+func TestSpliceOverSegmentWithoutPForDelta(t *testing.T) {
+	lc := spliceCorpus()
+	loaded, err := index.ReadIndex(bytes.NewReader(serialized(t, lc.build(t, index.CodecBoth))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(loaded, Config{Engine: core.Config{Mode: core.CPUOnly}, Codec: index.CodecBoth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	apply(t, e, lc, mutation{kind: mutAdd, docID: 1400, tokens: []string{"big", "l128"}})
+	if err := e.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	want := lc.build(t, index.CodecBoth)
+	for _, term := range []string{"big", "l128"} {
+		gp, _ := e.Index().Lookup(term)
+		wp, _ := want.Lookup(term)
+		if !reflect.DeepEqual(gp, wp) {
+			t.Errorf("term %q: changed list over a PForDelta-less segment differs from the rebuild", term)
+		}
+	}
+	if !bytes.Equal(serialized(t, e.Index()), serialized(t, want)) {
+		t.Error("serialized bytes diverge")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Host cost: a small delta must cost a small merge.
+// ---------------------------------------------------------------------------
+
+// appendFixture is a synthetic corpus of at least a million postings and
+// a generator of tail-append documents over its head terms.
+func appendFixture(t testing.TB) (*workload.Corpus, func(r *rand.Rand) []string) {
+	t.Helper()
+	corpus, err := workload.GenerateCorpus(workload.CorpusSpec{
+		NumDocs: 400_000, NumTerms: 64, MaxListLen: 160_000, MinListLen: 2_000,
+		Alpha: 0.85, Codec: index.CodecEF, Seed: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postings := 0
+	for _, n := range corpus.Sizes {
+		postings += n
+	}
+	if postings < 1_000_000 {
+		t.Fatalf("fixture holds %d postings, want >= 1M", postings)
+	}
+	doc := func(r *rand.Rand) []string {
+		toks := make([]string, 4+r.Intn(5))
+		for i := range toks {
+			toks[i] = corpus.Terms[r.Intn(len(corpus.Terms))]
+		}
+		return toks
+	}
+	return corpus, doc
+}
+
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMergeAllocationCeiling: folding 256 appended documents into a
+// million-posting segment allocates under a tenth of what decoding and
+// rebuilding the corpus does — engine swap included on the splice side.
+func TestMergeAllocationCeiling(t *testing.T) {
+	corpus, doc := appendFixture(t)
+	e, err := New(corpus.Index, Config{Engine: core.Config{Mode: core.CPUOnly}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 256; i++ {
+		if err := e.Add(uint32(corpus.Index.NumDocs+i), doc(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.refresh()
+	cur := e.snap.Load()
+	main, v := cur.seg.st.ix, cur.view
+
+	var want *index.Index
+	rebuild := allocatedBy(func() { want, _ = rebuildMerge(t, main, v, index.CodecEF) })
+	splice := allocatedBy(func() {
+		if err := e.Merge(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("rebuild allocated %d KB, splice %d KB", rebuild>>10, splice>>10)
+	if splice*10 >= rebuild {
+		t.Errorf("splice merge allocated %d bytes, want < 10%% of the rebuild's %d", splice, rebuild)
+	}
+	if !bytes.Equal(serialized(t, e.Index()), serialized(t, want)) {
+		t.Error("spliced segment's bytes differ from the rebuild's")
+	}
+}
+
+var benchSink *index.Index
+
+// BenchmarkMerge times one 256-document tail-append merge over the
+// million-posting fixture (the segment grows by 256 documents an
+// iteration; the delta is rebuilt off the clock).
+func BenchmarkMerge(b *testing.B) {
+	corpus, doc := appendFixture(b)
+	e, err := New(corpus.Index, Config{Engine: core.Config{Mode: core.CPUOnly}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	r := rand.New(rand.NewSource(1))
+	next := uint32(corpus.Index.NumDocs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < 256; j++ {
+			if err := e.Add(next, doc(r)); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		b.StartTimer()
+		if err := e.Merge(); err != nil {
+			b.Fatal(err)
+		}
+		benchSink = e.Index()
+	}
+}

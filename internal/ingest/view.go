@@ -20,6 +20,8 @@ type mainStats struct {
 	lenCnt int
 }
 
+// statsOf scans a seed segment's document lengths; a merged segment takes
+// its aggregates from the view it folded instead.
 func statsOf(ix *index.Index) mainStats {
 	st := mainStats{ix: ix}
 	for _, l := range ix.DocLens {
@@ -116,6 +118,20 @@ func (v *View) computeStats(st mainStats) {
 	}
 	v.lenSum, v.lenCnt = sum, cnt
 	v.numDocs = v.liveNumDocs(st.ix)
+}
+
+// docLens returns the live document-length table over main's: a copy cut
+// or zero-extended to the live collection size, with every mutated
+// document's entry replaced (0 for a tombstone).
+func (v *View) docLens(main []uint32) []uint32 {
+	lens := make([]uint32, v.numDocs)
+	copy(lens, main)
+	for id, rec := range v.docs {
+		if int(id) < len(lens) {
+			lens[id] = rec.length
+		}
+	}
+	return lens
 }
 
 // liveNumDocs finds max(live docID) + 1: the NumDocs a fresh build over

@@ -1,0 +1,126 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"runtime"
+	"testing"
+
+	"griffin/internal/fault"
+	"griffin/internal/index"
+)
+
+// framedCheckpoint is the checkpoint file format spelled out on a buffer:
+// the 36-byte header over the serialized index, then the payload — with
+// sf's corruption applied to the payload alone, as corruptFrame does.
+func framedCheckpoint(t *testing.T, ix *index.Index, lineage, watermark uint64, sf *fault.StorageFault) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if _, err := ix.WriteTo(&payload); err != nil {
+		t.Fatal(err)
+	}
+	body := payload.Bytes()
+	buf := append([]byte(nil), ckptMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, lineage)
+	buf = binary.LittleEndian.AppendUint64(buf, watermark)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	if sf != nil {
+		body = corruptFrame(body, sf)
+	}
+	return append(buf, body...)
+}
+
+// docLensIndex is an index whose serialized form is dominated by a
+// document-length table of the given size.
+func docLensIndex(t *testing.T, docs uint32) *index.Index {
+	t.Helper()
+	b := index.NewBuilder(index.CodecEF)
+	if err := b.AddPostings("x", []uint32{1, 5, docs - 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for d := uint32(0); d < docs; d += 3 {
+		b.SetDocLen(d, 1+d%97)
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// TestCheckpointStreamedBytes: streaming the segment into the file and
+// patching the header afterwards leaves the same bytes as framing it in
+// memory — intact, torn and bit-flipped alike, the corruption landing at
+// the offset the fault's fraction picks.
+func TestCheckpointStreamedBytes(t *testing.T) {
+	ix := docLensIndex(t, 50_000)
+	for name, rules := range map[string][]fault.Rule{
+		"intact":  nil,
+		"torn":    {{Kind: fault.TornWrite, Rate: 1}},
+		"bitflip": {{Kind: fault.BitFlip, Rate: 1}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			plan := fault.Plan{Seed: 7, Rules: rules}
+			s, _, err := Open(dir, Options{Site: "t", Fault: fault.NewInjector(plan)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Checkpoint(ix, 42); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(s.ckptPath(42))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A second injector over the same plan draws the same fault.
+			sf := fault.NewInjector(plan).StorageOp("t.ckpt", 0, fault.TornWrite, fault.BitFlip)
+			if (sf != nil) != (rules != nil) {
+				t.Fatalf("reference draw fired = %v", sf != nil)
+			}
+			want := framedCheckpoint(t, ix, s.Lineage(), 42, sf)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("checkpoint file (%d bytes) differs from the framed reference (%d bytes)", len(got), len(want))
+			}
+			_, _, err = readCheckpoint(s.ckptPath(42), s.Lineage())
+			if (err != nil) != (rules != nil) {
+				t.Fatalf("readCheckpoint err = %v with rules %v", err, rules)
+			}
+			if _, err := os.Stat(s.ckptPath(42) + ".tmp"); !os.IsNotExist(err) {
+				t.Errorf("temp file left behind: %v", err)
+			}
+		})
+	}
+}
+
+// TestCheckpointStreamedAllocation: a checkpoint's memory is the
+// serializer's buffer, not a multiple of the segment.
+func TestCheckpointStreamedAllocation(t *testing.T) {
+	ix := docLensIndex(t, 4_000_000) // 16 MB of document lengths
+	s, _, err := Open(t.TempDir(), Options{Site: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Checkpoint(ix, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	fi, err := os.Stat(s.ckptPath(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 16_000_000 {
+		t.Fatalf("checkpoint is %d bytes, want >= 16 MB", fi.Size())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Errorf("checkpointing %d bytes allocated %d, want <= 2 MB", fi.Size(), got)
+	}
+}

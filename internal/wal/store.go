@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -115,6 +116,10 @@ type Store struct {
 	dir     string
 	opts    Options
 	lineage uint64
+
+	// ckptMu serializes checkpoints, and Close and Crash behind one in
+	// flight. Taken before mu, never under it.
+	ckptMu sync.Mutex
 
 	mu            sync.Mutex
 	logs          []*Log
@@ -340,34 +345,27 @@ func (s *Store) SetFault(in *fault.Injector) {
 // down silently — the writer believes it succeeded, and only recovery's
 // validation catches it (and falls back to an older checkpoint or a
 // full replay). Older checkpoints beyond the newest two are pruned.
+//
+// Checkpoints serialize on their own mutex; s.mu is held only to read
+// the store's state and to publish the result, so appends keep being
+// acknowledged while a segment is written and synced.
 func (s *Store) Checkpoint(ix *index.Index, watermark uint64) error {
 	if s == nil {
 		return nil
 	}
-	var payload bytes.Buffer
-	if _, err := ix.WriteTo(&payload); err != nil {
-		return err
-	}
-	body := payload.Bytes()
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	closed, in := s.closed, s.opts.Fault
+	s.mu.Unlock()
+	if closed {
 		return errClosed
 	}
-	if sf := s.opts.Fault.StorageOp(s.opts.Site+".ckpt", 0, fault.TornWrite, fault.BitFlip); sf != nil {
-		body = corruptFrame(body, sf)
-	}
-	buf := make([]byte, 0, 32+len(body))
-	buf = append(buf, ckptMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, ckptVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, s.lineage)
-	buf = binary.LittleEndian.AppendUint64(buf, watermark)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload.Bytes())))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload.Bytes(), castagnoli))
-	buf = append(buf, body...)
+	sf := in.StorageOp(s.opts.Site+".ckpt", 0, fault.TornWrite, fault.BitFlip)
 	path := s.ckptPath(watermark)
 	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeCheckpoint(tmp, ix, s.lineage, watermark, sf); err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -376,10 +374,75 @@ func (s *Store) Checkpoint(ix *index.Index, watermark uint64) error {
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	s.checkpoints++
 	s.checkpointGen = watermark
 	s.pruneLocked(watermark)
+	s.mu.Unlock()
 	return nil
+}
+
+// ckptHeaderLen is the checkpoint header: magic | u32 version | u64
+// lineage | u64 watermark | u64 payload length | u32 CRC32C of the
+// payload. The serialized index follows.
+const ckptHeaderLen = 36
+
+// writeCheckpoint streams ix into path behind a checkpoint header and
+// fsyncs it. The payload's length and checksum are only known once it is
+// written, so the header goes down as zeros first and is patched in
+// place. sf, when non-nil, then corrupts the payload on disk exactly as
+// corruptFrame would have corrupted it in memory: a torn write keeps a
+// strict prefix, a bit flip inverts one bit, both at the offset the
+// fault's hashed fraction picks — the header keeps describing the
+// intact payload, which is how recovery tells.
+func writeCheckpoint(path string, ix *index.Index, lineage, watermark uint64, sf *fault.StorageFault) error {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close() // error paths; the success path checks Close below
+	if _, err := f.Write(make([]byte, ckptHeaderLen)); err != nil {
+		return err
+	}
+	sum := crc32.New(castagnoli)
+	n, err := ix.WriteTo(io.MultiWriter(f, sum))
+	if err != nil {
+		return err
+	}
+	hdr := make([]byte, 0, ckptHeaderLen)
+	hdr = append(hdr, ckptMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, ckptVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, lineage)
+	hdr = binary.LittleEndian.AppendUint64(hdr, watermark)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(n))
+	hdr = binary.LittleEndian.AppendUint32(hdr, sum.Sum32())
+	if _, err := f.WriteAt(hdr, 0); err != nil {
+		return err
+	}
+	if sf != nil {
+		if err := corruptFile(f, ckptHeaderLen, n, sf); err != nil {
+			return err
+		}
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// corruptFile is corruptFrame for the n bytes of f starting at off.
+func corruptFile(f *os.File, off, n int64, sf *fault.StorageFault) error {
+	if sf.Kind != fault.BitFlip { // TornWrite, ShortWrite: a strict prefix reaches disk
+		return f.Truncate(off + min(int64(sf.Frac*float64(n)), n-1))
+	}
+	bit := min(int64(sf.Frac*float64(n*8)), n*8-1)
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off+bit/8); err != nil {
+		return err
+	}
+	b[0] ^= 1 << (bit % 8)
+	_, err := f.WriteAt(b[:], off+bit/8)
+	return err
 }
 
 // pruneLocked deletes checkpoints older than the newest two. Two are
@@ -404,7 +467,7 @@ func readCheckpoint(path string, lineage uint64) (*index.Index, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(data) < 32 || [4]byte(data[0:4]) != ckptMagic ||
+	if len(data) < ckptHeaderLen || [4]byte(data[0:4]) != ckptMagic ||
 		binary.LittleEndian.Uint32(data[4:8]) != ckptVersion {
 		return nil, 0, fmt.Errorf("wal: %s: bad checkpoint header", path)
 	}
@@ -414,10 +477,10 @@ func readCheckpoint(path string, lineage uint64) (*index.Index, uint64, error) {
 	}
 	wm := binary.LittleEndian.Uint64(data[16:24])
 	n := binary.LittleEndian.Uint64(data[24:32])
-	if uint64(len(data)-36) != n {
+	if uint64(len(data)-ckptHeaderLen) != n {
 		return nil, 0, fmt.Errorf("wal: %s: checkpoint payload truncated", path)
 	}
-	payload := data[36:]
+	payload := data[ckptHeaderLen:]
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[32:36]) {
 		return nil, 0, fmt.Errorf("wal: %s: checkpoint checksum mismatch", path)
 	}
@@ -499,6 +562,8 @@ func (s *Store) Crash() {
 	if s == nil {
 		return
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, l := range s.logs {
@@ -512,6 +577,8 @@ func (s *Store) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -48,18 +48,14 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		break
 	}
 
-	builders := make([]*index.Builder, shards)
-	for s := range builders {
-		builders[s] = index.NewBuilder(codec)
-	}
-
+	// A term's shard lists are complete once the term is split, so each is
+	// encoded on the spot (the Builder's own encoder) and the raw postings
+	// of one term are all that is ever held.
+	lists := make([][]*index.PostingList, shards)
 	ids := make([][]uint32, shards)
 	freqs := make([][]uint32, shards)
 	for _, term := range terms {
-		pl, ok := ix.Lookup(term)
-		if !ok {
-			continue
-		}
+		pl, _ := ix.Lookup(term)
 		for s := 0; s < shards; s++ {
 			ids[s] = ids[s][:0]
 			freqs[s] = freqs[s][:0]
@@ -73,32 +69,20 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 			if len(ids[s]) == 0 {
 				continue
 			}
-			if err := builders[s].AddPostings(term, ids[s], freqs[s]); err != nil {
-				return nil, fmt.Errorf("workload: shard %d term %q: %w", s, term, err)
+			spl, err := index.SpliceList(term, nil, 0, ids[s], freqs[s], codec)
+			if err != nil {
+				return nil, fmt.Errorf("workload: shard %d: %w", s, err)
 			}
+			spl.GlobalN = pl.N
+			lists[s] = append(lists[s], spl)
 		}
 	}
 
+	// Global statistics: shard engines score against the whole
+	// collection, not their slice of it.
 	out := make([]*index.Index, shards)
-	for s := range builders {
-		six, err := builders[s].Build()
-		if err != nil {
-			return nil, fmt.Errorf("workload: shard %d: %w", s, err)
-		}
-		// Global statistics: shard engines score against the whole
-		// collection, not their slice of it.
-		six.NumDocs = ix.NumDocs
-		six.DocLens = ix.DocLens
-		six.AvgDocLen = ix.AvgDocLen
-		for _, term := range terms {
-			spl, ok := six.Lookup(term)
-			if !ok {
-				continue
-			}
-			gpl, _ := ix.Lookup(term)
-			spl.GlobalN = gpl.N
-		}
-		out[s] = six
+	for s := range out {
+		out[s] = index.Assemble(lists[s], ix.NumDocs, ix.DocLens, ix.AvgDocLen)
 	}
 	return out, nil
 }
