@@ -35,10 +35,7 @@ func main() {
 	logFile := flag.String("log", "", "replay a query-log file (one query per line) and print the latency distribution")
 	flag.Parse()
 
-	f, err := os.Open(*indexPath)
-	exitOn(err)
-	ix, err := index.ReadIndex(f)
-	f.Close()
+	ix, err := index.Open(*indexPath)
 	exitOn(err)
 	fmt.Printf("loaded %s: %d docs, %d terms\n", *indexPath, ix.NumDocs, ix.NumTerms())
 

@@ -262,10 +262,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*indexPath)
-	exitOn(err)
-	ix, err := index.ReadIndex(f)
-	f.Close()
+	ix, err := index.Open(*indexPath)
 	exitOn(err)
 
 	var handler *server.Server

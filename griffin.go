@@ -156,6 +156,14 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	return index.ReadIndex(r)
 }
 
+// OpenIndex loads an index file written by WriteIndex in place: the file
+// is mapped read-only and the posting lists are views into it, so
+// opening costs neither a decode nor a heap copy. The mapping lives for
+// the rest of the process (see index.Open).
+func OpenIndex(path string) (*Index, error) {
+	return index.Open(path)
+}
+
 // CorpusSpec parameterizes synthetic corpus generation (the ClueWeb12
 // stand-in of §4.2).
 type CorpusSpec = workload.CorpusSpec

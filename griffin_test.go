@@ -2,6 +2,9 @@ package griffin
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -67,6 +70,43 @@ func TestPublicAPISerialization(t *testing.T) {
 	}
 	if got.NumTerms() != ix.NumTerms() {
 		t.Fatalf("round trip lost terms: %d vs %d", got.NumTerms(), ix.NumTerms())
+	}
+}
+
+func TestPublicAPIOpenIndex(t *testing.T) {
+	b := NewIndexBuilder()
+	if err := b.AddDocument(0, Tokenize("hello mapped world")); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ix.grif")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteIndex(ix, f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := OpenIndex(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(got, Config{Mode: CPUOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Search([]string{"mapped", "world"})
+	if err != nil || len(res.Docs) != 1 || res.Docs[0].DocID != 0 {
+		t.Fatalf("search over the opened index = %+v, %v", res, err)
+	}
+	if _, err := OpenIndex(filepath.Join(t.TempDir(), "missing.grif")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OpenIndex of a missing file: %v", err)
 	}
 }
 

@@ -97,16 +97,17 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 	}
 	bi := lo - 1
 	blk := &p.EF.Blocks[bi]
-	var buf [BlockSize]uint32
-	n := blk.DecompressInto(buf[:])
-	blo, bhi := 0, n
+	// Probe the compressed block in place (Elias-Fano select) rather
+	// than decoding all of it to look at ~7 elements; the comparison
+	// sequence, and so probes, is that of a search over the decoded block.
+	blo, bhi := 0, blk.N
 	for blo < bhi {
 		probes++
 		mid := (blo + bhi) / 2
-		switch {
-		case buf[mid] < d:
+		switch v := blk.Get(mid); {
+		case v < d:
 			blo = mid + 1
-		case buf[mid] > d:
+		case v > d:
 			bhi = mid
 		default:
 			return p.Freqs.At(bi*BlockSize + mid), probes, true

@@ -2,34 +2,56 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"math/bits"
 
 	"griffin/internal/ef"
 )
 
-// Binary on-disk format (little-endian throughout):
+// Binary on-disk format, version 3 (little-endian throughout). Every
+// u64 run and the u32 doc-length array sit at naturally aligned file
+// offsets, so a loaded index is a set of views into the file's bytes
+// rather than a decoded copy of them (see Parse and Open):
 //
-//	magic "GRIF" | version u32
-//	numDocs u64 | avgDocLen f64 | docLens [numDocs]u32
-//	numTerms u64
-//	per term:
-//	  termLen u16 | term bytes
-//	  n u64 | numBlocks u32
-//	  per block: firstDocID u32 | n u16 | b u8 | highLen u32 |
-//	             highWords u32 | high [..]u64 | lowWords u32 | low [..]u64
-//	  numFreqBlocks u32
-//	  per freq block: b u8 | words u16 | packed [..]u64
+//	header, 32 B:
+//	  magic "GRIF" | version u32 | numDocs u64 | numTerms u64 | avgDocLen f64
+//	docLens [numDocs]u32 | zero pad to 8
+//	per term, in ascending term order (each record starts 8-aligned):
+//	  n u64 | numBlocks u32 | termLen u16 | term bytes | zero pad to 8
+//	  block table, numBlocks x 24 B:
+//	    firstDocID u32 | highLen u32 | highWords u32 | lowWords u32 |
+//	    n u16 | freqWords u16 | b u8 | freqB u8 | 2 zero bytes
+//	  Elias-Fano words, per block: high [highWords]u64 | low [lowWords]u64
+//	  frequency words, per block:  packed [freqWords]u64
+//
+// The fields are version 2's at version 2's widths (its separate
+// numFreqBlocks had to equal numBlocks and is gone); what changed is
+// where they lie. Padding is implicit — a reader computes it, no offset
+// is stored — and must be zero, and nothing may follow the last record,
+// so WriteTo of a parsed index reproduces the file byte for byte.
 //
 // Only the Elias-Fano form is serialized; a loaded index can re-derive the
 // PForDelta baseline on demand for experiments.
 
 const (
 	magic   = "GRIF"
-	version = 2
+	version = 3
+
+	minListLen    = 16 // n | numBlocks | termLen | empty term, padded to 8
+	blockEntryLen = 24
+
+	// Per-block bounds: the high-bits array of an EF block is
+	// < 3*BlockSize bits (encoder invariant), low bits and packed
+	// frequencies are at most 32 per element.
+	maxHighLen    = 3 * BlockSize
+	maxHighWords  = (maxHighLen + 63) / 64
+	maxValueWords = (BlockSize*32 + 63) / 64
 )
 
 // ErrBadFormat is returned when the input is not a valid index file.
@@ -40,38 +62,38 @@ var ErrBadFormat = errors.New("index: bad file format")
 // that buffer and the sorted term list whatever the index size.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	e := &encoder{w: bufio.NewWriterSize(w, 1<<20)}
+	terms := ix.Terms()
 	e.str(magic)
 	e.u32(version)
 	e.u64(uint64(ix.NumDocs))
+	e.u64(uint64(len(terms)))
 	e.u64(math.Float64bits(ix.AvgDocLen))
 	for _, l := range ix.DocLens {
 		e.u32(l)
 	}
-	terms := ix.Terms()
-	e.u64(uint64(len(terms)))
+	e.pad8()
 	for _, term := range terms {
 		p := ix.terms[term]
-		e.u16(uint16(len(term)))
-		e.str(term)
 		e.u64(uint64(p.N))
 		e.u32(uint32(len(p.EF.Blocks)))
+		e.u16(uint16(len(term)))
+		e.str(term)
+		e.pad8()
 		for i := range p.EF.Blocks {
-			blk := &p.EF.Blocks[i]
-			e.u32(blk.FirstDocID)
-			e.u16(uint16(blk.N))
-			e.u8(uint8(blk.B))
-			e.u32(uint32(blk.HighLen))
-			e.u32(uint32(len(blk.HighBits)))
-			e.words(blk.HighBits)
-			e.u32(uint32(len(blk.LowBits)))
-			e.words(blk.LowBits)
+			blk, fb := &p.EF.Blocks[i], &p.Freqs.blocks[i]
+			blockEntry{
+				firstDocID: blk.FirstDocID, highLen: uint32(blk.HighLen),
+				highWords: uint32(len(blk.HighBits)), lowWords: uint32(len(blk.LowBits)),
+				n: uint16(blk.N), freqWords: uint16(len(fb.words)),
+				b: uint8(blk.B), freqB: fb.b,
+			}.put(e)
 		}
-		e.u32(uint32(len(p.Freqs.blocks)))
+		for i := range p.EF.Blocks {
+			e.words(p.EF.Blocks[i].HighBits)
+			e.words(p.EF.Blocks[i].LowBits)
+		}
 		for i := range p.Freqs.blocks {
-			fb := &p.Freqs.blocks[i]
-			e.u8(fb.b)
-			e.u16(uint16(len(fb.words)))
-			e.words(fb.words)
+			e.words(p.Freqs.blocks[i].words)
 		}
 	}
 	if e.err == nil {
@@ -125,151 +147,285 @@ func (e *encoder) words(ws []uint64) {
 	}
 }
 
-// ReadIndex deserializes an index written by WriteTo.
+// pad8 writes zeros up to the next multiple of 8 bytes.
+func (e *encoder) pad8() {
+	var zeros [8]byte
+	e.bytes(zeros[:-e.n&7])
+}
+
+// ReadIndex deserializes an index written by WriteTo: it reads r to its
+// end and parses the bytes in place (see Parse).
 func ReadIndex(r io.Reader) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var err error
-	read := func(v any) {
-		if err == nil {
-			err = binary.Read(br, binary.LittleEndian, v)
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("index: read: %w", err)
+	}
+	return Parse(data)
+}
+
+// readAll is io.ReadAll into a buffer sized up front when r can say how
+// much it holds (a file, a byte reader): the parsed index keeps that one
+// large buffer alive, so it is allocated once instead of grown by
+// doubling.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch s := r.(type) {
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
 		}
+	case interface{ Len() int }:
+		size = s.Len()
 	}
-	head := make([]byte, 4)
-	if _, e := io.ReadFull(br, head); e != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, e)
+	var buf bytes.Buffer
+	buf.Grow(size + bytes.MinRead) // room for the read that returns io.EOF
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
+// Parse decodes a serialized index held in data without copying its
+// payload: on a little-endian host with data 8-byte aligned, every
+// block's HighBits/LowBits, every frequency block's words and DocLens
+// are views into data, and only the per-list block headers are built on
+// the heap; otherwise (big-endian host, misaligned buffer) the same
+// parser decodes each list's words into one fresh slice. Either way the
+// returned index aliases data for as long as it — or any segment spliced
+// from it, which shares its blocks by reference — is reachable, so data
+// must never be written again. Segments are immutable throughout the
+// repo; Parse only makes that contract load-bearing.
+//
+// All lengths in data are untrusted: every structural inconsistency is
+// reported as ErrBadFormat, and an accepted index cannot make
+// ef.Block.Get, DecompressInto, FreqStore.At or the device kernels index
+// out of range.
+func Parse(data []byte) (*Index, error) {
+	d := &decoder{buf: data}
+	if string(d.next(4)) != magic {
+		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, data[:min(len(data), 4)])
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, head)
-	}
-	var ver uint32
-	read(&ver)
-	if err == nil && ver != version {
+	if ver := d.u32(); d.err == nil && ver != version {
 		return nil, fmt.Errorf("%w: version %d", ErrBadFormat, ver)
 	}
-
-	ix := &Index{terms: make(map[string]*PostingList)}
-	var numDocs uint64
-	read(&numDocs)
-	read(&ix.AvgDocLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
+	numDocs := d.u64()
+	numTerms := d.u64()
+	avgDocLen := math.Float64frombits(d.u64())
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, d.err)
 	}
 	if numDocs > 1<<34 {
 		return nil, fmt.Errorf("%w: numDocs %d", ErrBadFormat, numDocs)
 	}
-	ix.NumDocs = int(numDocs)
-	// Read doc lengths in bounded chunks: numDocs is untrusted, so a
-	// single up-front allocation of numDocs*4 bytes would let a tiny
-	// corrupt header demand gigabytes (found by FuzzReadIndex).
-	ix.DocLens = make([]uint32, 0, min64(numDocs, 1<<20))
-	for remaining := numDocs; remaining > 0 && err == nil; {
-		chunk := min64(remaining, 1<<20)
-		buf := make([]uint32, chunk)
-		read(buf)
-		if err == nil {
-			ix.DocLens = append(ix.DocLens, buf...)
-			remaining -= chunk
-		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: doc lengths: %v", ErrBadFormat, err)
+	docLens := wordsOf(d.next(numDocs*4), binary.LittleEndian.Uint32)
+	d.pad8()
+	if d.err != nil {
+		return nil, fmt.Errorf("%w: doc lengths: %v", ErrBadFormat, d.err)
 	}
 
-	var numTerms uint64
-	read(&numTerms)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	// numTerms is untrusted: size the map by what the remaining bytes
+	// could hold, not by what the header claims.
+	ix := &Index{
+		NumDocs:   int(numDocs),
+		DocLens:   docLens,
+		AvgDocLen: avgDocLen,
+		terms:     make(map[string]*PostingList, min(numTerms, uint64(len(data))/minListLen)),
 	}
+	prev := ""
 	for t := uint64(0); t < numTerms; t++ {
-		var termLen uint16
-		read(&termLen)
-		termBytes := make([]byte, termLen)
-		if err == nil {
-			_, err = io.ReadFull(br, termBytes)
-		}
-		var n uint64
-		var numBlocks uint32
-		read(&n)
-		read(&numBlocks)
+		pl, err := d.list()
 		if err != nil {
 			return nil, fmt.Errorf("%w: term %d: %v", ErrBadFormat, t, err)
 		}
-		// Structural sanity: lengths are attacker-controlled input; reject
-		// anything inconsistent before allocating (found by FuzzReadIndex).
-		if n > 1<<34 || uint64(numBlocks) != (n+BlockSize-1)/BlockSize {
-			return nil, fmt.Errorf("%w: term %d: n=%d blocks=%d", ErrBadFormat, t, n, numBlocks)
+		if t > 0 && pl.Term <= prev {
+			return nil, fmt.Errorf("%w: term %d: %q after %q", ErrBadFormat, t, pl.Term, prev)
 		}
-		l := &ef.List{N: int(n), Blocks: make([]ef.Block, numBlocks)}
-		for i := range l.Blocks {
-			blk := &l.Blocks[i]
-			var bn uint16
-			var bb uint8
-			var highLen, highWords, lowWords uint32
-			read(&blk.FirstDocID)
-			read(&bn)
-			read(&bb)
-			read(&highLen)
-			read(&highWords)
-			if err != nil {
-				return nil, fmt.Errorf("%w: block header: %v", ErrBadFormat, err)
-			}
-			// Per-block bounds: <= BlockSize elements; the high-bits array
-			// of an EF block is < 3*BlockSize bits (encoder invariant) and
-			// low bits are at most 32 per element.
-			if bn == 0 || bn > BlockSize || bb > 32 ||
-				highLen > 3*BlockSize || highWords > (3*BlockSize+63)/64 ||
-				uint64(highWords)*64 < uint64(highLen) {
-				return nil, fmt.Errorf("%w: block %d header out of bounds", ErrBadFormat, i)
-			}
-			blk.N = int(bn)
-			blk.B = int(bb)
-			blk.HighLen = int(highLen)
-			blk.HighBits = make([]uint64, highWords)
-			read(blk.HighBits)
-			read(&lowWords)
-			if err != nil {
-				return nil, fmt.Errorf("%w: block high bits: %v", ErrBadFormat, err)
-			}
-			if lowWords > (BlockSize*32+63)/64 {
-				return nil, fmt.Errorf("%w: block %d low bits out of bounds", ErrBadFormat, i)
-			}
-			blk.LowBits = make([]uint64, lowWords)
-			read(blk.LowBits)
-		}
-		var numFreqBlocks uint32
-		read(&numFreqBlocks)
-		if err != nil {
-			return nil, fmt.Errorf("%w: term payload: %v", ErrBadFormat, err)
-		}
-		if uint64(numFreqBlocks) != (n+BlockSize-1)/BlockSize {
-			return nil, fmt.Errorf("%w: freq blocks %d for n=%d", ErrBadFormat, numFreqBlocks, n)
-		}
-		fs := &FreqStore{n: int(n), blocks: make([]freqBlock, numFreqBlocks)}
-		for i := range fs.blocks {
-			var words uint16
-			read(&fs.blocks[i].b)
-			read(&words)
-			if err != nil {
-				return nil, fmt.Errorf("%w: freq block: %v", ErrBadFormat, err)
-			}
-			if fs.blocks[i].b == 0 || fs.blocks[i].b > 32 || words > (BlockSize*32+63)/64 {
-				return nil, fmt.Errorf("%w: freq block %d out of bounds", ErrBadFormat, i)
-			}
-			fs.blocks[i].words = make([]uint64, words)
-			read(fs.blocks[i].words)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: term payload: %v", ErrBadFormat, err)
-		}
-		term := string(termBytes)
-		ix.terms[term] = &PostingList{Term: term, N: int(n), EF: l, Freqs: fs, Skips: skipsOf(l)}
+		prev = pl.Term
+		ix.terms[pl.Term] = pl
+	}
+	if d.off != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-d.off)
 	}
 	return ix, nil
 }
 
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
+// list parses one term record. Its errors are wrapped by the caller.
+func (d *decoder) list() (*PostingList, error) {
+	n := d.u64()
+	numBlocks := uint64(d.u32())
+	term := string(d.next(uint64(d.u16())))
+	d.pad8()
+	if d.err != nil {
+		return nil, d.err
 	}
+	if n > 1<<34 || numBlocks != (n+BlockSize-1)/BlockSize {
+		return nil, fmt.Errorf("n=%d blocks=%d", n, numBlocks)
+	}
+	// The table is taken from the input before anything is allocated
+	// from its counts, so a corrupt numBlocks cannot demand more memory
+	// than the file is long.
+	table := d.next(numBlocks * blockEntryLen)
+	if d.err != nil {
+		return nil, d.err
+	}
+	var efWords, freqWords uint64
+	for i := 0; i < int(numBlocks); i++ {
+		e := entryAt(table, i)
+		bn, b, fb := uint64(e.n), uint64(e.b), uint64(e.freqB)
+		// Every block is full except the last, which holds the rest.
+		if bn != min(BlockSize, n-uint64(i)*BlockSize) {
+			return nil, fmt.Errorf("block %d holds %d of n=%d", i, bn, n)
+		}
+		if b > 32 || e.highLen > maxHighLen || e.highWords > maxHighWords ||
+			uint64(e.highWords)*64 < uint64(e.highLen) ||
+			e.lowWords > maxValueWords || uint64(e.lowWords)*64 < bn*b {
+			return nil, fmt.Errorf("block %d header out of bounds", i)
+		}
+		if fb == 0 || fb > 32 || e.freqWords > maxValueWords || uint64(e.freqWords)*64 < bn*fb {
+			return nil, fmt.Errorf("freq block %d out of bounds", i)
+		}
+		if e.pad != 0 {
+			return nil, fmt.Errorf("block %d padding not zero", i)
+		}
+		efWords += uint64(e.highWords) + uint64(e.lowWords)
+		freqWords += uint64(e.freqWords)
+	}
+	words := wordsOf(d.next((efWords+freqWords)*8), binary.LittleEndian.Uint64)
+	if d.err != nil {
+		return nil, d.err
+	}
+
+	l := &ef.List{N: int(n)}
+	fs := &FreqStore{n: int(n)}
+	if numBlocks > 0 { // an empty list keeps nil slices, like a built one
+		l.Blocks = make([]ef.Block, numBlocks)
+		fs.blocks = make([]freqBlock, numBlocks)
+	}
+	ew, fw := words[:efWords:efWords], words[efWords:]
+	for i := range l.Blocks {
+		e := entryAt(table, i)
+		blk := &l.Blocks[i]
+		blk.FirstDocID, blk.N, blk.B, blk.HighLen = e.firstDocID, int(e.n), int(e.b), int(e.highLen)
+		blk.HighBits, ew = cut(ew, e.highWords)
+		blk.LowBits, ew = cut(ew, e.lowWords)
+		fs.blocks[i].b = e.freqB
+		fs.blocks[i].words, fw = cut(fw, uint32(e.freqWords))
+
+		if i > 0 && blk.FirstDocID <= l.Blocks[i-1].FirstDocID {
+			return nil, fmt.Errorf("block %d first docID %d after %d", i, blk.FirstDocID, l.Blocks[i-1].FirstDocID)
+		}
+		// The unary high-bits array holds one one-bit per element, all
+		// below HighLen: select (Get), the serial decode and the device
+		// kernel's popcount scan all rely on exactly that.
+		if below, total := onesBelow(blk.HighBits, blk.HighLen); below != blk.N || total != blk.N {
+			return nil, fmt.Errorf("block %d: %d ones in %d high bits (%d in all) for n=%d",
+				i, below, blk.HighLen, total, blk.N)
+		}
+	}
+	return &PostingList{Term: term, N: int(n), EF: l, Freqs: fs, Skips: skipsOf(l)}, nil
+}
+
+// blockEntry is one row of a list's block table: the header fields of
+// Elias-Fano block i and of frequency block i.
+type blockEntry struct {
+	firstDocID, highLen, highWords, lowWords uint32
+	n, freqWords                             uint16
+	b, freqB                                 uint8
+	pad                                      uint16 // must be zero
+}
+
+// entryAt decodes row i of a block table.
+func entryAt(table []byte, i int) blockEntry {
+	e, le := table[i*blockEntryLen:][:blockEntryLen], binary.LittleEndian
+	return blockEntry{
+		firstDocID: le.Uint32(e[0:]), highLen: le.Uint32(e[4:]),
+		highWords: le.Uint32(e[8:]), lowWords: le.Uint32(e[12:]),
+		n: le.Uint16(e[16:]), freqWords: le.Uint16(e[18:]),
+		b: e[20], freqB: e[21], pad: le.Uint16(e[22:]),
+	}
+}
+
+// put appends the row to the encoder, in entryAt's layout.
+func (r blockEntry) put(e *encoder) {
+	e.u32(r.firstDocID)
+	e.u32(r.highLen)
+	e.u32(r.highWords)
+	e.u32(r.lowWords)
+	e.u16(r.n)
+	e.u16(r.freqWords)
+	e.u8(r.b)
+	e.u8(r.freqB)
+	e.u16(r.pad)
+}
+
+// cut splits off the first n words of ws, capped so that an append to
+// the piece can never reach its neighbour.
+func cut(ws []uint64, n uint32) (head, rest []uint64) {
+	return ws[:n:n], ws[n:]
+}
+
+// onesBelow counts the one-bits of words at bit positions below nbits,
+// and in all of words.
+func onesBelow(words []uint64, nbits int) (below, total int) {
+	for i, w := range words {
+		total += bits.OnesCount64(w)
+		switch lo := i * 64; {
+		case lo+64 <= nbits:
+			below += bits.OnesCount64(w)
+		case lo < nbits:
+			below += bits.OnesCount64(w & (1<<uint(nbits-lo) - 1))
+		}
+	}
+	return below, total
+}
+
+// decoder consumes little-endian fields from a byte slice, keeping the
+// first error; after one, every read returns zero.
+type decoder struct {
+	buf []byte
+	off int
+	err error
+}
+
+// next returns the next n bytes, or nil once the input is exhausted.
+func (d *decoder) next(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.buf)-d.off) {
+		d.err = fmt.Errorf("truncated at byte %d: need %d, have %d", d.off, n, len(d.buf)-d.off)
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n)]
+	d.off += int(n)
 	return b
+}
+
+func (d *decoder) u16() uint16 {
+	if b := d.next(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+func (d *decoder) u32() uint32 {
+	if b := d.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (d *decoder) u64() uint64 {
+	if b := d.next(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// pad8 skips to the next multiple of 8 bytes; the skipped bytes must be
+// zero.
+func (d *decoder) pad8() {
+	for _, c := range d.next(uint64(-d.off & 7)) {
+		if c != 0 && d.err == nil {
+			d.err = fmt.Errorf("padding before byte %d not zero", d.off)
+		}
+	}
 }

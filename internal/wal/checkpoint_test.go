@@ -3,9 +3,13 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"griffin/internal/fault"
@@ -122,5 +126,65 @@ func TestCheckpointStreamedAllocation(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
 		t.Errorf("checkpointing %d bytes allocated %d, want <= 2 MB", fi.Size(), got)
+	}
+}
+
+// TestReadCheckpointParsesInPlace: loading a checkpoint allocates the
+// file's buffer and the parsed block headers, not a second copy of the
+// payload, and returns the segment that was written; a payload that
+// passes the checksum but is not a current-format index is still an
+// error, not an index.
+func TestReadCheckpointParsesInPlace(t *testing.T) {
+	ix := docLensIndex(t, 4_000_000) // 16 MB of document lengths
+	dir := t.TempDir()
+	path := filepath.Join(dir, "intact.ckpt")
+	if err := writeCheckpoint(path, ix, 9, 42, nil); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, wm, err := readCheckpoint(path, 9)
+	runtime.ReadMemStats(&after)
+	if err != nil || wm != 42 {
+		t.Fatalf("readCheckpoint = watermark %d, %v", wm, err)
+	}
+	if alloc := int64(after.TotalAlloc - before.TotalAlloc); alloc > fi.Size()+fi.Size()/4 {
+		t.Errorf("loading a %d-byte checkpoint allocated %d bytes, want about the file once", fi.Size(), alloc)
+	}
+	if !reflect.DeepEqual(got, ix) {
+		t.Error("the loaded segment is not the checkpointed one")
+	}
+
+	var payload bytes.Buffer
+	if _, err := ix.WriteTo(&payload); err != nil {
+		t.Fatal(err)
+	}
+	old := payload.Bytes()[:4096]
+	binary.LittleEndian.PutUint32(old[4:], 2) // a version-2 payload, correctly framed
+	frame := append([]byte(nil), ckptMagic[:]...)
+	frame = binary.LittleEndian.AppendUint32(frame, ckptVersion)
+	frame = binary.LittleEndian.AppendUint64(frame, 9)
+	frame = binary.LittleEndian.AppendUint64(frame, 42)
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(old)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(old, castagnoli))
+	stale := filepath.Join(dir, "stale.ckpt")
+	if err := os.WriteFile(stale, append(frame, old...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readCheckpoint(stale, 9); err == nil || !strings.Contains(err.Error(), index.ErrBadFormat.Error()) {
+		t.Errorf("version-2 payload: err = %v, want the index format error", err)
+	}
+	if _, _, err := readCheckpoint(path, 10); !errors.Is(err, ErrLineageMismatch) {
+		t.Errorf("foreign lineage: err = %v, want ErrLineageMismatch", err)
+	}
+	if err := os.Truncate(path, ckptHeaderLen-1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readCheckpoint(path, 9); err == nil {
+		t.Error("a file shorter than the header loaded")
 	}
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -461,12 +460,27 @@ func (s *Store) pruneLocked(newest uint64) {
 	}
 }
 
-// readCheckpoint validates and loads one checkpoint file.
+// readCheckpoint validates and loads one checkpoint file. Once the
+// header and checksum hold, the payload is parsed where it was read —
+// the returned index aliases the buffer (index.Parse) — and parsing in
+// place wants the payload 8-byte aligned, so the file is read far enough
+// into its buffer to put byte ckptHeaderLen on an 8-byte boundary.
 func readCheckpoint(path string, lineage uint64) (*index.Index, uint64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	const lead = -ckptHeaderLen & 7
+	buf := make([]byte, lead+fi.Size())
+	if _, err := io.ReadFull(f, buf[lead:]); err != nil {
+		return nil, 0, fmt.Errorf("wal: %s: %w", path, err)
+	}
+	data := buf[lead:]
 	if len(data) < ckptHeaderLen || [4]byte(data[0:4]) != ckptMagic ||
 		binary.LittleEndian.Uint32(data[4:8]) != ckptVersion {
 		return nil, 0, fmt.Errorf("wal: %s: bad checkpoint header", path)
@@ -484,7 +498,7 @@ func readCheckpoint(path string, lineage uint64) (*index.Index, uint64, error) {
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[32:36]) {
 		return nil, 0, fmt.Errorf("wal: %s: checkpoint checksum mismatch", path)
 	}
-	ix, err := index.ReadIndex(bytes.NewReader(payload))
+	ix, err := index.Parse(payload)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wal: %s: %v", path, err)
 	}

@@ -18,6 +18,9 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"griffin/internal/index"
 )
@@ -49,32 +52,42 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	}
 
 	// A term's shard lists are complete once the term is split, so each is
-	// encoded on the spot (the Builder's own encoder) and the raw postings
-	// of one term are all that is ever held.
+	// encoded on the spot (the Builder's own encoder) and a worker only
+	// ever holds the raw postings of the one term it is splitting. Terms
+	// are independent, so they are split on GOMAXPROCS workers; perTerm
+	// keeps the results in term order, which makes the shard indexes the
+	// ones a single goroutine would build.
+	perTerm := make([][]*index.PostingList, len(terms))
+	errs := make([]error, len(terms))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(terms)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([][]uint32, shards)
+			freqs := make([][]uint32, shards)
+			for {
+				t := int(next.Add(1)) - 1
+				if t >= len(terms) {
+					return
+				}
+				pl, _ := ix.Lookup(terms[t])
+				perTerm[t], errs[t] = splitList(pl, codec, ids, freqs)
+			}
+		}()
+	}
+	wg.Wait()
+
 	lists := make([][]*index.PostingList, shards)
-	ids := make([][]uint32, shards)
-	freqs := make([][]uint32, shards)
-	for _, term := range terms {
-		pl, _ := ix.Lookup(term)
-		for s := 0; s < shards; s++ {
-			ids[s] = ids[s][:0]
-			freqs[s] = freqs[s][:0]
+	for t := range terms {
+		if errs[t] != nil {
+			return nil, errs[t]
 		}
-		for i, d := range pl.DocIDs() {
-			s := ShardOf(d, shards)
-			ids[s] = append(ids[s], d)
-			freqs[s] = append(freqs[s], pl.FreqOf(i))
-		}
-		for s := 0; s < shards; s++ {
-			if len(ids[s]) == 0 {
-				continue
+		for s, spl := range perTerm[t] {
+			if spl != nil {
+				lists[s] = append(lists[s], spl)
 			}
-			spl, err := index.SpliceList(term, nil, 0, ids[s], freqs[s], codec)
-			if err != nil {
-				return nil, fmt.Errorf("workload: shard %d: %w", s, err)
-			}
-			spl.GlobalN = pl.N
-			lists[s] = append(lists[s], spl)
 		}
 	}
 
@@ -83,6 +96,34 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	out := make([]*index.Index, shards)
 	for s := range out {
 		out[s] = index.Assemble(lists[s], ix.NumDocs, ix.DocLens, ix.AvgDocLen)
+	}
+	return out, nil
+}
+
+// splitList encodes pl's postings as one list per shard (nil where the
+// shard holds none of them), each stamped with pl's collection-wide
+// document frequency. ids and freqs are the caller's per-shard scratch.
+func splitList(pl *index.PostingList, codec index.Codec, ids, freqs [][]uint32) ([]*index.PostingList, error) {
+	for s := range ids {
+		ids[s] = ids[s][:0]
+		freqs[s] = freqs[s][:0]
+	}
+	for i, d := range pl.DocIDs() {
+		s := ShardOf(d, len(ids))
+		ids[s] = append(ids[s], d)
+		freqs[s] = append(freqs[s], pl.FreqOf(i))
+	}
+	out := make([]*index.PostingList, len(ids))
+	for s := range ids {
+		if len(ids[s]) == 0 {
+			continue
+		}
+		spl, err := index.SpliceList(pl.Term, nil, 0, ids[s], freqs[s], codec)
+		if err != nil {
+			return nil, fmt.Errorf("workload: shard %d: %w", s, err)
+		}
+		spl.GlobalN = pl.N
+		out[s] = spl
 	}
 	return out, nil
 }
