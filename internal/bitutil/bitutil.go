@@ -1,6 +1,7 @@
 // Package bitutil provides low-level bit manipulation primitives shared by
-// the compression codecs and GPU kernels: bit-granular readers and writers,
-// unary coding, popcount/select lookup tables, and prefix sums.
+// the compression codecs and GPU kernels: word-at-a-time packing of
+// fixed-width fields, bit-granular readers and writers, unary coding,
+// popcount/select lookup tables, and prefix sums.
 //
 // All multi-word layouts are little-endian within a []uint64 word stream:
 // bit i of the stream is bit (i % 64) of word (i / 64).
@@ -144,6 +145,62 @@ func GetBits(words []uint64, p, width int) uint64 {
 		v &= (1 << uint(width)) - 1
 	}
 	return v
+}
+
+// Pack stores the low width bits of every src value as contiguous
+// width-bit fields from bit 0 of words — the stream a Writer produces from
+// one WriteBits(v, width) per value — a word at a time: fields gather in a
+// register and each word of words is stored once. words must hold
+// len(src)*width bits; every word the fields touch is overwritten, none
+// is read. width must be in [0, 32].
+func Pack(words []uint64, src []uint32, width int) {
+	if width == 0 {
+		return
+	}
+	w, mask := uint(width), uint64(1)<<uint(width)-1
+	var acc uint64
+	fill, wi := uint(0), 0
+	for _, s := range src {
+		v := uint64(s) & mask
+		acc |= v << fill
+		if fill += w; fill >= WordBits {
+			words[wi] = acc
+			wi++
+			fill -= WordBits
+			acc = v >> (w - fill) // the bits of v the stored word had no room for
+		}
+	}
+	if fill > 0 {
+		words[wi] = acc
+	}
+}
+
+// Unpack reads len(dst) contiguous width-bit fields from bit 0 of words
+// into dst: GetBits(words, i*width, width) for every i, a word at a time
+// — the fields that lie inside one word are shifted out of a register,
+// and only the field that straddles two words reads both. width must be
+// in [0, 32].
+func Unpack(dst []uint32, words []uint64, width int) {
+	if width == 0 {
+		clear(dst)
+		return
+	}
+	w, mask := uint(width), uint64(1)<<uint(width)-1
+	i, off := 0, uint(0) // off: bit position in words[wi] of field i
+	for wi := 0; i < len(dst); wi++ {
+		word := words[wi] >> off
+		for ; off+w <= WordBits && i < len(dst); off += w {
+			dst[i] = uint32(word & mask)
+			word >>= w
+			i++
+		}
+		if off < WordBits && i < len(dst) {
+			dst[i] = uint32((word | words[wi+1]<<(WordBits-off)) & mask)
+			i++
+			off += w
+		}
+		off -= WordBits
+	}
 }
 
 // Popcount returns the number of set bits in w.

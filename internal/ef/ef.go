@@ -19,6 +19,8 @@ package ef
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"griffin/internal/bitutil"
 )
@@ -59,7 +61,12 @@ type List struct {
 	Blocks []Block
 }
 
-// Compress encodes a strictly ascending docID list.
+// Compress encodes a strictly ascending docID list. Nothing is allocated
+// per block: the list's words — per block the high-bits words, then the
+// low-bits words, the layout index.Parse gives a list opened from a file
+// — are sized before anything is encoded and cut from slabs of at most
+// ChunkWords words, the last one exact. A list of up to ChunkWords words
+// (some 3 500 postings) is the list header, the block table and one slab.
 func Compress(docIDs []uint32) (*List, error) {
 	for i := 1; i < len(docIDs); i++ {
 		if docIDs[i] <= docIDs[i-1] {
@@ -68,62 +75,160 @@ func Compress(docIDs []uint32) (*List, error) {
 		}
 	}
 	l := &List{N: len(docIDs)}
-	for start := 0; start < len(docIDs); start += BlockSize {
-		end := start + BlockSize
-		if end > len(docIDs) {
-			end = len(docIDs)
-		}
-		l.Blocks = append(l.Blocks, compressBlock(docIDs[start:end]))
+	if len(docIDs) == 0 {
+		return l, nil
+	}
+	// A block's shape follows from its first and last docID alone, so
+	// sizing the list reads two values per block.
+	l.Blocks = make([]Block, (len(docIDs)+BlockSize-1)/BlockSize)
+	left := 0
+	for k := range l.Blocks {
+		left += l.Blocks[k].shape(blockOf(docIDs, k))
+	}
+	var slab []uint64
+	for k := range l.Blocks {
+		blk := &l.Blocks[k]
+		slab = Slab(slab, blk.words(), left)
+		left -= blk.words()
+		slab = blk.encode(blockOf(docIDs, k), slab)
 	}
 	return l, nil
 }
 
-func compressBlock(ids []uint32) Block {
-	n := len(ids)
-	first := ids[0]
-	u := uint64(ids[n-1] - first) // local universe (v_{n-1})
-	// b = floor(log2(U/n)) per the paper; 0 when U < n (dense runs).
-	b := 0
-	if u/uint64(n) >= 1 {
-		b = bitutil.Log2Floor(u / uint64(n))
-	}
+// ChunkWords is the most words one slab of an encoded list holds: 4 KB,
+// some 3 500 postings' worth. A list longer than that is cut from several
+// slabs rather than one, because a list spliced from it
+// (index.SpliceList) shares its leading blocks by reference and so keeps
+// alive every slab one of them lies in, dead tail included: with slabs
+// of bounded size a merged segment holds on to a few KB per list it
+// shares, not to a copy of the list per merge.
+const ChunkWords = 512
 
-	low := bitutil.NewWriter(n * b)
-	high := bitutil.NewWriter(2 * n)
-	prevHigh := uint64(0)
-	for _, id := range ids {
-		v := uint64(id - first)
-		low.WriteBits(v, b) // no-op when b == 0
-		h := v >> uint(b)
-		high.WriteUnary(int(h - prevHigh))
-		prevHigh = h
+// Slab returns zeroed words to cut a block of need words from: slab
+// itself if it has that many left, else a new slab of ChunkWords words —
+// fewer when fewer than that, left, are still to be cut in all, more when
+// the one block needs more.
+func Slab(slab []uint64, need, left int) []uint64 {
+	if need <= len(slab) {
+		return slab
 	}
-	return Block{
-		FirstDocID: first,
-		N:          n,
-		B:          b,
-		HighBits:   high.Words(),
-		HighLen:    high.Len(),
-		LowBits:    low.Words(),
+	return make([]uint64, max(need, min(ChunkWords, left)))
+}
+
+// blockOf returns the docIDs of block k of a list.
+func blockOf(docIDs []uint32, k int) []uint32 {
+	return docIDs[k*BlockSize : min((k+1)*BlockSize, len(docIDs))]
+}
+
+// shape fills in the block's header for ids (1 to BlockSize ascending
+// docIDs) and returns how many words its two arrays take.
+func (b *Block) shape(ids []uint32) int {
+	n := len(ids)
+	u := uint64(ids[n-1] - ids[0]) // local universe (v_{n-1})
+	b.FirstDocID, b.N = ids[0], n
+	// b = floor(log2(U/n)) per the paper; 0 when U < n (dense runs).
+	b.B = 0
+	if u/uint64(n) >= 1 {
+		b.B = bitutil.Log2Floor(u / uint64(n))
 	}
+	// Element i's one-bit sits at (v_i >> b) + i, so the last element
+	// ends the array.
+	b.HighLen = int(u>>uint(b.B)) + n
+	return b.words()
+}
+
+// words returns how many words the block's two arrays take, from its header.
+func (b *Block) words() int {
+	return bitutil.WordsFor(b.HighLen) + bitutil.WordsFor(b.N*b.B)
+}
+
+// encode writes ids into the first words of slab, which must be zero and
+// which become the block's HighBits and LowBits (shape has sized them),
+// and returns the rest of slab. Each high bit is set where it belongs and
+// the low parts are packed a word at a time; no bit is appended to
+// anything.
+func (b *Block) encode(ids []uint32, slab []uint64) (rest []uint64) {
+	hw, lw := bitutil.WordsFor(b.HighLen), bitutil.WordsFor(b.N*b.B)
+	b.HighBits, b.LowBits, rest = slab[:hw:hw], slab[hw:hw+lw:hw+lw], slab[hw+lw:]
+	var vs [BlockSize]uint32
+	for i, id := range ids {
+		v := id - b.FirstDocID
+		vs[i] = v
+		h := uint(v>>uint(b.B)) + uint(i)
+		b.HighBits[h/bitutil.WordBits] |= 1 << (h % bitutil.WordBits)
+	}
+	bitutil.Pack(b.LowBits, vs[:len(ids)], b.B) // no-op when B == 0
+	return rest
+}
+
+// Encoder builds Lists from blocks handed over one at a time, for a
+// caller that produces a list's docIDs in block-sized pieces and never
+// holds them all (a shard split): Append every block, then Finish. The
+// lists are the ones Compress returns, except that an Encoder cannot size
+// a list's last slab before the list ends: every slab has ChunkWords
+// words, and the unused part of one carries over to the Encoder's next
+// list. The zero value is ready for use.
+type Encoder struct {
+	n      int
+	last   uint32   // the last docID appended
+	blocks []Block  // the current list's, copied out by Finish
+	slab   []uint64 // the words of the current slab no block has been given
+}
+
+// Append encodes ids as the list's next block: BlockSize docIDs — fewer
+// only in a list's last block — strictly ascending and above every docID
+// appended before.
+func (e *Encoder) Append(ids []uint32) error {
+	if len(ids) == 0 || len(ids) > BlockSize || e.n%BlockSize != 0 {
+		return fmt.Errorf("ef: block of %d docIDs appended after %d", len(ids), e.n)
+	}
+	prev, hasPrev := e.last, e.n > 0
+	for i, id := range ids {
+		if hasPrev && id <= prev {
+			return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, id, prev)
+		}
+		prev, hasPrev = id, true
+	}
+	var blk Block
+	e.slab = Slab(e.slab, blk.shape(ids), ChunkWords)
+	e.slab = blk.encode(ids, e.slab)
+	if len(e.blocks) == cap(e.blocks) {
+		// Doubling: the table is reused from list to list, and settles at
+		// its longest having allocated less than twice that.
+		e.blocks = slices.Grow(e.blocks, max(16, len(e.blocks)))
+	}
+	e.blocks = append(e.blocks, blk)
+	e.n, e.last = e.n+len(ids), prev
+	return nil
+}
+
+// Finish returns the list of the blocks appended since the last Finish
+// and readies the Encoder for the next list.
+func (e *Encoder) Finish() *List {
+	l := &List{N: e.n}
+	if len(e.blocks) > 0 { // an empty list keeps nil Blocks, as from Compress
+		l.Blocks = slices.Clone(e.blocks)
+	}
+	e.n, e.blocks = 0, e.blocks[:0]
+	return l
 }
 
 // DecompressInto decodes the block's docIDs into dst, which must have
 // capacity for Block.N values, and returns the count. This is the serial
-// CPU decode: scan the unary high-bits array accumulating zero-counts,
-// concatenating each recovered high part with its low bits.
+// CPU decode, a block at a time: the low parts are unpacked in one run,
+// then the set bits of the high words are walked with a trailing-zeros
+// count — element i's one-bit at position p gives its high part p - i.
 func (b *Block) DecompressInto(dst []uint32) int {
-	r := bitutil.NewReader(b.HighBits)
-	var high uint64
-	lowPos := 0
-	for i := 0; i < b.N; i++ {
-		high += uint64(r.ReadUnary())
-		var low uint64
-		if b.B > 0 {
-			low = bitutil.GetBits(b.LowBits, lowPos, b.B)
-			lowPos += b.B
+	dst = dst[:b.N]
+	bitutil.Unpack(dst, b.LowBits, b.B)
+	first, shift := b.FirstDocID, uint(b.B)&63 // B <= 32; the mask spares the loop a range check
+	i := 0
+	for wi, w := range b.HighBits {
+		for base := wi * bitutil.WordBits; w != 0 && i < len(dst); w &= w - 1 {
+			high := uint64(base + bits.TrailingZeros64(w) - i)
+			dst[i] = first + (uint32(high<<shift) | dst[i])
+			i++
 		}
-		dst[i] = b.FirstDocID + uint32(high<<uint(b.B)|low)
 	}
 	return b.N
 }
@@ -151,11 +256,10 @@ func (b *Block) Get(i int) uint32 {
 
 // Decompress decodes the whole list into a fresh slice of docIDs.
 func (l *List) Decompress() []uint32 {
-	out := make([]uint32, 0, l.N)
-	buf := make([]uint32, BlockSize)
+	out := make([]uint32, l.N)
+	off := 0
 	for i := range l.Blocks {
-		n := l.Blocks[i].DecompressInto(buf)
-		out = append(out, buf[:n]...)
+		off += l.Blocks[i].DecompressInto(out[off:])
 	}
 	return out
 }

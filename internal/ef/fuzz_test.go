@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzRoundTrip feeds arbitrary gap bytes through compress/decompress and
-// checks the identity, plus random-access agreement. Run with
+// checks the identity, plus random-access agreement, and holds the
+// encoding and both decoders to the reference codec (reference_test.go). Run with
 // `go test -fuzz=FuzzRoundTrip ./internal/ef/` for continuous fuzzing;
 // the seed corpus runs as a normal test.
 func FuzzRoundTrip(f *testing.F) {
@@ -37,5 +38,18 @@ func FuzzRoundTrip(f *testing.F) {
 				t.Fatalf("Get(%d) = %d, want %d", i, v, ids[i])
 			}
 		}
+		// The same bytes as the bit-at-a-time reference encoder, and the
+		// same docIDs from both decoders and from Get at every position.
+		checkAgainstReference(t, ids)
+		// The gaps again, 2^20 times as wide: low-bit fields of 20 bits
+		// and more, docIDs up to the top of the 32-bit space.
+		wide := make([]uint32, 0, len(ids))
+		for _, id := range ids {
+			if uint64(id)<<20 >= 1<<32 {
+				break
+			}
+			wide = append(wide, id<<20|id&0xfffff)
+		}
+		checkAgainstReference(t, wide)
 	})
 }

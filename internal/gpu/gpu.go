@@ -204,23 +204,42 @@ func (b *Buffer) Free() {
 }
 
 // Kernel describes one launch: a grid of Grid blocks of Block threads,
-// executing Phases in order with an implicit device-wide barrier between
-// consecutive phases. MakeShared, if non-nil, allocates each block's
-// shared-memory state before phase 0; SharedBytes is its modeled size.
+// executing Phases in order with a barrier between consecutive phases.
+// A barrier is device-wide — every block finishes phase i before any
+// block starts phase i+1 — unless BlockLocal declares it a __syncthreads.
+// MakeShared, if non-nil, allocates shared-memory state; SharedBytes is
+// its modeled size.
 type Kernel struct {
 	Name        string
 	Grid        int
 	Block       int
 	SharedBytes int
-	MakeShared  func(block int) any
-	Phases      []Phase
-	// Lane0, when Lane0[i] is set, declares that only thread 0 of each
-	// block works in Phases[i] (a tile scan, a per-block boundary search):
-	// the phase is invoked once per block, with Thread == 0, instead of once
-	// per thread. Counters and modeled time are those of the full block — the
-	// idle lanes report nothing either way; only the host saves the calls.
-	// May be shorter than Phases (missing entries are false).
+	// MakeShared allocates one shared-memory object. A kernel with a
+	// device-wide barrier gets one per block (the argument is the block),
+	// made before phase 0 and kept across its barriers. A kernel whose
+	// barriers are all block-local gets one per host worker (the argument
+	// is the worker), handed to every block that worker runs: a block
+	// finds in it whatever the previous block left, as shared memory is
+	// uninitialised on hardware, and must write what it reads.
+	MakeShared func(i int) any
+	Phases     []Phase
+	// Lane0, when Lane0[i] is set, declares that Phases[i] is invoked once
+	// per block, with Thread == 0, instead of once per thread. The phase
+	// either has work for one lane only (a tile scan, a per-block boundary
+	// search) or loops over its block's lanes itself and reports each
+	// lane's counters as that lane would have. Counters and modeled time
+	// are those of the full block either way; only the host saves the
+	// calls. May be shorter than Phases (missing entries are false).
 	Lane0 []bool
+	// BlockLocal, when BlockLocal[i] is set, declares the barrier between
+	// Phases[i] and Phases[i+1] block-local (__syncthreads, not a grid
+	// sync): from there to the next device-wide barrier a block reads only
+	// what its own threads wrote since the last one. Launch then runs each
+	// block through the phases such barriers join back to back on one host
+	// worker, instead of sweeping the grid once per phase. Counters and
+	// modeled time do not depend on it. May be shorter than Phases
+	// (missing entries are false: device-wide).
+	BlockLocal []bool
 }
 
 // Phase is one barrier-delimited stage of a kernel, invoked once per
@@ -302,28 +321,29 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 		Phases:          len(k.Phases),
 	}
 
-	shared := k.sharedState()
-
 	// One context per host worker, reused across blocks and phases.
 	workers := max(1, min(d.workers, k.Grid))
 	ctxs := make([]Ctx, workers)
 	for w := range ctxs {
 		ctxs[w].Grid, ctxs[w].BlockDim = k.Grid, k.Block
 	}
+	shared := k.sharedState(ctxs)
 
-	for i, phase := range k.Phases {
-		threads := k.Block
-		if i < len(k.Lane0) && k.Lane0[i] {
-			threads = 1
+	// A run is a stretch of phases joined by block-local barriers: every
+	// block goes through all of it on one worker. Runs are separated by
+	// device-wide barriers: the parallel-for over all blocks completes
+	// before the next run starts.
+	for lo, hi := 0, 0; lo < len(k.Phases); lo = hi {
+		hi = lo + 1
+		for hi < len(k.Phases) && flagAt(k.BlockLocal, hi-1) {
+			hi++
 		}
-		// Device-wide barrier between phases: complete the parallel-for
-		// over all blocks before starting the next phase.
 		if workers == 1 {
 			for b := 0; b < k.Grid; b++ {
-				ctxs[0].runBlock(phase, shared, b, threads)
+				ctxs[0].runBlock(k, shared, b, lo, hi)
 			}
 		} else {
-			parallelFor(k.Grid, workers, func(w, b int) { ctxs[w].runBlock(phase, shared, b, threads) })
+			parallelFor(k.Grid, workers, func(w, b int) { ctxs[w].runBlock(k, shared, b, lo, hi) })
 		}
 		for w := range ctxs {
 			total.Add(&ctxs[w].stats)
@@ -338,10 +358,26 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 	return total
 }
 
-// sharedState allocates each block's shared-memory state; nil for kernels
-// that use none.
-func (k *Kernel) sharedState() []any {
+// flagAt reads an optional per-phase flag slice (Kernel.Lane0, BlockLocal).
+func flagAt(flags []bool, i int) bool { return i < len(flags) && flags[i] }
+
+// sharedState allocates the launch's shared-memory objects. When every
+// barrier is block-local, a block's shared memory is dead once the block
+// has run, so each worker's context gets one object for all its blocks
+// and nil is returned; otherwise one object per block is returned, which
+// runBlock attaches. nil for kernels that use none.
+func (k *Kernel) sharedState(ctxs []Ctx) []any {
 	if k.MakeShared == nil {
+		return nil
+	}
+	perWorker := true
+	for i := 0; i < len(k.Phases)-1; i++ {
+		perWorker = perWorker && flagAt(k.BlockLocal, i)
+	}
+	if perWorker {
+		for w := range ctxs {
+			ctxs[w].Shared = k.MakeShared(w)
+		}
 		return nil
 	}
 	shared := make([]any, k.Grid)
@@ -351,16 +387,23 @@ func (k *Kernel) sharedState() []any {
 	return shared
 }
 
-// runBlock runs the first threads threads of block b through one phase
-// on c.
-func (c *Ctx) runBlock(phase Phase, shared []any, b, threads int) {
+// runBlock runs block b through Phases[lo:hi] on c: every thread of the
+// block through one phase (thread 0 alone for a Lane0 phase), then the
+// next.
+func (c *Ctx) runBlock(k *Kernel, shared []any, b, lo, hi int) {
 	c.Block = b
 	if shared != nil {
 		c.Shared = shared[b]
 	}
-	for t := 0; t < threads; t++ {
-		c.Thread = t
-		phase(c)
+	for i := lo; i < hi; i++ {
+		phase, threads := k.Phases[i], k.Block
+		if flagAt(k.Lane0, i) {
+			threads = 1
+		}
+		for t := 0; t < threads; t++ {
+			c.Thread = t
+			phase(c)
+		}
 	}
 }
 

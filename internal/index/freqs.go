@@ -1,6 +1,11 @@
 package index
 
-import "griffin/internal/bitutil"
+import (
+	"slices"
+
+	"griffin/internal/bitutil"
+	"griffin/internal/ef"
+)
 
 // FreqStore holds a posting list's within-document term frequencies in
 // bit-packed 128-entry blocks: each block stores its values at the fixed
@@ -19,27 +24,84 @@ type freqBlock struct {
 	words []uint64
 }
 
-// PackFreqs compresses a frequency array.
+// PackFreqs compresses a frequency array. Like ef.Compress it sizes the
+// list first (a block's width is that of the OR of its values) and packs
+// every block, a word at a time, into slabs of at most ef.ChunkWords
+// words: nothing is allocated per block.
 func PackFreqs(freqs []uint32) *FreqStore {
 	fs := &FreqStore{n: len(freqs)}
-	for start := 0; start < len(freqs); start += BlockSize {
-		end := start + BlockSize
-		if end > len(freqs) {
-			end = len(freqs)
-		}
-		chunk := freqs[start:end]
-		b := 1
-		for _, f := range chunk {
-			if w := bitutil.BitsFor(uint64(f)); w > b {
-				b = w
-			}
-		}
-		w := bitutil.NewWriter(len(chunk) * b)
-		for _, f := range chunk {
-			w.WriteBits(uint64(f), b)
-		}
-		fs.blocks = append(fs.blocks, freqBlock{b: uint8(b), words: w.Words()})
+	if len(freqs) == 0 {
+		return fs
 	}
+	fs.blocks = make([]freqBlock, (len(freqs)+BlockSize-1)/BlockSize)
+	left := 0
+	for k := range fs.blocks {
+		left += fs.blocks[k].shape(freqBlockOf(freqs, k))
+	}
+	var slab []uint64
+	for k := range fs.blocks {
+		chunk := freqBlockOf(freqs, k)
+		need := bitutil.WordsFor(len(chunk) * int(fs.blocks[k].b))
+		slab = ef.Slab(slab, need, left)
+		left -= need
+		slab = fs.blocks[k].pack(chunk, slab)
+	}
+	return fs
+}
+
+// freqBlockOf returns the frequencies of block k of a list.
+func freqBlockOf(freqs []uint32, k int) []uint32 {
+	return freqs[k*BlockSize : min((k+1)*BlockSize, len(freqs))]
+}
+
+// shape sets the block's width for chunk and returns its word count.
+func (fb *freqBlock) shape(chunk []uint32) int {
+	var or uint32
+	for _, f := range chunk {
+		or |= f
+	}
+	fb.b = uint8(bitutil.BitsFor(uint64(or)))
+	return bitutil.WordsFor(len(chunk) * int(fb.b))
+}
+
+// pack packs chunk at the block's width into the first words of slab,
+// which become the block's words, and returns the rest of slab.
+func (fb *freqBlock) pack(chunk []uint32, slab []uint64) (rest []uint64) {
+	n := bitutil.WordsFor(len(chunk) * int(fb.b))
+	fb.words, rest = slab[:n:n], slab[n:]
+	bitutil.Pack(fb.words, chunk, int(fb.b))
+	return rest
+}
+
+// freqEncoder is PackFreqs for lists that arrive a block at a time; like
+// ef.Encoder, which see, it cuts every slab at ef.ChunkWords words and
+// carries a partly used one over to its next list.
+type freqEncoder struct {
+	n      int
+	blocks []freqBlock // the current list's, copied out by finish
+	slab   []uint64    // the words of the current slab no block has been given
+}
+
+// append packs chunk as the list's next block.
+func (e *freqEncoder) append(chunk []uint32) {
+	var fb freqBlock
+	e.slab = ef.Slab(e.slab, fb.shape(chunk), ef.ChunkWords)
+	e.slab = fb.pack(chunk, e.slab)
+	if len(e.blocks) == cap(e.blocks) {
+		e.blocks = slices.Grow(e.blocks, max(16, len(e.blocks))) // doubling, as in ef.Encoder
+	}
+	e.blocks = append(e.blocks, fb)
+	e.n += len(chunk)
+}
+
+// finish returns the store of the blocks appended since the last finish
+// and readies the encoder for the next list.
+func (e *freqEncoder) finish() *FreqStore {
+	fs := &FreqStore{n: e.n}
+	if len(e.blocks) > 0 { // an empty store keeps nil blocks, as from PackFreqs
+		fs.blocks = slices.Clone(e.blocks)
+	}
+	e.n, e.blocks = 0, e.blocks[:0]
 	return fs
 }
 
@@ -52,11 +114,20 @@ func (fs *FreqStore) At(i int) uint32 {
 	return uint32(bitutil.GetBits(blk.words, (i%BlockSize)*int(blk.b), int(blk.b)))
 }
 
+// DecodeBlock unpacks the frequencies of block k — those of the postings
+// ef block k holds — into dst, which must have capacity for them, and
+// returns their count.
+func (fs *FreqStore) DecodeBlock(k int, dst []uint32) int {
+	n := min(BlockSize, fs.n-k*BlockSize)
+	bitutil.Unpack(dst[:n], fs.blocks[k].words, int(fs.blocks[k].b))
+	return n
+}
+
 // Decode returns all frequencies as a fresh slice.
 func (fs *FreqStore) Decode() []uint32 {
 	out := make([]uint32, fs.n)
-	for i := range out {
-		out[i] = fs.At(i)
+	for k := range fs.blocks {
+		fs.DecodeBlock(k, out[k*BlockSize:])
 	}
 	return out
 }

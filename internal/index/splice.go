@@ -21,16 +21,12 @@ import (
 // DecodeFrom decodes the postings of blocks [k, end): docIDs and their
 // parallel frequencies, as fresh slices.
 func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
-	skip := k * BlockSize
-	n := p.N - skip
-	ids = make([]uint32, n)
-	off := 0
+	n := p.N - k*BlockSize
+	ids, freqs = make([]uint32, n), make([]uint32, n)
 	for i := k; i < len(p.EF.Blocks); i++ {
-		off += p.EF.Blocks[i].DecompressInto(ids[off:])
-	}
-	freqs = make([]uint32, n)
-	for i := range freqs {
-		freqs[i] = p.Freqs.At(skip + i)
+		off := (i - k) * BlockSize
+		p.EF.Blocks[i].DecompressInto(ids[off:])
+		p.Freqs.DecodeBlock(i, freqs[off:])
 	}
 	return ids, freqs
 }
@@ -81,6 +77,60 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec
 	}
 	pl.Skips = skipsOf(pl.EF)
 	return pl, nil
+}
+
+// ListEncoder encodes posting lists from postings handed over a block at
+// a time, for a caller that never holds a whole list (the shard split):
+// Append as many blocks as the list has, then Finish. The list is the one
+// SpliceList(term, nil, 0, ...) encodes from the same postings, except
+// that its words are cut from chunks shared with the encoder's other
+// lists (see ef.Encoder). The zero value encodes CodecEF.
+type ListEncoder struct {
+	// Codec selects the compressed forms, as for SpliceList.
+	Codec Codec
+
+	ef    ef.Encoder
+	freqs freqEncoder
+	pfd   []pfordelta.Block
+}
+
+// Append encodes the list's next block: BlockSize postings — fewer only
+// in its last block — with ids strictly ascending and above every docID
+// appended before, and freqs parallel.
+func (e *ListEncoder) Append(ids, freqs []uint32) error {
+	if len(freqs) != len(ids) {
+		return fmt.Errorf("index: %d freqs for %d docIDs", len(freqs), len(ids))
+	}
+	if err := e.ef.Append(ids); err != nil {
+		return err
+	}
+	e.freqs.append(freqs)
+	if e.Codec == CodecBoth {
+		// A PForDelta block is encoded from its own elements alone, so
+		// the one-block list of ids holds exactly the list's next block.
+		l, err := pfordelta.Compress(ids)
+		if err != nil {
+			return err
+		}
+		e.pfd = append(e.pfd, l.Blocks...)
+	}
+	return nil
+}
+
+// Len returns the number of postings appended since the last Finish.
+func (e *ListEncoder) Len() int { return e.freqs.n }
+
+// Finish returns term's list of the blocks appended since the last
+// Finish and readies the encoder for the next list.
+func (e *ListEncoder) Finish(term string) *PostingList {
+	pl := &PostingList{Term: term, EF: e.ef.Finish(), Freqs: e.freqs.finish()}
+	pl.N = pl.EF.N
+	if e.Codec == CodecBoth {
+		pl.PFD = &pfordelta.List{N: pl.N, Blocks: e.pfd}
+		e.pfd = nil
+	}
+	pl.Skips = skipsOf(pl.EF)
+	return pl
 }
 
 // skipsOf derives a list's skip pointers from its block headers.

@@ -15,6 +15,9 @@ import "griffin/internal/gpu"
 //  3. gather: thread k copies its counts[k] matches to
 //     out[tileOffset+offset[k]:], so the output keeps thread order.
 //
+// All three are invoked once per block (gpu.Kernel.Lane0); the gather
+// loops over its block's threads and charges each one's counters.
+//
 // The output buffer is allocated before the launch at the intersection's
 // upper bound; nothing here needs the total to size anything. A tail built
 // for fewer blocks than the launch has covers the leading ones: the rest of
@@ -83,19 +86,19 @@ func (t *compactTail) phases(out []uint32, emit func(c *gpu.Ctx, k int, dst []ui
 		if c.Block >= grid {
 			return
 		}
-		if c.Thread == 0 {
-			c.GlobalRead(4) // the tile's offset, broadcast to the block
+		c.GlobalRead(4) // the tile's offset, broadcast to the block
+		lo := c.Block * ThreadsPerBlock
+		for k := lo; k < lo+ThreadsPerBlock; k++ {
+			n := int(t.counts[k])
+			if n == 0 {
+				continue
+			}
+			at := int(t.tileOffsets[c.Block] + t.offsets[k])
+			emit(c, k, out[at:at+n])
+			c.SharedAccess(4) // the thread's offset
+			c.Op(n)
+			c.GlobalWrite(4 * n)
 		}
-		k := c.GlobalID()
-		n := int(t.counts[k])
-		if n == 0 {
-			return
-		}
-		at := int(t.tileOffsets[c.Block] + t.offsets[k])
-		emit(c, k, out[at:at+n])
-		c.SharedAccess(4) // the thread's offset
-		c.Op(n)
-		c.GlobalWrite(4 * n)
 	}
-	return []gpu.Phase{tileScan, totalScan, gather}, []bool{true, true, false}
+	return []gpu.Phase{tileScan, totalScan, gather}, []bool{true, true, true}
 }

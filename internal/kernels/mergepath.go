@@ -136,7 +136,7 @@ func IntersectMergePath(s *gpu.Stream, aBuf, bBuf *gpu.Buffer) (*IntersectResult
 		Grid:        g.Blocks,
 		Block:       ThreadsPerBlock,
 		SharedBytes: 2 * tile * 4,
-		Lane0:       append([]bool{true, false}, tailLane0...),
+		Lane0:       append([]bool{true, true}, tailLane0...),
 		Phases: append([]gpu.Phase{
 			// Phase 1: coarse diagonal search, one boundary per block.
 			func(c *gpu.Ctx) {
@@ -146,72 +146,70 @@ func IntersectMergePath(s *gpu.Stream, aBuf, bBuf *gpu.Buffer) (*IntersectResult
 				c.UncoalescedRead(8 * probes)
 			},
 			// Phase 2: stage the block's partition pair through shared
-			// memory, fine-partition per thread, merge serially.
+			// memory, fine-partition per thread, merge serially. Invoked
+			// once per block; the loop below is the block's threads.
 			func(c *gpu.Ctx) {
 				blkLo := c.Block * tile
 				blkHi := min(blkLo+tile, total)
-				if c.Thread == 0 {
-					// The cooperative staging load: every element of the
-					// block's A- and B-ranges moves global -> shared once,
-					// coalesced. Charged once per block.
-					loadBytes := 4 * (blkHi - blkLo)
-					c.GlobalRead(loadBytes)
-					c.SharedAccess(loadBytes)
-				}
+				// The cooperative staging load: every element of the
+				// block's A- and B-ranges moves global -> shared once,
+				// coalesced. Charged once per block.
+				loadBytes := 4 * (blkHi - blkLo)
+				c.GlobalRead(loadBytes)
+				c.SharedAccess(loadBytes)
 
-				d := blkLo + c.Thread*vt
-				if d >= blkHi {
-					return
-				}
-				// The fine diagonal search runs against the staged copy:
-				// shared-memory traffic, full occupancy.
 				aLo, aHi := int(blockA[c.Block]), int(blockA[c.Block+1])
-				i, probes := diagonalSearch(a, b, aLo, aHi, blkLo-aLo, blkHi-aHi, d)
-				c.Op(probes)
-				c.SharedAccess(8 * probes)
+				// Threads whose diagonal lies past the block's end idle.
+				for t, d := 0, blkLo; t < ThreadsPerBlock && d < blkHi; t, d = t+1, d+vt {
+					// The fine diagonal search runs against the staged copy:
+					// shared-memory traffic, full occupancy.
+					i, probes := diagonalSearch(a, b, aLo, aHi, blkLo-aLo, blkHi-aHi, d)
+					c.Op(probes)
+					c.SharedAccess(8 * probes)
 
-				// Walk the thread's steps of the path from (i, j). Ties
-				// advance A first, so a match is an A-step followed by a
-				// B-step.
-				j := d - i
-				left := min(vt, blkHi-d)
-				kIdx := c.GlobalID()
-				found := staged[kIdx*stride:]
-				n, iters := 0, 0
-				// Straddle check: a match split across the partition
-				// boundary has its A-copy as the previous partition's last
-				// step and its B-copy as this partition's first.
-				if i > 0 && j < len(b) && b[j] == a[i-1] {
-					found[n] = b[j]
-					n++
-					j++
-					left--
-				}
-				for left > 0 && i < len(a) && j < len(b) {
-					iters++
-					switch {
-					case a[i] < b[j]:
-						i++
-						left--
-					case a[i] > b[j]:
-						j++
-						left--
-					case left == 1:
-						// The B-copy is the next partition's first step;
-						// its straddle check claims the match.
-						left = 0
-					default:
-						found[n] = a[i]
+					// Walk the thread's steps of the path from (i, j). Ties
+					// advance A first, so a match is an A-step followed by a
+					// B-step.
+					j := d - i
+					left := min(vt, blkHi-d)
+					kIdx := c.Block*ThreadsPerBlock + t
+					found := staged[kIdx*stride:]
+					n, iters := 0, 0
+					// Straddle check: a match split across the partition
+					// boundary has its A-copy as the previous partition's last
+					// step and its B-copy as this partition's first.
+					if i > 0 && j < len(b) && b[j] == a[i-1] {
+						found[n] = b[j]
 						n++
-						i++
 						j++
-						left -= 2
+						left--
 					}
+					for left > 0 && i < len(a) && j < len(b) {
+						iters++
+						switch {
+						case a[i] < b[j]:
+							i++
+							left--
+						case a[i] > b[j]:
+							j++
+							left--
+						case left == 1:
+							// The B-copy is the next partition's first step;
+							// its straddle check claims the match.
+							left = 0
+						default:
+							found[n] = a[i]
+							n++
+							i++
+							j++
+							left -= 2
+						}
+					}
+					tail.counts[kIdx] = int32(n)
+					c.Op(iters)
+					c.SharedAccess(4*iters + 12) // one new element per step after the first pair; the count
+					c.GlobalWrite(4 * n)         // matches staged for the gather
 				}
-				tail.counts[kIdx] = int32(n)
-				c.Op(iters)
-				c.SharedAccess(4*iters + 12) // one new element per step after the first pair; the count
-				c.GlobalWrite(4 * n)         // matches staged for the gather
 			},
 		}, tailPhases...),
 	}

@@ -31,8 +31,8 @@ func UploadEF(s *gpu.Stream, l *ef.List) (*gpu.Buffer, error) {
 // the element-to-word scheduling index (Algorithm 1's ps_array and
 // index_array).
 type paraEFShared struct {
-	psArray    []int32
-	indexArray []int32
+	psArray    [maxWords32PerBlock]int32
+	indexArray [ThreadsPerBlock]int32
 }
 
 // ParaEFDecompress runs Algorithm 1 on the device: one grid block per
@@ -52,6 +52,12 @@ type paraEFShared struct {
 //  4. decompress: thread i recovers high bits via an in-word select on its
 //     scheduled word, fetches its low bits, concatenates, and writes the
 //     final docID (lines 9-10).
+//
+// Every barrier is a __syncthreads — a block reads only its own shared
+// memory — and every phase is invoked once per block and loops over the
+// block's lanes itself (gpu.Kernel.Lane0), charging what each lane would
+// have: the host executes a block per call, the way the device executes
+// one per SM slot, and the counters cannot tell.
 //
 // compressed must be a device buffer produced by UploadEF (its payload is
 // the *ef.List).
@@ -76,27 +82,21 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 		// ps_array + index_array live in shared memory (§3.1.1: "We also
 		// store the temporary arrays in shared memory").
 		SharedBytes: 4*maxWords32PerBlock + 4*ThreadsPerBlock,
-		MakeShared: func(b int) any {
-			return &paraEFShared{
-				psArray:    make([]int32, maxWords32PerBlock),
-				indexArray: make([]int32, ThreadsPerBlock),
-			}
-		},
-		Lane0: []bool{false, true},
+		MakeShared:  func(int) any { return new(paraEFShared) },
+		Lane0:       []bool{true, true, true, true},
+		BlockLocal:  []bool{true, true, true},
 		Phases: []gpu.Phase{
-			// Phase 1: popcount per 32-bit word.
+			// Phase 1: popcount per 32-bit word, lanes [0, nw).
 			func(c *gpu.Ctx) {
 				blk := &blocks[c.Block]
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)
-				if c.Thread >= nw {
-					return
+				for w := 0; w < nw; w++ {
+					sh.psArray[w] = int32(bits.OnesCount32(highWord32(blk, w)))
 				}
-				w := highWord32(blk, c.Thread)
-				sh.psArray[c.Thread] = int32(bits.OnesCount32(w))
-				c.GlobalRead(4)   // load the high-bits word
-				c.Op(1)           // __popc
-				c.SharedAccess(4) // store ps_array[w]
+				c.GlobalRead(4 * nw)   // load the high-bits word
+				c.Op(nw)               // __popc
+				c.SharedAccess(4 * nw) // store ps_array[w]
 			},
 			// Phase 2: prefix sum of popcounts (lane 0; word count <= 10).
 			func(c *gpu.Ctx) {
@@ -112,53 +112,64 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 				c.SharedAccess(8 * nw)
 			},
 			// Phase 3: scheduling — word w claims index_array slots for the
-			// elements it encodes.
+			// elements it encodes, lanes [0, nw).
 			func(c *gpu.Ctx) {
 				blk := &blocks[c.Block]
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)
-				if c.Thread >= nw {
-					return
-				}
 				lo := int32(0)
-				if c.Thread > 0 {
-					lo = sh.psArray[c.Thread-1]
+				for w := 0; w < nw; w++ {
+					hi := sh.psArray[w]
+					for off := lo; off < hi; off++ {
+						sh.indexArray[off] = int32(w)
+					}
+					lo = hi
 				}
-				hi := sh.psArray[c.Thread]
-				for off := lo; off < hi; off++ {
-					sh.indexArray[off] = int32(c.Thread)
-				}
-				// Uneven per-thread loop trip counts diverge the warp.
-				c.DivergentOp(int(hi - lo))
-				c.SharedAccess(4 * int(hi-lo))
+				// Uneven per-thread loop trip counts diverge the warp; the
+				// lanes' trips add up to the block's one-bits.
+				c.DivergentOp(int(lo))
+				c.SharedAccess(4 * int(lo))
 			},
-			// Phase 4: per-element recover + concatenate + store.
+			// Phase 4: per-element recover + concatenate + store, lanes
+			// [0, blk.N).
 			func(c *gpu.Ctx) {
 				blk := &blocks[c.Block]
-				i := c.Thread
-				if i >= blk.N {
-					return
-				}
 				sh := c.Shared.(*paraEFShared)
-				w := int(sh.indexArray[i])
-				rank := i
-				if w > 0 {
-					rank = i - int(sh.psArray[w-1])
+				out := dst[c.Block*ef.BlockSize:][:blk.N]
+				// Lane i selects the (rank+1)-th set bit of its scheduled word
+				// w, rank = i - ps[w-1]; the CUDA implementation uses a
+				// shared-memory lookup table (§3.1.1). Lanes run in order
+				// here, so the lanes of one word ask for its set bits in rank
+				// order: rest is the word with the bits of earlier lanes
+				// cleared, and a lane's select is its lowest set bit.
+				curW, rest, lowPos := -1, uint32(0), 0
+				for i := range out {
+					if w := int(sh.indexArray[i]); w != curW {
+						curW, rest = w, highWord32(blk, w)
+						first := 0
+						if w > 0 {
+							first = int(sh.psArray[w-1])
+						}
+						for ; first < i; first++ { // none when the schedule is right
+							rest &= rest - 1
+						}
+					}
+					bitPos := curW*32 + bits.TrailingZeros32(rest)
+					rest &= rest - 1
+					high := uint64(bitPos - i) // zeros before this element's 1-bit
+					var low uint64
+					if blk.B > 0 {
+						low = bitutil.GetBits(blk.LowBits, lowPos, blk.B)
+						lowPos += blk.B
+					}
+					out[i] = blk.FirstDocID + uint32(high<<uint(blk.B)|low)
 				}
-				word := highWord32(blk, w)
-				// Select the (rank+1)-th set bit of the word; the CUDA
-				// implementation uses a shared-memory lookup table (§3.1.1).
-				bitPos := w*32 + bitutil.SelectInWord(uint64(word), rank)
-				high := uint64(bitPos - i) // zeros before this element's 1-bit
-				var low uint64
 				if blk.B > 0 {
-					low = bitutil.GetBits(blk.LowBits, i*blk.B, blk.B)
-					c.GlobalRead(4) // low-bits fetch (consecutive threads coalesce)
+					c.GlobalRead(4 * blk.N) // low-bits fetch (consecutive threads coalesce)
 				}
-				dst[c.Block*ef.BlockSize+i] = blk.FirstDocID + uint32(high<<uint(blk.B)|low)
-				c.SharedAccess(6) // index_array + select LUT
-				c.Op(6)           // shift/or/add arithmetic
-				c.GlobalWrite(4)  // final store, coalesced
+				c.SharedAccess(6 * blk.N) // index_array + select LUT
+				c.Op(6 * blk.N)           // shift/or/add arithmetic
+				c.GlobalWrite(4 * blk.N)  // final store, coalesced
 			},
 		},
 	}

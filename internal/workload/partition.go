@@ -18,6 +18,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -51,12 +52,9 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		break
 	}
 
-	// A term's shard lists are complete once the term is split, so each is
-	// encoded on the spot (the Builder's own encoder) and a worker only
-	// ever holds the raw postings of the one term it is splitting. Terms
-	// are independent, so they are split on GOMAXPROCS workers; perTerm
-	// keeps the results in term order, which makes the shard indexes the
-	// ones a single goroutine would build.
+	// Terms are independent, so they are split on GOMAXPROCS workers, each
+	// with its own splitter; perTerm keeps the results in term order, which
+	// makes the shard indexes the ones a single goroutine would build.
 	perTerm := make([][]*index.PostingList, len(terms))
 	errs := make([]error, len(terms))
 	var next atomic.Int64
@@ -65,15 +63,14 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ids := make([][]uint32, shards)
-			freqs := make([][]uint32, shards)
+			sp := newSplitter(shards, codec)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(terms) {
 					return
 				}
 				pl, _ := ix.Lookup(terms[t])
-				perTerm[t], errs[t] = splitList(pl, codec, ids, freqs)
+				perTerm[t], errs[t] = sp.split(pl)
 			}
 		}()
 	}
@@ -100,32 +97,94 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	return out, nil
 }
 
-// splitList encodes pl's postings as one list per shard (nil where the
-// shard holds none of them), each stamped with pl's collection-wide
-// document frequency. ids and freqs are the caller's per-shard scratch.
-func splitList(pl *index.PostingList, codec index.Codec, ids, freqs [][]uint32) ([]*index.PostingList, error) {
-	for s := range ids {
-		ids[s] = ids[s][:0]
-		freqs[s] = freqs[s][:0]
+// splitter splits posting lists across shards a block at a time: a source
+// block is decoded into 128 postings, each posting is staged under its
+// shard, and a shard's staging is encoded as that shard's next block the
+// moment it fills. No step holds more of a list in decoded form than one
+// block per shard, whatever the list's length. One worker owns a splitter
+// and reuses it for every term it splits.
+type splitter struct {
+	shard  modulus
+	stages []stage
+	// ids and freqs hold the source block being scattered.
+	ids, freqs [index.BlockSize]uint32
+}
+
+// stage is one shard's share of the list being split: the postings of its
+// block in progress and the encoder that has taken the full ones.
+type stage struct {
+	ids, freqs [index.BlockSize]uint32
+	n          int // postings staged
+	enc        index.ListEncoder
+}
+
+func newSplitter(shards int, codec index.Codec) *splitter {
+	sp := &splitter{shard: newModulus(uint32(shards)), stages: make([]stage, shards)}
+	for s := range sp.stages {
+		sp.stages[s].enc.Codec = codec
 	}
-	for i, d := range pl.DocIDs() {
-		s := ShardOf(d, len(ids))
-		ids[s] = append(ids[s], d)
-		freqs[s] = append(freqs[s], pl.FreqOf(i))
+	return sp
+}
+
+// split encodes pl's postings as one list per shard (nil where the shard
+// holds none of them), each stamped with pl's collection-wide document
+// frequency.
+func (sp *splitter) split(pl *index.PostingList) ([]*index.PostingList, error) {
+	var err error
+	flush := func(s int) {
+		st := &sp.stages[s]
+		if e := st.enc.Append(st.ids[:st.n], st.freqs[:st.n]); e != nil && err == nil {
+			err = fmt.Errorf("workload: shard %d: %w", s, e)
+		}
+		st.n = 0
 	}
-	out := make([]*index.PostingList, len(ids))
-	for s := range ids {
-		if len(ids[s]) == 0 {
-			continue
+	for k := 0; k < len(pl.EF.Blocks) && err == nil; k++ {
+		n := pl.EF.Blocks[k].DecompressInto(sp.ids[:])
+		pl.Freqs.DecodeBlock(k, sp.freqs[:])
+		for i, d := range sp.ids[:n] {
+			s := sp.shard.of(d)
+			st := &sp.stages[s]
+			st.ids[st.n], st.freqs[st.n] = d, sp.freqs[i]
+			if st.n++; st.n == index.BlockSize {
+				flush(s)
+			}
 		}
-		spl, err := index.SpliceList(pl.Term, nil, 0, ids[s], freqs[s], codec)
-		if err != nil {
-			return nil, fmt.Errorf("workload: shard %d: %w", s, err)
+	}
+	// Every stage and encoder is emptied even after an error: the next
+	// term starts clean.
+	out := make([]*index.PostingList, len(sp.stages))
+	for s := range sp.stages {
+		st := &sp.stages[s]
+		if st.n > 0 {
+			flush(s)
 		}
-		spl.GlobalN = pl.N
-		out[s] = spl
+		if st.enc.Len() > 0 {
+			out[s] = st.enc.Finish(pl.Term)
+			out[s].GlobalN = pl.N
+		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// modulus computes d mod a divisor fixed up front with two multiplications
+// instead of a division per posting (Lemire, Kaser and Kurz, "Faster
+// remainder by direct computation", 2019: exact for every 32-bit d and
+// divisor). of(d) == ShardOf(d, divisor).
+type modulus struct {
+	divisor uint64
+	m       uint64 // ceil(2^64 / divisor), 0 for divisor 1 (2^64 wraps)
+}
+
+func newModulus(divisor uint32) modulus {
+	return modulus{divisor: uint64(divisor), m: ^uint64(0)/uint64(divisor) + 1}
+}
+
+func (m modulus) of(d uint32) int {
+	hi, _ := bits.Mul64(m.m*uint64(d), m.divisor)
+	return int(hi)
 }
 
 // PartitionCorpus partitions a generated corpus's index (the experiment

@@ -1,0 +1,204 @@
+package workload
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"griffin/internal/index"
+)
+
+// refPartitionIndex is the list-at-a-time split PartitionIndex replaced:
+// decode each list whole, deal its postings into per-shard arrays by
+// ShardOf, and encode every shard's array through index.SpliceList. The
+// block-streaming split must build the same shard indexes.
+func refPartitionIndex(t testing.TB, ix *index.Index, shards int, codec index.Codec) []*index.Index {
+	t.Helper()
+	lists := make([][]*index.PostingList, shards)
+	for _, term := range ix.Terms() {
+		pl, _ := ix.Lookup(term)
+		ids, freqs := make([][]uint32, shards), make([][]uint32, shards)
+		for i, d := range pl.DocIDs() {
+			s := ShardOf(d, shards)
+			ids[s] = append(ids[s], d)
+			freqs[s] = append(freqs[s], pl.FreqOf(i))
+		}
+		for s := range ids {
+			if len(ids[s]) == 0 {
+				continue
+			}
+			spl, err := index.SpliceList(term, nil, 0, ids[s], freqs[s], codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spl.GlobalN = pl.N
+			lists[s] = append(lists[s], spl)
+		}
+	}
+	out := make([]*index.Index, shards)
+	for s := range out {
+		out[s] = index.Assemble(lists[s], ix.NumDocs, ix.DocLens, ix.AvgDocLen)
+	}
+	return out
+}
+
+func TestPartitionIndexEqualsListAtATimeSplit(t *testing.T) {
+	for _, codec := range []index.Codec{index.CodecEF, index.CodecBoth} {
+		c, err := GenerateCorpus(CorpusSpec{
+			NumDocs: 50_000, NumTerms: 60, MaxListLen: 20_000, MinListLen: 200,
+			Alpha: 0.9, Codec: codec, Seed: 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Lists the generator does not make: one posting, exactly one
+		// block, a term whose postings all land on one shard of 2, 3, 4
+		// and 7 (multiples of 84).
+		b := index.NewBuilder(codec)
+		for _, term := range c.Index.Terms() {
+			pl, _ := c.Index.Lookup(term)
+			ids, freqs := pl.DecodeFrom(0)
+			if err := b.AddPostings(term, ids, freqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := rand.New(rand.NewSource(13))
+		extra := map[string][]uint32{
+			"x-single":    {77},
+			"x-block":     make([]uint32, index.BlockSize),
+			"x-one-shard": make([]uint32, 1000),
+		}
+		for i := range extra["x-block"] {
+			extra["x-block"][i] = uint32(5 + 3*i)
+		}
+		for i := range extra["x-one-shard"] {
+			extra["x-one-shard"][i] = uint32(84 * (i + 1))
+		}
+		for term, ids := range extra {
+			freqs := make([]uint32, len(ids))
+			for i := range freqs {
+				freqs[i] = 1 + uint32(r.Intn(300))
+			}
+			if err := b.AddPostings(term, ids, freqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, shards := range []int{1, 2, 3, 4, 7} {
+			got, err := PartitionIndex(ix, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refPartitionIndex(t, ix, shards, codec)
+			for s := range want {
+				if reflect.DeepEqual(got[s], want[s]) {
+					continue
+				}
+				for _, term := range want[s].Terms() {
+					g, _ := got[s].Lookup(term)
+					w, _ := want[s].Lookup(term)
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("codec %d shards=%d shard %d term %q: list differs from the list-at-a-time split's", codec, shards, s, term)
+					}
+				}
+				t.Fatalf("codec %d shards=%d: shard %d differs from the list-at-a-time split's", codec, shards, s)
+			}
+		}
+	}
+}
+
+// The multiply-only remainder the split uses per posting is ShardOf.
+func TestModulusIsShardOf(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	edges := []uint32{0, 1, 2, 127, 128, 1<<16 - 1, 1 << 16, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1}
+	for _, shards := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 31, 64, 100, 641, 1000, 65537, 1<<31 - 1} {
+		m := newModulus(uint32(shards))
+		check := func(d uint32) {
+			if got, want := m.of(d), ShardOf(d, shards); got != want {
+				t.Fatalf("%d mod %d = %d, want %d", d, shards, got, want)
+			}
+		}
+		for _, d := range edges {
+			check(d)
+			check(d - uint32(shards))
+			check(d + uint32(shards))
+		}
+		for i := 0; i < 20_000; i++ {
+			check(r.Uint32())
+		}
+	}
+}
+
+func splitBenchCorpus(tb testing.TB) *Corpus {
+	tb.Helper()
+	c, err := GenerateCorpus(CorpusSpec{
+		NumDocs: 1_000_000, NumTerms: 100, MaxListLen: 200_000, MinListLen: 2_000,
+		Alpha: 0.85, Codec: index.CodecEF, Seed: 15,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// Splitting allocates little beyond the shard lists it returns: their
+// slabs and block tables, plus each worker's staging and encoder scratch
+// (one block per shard, and the encoded form of one shard list). The
+// list-at-a-time split decoded every list into whole-list arrays grown by
+// append and encoded block by block through bit writers: 5x what it
+// returned.
+func TestPartitionIndexAllocations(t *testing.T) {
+	c := splitBenchCorpus(t)
+	postings := 0
+	for _, term := range c.Terms {
+		pl, _ := c.Index.Lookup(term)
+		postings += pl.N
+	}
+	if postings < 1_200_000 {
+		t.Fatalf("corpus has %d postings, the ceiling is stated for 1.2 M", postings)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // nothing is freed while it is measured
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	shards, err := PartitionIndex(c.Index, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	runtime.GC()
+	var kept runtime.MemStats
+	runtime.ReadMemStats(&kept)
+	retained := kept.HeapAlloc - before.HeapAlloc // the encoded shard lists: all that is still reachable
+	runtime.KeepAlive(shards)
+	runtime.KeepAlive(c) // or the second collection frees the corpus too
+	t.Logf("%d postings: allocated %d bytes, retained %d (%.2fx)", postings, allocated, retained, float64(allocated)/float64(retained))
+	if float64(allocated) > 1.5*float64(retained) {
+		t.Errorf("PartitionIndex of %d postings allocated %d bytes for shard lists of %d bytes (%.2fx), want <= 1.5x",
+			postings, allocated, retained, float64(allocated)/float64(retained))
+	}
+}
+
+func BenchmarkPartitionIndex(b *testing.B) {
+	c := splitBenchCorpus(b)
+	postings := 0
+	for _, term := range c.Terms {
+		pl, _ := c.Index.Lookup(term)
+		postings += pl.N
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PartitionIndex(c.Index, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
+}
