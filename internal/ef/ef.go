@@ -23,6 +23,7 @@ import (
 	"slices"
 
 	"griffin/internal/bitutil"
+	"griffin/internal/pvec"
 )
 
 // BlockSize is the number of docIDs per partitioned-EF block.
@@ -53,12 +54,26 @@ type Block struct {
 	LowBits []uint64
 }
 
+// PageShift sizes the pages a list's block table is held in: 64 blocks,
+// 8 192 postings. A list re-encoded from block k on shares the pages
+// below k with the list it was made from (pvec.Vec.Splice) and copies at
+// most the one page k falls in — 5 KB of table, whatever the list's
+// length. It is a constant, not a setting: the accessors below, which
+// every probe of a skip pointer goes through, index with it.
+const PageShift = 6
+
 // List is a partitioned Elias-Fano compressed posting list.
 type List struct {
 	// N is the total number of docIDs.
 	N int
-	// Blocks are the encoded blocks in docID order.
-	Blocks []Block
+	// Blocks are the encoded blocks in docID order, in pages of
+	// 1<<PageShift.
+	Blocks pvec.Vec[Block]
+}
+
+// Block returns block i of the list.
+func (l *List) Block(i int) *Block {
+	return &l.Blocks.Pages()[i>>PageShift][i&(1<<PageShift-1)]
 }
 
 // Compress encodes a strictly ascending docID list. Nothing is allocated
@@ -66,7 +81,8 @@ type List struct {
 // low-bits words, the layout index.Parse gives a list opened from a file
 // — are sized before anything is encoded and cut from slabs of at most
 // ChunkWords words, the last one exact. A list of up to ChunkWords words
-// (some 3 500 postings) is the list header, the block table and one slab.
+// (some 3 500 postings) is the list header, the block table's one page
+// and one slab.
 func Compress(docIDs []uint32) (*List, error) {
 	for i := 1; i < len(docIDs); i++ {
 		if docIDs[i] <= docIDs[i-1] {
@@ -74,20 +90,17 @@ func Compress(docIDs []uint32) (*List, error) {
 				ErrNotAscending, i-1, docIDs[i-1], i, docIDs[i])
 		}
 	}
-	l := &List{N: len(docIDs)}
-	if len(docIDs) == 0 {
-		return l, nil
-	}
+	nb := (len(docIDs) + BlockSize - 1) / BlockSize
+	l := &List{N: len(docIDs), Blocks: pvec.Make[Block](PageShift, nb)}
 	// A block's shape follows from its first and last docID alone, so
 	// sizing the list reads two values per block.
-	l.Blocks = make([]Block, (len(docIDs)+BlockSize-1)/BlockSize)
 	left := 0
-	for k := range l.Blocks {
-		left += l.Blocks[k].shape(blockOf(docIDs, k))
+	for k := range nb {
+		left += l.Block(k).shape(blockOf(docIDs, k))
 	}
 	var slab []uint64
-	for k := range l.Blocks {
-		blk := &l.Blocks[k]
+	for k := range nb {
+		blk := l.Block(k)
 		slab = Slab(slab, blk.words(), left)
 		left -= blk.words()
 		slab = blk.encode(blockOf(docIDs, k), slab)
@@ -205,10 +218,9 @@ func (e *Encoder) Append(ids []uint32) error {
 // Finish returns the list of the blocks appended since the last Finish
 // and readies the Encoder for the next list.
 func (e *Encoder) Finish() *List {
-	l := &List{N: e.n}
-	if len(e.blocks) > 0 { // an empty list keeps nil Blocks, as from Compress
-		l.Blocks = slices.Clone(e.blocks)
-	}
+	// One array cut into pages, like the table of an opened list: the
+	// lists of a shard split start a lineage (see pvec on retention).
+	l := &List{N: e.n, Blocks: pvec.Of(PageShift, slices.Clone(e.blocks))}
 	e.n, e.blocks = 0, e.blocks[:0]
 	return l
 }
@@ -258,8 +270,10 @@ func (b *Block) Get(i int) uint32 {
 func (l *List) Decompress() []uint32 {
 	out := make([]uint32, l.N)
 	off := 0
-	for i := range l.Blocks {
-		off += l.Blocks[i].DecompressInto(out[off:])
+	for _, pg := range l.Blocks.Pages() {
+		for i := range pg {
+			off += pg[i].DecompressInto(out[off:])
+		}
 	}
 	return out
 }
@@ -269,9 +283,11 @@ func (l *List) Decompress() []uint32 {
 // count 8b, width 6b).
 func (l *List) CompressedBits() int64 {
 	var bits int64
-	for i := range l.Blocks {
-		b := &l.Blocks[i]
-		bits += int64(b.HighLen) + int64(b.N*b.B) + blockHeaderBits
+	for _, pg := range l.Blocks.Pages() {
+		for i := range pg {
+			b := &pg[i]
+			bits += int64(b.HighLen) + int64(b.N*b.B) + blockHeaderBits
+		}
 	}
 	return bits
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"griffin/internal/bitutil"
+	"griffin/internal/pvec"
 )
 
 // The bit-at-a-time codec the package had before blocks were encoded into a
@@ -38,11 +39,11 @@ func refCompressBlock(ids []uint32) Block {
 }
 
 func refCompress(ids []uint32) *List {
-	l := &List{N: len(ids)}
+	var blocks []Block
 	for start := 0; start < len(ids); start += BlockSize {
-		l.Blocks = append(l.Blocks, refCompressBlock(ids[start:min(start+BlockSize, len(ids))]))
+		blocks = append(blocks, refCompressBlock(ids[start:min(start+BlockSize, len(ids))]))
 	}
-	return l
+	return &List{N: len(ids), Blocks: pvec.Of(PageShift, blocks)}
 }
 
 func refDecompressInto(b *Block, dst []uint32) int {
@@ -71,12 +72,12 @@ func checkAgainstReference(t testing.TB, ids []uint32) {
 		t.Fatalf("Compress: %v", err)
 	}
 	want := refCompress(ids)
-	if l.N != want.N || len(l.Blocks) != len(want.Blocks) {
-		t.Fatalf("N=%d blocks=%d, reference N=%d blocks=%d", l.N, len(l.Blocks), want.N, len(want.Blocks))
+	if l.N != want.N || l.Blocks.Len() != want.Blocks.Len() {
+		t.Fatalf("N=%d blocks=%d, reference N=%d blocks=%d", l.N, l.Blocks.Len(), want.N, want.Blocks.Len())
 	}
 	var got, ref [BlockSize]uint32
-	for k := range l.Blocks {
-		blk, wb := &l.Blocks[k], &want.Blocks[k]
+	for k := range l.Blocks.Len() {
+		blk, wb := l.Block(k), want.Block(k)
 		if !reflect.DeepEqual(*blk, *wb) {
 			t.Fatalf("block %d:\n got %+v\nwant %+v", k, *blk, *wb)
 		}
@@ -172,26 +173,29 @@ func TestCompressMatchesReference(t *testing.T) {
 // The shapes the bit-at-a-time encoder gave an empty list and an empty
 // low-bits array, which index.Parse reproduces for an opened file and
 // reflect.DeepEqual(Open(f), built) depends on: no blocks at all is a nil
-// slice, no low bits is an empty one.
+// page table, no low bits is an empty slice.
 func TestEncoderKeepsNilAndEmptyShapes(t *testing.T) {
 	l, err := Compress(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Blocks != nil {
-		t.Errorf("Compress(nil).Blocks = %#v, want nil", l.Blocks)
+	if l.Blocks.Pages() != nil {
+		t.Errorf("Compress(nil).Blocks = %#v, want no pages", l.Blocks)
 	}
-	if l, _ = Compress([]uint32{}); l.Blocks != nil {
-		t.Errorf("Compress(empty).Blocks = %#v, want nil", l.Blocks)
+	if l, _ = Compress([]uint32{}); l.Blocks.Pages() != nil {
+		t.Errorf("Compress(empty).Blocks = %#v, want no pages", l.Blocks)
 	}
 	var e Encoder
-	if l = e.Finish(); l.Blocks != nil || l.N != 0 {
-		t.Errorf("Encoder.Finish() of nothing = %+v, want an empty list with nil Blocks", l)
+	if l = e.Finish(); l.Blocks.Pages() != nil || l.N != 0 {
+		t.Errorf("Encoder.Finish() of nothing = %+v, want an empty list with no pages", l)
+	}
+	if !reflect.DeepEqual(l, refCompress(nil)) {
+		t.Errorf("Encoder.Finish() of nothing = %+v, reference %+v", l, refCompress(nil))
 	}
 
 	dense := ascending(BlockSize, 10, func(int) uint32 { return 1 })
 	l, _ = Compress(dense)
-	blk, ref := l.Blocks[0], refCompressBlock(dense)
+	blk, ref := l.Block(0), refCompressBlock(dense)
 	if blk.B != 0 || blk.LowBits == nil || len(blk.LowBits) != 0 {
 		t.Errorf("b == 0 block: B=%d LowBits=%#v, want B=0 and an empty, non-nil LowBits", blk.B, blk.LowBits)
 	}
@@ -217,8 +221,8 @@ func TestEncoderMatchesCompress(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: the Encoder's list differs from the reference encoding", n)
 		}
-		for k := range got.Blocks {
-			if blk := &got.Blocks[k]; cap(blk.HighBits) != len(blk.HighBits) || cap(blk.LowBits) != len(blk.LowBits) {
+		for k := range got.Blocks.Len() {
+			if blk := got.Block(k); cap(blk.HighBits) != len(blk.HighBits) || cap(blk.LowBits) != len(blk.LowBits) {
 				t.Fatalf("n=%d block %d: an append to its words would reach the neighbour's", n, k)
 			}
 		}
@@ -255,22 +259,23 @@ func TestEncoderRejectsBadBlocks(t *testing.T) {
 	}
 }
 
-// Compress allocates the list header, the block table and a slab per
-// ChunkWords words — three allocations for a list of up to some 3 500
-// postings, one more per 4 KB after that — and nothing per block. The
+// Compress allocates the list header, the block table — its page table
+// and a page per 64 blocks — and a slab per ChunkWords words: four
+// allocations for a list of up to some 3 500 postings, one more per 4 KB
+// of words and per 8 192 postings after that, and nothing per block. The
 // bit-at-a-time encoder allocated two writers and two word slices per
 // block on top of a grown block table: 9 400 allocations for the longest
-// list here, which now makes 68.
+// list here, which now makes 105.
 func TestCompressAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{100, 3_000, 10_000, 300_000} {
 		ids := genAscending(rng, n, 60)
 		l, _ := Compress(ids)
 		words := 0
-		for k := range l.Blocks {
-			words += l.Blocks[k].words()
+		for k := range l.Blocks.Len() {
+			words += l.Block(k).words()
 		}
-		ceiling := float64(3 + words/(ChunkWords*7/8)) // a slab's last few words go unused
+		ceiling := float64(3 + len(l.Blocks.Pages()) + words/(ChunkWords*7/8)) // a slab's last few words go unused
 		if got := testing.AllocsPerRun(20, func() {
 			if _, err := Compress(ids); err != nil {
 				t.Fatal(err)

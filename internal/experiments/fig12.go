@@ -69,8 +69,10 @@ func RunFig12(cfg Config) (Fig12Result, *Table, error) {
 			// CPU path: decode every PForDelta block.
 			buf := make([]uint32, pfordelta.BlockSize)
 			var decoded int64
-			for i := range pfd.Blocks {
-				decoded += int64(pfd.Blocks[i].DecompressInto(buf))
+			for _, pg := range pfd.Blocks.Pages() {
+				for i := range pg {
+					decoded += int64(pg[i].DecompressInto(buf))
+				}
 			}
 			cpuSum += cpuModel.Time(hwmodel.CPUWork{PFDDecodedElems: decoded})
 

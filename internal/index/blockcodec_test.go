@@ -8,6 +8,7 @@ import (
 
 	"griffin/internal/bitutil"
 	"griffin/internal/ef"
+	"griffin/internal/pvec"
 )
 
 // refPackFreqs is the bit-at-a-time frequency encoder the package had
@@ -16,7 +17,7 @@ import (
 // is held to its bytes, and to FreqStore.At — the per-element decoder —
 // for what comes back.
 func refPackFreqs(freqs []uint32) *FreqStore {
-	fs := &FreqStore{n: len(freqs)}
+	var blocks []freqBlock
 	for start := 0; start < len(freqs); start += BlockSize {
 		chunk := freqs[start:min(start+BlockSize, len(freqs))]
 		b := 1
@@ -29,9 +30,9 @@ func refPackFreqs(freqs []uint32) *FreqStore {
 		for _, f := range chunk {
 			w.WriteBits(uint64(f), b)
 		}
-		fs.blocks = append(fs.blocks, freqBlock{b: uint8(b), words: w.Words()})
+		blocks = append(blocks, freqBlock{b: uint8(b), words: w.Words()})
 	}
-	return fs
+	return &FreqStore{n: len(freqs), blocks: pvec.Of(ef.PageShift, blocks)}
 }
 
 // freqsOfWidth draws n frequencies of at most width bits, the widest of
@@ -55,8 +56,8 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d width=%d: PackFreqs differs from the reference encoding", n, width)
 			}
 			var buf [BlockSize]uint32
-			for k := range got.blocks {
-				if cap(got.blocks[k].words) != len(got.blocks[k].words) {
+			for k := range got.blocks.Len() {
+				if cap(got.block(k).words) != len(got.block(k).words) {
 					t.Fatalf("n=%d width=%d: an append to block %d's words would reach its neighbour's", n, width, k)
 				}
 				m := got.DecodeBlock(k, buf[:])
@@ -80,38 +81,39 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 	}
 }
 
-// No frequencies at all is a store with nil blocks — what the
+// No frequencies at all is a store with no pages of blocks — what the
 // bit-at-a-time encoder returned and what Parse gives an empty list of an
 // opened file, which reflect.DeepEqual(Open(f), built) compares.
 func TestPackFreqsKeepsNilBlocks(t *testing.T) {
-	if fs := PackFreqs(nil); fs.blocks != nil || fs.n != 0 {
-		t.Errorf("PackFreqs(nil) = %+v, want nil blocks", fs)
+	if fs := PackFreqs(nil); fs.blocks.Pages() != nil || fs.n != 0 {
+		t.Errorf("PackFreqs(nil) = %+v, want no pages", fs)
 	}
-	if fs := PackFreqs([]uint32{}); fs.blocks != nil {
-		t.Errorf("PackFreqs(empty).blocks = %#v, want nil", fs.blocks)
+	if fs := PackFreqs([]uint32{}); fs.blocks.Pages() != nil {
+		t.Errorf("PackFreqs(empty).blocks = %#v, want no pages", fs.blocks)
 	}
-	if fs := refPackFreqs(nil); fs.blocks != nil {
+	if fs := refPackFreqs(nil); fs.blocks.Pages() != nil {
 		t.Fatalf("the reference's empty store has blocks %#v: the test's premise is gone", fs.blocks)
 	}
 	var e freqEncoder
-	if fs := e.finish(); fs.blocks != nil || fs.n != 0 {
-		t.Errorf("freqEncoder.finish() of nothing = %+v, want nil blocks", fs)
+	if fs := e.finish(); !reflect.DeepEqual(fs, PackFreqs(nil)) {
+		t.Errorf("freqEncoder.finish() of nothing = %+v, want %+v", fs, PackFreqs(nil))
 	}
 }
 
-// PackFreqs allocates the store, its block table and a slab per
-// ef.ChunkWords words, nothing per block; with ef.Compress's same three
-// that is what encoding a list of a few thousand postings costs. The
+// PackFreqs allocates the store, its block table (a page table and a
+// page per 64 blocks) and a slab per ef.ChunkWords words, nothing per
+// block; with ef.Compress's same four that is what encoding a list of a
+// few thousand postings costs. The
 // bit-at-a-time encoders allocated per block.
 func TestPackFreqsAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	for _, n := range []int{100, 10_000, 300_000} {
 		freqs := freqsOfWidth(r, n, 5)
-		words := 0
-		for _, fb := range PackFreqs(freqs).blocks {
-			words += len(fb.words)
+		fs, words := PackFreqs(freqs), 0
+		for k := range fs.blocks.Len() {
+			words += len(fs.block(k).words)
 		}
-		ceiling := float64(3 + words/(ef.ChunkWords*7/8)) // a slab's last few words go unused
+		ceiling := float64(3 + len(fs.blocks.Pages()) + words/(ef.ChunkWords*7/8)) // a slab's last few words go unused
 		if got := testing.AllocsPerRun(20, func() { PackFreqs(freqs) }); got > ceiling {
 			t.Errorf("n=%d (%d words): PackFreqs made %v allocations, want <= %v", n, words, got, ceiling)
 		}
@@ -163,7 +165,7 @@ func TestDecodeFromMatchesElementAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < len(pl.EF.Blocks); k++ {
+	for k := 0; k < pl.EF.Blocks.Len(); k++ {
 		gotIDs, gotFreqs := pl.DecodeFrom(k)
 		skip := k * BlockSize
 		if len(gotIDs) != len(ids)-skip || len(gotFreqs) != len(gotIDs) {
@@ -171,9 +173,9 @@ func TestDecodeFromMatchesElementAccess(t *testing.T) {
 		}
 		for i := range gotIDs {
 			bi, in := (skip+i)/BlockSize, (skip+i)%BlockSize
-			if gotIDs[i] != pl.EF.Blocks[bi].Get(in) || gotFreqs[i] != pl.FreqOf(skip+i) {
+			if gotIDs[i] != pl.EF.Block(bi).Get(in) || gotFreqs[i] != pl.FreqOf(skip+i) {
 				t.Fatalf("k=%d: posting %d = (%d, %d), want (%d, %d)", k, i, gotIDs[i], gotFreqs[i],
-					pl.EF.Blocks[bi].Get(in), pl.FreqOf(skip+i))
+					pl.EF.Block(bi).Get(in), pl.FreqOf(skip+i))
 			}
 		}
 	}
@@ -204,7 +206,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	b.SetBytes(int64(fs.n * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := range fs.blocks {
+		for k := range fs.blocks.Len() {
 			fs.DecodeBlock(k, buf[:])
 		}
 	}
@@ -233,7 +235,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := heap() - before
-	blocks := len(pl.EF.Blocks)
+	blocks := pl.EF.Blocks.Len()
 	for i := 1; i <= 40; i++ {
 		k := i * blocks / 41
 		if pl, err = SpliceList("t", pl, k, ids[k*BlockSize:], freqs[k*BlockSize:], CodecEF); err != nil {

@@ -41,21 +41,25 @@ type EFView struct{ L *ef.List }
 func (v EFView) Len() int { return v.L.N }
 
 // NumBlocks implements BlockList.
-func (v EFView) NumBlocks() int { return len(v.L.Blocks) }
+func (v EFView) NumBlocks() int { return v.L.Blocks.Len() }
 
 // BlockLen implements BlockList.
-func (v EFView) BlockLen(i int) int { return v.L.Blocks[i].N }
+func (v EFView) BlockLen(i int) int { return v.L.Block(i).N }
 
 // BlockFirst implements BlockList.
-func (v EFView) BlockFirst(i int) uint32 { return v.L.Blocks[i].FirstDocID }
+func (v EFView) BlockFirst(i int) uint32 { return v.L.Block(i).FirstDocID }
 
-// DecompressBlock implements BlockList.
+// DecompressBlock implements BlockList. It and Get spell ef.List.Block
+// out: through the accessor they are two nodes over the inlining budget,
+// and every probe of an intersection would pay a call for the wrapper.
 func (v EFView) DecompressBlock(i int, dst []uint32) int {
-	return v.L.Blocks[i].DecompressInto(dst)
+	return v.L.Blocks.Pages()[i>>ef.PageShift][i&(1<<ef.PageShift-1)].DecompressInto(dst)
 }
 
 // Get implements RandomAccess via Elias-Fano select.
-func (v EFView) Get(b, i int) uint32 { return v.L.Blocks[b].Get(i) }
+func (v EFView) Get(b, i int) uint32 {
+	return v.L.Blocks.Pages()[b>>ef.PageShift][b&(1<<ef.PageShift-1)].Get(i)
+}
 
 // PFDView adapts a PForDelta list to BlockList.
 type PFDView struct{ L *pfordelta.List }
@@ -64,17 +68,17 @@ type PFDView struct{ L *pfordelta.List }
 func (v PFDView) Len() int { return v.L.N }
 
 // NumBlocks implements BlockList.
-func (v PFDView) NumBlocks() int { return len(v.L.Blocks) }
+func (v PFDView) NumBlocks() int { return v.L.Blocks.Len() }
 
 // BlockLen implements BlockList.
-func (v PFDView) BlockLen(i int) int { return v.L.Blocks[i].N }
+func (v PFDView) BlockLen(i int) int { return v.L.Block(i).N }
 
 // BlockFirst implements BlockList.
-func (v PFDView) BlockFirst(i int) uint32 { return v.L.Blocks[i].FirstDocID }
+func (v PFDView) BlockFirst(i int) uint32 { return v.L.Block(i).FirstDocID }
 
 // DecompressBlock implements BlockList.
 func (v PFDView) DecompressBlock(i int, dst []uint32) int {
-	return v.L.Blocks[i].DecompressInto(dst)
+	return v.L.Block(i).DecompressInto(dst)
 }
 
 // RawView adapts an already-decompressed docID slice to BlockList (used

@@ -5,6 +5,7 @@ import (
 
 	"griffin/internal/bitutil"
 	"griffin/internal/ef"
+	"griffin/internal/pvec"
 )
 
 // FreqStore holds a posting list's within-document term frequencies in
@@ -15,8 +16,15 @@ import (
 // frequency" implies they travel with the index and must be compressed
 // like the docIDs they annotate.
 type FreqStore struct {
-	n      int
-	blocks []freqBlock
+	n int
+	// blocks is the table of frequency blocks, paged like the Elias-Fano
+	// block table beside it (ef.PageShift) and spliced with it.
+	blocks pvec.Vec[freqBlock]
+}
+
+// block returns frequency block k.
+func (fs *FreqStore) block(k int) *freqBlock {
+	return &fs.blocks.Pages()[k>>ef.PageShift][k&(1<<ef.PageShift-1)]
 }
 
 type freqBlock struct {
@@ -29,22 +37,19 @@ type freqBlock struct {
 // every block, a word at a time, into slabs of at most ef.ChunkWords
 // words: nothing is allocated per block.
 func PackFreqs(freqs []uint32) *FreqStore {
-	fs := &FreqStore{n: len(freqs)}
-	if len(freqs) == 0 {
-		return fs
-	}
-	fs.blocks = make([]freqBlock, (len(freqs)+BlockSize-1)/BlockSize)
+	nb := (len(freqs) + BlockSize - 1) / BlockSize
+	fs := &FreqStore{n: len(freqs), blocks: pvec.Make[freqBlock](ef.PageShift, nb)}
 	left := 0
-	for k := range fs.blocks {
-		left += fs.blocks[k].shape(freqBlockOf(freqs, k))
+	for k := range nb {
+		left += fs.block(k).shape(freqBlockOf(freqs, k))
 	}
 	var slab []uint64
-	for k := range fs.blocks {
-		chunk := freqBlockOf(freqs, k)
-		need := bitutil.WordsFor(len(chunk) * int(fs.blocks[k].b))
+	for k := range nb {
+		chunk, fb := freqBlockOf(freqs, k), fs.block(k)
+		need := bitutil.WordsFor(len(chunk) * int(fb.b))
 		slab = ef.Slab(slab, need, left)
 		left -= need
-		slab = fs.blocks[k].pack(chunk, slab)
+		slab = fb.pack(chunk, slab)
 	}
 	return fs
 }
@@ -97,10 +102,7 @@ func (e *freqEncoder) append(chunk []uint32) {
 // finish returns the store of the blocks appended since the last finish
 // and readies the encoder for the next list.
 func (e *freqEncoder) finish() *FreqStore {
-	fs := &FreqStore{n: e.n}
-	if len(e.blocks) > 0 { // an empty store keeps nil blocks, as from PackFreqs
-		fs.blocks = slices.Clone(e.blocks)
-	}
+	fs := &FreqStore{n: e.n, blocks: pvec.Of(ef.PageShift, slices.Clone(e.blocks))}
 	e.n, e.blocks = 0, e.blocks[:0]
 	return fs
 }
@@ -109,9 +111,12 @@ func (e *freqEncoder) finish() *FreqStore {
 func (fs *FreqStore) Len() int { return fs.n }
 
 // At returns the i-th frequency.
-func (fs *FreqStore) At(i int) uint32 {
-	blk := &fs.blocks[i/BlockSize]
-	return uint32(bitutil.GetBits(blk.words, (i%BlockSize)*int(blk.b), int(blk.b)))
+func (fs *FreqStore) At(i int) uint32 { return fs.inBlock(i/BlockSize, i%BlockSize) }
+
+// inBlock returns the frequency of posting i of block k.
+func (fs *FreqStore) inBlock(k, i int) uint32 {
+	blk := fs.block(k)
+	return uint32(bitutil.GetBits(blk.words, i*int(blk.b), int(blk.b)))
 }
 
 // DecodeBlock unpacks the frequencies of block k — those of the postings
@@ -119,14 +124,15 @@ func (fs *FreqStore) At(i int) uint32 {
 // returns their count.
 func (fs *FreqStore) DecodeBlock(k int, dst []uint32) int {
 	n := min(BlockSize, fs.n-k*BlockSize)
-	bitutil.Unpack(dst[:n], fs.blocks[k].words, int(fs.blocks[k].b))
+	blk := fs.block(k)
+	bitutil.Unpack(dst[:n], blk.words, int(blk.b))
 	return n
 }
 
 // Decode returns all frequencies as a fresh slice.
 func (fs *FreqStore) Decode() []uint32 {
 	out := make([]uint32, fs.n)
-	for k := range fs.blocks {
+	for k := 0; k < fs.blocks.Len(); k++ {
 		fs.DecodeBlock(k, out[k*BlockSize:])
 	}
 	return out
@@ -136,8 +142,10 @@ func (fs *FreqStore) Decode() []uint32 {
 // width bytes.
 func (fs *FreqStore) CompressedBits() int64 {
 	var bits int64
-	for i := range fs.blocks {
-		bits += int64(len(fs.blocks[i].words))*64 + 8
+	for _, pg := range fs.blocks.Pages() {
+		for i := range pg {
+			bits += int64(len(pg[i].words))*64 + 8
+		}
 	}
 	return bits
 }

@@ -3,7 +3,9 @@
 // compressed posting list of ascending docIDs with per-document term
 // frequencies, 128-element compression blocks, and per-block skip pointers
 // (Figure 2) that let intersections locate candidate blocks by binary
-// search without decompressing the rest of the list.
+// search without decompressing the rest of the list. A block's skip
+// pointer is the first docID in its table row (EFView.BlockFirst); no
+// separate array of them is kept.
 //
 // Each posting list stores its docIDs in Elias-Fano form (Griffin's codec)
 // and, optionally, in PForDelta form (the CPU baseline), so the
@@ -18,18 +20,12 @@ import (
 
 	"griffin/internal/ef"
 	"griffin/internal/pfordelta"
+	"griffin/internal/pvec"
 )
 
 // BlockSize is the posting-list compression block size; both codecs share
 // it (and §3.2 ties the GPU/CPU crossover threshold to it).
 const BlockSize = ef.BlockSize
-
-// SkipPointer addresses one compression block: the block's first docID and
-// its position, supporting binary search over blocks (Figure 2).
-type SkipPointer struct {
-	FirstDocID uint32
-	Block      int32
-}
 
 // PostingList holds one term's compressed postings.
 type PostingList struct {
@@ -46,8 +42,6 @@ type PostingList struct {
 	// Freqs stores the within-document frequency of the term in each
 	// posting's document (bit-packed), used by BM25 (§2.1.3).
 	Freqs *FreqStore
-	// Skips are the per-block skip pointers.
-	Skips []SkipPointer
 	// GlobalN overrides N as the document frequency used for BM25 scoring
 	// (0 = use N). A document-partitioned shard index sets it to the
 	// term's collection-wide frequency so per-shard scores are
@@ -81,12 +75,14 @@ func (p *PostingList) FreqOf(i int) uint32 { return p.Freqs.At(i) }
 // block (the lookup ranking performs per surviving candidate, §2.1.3).
 // probes reports the binary-search comparisons for the cost model.
 func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool) {
-	nb := len(p.EF.Blocks)
-	lo, hi := 0, nb
+	// The table is indexed in place with the constant page shift: the
+	// probe sequence is that of a search over a flat table.
+	pages := p.EF.Blocks.Pages()
+	lo, hi := 0, p.EF.Blocks.Len()
 	for lo < hi {
 		probes++
 		mid := (lo + hi) / 2
-		if p.EF.Blocks[mid].FirstDocID <= d {
+		if pages[mid>>ef.PageShift][mid&(1<<ef.PageShift-1)].FirstDocID <= d {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -96,7 +92,7 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 		return 0, probes, false
 	}
 	bi := lo - 1
-	blk := &p.EF.Blocks[bi]
+	blk := &pages[bi>>ef.PageShift][bi&(1<<ef.PageShift-1)]
 	// Probe the compressed block in place (Elias-Fano select) rather
 	// than decoding all of it to look at ~7 elements; the comparison
 	// sequence, and so probes, is that of a search over the decoded block.
@@ -110,7 +106,7 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 		case v > d:
 			bhi = mid
 		default:
-			return p.Freqs.At(bi*BlockSize + mid), probes, true
+			return p.Freqs.inBlock(bi, mid), probes, true
 		}
 	}
 	return 0, probes, false
@@ -121,8 +117,10 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 type Index struct {
 	// NumDocs is the collection size.
 	NumDocs int
-	// DocLens[d] is the token length of document d.
-	DocLens []uint32
+	// DocLens holds the token length of document d at index d, in pages
+	// of 1<<DocLenShift that a merged segment shares with the one it was
+	// merged from wherever no document changed.
+	DocLens pvec.Vec[uint32]
 	// AvgDocLen is the mean document length.
 	AvgDocLen float64
 
@@ -159,13 +157,31 @@ func (ix *Index) ListSizes() []int {
 	return out
 }
 
+// DocLenShift sizes the pages of Index.DocLens: 4 096 lengths, 16 KB — a
+// merge copies one per page a mutated document falls in. A constant, not
+// a setting: DocLen, which scoring calls per candidate, indexes with it.
+const DocLenShift = 12
+
+// NewDocLens returns a document-length table over lens, which it keeps
+// and which must not be written again.
+func NewDocLens(lens []uint32) pvec.Vec[uint32] { return pvec.Of(DocLenShift, lens) }
+
 // DocLen returns document d's token length (1 if unknown, avoiding
 // divide-by-zero in scoring).
 func (ix *Index) DocLen(d uint32) uint32 {
-	if int(d) < len(ix.DocLens) && ix.DocLens[d] > 0 {
-		return ix.DocLens[d]
+	if l := ix.RecordedLen(d); l > 0 {
+		return l
 	}
 	return 1
+}
+
+// RecordedLen returns document d's token length as the table has it: 0
+// for a docID the collection does not hold.
+func (ix *Index) RecordedLen(d uint32) uint32 {
+	if int(d) < ix.DocLens.Len() {
+		return ix.DocLens.Pages()[d>>DocLenShift][d&(1<<DocLenShift-1)]
+	}
+	return 0
 }
 
 // WithGlobalStats returns a copy of this index carrying collection-wide
@@ -178,7 +194,7 @@ func (ix *Index) DocLen(d uint32) uint32 {
 // per-shard BM25 scores are bit-identical to the unpartitioned engine.
 // The headers are copies rather than in-place mutations because in-flight
 // queries may still be reading the old lists' ScoringN.
-func (ix *Index) WithGlobalStats(globalDF map[string]int, numDocs int, docLens []uint32, avgDocLen float64) *Index {
+func (ix *Index) WithGlobalStats(globalDF map[string]int, numDocs int, docLens pvec.Vec[uint32], avgDocLen float64) *Index {
 	out := &Index{
 		NumDocs:   numDocs,
 		DocLens:   docLens,
@@ -311,13 +327,14 @@ func (b *Builder) SetDocLen(docID uint32, n uint32) {
 // Build compresses every accumulated posting list and returns the Index.
 func (b *Builder) Build() (*Index, error) {
 	ix := &Index{terms: make(map[string]*PostingList, len(b.postings))}
+	var lens []uint32
 	if b.hasDocs {
 		ix.NumDocs = int(b.maxDocID) + 1
-		ix.DocLens = make([]uint32, ix.NumDocs)
+		lens = make([]uint32, ix.NumDocs)
 		var sum uint64
 		var cnt int
 		for id, l := range b.docLens {
-			ix.DocLens[id] = l
+			lens[id] = l
 			sum += uint64(l)
 			cnt++
 		}
@@ -325,6 +342,7 @@ func (b *Builder) Build() (*Index, error) {
 			ix.AvgDocLen = float64(sum) / float64(cnt)
 		}
 	}
+	ix.DocLens = NewDocLens(lens)
 
 	for term, raw := range b.postings {
 		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs, b.codec)

@@ -126,16 +126,15 @@ func TestSkipPointers(t *testing.T) {
 	}
 	ix, _ := b.Build()
 	p, _ := ix.Lookup("t")
+	// A block's skip pointer is the first docID of its table row.
+	skips := EFView{L: p.EF}
 	wantBlocks := (n + BlockSize - 1) / BlockSize
-	if len(p.Skips) != wantBlocks {
-		t.Fatalf("skips = %d, want %d", len(p.Skips), wantBlocks)
+	if skips.NumBlocks() != wantBlocks {
+		t.Fatalf("skips = %d, want %d", skips.NumBlocks(), wantBlocks)
 	}
-	for i, sp := range p.Skips {
-		if sp.FirstDocID != ids[i*BlockSize] {
-			t.Fatalf("skip %d first = %d, want %d", i, sp.FirstDocID, ids[i*BlockSize])
-		}
-		if int(sp.Block) != i {
-			t.Fatalf("skip %d block = %d", i, sp.Block)
+	for i := range wantBlocks {
+		if first := skips.BlockFirst(i); first != ids[i*BlockSize] {
+			t.Fatalf("skip %d first = %d, want %d", i, first, ids[i*BlockSize])
 		}
 	}
 }
@@ -243,8 +242,14 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(p.Freqs.Decode(), orig.Freqs.Decode()) {
 			t.Fatalf("term %q freqs differ", term)
 		}
-		if !reflect.DeepEqual(p.Skips, orig.Skips) {
-			t.Fatalf("term %q skips differ", term)
+		got, want := EFView{L: p.EF}, EFView{L: orig.EF}
+		if got.NumBlocks() != want.NumBlocks() {
+			t.Fatalf("term %q: %d blocks after round trip, want %d", term, got.NumBlocks(), want.NumBlocks())
+		}
+		for i := range want.NumBlocks() {
+			if got.BlockFirst(i) != want.BlockFirst(i) {
+				t.Fatalf("term %q skip %d differs", term, i)
+			}
 		}
 	}
 }

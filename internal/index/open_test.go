@@ -135,11 +135,11 @@ func TestOpenMappedViewsTheBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl, _ := ix.Lookup(lay.term)
-		docLen, high := ix.DocLens[0], pl.EF.Blocks[0].HighBits[0]
+		docLen, high := ix.DocLens.At(0), pl.EF.Block(0).HighBits[0]
 		tc.buf[lay.docLens] ^= 0xff
 		tc.buf[lay.words] ^= 0xff
-		changed := ix.DocLens[0] != docLen && pl.EF.Blocks[0].HighBits[0] != high
-		same := ix.DocLens[0] == docLen && pl.EF.Blocks[0].HighBits[0] == high
+		changed := ix.DocLens.At(0) != docLen && pl.EF.Block(0).HighBits[0] != high
+		same := ix.DocLens.At(0) == docLen && pl.EF.Block(0).HighBits[0] == high
 		if tc.views && !changed || !tc.views && !same {
 			t.Errorf("%s buffer: views = %v, want %v", tc.name, changed, tc.views)
 		}
@@ -313,10 +313,10 @@ func TestOpenRejects(t *testing.T) {
 func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 	reference := func(p *PostingList, d uint32) (uint32, int, bool) {
 		probes := 0
-		lo, hi := 0, len(p.EF.Blocks)
+		lo, hi := 0, p.EF.Blocks.Len()
 		for lo < hi {
 			probes++
-			if mid := (lo + hi) / 2; p.EF.Blocks[mid].FirstDocID <= d {
+			if mid := (lo + hi) / 2; p.EF.Block(mid).FirstDocID <= d {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -326,7 +326,7 @@ func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 			return 0, probes, false
 		}
 		var buf [BlockSize]uint32
-		n := p.EF.Blocks[lo-1].DecompressInto(buf[:])
+		n := p.EF.Block(lo - 1).DecompressInto(buf[:])
 		blo, bhi := 0, n
 		for blo < bhi {
 			probes++

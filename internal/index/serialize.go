@@ -12,6 +12,7 @@ import (
 	"math/bits"
 
 	"griffin/internal/ef"
+	"griffin/internal/pvec"
 )
 
 // Binary on-disk format, version 3 (little-endian throughout). Every
@@ -68,19 +69,22 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	e.u64(uint64(ix.NumDocs))
 	e.u64(uint64(len(terms)))
 	e.u64(math.Float64bits(ix.AvgDocLen))
-	for _, l := range ix.DocLens {
-		e.u32(l)
+	for _, pg := range ix.DocLens.Pages() {
+		for _, l := range pg {
+			e.u32(l)
+		}
 	}
 	e.pad8()
 	for _, term := range terms {
 		p := ix.terms[term]
 		e.u64(uint64(p.N))
-		e.u32(uint32(len(p.EF.Blocks)))
+		e.u32(uint32(p.EF.Blocks.Len()))
 		e.u16(uint16(len(term)))
 		e.str(term)
 		e.pad8()
-		for i := range p.EF.Blocks {
-			blk, fb := &p.EF.Blocks[i], &p.Freqs.blocks[i]
+		nb := p.EF.Blocks.Len()
+		for i := range nb {
+			blk, fb := p.EF.Block(i), p.Freqs.block(i)
 			blockEntry{
 				firstDocID: blk.FirstDocID, highLen: uint32(blk.HighLen),
 				highWords: uint32(len(blk.HighBits)), lowWords: uint32(len(blk.LowBits)),
@@ -88,12 +92,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 				b: uint8(blk.B), freqB: fb.b,
 			}.put(e)
 		}
-		for i := range p.EF.Blocks {
-			e.words(p.EF.Blocks[i].HighBits)
-			e.words(p.EF.Blocks[i].LowBits)
+		for i := range nb {
+			e.words(p.EF.Block(i).HighBits)
+			e.words(p.EF.Block(i).LowBits)
 		}
-		for i := range p.Freqs.blocks {
-			e.words(p.Freqs.blocks[i].words)
+		for i := range nb {
+			e.words(p.Freqs.block(i).words)
 		}
 	}
 	if e.err == nil {
@@ -185,9 +189,9 @@ func readAll(r io.Reader) ([]byte, error) {
 
 // Parse decodes a serialized index held in data without copying its
 // payload: on a little-endian host with data 8-byte aligned, every
-// block's HighBits/LowBits, every frequency block's words and DocLens
-// are views into data, and only the per-list block headers are built on
-// the heap; otherwise (big-endian host, misaligned buffer) the same
+// block's HighBits/LowBits, every frequency block's words and the pages
+// of DocLens are views into data, and only the per-list block headers
+// are built on the heap, a page at a time; otherwise (big-endian host, misaligned buffer) the same
 // parser decodes each list's words into one fresh slice. Either way the
 // returned index aliases data for as long as it — or any segment spliced
 // from it, which shares its blocks by reference — is reachable, so data
@@ -225,7 +229,7 @@ func Parse(data []byte) (*Index, error) {
 	// could hold, not by what the header claims.
 	ix := &Index{
 		NumDocs:   int(numDocs),
-		DocLens:   docLens,
+		DocLens:   NewDocLens(docLens),
 		AvgDocLen: avgDocLen,
 		terms:     make(map[string]*PostingList, min(numTerms, uint64(len(data))/minListLen)),
 	}
@@ -293,24 +297,27 @@ func (d *decoder) list() (*PostingList, error) {
 		return nil, d.err
 	}
 
-	l := &ef.List{N: int(n)}
-	fs := &FreqStore{n: int(n)}
-	if numBlocks > 0 { // an empty list keeps nil slices, like a built one
-		l.Blocks = make([]ef.Block, numBlocks)
-		fs.blocks = make([]freqBlock, numBlocks)
-	}
+	// The two tables are each one array cut into pages, not a page an
+	// allocation: 5 600 small allocations on a fresh heap cost the server's
+	// start 10 ms (+25 %) where 1 000 large ones cost what one table per
+	// list did. A segment merged from this one shares pages with it and so
+	// keeps these arrays alive, their dead rows included — a bounded cost,
+	// this file's tables once over, since everything a merge makes is
+	// paged an allocation a page (pvec's retention rule).
+	l := &ef.List{N: int(n), Blocks: pvec.Of(ef.PageShift, make([]ef.Block, numBlocks))}
+	fs := &FreqStore{n: int(n), blocks: pvec.Of(ef.PageShift, make([]freqBlock, numBlocks))}
 	ew, fw := words[:efWords:efWords], words[efWords:]
-	for i := range l.Blocks {
+	for i := range int(numBlocks) {
 		e := entryAt(table, i)
-		blk := &l.Blocks[i]
+		blk, fb := l.Block(i), fs.block(i)
 		blk.FirstDocID, blk.N, blk.B, blk.HighLen = e.firstDocID, int(e.n), int(e.b), int(e.highLen)
 		blk.HighBits, ew = cut(ew, e.highWords)
 		blk.LowBits, ew = cut(ew, e.lowWords)
-		fs.blocks[i].b = e.freqB
-		fs.blocks[i].words, fw = cut(fw, uint32(e.freqWords))
+		fb.b = e.freqB
+		fb.words, fw = cut(fw, uint32(e.freqWords))
 
-		if i > 0 && blk.FirstDocID <= l.Blocks[i-1].FirstDocID {
-			return nil, fmt.Errorf("block %d first docID %d after %d", i, blk.FirstDocID, l.Blocks[i-1].FirstDocID)
+		if i > 0 && blk.FirstDocID <= l.Block(i-1).FirstDocID {
+			return nil, fmt.Errorf("block %d first docID %d after %d", i, blk.FirstDocID, l.Block(i-1).FirstDocID)
 		}
 		// The unary high-bits array holds one one-bit per element, all
 		// below HighLen: select (Get), the serial decode and the device
@@ -320,7 +327,7 @@ func (d *decoder) list() (*PostingList, error) {
 				i, below, blk.HighLen, total, blk.N)
 		}
 	}
-	return &PostingList{Term: term, N: int(n), EF: l, Freqs: fs, Skips: skipsOf(l)}, nil
+	return &PostingList{Term: term, N: int(n), EF: l, Freqs: fs}, nil
 }
 
 // blockEntry is one row of a list's block table: the header fields of

@@ -5,36 +5,41 @@ import (
 
 	"griffin/internal/ef"
 	"griffin/internal/pfordelta"
+	"griffin/internal/pvec"
 )
 
 // Elias-Fano, PForDelta and FreqStore blocks are each encoded from their
 // own <= BlockSize elements alone (docIDs relative to the block's first
 // one, frequencies at the block's own width), so a list whose first
 // k*BlockSize postings did not change keeps its first k blocks of all
-// three forms byte for byte. The helpers below are what a live merge
-// builds on: decode a list from block k, re-encode only that tail behind
-// the shared prefix, and assemble an Index from the finished lists.
-// Builder.Build encodes through the same SpliceList (k = 0), which is
-// what makes a spliced segment identical to a fresh build of the same
-// logical corpus.
+// three forms byte for byte — and, the three block tables being paged
+// (pvec), the pages of table rows below k as they are: a spliced list
+// allocates its tail, one page per table for the rows around k, and a
+// page table; nothing the size of the list. The helpers below are what
+// a live merge builds on: decode a list from block k, re-encode only
+// that tail behind the shared prefix, and assemble an Index from the
+// finished lists. Builder.Build encodes through the same SpliceList
+// (k = 0), which is what makes a spliced segment identical to a fresh
+// build of the same logical corpus.
 
 // DecodeFrom decodes the postings of blocks [k, end): docIDs and their
 // parallel frequencies, as fresh slices.
 func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
 	n := p.N - k*BlockSize
 	ids, freqs = make([]uint32, n), make([]uint32, n)
-	for i := k; i < len(p.EF.Blocks); i++ {
+	for i := k; i < p.EF.Blocks.Len(); i++ {
 		off := (i - k) * BlockSize
-		p.EF.Blocks[i].DecompressInto(ids[off:])
+		p.EF.Block(i).DecompressInto(ids[off:])
 		p.Freqs.DecodeBlock(i, freqs[off:])
 	}
 	return ids, freqs
 }
 
 // SpliceList returns term's posting list made of old's blocks [0, k),
-// shared by reference, followed by the encoding of the tail postings
-// (ids strictly ascending and above every prefix docID, freqs parallel).
-// With k == 0 nothing of old is used (it may be nil) and the result is
+// shared by reference (pvec.Vec.Splice: whole table pages as they are,
+// the rows of the page k falls in copied), followed by the encoding of
+// the tail postings (ids strictly ascending and above every prefix
+// docID, freqs parallel). With k == 0 nothing of old is used (it may be nil) and the result is
 // the plain encoding of the tail. codec selects the compressed forms;
 // CodecBoth with k > 0 needs old to carry its PForDelta form.
 func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec Codec) (*PostingList, error) {
@@ -42,10 +47,10 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec
 		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))
 	}
 	if k > 0 {
-		if k > len(old.EF.Blocks) || old.EF.Blocks[k-1].N != BlockSize {
-			return nil, fmt.Errorf("index: term %q: splice at block %d of %d", term, k, len(old.EF.Blocks))
+		if k > old.EF.Blocks.Len() || old.EF.Block(k-1).N != BlockSize {
+			return nil, fmt.Errorf("index: term %q: splice at block %d of %d", term, k, old.EF.Blocks.Len())
 		}
-		if last := old.EF.Blocks[k-1].Get(BlockSize - 1); len(ids) > 0 && ids[0] <= last {
+		if last := old.EF.Block(k - 1).Get(BlockSize - 1); len(ids) > 0 && ids[0] <= last {
 			return nil, fmt.Errorf("%w: term %q docID %d after %d", ef.ErrNotAscending, term, ids[0], last)
 		}
 		if codec == CodecBoth && old.PFD == nil {
@@ -63,8 +68,8 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec
 		Freqs: PackFreqs(freqs),
 	}
 	if k > 0 {
-		pl.EF = &ef.List{N: pl.N, Blocks: append(old.EF.Blocks[:k:k], efTail.Blocks...)}
-		pl.Freqs = &FreqStore{n: pl.N, blocks: append(old.Freqs.blocks[:k:k], pl.Freqs.blocks...)}
+		pl.EF = &ef.List{N: pl.N, Blocks: old.EF.Blocks.Splice(k, efTail.Blocks)}
+		pl.Freqs = &FreqStore{n: pl.N, blocks: old.Freqs.blocks.Splice(k, pl.Freqs.blocks)}
 	}
 	if codec == CodecBoth {
 		pl.PFD, err = pfordelta.Compress(ids)
@@ -72,10 +77,9 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec
 			return nil, fmt.Errorf("term %q: %w", term, err)
 		}
 		if k > 0 {
-			pl.PFD = &pfordelta.List{N: pl.N, Blocks: append(old.PFD.Blocks[:k:k], pl.PFD.Blocks...)}
+			pl.PFD = &pfordelta.List{N: pl.N, Blocks: old.PFD.Blocks.Splice(k, pl.PFD.Blocks)}
 		}
 	}
-	pl.Skips = skipsOf(pl.EF)
 	return pl, nil
 }
 
@@ -112,7 +116,7 @@ func (e *ListEncoder) Append(ids, freqs []uint32) error {
 		if err != nil {
 			return err
 		}
-		e.pfd = append(e.pfd, l.Blocks...)
+		e.pfd = append(e.pfd, *l.Block(0))
 	}
 	return nil
 }
@@ -126,26 +130,16 @@ func (e *ListEncoder) Finish(term string) *PostingList {
 	pl := &PostingList{Term: term, EF: e.ef.Finish(), Freqs: e.freqs.finish()}
 	pl.N = pl.EF.N
 	if e.Codec == CodecBoth {
-		pl.PFD = &pfordelta.List{N: pl.N, Blocks: e.pfd}
+		pl.PFD = &pfordelta.List{N: pl.N, Blocks: pvec.Of(pfordelta.PageShift, e.pfd)}
 		e.pfd = nil
 	}
-	pl.Skips = skipsOf(pl.EF)
 	return pl
-}
-
-// skipsOf derives a list's skip pointers from its block headers.
-func skipsOf(l *ef.List) []SkipPointer {
-	skips := make([]SkipPointer, len(l.Blocks))
-	for i := range l.Blocks {
-		skips[i] = SkipPointer{FirstDocID: l.Blocks[i].FirstDocID, Block: int32(i)}
-	}
-	return skips
 }
 
 // Assemble returns the Index over finished posting lists (shared with
 // the caller, one per term) and the collection statistics given — the
 // last step of a merge, which already knows all three exactly.
-func Assemble(lists []*PostingList, numDocs int, docLens []uint32, avgDocLen float64) *Index {
+func Assemble(lists []*PostingList, numDocs int, docLens pvec.Vec[uint32], avgDocLen float64) *Index {
 	ix := &Index{
 		NumDocs:   numDocs,
 		DocLens:   docLens,

@@ -51,9 +51,9 @@ func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
 		for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 700} {
 			ids, freqs := randomPostings(r, n)
 			old := buildList(t, ids, freqs, codec)
-			nb := len(old.EF.Blocks)
+			nb := old.EF.Blocks.Len()
 			for k := 0; k <= nb; k++ {
-				if k > 0 && old.EF.Blocks[k-1].N != BlockSize {
+				if k > 0 && old.EF.Block(k-1).N != BlockSize {
 					continue // a prefix must end on a full block
 				}
 				tailIDs, tailFreqs := old.DecodeFrom(k)
@@ -88,7 +88,7 @@ func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
 					t.Fatalf("codec %d n=%d k=%d: spliced list differs from the rebuilt one", codec, n, k)
 				}
 				for b := 0; b < k; b++ {
-					if &got.EF.Blocks[b].HighBits[0] != &old.EF.Blocks[b].HighBits[0] {
+					if &got.EF.Block(b).HighBits[0] != &old.EF.Block(b).HighBits[0] {
 						t.Fatalf("codec %d n=%d k=%d: prefix block %d was copied, not shared", codec, n, k, b)
 					}
 				}

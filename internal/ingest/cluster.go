@@ -13,6 +13,7 @@ import (
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/kernels"
+	"griffin/internal/pvec"
 	"griffin/internal/rank"
 	"griffin/internal/wal"
 	"griffin/internal/workload"
@@ -133,10 +134,13 @@ type Cluster struct {
 	// mu is the writer lock: mutations, freezes, commit bookkeeping.
 	mu sync.Mutex
 	t  *topo
-	// liveLens is the authoritative live document-length table
-	// (liveLens[d] == 0 ⇔ d is not live); lenSum/lenCnt/numDocs are the
-	// exact index.Builder aggregates over it, maintained incrementally.
-	liveLens []uint32
+	// liveLens is the authoritative live document-length table (a zero
+	// or missing entry ⇔ the document is not live); lenSum/lenCnt/numDocs
+	// are the exact index.Builder aggregates over it, maintained
+	// incrementally. It starts as the seed's table and a merge commit
+	// snapshots it into the merged segment: a mutation copies the page
+	// it writes to if a segment still shares it, nothing copies the table.
+	liveLens *pvec.Editor[uint32]
 	lenSum   uint64
 	lenCnt   int
 	numDocs  int
@@ -235,14 +239,9 @@ func NewCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
 		c.bm25 = rank.DefaultBM25()
 	}
 
-	c.liveLens = make([]uint32, len(seed.DocLens))
-	copy(c.liveLens, seed.DocLens)
-	for _, l := range c.liveLens {
-		if l > 0 {
-			c.lenSum += uint64(l)
-			c.lenCnt++
-		}
-	}
+	c.liveLens = seed.DocLens.Edit()
+	st := statsOf(seed)
+	c.lenSum, c.lenCnt = st.lenSum, st.lenCnt
 	c.numDocs = seed.NumDocs
 
 	t, err := c.newTopo(seed, cfg.Shards)
@@ -269,8 +268,8 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 	for s, ix := range ixs {
 		t.shards[s] = &shardState{ix: ix, st: statsOf(ix), d: newDelta()}
 	}
-	for d, l := range c.liveLens {
-		if l > 0 {
+	for d := 0; d < c.liveLens.Len(); d++ {
+		if c.liveLens.At(d) > 0 {
 			t.shards[workload.ShardOf(uint32(d), n)].live++
 		}
 	}
@@ -335,7 +334,7 @@ func (c *Cluster) mutate(docID uint32, tokens []string, kind mutKind) error {
 		return ErrClosed
 	}
 	c.mu.Lock()
-	live := int(docID) < len(c.liveLens) && c.liveLens[docID] > 0
+	live := int(docID) < c.liveLens.Len() && c.liveLens.At(int(docID)) > 0
 	switch kind {
 	case mutAdd:
 		if len(tokens) == 0 {
@@ -438,26 +437,26 @@ func (c *Cluster) applyLocked(t *topo, s int, docID uint32, tokens []string, kin
 	sh.d.gen = gen
 	sh.d.put(docID, rec)
 
-	for int(docID) >= len(c.liveLens) {
-		c.liveLens = append(c.liveLens, make([]uint32, int(docID)-len(c.liveLens)+1)...)
+	if int(docID) >= c.liveLens.Len() {
+		c.liveLens.Resize(int(docID) + 1)
 	}
-	old := c.liveLens[docID]
+	old := c.liveLens.At(int(docID))
 	if old > 0 {
 		c.lenSum -= uint64(old)
 		c.lenCnt--
 	}
 	if kind == mutDelete {
-		c.liveLens[docID] = 0
+		c.liveLens.Set(int(docID), 0)
 		sh.live--
 		if int(docID)+1 == c.numDocs {
 			d := c.numDocs - 1
-			for d >= 0 && c.liveLens[d] == 0 {
+			for d >= 0 && c.liveLens.At(d) == 0 {
 				d--
 			}
 			c.numDocs = d + 1
 		}
 	} else {
-		c.liveLens[docID] = rec.length
+		c.liveLens.Set(int(docID), rec.length)
 		c.lenSum += uint64(rec.length)
 		c.lenCnt++
 		if old == 0 {
@@ -746,8 +745,12 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 		c.gate.Unlock()
 		return nil
 	}
-	lens := make([]uint32, c.numDocs)
-	copy(lens, c.liveLens)
+	// Every entry at or past numDocs is zero (no live document there), so
+	// cutting the table to the collection size drops nothing; the snapshot
+	// shares its pages with the writer's table instead of copying them
+	// while every query waits at the gate.
+	c.liveLens.Resize(c.numDocs)
+	lens := c.liveLens.Snapshot()
 	var avg float64
 	if c.lenCnt > 0 {
 		avg = float64(c.lenSum) / float64(c.lenCnt)
@@ -903,9 +906,9 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 			return nil, fmt.Errorf("ingest: rebuild term %q: %w", term, err)
 		}
 	}
-	for d := 0; d < c.numDocs && d < len(c.liveLens); d++ {
-		if c.liveLens[d] > 0 {
-			b.SetDocLen(uint32(d), c.liveLens[d])
+	for d := 0; d < c.numDocs && d < c.liveLens.Len(); d++ {
+		if l := c.liveLens.At(d); l > 0 {
+			b.SetDocLen(uint32(d), l)
 		}
 	}
 	return b.Build()

@@ -326,8 +326,8 @@ func TestRecoveryNeverResurrectsTombstone(t *testing.T) {
 	if err := r.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if ix := r.Index(); int(victim) < len(ix.DocLens) && ix.DocLens[victim] != 0 {
-		t.Fatalf("tombstoned doc %d resurrected with length %d", victim, ix.DocLens[victim])
+	if l := r.Index().RecordedLen(victim); l != 0 {
+		t.Fatalf("tombstoned doc %d resurrected with length %d", victim, l)
 	}
 	want := base.clone()
 	delete(want.docs, victim)

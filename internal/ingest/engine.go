@@ -304,8 +304,7 @@ func (e *Engine) exists(docID uint32) bool {
 	if rec := e.d.docs[docID]; rec != nil {
 		return rec.live()
 	}
-	seg := e.snap.Load().seg
-	return int(docID) < len(seg.st.ix.DocLens) && seg.st.ix.DocLens[docID] > 0
+	return e.snap.Load().seg.st.ix.RecordedLen(docID) > 0
 }
 
 // Add inserts a new document. It is an error to Add a docID that is

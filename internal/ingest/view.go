@@ -5,6 +5,7 @@ import (
 
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/pvec"
 )
 
 // mainStats are the aggregate document statistics of the main segment a
@@ -16,7 +17,7 @@ type mainStats struct {
 	ix *index.Index
 	// lenSum is the sum of all main document lengths (uint64, exact).
 	lenSum uint64
-	// lenCnt is the number of main documents (DocLens[d] > 0).
+	// lenCnt is the number of main documents (recorded length > 0).
 	lenCnt int
 }
 
@@ -24,10 +25,12 @@ type mainStats struct {
 // its aggregates from the view it folded instead.
 func statsOf(ix *index.Index) mainStats {
 	st := mainStats{ix: ix}
-	for _, l := range ix.DocLens {
-		if l > 0 {
-			st.lenSum += uint64(l)
-			st.lenCnt++
+	for _, pg := range ix.DocLens.Pages() {
+		for _, l := range pg {
+			if l > 0 {
+				st.lenSum += uint64(l)
+				st.lenCnt++
+			}
 		}
 	}
 	return st
@@ -107,8 +110,8 @@ func (v *View) AvgDocLen() float64 {
 func (v *View) computeStats(st mainStats) {
 	sum, cnt := st.lenSum, st.lenCnt
 	for id, rec := range v.docs {
-		if int(id) < len(st.ix.DocLens) && st.ix.DocLens[id] > 0 {
-			sum -= uint64(st.ix.DocLens[id])
+		if l := st.ix.RecordedLen(id); l > 0 {
+			sum -= uint64(l)
 			cnt--
 		}
 		if rec.live() {
@@ -120,18 +123,19 @@ func (v *View) computeStats(st mainStats) {
 	v.numDocs = v.liveNumDocs(st.ix)
 }
 
-// docLens returns the live document-length table over main's: a copy cut
+// docLens returns the live document-length table over main's: main's cut
 // or zero-extended to the live collection size, with every mutated
-// document's entry replaced (0 for a tombstone).
-func (v *View) docLens(main []uint32) []uint32 {
-	lens := make([]uint32, v.numDocs)
-	copy(lens, main)
+// document's entry replaced (0 for a tombstone). It shares with main
+// every page no mutated document falls in.
+func (v *View) docLens(main pvec.Vec[uint32]) pvec.Vec[uint32] {
+	lens := main.Edit()
+	lens.Resize(v.numDocs)
 	for id, rec := range v.docs {
-		if int(id) < len(lens) {
-			lens[id] = rec.length
+		if int(id) < v.numDocs {
+			lens.Set(int(id), rec.length)
 		}
 	}
-	return lens
+	return lens.Snapshot()
 }
 
 // liveNumDocs finds max(live docID) + 1: the NumDocs a fresh build over
@@ -145,7 +149,7 @@ func (v *View) liveNumDocs(main *index.Index) int {
 		}
 	}
 	for d := main.NumDocs - 1; d > max; d-- {
-		if main.DocLens[d] == 0 {
+		if main.RecordedLen(uint32(d)) == 0 {
 			continue // never existed (docID gap)
 		}
 		if rec := v.docs[uint32(d)]; rec != nil && rec.deleted {

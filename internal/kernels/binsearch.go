@@ -103,7 +103,7 @@ func binarySearch(b []uint32, v uint32) (found bool, probes int) {
 func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*IntersectResult, error) {
 	a := shortBuf.Data.([]uint32)
 	l := longBuf.Data.(*ef.List)
-	numBlocks := len(l.Blocks)
+	numBlocks := l.Blocks.Len()
 	outBuf, out, err := allocOutput(s, min(len(a), l.N))
 	if err != nil {
 		return nil, err
@@ -114,9 +114,11 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 
 	// Skip-pointer array: first docID of each block (device-resident as
 	// part of the uploaded list).
-	firsts := make([]uint32, numBlocks)
-	for i := range l.Blocks {
-		firsts[i] = l.Blocks[i].FirstDocID
+	firsts := make([]uint32, 0, numBlocks)
+	for _, pg := range l.Blocks.Pages() {
+		for i := range pg {
+			firsts = append(firsts, pg[i].FirstDocID)
+		}
 	}
 
 	grid := gpu.GridFor(len(a), ThreadsPerBlock)
@@ -185,7 +187,7 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 				if c.Block >= len(neededIDs) {
 					return
 				}
-				blk := &l.Blocks[neededIDs[c.Block]]
+				blk := l.Block(int(neededIDs[c.Block]))
 				n := blk.DecompressInto(scratch[c.Block*ef.BlockSize : (c.Block+1)*ef.BlockSize])
 				scratchLen[c.Block] = int32(n)
 				// Charged as the Para-EF phases would be for one block: the

@@ -20,10 +20,9 @@ import (
 func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats) {
 	type shared struct{ psArray, indexArray []int32 }
 	dst := make([]uint32, l.N)
-	blocks := l.Blocks
 	st := s.Launch(&gpu.Kernel{
 		Name:        "para_ef_decompress",
-		Grid:        len(blocks),
+		Grid:        l.Blocks.Len(),
 		Block:       ThreadsPerBlock,
 		SharedBytes: 4*maxWords32PerBlock + 4*ThreadsPerBlock,
 		MakeShared: func(int) any {
@@ -32,7 +31,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 		Lane0: []bool{false, true},
 		Phases: []gpu.Phase{
 			func(c *gpu.Ctx) {
-				blk, sh := &blocks[c.Block], c.Shared.(*shared)
+				blk, sh := l.Block(c.Block), c.Shared.(*shared)
 				if c.Thread >= words32(blk.HighLen) {
 					return
 				}
@@ -42,7 +41,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 				c.SharedAccess(4)
 			},
 			func(c *gpu.Ctx) {
-				blk, sh := &blocks[c.Block], c.Shared.(*shared)
+				blk, sh := l.Block(c.Block), c.Shared.(*shared)
 				nw := words32(blk.HighLen)
 				var acc int32
 				for w := 0; w < nw; w++ {
@@ -53,7 +52,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 				c.SharedAccess(8 * nw)
 			},
 			func(c *gpu.Ctx) {
-				blk, sh := &blocks[c.Block], c.Shared.(*shared)
+				blk, sh := l.Block(c.Block), c.Shared.(*shared)
 				if c.Thread >= words32(blk.HighLen) {
 					return
 				}
@@ -69,7 +68,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 				c.SharedAccess(4 * int(hi-lo))
 			},
 			func(c *gpu.Ctx) {
-				blk, sh := &blocks[c.Block], c.Shared.(*shared)
+				blk, sh := l.Block(c.Block), c.Shared.(*shared)
 				i := c.Thread
 				if i >= blk.N {
 					return

@@ -74,10 +74,9 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 		return out, &hwmodel.LaunchStats{}, nil
 	}
 
-	blocks := l.Blocks
 	k := &gpu.Kernel{
 		Name:  "para_ef_decompress",
-		Grid:  len(blocks),
+		Grid:  l.Blocks.Len(),
 		Block: ThreadsPerBlock,
 		// ps_array + index_array live in shared memory (§3.1.1: "We also
 		// store the temporary arrays in shared memory").
@@ -88,7 +87,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 		Phases: []gpu.Phase{
 			// Phase 1: popcount per 32-bit word, lanes [0, nw).
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)
 				for w := 0; w < nw; w++ {
@@ -100,7 +99,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			},
 			// Phase 2: prefix sum of popcounts (lane 0; word count <= 10).
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)
 				var acc int32
@@ -114,7 +113,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			// Phase 3: scheduling — word w claims index_array slots for the
 			// elements it encodes, lanes [0, nw).
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)
 				lo := int32(0)
@@ -133,7 +132,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			// Phase 4: per-element recover + concatenate + store, lanes
 			// [0, blk.N).
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				sh := c.Shared.(*paraEFShared)
 				out := dst[c.Block*ef.BlockSize:][:blk.N]
 				// Lane i selects the (rank+1)-th set bit of its scheduled word

@@ -43,17 +43,16 @@ func PFDDecompressGPU(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 		return out, &hwmodel.LaunchStats{}, nil
 	}
 
-	blocks := l.Blocks
 	k := &gpu.Kernel{
 		Name:  "pfd_decompress_direct_port",
-		Grid:  len(blocks),
+		Grid:  l.Blocks.Len(),
 		Block: ThreadsPerBlock,
 		Lane0: []bool{false, true, true},
 		Phases: []gpu.Phase{
 			// Phase 1: parallel unpack of b-bit slots (gaps or chain
 			// pointers — indistinguishable until the chain walk).
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				i := c.Thread
 				if i >= blk.N {
 					return
@@ -68,7 +67,7 @@ func PFDDecompressGPU(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			// divergence the paper calls out), and each hop is a
 			// dependent, scattered read.
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				base := c.Block * pfordelta.BlockSize
 				idx := blk.FirstException
 				for k := 0; k < len(blk.Exceptions); k++ {
@@ -85,7 +84,7 @@ func PFDDecompressGPU(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			// already forced per-block serialization, and the paper's
 			// complaint is about the combination).
 			func(c *gpu.Ctx) {
-				blk := &blocks[c.Block]
+				blk := l.Block(c.Block)
 				base := c.Block * pfordelta.BlockSize
 				acc := blk.FirstDocID
 				dst[base] = acc

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"griffin/internal/bitutil"
+	"griffin/internal/pvec"
 )
 
 // BlockSize is the number of d-gaps per compressed block. Both codecs in
@@ -48,12 +49,22 @@ type Block struct {
 	Exceptions []uint32
 }
 
+// PageShift sizes the pages a list's block table is held in, as
+// ef.PageShift does for the Elias-Fano form: 64 blocks.
+const PageShift = 6
+
 // List is a PForDelta-compressed posting list.
 type List struct {
 	// N is the total number of docIDs.
 	N int
-	// Blocks are the compressed blocks in docID order.
-	Blocks []Block
+	// Blocks are the compressed blocks in docID order, in pages of
+	// 1<<PageShift.
+	Blocks pvec.Vec[Block]
+}
+
+// Block returns block i of the list.
+func (l *List) Block(i int) *Block {
+	return &l.Blocks.Pages()[i>>PageShift][i&(1<<PageShift-1)]
 }
 
 // ErrNotAscending is returned when input docIDs are not strictly ascending.
@@ -61,19 +72,16 @@ var ErrNotAscending = errors.New("pfordelta: docIDs not strictly ascending")
 
 // Compress encodes a strictly ascending docID list.
 func Compress(docIDs []uint32) (*List, error) {
-	l := &List{N: len(docIDs)}
 	for i := 1; i < len(docIDs); i++ {
 		if docIDs[i] <= docIDs[i-1] {
 			return nil, fmt.Errorf("%w: ids[%d]=%d ids[%d]=%d",
 				ErrNotAscending, i-1, docIDs[i-1], i, docIDs[i])
 		}
 	}
-	for start := 0; start < len(docIDs); start += BlockSize {
-		end := start + BlockSize
-		if end > len(docIDs) {
-			end = len(docIDs)
-		}
-		l.Blocks = append(l.Blocks, compressBlock(docIDs[start:end]))
+	nb := (len(docIDs) + BlockSize - 1) / BlockSize
+	l := &List{N: len(docIDs), Blocks: pvec.Make[Block](PageShift, nb)}
+	for k := range nb {
+		*l.Block(k) = compressBlock(docIDs[k*BlockSize : min((k+1)*BlockSize, len(docIDs))])
 	}
 	return l, nil
 }
@@ -185,9 +193,11 @@ func packBlock(firstDocID uint32, gaps []uint32) Block {
 func (l *List) Decompress() []uint32 {
 	out := make([]uint32, 0, l.N)
 	buf := make([]uint32, BlockSize)
-	for i := range l.Blocks {
-		n := l.Blocks[i].DecompressInto(buf)
-		out = append(out, buf[:n]...)
+	for _, pg := range l.Blocks.Pages() {
+		for i := range pg {
+			n := pg[i].DecompressInto(buf)
+			out = append(out, buf[:n]...)
+		}
 	}
 	return out
 }
@@ -236,9 +246,11 @@ func (b *Block) LastDocID() uint32 {
 // for Table 1's compression-ratio comparison.
 func (l *List) CompressedBits() int64 {
 	var bits int64
-	for i := range l.Blocks {
-		b := &l.Blocks[i]
-		bits += int64(b.N*b.B) + int64(len(b.Exceptions))*32 + blockHeaderBits
+	for _, pg := range l.Blocks.Pages() {
+		for i := range pg {
+			b := &pg[i]
+			bits += int64(b.N*b.B) + int64(len(b.Exceptions))*32 + blockHeaderBits
+		}
 	}
 	return bits
 }
@@ -256,8 +268,10 @@ func (l *List) Ratio() float64 {
 // NumExceptions returns the total exception count across blocks.
 func (l *List) NumExceptions() int {
 	n := 0
-	for i := range l.Blocks {
-		n += len(l.Blocks[i].Exceptions)
+	for _, pg := range l.Blocks.Pages() {
+		for i := range pg {
+			n += len(pg[i].Exceptions)
+		}
 	}
 	return n
 }

@@ -124,7 +124,7 @@ func TestLongExceptionHopsWidenB(t *testing.T) {
 	if !reflect.DeepEqual(l.Decompress(), ids) {
 		t.Fatal("round trip mismatch")
 	}
-	if b := l.Blocks[0].B; b < 7 {
+	if b := l.Block(0).B; b < 7 {
 		t.Fatalf("expected widened b >= 7, got %d", b)
 	}
 }
@@ -142,8 +142,8 @@ func TestEmptyList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.N != 0 || len(l.Blocks) != 0 {
-		t.Fatalf("empty list: N=%d blocks=%d", l.N, len(l.Blocks))
+	if l.N != 0 || l.Blocks.Len() != 0 {
+		t.Fatalf("empty list: N=%d blocks=%d", l.N, l.Blocks.Len())
 	}
 	if got := l.Decompress(); len(got) != 0 {
 		t.Fatalf("decompress empty: %v", got)
@@ -160,8 +160,8 @@ func TestBlockIndependence(t *testing.T) {
 	// Decompress blocks out of order; results must stitch together.
 	out := make([]uint32, len(ids))
 	buf := make([]uint32, BlockSize)
-	for i := len(l.Blocks) - 1; i >= 0; i-- {
-		n := l.Blocks[i].DecompressInto(buf)
+	for i := l.Blocks.Len() - 1; i >= 0; i-- {
+		n := l.Block(i).DecompressInto(buf)
 		copy(out[i*BlockSize:], buf[:n])
 	}
 	if !reflect.DeepEqual(out, ids) {
@@ -173,13 +173,13 @@ func TestFirstDocIDAndLast(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ids := genAscending(rng, 600, 40, 1<<16, 0.1)
 	l, _ := Compress(ids)
-	for i := range l.Blocks {
+	for i := range l.Blocks.Len() {
 		start := i * BlockSize
-		if l.Blocks[i].FirstDocID != ids[start] {
-			t.Fatalf("block %d FirstDocID = %d, want %d", i, l.Blocks[i].FirstDocID, ids[start])
+		if l.Block(i).FirstDocID != ids[start] {
+			t.Fatalf("block %d FirstDocID = %d, want %d", i, l.Block(i).FirstDocID, ids[start])
 		}
-		end := start + l.Blocks[i].N - 1
-		if got := l.Blocks[i].LastDocID(); got != ids[end] {
+		end := start + l.Block(i).N - 1
+		if got := l.Block(i).LastDocID(); got != ids[end] {
 			t.Fatalf("block %d LastDocID = %d, want %d", i, got, ids[end])
 		}
 	}

@@ -92,8 +92,8 @@ func TestPartitionIndexKeepsGlobalStats(t *testing.T) {
 		if six.AvgDocLen != c.Index.AvgDocLen {
 			t.Errorf("shard %d: AvgDocLen=%v want %v", s, six.AvgDocLen, c.Index.AvgDocLen)
 		}
-		if len(six.DocLens) != len(c.Index.DocLens) {
-			t.Errorf("shard %d: %d doc lens, want %d", s, len(six.DocLens), len(c.Index.DocLens))
+		if six.DocLens.Len() != c.Index.DocLens.Len() {
+			t.Errorf("shard %d: %d doc lens, want %d", s, six.DocLens.Len(), c.Index.DocLens.Len())
 		}
 	}
 }
