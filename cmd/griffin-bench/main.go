@@ -18,24 +18,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"griffin/internal/experiments"
 	"griffin/internal/gpu"
-	"griffin/internal/workload"
 )
 
-// experimentNames are the valid -only keys, in run order.
-var experimentNames = []string{
-	"table1", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13",
-	"fig14", "fig15", "ablation", "load", "cache", "cluster", "device", "batch", "chaos", "ingest", "overload", "crash",
-}
-
 func main() {
+	// The valid -only keys, in run order.
+	keys := make([]string, len(experiments.Studies))
+	for i, st := range experiments.Studies {
+		keys[i] = st.Key
+	}
 	scale := flag.Float64("scale", 0.2, "workload scale relative to the paper (1.0 = full)")
 	seed := flag.Int64("seed", 1, "workload generation seed")
-	only := flag.String("only", "", "comma-separated experiment list (default: all): "+strings.Join(experimentNames, ","))
+	only := flag.String("only", "", "comma-separated experiment list (default: all): "+strings.Join(keys, ","))
 	batchWindow := flag.Duration("batch-window", 0, "batching-on window for the batch sweep (0 = sweep default 2ms)")
 	batchMax := flag.Int("batch-max", gpu.DefaultBatchMax, "batching-on member cap for the batch sweep")
 	csvDir := flag.String("csvdir", "", "also write each table as CSV into this directory")
@@ -69,183 +68,47 @@ func main() {
 
 	// Unknown -only keys fail fast: a typo like "clsuter" used to be
 	// silently ignored, running everything but the experiment asked for.
-	valid := map[string]bool{}
-	for _, k := range experimentNames {
-		valid[k] = true
-	}
 	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			k = strings.TrimSpace(k)
-			if k == "" {
-				continue
-			}
-			if !valid[k] {
-				fmt.Fprintf(os.Stderr, "griffin-bench: unknown experiment %q in -only (valid: %s)\n",
-					k, strings.Join(experimentNames, ", "))
-				os.Exit(2)
-			}
-			want[k] = true
+	for _, k := range strings.Split(*only, ",") {
+		k = strings.TrimSpace(k)
+		if k == "" {
+			continue
 		}
-	}
-	run := func(name string) bool { return len(want) == 0 || want[name] }
-	var jsonTables []experiments.TableJSON
-	emit := func(t *experiments.Table) {
-		fmt.Println(t.Render())
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, t.Slug()+".csv")
-			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-				exitOn(err)
-			}
+		if !slices.Contains(keys, k) {
+			fmt.Fprintf(os.Stderr, "griffin-bench: unknown experiment %q in -only (valid: %s)\n",
+				k, strings.Join(keys, ", "))
+			os.Exit(2)
 		}
-		if *jsonPath != "" {
-			jsonTables = append(jsonTables, t.JSON())
-		}
+		want[k] = true
 	}
 
 	fmt.Printf("griffin-bench: scale=%.2f seed=%d (simulated K20 + Xeon E5-2609v2 models)\n\n", *scale, *seed)
 	start := time.Now()
 
-	if run("table1") {
-		_, t, err := experiments.RunTable1(cfg)
-		exitOn(err)
-		emit(t)
-	}
-	if run("fig7") {
-		_, t, err := experiments.RunFig7(cfg)
-		exitOn(err)
-		emit(t)
-	}
-	if run("fig8") {
-		_, t, err := experiments.RunFig8(cfg)
-		exitOn(err)
-		emit(t)
-	}
-	if run("fig12") {
-		_, t, err := experiments.RunFig12(cfg)
-		exitOn(err)
-		emit(t)
-	}
-	if run("fig13") {
-		_, t, err := experiments.RunFig13(cfg)
-		exitOn(err)
-		emit(t)
-	}
-
-	needCorpus := run("fig10") || run("fig11") || run("fig14") || run("fig15") ||
-		run("ablation") || run("load") || run("cache")
-	if needCorpus {
-		fmt.Println("building end-to-end corpus...")
-		corpus, err := cfg.BuildCorpus()
-		exitOn(err)
-
-		var queries []workload.Query
-		if run("fig10") {
-			_, t, err := experiments.RunFig10(cfg, corpus)
-			exitOn(err)
-			emit(t)
+	var jsonTables []experiments.TableJSON
+	// The shared corpus and query log live from the first study that
+	// shares them to the first that does not: the extension sweeps build
+	// their own corpora and should not run beside the largest one.
+	var session *experiments.Session
+	for _, st := range experiments.Studies {
+		if len(want) > 0 && !want[st.Key] {
+			continue
 		}
-		// Every query-driven experiment shares fig11's synthesized log —
-		// including the load and cache studies, which previously received a
-		// nil log (and crashed) when selected without fig11 via -only.
-		if run("fig11") || run("fig14") || run("fig15") || run("ablation") ||
-			run("load") || run("cache") {
-			_, t, qs, err := experiments.RunFig11(cfg, corpus)
-			exitOn(err)
-			queries = qs
-			if run("fig11") {
-				emit(t)
+		if !st.Shared {
+			session = nil
+		} else if session == nil {
+			session = experiments.NewSession(cfg)
+		}
+		fmt.Printf("running %s...\n", st.Key)
+		tables, err := st.Run(cfg, session)
+		exitOn(err)
+		for _, t := range tables {
+			fmt.Println(t.Render())
+			if *csvDir != "" {
+				exitOn(os.WriteFile(filepath.Join(*csvDir, t.Slug()+".csv"), []byte(t.CSV()), 0o644))
 			}
+			jsonTables = append(jsonTables, t.JSON())
 		}
-		if run("fig14") || run("fig15") {
-			fmt.Printf("running %d queries under 4 engine modes...\n", len(queries))
-			res14, t14, err := experiments.RunFig14(cfg, corpus, queries)
-			exitOn(err)
-			if run("fig14") {
-				emit(t14)
-			}
-			if run("fig15") {
-				_, t15 := experiments.RunFig15(res14.CPURecorder, res14.GriffinRecorder)
-				emit(t15)
-			}
-		}
-		if run("ablation") {
-			_, ta, err := experiments.RunCrossoverAblation(cfg, corpus, queries)
-			exitOn(err)
-			emit(ta)
-			_, tm, err := experiments.RunMigrationAblation(cfg, corpus, queries)
-			exitOn(err)
-			emit(tm)
-			_, tp, err := experiments.RunPolicyAblation(cfg, corpus, queries)
-			exitOn(err)
-			emit(tp)
-		}
-		if run("load") {
-			_, tl, err := experiments.RunLoadStudy(cfg, corpus, queries)
-			exitOn(err)
-			emit(tl)
-			fmt.Println("driving the real engine under Poisson load...")
-			_, te, err := experiments.RunEngineLoadStudy(cfg, corpus, queries)
-			exitOn(err)
-			emit(te)
-			_, ts, err := experiments.RunStreamSweep(cfg, corpus, queries)
-			exitOn(err)
-			emit(ts)
-		}
-		if run("cache") {
-			_, tc, err := experiments.RunCacheStudy(cfg, corpus, queries)
-			exitOn(err)
-			emit(tc)
-		}
-	}
-
-	if run("cluster") {
-		fmt.Println("partitioning the cluster corpus and sweeping shard counts...")
-		_, tc, err := experiments.RunShardSweep(cfg)
-		exitOn(err)
-		emit(tc)
-	}
-
-	if run("device") {
-		fmt.Println("sweeping multi-GPU node device counts...")
-		_, td, err := experiments.RunDeviceSweep(cfg)
-		exitOn(err)
-		emit(td)
-	}
-
-	if run("batch") {
-		fmt.Println("sweeping shard counts with device batching off and on...")
-		_, tb, err := experiments.RunBatchSweep(cfg)
-		exitOn(err)
-		emit(tb)
-	}
-
-	if run("chaos") {
-		fmt.Println("injecting faults and sweeping fault rates (hardened vs brittle)...")
-		_, tc, err := experiments.RunChaosSweep(cfg)
-		exitOn(err)
-		emit(tc)
-	}
-
-	if run("ingest") {
-		fmt.Println("driving mixed read/write load with merging off and on...")
-		_, ti, err := experiments.RunIngestSweep(cfg)
-		exitOn(err)
-		emit(ti)
-	}
-
-	if run("overload") {
-		fmt.Println("sweeping offered load across saturation (hardened overload control vs baseline)...")
-		_, to, err := experiments.RunOverloadSweep(cfg)
-		exitOn(err)
-		emit(to)
-	}
-
-	if run("crash") {
-		fmt.Println("crashing durable engines at seeded points and timing recovery...")
-		_, tc, err := experiments.RunCrashSweep(cfg)
-		exitOn(err)
-		emit(tc)
 	}
 
 	if *jsonPath != "" {

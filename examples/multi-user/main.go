@@ -46,8 +46,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cpuTraces := make([][]loadsim.Segment, len(queries))
-	hybTraces := make([][]loadsim.Segment, len(queries))
+	cpuPlans := make([]loadsim.Plan, len(queries))
+	hybPlans := make([]loadsim.Plan, len(queries))
 	var meanService time.Duration
 	for i, q := range queries {
 		rc, err := cpuEng.Search(q.Terms)
@@ -58,8 +58,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpuTraces[i] = loadsim.SegmentsFromStats(rc.Stats)
-		hybTraces[i] = loadsim.SegmentsFromStats(rh.Stats)
+		cpuPlans[i].Segments = loadsim.SegmentsFromStats(rc.Stats)
+		hybPlans[i].Segments = loadsim.SegmentsFromStats(rh.Stats)
 		meanService += rc.Stats.Latency
 	}
 	meanService /= time.Duration(len(queries))
@@ -71,8 +71,8 @@ func main() {
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5} {
 		rate := saturation * frac
 		spec := loadsim.Spec{CPUWorkers: 4, ArrivalRate: rate, Seed: 99}
-		rc := loadsim.Run(cpuTraces, spec)
-		rh := loadsim.Run(hybTraces, spec)
+		rc := loadsim.Replay(cpuPlans, spec, loadsim.NoSpill)
+		rh := loadsim.Replay(hybPlans, spec, loadsim.NoSpill)
 		c, h := rc.Latencies.Percentile(99), rh.Latencies.Percentile(99)
 		fmt.Printf("%-12.0f %16.2f %16.2f %9.1fx\n",
 			rate,

@@ -184,7 +184,6 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 		for r := 0; r < cfg.Replicas; r++ {
 			ecfg := cfg.Engine
 			ecfg.TopK = cfg.TopK
-			ecfg.Runtime = nil
 			ecfg.Device = nil
 			if ecfg.Mode != core.CPUOnly {
 				ecfg.Device = gpu.New(cfg.DeviceModel, 0)
@@ -273,7 +272,6 @@ func (c *Cluster) ReplaceShard(shard int, ix *index.Index) error {
 	for ri, rep := range c.shards[shard].replicas {
 		ecfg := c.cfg.Engine
 		ecfg.TopK = c.cfg.TopK
-		ecfg.Runtime = nil
 		ecfg.Device = nil
 		ecfg.Node = rep.engine().Node() // nil for CPU-only replicas
 		eng, err := core.New(ix, ecfg)

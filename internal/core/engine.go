@@ -100,31 +100,27 @@ type Config struct {
 	// Ignored on single-device nodes, where every query runs on device 0
 	// without consulting any policy.
 	Placement sched.DevicePlacement
-	// Runtime shares the device among engines; nil means the engine
-	// builds its own runtime over Device. All queries of an engine —
-	// Search, SearchBatch, warmup — go through the node's runtimes, so
-	// concurrent queries contend for the modeled devices and are charged
-	// queueing delay (Stats.GPUWait) when they are busy. A caller-built
-	// Runtime becomes the node's only device (Devices is ignored).
-	Runtime *gpu.DeviceRuntime
-	// Node adopts an existing multi-device runtime wholesale: the new
-	// engine shares the node's per-device timelines, submit hooks, and
-	// batching stage instead of building its own. This is how a live
+	// Node adopts an existing multi-device runtime wholesale; nil means
+	// the engine builds its own node over Device. All queries of an
+	// engine — Search, SearchBatch, warmup — go through the node's
+	// runtimes, so concurrent queries contend for the modeled devices and
+	// are charged queueing delay (Stats.GPUWait) when they are busy. An
+	// engine given a node shares its per-device timelines, submit hooks,
+	// and batching stage instead of building its own. This is how a live
 	// index swap (background merge publishing a re-encoded segment)
 	// replaces the engine without resetting device state: in-flight
 	// queries on the old engine and new queries on its successor contend
 	// for the same modeled devices. Device, Devices, Streams, and
-	// Placement's node-construction role are ignored when set; takes
-	// precedence over Runtime.
+	// Placement's node-construction role are ignored when set.
 	Node *gpu.NodeRuntime
 	// Streams bounds each device runtime's simulated compute lanes when
 	// the engine builds its own node (0 = 1, the K20's single compute
-	// engine). Ignored when Runtime is set.
+	// engine).
 	Streams int
 	// SpillBacklog enables load-aware admission: when > 0, the engine
 	// wraps its scheduling policy so intersections spill to the CPU plan
 	// whenever the device runtime's compute backlog exceeds this
-	// threshold — loadsim.RunAdaptive's behaviour promoted into the real
+	// threshold — loadsim.Replay's spill limit promoted into the real
 	// engine (§3.2's load-balancing hook). Zero disables spilling.
 	SpillBacklog time.Duration
 	// BatchWindow enables the device runtimes' cross-query batching stage:
@@ -211,12 +207,9 @@ func New(ix *index.Index, cfg Config) (*Engine, error) {
 	e := &Engine{ix: ix, cfg: cfg, scorer: rank.NewScorer(ix, cfg.BM25)}
 	if cfg.Device != nil {
 		adopted := cfg.Node != nil
-		switch {
-		case adopted:
+		if adopted {
 			e.node = cfg.Node
-		case cfg.Runtime != nil:
-			e.node = gpu.WrapNode(cfg.Runtime)
-		default:
+		} else {
 			e.node = gpu.NewNode(cfg.Device, cfg.Devices, cfg.Streams)
 		}
 		e.placement = cfg.Placement

@@ -26,9 +26,9 @@ func TestDeviceFaultFallsBackToCPU(t *testing.T) {
 	}
 
 	for _, mode := range []Mode{GPUOnly, Hybrid, PerQueryHybrid} {
-		dev := gpu.New(hwmodel.DefaultGPU(), 0)
-		rt := gpu.NewRuntime(dev, 1)
-		eng, err := New(c.Index, Config{Mode: mode, Device: dev, Runtime: rt})
+		node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), 1, 0)
+		rt := node.Runtime(0)
+		eng, err := New(c.Index, Config{Mode: mode, Node: node})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,9 +80,9 @@ func TestDeviceFaultFallsBackToCPU(t *testing.T) {
 // error it is.
 func TestNoCPUFallbackSurfacesError(t *testing.T) {
 	c := testCorpus(t)
-	dev := gpu.New(hwmodel.DefaultGPU(), 0)
-	rt := gpu.NewRuntime(dev, 1)
-	eng, err := New(c.Index, Config{Mode: GPUOnly, Device: dev, Runtime: rt, NoCPUFallback: true})
+	node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), 1, 0)
+	rt := node.Runtime(0)
+	eng, err := New(c.Index, Config{Mode: GPUOnly, Node: node, NoCPUFallback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +102,9 @@ func TestNoCPUFallbackSurfacesError(t *testing.T) {
 // succeeded) guarantees nonzero waste.
 func TestFallbackChargesWastedDeviceTime(t *testing.T) {
 	c := testCorpus(t)
-	dev := gpu.New(hwmodel.DefaultGPU(), 0)
-	rt := gpu.NewRuntime(dev, 1)
-	eng, err := New(c.Index, Config{Mode: GPUOnly, Device: dev, Runtime: rt})
+	node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), 1, 0)
+	rt := node.Runtime(0)
+	eng, err := New(c.Index, Config{Mode: GPUOnly, Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,11 +38,7 @@ func RunCrossoverAblation(cfg Config, c *workload.Corpus, queries []workload.Que
 		Notes:  []string{"paper's choice: 128 (= compression block size)"},
 	}
 	// Trim the log for the sweep: each threshold runs the full pipeline.
-	n := cfg.scaled(300, 60)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := queries[:n]
+	sample := termsOf(queries, cfg.scaled(300, 60))
 
 	best := time.Duration(1<<62 - 1)
 	for _, crossover := range []float64{16, 32, 64, 128, 256, 512, 1024} {
@@ -55,15 +51,10 @@ func RunCrossoverAblation(cfg Config, c *workload.Corpus, queries []workload.Que
 		if err != nil {
 			return res, nil, err
 		}
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := e.Search(q.Terms)
-			if err != nil {
-				return res, nil, err
-			}
-			sum += r.Stats.Latency
+		mean, err := meanLatency(sample, engineSearch(e))
+		if err != nil {
+			return res, nil, err
 		}
-		mean := sum / time.Duration(len(sample))
 		res.Points = append(res.Points, AblationPoint{Crossover: crossover, MeanLat: mean})
 		if mean < best {
 			best = mean
@@ -86,11 +77,7 @@ type PolicyAblationResult struct {
 // RunPolicyAblation evaluates both scheduling policies over the query log.
 func RunPolicyAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (PolicyAblationResult, *Table, error) {
 	var res PolicyAblationResult
-	n := cfg.scaled(300, 60)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := queries[:n]
+	sample := termsOf(queries, cfg.scaled(300, 60))
 
 	run := func(policy sched.Policy) (time.Duration, error) {
 		e, err := core.New(c.Index, core.Config{
@@ -99,15 +86,7 @@ func RunPolicyAblation(cfg Config, c *workload.Corpus, queries []workload.Query)
 		if err != nil {
 			return 0, err
 		}
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := e.Search(q.Terms)
-			if err != nil {
-				return 0, err
-			}
-			sum += r.Stats.Latency
-		}
-		return sum / time.Duration(len(sample)), nil
+		return meanLatency(sample, engineSearch(e))
 	}
 	var err error
 	if res.RatioMean, err = run(sched.NewRatioPolicy()); err != nil {
@@ -143,11 +122,7 @@ type MigrationAblationResult struct {
 // RunMigrationAblation quantifies the sticky-migration design choice.
 func RunMigrationAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (MigrationAblationResult, *Table, error) {
 	var res MigrationAblationResult
-	n := cfg.scaled(300, 60)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := queries[:n]
+	sample := termsOf(queries, cfg.scaled(300, 60))
 
 	run := func(sticky bool) (time.Duration, error) {
 		e, err := core.New(c.Index, core.Config{
@@ -159,15 +134,7 @@ func RunMigrationAblation(cfg Config, c *workload.Corpus, queries []workload.Que
 		if err != nil {
 			return 0, err
 		}
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := e.Search(q.Terms)
-			if err != nil {
-				return 0, err
-			}
-			sum += r.Stats.Latency
-		}
-		return sum / time.Duration(len(sample)), nil
+		return meanLatency(sample, engineSearch(e))
 	}
 	var err error
 	if res.StickyMean, err = run(true); err != nil {

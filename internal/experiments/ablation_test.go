@@ -10,6 +10,7 @@ func TestPolicyAblationShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if res.RatioMean <= 0 || res.CostMean <= 0 {
 		t.Fatalf("zero latencies: %+v", res)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -82,14 +81,11 @@ func RunBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
 		max = gpu.DefaultBatchMax
 	}
 
-	c, queries, err := shardSweepCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, shardSweepShape)
 	if err != nil {
 		return BatchSweepResult{}, nil, err
 	}
-	sample := make([][]string, len(queries))
-	for i, q := range queries {
-		sample[i] = q.Terms
-	}
+	sample := termsOf(queries, len(queries))
 
 	mkCluster := func(shards int, batched bool) (*cluster.Cluster, error) {
 		ixs, err := workload.PartitionCorpus(c, shards)
@@ -110,15 +106,7 @@ func RunBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
 			return 0, err
 		}
 		defer cl.Close()
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := cl.Search(context.Background(), q)
-			if err != nil {
-				return 0, err
-			}
-			sum += r.Stats.Latency
-		}
-		return sum / time.Duration(len(sample)), nil
+		return meanLatency(sample, clusterSearch(cl))
 	}
 
 	res := BatchSweepResult{Window: window, Max: max}
@@ -158,7 +146,7 @@ func RunBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
 			if err != nil {
 				return BatchSweepResult{}, nil, err
 			}
-			r, err := loadsim.RunCluster(cl, sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
+			r, err := loadsim.Drive(loadsim.ClusterTarget(cl), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
 			if err != nil {
 				cl.Close()
 				return BatchSweepResult{}, nil, err

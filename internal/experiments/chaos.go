@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/fault"
-	"griffin/internal/index"
 	"griffin/internal/loadsim"
 	"griffin/internal/workload"
 )
@@ -64,32 +62,6 @@ func chaosPlan(seed int64, rate float64) fault.Plan {
 	}}
 }
 
-// chaosCorpus is a moderate scatter-gather corpus: long enough lists
-// that device faults hit mid-query, small enough that the sweep's many
-// cluster builds stay cheap.
-func chaosCorpus(cfg Config) (*workload.Corpus, [][]string, error) {
-	c, err := workload.GenerateCorpus(workload.CorpusSpec{
-		NumDocs:    cfg.scaled(2_000_000, 400_000),
-		NumTerms:   cfg.scaled(32, 16),
-		MaxListLen: cfg.scaled(1_000_000, 120_000),
-		MinListLen: cfg.scaled(200_000, 30_000),
-		Alpha:      0.6,
-		Codec:      index.CodecEF,
-		Seed:       cfg.Seed + 61,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
-		NumQueries: cfg.scaled(300, 80), PopularityAlpha: 0.5, Seed: cfg.Seed + 67,
-	})
-	sample := make([][]string, len(queries))
-	for i, q := range queries {
-		sample[i] = q.Terms
-	}
-	return c, sample, nil
-}
-
 // RunChaosSweep measures availability (fraction of queries answered
 // completely) and tail latency against injected fault rate on a 4-shard,
 // 2-replica hybrid cluster. Each rate runs twice over the identical
@@ -99,10 +71,11 @@ func chaosCorpus(cfg Config) (*workload.Corpus, [][]string, error) {
 // buys. Everything is seeded: the same Config reproduces the same fault
 // log, availability, and latency table bit for bit.
 func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
-	c, sample, err := chaosCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, chaosShape)
 	if err != nil {
 		return ChaosSweepResult{}, nil, err
 	}
+	sample := termsOf(queries, len(queries))
 
 	mkCluster := func(inj *fault.Injector, hardened bool, hedge time.Duration) (*cluster.Cluster, error) {
 		ixs, err := workload.PartitionCorpus(c, 4)
@@ -136,17 +109,11 @@ func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 	if err != nil {
 		return ChaosSweepResult{}, nil, err
 	}
-	var sum time.Duration
-	for _, q := range sample {
-		r, err := iso.Search(context.Background(), q)
-		if err != nil {
-			iso.Close()
-			return ChaosSweepResult{}, nil, err
-		}
-		sum += r.Stats.Latency
-	}
+	cleanMean, err := meanLatency(sample, clusterSearch(iso))
 	iso.Close()
-	cleanMean := sum / time.Duration(len(sample))
+	if err != nil {
+		return ChaosSweepResult{}, nil, err
+	}
 	rate := 0.5 / cleanMean.Seconds()
 	hedge := 2 * cleanMean
 
@@ -167,19 +134,19 @@ func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 
 	for i, fr := range []float64{0, 0.02, 0.05, 0.10} {
 		seed := cfg.Seed*7919 + int64(i+1)
-		run := func(hardened bool) (loadsim.ClusterResult, error) {
+		run := func(hardened bool) (loadsim.Result, error) {
 			var inj *fault.Injector
 			if fr > 0 {
 				inj = fault.NewInjector(chaosPlan(seed, fr))
 			}
 			cl, err := mkCluster(inj, hardened, hedge)
 			if err != nil {
-				return loadsim.ClusterResult{}, err
+				return loadsim.Result{}, err
 			}
 			defer cl.Close()
-			return loadsim.RunCluster(cl, sample, loadsim.Spec{
-				ArrivalRate: rate, Seed: cfg.Seed + 331, TolerateFailures: true,
-			})
+			// Under a fault plan a query may lose every shard; the target
+			// counts it as failed instead of ending the run.
+			return loadsim.Drive(loadsim.ClusterTarget(cl), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
 		}
 		hard, err := run(true)
 		if err != nil {
@@ -197,7 +164,7 @@ func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 			Retries:             hard.Retries,
 			Hedges:              hard.Hedges,
 			Fallbacks:           hard.Fallbacks,
-			Failed:              hard.Failed,
+			Failed:              hard.Interactive.Failed,
 			BrittleAvailability: brittle.Available(),
 			BrittleP99:          brittle.Latencies.Percentile(99),
 		}

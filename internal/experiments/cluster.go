@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/index"
 	"griffin/internal/loadsim"
 	"griffin/internal/workload"
 )
@@ -61,39 +59,14 @@ type ShardSweepResult struct {
 	Points []ShardSweepPoint
 }
 
-// shardSweepCorpus generates the study corpus: uniformly long lists (no
-// Zipf tail of tiny lists) so every shard's sub-query does real device
-// work at every shard count.
-func shardSweepCorpus(cfg Config) (*workload.Corpus, []workload.Query, error) {
-	c, err := workload.GenerateCorpus(workload.CorpusSpec{
-		NumDocs:    cfg.scaled(4_000_000, 1_000_000),
-		NumTerms:   cfg.scaled(40, 24),
-		MaxListLen: cfg.scaled(2_000_000, 500_000),
-		MinListLen: cfg.scaled(400_000, 100_000),
-		Alpha:      0.6,
-		Codec:      index.CodecEF,
-		Seed:       cfg.Seed + 41,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
-		NumQueries: cfg.scaled(400, 60), PopularityAlpha: 0.5, Seed: cfg.Seed + 43,
-	})
-	return c, queries, nil
-}
-
 // RunShardSweep measures contention-free latency and saturated
 // throughput against shard count.
 func RunShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
-	c, queries, err := shardSweepCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, shardSweepShape)
 	if err != nil {
 		return ShardSweepResult{}, nil, err
 	}
-	sample := make([][]string, len(queries))
-	for i, q := range queries {
-		sample[i] = q.Terms
-	}
+	sample := termsOf(queries, len(queries))
 
 	mkCluster := func(shards int) (*cluster.Cluster, error) {
 		ixs, err := workload.PartitionCorpus(c, shards)
@@ -128,17 +101,12 @@ func RunShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
 		if err != nil {
 			return ShardSweepResult{}, nil, err
 		}
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := iso.Search(context.Background(), q)
-			if err != nil {
-				iso.Close()
-				return ShardSweepResult{}, nil, err
-			}
-			sum += r.Stats.Latency
-		}
+		isoMean, err := meanLatency(sample, clusterSearch(iso))
 		iso.Close()
-		p := ShardSweepPoint{Shards: shards, IsolatedMean: sum / time.Duration(len(sample))}
+		if err != nil {
+			return ShardSweepResult{}, nil, err
+		}
+		p := ShardSweepPoint{Shards: shards, IsolatedMean: isoMean}
 
 		if rate == 0 {
 			// Calibrate the saturating load off the 1-shard mean: deep
@@ -152,7 +120,7 @@ func RunShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
 		if err != nil {
 			return ShardSweepResult{}, nil, err
 		}
-		r, err := loadsim.RunCluster(cl, sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
+		r, err := loadsim.Drive(loadsim.ClusterTarget(cl), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
 		if err != nil {
 			cl.Close()
 			return ShardSweepResult{}, nil, err

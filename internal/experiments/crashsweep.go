@@ -7,10 +7,8 @@ import (
 
 	"griffin/internal/core"
 	"griffin/internal/fault"
-	"griffin/internal/index"
 	"griffin/internal/ingest"
 	"griffin/internal/loadsim"
-	"griffin/internal/workload"
 )
 
 // CrashSweepPoint is one checkpoint cadence of the crash-recovery study,
@@ -60,32 +58,10 @@ type CrashSweepResult struct {
 	Points    []CrashSweepPoint
 }
 
-// crashCorpus is a small corpus: the sweep opens many engines and each
-// checkpoint serializes the full segment, so the signal (replay length,
-// recovery time, survival accounting) needs volume in mutations, not in
-// postings.
-func crashCorpus(cfg Config) (*workload.Corpus, []workload.Query, error) {
-	c, err := workload.GenerateCorpus(workload.CorpusSpec{
-		NumDocs:    cfg.scaled(500_000, 20_000),
-		NumTerms:   cfg.scaled(48, 16),
-		MaxListLen: cfg.scaled(100_000, 4_000),
-		MinListLen: cfg.scaled(10_000, 500),
-		Alpha:      0.6,
-		Codec:      index.CodecEF,
-		Seed:       cfg.Seed + 91,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
-		NumQueries: cfg.scaled(200, 60), PopularityAlpha: 0.5, Seed: cfg.Seed + 93,
-	})
-	return c, queries, nil
-}
-
 // RunCrashSweep measures acknowledged-write survival and recovery time
-// against checkpoint interval on a durable live engine (BENCH_PR10's
-// robustness study). Every trial crashes at a seeded point in the same
+// against checkpoint interval on a durable live engine (recorded in
+// testdata/extension_crash-recovery_sweep.json; go test -update rewrites
+// it). Every trial crashes at a seeded point in the same
 // mutation script — odd trials through an injected torn append, so the
 // log ends mid-record — and reopens the directory. Two arms per trial:
 // sync-every-append, whose survival must be 100% at every cadence (the
@@ -93,7 +69,7 @@ func crashCorpus(cfg Config) (*workload.Corpus, []workload.Query, error) {
 // survival is whatever the last checkpoint covered — the cost of
 // trading the sync tail away.
 func RunCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
-	c, queries, err := crashCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, crashShape)
 	if err != nil {
 		return CrashSweepResult{}, nil, err
 	}

@@ -15,6 +15,7 @@ func TestCrashSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 3 || res.Mutations <= 0 {
 		t.Fatalf("expected 3 cadences over a scripted workload, got %+v", res)
 	}

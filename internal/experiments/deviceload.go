@@ -39,14 +39,7 @@ type EngineLoadResult struct {
 // device saturates, while the backlog-aware spill keeps P99 bounded by
 // taking the CPU plan when the queue is long.
 func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (EngineLoadResult, *Table, error) {
-	n := cfg.scaled(1_500, 120)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := make([][]string, n)
-	for i, q := range queries[:n] {
-		sample[i] = q.Terms
-	}
+	sample := termsOf(queries, cfg.scaled(1_500, 120))
 
 	mkEngine := func(streams int, spill time.Duration) (*core.Engine, error) {
 		return core.New(c.Index, core.Config{
@@ -64,15 +57,10 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 	if err != nil {
 		return EngineLoadResult{}, nil, err
 	}
-	var sum time.Duration
-	for _, q := range sample {
-		r, err := probe.Search(q)
-		if err != nil {
-			return EngineLoadResult{}, nil, err
-		}
-		sum += r.Stats.Latency
+	mean, err := meanLatency(sample, engineSearch(probe))
+	if err != nil {
+		return EngineLoadResult{}, nil, err
 	}
-	mean := sum / time.Duration(len(sample))
 	drain := probe.Runtime().Stats().ComputeBusy / time.Duration(len(sample))
 	res := EngineLoadResult{MeanService: mean}
 
@@ -134,7 +122,7 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
-		rs, err := loadsim.RunEngine(static, arrivals, spec)
+		rs, err := loadsim.Drive(loadsim.EngineTarget(static), arrivals, spec)
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
@@ -142,7 +130,7 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
-		ra, err := loadsim.RunEngine(spillE, arrivals, spec)
+		ra, err := loadsim.Drive(loadsim.EngineTarget(spillE), arrivals, spec)
 		if err != nil {
 			return EngineLoadResult{}, nil, err
 		}
@@ -200,14 +188,7 @@ type StreamSweepResult struct {
 // RunStreamSweep measures tail latency against compute-lane count under
 // an offered load that saturates the single-lane configuration.
 func RunStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (StreamSweepResult, *Table, error) {
-	n := cfg.scaled(1_000, 100)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := make([][]string, n)
-	for i, q := range queries[:n] {
-		sample[i] = q.Terms
-	}
+	sample := termsOf(queries, cfg.scaled(1_000, 100))
 
 	// The engines cache hot compressed lists on the device: with repeat
 	// uploads gone, compute (decompression + intersection kernels) is the
@@ -224,17 +205,11 @@ func RunStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (S
 	if err != nil {
 		return StreamSweepResult{}, nil, err
 	}
-	var sum time.Duration
-	for _, q := range sample {
-		r, err := probe.Search(q)
-		if err != nil {
-			probe.Close()
-			return StreamSweepResult{}, nil, err
-		}
-		sum += r.Stats.Latency
-	}
+	mean, err := meanLatency(sample, engineSearch(probe))
 	probe.Close()
-	mean := sum / time.Duration(len(sample))
+	if err != nil {
+		return StreamSweepResult{}, nil, err
+	}
 	rate := 2.5 / mean.Seconds() // past single-lane saturation
 	res := StreamSweepResult{Rate: rate}
 
@@ -252,7 +227,7 @@ func RunStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (S
 		if err != nil {
 			return StreamSweepResult{}, nil, err
 		}
-		r, err := loadsim.RunEngine(e, sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 271})
+		r, err := loadsim.Drive(loadsim.EngineTarget(e), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 271})
 		if err != nil {
 			e.Close()
 			return StreamSweepResult{}, nil, err

@@ -8,6 +8,7 @@ func TestEngineLoadStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 3 {
 		t.Fatalf("expected 3 load points, got %d", len(res.Points))
 	}
@@ -24,7 +25,7 @@ func TestEngineLoadStudyShape(t *testing.T) {
 		t.Fatalf("overloaded static engine charged no queueing delay\n%s", table.Render())
 	}
 	// ...while the backlog-aware spill keeps it bounded (the loadsim
-	// RunAdaptive shape, reproduced by the real engine).
+	// spill-limited Replay shape, reproduced by the real engine).
 	if heavy.SpillP99 >= heavy.StaticP99 {
 		t.Fatalf("spill P99 %v not below static P99 %v under overload\n%s",
 			heavy.SpillP99, heavy.StaticP99, table.Render())
@@ -40,6 +41,7 @@ func TestStreamSweepMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 3 {
 		t.Fatalf("expected 3 sweep points, got %d", len(res.Points))
 	}

@@ -55,14 +55,11 @@ type DeviceSweepResult struct {
 // RunDeviceSweep measures contention-free latency and saturated
 // throughput against the node's device count.
 func RunDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
-	c, queries, err := shardSweepCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, shardSweepShape)
 	if err != nil {
 		return DeviceSweepResult{}, nil, err
 	}
-	sample := make([][]string, len(queries))
-	for i, q := range queries {
-		sample[i] = q.Terms
-	}
+	sample := termsOf(queries, len(queries))
 
 	// Fresh device per engine: a shared one would leak timeline state
 	// (and cache contents) across configurations.
@@ -96,17 +93,12 @@ func RunDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 		if err != nil {
 			return DeviceSweepResult{}, nil, err
 		}
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := iso.Search(q)
-			if err != nil {
-				iso.Close()
-				return DeviceSweepResult{}, nil, err
-			}
-			sum += r.Stats.Latency
-		}
+		isoMean, err := meanLatency(sample, engineSearch(iso))
 		iso.Close()
-		p := DeviceSweepPoint{Devices: devices, IsolatedMean: sum / time.Duration(len(sample))}
+		if err != nil {
+			return DeviceSweepResult{}, nil, err
+		}
+		p := DeviceSweepPoint{Devices: devices, IsolatedMean: isoMean}
 
 		if rate == 0 {
 			// Calibrate the saturating load off the 1-device mean: deep
@@ -120,7 +112,7 @@ func RunDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 		if err != nil {
 			return DeviceSweepResult{}, nil, err
 		}
-		r, err := loadsim.RunEngine(e, sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
+		r, err := loadsim.Drive(loadsim.EngineTarget(e), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
 		if err != nil {
 			e.Close()
 			return DeviceSweepResult{}, nil, err

@@ -11,6 +11,7 @@ func TestDeviceSweepScalingShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}

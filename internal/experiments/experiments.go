@@ -157,13 +157,21 @@ func (t *Table) JSON() TableJSON {
 	return TableJSON{Slug: t.Slug(), Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes}
 }
 
-// Slug returns a filesystem-friendly name derived from the title.
+// Slug returns a filesystem-friendly name derived from the title, unique
+// per table. A numbered title is named by its number ("Figure 7: ..." is
+// figure_7, the paper's own label); the Extension and Ablation tables
+// share their prefix with a dozen others, so theirs runs on through the
+// subject, up to the parenthesised unit.
 func (t *Table) Slug() string {
 	s := strings.ToLower(t.Title)
-	if i := strings.IndexByte(s, ':'); i > 0 {
-		s = s[:i]
+	head, rest, _ := strings.Cut(s, ":")
+	if n := len(head); n > 0 && head[n-1] >= '0' && head[n-1] <= '9' {
+		s = head
+	} else {
+		subject, _, _ := strings.Cut(rest, "(")
+		s = head + subject
 	}
-	return strings.ReplaceAll(strings.TrimSpace(s), " ", "_")
+	return strings.Join(strings.Fields(s), "_")
 }
 
 // ms renders a duration as milliseconds with 3 decimals.

@@ -20,6 +20,7 @@ func TestTable1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	// The reproduction target: EF compresses better than PForDelta, both
 	// well above 1x (paper: 3.3 vs 4.6).
 	if res.EFRatio <= res.PFDRatio {
@@ -35,10 +36,11 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	cfg := testConfig()
-	res, _, err := RunFig7(cfg)
+	res, table, err := RunFig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) < 3 {
 		t.Fatalf("only %d size groups", len(res.Points))
 	}
@@ -64,6 +66,7 @@ func TestFig8CrossoverShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 7 {
 		t.Fatalf("expected 7 ratio groups, got %d", len(res.Points))
 	}
@@ -92,10 +95,11 @@ func TestFig10Fig11Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res10, _, err := RunFig10(cfg, c)
+	res10, t10, err := RunFig10(cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, t10)
 	if res10.CDF[len(res10.CDF)-1] != 1 {
 		t.Fatal("CDF must reach 1")
 	}
@@ -105,10 +109,11 @@ func TestFig10Fig11Shapes(t *testing.T) {
 		}
 	}
 
-	res11, _, queries, err := RunFig11(cfg, c)
+	res11, t11, queries, err := RunFig11(cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, t11)
 	if len(queries) == 0 {
 		t.Fatal("no queries generated")
 	}
@@ -128,6 +133,7 @@ func TestFig12Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) < 3 {
 		t.Fatalf("only %d size groups", len(res.Points))
 	}
@@ -156,6 +162,7 @@ func TestFig13Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) < 3 {
 		t.Fatal("too few size groups")
 	}
@@ -190,6 +197,7 @@ func TestFig14Fig15Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, t14)
 	if len(res14.Points) < 3 {
 		t.Fatal("too few term groups")
 	}
@@ -201,7 +209,8 @@ func TestFig14Fig15Shapes(t *testing.T) {
 		t.Fatalf("Griffin slower than GPU-only: %.2fx\n%s", res14.SpeedupVsGPU, t14.Render())
 	}
 
-	res15, _ := RunFig15(res14.CPURecorder, res14.GriffinRecorder)
+	res15, t15 := RunFig15(res14.CPURecorder, res14.GriffinRecorder)
+	checkGolden(t, t15)
 	if len(res15.Points) != 5 {
 		t.Fatal("expected 5 percentiles")
 	}
@@ -233,6 +242,7 @@ func TestAblationShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(abl.Points) != 7 {
 		t.Fatal("expected 7 thresholds")
 	}
@@ -251,10 +261,11 @@ func TestAblationShapes(t *testing.T) {
 		t.Fatalf("crossover 128 (%.3v) >25%% worse than best (%v)\n%s", at128, best, table.Render())
 	}
 
-	mig, _, err := RunMigrationAblation(cfg, c, queries)
+	mig, migTable, err := RunMigrationAblation(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, migTable)
 	if mig.StickyMean <= 0 || mig.NonStickyMean <= 0 {
 		t.Fatal("ablation produced zero latencies")
 	}

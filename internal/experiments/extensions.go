@@ -41,28 +41,24 @@ func RunLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (Loa
 		return LoadResult{}, nil, err
 	}
 
-	n := cfg.scaled(2_000, 150)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := queries[:n]
+	sample := termsOf(queries, cfg.scaled(2_000, 150))
 
-	cpuTraces := make([][]loadsim.Segment, len(sample))
-	hybTraces := make([][]loadsim.Segment, len(sample))
-	duals := make([]loadsim.DualTrace, len(sample))
+	// One plan pair per query: the CPU-only trace is both the CPU-only
+	// configuration's plan and the plan Griffin spills to.
+	cpuPlans := make([]loadsim.Plan, len(sample))
+	hybPlans := make([]loadsim.Plan, len(sample))
 	var cpuServiceSum time.Duration
 	for i, q := range sample {
-		rc, err := cpuE.Search(q.Terms)
+		rc, err := cpuE.Search(q)
 		if err != nil {
 			return LoadResult{}, nil, err
 		}
-		rh, err := hybE.Search(q.Terms)
+		rh, err := hybE.Search(q)
 		if err != nil {
 			return LoadResult{}, nil, err
 		}
-		cpuTraces[i] = loadsim.SegmentsFromStats(rc.Stats)
-		hybTraces[i] = loadsim.SegmentsFromStats(rh.Stats)
-		duals[i] = loadsim.DualTrace{Griffin: hybTraces[i], CPUOnly: cpuTraces[i]}
+		cpuPlans[i].Segments = loadsim.SegmentsFromStats(rc.Stats)
+		hybPlans[i] = loadsim.Plan{Segments: loadsim.SegmentsFromStats(rh.Stats), Spill: cpuPlans[i].Segments}
 		cpuServiceSum += rc.Stats.Latency
 	}
 
@@ -85,9 +81,9 @@ func RunLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (Loa
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0, 1.5} {
 		rate := saturation * frac
 		spec := loadsim.Spec{CPUWorkers: 4, ArrivalRate: rate, Seed: cfg.Seed + 77}
-		rc := loadsim.Run(cpuTraces, spec)
-		rh := loadsim.Run(hybTraces, spec)
-		ra := loadsim.RunAdaptive(duals, spec, 4)
+		rc := loadsim.Replay(cpuPlans, spec, loadsim.NoSpill)
+		rh := loadsim.Replay(hybPlans, spec, loadsim.NoSpill)
+		ra := loadsim.Replay(hybPlans, spec, 4)
 		p := LoadPoint{
 			ArrivalRate: rate,
 			CPUOnlyP99:  rc.Latencies.Percentile(99),
@@ -119,11 +115,7 @@ type CacheResult struct {
 // RunCacheStudy runs the query log twice through a caching GPU-only
 // engine: the first pass pays every upload, the second hits the cache.
 func RunCacheStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (CacheResult, *Table, error) {
-	n := cfg.scaled(500, 80)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := queries[:n]
+	sample := termsOf(queries, cfg.scaled(500, 80))
 
 	e, err := core.New(c.Index, core.Config{
 		Mode: core.GPUOnly, CPU: cfg.CPU, Device: cfg.Device,
@@ -134,22 +126,11 @@ func RunCacheStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (Ca
 	}
 	defer e.Close()
 
-	runPass := func() (time.Duration, error) {
-		var sum time.Duration
-		for _, q := range sample {
-			r, err := e.Search(q.Terms)
-			if err != nil {
-				return 0, err
-			}
-			sum += r.Stats.Latency
-		}
-		return sum / time.Duration(len(sample)), nil
-	}
-	cold, err := runPass()
+	cold, err := meanLatency(sample, engineSearch(e))
 	if err != nil {
 		return CacheResult{}, nil, err
 	}
-	warm, err := runPass()
+	warm, err := meanLatency(sample, engineSearch(e))
 	if err != nil {
 		return CacheResult{}, nil, err
 	}

@@ -26,6 +26,7 @@ func TestLoadStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 5 {
 		t.Fatalf("expected 5 load points, got %d", len(res.Points))
 	}
@@ -53,6 +54,7 @@ func TestCacheStudyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if res.CachedList == 0 {
 		t.Fatal("no lists cached")
 	}

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"griffin/internal/core"
-	"griffin/internal/index"
 	"griffin/internal/ingest"
 	"griffin/internal/loadsim"
+	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
 
@@ -70,26 +70,6 @@ type IngestSweepResult struct {
 	Points    []IngestSweepPoint
 }
 
-// ingestSweepCorpus builds the mixed-workload corpus and read log.
-func ingestSweepCorpus(cfg Config) (*workload.Corpus, []workload.Query, error) {
-	c, err := workload.GenerateCorpus(workload.CorpusSpec{
-		NumDocs:    cfg.scaled(2_000_000, 200_000),
-		NumTerms:   cfg.scaled(40, 24),
-		MaxListLen: cfg.scaled(1_000_000, 60_000),
-		MinListLen: cfg.scaled(200_000, 10_000),
-		Alpha:      0.6,
-		Codec:      index.CodecEF,
-		Seed:       cfg.Seed + 81,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
-		NumQueries: cfg.scaled(400, 80), PopularityAlpha: 0.5, Seed: cfg.Seed + 83,
-	})
-	return c, queries, nil
-}
-
 // ingestSweepScript generates a sequentially valid mutation script:
 // adds of fresh documents built from query-log terms, interleaved with
 // updates and deletes of documents the script already added.
@@ -109,14 +89,14 @@ func ingestSweepScript(cfg Config, queries []workload.Query, base uint32, n int)
 	for len(muts) < n {
 		switch r := rng.Float64(); {
 		case r < 0.7 || len(live) == 0:
-			muts = append(muts, loadsim.Mutation{Kind: loadsim.MutAdd, DocID: next, Tokens: doc()})
+			muts = append(muts, loadsim.Mutation{Op: wal.OpAdd, DocID: next, Tokens: doc()})
 			live = append(live, next)
 			next++
 		case r < 0.85:
-			muts = append(muts, loadsim.Mutation{Kind: loadsim.MutUpdate, DocID: live[rng.Intn(len(live))], Tokens: doc()})
+			muts = append(muts, loadsim.Mutation{Op: wal.OpUpdate, DocID: live[rng.Intn(len(live))], Tokens: doc()})
 		default:
 			i := rng.Intn(len(live))
-			muts = append(muts, loadsim.Mutation{Kind: loadsim.MutDelete, DocID: live[i]})
+			muts = append(muts, loadsim.Mutation{Op: wal.OpDelete, DocID: live[i]})
 			live[i] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
@@ -125,20 +105,15 @@ func ingestSweepScript(cfg Config, queries []workload.Query, base uint32, n int)
 }
 
 // RunIngestSweep measures query p99 against ingest rate with and
-// without background merging (BENCH_PR8's mixed-workload study).
+// without background merging (recorded in
+// testdata/extension_live_ingest_mixed-workload_sweep.json; go test
+// -update rewrites it).
 func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
-	c, queries, err := ingestSweepCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, ingestShape)
 	if err != nil {
 		return IngestSweepResult{}, nil, err
 	}
-	n := cfg.scaled(400, 80)
-	if n > len(queries) {
-		n = len(queries)
-	}
-	sample := make([][]string, n)
-	for i, q := range queries[:n] {
-		sample[i] = q.Terms
-	}
+	sample := termsOf(queries, cfg.scaled(400, 80))
 	mutCount := cfg.scaled(480, 96)
 	muts := ingestSweepScript(cfg, queries, uint32(c.Index.NumDocs), mutCount)
 	threshold := mutCount / 8
@@ -163,17 +138,18 @@ func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 	if err != nil {
 		return IngestSweepResult{}, nil, err
 	}
-	var sum time.Duration
-	for _, q := range sample {
+	mean, err := meanLatency(sample, func(q []string) (time.Duration, error) {
 		r, err := probe.Search(q)
 		if err != nil {
-			probe.Close()
-			return IngestSweepResult{}, nil, err
+			return 0, err
 		}
-		sum += r.Stats.Latency
-	}
+		return r.Stats.Latency, nil
+	})
 	probe.Close()
-	rate := 8 / (sum / time.Duration(len(sample))).Seconds()
+	if err != nil {
+		return IngestSweepResult{}, nil, err
+	}
+	rate := 8 / mean.Seconds()
 
 	res := IngestSweepResult{Rate: rate, Threshold: threshold}
 	t := &Table{
@@ -192,37 +168,37 @@ func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 
 	for _, wf := range []float64{0, 0.2, 0.4, 0.6} {
 		p := IngestSweepPoint{WriteFraction: wf}
-		spec := loadsim.MixedSpec{ArrivalRate: rate, WriteFraction: wf, Seed: cfg.Seed + 457}
+		spec := loadsim.Spec{ArrivalRate: rate, Mutations: muts, WriteFraction: wf, Seed: cfg.Seed + 457}
 		for _, merge := range []bool{false, true} {
 			e, err := mkEngine(merge)
 			if err != nil {
 				return IngestSweepResult{}, nil, err
 			}
 			spec.Merge = merge
-			r, err := loadsim.RunMixed(e, sample, muts, spec)
+			r, err := loadsim.Drive(loadsim.LiveTarget(e), sample, spec)
+			st := e.Stats()
+			e.Close()
 			if err != nil {
-				e.Close()
 				return IngestSweepResult{}, nil, err
 			}
-			e.Close()
 			if merge {
 				p.MeanOn = r.Latencies.Mean()
 				p.P99On = r.Latencies.Percentile(99)
-				p.AvailabilityOn = r.Availability()
+				p.AvailabilityOn = r.Available()
 				p.Writes = r.Writes
 				if r.Makespan > 0 {
 					p.IngestRate = float64(r.Writes) / r.Makespan.Seconds()
 				}
-				p.Merges = r.Stats.Merges
-				p.MergeDevice = r.Stats.MergeDevice
-				p.MergeCPU = r.Stats.MergeCPU
-				p.LagOn = r.Stats.DeltaDocs
+				p.Merges = st.Merges
+				p.MergeDevice = st.MergeDevice
+				p.MergeCPU = st.MergeCPU
+				p.LagOn = st.DeltaDocs
 				p.PeakOn = r.DeltaPeak
 			} else {
 				p.MeanOff = r.Latencies.Mean()
 				p.P99Off = r.Latencies.Percentile(99)
-				p.AvailabilityOff = r.Availability()
-				p.LagOff = r.Stats.DeltaDocs
+				p.AvailabilityOff = r.Available()
+				p.LagOff = st.DeltaDocs
 				p.PeakOff = r.DeltaPeak
 			}
 		}

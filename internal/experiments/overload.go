@@ -8,7 +8,6 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/index"
 	"griffin/internal/loadsim"
 	"griffin/internal/overload"
 	"griffin/internal/workload"
@@ -63,33 +62,6 @@ type OverloadSweepResult struct {
 	Points     []OverloadPoint
 }
 
-// overloadCorpus is a device-heavy scatter-gather corpus: long enough
-// lists that the device timeline is the bottleneck (so overload is
-// queueing, not CPU work), small enough that the sweep's cluster builds
-// stay cheap.
-func overloadCorpus(cfg Config) (*workload.Corpus, [][]string, error) {
-	c, err := workload.GenerateCorpus(workload.CorpusSpec{
-		NumDocs:    cfg.scaled(1_500_000, 200_000),
-		NumTerms:   cfg.scaled(24, 12),
-		MaxListLen: cfg.scaled(800_000, 60_000),
-		MinListLen: cfg.scaled(150_000, 15_000),
-		Alpha:      0.6,
-		Codec:      index.CodecEF,
-		Seed:       cfg.Seed + 401,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
-		NumQueries: cfg.scaled(400, 80), PopularityAlpha: 0.5, Seed: cfg.Seed + 409,
-	})
-	sample := make([][]string, len(queries))
-	for i, q := range queries {
-		sample[i] = q.Terms
-	}
-	return c, sample, nil
-}
-
 // RunOverloadSweep measures goodput (complete, on-deadline answers over
 // offered load) against offered load from 0.2x to 3x the calibrated
 // saturation rate on a 2-shard, 2-replica hybrid cluster. Each point
@@ -103,10 +75,11 @@ func overloadCorpus(cfg Config) (*workload.Corpus, [][]string, error) {
 // spending CPU instead of the saturated device. Everything is seeded:
 // the same Config reproduces the identical table bit for bit.
 func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
-	c, sample, err := overloadCorpus(cfg)
+	c, queries, err := studyCorpus(cfg, overloadShape)
 	if err != nil {
 		return OverloadSweepResult{}, nil, err
 	}
+	sample := termsOf(queries, len(queries))
 	const shards, replicas = 2, 2
 
 	mk := func(mode core.Mode, olc overload.Config, hedge time.Duration) (*cluster.Cluster, error) {
@@ -131,17 +104,11 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 	if err != nil {
 		return OverloadSweepResult{}, nil, err
 	}
-	var sum time.Duration
-	for _, q := range sample {
-		r, err := iso.Search(context.Background(), q)
-		if err != nil {
-			iso.Close()
-			return OverloadSweepResult{}, nil, err
-		}
-		sum += r.Stats.Latency
-	}
+	cleanMean, err := meanLatency(sample, clusterSearch(iso))
 	iso.Close()
-	cleanMean := sum / time.Duration(len(sample))
+	if err != nil {
+		return OverloadSweepResult{}, nil, err
+	}
 
 	// Calibration pass 1b: burst every query at t=0 on a fresh cluster
 	// and read the drain makespan — the achievable throughput with every
@@ -175,17 +142,11 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 	if err != nil {
 		return OverloadSweepResult{}, nil, err
 	}
-	var cpuSum time.Duration
-	for _, q := range sample {
-		r, err := cpuIso.Search(context.Background(), q)
-		if err != nil {
-			cpuIso.Close()
-			return OverloadSweepResult{}, nil, err
-		}
-		cpuSum += r.Stats.Latency
-	}
+	cpuMean, err := meanLatency(sample, clusterSearch(cpuIso))
 	cpuIso.Close()
-	cpuMean := cpuSum / time.Duration(len(sample))
+	if err != nil {
+		return OverloadSweepResult{}, nil, err
+	}
 
 	// Deadline: generous against both the clean hybrid path and the
 	// brownout CPU escape path. Thresholds are spaced so that under
@@ -240,27 +201,27 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 
 	for i, mult := range []float64{0.2, 0.5, 1, 1.5, 2, 3} {
 		rate := mult * saturation
-		spec := loadsim.OverloadSpec{
+		spec := loadsim.Spec{
 			ArrivalRate:   rate,
 			Seed:          cfg.Seed + 431 + int64(i),
 			Deadline:      deadline,
 			BatchFraction: 0.2,
 		}
-		run := func(hard bool) (loadsim.OverloadResult, *cluster.Cluster, error) {
+		run := func(hard bool) (loadsim.Result, *cluster.Cluster, error) {
 			olc, hd := overload.Config{}, time.Duration(0)
 			if hard {
 				olc, hd = hardened, hedge
 			}
 			cl, err := mk(core.Hybrid, olc, hd)
 			if err != nil {
-				return loadsim.OverloadResult{}, nil, err
+				return loadsim.Result{}, nil, err
 			}
 			sp := spec
 			sp.PropagateDeadline = hard
-			r, err := loadsim.RunOverload(cl, arrivals, sp)
+			r, err := loadsim.Drive(loadsim.ClusterTarget(cl), arrivals, sp)
 			if err != nil {
 				cl.Close()
-				return loadsim.OverloadResult{}, nil, err
+				return loadsim.Result{}, nil, err
 			}
 			return r, cl, nil
 		}

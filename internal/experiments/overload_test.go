@@ -16,6 +16,7 @@ func TestOverloadSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, table)
 	if len(res.Points) != 6 || len(table.Rows) != 6 {
 		t.Fatalf("expected 6 sweep points, got %d (%d rows)", len(res.Points), len(table.Rows))
 	}

@@ -3,7 +3,7 @@
 // Every device op pays fixed costs — kernel launch overhead, DMA setup
 // latency, cudaMalloc overhead — that do not shrink with the op's size.
 // Under load those costs repeat for every query on every shard, which is
-// why saturated throughput scales sublinearly (BENCH_PR3/PR6). Real GPU
+// why saturated throughput scales sublinearly (the shard and device sweeps). Real GPU
 // retrieval systems answer with cross-query batching: compatible ops from
 // concurrently queued queries (same engine class, same kernel family) are
 // packed into one combined launch / one DMA program, so the fixed cost is

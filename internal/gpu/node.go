@@ -55,19 +55,6 @@ func NewNode(dev *Device, n, streams int) *NodeRuntime {
 	return node
 }
 
-// WrapNode adopts existing runtimes as a node's devices (device i is
-// rts[i]); the compatibility path for callers that built a DeviceRuntime
-// themselves (core.Config.Runtime). Runtimes are re-indexed in wrap
-// order.
-func WrapNode(rts ...*DeviceRuntime) *NodeRuntime {
-	node := &NodeRuntime{devs: make([]*DeviceRuntime, len(rts))}
-	for i, rt := range rts {
-		rt.index = i
-		node.devs[i] = rt
-	}
-	return node
-}
-
 // Devices returns the node's device count.
 func (n *NodeRuntime) Devices() int { return len(n.devs) }
 

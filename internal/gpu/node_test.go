@@ -176,25 +176,3 @@ func TestNodePeerTransferPricing(t *testing.T) {
 			peerElapsed, hostPath, bytes)
 	}
 }
-
-// WrapNode adopts caller-built runtimes and re-indexes them in wrap
-// order, so handles report the node-relative device id.
-func TestWrapNodeReindexes(t *testing.T) {
-	a := NewRuntime(New(hwmodel.DefaultGPU(), 0), 1)
-	b := NewRuntime(New(hwmodel.DefaultGPU(), 0), 1)
-	node := WrapNode(a, b)
-	if node.Devices() != 2 {
-		t.Fatalf("Devices() = %d", node.Devices())
-	}
-	if node.Runtime(0) != a || node.Runtime(1) != b {
-		t.Fatal("wrap order not preserved")
-	}
-	if a.Index() != 0 || b.Index() != 1 {
-		t.Fatalf("indices %d/%d, want 0/1", a.Index(), b.Index())
-	}
-	h := node.AdmitOn(1)
-	if h.Device() != 1 {
-		t.Fatalf("handle device %d, want 1", h.Device())
-	}
-	h.Release()
-}

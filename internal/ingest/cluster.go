@@ -316,27 +316,31 @@ func (c *Cluster) Cluster() *cluster.Cluster {
 
 // Add inserts a new document (docID must not be live).
 func (c *Cluster) Add(docID uint32, tokens []string) error {
-	return c.mutate(docID, tokens, mutAdd)
+	return c.Apply(wal.OpAdd, docID, tokens)
 }
 
 // Update replaces a document wholesale (upsert).
 func (c *Cluster) Update(docID uint32, tokens []string) error {
-	return c.mutate(docID, tokens, mutUpdate)
+	return c.Apply(wal.OpUpdate, docID, tokens)
 }
 
 // Delete tombstones a live document.
 func (c *Cluster) Delete(docID uint32) error {
-	return c.mutate(docID, nil, mutDelete)
+	return c.Apply(wal.OpDelete, docID, nil)
 }
 
-func (c *Cluster) mutate(docID uint32, tokens []string, kind mutKind) error {
+// Apply applies one mutation by op (see Engine.Apply).
+func (c *Cluster) Apply(op wal.Op, docID uint32, tokens []string) error {
 	if c.closing.Load() {
 		return ErrClosed
 	}
+	if op == wal.OpDelete {
+		tokens = nil
+	}
 	c.mu.Lock()
 	live := int(docID) < c.liveLens.Len() && c.liveLens.At(int(docID)) > 0
-	switch kind {
-	case mutAdd:
+	switch op {
+	case wal.OpAdd:
 		if len(tokens) == 0 {
 			c.mu.Unlock()
 			return mutErrf("ingest: add doc %d: empty document", docID)
@@ -345,16 +349,19 @@ func (c *Cluster) mutate(docID uint32, tokens []string, kind mutKind) error {
 			c.mu.Unlock()
 			return mutErrf("ingest: add doc %d: already exists (use update)", docID)
 		}
-	case mutUpdate:
+	case wal.OpUpdate:
 		if len(tokens) == 0 {
 			c.mu.Unlock()
 			return mutErrf("ingest: update doc %d: empty document", docID)
 		}
-	case mutDelete:
+	case wal.OpDelete:
 		if !live {
 			c.mu.Unlock()
 			return mutErrf("ingest: delete doc %d: not found", docID)
 		}
+	default:
+		c.mu.Unlock()
+		return mutErrf("ingest: doc %d: unknown op %d", docID, op)
 	}
 
 	t := c.t
@@ -364,13 +371,13 @@ func (c *Cluster) mutate(docID uint32, tokens []string, kind mutKind) error {
 	// storage fault) rejects the mutation with no state change.
 	if c.store != nil {
 		if err := c.store.Append(s, wal.Record{
-			Gen: c.gen + 1, Op: walOp(kind), DocID: docID, Tokens: tokens,
+			Gen: c.gen + 1, Op: op, DocID: docID, Tokens: tokens,
 		}); err != nil {
 			c.mu.Unlock()
 			return err
 		}
 	}
-	sh := c.applyLocked(t, s, docID, tokens, kind, c.gen+1)
+	sh := c.applyLocked(t, s, docID, tokens, op, c.gen+1)
 
 	c.stamp++
 	c.stampA.Store(c.stamp)
@@ -381,12 +388,12 @@ func (c *Cluster) mutate(docID uint32, tokens []string, kind mutKind) error {
 	c.mu.Unlock()
 
 	c.statsMu.Lock()
-	switch kind {
-	case mutAdd:
+	switch op {
+	case wal.OpAdd:
 		c.st.Adds++
-	case mutUpdate:
+	case wal.OpUpdate:
 		c.st.Updates++
-	case mutDelete:
+	case wal.OpDelete:
 		c.st.Deletes++
 	}
 	c.statsMu.Unlock()
@@ -424,12 +431,12 @@ func (c *Cluster) mutate(docID uint32, tokens []string, kind mutKind) error {
 // gen: the shard delta write plus the exact global aggregate bookkeeping
 // (index.Builder arithmetic — subtract the old length, add the new,
 // track max-live-docID+1). Caller holds c.mu and guarantees the mutation
-// was validated (mutate) or previously acknowledged (WAL replay).
-func (c *Cluster) applyLocked(t *topo, s int, docID uint32, tokens []string, kind mutKind, gen uint64) *shardState {
+// was validated (Apply) or previously acknowledged (WAL replay).
+func (c *Cluster) applyLocked(t *topo, s int, docID uint32, tokens []string, op wal.Op, gen uint64) *shardState {
 	sh := t.shards[s]
 	c.gen = gen
 	rec := &docRecord{gen: gen}
-	if kind == mutDelete {
+	if op == wal.OpDelete {
 		rec.deleted = true
 	} else {
 		rec.tf, rec.length = tokenCounts(tokens)
@@ -445,7 +452,7 @@ func (c *Cluster) applyLocked(t *topo, s int, docID uint32, tokens []string, kin
 		c.lenSum -= uint64(old)
 		c.lenCnt--
 	}
-	if kind == mutDelete {
+	if op == wal.OpDelete {
 		c.liveLens.Set(int(docID), 0)
 		sh.live--
 		if int(docID)+1 == c.numDocs {

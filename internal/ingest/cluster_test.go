@@ -15,6 +15,7 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/index"
+	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
 
@@ -24,13 +25,13 @@ func applyCluster(t testing.TB, c *Cluster, lc *logicalCorpus, m mutation) {
 	t.Helper()
 	var err error
 	switch m.kind {
-	case mutAdd:
+	case wal.OpAdd:
 		err = c.Add(m.docID, m.tokens)
 		lc.docs[m.docID] = m.tokens
-	case mutUpdate:
+	case wal.OpUpdate:
 		err = c.Update(m.docID, m.tokens)
 		lc.docs[m.docID] = m.tokens
-	case mutDelete:
+	case wal.OpDelete:
 		err = c.Delete(m.docID)
 		delete(lc.docs, m.docID)
 	}
@@ -81,7 +82,7 @@ func TestClusterLiveParity(t *testing.T) {
 	base := seedCorpus(21, 150, vocab)
 	script := genScript(22, base.clone(), 80, vocab)
 	script = append(script, mutation{
-		kind: mutUpdate, docID: 9_000, tokens: []string{"fresh-term", word(0), word(0), word(1)},
+		kind: wal.OpUpdate, docID: 9_000, tokens: []string{"fresh-term", word(0), word(0), word(1)},
 	})
 
 	modes := map[string]core.Config{
@@ -305,7 +306,7 @@ func TestClusterSplit(t *testing.T) {
 	for added := 0; added < 90; added++ {
 		id := next
 		next += 3
-		m := mutation{kind: mutAdd, docID: id, tokens: genDoc(rand.New(rand.NewSource(int64(added))), vocab)}
+		m := mutation{kind: wal.OpAdd, docID: id, tokens: genDoc(rand.New(rand.NewSource(int64(added))), vocab)}
 		applyCluster(t, c, lc, m)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -327,7 +328,7 @@ func TestClusterSplit(t *testing.T) {
 
 	// Routing after the split: mutations to fresh docIDs land on the new
 	// topology and stay queryable.
-	m := mutation{kind: mutAdd, docID: 50_000, tokens: []string{"fresh-term", word(0), word(1)}}
+	m := mutation{kind: wal.OpAdd, docID: 50_000, tokens: []string{"fresh-term", word(0), word(1)}}
 	applyCluster(t, c, lc, m)
 	checkClusterParity(t, c, lc, queries, "post-split-ingest")
 }
@@ -392,7 +393,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 		for g := 0; g <= len(script); g++ {
 			if g > 0 {
 				m := script[g-1]
-				if m.kind == mutDelete {
+				if m.kind == wal.OpDelete {
 					delete(lc.docs, m.docID)
 				} else {
 					lc.docs[m.docID] = m.tokens
@@ -436,11 +437,11 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 		for i, m := range script {
 			var err error
 			switch m.kind {
-			case mutAdd:
+			case wal.OpAdd:
 				err = c.Add(m.docID, m.tokens)
-			case mutUpdate:
+			case wal.OpUpdate:
 				err = c.Update(m.docID, m.tokens)
-			case mutDelete:
+			case wal.OpDelete:
 				err = c.Delete(m.docID)
 			}
 			if err != nil {

@@ -86,7 +86,7 @@ func resolveSyncEvery(v int) int {
 }
 
 // applyRecordLocked replays one WAL record into the delta. Caller holds
-// e.mu. Replay bypasses mutate's validation on purpose: the record was
+// e.mu. Replay bypasses Apply's validation on purpose: the record was
 // validated when acknowledged, and re-validating against a partially
 // rebuilt state would reject legitimate history.
 func (e *Engine) applyRecordLocked(r wal.Record) {
@@ -98,18 +98,6 @@ func (e *Engine) applyRecordLocked(r wal.Record) {
 		rec.tf, rec.length = tokenCounts(r.Tokens)
 	}
 	e.d.put(r.DocID, rec)
-}
-
-// walOp maps a mutation kind to its WAL record op.
-func walOp(kind mutKind) wal.Op {
-	switch kind {
-	case mutAdd:
-		return wal.OpAdd
-	case mutUpdate:
-		return wal.OpUpdate
-	default:
-		return wal.OpDelete
-	}
 }
 
 // Checkpoint folds the delta into the main segment (an ordinary merge)

@@ -76,25 +76,12 @@ func OpenCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
 	t := c.t
 	for _, r := range rec.Records {
 		s := workload.ShardOf(r.DocID, t.n)
-		c.applyLocked(t, s, r.DocID, r.Tokens, kindOf(r.Op), r.Gen)
+		c.applyLocked(t, s, r.DocID, r.Tokens, r.Op, r.Gen)
 	}
 	c.genA.Store(c.gen)
 	c.publishLocked()
 	c.mu.Unlock()
 	return c, nil
-}
-
-// kindOf maps a WAL record op back to its mutation kind (walOp's
-// inverse).
-func kindOf(op wal.Op) mutKind {
-	switch op {
-	case wal.OpAdd:
-		return mutAdd
-	case wal.OpUpdate:
-		return mutUpdate
-	default:
-		return mutDelete
-	}
 }
 
 // Checkpoint persists the live global corpus — every shard's

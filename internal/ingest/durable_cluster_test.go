@@ -8,6 +8,7 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/index"
+	"griffin/internal/wal"
 )
 
 func TestOpenClusterWithoutWALDirMatchesNew(t *testing.T) {
@@ -173,11 +174,11 @@ func TestClusterWedgedShardKeepsOthersWritable(t *testing.T) {
 	for _, m := range script {
 		var err error
 		switch m.kind {
-		case mutAdd:
+		case wal.OpAdd:
 			err = c.Add(m.docID, m.tokens)
-		case mutUpdate:
+		case wal.OpUpdate:
 			err = c.Update(m.docID, m.tokens)
-		case mutDelete:
+		case wal.OpDelete:
 			err = c.Delete(m.docID)
 		}
 		if err != nil {
@@ -196,7 +197,7 @@ func TestClusterWedgedShardKeepsOthersWritable(t *testing.T) {
 		}
 		acked++
 		switch m.kind {
-		case mutDelete:
+		case wal.OpDelete:
 			delete(lc.docs, m.docID)
 		default:
 			lc.docs[m.docID] = m.tokens

@@ -11,6 +11,7 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/index"
+	"griffin/internal/wal"
 )
 
 // applyPrefix replays script[:k] into the engine and the logical corpus,
@@ -31,18 +32,18 @@ func applyUntilWedged(t testing.TB, e *Engine, base *logicalCorpus, script []mut
 	for i, m := range script {
 		var err error
 		switch m.kind {
-		case mutAdd:
+		case wal.OpAdd:
 			err = e.Add(m.docID, m.tokens)
-		case mutUpdate:
+		case wal.OpUpdate:
 			err = e.Update(m.docID, m.tokens)
-		case mutDelete:
+		case wal.OpDelete:
 			err = e.Delete(m.docID)
 		}
 		if err != nil {
 			return i, err, c
 		}
 		switch m.kind {
-		case mutDelete:
+		case wal.OpDelete:
 			delete(c.docs, m.docID)
 		default:
 			c.docs[m.docID] = m.tokens
@@ -220,7 +221,7 @@ func TestCrashPointFaultParityMatrix(t *testing.T) {
 			for i := 0; i < recovered; i++ {
 				m := script[i]
 				switch m.kind {
-				case mutDelete:
+				case wal.OpDelete:
 					delete(ref.docs, m.docID)
 				default:
 					ref.docs[m.docID] = m.tokens
@@ -442,7 +443,7 @@ func TestConcurrentCheckpointIngestReads(t *testing.T) {
 			if g > 0 {
 				m := script[g-1]
 				switch m.kind {
-				case mutDelete:
+				case wal.OpDelete:
 					delete(c.docs, m.docID)
 				default:
 					c.docs[m.docID] = m.tokens
@@ -482,11 +483,11 @@ func TestConcurrentCheckpointIngestReads(t *testing.T) {
 		for i, m := range script {
 			var err error
 			switch m.kind {
-			case mutAdd:
+			case wal.OpAdd:
 				err = e.Add(m.docID, m.tokens)
-			case mutUpdate:
+			case wal.OpUpdate:
 				err = e.Update(m.docID, m.tokens)
-			case mutDelete:
+			case wal.OpDelete:
 				err = e.Delete(m.docID)
 			}
 			if err != nil {
@@ -565,7 +566,7 @@ func TestConcurrentCheckpointIngestReads(t *testing.T) {
 	c := base.clone()
 	for _, m := range script {
 		switch m.kind {
-		case mutDelete:
+		case wal.OpDelete:
 			delete(c.docs, m.docID)
 		default:
 			c.docs[m.docID] = m.tokens

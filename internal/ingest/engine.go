@@ -310,36 +310,34 @@ func (e *Engine) exists(docID uint32) bool {
 // Add inserts a new document. It is an error to Add a docID that is
 // currently live (use Update) or to add an empty document.
 func (e *Engine) Add(docID uint32, tokens []string) error {
-	return e.mutate(docID, tokens, mutAdd)
+	return e.Apply(wal.OpAdd, docID, tokens)
 }
 
 // Update replaces a document wholesale (upsert: the document need not
 // exist yet). The delta stores the complete new version; the
 // main-segment version, if any, is shadowed until the next merge.
 func (e *Engine) Update(docID uint32, tokens []string) error {
-	return e.mutate(docID, tokens, mutUpdate)
+	return e.Apply(wal.OpUpdate, docID, tokens)
 }
 
 // Delete tombstones a live document.
 func (e *Engine) Delete(docID uint32) error {
-	return e.mutate(docID, nil, mutDelete)
+	return e.Apply(wal.OpDelete, docID, nil)
 }
 
-type mutKind int
-
-const (
-	mutAdd mutKind = iota
-	mutUpdate
-	mutDelete
-)
-
-func (e *Engine) mutate(docID uint32, tokens []string, kind mutKind) error {
+// Apply applies one mutation by op — what Add, Update and Delete call,
+// and what a caller holding a wal.Op (a scripted workload, a decoded
+// request) calls directly. A delete's tokens are ignored.
+func (e *Engine) Apply(op wal.Op, docID uint32, tokens []string) error {
 	if e.closing.Load() {
 		return ErrClosed
 	}
+	if op == wal.OpDelete {
+		tokens = nil
+	}
 	e.mu.Lock()
-	switch kind {
-	case mutAdd:
+	switch op {
+	case wal.OpAdd:
 		if len(tokens) == 0 {
 			e.mu.Unlock()
 			return mutErrf("ingest: add doc %d: empty document", docID)
@@ -348,16 +346,19 @@ func (e *Engine) mutate(docID uint32, tokens []string, kind mutKind) error {
 			e.mu.Unlock()
 			return mutErrf("ingest: add doc %d: already exists (use update)", docID)
 		}
-	case mutUpdate:
+	case wal.OpUpdate:
 		if len(tokens) == 0 {
 			e.mu.Unlock()
 			return mutErrf("ingest: update doc %d: empty document", docID)
 		}
-	case mutDelete:
+	case wal.OpDelete:
 		if !e.exists(docID) {
 			e.mu.Unlock()
 			return mutErrf("ingest: delete doc %d: not found", docID)
 		}
+	default:
+		e.mu.Unlock()
+		return mutErrf("ingest: doc %d: unknown op %d", docID, op)
 	}
 	// Durability barrier: the record must be on the log before the
 	// mutation is acknowledged. A failed append (storage fault, wedged
@@ -365,7 +366,7 @@ func (e *Engine) mutate(docID uint32, tokens []string, kind mutKind) error {
 	// error — the mutation never happened.
 	if e.store != nil {
 		if err := e.store.Append(0, wal.Record{
-			Gen: e.d.gen + 1, Op: walOp(kind), DocID: docID, Tokens: tokens,
+			Gen: e.d.gen + 1, Op: op, DocID: docID, Tokens: tokens,
 		}); err != nil {
 			e.mu.Unlock()
 			return err
@@ -373,7 +374,7 @@ func (e *Engine) mutate(docID uint32, tokens []string, kind mutKind) error {
 	}
 	e.d.gen++
 	rec := &docRecord{gen: e.d.gen}
-	if kind == mutDelete {
+	if op == wal.OpDelete {
 		rec.deleted = true
 	} else {
 		rec.tf, rec.length = tokenCounts(tokens)
@@ -384,12 +385,12 @@ func (e *Engine) mutate(docID uint32, tokens []string, kind mutKind) error {
 	e.mu.Unlock()
 
 	e.statsMu.Lock()
-	switch kind {
-	case mutAdd:
+	switch op {
+	case wal.OpAdd:
 		e.st.Adds++
-	case mutUpdate:
+	case wal.OpUpdate:
 		e.st.Updates++
-	case mutDelete:
+	case wal.OpDelete:
 		e.st.Deletes++
 	}
 	e.statsMu.Unlock()

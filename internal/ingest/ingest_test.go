@@ -18,6 +18,7 @@ import (
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/wal"
 )
 
 // ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ func seedCorpus(seed int64, docs, vocab int) *logicalCorpus {
 // mutation is one scripted Add/Update/Delete, applied identically to the
 // live engine and the logical corpus.
 type mutation struct {
-	kind   mutKind
+	kind   wal.Op
 	docID  uint32
 	tokens []string
 }
@@ -110,7 +111,7 @@ func genScript(seed int64, c *logicalCorpus, n, vocab int) []mutation {
 	for i := 0; i < n; i++ {
 		switch k := r.Intn(10); {
 		case k < 4: // add
-			out = append(out, mutation{kind: mutAdd, docID: next, tokens: genDoc(r, vocab)})
+			out = append(out, mutation{kind: wal.OpAdd, docID: next, tokens: genDoc(r, vocab)})
 			live = append(live, next)
 			next++
 		case k < 7: // update an existing doc
@@ -118,7 +119,7 @@ func genScript(seed int64, c *logicalCorpus, n, vocab int) []mutation {
 				continue
 			}
 			id := live[r.Intn(len(live))]
-			out = append(out, mutation{kind: mutUpdate, docID: id, tokens: genDoc(r, vocab)})
+			out = append(out, mutation{kind: wal.OpUpdate, docID: id, tokens: genDoc(r, vocab)})
 		default: // delete an existing doc
 			if len(live) == 0 {
 				continue
@@ -126,7 +127,7 @@ func genScript(seed int64, c *logicalCorpus, n, vocab int) []mutation {
 			j := r.Intn(len(live))
 			id := live[j]
 			live = append(live[:j], live[j+1:]...)
-			out = append(out, mutation{kind: mutDelete, docID: id})
+			out = append(out, mutation{kind: wal.OpDelete, docID: id})
 		}
 	}
 	return out
@@ -138,13 +139,13 @@ func apply(t testing.TB, e *Engine, c *logicalCorpus, m mutation) {
 	t.Helper()
 	var err error
 	switch m.kind {
-	case mutAdd:
+	case wal.OpAdd:
 		err = e.Add(m.docID, m.tokens)
 		c.docs[m.docID] = m.tokens
-	case mutUpdate:
+	case wal.OpUpdate:
 		err = e.Update(m.docID, m.tokens)
 		c.docs[m.docID] = m.tokens
-	case mutDelete:
+	case wal.OpDelete:
 		err = e.Delete(m.docID)
 		delete(c.docs, m.docID)
 	}
@@ -237,7 +238,7 @@ func TestLiveParity(t *testing.T) {
 	// Seed the delta-only term: a doc added mid-script that is the sole
 	// holder of "fresh-term" until a merge folds it in.
 	script = append(script, mutation{
-		kind: mutUpdate, docID: 9_000, tokens: []string{"fresh-term", word(0), word(0), word(1)},
+		kind: wal.OpUpdate, docID: 9_000, tokens: []string{"fresh-term", word(0), word(0), word(1)},
 	})
 
 	modes := map[string]core.Config{
@@ -449,11 +450,11 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 	}
 
 	muts := []mutation{
-		{kind: mutDelete, docID: 3},
-		{kind: mutDelete, docID: 7}, // "rare" now tombstone-only
-		{kind: mutUpdate, docID: 5, tokens: []string{word(0), word(1), "newterm"}},
-		{kind: mutAdd, docID: 64, tokens: []string{"newterm", word(2), word(2)}},
-		{kind: mutUpdate, docID: 12, tokens: []string{word(3), word(3), word(5)}},
+		{kind: wal.OpDelete, docID: 3},
+		{kind: wal.OpDelete, docID: 7}, // "rare" now tombstone-only
+		{kind: wal.OpUpdate, docID: 5, tokens: []string{word(0), word(1), "newterm"}},
+		{kind: wal.OpAdd, docID: 64, tokens: []string{"newterm", word(2), word(2)}},
+		{kind: wal.OpUpdate, docID: 12, tokens: []string{word(3), word(3), word(5)}},
 	}
 	for _, m := range muts {
 		apply(t, e, c, m)
@@ -703,6 +704,7 @@ func TestMutationValidation(t *testing.T) {
 		{"add empty", func() error { return e.Add(100, nil) }},
 		{"update empty", func() error { return e.Update(3, nil) }},
 		{"delete missing", func() error { return e.Delete(100) }},
+		{"op outside the WAL's three", func() error { return e.Apply(wal.Op(0), 100, []string{"x"}) }},
 	}
 	for _, tc := range cases {
 		err := tc.call()
@@ -791,7 +793,7 @@ func TestConcurrentSnapshotIsolation(t *testing.T) {
 			if g > 0 {
 				m := script[g-1]
 				switch m.kind {
-				case mutDelete:
+				case wal.OpDelete:
 					delete(c.docs, m.docID)
 				default:
 					c.docs[m.docID] = m.tokens
@@ -836,11 +838,11 @@ func TestConcurrentSnapshotIsolation(t *testing.T) {
 		for i, m := range script {
 			var err error
 			switch m.kind {
-			case mutAdd:
+			case wal.OpAdd:
 				err = e.Add(m.docID, m.tokens)
-			case mutUpdate:
+			case wal.OpUpdate:
 				err = e.Update(m.docID, m.tokens)
-			case mutDelete:
+			case wal.OpDelete:
 				err = e.Delete(m.docID)
 			}
 			if err != nil {

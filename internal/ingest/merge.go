@@ -166,7 +166,6 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	// for the same modeled devices.
 	ncfg := e.cfg.Engine
 	ncfg.Node = cur.seg.eng.Node()
-	ncfg.Runtime = nil
 	if ncfg.Node != nil {
 		ncfg.Device = nil
 	}

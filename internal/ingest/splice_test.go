@@ -13,6 +13,7 @@ import (
 	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/index"
+	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
 
@@ -262,40 +263,40 @@ var spliceCases = []struct {
 	muts []mutation
 }{
 	{"tail appends", []mutation{
-		{kind: mutAdd, docID: 1400, tokens: []string{"big", "l127", "l128", "l129", "l129"}},
-		{kind: mutAdd, docID: 1401, tokens: []string{"big", "l127"}},
+		{kind: wal.OpAdd, docID: 1400, tokens: []string{"big", "l127", "l128", "l129", "l129"}},
+		{kind: wal.OpAdd, docID: 1401, tokens: []string{"big", "l127"}},
 	}},
-	{"append to 127", []mutation{{kind: mutAdd, docID: 1500, tokens: []string{"l127"}}}},
-	{"gap in block 0", []mutation{{kind: mutAdd, docID: 3, tokens: []string{"big", "l128", word(1)}}}},
-	{"gap in a middle block", []mutation{{kind: mutAdd, docID: 601, tokens: []string{"big", "big", word(2)}}}},
-	{"gap in the last block", []mutation{{kind: mutAdd, docID: 1381, tokens: []string{"big", word(3)}}}},
+	{"append to 127", []mutation{{kind: wal.OpAdd, docID: 1500, tokens: []string{"l127"}}}},
+	{"gap in block 0", []mutation{{kind: wal.OpAdd, docID: 3, tokens: []string{"big", "l128", word(1)}}}},
+	{"gap in a middle block", []mutation{{kind: wal.OpAdd, docID: 601, tokens: []string{"big", "big", word(2)}}}},
+	{"gap in the last block", []mutation{{kind: wal.OpAdd, docID: 1381, tokens: []string{"big", word(3)}}}},
 	{"update in block 0", []mutation{
-		{kind: mutUpdate, docID: 0, tokens: []string{"big", "big", "big", "other"}},
-		{kind: mutUpdate, docID: 4, tokens: []string{"other"}},
+		{kind: wal.OpUpdate, docID: 0, tokens: []string{"big", "big", "big", "other"}},
+		{kind: wal.OpUpdate, docID: 4, tokens: []string{"other"}},
 	}},
-	{"delete in block 0", []mutation{{kind: mutDelete, docID: 2}}},
+	{"delete in block 0", []mutation{{kind: wal.OpDelete, docID: 2}}},
 	{"delete at block boundaries", []mutation{
-		{kind: mutDelete, docID: 2 * 126}, {kind: mutDelete, docID: 2 * 127}, {kind: mutDelete, docID: 2 * 128},
+		{kind: wal.OpDelete, docID: 2 * 126}, {kind: wal.OpDelete, docID: 2 * 127}, {kind: wal.OpDelete, docID: 2 * 128},
 	}},
-	{"fully tombstoned list", []mutation{{kind: mutDelete, docID: 10}, {kind: mutDelete, docID: 20}}},
-	{"delete the maximum docID", []mutation{{kind: mutDelete, docID: spliceMaxDoc}}},
+	{"fully tombstoned list", []mutation{{kind: wal.OpDelete, docID: 10}, {kind: wal.OpDelete, docID: 20}}},
+	{"delete the maximum docID", []mutation{{kind: wal.OpDelete, docID: spliceMaxDoc}}},
 	{"delta-only term", []mutation{
-		{kind: mutAdd, docID: 1400, tokens: []string{"fresh", "fresh"}},
-		{kind: mutUpdate, docID: 6, tokens: []string{"fresh2", "big"}},
+		{kind: wal.OpAdd, docID: 1400, tokens: []string{"fresh", "fresh"}},
+		{kind: wal.OpUpdate, docID: 6, tokens: []string{"fresh2", "big"}},
 	}},
 	{"empty delta", nil},
 	{"add then delete in one delta", []mutation{
-		{kind: mutAdd, docID: 7, tokens: []string{"big"}},
-		{kind: mutDelete, docID: 7},
+		{kind: wal.OpAdd, docID: 7, tokens: []string{"big"}},
+		{kind: wal.OpDelete, docID: 7},
 	}},
 }
 
 // followUp runs after every case's first merge, so each case also splices
 // a segment that is itself the product of a splice.
 var followUp = []mutation{
-	{kind: mutAdd, docID: 1600, tokens: []string{"big", "l127", "l128", "l129", "rare"}},
-	{kind: mutDelete, docID: 300},
-	{kind: mutUpdate, docID: 1000, tokens: []string{"l129", "late"}},
+	{kind: wal.OpAdd, docID: 1600, tokens: []string{"big", "l127", "l128", "l129", "rare"}},
+	{kind: wal.OpDelete, docID: 300},
+	{kind: wal.OpUpdate, docID: 1000, tokens: []string{"l129", "late"}},
 }
 
 // TestSpliceMergeEqualsRebuild: a merge shares every block before the
@@ -394,7 +395,7 @@ func TestSpliceOverSegmentWithoutPForDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	apply(t, e, lc, mutation{kind: mutAdd, docID: 1400, tokens: []string{"big", "l128"}})
+	apply(t, e, lc, mutation{kind: wal.OpAdd, docID: 1400, tokens: []string{"big", "l128"}})
 	if err := e.Merge(); err != nil {
 		t.Fatal(err)
 	}

@@ -70,15 +70,15 @@ func TestRunClusterLightLoadMatchesIsolated(t *testing.T) {
 	}
 
 	cl := mk(4, 0)
-	res, err := RunCluster(cl, queries, Spec{ArrivalRate: 2, Seed: 7})
+	res, err := Drive(ClusterTarget(cl), queries, Spec{ArrivalRate: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Latencies.Count() != len(queries) {
 		t.Fatalf("recorded %d latencies, want %d", res.Latencies.Count(), len(queries))
 	}
-	if res.Degraded != 0 {
-		t.Fatalf("light load degraded %d queries", res.Degraded)
+	if res.Interactive.Degraded != 0 {
+		t.Fatalf("light load degraded %d queries", res.Interactive.Degraded)
 	}
 	for _, p := range []float64{1, 50, 99, 100} {
 		if got := res.Latencies.Percentile(p); !want[got] {
@@ -103,7 +103,7 @@ func TestRunClusterLightLoadMatchesIsolated(t *testing.T) {
 func TestRunClusterOverloadGrowsTail(t *testing.T) {
 	queries, mk := clusterFixture(t)
 
-	light, err := RunCluster(mk(2, 0), queries[:30], Spec{ArrivalRate: 2, Seed: 7})
+	light, err := Drive(ClusterTarget(mk(2, 0)), queries[:30], Spec{ArrivalRate: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunClusterOverloadGrowsTail(t *testing.T) {
 		t.Fatal("zero mean service time")
 	}
 
-	over, err := RunCluster(mk(2, 0), queries, Spec{ArrivalRate: 3 / mean.Seconds(), Seed: 9})
+	over, err := Drive(ClusterTarget(mk(2, 0)), queries, Spec{ArrivalRate: 3 / mean.Seconds(), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,18 +127,18 @@ func TestRunClusterOverloadGrowsTail(t *testing.T) {
 func TestRunClusterTimeoutCapsCriticalPath(t *testing.T) {
 	queries, mk := clusterFixture(t)
 
-	light, err := RunCluster(mk(2, 0), queries[:30], Spec{ArrivalRate: 2, Seed: 7})
+	light, err := Drive(ClusterTarget(mk(2, 0)), queries[:30], Spec{ArrivalRate: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := light.Latencies.Mean()
 	budget := light.Latencies.Percentile(50)
 
-	res, err := RunCluster(mk(2, budget), queries, Spec{ArrivalRate: 3 / mean.Seconds(), Seed: 9})
+	res, err := Drive(ClusterTarget(mk(2, budget)), queries, Spec{ArrivalRate: 3 / mean.Seconds(), Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded == 0 {
+	if res.Interactive.Degraded == 0 {
 		t.Fatal("overload with a median-latency budget degraded nothing")
 	}
 	// Every sojourn is bounded by the budget plus its merge; the max
@@ -152,18 +152,18 @@ func TestRunClusterTimeoutCapsCriticalPath(t *testing.T) {
 func TestRunClusterDegenerate(t *testing.T) {
 	_, mk := clusterFixture(t)
 	cl := mk(2, 0)
-	res, err := RunCluster(cl, nil, Spec{ArrivalRate: 10})
+	res, err := Drive(ClusterTarget(cl), nil, Spec{ArrivalRate: 10})
 	if err != nil || res.Latencies.Count() != 0 {
 		t.Fatalf("empty run: %v, %d latencies", err, res.Latencies.Count())
 	}
-	res, err = RunCluster(cl, [][]string{{"t000001"}}, Spec{})
+	res, err = Drive(ClusterTarget(cl), [][]string{{"t000001"}}, Spec{})
 	if err != nil || res.Latencies.Count() != 0 {
 		t.Fatalf("zero rate: %v, %d latencies", err, res.Latencies.Count())
 	}
 }
 
-// Chaos under load: with TolerateFailures set, all-shards-failed
-// queries count as Failed instead of aborting the run, availability
+// Chaos under load: behind a fault plan, all-shards-failed queries
+// count as Failed instead of aborting the run, availability
 // reflects both failures and degradations, and the self-healing
 // counters accumulate across the run.
 func TestRunClusterChaosAvailability(t *testing.T) {
@@ -208,8 +208,8 @@ func TestRunClusterChaosAvailability(t *testing.T) {
 		return cl
 	}
 
-	hard, err := RunCluster(mkChaos(true), queries, Spec{
-		ArrivalRate: 50, Seed: 7, TolerateFailures: true,
+	hard, err := Drive(ClusterTarget(mkChaos(true)), queries, Spec{
+		ArrivalRate: 50, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,13 +221,13 @@ func TestRunClusterChaosAvailability(t *testing.T) {
 		t.Fatalf("hardened availability %.3f under 20%% faults, want >= 0.9", av)
 	}
 
-	brittle, err := RunCluster(mkChaos(false), queries, Spec{
-		ArrivalRate: 50, Seed: 7, TolerateFailures: true,
+	brittle, err := Drive(ClusterTarget(mkChaos(false)), queries, Spec{
+		ArrivalRate: 50, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if brittle.Failed == 0 && brittle.Degraded == 0 {
+	if brittle.Interactive.Failed == 0 && brittle.Interactive.Degraded == 0 {
 		t.Fatal("brittle cluster absorbed every fault with self-healing off")
 	}
 	if brittle.Available() >= hard.Available() {
@@ -235,8 +235,8 @@ func TestRunClusterChaosAvailability(t *testing.T) {
 			brittle.Available(), hard.Available())
 	}
 	// The recorder only holds answered queries: counts stay consistent.
-	if hard.Latencies.Count()+hard.Failed != len(queries) {
+	if hard.Latencies.Count()+hard.Interactive.Failed != len(queries) {
 		t.Fatalf("answered %d + failed %d != %d queries",
-			hard.Latencies.Count(), hard.Failed, len(queries))
+			hard.Latencies.Count(), hard.Interactive.Failed, len(queries))
 	}
 }

@@ -77,15 +77,7 @@ func RunCrash(seed *index.Index, muts []Mutation, spec CrashSpec) (CrashResult, 
 	sort.Ints(ckpt)
 	for i := 0; i < n; i++ {
 		m := muts[i]
-		var err error
-		switch m.Kind {
-		case MutAdd:
-			err = e.Add(m.DocID, m.Tokens)
-		case MutUpdate:
-			err = e.Update(m.DocID, m.Tokens)
-		default:
-			err = e.Delete(m.DocID)
-		}
+		err := e.Apply(m.Op, m.DocID, m.Tokens)
 		switch {
 		case err == nil:
 			res.Acked++

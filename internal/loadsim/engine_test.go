@@ -66,7 +66,7 @@ func TestRunEngineLightLoadMatchesIsolatedLatency(t *testing.T) {
 	}
 
 	e := mk(0)
-	res, err := RunEngine(e, queries, Spec{ArrivalRate: 2, Seed: 7})
+	res, err := Drive(EngineTarget(e), queries, Spec{ArrivalRate: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +99,13 @@ func TestRunEngineLightLoadMatchesIsolatedLatency(t *testing.T) {
 
 // Past device saturation the static engine's tail grows with backlog,
 // and the load-aware spill (SpillBacklog) keeps it bounded — loadsim's
-// RunAdaptive result reproduced inside the real engine.
+// spill-limited Replay result reproduced inside the real engine.
 func TestRunEngineSpillBoundsTailUnderOverload(t *testing.T) {
 	queries, mk := engineFixture(t)
 
 	// Calibrate the overload rate from the light-load mean service time.
 	probe := mk(0)
-	light, err := RunEngine(probe, queries[:30], Spec{ArrivalRate: 2, Seed: 7})
+	light, err := Drive(EngineTarget(probe), queries[:30], Spec{ArrivalRate: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRunEngineSpillBoundsTailUnderOverload(t *testing.T) {
 	overload := 3 / mean.Seconds() // 3x the single-lane drain rate
 
 	static := mk(0)
-	rs, err := RunEngine(static, queries, Spec{ArrivalRate: overload, Seed: 9})
+	rs, err := Drive(EngineTarget(static), queries, Spec{ArrivalRate: overload, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunEngineSpillBoundsTailUnderOverload(t *testing.T) {
 	}
 
 	spill := mk(mean / 2)
-	ra, err := RunEngine(spill, queries, Spec{ArrivalRate: overload, Seed: 9})
+	ra, err := Drive(EngineTarget(spill), queries, Spec{ArrivalRate: overload, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestRunEngineSpillBoundsTailUnderOverload(t *testing.T) {
 func TestRunEngineDegenerate(t *testing.T) {
 	_, mk := engineFixture(t)
 	e := mk(0)
-	res, err := RunEngine(e, nil, Spec{ArrivalRate: 10})
+	res, err := Drive(EngineTarget(e), nil, Spec{ArrivalRate: 10})
 	if err != nil || res.Latencies.Count() != 0 {
 		t.Fatalf("empty run: %v, %d latencies", err, res.Latencies.Count())
 	}
-	res, err = RunEngine(e, [][]string{{"t000001"}}, Spec{})
+	res, err = Drive(EngineTarget(e), [][]string{{"t000001"}}, Spec{})
 	if err != nil || res.Latencies.Count() != 0 {
 		t.Fatalf("zero rate: %v, %d latencies", err, res.Latencies.Count())
 	}

@@ -1,8 +1,8 @@
-// Package loadsim is a discrete-event simulation of Griffin under
-// concurrent load — the "complex scenarios under heavy system loads with
-// multiple users" the paper leaves as future work (§6).
+// Package loadsim puts Griffin under concurrent load — the "complex
+// scenarios under heavy system loads with multiple users" the paper leaves
+// as future work (§6). One Poisson arrival process feeds two evaluators.
 //
-// Queries arrive in a Poisson stream and execute as an alternating
+// Replay is an abstract queueing model: queries execute as an alternating
 // sequence of resource-bound segments (CPU or GPU), extracted from the
 // engine's per-query traces. The host is a k-server resource (the paper's
 // Xeon has 4 cores); the device serializes kernels, so it is a single
@@ -11,16 +11,20 @@
 // the heavy early intersections to the GPU drains the CPU queue, so under
 // load Griffin's response times degrade far later than the CPU-only
 // configuration's.
+//
+// Drive runs the *real* system — an engine, a sharded cluster, or a live
+// engine taking writes — admitting each query at its generated arrival
+// time on the shared device runtimes, so queueing, self-healing, overload
+// control and merge interference are the implementation's own.
 package loadsim
 
 import (
-	"container/heap"
-	"math/rand"
 	"time"
 
 	"griffin/internal/core"
 	"griffin/internal/sched"
 	"griffin/internal/stats"
+	"griffin/internal/wal"
 )
 
 // Resource identifies a simulated execution resource.
@@ -112,7 +116,17 @@ func SegmentsFromStats(qs core.QueryStats) []Segment {
 	return segs
 }
 
-// Spec parameterizes a simulation run.
+// Mutation is one scripted write. Scripts are consumed in order, so a
+// script that is valid sequentially (no update before its add, no double
+// delete) stays valid under any interleaving Drive chooses.
+type Mutation struct {
+	Op     wal.Op
+	DocID  uint32
+	Tokens []string
+}
+
+// Spec parameterizes a run. Replay reads the arrival process and the two
+// server counts; Drive reads the arrival process and everything below it.
 type Spec struct {
 	// CPUWorkers is the host core count (the paper's testbed: 4).
 	CPUWorkers int
@@ -120,237 +134,109 @@ type Spec struct {
 	// kernels, so one device is one server). Raising it models the
 	// multi-GPU load-balancing extension §3.2 leaves a hook for.
 	GPUServers int
-	// ArrivalRate is the offered load in queries per second (Poisson).
+	// ArrivalRate is the offered load in operations per second (Poisson):
+	// queries, plus writes while Mutations remain.
 	ArrivalRate float64
-	// Seed drives arrival-time generation.
+	// Seed drives arrival times and the write and class coins. Nothing a
+	// target does consumes it, so runs that share a seed and differ only
+	// in Merge, PropagateDeadline or the target replay one interleaving.
 	Seed int64
-	// TolerateFailures makes RunCluster treat an all-shards-failed query
-	// as a counted failure (ClusterResult.Failed) instead of aborting the
-	// run — the chaos-mode setting, where injected faults are expected to
-	// kill some queries outright.
-	TolerateFailures bool
+	// Deadline is the per-query latency budget every answer is scored
+	// against (0 = none); with PropagateDeadline it is also enforced: the
+	// deadline and the class travel with the query into the target,
+	// activating a cluster's overload controls. Flipping it gives the
+	// overload study's two arms.
+	Deadline          time.Duration
+	PropagateDeadline bool
+	// BatchFraction is the probability a query is tagged Batch. At zero
+	// no class coin is drawn and every query tallies as interactive.
+	BatchFraction float64
+	// Mutations is the write script and WriteFraction the probability an
+	// arrival is a write while scripted mutations remain; once the script
+	// is exhausted every arrival is a read. Only a Writer target takes
+	// writes.
+	Mutations     []Mutation
+	WriteFraction float64
+	// Merge enables threshold merging: whenever a write leaves a merge
+	// due, it is run at the current modeled time so its re-encoding work
+	// contends with queries on the shared device. With Merge false the
+	// delta grows unboundedly and every read pays the widening reconcile
+	// cost — the no-merge control arm.
+	Merge bool
 }
 
-// Result aggregates a simulation run.
+// ClassOutcome aggregates one criticality class's outcomes.
+type ClassOutcome struct {
+	// Queries is the class's total offered queries; Good those answered
+	// complete (no missing shards) within the deadline — the goodput
+	// numerator. A brownout-degraded answer (reduced top-k on the CPU
+	// path) still counts as good when timely: every shard contributed.
+	Queries int
+	Good    int
+	// DeadlineMisses counts complete answers that landed past the
+	// deadline; Degraded answers missing shards; Shed queries refused by
+	// overload control (admission shed, batch brownout, infeasible
+	// deadline); Failed queries with no answer at all.
+	DeadlineMisses int
+	Degraded       int
+	Shed           int
+	Failed         int
+}
+
+// Goodput is Good over Queries (1.0 for an empty class).
+func (c ClassOutcome) Goodput() float64 {
+	if c.Queries == 0 {
+		return 1
+	}
+	return float64(c.Good) / float64(c.Queries)
+}
+
+// Result aggregates a run. Replay fills the first four fields; Drive
+// everything but CPUBusy (it contends only the devices).
 type Result struct {
-	// Latencies records per-query response times (sojourn: arrival to
-	// completion, including queueing).
+	// Latencies records answered queries' response times (sojourn:
+	// arrival to completion, including queueing).
 	Latencies *stats.LatencyRecorder
-	// CPUBusy and GPUBusy are resource utilizations in [0,1].
+	// CPUBusy and GPUBusy are resource utilizations in [0,1]; for Drive,
+	// GPUBusy is the target's busiest-device view.
 	CPUBusy float64
 	GPUBusy float64
 	// Makespan is the simulated time to drain all queries.
 	Makespan time.Duration
+	// Interactive and Batch tally every offered query by class.
+	Interactive ClassOutcome
+	Batch       ClassOutcome
+	// Retries, Hedges, HedgeSkips and Fallbacks total a cluster's
+	// self-healing actions (sibling retries, hedged sub-queries, hedges
+	// the budget or brownout suppressed, CPU-fallback sub-queries);
+	// BrownoutDegraded counts queries served through the brownout CPU
+	// path.
+	Retries          int
+	Hedges           int
+	HedgeSkips       int
+	Fallbacks        int
+	BrownoutDegraded int
+	// MaxShardMean and MergeMean decompose the mean latency into the
+	// critical-path shard and the gather-side merge, verifying the
+	// cluster's latency model under load: Latency = MaxShard + Merge for
+	// every query, so the means decompose the same way.
+	MaxShardMean time.Duration
+	MergeMean    time.Duration
+	// Writes counts applied mutations; DeltaPeak is the largest delta
+	// (records) observed after a write — the freshness-lag high-water
+	// mark.
+	Writes    int
+	DeltaPeak int
 }
 
-// event is a scheduled simulation occurrence.
-type event struct {
-	at   time.Duration
-	kind int // 0 = arrival, 1 = segment completion
-	q    *queryState
-}
-
-type eventQueue []event
-
-func (e eventQueue) Len() int           { return len(e) }
-func (e eventQueue) Less(i, j int) bool { return e[i].at < e[j].at }
-func (e eventQueue) Swap(i, j int)      { e[i], e[j] = e[j], e[i] }
-func (e *eventQueue) Push(x any)        { *e = append(*e, x.(event)) }
-func (e *eventQueue) Pop() any {
-	old := *e
-	n := len(old)
-	x := old[n-1]
-	*e = old[:n-1]
-	return x
-}
-
-type queryState struct {
-	segs    []Segment
-	next    int
-	arrived time.Duration
-	dual    *DualTrace // adaptive mode only: the plan pair to pick from
-}
-
-// resource is a k-server FCFS station.
-type resource struct {
-	free int
-	fifo []*queryState
-	busy time.Duration // aggregate busy server-time
-}
-
-// Run simulates the query traces under the spec and returns response-time
-// statistics. Each trace is one query's segment sequence; arrival order
-// follows the slice order.
-func Run(traces [][]Segment, spec Spec) Result {
-	rng := rand.New(rand.NewSource(spec.Seed))
-	res := Result{Latencies: stats.NewLatencyRecorder(len(traces))}
-	if len(traces) == 0 || spec.ArrivalRate <= 0 || spec.CPUWorkers <= 0 {
-		return res
+// Available returns the fraction of offered queries answered completely —
+// not failed, not shed, not missing a shard. The chaos and ingest
+// studies' availability metric (1.0 for a run with no queries).
+func (r Result) Available() float64 {
+	q := r.Interactive.Queries + r.Batch.Queries
+	if q == 0 {
+		return 1
 	}
-
-	gpuServers := spec.GPUServers
-	if gpuServers <= 0 {
-		gpuServers = 1
-	}
-	cpu := &resource{free: spec.CPUWorkers}
-	gpuRes := &resource{free: gpuServers}
-	station := func(r Resource) *resource {
-		if r == ResGPU {
-			return gpuRes
-		}
-		return cpu
-	}
-
-	var eq eventQueue
-	t := time.Duration(0)
-	for _, segs := range traces {
-		// Poisson arrivals: exponential inter-arrival times.
-		t += time.Duration(rng.ExpFloat64() / spec.ArrivalRate * float64(time.Second))
-		heap.Push(&eq, event{at: t, kind: 0, q: &queryState{segs: segs, arrived: t}})
-	}
-
-	var now time.Duration
-	start := func(q *queryState, at time.Duration) {
-		seg := q.segs[q.next]
-		st := station(seg.Res)
-		st.free--
-		st.busy += seg.D
-		heap.Push(&eq, event{at: at + seg.D, kind: 1, q: q})
-	}
-	request := func(q *queryState, at time.Duration) {
-		if q.next >= len(q.segs) {
-			res.Latencies.Record(at - q.arrived)
-			return
-		}
-		st := station(q.segs[q.next].Res)
-		if st.free > 0 {
-			start(q, at)
-		} else {
-			st.fifo = append(st.fifo, q)
-		}
-	}
-
-	for eq.Len() > 0 {
-		ev := heap.Pop(&eq).(event)
-		now = ev.at
-		switch ev.kind {
-		case 0: // arrival
-			request(ev.q, now)
-		case 1: // segment completion
-			st := station(ev.q.segs[ev.q.next].Res)
-			st.free++
-			ev.q.next++
-			// FCFS: queries already waiting on the freed station are
-			// served before the continuing query can re-enter it.
-			if len(st.fifo) > 0 {
-				nq := st.fifo[0]
-				st.fifo = st.fifo[1:]
-				start(nq, now)
-			}
-			request(ev.q, now)
-		}
-	}
-	res.Makespan = now
-	if now > 0 {
-		res.CPUBusy = float64(cpu.busy) / (float64(now) * float64(spec.CPUWorkers))
-		res.GPUBusy = float64(gpuRes.busy) / (float64(now) * float64(gpuServers))
-	}
-	return res
-}
-
-// DualTrace carries one query's execution under both placements, the
-// input to the load-aware simulation: the Griffin trace (mixed CPU/GPU
-// segments) and the CPU-only fallback trace.
-type DualTrace struct {
-	Griffin []Segment
-	CPUOnly []Segment
-}
-
-// RunAdaptive simulates a load-balancing admission policy over dual
-// traces: a query arriving while the GPU backlog exceeds gpuQueueLimit
-// waiting queries executes its CPU-only plan instead of its Griffin plan.
-// This is the scheduler extension the paper sketches in §3.2 ("it could
-// be extended to support other features like load balancing"): placement
-// decisions consult system load, not just the query's own characteristics.
-func RunAdaptive(traces []DualTrace, spec Spec, gpuQueueLimit int) Result {
-	rng := rand.New(rand.NewSource(spec.Seed))
-	res := Result{Latencies: stats.NewLatencyRecorder(len(traces))}
-	if len(traces) == 0 || spec.ArrivalRate <= 0 || spec.CPUWorkers <= 0 {
-		return res
-	}
-	gpuServers := spec.GPUServers
-	if gpuServers <= 0 {
-		gpuServers = 1
-	}
-	cpu := &resource{free: spec.CPUWorkers}
-	gpuRes := &resource{free: gpuServers}
-	station := func(r Resource) *resource {
-		if r == ResGPU {
-			return gpuRes
-		}
-		return cpu
-	}
-
-	var eq eventQueue
-	t := time.Duration(0)
-	pending := make([]*DualTrace, len(traces))
-	for i := range traces {
-		t += time.Duration(rng.ExpFloat64() / spec.ArrivalRate * float64(time.Second))
-		q := &queryState{arrived: t}
-		pending[i] = &traces[i]
-		heap.Push(&eq, event{at: t, kind: 0, q: q})
-		q.segs = nil // chosen at arrival
-		q.dual = pending[i]
-	}
-
-	var now time.Duration
-	start := func(q *queryState, at time.Duration) {
-		seg := q.segs[q.next]
-		st := station(seg.Res)
-		st.free--
-		st.busy += seg.D
-		heap.Push(&eq, event{at: at + seg.D, kind: 1, q: q})
-	}
-	request := func(q *queryState, at time.Duration) {
-		if q.next >= len(q.segs) {
-			res.Latencies.Record(at - q.arrived)
-			return
-		}
-		st := station(q.segs[q.next].Res)
-		if st.free > 0 {
-			start(q, at)
-		} else {
-			st.fifo = append(st.fifo, q)
-		}
-	}
-
-	for eq.Len() > 0 {
-		ev := heap.Pop(&eq).(event)
-		now = ev.at
-		switch ev.kind {
-		case 0: // arrival: choose the plan by instantaneous GPU backlog
-			if len(gpuRes.fifo) > gpuQueueLimit {
-				ev.q.segs = ev.q.dual.CPUOnly
-			} else {
-				ev.q.segs = ev.q.dual.Griffin
-			}
-			request(ev.q, now)
-		case 1:
-			st := station(ev.q.segs[ev.q.next].Res)
-			st.free++
-			ev.q.next++
-			if len(st.fifo) > 0 {
-				nq := st.fifo[0]
-				st.fifo = st.fifo[1:]
-				start(nq, now)
-			}
-			request(ev.q, now)
-		}
-	}
-	res.Makespan = now
-	if now > 0 {
-		res.CPUBusy = float64(cpu.busy) / (float64(now) * float64(spec.CPUWorkers))
-		res.GPUBusy = float64(gpuRes.busy) / (float64(now) * float64(gpuServers))
-	}
-	return res
+	complete := r.Interactive.Good + r.Interactive.DeadlineMisses + r.Batch.Good + r.Batch.DeadlineMisses
+	return float64(complete) / float64(q)
 }

@@ -10,6 +10,15 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// uniform is n queries that each run segs and never spill.
+func uniform(n int, segs ...Segment) []Plan {
+	plans := make([]Plan, n)
+	for i := range plans {
+		plans[i].Segments = segs
+	}
+	return plans
+}
+
 func TestSegmentsFromStats(t *testing.T) {
 	qs := core.QueryStats{
 		CPUTime: ms(12), // 2ms traced op + 10ms residual (ranking)
@@ -50,11 +59,8 @@ func TestSegmentsMergeAdjacent(t *testing.T) {
 
 func TestLightLoadNoQueueing(t *testing.T) {
 	// At negligible load, response time equals service time.
-	traces := make([][]Segment, 50)
-	for i := range traces {
-		traces[i] = []Segment{{ResCPU, ms(1)}, {ResGPU, ms(1)}}
-	}
-	res := Run(traces, Spec{CPUWorkers: 4, ArrivalRate: 1, Seed: 1}) // 1 q/s, 2ms service
+	plans := uniform(50, Segment{ResCPU, ms(1)}, Segment{ResGPU, ms(1)})
+	res := Replay(plans, Spec{CPUWorkers: 4, ArrivalRate: 1, Seed: 1}, NoSpill) // 1 q/s, 2ms service
 	if got := res.Latencies.Max(); got > ms(3) {
 		t.Fatalf("max latency %v under light load, want ~2ms", got)
 	}
@@ -65,12 +71,9 @@ func TestLightLoadNoQueueing(t *testing.T) {
 
 func TestHeavyLoadQueues(t *testing.T) {
 	// Offered load far above capacity: latencies must blow up.
-	traces := make([][]Segment, 200)
-	for i := range traces {
-		traces[i] = []Segment{{ResCPU, ms(10)}}
-	}
+	plans := uniform(200, Segment{ResCPU, ms(10)})
 	// Capacity = 4 workers / 10ms = 400 q/s; offer 2000 q/s.
-	res := Run(traces, Spec{CPUWorkers: 4, ArrivalRate: 2000, Seed: 2})
+	res := Replay(plans, Spec{CPUWorkers: 4, ArrivalRate: 2000, Seed: 2}, NoSpill)
 	if res.Latencies.Percentile(99) < ms(50) {
 		t.Fatalf("P99 %v under 5x overload, expected heavy queueing", res.Latencies.Percentile(99))
 	}
@@ -80,8 +83,7 @@ func TestHeavyLoadQueues(t *testing.T) {
 }
 
 func TestUtilizationAccounting(t *testing.T) {
-	traces := [][]Segment{{{ResGPU, ms(10)}}}
-	res := Run(traces, Spec{CPUWorkers: 4, ArrivalRate: 100, Seed: 3})
+	res := Replay(uniform(1, Segment{ResGPU, ms(10)}), Spec{CPUWorkers: 4, ArrivalRate: 100, Seed: 3}, NoSpill)
 	if res.GPUBusy <= 0 || res.GPUBusy > 1 {
 		t.Fatalf("GPU utilization %v", res.GPUBusy)
 	}
@@ -94,16 +96,9 @@ func TestOffloadingHelpsUnderLoad(t *testing.T) {
 	// The system effect the hybrid design buys: the same work, run as
 	// CPU-only segments vs mostly-GPU segments, under an arrival rate the
 	// CPU pool alone cannot sustain.
-	n := 300
-	cpuOnly := make([][]Segment, n)
-	hybrid := make([][]Segment, n)
-	for i := range cpuOnly {
-		cpuOnly[i] = []Segment{{ResCPU, ms(8)}}
-		hybrid[i] = []Segment{{ResGPU, ms(2)}, {ResCPU, ms(1)}}
-	}
 	spec := Spec{CPUWorkers: 4, ArrivalRate: 450, Seed: 4}
-	rc := Run(cpuOnly, spec)
-	rh := Run(hybrid, spec)
+	rc := Replay(uniform(300, Segment{ResCPU, ms(8)}), spec, NoSpill)
+	rh := Replay(uniform(300, Segment{ResGPU, ms(2)}, Segment{ResCPU, ms(1)}), spec, NoSpill)
 	if rh.Latencies.Percentile(99) >= rc.Latencies.Percentile(99) {
 		t.Fatalf("hybrid P99 %v not better than cpu-only P99 %v under load",
 			rh.Latencies.Percentile(99), rc.Latencies.Percentile(99))
@@ -111,14 +106,14 @@ func TestOffloadingHelpsUnderLoad(t *testing.T) {
 }
 
 func TestEmptyAndDegenerateSpecs(t *testing.T) {
-	if res := Run(nil, Spec{CPUWorkers: 4, ArrivalRate: 10, Seed: 5}); res.Latencies.Count() != 0 {
+	if res := Replay(nil, Spec{CPUWorkers: 4, ArrivalRate: 10, Seed: 5}, NoSpill); res.Latencies.Count() != 0 {
 		t.Fatal("empty traces produced latencies")
 	}
-	traces := [][]Segment{{{ResCPU, ms(1)}}}
-	if res := Run(traces, Spec{CPUWorkers: 0, ArrivalRate: 10}); res.Latencies.Count() != 0 {
+	plans := uniform(1, Segment{ResCPU, ms(1)})
+	if res := Replay(plans, Spec{CPUWorkers: 0, ArrivalRate: 10}, NoSpill); res.Latencies.Count() != 0 {
 		t.Fatal("zero workers should not run")
 	}
-	if res := Run(traces, Spec{CPUWorkers: 4, ArrivalRate: 0}); res.Latencies.Count() != 0 {
+	if res := Replay(plans, Spec{CPUWorkers: 4, ArrivalRate: 0}, NoSpill); res.Latencies.Count() != 0 {
 		t.Fatal("zero arrival rate should not run")
 	}
 }
@@ -126,11 +121,11 @@ func TestEmptyAndDegenerateSpecs(t *testing.T) {
 func TestFCFSOrderPreserved(t *testing.T) {
 	// Single worker, two queries arriving in order: the second waits for
 	// the first (no overtaking on one resource).
-	traces := [][]Segment{
-		{{ResCPU, ms(10)}},
-		{{ResCPU, ms(1)}},
+	plans := []Plan{
+		{Segments: []Segment{{ResCPU, ms(10)}}},
+		{Segments: []Segment{{ResCPU, ms(1)}}},
 	}
-	res := Run(traces, Spec{CPUWorkers: 1, ArrivalRate: 1e6, Seed: 6})
+	res := Replay(plans, Spec{CPUWorkers: 1, ArrivalRate: 1e6, Seed: 6}, NoSpill)
 	// Both arrive ~immediately; total makespan ~11ms means serial service.
 	if res.Makespan < ms(10) {
 		t.Fatalf("makespan %v too small for serial service", res.Makespan)

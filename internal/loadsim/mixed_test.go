@@ -9,6 +9,7 @@ import (
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/ingest"
+	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
 
@@ -39,13 +40,13 @@ func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *in
 	base := uint32(c.Index.NumDocs)
 	var muts []Mutation
 	for i := 0; i < 30; i++ {
-		muts = append(muts, Mutation{Kind: MutAdd, DocID: base + uint32(i), Tokens: queries[i%len(queries)]})
+		muts = append(muts, Mutation{Op: wal.OpAdd, DocID: base + uint32(i), Tokens: queries[i%len(queries)]})
 	}
 	for i := 0; i < 5; i++ {
-		muts = append(muts, Mutation{Kind: MutUpdate, DocID: base + uint32(i), Tokens: queries[(i+7)%len(queries)]})
+		muts = append(muts, Mutation{Op: wal.OpUpdate, DocID: base + uint32(i), Tokens: queries[(i+7)%len(queries)]})
 	}
 	for i := 5; i < 10; i++ {
-		muts = append(muts, Mutation{Kind: MutDelete, DocID: base + uint32(i)})
+		muts = append(muts, Mutation{Op: wal.OpDelete, DocID: base + uint32(i)})
 	}
 	mk := func(threshold int) *ingest.Engine {
 		e, err := ingest.New(c.Index, ingest.Config{
@@ -69,70 +70,76 @@ func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *in
 // cost lands on the shared device timeline.
 func TestRunMixedMergeVsNoMergeArms(t *testing.T) {
 	queries, muts, mk := mixedFixture(t)
-	spec := MixedSpec{ArrivalRate: 400, WriteFraction: 0.4, Seed: 9}
+	spec := Spec{ArrivalRate: 400, Mutations: muts, WriteFraction: 0.4, Seed: 9}
 
 	noMerge := mk(12)
-	off, err := RunMixed(noMerge, queries, muts, spec)
+	off, err := Drive(LiveTarget(noMerge), queries, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer noMerge.Close()
+	offStats := noMerge.Stats()
 
 	specOn := spec
 	specOn.Merge = true
 	merged := mk(12)
-	on, err := RunMixed(merged, queries, muts, specOn)
+	on, err := Drive(LiveTarget(merged), queries, specOn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer merged.Close()
+	onStats := merged.Stats()
 
-	if off.Reads != on.Reads || off.Writes != on.Writes {
+	offReads, onReads := off.Interactive.Queries, on.Interactive.Queries
+	if offReads != onReads || off.Writes != on.Writes {
 		t.Fatalf("arms diverged: off %d/%d reads/writes, on %d/%d",
-			off.Reads, off.Writes, on.Reads, on.Writes)
+			offReads, off.Writes, onReads, on.Writes)
 	}
-	if off.Reads != len(queries) {
-		t.Fatalf("Reads = %d, want %d (run ends when the read log drains)", off.Reads, len(queries))
+	if offReads != len(queries) {
+		t.Fatalf("reads = %d, want %d (run ends when the read log drains)", offReads, len(queries))
+	}
+	if off.Batch.Queries != 0 {
+		t.Fatalf("a run without batch traffic tallied %d batch queries", off.Batch.Queries)
 	}
 	if off.Writes == 0 || off.Writes > len(muts) {
 		t.Fatalf("Writes = %d, want within (0, %d]", off.Writes, len(muts))
 	}
-	if off.Failed != 0 || on.Failed != 0 {
-		t.Fatalf("fault-free run failed reads: off=%d on=%d", off.Failed, on.Failed)
+	if off.Interactive.Failed != 0 || on.Interactive.Failed != 0 {
+		t.Fatalf("fault-free run failed reads: off=%d on=%d", off.Interactive.Failed, on.Interactive.Failed)
 	}
-	if a := on.Availability(); a != 1 {
+	if a := on.Available(); a != 1 {
 		t.Fatalf("availability = %v, want 1", a)
 	}
 
-	if off.Stats.Merges != 0 {
-		t.Fatalf("no-merge arm committed %d merges", off.Stats.Merges)
+	if offStats.Merges != 0 {
+		t.Fatalf("no-merge arm committed %d merges", offStats.Merges)
 	}
 	seen := map[uint32]bool{}
 	for _, m := range muts[:off.Writes] {
 		seen[m.DocID] = true
 	}
-	if off.Stats.DeltaDocs != len(seen) {
+	if offStats.DeltaDocs != len(seen) {
 		t.Fatalf("no-merge delta holds %d records, want %d distinct docs (every write unmerged)",
-			off.Stats.DeltaDocs, len(seen))
+			offStats.DeltaDocs, len(seen))
 	}
 	if off.DeltaPeak != len(seen) {
 		t.Fatalf("no-merge DeltaPeak = %d, want %d", off.DeltaPeak, len(seen))
 	}
 
-	if on.Stats.Merges == 0 {
+	if onStats.Merges == 0 {
 		t.Fatal("merge arm committed no merges despite threshold crossings")
 	}
-	if on.Stats.MergeDevice <= 0 {
+	if onStats.MergeDevice <= 0 {
 		t.Fatal("merge arm charged no device time for re-encoding")
 	}
-	if on.Stats.DeltaDocs >= off.Stats.DeltaDocs {
+	if onStats.DeltaDocs >= offStats.DeltaDocs {
 		t.Fatalf("merge arm residual delta %d not below no-merge %d",
-			on.Stats.DeltaDocs, off.Stats.DeltaDocs)
+			onStats.DeltaDocs, offStats.DeltaDocs)
 	}
 	if on.DeltaPeak > off.DeltaPeak {
 		t.Fatalf("merge arm DeltaPeak %d exceeds no-merge %d", on.DeltaPeak, off.DeltaPeak)
 	}
-	if on.Latencies.Count() != on.Reads || off.Latencies.Count() != off.Reads {
+	if on.Latencies.Count() != onReads || off.Latencies.Count() != offReads {
 		t.Fatal("latency sample counts disagree with read counts")
 	}
 	if off.Makespan <= 0 || on.Makespan <= 0 {
@@ -148,18 +155,18 @@ func TestRunMixedDegenerate(t *testing.T) {
 	queries, muts, mk := mixedFixture(t)
 	e := mk(0)
 	defer e.Close()
-	res, err := RunMixed(e, nil, muts, MixedSpec{ArrivalRate: 100})
+	res, err := Drive(LiveTarget(e), nil, Spec{ArrivalRate: 100, Mutations: muts, WriteFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reads != 0 || res.Writes != 0 || res.Latencies.Count() != 0 {
+	if res.Interactive.Queries != 0 || res.Writes != 0 || res.Latencies.Count() != 0 {
 		t.Fatalf("empty read log ran work: %+v", res)
 	}
-	res, err = RunMixed(e, queries[:3], muts, MixedSpec{ArrivalRate: 0})
+	res, err = Drive(LiveTarget(e), queries[:3], Spec{ArrivalRate: 0, Mutations: muts, WriteFraction: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reads != 0 || res.Writes != 0 {
+	if res.Interactive.Queries != 0 || res.Writes != 0 {
 		t.Fatalf("zero rate ran work: %+v", res)
 	}
 	var zero time.Duration

@@ -450,6 +450,9 @@ type IngestResponse struct {
 	Lag uint64 `json:"lag"`
 }
 
+// ingestOps maps IngestRequest.Op to the mutation it names.
+var ingestOps = map[string]wal.Op{"add": wal.OpAdd, "update": wal.OpUpdate, "delete": wal.OpDelete}
+
 // handleIngest serves POST /ingest (live backends only). Mutations are
 // visible to the next /search immediately through the delta; merges
 // fold them into the compressed main segment in the background.
@@ -463,33 +466,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if len(tokens) == 0 && req.Text != "" {
 		tokens = index.Tokenize(req.Text)
 	}
-	var err error
-	switch req.Op {
-	case "add", "update":
-		if len(tokens) == 0 {
-			http.Error(w, `mutation needs "tokens" or "text"`, http.StatusBadRequest)
-			return
-		}
-		if s.live != nil {
-			if req.Op == "add" {
-				err = s.live.Add(req.DocID, tokens)
-			} else {
-				err = s.live.Update(req.DocID, tokens)
-			}
-		} else if req.Op == "add" {
-			err = s.liveCluster.Add(req.DocID, tokens)
-		} else {
-			err = s.liveCluster.Update(req.DocID, tokens)
-		}
-	case "delete":
-		if s.live != nil {
-			err = s.live.Delete(req.DocID)
-		} else {
-			err = s.liveCluster.Delete(req.DocID)
-		}
-	default:
+	op, ok := ingestOps[req.Op]
+	if !ok {
 		http.Error(w, `parameter "op" must be "add", "update", or "delete"`, http.StatusBadRequest)
 		return
+	}
+	if op != wal.OpDelete && len(tokens) == 0 {
+		http.Error(w, `mutation needs "tokens" or "text"`, http.StatusBadRequest)
+		return
+	}
+	var err error
+	if s.live != nil {
+		err = s.live.Apply(op, req.DocID, tokens)
+	} else {
+		err = s.liveCluster.Apply(op, req.DocID, tokens)
 	}
 	switch {
 	case err == nil:
