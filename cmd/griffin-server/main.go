@@ -269,13 +269,7 @@ func main() {
 	if *shards > 1 {
 		var inj *fault.Injector
 		if *chaosRate > 0 {
-			inj = fault.NewInjector(fault.Plan{Seed: *chaosSeed, Rules: []fault.Rule{
-				{Kind: fault.KernelLaunch, Rate: *chaosRate},
-				{Kind: fault.TransferError, Rate: *chaosRate},
-				{Kind: fault.DeviceReset, Rate: *chaosRate / 4, Stall: 2 * time.Millisecond},
-				{Kind: fault.EngineError, Rate: *chaosRate / 2},
-				{Kind: fault.ShardStall, Rate: *chaosRate, Stall: 3 * time.Millisecond},
-			}})
+			inj = fault.NewInjector(fault.ChaosPlan(*chaosSeed, *chaosRate))
 		}
 		ccfg := cluster.Config{
 			Engine: core.Config{

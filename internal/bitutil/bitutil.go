@@ -55,11 +55,6 @@ func (w *Writer) WriteBits(v uint64, width int) {
 	w.n += width
 }
 
-// WriteBit appends a single bit.
-func (w *Writer) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
 // WriteUnary appends v zeros followed by a terminating one bit, the unary
 // code used by the Elias-Fano high-bits array.
 func (w *Writer) WriteUnary(v int) {
@@ -104,11 +99,6 @@ func (r *Reader) ReadBits(width int) uint64 {
 		v &= (1 << uint(width)) - 1
 	}
 	return v
-}
-
-// ReadBit consumes and returns the next bit.
-func (r *Reader) ReadBit() uint {
-	return uint(r.ReadBits(1))
 }
 
 // ReadUnary consumes a unary code (run of zeros terminated by a one) and

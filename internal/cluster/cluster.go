@@ -44,7 +44,7 @@ import (
 var ErrAllShardsFailed = errors.New("cluster: all shards failed")
 
 // DefaultRetryBackoff is the modeled delay charged before a sibling
-// retry when Config.RetryBackoff is zero.
+// retry.
 const DefaultRetryBackoff = 200 * time.Microsecond
 
 // Config parameterizes a Cluster.
@@ -97,12 +97,9 @@ type Config struct {
 	Breaker fault.BreakerConfig
 	// Retries is the per-shard sibling-retry budget when a sub-query
 	// fails hard: 0 selects the default (1 when Replicas > 1, else 0),
-	// negative disables retries. Each retry is charged RetryBackoff of
-	// modeled delay before the sibling attempt.
+	// negative disables retries. Each retry is charged
+	// DefaultRetryBackoff of modeled delay before the sibling attempt.
 	Retries int
-	// RetryBackoff is the modeled delay before each retry attempt
-	// (0 = DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// HedgeDelay, when > 0 with Replicas > 1, hedges slow shards: a
 	// sub-query whose modeled latency exceeds the delay dispatches a
 	// second attempt on a sibling replica at (arrival + HedgeDelay), and
@@ -239,14 +236,6 @@ func (c *Cluster) retryBudget() int {
 	}
 }
 
-// retryBackoff resolves the RetryBackoff default.
-func (c *Cluster) retryBackoff() time.Duration {
-	if c.cfg.RetryBackoff > 0 {
-		return c.cfg.RetryBackoff
-	}
-	return DefaultRetryBackoff
-}
-
 // Close releases every replica engine's device resources. Engines with
 // in-flight sub-queries retire when those queries finish.
 func (c *Cluster) Close() {
@@ -287,11 +276,6 @@ func (c *Cluster) ReplaceShard(shard int, ix *index.Index) error {
 // replicas) — the shared timeline live merges price their re-encode on.
 func (c *Cluster) ShardNode(shard int) *gpu.NodeRuntime {
 	return c.shards[shard].replicas[0].engine().Node()
-}
-
-// ShardIndex returns shard's currently served index.
-func (c *Cluster) ShardIndex(shard int) *index.Index {
-	return c.shards[shard].replicas[0].engine().Index()
 }
 
 // NumShards returns the shard count.
@@ -754,13 +738,12 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, req core.Reque
 	// configured; a budget rejection is retryable (a sibling may hold
 	// less backlog) but still token-gated.
 	retriesLeft := c.retryBudget()
-	backoff := c.retryBackoff()
 	var waited time.Duration
 	for out.err != nil && retriesLeft > 0 && len(g.replicas) > 1 {
 		if ctx.Err() != nil {
 			return out
 		}
-		if shardBudget > 0 && shardBudget-(waited+backoff) <= 0 {
+		if shardBudget > 0 && shardBudget-(waited+DefaultRetryBackoff) <= 0 {
 			// The sub-deadline cannot absorb another backoff: stop.
 			break
 		}
@@ -770,7 +753,7 @@ func (c *Cluster) searchShard(ctx context.Context, g *shardGroup, req core.Reque
 		retriesLeft--
 		out.retries++
 		c.retries.Add(1)
-		waited += backoff
+		waited += DefaultRetryBackoff
 		prev := out.replica
 		ri, rep = g.pickExcluding(c.cfg.Routing, now+waited, timed, prev)
 		res, eff, err = c.attempt(ctx, rep, delayed(req, waited), now+waited)

@@ -75,13 +75,6 @@ type Config struct {
 	// Policy schedules Hybrid-mode intersections; nil means the paper's
 	// RatioPolicy (crossover 128, sticky migration).
 	Policy sched.Policy
-	// GPUCrossover is GPU-only mode's internal switch between MergePath
-	// and skip-pointer binary search (0 = 128; §3.1.2's "configurable
-	// parameter").
-	GPUCrossover float64
-	// CPUSkipThreshold is the CPU-side merge-vs-binary ratio switch
-	// (0 = intersect.DefaultSkipThreshold).
-	CPUSkipThreshold int
 	// TopK is the result count (0 = 10).
 	TopK int
 	// CPU prices host work; the zero value means hwmodel.DefaultCPU().
@@ -137,8 +130,6 @@ type Config struct {
 	// (flush-on-size); 0 means gpu.DefaultBatchMax. Meaningful only with
 	// BatchWindow > 0; negative is a config error.
 	BatchMax int
-	// BM25 are the scoring parameters; the zero value means defaults.
-	BM25 rank.BM25Params
 	// CacheLists keeps compressed posting lists resident in device memory
 	// (bounded LRU), eliminating repeat PCIe uploads for hot terms — the
 	// scalable middle ground between Griffin's upload-per-query prototype
@@ -192,19 +183,10 @@ func New(ix *index.Index, cfg Config) (*Engine, error) {
 	if cfg.CPU == (hwmodel.CPUModel{}) {
 		cfg.CPU = hwmodel.DefaultCPU()
 	}
-	if cfg.BM25 == (rank.BM25Params{}) {
-		cfg.BM25 = rank.DefaultBM25()
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = sched.NewRatioPolicy()
 	}
-	if cfg.GPUCrossover <= 0 {
-		cfg.GPUCrossover = sched.DefaultCrossover
-	}
-	if cfg.CPUSkipThreshold <= 0 {
-		cfg.CPUSkipThreshold = intersect.DefaultSkipThreshold
-	}
-	e := &Engine{ix: ix, cfg: cfg, scorer: rank.NewScorer(ix, cfg.BM25)}
+	e := &Engine{ix: ix, cfg: cfg, scorer: rank.NewScorer(ix, rank.DefaultBM25())}
 	if cfg.Device != nil {
 		adopted := cfg.Node != nil
 		if adopted {
@@ -540,7 +522,7 @@ func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream)
 		Handle:        h,
 		Lists:         e.listProvider(),
 		Scorer:        e.scorer,
-		SkipThreshold: e.cfg.CPUSkipThreshold,
+		SkipThreshold: intersect.DefaultSkipThreshold,
 		TopK:          topK,
 	}
 	if ov != nil {
@@ -585,7 +567,7 @@ func (e *Engine) fallbackCPU(cancel context.Context, fetches []exec.Fetch, h *gp
 		Ctx:           cancel,
 		CPU:           e.cfg.CPU,
 		Scorer:        e.scorer,
-		SkipThreshold: e.cfg.CPUSkipThreshold,
+		SkipThreshold: intersect.DefaultSkipThreshold,
 		TopK:          topK,
 	}
 	if ov != nil {
@@ -633,11 +615,11 @@ func (e *Engine) planBuilder(policy sched.Policy) func(ordered []*index.PostingL
 		case CPUOnly:
 			return exec.NewCPUBuilder(ordered)
 		case GPUOnly:
-			return exec.NewGPUBuilder(ordered, e.cfg.GPUCrossover)
+			return exec.NewGPUBuilder(ordered, sched.DefaultCrossover)
 		case PerQueryHybrid:
-			return exec.NewPerQueryBuilder(ordered, policy, e.cfg.GPUCrossover)
+			return exec.NewPerQueryBuilder(ordered, policy, sched.DefaultCrossover)
 		default:
-			return exec.NewHybridBuilder(ordered, policy, e.cfg.GPUCrossover)
+			return exec.NewHybridBuilder(ordered, policy, sched.DefaultCrossover)
 		}
 	}
 }

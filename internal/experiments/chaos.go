@@ -17,7 +17,7 @@ import (
 // hedging) and once with all of them disabled.
 type ChaosPoint struct {
 	// Rate is the base per-opportunity fault probability; the plan derives
-	// every kind's rate from it (see chaosPlan).
+	// every kind's rate from it (see fault.ChaosPlan).
 	Rate float64
 	// Availability is the hardened cluster's fraction of queries answered
 	// completely — neither failed nor degraded.
@@ -46,20 +46,6 @@ type ChaosSweepResult struct {
 	// saturating: the study isolates fault handling, not queueing).
 	Rate   float64
 	Points []ChaosPoint
-}
-
-// chaosPlan derives the full fault mix from one base rate: device-level
-// kernel and transfer failures at the base rate, occasional device
-// resets, engine admission errors, and shard stalls. Seeded per point so
-// every (seed, rate) pair replays the identical fault stream.
-func chaosPlan(seed int64, rate float64) fault.Plan {
-	return fault.Plan{Seed: seed, Rules: []fault.Rule{
-		{Kind: fault.KernelLaunch, Rate: rate},
-		{Kind: fault.TransferError, Rate: rate},
-		{Kind: fault.DeviceReset, Rate: rate / 4, Stall: 2 * time.Millisecond},
-		{Kind: fault.EngineError, Rate: rate / 2},
-		{Kind: fault.ShardStall, Rate: rate, Stall: 3 * time.Millisecond},
-	}}
 }
 
 // RunChaosSweep measures availability (fraction of queries answered
@@ -137,7 +123,7 @@ func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 		run := func(hardened bool) (loadsim.Result, error) {
 			var inj *fault.Injector
 			if fr > 0 {
-				inj = fault.NewInjector(chaosPlan(seed, fr))
+				inj = fault.NewInjector(fault.ChaosPlan(seed, fr))
 			}
 			cl, err := mkCluster(inj, hardened, hedge)
 			if err != nil {

@@ -131,6 +131,21 @@ type Plan struct {
 // Enabled reports whether the plan can inject anything.
 func (p Plan) Enabled() bool { return len(p.Rules) > 0 }
 
+// ChaosPlan derives the full fault mix from one base rate — what the
+// chaos sweep measures and griffin-server -chaos-rate serves under:
+// device-level kernel and transfer failures at the base rate, occasional
+// device resets, engine admission errors, and shard stalls. Every
+// (seed, rate) pair replays the identical fault stream.
+func ChaosPlan(seed int64, rate float64) Plan {
+	return Plan{Seed: seed, Rules: []Rule{
+		{Kind: KernelLaunch, Rate: rate},
+		{Kind: TransferError, Rate: rate},
+		{Kind: DeviceReset, Rate: rate / 4, Stall: 2 * time.Millisecond},
+		{Kind: EngineError, Rate: rate / 2},
+		{Kind: ShardStall, Rate: rate, Stall: 3 * time.Millisecond},
+	}}
+}
+
 // Event is one injected fault, the unit of the deterministic fault log.
 type Event struct {
 	// Site is the injection site ("s2r0" for shard 2 replica 0).

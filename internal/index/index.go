@@ -184,31 +184,6 @@ func (ix *Index) RecordedLen(d uint32) uint32 {
 	return 0
 }
 
-// WithGlobalStats returns a copy of this index carrying collection-wide
-// statistics: fresh PostingList headers (sharing the compressed payloads
-// — EF/PFD/freq blocks are immutable) whose GlobalN is the term's global
-// document frequency from globalDF, plus global NumDocs/DocLens/AvgDocLen.
-// This is the document-partitioned shard stamping of
-// workload.PartitionIndex applied after the fact: a live-ingestion
-// cluster restamps each shard's freshly merged segment at quiesce so
-// per-shard BM25 scores are bit-identical to the unpartitioned engine.
-// The headers are copies rather than in-place mutations because in-flight
-// queries may still be reading the old lists' ScoringN.
-func (ix *Index) WithGlobalStats(globalDF map[string]int, numDocs int, docLens pvec.Vec[uint32], avgDocLen float64) *Index {
-	out := &Index{
-		NumDocs:   numDocs,
-		DocLens:   docLens,
-		AvgDocLen: avgDocLen,
-		terms:     make(map[string]*PostingList, len(ix.terms)),
-	}
-	for t, pl := range ix.terms {
-		cp := *pl
-		cp.GlobalN = globalDF[t]
-		out.terms[t] = &cp
-	}
-	return out
-}
-
 // Codec selects which compressed forms the builder materializes.
 type Codec int
 

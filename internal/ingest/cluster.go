@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"griffin/internal/cluster"
+	"griffin/internal/core"
 	"griffin/internal/exec"
-	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/kernels"
@@ -63,11 +62,23 @@ type ClusterConfig struct {
 	CheckpointEvery int
 }
 
+// writerConfig maps the knobs the two engines share onto the Config the
+// writer reads; the fault injector and the CPU model are the serving
+// template's.
+func (cfg ClusterConfig) writerConfig() Config {
+	return Config{
+		Engine: core.Config{CPU: cfg.Cluster.CPU},
+		Fault:  cfg.Cluster.Fault,
+		Codec:  cfg.Codec, MergeThreshold: cfg.MergeThreshold, AutoMerge: cfg.AutoMerge,
+		Site: cfg.Site, MergeRetries: cfg.MergeRetries,
+		WALDir: cfg.WALDir, WALSyncEvery: cfg.WALSyncEvery, CheckpointEvery: cfg.CheckpointEvery,
+	}
+}
+
 // shardState is one shard's writer-side state: its current main segment
 // and the delta absorbing the shard's mutations. Guarded by Cluster.mu.
 type shardState struct {
 	ix   *index.Index
-	st   mainStats
 	d    *delta
 	live int // live documents routed to this shard (watermark signal)
 }
@@ -93,22 +104,12 @@ type clusterSnap struct {
 	views []*View
 	gen   uint64
 	stamp uint64
-
-	numDocs int
-	lenSum  uint64
-	lenCnt  int
+	stats corpusStats
 	// clean marks a fully quiesced, exactly stamped corpus: every delta
 	// empty and every shard index carrying exact global statistics
 	// (seed or post-rebuild state). Clean queries take the pure
 	// frozen-corpus path — byte-identical to a fresh cluster build.
 	clean bool
-}
-
-func (s *clusterSnap) avgDocLen() float64 {
-	if s.lenCnt == 0 {
-		return 0
-	}
-	return float64(s.lenSum) / float64(s.lenCnt)
 }
 
 // Cluster is the live-ingestion layer over the sharded serving cluster:
@@ -118,12 +119,11 @@ func (s *clusterSnap) avgDocLen() float64 {
 // shard-size watermark triggers splits that re-partition the corpus into
 // more shards with routing updated mid-flight.
 type Cluster struct {
-	cfg     ClusterConfig
-	codec   index.Codec
-	cpu     hwmodel.CPUModel
-	site    string
-	retries int
-	bm25    rank.BM25Params
+	writer
+	// serving is the serving-layer template every topology is built from;
+	// splitWatermark is ClusterConfig.SplitWatermark.
+	serving        cluster.Config
+	splitWatermark int
 
 	// gate is the commit gate: queries hold it shared for their whole
 	// execution; segment swaps and topology changes hold it exclusive.
@@ -131,19 +131,15 @@ type Cluster struct {
 	// that match them — a swap never tears an in-flight query.
 	gate sync.RWMutex
 
-	// mu is the writer lock: mutations, freezes, commit bookkeeping.
-	mu sync.Mutex
-	t  *topo
+	// The rest is guarded by the writer lock.
+	t *topo
 	// liveLens is the authoritative live document-length table (a zero
-	// or missing entry ⇔ the document is not live); lenSum/lenCnt/numDocs
-	// are the exact index.Builder aggregates over it, maintained
-	// incrementally. It starts as the seed's table and a merge commit
-	// snapshots it into the merged segment: a mutation copies the page
-	// it writes to if a segment still shares it, nothing copies the table.
+	// or missing entry ⇔ the document is not live), of which the writer's
+	// running statistics are the exact index.Builder aggregates. It
+	// starts as the seed's table and a merge commit snapshots it into the
+	// merged segment: a mutation copies the page it writes to if a
+	// segment still shares it, nothing copies the table.
 	liveLens *pvec.Editor[uint32]
-	lenSum   uint64
-	lenCnt   int
-	numDocs  int
 	gen      uint64
 	// exact marks shard indexes whose global stamps (GlobalN, NumDocs,
 	// DocLens, AvgDocLen) are exact for the live corpus — true from the
@@ -155,53 +151,28 @@ type Cluster struct {
 	genA   atomic.Uint64
 	snap   atomic.Pointer[clusterSnap]
 
-	// mergeMu serializes merges and rebuilds.
-	mergeMu   sync.Mutex
-	merging   atomic.Bool
-	splitting atomic.Bool
-	bg        sync.WaitGroup
-	closing   atomic.Bool
-
-	// store is the write-ahead log (nil without WALDir). Appends happen
-	// under c.mu before a mutation is acknowledged.
-	store     *wal.Store
-	ckpting   atomic.Bool
-	sinceCkpt atomic.Int64
-
-	statsMu sync.Mutex
-	st      ClusterStats
+	// rebuilds and splits are ClusterStats' own counters (statsMu).
+	rebuilds, splits int64
 }
 
-// ClusterStats is the cluster-ingestion telemetry surface.
+// ClusterStats is the cluster-ingestion telemetry surface: Stats, with
+// DeltaDocs / Tombstones totalled across shards, plus the topology.
+// MergedGen here is the highest generation any shard merge has covered;
+// other shards may still hold older pending records, which is why a
+// cluster's Lag counts those instead.
 type ClusterStats struct {
+	Stats
 	// Shards is the current shard count (splits grow it).
-	Shards int    `json:"shards"`
-	Gen    uint64 `json:"gen"`
-	// DeltaDocs / Tombstones total the pending (unmerged) records across
-	// shards — the freshness signal.
-	DeltaDocs  int   `json:"delta_docs"`
-	Tombstones int   `json:"tombstones"`
-	LiveDocs   int   `json:"live_docs"`
-	Adds       int64 `json:"adds"`
-	Updates    int64 `json:"updates"`
-	Deletes    int64 `json:"deletes"`
-	Merges     int64 `json:"merges"`
-	Aborts     int64 `json:"aborts"`
-	MergedDocs int64 `json:"merged_docs"`
+	Shards   int `json:"shards"`
+	LiveDocs int `json:"live_docs"`
 	// Rebuilds counts full re-partitions (Quiesce and splits); Splits
 	// counts the ones that grew the shard count.
-	Rebuilds    int64         `json:"rebuilds"`
-	Splits      int64         `json:"splits"`
-	MergeDevice time.Duration `json:"merge_device_ns"`
-	MergeCPU    time.Duration `json:"merge_cpu_ns"`
-	MergeStall  time.Duration `json:"merge_stall_ns"`
+	Rebuilds int64 `json:"rebuilds"`
+	Splits   int64 `json:"splits"`
 	// ShardDocs / ShardDelta break live and pending documents down per
 	// shard (the split watermark's view).
 	ShardDocs  []int `json:"shard_docs"`
 	ShardDelta []int `json:"shard_delta"`
-	// WAL is the durability surface (nil without a WAL): append/sync
-	// counters aggregated across shard logs plus recovery accounting.
-	WAL *wal.Stats `json:"wal,omitempty"`
 }
 
 // Lag returns the pending records not yet folded into shard segments —
@@ -209,48 +180,10 @@ type ClusterStats struct {
 func (s ClusterStats) Lag() uint64 { return uint64(s.DeltaDocs) }
 
 // NewCluster builds a live-ingestion cluster over a seed index,
-// partitioned into cfg.Shards shards.
+// partitioned into cfg.Shards shards, in memory: cfg.WALDir is ignored.
 func NewCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	c := &Cluster{
-		cfg:     cfg,
-		codec:   cfg.Codec,
-		cpu:     cfg.Cluster.CPU,
-		site:    cfg.Site,
-		retries: cfg.MergeRetries,
-		exact:   true,
-	}
-	if c.cpu == (hwmodel.CPUModel{}) {
-		c.cpu = hwmodel.DefaultCPU()
-	}
-	if c.site == "" {
-		c.site = "ingest"
-	}
-	if c.retries == 0 {
-		c.retries = DefaultMergeRetries
-	}
-	if cfg.Codec == CodecAuto {
-		c.codec = detectCodec(seed)
-	}
-	c.bm25 = cfg.Cluster.Engine.BM25
-	if c.bm25 == (rank.BM25Params{}) {
-		c.bm25 = rank.DefaultBM25()
-	}
-
-	c.liveLens = seed.DocLens.Edit()
-	st := statsOf(seed)
-	c.lenSum, c.lenCnt = st.lenSum, st.lenCnt
-	c.numDocs = seed.NumDocs
-
-	t, err := c.newTopo(seed, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	c.t = t
-	c.publishLocked()
-	return c, nil
+	cfg.WALDir = ""
+	return OpenCluster(seed, cfg)
 }
 
 // newTopo partitions a global index into n shards and builds the serving
@@ -260,13 +193,13 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc, err := cluster.New(ixs, c.cfg.Cluster)
+	cc, err := cluster.New(ixs, c.serving)
 	if err != nil {
 		return nil, err
 	}
 	t := &topo{n: n, c: cc, shards: make([]*shardState, n)}
 	for s, ix := range ixs {
-		t.shards[s] = &shardState{ix: ix, st: statsOf(ix), d: newDelta()}
+		t.shards[s] = &shardState{ix: ix, d: newDelta()}
 	}
 	for d := 0; d < c.liveLens.Len(); d++ {
 		if c.liveLens.At(d) > 0 {
@@ -282,11 +215,8 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 // to disk before Close returns, so a clean shutdown loses nothing even
 // under a deferred-sync policy.
 func (c *Cluster) Close() {
-	if c.store != nil {
-		c.store.Sync() // flush before draining; store.Close finishes the job
-	}
-	c.closing.Store(true)
-	c.bg.Wait()
+	c.store.Sync() // flush before draining; store.Close finishes the job
+	c.stop()
 	c.gate.Lock()
 	c.mu.Lock()
 	c.t.c.Close()
@@ -331,150 +261,65 @@ func (c *Cluster) Delete(docID uint32) error {
 
 // Apply applies one mutation by op (see Engine.Apply).
 func (c *Cluster) Apply(op wal.Op, docID uint32, tokens []string) error {
-	if c.closing.Load() {
-		return ErrClosed
-	}
-	if op == wal.OpDelete {
-		tokens = nil
-	}
 	c.mu.Lock()
-	live := int(docID) < c.liveLens.Len() && c.liveLens.At(int(docID)) > 0
-	switch op {
-	case wal.OpAdd:
-		if len(tokens) == 0 {
-			c.mu.Unlock()
-			return mutErrf("ingest: add doc %d: empty document", docID)
-		}
-		if live {
-			c.mu.Unlock()
-			return mutErrf("ingest: add doc %d: already exists (use update)", docID)
-		}
-	case wal.OpUpdate:
-		if len(tokens) == 0 {
-			c.mu.Unlock()
-			return mutErrf("ingest: update doc %d: empty document", docID)
-		}
-	case wal.OpDelete:
-		if !live {
-			c.mu.Unlock()
-			return mutErrf("ingest: delete doc %d: not found", docID)
-		}
-	default:
-		c.mu.Unlock()
-		return mutErrf("ingest: doc %d: unknown op %d", docID, op)
-	}
-
 	t := c.t
 	s := workload.ShardOf(docID, t.n)
-	// Durability barrier: the record must be in the shard's WAL before
-	// the mutation is acknowledged. A failed append (wedged log, injected
-	// storage fault) rejects the mutation with no state change.
-	if c.store != nil {
-		if err := c.store.Append(s, wal.Record{
-			Gen: c.gen + 1, Op: op, DocID: docID, Tokens: tokens,
-		}); err != nil {
-			c.mu.Unlock()
-			return err
-		}
+	old := c.liveLen(docID)
+	rec, err := c.admit(op, docID, tokens, old > 0, s, c.gen+1)
+	if err != nil {
+		c.mu.Unlock()
+		return err
 	}
-	sh := c.applyLocked(t, s, docID, tokens, op, c.gen+1)
-
+	sh := c.applyLocked(t, docID, old, rec)
 	c.stamp++
 	c.stampA.Store(c.stamp)
 	c.genA.Store(c.gen)
 	pending := len(sh.d.docs)
-	overWatermark := c.cfg.SplitWatermark > 0 && sh.live > c.cfg.SplitWatermark
-	splitTo := t.n + 1
+	splitTo := 0
+	if c.splitWatermark > 0 && sh.live > c.splitWatermark {
+		splitTo = t.n + 1
+	}
 	c.mu.Unlock()
-
-	c.statsMu.Lock()
-	switch op {
-	case wal.OpAdd:
-		c.st.Adds++
-	case wal.OpUpdate:
-		c.st.Updates++
-	case wal.OpDelete:
-		c.st.Deletes++
-	}
-	c.statsMu.Unlock()
-
-	if overWatermark && !c.closing.Load() && c.splitting.CompareAndSwap(false, true) {
-		c.bg.Add(1)
-		go func() {
-			defer c.bg.Done()
-			defer c.splitting.Store(false)
-			_ = c.rebuild(splitTo)
-		}()
-	} else if c.cfg.AutoMerge && c.cfg.MergeThreshold > 0 && pending >= c.cfg.MergeThreshold &&
-		!c.closing.Load() && c.merging.CompareAndSwap(false, true) {
-		c.bg.Add(1)
-		go func() {
-			defer c.bg.Done()
-			defer c.merging.Store(false)
-			_ = c.MergeShard(s) // surfaced via ClusterStats.Aborts
-		}()
-	}
-	if c.store != nil && c.cfg.CheckpointEvery > 0 &&
-		c.sinceCkpt.Add(1) >= int64(c.cfg.CheckpointEvery) &&
-		!c.closing.Load() && c.ckpting.CompareAndSwap(false, true) {
-		c.bg.Add(1)
-		go func() {
-			defer c.bg.Done()
-			defer c.ckpting.Store(false)
-			_ = c.Checkpoint() // failures surface via the WAL stats block
-		}()
-	}
+	c.accepted(op, pending, s, splitTo)
 	return nil
 }
 
-// applyLocked commits one accepted mutation's state change at generation
-// gen: the shard delta write plus the exact global aggregate bookkeeping
-// (index.Builder arithmetic — subtract the old length, add the new,
-// track max-live-docID+1). Caller holds c.mu and guarantees the mutation
-// was validated (Apply) or previously acknowledged (WAL replay).
-func (c *Cluster) applyLocked(t *topo, s int, docID uint32, tokens []string, op wal.Op, gen uint64) *shardState {
-	sh := t.shards[s]
-	c.gen = gen
-	rec := &docRecord{gen: gen}
-	if op == wal.OpDelete {
-		rec.deleted = true
-	} else {
-		rec.tf, rec.length = tokenCounts(tokens)
+// liveLen returns docID's length at the writer's current state, 0 when
+// the document is not live. Caller holds c.mu.
+func (c *Cluster) liveLen(docID uint32) uint32 {
+	if int(docID) < c.liveLens.Len() {
+		return c.liveLens.At(int(docID))
 	}
-	sh.d.gen = gen
+	return 0
+}
+
+// applyLocked commits one mutation's record — validated by Apply, or
+// acknowledged earlier and now replayed from the WAL — to the delta of
+// the shard its document routes to in t, the live length table and the
+// running statistics; old is the document's liveLen before it. Caller
+// holds c.mu.
+func (c *Cluster) applyLocked(t *topo, docID uint32, old uint32, rec *docRecord) *shardState {
+	sh := t.shards[workload.ShardOf(docID, t.n)]
+	c.gen, sh.d.gen = rec.gen, rec.gen
 	sh.d.put(docID, rec)
 
 	if int(docID) >= c.liveLens.Len() {
 		c.liveLens.Resize(int(docID) + 1)
 	}
-	old := c.liveLens.At(int(docID))
-	if old > 0 {
-		c.lenSum -= uint64(old)
-		c.lenCnt--
-	}
-	if op == wal.OpDelete {
-		c.liveLens.Set(int(docID), 0)
+	c.liveLens.Set(int(docID), rec.length)
+	switch {
+	case old > 0 && rec.deleted:
 		sh.live--
-		if int(docID)+1 == c.numDocs {
-			d := c.numDocs - 1
-			for d >= 0 && c.liveLens.At(d) == 0 {
-				d--
-			}
-			c.numDocs = d + 1
-		}
-	} else {
-		c.liveLens.Set(int(docID), rec.length)
-		c.lenSum += uint64(rec.length)
-		c.lenCnt++
-		if old == 0 {
-			sh.live++
-		}
-		if int(docID)+1 > c.numDocs {
-			c.numDocs = int(docID) + 1
-		}
+	case old == 0 && !rec.deleted:
+		sh.live++
 	}
+	c.stats.replace(docID, old, rec.length, c.topLive)
 	return sh
 }
+
+// topLive is corpusStats.replace's descent over the live length table,
+// which already holds the mutation just applied. Caller holds c.mu.
+func (c *Cluster) topLive(below int) int { return topLive(c.liveLens.Pages(), below, nil) }
 
 // publishLocked freezes the current per-shard views and publishes the
 // snapshot queries pin. Caller holds c.mu. Views of untouched shards are
@@ -491,7 +336,7 @@ func (c *Cluster) publishLocked() {
 		if prev != nil && prev.topo == t && prev.mains[i] == sh.ix && prev.views[i].gen == sh.d.gen {
 			v = prev.views[i]
 		} else {
-			v = sh.d.freeze(sh.st)
+			v = sh.d.freeze()
 		}
 		views[i] = v
 		if !v.Empty() {
@@ -502,8 +347,7 @@ func (c *Cluster) publishLocked() {
 	c.stampA.Store(c.stamp)
 	c.snap.Store(&clusterSnap{
 		topo: t, mains: mains, views: views,
-		gen: c.gen, stamp: c.stamp,
-		numDocs: c.numDocs, lenSum: c.lenSum, lenCnt: c.lenCnt,
+		gen: c.gen, stamp: c.stamp, stats: c.stats,
 		clean: c.exact && allEmpty,
 	})
 }
@@ -604,7 +448,7 @@ func (c *Cluster) overlayFor(s *clusterSnap, terms []string) cluster.Overlay {
 		}
 		df[t] = total
 	}
-	sc := statScorer(s.numDocs, s.avgDocLen(), c.bm25)
+	sc := statScorer(s.stats)
 	ovs := make(shardOverlays, len(s.views))
 	for i := range s.views {
 		if s.views[i].Empty() {
@@ -645,44 +489,15 @@ func (s *shardScorer) ScoreCandidates(lists []*index.PostingList, candidates []u
 
 // MergeShard folds shard s's delta into a new shard segment (the same
 // block splice Engine.Merge runs) and swaps it into every replica
-// atomically. Aborted merges
-// (injected faults) leave the published state untouched and retry up to
-// the configured budget.
-func (c *Cluster) MergeShard(s int) error { return c.mergeShard(s, 0, false) }
-
-// MergeShardAt is MergeShard anchored at an explicit simulated arrival
-// on the shard's device timeline.
-func (c *Cluster) MergeShardAt(s int, arrival time.Duration) error {
-	return c.mergeShard(s, arrival, true)
+// atomically. Aborted merges (injected faults) leave the published state
+// untouched and retry up to the configured budget.
+func (c *Cluster) MergeShard(s int) error {
+	return c.serial(func() error {
+		return c.retry(func() error { return c.mergeShardOnce(s) })
+	})
 }
 
-func (c *Cluster) mergeShard(s int, arrival time.Duration, timed bool) error {
-	c.mergeMu.Lock()
-	defer c.mergeMu.Unlock()
-	if c.closing.Load() {
-		return ErrClosed
-	}
-	attempts := c.retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = c.mergeShardOnce(s, arrival, timed)
-		if err == nil {
-			return nil
-		}
-		if !injected(err) {
-			return err
-		}
-		c.statsMu.Lock()
-		c.st.Aborts++
-		c.statsMu.Unlock()
-	}
-	return err
-}
-
-func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error {
+func (c *Cluster) mergeShardOnce(s int) error {
 	c.mu.Lock()
 	t := c.t
 	if s < 0 || s >= t.n {
@@ -690,53 +505,18 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 		return fmt.Errorf("ingest: merge shard %d of %d", s, t.n)
 	}
 	sh := t.shards[s]
-	v := sh.d.freeze(sh.st)
+	v := sh.d.freeze()
 	main := sh.ix
 	c.mu.Unlock()
 	if v.Empty() {
 		return nil
 	}
-	upto := v.gen
 
-	var stall time.Duration
-	if inj := c.cfg.Cluster.Fault; inj != nil {
-		stl, err := inj.AdmitQuery(fmt.Sprintf("%s.s%d.merge", c.site, s), arrival)
-		if err != nil {
-			return err
-		}
-		stall = stl
-	}
-
-	plan, err := planMerge(main, v, c.codec)
+	// Priced on the shard's replica-0 node — the same copy/compute lanes
+	// that replica's queries use.
+	plan, cost, err := c.prepare(fmt.Sprintf("%s.s%d.merge", c.cfg.Site, s), t.c.ShardNode(s), main, v, 0, false)
 	if err != nil {
-		return fmt.Errorf("ingest: shard %d merge build: %w", s, err)
-	}
-
-	// Price the re-encode on the shard's replica-0 node — the same
-	// copy/compute lanes that replica's queries use, so merge/query
-	// interference is visible both ways and device faults abort the
-	// merge through the ordinary submit hooks.
-	var devTime, cpuTime time.Duration
-	if node := t.c.ShardNode(s); node != nil && len(plan.changed) > 0 {
-		h, err := node.AdmitOnWith(0, gpu.Admission{Arrival: arrival, Timed: timed})
-		if err != nil {
-			return err
-		}
-		gm := node.Model()
-		for _, ch := range plan.changed {
-			if err := priceChanged(h, &c.cpu, gm, ch); err != nil {
-				h.Release()
-				return err
-			}
-		}
-		devTime = h.Elapsed()
-		h.Release()
-	}
-	for _, ch := range plan.changed {
-		cpuTime += c.cpu.Time(hwmodel.CPUWork{
-			EFDecodedElems: int64(ch.merged),
-			MergedElements: int64(ch.oldN + ch.merged),
-		})
+		return err
 	}
 
 	// Commit: drain in-flight queries at the gate, stamp the segment
@@ -744,45 +524,28 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 	// the exact live values while the cluster is dirty), swap it into
 	// every replica, drop the covered records, publish.
 	c.gate.Lock()
+	defer c.gate.Unlock()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.t != t {
 		// A rebuild superseded this topology; its shards already hold
 		// every record the merge covered.
-		c.mu.Unlock()
-		c.gate.Unlock()
 		return nil
 	}
 	// Every entry at or past numDocs is zero (no live document there), so
 	// cutting the table to the collection size drops nothing; the snapshot
 	// shares its pages with the writer's table instead of copying them
 	// while every query waits at the gate.
-	c.liveLens.Resize(c.numDocs)
-	lens := c.liveLens.Snapshot()
-	var avg float64
-	if c.lenCnt > 0 {
-		avg = float64(c.lenSum) / float64(c.lenCnt)
-	}
-	ix2 := index.Assemble(plan.lists, c.numDocs, lens, avg)
+	c.liveLens.Resize(c.stats.numDocs)
+	ix2 := index.Assemble(plan.lists, c.stats.numDocs, c.liveLens.Snapshot(), c.stats.avgDocLen())
 	if err := t.c.ReplaceShard(s, ix2); err != nil {
-		c.mu.Unlock()
-		c.gate.Unlock()
 		return err
 	}
-	sh.d.drop(upto)
+	sh.d.drop(v.gen)
 	sh.ix = ix2
-	sh.st = mainStats{ix: ix2, lenSum: c.lenSum, lenCnt: c.lenCnt} // every live document is below numDocs
 	c.exact = false
 	c.publishLocked()
-	c.mu.Unlock()
-	c.gate.Unlock()
-
-	c.statsMu.Lock()
-	c.st.Merges++
-	c.st.MergedDocs += int64(v.Docs())
-	c.st.MergeDevice += devTime
-	c.st.MergeCPU += cpuTime
-	c.st.MergeStall += stall
-	c.statsMu.Unlock()
+	c.merged(v, cost)
 	return nil
 }
 
@@ -807,12 +570,9 @@ func (c *Cluster) Split() error {
 // with fresh deltas, routing (ShardOf over n) updated for queries and
 // mutations alike. Writes block for the duration; reads keep serving the
 // pinned snapshot until the commit gate swaps them to the new topology.
-func (c *Cluster) rebuild(n int) error {
-	c.mergeMu.Lock()
-	defer c.mergeMu.Unlock()
-	if c.closing.Load() {
-		return ErrClosed
-	}
+func (c *Cluster) rebuild(n int) error { return c.serial(func() error { return c.rebuildLocked(n) }) }
+
+func (c *Cluster) rebuildLocked(n int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := c.t
@@ -845,9 +605,9 @@ func (c *Cluster) rebuild(n int) error {
 	t.c.Close() // no queries in flight past the gate: retire the old engines
 
 	c.statsMu.Lock()
-	c.st.Rebuilds++
+	c.rebuilds++
 	if grow {
-		c.st.Splits++
+		c.splits++
 	}
 	c.statsMu.Unlock()
 	return nil
@@ -863,7 +623,7 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 	}
 	terms := make(map[string][]slice)
 	for _, sh := range t.shards {
-		v := sh.d.freeze(sh.st)
+		v := sh.d.freeze()
 		seen := make(map[string]bool)
 		for _, term := range sh.ix.Terms() {
 			pl, _ := sh.ix.Lookup(term)
@@ -885,7 +645,7 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 		}
 	}
 
-	b := index.NewBuilder(c.codec)
+	b := index.NewBuilder(c.cfg.Codec)
 	for term, parts := range terms {
 		// Shard slices are ascending and docID-disjoint (modulo routing):
 		// a k-way min-merge restores the global ascending order.
@@ -913,7 +673,7 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 			return nil, fmt.Errorf("ingest: rebuild term %q: %w", term, err)
 		}
 	}
-	for d := 0; d < c.numDocs && d < c.liveLens.Len(); d++ {
+	for d := 0; d < c.stats.numDocs && d < c.liveLens.Len(); d++ {
 		if l := c.liveLens.At(d); l > 0 {
 			b.SetDocLen(uint32(d), l)
 		}
@@ -939,29 +699,33 @@ func (c *Cluster) NeedsMerge() int {
 
 // Stats returns the cluster-ingestion telemetry.
 func (c *Cluster) Stats() ClusterStats {
+	st := ClusterStats{Stats: c.counters()}
 	c.statsMu.Lock()
-	st := c.st
+	st.Rebuilds, st.Splits = c.rebuilds, c.splits
 	c.statsMu.Unlock()
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	st.Gen = c.gen
 	st.Shards = c.t.n
-	st.LiveDocs = c.lenCnt
+	st.LiveDocs = c.stats.lenCnt
 	st.ShardDocs = make([]int, c.t.n)
 	st.ShardDelta = make([]int, c.t.n)
 	for s, sh := range c.t.shards {
-		st.ShardDocs[s] = sh.live
-		st.ShardDelta[s] = len(sh.d.docs)
-		st.DeltaDocs += len(sh.d.docs)
-		for _, rec := range sh.d.docs {
-			if rec.deleted {
-				st.Tombstones++
-			}
-		}
-	}
-	c.mu.Unlock()
-	if c.store != nil {
-		w := c.store.Stats()
-		st.WAL = &w
+		docs, tombstones := sh.d.pending()
+		st.ShardDocs[s], st.ShardDelta[s] = sh.live, docs
+		st.DeltaDocs += docs
+		st.Tombstones += tombstones
 	}
 	return st
+}
+
+// Progress returns the writer generation and the pending records across
+// shards (ClusterStats.Lag) without Stats' walk of the deltas.
+func (c *Cluster) Progress() (gen, lag uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.t.shards {
+		lag += uint64(len(sh.d.docs))
+	}
+	return c.gen, lag
 }

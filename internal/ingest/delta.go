@@ -144,12 +144,21 @@ func IsInvalid(err error) bool {
 	return ok
 }
 
+// pending counts the delta's records (live + tombstoned) and, of those,
+// the tombstones.
+func (d *delta) pending() (docs, tombstones int) {
+	for _, rec := range d.docs {
+		if rec.deleted {
+			tombstones++
+		}
+	}
+	return len(d.docs), tombstones
+}
+
 // freeze builds the immutable View for the writer's current generation,
-// reusing the previous view's posting slices for clean terms. st
-// describes the main segment the view overlays (its aggregate document
-// statistics), so the view can carry the snapshot's exact collection
-// statistics. Caller holds the writer lock.
-func (d *delta) freeze(st mainStats) *View {
+// reusing the previous view's posting slices for clean terms. Caller
+// holds the writer lock.
+func (d *delta) freeze() *View {
 	prev := d.frozen
 	v := &View{
 		gen:      d.gen,
@@ -180,8 +189,6 @@ func (d *delta) freeze(st mainStats) *View {
 		v.postings[t] = ids
 	}
 	d.dirty = make(map[string]struct{})
-
-	v.computeStats(st)
 	d.frozen = v
 	return v
 }

@@ -2,17 +2,13 @@ package ingest
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"griffin/internal/core"
 	"griffin/internal/exec"
 	"griffin/internal/fault"
-	"griffin/internal/hwmodel"
 	"griffin/internal/index"
-	"griffin/internal/rank"
 	"griffin/internal/wal"
 )
 
@@ -27,9 +23,8 @@ type Config struct {
 	// the previous engine's device node, so the simulated device
 	// timelines, submit hooks, and batching stage survive index swaps.
 	Engine core.Config
-	// Codec selects the compressed forms merged segments materialize.
-	// Defaults to the seed index's codec (PForDelta presence detected),
-	// so a quiesced engine is byte-identical to a fresh build.
+	// Codec selects the compressed forms merged segments materialize
+	// (CodecAuto = the seed's).
 	Codec index.Codec
 	// MergeThreshold is the delta size (records, live + tombstoned) at
 	// which a merge becomes due (NeedsMerge / AutoMerge). 0 means merges
@@ -69,7 +64,6 @@ type Config struct {
 // retirement without a global pause.
 type segment struct {
 	eng  *core.Engine
-	st   mainStats
 	refs atomic.Int64
 }
 
@@ -81,18 +75,20 @@ func (g *segment) release() {
 	}
 }
 
-// snapshot is an immutable (main segment, delta view) pair — what one
-// query pins for its whole execution. The snapshot holds one reference
-// on its segment; queries hold references on the snapshot.
+// snapshot is an immutable (main segment, delta view) pair with the
+// collection statistics of exactly that state — what one query pins for
+// its whole execution. The snapshot holds one reference on its segment;
+// queries hold references on the snapshot.
 type snapshot struct {
-	seg  *segment
-	view *View
-	refs atomic.Int64
+	seg   *segment
+	view  *View
+	stats corpusStats
+	refs  atomic.Int64
 }
 
-func newSnapshot(seg *segment, view *View) *snapshot {
+func newSnapshot(seg *segment, view *View, stats corpusStats) *snapshot {
 	seg.acquire()
-	s := &snapshot{seg: seg, view: view}
+	s := &snapshot{seg: seg, view: view, stats: stats}
 	s.refs.Store(1) // the "current" reference, dropped when swapped out
 	return s
 }
@@ -143,83 +139,21 @@ func (s Stats) Lag() uint64 { return s.Gen - s.MergedGen }
 // Engine is the live-ingestion engine: a mutable delta over a read-only
 // core.Engine, with snapshot-isolated reads and background merging.
 type Engine struct {
-	cfg     Config
-	codec   index.Codec
-	cpu     hwmodel.CPUModel
-	site    string
-	retries int
+	writer
 
-	// mu is the writer lock: mutations, freezes, and merge commits.
-	// Reads never take it (they pin snapshots through snap).
-	mu   sync.Mutex
+	// d is the delta, guarded by the writer lock.
 	d    *delta
 	snap atomic.Pointer[snapshot]
 	gen  atomic.Uint64 // mirror of d.gen for lock-free staleness checks
-
-	// mergeMu serializes merges (one background merge at a time) and
-	// checkpoints (which fold the delta through the same path).
-	mergeMu sync.Mutex
-	merging atomic.Bool
-	bg      sync.WaitGroup
-	closing atomic.Bool
-	statsMu sync.Mutex
-	st      Stats
-
-	// store is the write-ahead log (nil without -wal-dir: the in-memory
-	// engine, byte-identical to pre-durability behaviour).
-	store     *wal.Store
-	ckpting   atomic.Bool
-	sinceCkpt atomic.Int64
 }
 
-// New builds a live-ingestion engine over a seed index. The seed may be
-// empty (index.NewBuilder(...).Build() with no documents) to start from
-// a blank corpus.
+// New builds a live-ingestion engine over a seed index, in memory:
+// cfg.WALDir is ignored. The seed may be empty
+// (index.NewBuilder(...).Build() with no documents) to start from a blank
+// corpus.
 func New(ix *index.Index, cfg Config) (*Engine, error) {
-	eng, err := core.New(ix, cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{
-		cfg:     cfg,
-		codec:   cfg.Codec,
-		cpu:     cfg.Engine.CPU,
-		site:    cfg.Site,
-		retries: cfg.MergeRetries,
-	}
-	if e.cpu == (hwmodel.CPUModel{}) {
-		e.cpu = hwmodel.DefaultCPU()
-	}
-	if e.site == "" {
-		e.site = "ingest"
-	}
-	if e.retries == 0 {
-		e.retries = DefaultMergeRetries
-	}
-	if cfg.Codec == CodecAuto {
-		e.codec = detectCodec(ix)
-	}
-	e.d = newDelta()
-	seg := &segment{eng: eng, st: statsOf(ix)}
-	view := e.d.freeze(seg.st)
-	e.snap.Store(newSnapshot(seg, view))
-	return e, nil
-}
-
-// CodecAuto asks New to detect the codec from the seed index.
-const CodecAuto index.Codec = -1
-
-// detectCodec mirrors workload.PartitionIndex's probe: any term with a
-// PForDelta form means the index was built with CodecBoth.
-func detectCodec(ix *index.Index) index.Codec {
-	for _, t := range ix.Terms() {
-		pl, _ := ix.Lookup(t)
-		if pl.PFD != nil {
-			return index.CodecBoth
-		}
-		return index.CodecEF
-	}
-	return index.CodecEF
+	cfg.WALDir = ""
+	return Open(ix, cfg)
 }
 
 // Close drains in-flight background merges and releases the engine's
@@ -228,24 +162,15 @@ func detectCodec(ix *index.Index) index.Codec {
 // synced to disk before background work is drained, so a SIGTERM that
 // reaches Close never loses an acknowledged write.
 func (e *Engine) Close() {
-	if e.store != nil {
-		e.store.Sync()
-	}
-	e.closing.Store(true)
-	e.bg.Wait()
-	if e.store != nil {
-		e.store.Close()
-	}
+	e.store.Sync()
+	e.stop()
+	e.store.Close()
 	// Drop the "current" reference; the snapshot (and its segment's
 	// caches) die when the last pinned query finishes.
 	if s := e.snap.Load(); s != nil {
 		s.release()
 	}
 }
-
-// ErrClosed is returned by mutations, merges, and queries issued after
-// Close.
-var ErrClosed = errors.New("ingest: engine closed")
 
 // acquire pins the current snapshot (whatever its generation). After
 // Close the current snapshot may be fully drained — its segment's engine
@@ -288,23 +213,60 @@ func (e *Engine) acquireFresh() (*snapshot, error) {
 // refresh publishes a snapshot of the writer's current generation.
 func (e *Engine) refresh() {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	cur := e.snap.Load()
-	if cur.view.gen == e.d.gen {
-		return
-	}
-	v := e.d.freeze(cur.seg.st)
-	e.snap.Store(newSnapshot(cur.seg, v))
-	cur.release()
+	e.currentLocked()
+	e.mu.Unlock()
 }
 
-// exists reports whether docID is live at the writer's current state.
+// currentLocked returns the snapshot of the writer's current generation,
+// publishing it first if the published one lags: the view and the
+// statistics it is scored with are taken under one hold of the lock.
 // Caller holds e.mu.
-func (e *Engine) exists(docID uint32) bool {
-	if rec := e.d.docs[docID]; rec != nil {
-		return rec.live()
+func (e *Engine) currentLocked() *snapshot {
+	cur := e.snap.Load()
+	if cur.view.gen != e.d.gen {
+		e.snap.Store(newSnapshot(cur.seg, e.d.freeze(), e.stats))
+		cur.release()
+		cur = e.snap.Load()
 	}
-	return e.snap.Load().seg.st.ix.RecordedLen(docID) > 0
+	return cur
+}
+
+// liveLen returns docID's length at the writer's current state, 0 when
+// the document is not live. Caller holds e.mu.
+func (e *Engine) liveLen(docID uint32) uint32 {
+	if rec := e.d.docs[docID]; rec != nil {
+		return rec.length
+	}
+	return e.Index().RecordedLen(docID)
+}
+
+// topLive is corpusStats.replace's descent: the collection size given
+// that no document at or above below is live. The main segment's length
+// table answers first and the delta is probed only where it says a
+// document exists (a tombstone kills it); documents that exist only in
+// the delta are one pass over it. Caller holds e.mu.
+func (e *Engine) topLive(below int) int {
+	n := topLive(e.Index().DocLens.Pages(), below, func(d int) bool {
+		rec := e.d.docs[uint32(d)]
+		return rec == nil || rec.live()
+	})
+	for id, rec := range e.d.docs {
+		if rec.live() && int(id) < below {
+			n = max(n, int(id)+1)
+		}
+	}
+	return n
+}
+
+// applyLocked commits one mutation's record — validated by Apply, or
+// acknowledged earlier and now replayed from the WAL — to the delta and
+// the running statistics; old is the document's liveLen before it.
+// Caller holds e.mu.
+func (e *Engine) applyLocked(docID uint32, old uint32, rec *docRecord) {
+	e.d.gen = rec.gen
+	e.d.put(docID, rec)
+	e.stats.replace(docID, old, rec.length, e.topLive)
+	e.gen.Store(rec.gen)
 }
 
 // Add inserts a new document. It is an error to Add a docID that is
@@ -329,91 +291,17 @@ func (e *Engine) Delete(docID uint32) error {
 // and what a caller holding a wal.Op (a scripted workload, a decoded
 // request) calls directly. A delete's tokens are ignored.
 func (e *Engine) Apply(op wal.Op, docID uint32, tokens []string) error {
-	if e.closing.Load() {
-		return ErrClosed
-	}
-	if op == wal.OpDelete {
-		tokens = nil
-	}
 	e.mu.Lock()
-	switch op {
-	case wal.OpAdd:
-		if len(tokens) == 0 {
-			e.mu.Unlock()
-			return mutErrf("ingest: add doc %d: empty document", docID)
-		}
-		if e.exists(docID) {
-			e.mu.Unlock()
-			return mutErrf("ingest: add doc %d: already exists (use update)", docID)
-		}
-	case wal.OpUpdate:
-		if len(tokens) == 0 {
-			e.mu.Unlock()
-			return mutErrf("ingest: update doc %d: empty document", docID)
-		}
-	case wal.OpDelete:
-		if !e.exists(docID) {
-			e.mu.Unlock()
-			return mutErrf("ingest: delete doc %d: not found", docID)
-		}
-	default:
+	old := e.liveLen(docID)
+	rec, err := e.admit(op, docID, tokens, old > 0, 0, e.d.gen+1)
+	if err != nil {
 		e.mu.Unlock()
-		return mutErrf("ingest: doc %d: unknown op %d", docID, op)
+		return err
 	}
-	// Durability barrier: the record must be on the log before the
-	// mutation is acknowledged. A failed append (storage fault, wedged
-	// log) leaves the in-memory state untouched and the caller sees the
-	// error — the mutation never happened.
-	if e.store != nil {
-		if err := e.store.Append(0, wal.Record{
-			Gen: e.d.gen + 1, Op: op, DocID: docID, Tokens: tokens,
-		}); err != nil {
-			e.mu.Unlock()
-			return err
-		}
-	}
-	e.d.gen++
-	rec := &docRecord{gen: e.d.gen}
-	if op == wal.OpDelete {
-		rec.deleted = true
-	} else {
-		rec.tf, rec.length = tokenCounts(tokens)
-	}
-	e.d.put(docID, rec)
-	e.gen.Store(e.d.gen)
+	e.applyLocked(docID, old, rec)
 	pending := len(e.d.docs)
 	e.mu.Unlock()
-
-	e.statsMu.Lock()
-	switch op {
-	case wal.OpAdd:
-		e.st.Adds++
-	case wal.OpUpdate:
-		e.st.Updates++
-	case wal.OpDelete:
-		e.st.Deletes++
-	}
-	e.statsMu.Unlock()
-
-	if e.cfg.AutoMerge && e.cfg.MergeThreshold > 0 && pending >= e.cfg.MergeThreshold &&
-		!e.closing.Load() && e.merging.CompareAndSwap(false, true) {
-		e.bg.Add(1)
-		go func() {
-			defer e.bg.Done()
-			defer e.merging.Store(false)
-			_ = e.Merge() // surfaced via Stats.Aborts; delta stays intact on failure
-		}()
-	}
-	if e.store != nil && e.cfg.CheckpointEvery > 0 &&
-		e.sinceCkpt.Add(1) >= int64(e.cfg.CheckpointEvery) &&
-		!e.closing.Load() && e.ckpting.CompareAndSwap(false, true) {
-		e.bg.Add(1)
-		go func() {
-			defer e.bg.Done()
-			defer e.ckpting.Store(false)
-			_ = e.Checkpoint() // failure keeps the WAL authoritative
-		}()
-	}
+	e.accepted(op, pending, 0, 0)
 	return nil
 }
 
@@ -465,17 +353,7 @@ func (e *Engine) overlayFor(s *snapshot) *exec.Overlay {
 	if s.view.Empty() {
 		return nil
 	}
-	sc := statScorer(s.view.NumDocs(), s.view.AvgDocLen(), e.bm25())
-	return newOverlay(s.view, s.seg.st.ix, sc, nil)
-}
-
-// bm25 resolves the scoring parameters exactly as core.New does, so the
-// overlay scorer and the frozen-corpus scorer agree bit for bit.
-func (e *Engine) bm25() rank.BM25Params {
-	if e.cfg.Engine.BM25 == (rank.BM25Params{}) {
-		return rank.DefaultBM25()
-	}
-	return e.cfg.Engine.BM25
+	return newOverlay(s.view, s.seg.eng.Index(), statScorer(s.stats), nil)
 }
 
 // Engine returns the current serving engine (telemetry surface: node,
@@ -484,29 +362,28 @@ func (e *Engine) bm25() rank.BM25Params {
 func (e *Engine) Engine() *core.Engine { return e.snap.Load().seg.eng }
 
 // Index returns the current main segment (excluding the delta).
-func (e *Engine) Index() *index.Index { return e.snap.Load().seg.st.ix }
+func (e *Engine) Index() *index.Index { return e.snap.Load().seg.eng.Index() }
 
 // Gen returns the writer generation.
 func (e *Engine) Gen() uint64 { return e.gen.Load() }
 
 // Stats returns the ingestion telemetry.
 func (e *Engine) Stats() Stats {
-	e.statsMu.Lock()
-	st := e.st
-	e.statsMu.Unlock()
+	st := e.counters()
 	st.Gen = e.gen.Load()
 	e.mu.Lock()
-	st.DeltaDocs = len(e.d.docs)
-	st.Tombstones = 0
-	for _, rec := range e.d.docs {
-		if rec.deleted {
-			st.Tombstones++
-		}
-	}
+	st.DeltaDocs, st.Tombstones = e.d.pending()
 	e.mu.Unlock()
-	if e.store != nil {
-		w := e.store.Stats()
-		st.WAL = &w
-	}
 	return st
+}
+
+// Progress returns the writer generation and the merge lag (Stats.Lag)
+// without Stats' walk of the delta — what an acknowledged write and a
+// health probe read.
+func (e *Engine) Progress() (gen, lag uint64) {
+	e.statsMu.Lock()
+	merged := e.st.MergedGen
+	e.statsMu.Unlock()
+	gen = e.gen.Load()
+	return gen, gen - merged
 }

@@ -7,10 +7,6 @@ import (
 	"time"
 
 	"griffin/internal/core"
-	"griffin/internal/exec"
-	"griffin/internal/fault"
-	"griffin/internal/gpu"
-	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 )
 
@@ -28,43 +24,14 @@ func (e *Engine) Merge() error { return e.merge(0, false) }
 func (e *Engine) MergeAt(arrival time.Duration) error { return e.merge(arrival, true) }
 
 func (e *Engine) merge(arrival time.Duration, timed bool) error {
-	e.mergeMu.Lock()
-	defer e.mergeMu.Unlock()
-	if e.closing.Load() {
-		return ErrClosed
-	}
-	return e.mergeLocked(arrival, timed)
+	return e.serial(func() error { return e.mergeLocked(arrival, timed) })
 }
 
-// mergeLocked is the abort-retry loop around one merge. Caller holds
-// mergeMu (Merge/MergeAt take it themselves; Checkpoint holds it across
-// the merge and the checkpoint write so the persisted segment is the
-// one the watermark describes).
+// mergeLocked is one merge with its retries. Caller holds mergeMu
+// (Checkpoint holds it across the merge and the checkpoint write so the
+// persisted segment is the one the watermark describes).
 func (e *Engine) mergeLocked(arrival time.Duration, timed bool) error {
-	attempts := e.retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = e.mergeOnce(arrival, timed)
-		if err == nil {
-			return nil
-		}
-		if !injected(err) {
-			return err
-		}
-		e.statsMu.Lock()
-		e.st.Aborts++
-		e.statsMu.Unlock()
-	}
-	return err
-}
-
-// injected reports whether a merge failure came from the fault injector
-// (abort→retry) rather than a hard internal error.
-func injected(err error) bool {
-	return fault.IsDeviceFault(err) || fault.IsEngineFault(err)
+	return e.retry(func() error { return e.mergeOnce(arrival, timed) })
 }
 
 // Quiesce merges until the delta is empty: after it returns (without
@@ -88,17 +55,11 @@ func (e *Engine) Quiesce() error {
 
 // mergeOnce runs one merge attempt: freeze, splice, price, swap.
 func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
-	// Pin the segment and freeze a view covering every mutation so far.
+	// Pin the segment and a snapshot covering every mutation so far.
 	// Mutations landing after this point survive the merge in the delta
 	// and correctly shadow the merged segment.
 	e.mu.Lock()
-	cur := e.snap.Load()
-	if cur.view.gen != e.d.gen {
-		v := e.d.freeze(cur.seg.st)
-		e.snap.Store(newSnapshot(cur.seg, v))
-		cur.release()
-		cur = e.snap.Load()
-	}
+	cur := e.currentLocked()
 	cur.refs.Add(1) // safe under e.mu: swaps hold the writer lock too
 	e.mu.Unlock()
 	defer cur.release()
@@ -107,58 +68,15 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	if v.Empty() {
 		return nil
 	}
-	main := cur.seg.st.ix
-	upto := v.gen
-
-	// Fault site: the merge admission draw ("<site>.merge"). An ERR rule
-	// aborts the attempt before any work; a STALL rule delays it.
-	var stall time.Duration
-	if e.cfg.Fault != nil {
-		at := arrival
-		s, err := e.cfg.Fault.AdmitQuery(e.site+".merge", at)
-		if err != nil {
-			return err
-		}
-		stall = s
-	}
-
-	plan, err := planMerge(main, v, e.codec)
+	main := cur.seg.eng.Index()
+	plan, cost, err := e.prepare(e.cfg.Site+".merge", cur.seg.eng.Node(), main, v, arrival, timed)
 	if err != nil {
-		return fmt.Errorf("ingest: merge build: %w", err)
+		return err
 	}
 
-	// Price the re-encode. Changed lists pay the device path — upload the
-	// old compressed blocks, Para-EF decompress, migrate the expansion
-	// back — through the *shared* node runtime, so merge work occupies
-	// the same copy/compute lanes queries use (interference both ways)
-	// and passes the per-device fault hooks (a device fault aborts the
-	// merge). Unchanged lists are segment-copied for free. Encoding
-	// itself is host work, billed on the CPU model.
-	var devTime, cpuTime time.Duration
-	if node := cur.seg.eng.Node(); node != nil && len(plan.changed) > 0 {
-		h, err := node.AdmitOnWith(0, gpu.Admission{Arrival: arrival, Timed: timed})
-		if err != nil {
-			return err
-		}
-		gm := node.Model()
-		for _, ch := range plan.changed {
-			if err := priceChanged(h, &e.cpu, gm, ch); err != nil {
-				h.Release()
-				return err
-			}
-		}
-		devTime = h.Elapsed()
-		h.Release()
-	}
-	for _, ch := range plan.changed {
-		cpuTime += e.cpu.Time(hwmodel.CPUWork{
-			EFDecodedElems: int64(ch.merged),
-			MergedElements: int64(ch.oldN + ch.merged),
-		})
-	}
-
-	// The view already carries the merged corpus' exact statistics.
-	ix2 := index.Assemble(plan.lists, v.numDocs, v.docLens(main.DocLens), v.AvgDocLen())
+	// The pinned snapshot carries the merged corpus' exact statistics.
+	st := cur.stats
+	ix2 := index.Assemble(plan.lists, st.numDocs, v.docLens(main.DocLens, st.numDocs), st.avgDocLen())
 
 	// The successor engine adopts the node: device timelines, submit
 	// hooks, and the batching stage survive the swap, so in-flight
@@ -178,24 +96,13 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	// delta) snapshot, retire the old one. mergeMu guarantees cur.seg is
 	// still the live segment.
 	e.mu.Lock()
-	e.d.drop(upto)
-	seg2 := &segment{eng: eng2, st: mainStats{ix: ix2, lenSum: v.lenSum, lenCnt: v.lenCnt}}
-	v2 := e.d.freeze(seg2.st)
+	e.d.drop(v.gen)
 	old := e.snap.Load()
-	e.snap.Store(newSnapshot(seg2, v2))
+	e.snap.Store(newSnapshot(&segment{eng: eng2}, e.d.freeze(), e.stats))
 	e.mu.Unlock()
 	old.release()
 
-	e.statsMu.Lock()
-	e.st.Merges++
-	if e.st.MergedGen < upto {
-		e.st.MergedGen = upto
-	}
-	e.st.MergedDocs += int64(v.Docs())
-	e.st.MergeDevice += devTime
-	e.st.MergeCPU += cpuTime
-	e.st.MergeStall += stall
-	e.statsMu.Unlock()
+	e.merged(v, cost)
 	return nil
 }
 
@@ -350,40 +257,4 @@ func mergePostings(mainIDs, mainFreqs []uint32, v *View, term string) ([]uint32,
 		}
 	}
 	return ids, freqs
-}
-
-// priceChanged bills one re-encoded list's device path on the shared
-// runtime: upload the old compressed blocks, decompress, migrate the
-// merged expansion back to the host. The three steps feed each other, so
-// the host joins the streams after each one: a list's path is serial even
-// though it crosses all three engines. Each submission passes the
-// device's fault hook, so an injected device fault aborts the merge.
-func priceChanged(h *gpu.QueryStream, cpuM *hwmodel.CPUModel, gm *hwmodel.GPUModel, ch changedList) error {
-	type step struct {
-		class gpu.EngineClass
-		op    exec.Op
-	}
-	var steps []step
-	if ch.old != nil {
-		steps = append(steps,
-			step{gpu.CopyEngine, exec.Op{Kind: exec.OpUpload, Arg: exec.ListOperand(ch.old)}},
-			step{gpu.ComputeEngine, exec.Op{Kind: exec.OpDecompress, Arg: exec.ListOperand(ch.old), LongLen: ch.oldN}},
-		)
-	} else {
-		steps = append(steps,
-			step{gpu.CopyEngine, exec.Op{Kind: exec.OpUpload, ShortLen: ch.merged}},
-		)
-	}
-	steps = append(steps, step{gpu.CopyOutEngine, exec.Op{Kind: exec.OpMigrate, ShortLen: ch.merged}})
-	for _, s := range steps {
-		est := s.op.Estimate(cpuM, gm)
-		if err := h.Submit(s.class, func(st *gpu.Stream) error {
-			st.AddTime(est)
-			return nil
-		}); err != nil {
-			return err
-		}
-		h.Streams().Join()
-	}
-	return nil
 }

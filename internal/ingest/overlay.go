@@ -30,10 +30,12 @@ type queryOverlay struct {
 	lists []*index.PostingList
 }
 
-// statScorer builds a BM25 scorer over explicit collection statistics
-// (a stats-only index: no term dictionary, never Lookup'd).
-func statScorer(numDocs int, avgDocLen float64, params rank.BM25Params) *rank.Scorer {
-	return rank.NewScorer(&index.Index{NumDocs: numDocs, AvgDocLen: avgDocLen}, params)
+// statScorer builds a BM25 scorer over a snapshot's live collection
+// statistics (a stats-only index: no term dictionary, never Lookup'd),
+// with core.New's parameters, so the overlay scorer and the frozen-corpus
+// scorer agree bit for bit.
+func statScorer(st corpusStats) *rank.Scorer {
+	return rank.NewScorer(&index.Index{NumDocs: st.numDocs, AvgDocLen: st.avgDocLen()}, rank.DefaultBM25())
 }
 
 // newOverlay bundles a snapshot's view into the exec.Overlay a query

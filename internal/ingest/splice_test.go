@@ -159,7 +159,7 @@ func mergeEngineAgainstRebuild(t *testing.T, e *Engine, codec index.Codec, tag s
 	t.Helper()
 	e.refresh()
 	cur := e.snap.Load()
-	main, v := cur.seg.st.ix, cur.view
+	main, v := cur.seg.eng.Index(), cur.view
 	want, wantPriced := rebuildMerge(t, main, v, codec)
 	plan, err := planMerge(main, v, codec)
 	if err != nil {
@@ -185,8 +185,8 @@ func mergeEngineAgainstRebuild(t *testing.T, e *Engine, codec index.Codec, tag s
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: merged index is not deep-equal to the rebuild", tag)
 	}
-	if st, scan := e.snap.Load().seg.st, statsOf(got); st.lenSum != scan.lenSum || st.lenCnt != scan.lenCnt {
-		t.Errorf("%s: segment aggregates (%d,%d), a scan gives (%d,%d)", tag, st.lenSum, st.lenCnt, scan.lenSum, scan.lenCnt)
+	if st, scan := e.snap.Load().stats, statsOf(got.DocLens); st != scan {
+		t.Errorf("%s: running aggregates %+v, a scan of the merged segment gives %+v", tag, st, scan)
 	}
 }
 
@@ -197,7 +197,7 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec
 	t.Helper()
 	c.mu.Lock()
 	sh := c.t.shards[s]
-	main, v := sh.ix, sh.d.freeze(sh.st)
+	main, v := sh.ix, sh.d.freeze()
 	c.mu.Unlock()
 	want, wantPriced := rebuildMerge(t, main, v, codec)
 	plan, err := planMerge(main, v, codec)
@@ -218,19 +218,16 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec
 		}
 		return
 	}
-	want.NumDocs = c.numDocs
-	lens := make([]uint32, c.numDocs)
+	want.NumDocs = c.stats.numDocs
+	lens := make([]uint32, c.stats.numDocs)
 	for d := 0; d < len(lens) && d < c.liveLens.Len(); d++ {
 		lens[d] = c.liveLens.At(d)
 	}
 	want.DocLens = index.NewDocLens(lens)
-	want.AvgDocLen = 0
-	if c.lenCnt > 0 {
-		want.AvgDocLen = float64(c.lenSum) / float64(c.lenCnt)
-	}
+	want.AvgDocLen = c.stats.avgDocLen()
 	checkSameIndex(t, sh.ix, want, tag)
-	if scan := statsOf(sh.ix); sh.st.lenSum != scan.lenSum || sh.st.lenCnt != scan.lenCnt {
-		t.Errorf("%s: shard aggregates (%d,%d), a scan gives (%d,%d)", tag, sh.st.lenSum, sh.st.lenCnt, scan.lenSum, scan.lenCnt)
+	if scan := statsOf(sh.ix.DocLens); c.stats != scan {
+		t.Errorf("%s: running aggregates %+v, a scan of the merged shard gives %+v", tag, c.stats, scan)
 	}
 }
 
@@ -482,7 +479,7 @@ func TestMergeAllocationCeiling(t *testing.T) {
 	appendDelta(t, e, doc)
 	e.refresh()
 	cur := e.snap.Load()
-	main, v := cur.seg.st.ix, cur.view
+	main, v := cur.seg.eng.Index(), cur.view
 
 	var want *index.Index
 	rebuild := allocatedBy(func() { want, _ = rebuildMerge(t, main, v, index.CodecEF) })

@@ -8,34 +8,6 @@ import (
 	"griffin/internal/pvec"
 )
 
-// mainStats are the aggregate document statistics of the main segment a
-// view overlays, precomputed once per segment: the raw ingredients of
-// index.Builder's NumDocs/AvgDocLen arithmetic, so a view can produce
-// the *exact* statistics a fresh build over the live corpus would.
-type mainStats struct {
-	// ix is the main segment.
-	ix *index.Index
-	// lenSum is the sum of all main document lengths (uint64, exact).
-	lenSum uint64
-	// lenCnt is the number of main documents (recorded length > 0).
-	lenCnt int
-}
-
-// statsOf scans a seed segment's document lengths; a merged segment takes
-// its aggregates from the view it folded instead.
-func statsOf(ix *index.Index) mainStats {
-	st := mainStats{ix: ix}
-	for _, pg := range ix.DocLens.Pages() {
-		for _, l := range pg {
-			if l > 0 {
-				st.lenSum += uint64(l)
-				st.lenCnt++
-			}
-		}
-	}
-	return st
-}
-
 // decrEntry memoizes one term's main-segment document-frequency
 // decrement: how many of the view's shadowed documents actually appear
 // in the term's main posting list, plus the binary-search probes that
@@ -59,14 +31,6 @@ type View struct {
 	// postings holds, per term, the ascending docIDs of the *live* delta
 	// documents containing it.
 	postings map[string][]uint32
-
-	// numDocs / lenSum / lenCnt are the live corpus statistics
-	// (max live docID + 1, total live token count, live doc count) —
-	// exactly what index.Builder.Build would compute over the same
-	// logical corpus.
-	numDocs int
-	lenSum  uint64
-	lenCnt  int
 
 	mu   sync.Mutex
 	decr map[string]decrEntry
@@ -93,73 +57,19 @@ func (v *View) Docs() int {
 // untouched by this view.
 func (v *View) record(docID uint32) *docRecord { return v.docs[docID] }
 
-// NumDocs returns the live collection size (max live docID + 1).
-func (v *View) NumDocs() int { return v.numDocs }
-
-// AvgDocLen returns the live mean document length with index.Builder's
-// exact arithmetic (uint64 sum / int count, divided in float64).
-func (v *View) AvgDocLen() float64 {
-	if v.lenCnt == 0 {
-		return 0
-	}
-	return float64(v.lenSum) / float64(v.lenCnt)
-}
-
-// computeStats derives the live collection statistics from the main
-// segment's aggregates and this view's records.
-func (v *View) computeStats(st mainStats) {
-	sum, cnt := st.lenSum, st.lenCnt
-	for id, rec := range v.docs {
-		if l := st.ix.RecordedLen(id); l > 0 {
-			sum -= uint64(l)
-			cnt--
-		}
-		if rec.live() {
-			sum += uint64(rec.length)
-			cnt++
-		}
-	}
-	v.lenSum, v.lenCnt = sum, cnt
-	v.numDocs = v.liveNumDocs(st.ix)
-}
-
 // docLens returns the live document-length table over main's: main's cut
-// or zero-extended to the live collection size, with every mutated
-// document's entry replaced (0 for a tombstone). It shares with main
-// every page no mutated document falls in.
-func (v *View) docLens(main pvec.Vec[uint32]) pvec.Vec[uint32] {
+// or zero-extended to the live collection size numDocs, with every
+// mutated document's entry replaced (0 for a tombstone). It shares with
+// main every page no mutated document falls in.
+func (v *View) docLens(main pvec.Vec[uint32], numDocs int) pvec.Vec[uint32] {
 	lens := main.Edit()
-	lens.Resize(v.numDocs)
+	lens.Resize(numDocs)
 	for id, rec := range v.docs {
-		if int(id) < v.numDocs {
+		if int(id) < numDocs {
 			lens.Set(int(id), rec.length)
 		}
 	}
 	return lens.Snapshot()
-}
-
-// liveNumDocs finds max(live docID) + 1: the NumDocs a fresh build over
-// the live corpus would report. Deleting the top documents shrinks it,
-// so the main side is a descent from the old maximum skipping dead docs.
-func (v *View) liveNumDocs(main *index.Index) int {
-	max := -1
-	for id, rec := range v.docs {
-		if rec.live() && int(id) > max {
-			max = int(id)
-		}
-	}
-	for d := main.NumDocs - 1; d > max; d-- {
-		if main.RecordedLen(uint32(d)) == 0 {
-			continue // never existed (docID gap)
-		}
-		if rec := v.docs[uint32(d)]; rec != nil && rec.deleted {
-			continue // tombstoned
-		}
-		// Live in main (an updated doc is live too — its delta version
-		// already set max above, but d > max means no live record here).
-		return d + 1
-	}
-	return max + 1
 }
 
 // decrFor returns the term's main document-frequency decrement — how

@@ -50,11 +50,6 @@ type CrashResult struct {
 	RecoveryTime time.Duration
 }
 
-// Survived reports whether every acknowledged mutation was recovered.
-func (r CrashResult) Survived() bool {
-	return r.Recovered == uint64(r.Acked)
-}
-
 // RunCrash drives a durable live engine through a scripted mutation
 // prefix, kills it without flushing (Engine.Crash — the unsynced tail
 // vanishes), reopens the directory, and reports what survived and how

@@ -162,6 +162,10 @@ func (e *Editor[T]) Len() int { return e.v.n }
 // At returns element i.
 func (e *Editor[T]) At(i int) T { return e.v.At(i) }
 
+// Pages returns the current contents' pages in order, to read until the
+// next write: whole pages of zeros from Resize are one shared page.
+func (e *Editor[T]) Pages() [][]T { return e.v.pages }
+
 // Set stores x as element i.
 func (e *Editor[T]) Set(i int, x T) {
 	if i < 0 || i >= e.v.n {

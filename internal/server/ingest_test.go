@@ -225,3 +225,43 @@ func TestStatzIngestOmittedWhenReadOnly(t *testing.T) {
 		}
 	}
 }
+
+// The two live backends define lag differently, and one liveWriter must
+// not merge the definitions: an engine's is the mutations no merge has
+// covered (gen − merged gen), a cluster's the records pending in its
+// shard deltas. One document mutated twice with nothing merged tells them
+// apart — two mutations, one record — on /ingest, /healthz and /statz.
+func TestIngestLagIsEachBackendsOwn(t *testing.T) {
+	live, _ := newLiveServer(t, 10)
+	sharded, _ := newLiveClusterServer(t, 10)
+	for _, tc := range []struct {
+		name string
+		s    *Server
+		lag  uint64
+	}{
+		{"engine", live, 2},
+		{"cluster", sharded, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			postIngest(t, tc.s, `{"op":"update","doc_id":100,"tokens":["zebra"]}`)
+			w := postIngest(t, tc.s, `{"op":"update","doc_id":100,"tokens":["zebra","habitat"]}`)
+			var ack IngestResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
+				t.Fatalf("ack: %v\n%s", err, w.Body.String())
+			}
+			if ack.Gen != 2 || ack.Lag != tc.lag {
+				t.Errorf("/ingest ack = %+v, want gen 2 lag %d", ack, tc.lag)
+			}
+			var health map[string]any
+			getJSON(t, tc.s, "/healthz", &health)
+			if got := health["ingest_lag"]; got != float64(tc.lag) {
+				t.Errorf("/healthz ingest_lag = %v, want %d", got, tc.lag)
+			}
+			var st StatsResponse
+			getJSON(t, tc.s, "/statz", &st)
+			if st.Ingest.Gen != 2 || st.Ingest.Lag != tc.lag || st.Ingest.DeltaDocs != 1 {
+				t.Errorf("/statz ingest = %+v, want gen 2 lag %d delta_docs 1", st.Ingest, tc.lag)
+			}
+		})
+	}
+}

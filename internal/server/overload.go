@@ -121,7 +121,6 @@ func (s *Server) overloadJSON() *OverloadJSON {
 	if s.gate == nil && !clOn {
 		return nil
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	oj := &OverloadJSON{ShedRequests: s.sheds.Load()}
 	if s.gate != nil {
 		gs := s.gate.Stats()

@@ -34,7 +34,9 @@ type Server struct {
 	cluster     *cluster.Cluster // sharded backend (nil otherwise)
 	live        *ingest.Engine   // live single-node backend (nil otherwise)
 	liveCluster *ingest.Cluster  // live sharded backend (nil otherwise)
-	mux         *http.ServeMux
+	// writer is the live backend's write half (nil on a read-only server).
+	writer liveWriter
+	mux    *http.ServeMux
 
 	// freshness is the merge-lag threshold past which /healthz reports
 	// "degraded" (0 = no freshness check). Live backends only.
@@ -52,6 +54,16 @@ type Server struct {
 	// sheds counts /search requests refused with 503 by cluster-level
 	// overload control (the gate keeps its own shed counter).
 	sheds atomic.Int64
+}
+
+// liveWriter is what /ingest and /healthz need of a live backend, one
+// engine or a cluster of them: apply a mutation, read the writer
+// generation and the merge lag (each backend's own definition of it), and
+// report a wedged write-ahead log.
+type liveWriter interface {
+	Apply(op wal.Op, docID uint32, tokens []string) error
+	Progress() (gen, lag uint64)
+	Wedged() error
 }
 
 // New wraps a single engine. The engine must outlive the server.
@@ -75,14 +87,14 @@ func NewCluster(cl *cluster.Cluster) *Server {
 // (0 = no check). The engine must outlive the server; the caller owns
 // Close (which drains in-flight background merges).
 func NewLive(e *ingest.Engine, freshness int) *Server {
-	s := &Server{live: e, freshness: freshness}
+	s := &Server{live: e, writer: e, freshness: freshness}
 	s.init()
 	return s
 }
 
 // NewLiveCluster wraps a live sharded ingestion layer; see NewLive.
 func NewLiveCluster(c *ingest.Cluster, freshness int) *Server {
-	s := &Server{liveCluster: c, freshness: freshness}
+	s := &Server{liveCluster: c, writer: c, freshness: freshness}
 	s.init()
 	return s
 }
@@ -92,7 +104,7 @@ func (s *Server) init() {
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /statz", s.handleStats)
-	if s.live != nil || s.liveCluster != nil {
+	if s.writer != nil {
 		s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	}
 }
@@ -405,7 +417,6 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 	}
 	if trace {
 		resp.Shards = make([]ShardTraceJSON, len(res.Stats.Shards))
-		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 		for i, ss := range res.Stats.Shards {
 			resp.Shards[i] = ShardTraceJSON{
 				Shard:       ss.Shard,
@@ -475,12 +486,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `mutation needs "tokens" or "text"`, http.StatusBadRequest)
 		return
 	}
-	var err error
-	if s.live != nil {
-		err = s.live.Apply(op, req.DocID, tokens)
-	} else {
-		err = s.liveCluster.Apply(op, req.DocID, tokens)
-	}
+	err := s.writer.Apply(op, req.DocID, tokens)
 	switch {
 	case err == nil:
 	case ingest.IsInvalid(err):
@@ -502,15 +508,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ingested.Add(1)
-	resp := IngestResponse{}
-	if s.live != nil {
-		st := s.live.Stats()
-		resp.Gen, resp.Lag = st.Gen, st.Lag()
-	} else {
-		st := s.liveCluster.Stats()
-		resp.Gen, resp.Lag = st.Gen, st.Lag()
-	}
-	writeJSON(w, resp)
+	gen, lag := s.writer.Progress()
+	writeJSON(w, IngestResponse{Gen: gen, Lag: lag})
 }
 
 // ShardHealthJSON is one shard's reachability row in /healthz.
@@ -522,42 +521,23 @@ type ShardHealthJSON struct {
 	OpenBreakers int  `json:"open_breakers,omitempty"`
 }
 
-// ingestLag returns the live backend's merge lag and whether a live
-// backend is present at all.
-func (s *Server) ingestLag() (uint64, bool) {
-	switch {
-	case s.live != nil:
-		return s.live.Stats().Lag(), true
-	case s.liveCluster != nil:
-		return s.liveCluster.Stats().Lag(), true
-	}
-	return 0, false
-}
-
-// walWedged returns the storage fault that wedged the live backend's
-// WAL, or nil. A wedged backend keeps serving reads but refuses writes
-// — /healthz reports it degraded, not unhealthy.
-func (s *Server) walWedged() error {
-	switch {
-	case s.live != nil:
-		return s.live.Wedged()
-	case s.liveCluster != nil:
-		return s.liveCluster.Wedged()
-	}
-	return nil
-}
-
 // handleHealth serves GET /healthz. In cluster mode the status reflects
 // breaker-level degradation: "ok" when every shard is reachable,
 // "degraded" when some are not, and a 503 with status "unhealthy" when a
 // majority of shards have every replica's breaker open — the cluster can
 // no longer answer most of the corpus. A live backend whose merge lag
 // exceeds the freshness threshold reports "degraded" (still 200: stale
-// but serving) unless breaker health already says worse.
+// but serving) unless breaker health already says worse; so does one whose
+// WAL a storage fault wedged — it keeps serving reads but refuses writes.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	lag, isLive := s.ingestLag()
-	stale := isLive && s.freshness > 0 && lag > uint64(s.freshness)
-	wedged := s.walWedged()
+	isLive := s.writer != nil
+	var lag uint64
+	var wedged error
+	if isLive {
+		_, lag = s.writer.Progress()
+		wedged = s.writer.Wedged()
+	}
+	stale := s.freshness > 0 && lag > uint64(s.freshness)
 	if cl := s.cl(); cl != nil {
 		h := cl.Health()
 		status := "ok"
@@ -827,7 +807,6 @@ func cacheJSON(st core.CacheStats) *CacheStatsJSON {
 }
 
 func deviceJSON(st gpu.RuntimeStats) DeviceStatsJSON {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return DeviceStatsJSON{
 		Streams:        st.Streams,
 		ActiveQueries:  st.Active,
@@ -845,6 +824,22 @@ func deviceJSON(st gpu.RuntimeStats) DeviceStatsJSON {
 	}
 }
 
+// ingestJSON is the /statz ingest block of either live backend; a
+// cluster adds its topology fields.
+func (s *Server) ingestJSON(st ingest.Stats, lag uint64) *IngestStatsJSON {
+	return &IngestStatsJSON{
+		Gen: st.Gen, Lag: lag,
+		DeltaDocs: st.DeltaDocs, Tombstones: st.Tombstones,
+		Adds: st.Adds, Updates: st.Updates, Deletes: st.Deletes,
+		Accepted: s.ingested.Load(),
+		Merges:   st.Merges, Aborts: st.Aborts, MergedDocs: st.MergedDocs,
+		MergeDeviceMS: ms(st.MergeDevice), MergeCPUMS: ms(st.MergeCPU),
+		MergeStallMS:       ms(st.MergeStall),
+		FreshnessThreshold: s.freshness,
+		WAL:                st.WAL,
+	}
+}
+
 // handleStats serves GET /statz.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	n := s.queries.Load()
@@ -858,38 +853,17 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		MeanLatencyMS: mean,
 		Overload:      s.overloadJSON(),
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 	switch {
 	case s.live != nil:
 		st := s.live.Stats()
-		resp.Ingest = &IngestStatsJSON{
-			Gen: st.Gen, Lag: st.Lag(),
-			DeltaDocs: st.DeltaDocs, Tombstones: st.Tombstones,
-			Adds: st.Adds, Updates: st.Updates, Deletes: st.Deletes,
-			Accepted: s.ingested.Load(),
-			Merges:   st.Merges, Aborts: st.Aborts, MergedDocs: st.MergedDocs,
-			MergeDeviceMS: ms(st.MergeDevice), MergeCPUMS: ms(st.MergeCPU),
-			MergeStallMS:       ms(st.MergeStall),
-			FreshnessThreshold: s.freshness,
-			WAL:                st.WAL,
-		}
+		resp.Ingest = s.ingestJSON(st, st.Lag())
 	case s.liveCluster != nil:
 		st := s.liveCluster.Stats()
-		resp.Ingest = &IngestStatsJSON{
-			Gen: st.Gen, Lag: st.Lag(),
-			DeltaDocs: st.DeltaDocs, Tombstones: st.Tombstones,
-			Adds: st.Adds, Updates: st.Updates, Deletes: st.Deletes,
-			Accepted: s.ingested.Load(),
-			Merges:   st.Merges, Aborts: st.Aborts, MergedDocs: st.MergedDocs,
-			MergeDeviceMS: ms(st.MergeDevice), MergeCPUMS: ms(st.MergeCPU),
-			MergeStallMS:       ms(st.MergeStall),
-			FreshnessThreshold: s.freshness,
-			Shards:             st.Shards, LiveDocs: st.LiveDocs,
-			Rebuilds: st.Rebuilds, Splits: st.Splits,
-			ShardDocs: st.ShardDocs, ShardDelta: st.ShardDelta,
-			WAL: st.WAL,
-		}
+		resp.Ingest = s.ingestJSON(st.Stats, st.Lag())
+		resp.Ingest.Shards, resp.Ingest.LiveDocs = st.Shards, st.LiveDocs
+		resp.Ingest.Rebuilds, resp.Ingest.Splits = st.Rebuilds, st.Splits
+		resp.Ingest.ShardDocs, resp.Ingest.ShardDelta = st.ShardDocs, st.ShardDelta
 	}
 
 	if cl := s.cl(); cl != nil {
@@ -973,6 +947,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, resp)
 }
+
+// ms is a duration in (fractional) milliseconds, the unit of every
+// *_ms field.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

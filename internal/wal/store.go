@@ -43,18 +43,13 @@ type Options struct {
 	// Site is the fault-site base: shard i's log draws faults at
 	// "<shardSite>.wal.append" / "<shardSite>.wal.sync" and checkpoint
 	// writes at "<Site>.ckpt", where shardSite is Site for single-shard
-	// stores and "<Site>.s<i>" otherwise (overridable via ShardSite).
+	// stores and "<Site>.s<i>" otherwise.
 	Site string
-	// ShardSite, when non-nil, names shard i's fault-site base.
-	ShardSite func(i int) string
 	// Fault injects storage faults; nil injects nothing.
 	Fault *fault.Injector
 }
 
 func (o Options) shardSite(i, shards int) string {
-	if o.ShardSite != nil {
-		return o.ShardSite(i)
-	}
 	if shards <= 1 {
 		return o.Site
 	}
