@@ -56,9 +56,9 @@ type Config struct {
 	// Routing picks the replica for each shard of a query (default
 	// RoundRobin).
 	Routing Routing
-	// Engine is the per-replica engine template. Device and Runtime are
+	// Engine is the per-replica engine template. Engine.Device is
 	// ignored: every replica gets a private device (its own DeviceModel
-	// instance) and builds its own runtime from Engine.Streams, because a
+	// instance) and builds its own node from Engine.Streams, because a
 	// shard *is* a serving node in this layer. Engine.Devices and
 	// Engine.Placement pass through, so replicas can be multi-GPU nodes:
 	// a replica is then a (node, device-set) pair — the router picks the
@@ -247,27 +247,19 @@ func (c *Cluster) Close() {
 }
 
 // ReplaceShard atomically swaps one shard's serving index: every replica
-// of the shard gets a fresh engine over ix that adopts its predecessor's
-// device node — simulated timelines, submit hooks (fault sites), and the
-// batching stage survive the swap — and the predecessor retires when its
-// last in-flight sub-query finishes (epoch-based reclamation, no pause).
-// This is the live-ingestion merge commit path: a background merge
-// re-encodes a shard's postings and publishes the result here while
-// traffic keeps flowing.
+// of the shard gets its engine's Successor over ix — simulated
+// timelines, submit hooks (fault sites), and the batching stage survive
+// the swap — and the predecessor retires when its last in-flight
+// sub-query finishes (epoch-based reclamation, no pause). This is the
+// live-ingestion merge commit path: a background merge re-encodes a
+// shard's postings and publishes the result here while traffic keeps
+// flowing.
 func (c *Cluster) ReplaceShard(shard int, ix *index.Index) error {
 	if shard < 0 || shard >= len(c.shards) {
 		return fmt.Errorf("cluster: replace shard %d of %d", shard, len(c.shards))
 	}
-	for ri, rep := range c.shards[shard].replicas {
-		ecfg := c.cfg.Engine
-		ecfg.TopK = c.cfg.TopK
-		ecfg.Device = nil
-		ecfg.Node = rep.engine().Node() // nil for CPU-only replicas
-		eng, err := core.New(ix, ecfg)
-		if err != nil {
-			return fmt.Errorf("cluster: replace shard %d replica %d: %w", shard, ri, err)
-		}
-		rep.swap(eng)
+	for _, rep := range c.shards[shard].replicas {
+		rep.swap(rep.engine().Successor(ix))
 	}
 	return nil
 }

@@ -1,13 +1,15 @@
 // Package core is the Griffin engine: the end-to-end conjunctive query
 // pipeline of §2.1 — posting-list lookup, SvS-ordered pairwise
 // intersections, BM25 scoring, top-k selection — executed under one of
-// three placements:
+// four placements, each a placement policy over the one plan builder:
 //
 //   - CPUOnly: the highly optimized CPU baseline (§2.2), using block-wise
 //     merge or skip-pointer binary search per pair;
 //   - GPUOnly: Griffin-GPU (§3.1), running decompression (Para-EF) and
 //     intersection (MergePath or parallel binary search over skip
 //     pointers) on the simulated device;
+//   - PerQueryHybrid: the static hybrid of Figure 1(c), one placement
+//     decision for the whole query;
 //   - Hybrid: Griffin proper (§3.2), scheduling each intersection to GPU
 //     or CPU by the length-ratio policy and migrating intermediate results
 //     from device to host when the query's characteristics shift.
@@ -72,8 +74,9 @@ func (m Mode) String() string {
 type Config struct {
 	// Mode is the placement strategy.
 	Mode Mode
-	// Policy schedules Hybrid-mode intersections; nil means the paper's
-	// RatioPolicy (crossover 128, sticky migration).
+	// Policy schedules Hybrid-mode intersections and makes PerQueryHybrid's
+	// one decision; nil means the paper's RatioPolicy (crossover 128,
+	// sticky migration).
 	Policy sched.Policy
 	// TopK is the result count (0 = 10).
 	TopK int
@@ -93,22 +96,8 @@ type Config struct {
 	// Ignored on single-device nodes, where every query runs on device 0
 	// without consulting any policy.
 	Placement sched.DevicePlacement
-	// Node adopts an existing multi-device runtime wholesale; nil means
-	// the engine builds its own node over Device. All queries of an
-	// engine — Search, SearchBatch, warmup — go through the node's
-	// runtimes, so concurrent queries contend for the modeled devices and
-	// are charged queueing delay (Stats.GPUWait) when they are busy. An
-	// engine given a node shares its per-device timelines, submit hooks,
-	// and batching stage instead of building its own. This is how a live
-	// index swap (background merge publishing a re-encoded segment)
-	// replaces the engine without resetting device state: in-flight
-	// queries on the old engine and new queries on its successor contend
-	// for the same modeled devices. Device, Devices, Streams, and
-	// Placement's node-construction role are ignored when set.
-	Node *gpu.NodeRuntime
-	// Streams bounds each device runtime's simulated compute lanes when
-	// the engine builds its own node (0 = 1, the K20's single compute
-	// engine).
+	// Streams bounds each device runtime's simulated compute lanes (0 = 1,
+	// the K20's single compute engine).
 	Streams int
 	// SpillBacklog enables load-aware admission: when > 0, the engine
 	// wraps its scheduling policy so intersections spill to the CPU plan
@@ -155,19 +144,16 @@ type Engine struct {
 	scorer *rank.Scorer
 	// caches holds one device-resident list cache per node device (nil
 	// without CacheLists); node is the engine's multi-device runtime (nil
-	// for CPU-only engines) and placement its per-query device chooser.
-	caches    []*listCache
-	node      *gpu.NodeRuntime
-	placement sched.DevicePlacement
+	// for CPU-only engines).
+	caches []*listCache
+	node   *gpu.NodeRuntime
 }
 
-// New builds an engine, validating that GPU modes have a device.
+// New builds an engine, validating that GPU modes have a device. All
+// queries of an engine — Search, SearchBatch, warmup — go through its
+// node's runtimes, so concurrent queries contend for the modeled devices
+// and are charged queueing delay (Stats.GPUWait) when they are busy.
 func New(ix *index.Index, cfg Config) (*Engine, error) {
-	if cfg.Node != nil && cfg.Device == nil {
-		// Adopting a node: device 0's simulated GPU is the engine's
-		// device, exactly as NewNode would have arranged it.
-		cfg.Device = cfg.Node.Runtime(0).Device()
-	}
 	if cfg.Mode != CPUOnly && cfg.Device == nil {
 		return nil, fmt.Errorf("core: mode %v requires a device", cfg.Mode)
 	}
@@ -186,44 +172,53 @@ func New(ix *index.Index, cfg Config) (*Engine, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = sched.NewRatioPolicy()
 	}
-	e := &Engine{ix: ix, cfg: cfg, scorer: rank.NewScorer(ix, rank.DefaultBM25())}
+	if cfg.Placement == nil {
+		cfg.Placement = sched.AffinityDevices{}
+	}
+	if cfg.CacheLists && cfg.CacheBytes <= 0 {
+		cfg.CacheBytes = 4 << 30
+	}
+	var node *gpu.NodeRuntime
 	if cfg.Device != nil {
-		adopted := cfg.Node != nil
-		if adopted {
-			e.node = cfg.Node
-		} else {
-			e.node = gpu.NewNode(cfg.Device, cfg.Devices, cfg.Streams)
-		}
-		e.placement = cfg.Placement
-		if e.placement == nil {
-			e.placement = sched.AffinityDevices{}
-		}
-		// An adopted node keeps whatever batching stage it already runs;
-		// re-enabling would reset its telemetry mid-serve.
-		if cfg.BatchWindow > 0 && !adopted {
-			e.node.EnableBatching(gpu.BatchConfig{Window: cfg.BatchWindow, Max: cfg.BatchMax})
+		node = gpu.NewNode(cfg.Device, cfg.Devices, cfg.Streams)
+		if cfg.BatchWindow > 0 {
+			node.EnableBatching(gpu.BatchConfig{Window: cfg.BatchWindow, Max: cfg.BatchMax})
 		}
 	}
+	return newEngine(ix, cfg, node), nil
+}
+
+// Successor returns an engine over ix with this engine's config and
+// device node — per-device timelines, submit hooks (fault sites) and the
+// batching stage survive, untouched — and fresh list caches. This is how
+// a live index swap (a background merge publishing a re-encoded segment)
+// replaces the engine without resetting device state: in-flight queries
+// on the old engine and new queries on its successor contend for the
+// same modeled devices.
+func (e *Engine) Successor(ix *index.Index) *Engine {
+	return newEngine(ix, e.cfg, e.node)
+}
+
+// newEngine assembles an engine over a validated, defaulted config and
+// its device node (nil for CPU-only engines).
+func newEngine(ix *index.Index, cfg Config, node *gpu.NodeRuntime) *Engine {
+	e := &Engine{ix: ix, cfg: cfg, scorer: rank.NewScorer(ix, rank.DefaultBM25()), node: node}
 	if cfg.CacheLists {
-		if cfg.CacheBytes <= 0 {
-			cfg.CacheBytes = 4 << 30
-		}
-		e.cfg.CacheBytes = cfg.CacheBytes
 		devices := 1
-		if e.node != nil {
-			devices = e.node.Devices()
+		if node != nil {
+			devices = node.Devices()
 		}
 		e.caches = make([]*listCache, devices)
 		for i := range e.caches {
 			e.caches[i] = newListCache(cfg.CacheBytes)
 		}
 	}
-	return e, nil
+	return e
 }
 
 // Close releases the device memory the engine holds: the list caches, and
 // the free blocks its queries left in the devices' memory pools, whose
-// sizes fit this engine's lists and nobody else's. A successor adopting
+// sizes fit this engine's lists and nobody else's. A Successor sharing
 // the node (a live index swap) therefore starts, like a fresh build, from
 // an empty pool.
 func (e *Engine) Close() {
@@ -404,13 +399,14 @@ func (e *Engine) SearchContext(ctx context.Context, terms []string) (*Result, er
 // well-formed (non-nil empty Docs, fetch ops traced, latency set) rather
 // than a zero value.
 //
-// Execution is plan-based: the engine's Mode selects a plan builder, and
-// the exec layer's single executor walks the resulting operator pipeline
-// (fetch → upload/decompress → intersect → migrate → score → top-k) on
-// one shared simulated timeline. Device work goes through the engine's
-// shared DeviceRuntime: a query running alone reproduces the paper's
-// per-query numbers exactly, while queries overlapping in wall clock
-// contend for the modeled device and pay queueing delay (Stats.GPUWait).
+// Execution is plan-based: the engine's Mode selects the placement policy
+// of the one plan builder, and the exec layer's single executor walks the
+// resulting operator pipeline (fetch → upload/decompress → intersect →
+// migrate → score → top-k) on one shared simulated timeline. Device work
+// goes through the engine's shared DeviceRuntime: a query running alone
+// reproduces the paper's per-query numbers exactly, while queries
+// overlapping in wall clock contend for the modeled device and pay
+// queueing delay (Stats.GPUWait).
 // A budget rejection (gpu.ErrBudget) leaves the device timeline as the
 // query found it.
 //
@@ -467,7 +463,7 @@ func (e *Engine) placeDevice(req Request) int {
 	if e.caches != nil {
 		info.Saving = e.affinitySavings(req.Terms)
 	}
-	return e.placement.Place(info)
+	return e.cfg.Placement.Place(info)
 }
 
 // affinitySavings estimates, per device, the transfer time the query's
@@ -495,9 +491,8 @@ func (e *Engine) affinitySavings(terms []string) []time.Duration {
 // search plans and executes req on the admitted handle h (nil for
 // CPU-only engines and ForceCPU requests).
 func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream) (*Result, error) {
-	terms, ov := req.Terms, req.Overlay
-	fetches := make([]exec.Fetch, len(terms))
-	for i, t := range terms {
+	fetches := make([]exec.Fetch, len(req.Terms))
+	for i, t := range req.Terms {
 		fetches[i] = exec.Fetch{Term: t}
 		if pl, ok := e.ix.Lookup(t); ok {
 			fetches[i].List = pl
@@ -525,25 +520,19 @@ func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream)
 		SkipThreshold: intersect.DefaultSkipThreshold,
 		TopK:          topK,
 	}
-	if ov != nil {
+	if ov := req.Overlay; ov != nil {
 		ctx.Delta = ov.Delta
 		if ov.Scorer != nil {
 			ctx.Scorer = ov.Scorer
 		}
 	}
-	builder := e.planBuilder(e.queryPolicy(h))
-	if req.ForceCPU {
-		// Brownout degradation: the hybrid symmetry that backs fault
-		// fallback also backs load shedding — the CPU plan computes the
-		// same answer without touching the contended device timeline.
-		builder = func(ordered []*index.PostingList) exec.Builder {
-			return exec.NewCPUBuilder(ordered)
-		}
-	}
-	out, err := exec.Run(ctx, fetches, builder)
+	policy := e.policy(req, h)
+	out, err := exec.Run(ctx, fetches, func(ordered []*index.PostingList) exec.Builder {
+		return exec.NewHybridBuilder(ordered, policy, sched.DefaultCrossover)
+	})
 	if err != nil {
-		if fault.IsDeviceFault(err) && !e.cfg.NoCPUFallback && e.cfg.Mode != CPUOnly && !req.ForceCPU {
-			return e.fallbackCPU(cancel, fetches, h, ov, err, topK)
+		if fault.IsDeviceFault(err) && !e.cfg.NoCPUFallback && !req.ForceCPU {
+			return e.fallbackCPU(cancel, req, h, err)
 		}
 		return nil, err
 	}
@@ -551,77 +540,57 @@ func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream)
 }
 
 // fallbackCPU re-runs a query whose device plan died on an injected
-// fault, using the CPU-only plan — the paper's hybrid symmetry made
-// load-bearing: the CPU executes the exact same query work, so the
-// fallback's results match the CPU-only golden bit for bit. The
-// simulated device time the aborted plan had accumulated (service time
-// plus queueing delay) is charged to the fallback's stats as
-// FaultWasted/GPUTime: the failed attempt happened on the timeline even
-// though its results were discarded.
-func (e *Engine) fallbackCPU(cancel context.Context, fetches []exec.Fetch, h *gpu.QueryStream, ov *exec.Overlay, cause error, topK int) (*Result, error) {
+// fault as a ForceCPU query — the paper's hybrid symmetry made
+// load-bearing: the CPU executes the exact same query work over the same
+// pinned snapshot, so the fallback's results match the CPU-only golden
+// bit for bit. The simulated device time the aborted plan had
+// accumulated (service time plus queueing delay) is charged to the
+// fallback's stats as FaultWasted/GPUTime: the failed attempt happened on
+// the timeline even though its results were discarded.
+func (e *Engine) fallbackCPU(cancel context.Context, req Request, h *gpu.QueryStream, cause error) (*Result, error) {
 	var wasted time.Duration
 	if h != nil {
 		wasted = h.Elapsed()
 	}
-	ctx := &exec.Context{
-		Ctx:           cancel,
-		CPU:           e.cfg.CPU,
-		Scorer:        e.scorer,
-		SkipThreshold: intersect.DefaultSkipThreshold,
-		TopK:          topK,
-	}
-	if ov != nil {
-		// The fallback re-plans on the CPU but keeps the query's pinned
-		// snapshot: same delta view, same statistics, same results.
-		ctx.Delta = ov.Delta
-		if ov.Scorer != nil {
-			ctx.Scorer = ov.Scorer
-		}
-	}
-	out, err := exec.Run(ctx, fetches, func(ordered []*index.PostingList) exec.Builder {
-		return exec.NewCPUBuilder(ordered)
-	})
+	req.ForceCPU = true
+	res, err := e.search(cancel, req, nil)
 	if err != nil {
 		return nil, err
 	}
-	out.Stats.FallbackCPU = true
-	out.Stats.Fault = cause.Error()
-	out.Stats.FaultWasted = wasted
-	out.Stats.GPUTime += wasted
-	out.Stats.Latency = out.Stats.CPUTime + out.Stats.GPUTime
+	st := &res.Stats
+	st.FallbackCPU = true
+	st.Fault = cause.Error()
+	st.FaultWasted = wasted
+	st.GPUTime += wasted
+	st.Latency = st.CPUTime + st.GPUTime
 	if h != nil {
-		out.Stats.GPUWait = h.Waited()
+		st.GPUWait = h.Waited()
 	}
-	return &Result{Docs: out.Docs, Stats: out.Stats}, nil
+	return res, nil
 }
 
-// queryPolicy returns the scheduling policy for one query: the
+// policy picks the placement policy for one query — the one place the
+// four execution modes differ (Figure 1 (a)–(d)): CPU-only and brownout's
+// ForceCPU pin the CPU, GPU-only pins the device, and Hybrid runs the
 // configured policy, wrapped with the load-aware spill when the engine
-// has SpillBacklog set — the wrapper reads this query's view of the
-// device backlog (its runtime handle) before every placement decision.
-func (e *Engine) queryPolicy(h *gpu.QueryStream) sched.Policy {
+// has SpillBacklog set (the wrapper reads this query's view of the device
+// backlog, its runtime handle, before every placement decision).
+// PerQueryHybrid asks that same policy once and pins the answer.
+func (e *Engine) policy(req Request, h *gpu.QueryStream) sched.Policy {
+	switch {
+	case e.cfg.Mode == CPUOnly || req.ForceCPU:
+		return sched.AlwaysPolicy{Target: sched.CPU}
+	case e.cfg.Mode == GPUOnly:
+		return sched.AlwaysPolicy{Target: sched.GPU}
+	}
 	p := e.cfg.Policy
 	if e.cfg.SpillBacklog > 0 && h != nil {
 		p = &sched.LoadAwarePolicy{Inner: p, Backlog: h, Threshold: e.cfg.SpillBacklog}
 	}
-	return p
-}
-
-// planBuilder maps the engine's Mode to its plan builder — the only
-// thing the four execution modes differ in.
-func (e *Engine) planBuilder(policy sched.Policy) func(ordered []*index.PostingList) exec.Builder {
-	return func(ordered []*index.PostingList) exec.Builder {
-		switch e.cfg.Mode {
-		case CPUOnly:
-			return exec.NewCPUBuilder(ordered)
-		case GPUOnly:
-			return exec.NewGPUBuilder(ordered, sched.DefaultCrossover)
-		case PerQueryHybrid:
-			return exec.NewPerQueryBuilder(ordered, policy, sched.DefaultCrossover)
-		default:
-			return exec.NewHybridBuilder(ordered, policy, sched.DefaultCrossover)
-		}
+	if e.cfg.Mode == PerQueryHybrid {
+		p = &sched.PerQueryPolicy{Inner: p}
 	}
+	return p
 }
 
 // Runtime returns device 0's runtime (nil for CPU-only engines) — the

@@ -26,12 +26,11 @@ func TestDeviceFaultFallsBackToCPU(t *testing.T) {
 	}
 
 	for _, mode := range []Mode{GPUOnly, Hybrid, PerQueryHybrid} {
-		node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), 1, 0)
-		rt := node.Runtime(0)
-		eng, err := New(c.Index, Config{Mode: mode, Node: node})
+		eng, err := New(c.Index, Config{Mode: mode, Device: gpu.New(hwmodel.DefaultGPU(), 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rt := eng.Node().Runtime(0)
 		// Every device submission fails: every GPU-touching query must
 		// fall back, and all results must match the CPU golden.
 		in := fault.NewInjector(fault.Plan{Seed: 1, Rules: []fault.Rule{
@@ -80,12 +79,11 @@ func TestDeviceFaultFallsBackToCPU(t *testing.T) {
 // error it is.
 func TestNoCPUFallbackSurfacesError(t *testing.T) {
 	c := testCorpus(t)
-	node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), 1, 0)
-	rt := node.Runtime(0)
-	eng, err := New(c.Index, Config{Mode: GPUOnly, Node: node, NoCPUFallback: true})
+	eng, err := New(c.Index, Config{Mode: GPUOnly, Device: gpu.New(hwmodel.DefaultGPU(), 0), NoCPUFallback: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := eng.Node().Runtime(0)
 	in := fault.NewInjector(fault.Plan{Seed: 1, Rules: []fault.Rule{
 		{Kind: fault.TransferError, Rate: 1},
 	}})
@@ -102,12 +100,11 @@ func TestNoCPUFallbackSurfacesError(t *testing.T) {
 // succeeded) guarantees nonzero waste.
 func TestFallbackChargesWastedDeviceTime(t *testing.T) {
 	c := testCorpus(t)
-	node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), 1, 0)
-	rt := node.Runtime(0)
-	eng, err := New(c.Index, Config{Mode: GPUOnly, Node: node})
+	eng, err := New(c.Index, Config{Mode: GPUOnly, Device: gpu.New(hwmodel.DefaultGPU(), 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := eng.Node().Runtime(0)
 	// Uploads (copy engine) run clean; the first compute submission dies.
 	in := fault.NewInjector(fault.Plan{Seed: 1, Rules: []fault.Rule{
 		{Kind: fault.KernelLaunch, Rate: 1},

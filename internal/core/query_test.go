@@ -9,6 +9,7 @@ import (
 
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
+	"griffin/internal/workload"
 )
 
 // sameResult fails unless got and want agree bit for bit: doc ids, score
@@ -132,6 +133,34 @@ func TestQueryOnePath(t *testing.T) {
 		req.ForceCPU, req.Budget = false, backlog+time.Hour
 		if _, err := e.Query(context.Background(), req); err != nil {
 			t.Fatalf("ample budget rejected: %v", err)
+		}
+	})
+
+	// Brownout's ForceCPU is the CPU-only mode's policy: same docs, same
+	// plan, same record, whatever mode the engine was built in.
+	t.Run("ForceCPU equals CPU-only", func(t *testing.T) {
+		cpuE, err := New(c.Index, Config{Mode: CPUOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := workload.GenerateQueryLog(c, workload.QuerySpec{NumQueries: 40, PopularityAlpha: 0.7, Seed: 7})
+		for _, mode := range []Mode{GPUOnly, Hybrid, PerQueryHybrid} {
+			e, err := New(c.Index, Config{Mode: mode, Device: gpu.New(hwmodel.DefaultGPU(), 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for _, q := range queries {
+				want, err := cpuE.Search(q.Terms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := e.Query(context.Background(), Request{Terms: q.Terms, SearchOptions: SearchOptions{ForceCPU: true}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, got, want)
+			}
 		}
 	})
 

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -57,8 +59,9 @@ func testContext(ix *index.Index, dev *gpu.Device) *Context {
 
 // drainPlan collects the full op sequence a builder produces for a fixed
 // intermediate-length schedule (lens[i] is the state before step i+1).
-func drainPlan(b Builder, lens []int, onDevice bool) []Op {
+func drainPlan(b Builder, lens []int) []Op {
 	var all []Op
+	onDevice := false
 	i := 0
 	for {
 		st := State{OnDevice: onDevice}
@@ -79,108 +82,151 @@ func drainPlan(b Builder, lens []int, onDevice bool) []Op {
 	}
 }
 
-func kinds(ops []Op) []OpKind {
-	out := make([]OpKind, len(ops))
-	for i, op := range ops {
-		out[i] = op.Kind
-	}
-	return out
+// modes are the four execution modes of Figure 1 (a)–(d) as the
+// placement policies core hands the one builder.
+var modes = []struct {
+	name   string
+	policy sched.Policy
+}{
+	{"cpu-only", sched.AlwaysPolicy{Target: sched.CPU}},
+	{"gpu-only", sched.AlwaysPolicy{Target: sched.GPU}},
+	{"per-query-hybrid", &sched.PerQueryPolicy{Inner: sched.NewRatioPolicy()}},
+	{"griffin", sched.NewRatioPolicy()},
 }
 
-func TestCPUBuilderPlanShape(t *testing.T) {
-	ix := buildIndex(t, []string{"a", "b", "c"}, []int{100, 200, 400})
-	lists := make([]*index.PostingList, 3)
-	for i, term := range []string{"a", "b", "c"} {
-		lists[i], _ = ix.Lookup(term)
-	}
-	ops := drainPlan(NewCPUBuilder(lists), []int{100, 50}, false)
-	if len(ops) != 2 {
-		t.Fatalf("expected 2 intersections, got %d: %v", len(ops), kinds(ops))
-	}
-	for i, op := range ops {
-		if op.Kind != OpIntersect || op.Where != sched.CPU || op.Algo != AlgoCPUAdaptive {
-			t.Errorf("op %d: %v/%v/%v, want CPU adaptive intersect", i, op.Kind, op.Where, op.Algo)
-		}
-	}
-	// An emptied intermediate stops the pipeline early.
-	ops = drainPlan(NewCPUBuilder(lists), []int{100, 0}, false)
-	if len(ops) != 1 {
-		t.Fatalf("empty intermediate: expected 1 intersection, got %d", len(ops))
-	}
+// planFor is Run's builder argument under policy p.
+func planFor(p sched.Policy) func([]*index.PostingList) Builder {
+	return func(l []*index.PostingList) Builder { return NewHybridBuilder(l, p, sched.DefaultCrossover) }
 }
 
-func TestGPUBuilderPlanShape(t *testing.T) {
-	// Comparable lengths: merge-path with decompressed operands, every
-	// upload cacheable.
-	ix := buildIndex(t, []string{"a", "b"}, []int{1000, 2000})
-	la, _ := ix.Lookup("a")
-	lb, _ := ix.Lookup("b")
-	ops := drainPlan(NewGPUBuilder([]*index.PostingList{la, lb}, sched.DefaultCrossover), []int{1000, 500}, false)
-	want := []OpKind{OpUpload, OpDecompress, OpUpload, OpDecompress, OpIntersect, OpMigrate}
-	got := kinds(ops)
-	if len(got) != len(want) {
-		t.Fatalf("plan %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("plan %v, want %v", got, want)
-		}
-	}
-	if ops[4].Algo != AlgoMergePath {
-		t.Errorf("comparable lists: algo %v, want merge-path", ops[4].Algo)
-	}
-	if !ops[5].Final {
-		t.Errorf("drain migrate must be Final")
-	}
+// script places the i-th intersection on script[i]: a non-sticky policy
+// (as LoadAwarePolicy's per-operation spill is) reduced to its answers.
+type script []sched.Processor
 
-	// Skewed lengths: binary-skips over the compressed long list, and the
-	// long upload must bypass the cache (legacy engine behaviour).
-	ix2 := buildIndex(t, []string{"s", "l"}, []int{100, 100_000})
-	ls, _ := ix2.Lookup("s")
-	ll, _ := ix2.Lookup("l")
-	ops = drainPlan(NewGPUBuilder([]*index.PostingList{ls, ll}, sched.DefaultCrossover), []int{100, 50}, false)
-	var skips *Op
-	for i := range ops {
-		if ops[i].Algo == AlgoBinarySkips {
-			skips = &ops[i]
-		}
-	}
-	if skips == nil {
-		t.Fatalf("skewed lists: no binary-skips intersect in %v", kinds(ops))
-	}
-	for i := range ops {
-		if ops[i].Kind == OpUpload && ops[i].Arg.List == ll && ops[i].Cacheable {
-			t.Errorf("binary-skips long upload must not be cacheable")
-		}
-	}
+func (s *script) Decide(short, long int) sched.Decision {
+	d := sched.Decision{Where: (*s)[0], Ratio: sched.Ratio(short, long)}
+	*s = (*s)[1:]
+	return d
 }
 
-func TestHybridBuilderMigratesOnce(t *testing.T) {
-	// Lengths chosen so the ratio policy places step 1 on the GPU
-	// (ratio < 128) and step 2 on the CPU (ratio >= 128 after shrink).
-	ix := buildIndex(t, []string{"a", "b", "c"}, []int{10_000, 20_000, 60_000})
-	lists := make([]*index.PostingList, 3)
-	for i, term := range []string{"a", "b", "c"} {
-		lists[i], _ = ix.Lookup(term)
-	}
-	b := NewHybridBuilder(lists, sched.NewRatioPolicy(), sched.DefaultCrossover)
-	ops := drainPlan(b, []int{10_000, 50}, false)
-	var migrates, gpuIx, cpuIx int
-	for _, op := range ops {
-		switch {
-		case op.Kind == OpMigrate:
-			migrates++
-			if op.Final {
-				t.Errorf("mid-query migrate must not be Final")
-			}
-		case op.Kind == OpIntersect && op.Where == sched.GPU:
-			gpuIx++
-		case op.Kind == OpIntersect && op.Where == sched.CPU:
-			cpuIx++
+func (s *script) Fresh() sched.Policy {
+	c := *s
+	return &c
+}
+
+// opSig is what the plan table pins of each operator.
+type opSig struct {
+	Kind             OpKind
+	Where            sched.Processor
+	Algo             Algo
+	Final, Cacheable bool
+}
+
+var (
+	cpuIx   = opSig{Kind: OpIntersect, Where: sched.CPU, Algo: AlgoCPUAdaptive}
+	decode  = opSig{Kind: OpIntersect, Where: sched.CPU, Algo: AlgoCPUDecode}
+	upload  = opSig{Kind: OpUpload, Where: sched.GPU}
+	upCache = opSig{Kind: OpUpload, Where: sched.GPU, Cacheable: true}
+	decomp  = opSig{Kind: OpDecompress, Where: sched.GPU}
+	merge   = opSig{Kind: OpIntersect, Where: sched.GPU, Algo: AlgoMergePath}
+	skips   = opSig{Kind: OpIntersect, Where: sched.GPU, Algo: AlgoBinarySkips}
+	migrate = opSig{Kind: OpMigrate, Where: sched.GPU}
+	drain   = opSig{Kind: OpMigrate, Where: sched.GPU, Final: true}
+)
+
+// TestBuilderPlans pins the one builder's plan, operator by operator,
+// under each mode's policy. The expected plans are what the parent's four
+// builder types emitted, except "empty first list": an empty intermediate
+// now ends every mode's plan before any intersection, where CPU-only,
+// GPU-only and per-query ran one intersection on the empty list.
+func TestBuilderPlans(t *testing.T) {
+	// concat joins plan fragments into one expected plan.
+	concat := func(parts ...[]opSig) []opSig {
+		var out []opSig
+		for _, p := range parts {
+			out = append(out, p...)
 		}
+		return out
 	}
-	if gpuIx != 1 || cpuIx != 1 || migrates != 1 {
-		t.Fatalf("gpu=%d cpu=%d migrates=%d, want 1/1/1 (plan %v)", gpuIx, cpuIx, migrates, kinds(ops))
+	gpuFirst := []opSig{upCache, decomp, upCache, decomp, merge} // first step, comparable lists
+	cases := []struct {
+		name  string
+		lens  []int // posting-list lengths, SvS order
+		steps []int // the intermediate's length before each step
+		want  map[string][]opSig
+	}{
+		{"single term", []int{1000}, []int{1000}, map[string][]opSig{
+			"cpu-only":         {decode},
+			"gpu-only":         {upCache, decomp, drain},
+			"per-query-hybrid": {decode},
+			"griffin":          {decode},
+		}},
+		{"empty first list", []int{0, 1000}, []int{0}, map[string][]opSig{
+			"cpu-only": nil, "gpu-only": nil, "per-query-hybrid": nil, "griffin": nil,
+		}},
+		{"comparable lists", []int{1000, 2000}, []int{1000, 500}, map[string][]opSig{
+			"cpu-only":         {cpuIx},
+			"gpu-only":         concat(gpuFirst, []opSig{drain}),
+			"per-query-hybrid": concat(gpuFirst, []opSig{drain}),
+			"griffin":          concat(gpuFirst, []opSig{drain}),
+		}},
+		// Binary-skips probes the compressed long list, whose upload
+		// bypasses the cache.
+		{"skewed lists", []int{100, 100_000}, []int{100, 50}, map[string][]opSig{
+			"cpu-only":         {cpuIx},
+			"gpu-only":         {upCache, decomp, upload, skips, drain},
+			"per-query-hybrid": {cpuIx},
+			"griffin":          {cpuIx},
+		}},
+		{"intermediate empties mid-plan", []int{1000, 2000, 4000}, []int{1000, 0}, map[string][]opSig{
+			"cpu-only":         {cpuIx},
+			"gpu-only":         concat(gpuFirst, []opSig{drain}),
+			"per-query-hybrid": concat(gpuFirst, []opSig{drain}),
+			"griffin":          concat(gpuFirst, []opSig{drain}),
+		}},
+		// Step 1 sits below the crossover, step 2 far above it once the
+		// intermediate has shrunk: only Griffin changes processor.
+		{"hybrid migrates once", []int{10_000, 20_000, 60_000}, []int{10_000, 50}, map[string][]opSig{
+			"cpu-only":         {cpuIx, cpuIx},
+			"gpu-only":         concat(gpuFirst, []opSig{upload, skips, drain}),
+			"per-query-hybrid": concat(gpuFirst, []opSig{upload, skips, drain}),
+			"griffin":          concat(gpuFirst, []opSig{migrate, cpuIx}),
+		}},
+		{"non-sticky re-upload", []int{1000, 2000, 4000}, []int{1000, 500}, map[string][]opSig{
+			"cpu-only":         {cpuIx, cpuIx},
+			"gpu-only":         concat(gpuFirst, []opSig{upCache, decomp, merge, drain}),
+			"per-query-hybrid": concat(gpuFirst, []opSig{upCache, decomp, merge, drain}),
+			"griffin":          concat(gpuFirst, []opSig{upCache, decomp, merge, drain}),
+			// Spilled to the host, then back: the host intermediate is
+			// uploaded raw (never cached) before the device step.
+			"cpu then gpu": {cpuIx, upload, upCache, decomp, merge, drain},
+		}},
+	}
+	policies := map[string]sched.Policy{"cpu then gpu": &script{sched.CPU, sched.GPU}}
+	for _, m := range modes {
+		policies[m.name] = m.policy
+	}
+	for _, c := range cases {
+		terms := make([]string, len(c.lens))
+		for i := range terms {
+			terms[i] = fmt.Sprintf("t%d", i)
+		}
+		ix := buildIndex(t, terms, c.lens)
+		lists := make([]*index.PostingList, len(terms))
+		for i, term := range terms {
+			lists[i], _ = ix.Lookup(term)
+		}
+		for name, want := range c.want {
+			t.Run(c.name+"/"+name, func(t *testing.T) {
+				var got []opSig
+				for _, op := range drainPlan(NewHybridBuilder(lists, policies[name], sched.DefaultCrossover), c.steps) {
+					got = append(got, opSig{op.Kind, op.Where, op.Algo, op.Final, op.Cacheable})
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("plan\n got  %+v\n want %+v", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -216,15 +262,9 @@ func TestRunPlanTimeConservation(t *testing.T) {
 	ctx := testContext(ix, dev)
 	fetches := fetchAll(t, ix, []string{"a", "b", "c"})
 
-	builders := map[string]func([]*index.PostingList) Builder{
-		"cpu": func(l []*index.PostingList) Builder { return NewCPUBuilder(l) },
-		"gpu": func(l []*index.PostingList) Builder { return NewGPUBuilder(l, sched.DefaultCrossover) },
-		"hybrid": func(l []*index.PostingList) Builder {
-			return NewHybridBuilder(l, sched.NewRatioPolicy(), sched.DefaultCrossover)
-		},
-	}
-	for name, mk := range builders {
-		out, err := Run(ctx, fetches, mk)
+	for _, m := range modes {
+		name := m.name
+		out, err := Run(ctx, fetches, planFor(m.policy))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -254,31 +294,23 @@ func TestRunPlanTimeConservation(t *testing.T) {
 	}
 }
 
-// TestRunModesAgree checks all builders produce identical candidates.
+// TestRunModesAgree checks all modes produce identical candidates.
 func TestRunModesAgree(t *testing.T) {
 	ix := buildIndex(t, []string{"a", "b", "c"}, []int{3000, 8000, 40_000})
 	dev := gpu.New(hwmodel.DefaultGPU(), 0)
 	ctx := testContext(ix, dev)
 	fetches := fetchAll(t, ix, []string{"a", "b", "c"})
 
-	ref, err := Run(ctx, fetches, func(l []*index.PostingList) Builder { return NewCPUBuilder(l) })
+	ref, err := Run(ctx, fetches, planFor(modes[0].policy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.Candidates) == 0 {
 		t.Fatal("reference intersection is empty; pick better test lists")
 	}
-	others := map[string]func([]*index.PostingList) Builder{
-		"gpu": func(l []*index.PostingList) Builder { return NewGPUBuilder(l, sched.DefaultCrossover) },
-		"hybrid": func(l []*index.PostingList) Builder {
-			return NewHybridBuilder(l, sched.NewRatioPolicy(), sched.DefaultCrossover)
-		},
-		"per-query": func(l []*index.PostingList) Builder {
-			return NewPerQueryBuilder(l, sched.NewRatioPolicy(), sched.DefaultCrossover)
-		},
-	}
-	for name, mk := range others {
-		out, err := Run(ctx, fetches, mk)
+	for _, m := range modes[1:] {
+		name := m.name
+		out, err := Run(ctx, fetches, planFor(m.policy))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -6,17 +6,17 @@
 // closed-form cost hook into the hwmodel calibrations.
 //
 // The four execution modes of the paper (§4.4's CPU-only, Griffin-GPU,
-// Griffin, and the Figure 1(c) per-query static hybrid) are *plan
-// builders* (builders.go): they differ only in which operators they emit
-// and where they place them. A single executor (run.go) walks whatever
+// Griffin, and the Figure 1(c) per-query static hybrid) are one SvS plan
+// builder (builder.go) under four placement policies: they differ only in
+// where each intersection runs. Griffin's §3.2 scheduler lives exactly
+// where the paper puts it conceptually: sched.Policy is a callback the
+// builder consults before each intersection, including the sticky
+// GPU-to-CPU Migrate decision. A single executor (run.go) walks whatever
 // the builder produces with one shared execution context — device-buffer
 // lifetime tracking, the simulated timeline (device operators of a step
 // overlap across the copy and compute engines), and per-operator trace
-// emission — so a new placement strategy is a new builder, not a
-// new copy of the pipeline. Griffin's §3.2 scheduler lives exactly where
-// the paper puts it conceptually: sched.Policy is a callback the Hybrid
-// builder consults before each intersection, including the sticky
-// GPU-to-CPU Migrate decision.
+// emission — so a new placement strategy is a new policy, not a new copy
+// of the pipeline.
 package exec
 
 import (
@@ -136,12 +136,6 @@ type Op struct {
 	// Kind and Where identify the operator and its placement.
 	Kind  OpKind
 	Where sched.Processor
-	// Device is the node-relative GPU ordinal a device-placed operator
-	// should run on. Today's builders leave it 0 and the whole query runs
-	// on the device its admission handle was placed on; the field is the
-	// seam for per-operator device placement (splitting one query's
-	// intersections across a node's GPUs).
-	Device int
 	// Arg is the operand of the unary operators (Upload, Decompress). An
 	// Upload with Arg.List == nil uploads the raw intermediate result.
 	Arg Operand
@@ -155,12 +149,13 @@ type Op struct {
 	// Final marks the end-of-plan drain Migrate: it does not set the
 	// Migrated flag and skips the transfer when the intermediate is empty.
 	Final bool
-	// Trace emits a legacy intersection trace entry (QueryStats.Ops) when
-	// the operator completes, with the fields below. On the GPU the entry's
-	// Took spans everything since the previous trace boundary — upload,
+	// Ratio, ShortLen and LongLen are the operand geometry the cost hook
+	// prices and the legacy intersection trace (QueryStats.Ops) reports.
+	// The executor traces every Intersect and the single-term drain (a
+	// Migrate of a posting list); on the GPU the entry's Took spans
+	// everything since the previous trace boundary — upload,
 	// decompression, and kernels of the whole step — matching how the
 	// paper's prototype accounts a scheduled operation.
-	Trace             bool
 	Ratio             float64
 	ShortLen, LongLen int
 }
@@ -191,9 +186,8 @@ func (op *Op) BatchKey() string {
 
 // Estimate is the operator's cost hook: a closed-form prediction of its
 // simulated duration under the calibrated hardware models, computed from
-// the declared operand sizes alone (no execution). Plan-level estimation
-// (sched.QueryEstimator, loadsim re-planning) sums these across a
-// candidate plan.
+// the declared operand sizes alone (no execution). The executor records
+// it beside each operator's measured time (OpRecord.Est).
 func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Duration {
 	switch op.Kind {
 	case OpFetch:

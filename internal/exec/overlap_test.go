@@ -295,15 +295,6 @@ func TestOverlapMatchesSerialReference(t *testing.T) {
 	queries := workload.GenerateQueryLog(c, workload.QuerySpec{NumQueries: 200, PopularityAlpha: 0.7, Seed: 7})
 	scorer := rank.NewScorer(c.Index, rank.DefaultBM25())
 
-	modes := map[string]func([]*index.PostingList) Builder{
-		"gpu-only": func(l []*index.PostingList) Builder { return NewGPUBuilder(l, sched.DefaultCrossover) },
-		"griffin": func(l []*index.PostingList) Builder {
-			return NewHybridBuilder(l, sched.NewRatioPolicy(), sched.DefaultCrossover)
-		},
-		"per-query-hybrid": func(l []*index.PostingList) Builder {
-			return NewPerQueryBuilder(l, sched.NewRatioPolicy(), sched.DefaultCrossover)
-		},
-	}
 	// Each path admits query i and returns its handle (nil = private
 	// streams) and the device it runs on; the reference keeps one device
 	// per path device so both sides see the same pool history.
@@ -318,7 +309,8 @@ func TestOverlapMatchesSerialReference(t *testing.T) {
 	}
 
 	var overlapped, migrated int
-	for mode, mk := range modes {
+	for _, m := range modes[1:] { // every mode that places device work
+		mode, mk := m.name, planFor(m.policy)
 		for pname, p := range paths {
 			node := gpu.NewNode(gpu.New(hwmodel.DefaultGPU(), 0), p.devices, 0)
 			refDevs := make([]*gpu.Device, p.devices)
@@ -417,9 +409,7 @@ func TestOverlapMatchesSerialReference(t *testing.T) {
 func TestOverlapHidesUploadUnderDecompress(t *testing.T) {
 	ix := buildIndex(t, []string{"a", "b"}, []int{40_000, 60_000})
 	ctx := testContext(ix, gpu.New(hwmodel.DefaultGPU(), 0))
-	out, err := Run(ctx, fetchAll(t, ix, []string{"a", "b"}), func(l []*index.PostingList) Builder {
-		return NewGPUBuilder(l, sched.DefaultCrossover)
-	})
+	out, err := Run(ctx, fetchAll(t, ix, []string{"a", "b"}), planFor(sched.AlwaysPolicy{Target: sched.GPU}))
 	if err != nil {
 		t.Fatal(err)
 	}

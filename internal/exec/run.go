@@ -146,7 +146,8 @@ type Outcome struct {
 // shared execution context — device-buffer lifetime tracking, the
 // simulated timeline, per-operator trace emission — and finishes with
 // host-side BM25 scoring and top-k selection. mkBuilder receives the
-// SvS-ordered lists and returns the mode's plan builder.
+// SvS-ordered lists and returns the plan builder under the mode's
+// placement policy.
 //
 // Device operators are issued asynchronously, in program order, to one
 // in-order stream per engine: uploads to copy-in, kernels to compute,
@@ -419,20 +420,18 @@ func (r *runner) traceOp(op *Op, outLen int, took time.Duration) {
 	})
 }
 
-// traceStep joins the streams and, for Trace-flagged device operators,
-// emits the legacy trace entry spanning the makespan of everything issued
-// since the previous join — upload, decompression and kernels of the
-// whole step, as the paper's prototype accounts a scheduled operation.
+// traceStep joins the streams and emits the legacy trace entry of a
+// device operator, spanning the makespan of everything issued since the
+// previous join — upload, decompression and kernels of the whole step, as
+// the paper's prototype accounts a scheduled operation.
 func (r *runner) traceStep(op *Op, outLen int) {
 	before := r.last
-	now := r.settle()
-	if op.Trace {
-		r.traceOp(op, outLen, now-before)
-	}
+	r.traceOp(op, outLen, r.settle()-before)
 }
 
 // exec issues one operator, advancing the query's timeline and emitting
-// its plan record (and, for Trace-flagged ops, the legacy trace entry).
+// its plan record (and, for intersections and the single-term drain, the
+// legacy trace entry).
 func (r *runner) exec(op *Op) error {
 	rec := OpRecord{Kind: op.Kind, Algo: op.Algo, Where: op.Where, Est: op.Estimate(&r.ctx.CPU, r.gpuModel())}
 
@@ -556,9 +555,7 @@ func (r *runner) intersectCPU(op *Op, rec *OpRecord) error {
 	rec.NIn, rec.NOut = op.ShortLen, len(step.IDs)
 	rec.Took = r.ctx.CPU.Time(step.Work)
 	r.recordCPU(*rec)
-	if op.Trace {
-		r.traceOp(op, len(step.IDs), rec.Took)
-	}
+	r.traceOp(op, len(step.IDs), rec.Took)
 	return nil
 }
 
@@ -649,6 +646,10 @@ func (r *runner) migrate(op *Op, rec *OpRecord) error {
 	// The host consumes the drained intermediate next. Single-term device
 	// plans trace the drain as their one operation, spanning the whole
 	// upload+decompress+transfer step.
-	r.traceStep(op, len(r.hostIDs))
+	if op.Arg.List != nil {
+		r.traceStep(op, len(r.hostIDs))
+	} else {
+		r.settle()
+	}
 	return nil
 }

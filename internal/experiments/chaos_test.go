@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestChaosSweepShape is the chaos-smoke assertion set: under the fixed
+// TestChaosSweepShape is the chaos study's assertion set: under the fixed
 // test seed the hardened cluster must stay ≥99% available at the 5%
 // fault rate while the brittle configuration collapses, self-healing
 // counters must move once faults flow, and the fault-free row must be

@@ -19,9 +19,9 @@ const DefaultMergeRetries = 3
 // Config parameterizes a live-ingestion engine.
 type Config struct {
 	// Engine is the serving-engine template. Every merged segment is
-	// served by a fresh core.Engine built from this template adopting
-	// the previous engine's device node, so the simulated device
-	// timelines, submit hooks, and batching stage survive index swaps.
+	// served by the previous engine's Successor, which keeps this
+	// template and the device node, so the simulated device timelines,
+	// submit hooks, and batching stage survive index swaps.
 	Engine core.Config
 	// Codec selects the compressed forms merged segments materialize
 	// (CodecAuto = the seed's).

@@ -1,12 +1,10 @@
 package ingest
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"time"
 
-	"griffin/internal/core"
 	"griffin/internal/index"
 )
 
@@ -78,19 +76,11 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 	st := cur.stats
 	ix2 := index.Assemble(plan.lists, st.numDocs, v.docLens(main.DocLens, st.numDocs), st.avgDocLen())
 
-	// The successor engine adopts the node: device timelines, submit
+	// The successor engine keeps the node: device timelines, submit
 	// hooks, and the batching stage survive the swap, so in-flight
 	// queries on the old segment and new arrivals on this one contend
 	// for the same modeled devices.
-	ncfg := e.cfg.Engine
-	ncfg.Node = cur.seg.eng.Node()
-	if ncfg.Node != nil {
-		ncfg.Device = nil
-	}
-	eng2, err := core.New(ix2, ncfg)
-	if err != nil {
-		return fmt.Errorf("ingest: merge engine: %w", err)
-	}
+	eng2 := cur.seg.eng.Successor(ix2)
 
 	// Commit: drop covered records, publish the (new segment, residual
 	// delta) snapshot, retire the old one. mergeMu guarantees cur.seg is

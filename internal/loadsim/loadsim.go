@@ -46,20 +46,17 @@ type Segment struct {
 // SegmentsFromStats converts an engine query trace into the segment
 // sequence the simulator replays.
 //
-// Engine traces carry the full physical-plan record (QueryStats.Plan):
-// every executed operator — fetch, upload, decompress, intersect,
-// migrate, score, top-k — lands in a segment on the processor it ran on
-// (adjacent same-resource operators merge), so the replayed timeline is
-// exactly the executor's. Host operators run one after another and add
-// up; the device operators between two host phases overlap across the
-// copy and compute engines, so their segment is the span they cover on
-// the query's timeline (OpRecord.Start), which sums to GPUTime. For
-// hand-built stats without a plan, the legacy conversion applies: each
-// traced intersection is a segment, and the residual CPU/GPU time forms
-// trailing segments.
+// Every executed query carries its full physical-plan record
+// (QueryStats.Plan): each operator — fetch, upload, decompress,
+// intersect, migrate, score, top-k — lands in a segment on the processor
+// it ran on (adjacent same-resource operators merge), so the replayed
+// timeline is exactly the executor's. Host operators run one after
+// another and add up; the device operators between two host phases
+// overlap across the copy and compute engines, so their segment is the
+// span they cover on the query's timeline (OpRecord.Start), which sums to
+// GPUTime.
 func SegmentsFromStats(qs core.QueryStats) []Segment {
 	var segs []Segment
-	var opCPU time.Duration
 	push := func(r Resource, d time.Duration) {
 		if d <= 0 {
 			return
@@ -70,49 +67,26 @@ func SegmentsFromStats(qs core.QueryStats) []Segment {
 		}
 		segs = append(segs, Segment{Res: r, D: d})
 	}
-	if len(qs.Plan) > 0 {
-		// Operator-trace replay: the plan records account for the query's
-		// entire CPU and GPU time, so no residual pushes are needed.
-		var from, to time.Duration // span of the current run of device ops
-		inRun := false
-		endRun := func() {
-			if inRun {
-				push(ResGPU, to-from)
-				inRun = false
-			}
+	var from, to time.Duration // span of the current run of device ops
+	inRun := false
+	endRun := func() {
+		if inRun {
+			push(ResGPU, to-from)
+			inRun = false
 		}
-		for _, op := range qs.Plan {
-			if op.Where != sched.GPU {
-				endRun()
-				push(ResCPU, op.Took)
-				continue
-			}
-			if !inRun {
-				from, to, inRun = op.Start, op.Start, true
-			}
-			to = max(to, op.Start+op.Took)
-		}
-		endRun()
-		return segs
 	}
-	for _, op := range qs.Ops {
-		if op.Where == sched.GPU {
-			push(ResGPU, op.Took)
-		} else {
+	for _, op := range qs.Plan {
+		if op.Where != sched.GPU {
+			endRun()
 			push(ResCPU, op.Took)
-			opCPU += op.Took
+			continue
 		}
-	}
-	// GPU transfer/migration time not attributed to a traced op rides the
-	// GPU resource; ranking and other residual host time rides the CPU.
-	var tracedGPU time.Duration
-	for _, op := range qs.Ops {
-		if op.Where == sched.GPU {
-			tracedGPU += op.Took
+		if !inRun {
+			from, to, inRun = op.Start, op.Start, true
 		}
+		to = max(to, op.Start+op.Took)
 	}
-	push(ResGPU, qs.GPUTime-tracedGPU)
-	push(ResCPU, qs.CPUTime-opCPU)
+	endRun()
 	return segs
 }
 

@@ -19,36 +19,12 @@ func uniform(n int, segs ...Segment) []Plan {
 	return plans
 }
 
-func TestSegmentsFromStats(t *testing.T) {
-	qs := core.QueryStats{
-		CPUTime: ms(12), // 2ms traced op + 10ms residual (ranking)
-		GPUTime: ms(7),  // 5ms traced op + 2ms residual (transfer)
-		Ops: []core.OpTrace{
-			{Where: sched.GPU, Took: ms(5)},
-			{Where: sched.CPU, Took: ms(2)},
-		},
-	}
-	segs := SegmentsFromStats(qs)
-	// Expect: GPU 5ms, CPU 2ms, GPU 2ms residual, CPU 10ms residual.
-	want := []Segment{
-		{ResGPU, ms(5)}, {ResCPU, ms(2)}, {ResGPU, ms(2)}, {ResCPU, ms(10)},
-	}
-	if len(segs) != len(want) {
-		t.Fatalf("segments = %v, want %v", segs, want)
-	}
-	for i := range want {
-		if segs[i] != want[i] {
-			t.Fatalf("segment %d = %v, want %v", i, segs[i], want[i])
-		}
-	}
-}
-
 func TestSegmentsMergeAdjacent(t *testing.T) {
 	qs := core.QueryStats{
 		CPUTime: ms(5),
-		Ops: []core.OpTrace{
-			{Where: sched.CPU, Took: ms(2)},
-			{Where: sched.CPU, Took: ms(3)},
+		Plan: []core.PlanRecord{
+			{Where: sched.CPU, Start: ms(0), Took: ms(2)},
+			{Where: sched.CPU, Start: ms(2), Took: ms(3)},
 		},
 	}
 	segs := SegmentsFromStats(qs)

@@ -107,37 +107,3 @@ func (p *CostPolicy) Decide(shortLen, longLen int) Decision {
 func (p *CostPolicy) Fresh() Policy {
 	return &CostPolicy{GPU: p.GPU, CPU: p.CPU, Sticky: p.Sticky}
 }
-
-// QueryEstimator is the plan-level extension of Policy: given the SvS
-// pipeline's posting-list lengths (ascending), price the whole query on
-// each processor. Plan builders and the load simulator use it to compare
-// whole-query placements — the estimation the per-intersection Decide
-// cannot express. Policies implement it optionally; assert at use sites.
-type QueryEstimator interface {
-	// EstimateQuery returns the predicted all-CPU and all-GPU cost of the
-	// pipeline over lists of the given lengths. The intermediate is
-	// assumed not to shrink between steps (a conservative upper bound:
-	// selective early intersections only make both sides cheaper, and the
-	// bound errs identically for both placements).
-	EstimateQuery(listLens []int) (cpu, gpu time.Duration)
-}
-
-// EstimateQuery implements QueryEstimator over the policy's calibrated
-// models. The GPU estimate adds the first list's upload + decompression
-// (the pipeline's entry cost that Decide amortizes away mid-query).
-func (p *CostPolicy) EstimateQuery(listLens []int) (cpu, gpu time.Duration) {
-	if len(listLens) == 0 {
-		return 0, 0
-	}
-	cur := listLens[0]
-	gpu = p.GPU.TransferTime(CompressedBytes(cur))
-	for _, l := range listLens[1:] {
-		short, long := cur, l
-		if long < short {
-			short, long = long, short
-		}
-		cpu += p.estimateCPU(short, long)
-		gpu += p.estimateGPU(short, long)
-	}
-	return cpu, gpu
-}

@@ -46,10 +46,14 @@ type Decision struct {
 
 // Policy decides placement for each intersection of a query. A Policy
 // instance is per-query (it may carry migration state); Fresh returns a
-// clean instance for the next query.
+// clean instance for the next query. Every execution mode is a Policy
+// over the one plan builder (exec.NewHybridBuilder).
 type Policy interface {
 	// Decide places the intersection of a shorter list of length
-	// shortLen with a longer list of length longLen.
+	// shortLen with a longer list of length longLen. A single-term query
+	// has no intersection; the builder asks Decide(0, n) — an empty short
+	// side — and decodes the list on the device only on a GPU answer.
+	// Every policy here answers CPU there except AlwaysPolicy{GPU}.
 	Decide(shortLen, longLen int) Decision
 	// Fresh returns a new per-query instance of the same policy.
 	Fresh() Policy
@@ -109,8 +113,9 @@ func Ratio(shortLen, longLen int) float64 {
 	return float64(longLen) / float64(shortLen)
 }
 
-// AlwaysPolicy pins every operation to one processor (the CPU-only and
-// GPU-only baselines of §4.4 use these).
+// AlwaysPolicy pins every operation to one processor: the CPU-only and
+// GPU-only baselines of §4.4 are AlwaysPolicy{CPU} and AlwaysPolicy{GPU},
+// and so is a brownout query forced onto the CPU.
 type AlwaysPolicy struct{ Target Processor }
 
 // Decide implements Policy.
@@ -120,6 +125,28 @@ func (p AlwaysPolicy) Decide(shortLen, longLen int) Decision {
 
 // Fresh implements Policy.
 func (p AlwaysPolicy) Fresh() Policy { return p }
+
+// PerQueryPolicy is the static hybrid of Figure 1(c) (Ding et al.,
+// WWW'09): it asks Inner once — the query's first decision, made on its
+// two shortest lists exactly like Griffin's — and pins that answer for
+// every later intersection, so the whole query runs on one processor.
+type PerQueryPolicy struct {
+	Inner Policy
+
+	decided bool
+	where   Processor
+}
+
+// Decide implements Policy.
+func (p *PerQueryPolicy) Decide(shortLen, longLen int) Decision {
+	if !p.decided {
+		p.where, p.decided = p.Inner.Decide(shortLen, longLen).Where, true
+	}
+	return Decision{Where: p.where, Ratio: Ratio(shortLen, longLen)}
+}
+
+// Fresh implements Policy.
+func (p *PerQueryPolicy) Fresh() Policy { return &PerQueryPolicy{Inner: p.Inner.Fresh()} }
 
 // SkippableBlocks returns the guaranteed-skippable block count of the long
 // list under the Figure 9 pigeonhole argument: |S|/blockSize blocks minus

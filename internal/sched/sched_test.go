@@ -105,6 +105,24 @@ func TestAlwaysPolicy(t *testing.T) {
 	}
 }
 
+func TestPerQueryPolicyPinsFirstDecision(t *testing.T) {
+	p := &PerQueryPolicy{Inner: NewRatioPolicy()}
+	if p.Decide(1000, 2000).Where != GPU {
+		t.Fatal("first decision below the crossover placed on CPU")
+	}
+	if d := p.Decide(10, 1<<20); d.Where != GPU || d.Ratio != Ratio(10, 1<<20) {
+		t.Fatalf("later decision %+v, want the pinned GPU at its own ratio", d)
+	}
+	f := p.Fresh()
+	if f.Decide(10, 1<<20).Where != CPU || f.Decide(1000, 2000).Where != CPU {
+		t.Fatal("Fresh kept the pinned answer")
+	}
+	// A single-term query asks about an empty short side: host decode.
+	if (&PerQueryPolicy{Inner: NewRatioPolicy()}).Decide(0, 100).Where != CPU {
+		t.Fatal("empty short side pinned to GPU")
+	}
+}
+
 func TestProcessorString(t *testing.T) {
 	if CPU.String() != "CPU" || GPU.String() != "GPU" {
 		t.Fatal("Processor.String wrong")
