@@ -13,7 +13,10 @@
 //
 // Like the PForDelta baseline, lists are partitioned into fixed 128-element
 // blocks ("fixed-length partitioned EF", §3.1.1) so skip pointers can
-// address and decompress blocks independently.
+// address and decompress blocks independently. A list keeps one Row per
+// block — the skip pointer and where the block's words lie, 12 bytes and no
+// pointer — in pages of 64 rows, each of which holds the words of its own
+// blocks (Page); a Block is made from a row when it is asked for.
 package ef
 
 import (
@@ -23,7 +26,6 @@ import (
 	"slices"
 
 	"griffin/internal/bitutil"
-	"griffin/internal/pvec"
 )
 
 // BlockSize is the number of docIDs per partitioned-EF block.
@@ -32,7 +34,9 @@ const BlockSize = 128
 // ErrNotAscending is returned when input docIDs are not strictly ascending.
 var ErrNotAscending = errors.New("ef: docIDs not strictly ascending")
 
-// Block is one Elias-Fano-encoded block of up to BlockSize docIDs.
+// Block is one Elias-Fano-encoded block of up to BlockSize docIDs, as
+// List.Block hands it out: a value made from the block's row, its two
+// arrays cut from its page's words. No list stores one.
 //
 // Values are encoded relative to FirstDocID (the block's first value):
 // element i stores v_i = docID_i - FirstDocID, so v_0 = 0 and the local
@@ -54,78 +58,103 @@ type Block struct {
 	LowBits []uint64
 }
 
-// PageShift sizes the pages a list's block table is held in: 64 blocks,
+// PageShift sizes the pages a list's block table is held in: 64 rows,
 // 8 192 postings. A list re-encoded from block k on shares the pages
-// below k with the list it was made from (pvec.Vec.Splice) and copies at
-// most the one page k falls in — 5 KB of table, whatever the list's
+// below k with the list it was made from (List.Splice) and copies at most
+// the rows and words of the one page k falls in, whatever the list's
 // length. It is a constant, not a setting: the accessors below, which
 // every probe of a skip pointer goes through, index with it.
 const PageShift = 6
+
+// Row is a block's entry in its list's table: the paper's skip pointer
+// (§2.1, Fig. 2) and the header the block is decoded from, in 12 bytes
+// that hold no pointer.
+type Row struct {
+	// FirstDocID is the block's first docID: its skip pointer.
+	FirstDocID uint32
+	// Off is where the block's words start in its page's Words: HighWords
+	// words of high bits, then LowWords words of low bits.
+	Off uint16
+	// HighLen is the length of the high-bits array in bits.
+	HighLen uint16
+	// N is the number of encoded values, B the low bits per element.
+	N, B uint8
+	// HighWords and LowWords are the word counts of the two arrays.
+	HighWords, LowWords uint8
+}
+
+// Page is one page of a block table: up to 1<<PageShift rows of type R
+// and the words of their blocks, back to back in row order, which the
+// page holds — a view of a mapped file for a list that was opened, one
+// allocation of its own for a list that was encoded. A row's offset is
+// relative to its page, so 64 blocks of at most 70 words each fit a u16.
+type Page[R any] struct {
+	Rows  []R
+	Words []uint64
+}
 
 // List is a partitioned Elias-Fano compressed posting list.
 type List struct {
 	// N is the total number of docIDs.
 	N int
-	// Blocks are the encoded blocks in docID order, in pages of
-	// 1<<PageShift.
-	Blocks pvec.Vec[Block]
+	// Pages is the block table: every page full but the last.
+	Pages []Page[Row]
 }
 
-// Block returns block i of the list.
-func (l *List) Block(i int) *Block {
-	return &l.Blocks.Pages()[i>>PageShift][i&(1<<PageShift-1)]
+// NumBlocks returns the number of blocks.
+func (l *List) NumBlocks() int { return (l.N + BlockSize - 1) / BlockSize }
+
+// First returns the first docID of block i: its skip pointer.
+func (l *List) First(i int) uint32 {
+	return l.Pages[i>>PageShift].Rows[i&(1<<PageShift-1)].FirstDocID
+}
+
+// Block returns block i of the list as a value: its header from the
+// row, its two arrays cut from the page's words. The device kernels read
+// its fields; the CPU's Get and DecompressBlock make none.
+func (l *List) Block(i int) Block {
+	pg := &l.Pages[i>>PageShift]
+	r := &pg.Rows[i&(1<<PageShift-1)]
+	lo := int(r.Off) + int(r.HighWords)
+	end := lo + int(r.LowWords)
+	return Block{
+		FirstDocID: r.FirstDocID, N: int(r.N), B: int(r.B), HighLen: int(r.HighLen),
+		HighBits: pg.Words[r.Off:lo:lo], LowBits: pg.Words[lo:end:end],
+	}
 }
 
 // Compress encodes a strictly ascending docID list. Nothing is allocated
-// per block: the list's words — per block the high-bits words, then the
-// low-bits words, the layout index.Parse gives a list opened from a file
-// — are sized before anything is encoded and cut from slabs of at most
-// ChunkWords words, the last one exact. A list of up to ChunkWords words
-// (some 3 500 postings) is the list header, the block table's one page
-// and one slab.
+// per block: each page's words are sized before any of them is written
+// and are one exact allocation, its rows another.
 func Compress(docIDs []uint32) (*List, error) {
-	for i := 1; i < len(docIDs); i++ {
-		if docIDs[i] <= docIDs[i-1] {
-			return nil, fmt.Errorf("%w: ids[%d]=%d ids[%d]=%d",
-				ErrNotAscending, i-1, docIDs[i-1], i, docIDs[i])
-		}
+	var e Encoder
+	if err := e.appendAll(docIDs); err != nil {
+		return nil, err
 	}
-	nb := (len(docIDs) + BlockSize - 1) / BlockSize
-	l := &List{N: len(docIDs), Blocks: pvec.Make[Block](PageShift, nb)}
-	// A block's shape follows from its first and last docID alone, so
-	// sizing the list reads two values per block.
-	left := 0
-	for k := range nb {
-		left += l.Block(k).shape(blockOf(docIDs, k))
-	}
-	var slab []uint64
-	for k := range nb {
-		blk := l.Block(k)
-		slab = Slab(slab, blk.words(), left)
-		left -= blk.words()
-		slab = blk.encode(blockOf(docIDs, k), slab)
-	}
-	return l, nil
+	return e.Finish(), nil
 }
 
-// ChunkWords is the most words one slab of an encoded list holds: 4 KB,
-// some 3 500 postings' worth. A list longer than that is cut from several
-// slabs rather than one, because a list spliced from it
-// (index.SpliceList) shares its leading blocks by reference and so keeps
-// alive every slab one of them lies in, dead tail included: with slabs
-// of bounded size a merged segment holds on to a few KB per list it
-// shares, not to a copy of the list per merge.
-const ChunkWords = 512
-
-// Slab returns zeroed words to cut a block of need words from: slab
-// itself if it has that many left, else a new slab of ChunkWords words —
-// fewer when fewer than that, left, are still to be cut in all, more when
-// the one block needs more.
-func Slab(slab []uint64, need, left int) []uint64 {
-	if need <= len(slab) {
-		return slab
+// Splice returns the list of l's blocks [0, k) followed by the encoding
+// of tail, which must be strictly ascending and above every docID of
+// those blocks; block k-1 must be full. The result shares every whole
+// page of l below block k as it is, holds copies of the rows and words of
+// the page k falls in that come before k, and encodes tail behind them
+// into pages of its own: it copies at most one page of l. With k == 0
+// nothing of l is used (it may be nil) and the result is Compress(tail).
+func (l *List) Splice(k int, tail []uint32) (*List, error) {
+	var e Encoder
+	if k > 0 {
+		if k > l.NumBlocks() || l.Block(k-1).N != BlockSize {
+			return nil, fmt.Errorf("ef: splice at block %d of %d", k, l.NumBlocks())
+		}
+		last := &l.Pages[(k-1)>>PageShift].Rows[(k-1)&(1<<PageShift-1)]
+		e.pager.Seed(l.Pages, k, int(last.Off)+int(last.HighWords)+int(last.LowWords))
+		e.n, e.last = k*BlockSize, l.Get(k-1, BlockSize-1)
 	}
-	return make([]uint64, max(need, min(ChunkWords, left)))
+	if err := e.appendAll(tail); err != nil {
+		return nil, err
+	}
+	return e.Finish(), nil
 }
 
 // blockOf returns the docIDs of block k of a list.
@@ -133,59 +162,55 @@ func blockOf(docIDs []uint32, k int) []uint32 {
 	return docIDs[k*BlockSize : min((k+1)*BlockSize, len(docIDs))]
 }
 
-// shape fills in the block's header for ids (1 to BlockSize ascending
-// docIDs) and returns how many words its two arrays take.
-func (b *Block) shape(ids []uint32) int {
+// shape returns the row of the block of ids (1 to BlockSize ascending
+// docIDs), but for its offset: a block's shape follows from its first and
+// last docID alone.
+func shape(ids []uint32) Row {
 	n := len(ids)
 	u := uint64(ids[n-1] - ids[0]) // local universe (v_{n-1})
-	b.FirstDocID, b.N = ids[0], n
 	// b = floor(log2(U/n)) per the paper; 0 when U < n (dense runs).
-	b.B = 0
+	b := 0
 	if u/uint64(n) >= 1 {
-		b.B = bitutil.Log2Floor(u / uint64(n))
+		b = bitutil.Log2Floor(u / uint64(n))
 	}
-	// Element i's one-bit sits at (v_i >> b) + i, so the last element
-	// ends the array.
-	b.HighLen = int(u>>uint(b.B)) + n
-	return b.words()
+	// Element i's one-bit sits at (v_i >> b) + i, so the last element ends
+	// the array: fewer than 3n bits.
+	highLen := int(u>>uint(b)) + n
+	return Row{
+		FirstDocID: ids[0], HighLen: uint16(highLen), N: uint8(n), B: uint8(b),
+		HighWords: uint8(bitutil.WordsFor(highLen)), LowWords: uint8(bitutil.WordsFor(n * b)),
+	}
 }
 
-// words returns how many words the block's two arrays take, from its header.
-func (b *Block) words() int {
-	return bitutil.WordsFor(b.HighLen) + bitutil.WordsFor(b.N*b.B)
-}
+// words returns how many words the row's block takes.
+func (r *Row) words() int { return int(r.HighWords) + int(r.LowWords) }
 
-// encode writes ids into the first words of slab, which must be zero and
-// which become the block's HighBits and LowBits (shape has sized them),
-// and returns the rest of slab. Each high bit is set where it belongs and
-// the low parts are packed a word at a time; no bit is appended to
-// anything.
-func (b *Block) encode(ids []uint32, slab []uint64) (rest []uint64) {
-	hw, lw := bitutil.WordsFor(b.HighLen), bitutil.WordsFor(b.N*b.B)
-	b.HighBits, b.LowBits, rest = slab[:hw:hw], slab[hw:hw+lw:hw+lw], slab[hw+lw:]
+// encode writes ids, the block r was shaped from, into w — its words,
+// which must be zero. Each high bit is set where it belongs and the low
+// parts are packed a word at a time; no bit is appended to anything.
+func encode(r *Row, ids []uint32, w []uint64) {
+	high, low := w[:r.HighWords], w[r.HighWords:]
 	var vs [BlockSize]uint32
 	for i, id := range ids {
-		v := id - b.FirstDocID
+		v := id - r.FirstDocID
 		vs[i] = v
-		h := uint(v>>uint(b.B)) + uint(i)
-		b.HighBits[h/bitutil.WordBits] |= 1 << (h % bitutil.WordBits)
+		h := uint(v>>r.B) + uint(i)
+		high[h/bitutil.WordBits] |= 1 << (h % bitutil.WordBits)
 	}
-	bitutil.Pack(b.LowBits, vs[:len(ids)], b.B) // no-op when B == 0
-	return rest
+	bitutil.Pack(low, vs[:len(ids)], int(r.B)) // no-op when B == 0
 }
 
 // Encoder builds Lists from blocks handed over one at a time, for a
 // caller that produces a list's docIDs in block-sized pieces and never
 // holds them all (a shard split): Append every block, then Finish. The
-// lists are the ones Compress returns, except that an Encoder cannot size
-// a list's last slab before the list ends: every slab has ChunkWords
-// words, and the unused part of one carries over to the Encoder's next
+// lists are the ones Compress returns, page for page, but a page's words
+// may be a copy of the Encoder's scratch where Compress sizes them before
+// writing them. Compress and List.Splice are this encoder fed a whole
 // list. The zero value is ready for use.
 type Encoder struct {
-	n      int
-	last   uint32   // the last docID appended
-	blocks []Block  // the current list's, copied out by Finish
-	slab   []uint64 // the words of the current slab no block has been given
+	n     int
+	last  uint32 // the last docID appended
+	pager Pager[Row]
 }
 
 // Append encodes ids as the list's next block: BlockSize docIDs — fewer
@@ -195,6 +220,28 @@ func (e *Encoder) Append(ids []uint32) error {
 	if len(ids) == 0 || len(ids) > BlockSize || e.n%BlockSize != 0 {
 		return fmt.Errorf("ef: block of %d docIDs appended after %d", len(ids), e.n)
 	}
+	if err := e.check(ids); err != nil {
+		return err
+	}
+	e.put(ids)
+	return nil
+}
+
+// appendAll encodes ids as the list's next blocks, sizing each page's
+// words before it writes them.
+func (e *Encoder) appendAll(ids []uint32) error {
+	if err := e.check(ids); err != nil {
+		return err
+	}
+	e.pager.Fill((len(ids)+BlockSize-1)/BlockSize,
+		func(k int) int { r := shape(blockOf(ids, k)); return r.words() },
+		func(k int) { e.put(blockOf(ids, k)) })
+	return nil
+}
+
+// check returns ErrNotAscending unless ids are strictly ascending and
+// above every docID appended before.
+func (e *Encoder) check(ids []uint32) error {
 	prev, hasPrev := e.last, e.n > 0
 	for i, id := range ids {
 		if hasPrev && id <= prev {
@@ -202,64 +249,179 @@ func (e *Encoder) Append(ids []uint32) error {
 		}
 		prev, hasPrev = id, true
 	}
-	var blk Block
-	e.slab = Slab(e.slab, blk.shape(ids), ChunkWords)
-	e.slab = blk.encode(ids, e.slab)
-	if len(e.blocks) == cap(e.blocks) {
-		// Doubling: the table is reused from list to list, and settles at
-		// its longest having allocated less than twice that.
-		e.blocks = slices.Grow(e.blocks, max(16, len(e.blocks)))
-	}
-	e.blocks = append(e.blocks, blk)
-	e.n, e.last = e.n+len(ids), prev
 	return nil
+}
+
+// put encodes the checked block ids as the list's next one.
+func (e *Encoder) put(ids []uint32) {
+	r := shape(ids)
+	off, w := e.pager.Alloc(r.words())
+	r.Off = uint16(off)
+	encode(&r, ids, w)
+	e.pager.Add(r)
+	e.n, e.last = e.n+len(ids), ids[len(ids)-1]
 }
 
 // Finish returns the list of the blocks appended since the last Finish
 // and readies the Encoder for the next list.
 func (e *Encoder) Finish() *List {
-	// One array cut into pages, like the table of an opened list: the
-	// lists of a shard split start a lineage (see pvec on retention).
-	l := &List{N: e.n, Blocks: pvec.Of(PageShift, slices.Clone(e.blocks))}
-	e.n, e.blocks = 0, e.blocks[:0]
+	l := &List{N: e.n, Pages: e.pager.Finish()}
+	e.n, e.last = 0, 0
 	return l
 }
 
-// DecompressInto decodes the block's docIDs into dst, which must have
-// capacity for Block.N values, and returns the count. This is the serial
-// CPU decode, a block at a time: the low parts are unpacked in one run,
-// then the set bits of the high words are walked with a trailing-zeros
-// count — element i's one-bit at position p gives its high part p - i.
-func (b *Block) DecompressInto(dst []uint32) int {
-	dst = dst[:b.N]
-	bitutil.Unpack(dst, b.LowBits, b.B)
-	first, shift := b.FirstDocID, uint(b.B)&63 // B <= 32; the mask spares the loop a range check
+// Pager builds a block table a row at a time, for the Elias-Fano and
+// frequency encoders alike: Alloc a block's words in the open page, Add
+// the row that addresses them, Finish. A page it closes owns its rows and
+// its words, each one exact allocation: the scratch they were written
+// into when that is exactly full — always, for pages Fill sized — else a
+// copy of it. Pages are never shared with the pager's scratch, so a list
+// keeps alive only pages it can reach (and, seeded by Seed and finished
+// with nothing added, the page it was seeded from). The zero value is
+// ready for use.
+type Pager[R any] struct {
+	pages []Page[R]
+	rows  []R      // the open page's
+	words []uint64 // the open page's
+}
+
+// Alloc returns the open page's next n words, zeroed, and where they
+// start in it.
+func (p *Pager[R]) Alloc(n int) (off int, w []uint64) {
+	off = len(p.words)
+	p.words = slices.Grow(p.words, n)[:off+n]
+	w = p.words[off:]
+	clear(w)
+	return off, w
+}
+
+// Add appends r as the open page's next row and closes the page once it
+// is full.
+func (p *Pager[R]) Add(r R) {
+	if p.rows == nil {
+		p.rows = make([]R, 0, 1<<PageShift)
+	}
+	p.rows = append(p.rows, r)
+	if len(p.rows) == 1<<PageShift {
+		p.close()
+	}
+}
+
+// Fill adds n rows, add(j) adding row j through Alloc and Add. Each
+// page's rows and words are counted first (words(j) is row j's word
+// count) and allocated once, exactly, so the page keeps those two
+// allocations as they are.
+func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
+	p.pages = slices.Grow(p.pages, (len(p.rows)+n+1<<PageShift-1)>>PageShift)
+	for j := 0; j < n; {
+		m := min(n-j, 1<<PageShift-len(p.rows))
+		need := 0
+		for i := j; i < j+m; i++ {
+			need += words(i)
+		}
+		p.rows = append(make([]R, 0, len(p.rows)+m), p.rows...)
+		p.words = append(make([]uint64, 0, len(p.words)+need), p.words...)
+		for end := j + m; j < end; j++ {
+			add(j)
+		}
+	}
+}
+
+// Seed starts the table over as the first k rows of pages: the whole
+// pages below k shared as they are, then the rows of the page k falls in
+// that come before k and their words, which end at word end. Those two
+// are views of that page that nothing writes through: the first Fill
+// copies them into the open page's exact allocations, and a table
+// finished with nothing added keeps them as they are.
+func (p *Pager[R]) Seed(pages []Page[R], k, end int) {
+	full, r := k>>PageShift, k&(1<<PageShift-1)
+	p.pages = append(p.pages[:0], pages[:full]...)
+	p.rows, p.words = nil, nil
+	if r > 0 {
+		p.rows, p.words = pages[full].Rows[:r:r], pages[full].Words[:end:end]
+	}
+}
+
+// close ends the open page, if it holds a row.
+func (p *Pager[R]) close() {
+	if len(p.rows) > 0 {
+		p.pages = append(p.pages, Page[R]{Rows: own(&p.rows), Words: own(&p.words)})
+	}
+}
+
+// own returns s, the open page's rows or words, for the page to keep:
+// s itself when it is exactly full, else an exact copy with s kept as
+// scratch for the next page.
+func own[T any](s *[]T) []T {
+	out := *s
+	if len(out) == cap(out) {
+		*s = nil
+		return out
+	}
+	*s = out[:0]
+	return slices.Clone(out)
+}
+
+// Finish returns the pages made since the last Finish and readies the
+// pager for the next table.
+func (p *Pager[R]) Finish() []Page[R] {
+	p.close()
+	pages := p.pages
+	p.pages = nil
+	return pages
+}
+
+// DecompressBlock decodes the docIDs of block k into dst, which must
+// have capacity for them, and returns their count. This is the serial
+// CPU decode, a block at a time, reading the row and its page's words
+// where they lie: the low parts are unpacked in one run, then the set
+// bits of the high words are walked with a trailing-zeros count — element
+// i's one-bit at position p gives its high part p - i.
+func (l *List) DecompressBlock(k int, dst []uint32) int {
+	pg := &l.Pages[k>>PageShift]
+	r := &pg.Rows[k&(1<<PageShift-1)]
+	lo := int(r.Off) + int(r.HighWords)
+	return decode(dst[:r.N], pg.Words[r.Off:lo], pg.Words[lo:lo+int(r.LowWords)], r.FirstDocID, int(r.B))
+}
+
+// decode is DecompressBlock with the block's fields as arguments: dst is
+// exactly as long as the block.
+func decode(dst []uint32, high, low []uint64, first uint32, b int) int {
+	bitutil.Unpack(dst, low, b)
+	shift := uint(b) & 63 // b <= 32; the mask spares the loop a range check
 	i := 0
-	for wi, w := range b.HighBits {
+	for wi, w := range high {
 		for base := wi * bitutil.WordBits; w != 0 && i < len(dst); w &= w - 1 {
-			high := uint64(base + bits.TrailingZeros64(w) - i)
-			dst[i] = first + (uint32(high<<shift) | dst[i])
+			h := uint64(base + bits.TrailingZeros64(w) - i)
+			dst[i] = first + (uint32(h<<shift) | dst[i])
 			i++
 		}
 	}
-	return b.N
+	return len(dst)
 }
 
-// Get returns the i-th docID of the block (0-based) using select on the
-// high-bits array — the random-access path skip-pointer searches use.
-func (b *Block) Get(i int) uint32 {
-	// Select the (i+1)-th one-bit in HighBits.
-	seen := 0
-	for wi, w := range b.HighBits {
+// Get returns docID j of block k (both 0-based) by select on the block's
+// high bits — the random-access path skip-pointer searches use. It reads
+// the row and its page's words where they lie and makes no Block.
+func (l *List) Get(k, j int) uint32 {
+	pg := &l.Pages[k>>PageShift]
+	return pg.Rows[k&(1<<PageShift-1)].get(pg.Words, j)
+}
+
+// get returns docID j of the row's block, whose page's words are words.
+func (r *Row) get(words []uint64, j int) uint32 {
+	// Select the (j+1)-th one-bit in the high bits.
+	off, seen := int(r.Off), 0
+	for wi, w := range words[off : off+int(r.HighWords)] {
 		pc := bitutil.Popcount(w)
-		if seen+pc > i {
-			pos := wi*bitutil.WordBits + bitutil.SelectInWord(w, i-seen)
-			high := uint64(pos - i) // zeros before the element's one-bit
+		if seen+pc > j {
+			pos := wi*bitutil.WordBits + bitutil.SelectInWord(w, j-seen)
+			high := uint64(pos - j) // zeros before the element's one-bit
 			var low uint64
-			if b.B > 0 {
-				low = bitutil.GetBits(b.LowBits, i*b.B, b.B)
+			if b := int(r.B); b > 0 {
+				low = bitutil.GetBits(words, (off+int(r.HighWords))*bitutil.WordBits+j*b, b)
 			}
-			return b.FirstDocID + uint32(high<<uint(b.B)|low)
+			return r.FirstDocID + uint32(high<<r.B|low)
 		}
 		seen += pc
 	}
@@ -269,11 +431,8 @@ func (b *Block) Get(i int) uint32 {
 // Decompress decodes the whole list into a fresh slice of docIDs.
 func (l *List) Decompress() []uint32 {
 	out := make([]uint32, l.N)
-	off := 0
-	for _, pg := range l.Blocks.Pages() {
-		for i := range pg {
-			off += pg[i].DecompressInto(out[off:])
-		}
+	for k := range l.NumBlocks() {
+		l.DecompressBlock(k, out[k*BlockSize:])
 	}
 	return out
 }
@@ -283,10 +442,9 @@ func (l *List) Decompress() []uint32 {
 // count 8b, width 6b).
 func (l *List) CompressedBits() int64 {
 	var bits int64
-	for _, pg := range l.Blocks.Pages() {
-		for i := range pg {
-			b := &pg[i]
-			bits += int64(b.HighLen) + int64(b.N*b.B) + blockHeaderBits
+	for _, pg := range l.Pages {
+		for _, r := range pg.Rows {
+			bits += int64(r.HighLen) + int64(r.N)*int64(r.B) + blockHeaderBits
 		}
 	}
 	return bits

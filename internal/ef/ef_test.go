@@ -93,8 +93,7 @@ func TestGetRandomAccess(t *testing.T) {
 	l, _ := Compress(ids)
 	for trial := 0; trial < 2000; trial++ {
 		i := rng.Intn(len(ids))
-		blk := l.Block(i / BlockSize)
-		if got := blk.Get(i % BlockSize); got != ids[i] {
+		if got := l.Get(i/BlockSize, i%BlockSize); got != ids[i] {
 			t.Fatalf("Get(%d) = %d, want %d", i, got, ids[i])
 		}
 	}
@@ -105,8 +104,7 @@ func TestGetSequentialAllElements(t *testing.T) {
 	ids := genAscending(rng, 300, 1<<16)
 	l, _ := Compress(ids)
 	for i, want := range ids {
-		blk := l.Block(i / BlockSize)
-		if got := blk.Get(i % BlockSize); got != want {
+		if got := l.Get(i/BlockSize, i%BlockSize); got != want {
 			t.Fatalf("Get(%d) = %d, want %d", i, got, want)
 		}
 	}
@@ -125,8 +123,8 @@ func TestEmptyList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.N != 0 || l.Blocks.Len() != 0 {
-		t.Fatalf("empty: N=%d blocks=%d", l.N, l.Blocks.Len())
+	if l.N != 0 || l.NumBlocks() != 0 {
+		t.Fatalf("empty: N=%d blocks=%d", l.N, l.NumBlocks())
 	}
 	if got := l.Decompress(); len(got) != 0 {
 		t.Fatalf("decompress empty: %v", got)
@@ -139,8 +137,8 @@ func TestBlockIndependence(t *testing.T) {
 	l, _ := Compress(ids)
 	out := make([]uint32, len(ids))
 	buf := make([]uint32, BlockSize)
-	for i := l.Blocks.Len() - 1; i >= 0; i-- {
-		n := l.Block(i).DecompressInto(buf)
+	for i := l.NumBlocks() - 1; i >= 0; i-- {
+		n := l.DecompressBlock(i, buf)
 		copy(out[i*BlockSize:], buf[:n])
 	}
 	if !reflect.DeepEqual(out, ids) {
@@ -153,7 +151,7 @@ func TestHighBitsOnesCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	ids := genAscending(rng, 777, 9999)
 	l, _ := Compress(ids)
-	for bi := range l.Blocks.Len() {
+	for bi := range l.NumBlocks() {
 		b := l.Block(bi)
 		ones := 0
 		for _, w := range b.HighBits {
@@ -176,7 +174,7 @@ func TestCompressionBeatsPforDeltaOnClusteredData(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	ids := genAscending(rng, 100000, 40)
 	l, _ := Compress(ids)
-	bound := int64(2*l.N) + int64(l.N)*int64(l.Block(0).B+1) + int64(l.Blocks.Len())*64
+	bound := int64(2*l.N) + int64(l.N)*int64(l.Block(0).B+1) + int64(l.NumBlocks())*64
 	if got := l.CompressedBits(); got > bound {
 		t.Fatalf("compressed bits %d exceed quasi-succinct bound %d", got, bound)
 	}
@@ -205,7 +203,7 @@ func TestRoundTripQuick(t *testing.T) {
 		}
 		// Random access agrees with sequential decode.
 		for i := 0; i < len(ids); i += 1 + len(ids)/7 {
-			if l.Block(i/BlockSize).Get(i%BlockSize) != ids[i] {
+			if l.Get(i/BlockSize, i%BlockSize) != ids[i] {
 				return false
 			}
 		}
@@ -255,6 +253,6 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(ids)
-		l.Block(j / BlockSize).Get(j % BlockSize)
+		l.Get(j/BlockSize, j%BlockSize)
 	}
 }

@@ -34,7 +34,7 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("round trip mismatch: %v vs %v", got, ids)
 		}
 		for i := 0; i < len(ids); i += 1 + len(ids)/13 {
-			if v := l.Block(i / BlockSize).Get(i % BlockSize); v != ids[i] {
+			if v := l.Get(i/BlockSize, i%BlockSize); v != ids[i] {
 				t.Fatalf("Get(%d) = %d, want %d", i, v, ids[i])
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"griffin/internal/bitutil"
-	"griffin/internal/pvec"
 )
 
 // The bit-at-a-time codec the package had before blocks were encoded into a
@@ -38,15 +37,27 @@ func refCompressBlock(ids []uint32) Block {
 	return Block{FirstDocID: first, N: n, B: b, HighBits: high.Words(), HighLen: high.Len(), LowBits: low.Words()}
 }
 
+// refCompress encodes ids a block at a time and lays the blocks out as a
+// list holds them: 64 rows a page, each page's words its blocks' high
+// then low words, back to back, each row's offset relative to its page.
 func refCompress(ids []uint32) *List {
-	var blocks []Block
+	l := &List{N: len(ids)}
 	for start := 0; start < len(ids); start += BlockSize {
-		blocks = append(blocks, refCompressBlock(ids[start:min(start+BlockSize, len(ids))]))
+		b := refCompressBlock(ids[start:min(start+BlockSize, len(ids))])
+		if start%(BlockSize<<PageShift) == 0 {
+			l.Pages = append(l.Pages, Page[Row]{})
+		}
+		pg := &l.Pages[len(l.Pages)-1]
+		pg.Rows = append(pg.Rows, Row{
+			FirstDocID: b.FirstDocID, Off: uint16(len(pg.Words)), HighLen: uint16(b.HighLen),
+			N: uint8(b.N), B: uint8(b.B), HighWords: uint8(len(b.HighBits)), LowWords: uint8(len(b.LowBits)),
+		})
+		pg.Words = append(append(pg.Words, b.HighBits...), b.LowBits...)
 	}
-	return &List{N: len(ids), Blocks: pvec.Of(PageShift, blocks)}
+	return l
 }
 
-func refDecompressInto(b *Block, dst []uint32) int {
+func refDecompressInto(b Block, dst []uint32) int {
 	r := bitutil.NewReader(b.HighBits)
 	var high uint64
 	lowPos := 0
@@ -72,26 +83,26 @@ func checkAgainstReference(t testing.TB, ids []uint32) {
 		t.Fatalf("Compress: %v", err)
 	}
 	want := refCompress(ids)
-	if l.N != want.N || l.Blocks.Len() != want.Blocks.Len() {
-		t.Fatalf("N=%d blocks=%d, reference N=%d blocks=%d", l.N, l.Blocks.Len(), want.N, want.Blocks.Len())
+	if !reflect.DeepEqual(l, want) {
+		t.Fatalf("N=%d blocks=%d: the list differs from the reference's rows and pages", l.N, l.NumBlocks())
 	}
 	var got, ref [BlockSize]uint32
-	for k := range l.Blocks.Len() {
-		blk, wb := l.Block(k), want.Block(k)
-		if !reflect.DeepEqual(*blk, *wb) {
-			t.Fatalf("block %d:\n got %+v\nwant %+v", k, *blk, *wb)
+	for k := range l.NumBlocks() {
+		blk, wb := l.Block(k), refCompressBlock(ids[k*BlockSize:min((k+1)*BlockSize, len(ids))])
+		if !reflect.DeepEqual(blk, wb) {
+			t.Fatalf("block %d:\n got %+v\nwant %+v", k, blk, wb)
 		}
 		if cap(blk.HighBits) != len(blk.HighBits) || cap(blk.LowBits) != len(blk.LowBits) {
 			t.Fatalf("block %d: an append to its words would reach the neighbour's", k)
 		}
-		n := blk.DecompressInto(got[:])
+		n := l.DecompressBlock(k, got[:])
 		refDecompressInto(blk, ref[:])
 		src := ids[k*BlockSize:][:n]
 		if !reflect.DeepEqual(got[:n], src) || !reflect.DeepEqual(ref[:n], src) {
 			t.Fatalf("block %d: DecompressInto %v\nreference %v\nwant %v", k, got[:n], ref[:n], src)
 		}
 		for i, id := range src {
-			if g := blk.Get(i); g != id {
+			if g := l.Get(k, i); g != id {
 				t.Fatalf("block %d: Get(%d) = %d, want %d", k, i, g, id)
 			}
 		}
@@ -179,14 +190,14 @@ func TestEncoderKeepsNilAndEmptyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Blocks.Pages() != nil {
-		t.Errorf("Compress(nil).Blocks = %#v, want no pages", l.Blocks)
+	if l.Pages != nil {
+		t.Errorf("Compress(nil).Pages = %#v, want none", l.Pages)
 	}
-	if l, _ = Compress([]uint32{}); l.Blocks.Pages() != nil {
-		t.Errorf("Compress(empty).Blocks = %#v, want no pages", l.Blocks)
+	if l, _ = Compress([]uint32{}); l.Pages != nil {
+		t.Errorf("Compress(empty).Pages = %#v, want none", l.Pages)
 	}
 	var e Encoder
-	if l = e.Finish(); l.Blocks.Pages() != nil || l.N != 0 {
+	if l = e.Finish(); l.Pages != nil || l.N != 0 {
 		t.Errorf("Encoder.Finish() of nothing = %+v, want an empty list with no pages", l)
 	}
 	if !reflect.DeepEqual(l, refCompress(nil)) {
@@ -221,7 +232,7 @@ func TestEncoderMatchesCompress(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: the Encoder's list differs from the reference encoding", n)
 		}
-		for k := range got.Blocks.Len() {
+		for k := range got.NumBlocks() {
 			if blk := got.Block(k); cap(blk.HighBits) != len(blk.HighBits) || cap(blk.LowBits) != len(blk.LowBits) {
 				t.Fatalf("n=%d block %d: an append to its words would reach the neighbour's", n, k)
 			}
@@ -259,29 +270,75 @@ func TestEncoderRejectsBadBlocks(t *testing.T) {
 	}
 }
 
-// Compress allocates the list header, the block table — its page table
-// and a page per 64 blocks — and a slab per ChunkWords words: four
-// allocations for a list of up to some 3 500 postings, one more per 4 KB
-// of words and per 8 192 postings after that, and nothing per block. The
+// Compress allocates the list header, its page array, and per page of 64
+// blocks its rows and its words — each page's words sized before they are
+// written, so they are one exact allocation — and nothing per block. The
 // bit-at-a-time encoder allocated two writers and two word slices per
 // block on top of a grown block table: 9 400 allocations for the longest
-// list here, which now makes 105.
+// list here, which now makes 76.
 func TestCompressAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range []int{100, 3_000, 10_000, 300_000} {
 		ids := genAscending(rng, n, 60)
 		l, _ := Compress(ids)
-		words := 0
-		for k := range l.Blocks.Len() {
-			words += l.Block(k).words()
-		}
-		ceiling := float64(3 + len(l.Blocks.Pages()) + words/(ChunkWords*7/8)) // a slab's last few words go unused
+		ceiling := float64(3 + 2*len(l.Pages)) // one more under -race, where Fill's closures escape
 		if got := testing.AllocsPerRun(20, func() {
 			if _, err := Compress(ids); err != nil {
 				t.Fatal(err)
 			}
 		}); got > ceiling {
-			t.Errorf("n=%d (%d words): Compress made %v allocations, want <= %v", n, words, got, ceiling)
+			t.Errorf("n=%d (%d pages): Compress made %v allocations, want <= %v", n, len(l.Pages), got, ceiling)
 		}
+		for _, pg := range l.Pages {
+			if cap(pg.Rows) != len(pg.Rows) || cap(pg.Words) != len(pg.Words) {
+				t.Fatalf("n=%d: a page holds %d/%d rows and %d/%d words, want exact allocations",
+					n, len(pg.Rows), cap(pg.Rows), len(pg.Words), cap(pg.Words))
+			}
+		}
+	}
+}
+
+// A splice shares the whole pages below k with the list it was made
+// from, copies the rows and words of the page k falls in that come
+// before k, and leaves the list it was made from as it was.
+func TestSpliceSharesWholePages(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	ids := genAscending(rng, 200*BlockSize+17, 40)
+	old, _ := Compress(ids)
+	before := old.Decompress()
+	for _, k := range []int{0, 1, 63, 64, 65, 128, 150, 200} {
+		base := uint32(0)
+		if k > 0 {
+			base = ids[k*BlockSize-1]
+		}
+		tail := genAscending(rng, 300, 90) // every docID >= 1
+		for i := range tail {
+			tail[i] += base
+		}
+		got, err := old.Splice(k, tail)
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		want, _ := Compress(append(append([]uint32(nil), ids[:k*BlockSize]...), tail...))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: spliced list differs from the encoding of the whole", k)
+		}
+		for p := range k >> PageShift {
+			if &got.Pages[p].Rows[0] != &old.Pages[p].Rows[0] || &got.Pages[p].Words[0] != &old.Pages[p].Words[0] {
+				t.Fatalf("k=%d: page %d below the splice was copied, not shared", k, p)
+			}
+		}
+		if p := k >> PageShift; k&(1<<PageShift-1) != 0 && &got.Pages[p].Words[0] == &old.Pages[p].Words[0] {
+			t.Fatalf("k=%d: the page the splice falls in is shared, not copied", k)
+		}
+	}
+	if !reflect.DeepEqual(old.Decompress(), before) {
+		t.Fatal("splicing changed the list spliced from")
+	}
+	if _, err := old.Splice(3, []uint32{ids[3*BlockSize-1]}); !errors.Is(err, ErrNotAscending) {
+		t.Errorf("tail at the prefix's last docID: err = %v, want ErrNotAscending", err)
+	}
+	if _, err := old.Splice(201, nil); err == nil {
+		t.Error("splice behind the partial last block accepted")
 	}
 }

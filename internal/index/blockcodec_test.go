@@ -5,19 +5,20 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"griffin/internal/bitutil"
 	"griffin/internal/ef"
-	"griffin/internal/pvec"
 )
 
 // refPackFreqs is the bit-at-a-time frequency encoder the package had
-// before PackFreqs packed a block per call into one slab: a
-// bitutil.Writer per block, one WriteBits per frequency. The block codec
-// is held to its bytes, and to FreqStore.At — the per-element decoder —
-// for what comes back.
+// before PackFreqs packed a block per call into its page: a
+// bitutil.Writer per block, one WriteBits per frequency, the blocks laid
+// out 64 rows a page, each page's words its blocks' words back to back.
+// The block codec is held to its bytes, and to FreqStore.At — the
+// per-element decoder — for what comes back.
 func refPackFreqs(freqs []uint32) *FreqStore {
-	var blocks []freqBlock
+	fs := &FreqStore{n: len(freqs)}
 	for start := 0; start < len(freqs); start += BlockSize {
 		chunk := freqs[start:min(start+BlockSize, len(freqs))]
 		b := 1
@@ -30,9 +31,41 @@ func refPackFreqs(freqs []uint32) *FreqStore {
 		for _, f := range chunk {
 			w.WriteBits(uint64(f), b)
 		}
-		blocks = append(blocks, freqBlock{b: uint8(b), words: w.Words()})
+		if start%(BlockSize<<ef.PageShift) == 0 {
+			fs.pages = append(fs.pages, ef.Page[freqRow]{})
+		}
+		pg := &fs.pages[len(fs.pages)-1]
+		pg.Rows = append(pg.Rows, freqRow{off: uint16(len(pg.Words)), b: uint8(b), words: uint8(len(w.Words()))})
+		pg.Words = append(pg.Words, w.Words()...)
 	}
-	return &FreqStore{n: len(freqs), blocks: pvec.Of(ef.PageShift, blocks)}
+	return fs
+}
+
+// TestBlockRowsHoldNoPointers: a block table's rows are what an opened
+// index keeps on the heap, one per 128 postings, and the collector never
+// scans them — which holds only as long as no field of a row can hold a
+// pointer.
+func TestBlockRowsHoldNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.String,
+			reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: a row must hold no pointer", path, typ.Kind())
+		}
+	}
+	for _, row := range []any{ef.Row{}, freqRow{}} {
+		walk(reflect.TypeOf(row).String(), reflect.TypeOf(row))
+	}
+	if size := reflect.TypeOf(ef.Row{}).Size() + reflect.TypeOf(freqRow{}).Size(); size != 16 {
+		t.Errorf("the two rows of a block take %d bytes, want 16", size)
+	}
 }
 
 // freqsOfWidth draws n frequencies of at most width bits, the widest of
@@ -56,10 +89,7 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 				t.Fatalf("n=%d width=%d: PackFreqs differs from the reference encoding", n, width)
 			}
 			var buf [BlockSize]uint32
-			for k := range got.blocks.Len() {
-				if cap(got.block(k).words) != len(got.block(k).words) {
-					t.Fatalf("n=%d width=%d: an append to block %d's words would reach its neighbour's", n, width, k)
-				}
+			for k := 0; k*BlockSize < n; k++ {
 				m := got.DecodeBlock(k, buf[:])
 				if !reflect.DeepEqual(buf[:m], freqs[k*BlockSize:][:m]) || m != len(freqBlockOf(freqs, k)) {
 					t.Fatalf("n=%d width=%d: DecodeBlock(%d) = %v", n, width, k, buf[:m])
@@ -85,14 +115,14 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 // bit-at-a-time encoder returned and what Parse gives an empty list of an
 // opened file, which reflect.DeepEqual(Open(f), built) compares.
 func TestPackFreqsKeepsNilBlocks(t *testing.T) {
-	if fs := PackFreqs(nil); fs.blocks.Pages() != nil || fs.n != 0 {
+	if fs := PackFreqs(nil); fs.pages != nil || fs.n != 0 {
 		t.Errorf("PackFreqs(nil) = %+v, want no pages", fs)
 	}
-	if fs := PackFreqs([]uint32{}); fs.blocks.Pages() != nil {
-		t.Errorf("PackFreqs(empty).blocks = %#v, want no pages", fs.blocks)
+	if fs := PackFreqs([]uint32{}); fs.pages != nil {
+		t.Errorf("PackFreqs(empty).pages = %#v, want none", fs.pages)
 	}
-	if fs := refPackFreqs(nil); fs.blocks.Pages() != nil {
-		t.Fatalf("the reference's empty store has blocks %#v: the test's premise is gone", fs.blocks)
+	if fs := refPackFreqs(nil); fs.pages != nil {
+		t.Fatalf("the reference's empty store has pages %#v: the test's premise is gone", fs.pages)
 	}
 	var e freqEncoder
 	if fs := e.finish(); !reflect.DeepEqual(fs, PackFreqs(nil)) {
@@ -100,22 +130,17 @@ func TestPackFreqsKeepsNilBlocks(t *testing.T) {
 	}
 }
 
-// PackFreqs allocates the store, its block table (a page table and a
-// page per 64 blocks) and a slab per ef.ChunkWords words, nothing per
-// block; with ef.Compress's same four that is what encoding a list of a
-// few thousand postings costs. The
-// bit-at-a-time encoders allocated per block.
+// PackFreqs allocates the store, its page array, and per page of 64
+// blocks its rows and its words, each one exact allocation; nothing per
+// block. The bit-at-a-time encoders allocated per block.
 func TestPackFreqsAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	for _, n := range []int{100, 10_000, 300_000} {
 		freqs := freqsOfWidth(r, n, 5)
-		fs, words := PackFreqs(freqs), 0
-		for k := range fs.blocks.Len() {
-			words += len(fs.block(k).words)
-		}
-		ceiling := float64(3 + len(fs.blocks.Pages()) + words/(ef.ChunkWords*7/8)) // a slab's last few words go unused
+		fs := PackFreqs(freqs)
+		ceiling := float64(3 + 2*len(fs.pages)) // one more under -race, where Fill's closures escape
 		if got := testing.AllocsPerRun(20, func() { PackFreqs(freqs) }); got > ceiling {
-			t.Errorf("n=%d (%d words): PackFreqs made %v allocations, want <= %v", n, words, got, ceiling)
+			t.Errorf("n=%d (%d pages): PackFreqs made %v allocations, want <= %v", n, len(fs.pages), got, ceiling)
 		}
 	}
 }
@@ -165,7 +190,7 @@ func TestDecodeFromMatchesElementAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < pl.EF.Blocks.Len(); k++ {
+	for k := 0; k < pl.EF.NumBlocks(); k++ {
 		gotIDs, gotFreqs := pl.DecodeFrom(k)
 		skip := k * BlockSize
 		if len(gotIDs) != len(ids)-skip || len(gotFreqs) != len(gotIDs) {
@@ -173,9 +198,9 @@ func TestDecodeFromMatchesElementAccess(t *testing.T) {
 		}
 		for i := range gotIDs {
 			bi, in := (skip+i)/BlockSize, (skip+i)%BlockSize
-			if gotIDs[i] != pl.EF.Block(bi).Get(in) || gotFreqs[i] != pl.FreqOf(skip+i) {
+			if gotIDs[i] != pl.EF.Get(bi, in) || gotFreqs[i] != pl.Freqs.At(skip+i) {
 				t.Fatalf("k=%d: posting %d = (%d, %d), want (%d, %d)", k, i, gotIDs[i], gotFreqs[i],
-					pl.EF.Block(bi).Get(in), pl.FreqOf(skip+i))
+					pl.EF.Get(bi, in), pl.Freqs.At(skip+i))
 			}
 		}
 	}
@@ -206,20 +231,20 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	b.SetBytes(int64(fs.n * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := range fs.blocks.Len() {
+		for k := 0; k*BlockSize < fs.n; k++ {
 			fs.DecodeBlock(k, buf[:])
 		}
 	}
 }
 
-// A spliced list shares its untouched leading blocks with the list it
-// replaces, and so keeps alive whatever allocation those blocks' words
-// lie in — the replaced list's dead tail included, if that is the same
-// allocation. That is why an encoded list is cut from slabs of at most
-// ef.ChunkWords words and not from one: a list merged again and again,
-// each time a little further in, holds on to a few KB per merge, not to a
-// stale copy of its tail per merge (with one slab per list, 40 splices of
-// the list below kept 15 times the list alive).
+// A spliced list shares its untouched leading pages with the list it
+// replaces, and a page keeps alive the allocations its rows and words lie
+// in. Every page an encoder makes is two exact allocations of its own, so
+// a list merged again and again, each time a little further in, holds on
+// to the pages it can reach and to nothing of its predecessors' dead
+// tails. What a splice allocates is the tail's pages plus the one page of
+// each table that k falls in, copied up to k. (With one slab per list, 40
+// splices of the list below kept 15 times the list alive.)
 func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()
@@ -235,21 +260,54 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := heap() - before
-	blocks := pl.EF.Blocks.Len()
+	blocks := pl.EF.NumBlocks()
 	for i := 1; i <= 40; i++ {
 		k := i * blocks / 41
-		if pl, err = SpliceList("t", pl, k, ids[k*BlockSize:], freqs[k*BlockSize:], CodecEF); err != nil {
+		old := pl
+		var next *PostingList
+		allocated := allocatedBy(func() {
+			next, err = SpliceList("t", old, k, ids[k*BlockSize:], freqs[k*BlockSize:], CodecEF)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		for p := range k >> ef.PageShift {
+			if &next.EF.Pages[p].Rows[0] != &old.EF.Pages[p].Rows[0] || &next.EF.Pages[p].Words[0] != &old.EF.Pages[p].Words[0] ||
+				&next.Freqs.pages[p].Rows[0] != &old.Freqs.pages[p].Rows[0] || &next.Freqs.pages[p].Words[0] != &old.Freqs.pages[p].Words[0] {
+				t.Fatalf("splice %d at block %d: page %d below it was copied, not shared", i, k, p)
+			}
+		}
+		// The tail's pages, from the start of the page k falls in: every
+		// row and word of them is new, the ones before k copies.
+		var tail uint64
+		for _, pg := range next.EF.Pages[k>>ef.PageShift:] {
+			tail += uint64(cap(pg.Rows))*uint64(unsafe.Sizeof(ef.Row{})) + uint64(cap(pg.Words))*8 + uint64(unsafe.Sizeof(pg))
+		}
+		for _, pg := range next.Freqs.pages[k>>ef.PageShift:] {
+			tail += uint64(cap(pg.Rows))*uint64(unsafe.Sizeof(freqRow{})) + uint64(cap(pg.Words))*8 + uint64(unsafe.Sizeof(pg))
+		}
+		// Size classes round an allocation up by at most 1/8; the rest is
+		// the two page arrays' shared part and the headers.
+		if ceiling := tail*9/8 + uint64(k>>ef.PageShift)*2*uint64(unsafe.Sizeof(ef.Page[ef.Row]{})) + 4<<10; allocated > ceiling {
+			t.Fatalf("splice %d at block %d allocated %d bytes, want <= %d: the tail's pages and one copied page per table", i, k, allocated, ceiling)
+		}
+		pl = next
 	}
 	spliced := heap() - before
 	runtime.KeepAlive(pl)
 	runtime.KeepAlive(ids) // in both measurements
 	runtime.KeepAlive(freqs)
 	t.Logf("a fresh list keeps %d KB, the same list after 40 splices %d KB", fresh>>10, spliced>>10)
-	// A splice can strand the dead part of one docID slab and one
-	// frequency slab: the two its last shared block lies in.
-	if ceiling := fresh + 40*2*ef.ChunkWords*8; spliced > ceiling {
-		t.Errorf("after 40 splices the list keeps %d bytes alive, a fresh encoding of it %d, want <= %d: spliced lists pin dead slabs", spliced, fresh, ceiling)
+	if ceiling := fresh + fresh/20; spliced > ceiling {
+		t.Errorf("after 40 splices the list keeps %d bytes alive, a fresh encoding of it %d, want <= %d: spliced lists pin dead pages", spliced, fresh, ceiling)
 	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -41,25 +41,21 @@ type EFView struct{ L *ef.List }
 func (v EFView) Len() int { return v.L.N }
 
 // NumBlocks implements BlockList.
-func (v EFView) NumBlocks() int { return v.L.Blocks.Len() }
+func (v EFView) NumBlocks() int { return v.L.NumBlocks() }
 
 // BlockLen implements BlockList.
-func (v EFView) BlockLen(i int) int { return v.L.Block(i).N }
+func (v EFView) BlockLen(i int) int {
+	return int(v.L.Pages[i>>ef.PageShift].Rows[i&(1<<ef.PageShift-1)].N)
+}
 
 // BlockFirst implements BlockList.
-func (v EFView) BlockFirst(i int) uint32 { return v.L.Block(i).FirstDocID }
+func (v EFView) BlockFirst(i int) uint32 { return v.L.First(i) }
 
-// DecompressBlock implements BlockList. It and Get spell ef.List.Block
-// out: through the accessor they are two nodes over the inlining budget,
-// and every probe of an intersection would pay a call for the wrapper.
-func (v EFView) DecompressBlock(i int, dst []uint32) int {
-	return v.L.Blocks.Pages()[i>>ef.PageShift][i&(1<<ef.PageShift-1)].DecompressInto(dst)
-}
+// DecompressBlock implements BlockList.
+func (v EFView) DecompressBlock(i int, dst []uint32) int { return v.L.DecompressBlock(i, dst) }
 
 // Get implements RandomAccess via Elias-Fano select.
-func (v EFView) Get(b, i int) uint32 {
-	return v.L.Blocks.Pages()[b>>ef.PageShift][b&(1<<ef.PageShift-1)].Get(i)
-}
+func (v EFView) Get(b, i int) uint32 { return v.L.Get(b, i) }
 
 // PFDView adapts a PForDelta list to BlockList.
 type PFDView struct{ L *pfordelta.List }

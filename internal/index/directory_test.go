@@ -25,7 +25,7 @@ func TestIndexFS(t *testing.T) {
 	if !ok {
 		t.Fatal("fox not indexed")
 	}
-	if got := p.DocIDs(); !reflect.DeepEqual(got, []uint32{0, 2}) {
+	if got := p.EF.Decompress(); !reflect.DeepEqual(got, []uint32{0, 2}) {
 		t.Fatalf("fox docIDs = %v", got)
 	}
 	if ix.NumDocs != 3 {

@@ -1,11 +1,8 @@
 package index
 
 import (
-	"slices"
-
 	"griffin/internal/bitutil"
 	"griffin/internal/ef"
-	"griffin/internal/pvec"
 )
 
 // FreqStore holds a posting list's within-document term frequencies in
@@ -17,41 +14,38 @@ import (
 // like the docIDs they annotate.
 type FreqStore struct {
 	n int
-	// blocks is the table of frequency blocks, paged like the Elias-Fano
+	// pages is the table of frequency blocks, paged like the Elias-Fano
 	// block table beside it (ef.PageShift) and spliced with it.
-	blocks pvec.Vec[freqBlock]
+	pages []ef.Page[freqRow]
 }
 
-// block returns frequency block k.
-func (fs *FreqStore) block(k int) *freqBlock {
-	return &fs.blocks.Pages()[k>>ef.PageShift][k&(1<<ef.PageShift-1)]
+// freqRow is a frequency block's entry in its table: where its words
+// start in its page, its width and its word count — 4 bytes, no pointer.
+type freqRow struct {
+	off      uint16
+	b, words uint8
 }
 
-type freqBlock struct {
-	b     uint8
-	words []uint64
-}
+// PackFreqs compresses a frequency array. Like ef.Compress it sizes each
+// page of blocks first (a block's width is that of the OR of its values)
+// and packs every block, a word at a time, into that page's one
+// allocation: nothing is allocated per block.
+func PackFreqs(freqs []uint32) *FreqStore { return spliceFreqs(nil, 0, freqs) }
 
-// PackFreqs compresses a frequency array. Like ef.Compress it sizes the
-// list first (a block's width is that of the OR of its values) and packs
-// every block, a word at a time, into slabs of at most ef.ChunkWords
-// words: nothing is allocated per block.
-func PackFreqs(freqs []uint32) *FreqStore {
-	nb := (len(freqs) + BlockSize - 1) / BlockSize
-	fs := &FreqStore{n: len(freqs), blocks: pvec.Make[freqBlock](ef.PageShift, nb)}
-	left := 0
-	for k := range nb {
-		left += fs.block(k).shape(freqBlockOf(freqs, k))
+// spliceFreqs is ef.List.Splice for frequencies: old's blocks [0, k),
+// whole pages shared and the rows and words of the page k falls in
+// copied, then the encoding of tail. With k == 0, old may be nil.
+func spliceFreqs(old *FreqStore, k int, tail []uint32) *FreqStore {
+	var e freqEncoder
+	if k > 0 {
+		last := &old.pages[(k-1)>>ef.PageShift].Rows[(k-1)&(1<<ef.PageShift-1)]
+		e.pager.Seed(old.pages, k, int(last.off)+int(last.words))
+		e.n = k * BlockSize
 	}
-	var slab []uint64
-	for k := range nb {
-		chunk, fb := freqBlockOf(freqs, k), fs.block(k)
-		need := bitutil.WordsFor(len(chunk) * int(fb.b))
-		slab = ef.Slab(slab, need, left)
-		left -= need
-		slab = fb.pack(chunk, slab)
-	}
-	return fs
+	e.pager.Fill((len(tail)+BlockSize-1)/BlockSize,
+		func(j int) int { _, w := freqShape(freqBlockOf(tail, j)); return w },
+		func(j int) { e.append(freqBlockOf(tail, j)) })
+	return e.finish()
 }
 
 // freqBlockOf returns the frequencies of block k of a list.
@@ -59,51 +53,37 @@ func freqBlockOf(freqs []uint32, k int) []uint32 {
 	return freqs[k*BlockSize : min((k+1)*BlockSize, len(freqs))]
 }
 
-// shape sets the block's width for chunk and returns its word count.
-func (fb *freqBlock) shape(chunk []uint32) int {
+// freqShape returns the width of the block chunk and its word count.
+func freqShape(chunk []uint32) (b, words int) {
 	var or uint32
 	for _, f := range chunk {
 		or |= f
 	}
-	fb.b = uint8(bitutil.BitsFor(uint64(or)))
-	return bitutil.WordsFor(len(chunk) * int(fb.b))
+	b = bitutil.BitsFor(uint64(or))
+	return b, bitutil.WordsFor(len(chunk) * b)
 }
 
-// pack packs chunk at the block's width into the first words of slab,
-// which become the block's words, and returns the rest of slab.
-func (fb *freqBlock) pack(chunk []uint32, slab []uint64) (rest []uint64) {
-	n := bitutil.WordsFor(len(chunk) * int(fb.b))
-	fb.words, rest = slab[:n:n], slab[n:]
-	bitutil.Pack(fb.words, chunk, int(fb.b))
-	return rest
-}
-
-// freqEncoder is PackFreqs for lists that arrive a block at a time; like
-// ef.Encoder, which see, it cuts every slab at ef.ChunkWords words and
-// carries a partly used one over to its next list.
+// freqEncoder is PackFreqs for lists that arrive a block at a time, the
+// frequency half of what ef.Encoder is for docIDs.
 type freqEncoder struct {
-	n      int
-	blocks []freqBlock // the current list's, copied out by finish
-	slab   []uint64    // the words of the current slab no block has been given
+	n     int
+	pager ef.Pager[freqRow]
 }
 
 // append packs chunk as the list's next block.
 func (e *freqEncoder) append(chunk []uint32) {
-	var fb freqBlock
-	e.slab = ef.Slab(e.slab, fb.shape(chunk), ef.ChunkWords)
-	e.slab = fb.pack(chunk, e.slab)
-	if len(e.blocks) == cap(e.blocks) {
-		e.blocks = slices.Grow(e.blocks, max(16, len(e.blocks))) // doubling, as in ef.Encoder
-	}
-	e.blocks = append(e.blocks, fb)
+	b, n := freqShape(chunk)
+	off, w := e.pager.Alloc(n)
+	bitutil.Pack(w, chunk, b)
+	e.pager.Add(freqRow{off: uint16(off), b: uint8(b), words: uint8(n)})
 	e.n += len(chunk)
 }
 
 // finish returns the store of the blocks appended since the last finish
 // and readies the encoder for the next list.
 func (e *freqEncoder) finish() *FreqStore {
-	fs := &FreqStore{n: e.n, blocks: pvec.Of(ef.PageShift, slices.Clone(e.blocks))}
-	e.n, e.blocks = 0, e.blocks[:0]
+	fs := &FreqStore{n: e.n, pages: e.pager.Finish()}
+	e.n = 0
 	return fs
 }
 
@@ -115,8 +95,9 @@ func (fs *FreqStore) At(i int) uint32 { return fs.inBlock(i/BlockSize, i%BlockSi
 
 // inBlock returns the frequency of posting i of block k.
 func (fs *FreqStore) inBlock(k, i int) uint32 {
-	blk := fs.block(k)
-	return uint32(bitutil.GetBits(blk.words, i*int(blk.b), int(blk.b)))
+	pg := &fs.pages[k>>ef.PageShift]
+	r := pg.Rows[k&(1<<ef.PageShift-1)]
+	return uint32(bitutil.GetBits(pg.Words[r.off:], i*int(r.b), int(r.b)))
 }
 
 // DecodeBlock unpacks the frequencies of block k — those of the postings
@@ -124,15 +105,16 @@ func (fs *FreqStore) inBlock(k, i int) uint32 {
 // returns their count.
 func (fs *FreqStore) DecodeBlock(k int, dst []uint32) int {
 	n := min(BlockSize, fs.n-k*BlockSize)
-	blk := fs.block(k)
-	bitutil.Unpack(dst[:n], blk.words, int(blk.b))
+	pg := &fs.pages[k>>ef.PageShift]
+	r := pg.Rows[k&(1<<ef.PageShift-1)]
+	bitutil.Unpack(dst[:n], pg.Words[r.off:int(r.off)+int(r.words)], int(r.b))
 	return n
 }
 
 // Decode returns all frequencies as a fresh slice.
 func (fs *FreqStore) Decode() []uint32 {
 	out := make([]uint32, fs.n)
-	for k := 0; k < fs.blocks.Len(); k++ {
+	for k := 0; k*BlockSize < fs.n; k++ {
 		fs.DecodeBlock(k, out[k*BlockSize:])
 	}
 	return out
@@ -142,9 +124,9 @@ func (fs *FreqStore) Decode() []uint32 {
 // width bytes.
 func (fs *FreqStore) CompressedBits() int64 {
 	var bits int64
-	for _, pg := range fs.blocks.Pages() {
-		for i := range pg {
-			bits += int64(len(pg[i].words))*64 + 8
+	for _, pg := range fs.pages {
+		for _, r := range pg.Rows {
+			bits += int64(r.words)*64 + 8
 		}
 	}
 	return bits

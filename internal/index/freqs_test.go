@@ -71,11 +71,11 @@ func TestPackFreqsBlockIsolation(t *testing.T) {
 	}
 	freqs[200] = 1 << 30
 	fs := PackFreqs(freqs)
-	if fs.block(0).b != 1 {
-		t.Fatalf("block 0 width %d, want 1", fs.block(0).b)
+	if fs.pages[0].Rows[0].b != 1 {
+		t.Fatalf("block 0 width %d, want 1", fs.pages[0].Rows[0].b)
 	}
-	if fs.block(1).b < 31 {
-		t.Fatalf("block 1 width %d, want >= 31", fs.block(1).b)
+	if fs.pages[0].Rows[1].b < 31 {
+		t.Fatalf("block 1 width %d, want >= 31", fs.pages[0].Rows[1].b)
 	}
 	if !reflect.DeepEqual(fs.Decode(), freqs) {
 		t.Fatal("round trip mismatch")

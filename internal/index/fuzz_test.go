@@ -55,10 +55,10 @@ func FuzzReadIndex(f *testing.F) {
 			if !ok || pl.N < 0 || pl.Freqs.Len() != pl.N {
 				t.Fatalf("inconsistent parsed index: term %q", term)
 			}
-			for bi := range pl.EF.Blocks.Len() {
+			for bi := range pl.EF.NumBlocks() {
 				blk := pl.EF.Block(bi)
-				n := blk.DecompressInto(ids[:])
-				if last := blk.Get(blk.N - 1); n != blk.N || last != ids[n-1] {
+				n := pl.EF.DecompressBlock(bi, ids[:])
+				if last := pl.EF.Get(bi, blk.N-1); n != blk.N || last != ids[n-1] {
 					t.Fatalf("term %q block %d: decoded %d of %d, last %d vs Get %d", term, bi, n, blk.N, ids[n-1], last)
 				}
 				for i, id := range ids[:n] {

@@ -64,12 +64,6 @@ func (p *PostingList) ScoringN() int {
 	return p.N
 }
 
-// DocIDs decompresses and returns all docIDs (test/diagnostic path).
-func (p *PostingList) DocIDs() []uint32 { return p.EF.Decompress() }
-
-// FreqOf returns the term frequency of the posting at index i.
-func (p *PostingList) FreqOf(i int) uint32 { return p.Freqs.At(i) }
-
 // FreqForDoc returns the term frequency for docID d, locating the posting
 // by binary search over the skip pointers and then within the candidate
 // block (the lookup ranking performs per surviving candidate, §2.1.3).
@@ -77,12 +71,12 @@ func (p *PostingList) FreqOf(i int) uint32 { return p.Freqs.At(i) }
 func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool) {
 	// The table is indexed in place with the constant page shift: the
 	// probe sequence is that of a search over a flat table.
-	pages := p.EF.Blocks.Pages()
-	lo, hi := 0, p.EF.Blocks.Len()
+	pages := p.EF.Pages
+	lo, hi := 0, p.EF.NumBlocks()
 	for lo < hi {
 		probes++
 		mid := (lo + hi) / 2
-		if pages[mid>>ef.PageShift][mid&(1<<ef.PageShift-1)].FirstDocID <= d {
+		if pages[mid>>ef.PageShift].Rows[mid&(1<<ef.PageShift-1)].FirstDocID <= d {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -92,15 +86,14 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 		return 0, probes, false
 	}
 	bi := lo - 1
-	blk := &pages[bi>>ef.PageShift][bi&(1<<ef.PageShift-1)]
 	// Probe the compressed block in place (Elias-Fano select) rather
 	// than decoding all of it to look at ~7 elements; the comparison
 	// sequence, and so probes, is that of a search over the decoded block.
-	blo, bhi := 0, blk.N
+	blo, bhi := 0, int(pages[bi>>ef.PageShift].Rows[bi&(1<<ef.PageShift-1)].N)
 	for blo < bhi {
 		probes++
 		mid := (blo + bhi) / 2
-		switch v := blk.Get(mid); {
+		switch v := p.EF.Get(bi, mid); {
 		case v < d:
 			blo = mid + 1
 		case v > d:

@@ -34,11 +34,11 @@ func TestBuildFromDocuments(t *testing.T) {
 	if !ok {
 		t.Fatal("austria not indexed")
 	}
-	if got := p.DocIDs(); !reflect.DeepEqual(got, []uint32{0, 3}) {
+	if got := p.EF.Decompress(); !reflect.DeepEqual(got, []uint32{0, 3}) {
 		t.Fatalf("austria docIDs = %v", got)
 	}
-	if p.FreqOf(1) != 2 {
-		t.Fatalf("austria freq in doc 3 = %d, want 2", p.FreqOf(1))
+	if p.Freqs.At(1) != 2 {
+		t.Fatalf("austria freq in doc 3 = %d, want 2", p.Freqs.At(1))
 	}
 	if _, ok := ix.Lookup("missing"); ok {
 		t.Fatal("lookup of unindexed term succeeded")
@@ -74,8 +74,8 @@ func TestAddPostingsAndDocLens(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, _ := ix.Lookup("zebra")
-	if !reflect.DeepEqual(p.DocIDs(), ids) {
-		t.Fatalf("docIDs = %v", p.DocIDs())
+	if !reflect.DeepEqual(p.EF.Decompress(), ids) {
+		t.Fatalf("docIDs = %v", p.EF.Decompress())
 	}
 	if !reflect.DeepEqual(p.Freqs.Decode(), freqs) {
 		t.Fatalf("freqs = %v", p.Freqs.Decode())
@@ -235,7 +235,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("term %q lost", term)
 		}
-		if !reflect.DeepEqual(p.DocIDs(), ids) {
+		if !reflect.DeepEqual(p.EF.Decompress(), ids) {
 			t.Fatalf("term %q docIDs differ after round trip", term)
 		}
 		orig, _ := ix.Lookup(term)

@@ -4,8 +4,8 @@ import "fmt"
 
 // Open loads the index file at path without decoding it: the file is
 // mapped read-only (read whole where there is no mmap) and parsed in
-// place, so what it costs on the heap is the per-list block headers,
-// not the postings (see Parse).
+// place, so what it costs on the heap is each list's block rows, 16
+// bytes a block, not the postings (see Parse).
 //
 // The mapping lives for the rest of the process and is never unmapped:
 // the index, and every segment later spliced from it, point into it, and

@@ -9,7 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"griffin/internal/ef"
 )
 
 // shapedIndex is an index whose lists cover the block shapes the format
@@ -294,7 +297,7 @@ func TestOpenRejects(t *testing.T) {
 	mustReject(t, "high bits longer than their words", edit(func(d []byte) { le.PutUint32(entry(d, 0)[4:], 64*uint32(lay.highWords)+1) }))
 	mustReject(t, "first docIDs not ascending", edit(func(d []byte) { le.PutUint32(entry(d, 1)[0:], le.Uint32(entry(d, 0)[0:])) }))
 
-	// The three checks that keep Get, DecompressInto and Freqs.At in
+	// The three checks that keep Get, DecompressBlock and Freqs.At in
 	// range: ones in the high bits == n, low words cover n*b bits,
 	// frequency words cover n*freqB bits.
 	mustReject(t, "zeroed high-bits word", edit(func(d []byte) { le.PutUint64(d[lay.words:], 0) }))
@@ -313,7 +316,7 @@ func TestOpenRejects(t *testing.T) {
 func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 	reference := func(p *PostingList, d uint32) (uint32, int, bool) {
 		probes := 0
-		lo, hi := 0, p.EF.Blocks.Len()
+		lo, hi := 0, p.EF.NumBlocks()
 		for lo < hi {
 			probes++
 			if mid := (lo + hi) / 2; p.EF.Block(mid).FirstDocID <= d {
@@ -326,7 +329,7 @@ func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 			return 0, probes, false
 		}
 		var buf [BlockSize]uint32
-		n := p.EF.Block(lo - 1).DecompressInto(buf[:])
+		n := p.EF.DecompressBlock(lo-1, buf[:])
 		blo, bhi := 0, n
 		for blo < bhi {
 			probes++
@@ -346,7 +349,7 @@ func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 	for _, term := range ix.Terms() {
 		pl, _ := ix.Lookup(term)
 		probe := []uint32{0, 1, 1 << 31}
-		for _, id := range pl.DocIDs() {
+		for _, id := range pl.EF.Decompress() {
 			probe = append(probe, id, id+1)
 		}
 		for _, d := range probe {
@@ -358,4 +361,61 @@ func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pagedIndex is three lists of 64 whole pages of blocks each, 12 288
+// blocks in all: what an index costs per block, without size classes
+// rounding short tables up.
+func pagedIndex(t testing.TB) *Index {
+	t.Helper()
+	const terms, perTerm = 3, 64 << ef.PageShift * BlockSize
+	rng := rand.New(rand.NewSource(26))
+	b := NewBuilder(CodecEF)
+	ids, freqs := make([]uint32, perTerm), make([]uint32, perTerm)
+	for term := range terms {
+		cur := uint32(0)
+		for i := range ids {
+			cur += 1 + uint32(rng.Intn(3))
+			ids[i], freqs[i] = cur, 1+uint32(rng.Intn(6))
+		}
+		if err := b.AddPostings(string(rune('a'+term)), ids, freqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// BenchmarkOpen times Parse over the bytes of an index file — what Open
+// does once it has mapped them — and reports what it costs a block in
+// time and in heap left behind.
+func BenchmarkOpen(b *testing.B) {
+	ix := pagedIndex(b)
+	_, data := fileOf(b, ix)
+	blocks := 0
+	for _, term := range ix.Terms() {
+		pl, _ := ix.Lookup(term)
+		blocks += pl.EF.NumBlocks()
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept, err := Parse(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(kept)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(blocks), "heap-B/block")
 }

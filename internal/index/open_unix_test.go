@@ -66,3 +66,38 @@ func TestOpenAllocationCeiling(t *testing.T) {
 	}
 	runtime.KeepAlive(ix)
 }
+
+// TestOpenHeapPerBlock: what an opened index keeps on the heap is its
+// block tables' rows — 12 bytes a block for the docIDs and 4 for the
+// frequencies, plus a page header per 64 blocks per table — and not a
+// per-block struct of slice headers, which takes over 100 bytes a block.
+// The file's words stay in the mapping.
+func TestOpenHeapPerBlock(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian host: every parse copies")
+	}
+	path, _ := fileOf(t, pagedIndex(t))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	blocks := 0
+	for _, term := range ix.Terms() {
+		pl, _ := ix.Lookup(term)
+		blocks += pl.EF.NumBlocks()
+	}
+	if blocks < 10_000 {
+		t.Fatalf("fixture has %d blocks, want >= 10 000", blocks)
+	}
+	perBlock := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(blocks)
+	t.Logf("%d blocks: %.1f B of heap a block", blocks, perBlock)
+	if perBlock > 20 {
+		t.Errorf("Open left %.1f B of heap per block, want <= 20", perBlock)
+	}
+	runtime.KeepAlive(ix)
+}

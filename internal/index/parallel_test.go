@@ -37,7 +37,7 @@ func indexesEqual(t *testing.T, a, b *Index) {
 	for _, term := range a.Terms() {
 		pa, _ := a.Lookup(term)
 		pb, _ := b.Lookup(term)
-		if !reflect.DeepEqual(pa.DocIDs(), pb.DocIDs()) {
+		if !reflect.DeepEqual(pa.EF.Decompress(), pb.EF.Decompress()) {
 			t.Fatalf("term %q docIDs differ", term)
 		}
 		if !reflect.DeepEqual(pa.Freqs.Decode(), pb.Freqs.Decode()) {
@@ -119,7 +119,7 @@ func TestBuildParallelMoreWorkersThanDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, ok := ix.Lookup("yy")
-	if !ok || !reflect.DeepEqual(p.DocIDs(), []uint32{3, 7}) {
+	if !ok || !reflect.DeepEqual(p.EF.Decompress(), []uint32{3, 7}) {
 		t.Fatalf("yy postings wrong: %+v", p)
 	}
 }

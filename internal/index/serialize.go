@@ -12,7 +12,6 @@ import (
 	"math/bits"
 
 	"griffin/internal/ef"
-	"griffin/internal/pvec"
 )
 
 // Binary on-disk format, version 3 (little-endian throughout). Every
@@ -77,27 +76,29 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	e.pad8()
 	for _, term := range terms {
 		p := ix.terms[term]
+		nb := p.EF.NumBlocks()
 		e.u64(uint64(p.N))
-		e.u32(uint32(p.EF.Blocks.Len()))
+		e.u32(uint32(nb))
 		e.u16(uint16(len(term)))
 		e.str(term)
 		e.pad8()
-		nb := p.EF.Blocks.Len()
 		for i := range nb {
-			blk, fb := p.EF.Block(i), p.Freqs.block(i)
+			r := &p.EF.Pages[i>>ef.PageShift].Rows[i&(1<<ef.PageShift-1)]
+			fr := &p.Freqs.pages[i>>ef.PageShift].Rows[i&(1<<ef.PageShift-1)]
 			blockEntry{
-				firstDocID: blk.FirstDocID, highLen: uint32(blk.HighLen),
-				highWords: uint32(len(blk.HighBits)), lowWords: uint32(len(blk.LowBits)),
-				n: uint16(blk.N), freqWords: uint16(len(fb.words)),
-				b: uint8(blk.B), freqB: fb.b,
+				firstDocID: r.FirstDocID, highLen: uint32(r.HighLen),
+				highWords: uint32(r.HighWords), lowWords: uint32(r.LowWords),
+				n: uint16(r.N), freqWords: uint16(fr.words),
+				b: r.B, freqB: fr.b,
 			}.put(e)
 		}
-		for i := range nb {
-			e.words(p.EF.Block(i).HighBits)
-			e.words(p.EF.Block(i).LowBits)
+		// A page's words are its blocks' words back to back, so the pages
+		// in order are the list's two runs.
+		for _, pg := range p.EF.Pages {
+			e.words(pg.Words)
 		}
-		for i := range nb {
-			e.words(p.Freqs.block(i).words)
+		for _, pg := range p.Freqs.pages {
+			e.words(pg.Words)
 		}
 	}
 	if e.err == nil {
@@ -188,19 +189,21 @@ func readAll(r io.Reader) ([]byte, error) {
 }
 
 // Parse decodes a serialized index held in data without copying its
-// payload: on a little-endian host with data 8-byte aligned, every
-// block's HighBits/LowBits, every frequency block's words and the pages
-// of DocLens are views into data, and only the per-list block headers
-// are built on the heap, a page at a time; otherwise (big-endian host, misaligned buffer) the same
-// parser decodes each list's words into one fresh slice. Either way the
-// returned index aliases data for as long as it — or any segment spliced
-// from it, which shares its blocks by reference — is reachable, so data
-// must never be written again. Segments are immutable throughout the
-// repo; Parse only makes that contract load-bearing.
+// payload: on a little-endian host with data 8-byte aligned, the words of
+// every page of every block table and the pages of DocLens are views into
+// data, and what is built on the heap is each list's two tables of
+// pointer-free rows — 12 bytes a block for the docIDs, 4 for the
+// frequencies — and their page arrays, one allocation apiece per list;
+// otherwise (big-endian host, misaligned buffer) the same parser decodes
+// each list's words into one fresh slice. Either way the returned index
+// aliases data for as long as it — or any segment spliced from it, which
+// shares its pages by reference — is reachable, so data must never be
+// written again. Segments are immutable throughout the repo; Parse only
+// makes that contract load-bearing.
 //
 // All lengths in data are untrusted: every structural inconsistency is
 // reported as ErrBadFormat, and an accepted index cannot make
-// ef.Block.Get, DecompressInto, FreqStore.At or the device kernels index
+// ef.List.Get, DecompressBlock, FreqStore.At or the device kernels index
 // out of range.
 func Parse(data []byte) (*Index, error) {
 	d := &decoder{buf: data}
@@ -297,37 +300,60 @@ func (d *decoder) list() (*PostingList, error) {
 		return nil, d.err
 	}
 
-	// The two tables are each one array cut into pages, not a page an
-	// allocation: 5 600 small allocations on a fresh heap cost the server's
-	// start 10 ms (+25 %) where 1 000 large ones cost what one table per
-	// list did. A segment merged from this one shares pages with it and so
-	// keeps these arrays alive, their dead rows included — a bounded cost,
-	// this file's tables once over, since everything a merge makes is
-	// paged an allocation a page (pvec's retention rule).
-	l := &ef.List{N: int(n), Blocks: pvec.Of(ef.PageShift, make([]ef.Block, numBlocks))}
-	fs := &FreqStore{n: int(n), blocks: pvec.Of(ef.PageShift, make([]freqBlock, numBlocks))}
+	// Each table is one array of rows and one array of pages, whatever the
+	// list's length: 5 600 small allocations on a fresh heap cost the
+	// server's start 10 ms (+25 %) where 1 000 large ones cost what one
+	// table per list did. A segment merged from this one shares pages with
+	// it and so keeps these arrays alive, their dead rows included — a
+	// bounded cost, this file's tables once over, since every page a merge
+	// makes is allocations of its own (ef.Pager).
+	nb := int(numBlocks)
+	rows, frows := make([]ef.Row, nb), make([]freqRow, nb)
+	var pages []ef.Page[ef.Row]
+	var fpages []ef.Page[freqRow]
+	if nb > 0 {
+		np := (nb + 1<<ef.PageShift - 1) >> ef.PageShift
+		pages, fpages = make([]ef.Page[ef.Row], np), make([]ef.Page[freqRow], np)
+	}
 	ew, fw := words[:efWords:efWords], words[efWords:]
-	for i := range int(numBlocks) {
+	var eAt, fAt, eStart, fStart int // word positions in the two runs; where the page began
+	for i := range nb {
 		e := entryAt(table, i)
-		blk, fb := l.Block(i), fs.block(i)
-		blk.FirstDocID, blk.N, blk.B, blk.HighLen = e.firstDocID, int(e.n), int(e.b), int(e.highLen)
-		blk.HighBits, ew = cut(ew, e.highWords)
-		blk.LowBits, ew = cut(ew, e.lowWords)
-		fb.b = e.freqB
-		fb.words, fw = cut(fw, uint32(e.freqWords))
+		if i&(1<<ef.PageShift-1) == 0 {
+			eStart, fStart = eAt, fAt
+		}
+		// The bounds above make every field fit its row.
+		r := ef.Row{
+			FirstDocID: e.firstDocID, Off: uint16(eAt - eStart), HighLen: uint16(e.highLen),
+			N: uint8(e.n), B: e.b, HighWords: uint8(e.highWords), LowWords: uint8(e.lowWords),
+		}
+		rows[i] = r
+		frows[i] = freqRow{off: uint16(fAt - fStart), b: e.freqB, words: uint8(e.freqWords)}
+		high := ew[eAt : eAt+int(e.highWords)]
+		eAt += int(e.highWords) + int(e.lowWords)
+		fAt += int(e.freqWords)
+		if i&(1<<ef.PageShift-1) == 1<<ef.PageShift-1 || i == nb-1 {
+			p, lo := i>>ef.PageShift, i&^(1<<ef.PageShift-1)
+			pages[p] = ef.Page[ef.Row]{Rows: rows[lo : i+1], Words: ew[eStart:eAt:eAt]}
+			fpages[p] = ef.Page[freqRow]{Rows: frows[lo : i+1], Words: fw[fStart:fAt:fAt]}
+		}
 
-		if i > 0 && blk.FirstDocID <= l.Block(i-1).FirstDocID {
-			return nil, fmt.Errorf("block %d first docID %d after %d", i, blk.FirstDocID, l.Block(i-1).FirstDocID)
+		if i > 0 && r.FirstDocID <= rows[i-1].FirstDocID {
+			return nil, fmt.Errorf("block %d first docID %d after %d", i, r.FirstDocID, rows[i-1].FirstDocID)
 		}
 		// The unary high-bits array holds one one-bit per element, all
 		// below HighLen: select (Get), the serial decode and the device
 		// kernel's popcount scan all rely on exactly that.
-		if below, total := onesBelow(blk.HighBits, blk.HighLen); below != blk.N || total != blk.N {
+		if below, total := onesBelow(high, int(r.HighLen)); below != int(r.N) || total != int(r.N) {
 			return nil, fmt.Errorf("block %d: %d ones in %d high bits (%d in all) for n=%d",
-				i, below, blk.HighLen, total, blk.N)
+				i, below, r.HighLen, total, r.N)
 		}
 	}
-	return &PostingList{Term: term, N: int(n), EF: l, Freqs: fs}, nil
+	return &PostingList{
+		Term: term, N: int(n),
+		EF:    &ef.List{N: int(n), Pages: pages},
+		Freqs: &FreqStore{n: int(n), pages: fpages},
+	}, nil
 }
 
 // blockEntry is one row of a list's block table: the header fields of
@@ -361,12 +387,6 @@ func (r blockEntry) put(e *encoder) {
 	e.u8(r.b)
 	e.u8(r.freqB)
 	e.u16(r.pad)
-}
-
-// cut splits off the first n words of ws, capped so that an append to
-// the piece can never reach its neighbour.
-func cut(ws []uint64, n uint32) (head, rest []uint64) {
-	return ws[:n:n], ws[n:]
 }
 
 // onesBelow counts the one-bits of words at bit positions below nbits,

@@ -12,65 +12,54 @@ import (
 // own <= BlockSize elements alone (docIDs relative to the block's first
 // one, frequencies at the block's own width), so a list whose first
 // k*BlockSize postings did not change keeps its first k blocks of all
-// three forms byte for byte — and, the three block tables being paged
-// (pvec), the pages of table rows below k as they are: a spliced list
-// allocates its tail, one page per table for the rows around k, and a
-// page table; nothing the size of the list. The helpers below are what
-// a live merge builds on: decode a list from block k, re-encode only
-// that tail behind the shared prefix, and assemble an Index from the
-// finished lists. Builder.Build encodes through the same SpliceList
-// (k = 0), which is what makes a spliced segment identical to a fresh
-// build of the same logical corpus.
+// three forms byte for byte — and, the three block tables being paged,
+// the pages below k as they are, rows and words: a spliced list allocates
+// its tail, one page per table for the rows and words around k, and a
+// page table; nothing the size of the list. The helpers below are what a
+// live merge builds on: decode a list from block k, re-encode only that
+// tail behind the shared prefix, and assemble an Index from the finished
+// lists. Builder.Build encodes through the same SpliceList (k = 0), which
+// is what makes a spliced segment identical to a fresh build of the same
+// logical corpus.
 
 // DecodeFrom decodes the postings of blocks [k, end): docIDs and their
 // parallel frequencies, as fresh slices.
 func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
 	n := p.N - k*BlockSize
 	ids, freqs = make([]uint32, n), make([]uint32, n)
-	for i := k; i < p.EF.Blocks.Len(); i++ {
+	for i := k; i < p.EF.NumBlocks(); i++ {
 		off := (i - k) * BlockSize
-		p.EF.Block(i).DecompressInto(ids[off:])
+		p.EF.DecompressBlock(i, ids[off:])
 		p.Freqs.DecodeBlock(i, freqs[off:])
 	}
 	return ids, freqs
 }
 
 // SpliceList returns term's posting list made of old's blocks [0, k),
-// shared by reference (pvec.Vec.Splice: whole table pages as they are,
-// the rows of the page k falls in copied), followed by the encoding of
+// shared by reference (ef.List.Splice: whole pages as they are, the rows
+// and words of the page k falls in copied), followed by the encoding of
 // the tail postings (ids strictly ascending and above every prefix
-// docID, freqs parallel). With k == 0 nothing of old is used (it may be nil) and the result is
-// the plain encoding of the tail. codec selects the compressed forms;
-// CodecBoth with k > 0 needs old to carry its PForDelta form.
+// docID, freqs parallel). With k == 0 nothing of old is used (it may be
+// nil) and the result is the plain encoding of the tail. codec selects
+// the compressed forms; CodecBoth with k > 0 needs old to carry its
+// PForDelta form.
 func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec Codec) (*PostingList, error) {
 	if len(freqs) != len(ids) {
 		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))
 	}
+	var oldEF *ef.List
+	var oldFreqs *FreqStore
 	if k > 0 {
-		if k > old.EF.Blocks.Len() || old.EF.Block(k-1).N != BlockSize {
-			return nil, fmt.Errorf("index: term %q: splice at block %d of %d", term, k, old.EF.Blocks.Len())
-		}
-		if last := old.EF.Block(k - 1).Get(BlockSize - 1); len(ids) > 0 && ids[0] <= last {
-			return nil, fmt.Errorf("%w: term %q docID %d after %d", ef.ErrNotAscending, term, ids[0], last)
-		}
 		if codec == CodecBoth && old.PFD == nil {
 			return nil, fmt.Errorf("index: term %q: splice at block %d without a PForDelta prefix", term, k)
 		}
+		oldEF, oldFreqs = old.EF, old.Freqs
 	}
-	efTail, err := ef.Compress(ids)
+	l, err := oldEF.Splice(k, ids)
 	if err != nil {
-		return nil, fmt.Errorf("term %q: %w", term, err)
+		return nil, fmt.Errorf("index: term %q: %w", term, err)
 	}
-	pl := &PostingList{
-		Term:  term,
-		N:     k*BlockSize + len(ids),
-		EF:    efTail,
-		Freqs: PackFreqs(freqs),
-	}
-	if k > 0 {
-		pl.EF = &ef.List{N: pl.N, Blocks: old.EF.Blocks.Splice(k, efTail.Blocks)}
-		pl.Freqs = &FreqStore{n: pl.N, blocks: old.Freqs.blocks.Splice(k, pl.Freqs.blocks)}
-	}
+	pl := &PostingList{Term: term, N: l.N, EF: l, Freqs: spliceFreqs(oldFreqs, k, freqs)}
 	if codec == CodecBoth {
 		pl.PFD, err = pfordelta.Compress(ids)
 		if err != nil {
@@ -86,9 +75,8 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec
 // ListEncoder encodes posting lists from postings handed over a block at
 // a time, for a caller that never holds a whole list (the shard split):
 // Append as many blocks as the list has, then Finish. The list is the one
-// SpliceList(term, nil, 0, ...) encodes from the same postings, except
-// that its words are cut from chunks shared with the encoder's other
-// lists (see ef.Encoder). The zero value encodes CodecEF.
+// SpliceList(term, nil, 0, ...) encodes from the same postings, page for
+// page (see ef.Encoder). The zero value encodes CodecEF.
 type ListEncoder struct {
 	// Codec selects the compressed forms, as for SpliceList.
 	Codec Codec

@@ -48,10 +48,10 @@ func buildList(t *testing.T, ids, freqs []uint32, codec Codec) *PostingList {
 func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
 	for _, codec := range []Codec{CodecEF, CodecBoth} {
 		r := rand.New(rand.NewSource(int64(16 + codec)))
-		for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 700} {
+		for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 700, 65*BlockSize + 3} {
 			ids, freqs := randomPostings(r, n)
 			old := buildList(t, ids, freqs, codec)
-			nb := old.EF.Blocks.Len()
+			nb := old.EF.NumBlocks()
 			for k := 0; k <= nb; k++ {
 				if k > 0 && old.EF.Block(k-1).N != BlockSize {
 					continue // a prefix must end on a full block
@@ -87,9 +87,9 @@ func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("codec %d n=%d k=%d: spliced list differs from the rebuilt one", codec, n, k)
 				}
-				for b := 0; b < k; b++ {
-					if &got.EF.Block(b).HighBits[0] != &old.EF.Block(b).HighBits[0] {
-						t.Fatalf("codec %d n=%d k=%d: prefix block %d was copied, not shared", codec, n, k, b)
+				for p := range k >> ef.PageShift {
+					if &got.EF.Pages[p].Words[0] != &old.EF.Pages[p].Words[0] || &got.Freqs.pages[p].Words[0] != &old.Freqs.pages[p].Words[0] {
+						t.Fatalf("codec %d n=%d k=%d: prefix page %d was copied, not shared", codec, n, k, p)
 					}
 				}
 			}
@@ -160,7 +160,7 @@ func TestAddPostingsBulk(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl, _ := ix.Lookup("t")
-	if got := pl.DocIDs(); !reflect.DeepEqual(got, []uint32{3, 9, 10, 40}) {
+	if got := pl.EF.Decompress(); !reflect.DeepEqual(got, []uint32{3, 9, 10, 40}) {
 		t.Errorf("docIDs = %v", got)
 	}
 	if got := pl.Freqs.Decode(); !reflect.DeepEqual(got, []uint32{2, 5, 1, 1}) {

@@ -499,8 +499,8 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 			t.Errorf("term %q: PFD postings diverge", term)
 		}
 		for i := 0; i < gp.N; i++ {
-			if gp.FreqOf(i) != wp.FreqOf(i) {
-				t.Errorf("term %q: freq[%d] = %d, want %d", term, i, gp.FreqOf(i), wp.FreqOf(i))
+			if gp.Freqs.At(i) != wp.Freqs.At(i) {
+				t.Errorf("term %q: freq[%d] = %d, want %d", term, i, gp.Freqs.At(i), wp.Freqs.At(i))
 				break
 			}
 		}

@@ -195,7 +195,7 @@ func (p *mergePlan) splice(term string, old *index.PostingList, k int, tailIDs, 
 // <= d — the only one that can hold d — or from-1 when d precedes block
 // from.
 func blockOf(pl *index.PostingList, from int, d uint32) int {
-	return from + sort.Search(pl.EF.Blocks.Len()-from, func(i int) bool { return pl.EF.Block(from+i).FirstDocID > d }) - 1
+	return from + sort.Search(pl.EF.NumBlocks()-from, func(i int) bool { return pl.EF.First(from+i) > d }) - 1
 }
 
 // firstShadowedBlock returns the block holding pl's first shadowed
@@ -213,7 +213,7 @@ func firstShadowedBlock(pl *index.PostingList, shadow []uint32) int {
 			continue
 		}
 		if bi != decoded {
-			n = pl.EF.Block(bi).DecompressInto(buf[:])
+			n = pl.EF.DecompressBlock(bi, buf[:])
 			decoded = bi
 		}
 		if _, found := slices.BinarySearch(buf[:n], d); found {

@@ -61,7 +61,7 @@ func rebuildMerge(t testing.TB, main *index.Index, v *View, codec index.Codec) (
 		shadowed := false
 		if pl != nil {
 			freqs := pl.Freqs.Decode()
-			for i, d := range pl.DocIDs() {
+			for i, d := range pl.EF.Decompress() {
 				if v.docs[d] != nil {
 					shadowed = true
 					continue
@@ -555,11 +555,10 @@ func TestMergeAllocationIndependentOfCorpus(t *testing.T) {
 // page keeps alive the allocation it lies in: were a spliced table's
 // pages cut from one array per splice, fifty merges that each touch the
 // long lists a little further in would chain fifty dead tables to the
-// live one (tried: 42 MB against the 14.5 MB of a fresh build). Pages are
-// allocations of their own (pvec), so the segment after fifty merges
-// keeps alive what a fresh build of its corpus does, plus the few KB of
-// dead slab a splice strands per list — some 3 MB here whatever the
-// corpus, which is why the corpus is the 4M-posting one.
+// live one (tried: 42 MB against the 14.5 MB of a fresh build). Pages a
+// merge makes are allocations of their own (ef.Pager, pvec), so the
+// segment after fifty merges keeps alive what a fresh build of its corpus
+// does plus the pages it still shares with the seed — 1.07x here.
 func TestMergedSegmentsDoNotPinDeadTables(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()

@@ -103,7 +103,7 @@ func binarySearch(b []uint32, v uint32) (found bool, probes int) {
 func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*IntersectResult, error) {
 	a := shortBuf.Data.([]uint32)
 	l := longBuf.Data.(*ef.List)
-	numBlocks := l.Blocks.Len()
+	numBlocks := l.NumBlocks()
 	outBuf, out, err := allocOutput(s, min(len(a), l.N))
 	if err != nil {
 		return nil, err
@@ -115,9 +115,9 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 	// Skip-pointer array: first docID of each block (device-resident as
 	// part of the uploaded list).
 	firsts := make([]uint32, 0, numBlocks)
-	for _, pg := range l.Blocks.Pages() {
-		for i := range pg {
-			firsts = append(firsts, pg[i].FirstDocID)
+	for _, pg := range l.Pages {
+		for _, r := range pg.Rows {
+			firsts = append(firsts, r.FirstDocID)
 		}
 	}
 
@@ -187,8 +187,9 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 				if c.Block >= len(neededIDs) {
 					return
 				}
-				blk := l.Block(int(neededIDs[c.Block]))
-				n := blk.DecompressInto(scratch[c.Block*ef.BlockSize : (c.Block+1)*ef.BlockSize])
+				bi := int(neededIDs[c.Block])
+				blk := l.Block(bi)
+				n := l.DecompressBlock(bi, scratch[c.Block*ef.BlockSize:(c.Block+1)*ef.BlockSize])
 				scratchLen[c.Block] = int32(n)
 				// Charged as the Para-EF phases would be for one block: the
 				// full Algorithm-1 pipeline per element.

@@ -22,7 +22,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 	dst := make([]uint32, l.N)
 	st := s.Launch(&gpu.Kernel{
 		Name:        "para_ef_decompress",
-		Grid:        l.Blocks.Len(),
+		Grid:        l.NumBlocks(),
 		Block:       ThreadsPerBlock,
 		SharedBytes: 4*maxWords32PerBlock + 4*ThreadsPerBlock,
 		MakeShared: func(int) any {
@@ -35,7 +35,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 				if c.Thread >= words32(blk.HighLen) {
 					return
 				}
-				sh.psArray[c.Thread] = int32(bits.OnesCount32(highWord32(blk, c.Thread)))
+				sh.psArray[c.Thread] = int32(bits.OnesCount32(highWord32(blk.HighBits, c.Thread)))
 				c.GlobalRead(4)
 				c.Op(1)
 				c.SharedAccess(4)
@@ -78,7 +78,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 				if w > 0 {
 					rank = i - int(sh.psArray[w-1])
 				}
-				bitPos := w*32 + bitutil.SelectInWord(uint64(highWord32(blk, w)), rank)
+				bitPos := w*32 + bitutil.SelectInWord(uint64(highWord32(blk.HighBits, w)), rank)
 				high := uint64(bitPos - i)
 				var low uint64
 				if blk.B > 0 {

@@ -76,7 +76,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 
 	k := &gpu.Kernel{
 		Name:  "para_ef_decompress",
-		Grid:  l.Blocks.Len(),
+		Grid:  l.NumBlocks(),
 		Block: ThreadsPerBlock,
 		// ps_array + index_array live in shared memory (§3.1.1: "We also
 		// store the temporary arrays in shared memory").
@@ -91,7 +91,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 				sh := c.Shared.(*paraEFShared)
 				nw := words32(blk.HighLen)
 				for w := 0; w < nw; w++ {
-					sh.psArray[w] = int32(bits.OnesCount32(highWord32(blk, w)))
+					sh.psArray[w] = int32(bits.OnesCount32(highWord32(blk.HighBits, w)))
 				}
 				c.GlobalRead(4 * nw)   // load the high-bits word
 				c.Op(nw)               // __popc
@@ -144,7 +144,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 				curW, rest, lowPos := -1, uint32(0), 0
 				for i := range out {
 					if w := int(sh.indexArray[i]); w != curW {
-						curW, rest = w, highWord32(blk, w)
+						curW, rest = w, highWord32(blk.HighBits, w)
 						first := 0
 						if w > 0 {
 							first = int(sh.psArray[w-1])
@@ -185,11 +185,11 @@ const maxWords32PerBlock = 16
 // words32 returns the number of 32-bit words covering n bits.
 func words32(n int) int { return (n + 31) / 32 }
 
-// highWord32 extracts the w-th 32-bit word of the block's high-bits array,
+// highWord32 extracts the w-th 32-bit word of a block's high-bits array,
 // mirroring the CUDA kernel's 32-bit word granularity over our 64-bit
 // backing store.
-func highWord32(blk *ef.Block, w int) uint32 {
-	u := blk.HighBits[w/2]
+func highWord32(high []uint64, w int) uint32 {
+	u := high[w/2]
 	if w%2 == 1 {
 		u >>= 32
 	}

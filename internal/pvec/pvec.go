@@ -1,9 +1,12 @@
 // Package pvec is an immutable vector held in fixed-size pages, so that
 // a successor version shares every page it did not change with the
-// version it was made from. The index keeps its per-block tables and its
-// document-length table in it: a merge that changes the tail of a list,
-// or the lengths of a few documents, allocates the pages it touches and
-// a page table of 24 bytes per page, not a copy of the table.
+// version it was made from. The index keeps its document-length table in
+// it, and the PForDelta baseline its block table: a merge that changes
+// the lengths of a few documents, or the tail of a list, allocates the
+// pages it touches and a page table of 24 bytes per page, not a copy of
+// the table. (The Elias-Fano and frequency block tables are paged the
+// same way, but each of their pages also holds the words of its blocks:
+// ef.Page.)
 //
 // A page holds 1<<shift elements, the last one of a vector the rest. The
 // shift is given when a vector is made and inherited by every version
@@ -15,8 +18,8 @@
 // Only Of cuts pages from one flat array, every one of which then keeps
 // the whole array alive: it is for a table that is a view of something
 // the vector's owner holds on to anyway (a mapped file) or that starts a
-// lineage (an opened file's block tables, a built index's length table,
-// which successors then pin once over at most) — never for a table made
+// lineage (a built index's length table, a shard split's PForDelta
+// tables, which successors then pin once over at most) — never for a table made
 // from another version, which would chain every dead table to the live
 // one.
 package pvec

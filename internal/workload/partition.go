@@ -138,8 +138,8 @@ func (sp *splitter) split(pl *index.PostingList) ([]*index.PostingList, error) {
 		}
 		st.n = 0
 	}
-	for k := 0; k < pl.EF.Blocks.Len() && err == nil; k++ {
-		n := pl.EF.Block(k).DecompressInto(sp.ids[:])
+	for k := 0; k < pl.EF.NumBlocks() && err == nil; k++ {
+		n := pl.EF.DecompressBlock(k, sp.ids[:])
 		pl.Freqs.DecodeBlock(k, sp.freqs[:])
 		for i, d := range sp.ids[:n] {
 			s := sp.shard.of(d)

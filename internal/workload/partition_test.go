@@ -38,10 +38,10 @@ func TestPartitionIndexCoversEveryPosting(t *testing.T) {
 			if !ok {
 				t.Fatalf("term %q missing from source index", term)
 			}
-			want := gpl.DocIDs()
+			want := gpl.EF.Decompress()
 			wantFreqs := make([]uint32, len(want))
 			for i := range want {
-				wantFreqs[i] = gpl.FreqOf(i)
+				wantFreqs[i] = gpl.Freqs.At(i)
 			}
 			got := make(map[uint32]uint32, len(want))
 			total := 0
@@ -54,14 +54,14 @@ func TestPartitionIndexCoversEveryPosting(t *testing.T) {
 					t.Fatalf("shards=%d term %q shard %d: GlobalN=%d want %d",
 						shards, term, s, spl.GlobalN, gpl.N)
 				}
-				for i, d := range spl.DocIDs() {
+				for i, d := range spl.EF.Decompress() {
 					if ShardOf(d, shards) != s {
 						t.Fatalf("shards=%d: doc %d on wrong shard %d", shards, d, s)
 					}
 					if _, dup := got[d]; dup {
 						t.Fatalf("shards=%d term %q: doc %d appears twice", shards, term, d)
 					}
-					got[d] = spl.FreqOf(i)
+					got[d] = spl.Freqs.At(i)
 					total++
 				}
 			}
@@ -118,7 +118,7 @@ func TestPartitionIndexDeterministic(t *testing.T) {
 			if !oka {
 				continue
 			}
-			da, db := pa.DocIDs(), pb.DocIDs()
+			da, db := pa.EF.Decompress(), pb.EF.Decompress()
 			if len(da) != len(db) {
 				t.Fatalf("shard %d term %q: lengths differ", s, term)
 			}

@@ -20,10 +20,10 @@ func refPartitionIndex(t testing.TB, ix *index.Index, shards int, codec index.Co
 	for _, term := range ix.Terms() {
 		pl, _ := ix.Lookup(term)
 		ids, freqs := make([][]uint32, shards), make([][]uint32, shards)
-		for i, d := range pl.DocIDs() {
+		for i, d := range pl.EF.Decompress() {
 			s := ShardOf(d, shards)
 			ids[s] = append(ids[s], d)
-			freqs[s] = append(freqs[s], pl.FreqOf(i))
+			freqs[s] = append(freqs[s], pl.Freqs.At(i))
 		}
 		for s := range ids {
 			if len(ids[s]) == 0 {
@@ -148,8 +148,8 @@ func splitBenchCorpus(tb testing.TB) *Corpus {
 }
 
 // Splitting allocates little beyond the shard lists it returns: their
-// slabs and block tables, plus each worker's staging and encoder scratch
-// (one block per shard, and the encoded form of one shard list). The
+// pages, plus each worker's staging and encoder scratch (one block per
+// shard, and one page of each table per shard encoder). The
 // list-at-a-time split decoded every list into whole-list arrays grown by
 // append and encoded block by block through bit writers: 5x what it
 // returned.
