@@ -50,7 +50,7 @@ func sharedCorpus(b *testing.B, cfg experiments.Config) (*workload.Corpus, []wor
 			return
 		}
 		queriesVal = workload.GenerateQueryLog(corpusVal, workload.QuerySpec{
-			NumQueries:      cfg.Scale2Queries(),
+			NumQueries:      max(int(10_000*cfg.Scale), 150), // the paper's 10,000 queries, scaled
 			PopularityAlpha: 0.45,
 			Seed:            cfg.Seed + 11,
 		})

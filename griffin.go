@@ -93,9 +93,6 @@ type OpTrace = core.OpTrace
 // and top-k selection, each with its measured and estimated cost.
 type PlanRecord = core.PlanRecord
 
-// BatchResult pairs one query of a SearchBatch call with its outcome.
-type BatchResult = core.BatchResult
-
 // ScoredDoc pairs a document with its BM25 relevance score.
 type ScoredDoc = kernels.ScoredDoc
 

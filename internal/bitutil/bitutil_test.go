@@ -7,103 +7,24 @@ import (
 	"testing/quick"
 )
 
+// Fields packed at one width come back unpacked at it, across runs of
+// fields of random widths and lengths.
 func TestWriteReadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	w := NewWriter(0)
-	type field struct {
-		v     uint64
-		width int
-	}
-	var fields []field
-	for i := 0; i < 10000; i++ {
-		width := rng.Intn(64) + 1
-		v := rng.Uint64() & ((1 << uint(width)) - 1)
-		if width == 64 {
-			v = rng.Uint64()
+	for i := 0; i < 2000; i++ {
+		width := rng.Intn(33)
+		src := make([]uint32, rng.Intn(300))
+		for j := range src {
+			src[j] = rng.Uint32() & (1<<uint(width) - 1)
 		}
-		fields = append(fields, field{v, width})
-		w.WriteBits(v, width)
-	}
-	r := NewReader(w.Words())
-	for i, f := range fields {
-		got := r.ReadBits(f.width)
-		if got != f.v {
-			t.Fatalf("field %d: got %x want %x (width %d)", i, got, f.v, f.width)
-		}
-	}
-	if r.Pos() != w.Len() {
-		t.Fatalf("cursor %d != written %d", r.Pos(), w.Len())
-	}
-}
-
-func TestWriteBitsZeroWidth(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0xff, 0)
-	if w.Len() != 0 {
-		t.Fatalf("zero-width write advanced cursor to %d", w.Len())
-	}
-	w.WriteBits(0b101, 3)
-	if w.Len() != 3 {
-		t.Fatalf("len = %d, want 3", w.Len())
-	}
-}
-
-func TestWriteBitsMasksExcess(t *testing.T) {
-	w := NewWriter(8)
-	w.WriteBits(0xffff, 4) // only low 4 bits should land
-	w.WriteBits(0, 4)
-	r := NewReader(w.Words())
-	if got := r.ReadBits(8); got != 0x0f {
-		t.Fatalf("got %x want 0x0f", got)
-	}
-}
-
-func TestUnaryRoundTrip(t *testing.T) {
-	vals := []int{0, 1, 2, 7, 63, 64, 65, 128, 1000}
-	w := NewWriter(0)
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Words())
-	for i, v := range vals {
-		if got := r.ReadUnary(); got != v {
-			t.Fatalf("unary %d: got %d want %d", i, got, v)
-		}
-	}
-}
-
-func TestUnaryMixedWithFields(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0x2a, 7)
-	w.WriteUnary(70)
-	w.WriteBits(5, 3)
-	r := NewReader(w.Words())
-	if got := r.ReadBits(7); got != 0x2a {
-		t.Fatalf("field1 = %x", got)
-	}
-	if got := r.ReadUnary(); got != 70 {
-		t.Fatalf("unary = %d", got)
-	}
-	if got := r.ReadBits(3); got != 5 {
-		t.Fatalf("field2 = %d", got)
-	}
-}
-
-func TestGetBitsMatchesReader(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	w := NewWriter(0)
-	for i := 0; i < 100; i++ {
-		w.WriteBits(rng.Uint64(), 64)
-	}
-	words := w.Words()
-	for i := 0; i < 1000; i++ {
-		width := rng.Intn(64) + 1
-		p := rng.Intn(100*64 - width)
-		r := NewReader(words)
-		r.Seek(p)
-		want := r.ReadBits(width)
-		if got := GetBits(words, p, width); got != want {
-			t.Fatalf("GetBits(%d,%d) = %x, want %x", p, width, got, want)
+		words := make([]uint64, WordsFor(len(src)*width))
+		Pack(words, src, width)
+		got := make([]uint32, len(src))
+		Unpack(got, words, width)
+		for j := range src {
+			if got[j] != src[j] {
+				t.Fatalf("width %d n=%d: field %d = %x, want %x", width, len(src), j, got[j], src[j])
+			}
 		}
 	}
 }
@@ -144,47 +65,6 @@ func TestSelectInWordProperty(t *testing.T) {
 	}
 }
 
-func TestPrefixSum(t *testing.T) {
-	src := []int32{3, 0, 5, 2, 1}
-	dst := make([]int32, len(src))
-	total := PrefixSum(dst, src)
-	want := []int32{3, 3, 8, 10, 11}
-	if total != 11 {
-		t.Fatalf("total = %d", total)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestExclusivePrefixSum(t *testing.T) {
-	src := []int32{3, 0, 5, 2, 1}
-	dst := make([]int32, len(src))
-	total := ExclusivePrefixSum(dst, src)
-	want := []int32{0, 3, 3, 8, 10}
-	if total != 11 {
-		t.Fatalf("total = %d", total)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestPrefixSumAliasing(t *testing.T) {
-	s := []int32{1, 2, 3, 4}
-	PrefixSum(s, s)
-	want := []int32{1, 3, 6, 10}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("aliased prefix sum: s[%d]=%d want %d", i, s[i], want[i])
-		}
-	}
-}
-
 func TestBitsFor(t *testing.T) {
 	cases := []struct {
 		v    uint64
@@ -214,29 +94,6 @@ func TestWordsFor(t *testing.T) {
 	for _, c := range cases {
 		if got := WordsFor(c.n); got != c.want {
 			t.Errorf("WordsFor(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
-func BenchmarkWriteBits(b *testing.B) {
-	w := NewWriter(b.N * 17)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.WriteBits(uint64(i), 17)
-	}
-}
-
-func BenchmarkReadUnary(b *testing.B) {
-	w := NewWriter(0)
-	for i := 0; i < 4096; i++ {
-		w.WriteUnary(i % 7)
-	}
-	words := w.Words()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewReader(words)
-		for j := 0; j < 4096; j++ {
-			r.ReadUnary()
 		}
 	}
 }

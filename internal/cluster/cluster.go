@@ -177,7 +177,7 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 		}
 	}
 	for s, ix := range ixs {
-		g := &shardGroup{id: s, budget: overload.NewBudget(olc.RetryBudget, olc.RetryBurst)}
+		g := &shardGroup{id: s, budget: overload.NewBudget(olc.RetryBudget, overload.DefaultRetryBurst)}
 		for r := 0; r < cfg.Replicas; r++ {
 			ecfg := cfg.Engine
 			ecfg.TopK = cfg.TopK
@@ -214,9 +214,7 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 	// shard sub-deadline leaves room to assemble the answer. Computed
 	// unconditionally (it is cheap and side-effect free) because a
 	// per-query deadline may arrive even when Config.Overload is zero.
-	if c.mergeReserve = olc.MergeReserve; c.mergeReserve <= 0 {
-		c.mergeReserve = c.worstMergeCost()
-	}
+	c.mergeReserve = c.worstMergeCost()
 	return c, nil
 }
 

@@ -84,10 +84,6 @@ type OverloadStats struct {
 // OverloadEnabled reports whether any overload control is configured.
 func (c *Cluster) OverloadEnabled() bool { return c.cfg.Overload.Enabled() }
 
-// MergeReserve returns the gather-side time subtracted from each
-// query's deadline to form shard sub-deadlines.
-func (c *Cluster) MergeReserve() time.Duration { return c.mergeReserve }
-
 // Overload snapshots the cluster's overload-control state.
 func (c *Cluster) Overload() OverloadStats {
 	st := OverloadStats{

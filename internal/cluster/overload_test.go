@@ -90,8 +90,8 @@ func TestDeadlineInfeasibleRefused(t *testing.T) {
 	c := parityCorpus(t)
 	cl := buildCluster(t, c, 2, Config{Engine: core.Config{Mode: core.CPUOnly}, TopK: 10})
 	defer cl.Close()
-	if cl.MergeReserve() <= 0 {
-		t.Fatalf("merge reserve %v not positive", cl.MergeReserve())
+	if cl.mergeReserve <= 0 {
+		t.Fatalf("merge reserve %v not positive", cl.mergeReserve)
 	}
 	q := parityQueries(c, 1)[0]
 	_, err := cl.Query(context.Background(), Request{Terms: q.Terms, QueryOpts: QueryOpts{Deadline: time.Nanosecond}})
@@ -123,7 +123,7 @@ func TestDeadlineBudgetRejectsBackloggedDevice(t *testing.T) {
 		}
 	}
 
-	tight := cl.MergeReserve() + 50*time.Microsecond
+	tight := cl.mergeReserve + 50*time.Microsecond
 	_, err := cl.Query(context.Background(), Request{Terms: q.Terms, Arrival: time.Microsecond, Timed: true, QueryOpts: QueryOpts{Deadline: tight}})
 	if !errors.Is(err, overload.ErrDeadline) {
 		t.Fatalf("tight deadline: error %v does not wrap ErrDeadline", err)
@@ -157,7 +157,7 @@ func TestDeadlineExceededDropsLateShard(t *testing.T) {
 	q := parityQueries(c, 1)[0]
 
 	// CPU shard latency is far above 1us; both shards blow the budget.
-	deadline := cl.MergeReserve() + time.Microsecond
+	deadline := cl.mergeReserve + time.Microsecond
 	res, err := cl.Query(context.Background(), Request{Terms: q.Terms, QueryOpts: QueryOpts{Deadline: deadline}})
 	if err != nil {
 		t.Fatal(err)
@@ -185,12 +185,12 @@ func TestDeadlineExceededDropsLateShard(t *testing.T) {
 func TestDeadlineMissMarksLateAnswer(t *testing.T) {
 	c := parityCorpus(t)
 	cfg := Config{
-		Engine:   core.Config{Mode: core.CPUOnly},
-		TopK:     10,
-		Overload: overload.Config{MergeReserve: time.Nanosecond},
+		Engine: core.Config{Mode: core.CPUOnly},
+		TopK:   10,
 	}
 	cl := buildCluster(t, c, 2, cfg)
 	defer cl.Close()
+	cl.mergeReserve = time.Nanosecond
 
 	// Find a query whose merged answer is non-empty and whose merge is
 	// wide enough to wedge a deadline between reserve and latency.
@@ -380,8 +380,8 @@ func TestRetryBudgetBoundsAmplification(t *testing.T) {
 		t.Fatalf("generous budget changed retries: %d != unbudgeted %d", generous.Retries, free.Retries)
 	}
 
-	tight, ost := run(overload.Config{RetryBudget: 0.05, RetryBurst: 1})
-	bound := float64(shards)*1 + 0.05*float64(ost.RetryBudget.Admissions) + 1e-6
+	tight, ost := run(overload.Config{RetryBudget: 0.05})
+	bound := float64(shards)*overload.DefaultRetryBurst + 0.05*float64(ost.RetryBudget.Admissions) + 1e-6
 	if float64(tight.Retries) > bound {
 		t.Fatalf("budgeted retries %d exceed bound %.2f (admissions %d)",
 			tight.Retries, bound, ost.RetryBudget.Admissions)

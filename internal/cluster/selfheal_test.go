@@ -123,7 +123,7 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 		TopK:     10,
 		Replicas: 2,
 		Fault:    inj,
-		Breaker:  fault.BreakerConfig{Threshold: 3, Cooldown: 5 * time.Millisecond, Probes: 1},
+		Breaker:  fault.BreakerConfig{Threshold: 3, Cooldown: 5 * time.Millisecond},
 	})
 	defer cl.Close()
 

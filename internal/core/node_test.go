@@ -90,8 +90,8 @@ func TestMultiDeviceEngineCorrectAndPlaced(t *testing.T) {
 	multi := mk(4, &sched.RoundRobinDevices{})
 	defer single.Close()
 	defer multi.Close()
-	if multi.Devices() != 4 {
-		t.Fatalf("Devices() = %d, want 4", multi.Devices())
+	if multi.Node().Devices() != 4 {
+		t.Fatalf("Devices() = %d, want 4", multi.Node().Devices())
 	}
 
 	usedDevices := map[int]bool{}
@@ -141,13 +141,12 @@ func TestMultiDeviceEngineCorrectAndPlaced(t *testing.T) {
 	if cs.PeerCopies == 0 {
 		t.Fatal("80 popularity-skewed queries over 4 devices produced no peer copies")
 	}
-	perDev := multi.DeviceCacheStats()
-	if len(perDev) != 4 {
-		t.Fatalf("DeviceCacheStats len %d", len(perDev))
+	if len(multi.caches) != 4 {
+		t.Fatalf("%d device caches", len(multi.caches))
 	}
 	var sum CacheStats
-	for _, st := range perDev {
-		sum.Add(st)
+	for _, c := range multi.caches {
+		sum.Add(c.stats())
 	}
 	if sum != cs {
 		t.Fatalf("per-device stats %+v do not sum to aggregate %+v", sum, cs)
@@ -157,9 +156,9 @@ func TestMultiDeviceEngineCorrectAndPlaced(t *testing.T) {
 	}
 }
 
-// Warmup stripes terms across the node's devices, seeding the residency
-// affinity placement routes toward.
-func TestWarmupStripesAcrossDevices(t *testing.T) {
+// Affinity placement routes a query toward the device whose cache holds
+// its list: on an idle node the resident-list saving is the only signal.
+func TestAffinityRoutesToResidentDevice(t *testing.T) {
 	c := testCorpus(t)
 	e, err := New(c.Index, Config{
 		Mode:       Hybrid,
@@ -171,33 +170,17 @@ func TestWarmupStripesAcrossDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	terms := c.Index.Terms()
-	if len(terms) < 4 {
-		t.Fatalf("corpus has only %d terms", len(terms))
-	}
-	loaded, took, err := e.Warmup(terms[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 4 {
-		t.Fatalf("loaded %d lists, want 4", loaded)
-	}
-	if took <= 0 {
-		t.Fatal("warmup reported zero simulated upload time")
-	}
-	perDev := e.DeviceCacheStats()
-	if perDev[0].Lists != 2 || perDev[1].Lists != 2 {
-		t.Fatalf("striping put %d/%d lists, want 2/2", perDev[0].Lists, perDev[1].Lists)
-	}
-
-	// Affinity placement now routes a warm term's query to its device: an
-	// idle node's only signal is the resident-list saving.
-	pl, ok := c.Index.Lookup(terms[1])
+	pl, ok := c.Index.Lookup(c.Index.Terms()[1])
 	if !ok {
-		t.Fatal("warm term missing")
+		t.Fatal("term missing")
 	}
+	release, ok := e.caches[1].put(pl.Term, allocBuf(t, e.node.Runtime(1).Device(), pl.EF.CompressedBytes()))
+	if !ok {
+		t.Fatal("cache refused the list")
+	}
+	release()
 	if got := e.placeDevice(Request{Terms: []string{pl.Term}}); got != 1 {
-		t.Fatalf("query for term warmed on device 1 placed on device %d", got)
+		t.Fatalf("query for a term resident on device 1 placed on device %d", got)
 	}
 }
 

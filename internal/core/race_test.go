@@ -11,7 +11,7 @@ import (
 
 // Stress the concurrent-search path that shares the most mutable state:
 // one device, one engine per mode with the list cache enabled, 8
-// goroutines hammering SearchBatch so cache get/put/evict, the device
+// goroutines each running a concurrent batch so cache get/put/evict, the device
 // allocator, and per-query streams all interleave. Run under -race this
 // is the synchronization check for the whole upload path; the cache is
 // deliberately small so eviction (including evict-while-referenced) is
@@ -46,7 +46,7 @@ func TestSearchBatchRaceStress(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for _, br := range e.SearchBatch(qs, 4) {
+				for _, br := range searchBatch(e, qs, 4) {
 					if br.Err != nil {
 						t.Errorf("%v: query %v: %v", m, br.Terms, br.Err)
 						return

@@ -452,14 +452,6 @@ func (l *List) CompressedBits() int64 {
 
 const blockHeaderBits = 32 + 8 + 6
 
-// Ratio returns the compression ratio relative to raw 32-bit docIDs.
-func (l *List) Ratio() float64 {
-	if l.N == 0 {
-		return 0
-	}
-	return float64(int64(l.N)*32) / float64(l.CompressedBits())
-}
-
 // CompressedBytes returns the compressed size in bytes, rounded up; this is
 // what the scheduler charges for PCIe transfer of a compressed list.
 func (l *List) CompressedBytes() int64 {

@@ -178,7 +178,7 @@ func TestCompressionBeatsPforDeltaOnClusteredData(t *testing.T) {
 	if got := l.CompressedBits(); got > bound {
 		t.Fatalf("compressed bits %d exceed quasi-succinct bound %d", got, bound)
 	}
-	if r := l.Ratio(); r < 3 {
+	if r := 32 * float64(l.N) / float64(l.CompressedBits()); r < 3 {
 		t.Fatalf("ratio %.2f unexpectedly low for dense list", r)
 	}
 }

@@ -10,11 +10,19 @@ import (
 	"griffin/internal/bitutil"
 )
 
-// The bit-at-a-time codec the package had before blocks were encoded into a
-// slab and decoded a word at a time: one bitutil.Writer call per posting
-// to encode, one Reader/GetBits call per posting to decode. It stays here
+// A bit-at-a-time codec, written from the definition: posting i sets bit
+// high_i+i of the high array and its b low bits at i*b of the low array,
+// one bit at a time, and decodes by scanning for set bits. It stays here
 // as the reference the block codec is held to — same bytes out, same
 // docIDs back.
+
+// putBits sets the width-bit field at bit p of words to v, one bit at a
+// time; the field's bits must be clear.
+func putBits(words []uint64, p, width int, v uint64) {
+	for j := 0; j < width; j++ {
+		words[(p+j)/bitutil.WordBits] |= v >> uint(j) & 1 << uint((p+j)%bitutil.WordBits)
+	}
+}
 
 func refCompressBlock(ids []uint32) Block {
 	n := len(ids)
@@ -24,17 +32,14 @@ func refCompressBlock(ids []uint32) Block {
 	if u/uint64(n) >= 1 {
 		b = bitutil.Log2Floor(u / uint64(n))
 	}
-	low := bitutil.NewWriter(n * b)
-	high := bitutil.NewWriter(2 * n)
-	prevHigh := uint64(0)
-	for _, id := range ids {
+	highLen := int(u>>uint(b)) + n
+	low, high := make([]uint64, bitutil.WordsFor(n*b)), make([]uint64, bitutil.WordsFor(highLen))
+	for i, id := range ids {
 		v := uint64(id - first)
-		low.WriteBits(v, b)
-		h := v >> uint(b)
-		high.WriteUnary(int(h - prevHigh))
-		prevHigh = h
+		putBits(low, i*b, b, v)
+		putBits(high, int(v>>uint(b))+i, 1, 1)
 	}
-	return Block{FirstDocID: first, N: n, B: b, HighBits: high.Words(), HighLen: high.Len(), LowBits: low.Words()}
+	return Block{FirstDocID: first, N: n, B: b, HighBits: high, HighLen: highLen, LowBits: low}
 }
 
 // refCompress encodes ids a block at a time and lays the blocks out as a
@@ -58,11 +63,14 @@ func refCompress(ids []uint32) *List {
 }
 
 func refDecompressInto(b Block, dst []uint32) int {
-	r := bitutil.NewReader(b.HighBits)
-	var high uint64
+	pos := 0 // bit cursor in the high array
 	lowPos := 0
 	for i := 0; i < b.N; i++ {
-		high += uint64(r.ReadUnary())
+		for bitutil.GetBits(b.HighBits, pos, 1) == 0 {
+			pos++
+		}
+		high := uint64(pos - i)
+		pos++
 		var low uint64
 		if b.B > 0 {
 			low = bitutil.GetBits(b.LowBits, lowPos, b.B)

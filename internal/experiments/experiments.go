@@ -213,9 +213,3 @@ func (c Config) corpusSpec() workload.CorpusSpec {
 func (c Config) BuildCorpus() (*workload.Corpus, error) {
 	return workload.GenerateCorpus(c.corpusSpec())
 }
-
-// Scale2Queries returns the end-to-end query-log length at this scale
-// (paper: 10,000 queries).
-func (c Config) Scale2Queries() int {
-	return c.scaled(10_000, 150)
-}

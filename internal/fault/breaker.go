@@ -13,8 +13,8 @@ const (
 	Closed BreakerState = iota
 	// Open: traffic is refused until the cooldown expires.
 	Open
-	// HalfOpen: a bounded number of probe requests are admitted; enough
-	// successes re-close the breaker, any failure re-opens it.
+	// HalfOpen: one probe request at a time is admitted; its success
+	// re-closes the breaker, its failure re-opens it.
 	HalfOpen
 )
 
@@ -31,17 +31,15 @@ func (s BreakerState) String() string {
 }
 
 // BreakerConfig tunes one replica's circuit breaker. The zero value
-// selects defaults (Threshold 3, Cooldown 5ms, Probes 1); Threshold < 0
-// disables the breaker entirely (Allow always true).
+// selects defaults (Threshold 3, Cooldown 5ms); Threshold < 0 disables
+// the breaker entirely (Allow always true). A half-open breaker admits
+// one probe at a time, and one probe success re-closes it.
 type BreakerConfig struct {
 	// Threshold is the consecutive-failure count that trips the breaker.
 	Threshold int
 	// Cooldown is how long (in the cluster's modeled time) the breaker
 	// stays Open before admitting half-open probes.
 	Cooldown time.Duration
-	// Probes is how many consecutive probe successes re-close a
-	// half-open breaker.
-	Probes int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -50,9 +48,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Millisecond
-	}
-	if c.Probes <= 0 {
-		c.Probes = 1
 	}
 	return c
 }
@@ -67,9 +62,8 @@ type Breaker struct {
 
 	mu        sync.Mutex
 	state     BreakerState
-	strikes   int // consecutive failures while Closed
-	successes int // consecutive probe successes while HalfOpen
-	probing   int // probe slots currently reserved while HalfOpen
+	strikes   int  // consecutive failures while Closed
+	probing   bool // the probe slot is reserved while HalfOpen
 	openUntil time.Duration
 	trips     int64
 }
@@ -84,11 +78,10 @@ func (b *Breaker) Disabled() bool { return b.cfg.Threshold < 0 }
 
 // Allow reports whether a request may proceed at modeled time now. An
 // Open breaker whose cooldown has expired transitions to HalfOpen and
-// admits the probe. A HalfOpen breaker reserves a probe slot per
-// admission and holds at most Probes outstanding reservations — two
-// concurrent callers cannot both be admitted as *the* probe. Each
-// admitted probe must settle its reservation with Record (an outcome)
-// or Cancel (the attempt never executed).
+// admits the probe. A HalfOpen breaker reserves its one probe slot per
+// admission — two concurrent callers cannot both be admitted as *the*
+// probe. Each admitted probe must settle its reservation with Record (an
+// outcome) or Cancel (the attempt never executed).
 func (b *Breaker) Allow(now time.Duration) bool {
 	if b.Disabled() {
 		return true
@@ -101,16 +94,15 @@ func (b *Breaker) Allow(now time.Duration) bool {
 	case Open:
 		if now >= b.openUntil {
 			b.state = HalfOpen
-			b.successes = 0
-			b.probing = 1
+			b.probing = true
 			return true
 		}
 		return false
-	default: // HalfOpen: admit up to Probes outstanding reservations
-		if b.probing >= b.cfg.Probes {
+	default: // HalfOpen: admit one outstanding probe
+		if b.probing {
 			return false
 		}
-		b.probing++
+		b.probing = true
 		return true
 	}
 }
@@ -125,14 +117,14 @@ func (b *Breaker) Cancel() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == HalfOpen && b.probing > 0 {
-		b.probing--
+	if b.state == HalfOpen {
+		b.probing = false
 	}
 }
 
 // Record reports one request outcome at modeled time now. Failures
 // accumulate toward the trip threshold (Closed) or re-open immediately
-// (HalfOpen); successes reset the strike count or, after enough probes,
+// (HalfOpen); successes reset the strike count or, from a probe,
 // re-close the breaker.
 func (b *Breaker) Record(now time.Duration, ok bool) {
 	if b.Disabled() {
@@ -153,19 +145,13 @@ func (b *Breaker) Record(now time.Duration, ok bool) {
 	case Open:
 		// A straggler finishing after the trip; ignore.
 	case HalfOpen:
-		if b.probing > 0 {
-			b.probing--
-		}
+		b.probing = false
 		if !ok {
 			b.trip(now)
 			return
 		}
-		b.successes++
-		if b.successes >= b.cfg.Probes {
-			b.state = Closed
-			b.strikes = 0
-			b.probing = 0
-		}
+		b.state = Closed
+		b.strikes = 0
 	}
 }
 
@@ -174,8 +160,7 @@ func (b *Breaker) trip(now time.Duration) {
 	b.state = Open
 	b.openUntil = now + b.cfg.Cooldown
 	b.strikes = 0
-	b.successes = 0
-	b.probing = 0
+	b.probing = false
 	b.trips++
 }
 

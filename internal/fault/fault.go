@@ -128,9 +128,6 @@ type Plan struct {
 	Rules []Rule
 }
 
-// Enabled reports whether the plan can inject anything.
-func (p Plan) Enabled() bool { return len(p.Rules) > 0 }
-
 // ChaosPlan derives the full fault mix from one base rate — what the
 // chaos sweep measures and griffin-server -chaos-rate serves under:
 // device-level kernel and transfer failures at the base rate, occasional
@@ -276,14 +273,6 @@ func NewInjector(plan Plan) *Injector {
 		}
 	}
 	return in
-}
-
-// Seed returns the plan seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.plan.Seed
 }
 
 // site returns (creating) the named site's state. Caller holds in.mu.

@@ -26,7 +26,7 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	if got := in.Log(); got != nil {
 		t.Fatalf("nil injector has log %v", got)
 	}
-	if in.Total() != 0 || in.Counts() != nil || in.Seed() != 0 {
+	if in.Total() != 0 || in.Counts() != nil {
 		t.Fatalf("nil injector has non-zero telemetry")
 	}
 }
@@ -207,7 +207,7 @@ func TestLogDeterministicUnderConcurrency(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 10 * time.Millisecond, Probes: 2})
+	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: 10 * time.Millisecond})
 	now := time.Duration(0)
 	if !b.Allow(now) || b.State(now) != Closed {
 		t.Fatalf("new breaker not closed")
@@ -250,14 +250,13 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State(now) != Open || b.Trips() != 2 {
 		t.Fatalf("failed probe did not re-open (state=%v trips=%d)", b.State(now), b.Trips())
 	}
-	// Recover: two probe successes re-close.
+	// Recover: one probe at a time, and its success re-closes.
 	now += 10 * time.Millisecond
 	if !b.Allow(now) {
 		t.Fatalf("second probe refused")
 	}
-	b.Record(now, true)
-	if b.State(now) != HalfOpen {
-		t.Fatalf("breaker closed after one probe, want two")
+	if b.Allow(now) {
+		t.Fatalf("a second concurrent probe admitted")
 	}
 	b.Record(now, true)
 	if b.State(now) != Closed || !b.Allow(now) {
@@ -266,13 +265,13 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 // TestBreakerConcurrentHalfOpenProbes races many goroutines against a
-// half-open breaker: exactly Probes of them may be admitted as the
+// half-open breaker: exactly one of them may be admitted as the
 // probe, a probe failure re-opens cleanly with no stuck reservations,
 // and a cancelled reservation frees the slot for another caller.
 func TestBreakerConcurrentHalfOpenProbes(t *testing.T) {
 	const attempts = 64
 	for seed := 0; seed < 3; seed++ {
-		b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond, Probes: 1})
+		b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10 * time.Millisecond})
 		b.Record(0, false) // trip
 		if b.State(0) != Open {
 			t.Fatalf("seed %d: breaker not open after threshold failure", seed)

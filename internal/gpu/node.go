@@ -134,15 +134,6 @@ func (n *NodeRuntime) BatchStats() BatchStats {
 	return st
 }
 
-// DeviceBatchStats returns per-device batching telemetry in device order.
-func (n *NodeRuntime) DeviceBatchStats() []BatchStats {
-	out := make([]BatchStats, len(n.devs))
-	for i, rt := range n.devs {
-		out[i] = rt.BatchStats()
-	}
-	return out
-}
-
 // BatchSavings reports, per device, the fixed-cost rebate a freshly
 // admitted query's compute work could expect from that device's open
 // batches — the batch-aware complement of Backlogs that placement

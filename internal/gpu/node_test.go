@@ -49,8 +49,8 @@ func TestNodeSingleDeviceParity(t *testing.T) {
 	if ns.Utilization != refStats.Utilization {
 		t.Fatalf("node utilization %v != device utilization %v", ns.Utilization, refStats.Utilization)
 	}
-	if node.Utilization() != rt.Utilization() {
-		t.Fatalf("Utilization() %v != standalone %v", node.Utilization(), rt.Utilization())
+	if node.Utilization() != rt.Stats().Utilization {
+		t.Fatalf("Utilization() %v != standalone %v", node.Utilization(), rt.Stats().Utilization)
 	}
 }
 

@@ -1,10 +1,6 @@
 package gpu
 
-import (
-	"fmt"
-	"strings"
-	"time"
-)
+import "time"
 
 // ProfileEvent records one operation on a profiled stream.
 type ProfileEvent struct {
@@ -45,22 +41,6 @@ func (s *Stream) Profile() []ProfileEvent {
 		return nil
 	}
 	return s.log.events
-}
-
-// ProfileReport renders the recorded events as an aligned text timeline,
-// one row per event with the stream it ran on: for a StreamSet, the
-// three-lane picture of which copies hid under which kernels.
-func (s *Stream) ProfileReport() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-9s %-10s %-26s %12s %12s %10s\n", "stream", "kind", "name", "start(us)", "took(us)", "bytes")
-	for _, e := range s.Profile() {
-		fmt.Fprintf(&sb, "%-9s %-10s %-26s %12.1f %12.1f %10d\n",
-			e.Stream, e.Kind, e.Name,
-			float64(e.Start)/float64(time.Microsecond),
-			float64(e.Took)/float64(time.Microsecond),
-			e.Bytes)
-	}
-	return sb.String()
 }
 
 // record appends an event if profiling is enabled; called by the Stream

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"strings"
 	"testing"
 
 	"griffin/internal/hwmodel"
@@ -45,13 +44,6 @@ func TestProfilingRecordsTimeline(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Start+last.Took != s.Elapsed() {
 		t.Fatalf("timeline end %v != stream clock %v", last.Start+last.Took, s.Elapsed())
-	}
-
-	report := s.ProfileReport()
-	for _, want := range []string{"launch", "probe", "h2d", "d2h"} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("report missing %q:\n%s", want, report)
-		}
 	}
 }
 

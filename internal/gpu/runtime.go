@@ -119,10 +119,6 @@ func NewRuntime(dev *Device, streams int) *DeviceRuntime {
 // Device returns the underlying simulated device.
 func (rt *DeviceRuntime) Device() *Device { return rt.dev }
 
-// Index returns the runtime's device ordinal within its node (0 for a
-// standalone runtime).
-func (rt *DeviceRuntime) Index() int { return rt.index }
-
 // SetSubmitHook installs (or, with nil, removes) the submission
 // interceptor. Install hooks before serving traffic: the hook field is
 // read under the runtime lock, but swapping it mid-workload makes the
@@ -131,42 +127,6 @@ func (rt *DeviceRuntime) SetSubmitHook(h SubmitHook) {
 	rt.mu.Lock()
 	rt.hook = h
 	rt.mu.Unlock()
-}
-
-// Streams returns the number of compute lanes.
-func (rt *DeviceRuntime) Streams() int { return rt.streams }
-
-// EnableProfiling turns on lane-occupancy recording (LaneSpans). Like
-// stream profiling it costs nothing on the simulated clocks.
-func (rt *DeviceRuntime) EnableProfiling() {
-	rt.mu.Lock()
-	rt.profiling = true
-	rt.mu.Unlock()
-}
-
-// ComputeSpans returns a copy of each compute lane's recorded occupancy
-// intervals (profiling only).
-func (rt *DeviceRuntime) ComputeSpans() [][]LaneSpan {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([][]LaneSpan, len(rt.compute))
-	for i := range rt.compute {
-		out[i] = append([]LaneSpan(nil), rt.compute[i].spans...)
-	}
-	return out
-}
-
-// CopySpans returns a copy of each copy engine's recorded occupancy
-// intervals (profiling only): index 0 is host-to-device, 1 is
-// device-to-host.
-func (rt *DeviceRuntime) CopySpans() [][]LaneSpan {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([][]LaneSpan, len(rt.copyEng))
-	for i := range rt.copyEng {
-		out[i] = append([]LaneSpan(nil), rt.copyEng[i].spans...)
-	}
-	return out
 }
 
 // QueryStream is one admitted query's handle on the runtime: a private
@@ -185,7 +145,7 @@ type QueryStream struct {
 }
 
 // Admission parameterizes one query's admission to a device runtime.
-// The zero value is the service path (Search, SearchBatch, HTTP
+// The zero value is the service path (Search, HTTP
 // handlers): no explicit arrival, no deadline budget.
 type Admission struct {
 	// Arrival places the query at an explicit point on the global
@@ -281,9 +241,6 @@ func (h *QueryStream) Waited() time.Duration {
 	defer h.mu.Unlock()
 	return h.waited
 }
-
-// Arrival returns the query's anchor on the global device timeline.
-func (h *QueryStream) Arrival() time.Duration { return h.anchor }
 
 // Device returns the ordinal of the device this query was admitted to
 // within its node (0 on a standalone runtime) — the id exec operators and
@@ -499,7 +456,3 @@ func (rt *DeviceRuntime) Stats() RuntimeStats {
 	}
 	return st
 }
-
-// Utilization returns compute-engine utilization over the timeline so
-// far, in [0,1].
-func (rt *DeviceRuntime) Utilization() float64 { return rt.Stats().Utilization }

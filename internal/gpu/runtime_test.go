@@ -249,7 +249,7 @@ func TestRuntimeMoreStreamsLessWaiting(t *testing.T) {
 func TestRuntimeConcurrentTimelinesWellFormed(t *testing.T) {
 	dev := New(hwmodel.DefaultGPU(), 2)
 	rt := NewRuntime(dev, 2)
-	rt.EnableProfiling()
+	rt.profiling = true // record lane occupancy
 
 	const goroutines = 8
 	const perG = 5
@@ -307,13 +307,12 @@ func TestRuntimeConcurrentTimelinesWellFormed(t *testing.T) {
 		}
 	}
 	var kernelSpans int
-	for li, spans := range rt.ComputeSpans() {
-		kernelSpans += len(spans)
-		checkLane("compute lane", spans)
-		_ = li
+	for _, ln := range rt.compute {
+		kernelSpans += len(ln.spans)
+		checkLane("compute lane", ln.spans)
 	}
-	for _, spans := range rt.CopySpans() {
-		checkLane("copy engine", spans)
+	for _, ln := range rt.copyEng {
+		checkLane("copy engine", ln.spans)
 	}
 	if kernelSpans == 0 {
 		t.Fatal("no compute spans recorded")

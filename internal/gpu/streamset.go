@@ -73,8 +73,7 @@ func (q *StreamSet) Join() time.Duration {
 }
 
 // EnableProfiling turns on event recording for all the set's streams into
-// one shared log, read back through any of them (Stream.Profile,
-// Stream.ProfileReport).
+// one shared log, read back through any of them (Stream.Profile).
 func (q *StreamSet) EnableProfiling() {
 	log := &profileLog{}
 	for c := range q.streams {

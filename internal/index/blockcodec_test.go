@@ -11,10 +11,10 @@ import (
 	"griffin/internal/ef"
 )
 
-// refPackFreqs is the bit-at-a-time frequency encoder the package had
-// before PackFreqs packed a block per call into its page: a
-// bitutil.Writer per block, one WriteBits per frequency, the blocks laid
-// out 64 rows a page, each page's words its blocks' words back to back.
+// refPackFreqs is a bit-at-a-time frequency encoder: each block's
+// frequencies at the block's widest width, set one bit at a time, the
+// blocks laid out 64 rows a page, each page's words its blocks' words
+// back to back.
 // The block codec is held to its bytes, and to FreqStore.At — the
 // per-element decoder — for what comes back.
 func refPackFreqs(freqs []uint32) *FreqStore {
@@ -27,16 +27,18 @@ func refPackFreqs(freqs []uint32) *FreqStore {
 				b = w
 			}
 		}
-		w := bitutil.NewWriter(len(chunk) * b)
-		for _, f := range chunk {
-			w.WriteBits(uint64(f), b)
+		words := make([]uint64, bitutil.WordsFor(len(chunk)*b))
+		for i, f := range chunk {
+			for j := 0; j < b; j++ {
+				words[(i*b+j)/bitutil.WordBits] |= uint64(f>>uint(j)&1) << uint((i*b+j)%bitutil.WordBits)
+			}
 		}
 		if start%(BlockSize<<ef.PageShift) == 0 {
 			fs.pages = append(fs.pages, ef.Page[freqRow]{})
 		}
 		pg := &fs.pages[len(fs.pages)-1]
-		pg.Rows = append(pg.Rows, freqRow{off: uint16(len(pg.Words)), b: uint8(b), words: uint8(len(w.Words()))})
-		pg.Words = append(pg.Words, w.Words()...)
+		pg.Rows = append(pg.Rows, freqRow{off: uint16(len(pg.Words)), b: uint8(b), words: uint8(len(words))})
+		pg.Words = append(pg.Words, words...)
 	}
 	return fs
 }
@@ -84,9 +86,9 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 256, 257, 1000} {
 		for width := 1; width <= 32; width++ {
 			freqs := freqsOfWidth(r, n, width)
-			got, want := PackFreqs(freqs), refPackFreqs(freqs)
+			got, want := spliceFreqs(nil, 0, freqs), refPackFreqs(freqs)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d width=%d: PackFreqs differs from the reference encoding", n, width)
+				t.Fatalf("n=%d width=%d: the frequency encoder differs from the reference encoding", n, width)
 			}
 			var buf [BlockSize]uint32
 			for k := 0; k*BlockSize < n; k++ {
@@ -106,8 +108,8 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 		}
 	}
 	// All zeros still takes one bit per value.
-	if got, want := PackFreqs(make([]uint32, 130)), refPackFreqs(make([]uint32, 130)); !reflect.DeepEqual(got, want) {
-		t.Fatal("zero frequencies: PackFreqs differs from the reference encoding")
+	if got, want := spliceFreqs(nil, 0, make([]uint32, 130)), refPackFreqs(make([]uint32, 130)); !reflect.DeepEqual(got, want) {
+		t.Fatal("zero frequencies: the frequency encoder differs from the reference encoding")
 	}
 }
 
@@ -115,32 +117,32 @@ func TestPackFreqsMatchesReference(t *testing.T) {
 // bit-at-a-time encoder returned and what Parse gives an empty list of an
 // opened file, which reflect.DeepEqual(Open(f), built) compares.
 func TestPackFreqsKeepsNilBlocks(t *testing.T) {
-	if fs := PackFreqs(nil); fs.pages != nil || fs.n != 0 {
-		t.Errorf("PackFreqs(nil) = %+v, want no pages", fs)
+	if fs := spliceFreqs(nil, 0, nil); fs.pages != nil || fs.n != 0 {
+		t.Errorf("spliceFreqs(nil, 0, nil) = %+v, want no pages", fs)
 	}
-	if fs := PackFreqs([]uint32{}); fs.pages != nil {
-		t.Errorf("PackFreqs(empty).pages = %#v, want none", fs.pages)
+	if fs := spliceFreqs(nil, 0, []uint32{}); fs.pages != nil {
+		t.Errorf("spliceFreqs(nil, 0, empty).pages = %#v, want none", fs.pages)
 	}
 	if fs := refPackFreqs(nil); fs.pages != nil {
 		t.Fatalf("the reference's empty store has pages %#v: the test's premise is gone", fs.pages)
 	}
 	var e freqEncoder
-	if fs := e.finish(); !reflect.DeepEqual(fs, PackFreqs(nil)) {
-		t.Errorf("freqEncoder.finish() of nothing = %+v, want %+v", fs, PackFreqs(nil))
+	if fs := e.finish(); !reflect.DeepEqual(fs, spliceFreqs(nil, 0, nil)) {
+		t.Errorf("freqEncoder.finish() of nothing = %+v, want %+v", fs, spliceFreqs(nil, 0, nil))
 	}
 }
 
-// PackFreqs allocates the store, its page array, and per page of 64
+// Packing frequencies allocates the store, its page array, and per page of 64
 // blocks its rows and its words, each one exact allocation; nothing per
 // block. The bit-at-a-time encoders allocated per block.
 func TestPackFreqsAllocations(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	for _, n := range []int{100, 10_000, 300_000} {
 		freqs := freqsOfWidth(r, n, 5)
-		fs := PackFreqs(freqs)
+		fs := spliceFreqs(nil, 0, freqs)
 		ceiling := float64(3 + 2*len(fs.pages)) // one more under -race, where Fill's closures escape
-		if got := testing.AllocsPerRun(20, func() { PackFreqs(freqs) }); got > ceiling {
-			t.Errorf("n=%d (%d pages): PackFreqs made %v allocations, want <= %v", n, len(fs.pages), got, ceiling)
+		if got := testing.AllocsPerRun(20, func() { spliceFreqs(nil, 0, freqs) }); got > ceiling {
+			t.Errorf("n=%d (%d pages): packing made %v allocations, want <= %v", n, len(fs.pages), got, ceiling)
 		}
 	}
 }
@@ -221,12 +223,12 @@ func BenchmarkPackFreqs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PackFreqs(freqs)
+		spliceFreqs(nil, 0, freqs)
 	}
 }
 
 func BenchmarkDecodeBlock(b *testing.B) {
-	fs := PackFreqs(benchFreqs(1 << 17))
+	fs := spliceFreqs(nil, 0, benchFreqs(1<<17))
 	var buf [BlockSize]uint32
 	b.SetBytes(int64(fs.n * 4))
 	b.ResetTimer()

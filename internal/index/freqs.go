@@ -26,15 +26,13 @@ type freqRow struct {
 	b, words uint8
 }
 
-// PackFreqs compresses a frequency array. Like ef.Compress it sizes each
-// page of blocks first (a block's width is that of the OR of its values)
-// and packs every block, a word at a time, into that page's one
-// allocation: nothing is allocated per block.
-func PackFreqs(freqs []uint32) *FreqStore { return spliceFreqs(nil, 0, freqs) }
-
 // spliceFreqs is ef.List.Splice for frequencies: old's blocks [0, k),
 // whole pages shared and the rows and words of the page k falls in
-// copied, then the encoding of tail. With k == 0, old may be nil.
+// copied, then the encoding of tail. With k == 0, old may be nil, and the
+// result packs tail alone. Like ef.Compress it sizes each page of blocks
+// first (a block's width is that of the OR of its values) and packs every
+// block, a word at a time, into that page's one allocation: nothing is
+// allocated per block.
 func spliceFreqs(old *FreqStore, k int, tail []uint32) *FreqStore {
 	var e freqEncoder
 	if k > 0 {
@@ -63,7 +61,7 @@ func freqShape(chunk []uint32) (b, words int) {
 	return b, bitutil.WordsFor(len(chunk) * b)
 }
 
-// freqEncoder is PackFreqs for lists that arrive a block at a time, the
+// freqEncoder is spliceFreqs for lists that arrive a block at a time, the
 // frequency half of what ef.Encoder is for docIDs.
 type freqEncoder struct {
 	n     int
@@ -118,16 +116,4 @@ func (fs *FreqStore) Decode() []uint32 {
 		fs.DecodeBlock(k, out[k*BlockSize:])
 	}
 	return out
-}
-
-// CompressedBits returns the packed size in bits including per-block
-// width bytes.
-func (fs *FreqStore) CompressedBits() int64 {
-	var bits int64
-	for _, pg := range fs.pages {
-		for _, r := range pg.Rows {
-			bits += int64(r.words)*64 + 8
-		}
-	}
-	return bits
 }

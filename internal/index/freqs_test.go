@@ -18,7 +18,7 @@ func TestPackFreqsRoundTrip(t *testing.T) {
 		for i := 0; i < n; i += 97 {
 			freqs[i] = uint32(1 << uint(rng.Intn(20)))
 		}
-		fs := PackFreqs(freqs)
+		fs := spliceFreqs(nil, 0, freqs)
 		if fs.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, fs.Len())
 		}
@@ -38,7 +38,7 @@ func TestPackFreqsQuick(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		fs := PackFreqs(raw)
+		fs := spliceFreqs(nil, 0, raw)
 		return reflect.DeepEqual(fs.Decode(), raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -53,8 +53,12 @@ func TestPackFreqsCompresses(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1 + uint32(rng.Intn(4))
 	}
-	fs := PackFreqs(freqs)
-	bitsPer := float64(fs.CompressedBits()) / float64(len(freqs))
+	fs := spliceFreqs(nil, 0, freqs)
+	words := 0
+	for _, pg := range fs.pages {
+		words += len(pg.Words)
+	}
+	bitsPer := float64(64*words) / float64(len(freqs))
 	if bitsPer > 4 {
 		t.Fatalf("%.1f bits/freq for values <= 4, expected <= 4", bitsPer)
 	}
@@ -70,7 +74,7 @@ func TestPackFreqsBlockIsolation(t *testing.T) {
 		freqs[i] = 1
 	}
 	freqs[200] = 1 << 30
-	fs := PackFreqs(freqs)
+	fs := spliceFreqs(nil, 0, freqs)
 	if fs.pages[0].Rows[0].b != 1 {
 		t.Fatalf("block 0 width %d, want 1", fs.pages[0].Rows[0].b)
 	}
@@ -84,7 +88,7 @@ func TestPackFreqsBlockIsolation(t *testing.T) {
 
 func TestPackFreqsZeroValues(t *testing.T) {
 	freqs := []uint32{0, 0, 5, 0}
-	fs := PackFreqs(freqs)
+	fs := spliceFreqs(nil, 0, freqs)
 	if !reflect.DeepEqual(fs.Decode(), freqs) {
 		t.Fatal("zeros mishandled")
 	}

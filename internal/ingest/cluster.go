@@ -27,11 +27,8 @@ type ClusterConfig struct {
 	Shards int
 	// Cluster is the serving-layer template (replicas, routing, engine
 	// template, fault injector, ...). Its fault injector also covers the
-	// merge path: shard s's merge admission draws at "<Site>.s<s>.merge".
+	// merge path: shard s's merge admission draws at "ingest.s<s>.merge".
 	Cluster cluster.Config
-	// Codec selects the compressed forms merged segments materialize
-	// (CodecAuto = detect from the seed).
-	Codec index.Codec
 	// MergeThreshold is the per-shard delta size at which a background
 	// merge becomes due (0 = explicit merges only).
 	MergeThreshold int
@@ -42,15 +39,10 @@ type ClusterConfig struct {
 	// routing (workload.ShardOf over the new count) updated mid-flight.
 	// 0 disables splits.
 	SplitWatermark int
-	// Site is the fault-site base name for the merge path ("ingest").
-	Site string
-	// MergeRetries bounds abort→retry attempts per merge
-	// (0 = DefaultMergeRetries; negative = no retries).
-	MergeRetries int
 	// WALDir enables durability: every accepted mutation appends to a
 	// per-shard write-ahead log under this directory before the caller
 	// sees success, and OpenCluster recovers the directory's state.
-	// Empty runs the cluster purely in memory (NewCluster exactly).
+	// Empty runs the cluster purely in memory.
 	WALDir string
 	// WALSyncEvery is the per-shard appends-per-fsync policy: 0 (unset)
 	// syncs every append — the durable default — negative defers syncing
@@ -67,10 +59,9 @@ type ClusterConfig struct {
 // template's.
 func (cfg ClusterConfig) writerConfig() Config {
 	return Config{
-		Engine: core.Config{CPU: cfg.Cluster.CPU},
-		Fault:  cfg.Cluster.Fault,
-		Codec:  cfg.Codec, MergeThreshold: cfg.MergeThreshold, AutoMerge: cfg.AutoMerge,
-		Site: cfg.Site, MergeRetries: cfg.MergeRetries,
+		Engine:         core.Config{CPU: cfg.Cluster.CPU},
+		Fault:          cfg.Cluster.Fault,
+		MergeThreshold: cfg.MergeThreshold, AutoMerge: cfg.AutoMerge,
 		WALDir: cfg.WALDir, WALSyncEvery: cfg.WALSyncEvery, CheckpointEvery: cfg.CheckpointEvery,
 	}
 }
@@ -179,13 +170,6 @@ type ClusterStats struct {
 // the cluster's freshness signal (the analogue of Stats.Lag).
 func (s ClusterStats) Lag() uint64 { return uint64(s.DeltaDocs) }
 
-// NewCluster builds a live-ingestion cluster over a seed index,
-// partitioned into cfg.Shards shards, in memory: cfg.WALDir is ignored.
-func NewCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
-	cfg.WALDir = ""
-	return OpenCluster(seed, cfg)
-}
-
 // newTopo partitions a global index into n shards and builds the serving
 // cluster plus fresh per-shard writer state over it.
 func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
@@ -225,16 +209,6 @@ func (c *Cluster) Close() {
 	c.store.Close()
 }
 
-// Shards returns the current shard count.
-func (c *Cluster) Shards() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t.n
-}
-
-// Gen returns the writer generation (total accepted mutations).
-func (c *Cluster) Gen() uint64 { return c.genA.Load() }
-
 // Cluster returns the current serving cluster (telemetry surface). The
 // pointer is only safe for reads that tolerate a concurrent rebuild;
 // queries must go through Query.
@@ -242,21 +216,6 @@ func (c *Cluster) Cluster() *cluster.Cluster {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.t.c
-}
-
-// Add inserts a new document (docID must not be live).
-func (c *Cluster) Add(docID uint32, tokens []string) error {
-	return c.Apply(wal.OpAdd, docID, tokens)
-}
-
-// Update replaces a document wholesale (upsert).
-func (c *Cluster) Update(docID uint32, tokens []string) error {
-	return c.Apply(wal.OpUpdate, docID, tokens)
-}
-
-// Delete tombstones a live document.
-func (c *Cluster) Delete(docID uint32) error {
-	return c.Apply(wal.OpDelete, docID, nil)
 }
 
 // Apply applies one mutation by op (see Engine.Apply).
@@ -391,11 +350,6 @@ type ClusterResult struct {
 	Gen uint64
 }
 
-// Search is Query for a bare term list.
-func (c *Cluster) Search(terms []string) (*ClusterResult, error) {
-	return c.Query(context.Background(), cluster.Request{Terms: terms})
-}
-
 // Query scatter-gathers req against the freshest cluster snapshot: it
 // pins the snapshot, sets req.Overlay to that snapshot's per-shard
 // delta overlays (replacing any the caller supplied), and delegates to
@@ -514,7 +468,7 @@ func (c *Cluster) mergeShardOnce(s int) error {
 
 	// Priced on the shard's replica-0 node — the same copy/compute lanes
 	// that replica's queries use.
-	plan, cost, err := c.prepare(fmt.Sprintf("%s.s%d.merge", c.cfg.Site, s), t.c.ShardNode(s), main, v, 0, false)
+	plan, cost, err := c.prepare(fmt.Sprintf("%s.s%d.merge", site, s), t.c.ShardNode(s), main, v, 0, false)
 	if err != nil {
 		return err
 	}
@@ -679,22 +633,6 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 		}
 	}
 	return b.Build()
-}
-
-// NeedsMerge reports the lowest-numbered shard at (or past) the merge
-// threshold, -1 when none is due.
-func (c *Cluster) NeedsMerge() int {
-	if c.cfg.MergeThreshold <= 0 {
-		return -1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for s, sh := range c.t.shards {
-		if len(sh.d.docs) >= c.cfg.MergeThreshold {
-			return s
-		}
-	}
-	return -1
 }
 
 // Stats returns the cluster-ingestion telemetry.

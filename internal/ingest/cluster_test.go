@@ -23,17 +23,11 @@ import (
 // logical corpus.
 func applyCluster(t testing.TB, c *Cluster, lc *logicalCorpus, m mutation) {
 	t.Helper()
-	var err error
-	switch m.kind {
-	case wal.OpAdd:
-		err = c.Add(m.docID, m.tokens)
-		lc.docs[m.docID] = m.tokens
-	case wal.OpUpdate:
-		err = c.Update(m.docID, m.tokens)
-		lc.docs[m.docID] = m.tokens
-	case wal.OpDelete:
-		err = c.Delete(m.docID)
+	err := c.Apply(m.kind, m.docID, m.tokens)
+	if m.kind == wal.OpDelete {
 		delete(lc.docs, m.docID)
+	} else {
+		lc.docs[m.docID] = m.tokens
 	}
 	if err != nil {
 		t.Fatalf("mutation %+v: %v", m, err)
@@ -59,7 +53,7 @@ func checkClusterParity(t *testing.T, c *Cluster, lc *logicalCorpus, queries [][
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		cr, err := c.Search(q)
+		cr, err := c.Query(context.Background(), cluster.Request{Terms: q})
 		if err != nil {
 			t.Fatalf("%s q%d cluster: %v", tag, qi, err)
 		}
@@ -92,7 +86,7 @@ func TestClusterLiveParity(t *testing.T) {
 	for name, ecfg := range modes {
 		t.Run(name, func(t *testing.T) {
 			lc := base.clone()
-			c, err := NewCluster(lc.build(t, index.CodecEF), ClusterConfig{
+			c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
 				Shards:  2,
 				Cluster: cluster.Config{Engine: ecfg},
 			})
@@ -118,8 +112,8 @@ func TestClusterLiveParity(t *testing.T) {
 					checkClusterParity(t, c, lc, queries, "post-merge")
 				}
 			}
-			if got, want := c.Gen(), uint64(len(script)); got != want {
-				t.Errorf("gen = %d, want %d", got, want)
+			if got, _ := c.Progress(); got != uint64(len(script)) {
+				t.Errorf("gen = %d, want %d", got, len(script))
 			}
 			st := c.Stats()
 			if st.Adds+st.Updates+st.Deletes != int64(len(script)) {
@@ -145,7 +139,7 @@ func TestClusterQueryOnePath(t *testing.T) {
 	script := genScript(24, base.clone(), 60, vocab)
 	live := func(t *testing.T) *Cluster {
 		lc := base.clone()
-		c, err := NewCluster(lc.build(t, index.CodecEF), ClusterConfig{
+		c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
 			Shards:  2,
 			Cluster: cluster.Config{Engine: core.Config{Mode: core.Hybrid}},
 		})
@@ -159,12 +153,12 @@ func TestClusterQueryOnePath(t *testing.T) {
 		return c
 	}
 
-	t.Run("Search equals Query", func(t *testing.T) {
-		shim, direct := live(t), live(t)
+	t.Run("caller overlay replaced", func(t *testing.T) {
+		bare, direct := live(t), live(t)
 		for qi, q := range queryLog(vocab) {
-			want, err := shim.Search(q)
+			want, err := bare.Query(context.Background(), cluster.Request{Terms: q})
 			if err != nil {
-				t.Fatalf("q%d Search: %v", qi, err)
+				t.Fatalf("q%d bare Query: %v", qi, err)
 			}
 			// A caller-supplied overlay is replaced by the snapshot's: empty
 			// shard overlays would otherwise hide the unmerged deltas.
@@ -199,19 +193,20 @@ func TestClusterQuiescedGoldenParity(t *testing.T) {
 	script := genScript(32, lc.clone(), 60, vocab)
 
 	ccfg := cluster.Config{Engine: core.Config{Mode: core.Hybrid}}
-	live, err := NewCluster(lc.build(t, index.CodecBoth), ClusterConfig{
-		Shards: 2, Cluster: ccfg, Codec: CodecAuto,
+	live, err := OpenCluster(lc.build(t, index.CodecBoth), ClusterConfig{
+		Shards: 2, Cluster: ccfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
+	live.cfg.Codec = index.CodecBoth // rebuild in the seed's forms, not a served cluster's CodecEF
 
 	queries := queryLog(vocab)
 	for i, m := range script {
 		applyCluster(t, live, lc, m)
 		if i%17 == 0 { // keep read traffic flowing while mutating
-			if _, err := live.Search(queries[i%len(queries)]); err != nil {
+			if _, err := live.Query(context.Background(), cluster.Request{Terms: queries[i%len(queries)]}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -238,7 +233,7 @@ func TestClusterQuiescedGoldenParity(t *testing.T) {
 	defer ref.Close()
 
 	for qi, q := range queries {
-		lr, err := live.Search(q)
+		lr, err := live.Query(context.Background(), cluster.Request{Terms: q})
 		if err != nil {
 			t.Fatalf("q%d live: %v", qi, err)
 		}
@@ -280,7 +275,7 @@ func docBitsOf(r *cluster.Result) []docBits {
 func TestClusterSplit(t *testing.T) {
 	const vocab = 16
 	lc := seedCorpus(41, 60, vocab)
-	c, err := NewCluster(lc.build(t, index.CodecEF), ClusterConfig{
+	c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
 		Shards:         2,
 		Cluster:        cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 		SplitWatermark: 45,
@@ -294,7 +289,7 @@ func TestClusterSplit(t *testing.T) {
 	if err := c.Split(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Shards(); got != 3 {
+	if got := c.Stats().Shards; got != 3 {
 		t.Fatalf("shards after explicit split = %d, want 3", got)
 	}
 	queries := queryLog(vocab)
@@ -310,14 +305,14 @@ func TestClusterSplit(t *testing.T) {
 		applyCluster(t, c, lc, m)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Shards() == 3 {
+	for c.Stats().Shards == 3 {
 		if time.Now().After(deadline) {
 			st := c.Stats()
 			t.Fatalf("watermark split never fired: shards=%d docs=%v", st.Shards, st.ShardDocs)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := c.Shards(); got != 4 {
+	if got := c.Stats().Shards; got != 4 {
 		t.Fatalf("shards after watermark split = %d, want 4", got)
 	}
 	st := c.Stats()
@@ -343,7 +338,7 @@ func TestClusterMergeAbort(t *testing.T) {
 		Seed:  7,
 		Rules: []fault.Rule{{Kind: fault.EngineError, Rate: 1, Until: 2}},
 	})
-	c, err := NewCluster(lc.build(t, index.CodecEF), ClusterConfig{
+	c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
 		Shards:  2,
 		Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}, Fault: inj},
 	})
@@ -371,7 +366,7 @@ func TestClusterMergeAbort(t *testing.T) {
 	// The same engine-error rule covers the serving sites: burn its two
 	// per-site opportunities with throwaway queries, then require parity.
 	for i := 0; i < 2; i++ {
-		_, _ = c.Search([]string{word(0)})
+		_, _ = c.Query(context.Background(), cluster.Request{Terms: []string{word(0)}})
 	}
 	checkClusterParity(t, c, lc, queryLog(vocab), "post-abort")
 }
@@ -418,7 +413,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 		}
 	}
 
-	c, err := NewCluster(base.build(t, index.CodecEF), ClusterConfig{
+	c, err := OpenCluster(base.build(t, index.CodecEF), ClusterConfig{
 		Shards:         2,
 		Cluster:        cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 		MergeThreshold: 8,
@@ -438,11 +433,11 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 			var err error
 			switch m.kind {
 			case wal.OpAdd:
-				err = c.Add(m.docID, m.tokens)
+				err = c.Apply(wal.OpAdd, m.docID, m.tokens)
 			case wal.OpUpdate:
-				err = c.Update(m.docID, m.tokens)
+				err = c.Apply(wal.OpUpdate, m.docID, m.tokens)
 			case wal.OpDelete:
-				err = c.Delete(m.docID)
+				err = c.Apply(wal.OpDelete, m.docID, nil)
 			}
 			if err != nil {
 				t.Errorf("writer step %d: %v", i, err)
@@ -472,7 +467,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 					return
 				default:
 				}
-				res, err := c.Search(queries[qi])
+				res, err := c.Query(context.Background(), cluster.Request{Terms: queries[qi]})
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -499,7 +494,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 	if err := c.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Search(queries[0])
+	final, err := c.Query(context.Background(), cluster.Request{Terms: queries[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,10 +502,10 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 		t.Errorf("final quiesced: docs diverge\n got=%v\nwant=%v", got, want)
 	}
 	c.Close()
-	if _, err := c.Search(queries[0]); err != ErrClosed {
+	if _, err := c.Query(context.Background(), cluster.Request{Terms: queries[0]}); err != ErrClosed {
 		t.Errorf("search after close = %v, want ErrClosed", err)
 	}
-	if err := c.Add(99_999, []string{"x"}); err != ErrClosed {
+	if err := c.Apply(wal.OpAdd, 99_999, []string{"x"}); err != ErrClosed {
 		t.Errorf("add after close = %v, want ErrClosed", err)
 	}
 }

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestClusterCrashRecoveryParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if got := r.Gen(); got != uint64(k) {
+			if got, _ := r.Progress(); got != uint64(k) {
 				t.Fatalf("recovered gen %d, want %d", got, k)
 			}
 			checkClusterParity(t, r, lc, queryLog(vocab), "recovered-live")
@@ -123,7 +124,7 @@ func TestClusterSplitRecovery(t *testing.T) {
 	for _, m := range script[15:] {
 		applyCluster(t, c, lc, m)
 	}
-	if got := c.Shards(); got != 3 {
+	if got := c.Stats().Shards; got != 3 {
 		t.Fatalf("post-split shards = %d, want 3", got)
 	}
 	c.Crash()
@@ -134,10 +135,10 @@ func TestClusterSplitRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got := r.Shards(); got != 3 {
+	if got := r.Stats().Shards; got != 3 {
 		t.Fatalf("recovered shards = %d, want the manifest's 3", got)
 	}
-	if got := r.Gen(); got != uint64(len(script)) {
+	if got, _ := r.Progress(); got != uint64(len(script)) {
 		t.Fatalf("recovered gen %d, want %d", got, len(script))
 	}
 	checkClusterParity(t, r, lc, queryLog(vocab), "post-split-recovery")
@@ -172,16 +173,7 @@ func TestClusterWedgedShardKeepsOthersWritable(t *testing.T) {
 	}
 	var acked, rejected int
 	for _, m := range script {
-		var err error
-		switch m.kind {
-		case wal.OpAdd:
-			err = c.Add(m.docID, m.tokens)
-		case wal.OpUpdate:
-			err = c.Update(m.docID, m.tokens)
-		case wal.OpDelete:
-			err = c.Delete(m.docID)
-		}
-		if err != nil {
+		if err := c.Apply(m.kind, m.docID, m.tokens); err != nil {
 			switch {
 			case fault.IsStorageFault(err):
 				rejected++
@@ -213,7 +205,7 @@ func TestClusterWedgedShardKeepsOthersWritable(t *testing.T) {
 		t.Fatalf("cluster does not report wedged")
 	}
 	// Reads still serve on a wedged cluster.
-	if _, err := c.Search([]string{word(0)}); err != nil {
+	if _, err := c.Query(context.Background(), cluster.Request{Terms: []string{word(0)}}); err != nil {
 		t.Fatalf("read on wedged cluster: %v", err)
 	}
 	c.Crash()
@@ -225,7 +217,7 @@ func TestClusterWedgedShardKeepsOthersWritable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got := r.Gen(); got != uint64(acked) {
+	if got, _ := r.Progress(); got != uint64(acked) {
 		t.Fatalf("recovered gen %d, want the %d acknowledged", got, acked)
 	}
 	st := r.Stats()
@@ -276,7 +268,7 @@ func TestClusterCheckpointSuffixReplay(t *testing.T) {
 	if st.WAL == nil || st.WAL.RecoveredRecords != 10 {
 		t.Fatalf("replayed %+v, want a 10-record suffix past the watermark", st.WAL)
 	}
-	if got := r.Gen(); got != uint64(len(script)) {
+	if got, _ := r.Progress(); got != uint64(len(script)) {
 		t.Fatalf("recovered gen %d, want %d", got, len(script))
 	}
 	checkClusterParity(t, r, lc, queryLog(vocab), "ckpt-suffix")
@@ -309,7 +301,7 @@ func TestClusterCloseDurabilityBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got := r.Gen(); got != uint64(len(script)) {
+	if got, _ := r.Progress(); got != uint64(len(script)) {
 		t.Fatalf("recovered %d mutations after clean close, want all %d", got, len(script))
 	}
 	checkClusterParity(t, r, lc, queryLog(vocab), "post-close")

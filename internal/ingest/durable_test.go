@@ -3,6 +3,8 @@ package ingest
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -241,9 +243,9 @@ func TestCrashPointFaultParityMatrix(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointFallsBackToFullReplay injects the ckpt fault
-// site: the checkpoint is silently corrupted on disk, and recovery must
-// detect it, skip it, and still reach full parity by replaying the
+// TestCorruptCheckpointFallsBackToFullReplay: the checkpoint is silently
+// corrupted on disk (one flipped bit, over a clean log), and recovery
+// must detect it, skip it, and still reach full parity by replaying the
 // whole log over the seed.
 func TestCorruptCheckpointFallsBackToFullReplay(t *testing.T) {
 	const vocab = 12
@@ -257,16 +259,21 @@ func TestCorruptCheckpointFallsBackToFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyPrefix(t, e, c, script, 20)
-	// Arm the injector for the checkpoint only: a global BitFlip rule
-	// would also wedge the append path, and the point here is a corrupt
-	// checkpoint over a clean log.
-	e.store.SetFault(fault.NewInjector(fault.Plan{Seed: 3, Rules: []fault.Rule{
-		{Kind: fault.BitFlip, Rate: 1},
-	}}))
 	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("silently corrupted checkpoint surfaced an error: %v", err)
+		t.Fatal(err)
 	}
-	e.store.SetFault(nil)
+	ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoint files %v (%v), want one", ckpts, err)
+	}
+	b, err := os.ReadFile(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x10
+	if err := os.WriteFile(ckpts[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	applyPrefix(t, e, c, script[20:], 10)
 	e.Crash()
 
@@ -384,7 +391,7 @@ func TestMergeAbortCrashRecoversPreMergeView(t *testing.T) {
 	}})
 	cfg := Config{
 		Engine: core.Config{Mode: core.CPUOnly},
-		WALDir: dir, Fault: inj, MergeRetries: -1,
+		WALDir: dir, Fault: inj,
 	}
 	c := base.clone()
 	e, err := Open(base.clone().build(t, index.CodecEF), cfg)

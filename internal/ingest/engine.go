@@ -12,9 +12,14 @@ import (
 	"griffin/internal/wal"
 )
 
-// DefaultMergeRetries bounds how many times an aborted merge (injected
-// fault on the merge path) is retried before the error surfaces.
-const DefaultMergeRetries = 3
+// mergeRetries bounds how many times an aborted merge (injected fault on
+// the merge path) is retried before the error surfaces.
+const mergeRetries = 3
+
+// site is the fault-site base name of the write path: merge-path draws
+// use "ingest.merge" ("ingest.s<s>.merge" for a cluster shard), and the
+// WAL's are named under it too (wal.Options.Site).
+const site = "ingest"
 
 // Config parameterizes a live-ingestion engine.
 type Config struct {
@@ -34,14 +39,8 @@ type Config struct {
 	// mutation pushes the delta past MergeThreshold (the serving-path
 	// behaviour; deterministic load studies call MergeAt themselves).
 	AutoMerge bool
-	// Site is the fault-site base name; merge-path draws use
-	// "<Site>.merge". Empty means "ingest".
-	Site string
 	// Fault injects merge-path faults (nil = none).
 	Fault *fault.Injector
-	// MergeRetries bounds abort→retry attempts per merge
-	// (0 = DefaultMergeRetries; negative = no retries).
-	MergeRetries int
 	// WALDir enables durability (Open only): every accepted mutation is
 	// appended to a write-ahead log in this directory before it is
 	// acknowledged, and startup recovers checkpoint + WAL suffix. Empty

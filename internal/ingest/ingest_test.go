@@ -559,9 +559,8 @@ func TestMergeAbortNeverTearsSnapshot(t *testing.T) {
 		{Kind: fault.EngineError, Rate: 1}, // every merge admission fails
 	}})
 	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine:       core.Config{Mode: core.CPUOnly},
-		Fault:        inj,
-		MergeRetries: -1, // single attempt
+		Engine: core.Config{Mode: core.CPUOnly},
+		Fault:  inj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,8 +575,8 @@ func TestMergeAbortNeverTearsSnapshot(t *testing.T) {
 		t.Fatalf("merge error = %v, want injected engine fault", err)
 	}
 	after := e.Stats()
-	if after.Merges != 0 || after.Aborts != 1 {
-		t.Errorf("merges=%d aborts=%d, want 0/1", after.Merges, after.Aborts)
+	if after.Merges != 0 || after.Aborts != mergeRetries+1 {
+		t.Errorf("merges=%d aborts=%d, want 0/%d", after.Merges, after.Aborts, mergeRetries+1)
 	}
 	if after.DeltaDocs != before.DeltaDocs || after.Gen != before.Gen {
 		t.Errorf("aborted merge mutated writer state: %+v vs %+v", before, after)

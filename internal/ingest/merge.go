@@ -67,7 +67,7 @@ func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
 		return nil
 	}
 	main := cur.seg.eng.Index()
-	plan, cost, err := e.prepare(e.cfg.Site+".merge", cur.seg.eng.Node(), main, v, arrival, timed)
+	plan, cost, err := e.prepare(site+".merge", cur.seg.eng.Node(), main, v, arrival, timed)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,7 +44,7 @@ func pricedOf(changed []changedList) []pricedList {
 func rebuildMerge(t testing.TB, main *index.Index, v *View, codec index.Codec) (*index.Index, []pricedList) {
 	t.Helper()
 	b := index.NewBuilder(codec)
-	for d, l := range main.DocLens.AppendTo(nil) {
+	for d, l := range slices.Concat(main.DocLens.Pages()...) {
 		if l > 0 && v.docs[uint32(d)] == nil {
 			b.SetDocLen(uint32(d), l)
 		}
@@ -326,13 +327,14 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 		t.Run("shard/"+cname, func(t *testing.T) {
 			for _, tc := range spliceCases {
 				lc := spliceCorpus()
-				c, err := NewCluster(lc.build(t, codec), ClusterConfig{
-					Shards: 2, Codec: CodecAuto,
+				c, err := OpenCluster(lc.build(t, codec), ClusterConfig{
+					Shards:  2,
 					Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.cfg.Codec = codec // a served cluster merges to CodecEF; these merges keep the seed's forms
 				for round, muts := range [][]mutation{tc.muts, followUp} {
 					for _, m := range muts {
 						applyCluster(t, c, lc, m)
@@ -353,13 +355,14 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := NewCluster(lc.build(t, codec), ClusterConfig{
-					Shards: 3, Codec: CodecAuto,
+				c, err := OpenCluster(lc.build(t, codec), ClusterConfig{
+					Shards:  3,
 					Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				c.cfg.Codec = codec
 				clc := lc.clone()
 				for i, m := range script {
 					apply(t, e, lc, m)
@@ -520,7 +523,7 @@ func TestMergeAllocationIndependentOfCorpus(t *testing.T) {
 		})
 		e.Close()
 
-		c, err := NewCluster(corpus.Index, ClusterConfig{
+		c, err := OpenCluster(corpus.Index, ClusterConfig{
 			Shards: 2, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 		})
 		if err != nil {
@@ -528,7 +531,7 @@ func TestMergeAllocationIndependentOfCorpus(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(1))
 		for d := 0; d < 256; d++ {
-			if err := c.Add(uint32(corpus.Index.NumDocs+d), doc(r)); err != nil {
+			if err := c.Apply(wal.OpAdd, uint32(corpus.Index.NumDocs+d), doc(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -599,7 +602,7 @@ func TestMergedSegmentsDoNotPinDeadTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for d, l := range ix.DocLens.AppendTo(nil) {
+	for d, l := range slices.Concat(ix.DocLens.Pages()...) {
 		if l > 0 {
 			b.SetDocLen(uint32(d), l)
 		}

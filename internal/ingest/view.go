@@ -36,9 +36,6 @@ type View struct {
 	decr map[string]decrEntry
 }
 
-// Gen returns the delta generation this view freezes.
-func (v *View) Gen() uint64 { return v.gen }
-
 // Empty reports whether the view holds no mutations at all. A
 // tombstone-only view is *not* empty: deletions must still filter the
 // main intersection.

@@ -97,12 +97,6 @@ func (w *writer) open(seed *index.Index, cfg Config, shards int) (*index.Index, 
 	if w.cpu == (hwmodel.CPUModel{}) {
 		w.cpu = hwmodel.DefaultCPU()
 	}
-	if w.cfg.Site == "" {
-		w.cfg.Site = "ingest"
-	}
-	if w.cfg.MergeRetries == 0 {
-		w.cfg.MergeRetries = DefaultMergeRetries
-	}
 	if w.cfg.Codec == CodecAuto {
 		w.cfg.Codec = detectCodec(seed)
 	}
@@ -121,7 +115,7 @@ func (w *writer) open(seed *index.Index, cfg Config, shards int) (*index.Index, 
 		w.store, rec, err = wal.Open(cfg.WALDir, wal.Options{
 			Shards:    shards,
 			SyncEvery: syncEvery,
-			Site:      w.cfg.Site,
+			Site:      site,
 			Fault:     cfg.Fault,
 		})
 		if err != nil {
@@ -260,7 +254,7 @@ func (w *writer) serial(work func() error) error {
 // configured budget; a hard internal error surfaces at once.
 func (w *writer) retry(once func() error) error {
 	var err error
-	for i := 0; i < max(w.cfg.MergeRetries+1, 1); i++ {
+	for i := 0; i <= mergeRetries; i++ {
 		if err = once(); err == nil || !injected(err) {
 			return err
 		}

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -67,7 +68,7 @@ func clusterUnderTest(t *testing.T, seed *index.Index, cfg ClusterConfig) liveUn
 	}
 	return liveUnderTest{
 		w: &c.writer, apply: c.Apply, checkpoint: c.Checkpoint, crash: c.Crash, close: c.Close,
-		merge:    func(step int) error { return c.MergeShard(step / 50 % c.Shards()) },
+		merge:    func(step int) error { return c.MergeShard(step / 50 % c.Stats().Shards) },
 		mainDocs: func() int { return -1 }, // a shard merge stamps best-effort statistics
 		reopen:   func(t *testing.T) liveUnderTest { return clusterUnderTest(t, seed, cfg) },
 	}
@@ -198,7 +199,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 				}
 		},
 		"cluster": func(t *testing.T) (liveUnderTest, func([]string) ([]docBits, error)) {
-			c, err := NewCluster(lc.build(t, index.CodecEF), ClusterConfig{
+			c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
 				Shards: 2, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 			})
 			if err != nil {
@@ -208,7 +209,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 					merge:    func(int) error { return c.MergeShard(workload.ShardOf(top, 2)) },
 					mainDocs: func() int { return c.t.shards[workload.ShardOf(top, 2)].ix.NumDocs },
 				}, func(q []string) ([]docBits, error) {
-					r, err := c.Search(q)
+					r, err := c.Query(context.Background(), cluster.Request{Terms: q})
 					if err != nil {
 						return nil, err
 					}

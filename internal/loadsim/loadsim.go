@@ -104,10 +104,6 @@ type Mutation struct {
 type Spec struct {
 	// CPUWorkers is the host core count (the paper's testbed: 4).
 	CPUWorkers int
-	// GPUServers is the device count (default 1; the K20 serializes
-	// kernels, so one device is one server). Raising it models the
-	// multi-GPU load-balancing extension §3.2 leaves a hook for.
-	GPUServers int
 	// ArrivalRate is the offered load in operations per second (Poisson):
 	// queries, plus writes while Mutations remain.
 	ArrivalRate float64

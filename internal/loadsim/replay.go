@@ -71,12 +71,8 @@ func Replay(plans []Plan, spec Spec, gpuQueueLimit int) Result {
 		return res
 	}
 
-	gpuServers := spec.GPUServers
-	if gpuServers <= 0 {
-		gpuServers = 1
-	}
 	cpu := &resource{free: spec.CPUWorkers}
-	gpuRes := &resource{free: gpuServers}
+	gpuRes := &resource{free: 1} // the K20 serializes kernels: one device is one server
 	station := func(r Resource) *resource {
 		if r == ResGPU {
 			return gpuRes
@@ -140,7 +136,7 @@ func Replay(plans []Plan, spec Spec, gpuQueueLimit int) Result {
 	res.Makespan = now
 	if now > 0 {
 		res.CPUBusy = float64(cpu.busy) / (float64(now) * float64(spec.CPUWorkers))
-		res.GPUBusy = float64(gpuRes.busy) / (float64(now) * float64(gpuServers))
+		res.GPUBusy = float64(gpuRes.busy) / float64(now)
 	}
 	return res
 }

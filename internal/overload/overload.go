@@ -86,11 +86,6 @@ type Config struct {
 	// DefaultDeadline is the per-query deadline budget applied when a
 	// query carries none (0 = no deadline).
 	DefaultDeadline time.Duration
-	// MergeReserve is subtracted from the remaining budget to form each
-	// shard's sub-deadline, reserving time for the gather-side merge
-	// (0 = auto: the priced cost of merging a full shards x top-k
-	// candidate set under the cluster's CPU model).
-	MergeReserve time.Duration
 	// ShedTarget enables CoDel-style per-replica admission shedding: a
 	// sub-query offered to a replica whose admission backlog has exceeded
 	// ShedTarget continuously for ShedInterval is shed instead of queued
@@ -101,12 +96,11 @@ type Config struct {
 	// each admitted sub-query earns RetryBudget tokens and each retry or
 	// hedge spends one, so self-healing actions are bounded by that
 	// fraction of recent admissions (e.g. 0.1 = at most ~10%). Zero
-	// disables the budget (unbudgeted, pre-overload behavior).
-	// RetryBurst caps the bucket (0 = DefaultRetryBurst), which is also
-	// the bucket's starting balance — fault-path behavior at low load is
-	// unchanged until the burst is spent faster than it refills.
+	// disables the budget (unbudgeted, pre-overload behavior). The bucket
+	// holds at most DefaultRetryBurst tokens and starts full, so
+	// fault-path behavior at low load is unchanged until the burst is
+	// spent faster than it refills.
 	RetryBudget float64
-	RetryBurst  float64
 	// BrownoutEnter enables brownout tiers: level 1 (shed batch-class
 	// queries, skip hedges) when the cluster pressure signal — the
 	// slowest shard's best-replica backlog — exceeds BrownoutEnter, and
@@ -126,8 +120,8 @@ type Config struct {
 // Enabled reports whether any overload control is configured.
 func (c Config) Enabled() bool { return c != (Config{}) }
 
-// DefaultRetryBurst is the token bucket's cap (and starting balance)
-// when Config.RetryBurst is zero.
+// DefaultRetryBurst is a cluster's retry token bucket's cap and starting
+// balance.
 const DefaultRetryBurst = 10.0
 
 // Budget is a token bucket bounding self-healing amplification: each
@@ -146,14 +140,11 @@ type Budget struct {
 }
 
 // NewBudget builds a bucket earning ratio tokens per admission, capped
-// at burst (0 = DefaultRetryBurst). The bucket starts full, so sparse
-// low-load retries are never denied. ratio <= 0 returns nil (disabled).
+// at burst. The bucket starts full, so sparse low-load retries are never
+// denied. ratio <= 0 returns nil (disabled).
 func NewBudget(ratio, burst float64) *Budget {
 	if ratio <= 0 {
 		return nil
-	}
-	if burst <= 0 {
-		burst = DefaultRetryBurst
 	}
 	return &Budget{ratio: ratio, burst: burst, tokens: burst}
 }
@@ -366,16 +357,6 @@ func (b *Brownout) exitThreshold() time.Duration {
 		return b.escalate / 2
 	}
 	return b.enter / 2
-}
-
-// Level returns the current brownout level without feeding a sample.
-func (b *Brownout) Level() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.level
 }
 
 // NoteBatchShed counts one batch-class query shed by the ladder.

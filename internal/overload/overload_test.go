@@ -197,7 +197,7 @@ func TestBrownoutLadder(t *testing.T) {
 
 func TestBrownoutNilAndCounters(t *testing.T) {
 	var b *Brownout
-	if b.Observe(0, time.Hour) != 0 || b.Level() != 0 {
+	if b.Observe(0, time.Hour) != 0 || b.Stats().Level != 0 {
 		t.Error("nil brownout escalated")
 	}
 	b.NoteBatchShed()

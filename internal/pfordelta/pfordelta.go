@@ -128,7 +128,8 @@ func chooseB(gaps []uint32) int {
 	return maxBits
 }
 
-// packBlock bit-packs the gap array with exception chaining.
+// packBlock bit-packs the gap array with exception chaining, overwriting
+// the exception slots of gaps with their chain links.
 func packBlock(firstDocID uint32, gaps []uint32) Block {
 	b := chooseB(gaps)
 	n := len(gaps)
@@ -158,33 +159,26 @@ func packBlock(firstDocID uint32, gaps []uint32) Block {
 			continue
 		}
 
-		w := bitutil.NewWriter(n * b)
 		blk := Block{
 			FirstDocID:     firstDocID,
 			N:              n,
 			B:              b,
 			FirstException: n,
+			Packed:         make([]uint64, bitutil.WordsFor(n*b)),
 		}
 		if len(excIdx) > 0 {
 			blk.FirstException = excIdx[0]
 		}
-		next := 0 // index into excIdx
-		for i, g := range gaps {
-			if next < len(excIdx) && i == excIdx[next] {
-				// Exception slot stores distance-1 to the next exception
-				// (or 0 if it is the last one; the decoder stops via count).
-				d := uint32(0)
-				if next+1 < len(excIdx) {
-					d = uint32(excIdx[next+1] - i - 1)
-				}
-				w.WriteBits(uint64(d), b)
-				blk.Exceptions = append(blk.Exceptions, g)
-				next++
-			} else {
-				w.WriteBits(uint64(g), b)
+		// Each exception slot stores distance-1 to the next exception (0
+		// for the last one; the decoder stops by count).
+		for k, i := range excIdx {
+			blk.Exceptions = append(blk.Exceptions, gaps[i])
+			gaps[i] = 0
+			if k+1 < len(excIdx) {
+				gaps[i] = uint32(excIdx[k+1] - i - 1)
 			}
 		}
-		blk.Packed = w.Words()
+		bitutil.Pack(blk.Packed, gaps, b)
 		return blk
 	}
 }
@@ -208,11 +202,8 @@ func (l *List) Decompress() []uint32 {
 // slots, walk the exception chain patching values, then prefix-sum the
 // gaps.
 func (b *Block) DecompressInto(dst []uint32) int {
-	r := bitutil.NewReader(b.Packed)
 	// Phase 1: unpack raw slots.
-	for i := 0; i < b.N; i++ {
-		dst[i] = uint32(r.ReadBits(b.B))
-	}
+	bitutil.Unpack(dst[:b.N], b.Packed, b.B)
 	// Phase 2: walk the exception linked list, replacing chain pointers
 	// with real gap values. This walk is inherently sequential — the
 	// property the paper calls out as hostile to GPUs.
@@ -232,14 +223,6 @@ func (b *Block) DecompressInto(dst []uint32) int {
 	return b.N
 }
 
-// LastDocID returns the final docID of the block, by decompression.
-// Intended for verification, not hot paths (skip pointers store bounds).
-func (b *Block) LastDocID() uint32 {
-	buf := make([]uint32, b.N)
-	b.DecompressInto(buf)
-	return buf[b.N-1]
-}
-
 // CompressedBits returns the total size of the compressed representation
 // in bits: packed slots, uncompressed 32-bit exceptions, and the per-block
 // header (first docID 32b, count 8b, width 6b, first-exception 8b). Used
@@ -256,22 +239,3 @@ func (l *List) CompressedBits() int64 {
 }
 
 const blockHeaderBits = 32 + 8 + 6 + 8
-
-// Ratio returns the compression ratio relative to raw 32-bit docIDs.
-func (l *List) Ratio() float64 {
-	if l.N == 0 {
-		return 0
-	}
-	return float64(int64(l.N)*32) / float64(l.CompressedBits())
-}
-
-// NumExceptions returns the total exception count across blocks.
-func (l *List) NumExceptions() int {
-	n := 0
-	for _, pg := range l.Blocks.Pages() {
-		for i := range pg {
-			n += len(pg[i].Exceptions)
-		}
-	}
-	return n
-}

@@ -81,15 +81,6 @@ func (v Vec[T]) Pages() [][]T { return v.pages }
 // indexes Pages with a constant shift, or walks them.
 func (v Vec[T]) At(i int) T { return v.pages[i>>v.shift][i&(1<<v.shift-1)] }
 
-// AppendTo appends the elements to dst and returns it.
-func (v Vec[T]) AppendTo(dst []T) []T {
-	dst = slices.Grow(dst, v.n)
-	for _, pg := range v.pages {
-		dst = append(dst, pg...)
-	}
-	return dst
-}
-
 // Splice returns the vector of v's first k elements followed by tail's.
 // The whole pages below k are shared with v; the page k falls inside, if
 // it does, is copied up to k and filled on from tail, whose elements are

@@ -22,7 +22,7 @@ func (ver version) check(t testing.TB, what string) {
 		t.Errorf("%s: Len = %d, model has %d", what, ver.v.Len(), len(ver.model))
 		return
 	}
-	if got := ver.v.AppendTo(nil); !slices.Equal(got, ver.model) {
+	if got := slices.Concat(ver.v.Pages()...); !slices.Equal(got, ver.model) {
 		t.Errorf("%s: contents differ from the model\n got %v\nwant %v", what, got, ver.model)
 		return
 	}
@@ -125,7 +125,7 @@ func versionsKeepTheirValues(t *testing.T, shift uint) {
 				mu.Lock()
 				ver := versions[rr.Intn(len(versions))]
 				mu.Unlock()
-				if ver.v.Len() != len(ver.model) || !slices.Equal(ver.v.AppendTo(nil), ver.model) {
+				if ver.v.Len() != len(ver.model) || !slices.Equal(slices.Concat(ver.v.Pages()...), ver.model) {
 					t.Errorf("shift %d: a version changed under a concurrent reader", shift)
 					return
 				}
@@ -240,7 +240,7 @@ func TestSplicePanicsOnBadInput(t *testing.T) {
 			f()
 		}()
 	}
-	if got := v.Splice(5, Vec[int]{}).AppendTo(nil); !slices.Equal(got, []int{1, 2, 3, 4, 5}) {
+	if got := slices.Concat(v.Splice(5, Vec[int]{}).Pages()...); !slices.Equal(got, []int{1, 2, 3, 4, 5}) {
 		t.Errorf("splice of nothing at the end = %v", got)
 	}
 }

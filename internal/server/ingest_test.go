@@ -28,7 +28,7 @@ func newLiveServer(t *testing.T, freshness int) (*Server, *ingest.Engine) {
 
 func newLiveClusterServer(t *testing.T, freshness int) (*Server, *ingest.Cluster) {
 	t.Helper()
-	c, err := ingest.NewCluster(testIndex(t), ingest.ClusterConfig{
+	c, err := ingest.OpenCluster(testIndex(t), ingest.ClusterConfig{
 		Shards: 2,
 	})
 	if err != nil {

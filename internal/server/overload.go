@@ -18,16 +18,13 @@ type OverloadConfig struct {
 	// MaxInflight bounds concurrently served /search requests
 	// (<= 0 = unbounded, gate disabled).
 	MaxInflight int
-	// GateTarget/GateInterval tune the gate's CoDel shed rule on queue
-	// wait (0 = overload.DefaultGateTarget, 2x target).
-	GateTarget   time.Duration
-	GateInterval time.Duration
 }
 
-// ConfigureOverload installs the admission gate. Call before serving
-// traffic; a zero config leaves the server exactly as constructed.
+// ConfigureOverload installs the admission gate, which sheds on queue
+// wait at overload.DefaultGateTarget. Call before serving traffic; a zero
+// config leaves the server exactly as constructed.
 func (s *Server) ConfigureOverload(cfg OverloadConfig) {
-	s.gate = overload.NewGate(cfg.MaxInflight, cfg.GateTarget, cfg.GateInterval)
+	s.gate = overload.NewGate(cfg.MaxInflight, 0, 0)
 }
 
 // parseQueryOpts extracts the per-query overload parameters

@@ -149,7 +149,7 @@ func TestOverloadParamsRequireCluster(t *testing.T) {
 // gate.
 func TestGateBoundsInflight(t *testing.T) {
 	srv := newTestClusterServer(t, 2, 1, 0)
-	srv.ConfigureOverload(OverloadConfig{MaxInflight: 1, GateTarget: time.Hour})
+	srv.ConfigureOverload(OverloadConfig{MaxInflight: 1})
 
 	// Occupy the single slot directly.
 	if err := srv.gate.Enter(context.Background()); err != nil {
@@ -196,7 +196,7 @@ func TestGateBoundsInflight(t *testing.T) {
 // gives its queue spot (or a just-granted slot) back.
 func TestGateCancelledWaiterDoesNotLeakSlot(t *testing.T) {
 	srv := newTestClusterServer(t, 2, 1, 0)
-	srv.ConfigureOverload(OverloadConfig{MaxInflight: 1, GateTarget: time.Hour})
+	srv.ConfigureOverload(OverloadConfig{MaxInflight: 1})
 	if err := srv.gate.Enter(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -127,6 +127,15 @@ func (s *Server) cl() *cluster.Cluster {
 	return s.cluster
 }
 
+// topK is the backend's configured result count: the default k of a
+// search and the largest one it may ask for.
+func (s *Server) topK() int {
+	if c := s.cl(); c != nil {
+		return c.TopK()
+	}
+	return s.eng().TopK()
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -238,9 +247,11 @@ type HitJSON struct {
 	Score float32 `json:"score"`
 }
 
-// handleSearch serves GET /search?q=terms+separated+by+spaces[&k=10][&trace=1].
-// With trace=1 the response includes the executed physical query plan
-// (single engine) or the per-shard execution summary (cluster).
+// handleSearch serves GET /search?q=terms+separated+by+spaces[&k=n][&trace=1].
+// k defaults to the backend's configured top-k, which is also the largest
+// k a request may ask for. With trace=1 the response includes the
+// executed physical query plan (single engine) or the per-shard execution
+// summary (cluster).
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := strings.TrimSpace(r.URL.Query().Get("q"))
 	if q == "" {
@@ -252,11 +263,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "query has no indexable terms", http.StatusBadRequest)
 		return
 	}
-	k := 10
+	k := s.topK()
 	if ks := r.URL.Query().Get("k"); ks != "" {
 		v, err := strconv.Atoi(ks)
-		if err != nil || v < 1 || v > 1000 {
-			http.Error(w, `parameter "k" must be an integer in [1,1000]`, http.StatusBadRequest)
+		if err != nil || v < 1 || v > k {
+			http.Error(w, `parameter "k" must be an integer in [1,`+strconv.Itoa(k)+`], the server's top-k`, http.StatusBadRequest)
 			return
 		}
 		k = v

@@ -102,15 +102,60 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestSearchKParameter: k defaults to the backend's configured top-k (not
+// a fixed 10), a smaller or equal k is honoured, and a larger one is
+// refused with a 400 that names the limit — on one engine and on a
+// cluster.
 func TestSearchKParameter(t *testing.T) {
-	srv := newTestServer(t)
-	_, body := get(t, srv, "/search?q=quick+fox&k=1")
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+	const topK, docs = 20, 40
+	b := index.NewBuilder(index.CodecEF)
+	for i := 0; i < docs; i++ {
+		toks := []string{"fox"}
+		for j := 0; j <= i%7; j++ {
+			toks = append(toks, "fox", "den")
+		}
+		if err := b.AddDocument(uint32(i), toks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != 1 {
-		t.Fatalf("k=1 returned %d results", len(resp.Results))
+	e, err := core.New(ix, core.Config{Mode: core.CPUOnly, TopK: topK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ixs, err := workload.PartitionIndex(ix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(ixs, cluster.Config{Engine: core.Config{Mode: core.CPUOnly}, TopK: topK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+
+	for name, srv := range map[string]*Server{"engine": New(e), "cluster": NewCluster(cl)} {
+		for _, c := range []struct {
+			query string
+			want  int // results, or -1 for a 400
+		}{{"", topK}, {"&k=5", 5}, {"&k=20", topK}, {"&k=21", -1}} {
+			rec, body := get(t, srv, "/search?q=fox"+c.query)
+			if c.want < 0 {
+				if rec.Code != http.StatusBadRequest || !bytes.Contains(body, []byte("[1,20]")) {
+					t.Errorf("%s %q: status %d %q, want 400 naming the limit 20", name, c.query, rec.Code, body)
+				}
+				continue
+			}
+			var resp SearchResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatalf("%s %q: %v (%s)", name, c.query, err, body)
+			}
+			if len(resp.Results) != c.want {
+				t.Errorf("%s %q: %d results, want %d", name, c.query, len(resp.Results), c.want)
+			}
+		}
 	}
 }
 

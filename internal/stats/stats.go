@@ -122,23 +122,6 @@ func (h *Histogram) Fraction(v int) float64 {
 	return float64(h.counts[v]) / float64(h.total)
 }
 
-// FractionAtLeast returns the fraction of observations in bins >= v.
-func (h *Histogram) FractionAtLeast(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	n := 0
-	for bin, c := range h.counts {
-		if bin >= v {
-			n += c
-		}
-	}
-	return float64(n) / float64(h.total)
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() int { return h.total }
-
 // RatioGroup is one of Figure 8's list-length-ratio buckets.
 type RatioGroup struct {
 	Lo, Hi int // ratio in [Lo, Hi)
@@ -146,11 +129,6 @@ type RatioGroup struct {
 
 // String renders the paper's "[lo,hi)" notation.
 func (g RatioGroup) String() string { return fmt.Sprintf("[%d,%d)", g.Lo, g.Hi) }
-
-// Contains reports whether ratio falls in the group.
-func (g RatioGroup) Contains(ratio float64) bool {
-	return ratio >= float64(g.Lo) && ratio < float64(g.Hi)
-}
 
 // PaperRatioGroups returns the seven groups of §3.2: [1,16), [16,32),
 // [32,64), [64,128), [128,256), [256,512), [512,1024).

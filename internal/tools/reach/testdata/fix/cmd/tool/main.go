@@ -1,0 +1,13 @@
+// Command tool is a root of the reach fixture.
+package main
+
+import (
+	"fmt"
+
+	"fix/internal/a"
+)
+
+func main() {
+	var s a.Shape = a.New(a.Config{SetByRoot: 2})
+	fmt.Println(s.Area(), s)
+}

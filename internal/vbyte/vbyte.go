@@ -134,11 +134,3 @@ func (l *List) CompressedBits() int64 {
 	}
 	return bits
 }
-
-// Ratio returns the compression ratio relative to raw 32-bit docIDs.
-func (l *List) Ratio() float64 {
-	if l.N == 0 {
-		return 0
-	}
-	return float64(int64(l.N)*32) / float64(l.CompressedBits())
-}

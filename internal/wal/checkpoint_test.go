@@ -87,11 +87,11 @@ func TestCheckpointStreamedBytes(t *testing.T) {
 			if (sf != nil) != (rules != nil) {
 				t.Fatalf("reference draw fired = %v", sf != nil)
 			}
-			want := framedCheckpoint(t, ix, s.Lineage(), 42, sf)
+			want := framedCheckpoint(t, ix, s.lineage, 42, sf)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("checkpoint file (%d bytes) differs from the framed reference (%d bytes)", len(got), len(want))
 			}
-			_, _, err = readCheckpoint(s.ckptPath(42), s.Lineage())
+			_, _, err = readCheckpoint(s.ckptPath(42), s.lineage)
 			if (err != nil) != (rules != nil) {
 				t.Fatalf("readCheckpoint err = %v with rules %v", err, rules)
 			}

@@ -71,14 +71,6 @@ func createLog(path string, lineage uint64, shard int, site string, in *fault.In
 	}, nil
 }
 
-// setFault swaps the log's injector — Store.SetFault arms or disarms
-// storage faults at runtime to scope a schedule to one operation window.
-func (l *Log) setFault(in *fault.Injector) {
-	l.mu.Lock()
-	l.in = in
-	l.mu.Unlock()
-}
-
 // openLog opens an existing shard log, scans its record body, truncates
 // the file back to the last intact record (so post-recovery appends
 // land after valid data, never after garbage), and returns the decoded

@@ -23,10 +23,6 @@ import (
 // corpus that never existed, so recovery refuses outright.
 var ErrLineageMismatch = errors.New("wal: lineage mismatch")
 
-// IsLineageMismatch reports whether err is (or wraps) a lineage
-// mismatch — the refuse-to-serve condition.
-func IsLineageMismatch(err error) bool { return errors.Is(err, ErrLineageMismatch) }
-
 // errClosed marks a log whose file has been closed (clean Close or
 // Crash); it is not surfaced as a wedge.
 var errClosed = errors.New("wal: log closed")
@@ -318,22 +314,6 @@ func (s *Store) loadCheckpoint() (*index.Index, uint64, int, error) {
 	return nil, 0, skipped, nil
 }
 
-// SetFault arms (nil disarms) the storage fault injector at runtime, so
-// chaos tooling can scope a fault schedule to one operation window —
-// e.g. corrupt only a specific checkpoint — instead of the store's
-// whole lifetime.
-func (s *Store) SetFault(in *fault.Injector) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.opts.Fault = in
-	for _, l := range s.logs {
-		l.setFault(in)
-	}
-	s.mu.Unlock()
-}
-
 // Checkpoint atomically persists ix as the state through generation
 // watermark. A fired ckpt-site fault corrupts the payload on the way
 // down silently — the writer believes it succeeded, and only recovery's
@@ -609,14 +589,6 @@ func (s *Store) closeLogs() {
 	for _, l := range s.logs {
 		l.Close()
 	}
-}
-
-// Lineage returns the store's history stamp.
-func (s *Store) Lineage() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.lineage
 }
 
 // Wedged returns the first wedging error across the shard logs, or nil.

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -419,7 +420,7 @@ func TestLineageMismatchRefusesToServe(t *testing.T) {
 	}
 
 	_, _, err = Open(dir, Options{Site: "t"})
-	if err == nil || !IsLineageMismatch(err) {
+	if !errors.Is(err, ErrLineageMismatch) {
 		t.Fatalf("mixed-lineage directory opened without refusing: err=%v", err)
 	}
 }
