@@ -264,6 +264,9 @@ func main() {
 
 	ix, err := index.Open(*indexPath)
 	exitOn(err)
+	// Read now: partitioned, ix is unreachable once the shards are built,
+	// and the collector frees its block rows.
+	numDocs, numTerms := ix.NumDocs, ix.NumTerms()
 
 	var handler *server.Server
 	if *shards > 1 {
@@ -331,7 +334,7 @@ func main() {
 			chaos = fmt.Sprintf(", chaos rate=%.2f seed=%d", *chaosRate, *chaosSeed)
 		}
 		log.Printf("griffin-server: %d docs, %d terms, mode=%s, %d shards x %d replicas (%s)%s%s, listening on %s",
-			ix.NumDocs, ix.NumTerms(), mode, *shards, *replicas, routing, chaos, live, *addr)
+			numDocs, numTerms, mode, *shards, *replicas, routing, chaos, live, *addr)
 	} else {
 		dev := gpu.New(hwmodel.DefaultGPU(), 0)
 		ecfg := core.Config{
@@ -375,7 +378,7 @@ func main() {
 			handler = server.New(engine)
 		}
 		log.Printf("griffin-server: %d docs, %d terms, mode=%s%s, listening on %s",
-			ix.NumDocs, ix.NumTerms(), mode, devs, *addr)
+			numDocs, numTerms, mode, devs, *addr)
 	}
 
 	if *maxInflight > 0 {

@@ -85,12 +85,19 @@ type Row struct {
 
 // Page is one page of a block table: up to 1<<PageShift rows of type R
 // and the words of their blocks, back to back in row order, which the
-// page holds — a view of a mapped file for a list that was opened, one
-// allocation of its own for a list that was encoded. A row's offset is
+// page holds — a view of a mapped file for a list that was opened, a
+// slice of an Arena's region for a list a shard split encoded, one
+// allocation of its own for any other encoded list. A row's offset is
 // relative to its page, so 64 blocks of at most 70 words each fit a u16.
+//
+// The rows are always on the heap. A page whose words lie in a region
+// refers to it, so the region stays mapped while any list (or a list
+// spliced from one, which shares its pages) can reach the page.
 type Page[R any] struct {
 	Rows  []R
 	Words []uint64
+
+	region *region // where Words lie; nil for the heap or a mapped file
 }
 
 // List is a partitioned Elias-Fano compressed posting list.
@@ -213,6 +220,10 @@ type Encoder struct {
 	pager Pager[Row]
 }
 
+// SetArena has the pages the encoder closes keep their words in a (nil:
+// on the heap).
+func (e *Encoder) SetArena(a *Arena) { e.pager.Arena = a }
+
 // Append encodes ids as the list's next block: BlockSize docIDs — fewer
 // only in a list's last block — strictly ascending and above every docID
 // appended before.
@@ -275,14 +286,19 @@ func (e *Encoder) Finish() *List {
 // the row that addresses them, Finish. A page it closes owns its rows and
 // its words, each one exact allocation: the scratch they were written
 // into when that is exactly full — always, for pages Fill sized — else a
-// copy of it. Pages are never shared with the pager's scratch, so a list
-// keeps alive only pages it can reach (and, seeded by Seed and finished
-// with nothing added, the page it was seeded from). The zero value is
-// ready for use.
+// copy of it; with an Arena, its words are copied there instead and the
+// scratch kept. Pages are never shared with the pager's scratch, so a
+// list keeps alive only pages it can reach (and, seeded by Seed and
+// finished with nothing added, the page it was seeded from). The zero
+// value is ready for use.
 type Pager[R any] struct {
-	pages []Page[R]
-	rows  []R      // the open page's
-	words []uint64 // the open page's
+	// Arena, if set, takes the words of every page the pager closes.
+	Arena *Arena
+
+	pages  []Page[R]
+	rows   []R      // the open page's
+	words  []uint64 // the open page's
+	region *region  // where words lie, while they are a seeded view of a region
 }
 
 // Alloc returns the open page's next n words, zeroed, and where they
@@ -321,6 +337,7 @@ func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
 		}
 		p.rows = append(make([]R, 0, len(p.rows)+m), p.rows...)
 		p.words = append(make([]uint64, 0, len(p.words)+need), p.words...)
+		p.region = nil
 		for end := j + m; j < end; j++ {
 			add(j)
 		}
@@ -336,17 +353,29 @@ func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
 func (p *Pager[R]) Seed(pages []Page[R], k, end int) {
 	full, r := k>>PageShift, k&(1<<PageShift-1)
 	p.pages = append(p.pages[:0], pages[:full]...)
-	p.rows, p.words = nil, nil
+	p.rows, p.words, p.region = nil, nil, nil
 	if r > 0 {
-		p.rows, p.words = pages[full].Rows[:r:r], pages[full].Words[:end:end]
+		pg := &pages[full]
+		p.rows, p.words, p.region = pg.Rows[:r:r], pg.Words[:end:end], pg.region
 	}
 }
 
 // close ends the open page, if it holds a row.
 func (p *Pager[R]) close() {
-	if len(p.rows) > 0 {
-		p.pages = append(p.pages, Page[R]{Rows: own(&p.rows), Words: own(&p.words)})
+	if len(p.rows) == 0 {
+		return
 	}
+	pg := Page[R]{Rows: own(&p.rows), region: p.region}
+	if pg.region == nil {
+		pg.Words, pg.region = p.Arena.place(p.words)
+	}
+	if pg.Words != nil {
+		p.words = p.words[:0] // copied: the scratch serves the next page
+	} else {
+		pg.Words = own(&p.words)
+	}
+	p.region = nil
+	p.pages = append(p.pages, pg)
 }
 
 // own returns s, the open page's rows or words, for the page to keep:

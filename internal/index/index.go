@@ -117,7 +117,8 @@ type Index struct {
 	// AvgDocLen is the mean document length.
 	AvgDocLen float64
 
-	terms map[string]*PostingList
+	terms  map[string]*PostingList
+	mapped []byte // the file bytes Open parsed; nil for an index built or read in
 }
 
 // Lookup returns the posting list for term, if indexed.

@@ -1,6 +1,9 @@
 package index
 
-import "fmt"
+import (
+	"fmt"
+	"os"
+)
 
 // Open loads the index file at path without decoding it: the file is
 // mapped read-only (read whole where there is no mmap) and parsed in
@@ -23,5 +26,24 @@ func Open(path string) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	ix.mapped = data
 	return ix, nil
+}
+
+// ReleaseLists lets the memory go that the posting lists of an opened
+// index hold resident: the pages of the mapping from the first whole page
+// past DocLens to its end, which a shard split has copied every list out
+// of. It changes residency only — a later read of a list faults its pages
+// back in from the file — and keeps DocLens, which every shard shares. It
+// does nothing to an index built or read into the heap, and nothing where
+// the kernel cannot be told.
+func (ix *Index) ReleaseLists() {
+	if ix.mapped == nil {
+		return
+	}
+	page := os.Getpagesize()
+	start := (headerLen + 4*ix.NumDocs + page - 1) / page * page
+	if start < len(ix.mapped) {
+		dropResident(ix.mapped[start:])
+	}
 }

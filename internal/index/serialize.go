@@ -43,6 +43,7 @@ const (
 	magic   = "GRIF"
 	version = 3
 
+	headerLen     = 32 // magic | version | numDocs | numTerms | avgDocLen
 	minListLen    = 16 // n | numBlocks | termLen | empty term, padded to 8
 	blockEntryLen = 24
 
@@ -60,9 +61,20 @@ var ErrBadFormat = errors.New("index: bad file format")
 // WriteTo serializes the index. It implements io.WriterTo. Every field
 // is encoded into the writer's own 1 MB buffer, so serializing allocates
 // that buffer and the sorted term list whatever the index size.
+//
+// The file has no place for PostingList.GlobalN, so an index holding a
+// list whose scoring frequency is not its own — a shard of a document
+// partition — is refused before anything is written: read back, it would
+// score with the shard's frequencies instead of the collection's.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	e := &encoder{w: bufio.NewWriterSize(w, 1<<20)}
 	terms := ix.Terms()
+	for _, term := range terms {
+		if p := ix.terms[term]; p.ScoringN() != p.N {
+			return 0, fmt.Errorf("index: term %q scores as %d postings but holds %d: a shard of a partitioned index cannot be written",
+				term, p.ScoringN(), p.N)
+		}
+	}
+	e := &encoder{w: bufio.NewWriterSize(w, 1<<20)}
 	e.str(magic)
 	e.u32(version)
 	e.u64(uint64(ix.NumDocs))

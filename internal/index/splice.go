@@ -109,6 +109,13 @@ func (e *ListEncoder) Append(ids, freqs []uint32) error {
 	return nil
 }
 
+// SetArena has the pages of the docID and frequency tables the encoder
+// closes keep their words in a (nil: on the heap); see ef.Arena.
+func (e *ListEncoder) SetArena(a *ef.Arena) {
+	e.ef.SetArena(a)
+	e.freqs.pager.Arena = a
+}
+
 // Len returns the number of postings appended since the last Finish.
 func (e *ListEncoder) Len() int { return e.freqs.n }
 

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"griffin/internal/ef"
 	"griffin/internal/index"
 )
 
@@ -37,12 +38,23 @@ func ShardOf(docID uint32, shards int) int {
 // PartitionIndex splits ix into shards document-partitioned sub-indexes
 // (ShardOf placement). Shard indexes keep the global docID space and
 // global collection statistics; they are in-memory views for cluster
-// serving, not meant to be serialized (WriteTo would drop GlobalN).
+// serving, which WriteTo refuses to serialize (the file cannot carry
+// GlobalN).
+//
+// The shard lists' words are copied into regions off the Go heap (an
+// ef.Arena), sealed read-only before PartitionIndex returns; what the
+// heap keeps of a shard is its block rows, 16 B a block. A region is
+// unmapped once no list, no list spliced from one and no device cache
+// entry can reach a page in it. When ix was opened from a file, the
+// pages of the mapping that hold its lists are released once every list
+// has been copied (index.Index.ReleaseLists): reading ix again faults
+// them back in.
 func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("workload: shard count %d must be positive", shards)
 	}
 	terms := ix.Terms()
+	var arena ef.Arena
 
 	codec := index.CodecEF
 	for _, t := range terms {
@@ -63,7 +75,7 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := newSplitter(shards, codec)
+			sp := newSplitter(shards, codec, &arena)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(terms) {
@@ -87,6 +99,10 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 			}
 		}
 	}
+	if err := arena.Seal(); err != nil {
+		return nil, fmt.Errorf("workload: sealing shard lists: %w", err)
+	}
+	ix.ReleaseLists()
 
 	// Global statistics: shard engines score against the whole
 	// collection, not their slice of it.
@@ -118,10 +134,11 @@ type stage struct {
 	enc        index.ListEncoder
 }
 
-func newSplitter(shards int, codec index.Codec) *splitter {
+func newSplitter(shards int, codec index.Codec, arena *ef.Arena) *splitter {
 	sp := &splitter{shard: newModulus(uint32(shards)), stages: make([]stage, shards)}
 	for s := range sp.stages {
 		sp.stages[s].enc.Codec = codec
+		sp.stages[s].enc.SetArena(arena)
 	}
 	return sp
 }

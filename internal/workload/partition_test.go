@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"griffin/internal/index"
@@ -109,24 +110,8 @@ func TestPartitionIndexDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range a {
-		for _, term := range c.Terms {
-			pa, oka := a[s].Lookup(term)
-			pb, okb := b[s].Lookup(term)
-			if oka != okb {
-				t.Fatalf("shard %d term %q: presence differs", s, term)
-			}
-			if !oka {
-				continue
-			}
-			da, db := pa.EF.Decompress(), pb.EF.Decompress()
-			if len(da) != len(db) {
-				t.Fatalf("shard %d term %q: lengths differ", s, term)
-			}
-			for i := range da {
-				if da[i] != db[i] {
-					t.Fatalf("shard %d term %q: docID[%d] %d != %d", s, term, i, da[i], db[i])
-				}
-			}
+		if !sameContents(a[s], b[s]) {
+			t.Fatalf("shard %d: two splits of one index differ", s)
 		}
 	}
 }
@@ -138,5 +123,38 @@ func TestPartitionIndexRejectsBadShardCount(t *testing.T) {
 	}
 	if _, err := PartitionCorpus(c, -2); err == nil {
 		t.Fatal("expected error for negative shards")
+	}
+}
+
+// A shard's lists score with the collection's document frequencies, which
+// the file format cannot carry: WriteTo refuses the shards of a real
+// partition before writing a byte, and writes a 1-shard partition — every
+// GlobalN its own N — as the file of the index it was split from.
+func TestPartitionedShardsRefuseWriteTo(t *testing.T) {
+	c := partitionTestCorpus(t)
+	var want bytes.Buffer
+	if _, err := c.Index.WriteTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := PartitionCorpus(c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, ix := range shards {
+		var buf bytes.Buffer
+		if n, err := ix.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+			t.Errorf("shard %d of 2: WriteTo wrote %d bytes (%v), want a refusal and nothing written", s, buf.Len(), err)
+		}
+	}
+	one, err := PartitionCorpus(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if _, err := one[0].WriteTo(&got); err != nil {
+		t.Fatalf("1-shard partition: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("a 1-shard partition does not write the file of the index it was split from")
 	}
 }

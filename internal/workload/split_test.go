@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"griffin/internal/ef"
 	"griffin/internal/index"
 )
 
@@ -97,13 +98,13 @@ func TestPartitionIndexEqualsListAtATimeSplit(t *testing.T) {
 			}
 			want := refPartitionIndex(t, ix, shards, codec)
 			for s := range want {
-				if reflect.DeepEqual(got[s], want[s]) {
+				if sameContents(got[s], want[s]) {
 					continue
 				}
 				for _, term := range want[s].Terms() {
 					g, _ := got[s].Lookup(term)
 					w, _ := want[s].Lookup(term)
-					if !reflect.DeepEqual(g, w) {
+					if !sameContents(g, w) {
 						t.Fatalf("codec %d shards=%d shard %d term %q: list differs from the list-at-a-time split's", codec, shards, s, term)
 					}
 				}
@@ -111,6 +112,61 @@ func TestPartitionIndexEqualsListAtATimeSplit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameContents is reflect.DeepEqual but for the handle of the region a
+// page's words lie in (ef.Page's region): two splits of one index copy
+// the same words into different regions, and SpliceList into none. It
+// walks what DeepEqual walks, unexported fields included.
+func sameContents(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	return va.Type() == vb.Type() && sameValue(va, vb)
+}
+
+var regionHandle = func() reflect.Type {
+	f, ok := reflect.TypeOf(ef.Page[ef.Row]{}).FieldByName("region")
+	if !ok {
+		panic("ef.Page has no region field")
+	}
+	return f.Type
+}()
+
+func sameValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Pointer:
+		if a.Type() == regionHandle || a.Pointer() == b.Pointer() {
+			return true
+		}
+		return !a.IsNil() && !b.IsNil() && sameValue(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for it := a.MapRange(); it.Next(); {
+			if v := b.MapIndex(it.Key()); !v.IsValid() || !sameValue(it.Value(), v) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.Equal(b)
 }
 
 // The multiply-only remainder the split uses per posting is ShardOf.
@@ -148,8 +204,9 @@ func splitBenchCorpus(tb testing.TB) *Corpus {
 }
 
 // Splitting allocates little beyond the shard lists it returns: their
-// pages, plus each worker's staging and encoder scratch (one block per
-// shard, and one page of each table per shard encoder). The
+// rows and page tables on the heap, their words in regions off it, plus
+// each worker's staging and encoder scratch (one block per shard, and one
+// page of each table per shard encoder, reused from list to list). The
 // list-at-a-time split decoded every list into whole-list arrays grown by
 // append and encoded block by block through bit writers: 5x what it
 // returned.
@@ -176,16 +233,59 @@ func TestPartitionIndexAllocations(t *testing.T) {
 	runtime.GC()
 	var kept runtime.MemStats
 	runtime.ReadMemStats(&kept)
-	retained := kept.HeapAlloc - before.HeapAlloc // the encoded shard lists: all that is still reachable
+	retained := kept.HeapAlloc - before.HeapAlloc // the shard lists' rows and pages: all that is still reachable
+	words := uint64(wordBytes(shards))
 	runtime.KeepAlive(shards)
 	runtime.KeepAlive(c) // or the second collection frees the corpus too
-	t.Logf("%d postings: allocated %d bytes, retained %d (%.2fx)", postings, allocated, retained, float64(allocated)/float64(retained))
-	if float64(allocated) > 1.5*float64(retained) {
+	t.Logf("%d postings: allocated %d bytes, retained %d on the heap and %d of words (%.2fx)",
+		postings, allocated, retained, words, float64(allocated)/float64(retained+words))
+	if float64(allocated) > 1.5*float64(retained+words) {
 		t.Errorf("PartitionIndex of %d postings allocated %d bytes for shard lists of %d bytes (%.2fx), want <= 1.5x",
-			postings, allocated, retained, float64(allocated)/float64(retained))
+			postings, allocated, retained+words, float64(allocated)/float64(retained+words))
 	}
 }
 
+// wordBytes returns the size of the words of every block-table page the
+// indexes hold, the docIDs' and the frequencies' (whose pages the index
+// API does not expose), walking them as sameContents does.
+func wordBytes(ixs []*index.Index) int {
+	n := 0
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			if f, ok := v.Type().FieldByName("region"); ok && f.Type == regionHandle {
+				n += v.FieldByName("Words").Len() * 8
+				return
+			}
+			for i := range v.NumField() {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if k := v.Type().Elem().Kind(); k == reflect.Pointer || k == reflect.Struct || k == reflect.Slice {
+				for i := range v.Len() {
+					walk(v.Index(i))
+				}
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Value())
+			}
+		}
+	}
+	for _, ix := range ixs {
+		walk(reflect.ValueOf(ix))
+	}
+	return n
+}
+
+// BenchmarkPartitionIndex reports, beside the time a posting, what the
+// shards keep: heap a block (rows and page tables) and words a posting
+// (the regions).
 func BenchmarkPartitionIndex(b *testing.B) {
 	c := splitBenchCorpus(b)
 	postings := 0
@@ -193,12 +293,31 @@ func BenchmarkPartitionIndex(b *testing.B) {
 		pl, _ := c.Index.Lookup(term)
 		postings += pl.N
 	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var shards []*index.Index
 	for i := 0; i < b.N; i++ {
-		if _, err := PartitionIndex(c.Index, 4); err != nil {
+		var err error
+		if shards, err = PartitionIndex(c.Index, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	blocks := 0
+	for _, ix := range shards {
+		for _, term := range ix.Terms() {
+			pl, _ := ix.Lookup(term)
+			blocks += pl.EF.NumBlocks()
+		}
+	}
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(blocks), "heap-B/block")
+	b.ReportMetric(float64(wordBytes(shards))/float64(postings), "region-B/posting")
+	runtime.KeepAlive(shards)
+	runtime.KeepAlive(c) // or the last collection frees the corpus too
 }
