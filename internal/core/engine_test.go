@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"griffin/internal/exec"
@@ -426,6 +427,58 @@ func TestSearchDeterministic(t *testing.T) {
 	}
 }
 
+// A Hybrid query over two comparable lists allocates on the host about
+// what its answer takes, not what its operands decode to: a decoded list is
+// a view of the compressed one, MergePath decodes a tile of it at a time,
+// and the intersection's output is made at its match count. Two 200 k-
+// posting lists sharing ~10 % of their docIDs cost at most 1.5 B per
+// operand posting a query; a decoded copy of both alone is 4 B.
+func TestHybridQueryAllocatesUnderItsOperands(t *testing.T) {
+	const n, universe, reps = 200_000, 2_000_000, 4
+	rng := rand.New(rand.NewSource(15))
+	b := index.NewBuilder(index.CodecEF)
+	for _, term := range []string{"a", "b"} {
+		if err := b.AddPostings(term, workload.GenList(rng, n, universe), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(ix, Config{Mode: Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := []string{"a", "b"}
+	// The first run stocks the device's pool; the repeats are what a
+	// serving engine pays.
+	res, err := e.Search(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := false
+	for _, op := range res.Stats.Plan {
+		merged = merged || op.Kind == exec.OpIntersect && op.Algo == exec.AlgoMergePath
+	}
+	if !merged || res.Stats.Candidates < n/20 || res.Stats.Candidates > n/5 {
+		t.Fatalf("want a device MergePath over ~10 %% overlap: merged %v, %d candidates", merged, res.Stats.Candidates)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range reps {
+		if _, err := e.Search(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perPosting := float64(after.TotalAlloc-before.TotalAlloc) / reps / (2 * n)
+	if perPosting > 1.5 {
+		t.Errorf("a query allocates %.2f B per operand posting, want <= 1.5", perPosting)
+	}
+	t.Logf("%.2f B per operand posting, %d candidates", perPosting, res.Stats.Candidates)
+}
+
 func BenchmarkSearchCPUOnly(b *testing.B) {
 	c := testCorpus(b)
 	e, _ := New(c.Index, Config{Mode: CPUOnly})
@@ -443,6 +496,7 @@ func BenchmarkSearchHybrid(b *testing.B) {
 	dev := gpu.New(hwmodel.DefaultGPU(), 0)
 	e, _ := New(c.Index, Config{Mode: Hybrid, Device: dev})
 	q := []string{c.Terms[2], c.Terms[5], c.Terms[20]}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Search(q); err != nil {

@@ -137,7 +137,6 @@ func serialRun(ctx *Context, fetches []Fetch, mkBuilder func([]*index.PostingLis
 				shortBuf := dec[op.Short.List]
 				if op.Short.List == nil {
 					shortBuf = devRes.Out
-					shortBuf.Data = devRes.Matches()
 				}
 				var out *kernels.IntersectResult
 				var err error
@@ -163,7 +162,7 @@ func serialRun(ctx *Context, fetches []Fetch, mkBuilder func([]*index.PostingLis
 				}
 				hostIDs = []uint32{}
 				if !op.Final || n > 0 {
-					hostIDs = s.D2H(buf, int64(n)*4).([]uint32)[:n]
+					hostIDs = kernels.IDs(s.D2H(buf, int64(n)*4))[:n]
 					rec.Bytes = int64(n) * 4
 				}
 				if !op.Final {

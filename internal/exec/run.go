@@ -568,9 +568,7 @@ func (r *runner) intersectGPU(op *Op, rec *OpRecord) error {
 		e := r.entry(op.Short.List)
 		shortBuf, shortReady = e.dec, e.decReady
 	} else {
-		// Trim the buffer view to the match count for downstream kernels.
 		shortBuf, shortReady = r.devRes.Out, r.resReady
-		shortBuf.Data = r.devRes.Matches()
 	}
 	long := r.entry(op.Long.List)
 	longBuf, longReady := long.dec, long.decReady
@@ -608,7 +606,7 @@ func (r *runner) migrate(op *Op, rec *OpRecord) error {
 	d2h := func(buf *gpu.Buffer, ready gpu.Event, n int) ([]uint32, error) {
 		var ids []uint32
 		_, err := r.submitDevice(gpu.CopyOutEngine, op, rec, func(s *gpu.Stream) error {
-			ids = s.D2H(buf, int64(n)*4).([]uint32)[:n]
+			ids = kernels.IDs(s.D2H(buf, int64(n)*4))[:n]
 			return nil
 		}, ready)
 		rec.Bytes = int64(n) * 4

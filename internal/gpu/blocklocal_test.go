@@ -133,6 +133,35 @@ func TestSharedMemoryPerWorkerWhenEveryBarrierIsBlockLocal(t *testing.T) {
 	}
 }
 
+// Host scratch is per worker whatever the barriers: a kernel with a
+// device-wide barrier gets one object per block for its shared memory but
+// one per worker for MakeScratch, and every block, in every phase, runs
+// with its worker's.
+func TestScratchPerWorker(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		const grid = 50
+		var made atomic.Int32
+		seen := make([][2]*int, grid)
+		New(hwmodel.DefaultGPU(), workers).NewStream().Launch(&Kernel{
+			Name: "scratch", Grid: grid, Block: 8,
+			MakeScratch: func() any { made.Add(1); return new(int) },
+			Lane0:       []bool{true, true},
+			Phases: []Phase{
+				func(c *Ctx) { seen[c.Block][0] = c.Scratch.(*int) },
+				func(c *Ctx) { seen[c.Block][1] = c.Scratch.(*int) },
+			},
+		})
+		distinct := map[*int]bool{}
+		for _, s := range seen {
+			distinct[s[0]], distinct[s[1]] = true, true
+		}
+		// A worker may find no block left to run, so fewer may be seen.
+		if int(made.Load()) != workers || len(distinct) > workers || distinct[nil] {
+			t.Errorf("workers=%d: %d scratch objects made, %d seen by %d blocks, want one per worker", workers, made.Load(), len(distinct), grid)
+		}
+	}
+}
+
 // The declaration is load-bearing: the same kernel with the crossed
 // barrier wrongly declared block-local runs a block's last phase before
 // the next block has published its sum. On one worker that is a

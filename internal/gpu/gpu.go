@@ -116,9 +116,13 @@ func (s *Stream) Elapsed() time.Duration { return s.elapsed }
 // host-side work that interleaves with device operations.
 func (s *Stream) AddTime(d time.Duration) { s.elapsed += d }
 
-// Buffer is a device-memory allocation. Data holds the real payload for
-// functional execution; Bytes is the simulated footprint used for memory
-// accounting and transfer cost.
+// Buffer is a device-memory allocation. Bytes is the simulated footprint
+// used for memory accounting and transfer cost. Data holds the payload
+// functional execution reads, which need not be laid out as Bytes says:
+// it may be a view that yields the modeled contents on demand (a decoded
+// list's payload is its compressed list) or hold fewer elements than were
+// allocated (an intersection's output holds its matches, not the upper
+// bound it was allocated at).
 type Buffer struct {
 	dev   *Device
 	Bytes int64
@@ -222,7 +226,13 @@ type Kernel struct {
 	// finds in it whatever the previous block left, as shared memory is
 	// uninitialised on hardware, and must write what it reads.
 	MakeShared func(i int) any
-	Phases     []Phase
+	// MakeScratch, if non-nil, makes one host-side object per host worker,
+	// which every block the worker runs finds in Ctx.Scratch: room for the
+	// host's bookkeeping of a phase — buffers it would otherwise allocate
+	// per block — that is no part of the modeled device. A phase must not
+	// expect what it left there to reach another block.
+	MakeScratch func() any
+	Phases      []Phase
 	// Lane0, when Lane0[i] is set, declares that Phases[i] is invoked once
 	// per block, with Thread == 0, instead of once per thread. The phase
 	// either has work for one lane only (a tile scan, a per-block boundary
@@ -259,6 +269,8 @@ type Ctx struct {
 	Grid, BlockDim int
 	// Shared is the block's shared-memory state (MakeShared's result).
 	Shared any
+	// Scratch is the host worker's MakeScratch object.
+	Scratch any
 
 	// stats accumulates the counters of every thread the owning host
 	// worker runs in one phase, without atomics; Launch merges the workers'
@@ -309,12 +321,10 @@ func (c *Ctx) UncoalescedWrite(n int) {
 func (c *Ctx) SharedAccess(n int) { c.stats.SharedBytes += int64(n) }
 
 // Launch executes the kernel functionally and charges its modeled time to
-// the stream. It returns the counters for inspection by tests and the
-// experiments harness.
+// the stream (Charge). It returns the counters for inspection by tests and
+// the experiments harness.
 func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 	d := s.dev
-	d.launches.Add(1)
-
 	total := &hwmodel.LaunchStats{
 		Blocks:          k.Grid,
 		ThreadsPerBlock: k.Block,
@@ -326,6 +336,9 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 	ctxs := make([]Ctx, workers)
 	for w := range ctxs {
 		ctxs[w].Grid, ctxs[w].BlockDim = k.Grid, k.Block
+		if k.MakeScratch != nil {
+			ctxs[w].Scratch = k.MakeScratch()
+		}
 	}
 	shared := k.sharedState(ctxs)
 
@@ -351,11 +364,23 @@ func (s *Stream) Launch(k *Kernel) *hwmodel.LaunchStats {
 		}
 	}
 
-	took := d.model.KernelTime(total)
-	s.record("launch", k.Name, 0, s.elapsed, took)
+	s.Charge(k.Name, total)
+	return total
+}
+
+// Charge bills one launch of the named kernel with counters st to the
+// stream: a launch on the device's count, the modeled KernelTime on the
+// clock and in the profile, the launch overhead as fixed cost. Launch
+// charges what it executed this way; a counted kernel, whose counters are
+// a closed form of its input, charges them without executing any phase,
+// and nothing downstream can tell the two apart.
+func (s *Stream) Charge(name string, st *hwmodel.LaunchStats) {
+	d := s.dev
+	d.launches.Add(1)
+	took := d.model.KernelTime(st)
+	s.record("launch", name, 0, s.elapsed, took)
 	s.elapsed += took
 	s.fixed += d.model.LaunchOverhead
-	return total
 }
 
 // flagAt reads an optional per-phase flag slice (Kernel.Lane0, BlockLocal).

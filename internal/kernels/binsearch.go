@@ -16,19 +16,18 @@ import (
 // by up to 2.29x on comparable-length lists. One launch: the probe phase
 // and the compaction tail.
 func IntersectBinarySearch(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*IntersectResult, error) {
-	a := shortBuf.Data.([]uint32)
-	b := longBuf.Data.([]uint32)
-	outBuf, out, err := allocOutput(s, min(len(a), len(b)))
+	a, b := IDs(shortBuf.Data), IDs(longBuf.Data)
+	outBuf, err := allocOutput(s, min(len(a), len(b)))
 	if err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
+	if len(a) == 0 || len(b) == 0 {
 		return &IntersectResult{Out: outBuf}, nil
 	}
 
 	grid := gpu.GridFor(len(a), ThreadsPerBlock)
 	tail := newCompactTail(grid)
-	tailPhases, tailLane0 := tail.phases(out, gatherFlagged(a))
+	tailPhases, tailLane0 := tail.phases(gatherFlagged(a))
 	st := s.Launch(&gpu.Kernel{
 		Name:  "binsearch_intersect",
 		Grid:  grid,
@@ -49,13 +48,14 @@ func IntersectBinarySearch(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inter
 			c.UncoalescedRead(4 * probes)
 		}}, tailPhases...),
 	})
+	outBuf.Data = tail.out
 	return &IntersectResult{Out: outBuf, Count: tail.total, Stats: *st}, nil
 }
 
 // gatherFlagged is the compaction tail's emit for the one-thread-per-
 // element kernels: thread k's only possible match is a[k] itself.
-func gatherFlagged(a []uint32) func(c *gpu.Ctx, k int, dst []uint32) {
-	return func(c *gpu.Ctx, k int, dst []uint32) {
+func gatherFlagged(a []uint32) func(c *gpu.Ctx, k, off int, dst []uint32) {
+	return func(c *gpu.Ctx, k, _ int, dst []uint32) {
 		dst[0] = a[k]
 		c.GlobalRead(4)
 	}
@@ -101,24 +101,15 @@ func binarySearch(b []uint32, v uint32) (found bool, probes int) {
 //
 // longList must be the *ef.List payload of a device buffer (UploadEF).
 func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*IntersectResult, error) {
-	a := shortBuf.Data.([]uint32)
+	a := IDs(shortBuf.Data)
 	l := longBuf.Data.(*ef.List)
 	numBlocks := l.NumBlocks()
-	outBuf, out, err := allocOutput(s, min(len(a), l.N))
+	outBuf, err := allocOutput(s, min(len(a), l.N))
 	if err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
+	if len(a) == 0 || l.N == 0 {
 		return &IntersectResult{Out: outBuf}, nil
-	}
-
-	// Skip-pointer array: first docID of each block (device-resident as
-	// part of the uploaded list).
-	firsts := make([]uint32, 0, numBlocks)
-	for _, pg := range l.Pages {
-		for _, r := range pg.Rows {
-			firsts = append(firsts, r.FirstDocID)
-		}
 	}
 
 	grid := gpu.GridFor(len(a), ThreadsPerBlock)
@@ -139,7 +130,7 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 				if i >= len(a) {
 					return
 				}
-				bi, probes := upperBoundBlock(firsts, a[i])
+				bi, probes := upperBoundBlock(l, a[i])
 				blockOf[i] = int32(bi)
 				needed[bi].Store(true)
 				c.DivergentOp(probes)
@@ -175,7 +166,7 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 	scratch := make([]uint32, len(neededIDs)*ef.BlockSize)
 	scratchLen := make([]int32, len(neededIDs))
 	tail := newCompactTail(grid)
-	tailPhases, tailLane0 := tail.phases(out, gatherFlagged(a))
+	tailPhases, tailLane0 := tail.phases(gatherFlagged(a))
 	st2 := s.Launch(&gpu.Kernel{
 		Name:  "skips_probe",
 		Grid:  max(grid, len(neededIDs)),
@@ -217,17 +208,19 @@ func IntersectBinarySkips(s *gpu.Stream, shortBuf, longBuf *gpu.Buffer) (*Inters
 	})
 	agg.Add(st2)
 	agg.Phases += st2.Phases
+	outBuf.Data = tail.out
 	return &IntersectResult{Out: outBuf, Count: tail.total, Stats: agg}, nil
 }
 
-// upperBoundBlock returns the index of the last block whose first docID is
-// <= v (0 if v precedes every block), plus the probe count.
-func upperBoundBlock(firsts []uint32, v uint32) (idx, probes int) {
-	lo, hi := 0, len(firsts)
+// upperBoundBlock returns the index of the last block of l whose first
+// docID — its skip pointer, read in place — is <= v (0 if v precedes every
+// block), plus the probe count.
+func upperBoundBlock(l *ef.List, v uint32) (idx, probes int) {
+	lo, hi := 0, l.NumBlocks()
 	for lo < hi {
 		probes++
 		mid := (lo + hi) / 2
-		if firsts[mid] <= v {
+		if l.First(mid) <= v {
 			lo = mid + 1
 		} else {
 			hi = mid

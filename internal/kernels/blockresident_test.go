@@ -16,7 +16,8 @@ import (
 // block's lanes: every phase invoked once per thread (the scan by lane 0),
 // every barrier device-wide, one freshly zeroed shared-memory object per
 // block, every lane reporting its own counters. It is the reference the
-// block-resident kernel is held to: same docIDs, same counters.
+// block-resident kernel (paraEFSIMT) is held to: same docIDs, same
+// counters.
 func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats) {
 	type shared struct{ psArray, indexArray []int32 }
 	dst := make([]uint32, l.N)
@@ -123,29 +124,38 @@ func TestParaEFMatchesPerThreadKernel(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			want, wantStats := perThreadParaEF(dev.NewStream(), l)
-			s := dev.NewStream()
-			buf, err := UploadEF(s, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, st, err := ParaEFDecompress(s, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := out.Data.([]uint32); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, ids) {
+			got, st := paraEFSIMT(dev.NewStream(), l)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, ids) {
 				t.Fatalf("%s workers=%d: docIDs differ from the per-thread kernel's", name, workers)
 			}
 			if *st != *wantStats {
 				t.Fatalf("%s workers=%d: counters differ from the per-thread kernel's:\n got %+v\nwant %+v", name, workers, *st, *wantStats)
 			}
+			// Serving charges the same counters without running a phase;
+			// the device holds 4 B a posting, the payload yields them all.
+			s := dev.NewStream()
+			buf, err := UploadEF(s, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, counted, err := ParaEFDecompress(s, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *counted != *wantStats {
+				t.Fatalf("%s workers=%d: charged counters differ from the per-thread kernel's:\n got %+v\nwant %+v", name, workers, *counted, *wantStats)
+			}
+			if payload := IDs(out.Data); out.Bytes != 4*int64(len(ids)) || len(payload) != len(ids) || !reflect.DeepEqual(payload, ids) {
+				t.Fatalf("%s workers=%d: output buffer of %d bytes holds %d docIDs, want %d of 4 bytes", name, workers, out.Bytes, len(payload), len(ids))
+			}
 		}
 	}
 }
 
-// A Para-EF launch costs the host the same few allocations whether it
-// decompresses one block or 4 096: the output buffer and array, the
-// kernel, and one shared-memory object per host worker. One object (three
-// allocations) per block made a 2 M-posting launch 47 000 allocations.
+// A Para-EF SIMT launch costs the host the same few allocations whether it
+// decompresses one block or 4 096: the output array, the kernel, and one
+// shared-memory object per host worker. One object (three allocations) per
+// block made a 2 M-posting launch 47 000 allocations.
 func TestParaEFAllocationsIndependentOfGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	dev := gpu.New(hwmodel.DefaultGPU(), 2)
@@ -153,17 +163,7 @@ func TestParaEFAllocationsIndependentOfGrid(t *testing.T) {
 	for _, n := range []int{100, 128 * 64, 128 * 4096} {
 		l, _ := ef.Compress(genAscending(rng, n, 50))
 		s := dev.NewStream()
-		buf, err := UploadEF(s, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perGrid = append(perGrid, testing.AllocsPerRun(10, func() {
-			out, _, err := ParaEFDecompress(s, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.Free()
-		}))
+		perGrid = append(perGrid, testing.AllocsPerRun(10, func() { paraEFSIMT(s, l) }))
 	}
 	// The single-block launch runs on one worker, the others on two: one
 	// more shared-memory object and the worker goroutines.
@@ -172,9 +172,9 @@ func TestParaEFAllocationsIndependentOfGrid(t *testing.T) {
 	}
 }
 
-// BenchmarkParaEFHost is what one simulated Para-EF launch costs the
-// host, per posting decompressed: the executor's walk over the grid plus
-// the kernel's four phases (bench/'s kernels.paraef_host_ns_per_elem).
+// BenchmarkParaEFHost is what one Para-EF decompression costs the host in
+// serving, per posting: the counted launch, a pass over the list's block
+// rows (bench/'s kernels.paraef_host_ns_per_elem).
 func BenchmarkParaEFHost(b *testing.B) {
 	rng := rand.New(rand.NewSource(48))
 	ids := genAscending(rng, 1<<20, 30)

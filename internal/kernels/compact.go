@@ -16,54 +16,50 @@ import "griffin/internal/gpu"
 //     out[tileOffset+offset[k]:], so the output keeps thread order.
 //
 // All three are invoked once per block (gpu.Kernel.Lane0); the gather
-// loops over its block's threads and charges each one's counters.
+// loops over its block's threads in order, so a thread's offset inside its
+// tile is the sum of the counts before it, and charges each one's counters.
 //
-// The output buffer is allocated before the launch at the intersection's
-// upper bound; nothing here needs the total to size anything. A tail built
-// for fewer blocks than the launch has covers the leading ones: the rest of
-// the grid can hold no matches and idles through the three phases.
+// The device buffer is allocated before the launch at the intersection's
+// upper bound; the tile-total scan makes the host array the gather writes,
+// out, at the total. A tail built for fewer blocks than the launch has
+// covers the leading ones: the rest of the grid can hold no matches and
+// idles through the three phases.
 type compactTail struct {
 	// counts[k] is the number of matches global thread k found. The
-	// producing phase writes it; threads that write nothing count zero.
-	counts []int32
-	// offsets[k] is thread k's exclusive offset inside its tile.
-	offsets     []int32
-	tileSums    []int32
-	tileOffsets []int32
-	// total is the match count, valid after the launch.
+	// producing phase writes it; threads that write nothing count zero. A
+	// thread finds at most 1 + VT/2 <= 17 (MergePath) or 1 (one thread per
+	// element), so the host keeps a byte where the device keeps a word.
+	counts []uint8
+	// tiles[b] is tile b's match total after the tile scan and its offset
+	// in the output after the tile-total scan.
+	tiles []int32
+	// total is the match count and out the matches, valid after the
+	// launch.
 	total int
+	out   []uint32
 }
 
 func newCompactTail(grid int) *compactTail {
-	// One backing array for the two per-thread and the two per-tile
-	// arrays: the tail runs once per intersection.
-	threads := grid * ThreadsPerBlock
-	buf := make([]int32, 2*threads+2*grid)
-	return &compactTail{
-		counts:      buf[:threads],
-		offsets:     buf[threads : 2*threads],
-		tileSums:    buf[2*threads : 2*threads+grid],
-		tileOffsets: buf[2*threads+grid:],
-	}
+	return &compactTail{counts: make([]uint8, grid*ThreadsPerBlock), tiles: make([]int32, grid)}
 }
 
 // phases returns the tail's three phases and their Lane0 flags. emit copies
-// global thread k's matches into dst (len(dst) == counts[k] > 0) and
-// charges the read of wherever the producing phase staged them; the tail
-// charges the ordered write.
-func (t *compactTail) phases(out []uint32, emit func(c *gpu.Ctx, k int, dst []uint32)) ([]gpu.Phase, []bool) {
-	grid := len(t.tileSums)
+// global thread k's matches into dst (len(dst) == counts[k] > 0) — off is
+// where they start inside the thread's tile — and charges the read of
+// wherever the producing phase staged them; the tail charges the ordered
+// write.
+func (t *compactTail) phases(emit func(c *gpu.Ctx, k, off int, dst []uint32)) ([]gpu.Phase, []bool) {
+	grid := len(t.tiles)
 	tileScan := func(c *gpu.Ctx) {
 		if c.Block >= grid {
 			return
 		}
 		lo := c.Block * ThreadsPerBlock
 		var acc int32
-		for k := lo; k < lo+ThreadsPerBlock; k++ {
-			t.offsets[k] = acc
-			acc += t.counts[k]
+		for _, n := range t.counts[lo : lo+ThreadsPerBlock] {
+			acc += int32(n)
 		}
-		t.tileSums[c.Block] = acc
+		t.tiles[c.Block] = acc
 		c.Op(ThreadsPerBlock)
 		c.SharedAccess(8 * ThreadsPerBlock) // counts in, offsets out
 		c.GlobalWrite(4)                    // the tile total
@@ -73,11 +69,12 @@ func (t *compactTail) phases(out []uint32, emit func(c *gpu.Ctx, k int, dst []ui
 			return
 		}
 		var acc int32
-		for b := 0; b < grid; b++ {
-			t.tileOffsets[b] = acc
-			acc += t.tileSums[b]
+		for b, n := range t.tiles {
+			t.tiles[b] = acc
+			acc += n
 		}
 		t.total = int(acc)
+		t.out = make([]uint32, t.total)
 		c.Op(grid)
 		c.GlobalRead(4 * grid)
 		c.GlobalWrite(4 * grid)
@@ -87,14 +84,14 @@ func (t *compactTail) phases(out []uint32, emit func(c *gpu.Ctx, k int, dst []ui
 			return
 		}
 		c.GlobalRead(4) // the tile's offset, broadcast to the block
-		lo := c.Block * ThreadsPerBlock
+		lo, base, off := c.Block*ThreadsPerBlock, int(t.tiles[c.Block]), 0
 		for k := lo; k < lo+ThreadsPerBlock; k++ {
 			n := int(t.counts[k])
 			if n == 0 {
 				continue
 			}
-			at := int(t.tileOffsets[c.Block] + t.offsets[k])
-			emit(c, k, out[at:at+n])
+			emit(c, k, off, t.out[base+off:base+off+n])
+			off += n
 			c.SharedAccess(4) // the thread's offset
 			c.Op(n)
 			c.GlobalWrite(4 * n)

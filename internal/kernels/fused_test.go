@@ -101,11 +101,13 @@ func fusedCase(t *testing.T, dev *gpu.Device, name string, a, b []uint32) int {
 		t.Fatalf("%s: %v", name, err)
 	}
 	want := refIntersect(a, b)
-	if !reflect.DeepEqual(res.Matches(), want) {
+	if !reflect.DeepEqual(matches(res), want) {
 		t.Fatalf("%s (|A|=%d |B|=%d): %d matches, reference has %d", name, len(a), len(b), res.Count, len(want))
 	}
-	if got, bound := len(res.Out.Data.([]uint32)), min(len(a), len(b)); got != bound || res.Out.Bytes != int64(bound)*4 {
-		t.Fatalf("%s: output buffer holds %d elements / %d bytes, want the upper bound %d", name, got, res.Out.Bytes, bound)
+	// The device accounts the output at the upper bound; the host holds
+	// the matches alone.
+	if got, bound := len(IDs(res.Out.Data)), min(len(a), len(b)); got != res.Count || res.Out.Bytes != int64(bound)*4 {
+		t.Fatalf("%s: output buffer holds %d elements / %d bytes, want the %d matches / the upper bound %d x 4", name, got, res.Out.Bytes, res.Count, bound)
 	}
 	aBuf.Free()
 	bBuf.Free()
@@ -122,20 +124,27 @@ func evens(from, n int) []uint32 {
 	return out
 }
 
-func TestIntersectFusedMatchesReference(t *testing.T) {
-	dev := smallDevice()
-	m := dev.Model()
-	seen := map[int]bool{}
-	run := func(name string, a, b []uint32) { seen[fusedCase(t, dev, name, a, b)] = true }
+// mergeCase is one pair of ascending operands for the fused MergePath
+// kernel.
+type mergeCase struct {
+	name string
+	a, b []uint32
+}
 
-	run("empty/empty", nil, nil)
-	run("empty/some", nil, evens(0, 100))
-	run("some/empty", evens(0, 100), nil)
-	run("one==one", []uint32{7}, []uint32{7})
-	run("one!=one", []uint32{7}, []uint32{8})
-	run("one in many", []uint32{4000}, evens(0, 5000))
-	run("one below many", []uint32{1}, evens(2, 5000))
-	run("one above many", []uint32{20_001}, evens(0, 5000))
+// mergeCases returns the operand pairs the fused kernel is held to on a
+// device with model m (smallDevice's, so every VT runs in milliseconds).
+func mergeCases(t *testing.T, m *hwmodel.GPUModel) []mergeCase {
+	var cases []mergeCase
+	add := func(name string, a, b []uint32) { cases = append(cases, mergeCase{name, a, b}) }
+
+	add("empty/empty", nil, nil)
+	add("empty/some", nil, evens(0, 100))
+	add("some/empty", evens(0, 100), nil)
+	add("one==one", []uint32{7}, []uint32{7})
+	add("one!=one", []uint32{7}, []uint32{8})
+	add("one in many", []uint32{4000}, evens(0, 5000))
+	add("one below many", []uint32{1}, evens(2, 5000))
+	add("one above many", []uint32{20_001}, evens(0, 5000))
 
 	// Every VT, around every tile multiple: identical operands (the path
 	// alternates A,B so thread boundaries fall between matches), identical
@@ -151,15 +160,15 @@ func TestIntersectFusedMatchesReference(t *testing.T) {
 			}
 			n := total / 2
 			same := evens(2, n)
-			run("identical", same, same)
-			run("shifted A", append([]uint32{0}, same...), same)
-			run("shifted B", same, append([]uint32{1}, same...))
+			add("identical", same, same)
+			add("shifted A", append([]uint32{0}, same...), same)
+			add("shifted B", same, append([]uint32{1}, same...))
 			odds := make([]uint32, n)
 			for i := range odds {
 				odds[i] = same[i] + 1
 			}
-			run("interleaved disjoint", same, odds)
-			run("ranges disjoint", same, evens(2*n+10, n))
+			add("interleaved disjoint", same, odds)
+			add("ranges disjoint", same, evens(2*n+10, n))
 		}
 	}
 
@@ -168,7 +177,7 @@ func TestIntersectFusedMatchesReference(t *testing.T) {
 		for _, total := range []int{vtSwitch(m, vt) - 1, vtSwitch(m, vt), vtSwitch(m, vt) + 1} {
 			for _, nA := range []int{1, total / 5, total / 2} {
 				a, b := genWithOverlap(rand.New(rand.NewSource(int64(total+nA))), nA, total-nA, 0.5)
-				run("switch", a, b)
+				add("switch", a, b)
 			}
 		}
 	}
@@ -181,12 +190,75 @@ func TestIntersectFusedMatchesReference(t *testing.T) {
 			nA = rng.Intn(12_000)
 		}
 		a, b := genWithOverlap(rng, nA, nB, rng.Float64())
-		run("random", a, b)
+		add("random", a, b)
 	}
+	return cases
+}
 
+func TestIntersectFusedMatchesReference(t *testing.T) {
+	dev := smallDevice()
+	seen := map[int]bool{}
+	for _, c := range mergeCases(t, dev.Model()) {
+		seen[fusedCase(t, dev, c.name, c.a, c.b)] = true
+	}
 	for _, vt := range mergePathVTs {
 		if !seen[vt] {
 			t.Errorf("no case ran at VT %d", vt)
+		}
+	}
+}
+
+// mustDecode uploads ids compressed and decompresses them on the device:
+// a buffer whose payload is a decoded view of the list.
+func mustDecode(t *testing.T, s *gpu.Stream, ids []uint32) *gpu.Buffer {
+	t.Helper()
+	l, err := ef.Compress(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := UploadEF(s, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := ParaEFDecompress(s, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp.Free()
+	return dec
+}
+
+// TestMergePathWindowsMatchFlat runs every mergeCases pair with its
+// operands as decoded views, which the kernel reads a window of EF blocks
+// at a time, and as flat arrays: views on both sides, on one side and on
+// the other return what flat operands return — count, matches and
+// counters.
+func TestMergePathWindowsMatchFlat(t *testing.T) {
+	dev := smallDevice()
+	for _, c := range mergeCases(t, dev.Model()) {
+		s := dev.NewStream()
+		flatA, flatB := mustUpload(s, c.a), mustUpload(s, c.b)
+		viewA, viewB := mustDecode(t, s, c.a), mustDecode(t, s, c.b)
+		want, err := IntersectMergePath(s, flatA, flatB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arm := range []struct {
+			name string
+			a, b *gpu.Buffer
+		}{{"view/view", viewA, viewB}, {"flat/view", flatA, viewB}, {"view/flat", viewA, flatB}} {
+			got, err := IntersectMergePath(s, arm.a, arm.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Count != want.Count || !reflect.DeepEqual(matches(got), matches(want)) || got.Stats != want.Stats {
+				t.Fatalf("%s %s (|A|=%d |B|=%d): %d matches, counters %+v; flat operands: %d, %+v",
+					c.name, arm.name, len(c.a), len(c.b), got.Count, got.Stats, want.Count, want.Stats)
+			}
+			got.Out.Free()
+		}
+		for _, buf := range []*gpu.Buffer{flatA, flatB, viewA, viewB, want.Out} {
+			buf.Free()
 		}
 	}
 }
@@ -247,7 +319,7 @@ func TestIntersectFusedOneLaunch(t *testing.T) {
 		if got := dev.Launches() - launches; got != 2 {
 			t.Fatalf("total %d: binary skips took %d launches, want 2 (route, probe)", total, got)
 		}
-		if !reflect.DeepEqual(res.Matches(), refIntersect(a, b)) {
+		if !reflect.DeepEqual(matches(res), refIntersect(a, b)) {
 			t.Fatalf("total %d: binary skips lost matches", total)
 		}
 		res.Out.Free()

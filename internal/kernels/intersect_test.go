@@ -64,6 +64,9 @@ func genWithOverlap(rng *rand.Rand, nA, nB int, overlap float64) (a, b []uint32)
 	return a, b
 }
 
+// matches returns the docIDs a device intersection found.
+func matches(r *IntersectResult) []uint32 { return IDs(r.Out.Data) }
+
 func upload(t testing.TB, s *gpu.Stream, vals []uint32) *gpu.Buffer {
 	t.Helper()
 	buf, err := s.H2D(vals, int64(len(vals))*4)
@@ -84,8 +87,8 @@ func TestMergePathPaperExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []uint32{1, 3, 7, 25, 31}
-	if !reflect.DeepEqual(res.Matches(), want) {
-		t.Fatalf("got %v want %v", res.Matches(), want)
+	if !reflect.DeepEqual(matches(res), want) {
+		t.Fatalf("got %v want %v", matches(res), want)
 	}
 }
 
@@ -106,7 +109,7 @@ func TestMergePathMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := refIntersect(a, b)
-		if !reflect.DeepEqual(res.Matches(), want) {
+		if !reflect.DeepEqual(matches(res), want) {
 			t.Fatalf("nA=%d nB=%d: got %d matches, want %d", tc.nA, tc.nB, res.Count, len(want))
 		}
 	}
@@ -152,7 +155,7 @@ func TestMergePathQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(res.Matches(), refIntersect(a, b))
+		return reflect.DeepEqual(matches(res), refIntersect(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -209,7 +212,7 @@ func TestBinarySearchIntersectMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := refIntersect(a, b)
-		if !reflect.DeepEqual(res.Matches(), want) {
+		if !reflect.DeepEqual(matches(res), want) {
 			t.Fatalf("nA=%d nB=%d: got %d matches, want %d", tc.nA, tc.nB, res.Count, len(want))
 		}
 	}
@@ -249,7 +252,7 @@ func TestBinarySkipsMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := refIntersect(a, b)
-		if !reflect.DeepEqual(res.Matches(), want) {
+		if !reflect.DeepEqual(matches(res), want) {
 			t.Fatalf("nA=%d nB=%d: got %d matches, want %d", tc.nA, tc.nB, res.Count, len(want))
 		}
 	}
@@ -264,8 +267,8 @@ func TestBinarySkipsValueBelowAllBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Matches(), []uint32{100}) {
-		t.Fatalf("got %v want [100]", res.Matches())
+	if !reflect.DeepEqual(matches(res), []uint32{100}) {
+		t.Fatalf("got %v want [100]", matches(res))
 	}
 }
 

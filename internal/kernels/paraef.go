@@ -26,6 +26,87 @@ func UploadEF(s *gpu.Stream, l *ef.List) (*gpu.Buffer, error) {
 	return s.H2D(l, l.CompressedBytes())
 }
 
+// paraEFName is the Para-EF launch's name in profiles, counted or run.
+const paraEFName = "para_ef_decompress"
+
+// decoded is the payload of a Para-EF output buffer: the compressed list
+// itself, standing for the docIDs it decodes to. The buffer's Bytes is
+// the decoded array's 4 B a posting, which the device holds; the host
+// reads the docIDs where they lie, by select or a block at a time
+// (MergePath's windows), and makes a flat copy only for a consumer that
+// needs the whole array (IDs).
+type decoded struct{ l *ef.List }
+
+// IDs returns the docIDs a device buffer's payload holds as one flat
+// array: a flat payload itself (an intersection's matches, an uploaded
+// intermediate), a decoded list decoded into a fresh array. Kernels that
+// read an operand whole and the host's drain of a device list take their
+// docIDs here.
+func IDs(payload any) []uint32 {
+	if v, ok := payload.(decoded); ok {
+		return v.l.Decompress()
+	}
+	return payload.([]uint32)
+}
+
+// ParaEFDecompress decompresses an uploaded Elias-Fano list on the device
+// with Algorithm 1 (paraEFSIMT): one grid block per 128-element EF block,
+// one thread per element. Serving does not execute the kernel: its
+// counters are a closed form of the list's block rows (paraEFStats), equal
+// to what the SIMT kernel reports for every list the encoder makes, and
+// are charged as one launch. The output buffer is allocated at the decoded
+// size, 4 B a posting; its payload is a view of the compressed list.
+//
+// compressed must be a device buffer produced by UploadEF (its payload is
+// the *ef.List).
+func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmodel.LaunchStats, error) {
+	l := compressed.Data.(*ef.List)
+	out, err := s.Alloc(int64(l.N) * 4)
+	if err != nil {
+		return nil, nil, err
+	}
+	out.Data = decoded{l}
+	if l.N == 0 {
+		return out, &hwmodel.LaunchStats{}, nil
+	}
+	st := paraEFStats(l)
+	s.Charge(paraEFName, st)
+	return out, st, nil
+}
+
+// paraEFStats returns the counters of paraEFSIMT's launch over l, phase
+// by phase, from the rows alone: a block of N elements whose high bits
+// span nw 32-bit words charges
+//
+//  1. popcount: nw word loads, nw __popc, nw ps_array stores;
+//  2. prefix sum: nw adds, a read and a write of ps_array per word;
+//  3. scheduling: N divergent index_array stores — the high bits hold one
+//     set bit per element;
+//  4. decompress: N low-bits fetches when B > 0, then 6 shared accesses,
+//     6 ops and one docID store per element.
+func paraEFStats(l *ef.List) *hwmodel.LaunchStats {
+	elems := int64(l.N)
+	var words, lowElems int64
+	for _, pg := range l.Pages {
+		for _, r := range pg.Rows {
+			words += int64(words32(int(r.HighLen)))
+			if r.B > 0 {
+				lowElems += int64(r.N)
+			}
+		}
+	}
+	return &hwmodel.LaunchStats{
+		Blocks:           l.NumBlocks(),
+		ThreadsPerBlock:  ThreadsPerBlock,
+		Phases:           4,
+		Ops:              words + words + 6*elems,
+		GlobalReadBytes:  4*words + 4*lowElems,
+		GlobalWriteBytes: 4 * elems,
+		SharedBytes:      4*words + 8*words + 4*elems + 6*elems,
+		DivergentOps:     elems,
+	}
+}
+
 // paraEFShared is the per-thread-block shared memory of the Para-EF
 // kernel: the popcount/prefix-sum array over 32-bit high-bits words and
 // the element-to-word scheduling index (Algorithm 1's ps_array and
@@ -35,9 +116,10 @@ type paraEFShared struct {
 	indexArray [ThreadsPerBlock]int32
 }
 
-// ParaEFDecompress runs Algorithm 1 on the device: one grid block per
-// 128-element EF block, one thread per element. It returns a device buffer
-// whose payload is the fully decompressed []uint32 docID array.
+// paraEFSIMT runs Algorithm 1 on the simulated device and returns the
+// decompressed docIDs and the launch's counters. It is the checked
+// implementation paraEFStats is held to in tests; serving charges the
+// closed form instead (ParaEFDecompress).
 //
 // Phase structure (each phase boundary is a barrier):
 //
@@ -57,25 +139,11 @@ type paraEFShared struct {
 // memory — and every phase is invoked once per block and loops over the
 // block's lanes itself (gpu.Kernel.Lane0), charging what each lane would
 // have: the host executes a block per call, the way the device executes
-// one per SM slot, and the counters cannot tell.
-//
-// compressed must be a device buffer produced by UploadEF (its payload is
-// the *ef.List).
-func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmodel.LaunchStats, error) {
-	l := compressed.Data.(*ef.List)
-	out, err := s.Alloc(int64(l.N) * 4)
-	if err != nil {
-		return nil, nil, err
-	}
+// one per SM slot, and the counters cannot tell. l must hold a posting.
+func paraEFSIMT(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats) {
 	dst := make([]uint32, l.N)
-	out.Data = dst
-
-	if l.N == 0 {
-		return out, &hwmodel.LaunchStats{}, nil
-	}
-
 	k := &gpu.Kernel{
-		Name:  "para_ef_decompress",
+		Name:  paraEFName,
 		Grid:  l.NumBlocks(),
 		Block: ThreadsPerBlock,
 		// ps_array + index_array live in shared memory (§3.1.1: "We also
@@ -172,8 +240,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 			},
 		},
 	}
-	st := s.Launch(k)
-	return out, st, nil
+	return dst, s.Launch(k)
 }
 
 // maxWords32PerBlock bounds the per-block high-bits array in 32-bit words:

@@ -1,13 +1,16 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"griffin/internal/ef"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
+	"griffin/internal/index"
 )
 
 func newStream() *gpu.Stream {
@@ -38,7 +41,7 @@ func decompressOnDevice(t testing.TB, s *gpu.Stream, ids []uint32) []uint32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Data.([]uint32)
+	return IDs(out.Data)
 }
 
 func TestParaEFMatchesSerialDecode(t *testing.T) {
@@ -95,7 +98,7 @@ func TestParaEFEmptyList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Data.([]uint32); len(got) != 0 {
+	if got := IDs(out.Data); len(got) != 0 || out.Bytes != 0 {
 		t.Fatalf("expected empty output, got %d elements", len(got))
 	}
 }
@@ -163,6 +166,154 @@ func TestParaEFSpeedupGrowsWithListSize(t *testing.T) {
 	small, large := perElem(1000), perElem(1<<20)
 	if large >= small {
 		t.Fatalf("per-element cost did not shrink: small=%v large=%v", small, large)
+	}
+}
+
+// nearBoundBlock returns one full block whose high bits are as long as the
+// encoder ever makes them at width b: its local universe is just under
+// 128 x 2^(b+1), so HighLen = 255 + 128 = 383 bits, 12 of the 32-bit words
+// Para-EF schedules. Its other elements lie in the lower half, so the high
+// bits jump whole words of zeros to reach the last.
+func nearBoundBlock(rng *rand.Rand, base uint32, b int) []uint32 {
+	u := uint32(ef.BlockSize<<(b+1) - 1)
+	seen := map[uint32]bool{0: true, u: true}
+	for len(seen) < ef.BlockSize {
+		seen[uint32(rng.Intn(int(u)/2+1))] = true
+	}
+	ids := make([]uint32, 0, ef.BlockSize)
+	for v := range seen {
+		ids = append(ids, base+v)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// paraEFCases returns the lists the counted Para-EF is held to the SIMT
+// kernel on: lengths around the block size, dense b = 0 runs, gaps that
+// jump words, blocks at the high-bits bound, lists spliced onto the pages
+// of a predecessor (index.SpliceList), and random lists.
+func paraEFCases(t *testing.T) map[string]*ef.List {
+	rng := rand.New(rand.NewSource(49))
+	lists := map[string]*ef.List{}
+	add := func(name string, ids []uint32) {
+		l, err := ef.Compress(ids)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		lists[name] = l
+	}
+	for _, n := range []int{1, 127, 128, 129} {
+		add(fmt.Sprintf("n=%d", n), genAscending(rng, n, 300))
+		add(fmt.Sprintf("n=%d dense", n), genAscending(rng, n, 1))
+	}
+	add("dense b=0", genAscending(rng, 5000, 1))
+	// Blocks of two dense halves far apart: the high bits between them
+	// are whole zero words.
+	var halves []uint32
+	for k := uint32(0); k < 6; k++ {
+		for i := uint32(0); i < 64; i++ {
+			halves = append(halves, k<<20+i, k<<20+1<<19+i)
+		}
+	}
+	sort.Slice(halves, func(i, j int) bool { return halves[i] < halves[j] })
+	add("gaps jump words", halves)
+	var bound []uint32
+	for b := 0; b <= 22; b++ {
+		next := uint32(0)
+		if len(bound) > 0 {
+			next = bound[len(bound)-1] + 1
+		}
+		bound = append(bound, nearBoundBlock(rng, next, b)...)
+	}
+	add("high bits at bound", bound)
+	for k, l := 0, lists["high bits at bound"]; k < l.NumBlocks(); k++ {
+		if got := l.Block(k).HighLen; got != 383 {
+			t.Fatalf("high bits at bound: block %d has %d high bits, want 383", k, got)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		add(fmt.Sprintf("random %d", i), genAscending(rng, 1+rng.Intn(3000), uint32(1+rng.Intn(1<<rng.Intn(20)))))
+	}
+
+	ids := genAscending(rng, 300*ef.BlockSize+17, 40)
+	ones := func(n int) []uint32 {
+		f := make([]uint32, n)
+		for i := range f {
+			f[i] = 1
+		}
+		return f
+	}
+	old, err := index.SpliceList("t", nil, 0, ids, ones(len(ids)), index.CodecEF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 63, 64, 65, 200, 300} {
+		last := ids[k*ef.BlockSize-1]
+		tail := genAscending(rng, 1+rng.Intn(700), 1+uint32(rng.Intn(5000)))
+		for i := range tail {
+			tail[i] += last
+		}
+		pl, err := index.SpliceList("t", old, k, tail, ones(len(tail)), index.CodecEF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[fmt.Sprintf("spliced at %d", k)] = pl.EF
+	}
+	return lists
+}
+
+// TestParaEFCountedMatchesSIMT is the checked mode of the counted Para-EF
+// serving runs: on every paraEFCases list it charges what the SIMT kernel
+// executes — the same counters, the same stream clock and profile event,
+// one launch on the device — and the kernel's output is the serial decode
+// at every position.
+func TestParaEFCountedMatchesSIMT(t *testing.T) {
+	for name, l := range paraEFCases(t) {
+		for _, workers := range []int{1, 3} {
+			counted, simt := gpu.New(hwmodel.DefaultGPU(), workers), gpu.New(hwmodel.DefaultGPU(), workers)
+			cs, ss := counted.NewStream(), simt.NewStream()
+			cs.EnableProfiling()
+			ss.EnableProfiling()
+
+			comp, err := UploadEF(cs, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, st, err := ParaEFDecompress(cs, comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The SIMT side pays the same upload and output allocation.
+			if _, err := UploadEF(ss, l); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ss.Alloc(int64(l.N) * 4); err != nil {
+				t.Fatal(err)
+			}
+			got, want := paraEFSIMT(ss, l)
+
+			if *st != *want {
+				t.Fatalf("%s workers=%d: counted %+v, SIMT %+v", name, workers, *st, *want)
+			}
+			if cs.Elapsed() != ss.Elapsed() || !reflect.DeepEqual(cs.Profile(), ss.Profile()) {
+				t.Fatalf("%s workers=%d: counted clock %v %+v, SIMT %v %+v", name, workers, cs.Elapsed(), cs.Profile(), ss.Elapsed(), ss.Profile())
+			}
+			if counted.Launches() != 1 || simt.Launches() != 1 {
+				t.Fatalf("%s workers=%d: %d counted launches, %d SIMT", name, workers, counted.Launches(), simt.Launches())
+			}
+			var blk [ef.BlockSize]uint32
+			for k := range l.NumBlocks() {
+				n := l.DecompressBlock(k, blk[:])
+				for j := range n {
+					if got[k*ef.BlockSize+j] != blk[j] {
+						t.Fatalf("%s workers=%d: block %d element %d: SIMT %d, serial decode %d", name, workers, k, j, got[k*ef.BlockSize+j], blk[j])
+					}
+				}
+			}
+			if len(got) != l.N || out.Bytes != 4*int64(l.N) || !reflect.DeepEqual(IDs(out.Data), got) {
+				t.Fatalf("%s workers=%d: %d SIMT docIDs, %d-byte output whose payload differs", name, workers, len(got), out.Bytes)
+			}
+		}
 	}
 }
 
