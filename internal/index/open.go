@@ -30,20 +30,39 @@ func Open(path string) (*Index, error) {
 	return ix, nil
 }
 
-// ReleaseLists lets the memory go that the posting lists of an opened
-// index hold resident: the pages of the mapping from the first whole page
-// past DocLens to its end, which a shard split has copied every list out
-// of. It changes residency only — a later read of a list faults its pages
-// back in from the file — and keeps DocLens, which every shard shares. It
-// does nothing to an index built or read into the heap, and nothing where
-// the kernel cannot be told.
-func (ix *Index) ReleaseLists() {
-	if ix.mapped == nil {
+// ReleaseList lets the memory go that pl's record holds resident in the
+// mapping of an opened index — its term header, block table, Elias-Fano
+// words and frequency words — once a caller has copied what it needs out
+// of it (a shard split, list by list). The range is rounded outward to
+// whole pages but never reaches a page holding DocLens, which every shard
+// shares. It changes residency only: a later read of pl, or of a
+// neighbour whose boundary page it dropped, faults the page back in from
+// the file — and, where the kernel maps a whole large folio on a fault,
+// the pages around it, this list's among them; so a caller releases a
+// list once its neighbours are read too. It does nothing when ix is not
+// mapped, when pl's words do not lie in the mapping (a list built on the
+// heap, or spliced with a tail of its own), and where the kernel cannot
+// be told.
+func (ix *Index) ReleaseList(pl *PostingList) {
+	nb := pl.EF.NumBlocks()
+	if ix.mapped == nil || nb == 0 {
 		return
 	}
+	// The record is its header (n | numBlocks | termLen | term, padded to
+	// 8), its block table and its words, which end with its last frequency
+	// word (see the format above WriteTo).
+	last := pl.Freqs.pages[len(pl.Freqs.pages)-1].Words
+	lo, okLo := offsetIn(ix.mapped, &pl.EF.Pages[0].Words[0])
+	hi, okHi := offsetIn(ix.mapped, &last[len(last)-1])
+	if !okLo || !okHi {
+		return // not a list of the mapping, or Parse copied its words (a big-endian host)
+	}
+	lo -= (14+len(pl.Term)+7)&^7 + nb*blockEntryLen
+	hi += 8
 	page := os.Getpagesize()
-	start := (headerLen + 4*ix.NumDocs + page - 1) / page * page
-	if start < len(ix.mapped) {
-		dropResident(ix.mapped[start:])
+	lo = max(lo/page*page, (headerLen+4*ix.NumDocs+page-1)/page*page)
+	hi = min((hi+page-1)/page*page, len(ix.mapped))
+	if lo < hi {
+		dropResident(ix.mapped[lo:hi])
 	}
 }

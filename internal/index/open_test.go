@@ -106,7 +106,7 @@ func TestOpenMapped(t *testing.T) {
 				t.Errorf("seed %d: %s: remembers a mapping: %v", seed, name, got.mapped != nil)
 			}
 			unmapped := *got
-			unmapped.mapped = nil // which Open keeps beside the index, for ReleaseLists
+			unmapped.mapped = nil // which Open keeps beside the index, for ReleaseList
 			if !reflect.DeepEqual(&unmapped, built) {
 				t.Errorf("seed %d: %s is not the built index", seed, name)
 			}

@@ -6,7 +6,8 @@ import (
 )
 
 // This file is the package's only use of unsafe: reinterpreting bytes of
-// a serialized index as the little-endian words they encode.
+// a serialized index as the little-endian words they encode, and finding
+// where in those bytes a word lies.
 
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
@@ -28,4 +29,11 @@ func wordsOf[T uint32 | uint64](b []byte, get func([]byte) T) []T {
 		out[i] = get(b[i*size:])
 	}
 	return out
+}
+
+// offsetIn returns the offset of *w in data, and whether w lies in data
+// at all (it does not in a copy wordsOf made, nor on the heap).
+func offsetIn(data []byte, w *uint64) (int, bool) {
+	off := uintptr(unsafe.Pointer(w)) - uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	return int(off), off < uintptr(len(data))
 }

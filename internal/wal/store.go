@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 
 	"griffin/internal/fault"
 	"griffin/internal/index"
@@ -654,15 +655,23 @@ func writeFileSync(path string, data []byte) error {
 }
 
 // syncDir fsyncs a directory so a rename is durable; best-effort on
-// platforms where directory fsync is unsupported.
+// filesystems that reject directory fsync (see dirSyncErr).
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return nil // tolerate filesystems that reject directory fsync
+	return dirSyncErr(d.Sync())
+}
+
+// dirSyncErr is what syncDir reports for the error of a directory's fsync:
+// nil where the filesystem rejects the call (EINVAL, ENOTSUP), which
+// leaves the rename as durable as that filesystem makes it, and the error
+// itself otherwise — an EIO means the rename may not survive a crash.
+func dirSyncErr(err error) error {
+	if errors.Is(err, syscall.EINVAL) || errors.Is(err, errors.ErrUnsupported) || errors.Is(err, os.ErrInvalid) {
+		return nil
 	}
-	return nil
+	return err
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"griffin/internal/fault"
@@ -552,6 +553,22 @@ func TestStatsCounters(t *testing.T) {
 	st := s.Stats()
 	if st.Appends != 8 || st.Syncs != 8 || st.AppendedBytes == 0 || st.Wedged {
 		t.Fatalf("stats %+v, want 8 appends / 8 syncs, bytes > 0, not wedged", st)
+	}
+}
+
+// A directory fsync that fails is a rename that may not survive a crash,
+// unless the filesystem rejects directory fsync altogether.
+func TestDirSyncErr(t *testing.T) {
+	fsync := func(errno syscall.Errno) error {
+		return &os.PathError{Op: "sync", Path: "/wal", Err: errno}
+	}
+	if err := dirSyncErr(fsync(syscall.EIO)); !errors.Is(err, syscall.EIO) {
+		t.Errorf("EIO: got %v, want it returned", err)
+	}
+	for _, err := range []error{nil, fsync(syscall.EINVAL), fsync(syscall.ENOTSUP), os.ErrInvalid} {
+		if got := dirSyncErr(err); got != nil {
+			t.Errorf("%v: got %v, want nil", err, got)
+		}
 	}
 }
 

@@ -45,9 +45,10 @@ func ShardOf(docID uint32, shards int) int {
 // ef.Arena), sealed read-only before PartitionIndex returns; what the
 // heap keeps of a shard is its block rows, 16 B a block. A region is
 // unmapped once no list, no list spliced from one and no device cache
-// entry can reach a page in it. When ix was opened from a file, the
-// pages of the mapping that hold its lists are released once every list
-// has been copied (index.Index.ReleaseLists): reading ix again faults
+// entry can reach a page in it. When ix was opened from a file, a list's
+// pages of the mapping are released as soon as it and its neighbours in
+// the file have been split (index.Index.ReleaseList), so the split never
+// holds much more than one copy of the postings; reading ix again faults
 // them back in.
 func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	if shards <= 0 {
@@ -69,6 +70,19 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	// makes the shard indexes the ones a single goroutine would build.
 	perTerm := make([][]*index.PostingList, len(terms))
 	errs := make([]error, len(terms))
+	// A list's pages are released once it and both its neighbours in the
+	// file, which is in term order, have been split — failed or not, the
+	// pages read back from the file. Its release drops the pages it shares
+	// with them, and a read that faulted one of those back in would map
+	// the whole large folio around it, the released pages with it.
+	done := make([]atomic.Bool, len(terms))
+	release := func(t int) {
+		if t >= 0 && t < len(terms) && done[t].Load() &&
+			(t == 0 || done[t-1].Load()) && (t+1 == len(terms) || done[t+1].Load()) {
+			pl, _ := ix.Lookup(terms[t])
+			ix.ReleaseList(pl)
+		}
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(terms)); w > 0; w-- {
@@ -83,6 +97,10 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 				}
 				pl, _ := ix.Lookup(terms[t])
 				perTerm[t], errs[t] = sp.split(pl)
+				done[t].Store(true)
+				release(t - 1)
+				release(t)
+				release(t + 1)
 			}
 		}()
 	}
@@ -102,7 +120,6 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	if err := arena.Seal(); err != nil {
 		return nil, fmt.Errorf("workload: sealing shard lists: %w", err)
 	}
-	ix.ReleaseLists()
 
 	// Global statistics: shard engines score against the whole
 	// collection, not their slice of it.
