@@ -14,10 +14,13 @@
 //	griffin-server -index index.grif -ingest -shards 4 -split-watermark 2000000
 //	griffin-server -index index.grif -ingest -wal-dir /var/lib/griffin/wal -checkpoint-every 10000
 //
-// With -shards N > 1 the loaded index is document-partitioned into N
-// shards (global BM25 statistics preserved, so results are identical to
-// single-node serving), each shard runs -replicas engines with private
-// simulated devices, and every query scatter-gathers across the shards.
+// Every server is a cluster. With -shards N > 1 the loaded index is
+// document-partitioned into N shards (global BM25 statistics preserved,
+// so results are identical to single-node serving) and every query
+// scatter-gathers across them; at -shards 1 the one shard serves the
+// loaded index itself, charges no gather merge, and answers exactly as a
+// single engine. Each shard runs -replicas engines with private simulated
+// devices.
 //
 // With -devices N > 1 every engine (single-node or each cluster replica)
 // runs a simulated multi-GPU node: queries are placed on one of N devices
@@ -34,7 +37,7 @@
 // coalescing telemetry. The default (0) is off, preserving older output
 // byte for byte.
 //
-// Cluster serving self-heals: failed sub-queries retry on sibling
+// Serving self-heals: failed sub-queries retry on sibling
 // replicas, device faults fall back to CPU-only plans, per-replica
 // circuit breakers shed misbehaving replicas, and -hedge-delay hedges
 // slow shards onto a sibling. -chaos-rate injects seeded faults to
@@ -42,7 +45,7 @@
 // /statz carries the self-healing counters and fault log (see
 // docs/robustness.md).
 //
-// Cluster serving is also overload-controlled: -default-deadline applies
+// Serving is also overload-controlled: -default-deadline applies
 // a per-query deadline budget (overridable per request with
 // ?deadline_ms=) that propagates to shard sub-deadlines and device
 // admission, -shed-target sheds sub-queries CoDel-style under sustained
@@ -52,6 +55,9 @@
 // concurrently served /search requests at the HTTP layer in any mode.
 // Overload refusals are 503s with Retry-After; /statz grows an
 // "overload" block and /healthz a shed_rate (see docs/robustness.md).
+// The replica, routing, self-healing, chaos and overload flags apply at
+// any shard count except to a live engine (-ingest at -shards 1), which
+// serves one replica with the defaults and refuses them.
 //
 // With -ingest the loaded index becomes the seed segment of a live
 // engine (or live cluster at -shards > 1): POST /ingest accepts
@@ -60,7 +66,7 @@
 // compressed main segment once it crosses -merge-threshold (contending
 // with queries on the shared simulated device), /statz grows an
 // "ingest" block, and /healthz reports "degraded" — still serving —
-// when merge lag exceeds -freshness-threshold. In cluster mode
+// when merge lag exceeds -freshness-threshold. At -shards > 1
 // -split-watermark splits a shard whose live document count crosses it,
 // re-routing mid-flight. See docs/ingest.md.
 //
@@ -114,279 +120,270 @@ import (
 	"griffin/internal/workload"
 )
 
-func main() {
-	indexPath := flag.String("index", "index.grif", "serialized index file")
-	addr := flag.String("addr", ":8080", "listen address")
-	modeName := flag.String("mode", "griffin", "execution mode: cpu, gpu, perquery, or griffin")
-	cache := flag.Bool("cache", false, "keep hot compressed lists resident in device memory")
-	devices := flag.Int("devices", 1, "simulated GPUs per node; > 1 places each query on one device of a multi-GPU node")
-	placementName := flag.String("placement", "affinity", "device placement at -devices > 1: affinity, least-backlog, or round-robin")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce compatible device ops from concurrent queries submitted within this window into one batched launch (0 = off)")
-	batchMax := flag.Int("batch-max", gpu.DefaultBatchMax, "member ops per batch before an early flush (with -batch-window)")
-	topK := flag.Int("k", 10, "default result count")
-	shards := flag.Int("shards", 1, "document partitions; > 1 serves scatter-gather over a sharded cluster")
-	replicas := flag.Int("replicas", 1, "engine replicas per shard (cluster mode)")
-	routingName := flag.String("routing", "rr", "replica routing: rr or least-pending (cluster mode)")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard latency budget; slower shards degrade the result (0 = none)")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "dispatch a hedged sub-query to a sibling replica after this delay (cluster mode, 0 = off)")
-	retries := flag.Int("retries", 0, "sibling retries per failed sub-query (cluster mode; 0 = one retry when replicated, -1 = none)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures tripping a replica's circuit breaker (cluster mode; 0 = default 3, -1 = disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before half-open probes (cluster mode, 0 = default)")
-	chaosRate := flag.Float64("chaos-rate", 0, "inject seeded faults at this base rate (cluster mode, 0 = off); mix: kernel/transfer/stall at rate, reset at rate/4, engine-error at rate/2")
-	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection seed (with -chaos-rate)")
-	ingestOn := flag.Bool("ingest", false, "accept live mutations on POST /ingest (delta index + background merge)")
-	walDir := flag.String("wal-dir", "", "durable ingest: write-ahead log + checkpoint directory; startup recovers its state (with -ingest; empty = in-memory only)")
-	walSync := flag.Int("wal-sync", 1, "WAL appends per fsync: 1 syncs every acknowledged mutation, N > 1 trades the sync tail for throughput, -1 defers to checkpoints and shutdown (with -wal-dir)")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "persist a checkpoint after this many mutations so recovery replays only the WAL suffix (with -wal-dir; 0 = none)")
-	mergeThreshold := flag.Int("merge-threshold", 4096, "unmerged delta records making a merge due (with -ingest; 0 = manual merges only)")
-	mergeAuto := flag.Bool("merge-auto", true, "merge in the background when the delta crosses -merge-threshold (with -ingest)")
-	freshness := flag.Int("freshness-threshold", 0, "merge lag past which /healthz reports degraded (with -ingest; 0 = no check)")
-	splitWatermark := flag.Int("split-watermark", 0, "live docs per shard triggering a shard split (with -ingest -shards > 1; 0 = off)")
-	defaultDeadline := flag.Duration("default-deadline", 0, "per-query deadline budget applied when a request carries no ?deadline_ms= (cluster mode, 0 = none)")
-	maxInflight := flag.Int("max-inflight", 0, "bound concurrently served /search requests; excess queue and shed CoDel-style (0 = unbounded)")
-	shedTarget := flag.Duration("shed-target", 0, "per-replica CoDel admission shed target: sub-queries facing more backlog than this for a sustained interval are shed (cluster mode, 0 = off)")
-	retryBudget := flag.Float64("retry-budget", 0, "retry/hedge token budget as a fraction of admissions, e.g. 0.1 (cluster mode, 0 = unbudgeted)")
-	brownoutEnter := flag.Duration("brownout-enter", 0, "cluster pressure entering brownout: level 1 sheds batch-class queries, level 2 (2x this) degrades interactive ones (cluster mode, 0 = off)")
-	drain := flag.Duration("drain", 10*time.Second, "in-flight request drain window on shutdown")
-	flag.Parse()
+// options is every flag, parsed.
+type options struct {
+	indexPath, addr, modeName, placementName, routingName, walDir string
 
-	modes := map[string]core.Mode{
+	cache, ingest, mergeAuto bool
+
+	devices, batchMax, topK, shards, replicas, retries, breakerThreshold             int
+	walSync, checkpointEvery, mergeThreshold, freshness, splitWatermark, maxInflight int
+
+	batchWindow, shardTimeout, hedgeDelay, breakerCooldown, defaultDeadline time.Duration
+	shedTarget, brownoutEnter, drain                                        time.Duration
+
+	chaosRate, retryBudget float64
+	chaosSeed              int64
+}
+
+// register defines every flag on fs, bound to the returned options.
+func register(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.indexPath, "index", "index.grif", "serialized index file")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.modeName, "mode", "griffin", "execution mode: cpu, gpu, perquery, or griffin")
+	fs.BoolVar(&o.cache, "cache", false, "keep hot compressed lists resident in device memory")
+	fs.IntVar(&o.devices, "devices", 1, "simulated GPUs per node; > 1 places each query on one device of a multi-GPU node")
+	fs.StringVar(&o.placementName, "placement", "affinity", "device placement at -devices > 1: affinity, least-backlog, or round-robin")
+	fs.DurationVar(&o.batchWindow, "batch-window", 0, "coalesce compatible device ops from concurrent queries submitted within this window into one batched launch (0 = off)")
+	fs.IntVar(&o.batchMax, "batch-max", gpu.DefaultBatchMax, "member ops per batch before an early flush (with -batch-window)")
+	fs.IntVar(&o.topK, "k", 10, "default result count")
+	fs.IntVar(&o.shards, "shards", 1, "document partitions; > 1 serves scatter-gather over a sharded cluster")
+	fs.IntVar(&o.replicas, "replicas", 1, "engine replicas per shard (not with -ingest at -shards 1)")
+	fs.StringVar(&o.routingName, "routing", "rr", "replica routing: rr or least-pending (not with -ingest at -shards 1)")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 0, "per-shard latency budget; slower shards degrade the result (not with -ingest at -shards 1; 0 = none)")
+	fs.DurationVar(&o.hedgeDelay, "hedge-delay", 0, "dispatch a hedged sub-query to a sibling replica after this delay (not with -ingest at -shards 1; 0 = off)")
+	fs.IntVar(&o.retries, "retries", 0, "sibling retries per failed sub-query (not with -ingest at -shards 1; 0 = one retry when replicated, -1 = none)")
+	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive failures tripping a replica's circuit breaker (not with -ingest at -shards 1; 0 = default 3, -1 = disabled)")
+	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before half-open probes (not with -ingest at -shards 1; 0 = default)")
+	fs.Float64Var(&o.chaosRate, "chaos-rate", 0, "inject seeded faults at this base rate (not with -ingest at -shards 1; 0 = off); mix: kernel/transfer/stall at rate, reset at rate/4, engine-error at rate/2")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "fault-injection seed (with -chaos-rate)")
+	fs.BoolVar(&o.ingest, "ingest", false, "accept live mutations on POST /ingest (delta index + background merge)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "durable ingest: write-ahead log + checkpoint directory; startup recovers its state (with -ingest; empty = in-memory only)")
+	fs.IntVar(&o.walSync, "wal-sync", 1, "WAL appends per fsync: 1 syncs every acknowledged mutation, N > 1 trades the sync tail for throughput, -1 defers to checkpoints and shutdown (with -wal-dir)")
+	fs.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "persist a checkpoint after this many mutations so recovery replays only the WAL suffix (with -wal-dir; 0 = none)")
+	fs.IntVar(&o.mergeThreshold, "merge-threshold", 4096, "unmerged delta records making a merge due (with -ingest; 0 = manual merges only)")
+	fs.BoolVar(&o.mergeAuto, "merge-auto", true, "merge in the background when the delta crosses -merge-threshold (with -ingest)")
+	fs.IntVar(&o.freshness, "freshness-threshold", 0, "merge lag past which /healthz reports degraded (with -ingest; 0 = no check)")
+	fs.IntVar(&o.splitWatermark, "split-watermark", 0, "live docs per shard triggering a shard split (with -ingest -shards > 1; 0 = off)")
+	fs.DurationVar(&o.defaultDeadline, "default-deadline", 0, "per-query deadline budget applied when a request carries no ?deadline_ms= (not with -ingest at -shards 1; 0 = none)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 0, "bound concurrently served /search requests; excess queue and shed CoDel-style (0 = unbounded)")
+	fs.DurationVar(&o.shedTarget, "shed-target", 0, "per-replica CoDel admission shed target: sub-queries facing more backlog than this for a sustained interval are shed (not with -ingest at -shards 1; 0 = off)")
+	fs.Float64Var(&o.retryBudget, "retry-budget", 0, "retry/hedge token budget as a fraction of admissions, e.g. 0.1 (not with -ingest at -shards 1; 0 = unbudgeted)")
+	fs.DurationVar(&o.brownoutEnter, "brownout-enter", 0, "cluster pressure entering brownout: level 1 sheds batch-class queries, level 2 (2x this) degrades interactive ones (not with -ingest at -shards 1; 0 = off)")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "in-flight request drain window on shutdown")
+	return o
+}
+
+var (
+	modes = map[string]core.Mode{
 		"cpu": core.CPUOnly, "gpu": core.GPUOnly,
 		"perquery": core.PerQueryHybrid, "griffin": core.Hybrid,
 	}
-	mode, ok := modes[*modeName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "griffin-server: unknown mode %q\n", *modeName)
-		os.Exit(2)
-	}
-	routings := map[string]cluster.Routing{
+	routings = map[string]cluster.Routing{
 		"rr": cluster.RoundRobin, "least-pending": cluster.LeastPending,
 	}
-	routing, ok := routings[*routingName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "griffin-server: unknown routing %q\n", *routingName)
-		os.Exit(2)
-	}
-	if *devices < 1 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -devices must be >= 1, got %d\n", *devices)
-		os.Exit(2)
-	}
-	placement := sched.PlacementByName(*placementName)
-	if placement == nil {
-		fmt.Fprintf(os.Stderr, "griffin-server: unknown placement %q (want affinity, least-backlog, or round-robin)\n", *placementName)
-		os.Exit(2)
-	}
-	if *batchWindow < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -batch-window must be >= 0, got %v\n", *batchWindow)
-		os.Exit(2)
-	}
-	if *batchMax <= 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -batch-max must be >= 1, got %d\n", *batchMax)
-		os.Exit(2)
-	}
-	if *shardTimeout < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -shard-timeout must be >= 0, got %v\n", *shardTimeout)
-		os.Exit(2)
-	}
-	if *hedgeDelay < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -hedge-delay must be >= 0, got %v\n", *hedgeDelay)
-		os.Exit(2)
-	}
-	if *retries < -1 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -retries must be >= -1, got %d\n", *retries)
-		os.Exit(2)
-	}
-	if *defaultDeadline < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -default-deadline must be >= 0, got %v\n", *defaultDeadline)
-		os.Exit(2)
-	}
-	if *maxInflight < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -max-inflight must be >= 0, got %d\n", *maxInflight)
-		os.Exit(2)
-	}
-	if *shedTarget < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -shed-target must be >= 0, got %v\n", *shedTarget)
-		os.Exit(2)
-	}
-	if !(*retryBudget >= 0) || *retryBudget > 1 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -retry-budget must be in [0, 1], got %v\n", *retryBudget)
-		os.Exit(2)
-	}
-	if *brownoutEnter < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -brownout-enter must be >= 0, got %v\n", *brownoutEnter)
-		os.Exit(2)
-	}
-	if *shards <= 1 && (*defaultDeadline > 0 || *shedTarget > 0 || *retryBudget > 0 || *brownoutEnter > 0) {
-		fmt.Fprintln(os.Stderr, "griffin-server: -default-deadline, -shed-target, -retry-budget, and -brownout-enter require -shards > 1")
-		os.Exit(2)
-	}
-	if *mergeThreshold < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -merge-threshold must be >= 0, got %d\n", *mergeThreshold)
-		os.Exit(2)
-	}
-	if *freshness < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -freshness-threshold must be >= 0, got %d\n", *freshness)
-		os.Exit(2)
-	}
-	if *splitWatermark < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -split-watermark must be >= 0, got %d\n", *splitWatermark)
-		os.Exit(2)
-	}
-	if *walSync == 0 || *walSync < -1 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -wal-sync must be >= 1 or -1 (defer), got %d\n", *walSync)
-		os.Exit(2)
-	}
-	if *checkpointEvery < 0 {
-		fmt.Fprintf(os.Stderr, "griffin-server: -checkpoint-every must be >= 0, got %d\n", *checkpointEvery)
-		os.Exit(2)
-	}
-	if *walDir == "" && *checkpointEvery > 0 {
-		fmt.Fprintln(os.Stderr, "griffin-server: -checkpoint-every requires -wal-dir")
-		os.Exit(2)
-	}
-	if !*ingestOn {
-		if *freshness > 0 || *splitWatermark > 0 {
-			fmt.Fprintln(os.Stderr, "griffin-server: -freshness-threshold and -split-watermark require -ingest")
-			os.Exit(2)
-		}
-		if *walDir != "" {
-			fmt.Fprintln(os.Stderr, "griffin-server: -wal-dir requires -ingest")
-			os.Exit(2)
-		}
-	} else if *mergeAuto && *mergeThreshold == 0 {
-		fmt.Fprintln(os.Stderr, "griffin-server: -merge-auto needs -merge-threshold > 0 (or pass -merge-auto=false for manual merges)")
-		os.Exit(2)
-	}
-	if *splitWatermark > 0 && *shards <= 1 {
-		fmt.Fprintln(os.Stderr, "griffin-server: -split-watermark requires -shards > 1")
-		os.Exit(2)
-	}
+)
 
-	ix, err := index.Open(*indexPath)
+// validate returns the first rule the flags break, nil when they are
+// coherent.
+func (o *options) validate() error {
+	if _, ok := modes[o.modeName]; !ok {
+		return fmt.Errorf("unknown mode %q", o.modeName)
+	}
+	if _, ok := routings[o.routingName]; !ok {
+		return fmt.Errorf("unknown routing %q", o.routingName)
+	}
+	if sched.PlacementByName(o.placementName) == nil {
+		return fmt.Errorf("unknown placement %q (want affinity, least-backlog, or round-robin)", o.placementName)
+	}
+	for _, r := range []struct {
+		bad  bool
+		flag string
+		want string
+		got  any
+	}{
+		{o.devices < 1, "devices", ">= 1", o.devices},
+		{o.batchWindow < 0, "batch-window", ">= 0", o.batchWindow},
+		{o.batchMax <= 0, "batch-max", ">= 1", o.batchMax},
+		{o.shardTimeout < 0, "shard-timeout", ">= 0", o.shardTimeout},
+		{o.hedgeDelay < 0, "hedge-delay", ">= 0", o.hedgeDelay},
+		{o.retries < -1, "retries", ">= -1", o.retries},
+		{o.defaultDeadline < 0, "default-deadline", ">= 0", o.defaultDeadline},
+		{o.maxInflight < 0, "max-inflight", ">= 0", o.maxInflight},
+		{o.shedTarget < 0, "shed-target", ">= 0", o.shedTarget},
+		{!(o.retryBudget >= 0) || o.retryBudget > 1, "retry-budget", "in [0, 1]", o.retryBudget},
+		{o.brownoutEnter < 0, "brownout-enter", ">= 0", o.brownoutEnter},
+		{o.mergeThreshold < 0, "merge-threshold", ">= 0", o.mergeThreshold},
+		{o.freshness < 0, "freshness-threshold", ">= 0", o.freshness},
+		{o.splitWatermark < 0, "split-watermark", ">= 0", o.splitWatermark},
+		{o.walSync == 0 || o.walSync < -1, "wal-sync", ">= 1 or -1 (defer)", o.walSync},
+		{o.checkpointEvery < 0, "checkpoint-every", ">= 0", o.checkpointEvery},
+	} {
+		if r.bad {
+			return fmt.Errorf("-%s must be %s, got %v", r.flag, r.want, r.got)
+		}
+	}
+	if o.ingest && o.shards <= 1 {
+		// A live engine serves one shard of one replica with the cluster
+		// defaults: a cluster knob would be silently dropped.
+		for _, r := range []struct {
+			set  bool
+			flag string
+		}{
+			{o.replicas != 1, "replicas"},
+			{o.routingName != "rr", "routing"},
+			{o.shardTimeout != 0, "shard-timeout"},
+			{o.hedgeDelay != 0, "hedge-delay"},
+			{o.retries != 0, "retries"},
+			{o.breakerThreshold != 0, "breaker-threshold"},
+			{o.breakerCooldown != 0, "breaker-cooldown"},
+			{o.chaosRate != 0, "chaos-rate"},
+			{o.defaultDeadline != 0, "default-deadline"},
+			{o.shedTarget != 0, "shed-target"},
+			{o.retryBudget != 0, "retry-budget"},
+			{o.brownoutEnter != 0, "brownout-enter"},
+		} {
+			if r.set {
+				return fmt.Errorf("-%s is not available with -ingest at -shards 1", r.flag)
+			}
+		}
+	}
+	switch {
+	case o.walDir == "" && o.checkpointEvery > 0:
+		return errors.New("-checkpoint-every requires -wal-dir")
+	case !o.ingest && (o.freshness > 0 || o.splitWatermark > 0):
+		return errors.New("-freshness-threshold and -split-watermark require -ingest")
+	case !o.ingest && o.walDir != "":
+		return errors.New("-wal-dir requires -ingest")
+	case o.ingest && o.mergeAuto && o.mergeThreshold == 0:
+		return errors.New("-merge-auto needs -merge-threshold > 0 (or pass -merge-auto=false for manual merges)")
+	case o.splitWatermark > 0 && o.shards <= 1:
+		return errors.New("-split-watermark requires -shards > 1")
+	}
+	return nil
+}
+
+func main() {
+	o := register(flag.CommandLine)
+	flag.Parse()
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "griffin-server:", err)
+		os.Exit(2)
+	}
+	mode, routing := modes[o.modeName], routings[o.routingName]
+
+	ix, err := index.Open(o.indexPath)
 	exitOn(err)
 	// Read now: partitioned, ix is unreachable once the shards are built,
 	// and the collector frees its block rows.
 	numDocs, numTerms := ix.NumDocs, ix.NumTerms()
 
+	var inj *fault.Injector
+	if o.chaosRate > 0 {
+		inj = fault.NewInjector(fault.ChaosPlan(o.chaosSeed, o.chaosRate))
+	}
+	ccfg := cluster.Config{
+		Engine: core.Config{
+			Mode: mode, CacheLists: o.cache, Devices: o.devices, Placement: sched.PlacementByName(o.placementName),
+			BatchWindow: o.batchWindow, BatchMax: o.batchMax,
+		},
+		TopK:         o.topK,
+		Replicas:     o.replicas,
+		Routing:      routing,
+		ShardTimeout: o.shardTimeout,
+		HedgeDelay:   o.hedgeDelay,
+		Retries:      o.retries,
+		Breaker:      fault.BreakerConfig{Threshold: o.breakerThreshold, Cooldown: o.breakerCooldown},
+		Fault:        inj,
+		Overload: overload.Config{
+			DefaultDeadline: o.defaultDeadline,
+			ShedTarget:      o.shedTarget,
+			RetryBudget:     o.retryBudget,
+			BrownoutEnter:   o.brownoutEnter,
+		},
+	}
+	extra := ""
+	if o.devices > 1 {
+		extra += fmt.Sprintf(", %d devices (%s placement)", o.devices, o.placementName)
+	}
+	if o.batchWindow > 0 {
+		extra += fmt.Sprintf(", batching window=%v max=%d", o.batchWindow, o.batchMax)
+	}
+	if inj != nil {
+		extra += fmt.Sprintf(", chaos rate=%.2f seed=%d", o.chaosRate, o.chaosSeed)
+	}
+
 	var handler *server.Server
-	if *shards > 1 {
-		var inj *fault.Injector
-		if *chaosRate > 0 {
-			inj = fault.NewInjector(fault.ChaosPlan(*chaosSeed, *chaosRate))
-		}
-		ccfg := cluster.Config{
-			Engine: core.Config{
-				Mode: mode, CacheLists: *cache, Devices: *devices, Placement: placement,
-				BatchWindow: *batchWindow, BatchMax: *batchMax,
-			},
-			TopK:         *topK,
-			Replicas:     *replicas,
-			Routing:      routing,
-			ShardTimeout: *shardTimeout,
-			HedgeDelay:   *hedgeDelay,
-			Retries:      *retries,
-			Breaker:      fault.BreakerConfig{Threshold: *breakerThreshold, Cooldown: *breakerCooldown},
-			Fault:        inj,
-			Overload: overload.Config{
-				DefaultDeadline: *defaultDeadline,
-				ShedTarget:      *shedTarget,
-				RetryBudget:     *retryBudget,
-				BrownoutEnter:   *brownoutEnter,
-			},
-		}
-		live := ""
-		if *ingestOn {
-			lc, err := ingest.OpenCluster(ix, ingest.ClusterConfig{
-				Shards:          *shards,
-				Cluster:         ccfg,
-				MergeThreshold:  *mergeThreshold,
-				AutoMerge:       *mergeAuto,
-				SplitWatermark:  *splitWatermark,
-				WALDir:          *walDir,
-				WALSyncEvery:    *walSync,
-				CheckpointEvery: *checkpointEvery,
-			})
+	var liveStats *ingest.ClusterStats // a live backend's telemetry once its WAL is recovered
+	switch {
+	case o.ingest && o.shards > 1:
+		lc, err := ingest.OpenCluster(ix, ingest.ClusterConfig{
+			Shards:          o.shards,
+			Cluster:         ccfg,
+			MergeThreshold:  o.mergeThreshold,
+			AutoMerge:       o.mergeAuto,
+			SplitWatermark:  o.splitWatermark,
+			WALDir:          o.walDir,
+			WALSyncEvery:    o.walSync,
+			CheckpointEvery: o.checkpointEvery,
+		})
+		exitOn(err)
+		// Close after serve() drains HTTP: syncs the WAL, then waits out
+		// in-flight background merges so no merge is torn by shutdown —
+		// every acknowledged mutation is durable on exit.
+		defer lc.Close()
+		handler = server.NewLiveCluster(lc, o.freshness)
+		st := lc.Stats()
+		liveStats = &st
+	case o.ingest:
+		ecfg := ccfg.Engine
+		ecfg.TopK, ecfg.Device = o.topK, gpu.New(hwmodel.DefaultGPU(), 0)
+		e, err := ingest.Open(ix, ingest.Config{
+			Engine:          ecfg,
+			MergeThreshold:  o.mergeThreshold,
+			AutoMerge:       o.mergeAuto,
+			WALDir:          o.walDir,
+			WALSyncEvery:    o.walSync,
+			CheckpointEvery: o.checkpointEvery,
+		})
+		exitOn(err)
+		defer e.Close() // after the HTTP drain, as the live cluster's
+		handler = server.NewLive(e, o.freshness)
+		liveStats = &ingest.ClusterStats{Stats: e.Stats()}
+	default:
+		// One shard serves the opened index itself: partitioning it into
+		// one shard would copy it.
+		ixs := []*index.Index{ix}
+		if o.shards > 1 {
+			ixs, err = workload.PartitionIndex(ix, o.shards)
 			exitOn(err)
-			// Close after serve() drains HTTP: syncs the WAL, then waits
-			// out in-flight background merges so no merge is torn by
-			// shutdown — every acknowledged mutation is durable on exit.
-			defer lc.Close()
-			handler = server.NewLiveCluster(lc, *freshness)
-			live = fmt.Sprintf(", live ingest (merge at %d, auto=%v, watermark %d)",
-				*mergeThreshold, *mergeAuto, *splitWatermark)
-			if *walDir != "" {
-				st := lc.Stats()
-				log.Printf("griffin-server: durable ingest under %s (sync every %d, checkpoint every %d): recovered gen %d, %d replayed records, watermark %d, %d torn bytes truncated",
-					*walDir, *walSync, *checkpointEvery, st.Gen,
-					st.WAL.RecoveredRecords, st.WAL.CheckpointGen,
-					st.WAL.TruncatedBytes)
-			}
-		} else {
-			ixs, err := workload.PartitionIndex(ix, *shards)
-			exitOn(err)
-			cl, err := cluster.New(ixs, ccfg)
-			exitOn(err)
-			defer cl.Close()
-			handler = server.NewCluster(cl)
 		}
-		chaos := ""
-		if inj != nil {
-			chaos = fmt.Sprintf(", chaos rate=%.2f seed=%d", *chaosRate, *chaosSeed)
+		cl, err := cluster.New(ixs, ccfg)
+		exitOn(err)
+		defer cl.Close()
+		handler = server.NewCluster(cl)
+	}
+	if liveStats != nil {
+		extra += fmt.Sprintf(", live ingest (merge at %d, auto=%v, watermark %d)",
+			o.mergeThreshold, o.mergeAuto, o.splitWatermark)
+		if o.walDir != "" {
+			st := liveStats
+			log.Printf("griffin-server: durable ingest under %s (sync every %d, checkpoint every %d): recovered gen %d, %d replayed records, watermark %d, %d torn bytes truncated",
+				o.walDir, o.walSync, o.checkpointEvery, st.Gen,
+				st.WAL.RecoveredRecords, st.WAL.CheckpointGen,
+				st.WAL.TruncatedBytes)
 		}
-		log.Printf("griffin-server: %d docs, %d terms, mode=%s, %d shards x %d replicas (%s)%s%s, listening on %s",
-			numDocs, numTerms, mode, *shards, *replicas, routing, chaos, live, *addr)
-	} else {
-		dev := gpu.New(hwmodel.DefaultGPU(), 0)
-		ecfg := core.Config{
-			Mode: mode, Device: dev, TopK: *topK, CacheLists: *cache,
-			Devices: *devices, Placement: placement,
-			BatchWindow: *batchWindow, BatchMax: *batchMax,
-		}
-		devs := ""
-		if *devices > 1 {
-			devs = fmt.Sprintf(", %d devices (%s placement)", *devices, *placementName)
-		}
-		if *batchWindow > 0 {
-			devs += fmt.Sprintf(", batching window=%v max=%d", *batchWindow, *batchMax)
-		}
-		if *ingestOn {
-			e, err := ingest.Open(ix, ingest.Config{
-				Engine:          ecfg,
-				MergeThreshold:  *mergeThreshold,
-				AutoMerge:       *mergeAuto,
-				WALDir:          *walDir,
-				WALSyncEvery:    *walSync,
-				CheckpointEvery: *checkpointEvery,
-			})
-			exitOn(err)
-			// After HTTP drain: syncs the WAL, then waits out background
-			// merges — every acknowledged mutation is durable on exit.
-			defer e.Close()
-			handler = server.NewLive(e, *freshness)
-			devs += fmt.Sprintf(", live ingest (merge at %d, auto=%v)", *mergeThreshold, *mergeAuto)
-			if *walDir != "" {
-				st := e.Stats()
-				log.Printf("griffin-server: durable ingest under %s (sync every %d, checkpoint every %d): recovered gen %d, %d replayed records, watermark %d, %d torn bytes truncated",
-					*walDir, *walSync, *checkpointEvery, st.Gen,
-					st.WAL.RecoveredRecords, st.WAL.CheckpointGen,
-					st.WAL.TruncatedBytes)
-			}
-		} else {
-			engine, err := core.New(ix, ecfg)
-			exitOn(err)
-			defer engine.Close()
-			handler = server.New(engine)
-		}
-		log.Printf("griffin-server: %d docs, %d terms, mode=%s%s, listening on %s",
-			numDocs, numTerms, mode, devs, *addr)
+	}
+	log.Printf("griffin-server: %d docs, %d terms, mode=%s, %d shards x %d replicas (%s)%s, listening on %s",
+		numDocs, numTerms, mode, o.shards, o.replicas, routing, extra, o.addr)
+
+	if o.maxInflight > 0 {
+		handler.ConfigureOverload(server.OverloadConfig{MaxInflight: o.maxInflight})
+		log.Printf("griffin-server: admission gate at %d in-flight /search requests", o.maxInflight)
 	}
 
-	if *maxInflight > 0 {
-		handler.ConfigureOverload(server.OverloadConfig{MaxInflight: *maxInflight})
-		log.Printf("griffin-server: admission gate at %d in-flight /search requests", *maxInflight)
-	}
-
-	exitOn(serve(*addr, handler, *drain))
+	exitOn(serve(o.addr, handler, o.drain))
 }
 
 // serve runs the HTTP server until SIGINT/SIGTERM, then drains in-flight

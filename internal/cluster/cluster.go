@@ -161,11 +161,37 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 	if cfg.TopK <= 0 {
 		cfg.TopK = 10
 	}
-	if cfg.CPU == (hwmodel.CPUModel{}) {
-		cfg.CPU = hwmodel.DefaultCPU()
-	}
 	if cfg.DeviceModel == (hwmodel.GPUModel{}) {
 		cfg.DeviceModel = hwmodel.DefaultGPU()
+	}
+	return assemble(cfg, len(ixs), func(s int) (*core.Engine, error) {
+		ecfg := cfg.Engine
+		ecfg.TopK = cfg.TopK
+		ecfg.Device = nil
+		if ecfg.Mode != core.CPUOnly {
+			ecfg.Device = gpu.New(cfg.DeviceModel, 0)
+		}
+		return core.New(ixs[s], ecfg)
+	})
+}
+
+// OfEngine serves an engine the caller built as a one-shard, one-replica
+// cluster: TopK and Mode are the engine's, every other knob is Config's
+// zero value. Its answers, latency included, are the engine's own — one
+// shard charges no gather merge — so a single node runs the same read
+// path as a sharded one. Close closes the engine.
+func OfEngine(eng *core.Engine) *Cluster {
+	// Handing over a built engine cannot fail.
+	c, _ := assemble(Config{Replicas: 1, TopK: eng.TopK(), Engine: core.Config{Mode: eng.Mode()}}, 1,
+		func(int) (*core.Engine, error) { return eng, nil })
+	return c
+}
+
+// assemble builds the cluster around engine(s), called once per replica
+// of each of the shards; cfg has Replicas and TopK resolved.
+func assemble(cfg Config, shards int, engine func(shard int) (*core.Engine, error)) (*Cluster, error) {
+	if cfg.CPU == (hwmodel.CPUModel{}) {
+		cfg.CPU = hwmodel.DefaultCPU()
 	}
 	c := &Cluster{cfg: cfg}
 	olc := cfg.Overload
@@ -176,16 +202,11 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 			c.degradedTopK = 1
 		}
 	}
-	for s, ix := range ixs {
+	for s := 0; s < shards; s++ {
 		g := &shardGroup{id: s, budget: overload.NewBudget(olc.RetryBudget, overload.DefaultRetryBurst)}
+		c.shards = append(c.shards, g)
 		for r := 0; r < cfg.Replicas; r++ {
-			ecfg := cfg.Engine
-			ecfg.TopK = cfg.TopK
-			ecfg.Device = nil
-			if ecfg.Mode != core.CPUOnly {
-				ecfg.Device = gpu.New(cfg.DeviceModel, 0)
-			}
-			eng, err := core.New(ix, ecfg)
+			eng, err := engine(s)
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("cluster: shard %d replica %d: %w", s, r, err)
@@ -207,7 +228,6 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 			}
 			g.replicas = append(g.replicas, rep)
 		}
-		c.shards = append(c.shards, g)
 	}
 	// The time each deadline reserves for the gather-side merge: the
 	// priced cost of merging a full shards x top-k candidate set, so a
@@ -305,6 +325,22 @@ func (c *Cluster) BatchStats() gpu.BatchStats {
 // NumDocs returns the corpus size (shard indexes carry the global count).
 func (c *Cluster) NumDocs() int {
 	return c.shards[0].replicas[0].engine().Index().NumDocs
+}
+
+// NumTerms returns the corpus' distinct term count: the shard's
+// dictionary size at one shard, the union of the shards' dictionaries
+// otherwise.
+func (c *Cluster) NumTerms() int {
+	if len(c.shards) == 1 {
+		return c.shards[0].replicas[0].engine().Index().NumTerms()
+	}
+	terms := make(map[string]struct{})
+	for _, g := range c.shards {
+		for _, t := range g.replicas[0].engine().Index().Terms() {
+			terms[t] = struct{}{}
+		}
+	}
+	return len(terms)
 }
 
 // ShardStats records one shard's contribution to a query.
@@ -636,12 +672,21 @@ func (c *Cluster) Query(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("%w: %d shards, first error: %s", ErrAllShardsFailed, failures, first)
 	}
 
-	topK := c.cfg.TopK
-	if sub.TopK > 0 {
-		topK = sub.TopK
+	var docs []kernels.ScoredDoc
+	switch {
+	case len(c.shards) > 1:
+		topK := c.cfg.TopK
+		if sub.TopK > 0 {
+			topK = sub.TopK
+		}
+		var work hwmodel.CPUWork
+		docs, work = MergeTopK(parts, topK)
+		st.MergeTime = c.cfg.CPU.Time(work)
+	case len(parts) == 1:
+		// One shard has nothing to gather: its top-k is the answer, and
+		// the critical path is the shard's own.
+		docs = parts[0]
 	}
-	docs, work := MergeTopK(parts, topK)
-	st.MergeTime = c.cfg.CPU.Time(work)
 	st.Latency = st.MaxShard + st.MergeTime
 	if deadline > 0 && st.Latency > deadline {
 		// Answered, but late: the caller gets the result and the miss is
@@ -671,6 +716,12 @@ func (c *Cluster) attempt(ctx context.Context, rep *replica, req core.Request, n
 	}
 	res, err := rep.search(ctx, req)
 	if err != nil {
+		if ctx.Err() != nil {
+			// The caller left (or a hedge already won): the attempt says
+			// nothing about the replica's health.
+			rep.breaker.Cancel()
+			return nil, 0, err
+		}
 		if gpu.IsBudget(err) {
 			// The device refused the work to protect the deadline; the
 			// replica is not unhealthy. Release any half-open probe

@@ -42,8 +42,12 @@ func (c *Cluster) pressure(now time.Duration, timed bool) time.Duration {
 
 // worstMergeCost prices the gather-side merge of a full candidate set —
 // every shard contributing top-k documents — under the cluster's CPU
-// model: the default deadline reserve.
+// model: the default deadline reserve. One shard has no merge to reserve
+// for.
 func (c *Cluster) worstMergeCost() time.Duration {
+	if len(c.shards) == 1 {
+		return 0
+	}
 	parts := make([][]kernels.ScoredDoc, len(c.shards))
 	for s := range parts {
 		docs := make([]kernels.ScoredDoc, c.cfg.TopK)

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"griffin/internal/core"
@@ -69,12 +71,16 @@ func buildCluster(t testing.TB, c *workload.Corpus, shards int, cfg Config) *Clu
 	return cl
 }
 
+// At one shard the cluster is its engine, bit for bit: no gather merge is
+// charged, so the latency — and the shard's plan — are the single
+// engine's own, whether the cluster built the engine or was handed it
+// (OfEngine).
 func TestScatterGatherParity(t *testing.T) {
 	const k = 10
 	c := parityCorpus(t)
 	queries := parityQueries(c, 150)
 
-	for _, mode := range []core.Mode{core.CPUOnly, core.Hybrid} {
+	for _, mode := range []core.Mode{core.CPUOnly, core.GPUOnly, core.PerQueryHybrid, core.Hybrid} {
 		single := singleEngine(t, c, mode, k)
 		want := make([]*core.Result, len(queries))
 		for i, q := range queries {
@@ -84,28 +90,43 @@ func TestScatterGatherParity(t *testing.T) {
 			}
 			want[i] = r
 		}
+		clusters := map[string]func() *Cluster{
+			"OfEngine": func() *Cluster { return OfEngine(singleEngine(t, c, mode, k)) },
+		}
 		for _, shards := range []int{1, 2, 4, 8} {
-			cl := buildCluster(t, c, shards, Config{
-				Engine: core.Config{Mode: mode},
-				TopK:   k,
-			})
+			clusters[fmt.Sprintf("shards=%d", shards)] = func() *Cluster {
+				return buildCluster(t, c, shards, Config{Engine: core.Config{Mode: mode}, TopK: k})
+			}
+		}
+		for name, build := range clusters {
+			cl := build()
+			shards := cl.NumShards()
 			for i, q := range queries {
 				got, err := cl.Search(context.Background(), q.Terms)
 				if err != nil {
-					t.Fatalf("%v shards=%d query %d: %v", mode, shards, i, err)
+					t.Fatalf("%v %s query %d: %v", mode, name, i, err)
 				}
 				if got.Stats.Degraded {
-					t.Fatalf("%v shards=%d query %d: unexpectedly degraded", mode, shards, i)
+					t.Fatalf("%v %s query %d: unexpectedly degraded", mode, name, i)
+				}
+				if shards == 1 {
+					shard := got.Stats.Shards[0].Query
+					if got.Stats.MergeTime != 0 || got.Stats.Latency != want[i].Stats.Latency ||
+						!reflect.DeepEqual(shard.Plan, want[i].Stats.Plan) {
+						t.Fatalf("%v %s query %d %v: merge %v, latency %v != single-engine %v (plans equal: %v)",
+							mode, name, i, q.Terms, got.Stats.MergeTime, got.Stats.Latency, want[i].Stats.Latency,
+							reflect.DeepEqual(shard.Plan, want[i].Stats.Plan))
+					}
 				}
 				if len(got.Docs) != len(want[i].Docs) {
-					t.Fatalf("%v shards=%d query %d %v: %d docs != single-engine %d",
-						mode, shards, i, q.Terms, len(got.Docs), len(want[i].Docs))
+					t.Fatalf("%v %s query %d %v: %d docs != single-engine %d",
+						mode, name, i, q.Terms, len(got.Docs), len(want[i].Docs))
 				}
 				for j := range want[i].Docs {
 					w, g := want[i].Docs[j], got.Docs[j]
 					if g.DocID != w.DocID || math.Float32bits(g.Score) != math.Float32bits(w.Score) {
-						t.Fatalf("%v shards=%d query %d %v: doc[%d] = {%d %x} != single-engine {%d %x}",
-							mode, shards, i, q.Terms, j,
+						t.Fatalf("%v %s query %d %v: doc[%d] = {%d %x} != single-engine {%d %x}",
+							mode, name, i, q.Terms, j,
 							g.DocID, math.Float32bits(g.Score), w.DocID, math.Float32bits(w.Score))
 					}
 				}

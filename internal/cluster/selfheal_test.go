@@ -387,7 +387,8 @@ func TestFallbackCountsAsSoftStrike(t *testing.T) {
 
 // TestClusterContextCancelStopsStragglers is the goroutine-leak
 // satellite: a pile of queries whose contexts die mid-flight must not
-// leave shard goroutines behind.
+// leave shard goroutines behind — nor count against the replicas: a
+// caller leaving says nothing about their health, so no breaker trips.
 func TestClusterContextCancelStopsStragglers(t *testing.T) {
 	c := parityCorpus(t)
 	queries := parityQueries(c, 16)
@@ -417,6 +418,9 @@ func TestClusterContextCancelStopsStragglers(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before+2 {
 		t.Fatalf("goroutines leaked: %d before, %d after cancelled run", before, after)
+	}
+	if trips := cl.SelfHeal().BreakerTrips; trips != 0 {
+		t.Fatalf("abandoned sub-queries tripped %d breakers", trips)
 	}
 
 	// The cluster still serves normal queries afterwards.

@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"griffin/internal/cluster"
@@ -115,12 +114,6 @@ type Cluster struct {
 	// splitWatermark is ClusterConfig.SplitWatermark.
 	serving        cluster.Config
 	splitWatermark int
-
-	// gate is the commit gate: queries hold it shared for their whole
-	// execution; segment swaps and topology changes hold it exclusive.
-	// That pairs each query's pinned views with the engine incarnations
-	// that match them — a swap never tears an in-flight query.
-	gate sync.RWMutex
 
 	// The rest is guarded by the writer lock.
 	t *topo
@@ -343,8 +336,9 @@ func (c *Cluster) acquireFresh() (*clusterSnap, error) {
 	}
 }
 
-// ClusterResult is a completed cluster query plus the writer generation
-// its snapshot observed.
+// ClusterResult is a completed query of either live owner plus the
+// writer generation its snapshot observed: results are bit-identical to a
+// quiesced owner holding exactly the first Gen mutations.
 type ClusterResult struct {
 	*cluster.Result
 	Gen uint64

@@ -34,13 +34,7 @@ func applyCluster(t testing.TB, c *Cluster, lc *logicalCorpus, m mutation) {
 	}
 }
 
-func clusterBits(r *ClusterResult) []docBits {
-	out := make([]docBits, len(r.Docs))
-	for i, d := range r.Docs {
-		out[i] = docBits{DocID: d.DocID, Bits: math.Float32bits(d.Score)}
-	}
-	return out
-}
+func clusterBits(r *ClusterResult) []docBits { return bitsOf(r.Result) }
 
 // checkClusterParity asserts the live cluster's ranked results are
 // bit-identical to a freshly built single engine over the same logical

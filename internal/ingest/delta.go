@@ -1,7 +1,7 @@
 // Package ingest is Griffin's write path: a live-mutation layer over the
 // read-only engine. An in-memory delta index absorbs Add/Update/Delete
 // with whole-document records and a tombstone set; reads are
-// snapshot-isolated — each query pins an immutable (main segment, delta
+// snapshot-isolated — each query reads an immutable (main segment, delta
 // generation) pair, so concurrent mutations never tear a result and a
 // quiesced engine is byte-identical to one freshly built over the same
 // logical corpus. A background merger folds delta postings into the
@@ -9,8 +9,8 @@
 // (Elias-Fano / PForDelta) — re-encoding each changed list from the first
 // block the delta touches and sharing everything before it — priced on
 // the shared device and CPU timelines so merge/query interference is
-// visible, and swaps the new segment in atomically with epoch-based
-// retirement of the old snapshot.
+// visible, and swaps the new segment into the serving cluster under a
+// commit gate the queries in flight hold shared.
 package ingest
 
 import (

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/index"
 )
@@ -32,12 +33,13 @@ func Open(ix *index.Index, cfg Config) (*Engine, error) {
 		e.store.Close()
 		return nil, err
 	}
+	e.cl, e.ix = cluster.OfEngine(eng), base
 	// Replay the suffix. Records were validated when first acknowledged
 	// and the suffix is gen-contiguous, so they apply unconditionally.
 	e.d.gen = rec.Watermark
 	e.gen.Store(rec.Watermark)
 	e.st.MergedGen = rec.Watermark // the checkpoint segment covers it
-	e.snap.Store(newSnapshot(&segment{eng: eng}, e.d.freeze(), e.stats))
+	e.snap.Store(&snapshot{view: e.d.freeze(), stats: e.stats})
 	e.mu.Lock()
 	for _, r := range rec.Records {
 		e.applyLocked(r.DocID, e.liveLen(r.DocID), newRecord(r.Op, r.Gen, r.Tokens))
@@ -74,7 +76,5 @@ func (e *Engine) Checkpoint() error {
 func (e *Engine) Crash() {
 	e.stop()
 	e.store.Crash()
-	if s := e.snap.Load(); s != nil {
-		s.release()
-	}
+	e.closeServing()
 }

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/exec"
 	"griffin/internal/fault"
 	"griffin/internal/index"
 	"griffin/internal/wal"
@@ -57,45 +57,13 @@ type Config struct {
 	CheckpointEvery int
 }
 
-// segment is one immutable main-index incarnation plus the engine
-// serving it. Snapshots hold references; the last release closes the
-// engine (dropping its device-resident caches) — epoch-based
-// retirement without a global pause.
-type segment struct {
-	eng  *core.Engine
-	refs atomic.Int64
-}
-
-func (g *segment) acquire() { g.refs.Add(1) }
-
-func (g *segment) release() {
-	if g.refs.Add(-1) == 0 {
-		g.eng.Close()
-	}
-}
-
-// snapshot is an immutable (main segment, delta view) pair with the
-// collection statistics of exactly that state — what one query pins for
-// its whole execution. The snapshot holds one reference on its segment;
-// queries hold references on the snapshot.
+// snapshot is a frozen delta view with the collection statistics of
+// exactly that state — what one query reads for its whole execution. The
+// main segment the view shadows is the serving shard's, which cannot
+// change while the query holds the commit gate.
 type snapshot struct {
-	seg   *segment
 	view  *View
 	stats corpusStats
-	refs  atomic.Int64
-}
-
-func newSnapshot(seg *segment, view *View, stats corpusStats) *snapshot {
-	seg.acquire()
-	s := &snapshot{seg: seg, view: view, stats: stats}
-	s.refs.Store(1) // the "current" reference, dropped when swapped out
-	return s
-}
-
-func (s *snapshot) release() {
-	if s.refs.Add(-1) == 0 {
-		s.seg.release()
-	}
 }
 
 // Stats is the ingestion telemetry surface (/statz, freshness checks).
@@ -136,12 +104,20 @@ type Stats struct {
 func (s Stats) Lag() uint64 { return s.Gen - s.MergedGen }
 
 // Engine is the live-ingestion engine: a mutable delta over a read-only
-// core.Engine, with snapshot-isolated reads and background merging.
+// core.Engine served as a one-shard cluster, with snapshot-isolated reads
+// and background merging.
 type Engine struct {
 	writer
 
-	// d is the delta, guarded by the writer lock.
+	// cl serves the main segment for the engine's whole life; a merge
+	// commit swaps the shard's engine (ReplaceShard) under the commit gate.
+	cl *cluster.Cluster
+
+	// d is the delta and ix the main segment it shadows, both guarded by
+	// the writer lock; ix changes only under the commit gate as well, so a
+	// query holding the gate reads it without the lock.
 	d    *delta
+	ix   *index.Index
 	snap atomic.Pointer[snapshot]
 	gen  atomic.Uint64 // mirror of d.gen for lock-free staleness checks
 }
@@ -155,57 +131,49 @@ func New(ix *index.Index, cfg Config) (*Engine, error) {
 	return Open(ix, cfg)
 }
 
-// Close drains in-flight background merges and releases the engine's
-// device state. Safe to call once; concurrent with queries. With a WAL
-// the durability barrier comes first: every acknowledged mutation is
-// synced to disk before background work is drained, so a SIGTERM that
-// reaches Close never loses an acknowledged write.
+// Close drains in-flight background merges, waits out in-flight queries,
+// and releases the engine's device state. Safe to call once; concurrent
+// with queries. With a WAL the durability barrier comes first: every
+// acknowledged mutation is synced to disk before background work is
+// drained, so a SIGTERM that reaches Close never loses an acknowledged
+// write.
 func (e *Engine) Close() {
 	e.store.Sync()
 	e.stop()
 	e.store.Close()
-	// Drop the "current" reference; the snapshot (and its segment's
-	// caches) die when the last pinned query finishes.
-	if s := e.snap.Load(); s != nil {
-		s.release()
-	}
+	e.closeServing()
 }
 
-// acquire pins the current snapshot (whatever its generation). After
-// Close the current snapshot may be fully drained — its segment's engine
-// is gone — so a closed engine answers ErrClosed instead of spinning.
-func (e *Engine) acquire() (*snapshot, error) {
+// closeServing waits out in-flight queries at the commit gate and closes
+// the serving cluster; queries arriving later answer ErrClosed.
+func (e *Engine) closeServing() {
+	e.gate.Lock()
+	defer e.gate.Unlock()
+	e.cl.Close()
+}
+
+// acquireFresh returns the snapshot of the writer's current generation
+// with the commit gate held shared, freezing the delta on demand (cheap
+// when no mutations landed since the last freeze: the fast path is two
+// atomic loads). The caller must e.gate.RUnlock() when the query
+// finishes.
+func (e *Engine) acquireFresh() (*snapshot, error) {
 	for {
 		if e.closing.Load() {
 			return nil, ErrClosed
 		}
-		s := e.snap.Load()
-		if s.refs.Add(1) <= 1 {
-			// Fully drained already (swapped out): undo and retry.
-			s.refs.Add(-1)
-			continue
+		if e.snap.Load().view.gen != e.gen.Load() {
+			e.refresh()
 		}
-		if e.snap.Load() == s {
+		e.gate.RLock()
+		if e.closing.Load() {
+			e.gate.RUnlock()
+			return nil, ErrClosed
+		}
+		if s := e.snap.Load(); s.view.gen == e.gen.Load() {
 			return s, nil
 		}
-		s.release()
-	}
-}
-
-// acquireFresh pins a snapshot at the writer's current generation,
-// freezing the delta on demand (cheap when no mutations landed since
-// the last freeze: the fast path is two atomic loads).
-func (e *Engine) acquireFresh() (*snapshot, error) {
-	for {
-		s, err := e.acquire()
-		if err != nil {
-			return nil, err
-		}
-		if s.view.gen == e.gen.Load() {
-			return s, nil
-		}
-		s.release()
-		e.refresh()
+		e.gate.RUnlock()
 	}
 }
 
@@ -223,9 +191,8 @@ func (e *Engine) refresh() {
 func (e *Engine) currentLocked() *snapshot {
 	cur := e.snap.Load()
 	if cur.view.gen != e.d.gen {
-		e.snap.Store(newSnapshot(cur.seg, e.d.freeze(), e.stats))
-		cur.release()
-		cur = e.snap.Load()
+		cur = &snapshot{view: e.d.freeze(), stats: e.stats}
+		e.snap.Store(cur)
 	}
 	return cur
 }
@@ -236,7 +203,7 @@ func (e *Engine) liveLen(docID uint32) uint32 {
 	if rec := e.d.docs[docID]; rec != nil {
 		return rec.length
 	}
-	return e.Index().RecordedLen(docID)
+	return e.ix.RecordedLen(docID)
 }
 
 // topLive is corpusStats.replace's descent: the collection size given
@@ -245,7 +212,7 @@ func (e *Engine) liveLen(docID uint32) uint32 {
 // document exists (a tombstone kills it); documents that exist only in
 // the delta are one pass over it. Caller holds e.mu.
 func (e *Engine) topLive(below int) int {
-	n := topLive(e.Index().DocLens.Pages(), below, func(d int) bool {
+	n := topLive(e.ix.DocLens.Pages(), below, func(d int) bool {
 		rec := e.d.docs[uint32(d)]
 		return rec == nil || rec.live()
 	})
@@ -314,54 +281,44 @@ func (e *Engine) NeedsMerge() bool {
 	return len(e.d.docs) >= e.cfg.MergeThreshold
 }
 
-// Result is a completed query plus the delta generation it observed.
-type Result struct {
-	*core.Result
-	// Gen is the snapshot's delta generation: results are bit-identical
-	// to a quiesced engine holding exactly the first Gen mutations.
-	Gen uint64
-}
-
 // Search is Query for a bare term list.
-func (e *Engine) Search(terms []string) (*Result, error) {
-	return e.Query(context.Background(), core.Request{Terms: terms})
+func (e *Engine) Search(terms []string) (*ClusterResult, error) {
+	return e.Query(context.Background(), cluster.Request{Terms: terms})
 }
 
-// Query runs req against the freshest snapshot: it pins the snapshot,
-// sets req.Overlay to that snapshot's delta overlay (replacing any the
-// caller supplied), and delegates to the serving core engine. A timed
-// request queues behind earlier queries *and background merges* on the
-// shared device timeline.
-func (e *Engine) Query(ctx context.Context, req core.Request) (*Result, error) {
+// Query runs req against the freshest snapshot: it holds the commit gate
+// for the query's whole execution, sets req.Overlay to the snapshot's
+// delta overlay (replacing any the caller supplied; none for an empty
+// view, so a quiesced engine takes the frozen-corpus path byte for byte),
+// and delegates to the serving cluster. A timed request queues behind
+// earlier queries *and background merges* on the shared device timeline.
+func (e *Engine) Query(ctx context.Context, req cluster.Request) (*ClusterResult, error) {
 	s, err := e.acquireFresh()
 	if err != nil {
 		return nil, err
 	}
-	defer s.release()
-	req.Overlay = e.overlayFor(s)
-	r, err := s.seg.eng.Query(ctx, req)
+	defer e.gate.RUnlock()
+	req.Overlay = nil
+	if !s.view.Empty() {
+		req.Overlay = shardOverlays{newOverlay(s.view, e.ix, statScorer(s.stats), nil)}
+	}
+	res, err := e.cl.Query(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Result: r, Gen: s.view.gen}, nil
+	return &ClusterResult{Result: res, Gen: s.view.gen}, nil
 }
 
-// overlayFor builds the query's exec overlay: nil for an empty view, so
-// a quiesced engine takes the frozen-corpus path byte for byte.
-func (e *Engine) overlayFor(s *snapshot) *exec.Overlay {
-	if s.view.Empty() {
-		return nil
-	}
-	return newOverlay(s.view, s.seg.eng.Index(), statScorer(s.stats), nil)
-}
-
-// Engine returns the current serving engine (telemetry surface: node,
-// caches, batching). The pointer is only safe for reads that tolerate a
-// concurrent swap; queries must go through Query.
-func (e *Engine) Engine() *core.Engine { return e.snap.Load().seg.eng }
+// Cluster returns the serving cluster (telemetry surface: node, caches,
+// batching); queries must go through Query.
+func (e *Engine) Cluster() *cluster.Cluster { return e.cl }
 
 // Index returns the current main segment (excluding the delta).
-func (e *Engine) Index() *index.Index { return e.snap.Load().seg.eng.Index() }
+func (e *Engine) Index() *index.Index {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ix
+}
 
 // Gen returns the writer generation.
 func (e *Engine) Gen() uint64 { return e.gen.Load() }

@@ -12,12 +12,13 @@ import (
 	"testing"
 	"time"
 
+	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/exec"
 	"griffin/internal/fault"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/kernels"
 	"griffin/internal/wal"
 )
 
@@ -179,9 +180,17 @@ type docBits struct {
 	Bits  uint32
 }
 
-func bitsOf(r *core.Result) []docBits {
-	out := make([]docBits, len(r.Docs))
-	for i, d := range r.Docs {
+// bitsOf reads the ranked docs of an engine's result or a cluster's.
+func bitsOf(r any) []docBits {
+	var docs []kernels.ScoredDoc
+	switch r := r.(type) {
+	case *core.Result:
+		docs = r.Docs
+	case *cluster.Result:
+		docs = r.Docs
+	}
+	out := make([]docBits, len(docs))
+	for i, d := range docs {
 		out[i] = docBits{DocID: d.DocID, Bits: math.Float32bits(d.Score)}
 	}
 	return out
@@ -217,9 +226,9 @@ func checkLiveParity(t *testing.T, e *Engine, c *logicalCorpus, queries [][]stri
 		if err != nil {
 			t.Fatalf("%s q%d fresh: %v", tag, qi, err)
 		}
-		if lr.Stats.Candidates != fr.Stats.Candidates {
+		if got := engineResult(lr).Stats.Candidates; got != fr.Stats.Candidates {
 			t.Errorf("%s q%d %v: candidates live=%d fresh=%d",
-				tag, qi, q, lr.Stats.Candidates, fr.Stats.Candidates)
+				tag, qi, q, got, fr.Stats.Candidates)
 		}
 		if lb, fb := bitsOf(lr.Result), bitsOf(fr); !sameDocs(lb, fb) {
 			t.Errorf("%s q%d %v: docs diverge\n live=%v\nfresh=%v", tag, qi, q, lb, fb)
@@ -319,6 +328,15 @@ type goldenQuery struct {
 	Plan       []goldenPlanOp
 }
 
+// engineResult reads a live engine's result as its serving engine's: the
+// one shard's record, under the cluster's docs and critical path — which
+// a one-shard cluster must leave exactly as the engine reported them.
+func engineResult(r *ClusterResult) *core.Result {
+	st := r.Stats.Shards[0].Query
+	st.Latency = r.Stats.Latency
+	return &core.Result{Docs: r.Docs, Stats: st}
+}
+
 func golden(r *core.Result) goldenQuery {
 	g := goldenQuery{
 		Docs:       bitsOf(r),
@@ -400,7 +418,7 @@ func TestQuiescedGoldenParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("q%d fresh: %v", qi, err)
 					}
-					lg, fg := golden(lr.Result), golden(fr)
+					lg, fg := golden(engineResult(lr)), golden(fr)
 					if fmt.Sprintf("%+v", lg) != fmt.Sprintf("%+v", fg) {
 						t.Errorf("q%d %v: quiesced engine diverges from fresh build\n live=%+v\nfresh=%+v",
 							qi, q, lg, fg)
@@ -618,12 +636,12 @@ func TestMergeInterferenceOnSharedDevice(t *testing.T) {
 		t.Errorf("merge billed no CPU encode time: %+v", st)
 	}
 	// A query arriving while the merge's device work is still queued waits.
-	r, err := e.Query(context.Background(), core.Request{Terms: []string{word(0), word(1)}, Timed: true})
+	r, err := e.Query(context.Background(), cluster.Request{Terms: []string{word(0), word(1)}, Timed: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Stats.GPUWait <= 0 {
-		t.Errorf("query behind merge backlog saw no GPUWait (got %v)", r.Stats.GPUWait)
+	if wait := r.Stats.Shards[0].Query.GPUWait; wait <= 0 {
+		t.Errorf("query behind merge backlog saw no GPUWait (got %v)", wait)
 	}
 }
 
@@ -661,7 +679,7 @@ func TestEngineQueryOnePath(t *testing.T) {
 			}
 			// A caller-supplied overlay is replaced by the snapshot's: an
 			// empty one would otherwise hide the unmerged delta.
-			got, err := direct.Query(context.Background(), core.Request{Terms: q, Overlay: &exec.Overlay{}})
+			got, err := direct.Query(context.Background(), cluster.Request{Terms: q, Overlay: make(shardOverlays, 1)})
 			if err != nil {
 				t.Fatalf("q%d Query: %v", qi, err)
 			}
@@ -675,7 +693,7 @@ func TestEngineQueryOnePath(t *testing.T) {
 	t.Run("timed query under a cancelled ctx", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := live(t).Query(ctx, core.Request{Terms: queryLog(vocab)[0], Timed: true})
+		_, err := live(t).Query(ctx, cluster.Request{Terms: queryLog(vocab)[0], Timed: true})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("error = %v, want context.Canceled", err)
 		}

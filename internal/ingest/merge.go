@@ -10,8 +10,8 @@ import (
 
 // Merge folds the current delta into a new main segment — untouched
 // blocks shared with the old one, the rest re-encoded — and swaps it in
-// atomically. The old snapshot retires when its last
-// pinned query finishes; an aborted merge (injected fault on the merge
+// under the commit gate, once the queries reading the old one have
+// finished; an aborted merge (injected fault on the merge
 // path) leaves the published snapshot untouched — never a torn state —
 // and is retried up to the configured budget.
 func (e *Engine) Merge() error { return e.merge(0, false) }
@@ -53,45 +53,41 @@ func (e *Engine) Quiesce() error {
 
 // mergeOnce runs one merge attempt: freeze, splice, price, swap.
 func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
-	// Pin the segment and a snapshot covering every mutation so far.
-	// Mutations landing after this point survive the merge in the delta
-	// and correctly shadow the merged segment.
+	// Freeze a view covering every mutation so far. Mutations landing
+	// after this point survive the merge in the delta and correctly shadow
+	// the merged segment; mergeMu keeps main the live segment until the
+	// commit.
 	e.mu.Lock()
-	cur := e.currentLocked()
-	cur.refs.Add(1) // safe under e.mu: swaps hold the writer lock too
+	cur, main := e.currentLocked(), e.ix
 	e.mu.Unlock()
-	defer cur.release()
 
 	v := cur.view
 	if v.Empty() {
 		return nil
 	}
-	main := cur.seg.eng.Index()
-	plan, cost, err := e.prepare(site+".merge", cur.seg.eng.Node(), main, v, arrival, timed)
+	plan, cost, err := e.prepare(site+".merge", e.cl.ShardNode(0), main, v, arrival, timed)
 	if err != nil {
 		return err
 	}
 
-	// The pinned snapshot carries the merged corpus' exact statistics.
+	// The frozen snapshot carries the merged corpus' exact statistics.
 	st := cur.stats
 	ix2 := index.Assemble(plan.lists, st.numDocs, v.docLens(main.DocLens, st.numDocs), st.avgDocLen())
 
-	// The successor engine keeps the node: device timelines, submit
-	// hooks, and the batching stage survive the swap, so in-flight
-	// queries on the old segment and new arrivals on this one contend
-	// for the same modeled devices.
-	eng2 := cur.seg.eng.Successor(ix2)
-
-	// Commit: drop covered records, publish the (new segment, residual
-	// delta) snapshot, retire the old one. mergeMu guarantees cur.seg is
-	// still the live segment.
+	// Commit: drain in-flight queries at the gate, swap the segment into
+	// the serving shard — its engine's successor keeps the device node, so
+	// timelines, submit hooks and the batching stage survive — drop the
+	// covered records, publish the residual delta's view.
+	e.gate.Lock()
+	defer e.gate.Unlock()
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.cl.ReplaceShard(0, ix2); err != nil {
+		return err
+	}
+	e.ix = ix2
 	e.d.drop(v.gen)
-	old := e.snap.Load()
-	e.snap.Store(newSnapshot(&segment{eng: eng2}, e.d.freeze(), e.stats))
-	e.mu.Unlock()
-	old.release()
-
+	e.snap.Store(&snapshot{view: e.d.freeze(), stats: e.stats})
 	e.merged(v, cost)
 	return nil
 }

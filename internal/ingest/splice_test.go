@@ -220,8 +220,7 @@ func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 func mergeEngineAgainstRebuild(t *testing.T, e *Engine, codec index.Codec, tag string) {
 	t.Helper()
 	e.refresh()
-	cur := e.snap.Load()
-	main, v := cur.seg.eng.Index(), cur.view
+	main, v := e.Index(), e.snap.Load().view
 	want, wantPriced := rebuildMerge(t, main, v, codec)
 	plan, err := planMerge(main, v, codec)
 	if err != nil {
@@ -542,8 +541,7 @@ func TestMergeAllocationCeiling(t *testing.T) {
 	defer e.Close()
 	appendDelta(t, e, doc)
 	e.refresh()
-	cur := e.snap.Load()
-	main, v := cur.seg.eng.Index(), cur.view
+	main, v := e.Index(), e.snap.Load().view
 
 	var want *index.Index
 	rebuild := allocatedBy(func() { want, _ = rebuildMerge(t, main, v, index.CodecEF) })

@@ -23,17 +23,25 @@ var ErrClosed = errors.New("ingest: engine closed")
 // validation, the durability barrier, record construction, the running
 // collection statistics, the mutation and merge counters, the background
 // merge / split / checkpoint triggers, the abort→retry loop, the modeled
-// price of a merge, and the WAL handle with its checkpoint cadence. What
-// differs stays with the owner: where a document lives, how a merged
-// segment is swapped in, what a checkpoint persists, and what Lag means.
+// price of a merge, the commit gate a merged segment is swapped in under,
+// and the WAL handle with its checkpoint cadence. What differs stays with
+// the owner: where a document lives, how a merge stamps its segment, what
+// a checkpoint persists, and what Lag means.
 type writer struct {
 	// cfg holds the knobs with their defaults resolved (open). A Cluster
 	// maps its ClusterConfig onto one.
 	cfg Config
 	cpu hwmodel.CPUModel
 
-	// mu is the writer lock: mutations, freezes, and merge commits. Reads
-	// never take it (they pin snapshots).
+	// gate is the commit gate: queries hold it shared for their whole
+	// execution; segment swaps (cluster.ReplaceShard) and topology changes
+	// hold it exclusive. That pairs each query's frozen views with the
+	// segments they shadow — a swap never tears an in-flight query — at
+	// the price of a merge commit waiting for the reads in flight.
+	gate sync.RWMutex
+
+	// mu is the writer lock: mutations, freezes, and merge commits (taken
+	// after the gate). Reads never take it while they run.
 	mu sync.Mutex
 	// stats are the live collection statistics at the writer's current
 	// generation, guarded by mu.

@@ -8,6 +8,7 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
+	"griffin/internal/gpu"
 	"griffin/internal/ingest"
 	"griffin/internal/overload"
 	"griffin/internal/stats"
@@ -164,11 +165,13 @@ func (t engineTarget) Query(terms []string, arrival time.Duration, _ cluster.Que
 // device, so a multi-GPU engine with one hot device and idle siblings
 // reads as underutilized rather than saturated. Identical to the
 // device-0 view at devices=1.
-func (t engineTarget) Utilization() float64 {
-	if node := t.e.Node(); node != nil {
-		return node.Utilization()
+func (t engineTarget) Utilization() float64 { return nodeUtilization(t.e.Node()) }
+
+func nodeUtilization(node *gpu.NodeRuntime) float64 {
+	if node == nil {
+		return 0
 	}
-	return 0
+	return node.Utilization()
 }
 
 // clusterTarget drives a sharded cluster: every shard replica's device
@@ -217,14 +220,14 @@ type liveTarget struct{ e *ingest.Engine }
 func LiveTarget(e *ingest.Engine) Writer { return liveTarget{e} }
 
 func (t liveTarget) Query(terms []string, arrival time.Duration, _ cluster.QueryOpts) (Outcome, error) {
-	r, err := t.e.Query(context.Background(), core.Request{Terms: terms, Arrival: arrival, Timed: true})
+	r, err := t.e.Query(context.Background(), cluster.Request{Terms: terms, Arrival: arrival, Timed: true})
 	if err != nil {
 		return Outcome{Failed: true}, nil
 	}
-	return Outcome{Stats: cluster.Stats{Latency: r.Stats.Latency}}, nil
+	return Outcome{Stats: r.Stats}, nil
 }
 
-func (t liveTarget) Utilization() float64 { return engineTarget{t.e.Engine()}.Utilization() }
+func (t liveTarget) Utilization() float64 { return nodeUtilization(t.e.Cluster().ShardNode(0)) }
 
 func (t liveTarget) Apply(m Mutation, at time.Duration, merge bool) (int, error) {
 	if err := t.e.Apply(m.Op, m.DocID, m.Tokens); err != nil {

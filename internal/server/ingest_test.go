@@ -61,7 +61,7 @@ func getJSON(t *testing.T, s *Server, path string, out any) *httptest.ResponseRe
 // A mutation POSTed to /ingest is visible to the very next /search
 // through the delta, and /statz grows the ingest block.
 func TestIngestEndpointLiveSearch(t *testing.T) {
-	s, _ := newLiveServer(t, 0)
+	s, e := newLiveServer(t, 0)
 
 	var before SearchResponse
 	getJSON(t, s, "/search?q=zebra+habitat", &before)
@@ -94,6 +94,21 @@ func TestIngestEndpointLiveSearch(t *testing.T) {
 	}
 	if st.Ingest.Gen != 1 || st.Ingest.Adds != 1 || st.Ingest.Accepted != 1 || st.Ingest.DeltaDocs != 1 {
 		t.Fatalf("ingest telemetry = %+v", st.Ingest)
+	}
+
+	// Across a merge commit the document moves from the delta into the
+	// serving segment and stays served.
+	if err := e.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	after = SearchResponse{}
+	getJSON(t, s, "/search?q=zebra+habitat", &after)
+	if len(after.Results) != 1 || after.Results[0].DocID != 100 {
+		t.Fatalf("merged doc not served: %+v", after.Results)
+	}
+	getJSON(t, s, "/statz", &st)
+	if st.Ingest.Merges != 1 || st.Ingest.DeltaDocs != 0 {
+		t.Fatalf("ingest telemetry after the merge = %+v", st.Ingest)
 	}
 }
 

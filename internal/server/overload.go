@@ -29,21 +29,11 @@ func (s *Server) ConfigureOverload(cfg OverloadConfig) {
 
 // parseQueryOpts extracts the per-query overload parameters
 // (?deadline_ms=, ?class=) from a /search request. It writes a 400 and
-// returns false on an invalid value, or on any overload parameter when
-// the backend is not a cluster (single engines have no deadline
-// machinery — silently dropping the contract would be worse than
-// refusing it).
-func (s *Server) parseQueryOpts(w http.ResponseWriter, r *http.Request) (cluster.QueryOpts, bool) {
+// returns false on an invalid value.
+func parseQueryOpts(w http.ResponseWriter, r *http.Request) (cluster.QueryOpts, bool) {
 	var qo cluster.QueryOpts
 	dms := r.URL.Query().Get("deadline_ms")
 	cls := r.URL.Query().Get("class")
-	if dms == "" && cls == "" {
-		return qo, true
-	}
-	if s.cluster == nil && s.liveCluster == nil {
-		http.Error(w, `parameters "deadline_ms" and "class" require a cluster backend`, http.StatusBadRequest)
-		return qo, false
-	}
 	if dms != "" {
 		v, err := strconv.ParseFloat(dms, 64)
 		// !(v > 0) also rejects NaN; the upper bound rejects Inf and
@@ -94,7 +84,7 @@ type OverloadJSON struct {
 	// ShedRequests counts /search requests refused with 503: gate sheds
 	// plus cluster-level shed/deadline refusals.
 	ShedRequests int64 `json:"shed_requests"`
-	// Cluster-side deadline parameters and counters (cluster mode only).
+	// Cluster-side deadline parameters and counters.
 	DefaultDeadlineMS   float64          `json:"default_deadline_ms,omitempty"`
 	MergeReserveMS      float64          `json:"merge_reserve_ms,omitempty"`
 	BrownoutLevel       int              `json:"brownout_level"`
@@ -113,8 +103,8 @@ type OverloadJSON struct {
 // overloadJSON assembles the /statz overload block, or nil when no
 // overload control is configured anywhere.
 func (s *Server) overloadJSON() *OverloadJSON {
-	cl := s.cl()
-	clOn := cl != nil && cl.OverloadEnabled()
+	cl := s.read.Cluster()
+	clOn := cl.OverloadEnabled()
 	if s.gate == nil && !clOn {
 		return nil
 	}

@@ -132,15 +132,27 @@ func TestSearchClassParam(t *testing.T) {
 	}
 }
 
-// TestOverloadParamsRequireCluster: a single-engine server refuses the
-// cluster-only parameters instead of silently dropping the contract.
+// TestOverloadParamsRequireCluster: the per-query parameters need a
+// cluster's deadline machinery, which every server has — a single engine
+// is a one-shard cluster — so a single-engine server honours them: the
+// deadline is recorded with no merge reserve taken out of it, and the
+// class is marked.
 func TestOverloadParamsRequireCluster(t *testing.T) {
 	srv := newTestServer(t)
-	for _, q := range []string{"deadline_ms=10", "class=batch"} {
-		rec, body := get(t, srv, "/search?q=quick+fox&"+q)
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s on single engine: %d %s", q, rec.Code, body)
-		}
+	rec, body := get(t, srv, "/search?q=quick+fox&deadline_ms=10&class=batch")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("overload parameters on a single engine: %d %s", rec.Code, body)
+	}
+	var resp SearchResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.DeadlineMS != 10 || resp.Class != "batch" || len(resp.Results) == 0 {
+		t.Fatalf("single engine dropped the parameters: %+v", resp)
+	}
+	// A deadline no engine can meet is refused like a cluster's.
+	if rec, body := get(t, srv, "/search?q=quick+fox&deadline_ms=0.000001"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("infeasible deadline on a single engine: %d %s", rec.Code, body)
 	}
 }
 

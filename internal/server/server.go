@@ -1,14 +1,16 @@
 // Package server exposes a Griffin engine — or a sharded cluster of them
 // — as a small JSON-over-HTTP search service, the deployment surface an
 // interactive IR system (the paper's motivating setting) actually
-// presents to clients. Handlers are safe for concurrent requests; each
-// request maps to one Engine.Search or Cluster.Search, so the per-request
-// simulated latency reported in responses is the paper's per-query metric
-// (single node) or the cluster's critical-path model (max over shards +
-// merge).
+// presents to clients. Handlers are safe for concurrent requests. Every
+// backend answers through a cluster — a single engine is a one-shard
+// cluster whose latency is exactly the engine's — so each request maps to
+// one Cluster.Query, and the per-request simulated latency reported in
+// responses is the cluster's critical-path model (max over shards + merge;
+// one shard has no merge, which makes it the paper's per-query metric).
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -27,13 +29,11 @@ import (
 	"griffin/internal/wal"
 )
 
-// Server routes search traffic to an engine or a cluster, optionally
-// wrapped in a live-ingestion layer accepting writes.
+// Server routes search traffic to a cluster — frozen, or live behind an
+// ingestion layer accepting writes.
 type Server struct {
-	engine      *core.Engine     // single-node backend (nil otherwise)
-	cluster     *cluster.Cluster // sharded backend (nil otherwise)
-	live        *ingest.Engine   // live single-node backend (nil otherwise)
-	liveCluster *ingest.Cluster  // live sharded backend (nil otherwise)
+	// read answers every /search, /healthz and /statz.
+	read reader
 	// writer is the live backend's write half (nil on a read-only server).
 	writer liveWriter
 	mux    *http.ServeMux
@@ -56,30 +56,62 @@ type Server struct {
 	sheds atomic.Int64
 }
 
-// liveWriter is what /ingest and /healthz need of a live backend, one
-// engine or a cluster of them: apply a mutation, read the writer
-// generation and the merge lag (each backend's own definition of it), and
-// report a wedged write-ahead log.
+// reader is the read half of every backend: a query against its freshest
+// state, and the serving cluster behind it for topology and telemetry.
+type reader interface {
+	Query(ctx context.Context, req cluster.Request) (*ingest.ClusterResult, error)
+	Cluster() *cluster.Cluster
+}
+
+// frozen is a read-only cluster as a reader.
+type frozen struct{ cl *cluster.Cluster }
+
+func (f frozen) Query(ctx context.Context, req cluster.Request) (*ingest.ClusterResult, error) {
+	res, err := f.cl.Query(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return &ingest.ClusterResult{Result: res}, nil
+}
+
+func (f frozen) Cluster() *cluster.Cluster { return f.cl }
+
+// liveWriter is what /ingest, /healthz and /statz need of a live backend,
+// one engine or a cluster of them: apply a mutation, read the writer
+// generation and the merge lag (each backend's own definition of it),
+// report a wedged write-ahead log, and snapshot the ingest telemetry with
+// that lag.
 type liveWriter interface {
 	Apply(op wal.Op, docID uint32, tokens []string) error
 	Progress() (gen, lag uint64)
 	Wedged() error
+	ingestStats() (ingest.ClusterStats, uint64)
 }
 
-// New wraps a single engine. The engine must outlive the server.
-func New(engine *core.Engine) *Server {
-	s := &Server{engine: engine}
-	s.init()
-	return s
+// liveEngine is a live engine's write half: its telemetry has no
+// topology fields.
+type liveEngine struct{ *ingest.Engine }
+
+func (e liveEngine) ingestStats() (ingest.ClusterStats, uint64) {
+	st := e.Stats()
+	return ingest.ClusterStats{Stats: st}, st.Lag()
 }
+
+// liveCluster is a live cluster's write half.
+type liveCluster struct{ *ingest.Cluster }
+
+func (c liveCluster) ingestStats() (ingest.ClusterStats, uint64) {
+	st := c.Stats()
+	return st, st.Lag()
+}
+
+// New wraps a single engine, served as a one-shard cluster. The engine
+// must outlive the server.
+func New(engine *core.Engine) *Server { return NewCluster(cluster.OfEngine(engine)) }
 
 // NewCluster wraps a sharded cluster. The cluster must outlive the
 // server.
-func NewCluster(cl *cluster.Cluster) *Server {
-	s := &Server{cluster: cl}
-	s.init()
-	return s
-}
+func NewCluster(cl *cluster.Cluster) *Server { return newServer(frozen{cl}, nil, 0) }
 
 // NewLive wraps a live single-node ingestion engine: /search serves
 // snapshot-isolated reads through the delta, POST /ingest accepts
@@ -87,53 +119,24 @@ func NewCluster(cl *cluster.Cluster) *Server {
 // (0 = no check). The engine must outlive the server; the caller owns
 // Close (which drains in-flight background merges).
 func NewLive(e *ingest.Engine, freshness int) *Server {
-	s := &Server{live: e, writer: e, freshness: freshness}
-	s.init()
-	return s
+	return newServer(e, liveEngine{e}, freshness)
 }
 
 // NewLiveCluster wraps a live sharded ingestion layer; see NewLive.
 func NewLiveCluster(c *ingest.Cluster, freshness int) *Server {
-	s := &Server{liveCluster: c, writer: c, freshness: freshness}
-	s.init()
-	return s
+	return newServer(c, liveCluster{c}, freshness)
 }
 
-func (s *Server) init() {
+func newServer(read reader, writer liveWriter, freshness int) *Server {
+	s := &Server{read: read, writer: writer, freshness: freshness}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /statz", s.handleStats)
-	if s.writer != nil {
+	if writer != nil {
 		s.mux.HandleFunc("POST /ingest", s.handleIngest)
 	}
-}
-
-// eng resolves the current single-node core engine: the live layer
-// swaps engines at merge commits, so it is re-read per request.
-func (s *Server) eng() *core.Engine {
-	if s.live != nil {
-		return s.live.Engine()
-	}
-	return s.engine
-}
-
-// cl resolves the current cluster; the live layer swaps clusters at
-// splits and quiesces.
-func (s *Server) cl() *cluster.Cluster {
-	if s.liveCluster != nil {
-		return s.liveCluster.Cluster()
-	}
-	return s.cluster
-}
-
-// topK is the backend's configured result count: the default k of a
-// search and the largest one it may ask for.
-func (s *Server) topK() int {
-	if c := s.cl(); c != nil {
-		return c.TopK()
-	}
-	return s.eng().TopK()
+	return s
 }
 
 // ServeHTTP implements http.Handler.
@@ -171,11 +174,9 @@ type SearchResponse struct {
 	ForcedCPU     bool    `json:"forced_cpu,omitempty"`
 	DegradedTopK  int     `json:"degraded_top_k,omitempty"`
 	HedgeSkips    int     `json:"hedge_skips,omitempty"`
-	// Plan is the executed physical query plan, present when the request
-	// set trace=1 on a single-engine server.
-	Plan []PlanOpJSON `json:"plan,omitempty"`
-	// Shards is the per-shard execution summary, present when the request
-	// set trace=1 on a cluster server.
+	// Shards is the per-shard execution summary, each shard's executed
+	// physical plan included, present when the request set trace=1 (one
+	// row on a single-engine server).
 	Shards []ShardTraceJSON `json:"shards,omitempty"`
 }
 
@@ -211,8 +212,7 @@ type PlanOpJSON struct {
 	BatchSize int   `json:"batch_size,omitempty"`
 }
 
-// ShardTraceJSON summarizes one shard's contribution to a traced cluster
-// request.
+// ShardTraceJSON summarizes one shard's contribution to a traced request.
 type ShardTraceJSON struct {
 	Shard      int     `json:"shard"`
 	Replica    int     `json:"replica"`
@@ -239,6 +239,9 @@ type ShardTraceJSON struct {
 	BudgetRejected   bool `json:"budget_rejected,omitempty"`
 	DeadlineExceeded bool `json:"deadline_exceeded,omitempty"`
 	HedgeSkipped     bool `json:"hedge_skipped,omitempty"`
+	// Plan is the executed physical plan of the attempt whose result was
+	// used (omitted for a shard that answered nothing).
+	Plan []PlanOpJSON `json:"plan,omitempty"`
 }
 
 // HitJSON is one ranked result.
@@ -250,8 +253,9 @@ type HitJSON struct {
 // handleSearch serves GET /search?q=terms+separated+by+spaces[&k=n][&trace=1].
 // k defaults to the backend's configured top-k, which is also the largest
 // k a request may ask for. With trace=1 the response includes the
-// executed physical query plan (single engine) or the per-shard execution
-// summary (cluster).
+// per-shard execution summary with each shard's physical plan. The
+// request context rides through to the shard sub-queries: a client that
+// disconnects cancels the stragglers at their next plan-operator boundary.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := strings.TrimSpace(r.URL.Query().Get("q"))
 	if q == "" {
@@ -263,7 +267,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "query has no indexable terms", http.StatusBadRequest)
 		return
 	}
-	k := s.topK()
+	k := s.read.Cluster().TopK()
 	if ks := r.URL.Query().Get("k"); ks != "" {
 		v, err := strconv.Atoi(ks)
 		if err != nil || v < 1 || v > k {
@@ -273,7 +277,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		k = v
 	}
 	trace := r.URL.Query().Get("trace") == "1"
-	qo, ok := s.parseQueryOpts(w, r)
+	qo, ok := parseQueryOpts(w, r)
 	if !ok {
 		return
 	}
@@ -288,87 +292,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Leave()
 
-	if s.cluster != nil || s.liveCluster != nil {
-		s.searchCluster(w, r, terms, k, trace, qo)
-		return
-	}
-
-	var res *core.Result
-	var err error
-	if s.live != nil {
-		// The live path pins a (segment, delta) snapshot for the whole
-		// query — concurrent mutations and merge commits never tear it.
-		var lr *ingest.Result
-		if lr, err = s.live.Query(r.Context(), core.Request{Terms: terms}); err == nil {
-			res = lr.Result
-		}
-	} else {
-		res, err = s.engine.SearchContext(r.Context(), terms)
-	}
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // the client left mid-query: not a server error, nothing useful to write
-		}
-		s.errors.Add(1)
-		http.Error(w, "search failed: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	s.queries.Add(1)
-	s.simNanos.Add(int64(res.Stats.Latency))
-
-	hits := res.Docs
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	resp := SearchResponse{
-		Query:      terms,
-		Candidates: res.Stats.Candidates,
-		LatencyMS:  float64(res.Stats.Latency) / float64(time.Millisecond),
-		Migrated:   res.Stats.Migrated,
-		Results:    make([]HitJSON, len(hits)),
-	}
-	for i, h := range hits {
-		resp.Results[i] = HitJSON{DocID: h.DocID, Score: h.Score}
-	}
-	if trace {
-		resp.Plan = make([]PlanOpJSON, len(res.Stats.Plan))
-		for i, op := range res.Stats.Plan {
-			resp.Plan[i] = PlanOpJSON{
-				Op:        op.Kind.String(),
-				Algo:      op.Algo.String(),
-				Where:     op.Where.String(),
-				Term:      op.Term,
-				NIn:       op.NIn,
-				NOut:      op.NOut,
-				Bytes:     op.Bytes,
-				StartUS:   float64(op.Start) / float64(time.Microsecond),
-				TookUS:    float64(op.Took) / float64(time.Microsecond),
-				EstTookUS: float64(op.Est) / float64(time.Microsecond),
-				Device:    op.Device,
-				Peer:      op.Peer,
-				BatchID:   op.BatchID,
-				BatchSize: op.BatchSize,
-			}
-		}
-	}
-	writeJSON(w, resp)
-}
-
-// searchCluster serves one scatter-gather request. The request context
-// rides through to the shard sub-queries: a client that disconnects
-// cancels the stragglers at their next plan-operator boundary.
-func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []string, k int, trace bool, qo cluster.QueryOpts) {
-	req := cluster.Request{Terms: terms, QueryOpts: qo}
-	var res *cluster.Result
-	var err error
-	if s.liveCluster != nil {
-		var lr *ingest.ClusterResult
-		if lr, err = s.liveCluster.Query(r.Context(), req); err == nil {
-			res = lr.Result
-		}
-	} else {
-		res, err = s.cluster.Query(r.Context(), req)
-	}
+	lr, err := s.read.Query(r.Context(), cluster.Request{Terms: terms, QueryOpts: qo})
 	if err != nil {
 		if overload.IsOverload(err) {
 			// Refused by overload control (brownout batch shed, admission
@@ -386,6 +310,7 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 		http.Error(w, "search failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
+	res := lr.Result
 	s.queries.Add(1)
 	s.simNanos.Add(int64(res.Stats.Latency))
 	if res.Stats.Degraded {
@@ -405,7 +330,7 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 	resp := SearchResponse{
 		Query:         terms,
 		Candidates:    candidates,
-		LatencyMS:     float64(res.Stats.Latency) / float64(time.Millisecond),
+		LatencyMS:     ms(res.Stats.Latency),
 		Migrated:      migrated,
 		Results:       make([]HitJSON, len(hits)),
 		Degraded:      res.Stats.Degraded,
@@ -413,7 +338,7 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 		Retries:       res.Stats.Retries,
 		Hedges:        res.Stats.Hedges,
 		Fallbacks:     res.Stats.Fallbacks,
-		DeadlineMS:    float64(res.Stats.Deadline) / float64(time.Millisecond),
+		DeadlineMS:    ms(res.Stats.Deadline),
 		DeadlineMiss:  res.Stats.DeadlineMiss,
 		BrownoutLevel: res.Stats.BrownoutLevel,
 		ForcedCPU:     res.Stats.ForcedCPU,
@@ -449,10 +374,38 @@ func (s *Server) searchCluster(w http.ResponseWriter, r *http.Request, terms []s
 				BudgetRejected:   ss.BudgetRejected,
 				DeadlineExceeded: ss.DeadlineExceeded,
 				HedgeSkipped:     ss.HedgeSkipped,
+				Plan:             planJSON(ss.Query.Plan),
 			}
 		}
 	}
-	writeJSON(w, resp)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// planJSON renders one shard's executed physical plan.
+func planJSON(plan []core.PlanRecord) []PlanOpJSON {
+	if len(plan) == 0 {
+		return nil
+	}
+	out := make([]PlanOpJSON, len(plan))
+	for i, op := range plan {
+		out[i] = PlanOpJSON{
+			Op:        op.Kind.String(),
+			Algo:      op.Algo.String(),
+			Where:     op.Where.String(),
+			Term:      op.Term,
+			NIn:       op.NIn,
+			NOut:      op.NOut,
+			Bytes:     op.Bytes,
+			StartUS:   float64(op.Start) / float64(time.Microsecond),
+			TookUS:    float64(op.Took) / float64(time.Microsecond),
+			EstTookUS: float64(op.Est) / float64(time.Microsecond),
+			Device:    op.Device,
+			Peer:      op.Peer,
+			BatchID:   op.BatchID,
+			BatchSize: op.BatchSize,
+		}
+	}
+	return out
 }
 
 // IngestRequest is the POST /ingest body: one mutation. Tokens carries
@@ -520,7 +473,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingested.Add(1)
 	gen, lag := s.writer.Progress()
-	writeJSON(w, IngestResponse{Gen: gen, Lag: lag})
+	writeJSON(w, http.StatusOK, IngestResponse{Gen: gen, Lag: lag})
 }
 
 // ShardHealthJSON is one shard's reachability row in /healthz.
@@ -532,92 +485,64 @@ type ShardHealthJSON struct {
 	OpenBreakers int  `json:"open_breakers,omitempty"`
 }
 
-// handleHealth serves GET /healthz. In cluster mode the status reflects
-// breaker-level degradation: "ok" when every shard is reachable,
-// "degraded" when some are not, and a 503 with status "unhealthy" when a
-// majority of shards have every replica's breaker open — the cluster can
-// no longer answer most of the corpus. A live backend whose merge lag
-// exceeds the freshness threshold reports "degraded" (still 200: stale
-// but serving) unless breaker health already says worse; so does one whose
-// WAL a storage fault wedged — it keeps serving reads but refuses writes.
+// handleHealth serves GET /healthz. The status reflects breaker-level
+// degradation: "ok" when every shard is reachable, "degraded" when some
+// are not, and a 503 with status "unhealthy" when a majority of shards
+// have every replica's breaker open — the cluster can no longer answer
+// most of the corpus. A live backend whose merge lag exceeds the
+// freshness threshold reports "degraded" (still 200: stale but serving)
+// unless breaker health already says worse; so does one whose WAL a
+// storage fault wedged — it keeps serving reads but refuses writes.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	isLive := s.writer != nil
 	var lag uint64
 	var wedged error
-	if isLive {
+	if s.writer != nil {
 		_, lag = s.writer.Progress()
 		wedged = s.writer.Wedged()
 	}
 	stale := s.freshness > 0 && lag > uint64(s.freshness)
-	if cl := s.cl(); cl != nil {
-		h := cl.Health()
-		status := "ok"
-		code := http.StatusOK
-		switch {
-		case !h.Healthy:
-			status = "unhealthy"
-			code = http.StatusServiceUnavailable
-		case h.Unreachable > 0 || stale || wedged != nil:
-			status = "degraded"
-		}
-		shards := make([]ShardHealthJSON, len(h.Shards))
-		for i, sh := range h.Shards {
-			shards[i] = ShardHealthJSON{Shard: sh.Shard, Reachable: sh.Reachable, OpenBreakers: sh.Open}
-		}
-		body := map[string]any{
-			"status":             status,
-			"docs":               cl.NumDocs(),
-			"mode":               cl.Mode().String(),
-			"shards":             cl.NumShards(),
-			"replicas":           cl.Replicas(),
-			"routing":            cl.RoutingPolicy().String(),
-			"unreachable_shards": h.Unreachable,
-			"shard_health":       shards,
-		}
-		if isLive {
-			body["ingest_lag"] = lag
-			body["freshness_threshold"] = s.freshness
-		}
-		if wedged != nil {
-			body["wal_wedged"] = wedged.Error()
-		}
-		// Overload signals appear only when some overload control is
-		// configured, keeping the pre-overload body byte-identical.
-		if s.gate != nil || cl.OverloadEnabled() {
-			body["shed_rate"] = s.shedRate()
-		}
-		if cl.OverloadEnabled() {
-			body["brownout_level"] = cl.Overload().Brownout.Level
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(body)
-		return
-	}
+	cl := s.read.Cluster()
+	h := cl.Health()
 	status := "ok"
-	if stale || wedged != nil {
+	code := http.StatusOK
+	switch {
+	case !h.Healthy:
+		status = "unhealthy"
+		code = http.StatusServiceUnavailable
+	case h.Unreachable > 0 || stale || wedged != nil:
 		status = "degraded"
 	}
-	eng := s.eng()
-	body := map[string]any{
-		"status": status,
-		"docs":   eng.Index().NumDocs,
-		"terms":  eng.Index().NumTerms(),
-		"mode":   eng.Mode().String(),
+	shards := make([]ShardHealthJSON, len(h.Shards))
+	for i, sh := range h.Shards {
+		shards[i] = ShardHealthJSON{Shard: sh.Shard, Reachable: sh.Reachable, OpenBreakers: sh.Open}
 	}
-	if isLive {
+	body := map[string]any{
+		"status":             status,
+		"docs":               cl.NumDocs(),
+		"terms":              cl.NumTerms(),
+		"mode":               cl.Mode().String(),
+		"shards":             cl.NumShards(),
+		"replicas":           cl.Replicas(),
+		"routing":            cl.RoutingPolicy().String(),
+		"unreachable_shards": h.Unreachable,
+		"shard_health":       shards,
+	}
+	if s.writer != nil {
 		body["ingest_lag"] = lag
 		body["freshness_threshold"] = s.freshness
 	}
 	if wedged != nil {
 		body["wal_wedged"] = wedged.Error()
 	}
-	if s.gate != nil {
+	// Overload signals appear only when some overload control is
+	// configured, keeping the pre-overload body byte-identical.
+	if s.gate != nil || cl.OverloadEnabled() {
 		body["shed_rate"] = s.shedRate()
 	}
-	writeJSON(w, body)
+	if cl.OverloadEnabled() {
+		body["brownout_level"] = cl.Overload().Brownout.Level
+	}
+	writeJSON(w, code, body)
 }
 
 // StatsResponse is the /statz reply body.
@@ -626,27 +551,23 @@ type StatsResponse struct {
 	Errors        int64   `json:"errors"`
 	MeanLatencyMS float64 `json:"mean_simulated_latency_ms"`
 	CachedLists   int     `json:"cached_lists"`
-	// Cache is the device-resident list cache's counter snapshot; omitted
-	// when caching is off (single-engine servers aggregate one engine,
-	// cluster servers aggregate across every replica).
+	// Cache is the device-resident list cache's counter snapshot,
+	// aggregated across every replica; omitted when caching is off.
 	Cache *CacheStatsJSON `json:"cache,omitempty"`
-	// Device is the shared device runtime's telemetry; omitted for
-	// CPU-only engines and for cluster servers (see Shards). On multi-GPU
-	// engines it reports device 0 (preserved for existing consumers) and
-	// Devices carries one row per node device in device order.
+	// Device and Devices are never set: device rows live under Shards.
+	// The fields stay only because the serving benchmark (bench/) compiles
+	// against them.
 	Device  *DeviceStatsJSON  `json:"device,omitempty"`
 	Devices []DeviceStatsJSON `json:"devices,omitempty"`
 	// Batching is the cross-query batching stage's configuration and
-	// aggregate telemetry (across devices, and across replicas in cluster
-	// mode); omitted when the stage is disabled so pre-batching /statz
-	// output stays byte-identical.
+	// aggregate telemetry (across devices and replicas); omitted when the
+	// stage is disabled so pre-batching /statz output stays byte-identical.
 	Batching *BatchingJSON `json:"batching,omitempty"`
-	// Degraded counts cluster queries answered partially; Shards carries
-	// one telemetry row per shard replica. Both are cluster-mode only.
+	// Degraded counts queries answered partially; Shards carries one
+	// telemetry row per shard replica, device rows included.
 	Degraded int64            `json:"degraded_queries,omitempty"`
 	Shards   []ShardStatsJSON `json:"shards,omitempty"`
-	// SelfHeal is the cluster's self-healing counter snapshot (cluster
-	// mode only).
+	// SelfHeal is the cluster's self-healing counter snapshot.
 	SelfHeal *SelfHealJSON `json:"self_heal,omitempty"`
 	// FaultCounts and Faults surface the injected-fault log when the
 	// cluster runs with a fault plan: per-kind totals and the most
@@ -836,8 +757,9 @@ func deviceJSON(st gpu.RuntimeStats) DeviceStatsJSON {
 }
 
 // ingestJSON is the /statz ingest block of either live backend; a
-// cluster adds its topology fields.
-func (s *Server) ingestJSON(st ingest.Stats, lag uint64) *IngestStatsJSON {
+// cluster's carries its topology fields, an engine's leaves them empty.
+func (s *Server) ingestJSON() *IngestStatsJSON {
+	st, lag := s.writer.ingestStats()
 	return &IngestStatsJSON{
 		Gen: st.Gen, Lag: lag,
 		DeltaDocs: st.DeltaDocs, Tombstones: st.Tombstones,
@@ -847,7 +769,10 @@ func (s *Server) ingestJSON(st ingest.Stats, lag uint64) *IngestStatsJSON {
 		MergeDeviceMS: ms(st.MergeDevice), MergeCPUMS: ms(st.MergeCPU),
 		MergeStallMS:       ms(st.MergeStall),
 		FreshnessThreshold: s.freshness,
-		WAL:                st.WAL,
+		Shards:             st.Shards, LiveDocs: st.LiveDocs,
+		Rebuilds: st.Rebuilds, Splits: st.Splits,
+		ShardDocs: st.ShardDocs, ShardDelta: st.ShardDelta,
+		WAL: st.WAL,
 	}
 }
 
@@ -858,29 +783,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if n > 0 {
 		mean = float64(s.simNanos.Load()) / float64(n) / float64(time.Millisecond)
 	}
+	cl := s.read.Cluster()
+	sh := cl.SelfHeal()
 	resp := StatsResponse{
 		Queries:       n,
 		Errors:        s.errors.Load(),
 		MeanLatencyMS: mean,
 		Overload:      s.overloadJSON(),
-	}
-
-	switch {
-	case s.live != nil:
-		st := s.live.Stats()
-		resp.Ingest = s.ingestJSON(st, st.Lag())
-	case s.liveCluster != nil:
-		st := s.liveCluster.Stats()
-		resp.Ingest = s.ingestJSON(st.Stats, st.Lag())
-		resp.Ingest.Shards, resp.Ingest.LiveDocs = st.Shards, st.LiveDocs
-		resp.Ingest.Rebuilds, resp.Ingest.Splits = st.Rebuilds, st.Splits
-		resp.Ingest.ShardDocs, resp.Ingest.ShardDelta = st.ShardDocs, st.ShardDelta
-	}
-
-	if cl := s.cl(); cl != nil {
-		resp.Degraded = s.degraded.Load()
-		sh := cl.SelfHeal()
-		resp.SelfHeal = &SelfHealJSON{
+		Degraded:      s.degraded.Load(),
+		SelfHeal: &SelfHealJSON{
 			Queries:        sh.Queries,
 			Degraded:       sh.Degraded,
 			Failed:         sh.Failed,
@@ -890,81 +801,65 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Fallbacks:      sh.Fallbacks,
 			BreakerTrips:   sh.BreakerTrips,
 			InjectedFaults: sh.InjectedFaults,
-		}
-		if inj := cl.Injector(); inj != nil {
-			resp.FaultCounts = inj.Counts()
-			resp.FaultSites = inj.SiteCounts()
-			log := inj.Log()
-			if len(log) > faultLogCap {
-				log = log[len(log)-faultLogCap:]
-			}
-			for _, ev := range log {
-				resp.Faults = append(resp.Faults, FaultEventJSON{
-					Site: ev.Site,
-					Seq:  ev.Seq,
-					Kind: ev.Kind.String(),
-					AtMS: ms(ev.At),
-				})
-			}
-		}
-		agg := core.CacheStats{}
-		caching := false
-		for _, row := range cl.Telemetry() {
-			sr := ShardStatsJSON{
-				Shard: row.Shard, Replica: row.Replica, Queries: row.Queries,
-				Breaker: row.Breaker, BreakerTrips: row.BreakerTrips,
-			}
-			if row.Cache != (core.CacheStats{}) {
-				caching = true
-				sr.Cache = cacheJSON(row.Cache)
-				agg.Add(row.Cache)
-			}
-			if row.Device != nil {
-				d := deviceJSON(*row.Device)
-				sr.Device = &d
-			}
-			for _, d := range row.Devices {
-				sr.Devices = append(sr.Devices, deviceJSON(d))
-			}
-			resp.Shards = append(resp.Shards, sr)
-		}
-		resp.CachedLists = agg.Lists
-		if caching {
-			resp.Cache = cacheJSON(agg)
-		}
-		if cfg, on := cl.Batching(); on {
-			resp.Batching = batchingJSON(cfg, cl.BatchStats())
-		}
-		writeJSON(w, resp)
-		return
+		},
 	}
-
-	eng := s.eng()
-	resp.CachedLists = eng.CachedLists()
-	if st := eng.CacheStats(); st != (core.CacheStats{}) {
-		resp.Cache = cacheJSON(st)
+	if s.writer != nil {
+		resp.Ingest = s.ingestJSON()
 	}
-	if rt := eng.Runtime(); rt != nil {
-		d := deviceJSON(rt.Stats())
-		resp.Device = &d
-	}
-	if node := eng.Node(); node != nil && node.Devices() > 1 {
-		for i := 0; i < node.Devices(); i++ {
-			resp.Devices = append(resp.Devices, deviceJSON(node.Runtime(i).Stats()))
+	if inj := cl.Injector(); inj != nil {
+		resp.FaultCounts = inj.Counts()
+		resp.FaultSites = inj.SiteCounts()
+		log := inj.Log()
+		if len(log) > faultLogCap {
+			log = log[len(log)-faultLogCap:]
+		}
+		for _, ev := range log {
+			resp.Faults = append(resp.Faults, FaultEventJSON{
+				Site: ev.Site,
+				Seq:  ev.Seq,
+				Kind: ev.Kind.String(),
+				AtMS: ms(ev.At),
+			})
 		}
 	}
-	if cfg, on := eng.Batching(); on {
-		resp.Batching = batchingJSON(cfg, eng.BatchStats())
+	agg := core.CacheStats{}
+	caching := false
+	for _, row := range cl.Telemetry() {
+		sr := ShardStatsJSON{
+			Shard: row.Shard, Replica: row.Replica, Queries: row.Queries,
+			Breaker: row.Breaker, BreakerTrips: row.BreakerTrips,
+		}
+		if row.Cache != (core.CacheStats{}) {
+			caching = true
+			sr.Cache = cacheJSON(row.Cache)
+			agg.Add(row.Cache)
+		}
+		if row.Device != nil {
+			d := deviceJSON(*row.Device)
+			sr.Device = &d
+		}
+		for _, d := range row.Devices {
+			sr.Devices = append(sr.Devices, deviceJSON(d))
+		}
+		resp.Shards = append(resp.Shards, sr)
 	}
-	writeJSON(w, resp)
+	resp.CachedLists = agg.Lists
+	if caching {
+		resp.Cache = cacheJSON(agg)
+	}
+	if cfg, on := cl.Batching(); on {
+		resp.Batching = batchingJSON(cfg, cl.BatchStats())
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ms is a duration in (fractional) milliseconds, the unit of every
 // *_ms field.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

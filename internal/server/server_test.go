@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/ingest"
 	"griffin/internal/sched"
 	"griffin/internal/workload"
 )
@@ -71,6 +74,51 @@ func newTestClusterServer(t *testing.T, shards, replicas int, timeout time.Durat
 	return NewCluster(cl)
 }
 
+// backend is a server built by one of the four constructors over the test
+// corpus, with the shard x replica shape of the cluster it answers
+// through.
+type backend struct {
+	name             string
+	shards, replicas int
+	srv              *Server
+}
+
+// backends builds one server per constructor, every one serving hybrid
+// engines with a list cache: a single engine, a 2-shard x 2-replica
+// cluster, a live engine and a live 2-shard cluster, the live ones merging
+// in the background every two mutations.
+func backends(t *testing.T) []backend {
+	t.Helper()
+	hybrid := func() core.Config {
+		return core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0), CacheLists: true}
+	}
+	e, err := core.New(testIndex(t), hybrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	live, err := ingest.New(testIndex(t), ingest.Config{Engine: hybrid(), MergeThreshold: 2, AutoMerge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(live.Close)
+	lc, err := ingest.OpenCluster(testIndex(t), ingest.ClusterConfig{
+		Shards:         2,
+		Cluster:        cluster.Config{Engine: core.Config{Mode: core.Hybrid, CacheLists: true}},
+		MergeThreshold: 2, AutoMerge: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(lc.Close)
+	return []backend{
+		{"New", 1, 1, New(e)},
+		{"NewCluster", 2, 2, newTestClusterServer(t, 2, 2, 0)},
+		{"NewLive", 1, 1, NewLive(live, 0)},
+		{"NewLiveCluster", 2, 1, NewLiveCluster(lc, 0)},
+	}
+}
+
 func get(t *testing.T, srv *Server, path string) (*httptest.ResponseRecorder, []byte) {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -79,25 +127,69 @@ func get(t *testing.T, srv *Server, path string) (*httptest.ResponseRecorder, []
 	return rec, rec.Body.Bytes()
 }
 
+// Every backend answers /search with the single engine's documents over
+// the unpartitioned corpus, and a healthy query carries no degradation
+// markers.
 func TestSearchEndpoint(t *testing.T) {
-	srv := newTestServer(t)
-	rec, body := get(t, srv, "/search?q=quick+fox")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
+	for _, b := range backends(t) {
+		t.Run(b.name, func(t *testing.T) {
+			rec, body := get(t, b.srv, "/search?q=quick+fox")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, body)
+			}
+			var resp SearchResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Degraded || len(resp.MissingShards) != 0 {
+				t.Fatalf("healthy query degraded: %+v", resp)
+			}
+			if resp.Candidates != 2 || len(resp.Results) != 2 {
+				t.Fatalf("unexpected response: %+v", resp)
+			}
+			if resp.LatencyMS <= 0 {
+				t.Fatal("no simulated latency reported")
+			}
+			// doc 1 says "quick" and "fox" in fewer words: it ranks first.
+			if resp.Results[0].DocID != 1 || resp.Results[1].DocID != 0 {
+				t.Fatalf("results %+v, want docs 1 then 0", resp.Results)
+			}
+		})
 	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
+}
+
+// TestUntracedSearchGolden: a single engine, a live engine with an empty
+// delta and a one-shard cluster write the untraced /search bodies the
+// single-engine server wrote before every backend answered through a
+// cluster, byte for byte (testdata/search_bodies.golden: the responses
+// to goldenPaths, in order, on a fresh server).
+func TestUntracedSearchGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/search_bodies.golden")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Candidates != 2 || len(resp.Results) != 2 {
-		t.Fatalf("unexpected response: %+v", resp)
+	goldenPaths := []string{
+		"/search?q=quick+fox",
+		"/search?q=lazy+dog&k=1",
+		"/search?q=quick+brown",
+		"/search?q=quick+fox",
+		"/search?q=graphics+retrieval",
+		"/search?q=nonexistent+words",
 	}
-	if resp.LatencyMS <= 0 {
-		t.Fatal("no simulated latency reported")
+	live, _ := newLiveServer(t, 0)
+	oneShard, err := cluster.New([]*index.Index{testIndex(t)}, cluster.Config{Engine: core.Config{Mode: core.Hybrid}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, h := range resp.Results {
-		if h.DocID != 0 && h.DocID != 1 {
-			t.Fatalf("wrong doc %d", h.DocID)
+	t.Cleanup(oneShard.Close)
+	for name, srv := range map[string]*Server{"New": newTestServer(t), "NewLive": live, "NewCluster": NewCluster(oneShard)} {
+		var got []byte
+		for _, path := range goldenPaths {
+			_, body := get(t, srv, path)
+			got = append(got, body...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: untraced /search bodies differ from the golden:\n got %s\nwant %s", name, got, want)
 		}
 	}
 }
@@ -192,113 +284,179 @@ func TestSearchNoMatches(t *testing.T) {
 	}
 }
 
+// /healthz reports one shape on every backend — status, corpus size,
+// mode and topology — and /statz counts the searches served.
 func TestHealthAndStats(t *testing.T) {
-	srv := newTestServer(t)
-	rec, body := get(t, srv, "/healthz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("healthz status %d", rec.Code)
-	}
-	var health map[string]any
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
-	if health["status"] != "ok" || health["mode"] != "griffin" {
-		t.Fatalf("health: %v", health)
-	}
+	terms := float64(testIndex(t).NumTerms())
+	for _, b := range backends(t) {
+		t.Run(b.name, func(t *testing.T) {
+			rec, body := get(t, b.srv, "/healthz")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("healthz status %d", rec.Code)
+			}
+			var health map[string]any
+			if err := json.Unmarshal(body, &health); err != nil {
+				t.Fatal(err)
+			}
+			if health["status"] != "ok" || health["mode"] != "griffin" {
+				t.Fatalf("health: %v", health)
+			}
+			if health["shards"] != float64(b.shards) || health["replicas"] != float64(b.replicas) {
+				t.Fatalf("topology not reported: %v", health)
+			}
+			if health["docs"] != float64(4) || health["terms"] != terms {
+				t.Fatalf("corpus reported as %v docs, %v terms; want the global 4 and %v", health["docs"], health["terms"], terms)
+			}
+			if health["routing"] == "" || health["unreachable_shards"] != float64(0) {
+				t.Fatalf("routing/reachability missing: %v", health)
+			}
 
-	// Issue a couple of searches, then check counters.
-	get(t, srv, "/search?q=quick+fox")
-	get(t, srv, "/search?q=lazy+dog")
-	_, body = get(t, srv, "/statz")
-	var st StatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != 2 || st.Errors != 0 {
-		t.Fatalf("stats: %+v", st)
-	}
-	if st.MeanLatencyMS <= 0 {
-		t.Fatal("mean latency not aggregated")
+			// Issue a couple of searches, then check counters.
+			get(t, b.srv, "/search?q=quick+fox")
+			get(t, b.srv, "/search?q=lazy+dog")
+			_, body = get(t, b.srv, "/statz")
+			var st StatsResponse
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Queries != 2 || st.Errors != 0 {
+				t.Fatalf("stats: %+v", st)
+			}
+			if st.MeanLatencyMS <= 0 {
+				t.Fatal("mean latency not aggregated")
+			}
+		})
 	}
 }
 
+// Concurrent searches all succeed; on the live backends they race writes
+// through POST /ingest and the background merge commits those trigger.
 func TestConcurrentRequests(t *testing.T) {
-	srv := newTestServer(t)
-	var wg sync.WaitGroup
-	codes := make([]int, 20)
-	for i := range codes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rec, _ := get(t, srv, "/search?q=quick+brown")
-			codes[i] = rec.Code
-		}(i)
-	}
-	wg.Wait()
-	for i, c := range codes {
-		if c != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, c)
-		}
+	for _, b := range backends(t) {
+		t.Run(b.name, func(t *testing.T) {
+			var wg sync.WaitGroup
+			codes := make([]int, 20)
+			for i := range codes {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					rec, _ := get(t, b.srv, "/search?q=quick+brown")
+					codes[i] = rec.Code
+				}(i)
+			}
+			live := b.srv.writer != nil
+			ingested := make([]int, 10)
+			for i := range ingested {
+				if !live {
+					break
+				}
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ingested[i] = postIngest(t, b.srv, fmt.Sprintf(`{"op":"add","doc_id":%d,"text":"quick brown hare"}`, 100+i)).Code
+				}(i)
+			}
+			wg.Wait()
+			for i, c := range codes {
+				if c != http.StatusOK {
+					t.Fatalf("request %d: status %d", i, c)
+				}
+			}
+			if !live {
+				return
+			}
+			for i, c := range ingested {
+				if c != http.StatusOK {
+					t.Fatalf("mutation %d: status %d", i, c)
+				}
+			}
+			var resp SearchResponse
+			getJSON(t, b.srv, "/search?q=quick+brown+hare", &resp)
+			if resp.Candidates != len(ingested) {
+				t.Fatalf("after the writes %d documents match, want %d", resp.Candidates, len(ingested))
+			}
+		})
 	}
 }
 
-// /statz must surface the shared device runtime: after a burst of
-// concurrent searches the modeled GPU shows non-zero utilization and
+// /statz surfaces every replica's device runtime under shards[]: after a
+// burst of concurrent searches each modeled GPU shows utilization and
 // admissions (the acceptance probe for the runtime being wired through
-// the service path), while a CPU-only engine reports no device at all.
+// the service path), the cache aggregate is the sum of the rows, and a
+// CPU-only engine reports no device at all.
 func TestStatsDeviceTelemetry(t *testing.T) {
-	srv := newTestServer(t)
+	for _, b := range backends(t) {
+		t.Run(b.name, func(t *testing.T) {
+			const queries = 16
+			var wg sync.WaitGroup
+			for i := 0; i < queries; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					get(t, b.srv, "/search?q=quick+fox")
+				}()
+			}
+			wg.Wait()
 
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			get(t, srv, "/search?q=quick+fox")
-		}()
+			_, body := get(t, b.srv, "/statz")
+			var st StatsResponse
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Queries != queries {
+				t.Fatalf("queries %d, want %d", st.Queries, queries)
+			}
+			if st.Device != nil || st.Devices != nil {
+				t.Fatalf("device rows outside shards[]: %+v %+v", st.Device, st.Devices)
+			}
+			if len(st.Shards) != b.shards*b.replicas {
+				t.Fatalf("%d telemetry rows, want %d shards x %d replicas", len(st.Shards), b.shards, b.replicas)
+			}
+			var served, admitted, hits, misses int64
+			for _, row := range st.Shards {
+				served += row.Queries
+				d := row.Device
+				if d == nil {
+					t.Fatalf("shard %d replica %d: hybrid replica missing device stats", row.Shard, row.Replica)
+				}
+				admitted += d.Admitted
+				if d.Streams < 1 || d.ActiveQueries != 0 || d.Admitted < row.Queries {
+					t.Fatalf("shard %d replica %d: implausible device row %+v after %d sub-queries", row.Shard, row.Replica, d, row.Queries)
+				}
+				if d.Admitted > 0 && (d.Utilization <= 0 || d.Utilization > 1 || d.TimelineSpanMS <= 0 ||
+					(d.ComputeBusyMS <= 0 && d.CopyBusyMS <= 0)) {
+					t.Fatalf("shard %d replica %d: busy device reports %+v", row.Shard, row.Replica, d)
+				}
+				if d.QueueWaitMS < 0 || d.BacklogMS < 0 {
+					t.Fatalf("implausible device stats: %+v", d)
+				}
+				// Every allocation is either a pool hit or a miss.
+				if d.PoolHits < 0 || d.PoolMisses < 0 || d.PoolTrims < 0 || d.PoolReservedMB < 0 ||
+					(d.PoolMisses == 0) != (d.PoolReservedMB == 0) {
+					t.Fatalf("implausible pool stats: %+v", d)
+				}
+				if row.Cache == nil {
+					t.Fatalf("shard %d replica %d: caching replica missing cache stats", row.Shard, row.Replica)
+				}
+				hits += row.Cache.Hits
+				misses += row.Cache.Misses
+			}
+			if served != queries*int64(b.shards) || admitted < served {
+				t.Fatalf("replicas served %d sub-queries and admitted %d, want %d queries x %d shards", served, admitted, queries, b.shards)
+			}
+			// The memory-pool columns are always present on a device row.
+			for _, key := range []string{`"pool_hits"`, `"pool_misses"`, `"pool_reserved_mb"`, `"pool_trims"`} {
+				if !bytes.Contains(body, []byte(key)) {
+					t.Errorf("/statz device row has no %s: %s", key, body)
+				}
+			}
+			if st.Cache == nil || st.Cache.Hits != hits || st.Cache.Misses != misses || misses == 0 {
+				t.Fatalf("aggregate cache %+v != sum of rows (hits %d, misses %d)", st.Cache, hits, misses)
+			}
+		})
 	}
-	wg.Wait()
 
-	_, body := get(t, srv, "/statz")
-	var st StatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Device == nil {
-		t.Fatal("hybrid engine reports no device telemetry")
-	}
-	d := st.Device
-	if d.Streams < 1 {
-		t.Fatalf("streams = %d", d.Streams)
-	}
-	if d.Admitted < 16 {
-		t.Fatalf("admitted = %d, want >= 16", d.Admitted)
-	}
-	if d.Utilization <= 0 || d.Utilization > 1 {
-		t.Fatalf("utilization %v not in (0,1] after concurrent batch", d.Utilization)
-	}
-	if d.ComputeBusyMS <= 0 && d.CopyBusyMS <= 0 {
-		t.Fatal("no device busy time accumulated")
-	}
-	if d.ActiveQueries != 0 {
-		t.Fatalf("active queries %d after all requests returned", d.ActiveQueries)
-	}
-	if d.QueueWaitMS < 0 || d.BacklogMS < 0 || d.TimelineSpanMS <= 0 {
-		t.Fatalf("implausible device stats: %+v", d)
-	}
-	// The memory-pool columns are always present on a device row, and
-	// every allocation is either a hit or a miss.
-	for _, key := range []string{`"pool_hits"`, `"pool_misses"`, `"pool_reserved_mb"`, `"pool_trims"`} {
-		if !bytes.Contains(body, []byte(key)) {
-			t.Errorf("/statz device row has no %s: %s", key, body)
-		}
-	}
-	if d.PoolHits < 0 || d.PoolMisses < 0 || d.PoolTrims < 0 || d.PoolReservedMB < 0 ||
-		(d.PoolMisses == 0) != (d.PoolReservedMB == 0) {
-		t.Fatalf("implausible pool stats: %+v", d)
-	}
-
-	// CPU-only engines have no runtime: the field is omitted.
+	// CPU-only engines have no runtime: the row has no device.
 	b := index.NewBuilder(index.CodecEF)
 	if err := b.AddDocument(0, index.Tokenize("plain host search")); err != nil {
 		t.Fatal(err)
@@ -311,19 +469,18 @@ func TestStatsDeviceTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, body = get(t, New(e), "/statz")
-	st = StatsResponse{}
+	_, body := get(t, New(e), "/statz")
+	var st StatsResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Device != nil {
-		t.Fatalf("CPU-only engine reports device telemetry: %+v", st.Device)
+	if len(st.Shards) != 1 || st.Shards[0].Device != nil {
+		t.Fatalf("CPU-only engine reports device telemetry: %+v", st.Shards)
 	}
 }
 
-// A multi-GPU engine grows a per-device telemetry array on /statz; a
-// single-GPU engine omits it so devices=1 output stays identical to
-// older builds.
+// A multi-GPU engine's /statz row grows a per-device telemetry array; a
+// single-GPU engine's row omits it.
 func TestStatsMultiDeviceTelemetry(t *testing.T) {
 	ix := testIndex(t)
 	e, err := core.New(ix, core.Config{
@@ -343,18 +500,19 @@ func TestStatsMultiDeviceTelemetry(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Devices) != 2 {
-		t.Fatalf("devices array has %d rows, want 2", len(st.Devices))
+	row := st.Shards[0]
+	if len(row.Devices) != 2 {
+		t.Fatalf("devices array has %d rows, want 2", len(row.Devices))
 	}
 	var admitted int64
-	for _, d := range st.Devices {
+	for _, d := range row.Devices {
 		admitted += d.Admitted
 	}
 	if admitted < 8 {
 		t.Fatalf("per-device admissions sum to %d, want >= 8", admitted)
 	}
-	if st.Device == nil || st.Device.Admitted != st.Devices[0].Admitted {
-		t.Fatalf("device field %+v does not mirror devices[0] %+v", st.Device, st.Devices[0])
+	if row.Device == nil || row.Device.Admitted != row.Devices[0].Admitted {
+		t.Fatalf("device field %+v does not mirror devices[0] %+v", row.Device, row.Devices[0])
 	}
 
 	// Single-GPU server: no devices array, and no peer copies in the cache
@@ -364,126 +522,86 @@ func TestStatsMultiDeviceTelemetry(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Devices != nil {
-		t.Fatalf("single-GPU engine reports a devices array: %+v", st.Devices)
+	if st.Shards[0].Devices != nil {
+		t.Fatalf("single-GPU engine reports a devices array: %+v", st.Shards[0].Devices)
 	}
 	if st.Cache != nil && st.Cache.PeerCopies != 0 {
 		t.Fatalf("single-GPU engine reports peer copies: %+v", st.Cache)
 	}
 }
 
+// trace=1 adds one row per shard, each with its shard's executed plan —
+// a single engine's plan is shards[0].plan — and an untraced body has no
+// rows.
 func TestSearchTraceParameter(t *testing.T) {
-	srv := newTestServer(t)
+	for _, b := range backends(t) {
+		t.Run(b.name, func(t *testing.T) {
+			rec, body := get(t, b.srv, "/search?q=quick+fox")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, body)
+			}
+			var resp SearchResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Shards) != 0 {
+				t.Fatalf("untraced response carries shard rows: %+v", resp.Shards)
+			}
 
-	// Without trace=1 the plan is omitted.
-	rec, body := get(t, srv, "/search?q=quick+fox")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Plan) != 0 {
-		t.Fatalf("untraced response carries a plan: %+v", resp.Plan)
-	}
-
-	rec, body = get(t, srv, "/search?q=quick+fox&trace=1")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	resp = SearchResponse{}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Plan) == 0 {
-		t.Fatal("trace=1 response has no plan")
-	}
-	if n := bytes.Count(body, []byte(`"start_us"`)); n != len(resp.Plan) {
-		t.Errorf("%d of %d plan rows carry start_us", n, len(resp.Plan))
-	}
-	kinds := map[string]bool{}
-	var end float64
-	for _, op := range resp.Plan {
-		kinds[op.Op] = true
-		if op.Where == "" {
-			t.Errorf("plan op %q missing placement", op.Op)
-		}
-		if op.StartUS < 0 {
-			t.Errorf("plan op %q starts at %v us", op.Op, op.StartUS)
-		}
-		end = max(end, op.StartUS+op.TookUS)
-	}
-	// The rows place themselves on the query's timeline: the last one
-	// ends at the response's latency.
-	if math.Abs(end-resp.LatencyMS*1000) > 1e-6 {
-		t.Errorf("plan rows end at %v us, simulated latency is %v us", end, resp.LatencyMS*1000)
-	}
-	for _, want := range []string{"fetch", "intersect", "score", "topk"} {
-		if !kinds[want] {
-			t.Errorf("plan missing %q operator (got %v)", want, kinds)
-		}
-	}
-}
-
-// The cluster-backed server answers /search with the same documents as
-// the single-engine server over the unpartitioned corpus, and a healthy
-// query carries no degradation markers.
-func TestClusterSearchEndpoint(t *testing.T) {
-	single := newTestServer(t)
-	srv := newTestClusterServer(t, 2, 1, 0)
-
-	_, wantBody := get(t, single, "/search?q=quick+fox")
-	rec, body := get(t, srv, "/search?q=quick+fox")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var want, resp SearchResponse
-	if err := json.Unmarshal(wantBody, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded || len(resp.MissingShards) != 0 {
-		t.Fatalf("healthy query degraded: %+v", resp)
-	}
-	if resp.Candidates != want.Candidates || len(resp.Results) != len(want.Results) {
-		t.Fatalf("cluster response %+v != single-engine %+v", resp, want)
-	}
-	for i := range want.Results {
-		if resp.Results[i] != want.Results[i] {
-			t.Fatalf("result[%d] = %+v != single-engine %+v", i, resp.Results[i], want.Results[i])
-		}
-	}
-	if resp.LatencyMS <= 0 {
-		t.Fatal("no simulated latency reported")
-	}
-}
-
-func TestClusterSearchTraceShards(t *testing.T) {
-	srv := newTestClusterServer(t, 2, 1, 0)
-	rec, body := get(t, srv, "/search?q=quick+fox&trace=1")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, body)
-	}
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Shards) != 2 {
-		t.Fatalf("trace=1 returned %d shard records, want 2", len(resp.Shards))
-	}
-	for _, ss := range resp.Shards {
-		if ss.TimedOut || ss.Error != "" {
-			t.Fatalf("healthy shard marked degraded: %+v", ss)
-		}
-		if ss.LatencyMS <= 0 {
-			t.Fatalf("shard %d reports no latency", ss.Shard)
-		}
-	}
-	if len(resp.Plan) != 0 {
-		t.Fatalf("cluster trace carries a single-engine plan: %+v", resp.Plan)
+			rec, body = get(t, b.srv, "/search?q=quick+fox&trace=1")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, body)
+			}
+			resp = SearchResponse{}
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Shards) != b.shards {
+				t.Fatalf("trace=1 returned %d shard records, want %d", len(resp.Shards), b.shards)
+			}
+			rows := 0
+			kinds := map[string]bool{}
+			for _, ss := range resp.Shards {
+				if ss.TimedOut || ss.Error != "" {
+					t.Fatalf("healthy shard marked degraded: %+v", ss)
+				}
+				if ss.LatencyMS <= 0 {
+					t.Fatalf("shard %d reports no latency", ss.Shard)
+				}
+				if len(ss.Plan) == 0 {
+					t.Fatalf("shard %d trace carries no plan", ss.Shard)
+				}
+				rows += len(ss.Plan)
+				var end float64
+				for _, op := range ss.Plan {
+					kinds[op.Op] = true
+					if op.Where == "" {
+						t.Errorf("plan op %q missing placement", op.Op)
+					}
+					if op.StartUS < 0 {
+						t.Errorf("plan op %q starts at %v us", op.Op, op.StartUS)
+					}
+					end = max(end, op.StartUS+op.TookUS)
+				}
+				// The rows place themselves on the shard's timeline: the last
+				// one ends at the shard's latency — at one shard, the
+				// response's.
+				if math.Abs(end-ss.LatencyMS*1000) > 1e-6 {
+					t.Errorf("shard %d plan rows end at %v us, its simulated latency is %v us", ss.Shard, end, ss.LatencyMS*1000)
+				}
+				if b.shards == 1 && ss.LatencyMS != resp.LatencyMS {
+					t.Errorf("one shard: shard latency %v ms, response %v ms", ss.LatencyMS, resp.LatencyMS)
+				}
+			}
+			if n := bytes.Count(body, []byte(`"start_us"`)); n != rows {
+				t.Errorf("%d of %d plan rows carry start_us", n, rows)
+			}
+			for _, want := range []string{"fetch", "intersect", "score", "topk"} {
+				if !kinds[want] {
+					t.Errorf("plan missing %q operator (got %v)", want, kinds)
+				}
+			}
+		})
 	}
 }
 
@@ -514,78 +632,6 @@ func TestClusterSearchTimeoutDegrades(t *testing.T) {
 	}
 	if st.Degraded != 1 {
 		t.Fatalf("degraded counter %d, want 1", st.Degraded)
-	}
-}
-
-func TestClusterHealthz(t *testing.T) {
-	srv := newTestClusterServer(t, 2, 2, 0)
-	rec, body := get(t, srv, "/healthz")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var health map[string]any
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
-	if health["status"] != "ok" {
-		t.Fatalf("health: %v", health)
-	}
-	if health["shards"] != float64(2) || health["replicas"] != float64(2) {
-		t.Fatalf("topology not reported: %v", health)
-	}
-	if health["docs"] != float64(4) {
-		t.Fatalf("cluster reports %v docs, want the global count 4", health["docs"])
-	}
-	if health["routing"] == "" || health["mode"] == "" {
-		t.Fatalf("routing/mode missing: %v", health)
-	}
-}
-
-// /statz on a cluster server carries one telemetry row per shard replica
-// with device and cache counters, plus the cluster-wide cache aggregate.
-func TestClusterStatsTelemetry(t *testing.T) {
-	srv := newTestClusterServer(t, 2, 2, 0)
-	for i := 0; i < 4; i++ {
-		get(t, srv, "/search?q=quick+fox")
-	}
-	_, body := get(t, srv, "/statz")
-	var st StatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != 4 {
-		t.Fatalf("queries %d, want 4", st.Queries)
-	}
-	if len(st.Shards) != 4 {
-		t.Fatalf("%d telemetry rows, want 2 shards x 2 replicas = 4", len(st.Shards))
-	}
-	var served, admitted, hits, misses int64
-	for _, row := range st.Shards {
-		served += row.Queries
-		if row.Device == nil {
-			t.Fatalf("shard %d replica %d: hybrid replica missing device stats", row.Shard, row.Replica)
-		}
-		admitted += row.Device.Admitted
-		if row.Cache == nil {
-			t.Fatalf("shard %d replica %d: caching replica missing cache stats", row.Shard, row.Replica)
-		}
-		hits += row.Cache.Hits
-		misses += row.Cache.Misses
-	}
-	if served != 8 {
-		t.Fatalf("replicas served %d sub-queries, want 4 queries x 2 shards = 8", served)
-	}
-	if admitted == 0 {
-		t.Fatal("no replica admitted device work")
-	}
-	if st.Cache == nil {
-		t.Fatal("cluster cache aggregate missing")
-	}
-	if st.Cache.Hits != hits || st.Cache.Misses != misses {
-		t.Fatalf("aggregate cache %+v != sum of rows (hits %d, misses %d)", st.Cache, hits, misses)
-	}
-	if st.Cache.Misses == 0 {
-		t.Fatal("cache counters never moved")
 	}
 }
 
@@ -891,7 +937,7 @@ func TestSearchTraceBatchFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	batched := 0
-	for _, op := range resp.Plan {
+	for _, op := range resp.Shards[0].Plan {
 		if op.BatchID != 0 {
 			batched++
 			if op.BatchSize < 1 {
@@ -900,6 +946,6 @@ func TestSearchTraceBatchFields(t *testing.T) {
 		}
 	}
 	if batched == 0 {
-		t.Fatalf("batching-on trace has no batch members: %+v", resp.Plan)
+		t.Fatalf("batching-on trace has no batch members: %+v", resp.Shards)
 	}
 }
