@@ -56,19 +56,19 @@
 // Overload refusals are 503s with Retry-After; /statz grows an
 // "overload" block and /healthz a shed_rate (see docs/robustness.md).
 // The replica, routing, self-healing, chaos and overload flags apply at
-// any shard count except to a live engine (-ingest at -shards 1), which
-// serves one replica with the defaults and refuses them.
+// any shard count, with -ingest or without.
 //
-// With -ingest the loaded index becomes the seed segment of a live
-// engine (or live cluster at -shards > 1): POST /ingest accepts
-// add/update/delete mutations that are visible to the next /search
-// through an in-memory delta, background merges fold the delta into the
-// compressed main segment once it crosses -merge-threshold (contending
-// with queries on the shared simulated device), /statz grows an
-// "ingest" block, and /healthz reports "degraded" — still serving —
-// when merge lag exceeds -freshness-threshold. At -shards > 1
-// -split-watermark splits a shard whose live document count crosses it,
-// re-routing mid-flight. See docs/ingest.md.
+// With -ingest the loaded index becomes the seed of a live cluster of
+// -shards shards (one shard serves the loaded index itself): POST
+// /ingest accepts add/update/delete mutations that are visible to the
+// next /search through in-memory per-shard deltas, background merges
+// fold a shard's delta into its compressed segment once it crosses
+// -merge-threshold (contending with queries on the shared simulated
+// device), /statz grows an "ingest" block, and /healthz reports
+// "degraded" — still serving — when merge lag (records pending in the
+// deltas) exceeds -freshness-threshold. -split-watermark splits into one
+// more shard when a shard's live document count crosses it, re-routing
+// mid-flight. See docs/ingest.md.
 //
 // With -wal-dir (requires -ingest) ingest is durable: every mutation is
 // appended to a checksummed write-ahead log — one log per shard — before
@@ -111,7 +111,6 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/gpu"
-	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/ingest"
 	"griffin/internal/overload"
@@ -149,14 +148,14 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.batchMax, "batch-max", gpu.DefaultBatchMax, "member ops per batch before an early flush (with -batch-window)")
 	fs.IntVar(&o.topK, "k", 10, "default result count")
 	fs.IntVar(&o.shards, "shards", 1, "document partitions; > 1 serves scatter-gather over a sharded cluster")
-	fs.IntVar(&o.replicas, "replicas", 1, "engine replicas per shard (not with -ingest at -shards 1)")
-	fs.StringVar(&o.routingName, "routing", "rr", "replica routing: rr or least-pending (not with -ingest at -shards 1)")
-	fs.DurationVar(&o.shardTimeout, "shard-timeout", 0, "per-shard latency budget; slower shards degrade the result (not with -ingest at -shards 1; 0 = none)")
-	fs.DurationVar(&o.hedgeDelay, "hedge-delay", 0, "dispatch a hedged sub-query to a sibling replica after this delay (not with -ingest at -shards 1; 0 = off)")
-	fs.IntVar(&o.retries, "retries", 0, "sibling retries per failed sub-query (not with -ingest at -shards 1; 0 = one retry when replicated, -1 = none)")
-	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive failures tripping a replica's circuit breaker (not with -ingest at -shards 1; 0 = default 3, -1 = disabled)")
-	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before half-open probes (not with -ingest at -shards 1; 0 = default)")
-	fs.Float64Var(&o.chaosRate, "chaos-rate", 0, "inject seeded faults at this base rate (not with -ingest at -shards 1; 0 = off); mix: kernel/transfer/stall at rate, reset at rate/4, engine-error at rate/2")
+	fs.IntVar(&o.replicas, "replicas", 1, "engine replicas per shard")
+	fs.StringVar(&o.routingName, "routing", "rr", "replica routing: rr or least-pending")
+	fs.DurationVar(&o.shardTimeout, "shard-timeout", 0, "per-shard latency budget; slower shards degrade the result (0 = none)")
+	fs.DurationVar(&o.hedgeDelay, "hedge-delay", 0, "dispatch a hedged sub-query to a sibling replica after this delay (0 = off)")
+	fs.IntVar(&o.retries, "retries", 0, "sibling retries per failed sub-query (0 = one retry when replicated, -1 = none)")
+	fs.IntVar(&o.breakerThreshold, "breaker-threshold", 0, "consecutive failures tripping a replica's circuit breaker (0 = default 3, -1 = disabled)")
+	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before half-open probes (0 = default)")
+	fs.Float64Var(&o.chaosRate, "chaos-rate", 0, "inject seeded faults at this base rate (0 = off); mix: kernel/transfer/stall at rate, reset at rate/4, engine-error at rate/2")
 	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "fault-injection seed (with -chaos-rate)")
 	fs.BoolVar(&o.ingest, "ingest", false, "accept live mutations on POST /ingest (delta index + background merge)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "durable ingest: write-ahead log + checkpoint directory; startup recovers its state (with -ingest; empty = in-memory only)")
@@ -165,12 +164,12 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.mergeThreshold, "merge-threshold", 4096, "unmerged delta records making a merge due (with -ingest; 0 = manual merges only)")
 	fs.BoolVar(&o.mergeAuto, "merge-auto", true, "merge in the background when the delta crosses -merge-threshold (with -ingest)")
 	fs.IntVar(&o.freshness, "freshness-threshold", 0, "merge lag past which /healthz reports degraded (with -ingest; 0 = no check)")
-	fs.IntVar(&o.splitWatermark, "split-watermark", 0, "live docs per shard triggering a shard split (with -ingest -shards > 1; 0 = off)")
-	fs.DurationVar(&o.defaultDeadline, "default-deadline", 0, "per-query deadline budget applied when a request carries no ?deadline_ms= (not with -ingest at -shards 1; 0 = none)")
+	fs.IntVar(&o.splitWatermark, "split-watermark", 0, "live docs per shard triggering a shard split (with -ingest; 0 = off)")
+	fs.DurationVar(&o.defaultDeadline, "default-deadline", 0, "per-query deadline budget applied when a request carries no ?deadline_ms= (0 = none)")
 	fs.IntVar(&o.maxInflight, "max-inflight", 0, "bound concurrently served /search requests; excess queue and shed CoDel-style (0 = unbounded)")
-	fs.DurationVar(&o.shedTarget, "shed-target", 0, "per-replica CoDel admission shed target: sub-queries facing more backlog than this for a sustained interval are shed (not with -ingest at -shards 1; 0 = off)")
-	fs.Float64Var(&o.retryBudget, "retry-budget", 0, "retry/hedge token budget as a fraction of admissions, e.g. 0.1 (not with -ingest at -shards 1; 0 = unbudgeted)")
-	fs.DurationVar(&o.brownoutEnter, "brownout-enter", 0, "cluster pressure entering brownout: level 1 sheds batch-class queries, level 2 (2x this) degrades interactive ones (not with -ingest at -shards 1; 0 = off)")
+	fs.DurationVar(&o.shedTarget, "shed-target", 0, "per-replica CoDel admission shed target: sub-queries facing more backlog than this for a sustained interval are shed (0 = off)")
+	fs.Float64Var(&o.retryBudget, "retry-budget", 0, "retry/hedge token budget as a fraction of admissions, e.g. 0.1 (0 = unbudgeted)")
+	fs.DurationVar(&o.brownoutEnter, "brownout-enter", 0, "cluster pressure entering brownout: level 1 sheds batch-class queries, level 2 (2x this) degrades interactive ones (0 = off)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "in-flight request drain window on shutdown")
 	return o
 }
@@ -224,31 +223,6 @@ func (o *options) validate() error {
 			return fmt.Errorf("-%s must be %s, got %v", r.flag, r.want, r.got)
 		}
 	}
-	if o.ingest && o.shards <= 1 {
-		// A live engine serves one shard of one replica with the cluster
-		// defaults: a cluster knob would be silently dropped.
-		for _, r := range []struct {
-			set  bool
-			flag string
-		}{
-			{o.replicas != 1, "replicas"},
-			{o.routingName != "rr", "routing"},
-			{o.shardTimeout != 0, "shard-timeout"},
-			{o.hedgeDelay != 0, "hedge-delay"},
-			{o.retries != 0, "retries"},
-			{o.breakerThreshold != 0, "breaker-threshold"},
-			{o.breakerCooldown != 0, "breaker-cooldown"},
-			{o.chaosRate != 0, "chaos-rate"},
-			{o.defaultDeadline != 0, "default-deadline"},
-			{o.shedTarget != 0, "shed-target"},
-			{o.retryBudget != 0, "retry-budget"},
-			{o.brownoutEnter != 0, "brownout-enter"},
-		} {
-			if r.set {
-				return fmt.Errorf("-%s is not available with -ingest at -shards 1", r.flag)
-			}
-		}
-	}
 	switch {
 	case o.walDir == "" && o.checkpointEvery > 0:
 		return errors.New("-checkpoint-every requires -wal-dir")
@@ -258,8 +232,6 @@ func (o *options) validate() error {
 		return errors.New("-wal-dir requires -ingest")
 	case o.ingest && o.mergeAuto && o.mergeThreshold == 0:
 		return errors.New("-merge-auto needs -merge-threshold > 0 (or pass -merge-auto=false for manual merges)")
-	case o.splitWatermark > 0 && o.shards <= 1:
-		return errors.New("-split-watermark requires -shards > 1")
 	}
 	return nil
 }
@@ -315,9 +287,7 @@ func main() {
 	}
 
 	var handler *server.Server
-	var liveStats *ingest.ClusterStats // a live backend's telemetry once its WAL is recovered
-	switch {
-	case o.ingest && o.shards > 1:
+	if o.ingest {
 		lc, err := ingest.OpenCluster(ix, ingest.ClusterConfig{
 			Shards:          o.shards,
 			Cluster:         ccfg,
@@ -333,25 +303,17 @@ func main() {
 		// in-flight background merges so no merge is torn by shutdown —
 		// every acknowledged mutation is durable on exit.
 		defer lc.Close()
-		handler = server.NewLiveCluster(lc, o.freshness)
-		st := lc.Stats()
-		liveStats = &st
-	case o.ingest:
-		ecfg := ccfg.Engine
-		ecfg.TopK, ecfg.Device = o.topK, gpu.New(hwmodel.DefaultGPU(), 0)
-		e, err := ingest.Open(ix, ingest.Config{
-			Engine:          ecfg,
-			MergeThreshold:  o.mergeThreshold,
-			AutoMerge:       o.mergeAuto,
-			WALDir:          o.walDir,
-			WALSyncEvery:    o.walSync,
-			CheckpointEvery: o.checkpointEvery,
-		})
-		exitOn(err)
-		defer e.Close() // after the HTTP drain, as the live cluster's
-		handler = server.NewLive(e, o.freshness)
-		liveStats = &ingest.ClusterStats{Stats: e.Stats()}
-	default:
+		handler = server.NewLive(lc, o.freshness)
+		extra += fmt.Sprintf(", live ingest (merge at %d, auto=%v, watermark %d)",
+			o.mergeThreshold, o.mergeAuto, o.splitWatermark)
+		if o.walDir != "" {
+			st := lc.Stats()
+			log.Printf("griffin-server: durable ingest under %s (sync every %d, checkpoint every %d): recovered gen %d, %d replayed records, watermark %d, %d torn bytes truncated",
+				o.walDir, o.walSync, o.checkpointEvery, st.Gen,
+				st.WAL.RecoveredRecords, st.WAL.CheckpointGen,
+				st.WAL.TruncatedBytes)
+		}
+	} else {
 		// One shard serves the opened index itself: partitioning it into
 		// one shard would copy it.
 		ixs := []*index.Index{ix}
@@ -363,17 +325,6 @@ func main() {
 		exitOn(err)
 		defer cl.Close()
 		handler = server.NewCluster(cl)
-	}
-	if liveStats != nil {
-		extra += fmt.Sprintf(", live ingest (merge at %d, auto=%v, watermark %d)",
-			o.mergeThreshold, o.mergeAuto, o.splitWatermark)
-		if o.walDir != "" {
-			st := liveStats
-			log.Printf("griffin-server: durable ingest under %s (sync every %d, checkpoint every %d): recovered gen %d, %d replayed records, watermark %d, %d torn bytes truncated",
-				o.walDir, o.walSync, o.checkpointEvery, st.Gen,
-				st.WAL.RecoveredRecords, st.WAL.CheckpointGen,
-				st.WAL.TruncatedBytes)
-		}
 	}
 	log.Printf("griffin-server: %d docs, %d terms, mode=%s, %d shards x %d replicas (%s)%s, listening on %s",
 		numDocs, numTerms, mode, o.shards, o.replicas, routing, extra, o.addr)

@@ -9,7 +9,8 @@ import (
 
 // TestValidate holds each flag rule to its refusal, one row per rule, and
 // lets the coherent combinations through — among them every cluster flag
-// on a read-only one-shard server, which serves through a cluster too.
+// and -split-watermark on a one-shard server, read-only or live, which
+// serves through a cluster too.
 func TestValidate(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -21,6 +22,10 @@ func TestValidate(t *testing.T) {
 			"-chaos-rate", "0.05", "-default-deadline", "5ms", "-shed-target", "1ms", "-retry-budget", "0.1",
 			"-brownout-enter", "2ms"}, ""},
 		{[]string{"-ingest", "-shards", "2", "-replicas", "2", "-chaos-rate", "0.05", "-split-watermark", "9"}, ""},
+		{[]string{"-ingest", "-shards", "1", "-replicas", "2", "-routing", "least-pending", "-shard-timeout", "5ms",
+			"-hedge-delay", "1ms", "-retries", "-1", "-breaker-threshold", "-1", "-breaker-cooldown", "1ms",
+			"-chaos-rate", "0.05", "-default-deadline", "5ms", "-shed-target", "1ms", "-retry-budget", "0.1",
+			"-brownout-enter", "1ms", "-split-watermark", "9"}, ""},
 		{[]string{"-ingest", "-wal-dir", "w", "-checkpoint-every", "10"}, ""},
 		{[]string{"-ingest", "-merge-threshold", "0", "-merge-auto=false"}, ""},
 
@@ -44,24 +49,10 @@ func TestValidate(t *testing.T) {
 		{[]string{"-wal-sync", "0"}, "-wal-sync must be >= 1 or -1"},
 		{[]string{"-checkpoint-every", "-1"}, "-checkpoint-every must be >= 0"},
 
-		{[]string{"-ingest", "-replicas", "2"}, "-replicas is not available with -ingest at -shards 1"},
-		{[]string{"-ingest", "-routing", "least-pending"}, "-routing is not available"},
-		{[]string{"-ingest", "-shard-timeout", "5ms"}, "-shard-timeout is not available"},
-		{[]string{"-ingest", "-hedge-delay", "1ms"}, "-hedge-delay is not available"},
-		{[]string{"-ingest", "-retries", "-1"}, "-retries is not available"},
-		{[]string{"-ingest", "-breaker-threshold", "-1"}, "-breaker-threshold is not available"},
-		{[]string{"-ingest", "-breaker-cooldown", "1ms"}, "-breaker-cooldown is not available"},
-		{[]string{"-ingest", "-chaos-rate", "0.05"}, "-chaos-rate is not available"},
-		{[]string{"-ingest", "-default-deadline", "5ms"}, "-default-deadline is not available"},
-		{[]string{"-ingest", "-shed-target", "1ms"}, "-shed-target is not available"},
-		{[]string{"-ingest", "-retry-budget", "0.1"}, "-retry-budget is not available"},
-		{[]string{"-ingest", "-brownout-enter", "1ms"}, "-brownout-enter is not available"},
-
 		{[]string{"-ingest", "-checkpoint-every", "10"}, "-checkpoint-every requires -wal-dir"},
 		{[]string{"-freshness-threshold", "5"}, "require -ingest"},
 		{[]string{"-wal-dir", "w"}, "-wal-dir requires -ingest"},
 		{[]string{"-ingest", "-merge-threshold", "0"}, "-merge-auto needs -merge-threshold > 0"},
-		{[]string{"-ingest", "-split-watermark", "9"}, "-split-watermark requires -shards > 1"},
 	} {
 		fs := flag.NewFlagSet("griffin-server", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

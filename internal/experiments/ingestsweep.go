@@ -121,7 +121,7 @@ func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 		threshold = 16
 	}
 
-	mkEngine := func(merge bool) (*ingest.Engine, error) {
+	mkEngine := func(merge bool) (*ingest.Cluster, error) {
 		ecfg := ingest.Config{
 			Engine: core.Config{Mode: core.Hybrid, CPU: cfg.CPU, Device: cfg.Device},
 		}

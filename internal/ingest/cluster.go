@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"griffin/internal/cluster"
-	"griffin/internal/core"
 	"griffin/internal/exec"
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
@@ -26,7 +25,8 @@ type ClusterConfig struct {
 	Shards int
 	// Cluster is the serving-layer template (replicas, routing, engine
 	// template, fault injector, ...). Its fault injector also covers the
-	// merge path: shard s's merge admission draws at "ingest.s<s>.merge".
+	// write path: shard s's merge admission draws at "ingest.s<s>.merge"
+	// ("ingest.merge" at one shard), and the WAL's under "ingest".
 	Cluster cluster.Config
 	// MergeThreshold is the per-shard delta size at which a background
 	// merge becomes due (0 = explicit merges only).
@@ -51,18 +51,6 @@ type ClusterConfig struct {
 	// accepted mutations (0 = explicit Checkpoint calls only). Requires
 	// WALDir.
 	CheckpointEvery int
-}
-
-// writerConfig maps the knobs the two engines share onto the Config the
-// writer reads; the fault injector and the CPU model are the serving
-// template's.
-func (cfg ClusterConfig) writerConfig() Config {
-	return Config{
-		Engine:         core.Config{CPU: cfg.Cluster.CPU},
-		Fault:          cfg.Cluster.Fault,
-		MergeThreshold: cfg.MergeThreshold, AutoMerge: cfg.AutoMerge,
-		WALDir: cfg.WALDir, WALSyncEvery: cfg.WALSyncEvery, CheckpointEvery: cfg.CheckpointEvery,
-	}
 }
 
 // shardState is one shard's writer-side state: its current main segment
@@ -102,12 +90,13 @@ type clusterSnap struct {
 	clean bool
 }
 
-// Cluster is the live-ingestion layer over the sharded serving cluster:
-// mutations route to per-shard deltas by workload.ShardOf, queries pin a
-// cluster-wide snapshot with globally consistent statistics, background
-// merges fold shard deltas into re-encoded shard segments, and a
-// shard-size watermark triggers splits that re-partition the corpus into
-// more shards with routing updated mid-flight.
+// Cluster is the live-ingestion layer over the sharded serving cluster —
+// at one shard, the single-node live engine: mutations route to
+// per-shard deltas by workload.ShardOf, queries pin a cluster-wide
+// snapshot with globally consistent statistics, background merges fold
+// shard deltas into re-encoded shard segments, and a shard-size
+// watermark triggers splits that re-partition the corpus into more
+// shards with routing updated mid-flight.
 type Cluster struct {
 	writer
 	// serving is the serving-layer template every topology is built from;
@@ -120,14 +109,15 @@ type Cluster struct {
 	// liveLens is the authoritative live document-length table (a zero
 	// or missing entry ⇔ the document is not live), of which the writer's
 	// running statistics are the exact index.Builder aggregates. It
-	// starts as the seed's table and a merge commit snapshots it into the
+	// starts as the seed's table and a merge snapshots it into the
 	// merged segment: a mutation copies the page it writes to if a
 	// segment still shares it, nothing copies the table.
 	liveLens *pvec.Editor[uint32]
 	gen      uint64
 	// exact marks shard indexes whose global stamps (GlobalN, NumDocs,
 	// DocLens, AvgDocLen) are exact for the live corpus — true from the
-	// seed or a rebuild, false after a best-effort per-shard merge.
+	// seed, a rebuild or a merge at one shard, false after a best-effort
+	// merge of one shard of several.
 	exact bool
 	stamp uint64
 
@@ -139,11 +129,11 @@ type Cluster struct {
 	rebuilds, splits int64
 }
 
-// ClusterStats is the cluster-ingestion telemetry surface: Stats, with
+// ClusterStats is the ingestion telemetry surface: Stats, with
 // DeltaDocs / Tombstones totalled across shards, plus the topology.
-// MergedGen here is the highest generation any shard merge has covered;
-// other shards may still hold older pending records, which is why a
-// cluster's Lag counts those instead.
+// MergedGen is the highest generation any merge has covered; other
+// shards may still hold older pending records, which is why Lag counts
+// those instead.
 type ClusterStats struct {
 	Stats
 	// Shards is the current shard count (splits grow it).
@@ -159,16 +149,23 @@ type ClusterStats struct {
 	ShardDelta []int `json:"shard_delta"`
 }
 
-// Lag returns the pending records not yet folded into shard segments —
-// the cluster's freshness signal (the analogue of Stats.Lag).
+// Lag returns the records pending in shard deltas, not yet folded into
+// segments — the freshness signal (a document mutated twice counts
+// once).
 func (s ClusterStats) Lag() uint64 { return uint64(s.DeltaDocs) }
 
 // newTopo partitions a global index into n shards and builds the serving
-// cluster plus fresh per-shard writer state over it.
+// cluster plus fresh per-shard writer state over it. One shard serves
+// the index it is given — partitioning it into one shard would copy it —
+// and its live count is the running statistics' rather than a pass over
+// the length table. Caller holds c.mu or owns c alone.
 func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
-	ixs, err := workload.PartitionIndex(global, n)
-	if err != nil {
-		return nil, err
+	ixs := []*index.Index{global}
+	if n > 1 {
+		var err error
+		if ixs, err = workload.PartitionIndex(global, n); err != nil {
+			return nil, err
+		}
 	}
 	cc, err := cluster.New(ixs, c.serving)
 	if err != nil {
@@ -177,6 +174,10 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 	t := &topo{n: n, c: cc, shards: make([]*shardState, n)}
 	for s, ix := range ixs {
 		t.shards[s] = &shardState{ix: ix, d: newDelta()}
+	}
+	if n == 1 {
+		t.shards[0].live = c.stats.lenCnt
+		return t, nil
 	}
 	for d := 0; d < c.liveLens.Len(); d++ {
 		if c.liveLens.At(d) > 0 {
@@ -194,12 +195,18 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 func (c *Cluster) Close() {
 	c.store.Sync() // flush before draining; store.Close finishes the job
 	c.stop()
-	c.gate.Lock()
-	c.mu.Lock()
-	c.t.c.Close()
-	c.mu.Unlock()
-	c.gate.Unlock()
+	c.closeServing()
 	c.store.Close()
+}
+
+// closeServing waits out in-flight queries at the commit gate and closes
+// the serving cluster; queries arriving later answer ErrClosed.
+func (c *Cluster) closeServing() {
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t.c.Close()
 }
 
 // Cluster returns the current serving cluster (telemetry surface). The
@@ -211,7 +218,27 @@ func (c *Cluster) Cluster() *cluster.Cluster {
 	return c.t.c
 }
 
-// Apply applies one mutation by op (see Engine.Apply).
+// Add inserts a new document. It is an error to Add a docID that is
+// currently live (use Update) or to add an empty document.
+func (c *Cluster) Add(docID uint32, tokens []string) error {
+	return c.Apply(wal.OpAdd, docID, tokens)
+}
+
+// Update replaces a document wholesale (upsert: the document need not
+// exist yet). The delta stores the complete new version; the
+// main-segment version, if any, is shadowed until the next merge.
+func (c *Cluster) Update(docID uint32, tokens []string) error {
+	return c.Apply(wal.OpUpdate, docID, tokens)
+}
+
+// Delete tombstones a live document.
+func (c *Cluster) Delete(docID uint32) error {
+	return c.Apply(wal.OpDelete, docID, nil)
+}
+
+// Apply applies one mutation by op — what Add, Update and Delete call,
+// and what a caller holding a wal.Op (a scripted workload, a decoded
+// request) calls directly. A delete's tokens are ignored.
 func (c *Cluster) Apply(op wal.Op, docID uint32, tokens []string) error {
 	c.mu.Lock()
 	t := c.t
@@ -271,7 +298,7 @@ func (c *Cluster) applyLocked(t *topo, docID uint32, old uint32, rec *docRecord)
 
 // topLive is corpusStats.replace's descent over the live length table,
 // which already holds the mutation just applied. Caller holds c.mu.
-func (c *Cluster) topLive(below int) int { return topLive(c.liveLens.Pages(), below, nil) }
+func (c *Cluster) topLive(below int) int { return topLive(c.liveLens.Pages(), below) }
 
 // publishLocked freezes the current per-shard views and publishes the
 // snapshot queries pin. Caller holds c.mu. Views of untouched shards are
@@ -336,18 +363,26 @@ func (c *Cluster) acquireFresh() (*clusterSnap, error) {
 	}
 }
 
-// ClusterResult is a completed query of either live owner plus the
-// writer generation its snapshot observed: results are bit-identical to a
-// quiesced owner holding exactly the first Gen mutations.
+// ClusterResult is a completed live query plus the writer generation its
+// snapshot observed: results are bit-identical to a quiesced cluster
+// holding exactly the first Gen mutations.
 type ClusterResult struct {
 	*cluster.Result
 	Gen uint64
 }
 
+// Search is Query for a bare term list.
+func (c *Cluster) Search(terms []string) (*ClusterResult, error) {
+	return c.Query(context.Background(), cluster.Request{Terms: terms})
+}
+
 // Query scatter-gathers req against the freshest cluster snapshot: it
-// pins the snapshot, sets req.Overlay to that snapshot's per-shard
-// delta overlays (replacing any the caller supplied), and delegates to
-// the underlying cluster.
+// holds the commit gate for the query's whole execution, sets
+// req.Overlay to that snapshot's per-shard delta overlays (replacing any
+// the caller supplied; none on a clean snapshot, so a quiesced cluster
+// takes the frozen-corpus path byte for byte), and delegates to the
+// serving cluster. A timed request queues behind earlier queries *and
+// background merges* on the shared device timelines.
 func (c *Cluster) Query(ctx context.Context, req cluster.Request) (*ClusterResult, error) {
 	s, err := c.acquireFresh()
 	if err != nil {
@@ -377,8 +412,12 @@ func (o shardOverlays) Shard(s int) *exec.Overlay { return o[s] }
 // the running analogue of the GlobalN stamp — and builds each shard's
 // overlay around them. Shards with pending mutations get the full delta
 // overlay; quiet shards get a scorer-only overlay, because their stamped
-// GlobalN/NumDocs go stale the moment any other shard mutates.
+// GlobalN/NumDocs go stale the moment any other shard mutates. One shard's
+// own live frequencies are the global ones: its overlay resolves them.
 func (c *Cluster) overlayFor(s *clusterSnap, terms []string) cluster.Overlay {
+	if len(s.views) == 1 && !s.views[0].Empty() {
+		return shardOverlays{newOverlay(s.views[0], s.mains[0], statScorer(s.stats), nil)}
+	}
 	df := make(map[string]int, len(terms))
 	for _, t := range terms {
 		total := 0
@@ -435,73 +474,11 @@ func (s *shardScorer) ScoreCandidates(lists []*index.PostingList, candidates []u
 	return out, work
 }
 
-// MergeShard folds shard s's delta into a new shard segment (the same
-// block splice Engine.Merge runs) and swaps it into every replica
-// atomically. Aborted merges (injected faults) leave the published state
-// untouched and retry up to the configured budget.
-func (c *Cluster) MergeShard(s int) error {
-	return c.serial(func() error {
-		return c.retry(func() error { return c.mergeShardOnce(s) })
-	})
-}
-
-func (c *Cluster) mergeShardOnce(s int) error {
-	c.mu.Lock()
-	t := c.t
-	if s < 0 || s >= t.n {
-		c.mu.Unlock()
-		return fmt.Errorf("ingest: merge shard %d of %d", s, t.n)
-	}
-	sh := t.shards[s]
-	v := sh.d.freeze()
-	main := sh.ix
-	c.mu.Unlock()
-	if v.Empty() {
-		return nil
-	}
-
-	// Priced on the shard's replica-0 node — the same copy/compute lanes
-	// that replica's queries use.
-	plan, cost, err := c.prepare(fmt.Sprintf("%s.s%d.merge", site, s), t.c.ShardNode(s), main, v, 0, false)
-	if err != nil {
-		return err
-	}
-
-	// Commit: drain in-flight queries at the gate, stamp the segment
-	// with the current global statistics (best effort — overlays carry
-	// the exact live values while the cluster is dirty), swap it into
-	// every replica, drop the covered records, publish.
-	c.gate.Lock()
-	defer c.gate.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.t != t {
-		// A rebuild superseded this topology; its shards already hold
-		// every record the merge covered.
-		return nil
-	}
-	// Every entry at or past numDocs is zero (no live document there), so
-	// cutting the table to the collection size drops nothing; the snapshot
-	// shares its pages with the writer's table instead of copying them
-	// while every query waits at the gate.
-	c.liveLens.Resize(c.stats.numDocs)
-	ix2 := index.Assemble(plan.lists, c.stats.numDocs, c.liveLens.Snapshot(), c.stats.avgDocLen())
-	if err := t.c.ReplaceShard(s, ix2); err != nil {
-		return err
-	}
-	sh.d.drop(v.gen)
-	sh.ix = ix2
-	c.exact = false
-	c.publishLocked()
-	c.merged(v, cost)
-	return nil
-}
-
 // Quiesce rebuilds the cluster over the live corpus at the current shard
 // count: every delta folds into freshly partitioned shard segments with
 // exact global stamps, so subsequent queries take the pure frozen-corpus
-// path — byte-identical to a cluster freshly built over the same logical
-// corpus.
+// path — byte-identical to a cluster (at one shard, an engine) freshly
+// built over the same logical corpus.
 func (c *Cluster) Quiesce() error { return c.rebuild(0) }
 
 // Split rebuilds into one more shard than the current topology — the
@@ -553,6 +530,7 @@ func (c *Cluster) rebuildLocked(n int) error {
 	t.c.Close() // no queries in flight past the gate: retire the old engines
 
 	c.statsMu.Lock()
+	c.st.MergedGen = c.gen // every delta is folded in
 	c.rebuilds++
 	if grow {
 		c.splits++
@@ -593,7 +571,7 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 		}
 	}
 
-	b := index.NewBuilder(c.cfg.Codec)
+	b := index.NewBuilder(c.codec)
 	for term, parts := range terms {
 		// Shard slices are ascending and docID-disjoint (modulo routing):
 		// a k-way min-merge restores the global ascending order.
@@ -629,7 +607,7 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 	return b.Build()
 }
 
-// Stats returns the cluster-ingestion telemetry.
+// Stats returns the ingestion telemetry.
 func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{Stats: c.counters()}
 	c.statsMu.Lock()
@@ -651,8 +629,28 @@ func (c *Cluster) Stats() ClusterStats {
 	return st
 }
 
+// Gen returns the writer generation.
+func (c *Cluster) Gen() uint64 { return c.genA.Load() }
+
+// NeedsMerge reports whether some shard's delta has reached the merge
+// threshold.
+func (c *Cluster) NeedsMerge() bool {
+	if c.cfg.MergeThreshold <= 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, sh := range c.t.shards {
+		if len(sh.d.docs) >= c.cfg.MergeThreshold {
+			return true
+		}
+	}
+	return false
+}
+
 // Progress returns the writer generation and the pending records across
-// shards (ClusterStats.Lag) without Stats' walk of the deltas.
+// shards (ClusterStats.Lag) without Stats' walk of the deltas — what an
+// acknowledged write and a health probe read.
 func (c *Cluster) Progress() (gen, lag uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,10 +1,11 @@
 // Package ingest is Griffin's write path: a live-mutation layer over the
-// read-only engine. An in-memory delta index absorbs Add/Update/Delete
-// with whole-document records and a tombstone set; reads are
-// snapshot-isolated — each query reads an immutable (main segment, delta
-// generation) pair, so concurrent mutations never tear a result and a
-// quiesced engine is byte-identical to one freshly built over the same
-// logical corpus. A background merger folds delta postings into the
+// read-only engine, one owner (Cluster) at every shard count — a
+// single-node live engine is a one-shard cluster. Per shard, an in-memory
+// delta index absorbs Add/Update/Delete with whole-document records and a
+// tombstone set; reads are snapshot-isolated — each query reads immutable
+// (main segment, delta generation) pairs, so concurrent mutations never
+// tear a result and a quiesced cluster is byte-identical to one freshly
+// built over the same logical corpus. A background merger folds delta postings into the
 // compressed main index with the index.Builder's own block encoders
 // (Elias-Fano / PForDelta) — re-encoding each changed list from the first
 // block the delta touches and sharing everything before it — priced on
@@ -36,11 +37,8 @@ type docRecord struct {
 	tf map[string]uint32
 }
 
-// live reports whether the record carries a living document version.
-func (r *docRecord) live() bool { return !r.deleted }
-
-// delta is the writer-side mutable state, guarded by the owning engine's
-// writer lock. Reads never touch it: they pin a frozen View instead.
+// delta is the writer-side mutable state of one shard, guarded by the
+// cluster's writer lock. Reads never touch it: they pin a frozen View instead.
 type delta struct {
 	// gen counts mutations; the frozen view lags it until the next freeze.
 	gen uint64

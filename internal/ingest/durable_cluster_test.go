@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"griffin/internal/cluster"
@@ -11,89 +10,6 @@ import (
 	"griffin/internal/index"
 	"griffin/internal/wal"
 )
-
-func TestOpenClusterWithoutWALDirMatchesNew(t *testing.T) {
-	const vocab = 10
-	lc := seedCorpus(401, 60, vocab)
-	c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
-		Shards:  2,
-		Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.store != nil {
-		t.Fatalf("OpenCluster without WALDir attached a store")
-	}
-	for _, m := range genScript(402, lc.clone(), 20, vocab) {
-		applyCluster(t, c, lc, m)
-	}
-	if st := c.Stats(); st.WAL != nil {
-		t.Fatalf("no-WAL cluster exposes a wal stats block: %+v", st.WAL)
-	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint on a no-WAL cluster must be a no-op: %v", err)
-	}
-	if c.Wedged() != nil {
-		t.Fatalf("no-WAL cluster reports wedged")
-	}
-	checkClusterParity(t, c, lc, queryLog(vocab), "no-wal")
-}
-
-// TestClusterCrashRecoveryParity is the tentpole invariant at the
-// cluster layer: per-shard WALs stitch back into one generation-ordered
-// history, and recover → quiesce matches a fresh build over the
-// acknowledged prefix at every crash point — including points straddling
-// a shard merge and a checkpoint.
-func TestClusterCrashRecoveryParity(t *testing.T) {
-	const vocab = 14
-	base := seedCorpus(411, 90, vocab)
-	script := genScript(412, base.clone(), 36, vocab)
-	for _, k := range []int{0, 5, 13, 21, len(script)} {
-		t.Run(fmt.Sprintf("crash-after-%d", k), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := ClusterConfig{
-				Shards:  2,
-				Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
-				WALDir:  dir,
-			}
-			lc := base.clone()
-			c, err := OpenCluster(base.clone().build(t, index.CodecEF), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < k; i++ {
-				applyCluster(t, c, lc, script[i])
-				if i == 7 { // a committed shard merge mid-run
-					if err := c.MergeShard(0); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if i == 12 { // a committed checkpoint mid-run
-					if err := c.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			c.Crash()
-
-			r, err := OpenCluster(base.clone().build(t, index.CodecEF), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			if got, _ := r.Progress(); got != uint64(k) {
-				t.Fatalf("recovered gen %d, want %d", got, k)
-			}
-			checkClusterParity(t, r, lc, queryLog(vocab), "recovered-live")
-			if err := r.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-			checkClusterParity(t, r, lc, queryLog(vocab), "recovered-quiesced")
-		})
-	}
-}
 
 // TestClusterSplitRecovery: a split re-partitions into more shards and
 // commits the new count to the manifest before the routing swap, so a
@@ -116,13 +32,13 @@ func TestClusterSplitRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range script[:15] {
-		applyCluster(t, c, lc, m)
+		apply(t, c, lc, m)
 	}
 	if err := c.Split(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range script[15:] {
-		applyCluster(t, c, lc, m)
+		apply(t, c, lc, m)
 	}
 	if got := c.Stats().Shards; got != 3 {
 		t.Fatalf("post-split shards = %d, want 3", got)
@@ -141,11 +57,11 @@ func TestClusterSplitRecovery(t *testing.T) {
 	if got, _ := r.Progress(); got != uint64(len(script)) {
 		t.Fatalf("recovered gen %d, want %d", got, len(script))
 	}
-	checkClusterParity(t, r, lc, queryLog(vocab), "post-split-recovery")
+	checkLiveParity(t, r, lc, queryLog(vocab), "post-split-recovery")
 	if err := r.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	checkClusterParity(t, r, lc, queryLog(vocab), "post-split-quiesced")
+	checkLiveParity(t, r, lc, queryLog(vocab), "post-split-quiesced")
 }
 
 // TestClusterWedgedShardKeepsOthersWritable: a storage fault wedges one
@@ -224,11 +140,11 @@ func TestClusterWedgedShardKeepsOthersWritable(t *testing.T) {
 	if st.WAL == nil || st.WAL.TruncatedBytes == 0 {
 		t.Errorf("recovery reported no truncated bytes after torn write: %+v", st.WAL)
 	}
-	checkClusterParity(t, r, lc, queryLog(vocab), "wedged-shard-recovery")
+	checkLiveParity(t, r, lc, queryLog(vocab), "wedged-shard-recovery")
 	if err := r.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	checkClusterParity(t, r, lc, queryLog(vocab), "wedged-shard-quiesced")
+	checkLiveParity(t, r, lc, queryLog(vocab), "wedged-shard-quiesced")
 }
 
 // TestClusterCheckpointSuffixReplay: recovery seeds from the checkpoint
@@ -249,13 +165,13 @@ func TestClusterCheckpointSuffixReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range script[:20] {
-		applyCluster(t, c, lc, m)
+		apply(t, c, lc, m)
 	}
 	if err := c.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range script[20:] {
-		applyCluster(t, c, lc, m)
+		apply(t, c, lc, m)
 	}
 	c.Crash()
 
@@ -271,38 +187,5 @@ func TestClusterCheckpointSuffixReplay(t *testing.T) {
 	if got, _ := r.Progress(); got != uint64(len(script)) {
 		t.Fatalf("recovered gen %d, want %d", got, len(script))
 	}
-	checkClusterParity(t, r, lc, queryLog(vocab), "ckpt-suffix")
-}
-
-// TestClusterCloseDurabilityBarrier: a clean Close syncs every
-// acknowledged mutation even under the deferred-sync policy.
-func TestClusterCloseDurabilityBarrier(t *testing.T) {
-	const vocab = 10
-	base := seedCorpus(451, 50, vocab)
-	script := genScript(452, base.clone(), 20, vocab)
-	dir := t.TempDir()
-	cfg := ClusterConfig{
-		Shards:  2,
-		Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
-		WALDir:  dir, WALSyncEvery: -1,
-	}
-	lc := base.clone()
-	c, err := OpenCluster(base.clone().build(t, index.CodecEF), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range script {
-		applyCluster(t, c, lc, m)
-	}
-	c.Close()
-
-	r, err := OpenCluster(base.clone().build(t, index.CodecEF), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got, _ := r.Progress(); got != uint64(len(script)) {
-		t.Fatalf("recovered %d mutations after clean close, want all %d", got, len(script))
-	}
-	checkClusterParity(t, r, lc, queryLog(vocab), "post-close")
+	checkLiveParity(t, r, lc, queryLog(vocab), "ckpt-suffix")
 }

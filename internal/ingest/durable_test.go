@@ -14,11 +14,12 @@ import (
 	"griffin/internal/fault"
 	"griffin/internal/index"
 	"griffin/internal/wal"
+	"griffin/internal/workload"
 )
 
 // applyPrefix replays script[:k] into the engine and the logical corpus,
 // asserting every mutation is acknowledged.
-func applyPrefix(t testing.TB, e *Engine, c *logicalCorpus, script []mutation, k int) {
+func applyPrefix(t testing.TB, e *Cluster, c *logicalCorpus, script []mutation, k int) {
 	t.Helper()
 	for i := 0; i < k; i++ {
 		apply(t, e, c, script[i])
@@ -28,7 +29,7 @@ func applyPrefix(t testing.TB, e *Engine, c *logicalCorpus, script []mutation, k
 // applyUntilWedged replays the script until a mutation fails, returning
 // the acknowledged count, the failing error, and the logical corpus
 // holding exactly the acknowledged prefix.
-func applyUntilWedged(t testing.TB, e *Engine, base *logicalCorpus, script []mutation) (int, error, *logicalCorpus) {
+func applyUntilWedged(t testing.TB, e *Cluster, base *logicalCorpus, script []mutation) (int, error, *logicalCorpus) {
 	t.Helper()
 	c := base.clone()
 	for i, m := range script {
@@ -74,78 +75,123 @@ func checkIndexParity(t *testing.T, got, want *index.Index, tag string) {
 }
 
 func TestOpenWithoutWALDirMatchesNew(t *testing.T) {
+	testOpenWithoutWALDir(t, engineBackends)
+}
+
+func TestOpenClusterWithoutWALDirMatchesNew(t *testing.T) {
+	testOpenWithoutWALDir(t, clusterBackends)
+}
+
+func testOpenWithoutWALDir(t *testing.T, backends []liveBackend) {
 	const vocab = 10
 	base := seedCorpus(301, 40, vocab)
-	c := base.clone()
-	e, err := Open(c.build(t, index.CodecEF), Config{Engine: core.Config{Mode: core.CPUOnly}})
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			c := base.clone()
+			e, err := b.open(c.build(t, index.CodecEF), Config{Engine: core.Config{Mode: core.CPUOnly}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if e.store != nil {
+				t.Fatalf("opened without WALDir, yet a store is attached")
+			}
+			for _, m := range genScript(302, c.clone(), 20, vocab) {
+				apply(t, e, c, m)
+			}
+			if st := e.Stats(); st.WAL != nil {
+				t.Fatalf("no-WAL cluster exposes a wal stats block: %+v", st.WAL)
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint on a no-WAL cluster must be a no-op: %v", err)
+			}
+			if e.Wedged() != nil {
+				t.Fatalf("no-WAL cluster reports wedged")
+			}
+			checkLiveParity(t, e, c, queryLog(vocab), "no-wal")
+		})
 	}
-	defer e.Close()
-	if e.store != nil {
-		t.Fatalf("Open without WALDir attached a store")
+}
+
+// segmentsParity holds a quiesced cluster's shard segments to the
+// partition of want, a fresh build — at one shard, to want itself.
+func segmentsParity(t *testing.T, c *Cluster, want *index.Index, tag string) {
+	t.Helper()
+	wants := []*index.Index{want}
+	if n := c.Stats().Shards; n > 1 {
+		var err error
+		if wants, err = workload.PartitionIndex(want, n); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, m := range genScript(302, c.clone(), 20, vocab) {
-		apply(t, e, c, m)
+	for s, w := range wants {
+		checkIndexParity(t, segment(c, s), w, fmt.Sprintf("%s, shard %d", tag, s))
 	}
-	if st := e.Stats(); st.WAL != nil {
-		t.Fatalf("no-WAL engine exposes a wal stats block: %+v", st.WAL)
-	}
-	if err := e.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint on a no-WAL engine must be a no-op: %v", err)
-	}
-	if e.Wedged() != nil {
-		t.Fatalf("no-WAL engine reports wedged")
-	}
-	checkLiveParity(t, e, c, queryLog(vocab), "no-wal")
 }
 
 // TestCrashRecoveryParity is the tentpole invariant over plain (fault
 // free) crash points: for every crash point k in a mixed workload —
-// including points straddling merges and checkpoints — recover →
-// quiesce is byte-identical, results and BM25 stats, to the uncrashed
-// engine quiesced over the acknowledged prefix.
-func TestCrashRecoveryParity(t *testing.T) {
+// including points straddling merges and checkpoints — the recovered
+// cluster answers exactly as a fresh build over the acknowledged prefix,
+// reports the checkpoint's watermark as merged, and recover → quiesce is
+// byte-identical, results and BM25 stats, to the uncrashed corpus. Per-
+// shard WALs stitch back into one generation-ordered history.
+func TestCrashRecoveryParity(t *testing.T)        { testCrashRecoveryParity(t, engineBackends) }
+func TestClusterCrashRecoveryParity(t *testing.T) { testCrashRecoveryParity(t, clusterBackends) }
+
+func testCrashRecoveryParity(t *testing.T, backends []liveBackend) {
 	const vocab = 14
 	base := seedCorpus(311, 70, vocab)
 	script := genScript(312, base.clone(), 40, vocab)
 	for _, k := range []int{0, 1, 7, 18, 19, 25, len(script)} {
 		t.Run(fmt.Sprintf("crash-after-%d", k), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir}
-			c := base.clone()
-			e, err := Open(base.clone().build(t, index.CodecEF), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < k; i++ {
-				apply(t, e, c, script[i])
-				if i == 9 { // a committed merge mid-run
-					if err := e.Merge(); err != nil {
+			for _, b := range backends {
+				t.Run(b.name, func(t *testing.T) {
+					dir := t.TempDir()
+					cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir}
+					c := base.clone()
+					e, err := b.open(base.clone().build(t, index.CodecEF), cfg)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if i == 17 { // a committed checkpoint mid-run
-					if err := e.Checkpoint(); err != nil {
-						t.Fatal(err)
+					for i := 0; i < k; i++ {
+						apply(t, e, c, script[i])
+						if i == 9 { // a committed merge mid-run
+							if err := e.Merge(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if i == 17 { // a committed checkpoint mid-run
+							if err := e.Checkpoint(); err != nil {
+								t.Fatal(err)
+							}
+						}
 					}
-				}
-			}
-			e.Crash()
+					e.Crash()
 
-			r, err := Open(base.clone().build(t, index.CodecEF), cfg)
-			if err != nil {
-				t.Fatal(err)
+					r, err := b.open(base.clone().build(t, index.CodecEF), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					if got := r.Gen(); got != uint64(k) {
+						t.Fatalf("recovered gen %d, want %d (every acknowledged write survives at sync-every-append)", got, k)
+					}
+					wm := uint64(0)
+					if k > 17 {
+						wm = 18
+					}
+					if st := r.Stats(); st.WAL.CheckpointGen != wm || st.MergedGen != wm {
+						t.Errorf("recovered checkpoint watermark %d, merged gen %d, want both %d", st.WAL.CheckpointGen, st.MergedGen, wm)
+					}
+					checkLiveParity(t, r, c, queryLog(vocab), "recovered-live")
+					if err := r.Quiesce(); err != nil {
+						t.Fatal(err)
+					}
+					checkLiveParity(t, r, c, queryLog(vocab), "recovered")
+					segmentsParity(t, r, c.build(t, index.CodecEF), "recovered")
+				})
 			}
-			defer r.Close()
-			if got := r.Gen(); got != uint64(k) {
-				t.Fatalf("recovered gen %d, want %d (every acknowledged write survives at sync-every-append)", got, k)
-			}
-			if err := r.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-			checkLiveParity(t, r, c, queryLog(vocab), "recovered")
-			checkIndexParity(t, r.Index(), c.build(t, index.CodecEF), "recovered")
 		})
 	}
 }
@@ -234,7 +280,7 @@ func TestCrashPointFaultParityMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkLiveParity(t, r, ref, queryLog(vocab), "recovered")
-			checkIndexParity(t, r.Index(), ref.build(t, index.CodecEF), "recovered")
+			checkIndexParity(t, segment(r, 0), ref.build(t, index.CodecEF), "recovered")
 			st := r.Stats()
 			if st.WAL == nil || st.WAL.TruncatedBytes == 0 {
 				t.Errorf("recovery reported no truncated bytes after injected corruption: %+v", st.WAL)
@@ -334,7 +380,7 @@ func TestRecoveryNeverResurrectsTombstone(t *testing.T) {
 	if err := r.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if l := r.Index().RecordedLen(victim); l != 0 {
+	if l := segment(r, 0).RecordedLen(victim); l != 0 {
 		t.Fatalf("tombstoned doc %d resurrected with length %d", victim, l)
 	}
 	want := base.clone()
@@ -347,34 +393,47 @@ func TestRecoveryNeverResurrectsTombstone(t *testing.T) {
 // acknowledged mutation before returning — the SIGTERM barrier
 // cmd/griffin-server relies on.
 func TestCloseDurabilityBarrier(t *testing.T) {
+	testCloseDurabilityBarrier(t, engineBackends)
+}
+
+func TestClusterCloseDurabilityBarrier(t *testing.T) {
+	testCloseDurabilityBarrier(t, clusterBackends)
+}
+
+func testCloseDurabilityBarrier(t *testing.T, backends []liveBackend) {
 	const vocab = 10
 	base := seedCorpus(351, 40, vocab)
 	script := genScript(352, base.clone(), 25, vocab)
-	dir := t.TempDir()
-	cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir, WALSyncEvery: -1}
-	c := base.clone()
-	e, err := Open(base.clone().build(t, index.CodecEF), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	applyPrefix(t, e, c, script, len(script))
-	if st := e.Stats(); st.WAL.Syncs != 0 {
-		t.Fatalf("deferred-sync engine synced %d times before close", st.WAL.Syncs)
-	}
-	e.Close()
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir, WALSyncEvery: -1}
+			c := base.clone()
+			e, err := b.open(base.clone().build(t, index.CodecEF), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applyPrefix(t, e, c, script, len(script))
+			if st := e.Stats(); st.WAL.Syncs != 0 {
+				t.Fatalf("deferred-sync cluster synced %d times before close", st.WAL.Syncs)
+			}
+			e.Close()
 
-	r, err := Open(base.clone().build(t, index.CodecEF), cfg)
-	if err != nil {
-		t.Fatal(err)
+			r, err := b.open(base.clone().build(t, index.CodecEF), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if got := r.Gen(); got != uint64(len(script)) {
+				t.Fatalf("recovered %d mutations after clean close, want all %d", got, len(script))
+			}
+			checkLiveParity(t, r, c, queryLog(vocab), "post-close")
+			if err := r.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			checkLiveParity(t, r, c, queryLog(vocab), "post-close-quiesced")
+		})
 	}
-	defer r.Close()
-	if got := r.Gen(); got != uint64(len(script)) {
-		t.Fatalf("recovered %d mutations after clean close, want all %d", got, len(script))
-	}
-	if err := r.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	checkLiveParity(t, r, c, queryLog(vocab), "post-close")
 }
 
 // TestMergeAbortCrashRecoversPreMergeView covers the merge-abort fault
@@ -427,7 +486,7 @@ func TestMergeAbortCrashRecoversPreMergeView(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLiveParity(t, r, c, queryLog(vocab), "post-merge-abort")
-	checkIndexParity(t, r.Index(), c.build(t, index.CodecEF), "post-merge-abort")
+	checkIndexParity(t, segment(r, 0), c.build(t, index.CodecEF), "post-merge-abort")
 }
 
 // TestConcurrentCheckpointIngestReads is the -race satellite: writers,

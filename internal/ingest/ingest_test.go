@@ -136,7 +136,7 @@ func genScript(seed int64, c *logicalCorpus, n, vocab int) []mutation {
 
 // apply replays one mutation into both the live engine and the logical
 // corpus, keeping them in lockstep.
-func apply(t testing.TB, e *Engine, c *logicalCorpus, m mutation) {
+func apply(t testing.TB, e *Cluster, c *logicalCorpus, m mutation) {
 	t.Helper()
 	var err error
 	switch m.kind {
@@ -208,10 +208,12 @@ func sameDocs(a, b []docBits) bool {
 	return true
 }
 
-// checkLiveParity asserts the live engine's ranked results are bit-identical
-// to a freshly built engine over the same logical corpus, for every query in
-// the log.
-func checkLiveParity(t *testing.T, e *Engine, c *logicalCorpus, queries [][]string, tag string) {
+// checkLiveParity asserts the live cluster's ranked results are
+// bit-identical to a freshly built engine over the same logical corpus,
+// and its shards' candidates add up to the engine's, for every query in
+// the log — the scatter-gather merge reproduces the single-engine top-k
+// whenever per-shard scores carry global statistics, live or stamped.
+func checkLiveParity(t *testing.T, e *Cluster, c *logicalCorpus, queries [][]string, tag string) {
 	t.Helper()
 	fresh, err := core.New(c.build(t, index.CodecEF), core.Config{Mode: core.CPUOnly})
 	if err != nil {
@@ -226,7 +228,11 @@ func checkLiveParity(t *testing.T, e *Engine, c *logicalCorpus, queries [][]stri
 		if err != nil {
 			t.Fatalf("%s q%d fresh: %v", tag, qi, err)
 		}
-		if got := engineResult(lr).Stats.Candidates; got != fr.Stats.Candidates {
+		got := 0
+		for _, sh := range lr.Stats.Shards {
+			got += sh.Query.Candidates
+		}
+		if got != fr.Stats.Candidates {
 			t.Errorf("%s q%d %v: candidates live=%d fresh=%d",
 				tag, qi, q, got, fr.Stats.Candidates)
 		}
@@ -237,10 +243,57 @@ func checkLiveParity(t *testing.T, e *Engine, c *logicalCorpus, queries [][]stri
 }
 
 // ---------------------------------------------------------------------------
+// The three ways a live cluster is built: Open over a single-node Config,
+// and OpenCluster at one shard and at two. A drained one-shard cluster is
+// its engine, so each law below holds for every row.
+// ---------------------------------------------------------------------------
+
+type liveBackend struct {
+	name   string
+	shards int
+	open   func(seed *index.Index, cfg Config) (*Cluster, error)
+}
+
+var liveBackends = []liveBackend{
+	{"Open", 1, Open},
+	{"OpenCluster-shards=1", 1, func(seed *index.Index, cfg Config) (*Cluster, error) {
+		return OpenCluster(seed, clusterConfigOf(cfg, 1))
+	}},
+	{"OpenCluster-shards=2", 2, func(seed *index.Index, cfg Config) (*Cluster, error) {
+		return OpenCluster(seed, clusterConfigOf(cfg, 2))
+	}},
+}
+
+// Each law runs twice: the engine's test over the one-shard rows, and the
+// cluster's test (TestCluster...) over the two-shard row.
+var engineBackends, clusterBackends = liveBackends[:2], liveBackends[2:]
+
+// clusterConfigOf is cfg as a ClusterConfig of n shards: the serving
+// template is cfg.Engine's, and cfg.Fault covers serving too.
+func clusterConfigOf(cfg Config, n int) ClusterConfig {
+	return ClusterConfig{
+		Shards:         n,
+		Cluster:        cluster.Config{Engine: cfg.Engine, Fault: cfg.Fault},
+		MergeThreshold: cfg.MergeThreshold, AutoMerge: cfg.AutoMerge,
+		WALDir: cfg.WALDir, WALSyncEvery: cfg.WALSyncEvery, CheckpointEvery: cfg.CheckpointEvery,
+	}
+}
+
+// segment returns shard s's current main segment.
+func segment(c *Cluster, s int) *index.Index {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t.shards[s].ix
+}
+
+// ---------------------------------------------------------------------------
 // Live parity: results during active mutation, CPU-only and hybrid.
 // ---------------------------------------------------------------------------
 
-func TestLiveParity(t *testing.T) {
+func TestLiveParity(t *testing.T)        { testLiveParity(t, engineBackends) }
+func TestClusterLiveParity(t *testing.T) { testLiveParity(t, clusterBackends) }
+
+func testLiveParity(t *testing.T, backends []liveBackend) {
 	const vocab = 16
 	base := seedCorpus(11, 120, vocab)
 	script := genScript(12, base.clone(), 90, vocab)
@@ -256,35 +309,55 @@ func TestLiveParity(t *testing.T) {
 	}
 	for name, cfg := range modes {
 		t.Run(name, func(t *testing.T) {
-			c := base.clone()
-			e, err := New(c.build(t, index.CodecEF), Config{Engine: cfg})
-			if err != nil {
-				t.Fatal(err)
+			for _, b := range backends {
+				t.Run(b.name, func(t *testing.T) {
+					c := base.clone()
+					e, err := b.open(c.build(t, index.CodecEF), Config{Engine: cfg})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					queries := queryLog(vocab)
+					checkLiveParity(t, e, c, queries, "seed")
+					for i, m := range script {
+						apply(t, e, c, m)
+						if (i+1)%15 == 0 || i == len(script)-1 {
+							checkLiveParity(t, e, c, queries, fmt.Sprintf("step%d", i+1))
+						}
+						if i == len(script)/2 {
+							// Mid-life merges: segments swap under traffic, a
+							// stamp of one shard of several goes best-effort.
+							if err := e.Merge(); err != nil {
+								t.Fatal(err)
+							}
+							checkLiveParity(t, e, c, queries, "mid-merge")
+						}
+					}
+					if got, want := e.Gen(), uint64(len(script)); got != want {
+						t.Errorf("gen = %d, want %d", got, want)
+					}
+					st := e.Stats()
+					if st.Adds+st.Updates+st.Deletes != int64(len(script)) {
+						t.Errorf("mutation counters %d+%d+%d != %d", st.Adds, st.Updates, st.Deletes, len(script))
+					}
+					if st.Merges != int64(b.shards) {
+						t.Errorf("merges = %d, want one per shard: %d", st.Merges, b.shards)
+					}
+					if st.Shards != b.shards || len(st.ShardDocs) != b.shards {
+						t.Errorf("shards = %d (docs %v), want %d", st.Shards, st.ShardDocs, b.shards)
+					}
+					// Merge late in life, then keep mutating: parity must
+					// survive the swap.
+					if err := e.Merge(); err != nil {
+						t.Fatal(err)
+					}
+					extra := genScript(13, c.clone(), 30, vocab)
+					for _, m := range extra {
+						apply(t, e, c, m)
+					}
+					checkLiveParity(t, e, c, queries, "post-merge")
+				})
 			}
-			defer e.Close()
-			queries := queryLog(vocab)
-			for i, m := range script {
-				apply(t, e, c, m)
-				if (i+1)%15 == 0 || i == len(script)-1 {
-					checkLiveParity(t, e, c, queries, fmt.Sprintf("step%d", i+1))
-				}
-			}
-			if got, want := e.Gen(), uint64(len(script)); got != want {
-				t.Errorf("gen = %d, want %d", got, want)
-			}
-			st := e.Stats()
-			if st.Adds+st.Updates+st.Deletes != int64(len(script)) {
-				t.Errorf("mutation counters %d+%d+%d != %d", st.Adds, st.Updates, st.Deletes, len(script))
-			}
-			// Merge mid-life, then keep mutating: parity must survive the swap.
-			if err := e.Merge(); err != nil {
-				t.Fatal(err)
-			}
-			extra := genScript(13, c.clone(), 30, vocab)
-			for _, m := range extra {
-				apply(t, e, c, m)
-			}
-			checkLiveParity(t, e, c, queries, "post-merge")
 		})
 	}
 }
@@ -433,7 +506,9 @@ func TestQuiescedGoldenParity(t *testing.T) {
 // Merged segment vs fresh build: the re-encoded index must match a from-
 // scratch build structurally — same dictionary, same compressed blocks
 // (both codecs), same statistics — including tombstone-only lists (term
-// leaves the dictionary) and delta-only terms (term enters it).
+// leaves the dictionary) and delta-only terms (term enters it). A merge
+// that drains a one-shard cluster's delta leaves a clean snapshot: the
+// frozen-corpus path answers, plans and prices exactly as a fresh engine.
 // ---------------------------------------------------------------------------
 
 func TestMergedIndexMatchesFreshBuild(t *testing.T) {
@@ -450,23 +525,6 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 		}
 		c.docs[uint32(id)] = toks
 	}
-	e, err := New(c.build(t, index.CodecBoth), Config{
-		Engine: core.Config{Mode: core.CPUOnly},
-		Codec:  CodecAuto,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	// An empty-delta merge is a no-op.
-	if err := e.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().Merges != 0 {
-		t.Fatalf("empty merge committed: %+v", e.Stats())
-	}
-
 	muts := []mutation{
 		{kind: wal.OpDelete, docID: 3},
 		{kind: wal.OpDelete, docID: 7}, // "rare" now tombstone-only
@@ -474,61 +532,104 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 		{kind: wal.OpAdd, docID: 64, tokens: []string{"newterm", word(2), word(2)}},
 		{kind: wal.OpUpdate, docID: 12, tokens: []string{word(3), word(3), word(5)}},
 	}
-	for _, m := range muts {
-		apply(t, e, c, m)
-	}
-	if err := e.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
+	for _, b := range engineBackends {
+		t.Run(b.name, func(t *testing.T) {
+			c := c.clone()
+			e, err := b.open(c.build(t, index.CodecBoth), Config{Engine: core.Config{Mode: core.CPUOnly}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
 
-	got, want := e.Index(), c.build(t, index.CodecBoth)
-	if got.NumDocs != want.NumDocs {
-		t.Errorf("NumDocs = %d, want %d", got.NumDocs, want.NumDocs)
-	}
-	if got.AvgDocLen != want.AvgDocLen {
-		t.Errorf("AvgDocLen = %v, want %v", got.AvgDocLen, want.AvgDocLen)
-	}
-	if fmt.Sprint(got.DocLens) != fmt.Sprint(want.DocLens) {
-		t.Errorf("DocLens diverge:\n got=%v\nwant=%v", got.DocLens, want.DocLens)
-	}
-	gt, wt := got.Terms(), want.Terms()
-	if fmt.Sprint(gt) != fmt.Sprint(wt) {
-		t.Fatalf("dictionaries diverge:\n got=%v\nwant=%v", gt, wt)
-	}
-	if _, ok := got.Lookup("rare"); ok {
-		t.Error("fully tombstoned term 'rare' still in merged dictionary")
-	}
-	if _, ok := got.Lookup("newterm"); !ok {
-		t.Error("delta-only term 'newterm' missing from merged dictionary")
-	}
-	for _, term := range wt {
-		gp, _ := got.Lookup(term)
-		wp, _ := want.Lookup(term)
-		if gp.N != wp.N {
-			t.Errorf("term %q: N = %d, want %d", term, gp.N, wp.N)
-			continue
-		}
-		if fmt.Sprint(gp.EF.Decompress()) != fmt.Sprint(wp.EF.Decompress()) {
-			t.Errorf("term %q: EF postings diverge", term)
-		}
-		if (gp.PFD == nil) != (wp.PFD == nil) {
-			t.Errorf("term %q: PFD presence %v vs %v", term, gp.PFD != nil, wp.PFD != nil)
-		} else if gp.PFD != nil && fmt.Sprint(gp.PFD.Decompress()) != fmt.Sprint(wp.PFD.Decompress()) {
-			t.Errorf("term %q: PFD postings diverge", term)
-		}
-		for i := 0; i < gp.N; i++ {
-			if gp.Freqs.At(i) != wp.Freqs.At(i) {
-				t.Errorf("term %q: freq[%d] = %d, want %d", term, i, gp.Freqs.At(i), wp.Freqs.At(i))
-				break
+			// An empty-delta merge is a no-op.
+			if err := e.Merge(); err != nil {
+				t.Fatal(err)
 			}
-		}
-		gs, ws := index.EFView{L: gp.EF}, index.EFView{L: wp.EF}
-		for b := 0; b < ws.NumBlocks(); b++ {
-			if gs.NumBlocks() != ws.NumBlocks() || gs.BlockFirst(b) != ws.BlockFirst(b) {
-				t.Errorf("term %q: skip pointers diverge at block %d", term, b)
-				break
+			if e.Stats().Merges != 0 {
+				t.Fatalf("empty merge committed: %+v", e.Stats())
 			}
-		}
+			for _, m := range muts {
+				apply(t, e, c, m)
+			}
+			if err := e.Merge(); err != nil {
+				t.Fatal(err)
+			}
+			if lag := e.Stats().Lag(); lag != 0 {
+				t.Fatalf("post-merge lag = %d", lag)
+			}
+
+			got, want := segment(e, 0), c.build(t, index.CodecBoth)
+			if got.NumDocs != want.NumDocs {
+				t.Errorf("NumDocs = %d, want %d", got.NumDocs, want.NumDocs)
+			}
+			if got.AvgDocLen != want.AvgDocLen {
+				t.Errorf("AvgDocLen = %v, want %v", got.AvgDocLen, want.AvgDocLen)
+			}
+			if fmt.Sprint(got.DocLens) != fmt.Sprint(want.DocLens) {
+				t.Errorf("DocLens diverge:\n got=%v\nwant=%v", got.DocLens, want.DocLens)
+			}
+			gt, wt := got.Terms(), want.Terms()
+			if fmt.Sprint(gt) != fmt.Sprint(wt) {
+				t.Fatalf("dictionaries diverge:\n got=%v\nwant=%v", gt, wt)
+			}
+			if _, ok := got.Lookup("rare"); ok {
+				t.Error("fully tombstoned term 'rare' still in merged dictionary")
+			}
+			if _, ok := got.Lookup("newterm"); !ok {
+				t.Error("delta-only term 'newterm' missing from merged dictionary")
+			}
+			for _, term := range wt {
+				gp, _ := got.Lookup(term)
+				wp, _ := want.Lookup(term)
+				if gp.N != wp.N {
+					t.Errorf("term %q: N = %d, want %d", term, gp.N, wp.N)
+					continue
+				}
+				if fmt.Sprint(gp.EF.Decompress()) != fmt.Sprint(wp.EF.Decompress()) {
+					t.Errorf("term %q: EF postings diverge", term)
+				}
+				if (gp.PFD == nil) != (wp.PFD == nil) {
+					t.Errorf("term %q: PFD presence %v vs %v", term, gp.PFD != nil, wp.PFD != nil)
+				} else if gp.PFD != nil && fmt.Sprint(gp.PFD.Decompress()) != fmt.Sprint(wp.PFD.Decompress()) {
+					t.Errorf("term %q: PFD postings diverge", term)
+				}
+				for i := 0; i < gp.N; i++ {
+					if gp.Freqs.At(i) != wp.Freqs.At(i) {
+						t.Errorf("term %q: freq[%d] = %d, want %d", term, i, gp.Freqs.At(i), wp.Freqs.At(i))
+						break
+					}
+				}
+				gs, ws := index.EFView{L: gp.EF}, index.EFView{L: wp.EF}
+				for b := 0; b < ws.NumBlocks(); b++ {
+					if gs.NumBlocks() != ws.NumBlocks() || gs.BlockFirst(b) != ws.BlockFirst(b) {
+						t.Errorf("term %q: skip pointers diverge at block %d", term, b)
+						break
+					}
+				}
+			}
+
+			e.refresh()
+			if !e.snap.Load().clean {
+				t.Error("a drained one-shard cluster's snapshot is not clean")
+			}
+			fresh, err := core.New(want, core.Config{Mode: core.CPUOnly})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range append(queryLog(7), []string{"newterm"}, []string{"solo", word(0)}) {
+				lr, err := e.Search(q)
+				if err != nil {
+					t.Fatalf("q%d live: %v", qi, err)
+				}
+				fr, err := fresh.Search(q)
+				if err != nil {
+					t.Fatalf("q%d fresh: %v", qi, err)
+				}
+				if lg, fg := golden(engineResult(lr)), golden(fr); fmt.Sprintf("%+v", lg) != fmt.Sprintf("%+v", fg) {
+					t.Errorf("q%d %v: drained cluster diverges from a fresh engine\n live=%+v\nfresh=%+v", qi, q, lg, fg)
+				}
+			}
+		})
 	}
 }
 
@@ -537,36 +638,50 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 // tearing the published snapshot, and bounded retries recover.
 // ---------------------------------------------------------------------------
 
-func TestMergeAbortRetries(t *testing.T) {
+func TestMergeAbortRetries(t *testing.T) { testMergeAbortRetries(t, engineBackends) }
+func TestClusterMergeAbort(t *testing.T) { testMergeAbortRetries(t, clusterBackends) }
+
+func testMergeAbortRetries(t *testing.T, backends []liveBackend) {
 	const vocab = 12
 	base := seedCorpus(31, 60, vocab)
-	c := base.clone()
-	// First two merge admissions fail, the third goes through.
-	inj := fault.NewInjector(fault.Plan{Seed: 5, Rules: []fault.Rule{
-		{Kind: fault.EngineError, Rate: 1, Until: 2},
-	}})
-	e, err := New(c.build(t, index.CodecEF), Config{
-		Engine: core.Config{Mode: core.CPUOnly},
-		Fault:  inj,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			c := base.clone()
+			// First two merge admissions at each shard's site fail, the
+			// third goes through.
+			inj := fault.NewInjector(fault.Plan{Seed: 5, Rules: []fault.Rule{
+				{Kind: fault.EngineError, Rate: 1, Until: 2},
+			}})
+			e, err := b.open(c.build(t, index.CodecEF), Config{
+				Engine: core.Config{Mode: core.CPUOnly},
+				Fault:  inj,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			for _, m := range genScript(32, c.clone(), 25, vocab) {
+				apply(t, e, c, m)
+			}
+			if err := e.Merge(); err != nil {
+				t.Fatalf("merge should survive 2 aborts per shard with default retries: %v", err)
+			}
+			st := e.Stats()
+			if st.Aborts != int64(2*b.shards) || st.Merges != int64(b.shards) {
+				t.Errorf("aborts=%d merges=%d, want %d/%d", st.Aborts, st.Merges, 2*b.shards, b.shards)
+			}
+			if st.DeltaDocs != 0 {
+				t.Errorf("delta not drained after successful merge: %d records", st.DeltaDocs)
+			}
+			// Where the same engine-error rule covers the serving sites too
+			// (OpenCluster), burn its two per-site opportunities with
+			// throwaway queries, then require parity.
+			for i := 0; i < 2; i++ {
+				_, _ = e.Search([]string{word(0)})
+			}
+			checkLiveParity(t, e, c, queryLog(vocab), "post-retry")
+		})
 	}
-	defer e.Close()
-	for _, m := range genScript(32, c.clone(), 25, vocab) {
-		apply(t, e, c, m)
-	}
-	if err := e.Merge(); err != nil {
-		t.Fatalf("merge should survive 2 aborts with default retries: %v", err)
-	}
-	st := e.Stats()
-	if st.Aborts != 2 || st.Merges != 1 {
-		t.Errorf("aborts=%d merges=%d, want 2/1", st.Aborts, st.Merges)
-	}
-	if st.DeltaDocs != 0 {
-		t.Errorf("delta not drained after successful merge: %d records", st.DeltaDocs)
-	}
-	checkLiveParity(t, e, c, queryLog(vocab), "post-retry")
 }
 
 func TestMergeAbortNeverTearsSnapshot(t *testing.T) {
@@ -652,12 +767,22 @@ func TestMergeInterferenceOnSharedDevice(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestEngineQueryOnePath(t *testing.T) {
+	testQueryOnePath(t, engineBackends, "Search equals Query")
+}
+
+func TestClusterQueryOnePath(t *testing.T) {
+	testQueryOnePath(t, clusterBackends, "caller overlay replaced")
+}
+
+// testQueryOnePath runs the one-path laws over backends; overlayCase
+// names the first law's subtest in the calling test.
+func testQueryOnePath(t *testing.T, backends []liveBackend, overlayCase string) {
 	const vocab = 16
 	base := seedCorpus(53, 200, vocab)
 	script := genScript(54, base.clone(), 60, vocab)
-	live := func(t *testing.T) *Engine {
+	live := func(t *testing.T, b liveBackend) *Cluster {
 		c := base.clone()
-		e, err := New(c.build(t, index.CodecEF), Config{
+		e, err := b.open(c.build(t, index.CodecEF), Config{
 			Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
 		})
 		if err != nil {
@@ -670,32 +795,41 @@ func TestEngineQueryOnePath(t *testing.T) {
 		return e
 	}
 
-	t.Run("Search equals Query", func(t *testing.T) {
-		shim, direct := live(t), live(t)
-		for qi, q := range queryLog(vocab) {
-			want, err := shim.Search(q)
-			if err != nil {
-				t.Fatalf("q%d Search: %v", qi, err)
-			}
-			// A caller-supplied overlay is replaced by the snapshot's: an
-			// empty one would otherwise hide the unmerged delta.
-			got, err := direct.Query(context.Background(), cluster.Request{Terms: q, Overlay: make(shardOverlays, 1)})
-			if err != nil {
-				t.Fatalf("q%d Query: %v", qi, err)
-			}
-			if got.Gen != want.Gen || !sameDocs(bitsOf(got.Result), bitsOf(want.Result)) ||
-				!reflect.DeepEqual(got.Stats, want.Stats) {
-				t.Fatalf("q%d %v diverges:\n got gen %d %+v\nwant gen %d %+v", qi, q, got.Gen, got.Result, want.Gen, want.Result)
-			}
+	t.Run(overlayCase, func(t *testing.T) {
+		for _, b := range backends {
+			t.Run(b.name, func(t *testing.T) {
+				shim, direct := live(t, b), live(t, b)
+				for qi, q := range queryLog(vocab) {
+					want, err := shim.Search(q)
+					if err != nil {
+						t.Fatalf("q%d Search: %v", qi, err)
+					}
+					// A caller-supplied overlay is replaced by the snapshot's:
+					// empty shard overlays would otherwise hide the unmerged
+					// deltas.
+					got, err := direct.Query(context.Background(), cluster.Request{Terms: q, Overlay: make(shardOverlays, b.shards)})
+					if err != nil {
+						t.Fatalf("q%d Query: %v", qi, err)
+					}
+					if got.Gen != want.Gen || !sameDocs(bitsOf(got.Result), bitsOf(want.Result)) ||
+						!reflect.DeepEqual(got.Stats, want.Stats) {
+						t.Fatalf("q%d %v diverges:\n got gen %d %+v\nwant gen %d %+v", qi, q, got.Gen, got.Result, want.Gen, want.Result)
+					}
+				}
+			})
 		}
 	})
 
 	t.Run("timed query under a cancelled ctx", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		_, err := live(t).Query(ctx, cluster.Request{Terms: queryLog(vocab)[0], Timed: true})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("error = %v, want context.Canceled", err)
+		for _, b := range backends {
+			t.Run(b.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				_, err := live(t, b).Query(ctx, cluster.Request{Terms: queryLog(vocab)[0], Timed: true})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("error = %v, want context.Canceled", err)
+				}
+			})
 		}
 	})
 }

@@ -93,7 +93,7 @@ func TestMappedIndexIsNeverWritten(t *testing.T) {
 	t.Run("merge, checkpoint, recover", func(t *testing.T) {
 		// Tail appends (spliced behind shared — here mapped — blocks), an
 		// update and a delete of documents inside the mapped segment.
-		mutate := func(e *Engine, r *rand.Rand, from, n int) {
+		mutate := func(e *Cluster, r *rand.Rand, from, n int) {
 			t.Helper()
 			doc := func() []string {
 				toks := make([]string, 4+r.Intn(5))
@@ -143,7 +143,7 @@ func TestMappedIndexIsNeverWritten(t *testing.T) {
 			if err := rec.Quiesce(); err != nil {
 				t.Fatal(err)
 			}
-			return rec.Index()
+			return segment(rec, 0)
 		}
 		checkSameIndex(t, run(mapped), run(built), "recovered over the mapped index")
 	})

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -8,87 +9,106 @@ import (
 	"griffin/internal/index"
 )
 
-// Merge folds the current delta into a new main segment — untouched
-// blocks shared with the old one, the rest re-encoded — and swaps it in
-// under the commit gate, once the queries reading the old one have
-// finished; an aborted merge (injected fault on the merge
-// path) leaves the published snapshot untouched — never a torn state —
-// and is retried up to the configured budget.
-func (e *Engine) Merge() error { return e.merge(0, false) }
+// Merge folds every shard's pending delta into a new shard segment —
+// untouched blocks shared with the old one, the rest re-encoded — and
+// swaps it in under the commit gate, once the queries reading the old
+// one have finished. An aborted merge (injected fault on the merge path)
+// leaves the published snapshot untouched — never a torn state — and is
+// retried up to the configured budget.
+func (c *Cluster) Merge() error { return c.mergeAll(0, false) }
 
-// MergeAt is Merge anchored at an explicit simulated arrival time on
-// the shared device timeline — the load-study path, where merge
-// re-encoding work queues behind (and delays) concurrent queries.
-func (e *Engine) MergeAt(arrival time.Duration) error { return e.merge(arrival, true) }
+// MergeAt is Merge anchored at an explicit simulated arrival time on each
+// merged shard's node — the load-study path, where merge re-encoding work
+// queues behind (and delays) concurrent queries.
+func (c *Cluster) MergeAt(arrival time.Duration) error { return c.mergeAll(arrival, true) }
 
-func (e *Engine) merge(arrival time.Duration, timed bool) error {
-	return e.serial(func() error { return e.mergeLocked(arrival, timed) })
-}
-
-// mergeLocked is one merge with its retries. Caller holds mergeMu
-// (Checkpoint holds it across the merge and the checkpoint write so the
-// persisted segment is the one the watermark describes).
-func (e *Engine) mergeLocked(arrival time.Duration, timed bool) error {
-	return e.retry(func() error { return e.mergeOnce(arrival, timed) })
-}
-
-// Quiesce merges until the delta is empty: after it returns (without
-// error and with no concurrent writers), every accepted mutation is
-// re-encoded into the compressed main segment and queries take the
-// frozen-corpus path — byte-identical to a freshly built engine over
-// the same logical corpus.
-func (e *Engine) Quiesce() error {
-	for {
-		e.mu.Lock()
-		empty := len(e.d.docs) == 0
-		e.mu.Unlock()
-		if empty {
-			return nil
+func (c *Cluster) mergeAll(arrival time.Duration, timed bool) error {
+	return c.serial(func() error {
+		c.mu.Lock()
+		n := c.t.n
+		c.mu.Unlock()
+		for s := 0; s < n; s++ {
+			if err := c.mergeShardLocked(s, arrival, timed); err != nil {
+				return err
+			}
 		}
-		if err := e.Merge(); err != nil {
-			return err
-		}
-	}
+		return nil
+	})
 }
 
-// mergeOnce runs one merge attempt: freeze, splice, price, swap.
-func (e *Engine) mergeOnce(arrival time.Duration, timed bool) error {
-	// Freeze a view covering every mutation so far. Mutations landing
+// MergeShard is Merge of shard s alone: what a background merge runs.
+func (c *Cluster) MergeShard(s int) error {
+	return c.serial(func() error { return c.mergeShardLocked(s, 0, false) })
+}
+
+// mergeShardLocked is one shard merge with its retries. Caller holds
+// mergeMu (Checkpoint holds it across the merge and the checkpoint write
+// so the persisted segment is the one the watermark describes).
+func (c *Cluster) mergeShardLocked(s int, arrival time.Duration, timed bool) error {
+	return c.retry(func() error { return c.mergeShardOnce(s, arrival, timed) })
+}
+
+// mergeShardOnce runs one merge attempt of shard s: freeze, splice,
+// price, swap. An empty delta is no attempt: it draws no fault.
+func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error {
+	// Freeze a view covering every mutation of the shard so far, and read
+	// the statistics and the live length table the merged segment is
+	// stamped with in the same hold of the writer lock. Mutations landing
 	// after this point survive the merge in the delta and correctly shadow
 	// the merged segment; mergeMu keeps main the live segment until the
 	// commit.
-	e.mu.Lock()
-	cur, main := e.currentLocked(), e.ix
-	e.mu.Unlock()
-
-	v := cur.view
+	c.mu.Lock()
+	t := c.t
+	if s < 0 || s >= t.n {
+		c.mu.Unlock()
+		return fmt.Errorf("ingest: merge shard %d of %d", s, t.n)
+	}
+	sh := t.shards[s]
+	v, main := sh.d.freeze(), sh.ix
 	if v.Empty() {
+		c.mu.Unlock()
 		return nil
 	}
-	plan, cost, err := e.prepare(site+".merge", e.cl.ShardNode(0), main, v, arrival, timed)
+	// Every entry at or past numDocs is zero (no live document there), so
+	// cutting the table to the collection size drops nothing; the snapshot
+	// shares its pages with the writer's table instead of copying them.
+	c.liveLens.Resize(c.stats.numDocs)
+	st, lens := c.stats, c.liveLens.Snapshot()
+	c.mu.Unlock()
+
+	mergeSite := site + ".merge"
+	if t.n > 1 {
+		mergeSite = fmt.Sprintf("%s.s%d.merge", site, s)
+	}
+	// Priced on the shard's replica-0 node — the same copy/compute lanes
+	// that replica's queries use.
+	plan, cost, err := c.prepare(mergeSite, t.c.ShardNode(s), main, v, arrival, timed)
 	if err != nil {
 		return err
 	}
-
-	// The frozen snapshot carries the merged corpus' exact statistics.
-	st := cur.stats
-	ix2 := index.Assemble(plan.lists, st.numDocs, v.docLens(main.DocLens, st.numDocs), st.avgDocLen())
+	// At one shard these are the merged corpus' exact statistics; at more
+	// they are the global ones at the freeze, a best-effort stamp that
+	// overlays correct while the cluster is dirty.
+	ix2 := index.Assemble(plan.lists, st.numDocs, lens, st.avgDocLen())
 
 	// Commit: drain in-flight queries at the gate, swap the segment into
-	// the serving shard — its engine's successor keeps the device node, so
+	// every replica — each engine's successor keeps its device node, so
 	// timelines, submit hooks and the batching stage survive — drop the
-	// covered records, publish the residual delta's view.
-	e.gate.Lock()
-	defer e.gate.Unlock()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.cl.ReplaceShard(0, ix2); err != nil {
+	// covered records, publish.
+	c.gate.Lock()
+	defer c.gate.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := t.c.ReplaceShard(s, ix2); err != nil {
 		return err
 	}
-	e.ix = ix2
-	e.d.drop(v.gen)
-	e.snap.Store(&snapshot{view: e.d.freeze(), stats: e.stats})
-	e.merged(v, cost)
+	sh.d.drop(v.gen)
+	sh.ix = ix2
+	if t.n > 1 {
+		c.exact = false
+	}
+	c.publishLocked()
+	c.merged(v, cost)
 	return nil
 }
 

@@ -39,9 +39,9 @@ func statScorer(st corpusStats) *rank.Scorer {
 }
 
 // newOverlay bundles a snapshot's view into the exec.Overlay a query
-// threads through the engine. scorer carries the statistics BM25 should
-// see (the snapshot's own for a single engine, the global live ones for
-// a cluster shard).
+// threads through the engine. scorer carries the snapshot's live
+// collection statistics; globalDF is nil at one shard, whose own live
+// document frequencies are the global ones.
 func newOverlay(view *View, main *index.Index, scorer *rank.Scorer, globalDF map[string]int) *exec.Overlay {
 	q := &queryOverlay{view: view, main: main, scorer: scorer, globalDF: globalDF}
 	return &exec.Overlay{Delta: q, Scorer: q}

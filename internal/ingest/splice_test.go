@@ -51,7 +51,7 @@ func rebuildMerge(t testing.TB, main *index.Index, v *View, codec index.Codec) (
 		}
 	}
 	for id, rec := range v.docs {
-		if rec.live() {
+		if !rec.deleted {
 			b.SetDocLen(id, rec.length)
 		}
 	}
@@ -215,49 +215,15 @@ func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 	}
 }
 
-// mergeEngineAgainstRebuild merges e's whole delta and checks the new
-// segment, its aggregates and the priced changed set against the rebuild.
-func mergeEngineAgainstRebuild(t *testing.T, e *Engine, codec index.Codec, tag string) {
-	t.Helper()
-	e.refresh()
-	main, v := e.Index(), e.snap.Load().view
-	want, wantPriced := rebuildMerge(t, main, v, codec)
-	plan, err := planMerge(main, v, codec)
-	if err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
-	if got := pricedOf(plan.changed); !reflect.DeepEqual(got, wantPriced) {
-		t.Errorf("%s: priced lists diverge:\n got=%+v\nwant=%+v", tag, got, wantPriced)
-	}
-	if err := e.Merge(); err != nil {
-		t.Fatalf("%s: %v", tag, err)
-	}
-	if v.Empty() {
-		if e.Index() != main {
-			t.Errorf("%s: an empty delta replaced the segment", tag)
-		}
-		if len(plan.changed) != 0 || len(plan.lists) != main.NumTerms() {
-			t.Errorf("%s: an empty delta changed %d lists and kept %d of %d", tag, len(plan.changed), len(plan.lists), main.NumTerms())
-		}
-		return
-	}
-	got := e.Index()
-	checkSameIndex(t, got, want, tag)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: merged index is not deep-equal to the rebuild", tag)
-	}
-	if st, scan := e.snap.Load().stats, statsOf(got.DocLens); st != scan {
-		t.Errorf("%s: running aggregates %+v, a scan of the merged segment gives %+v", tag, st, scan)
-	}
-}
-
-// mergeShardAgainstRebuild is the same check for one cluster shard. The
-// cluster stamps a merged shard with the global statistics, so the
-// rebuild's are overwritten the same way.
+// mergeShardAgainstRebuild merges shard s's whole delta and checks the
+// new segment, its aggregates, its compressed forms and the priced
+// changed set against the rebuild. At one shard the merged segment is
+// the rebuild, statistics and all; at more the cluster stamps it with the
+// global statistics, so the rebuild's are overwritten the same way.
 func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec, tag string) {
 	t.Helper()
 	c.mu.Lock()
-	sh := c.t.shards[s]
+	sh, n := c.t.shards[s], c.t.n
 	main, v := sh.ix, sh.d.freeze()
 	c.mu.Unlock()
 	want, wantPriced := rebuildMerge(t, main, v, codec)
@@ -277,16 +243,29 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec
 		if sh.ix != main {
 			t.Errorf("%s: an empty delta replaced the shard segment", tag)
 		}
+		if len(plan.changed) != 0 || len(plan.lists) != main.NumTerms() {
+			t.Errorf("%s: an empty delta changed %d lists and kept %d of %d", tag, len(plan.changed), len(plan.lists), main.NumTerms())
+		}
 		return
 	}
-	want.NumDocs = c.stats.numDocs
-	lens := make([]uint32, c.stats.numDocs)
-	for d := 0; d < len(lens) && d < c.liveLens.Len(); d++ {
-		lens[d] = c.liveLens.At(d)
+	if n == 1 && !reflect.DeepEqual(sh.ix, want) {
+		t.Errorf("%s: merged index is not deep-equal to the rebuild", tag)
 	}
-	want.DocLens = index.NewDocLens(lens)
-	want.AvgDocLen = c.stats.avgDocLen()
+	if n > 1 {
+		want.NumDocs = c.stats.numDocs
+		lens := make([]uint32, c.stats.numDocs)
+		for d := 0; d < len(lens) && d < c.liveLens.Len(); d++ {
+			lens[d] = c.liveLens.At(d)
+		}
+		want.DocLens = index.NewDocLens(lens)
+		want.AvgDocLen = c.stats.avgDocLen()
+	}
 	checkSameIndex(t, sh.ix, want, tag)
+	for _, term := range sh.ix.Terms() {
+		if pl, _ := sh.ix.Lookup(term); (pl.PFD != nil) != (codec == index.CodecBoth) {
+			t.Errorf("%s: term %q has a PForDelta form: %v, the seed's codec: %v", tag, term, pl.PFD != nil, codec)
+		}
+	}
 	if scan := statsOf(sh.ix.DocLens); c.stats != scan {
 		t.Errorf("%s: running aggregates %+v, a scan of the merged shard gives %+v", tag, c.stats, scan)
 	}
@@ -367,20 +346,20 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 		t.Run("engine/"+cname, func(t *testing.T) {
 			for _, tc := range spliceCases {
 				lc := spliceCorpus()
-				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}, Codec: CodecAuto})
+				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, m := range tc.muts {
 					apply(t, e, lc, m)
 				}
-				mergeEngineAgainstRebuild(t, e, codec, tc.name)
-				checkSameIndex(t, e.Index(), lc.build(t, codec), tc.name+": vs logical corpus")
+				mergeShardAgainstRebuild(t, e, 0, codec, tc.name)
+				checkSameIndex(t, segment(e, 0), lc.build(t, codec), tc.name+": vs logical corpus")
 				for _, m := range followUp {
 					apply(t, e, lc, m)
 				}
-				mergeEngineAgainstRebuild(t, e, codec, tc.name+", follow-up")
-				checkSameIndex(t, e.Index(), lc.build(t, codec), tc.name+", follow-up: vs logical corpus")
+				mergeShardAgainstRebuild(t, e, 0, codec, tc.name+", follow-up")
+				checkSameIndex(t, segment(e, 0), lc.build(t, codec), tc.name+", follow-up: vs logical corpus")
 				e.Close()
 			}
 		})
@@ -394,10 +373,9 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.cfg.Codec = codec // a served cluster merges to CodecEF; these merges keep the seed's forms
 				for round, muts := range [][]mutation{tc.muts, followUp} {
 					for _, m := range muts {
-						applyCluster(t, c, lc, m)
+						apply(t, c, lc, m)
 					}
 					for s := 0; s < 2; s++ {
 						mergeShardAgainstRebuild(t, c, s, codec, fmt.Sprintf("%s, round %d, shard %d", tc.name, round, s))
@@ -411,7 +389,7 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				lc := seedCorpus(seed, 600, vocab)
 				script := genScript(seed+100, lc.clone(), 240, vocab)
-				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}, Codec: CodecAuto})
+				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -422,18 +400,17 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.cfg.Codec = codec
 				clc := lc.clone()
 				for i, m := range script {
 					apply(t, e, lc, m)
-					applyCluster(t, c, clc, m)
+					apply(t, c, clc, m)
 					if i%60 == 59 {
 						tag := fmt.Sprintf("seed %d, mutation %d", seed, i)
-						mergeEngineAgainstRebuild(t, e, codec, tag)
+						mergeShardAgainstRebuild(t, e, 0, codec, tag)
 						mergeShardAgainstRebuild(t, c, i/60%3, codec, tag)
 					}
 				}
-				checkSameIndex(t, e.Index(), lc.build(t, codec), fmt.Sprintf("seed %d: vs logical corpus", seed))
+				checkSameIndex(t, segment(e, 0), lc.build(t, codec), fmt.Sprintf("seed %d: vs logical corpus", seed))
 				e.Close()
 				c.Close()
 			}
@@ -442,32 +419,41 @@ func TestSpliceMergeEqualsRebuild(t *testing.T) {
 }
 
 // A checkpoint segment comes back from disk without its PForDelta form;
-// a CodecBoth merge over it has no prefix to share and re-encodes changed
-// lists whole, as the rebuild does.
+// a merge over it still takes the seed's codec, has no prefix to share
+// and re-encodes changed lists whole, as the rebuild does.
 func TestSpliceOverSegmentWithoutPForDelta(t *testing.T) {
 	lc := spliceCorpus()
-	loaded, err := index.ReadIndex(bytes.NewReader(serialized(t, lc.build(t, index.CodecBoth))))
+	seed := lc.build(t, index.CodecBoth)
+	cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: t.TempDir()}
+	e, err := Open(seed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(loaded, Config{Engine: core.Config{Mode: core.CPUOnly}, Codec: index.CodecBoth})
-	if err != nil {
+	apply(t, e, lc, mutation{kind: wal.OpUpdate, docID: 4, tokens: []string{"big", word(4)}})
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	e.Crash()
+	if e, err = Open(seed, cfg); err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	if pl, _ := segment(e, 0).Lookup("big"); pl.PFD != nil {
+		t.Fatal("the recovered checkpoint segment carries a PForDelta form")
+	}
 	apply(t, e, lc, mutation{kind: wal.OpAdd, docID: 1400, tokens: []string{"big", "l128"}})
 	if err := e.Merge(); err != nil {
 		t.Fatal(err)
 	}
 	want := lc.build(t, index.CodecBoth)
 	for _, term := range []string{"big", "l128"} {
-		gp, _ := e.Index().Lookup(term)
+		gp, _ := segment(e, 0).Lookup(term)
 		wp, _ := want.Lookup(term)
 		if !reflect.DeepEqual(gp, wp) {
 			t.Errorf("term %q: changed list over a PForDelta-less segment differs from the rebuild", term)
 		}
 	}
-	if !bytes.Equal(serialized(t, e.Index()), serialized(t, want)) {
+	if !bytes.Equal(serialized(t, segment(e, 0)), serialized(t, want)) {
 		t.Error("serialized bytes diverge")
 	}
 }
@@ -515,10 +501,10 @@ func allocatedBy(f func()) uint64 {
 }
 
 // appendDelta adds 256 documents past the end of the engine's corpus.
-func appendDelta(t testing.TB, e *Engine, doc func(*rand.Rand) []string) {
+func appendDelta(t testing.TB, e *Cluster, doc func(*rand.Rand) []string) {
 	t.Helper()
 	r := rand.New(rand.NewSource(1))
-	next := uint32(e.Index().NumDocs)
+	next := uint32(segment(e, 0).NumDocs)
 	for i := 0; i < 256; i++ {
 		if err := e.Add(next+uint32(i), doc(r)); err != nil {
 			t.Fatal(err)
@@ -540,8 +526,9 @@ func TestMergeAllocationCeiling(t *testing.T) {
 	}
 	defer e.Close()
 	appendDelta(t, e, doc)
-	e.refresh()
-	main, v := e.Index(), e.snap.Load().view
+	e.mu.Lock()
+	main, v := e.t.shards[0].ix, e.t.shards[0].d.freeze()
+	e.mu.Unlock()
 
 	var want *index.Index
 	rebuild := allocatedBy(func() { want, _ = rebuildMerge(t, main, v, index.CodecEF) })
@@ -554,7 +541,7 @@ func TestMergeAllocationCeiling(t *testing.T) {
 	if splice > 1<<20 {
 		t.Errorf("splice merge allocated %d bytes, want <= 1 MB (the rebuild: %d)", splice, rebuild)
 	}
-	if !bytes.Equal(serialized(t, e.Index()), serialized(t, want)) {
+	if !bytes.Equal(serialized(t, segment(e, 0)), serialized(t, want)) {
 		t.Error("spliced segment's bytes differ from the rebuild's")
 	}
 }
@@ -648,7 +635,7 @@ func TestMergedSegmentsDoNotPinDeadTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix := e.Index()
+	ix := segment(e, 0)
 	e.Close()
 	e = nil
 	merged := heap() - floor
@@ -713,7 +700,7 @@ func BenchmarkMerge(b *testing.B) {
 				if err := e.Merge(); err != nil {
 					b.Fatal(err)
 				}
-				benchSink = e.Index()
+				benchSink = segment(e, 0)
 			}
 		})
 	}

@@ -66,14 +66,12 @@ func (s *corpusStats) replace(docID uint32, old, new uint32, top func(below int)
 }
 
 // topLive returns 1 + the highest d < below whose entry in a length
-// table's pages is nonzero and which live(d) confirms (nil confirms all),
-// 0 when there is none — the descent that finds the collection size when
-// the top document dies. The table answers first and live is asked only
-// where it says a document exists; a page found all zero is not scanned
-// again where the table repeats it (pvec stretches a table over a docID
-// gap with one shared page of zeros, so a gap costs a pointer compare per
-// page, not a probe per docID).
-func topLive(pages [][]uint32, below int, live func(d int) bool) int {
+// table's pages is nonzero, 0 when there is none — the descent that
+// finds the collection size when the top document dies. A page found all
+// zero is not scanned again where the table repeats it (pvec stretches a
+// table over a docID gap with one shared page of zeros, so a gap costs a
+// pointer compare per page, not a probe per docID).
+func topLive(pages [][]uint32, below int) int {
 	const size = 1 << index.DocLenShift
 	var zero []uint32
 	for p := min(len(pages), (below+size-1)>>index.DocLenShift) - 1; p >= 0; p-- {
@@ -82,17 +80,12 @@ func topLive(pages [][]uint32, below int, live func(d int) bool) int {
 			continue
 		}
 		n := min(len(pg), below-p<<index.DocLenShift)
-		empty := n == len(pg)
 		for i := n - 1; i >= 0; i-- {
-			if pg[i] == 0 {
-				continue
+			if pg[i] != 0 {
+				return p<<index.DocLenShift + i + 1
 			}
-			if d := p<<index.DocLenShift + i; live == nil || live(d) {
-				return d + 1
-			}
-			empty = false
 		}
-		if empty {
+		if n == len(pg) {
 			zero = pg
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
-	"griffin/internal/pvec"
 )
 
 // decrEntry memoizes one term's main-segment document-frequency
@@ -53,21 +52,6 @@ func (v *View) Docs() int {
 // record returns docID's delta record, nil when the document is
 // untouched by this view.
 func (v *View) record(docID uint32) *docRecord { return v.docs[docID] }
-
-// docLens returns the live document-length table over main's: main's cut
-// or zero-extended to the live collection size numDocs, with every
-// mutated document's entry replaced (0 for a tombstone). It shares with
-// main every page no mutated document falls in.
-func (v *View) docLens(main pvec.Vec[uint32], numDocs int) pvec.Vec[uint32] {
-	lens := main.Edit()
-	lens.Resize(numDocs)
-	for id, rec := range v.docs {
-		if int(id) < numDocs {
-			lens.Set(int(id), rec.length)
-		}
-	}
-	return lens.Snapshot()
-}
 
 // decrFor returns the term's main document-frequency decrement — how
 // many shadowed documents its main posting list contains — and the

@@ -19,19 +19,18 @@ import (
 // Close.
 var ErrClosed = errors.New("ingest: engine closed")
 
-// writer is the write path Engine and Cluster share, embedded in both:
+// writer is the write path of the live cluster, apart from its topology:
 // validation, the durability barrier, record construction, the running
 // collection statistics, the mutation and merge counters, the background
 // merge / split / checkpoint triggers, the abort→retry loop, the modeled
 // price of a merge, the commit gate a merged segment is swapped in under,
-// and the WAL handle with its checkpoint cadence. What differs stays with
-// the owner: where a document lives, how a merge stamps its segment, what
-// a checkpoint persists, and what Lag means.
+// and the WAL handle with its checkpoint cadence.
 type writer struct {
-	// cfg holds the knobs with their defaults resolved (open). A Cluster
-	// maps its ClusterConfig onto one.
+	// cfg holds the knobs with their defaults resolved (open).
 	cfg Config
 	cpu hwmodel.CPUModel
+	// codec is the seed's: every merge and rebuild encodes its forms.
+	codec index.Codec
 
 	// gate is the commit gate: queries hold it shared for their whole
 	// execution; segment swaps (cluster.ReplaceShard) and topology changes
@@ -57,7 +56,7 @@ type writer struct {
 	bg        sync.WaitGroup
 	closing   atomic.Bool
 
-	// merge, split and checkpoint are the owner's background work, bound
+	// merge, split and checkpoint are the cluster's background work, bound
 	// once at construction (a method value taken per mutation would
 	// allocate per mutation).
 	merge      func(shard int) error
@@ -72,10 +71,6 @@ type writer struct {
 	statsMu sync.Mutex
 	st      Stats
 }
-
-// CodecAuto asks for the seed index's codec, detected when the engine is
-// built. The zero value of a Codec field is index.CodecEF, not this.
-const CodecAuto index.Codec = -1
 
 // detectCodec mirrors workload.PartitionIndex's probe: any term with a
 // PForDelta form means the index was built with CodecBoth.
@@ -95,18 +90,15 @@ func detectCodec(ix *index.Index) index.Codec {
 // checkpoint, else the seed — and what to replay over it (nothing without
 // a WAL), and starts the running statistics from that segment.
 //
-// CodecAuto is resolved here, against the caller's seed and not the
+// The codec is detected here, on the caller's seed and not the
 // checkpoint: a checkpoint round-trips through the EF-only serialized
-// form, and detection against it would silently drop a CodecBoth
-// configuration after the first recovery. With it a quiesced engine is
+// form, and detection on it would silently drop a CodecBoth seed's
+// PForDelta forms after the first recovery. With it a quiesced cluster is
 // byte-identical to a fresh build in the seed's codec.
 func (w *writer) open(seed *index.Index, cfg Config, shards int) (*index.Index, *wal.Recovered, error) {
-	w.cfg, w.cpu = cfg, cfg.Engine.CPU
+	w.cfg, w.cpu, w.codec = cfg, cfg.Engine.CPU, detectCodec(seed)
 	if w.cpu == (hwmodel.CPUModel{}) {
 		w.cpu = hwmodel.DefaultCPU()
-	}
-	if w.cfg.Codec == CodecAuto {
-		w.cfg.Codec = detectCodec(seed)
 	}
 	rec := &wal.Recovered{}
 	if cfg.WALDir != "" {
@@ -139,7 +131,7 @@ func (w *writer) open(seed *index.Index, cfg Config, shards int) (*index.Index, 
 
 // admit is a mutation's way in, under the writer lock: validate it
 // against the document's liveness, put it on the shard's log, and return
-// its record for the owner to apply. An error means nothing happened.
+// its record for the cluster to apply. An error means nothing happened.
 func (w *writer) admit(op wal.Op, docID uint32, tokens []string, live bool, shard int, gen uint64) (*docRecord, error) {
 	if w.closing.Load() {
 		return nil, ErrClosed
@@ -302,7 +294,7 @@ func (w *writer) prepare(site string, node *gpu.NodeRuntime, main *index.Index, 
 	if cost.stall, err = w.cfg.Fault.AdmitQuery(site, arrival); err != nil {
 		return nil, cost, err
 	}
-	plan, err := planMerge(main, v, w.cfg.Codec)
+	plan, err := planMerge(main, v, w.codec)
 	if err != nil {
 		return nil, cost, fmt.Errorf("ingest: merge build (%s): %w", site, err)
 	}
@@ -393,7 +385,7 @@ func (w *writer) persist(ix *index.Index, watermark uint64) error {
 	return nil
 }
 
-// counters returns the mutation, merge and WAL counters; the owner adds
+// counters returns the mutation, merge and WAL counters; the cluster adds
 // its generation and what is pending in its delta(s).
 func (w *writer) counters() Stats {
 	w.statsMu.Lock()
@@ -406,8 +398,7 @@ func (w *writer) counters() Stats {
 	return st
 }
 
-// Wedged returns the storage fault that wedged the WAL (any shard's log,
-// on a cluster), or nil. A wedged engine rejects the mutations routed to
-// the wedged log (reads still serve) — the degraded-health condition
-// /healthz surfaces.
+// Wedged returns the storage fault that wedged the WAL (any shard's log),
+// or nil. A wedged cluster rejects the mutations routed to the wedged log
+// (reads still serve) — the degraded-health condition /healthz surfaces.
 func (w *writer) Wedged() error { return w.store.Wedged() }

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -33,47 +32,6 @@ func modelStats(c *logicalCorpus) corpusStats {
 	return s
 }
 
-// liveUnderTest is the part of Engine and Cluster the statistics tests
-// drive; reopen recovers the WAL directory into a new one.
-type liveUnderTest struct {
-	w          *writer
-	apply      func(op wal.Op, docID uint32, tokens []string) error
-	merge      func(step int) error
-	mainDocs   func() int // NumDocs of a merged segment (−1: not stamped exactly)
-	checkpoint func() error
-	crash      func()
-	reopen     func(t *testing.T) liveUnderTest
-	close      func()
-}
-
-func engineUnderTest(t *testing.T, seed *index.Index, cfg Config) liveUnderTest {
-	t.Helper()
-	e, err := Open(seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return liveUnderTest{
-		w: &e.writer, apply: e.Apply, checkpoint: e.Checkpoint, crash: e.Crash, close: e.Close,
-		merge:    func(int) error { return e.Merge() },
-		mainDocs: func() int { return e.Index().NumDocs },
-		reopen:   func(t *testing.T) liveUnderTest { return engineUnderTest(t, seed, cfg) },
-	}
-}
-
-func clusterUnderTest(t *testing.T, seed *index.Index, cfg ClusterConfig) liveUnderTest {
-	t.Helper()
-	c, err := OpenCluster(seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return liveUnderTest{
-		w: &c.writer, apply: c.Apply, checkpoint: c.Checkpoint, crash: c.Crash, close: c.Close,
-		merge:    func(step int) error { return c.MergeShard(step / 50 % c.Stats().Shards) },
-		mainDocs: func() int { return -1 }, // a shard merge stamps best-effort statistics
-		reopen:   func(t *testing.T) liveUnderTest { return clusterUnderTest(t, seed, cfg) },
-	}
-}
-
 // The running aggregates equal a scan of the live documents after every
 // mutation, merge and recovery of a long seeded history that leans on the
 // cases arithmetic alone gets wrong: the top document dying (over a merged
@@ -82,24 +40,27 @@ func clusterUnderTest(t *testing.T, seed *index.Index, cfg ClusterConfig) liveUn
 // checkpoint.
 func TestRunningStatsMatchLiveScan(t *testing.T) {
 	base := seedCorpus(41, 30, 12)
-	for name, open := range map[string]func(t *testing.T, seed *index.Index, dir string) liveUnderTest{
-		"engine": func(t *testing.T, seed *index.Index, dir string) liveUnderTest {
-			return engineUnderTest(t, seed, Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir})
-		},
-		"cluster": func(t *testing.T, seed *index.Index, dir string) liveUnderTest {
-			return clusterUnderTest(t, seed, ClusterConfig{
-				Shards: 2, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}}, WALDir: dir,
-			})
-		},
-	} {
+	for name, shards := range map[string]int{"engine": 1, "cluster": 2} {
 		t.Run(name, func(t *testing.T) {
 			lc := base.clone()
-			u := open(t, lc.build(t, index.CodecEF), t.TempDir())
-			defer func() { u.close() }()
+			seed := lc.build(t, index.CodecEF)
+			cfg := ClusterConfig{
+				Shards: shards, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}}, WALDir: t.TempDir(),
+			}
+			open := func() *Cluster {
+				t.Helper()
+				c, err := OpenCluster(seed, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			c := open()
+			defer func() { c.Close() }()
 			r := rand.New(rand.NewSource(42))
 			check := func(tag string) {
 				t.Helper()
-				if got, want := running(u.w), modelStats(lc); got != want {
+				if got, want := running(&c.writer), modelStats(lc); got != want {
 					t.Fatalf("%s: running aggregates %+v, a scan of the live documents gives %+v", tag, got, want)
 				}
 			}
@@ -141,7 +102,7 @@ func TestRunningStatsMatchLiveScan(t *testing.T) {
 					doc = genDoc(r, 12)
 					lc.docs[id] = doc
 				}
-				if err := u.apply(op, id, doc); err != nil {
+				if err := c.Apply(op, id, doc); err != nil {
 					t.Fatalf("step %d %s doc %d: %v", step, op, id, err)
 				}
 				check(fmt.Sprintf("step %d %s doc %d", step, op, id))
@@ -150,19 +111,21 @@ func TestRunningStatsMatchLiveScan(t *testing.T) {
 				case step%400 == 0:
 					// The checkpoint ten steps back covers part of the
 					// history; the rest is replayed record by record.
-					u.crash()
-					u = u.reopen(t)
+					c.Crash()
+					c = open()
 					check(fmt.Sprintf("step %d reopen", step))
 				case step%400 == 390:
-					if err := u.checkpoint(); err != nil {
+					if err := c.Checkpoint(); err != nil {
 						t.Fatalf("step %d checkpoint: %v", step, err)
 					}
 				case step%50 == 0:
-					if err := u.merge(step); err != nil {
+					if err := c.MergeShard(step / 50 % shards); err != nil {
 						t.Fatalf("step %d merge: %v", step, err)
 					}
 					check(fmt.Sprintf("step %d merge", step))
-					if got := u.mainDocs(); got >= 0 && got != modelStats(lc).numDocs {
+					// A merge at one shard stamps exact statistics; one shard
+					// of several is stamped best effort.
+					if got := segment(c, 0).NumDocs; shards == 1 && got != modelStats(lc).numDocs {
 						t.Fatalf("step %d: merged segment NumDocs %d, want %d", step, got, modelStats(lc).numDocs)
 					}
 				}
@@ -181,63 +144,35 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 	lc := newLogicalCorpus()
 	lc.docs[0] = []string{"a", "b"}
 	lc.docs[1] = []string{"a", "c", "c"}
-	for name, open := range map[string]func(t *testing.T) (liveUnderTest, func([]string) ([]docBits, error)){
-		"engine": func(t *testing.T) (liveUnderTest, func([]string) ([]docBits, error)) {
-			e, err := New(lc.build(t, index.CodecEF), Config{Engine: core.Config{Mode: core.CPUOnly}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return liveUnderTest{w: &e.writer, apply: e.Apply, close: e.Close,
-					merge:    func(int) error { return e.Merge() },
-					mainDocs: func() int { return e.Index().NumDocs },
-				}, func(q []string) ([]docBits, error) {
-					r, err := e.Search(q)
-					if err != nil {
-						return nil, err
-					}
-					return bitsOf(r.Result), nil
-				}
-		},
-		"cluster": func(t *testing.T) (liveUnderTest, func([]string) ([]docBits, error)) {
+	for name, shards := range map[string]int{"engine": 1, "cluster": 2} {
+		t.Run(name, func(t *testing.T) {
+			start := time.Now()
 			c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
-				Shards: 2, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
+				Shards: shards, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return liveUnderTest{w: &c.writer, apply: c.Apply, close: c.Close,
-					merge:    func(int) error { return c.MergeShard(workload.ShardOf(top, 2)) },
-					mainDocs: func() int { return c.t.shards[workload.ShardOf(top, 2)].ix.NumDocs },
-				}, func(q []string) ([]docBits, error) {
-					r, err := c.Query(context.Background(), cluster.Request{Terms: q})
-					if err != nil {
-						return nil, err
-					}
-					return clusterBits(r), nil
-				}
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			start := time.Now()
-			u, search := open(t)
-			defer u.close()
+			defer c.Close()
+			s := workload.ShardOf(top, shards)
 			must := func(err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			must(u.apply(wal.OpAdd, top, []string{"a"}))
-			must(u.merge(0))
-			if got := u.mainDocs(); got != top+1 {
+			must(c.Add(top, []string{"a"}))
+			must(c.MergeShard(s))
+			if got := segment(c, s).NumDocs; got != top+1 {
 				t.Fatalf("merged segment NumDocs %d, want %d", got, top+1)
 			}
-			must(u.apply(wal.OpDelete, top, nil))
-			must(u.apply(wal.OpAdd, 5, []string{"a", "d"}))
+			must(c.Delete(top))
+			must(c.Add(5, []string{"a", "d"}))
 			final := lc.clone()
 			final.docs[5] = []string{"a", "d"}
-			got, err := search([]string{"a"})
+			r, err := c.Search([]string{"a"})
 			must(err)
+			got := bitsOf(r.Result)
 
 			fresh := final.build(t, index.CodecEF)
 			eng, err := core.New(fresh, core.Config{Mode: core.CPUOnly})
@@ -247,16 +182,17 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 			if !sameDocs(got, bitsOf(want)) {
 				t.Errorf("results diverge from a fresh build:\n got=%v\nwant=%v", got, bitsOf(want))
 			}
-			if st, scan := running(u.w), statsOf(fresh.DocLens); st != scan || st.numDocs != fresh.NumDocs {
+			if st, scan := running(&c.writer), statsOf(fresh.DocLens); st != scan || st.numDocs != fresh.NumDocs {
 				t.Errorf("running aggregates %+v, a fresh build has %+v (NumDocs %d)", st, scan, fresh.NumDocs)
 			}
-			must(u.merge(0))
-			if got := u.mainDocs(); got != fresh.NumDocs {
+			must(c.MergeShard(s))
+			if got := segment(c, s).NumDocs; got != fresh.NumDocs {
 				t.Errorf("merged segment NumDocs %d, a fresh build has %d", got, fresh.NumDocs)
 			}
-			// The parent took over 20 s here (13 s of it in the engine's two
-			// freezes). The instrumented build is given its slowdown: the
-			// 23 MB page table over the gap is a million instrumented writes.
+			// Before the statistics were kept running this took over 20 s
+			// (13 s of it in the single-node engine's two freezes). The
+			// instrumented build is given its slowdown: the 23 MB page
+			// table over the gap is a million instrumented writes.
 			budget := time.Second
 			if raceDetector {
 				budget *= 5

@@ -51,7 +51,7 @@ type CrashResult struct {
 }
 
 // RunCrash drives a durable live engine through a scripted mutation
-// prefix, kills it without flushing (Engine.Crash — the unsynced tail
+// prefix, kills it without flushing (Cluster.Crash — the unsynced tail
 // vanishes), reopens the directory, and reports what survived and how
 // long recovery took. The reopened engine is verified against the
 // acknowledged count and closed before returning.

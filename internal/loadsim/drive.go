@@ -214,10 +214,10 @@ func (t clusterTarget) Utilization() float64 {
 // liveTarget drives a live engine under mixed reads and writes. A read
 // error counts as a failed query rather than aborting the run, so
 // availability under injected merge faults is measurable.
-type liveTarget struct{ e *ingest.Engine }
+type liveTarget struct{ e *ingest.Cluster }
 
 // LiveTarget adapts a live engine for Drive.
-func LiveTarget(e *ingest.Engine) Writer { return liveTarget{e} }
+func LiveTarget(e *ingest.Cluster) Writer { return liveTarget{e} }
 
 func (t liveTarget) Query(terms []string, arrival time.Duration, _ cluster.QueryOpts) (Outcome, error) {
 	r, err := t.e.Query(context.Background(), cluster.Request{Terms: terms, Arrival: arrival, Timed: true})

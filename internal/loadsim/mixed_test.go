@@ -16,7 +16,7 @@ import (
 // mixedFixture builds a small corpus, a read log, a valid mutation
 // script (adds of fresh docs, then updates and deletes of them), and a
 // live-engine constructor over a dedicated hybrid device.
-func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *ingest.Engine) {
+func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *ingest.Cluster) {
 	t.Helper()
 	c, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs:    60_000,
@@ -48,7 +48,7 @@ func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *in
 	for i := 5; i < 10; i++ {
 		muts = append(muts, Mutation{Op: wal.OpDelete, DocID: base + uint32(i)})
 	}
-	mk := func(threshold int) *ingest.Engine {
+	mk := func(threshold int) *ingest.Cluster {
 		e, err := ingest.New(c.Index, ingest.Config{
 			Engine: core.Config{
 				Mode:   core.Hybrid,

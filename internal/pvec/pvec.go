@@ -192,8 +192,14 @@ func (e *Editor[T]) Resize(n int) {
 		if last := len(e.v.pages) - 1; last >= 0 && len(e.v.pages[last]) < size {
 			e.v.pages[last] = e.writable(last)[:min(size, n-last<<e.v.shift)]
 		}
-		for p := len(e.v.pages); p < np; p++ {
+		if np > len(e.v.pages) {
+			// The page table grows once to its new length, not by one
+			// doubling after another across a wide docID gap.
 			e.table()
+			e.v.pages = slices.Grow(e.v.pages, np-len(e.v.pages))
+			e.own = slices.Grow(e.own, np-len(e.own))
+		}
+		for p := len(e.v.pages); p < np; p++ {
 			if n-p<<e.v.shift >= size {
 				// Every whole page of zeros is the same page, shared like
 				// any other until something is written to it: a table

@@ -10,7 +10,7 @@ import (
 	"griffin/internal/ingest"
 )
 
-func newDurableServer(t *testing.T, cfg ingest.Config) (*Server, *ingest.Engine) {
+func newDurableServer(t *testing.T, cfg ingest.Config) (*Server, *ingest.Cluster) {
 	t.Helper()
 	if cfg.Engine.Mode == 0 {
 		cfg.Engine = core.Config{Mode: core.CPUOnly}

@@ -14,7 +14,7 @@ import (
 	"griffin/internal/ingest"
 )
 
-func newLiveServer(t *testing.T, freshness int) (*Server, *ingest.Engine) {
+func newLiveServer(t *testing.T, freshness int) (*Server, *ingest.Cluster) {
 	t.Helper()
 	e, err := ingest.New(testIndex(t), ingest.Config{
 		Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
@@ -35,7 +35,18 @@ func newLiveClusterServer(t *testing.T, freshness int) (*Server, *ingest.Cluster
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	return NewLiveCluster(c, freshness), c
+	return NewLive(c, freshness), c
+}
+
+// liveRows are the live constructor's two shapes: over a single-node
+// engine (a one-shard cluster) and over a 2-shard live cluster.
+var liveRows = []struct {
+	name   string
+	shards int
+	open   func(t *testing.T, freshness int) (*Server, *ingest.Cluster)
+}{
+	{"engine", 1, newLiveServer},
+	{"cluster", 2, newLiveClusterServer},
 }
 
 func postIngest(t *testing.T, s *Server, body string) *httptest.ResponseRecorder {
@@ -59,56 +70,79 @@ func getJSON(t *testing.T, s *Server, path string, out any) *httptest.ResponseRe
 }
 
 // A mutation POSTed to /ingest is visible to the very next /search
-// through the delta, and /statz grows the ingest block.
+// through the delta, and /statz grows the ingest block with the
+// topology; the document stays served across a merge commit and across
+// the engine swaps of a Quiesce.
 func TestIngestEndpointLiveSearch(t *testing.T) {
-	s, e := newLiveServer(t, 0)
+	for _, row := range liveRows {
+		t.Run(row.name, func(t *testing.T) {
+			s, e := row.open(t, 0)
 
-	var before SearchResponse
-	getJSON(t, s, "/search?q=zebra+habitat", &before)
-	if len(before.Results) != 0 {
-		t.Fatalf("fresh-term query matched before ingest: %+v", before.Results)
-	}
+			var before SearchResponse
+			getJSON(t, s, "/search?q=zebra+habitat", &before)
+			if len(before.Results) != 0 {
+				t.Fatalf("fresh-term query matched before ingest: %+v", before.Results)
+			}
 
-	w := postIngest(t, s, `{"op":"add","doc_id":100,"text":"zebra habitat zebra"}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("ingest status %d: %s", w.Code, w.Body.String())
-	}
-	var ack IngestResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Gen != 1 || ack.Lag != 1 {
-		t.Fatalf("ack = %+v, want gen 1 lag 1", ack)
-	}
+			w := postIngest(t, s, `{"op":"add","doc_id":100,"text":"zebra habitat zebra"}`)
+			if w.Code != http.StatusOK {
+				t.Fatalf("ingest status %d: %s", w.Code, w.Body.String())
+			}
+			var ack IngestResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
+				t.Fatal(err)
+			}
+			if ack.Gen != 1 || ack.Lag != 1 {
+				t.Fatalf("ack = %+v, want gen 1 lag 1", ack)
+			}
 
-	var after SearchResponse
-	getJSON(t, s, "/search?q=zebra+habitat", &after)
-	if len(after.Results) != 1 || after.Results[0].DocID != 100 {
-		t.Fatalf("ingested doc not served: %+v", after.Results)
-	}
+			served := func(tag string) {
+				t.Helper()
+				var res SearchResponse
+				getJSON(t, s, "/search?q=zebra+habitat", &res)
+				if len(res.Results) != 1 || res.Results[0].DocID != 100 {
+					t.Fatalf("%s: ingested doc not served: %+v", tag, res.Results)
+				}
+			}
+			served("delta")
 
-	var st StatsResponse
-	getJSON(t, s, "/statz", &st)
-	if st.Ingest == nil {
-		t.Fatal("/statz missing ingest block on a live server")
-	}
-	if st.Ingest.Gen != 1 || st.Ingest.Adds != 1 || st.Ingest.Accepted != 1 || st.Ingest.DeltaDocs != 1 {
-		t.Fatalf("ingest telemetry = %+v", st.Ingest)
-	}
+			var st StatsResponse
+			getJSON(t, s, "/statz", &st)
+			if st.Ingest == nil {
+				t.Fatal("/statz missing ingest block on a live server")
+			}
+			if st.Ingest.Gen != 1 || st.Ingest.Adds != 1 || st.Ingest.Accepted != 1 || st.Ingest.DeltaDocs != 1 ||
+				st.Ingest.Shards != row.shards || len(st.Ingest.ShardDelta) != row.shards {
+				t.Fatalf("ingest telemetry = %+v", st.Ingest)
+			}
+			if len(st.Shards) != row.shards {
+				t.Fatalf("/statz has %d per-shard telemetry rows, want %d", len(st.Shards), row.shards)
+			}
 
-	// Across a merge commit the document moves from the delta into the
-	// serving segment and stays served.
-	if err := e.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	after = SearchResponse{}
-	getJSON(t, s, "/search?q=zebra+habitat", &after)
-	if len(after.Results) != 1 || after.Results[0].DocID != 100 {
-		t.Fatalf("merged doc not served: %+v", after.Results)
-	}
-	getJSON(t, s, "/statz", &st)
-	if st.Ingest.Merges != 1 || st.Ingest.DeltaDocs != 0 {
-		t.Fatalf("ingest telemetry after the merge = %+v", st.Ingest)
+			// Across a merge commit the document moves from the delta into
+			// the serving segment and stays served.
+			if err := e.Merge(); err != nil {
+				t.Fatal(err)
+			}
+			served("merged")
+			getJSON(t, s, "/statz", &st)
+			if st.Ingest.Merges != 1 || st.Ingest.DeltaDocs != 0 {
+				t.Fatalf("ingest telemetry after the merge = %+v", st.Ingest)
+			}
+
+			if err := e.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			served("quiesced")
+			var h struct {
+				Status string `json:"status"`
+				Shards int    `json:"shards"`
+			}
+			getJSON(t, s, "/healthz", &h)
+			if h.Status != "ok" || h.Shards != row.shards {
+				t.Fatalf("healthz after quiesce: %+v", h)
+			}
+		})
 	}
 }
 
@@ -175,54 +209,6 @@ func TestHealthzFreshnessDegraded(t *testing.T) {
 	}
 }
 
-// The live cluster backend serves /search through the current cluster
-// incarnation, accepts /ingest, reports cluster ingest telemetry, and
-// follows engine swaps across Quiesce.
-func TestLiveClusterEndpoints(t *testing.T) {
-	s, c := newLiveClusterServer(t, 0)
-
-	w := postIngest(t, s, `{"op":"add","doc_id":77,"text":"zebra habitat"}`)
-	if w.Code != http.StatusOK {
-		t.Fatalf("ingest status %d: %s", w.Code, w.Body.String())
-	}
-	var res SearchResponse
-	getJSON(t, s, "/search?q=zebra", &res)
-	if len(res.Results) != 1 || res.Results[0].DocID != 77 {
-		t.Fatalf("cluster did not serve ingested doc: %+v", res.Results)
-	}
-
-	var st StatsResponse
-	getJSON(t, s, "/statz", &st)
-	if st.Ingest == nil || st.Ingest.Shards != 2 || st.Ingest.DeltaDocs != 1 {
-		t.Fatalf("cluster ingest telemetry = %+v", st.Ingest)
-	}
-	if len(st.Shards) == 0 {
-		t.Fatal("cluster /statz lost per-shard telemetry rows")
-	}
-
-	if err := c.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	getJSON(t, s, "/search?q=zebra", &res)
-	if len(res.Results) != 1 || res.Results[0].DocID != 77 {
-		t.Fatalf("post-quiesce cluster lost the doc: %+v", res.Results)
-	}
-	var h struct {
-		Status string `json:"status"`
-		Shards int    `json:"shards"`
-	}
-	getJSON(t, s, "/healthz", &h)
-	if h.Status != "ok" || h.Shards != 2 {
-		t.Fatalf("healthz after quiesce: %+v", h)
-	}
-
-	var raw map[string]json.RawMessage
-	getJSON(t, s, "/statz", &raw)
-	if _, ok := raw["ingest"]; !ok {
-		t.Fatal("ingest block missing from raw /statz")
-	}
-}
-
 // Read-only servers emit no ingest key at all — the legacy /statz and
 // /healthz bodies are unchanged byte for byte.
 func TestStatzIngestOmittedWhenReadOnly(t *testing.T) {
@@ -241,41 +227,27 @@ func TestStatzIngestOmittedWhenReadOnly(t *testing.T) {
 	}
 }
 
-// The two live backends define lag differently, and one liveWriter must
-// not merge the definitions: an engine's is the mutations no merge has
-// covered (gen − merged gen), a cluster's the records pending in its
-// shard deltas. One document mutated twice with nothing merged tells them
-// apart — two mutations, one record — on /ingest, /healthz and /statz.
-func TestIngestLagIsEachBackendsOwn(t *testing.T) {
-	live, _ := newLiveServer(t, 10)
-	sharded, _ := newLiveClusterServer(t, 10)
-	for _, tc := range []struct {
-		name string
-		s    *Server
-		lag  uint64
-	}{
-		{"engine", live, 2},
-		{"cluster", sharded, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			postIngest(t, tc.s, `{"op":"update","doc_id":100,"tokens":["zebra"]}`)
-			w := postIngest(t, tc.s, `{"op":"update","doc_id":100,"tokens":["zebra","habitat"]}`)
+// Lag is the records pending in deltas at every shard count: one
+// document mutated twice with nothing merged is two mutations and one
+// record, on /ingest, /healthz and /statz alike.
+func TestIngestLagIsPendingRecords(t *testing.T) {
+	for _, row := range liveRows {
+		t.Run(row.name, func(t *testing.T) {
+			s, _ := row.open(t, 10)
+			postIngest(t, s, `{"op":"update","doc_id":100,"tokens":["zebra"]}`)
+			w := postIngest(t, s, `{"op":"update","doc_id":100,"tokens":["zebra","habitat"]}`)
 			var ack IngestResponse
 			if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
 				t.Fatalf("ack: %v\n%s", err, w.Body.String())
 			}
-			if ack.Gen != 2 || ack.Lag != tc.lag {
-				t.Errorf("/ingest ack = %+v, want gen 2 lag %d", ack, tc.lag)
-			}
 			var health map[string]any
-			getJSON(t, tc.s, "/healthz", &health)
-			if got := health["ingest_lag"]; got != float64(tc.lag) {
-				t.Errorf("/healthz ingest_lag = %v, want %d", got, tc.lag)
-			}
+			getJSON(t, s, "/healthz", &health)
 			var st StatsResponse
-			getJSON(t, tc.s, "/statz", &st)
-			if st.Ingest.Gen != 2 || st.Ingest.Lag != tc.lag || st.Ingest.DeltaDocs != 1 {
-				t.Errorf("/statz ingest = %+v, want gen 2 lag %d delta_docs 1", st.Ingest, tc.lag)
+			getJSON(t, s, "/statz", &st)
+			if ack.Gen != 2 || ack.Lag != 1 || health["ingest_lag"] != float64(1) ||
+				st.Ingest.Gen != 2 || st.Ingest.Lag != 1 || st.Ingest.DeltaDocs != 1 {
+				t.Errorf("/ingest ack %+v, /healthz ingest_lag %v, /statz ingest %+v: want gen 2, lag 1, delta_docs 1",
+					ack, health["ingest_lag"], st.Ingest)
 			}
 		})
 	}

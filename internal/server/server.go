@@ -76,33 +76,15 @@ func (f frozen) Query(ctx context.Context, req cluster.Request) (*ingest.Cluster
 
 func (f frozen) Cluster() *cluster.Cluster { return f.cl }
 
-// liveWriter is what /ingest, /healthz and /statz need of a live backend,
-// one engine or a cluster of them: apply a mutation, read the writer
-// generation and the merge lag (each backend's own definition of it),
-// report a wedged write-ahead log, and snapshot the ingest telemetry with
-// that lag.
+// liveWriter is what /ingest, /healthz and /statz need of a live
+// backend: apply a mutation, read the writer generation and the merge lag
+// (the records pending in deltas), report a wedged write-ahead log, and
+// snapshot the ingest telemetry.
 type liveWriter interface {
 	Apply(op wal.Op, docID uint32, tokens []string) error
 	Progress() (gen, lag uint64)
 	Wedged() error
-	ingestStats() (ingest.ClusterStats, uint64)
-}
-
-// liveEngine is a live engine's write half: its telemetry has no
-// topology fields.
-type liveEngine struct{ *ingest.Engine }
-
-func (e liveEngine) ingestStats() (ingest.ClusterStats, uint64) {
-	st := e.Stats()
-	return ingest.ClusterStats{Stats: st}, st.Lag()
-}
-
-// liveCluster is a live cluster's write half.
-type liveCluster struct{ *ingest.Cluster }
-
-func (c liveCluster) ingestStats() (ingest.ClusterStats, uint64) {
-	st := c.Stats()
-	return st, st.Lag()
+	Stats() ingest.ClusterStats
 }
 
 // New wraps a single engine, served as a one-shard cluster. The engine
@@ -113,18 +95,14 @@ func New(engine *core.Engine) *Server { return NewCluster(cluster.OfEngine(engin
 // server.
 func NewCluster(cl *cluster.Cluster) *Server { return newServer(frozen{cl}, nil, 0) }
 
-// NewLive wraps a live single-node ingestion engine: /search serves
-// snapshot-isolated reads through the delta, POST /ingest accepts
-// mutations, and /healthz degrades when merge lag exceeds freshness
-// (0 = no check). The engine must outlive the server; the caller owns
-// Close (which drains in-flight background merges).
-func NewLive(e *ingest.Engine, freshness int) *Server {
-	return newServer(e, liveEngine{e}, freshness)
-}
-
-// NewLiveCluster wraps a live sharded ingestion layer; see NewLive.
-func NewLiveCluster(c *ingest.Cluster, freshness int) *Server {
-	return newServer(c, liveCluster{c}, freshness)
+// NewLive wraps a live ingestion cluster — at one shard, the single-node
+// live engine: /search serves snapshot-isolated reads through the
+// deltas, POST /ingest accepts mutations, and /healthz degrades when
+// merge lag exceeds freshness (0 = no check). The cluster must outlive
+// the server; the caller owns Close (which drains in-flight background
+// merges).
+func NewLive(c *ingest.Cluster, freshness int) *Server {
+	return newServer(c, c, freshness)
 }
 
 func newServer(read reader, writer liveWriter, freshness int) *Server {
@@ -589,10 +567,11 @@ type StatsResponse struct {
 }
 
 // IngestStatsJSON reports the live layer: writer generation, merge lag
-// (the /healthz freshness signal), mutation/merge counters, and the
-// simulated time merges spent contending with queries on the shared
-// device and CPU timelines. Cluster-only fields (shards, rebuilds,
-// splits, per-shard breakdowns) are omitted on single-node servers.
+// (the records pending in deltas, the /healthz freshness signal),
+// mutation/merge counters, the simulated time merges spent contending
+// with queries on the shared device and CPU timelines, and the topology
+// with its per-shard breakdowns — one shard on a single-node server.
+// Rebuilds and splits are omitted while zero.
 type IngestStatsJSON struct {
 	Gen        uint64 `json:"gen"`
 	Lag        uint64 `json:"lag"`
@@ -613,12 +592,12 @@ type IngestStatsJSON struct {
 	// FreshnessThreshold is the merge-lag bound past which /healthz
 	// reports degraded (0 = no check).
 	FreshnessThreshold int   `json:"freshness_threshold,omitempty"`
-	Shards             int   `json:"shards,omitempty"`
-	LiveDocs           int   `json:"live_docs,omitempty"`
+	Shards             int   `json:"shards"`
+	LiveDocs           int   `json:"live_docs"`
 	Rebuilds           int64 `json:"rebuilds,omitempty"`
 	Splits             int64 `json:"splits,omitempty"`
-	ShardDocs          []int `json:"shard_docs,omitempty"`
-	ShardDelta         []int `json:"shard_delta,omitempty"`
+	ShardDocs          []int `json:"shard_docs"`
+	ShardDelta         []int `json:"shard_delta"`
 	// WAL is the durability block (write-ahead log counters plus the
 	// last recovery's accounting); omitted when the backend runs without
 	// a WAL, so in-memory /statz output stays byte-identical.
@@ -756,12 +735,11 @@ func deviceJSON(st gpu.RuntimeStats) DeviceStatsJSON {
 	}
 }
 
-// ingestJSON is the /statz ingest block of either live backend; a
-// cluster's carries its topology fields, an engine's leaves them empty.
+// ingestJSON is the /statz ingest block of a live backend.
 func (s *Server) ingestJSON() *IngestStatsJSON {
-	st, lag := s.writer.ingestStats()
+	st := s.writer.Stats()
 	return &IngestStatsJSON{
-		Gen: st.Gen, Lag: lag,
+		Gen: st.Gen, Lag: st.Lag(),
 		DeltaDocs: st.DeltaDocs, Tombstones: st.Tombstones,
 		Adds: st.Adds, Updates: st.Updates, Deletes: st.Deletes,
 		Accepted: s.ingested.Load(),

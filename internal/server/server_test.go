@@ -115,7 +115,9 @@ func backends(t *testing.T) []backend {
 		{"New", 1, 1, New(e)},
 		{"NewCluster", 2, 2, newTestClusterServer(t, 2, 2, 0)},
 		{"NewLive", 1, 1, NewLive(live, 0)},
-		{"NewLiveCluster", 2, 1, NewLiveCluster(lc, 0)},
+		// NewLive over a 2-shard live cluster; the row keeps the name of
+		// the constructor NewLive absorbed.
+		{"NewLiveCluster", 2, 1, NewLive(lc, 0)},
 	}
 }
 
