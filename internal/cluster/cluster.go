@@ -43,6 +43,9 @@ import (
 // failed query instead of aborting the run.
 var ErrAllShardsFailed = errors.New("cluster: all shards failed")
 
+// errClosed fails a sub-query that reaches a replica after Close.
+var errClosed = errors.New("cluster: closed")
+
 // DefaultRetryBackoff is the modeled delay charged before a sibling
 // retry.
 const DefaultRetryBackoff = 200 * time.Microsecond

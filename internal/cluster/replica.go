@@ -89,13 +89,19 @@ func newReplica(eng *core.Engine, site string, breaker *fault.Breaker, inj *faul
 // Sub-queries go through acquire instead.
 func (r *replica) engine() *core.Engine { return r.cur.Load().eng }
 
-// acquire pins the current engine incarnation for one sub-query.
+// acquire pins the current engine incarnation for one sub-query; nil
+// once the replica is closed.
 func (r *replica) acquire() *engineRef {
 	for {
 		er := r.cur.Load()
 		if er.refs.Add(1) <= 1 {
-			// Fully drained already (swapped out): undo and retry.
+			// Fully drained already: undo, and retry if it was swapped
+			// out — a swap publishes the successor before it drains the
+			// predecessor, so a drained current one was closed.
 			er.refs.Add(-1)
+			if r.cur.Load() == er {
+				return nil
+			}
 			continue
 		}
 		if r.cur.Load() == er {
@@ -164,6 +170,10 @@ func (r *replica) search(ctx context.Context, req core.Request) (*core.Result, e
 	defer r.inflight.Add(-1)
 	r.served.Add(1)
 	er := r.acquire()
+	if er == nil {
+		// A straggler of a query that returned before the cluster closed.
+		return nil, errClosed
+	}
 	defer er.release()
 	return er.eng.Query(ctx, req)
 }

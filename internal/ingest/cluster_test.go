@@ -3,11 +3,8 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
@@ -15,8 +12,6 @@ import (
 	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
-
-func clusterBits(r *ClusterResult) []docBits { return bitsOf(r.Result) }
 
 // TestClusterQuiescedGoldenParity: after mutations and a Quiesce
 // (rebuild), the live cluster must be indistinguishable from a cluster
@@ -86,21 +81,13 @@ func TestClusterQuiescedGoldenParity(t *testing.T) {
 // and each shard's execution record.
 func clusterGolden(r *cluster.Result) string {
 	s := fmt.Sprintf("docs=%v lat=%v max=%v merge=%v",
-		docBitsOf(r), r.Stats.Latency, r.Stats.MaxShard, r.Stats.MergeTime)
+		bitsOf(r.Docs), r.Stats.Latency, r.Stats.MaxShard, r.Stats.MergeTime)
 	for _, sh := range r.Stats.Shards {
 		s += fmt.Sprintf(" [s%dr%d eff=%v cand=%d cpu=%v gpu=%v wait=%v mig=%v lat=%v]",
 			sh.Shard, sh.Replica, sh.Effective, sh.Query.Candidates,
 			sh.Query.CPUTime, sh.Query.GPUTime, sh.Query.GPUWait, sh.Query.Migrated, sh.Query.Latency)
 	}
 	return s
-}
-
-func docBitsOf(r *cluster.Result) []docBits {
-	out := make([]docBits, len(r.Docs))
-	for i, d := range r.Docs {
-		out[i] = docBits{DocID: d.DocID, Bits: math.Float32bits(d.Score)}
-	}
-	return out
 }
 
 // TestClusterSplit: crossing the shard-size watermark triggers a
@@ -127,7 +114,7 @@ func TestClusterSplit(t *testing.T) {
 		t.Fatalf("shards after explicit split = %d, want 3", got)
 	}
 	queries := queryLog(vocab)
-	checkLiveParity(t, c, lc, queries, "explicit-split")
+	checkOracle(t, c, lc, queries, "explicit-split")
 
 	// Now push one shard past the watermark (docIDs ≡ 0 mod 3 land on
 	// shard 0) and keep mutating until the background split lands.
@@ -138,14 +125,7 @@ func TestClusterSplit(t *testing.T) {
 		m := mutation{kind: wal.OpAdd, docID: id, tokens: genDoc(rand.New(rand.NewSource(int64(added))), vocab)}
 		apply(t, c, lc, m)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Shards == 3 {
-		if time.Now().After(deadline) {
-			st := c.Stats()
-			t.Fatalf("watermark split never fired: shards=%d docs=%v", st.Shards, st.ShardDocs)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	eventually(t, "the watermark split", func() bool { return c.Stats().Shards != 3 })
 	if got := c.Stats().Shards; got != 4 {
 		t.Fatalf("shards after watermark split = %d, want 4", got)
 	}
@@ -153,13 +133,13 @@ func TestClusterSplit(t *testing.T) {
 	if st.Splits < 1 {
 		t.Errorf("splits = %d, want >= 1", st.Splits)
 	}
-	checkLiveParity(t, c, lc, queries, "watermark-split")
+	checkOracle(t, c, lc, queries, "watermark-split")
 
 	// Routing after the split: mutations to fresh docIDs land on the new
 	// topology and stay queryable.
 	m := mutation{kind: wal.OpAdd, docID: 50_000, tokens: []string{"fresh-term", word(0), word(1)}}
 	apply(t, c, lc, m)
-	checkLiveParity(t, c, lc, queries, "post-split-ingest")
+	checkOracle(t, c, lc, queries, "post-split-ingest")
 }
 
 // TestClusterConcurrentSnapshotIsolation: concurrent mutations, shard
@@ -172,37 +152,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 	script := genScript(62, base.clone(), 30, vocab)
 	queries := [][]string{{word(0)}, {word(0), word(1)}, {word(1), word(2)}}
 
-	// expected[g][q] is the fresh-build result after the first g mutations.
-	expected := make([][][]docBits, len(script)+1)
-	{
-		lc := base.clone()
-		for g := 0; g <= len(script); g++ {
-			if g > 0 {
-				m := script[g-1]
-				if m.kind == wal.OpDelete {
-					delete(lc.docs, m.docID)
-				} else {
-					lc.docs[m.docID] = m.tokens
-				}
-			}
-			eng, err := core.New(lc.build(t, index.CodecEF), core.Config{Mode: core.CPUOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
-			expected[g] = make([][]docBits, len(queries))
-			for qi, q := range queries {
-				r, err := eng.Search(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b := bitsOf(r)
-				if len(b) > 10 {
-					b = b[:10]
-				}
-				expected[g][qi] = b
-			}
-		}
-	}
+	expected := byGen(base, script, queries)
 
 	c, err := OpenCluster(base.build(t, index.CodecEF), ClusterConfig{
 		Shards:         2,
@@ -214,73 +164,26 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // writer: script + explicit merges + one mid-life split
-		defer wg.Done()
-		defer close(stop)
+	// The writer runs the script with explicit shard merges and one
+	// mid-life split.
+	soak(t, c, 4, queries, expected, func() error {
 		for i, m := range script {
-			var err error
-			switch m.kind {
-			case wal.OpAdd:
-				err = c.Apply(wal.OpAdd, m.docID, m.tokens)
-			case wal.OpUpdate:
-				err = c.Apply(wal.OpUpdate, m.docID, m.tokens)
-			case wal.OpDelete:
-				err = c.Apply(wal.OpDelete, m.docID, nil)
-			}
-			if err != nil {
-				t.Errorf("writer step %d: %v", i, err)
-				return
+			if err := c.Apply(m.kind, m.docID, m.tokens); err != nil {
+				return fmt.Errorf("step %d: %w", i, err)
 			}
 			if (i+1)%12 == 0 {
 				if err := c.MergeShard(i % 2); err != nil {
-					t.Errorf("writer merge: %v", err)
+					return fmt.Errorf("merge: %w", err)
 				}
 			}
 			if i == len(script)/2 {
 				if err := c.Split(); err != nil {
-					t.Errorf("writer split: %v", err)
+					return fmt.Errorf("split: %w", err)
 				}
 			}
 		}
-	}()
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			var lastGen uint64
-			qi := r % len(queries)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				res, err := c.Query(context.Background(), cluster.Request{Terms: queries[qi]})
-				if err != nil {
-					t.Errorf("reader %d: %v", r, err)
-					return
-				}
-				if res.Gen < lastGen {
-					t.Errorf("reader %d: gen went backwards %d -> %d", r, lastGen, res.Gen)
-					return
-				}
-				lastGen = res.Gen
-				if res.Gen > uint64(len(script)) {
-					t.Errorf("reader %d: gen %d beyond script", r, res.Gen)
-					return
-				}
-				if got, want := clusterBits(res), expected[res.Gen][qi]; !sameDocs(got, want) {
-					t.Errorf("reader %d gen %d q%d: docs diverge\n got=%v\nwant=%v", r, res.Gen, qi, got, want)
-					return
-				}
-				qi = (qi + 1) % len(queries)
-			}
-		}(r)
-	}
-	wg.Wait()
+		return nil
+	})
 
 	if err := c.Quiesce(); err != nil {
 		t.Fatal(err)
@@ -289,7 +192,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := clusterBits(final), expected[len(script)][0]; !sameDocs(got, want) {
+	if got, want := bitsOf(final.Docs), expected[len(script)][0]; !sameDocs(got, want) {
 		t.Errorf("final quiesced: docs diverge\n got=%v\nwant=%v", got, want)
 	}
 	c.Close()

@@ -182,7 +182,7 @@ func sameValue(a, b reflect.Value) bool {
 // three compressed forms and skip pointers deep-equal but for where their
 // words lie (sameContents), and the serialized bytes equal. GlobalN is
 // left out — a shard's shared lists keep their partition-time stamp, a
-// rebuilt list has none — and so got is serialized without it, which
+// rebuilt list has none — and so both are serialized without it, which
 // WriteTo refuses to drop.
 func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 	t.Helper()
@@ -198,18 +198,19 @@ func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 	if !reflect.DeepEqual(got.Terms(), want.Terms()) {
 		t.Fatalf("%s: dictionaries diverge:\n got=%v\nwant=%v", tag, got.Terms(), want.Terms())
 	}
-	unstamped := make([]*index.PostingList, 0, want.NumTerms())
+	var gs, ws []*index.PostingList
 	for _, term := range want.Terms() {
 		gp, _ := got.Lookup(term)
 		wp, _ := want.Lookup(term)
-		g := *gp
-		g.GlobalN = 0
-		if !sameContents(&g, wp) {
+		g, w := *gp, *wp
+		g.GlobalN, w.GlobalN = 0, 0
+		if !sameContents(&g, &w) {
 			t.Errorf("%s: term %q (N %d, want %d) is not the list a rebuild encodes", tag, term, gp.N, wp.N)
 		}
-		unstamped = append(unstamped, &g)
+		gs, ws = append(gs, &g), append(ws, &w)
 	}
-	got = index.Assemble(unstamped, got.NumDocs, got.DocLens, got.AvgDocLen)
+	got = index.Assemble(gs, got.NumDocs, got.DocLens, got.AvgDocLen)
+	want = index.Assemble(ws, want.NumDocs, want.DocLens, want.AvgDocLen)
 	if !bytes.Equal(serialized(t, got), serialized(t, want)) {
 		t.Errorf("%s: serialized bytes diverge", tag)
 	}
@@ -278,8 +279,8 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec
 // block boundary; "rare" is in documents 10 and 20 only.
 const spliceMaxDoc = 1398
 
-func spliceCorpus() *logicalCorpus {
-	c := newLogicalCorpus()
+func spliceCorpus() *oracle {
+	c := newOracle()
 	for i := 0; i < 700; i++ {
 		toks := []string{"big", word(i % 5), word(i % 5)}
 		for _, n := range []int{127, 128, 129} {

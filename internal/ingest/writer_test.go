@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -21,119 +20,6 @@ func running(w *writer) corpusStats {
 	return w.stats
 }
 
-// modelStats is the brute-force reference: a scan of the live documents.
-func modelStats(c *logicalCorpus) corpusStats {
-	var s corpusStats
-	for id, toks := range c.docs {
-		s.numDocs = max(s.numDocs, int(id)+1)
-		s.lenSum += uint64(len(toks))
-		s.lenCnt++
-	}
-	return s
-}
-
-// The running aggregates equal a scan of the live documents after every
-// mutation, merge and recovery of a long seeded history that leans on the
-// cases arithmetic alone gets wrong: the top document dying (over a merged
-// tombstone, over page-sized docID gaps, several in a row), a live
-// document's length being replaced, and a WAL suffix replayed over a
-// checkpoint.
-func TestRunningStatsMatchLiveScan(t *testing.T) {
-	base := seedCorpus(41, 30, 12)
-	for name, shards := range map[string]int{"engine": 1, "cluster": 2} {
-		t.Run(name, func(t *testing.T) {
-			lc := base.clone()
-			seed := lc.build(t, index.CodecEF)
-			cfg := ClusterConfig{
-				Shards: shards, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}}, WALDir: t.TempDir(),
-			}
-			open := func() *Cluster {
-				t.Helper()
-				c, err := OpenCluster(seed, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}
-			c := open()
-			defer func() { c.Close() }()
-			r := rand.New(rand.NewSource(42))
-			check := func(tag string) {
-				t.Helper()
-				if got, want := running(&c.writer), modelStats(lc); got != want {
-					t.Fatalf("%s: running aggregates %+v, a scan of the live documents gives %+v", tag, got, want)
-				}
-			}
-			check("seed")
-			for step := 1; step <= 2000; step++ {
-				live := make([]uint32, 0, len(lc.docs))
-				for id := range lc.docs {
-					live = append(live, id)
-				}
-				sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-				top := uint32(0)
-				if len(live) > 0 {
-					top = live[len(live)-1]
-				}
-				// One in three adds leaves a gap below it, up to three
-				// length-table pages wide; half the deletes and a third of
-				// the updates hit the current top document.
-				op, id := wal.OpAdd, top+1
-				switch k := r.Intn(10); {
-				case len(live) == 0 || (k < 4 && len(live) < 120):
-					if r.Intn(3) == 0 {
-						id += uint32(r.Intn(3 << index.DocLenShift))
-					}
-				case k < 7:
-					op, id = wal.OpUpdate, live[r.Intn(len(live))]
-					if r.Intn(3) == 0 {
-						id = top
-					}
-				default:
-					op, id = wal.OpDelete, live[r.Intn(len(live))]
-					if r.Intn(2) == 0 {
-						id = top
-					}
-				}
-				var doc []string
-				if op == wal.OpDelete {
-					delete(lc.docs, id)
-				} else {
-					doc = genDoc(r, 12)
-					lc.docs[id] = doc
-				}
-				if err := c.Apply(op, id, doc); err != nil {
-					t.Fatalf("step %d %s doc %d: %v", step, op, id, err)
-				}
-				check(fmt.Sprintf("step %d %s doc %d", step, op, id))
-
-				switch {
-				case step%400 == 0:
-					// The checkpoint ten steps back covers part of the
-					// history; the rest is replayed record by record.
-					c.Crash()
-					c = open()
-					check(fmt.Sprintf("step %d reopen", step))
-				case step%400 == 390:
-					if err := c.Checkpoint(); err != nil {
-						t.Fatalf("step %d checkpoint: %v", step, err)
-					}
-				case step%50 == 0:
-					if err := c.MergeShard(step / 50 % shards); err != nil {
-						t.Fatalf("step %d merge: %v", step, err)
-					}
-					check(fmt.Sprintf("step %d merge", step))
-					// A merge at one shard stamps exact statistics; one shard
-					// of several is stamped best effort.
-					if got := segment(c, 0).NumDocs; shards == 1 && got != modelStats(lc).numDocs {
-						t.Fatalf("step %d: merged segment NumDocs %d, want %d", step, got, modelStats(lc).numDocs)
-					}
-				}
-			}
-		})
-	}
-}
-
 // A docID four billion above the corpus, merged and then deleted: the one
 // descent that finds the new top document crosses the gap a shared page
 // at a time, and nothing afterwards depends on the gap at all. (Before
@@ -141,7 +27,7 @@ func TestRunningStatsMatchLiveScan(t *testing.T) {
 // the gap docID by docID: seconds per query, under the writer lock.)
 func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 	const top = 4_000_000_000
-	lc := newLogicalCorpus()
+	lc := newOracle()
 	lc.docs[0] = []string{"a", "b"}
 	lc.docs[1] = []string{"a", "c", "c"}
 	for name, shards := range map[string]int{"engine": 1, "cluster": 2} {
@@ -170,18 +56,8 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 			must(c.Add(5, []string{"a", "d"}))
 			final := lc.clone()
 			final.docs[5] = []string{"a", "d"}
-			r, err := c.Search([]string{"a"})
-			must(err)
-			got := bitsOf(r.Result)
-
+			checkOracle(t, c, final, [][]string{{"a"}}, "after the delete")
 			fresh := final.build(t, index.CodecEF)
-			eng, err := core.New(fresh, core.Config{Mode: core.CPUOnly})
-			must(err)
-			want, err := eng.Search([]string{"a"})
-			must(err)
-			if !sameDocs(got, bitsOf(want)) {
-				t.Errorf("results diverge from a fresh build:\n got=%v\nwant=%v", got, bitsOf(want))
-			}
 			if st, scan := running(&c.writer), statsOf(fresh.DocLens); st != scan || st.numDocs != fresh.NumDocs {
 				t.Errorf("running aggregates %+v, a fresh build has %+v (NumDocs %d)", st, scan, fresh.NumDocs)
 			}
@@ -211,7 +87,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 // per mutation whether a checkpoint is running or not.
 func TestAcceptedStartsDueWorkOnce(t *testing.T) {
 	var w writer
-	if _, _, err := w.open(newLogicalCorpus().build(t, index.CodecEF), Config{
+	if _, _, err := w.open(newOracle().build(t, index.CodecEF), Config{
 		AutoMerge: true, MergeThreshold: 3, CheckpointEvery: 2, WALDir: t.TempDir(),
 	}, 1); err != nil {
 		t.Fatal(err)

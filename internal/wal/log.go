@@ -120,6 +120,33 @@ func openLog(path string, lineage uint64, site string, in *fault.Injector, syncE
 	return l, recs, truncated, nil
 }
 
+// cutFrom truncates a log just opened before the first of recs — its
+// records in log order, as openLog returned them — whose generation is at
+// or past gen. A log's generations ascend, so what remains is exactly its
+// records below gen.
+func (l *Log) cutFrom(recs []Record, gen uint64) error {
+	end := int64(logHeaderSize)
+	var buf []byte
+	for _, r := range recs {
+		if r.Gen >= gen {
+			if err := l.f.Truncate(end); err != nil {
+				return err
+			}
+			if err := l.f.Sync(); err != nil {
+				return err
+			}
+			if _, err := l.f.Seek(end, 0); err != nil {
+				return err
+			}
+			l.fileLen, l.syncedLen = end, end
+			return nil
+		}
+		buf = appendFrame(buf[:0], r)
+		end += int64(len(buf))
+	}
+	return nil
+}
+
 func readAll(f *os.File) ([]byte, error) {
 	st, err := f.Stat()
 	if err != nil {

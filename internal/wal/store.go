@@ -253,6 +253,7 @@ func (s *Store) recover(mf manifest) (*Recovered, error) {
 	s.lineage = mf.lineage
 	rec := Recovered{Lineage: mf.lineage, Shards: mf.shards}
 	var all []Record
+	perLog := make([][]Record, mf.shards)
 	for i := 0; i < mf.shards; i++ {
 		l, recs, truncated, err := openLog(s.logPath(i), mf.lineage,
 			s.opts.shardSite(i, mf.shards), s.opts.Fault, s.opts.SyncEvery)
@@ -260,6 +261,7 @@ func (s *Store) recover(mf manifest) (*Recovered, error) {
 			return nil, err
 		}
 		s.logs = append(s.logs, l)
+		perLog[i] = recs
 		all = append(all, recs...)
 		rec.TruncatedBytes += truncated
 	}
@@ -284,6 +286,16 @@ func (s *Store) recover(mf manifest) (*Recovered, error) {
 		}
 		rec.Records = append(rec.Records, r)
 		next++
+	}
+	// The dropped records stay dropped: the generations they carry are
+	// handed out again from next on, so each log is cut before its first
+	// record at or past next, lest a later recovery stitch it in.
+	if rec.DroppedRecords > 0 {
+		for i, l := range s.logs {
+			if err := l.cutFrom(perLog[i], next); err != nil {
+				return nil, err
+			}
+		}
 	}
 	s.checkpointGen = wm
 	s.recovered = rec
