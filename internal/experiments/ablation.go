@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/core"
@@ -29,14 +28,14 @@ type AblationResult struct {
 	BestCrossover float64
 }
 
-// RunCrossoverAblation evaluates Griffin under thresholds 16..1024.
-func RunCrossoverAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (AblationResult, *Table, error) {
+// runCrossoverAblation evaluates Griffin under thresholds 16..1024.
+func runCrossoverAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (AblationResult, *Table, error) {
 	var res AblationResult
 	t := &Table{
-		Title:  "Ablation: scheduler crossover threshold (mean query ms)",
-		Header: []string{"crossover", "mean latency"},
-		Notes:  []string{"paper's choice: 128 (= compression block size)"},
+		Title:   "Ablation: scheduler crossover threshold (mean query ms)",
+		Columns: []Column{count("crossover"), msec("mean latency")},
 	}
+	t.note("paper's choice: 128 (= compression block size)")
 	// Trim the log for the sweep: each threshold runs the full pipeline.
 	sample := termsOf(queries, cfg.scaled(300, 60))
 
@@ -60,9 +59,9 @@ func RunCrossoverAblation(cfg Config, c *workload.Corpus, queries []workload.Que
 			best = mean
 			res.BestCrossover = crossover
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%.0f", crossover), ms(mean)})
+		t.row(crossover, mean)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("measured best: %.0f", res.BestCrossover))
+	t.note("measured best: {}", count("best crossover").of(res.BestCrossover))
 	return res, t, nil
 }
 
@@ -74,8 +73,8 @@ type PolicyAblationResult struct {
 	CostMean  time.Duration
 }
 
-// RunPolicyAblation evaluates both scheduling policies over the query log.
-func RunPolicyAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (PolicyAblationResult, *Table, error) {
+// runPolicyAblation evaluates both scheduling policies over the query log.
+func runPolicyAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (PolicyAblationResult, *Table, error) {
 	var res PolicyAblationResult
 	sample := termsOf(queries, cfg.scaled(300, 60))
 
@@ -99,16 +98,12 @@ func RunPolicyAblation(cfg Config, c *workload.Corpus, queries []workload.Query)
 		return res, nil, err
 	}
 	t := &Table{
-		Title:  "Ablation: ratio-threshold vs cost-model scheduling (mean query ms)",
-		Header: []string{"policy", "mean latency"},
-		Rows: [][]string{
-			{"ratio 128 (paper)", ms(res.RatioMean)},
-			{"cost model", ms(res.CostMean)},
-		},
-		Notes: []string{
-			"the ratio rule proxies the cost comparison; the explicit estimator also keeps tiny lists off the GPU",
-		},
+		Title:   "Ablation: ratio-threshold vs cost-model scheduling (mean query ms)",
+		Columns: []Column{label("policy"), msec("mean latency")},
 	}
+	t.row("ratio 128 (paper)", res.RatioMean)
+	t.row("cost model", res.CostMean)
+	t.note("the ratio rule proxies the cost comparison; the explicit estimator also keeps tiny lists off the GPU")
 	return res, t, nil
 }
 
@@ -119,8 +114,8 @@ type MigrationAblationResult struct {
 	NonStickyMean time.Duration
 }
 
-// RunMigrationAblation quantifies the sticky-migration design choice.
-func RunMigrationAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (MigrationAblationResult, *Table, error) {
+// runMigrationAblation quantifies the sticky-migration design choice.
+func runMigrationAblation(cfg Config, c *workload.Corpus, queries []workload.Query) (MigrationAblationResult, *Table, error) {
 	var res MigrationAblationResult
 	sample := termsOf(queries, cfg.scaled(300, 60))
 
@@ -144,15 +139,11 @@ func RunMigrationAblation(cfg Config, c *workload.Corpus, queries []workload.Que
 		return res, nil, err
 	}
 	t := &Table{
-		Title:  "Ablation: sticky vs re-evaluating migration (mean query ms)",
-		Header: []string{"policy", "mean latency"},
-		Rows: [][]string{
-			{"sticky (paper)", ms(res.StickyMean)},
-			{"re-evaluate each op", ms(res.NonStickyMean)},
-		},
-		Notes: []string{
-			"ratios only grow as SvS progresses, so sticky loses little and saves transfers",
-		},
+		Title:   "Ablation: sticky vs re-evaluating migration (mean query ms)",
+		Columns: []Column{label("policy"), msec("mean latency")},
 	}
+	t.row("sticky (paper)", res.StickyMean)
+	t.row("re-evaluate each op", res.NonStickyMean)
+	t.note("ratios only grow as SvS progresses, so sticky loses little and saves transfers")
 	return res, t, nil
 }

@@ -6,11 +6,11 @@ import (
 
 func TestPolicyAblationShape(t *testing.T) {
 	cfg, c, queries := extensionFixtures(t)
-	res, table, err := RunPolicyAblation(cfg, c, queries)
+	res, table, err := runPolicyAblation(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if res.RatioMean <= 0 || res.CostMean <= 0 {
 		t.Fatalf("zero latencies: %+v", res)
 	}
@@ -26,19 +26,9 @@ func TestPolicyAblationShape(t *testing.T) {
 	}
 }
 
-func TestTableCSVAndSlug(t *testing.T) {
-	table := &Table{
-		Title:  "Figure 99: Something, with commas",
-		Header: []string{"a", "b,c"},
-		Rows:   [][]string{{"1", "x\"y"}},
-		Notes:  []string{"note"},
-	}
-	csv := table.CSV()
-	want := "a,\"b,c\"\n1,\"x\"\"y\"\n# note\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
-	}
-	if got := table.Slug(); got != "figure_99" {
+func TestTableSlug(t *testing.T) {
+	table := &Table{Title: "Figure 99: Something, with commas"}
+	if got := table.slug(); got != "figure_99" {
 		t.Fatalf("Slug = %q", got)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/cluster"
@@ -69,17 +68,10 @@ type BatchSweepResult struct {
 	Points []BatchSweepPoint
 }
 
-// RunBatchSweep measures the batching stage's saturated-throughput win
+// runBatchSweep measures the batching stage's saturated-throughput win
 // and isolated-latency neutrality across shard counts.
-func RunBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
-	window := cfg.BatchWindow
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
-	max := cfg.BatchMax
-	if max <= 0 {
-		max = gpu.DefaultBatchMax
-	}
+func runBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
+	const window, max = 2 * time.Millisecond, gpu.DefaultBatchMax
 
 	c, queries, err := studyCorpus(cfg, shardSweepShape)
 	if err != nil {
@@ -112,17 +104,17 @@ func RunBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
 	res := BatchSweepResult{Window: window, Max: max}
 	t := &Table{
 		Title: "Extension: cross-query batching sweep (saturated scatter-gather)",
-		Header: []string{"shards", "iso off", "iso on", "thr off (q/s)", "thr on (q/s)",
-			"gain", "mean batch", "saved/query", "win flush", "size flush"},
-		Notes: []string{
-			fmt.Sprintf("batching-on arm: window %v, max %d members; batching-off arm is the PR 6 submission path bit for bit", window, max),
-			"isolated columns: contention-free sequential queries — nothing concurrent to coalesce with, so batching is latency-neutral",
-			"saturated columns: common Poisson load far past the 1-shard drain rate; throughput = completed/makespan",
-			"gain = thr on / thr off: batching refunds the fixed per-op costs (launch, DMA setup, cudaMalloc) all but one batch member would repeat",
-			"mean batch and saved/query aggregate every replica device's BatchStats over the saturated batching-on pass",
-			"results are byte-identical across both arms — batching moves only the simulated timeline",
-		},
+		Columns: []Column{count("shards"), msec("iso off"), msec("iso on"), perSecond("thr off (q/s)", "q/s"),
+			perSecond("thr on (q/s)", "q/s"), times("gain", 2), Column{Name: "mean batch", Clock: Count, Prec: 1},
+			msec("saved/query"), count("win flush"), count("size flush")},
 	}
+	t.note("batching-on arm: window {}ms, max {} members; batching-off arm is the unbatched submission path bit for bit",
+		Column{Name: "window", Unit: "ms", Clock: Count}.of(window), count("max members").of(max))
+	t.note("isolated columns: contention-free sequential queries — nothing concurrent to coalesce with, so batching is latency-neutral")
+	t.note("saturated columns: common Poisson load far past the 1-shard drain rate; throughput = completed/makespan")
+	t.note("gain = thr on / thr off: batching refunds the fixed per-op costs (launch, DMA setup, cudaMalloc) all but one batch member would repeat")
+	t.note("mean batch and saved/query aggregate every replica device's BatchStats over the saturated batching-on pass")
+	t.note("results are byte-identical across both arms — batching moves only the simulated timeline")
 
 	var rate float64
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -171,17 +163,8 @@ func RunBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
 		p.Gain = p.ThroughputOn / p.ThroughputOff
 
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", shards),
-			ms(p.IsolatedOff), ms(p.IsolatedOn),
-			fmt.Sprintf("%.0f", p.ThroughputOff),
-			fmt.Sprintf("%.0f", p.ThroughputOn),
-			fmt.Sprintf("%.2fx", p.Gain),
-			fmt.Sprintf("%.1f", p.MeanBatch),
-			ms(p.SavedPerQuery),
-			fmt.Sprintf("%d", p.WindowFlushes),
-			fmt.Sprintf("%d", p.SizeFlushes),
-		})
+		t.row(shards, p.IsolatedOff, p.IsolatedOn, p.ThroughputOff, p.ThroughputOn,
+			p.Gain, p.MeanBatch, p.SavedPerQuery, p.WindowFlushes, p.SizeFlushes)
 	}
 	return res, t, nil
 }

@@ -11,11 +11,11 @@ import "testing"
 func TestBatchSweepShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.05
-	res, table, err := RunBatchSweep(cfg)
+	res, table, err := runBatchSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}

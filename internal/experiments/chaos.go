@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/cluster"
@@ -48,7 +47,7 @@ type ChaosSweepResult struct {
 	Points []ChaosPoint
 }
 
-// RunChaosSweep measures availability (fraction of queries answered
+// runChaosSweep measures availability (fraction of queries answered
 // completely) and tail latency against injected fault rate on a 4-shard,
 // 2-replica hybrid cluster. Each rate runs twice over the identical
 // fault plan: hardened (CPU fallback + sibling retry + breakers +
@@ -56,7 +55,7 @@ type ChaosSweepResult struct {
 // between the availability columns is exactly what the robustness layer
 // buys. Everything is seeded: the same Config reproduces the same fault
 // log, availability, and latency table bit for bit.
-func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
+func runChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 	c, queries, err := studyCorpus(cfg, chaosShape)
 	if err != nil {
 		return ChaosSweepResult{}, nil, err
@@ -106,17 +105,16 @@ func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 	res := ChaosSweepResult{Rate: rate}
 	t := &Table{
 		Title: "Extension: chaos sweep (availability and tail latency vs injected fault rate)",
-		Header: []string{"fault rate", "avail", "avail (brittle)", "mean", "P99", "P99 (brittle)",
-			"retries", "hedges", "fallbacks", "failed"},
-		Notes: []string{
-			"4 shards x 2 replicas, hybrid engines; identical seeded fault plan for both columns of each row",
-			"fault mix per base rate r: kernel-launch r, transfer r, device-reset r/4 (2ms window), engine-error r/2, shard-stall r (3ms)",
-			"hardened: CPU fallback on device faults + sibling retry + circuit breakers + hedged requests",
-			"brittle: all self-healing disabled — device faults and engine errors surface as lost shards",
-			"availability = fraction of queries answered completely (neither failed nor degraded)",
-			fmt.Sprintf("offered load %.0f q/s (half the clean drain rate); hedge delay %s ms", rate, ms(hedge)),
-		},
+		Columns: []Column{pct("fault rate", 0), pct("avail", 2), pct("avail (brittle)", 2), msec("mean"), msec("P99"),
+			msec("P99 (brittle)"), count("retries"), count("hedges"), count("fallbacks"), count("failed")},
 	}
+	t.note("4 shards x 2 replicas, hybrid engines; identical seeded fault plan for both columns of each row")
+	t.note("fault mix per base rate r: kernel-launch r, transfer r, device-reset r/4 (2ms window), engine-error r/2, shard-stall r (3ms)")
+	t.note("hardened: CPU fallback on device faults + sibling retry + circuit breakers + hedged requests")
+	t.note("brittle: all self-healing disabled — device faults and engine errors surface as lost shards")
+	t.note("availability = fraction of queries answered completely (neither failed nor degraded)")
+	t.note("offered load {} q/s (half the clean drain rate); hedge delay {} ms",
+		perSecond("offered load", "q/s").of(rate), msec("hedge delay").of(hedge))
 
 	for i, fr := range []float64{0, 0.02, 0.05, 0.10} {
 		seed := cfg.Seed*7919 + int64(i+1)
@@ -155,16 +153,8 @@ func RunChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 			BrittleP99:          brittle.Latencies.Percentile(99),
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f%%", fr*100),
-			fmt.Sprintf("%.2f%%", p.Availability*100),
-			fmt.Sprintf("%.2f%%", p.BrittleAvailability*100),
-			ms(p.Mean), ms(p.P99), ms(p.BrittleP99),
-			fmt.Sprintf("%d", p.Retries),
-			fmt.Sprintf("%d", p.Hedges),
-			fmt.Sprintf("%d", p.Fallbacks),
-			fmt.Sprintf("%d", p.Failed),
-		})
+		t.row(fr*100, p.Availability*100, p.BrittleAvailability*100, p.Mean, p.P99, p.BrittleP99,
+			p.Retries, p.Hedges, p.Fallbacks, p.Failed)
 	}
 	return res, t, nil
 }

@@ -2,7 +2,40 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+)
+
+// sweepRun is one sweep at the test scale, run once per test binary: the
+// sweep's shape test reads it and its determinism test runs the sweep a
+// second time against it.
+type sweepRun[R any] struct {
+	cfg   Config
+	res   R
+	table *Table
+	err   error
+}
+
+func onceAtTestScale[R any](run func(Config) (R, *Table, error)) func(*testing.T) sweepRun[R] {
+	once := sync.OnceValue(func() sweepRun[R] {
+		cfg := testConfig()
+		cfg.Scale = 0.05
+		res, table, err := run(cfg)
+		return sweepRun[R]{cfg, res, table, err}
+	})
+	return func(t *testing.T) sweepRun[R] {
+		t.Helper()
+		r := once()
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r
+	}
+}
+
+var (
+	chaosSweep    = onceAtTestScale(runChaosSweep)
+	overloadSweep = onceAtTestScale(runOverloadSweep)
 )
 
 // TestChaosSweepShape is the chaos study's assertion set: under the fixed
@@ -11,13 +44,9 @@ import (
 // counters must move once faults flow, and the fault-free row must be
 // perfectly available with zero healing actions.
 func TestChaosSweepShape(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scale = 0.05
-	res, table, err := RunChaosSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, table)
+	run := chaosSweep(t)
+	res, table := run.res, run.table
+	checkGolden(t, run.cfg, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}
@@ -69,20 +98,15 @@ func TestChaosSweepShape(t *testing.T) {
 // TestChaosSweepDeterministic pins the acceptance criterion: the same
 // Config reproduces the identical availability and latency table.
 func TestChaosSweepDeterministic(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scale = 0.05
-	r1, t1, err := RunChaosSweep(cfg)
+	run := chaosSweep(t)
+	r2, t2, err := runChaosSweep(run.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, t2, err := RunChaosSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(run.res, r2) {
+		t.Fatalf("chaos sweep results differ across identical configs:\n%+v\n%+v", run.res, r2)
 	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Fatalf("chaos sweep results differ across identical configs:\n%+v\n%+v", r1, r2)
-	}
-	if !reflect.DeepEqual(t1.Rows, t2.Rows) {
+	if !reflect.DeepEqual(run.table.Rows, t2.Rows) {
 		t.Fatal("chaos sweep tables differ across identical configs")
 	}
 }

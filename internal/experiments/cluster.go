@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/cluster"
@@ -59,9 +58,9 @@ type ShardSweepResult struct {
 	Points []ShardSweepPoint
 }
 
-// RunShardSweep measures contention-free latency and saturated
+// runShardSweep measures contention-free latency and saturated
 // throughput against shard count.
-func RunShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
+func runShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
 	c, queries, err := studyCorpus(cfg, shardSweepShape)
 	if err != nil {
 		return ShardSweepResult{}, nil, err
@@ -83,16 +82,14 @@ func RunShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
 	res := ShardSweepResult{}
 	t := &Table{
 		Title: "Extension: shard-count sweep (scatter-gather scaling)",
-		Header: []string{"shards", "isolated mean", "throughput (q/s)", "speedup",
-			"sat. mean", "sat. P99", "max-shard mean", "merge mean", "hottest util"},
-		Notes: []string{
-			"each shard is a full engine with a private simulated device; queries scatter to all shards and gather-merge",
-			"isolated mean: contention-free critical path (max over shards + merge) — shrinks with shards as lists split ~1/N",
-			"saturated columns: Poisson load far past the 1-shard drain rate; throughput = completed/makespan",
-			"throughput grows monotonically but sublinearly: fixed per-kernel costs repeat on every shard",
-			"per-query results are byte-identical across shard counts (global statistics preserved by the partitioner)",
-		},
+		Columns: []Column{count("shards"), msec("isolated mean"), perSecond("throughput (q/s)", "q/s"), times("speedup", 2),
+			msec("sat. mean"), msec("sat. P99"), msec("max-shard mean"), msec("merge mean"), util("hottest util")},
 	}
+	t.note("each shard is a full engine with a private simulated device; queries scatter to all shards and gather-merge")
+	t.note("isolated mean: contention-free critical path (max over shards + merge) — shrinks with shards as lists split ~1/N")
+	t.note("saturated columns: Poisson load far past the 1-shard drain rate; throughput = completed/makespan")
+	t.note("throughput grows monotonically but sublinearly: fixed per-kernel costs repeat on every shard")
+	t.note("per-query results are byte-identical across shard counts (global statistics preserved by the partitioner)")
 
 	var rate, base float64
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -136,14 +133,8 @@ func RunShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
 			base = p.Throughput
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", shards),
-			ms(p.IsolatedMean),
-			fmt.Sprintf("%.0f", p.Throughput),
-			fmt.Sprintf("%.2fx", p.Throughput/base),
-			ms(p.Mean), ms(p.P99), ms(p.MaxShardMean), ms(p.MergeMean),
-			fmt.Sprintf("%.2f", p.Utilization),
-		})
+		t.row(shards, p.IsolatedMean, p.Throughput, p.Throughput/base,
+			p.Mean, p.P99, p.MaxShardMean, p.MergeMean, p.Utilization)
 	}
 	return res, t, nil
 }

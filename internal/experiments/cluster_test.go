@@ -8,11 +8,11 @@ import (
 func TestShardSweepScalingShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.05
-	res, table, err := RunShardSweep(cfg)
+	res, table, err := runShardSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"os"
 	"time"
 
@@ -58,7 +57,7 @@ type CrashSweepResult struct {
 	Points    []CrashSweepPoint
 }
 
-// RunCrashSweep measures acknowledged-write survival and recovery time
+// runCrashSweep measures acknowledged-write survival and recovery time
 // against checkpoint interval on a durable live engine (recorded in
 // testdata/extension_crash-recovery_sweep.json; go test -update rewrites
 // it). Every trial crashes at a seeded point in the same
@@ -68,7 +67,7 @@ type CrashSweepResult struct {
 // ack barrier is the invariant under test), and deferred sync, whose
 // survival is whatever the last checkpoint covered — the cost of
 // trading the sync tail away.
-func RunCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
+func runCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
 	c, queries, err := studyCorpus(cfg, crashShape)
 	if err != nil {
 		return CrashSweepResult{}, nil, err
@@ -81,16 +80,16 @@ func RunCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
 	res := CrashSweepResult{Mutations: mutCount}
 	t := &Table{
 		Title: "Extension: crash-recovery sweep (acknowledged-write survival vs checkpoint interval)",
-		Header: []string{"ckpt every", "trials", "survival", "survival (deferred sync)",
-			"mean recovery", "mean replay", "ckpts", "torn trials", "torn bytes"},
-		Notes: []string{
-			fmt.Sprintf("%d-mutation script, %d seeded crash points per cadence; odd trials crash through an injected torn append", mutCount, trials),
-			"survival = recovered generations / acknowledged mutations, totaled across trials",
-			"sync arm (-wal-sync 1) must read 100.00% at every cadence: acknowledged means synced, so no crash point may lose a write",
-			"deferred arm (-wal-sync -1, fault-free) syncs only at checkpoints: survival is the checkpoint-covered prefix — rises with cadence",
-			"mean recovery is wall-clock Open() on the crashed directory; mean replay the WAL suffix past the newest usable checkpoint",
-		},
+		Columns: []Column{count("ckpt every"), count("trials"), pct("survival", 2), pct("survival (deferred sync)", 2),
+			Column{Name: "mean recovery", Unit: "ms", Clock: Wall, Prec: 3}, Column{Name: "mean replay", Clock: Count, Prec: 1},
+			count("ckpts"), count("torn trials"), count("torn bytes")},
 	}
+	t.note("{}-mutation script, {} seeded crash points per cadence; odd trials crash through an injected torn append",
+		count("mutations").of(mutCount), count("trials").of(trials))
+	t.note("survival = recovered generations / acknowledged mutations, totaled across trials")
+	t.note("sync arm (-wal-sync 1) must read 100.00% at every cadence: acknowledged means synced, so no crash point may lose a write")
+	t.note("deferred arm (-wal-sync -1, fault-free) syncs only at checkpoints: survival is the checkpoint-covered prefix — rises with cadence")
+	t.note("mean recovery is wall-clock Open() on the crashed directory; mean replay the WAL suffix past the newest usable checkpoint")
 
 	for _, every := range []int{0, mutCount / 4, mutCount / 16} {
 		p := CrashSweepPoint{CheckpointEvery: every, Trials: trials}
@@ -165,21 +164,12 @@ func RunCrashSweep(cfg Config) (CrashSweepResult, *Table, error) {
 		p.MeanRecovery = recSum / time.Duration(trials)
 		p.MeanReplay = float64(replaySum) / float64(trials)
 		res.Points = append(res.Points, p)
-		label := "none"
-		if every > 0 {
-			label = fmt.Sprintf("%d", every)
+		var ckpt any = every
+		if every == 0 {
+			ckpt = "none"
 		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			fmt.Sprintf("%d", trials),
-			fmt.Sprintf("%.2f%%", p.Survival*100),
-			fmt.Sprintf("%.2f%%", p.DeferredSurvival*100),
-			ms(p.MeanRecovery),
-			fmt.Sprintf("%.1f", p.MeanReplay),
-			fmt.Sprintf("%d", p.Checkpoints),
-			fmt.Sprintf("%d", p.TornTrials),
-			fmt.Sprintf("%d", p.TruncatedBytes),
-		})
+		t.row(ckpt, trials, p.Survival*100, p.DeferredSurvival*100, p.MeanRecovery, p.MeanReplay,
+			p.Checkpoints, p.TornTrials, p.TruncatedBytes)
 	}
 	return res, t, nil
 }

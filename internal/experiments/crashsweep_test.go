@@ -11,11 +11,11 @@ import "testing"
 func TestCrashSweepShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.05
-	res, table, err := RunCrashSweep(cfg)
+	res, table, err := runCrashSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 3 || res.Mutations <= 0 {
 		t.Fatalf("expected 3 cadences over a scripted workload, got %+v", res)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -21,7 +20,7 @@ type EngineLoadPoint struct {
 	Utilization float64       // static engine's device utilization
 }
 
-// EngineLoadResult is the real-engine load study: where RunLoadStudy
+// EngineLoadResult is the real-engine load study: where runLoadStudy
 // replays extracted traces through an abstract queueing model, this
 // study drives the actual engine — plans, kernels, transfers — through
 // its shared device runtime at Poisson arrival rates, and measures the
@@ -34,11 +33,11 @@ type EngineLoadResult struct {
 	Points      []EngineLoadPoint
 }
 
-// RunEngineLoadStudy sweeps offered load through the real engine. The
+// runEngineLoadStudy sweeps offered load through the real engine. The
 // loadsim shape must reproduce: the static engine's tail grows once the
 // device saturates, while the backlog-aware spill keeps P99 bounded by
 // taking the CPU plan when the queue is long.
-func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (EngineLoadResult, *Table, error) {
+func runEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (EngineLoadResult, *Table, error) {
 	sample := termsOf(queries, cfg.scaled(1_500, 120))
 
 	mkEngine := func(streams int, spill time.Duration) (*core.Engine, error) {
@@ -84,15 +83,13 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 
 	t := &Table{
 		Title: "Extension: engine-driven load study (real plans, shared device runtime)",
-		Header: []string{"load (q/s)", "vs drain rate", "static P99", "spill P99",
-			"static wait/q", "spill wait/q", "device util"},
-		Notes: []string{
-			"queries run through the real engine via SearchAt: Poisson arrivals on the runtime's global timeline",
-			"static = ratio policy; spill = load-aware policy (SpillBacklog) taking the CPU plan when device backlog grows",
-			fmt.Sprintf("rates calibrated to the contention-free compute-engine time per query (%.3f ms; mean latency %.3f ms)",
-				float64(drain)/float64(time.Millisecond), float64(mean)/float64(time.Millisecond)),
-		},
+		Columns: []Column{perSecond("load (q/s)", "q/s"), pct("vs drain rate", 0), msec("static P99"), msec("spill P99"),
+			msec("static wait/q"), msec("spill wait/q"), util("device util")},
 	}
+	t.note("queries run through the real engine via SearchAt: Poisson arrivals on the runtime's global timeline")
+	t.note("static = ratio policy; spill = load-aware policy (SpillBacklog) taking the CPU plan when device backlog grows")
+	t.note("rates calibrated to the contention-free compute-engine time per query ({} ms; mean latency {} ms)",
+		msec("compute time per query").of(drain), msec("mean latency").of(mean))
 	// Spill when the queue would add more than two mean service times:
 	// low enough to bound the tail at overload, high enough that light
 	// load's transient bursts don't push heavy queries onto their much
@@ -113,9 +110,9 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 			// replay the sample until it reaches twice the CPU plan's P99.
 			need := float64(2*cpuP99) / (float64(drain) * (1 - 1/frac))
 			arrivals = replay(sample, int(math.Ceil(need)))
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"%.0f%% row: %d arrivals, enough for an undrained queue to reach 2x the CPU-only P99 (%s ms); other rows %d",
-				frac*100, len(arrivals), ms(cpuP99), len(sample)))
+			t.note("{} row: {} arrivals, enough for an undrained queue to reach 2x the CPU-only P99 ({} ms); other rows {}",
+				pct("overload row", 0).of(frac*100), count("overload arrivals").of(len(arrivals)),
+				msec("CPU-only P99").of(cpuP99), count("arrivals").of(len(sample)))
 		}
 
 		static, err := mkEngine(1, 0)
@@ -145,11 +142,7 @@ func RunEngineLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query
 			Utilization: rs.GPUBusy,
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.0f%%", frac*100),
-			ms(p.StaticP99), ms(p.SpillP99), ms(p.StaticWait), ms(p.SpillWait),
-			fmt.Sprintf("%.2f", p.Utilization),
-		})
+		t.row(rate, frac*100, p.StaticP99, p.SpillP99, p.StaticWait, p.SpillWait, p.Utilization)
 	}
 	return res, t, nil
 }
@@ -185,9 +178,9 @@ type StreamSweepResult struct {
 	Points []StreamSweepPoint
 }
 
-// RunStreamSweep measures tail latency against compute-lane count under
+// runStreamSweep measures tail latency against compute-lane count under
 // an offered load that saturates the single-lane configuration.
-func RunStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (StreamSweepResult, *Table, error) {
+func runStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (StreamSweepResult, *Table, error) {
 	sample := termsOf(queries, cfg.scaled(1_000, 100))
 
 	// The engines cache hot compressed lists on the device: with repeat
@@ -214,14 +207,12 @@ func RunStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (S
 	res := StreamSweepResult{Rate: rate}
 
 	t := &Table{
-		Title:  "Extension: device-concurrency sweep (compute lanes vs tail latency)",
-		Header: []string{"streams", "P99", "mean wait/q", "device util"},
-		Notes: []string{
-			fmt.Sprintf("Poisson load at %.0f q/s (2.5x the single-lane drain rate), identical per-query plans", rate),
-			"compressed lists cached on device: compute lanes, not the copy engine, govern queueing",
-			"added lanes only remove queueing: P99 is monotone non-increasing in stream count",
-		},
+		Title:   "Extension: device-concurrency sweep (compute lanes vs tail latency)",
+		Columns: []Column{count("streams"), msec("P99"), msec("mean wait/q"), util("device util")},
 	}
+	t.note("Poisson load at {} q/s (2.5x the single-lane drain rate), identical per-query plans", perSecond("load", "q/s").of(rate))
+	t.note("compressed lists cached on device: compute lanes, not the copy engine, govern queueing")
+	t.note("added lanes only remove queueing: P99 is monotone non-increasing in stream count")
 	for _, streams := range []int{1, 2, 4} {
 		e, err := mkEngine(streams)
 		if err != nil {
@@ -240,10 +231,7 @@ func RunStreamSweep(cfg Config, c *workload.Corpus, queries []workload.Query) (S
 		}
 		e.Close()
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", streams), ms(p.P99), ms(p.MeanWait),
-			fmt.Sprintf("%.2f", p.Utilization),
-		})
+		t.row(streams, p.P99, p.MeanWait, p.Utilization)
 	}
 	return res, t, nil
 }

@@ -4,11 +4,11 @@ import "testing"
 
 func TestEngineLoadStudyShape(t *testing.T) {
 	cfg, c, queries := extensionFixtures(t)
-	res, table, err := RunEngineLoadStudy(cfg, c, queries)
+	res, table, err := runEngineLoadStudy(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 3 {
 		t.Fatalf("expected 3 load points, got %d", len(res.Points))
 	}
@@ -37,11 +37,11 @@ func TestEngineLoadStudyShape(t *testing.T) {
 
 func TestStreamSweepMonotone(t *testing.T) {
 	cfg, c, queries := extensionFixtures(t)
-	res, table, err := RunStreamSweep(cfg, c, queries)
+	res, table, err := runStreamSweep(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 3 {
 		t.Fatalf("expected 3 sweep points, got %d", len(res.Points))
 	}

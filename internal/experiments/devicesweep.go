@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/core"
@@ -52,9 +51,9 @@ type DeviceSweepResult struct {
 	Points []DeviceSweepPoint
 }
 
-// RunDeviceSweep measures contention-free latency and saturated
+// runDeviceSweep measures contention-free latency and saturated
 // throughput against the node's device count.
-func RunDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
+func runDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 	c, queries, err := studyCorpus(cfg, shardSweepShape)
 	if err != nil {
 		return DeviceSweepResult{}, nil, err
@@ -75,16 +74,14 @@ func RunDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 	res := DeviceSweepResult{}
 	t := &Table{
 		Title: "Extension: device-count sweep (multi-GPU node scaling)",
-		Header: []string{"devices", "isolated mean", "throughput (q/s)", "speedup",
-			"sat. mean", "sat. P99", "node util", "peer copies"},
-		Notes: []string{
-			"one engine, one shard: N simulated devices with independent compute/copy timelines behind affinity placement",
-			"isolated mean: contention-free single-query latency — flat across device counts (one query runs on one device)",
-			"saturated columns: Poisson load far past the 1-device drain rate; throughput = completed/makespan",
-			"peer copies: cache misses served device-to-device over the modeled interconnect instead of host PCIe",
-			"per-query results are byte-identical across device counts (placement moves work, never changes answers)",
-		},
+		Columns: []Column{count("devices"), msec("isolated mean"), perSecond("throughput (q/s)", "q/s"), times("speedup", 2),
+			msec("sat. mean"), msec("sat. P99"), util("node util"), count("peer copies")},
 	}
+	t.note("one engine, one shard: N simulated devices with independent compute/copy timelines behind affinity placement")
+	t.note("isolated mean: contention-free single-query latency — flat across device counts (one query runs on one device)")
+	t.note("saturated columns: Poisson load far past the 1-device drain rate; throughput = completed/makespan")
+	t.note("peer copies: cache misses served device-to-device over the modeled interconnect instead of host PCIe")
+	t.note("per-query results are byte-identical across device counts (placement moves work, never changes answers)")
 
 	var rate, base float64
 	for _, devices := range []int{1, 2, 4, 8} {
@@ -127,15 +124,8 @@ func RunDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 			base = p.Throughput
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", devices),
-			ms(p.IsolatedMean),
-			fmt.Sprintf("%.0f", p.Throughput),
-			fmt.Sprintf("%.2fx", p.Throughput/base),
-			ms(p.Mean), ms(p.P99),
-			fmt.Sprintf("%.2f", p.Utilization),
-			fmt.Sprintf("%d", p.PeerCopies),
-		})
+		t.row(devices, p.IsolatedMean, p.Throughput, p.Throughput/base,
+			p.Mean, p.P99, p.Utilization, p.PeerCopies)
 	}
 	return res, t, nil
 }

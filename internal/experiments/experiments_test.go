@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -16,11 +15,12 @@ func testConfig() Config {
 }
 
 func TestTable1Shape(t *testing.T) {
-	res, table, err := RunTable1(testConfig())
+	cfg := testConfig()
+	res, table, err := runTable1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	// The reproduction target: EF compresses better than PForDelta, both
 	// well above 1x (paper: 3.3 vs 4.6).
 	if res.EFRatio <= res.PFDRatio {
@@ -36,11 +36,11 @@ func TestTable1Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	cfg := testConfig()
-	res, table, err := RunFig7(cfg)
+	res, table, err := runFig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) < 3 {
 		t.Fatalf("only %d size groups", len(res.Points))
 	}
@@ -62,11 +62,11 @@ func TestFig7Shape(t *testing.T) {
 func TestFig8CrossoverShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.1 // crossover needs lists long enough to matter
-	res, table, err := RunFig8(cfg)
+	res, table, err := runFig8(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 7 {
 		t.Fatalf("expected 7 ratio groups, got %d", len(res.Points))
 	}
@@ -95,11 +95,11 @@ func TestFig10Fig11Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res10, t10, err := RunFig10(cfg, c)
+	res10, t10, err := runFig10(cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, t10)
+	checkGolden(t, cfg, t10)
 	if res10.CDF[len(res10.CDF)-1] != 1 {
 		t.Fatal("CDF must reach 1")
 	}
@@ -109,11 +109,11 @@ func TestFig10Fig11Shapes(t *testing.T) {
 		}
 	}
 
-	res11, t11, queries, err := RunFig11(cfg, c)
+	res11, t11, queries, err := runFig11(cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, t11)
+	checkGolden(t, cfg, t11)
 	if len(queries) == 0 {
 		t.Fatal("no queries generated")
 	}
@@ -129,11 +129,11 @@ func TestFig10Fig11Shapes(t *testing.T) {
 func TestFig12Shape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.1
-	res, table, err := RunFig12(cfg)
+	res, table, err := runFig12(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) < 3 {
 		t.Fatalf("only %d size groups", len(res.Points))
 	}
@@ -158,11 +158,11 @@ func TestFig12Shape(t *testing.T) {
 func TestFig13Shape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.1
-	res, table, err := RunFig13(cfg)
+	res, table, err := runFig13(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) < 3 {
 		t.Fatal("too few size groups")
 	}
@@ -193,11 +193,11 @@ func TestFig14Fig15Shapes(t *testing.T) {
 	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
 		NumQueries: 120, PopularityAlpha: 0.45, Seed: cfg.Seed + 11,
 	})
-	res14, t14, err := RunFig14(cfg, c, queries)
+	res14, t14, err := runFig14(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, t14)
+	checkGolden(t, cfg, t14)
 	if len(res14.Points) < 3 {
 		t.Fatal("too few term groups")
 	}
@@ -209,8 +209,8 @@ func TestFig14Fig15Shapes(t *testing.T) {
 		t.Fatalf("Griffin slower than GPU-only: %.2fx\n%s", res14.SpeedupVsGPU, t14.Render())
 	}
 
-	res15, t15 := RunFig15(res14.CPURecorder, res14.GriffinRecorder)
-	checkGolden(t, t15)
+	res15, t15 := runFig15(res14.CPURecorder, res14.GriffinRecorder)
+	checkGolden(t, cfg, t15)
 	if len(res15.Points) != 5 {
 		t.Fatal("expected 5 percentiles")
 	}
@@ -238,11 +238,11 @@ func TestAblationShapes(t *testing.T) {
 	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
 		NumQueries: 60, PopularityAlpha: 0.45, Seed: cfg.Seed + 11,
 	})
-	abl, table, err := RunCrossoverAblation(cfg, c, queries)
+	abl, table, err := runCrossoverAblation(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(abl.Points) != 7 {
 		t.Fatal("expected 7 thresholds")
 	}
@@ -261,27 +261,28 @@ func TestAblationShapes(t *testing.T) {
 		t.Fatalf("crossover 128 (%.3v) >25%% worse than best (%v)\n%s", at128, best, table.Render())
 	}
 
-	mig, migTable, err := RunMigrationAblation(cfg, c, queries)
+	mig, migTable, err := runMigrationAblation(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, migTable)
+	checkGolden(t, cfg, migTable)
 	if mig.StickyMean <= 0 || mig.NonStickyMean <= 0 {
 		t.Fatal("ablation produced zero latencies")
 	}
 }
 
 func TestTableRender(t *testing.T) {
-	table := &Table{
-		Title:  "T",
-		Header: []string{"a", "bb"},
-		Rows:   [][]string{{"1", "2"}, {"333", "4"}},
-		Notes:  []string{"n1"},
-	}
-	out := table.Render()
-	for _, want := range []string{"== T ==", "a", "bb", "333", "note: n1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
+	table := &Table{Title: "T", Columns: []Column{label("a"), times("bb", 1), pct("c %", 0)}}
+	table.row("1", 2.0, 3.0)
+	table.row("333", 4.25, 50.0)
+	table.note("n{}", msec("v").of(1.5))
+	want := "== T ==\n" +
+		"a    bb    c %\n" +
+		"---  ----  ---\n" +
+		"1    2.0x  3  \n" +
+		"333  4.2x  50 \n" +
+		"note: n1.500\n"
+	if out := table.Render(); out != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", out, want)
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/core"
@@ -29,9 +28,9 @@ type LoadResult struct {
 	Points []LoadPoint
 }
 
-// RunLoadStudy traces every query once per engine, then sweeps arrival
+// runLoadStudy traces every query once per engine, then sweeps arrival
 // rates through the queueing simulation.
-func RunLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (LoadResult, *Table, error) {
+func runLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (LoadResult, *Table, error) {
 	cpuE, err := core.New(c.Index, core.Config{Mode: core.CPUOnly, CPU: cfg.CPU})
 	if err != nil {
 		return LoadResult{}, nil, err
@@ -70,14 +69,12 @@ func RunLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (Loa
 	var res LoadResult
 	t := &Table{
 		Title: "Extension: multi-user load study (P99 response ms)",
-		Header: []string{"load (q/s)", "vs CPU capacity", "CPU-only P99",
-			"Griffin P99", "adaptive P99", "CPU-only mean", "Griffin mean"},
-		Notes: []string{
-			"paper §6 future work: heavy system loads with multiple users",
-			"4-core host pool, single device, Poisson arrivals, FCFS",
-			"adaptive = load-aware spill to CPU when the device backlog grows (§3.2's load-balancing hook)",
-		},
+		Columns: []Column{perSecond("load (q/s)", "q/s"), pct("vs CPU capacity", 0), msec("CPU-only P99"),
+			msec("Griffin P99"), msec("adaptive P99"), msec("CPU-only mean"), msec("Griffin mean")},
 	}
+	t.note("paper §6 future work: heavy system loads with multiple users")
+	t.note("4-core host pool, single device, Poisson arrivals, FCFS")
+	t.note("adaptive = load-aware spill to CPU when the device backlog grows (§3.2's load-balancing hook)")
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0, 1.5} {
 		rate := saturation * frac
 		spec := loadsim.Spec{CPUWorkers: 4, ArrivalRate: rate, Seed: cfg.Seed + 77}
@@ -93,11 +90,7 @@ func RunLoadStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (Loa
 			GriffinMean: rh.Latencies.Mean(),
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", rate), fmt.Sprintf("%.0f%%", frac*100),
-			ms(p.CPUOnlyP99), ms(p.GriffinP99), ms(p.AdaptiveP99),
-			ms(p.CPUOnlyMean), ms(p.GriffinMean),
-		})
+		t.row(rate, frac*100, p.CPUOnlyP99, p.GriffinP99, p.AdaptiveP99, p.CPUOnlyMean, p.GriffinMean)
 	}
 	return res, t, nil
 }
@@ -112,9 +105,9 @@ type CacheResult struct {
 	CachedList int
 }
 
-// RunCacheStudy runs the query log twice through a caching GPU-only
+// runCacheStudy runs the query log twice through a caching GPU-only
 // engine: the first pass pays every upload, the second hits the cache.
-func RunCacheStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (CacheResult, *Table, error) {
+func runCacheStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (CacheResult, *Table, error) {
 	sample := termsOf(queries, cfg.scaled(500, 80))
 
 	e, err := core.New(c.Index, core.Config{
@@ -136,16 +129,12 @@ func RunCacheStudy(cfg Config, c *workload.Corpus, queries []workload.Query) (Ca
 	}
 	res := CacheResult{ColdMean: cold, WarmMean: warm, CachedList: e.CachedLists()}
 	t := &Table{
-		Title:  "Extension: device-resident list cache (mean query ms)",
-		Header: []string{"pass", "mean latency"},
-		Rows: [][]string{
-			{"cold (uploads)", ms(cold)},
-			{"warm (cached)", ms(warm)},
-		},
-		Notes: []string{
-			fmt.Sprintf("%d compressed lists resident after warmup (LRU, 2 GB bound)", res.CachedList),
-			"§5: caching all lists is not scalable; bounded LRU recovers most of the win",
-		},
+		Title:   "Extension: device-resident list cache (mean query ms)",
+		Columns: []Column{label("pass"), msec("mean latency")},
 	}
+	t.row("cold (uploads)", cold)
+	t.row("warm (cached)", warm)
+	t.note("{} compressed lists resident after warmup (LRU, 2 GB bound)", count("resident lists").of(res.CachedList))
+	t.note("§5: caching all lists is not scalable; bounded LRU recovers most of the win")
 	return res, t, nil
 }

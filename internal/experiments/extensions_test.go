@@ -22,11 +22,11 @@ func extensionFixtures(t *testing.T) (Config, *workload.Corpus, []workload.Query
 
 func TestLoadStudyShape(t *testing.T) {
 	cfg, c, queries := extensionFixtures(t)
-	res, table, err := RunLoadStudy(cfg, c, queries)
+	res, table, err := runLoadStudy(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 5 {
 		t.Fatalf("expected 5 load points, got %d", len(res.Points))
 	}
@@ -50,11 +50,11 @@ func TestLoadStudyShape(t *testing.T) {
 
 func TestCacheStudyShape(t *testing.T) {
 	cfg, c, queries := extensionFixtures(t)
-	res, table, err := RunCacheStudy(cfg, c, queries)
+	res, table, err := runCacheStudy(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if res.CachedList == 0 {
 		t.Fatal("no lists cached")
 	}

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"strconv"
 
 	"griffin/internal/stats"
 	"griffin/internal/workload"
@@ -15,8 +15,8 @@ type Fig10Result struct {
 	CDF        []float64
 }
 
-// RunFig10 builds the shared corpus and reports its list-size CDF.
-func RunFig10(cfg Config, c *workload.Corpus) (Fig10Result, *Table, error) {
+// runFig10 builds the shared corpus and reports its list-size CDF.
+func runFig10(cfg Config, c *workload.Corpus) (Fig10Result, *Table, error) {
 	sizes := c.Index.ListSizes()
 	maxSize := 0
 	if n := len(sizes); n > 0 {
@@ -31,14 +31,22 @@ func RunFig10(cfg Config, c *workload.Corpus) (Fig10Result, *Table, error) {
 	res := Fig10Result{Thresholds: thresholds, CDF: cdf}
 
 	t := &Table{
-		Title:  "Figure 10: Inverted List Size Distribution (CDF)",
-		Header: []string{"list size <=", "CDF %"},
-		Notes:  []string{"paper: most lists between 1K and 1M elements"},
+		Title:   "Figure 10: Inverted List Size Distribution (CDF)",
+		Columns: []Column{label("list size <="), pct("CDF %", 1)},
 	}
+	t.note("paper: most lists between 1K and 1M elements")
 	for i, th := range thresholds {
-		t.Rows = append(t.Rows, []string{fmtSize(th), fmt.Sprintf("%.1f", cdf[i]*100)})
+		t.row(fmtSize(th), cdf[i]*100)
 	}
 	return res, t, nil
+}
+
+// termsLabel names a term-count group; 7 stands for ">6".
+func termsLabel(n int) string {
+	if n == 7 {
+		return ">6"
+	}
+	return strconv.Itoa(n)
 }
 
 // Fig11Result is the query term-count distribution (§4.2, Figure 11):
@@ -47,8 +55,8 @@ type Fig11Result struct {
 	Fractions map[int]float64 // term count -> fraction; key 7 means ">6"
 }
 
-// RunFig11 synthesizes the query log and reports its term-count histogram.
-func RunFig11(cfg Config, c *workload.Corpus) (Fig11Result, *Table, []workload.Query, error) {
+// runFig11 synthesizes the query log and reports its term-count histogram.
+func runFig11(cfg Config, c *workload.Corpus) (Fig11Result, *Table, []workload.Query, error) {
 	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
 		NumQueries:      cfg.scaled(10_000, 400),
 		PopularityAlpha: 0.45,
@@ -67,18 +75,14 @@ func RunFig11(cfg Config, c *workload.Corpus) (Fig11Result, *Table, []workload.Q
 	}
 	res := Fig11Result{Fractions: map[int]float64{}}
 	t := &Table{
-		Title:  "Figure 11: Number of Terms Distribution",
-		Header: []string{"#terms", "percentage %"},
-		Notes:  []string{"paper: ~27% / 33% / 24% for 2/3/4 terms"},
+		Title:   "Figure 11: Number of Terms Distribution",
+		Columns: []Column{label("#terms"), pct("percentage %", 1)},
 	}
+	t.note("paper: ~27% / 33% / 24% for 2/3/4 terms")
 	for _, n := range []int{2, 3, 4, 5, 6, 7} {
 		f := h.Fraction(n)
 		res.Fractions[n] = f
-		label := fmt.Sprintf("%d", n)
-		if n == 7 {
-			label = ">6"
-		}
-		t.Rows = append(t.Rows, []string{label, fmt.Sprintf("%.1f", f*100)})
+		t.row(termsLabel(n), f*100)
 	}
 	return res, t, queries, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/ef"
@@ -30,9 +29,9 @@ type Fig12Result struct {
 	Points []Fig12Point
 }
 
-// RunFig12 decompresses lists of each size group on both paths and
+// runFig12 decompresses lists of each size group on both paths and
 // reports average times and speedups.
-func RunFig12(cfg Config) (Fig12Result, *Table, error) {
+func runFig12(cfg Config) (Fig12Result, *Table, error) {
 	rng := cfg.rng(12)
 	cpuModel := cfg.CPU
 	reps := cfg.scaled(5, 2)
@@ -43,13 +42,11 @@ func RunFig12(cfg Config) (Fig12Result, *Table, error) {
 	var res Fig12Result
 	t := &Table{
 		Title: "Figure 12: Decompression Speed Comparison",
-		Header: []string{"list size", "CPU PforDelta (ms)", "GPU Para-EF (ms)",
-			"GPU PFD port (ms)", "speedup"},
-		Notes: []string{
-			"paper: speedup <2x at 1K-10K, ~11x to ~29.6x at 100K-10M",
-			"GPU PFD port added: the direct port §3.1.1 calls a poor match (sequential exception chains)",
-		},
+		Columns: []Column{label("list size"), msec("CPU PforDelta (ms)"), msec("GPU Para-EF (ms)"),
+			msec("GPU PFD port (ms)"), times("speedup", 1)},
 	}
+	t.note("paper: speedup <2x at 1K-10K, ~11x to ~29.6x at 100K-10M")
+	t.note("GPU PFD port added: the direct port §3.1.1 calls a poor match (sequential exception chains)")
 	for _, n := range sizes {
 		if n > maxSize {
 			break
@@ -118,10 +115,7 @@ func RunFig12(cfg Config) (Fig12Result, *Table, error) {
 		}
 		p.Speedup = float64(p.CPUTime) / float64(p.GPUTime)
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmtSize(n), ms(p.CPUTime), ms(p.GPUTime), ms(p.GPUPFDTime),
-			fmt.Sprintf("%.1fx", p.Speedup),
-		})
+		t.row(fmtSize(n), p.CPUTime, p.GPUTime, p.GPUPFDTime, p.Speedup)
 	}
 	return res, t, nil
 }

@@ -27,9 +27,9 @@ type Fig13Result struct {
 	Points []Fig13Point
 }
 
-// RunFig13 intersects comparable-length pairs (ratio < 16, as the paper
+// runFig13 intersects comparable-length pairs (ratio < 16, as the paper
 // selects) of each size group under all four methods.
-func RunFig13(cfg Config) (Fig13Result, *Table, error) {
+func runFig13(cfg Config) (Fig13Result, *Table, error) {
 	rng := cfg.rng(13)
 	reps := cfg.scaled(4, 2)
 	sizes := []int{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
@@ -38,13 +38,11 @@ func RunFig13(cfg Config) (Fig13Result, *Table, error) {
 	var res Fig13Result
 	t := &Table{
 		Title: "Figure 13: List Intersection Comparison (ms)",
-		Header: []string{"longer list", "CPU merge", "CPU binary",
-			"GPU merge", "GPU binary"},
-		Notes: []string{
-			"pairs with comparable lengths (ratio < 16), as in the paper",
-			"paper: GPU merge fastest on long lists; CPU binary slowest",
-		},
+		Columns: []Column{label("longer list"), msec("CPU merge"), msec("CPU binary"),
+			msec("GPU merge"), msec("GPU binary")},
 	}
+	t.note("pairs with comparable lengths (ratio < 16), as in the paper")
+	t.note("paper: GPU merge fastest on long lists; CPU binary slowest")
 	for _, n := range sizes {
 		if n > maxSize {
 			break
@@ -103,15 +101,13 @@ func RunFig13(cfg Config) (Fig13Result, *Table, error) {
 		p.GPUMerge /= time.Duration(reps)
 		p.GPUBinary /= time.Duration(reps)
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmtSize(n), ms(p.CPUMerge), ms(p.CPUBinary), ms(p.GPUMerge), ms(p.GPUBinary),
-		})
+		t.row(fmtSize(n), p.CPUMerge, p.CPUBinary, p.GPUMerge, p.GPUBinary)
 	}
 	if len(res.Points) > 0 {
 		last := res.Points[len(res.Points)-1]
-		t.Notes = append(t.Notes,
-			"largest group: GPU merge "+speedup(last.CPUMerge, last.GPUMerge)+
-				" over CPU merge, "+speedup(last.GPUBinary, last.GPUMerge)+" over GPU binary")
+		t.note("largest group: GPU merge {} over CPU merge, {} over GPU binary",
+			times("GPU merge over CPU merge", 1).of(float64(last.CPUMerge)/float64(last.GPUMerge)),
+			times("GPU merge over GPU binary", 1).of(float64(last.GPUBinary)/float64(last.GPUMerge)))
 	}
 	return res, t, nil
 }

@@ -35,9 +35,9 @@ type Fig14Result struct {
 	GriffinRecorder *stats.LatencyRecorder
 }
 
-// RunFig14 runs the query log under all three engine modes and groups
+// runFig14 runs the query log under all three engine modes and groups
 // mean latency by term count.
-func RunFig14(cfg Config, c *workload.Corpus, queries []workload.Query) (Fig14Result, *Table, error) {
+func runFig14(cfg Config, c *workload.Corpus, queries []workload.Query) (Fig14Result, *Table, error) {
 	cpuE, err := core.New(c.Index, core.Config{Mode: core.CPUOnly, CPU: cfg.CPU})
 	if err != nil {
 		return Fig14Result{}, nil, err
@@ -105,13 +105,12 @@ func RunFig14(cfg Config, c *workload.Corpus, queries []workload.Query) (Fig14Re
 	}
 
 	t := &Table{
-		Title:  "Figure 14: End-to-End Query Latency by #Terms (mean ms)",
-		Header: []string{"#terms", "queries", "CPU only", "GPU only", "per-query (1c)", "Griffin"},
-		Notes: []string{
-			"paper: Griffin ~10x over CPU-only, ~1.5x over GPU-only on average",
-			"per-query (1c) = static whole-query placement (Ding et al.), added baseline",
-		},
+		Title: "Figure 14: End-to-End Query Latency by #Terms (mean ms)",
+		Columns: []Column{label("#terms"), count("queries"), msec("CPU only"), msec("GPU only"),
+			msec("per-query (1c)"), msec("Griffin")},
 	}
+	t.note("paper: Griffin ~10x over CPU-only, ~1.5x over GPU-only on average")
+	t.note("per-query (1c) = static whole-query placement (Ding et al.), added baseline")
 	for _, k := range []int{2, 3, 4, 5, 6, 7} {
 		g := groups[k]
 		if g == nil || g.n == 0 {
@@ -126,22 +125,16 @@ func RunFig14(cfg Config, c *workload.Corpus, queries []workload.Query) (Fig14Re
 			Griffin:  g.hyb / time.Duration(g.n),
 		}
 		res.Points = append(res.Points, p)
-		label := fmt.Sprintf("%d", k)
-		if k == 7 {
-			label = ">6"
-		}
-		t.Rows = append(t.Rows, []string{
-			label, fmt.Sprintf("%d", g.n),
-			ms(p.CPUOnly), ms(p.GPUOnly), ms(p.PerQuery), ms(p.Griffin),
-		})
+		t.row(termsLabel(k), g.n, p.CPUOnly, p.GPUOnly, p.PerQuery, p.Griffin)
 	}
 	if hybTot > 0 {
 		res.SpeedupVsCPU = float64(cpuTot) / float64(hybTot)
 		res.SpeedupVsGPU = float64(gpuTot) / float64(hybTot)
 		res.SpeedupVsPerQuery = float64(pqTot) / float64(hybTot)
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"measured mean speedup: %.1fx vs CPU-only, %.2fx vs GPU-only, %.2fx vs per-query",
-			res.SpeedupVsCPU, res.SpeedupVsGPU, res.SpeedupVsPerQuery))
+		t.note("measured mean speedup: {} vs CPU-only, {} vs GPU-only, {} vs per-query",
+			times("mean speedup vs CPU-only", 1).of(res.SpeedupVsCPU),
+			times("mean speedup vs GPU-only", 2).of(res.SpeedupVsGPU),
+			times("mean speedup vs per-query", 2).of(res.SpeedupVsPerQuery))
 	}
 	return res, t, nil
 }
@@ -162,14 +155,14 @@ type Fig15Result struct {
 	Points []Fig15Point
 }
 
-// RunFig15 derives the tail comparison from Figure 14's recorders.
-func RunFig15(cpuRec, hybRec *stats.LatencyRecorder) (Fig15Result, *Table) {
+// runFig15 derives the tail comparison from Figure 14's recorders.
+func runFig15(cpuRec, hybRec *stats.LatencyRecorder) (Fig15Result, *Table) {
 	var res Fig15Result
 	t := &Table{
-		Title:  "Figure 15: Tail Latency Reduction",
-		Header: []string{"percentile", "CPU only (ms)", "Griffin (ms)", "speedup"},
-		Notes:  []string{"paper: 6.6x/8.3x/10.4x/16.1x/26.8x at P80/P90/P95/P99/P99.9"},
+		Title:   "Figure 15: Tail Latency Reduction",
+		Columns: []Column{label("percentile"), msec("CPU only (ms)"), msec("Griffin (ms)"), times("speedup", 1)},
 	}
+	t.note("paper: 6.6x/8.3x/10.4x/16.1x/26.8x at P80/P90/P95/P99/P99.9")
 	for _, p := range []float64{80, 90, 95, 99, 99.9} {
 		cp := cpuRec.Percentile(p)
 		hp := hybRec.Percentile(p)
@@ -178,9 +171,7 @@ func RunFig15(cpuRec, hybRec *stats.LatencyRecorder) (Fig15Result, *Table) {
 			pt.Speedup = float64(cp) / float64(hp)
 		}
 		res.Points = append(res.Points, pt)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("P%g", p), ms(cp), ms(hp), fmt.Sprintf("%.1fx", pt.Speedup),
-		})
+		t.row(fmt.Sprintf("P%g", p), cp, hp, pt.Speedup)
 	}
 	return res, t
 }

@@ -35,21 +35,19 @@ func fig7Sizes(cfg Config) []int {
 	return out
 }
 
-// RunFig7 times the three ranking algorithms on candidate lists of each
+// runFig7 times the three ranking algorithms on candidate lists of each
 // size (k = 10, as in top-10 retrieval).
-func RunFig7(cfg Config) (Fig7Result, *Table, error) {
+func runFig7(cfg Config) (Fig7Result, *Table, error) {
 	rng := cfg.rng(7)
 	cpuModel := cfg.CPU
 	const k = 10
 
 	var res Fig7Result
 	t := &Table{
-		Title:  "Figure 7: Ranking Performance Comparison (ms)",
-		Header: []string{"list size", "CPU partial_sort", "GPU bucketSelect", "GPU radixSort"},
-		Notes: []string{
-			"paper: CPU fastest at every size; queries rarely exceed a few thousand matches",
-		},
+		Title:   "Figure 7: Ranking Performance Comparison (ms)",
+		Columns: []Column{label("list size"), msec("CPU partial_sort"), msec("GPU bucketSelect"), msec("GPU radixSort")},
 	}
+	t.note("paper: CPU fastest at every size; queries rarely exceed a few thousand matches")
 	for _, n := range fig7Sizes(cfg) {
 		docs := make([]kernels.ScoredDoc, n)
 		for i := range docs {
@@ -75,9 +73,7 @@ func RunFig7(cfg Config) (Fig7Result, *Table, error) {
 			RadixSort: sRadix.Elapsed(),
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmtSize(n), ms(p.CPUTime), ms(p.BucketSel), ms(p.RadixSort),
-		})
+		t.row(fmtSize(n), p.CPUTime, p.BucketSel, p.RadixSort)
 	}
 	return res, t, nil
 }

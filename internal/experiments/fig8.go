@@ -99,9 +99,9 @@ func cpuIntersectPair(cfg Config, shortIDs, longIDs []uint32) (time.Duration, er
 	return cfg.CPU.Time(res.Work), nil
 }
 
-// RunFig8 measures both implementations over the paper's seven ratio
+// runFig8 measures both implementations over the paper's seven ratio
 // groups, longer list length fixed within a window (paper: [1M, 2M]).
-func RunFig8(cfg Config) (Fig8Result, *Table, error) {
+func runFig8(cfg Config) (Fig8Result, *Table, error) {
 	rng := cfg.rng(8)
 	// The crossover ratio is length-dependent (GPU cost tracks the long
 	// list, CPU cost the short one), so the long list stays paper-sized
@@ -110,13 +110,12 @@ func RunFig8(cfg Config) (Fig8Result, *Table, error) {
 	pairsPerGroup := cfg.scaled(10, 2)
 
 	var res Fig8Result
+	var cross stats.RatioGroup
 	t := &Table{
-		Title:  "Figure 8: GPU/CPU Cross Over Point (avg intersection ms)",
-		Header: []string{"ratio group", "Griffin-GPU", "CPU"},
-		Notes: []string{
-			"paper: Griffin-GPU wins below ratio 128; CPU wins above",
-		},
+		Title:   "Figure 8: GPU/CPU Cross Over Point (avg intersection ms)",
+		Columns: []Column{label("ratio group"), msec("Griffin-GPU"), msec("CPU")},
 	}
+	t.note("paper: Griffin-GPU wins below ratio 128; CPU wins above")
 	for _, g := range stats.PaperRatioGroups() {
 		var gpuSum, cpuSum time.Duration
 		for p := 0; p < pairsPerGroup; p++ {
@@ -148,12 +147,13 @@ func RunFig8(cfg Config) (Fig8Result, *Table, error) {
 		}
 		res.Points = append(res.Points, p)
 		if res.CrossoverGroup == "" && p.CPUTime < p.GPUTime {
-			res.CrossoverGroup = g.String()
+			res.CrossoverGroup, cross = g.String(), g
 		}
-		t.Rows = append(t.Rows, []string{g.String(), ms(p.GPUTime), ms(p.CPUTime)})
+		t.row(g.String(), p.GPUTime, p.CPUTime)
 	}
 	if res.CrossoverGroup != "" {
-		t.Notes = append(t.Notes, "measured crossover at group "+res.CrossoverGroup)
+		t.note("measured crossover at group [{},{})",
+			count("crossover from ratio").of(cross.Lo), count("crossover below ratio").of(cross.Hi))
 	}
 	return res, t, nil
 }

@@ -9,91 +9,81 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden tables under testdata/ from this run")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata/ and EXPERIMENTS.md's generated blocks")
 
-// wallClockColumns names, by header, the columns measured on the host's
-// clock: they differ from run to run, so a golden holds "*" in their
-// place. Everything else a study prints is modeled time or a count and
-// repeats bit for bit at a fixed scale and seed.
-var wallClockColumns = map[string]bool{"mean recovery": true}
-
-// goldenTable is the committed form of one table: what griffin-bench
-// -json emits for it, less the slug (which names the file).
-type goldenTable struct {
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-}
-
-// checkGolden holds the table a shape test just computed, at that test's
-// scale and seed, to testdata/<slug>.json cell for cell. The goldens are
-// the record of what the studies print: a refactor of the harness must
-// leave them byte-unchanged, and a change that means to move a number
-// regenerates them with `go test ./internal/experiments/ -update` and
-// shows the diff.
-func checkGolden(t *testing.T, table *Table) {
-	t.Helper()
-	got := goldenTable{Title: table.Title, Header: table.Header, Notes: table.Notes}
-	for _, row := range table.Rows {
-		masked := append([]string(nil), row...)
-		for i := range masked {
-			if i < len(table.Header) && wallClockColumns[table.Header[i]] {
-				masked[i] = "*"
-			}
-		}
-		got.Rows = append(got.Rows, masked)
-	}
-	path := filepath.Join("testdata", table.Slug()+".json")
-	if *update {
-		data, err := json.MarshalIndent(&got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want := readGolden(t, path)
-	if got.Title != want.Title || !reflect.DeepEqual(got.Header, want.Header) {
-		t.Fatalf("%s: title/header %q %q, golden %q %q", path, got.Title, got.Header, want.Title, want.Header)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows, golden %d\n%s", path, len(got.Rows), len(want.Rows), table.Render())
-	}
-	for r := range want.Rows {
-		if len(got.Rows[r]) != len(want.Rows[r]) {
-			t.Fatalf("%s: row %d has %d cells, golden %d", path, r, len(got.Rows[r]), len(want.Rows[r]))
-		}
-		for c := range want.Rows[r] {
-			if got.Rows[r][c] != want.Rows[r][c] {
-				t.Errorf("%s: row %d (%s), column %q: %s, golden %s",
-					path, r, want.Rows[r][0], want.Header[c], got.Rows[r][c], want.Rows[r][c])
-			}
-		}
-	}
-	if !reflect.DeepEqual(got.Notes, want.Notes) {
-		t.Errorf("%s: notes differ:\n got %q\nwant %q", path, got.Notes, want.Notes)
-	}
-}
-
-func readGolden(t *testing.T, path string) goldenTable {
+// readRecord reads a committed record, which WriteFile must reproduce
+// byte for byte.
+func readRecord(t *testing.T, path string) *Record {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (run go test -update to write it)", err)
+		t.Fatalf("%v (go test -update writes a golden)", err)
 	}
-	var g goldenTable
-	if err := json.Unmarshal(data, &g); err != nil {
+	var r Record
+	if err := json.Unmarshal(data, &r); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	return g
+	again := filepath.Join(t.TempDir(), "again.json")
+	if err := r.WriteFile(again); err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := os.ReadFile(again); string(out) != string(data) {
+		t.Fatalf("%s: rewriting the record changes its bytes", path)
+	}
+	return &r
 }
 
-// Every table griffin-bench emits lands in its own -csvdir file and under
-// its own -json slug. The goldens record all 23 titles, so uniqueness is
-// asserted over them without running a study a second time.
+// maskWall returns a copy of table whose cells on the wall clock read
+// "*": they differ from run to run. Everything else a study prints is
+// modeled or counted and repeats bit for bit at a fixed scale and seed.
+func maskWall(table *Table) *Table {
+	m := *table
+	m.Rows = nil
+	for _, row := range table.Rows {
+		row = append([]Cell(nil), row...)
+		for i := range row {
+			if table.Columns[i].Clock == Wall {
+				row[i] = Cell{Label: "*"}
+			}
+		}
+		m.Rows = append(m.Rows, row)
+	}
+	return &m
+}
+
+// checkGolden holds the table a shape test just computed at cfg to
+// testdata/<slug>.json, a one-table Record, at each column's printed
+// precision. The goldens are the record of what the studies print: a
+// refactor of the harness must leave them unchanged, and a change that
+// means to move a number regenerates them with
+// `go test ./internal/experiments/ -update` and shows the diff. A golden
+// is the table written and read back, so the comparison is also the
+// record's round trip: read back, every table renders byte for byte.
+func checkGolden(t *testing.T, cfg Config, table *Table) {
+	t.Helper()
+	path := filepath.Join("testdata", table.slug()+".json")
+	got := &Record{Scale: cfg.Scale, Seed: cfg.Seed, Tables: []*Table{maskWall(table)}}
+	if *update {
+		if err := got.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := readRecord(t, path)
+	if want.Scale != got.Scale || want.Seed != got.Seed || len(want.Tables) != 1 {
+		t.Fatalf("%s: scale %v seed %d with %d tables, want one table at scale %v seed %d",
+			path, want.Scale, want.Seed, len(want.Tables), got.Scale, got.Seed)
+	}
+	if !reflect.DeepEqual(want.Tables[0].Columns, table.Columns) {
+		t.Errorf("%s: columns %+v, golden %+v", path, table.Columns, want.Tables[0].Columns)
+	}
+	if g, w := got.Tables[0].Render(), want.Tables[0].Render(); g != w {
+		t.Fatalf("%s differs\ngot:\n%s\ngolden:\n%s", path, g, w)
+	}
+}
+
+// Every table griffin-bench records has its own slug. The goldens hold
+// all 23 tables, so uniqueness is asserted over them without running a
+// study a second time.
 func TestGoldenSlugsUnique(t *testing.T) {
 	if *update {
 		t.Skip("the goldens are being rewritten by this run")
@@ -107,14 +97,14 @@ func TestGoldenSlugsUnique(t *testing.T) {
 	}
 	seen := map[string]string{}
 	for _, path := range paths {
-		g := readGolden(t, path)
-		slug := (&Table{Title: g.Title}).Slug()
+		title := readRecord(t, path).Tables[0].Title
+		slug := (&Table{Title: title}).slug()
 		if prev, dup := seen[slug]; dup {
-			t.Errorf("slug %q names both %q and %q", slug, prev, g.Title)
+			t.Errorf("slug %q names both %q and %q", slug, prev, title)
 		}
-		seen[slug] = g.Title
+		seen[slug] = title
 		if want := filepath.Join("testdata", slug+".json"); path != want {
-			t.Errorf("%s holds %q, whose slug is %q", path, g.Title, slug)
+			t.Errorf("%s holds %q, whose slug is %q", path, title, slug)
 		}
 	}
 }

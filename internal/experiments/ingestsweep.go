@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"griffin/internal/core"
@@ -104,11 +103,11 @@ func ingestSweepScript(cfg Config, queries []workload.Query, base uint32, n int)
 	return muts
 }
 
-// RunIngestSweep measures query p99 against ingest rate with and
+// runIngestSweep measures query p99 against ingest rate with and
 // without background merging (recorded in
 // testdata/extension_live_ingest_mixed-workload_sweep.json; go test
 // -update rewrites it).
-func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
+func runIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 	c, queries, err := studyCorpus(cfg, ingestShape)
 	if err != nil {
 		return IngestSweepResult{}, nil, err
@@ -154,17 +153,18 @@ func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 	res := IngestSweepResult{Rate: rate, Threshold: threshold}
 	t := &Table{
 		Title: "Extension: live ingest mixed-workload sweep (query p99 vs ingest rate)",
-		Header: []string{"write frac", "ingest (w/s)", "p99 no-merge", "p99 merge", "mean merge",
-			"avail", "merges", "merge dev", "lag off", "lag on"},
-		Notes: []string{
-			"one Poisson stream of mixed reads+writes per point; both arms replay the identical arrival process (the engine never consumes the rng)",
-			fmt.Sprintf("offered load %.0f ops/s total (moderate: 8x the contention-free mean); ingest (w/s) = achieved writes/makespan on the merge arm", rate),
-			fmt.Sprintf("merge arm commits a threshold merge (delta >= %d records) at its trigger time on the shared device timelines — reads queue behind its uploads/decompress", threshold),
-			"no-merge arm lets the delta grow unboundedly: reads stay correct under snapshot isolation but pay the widening host-side reconcile cost",
-			"avail = successful reads / read attempts on the merge arm; every read pins a consistent (segment, delta) snapshot across merge commits",
-			"lag columns are residual unmerged delta records at end of run (the /healthz freshness signal)",
-		},
+		Columns: []Column{Column{Name: "write frac", Clock: Count, Prec: 1}, perSecond("ingest (w/s)", "w/s"),
+			msec("p99 no-merge"), msec("p99 merge"), msec("mean merge"), Column{Name: "avail", Clock: Count, Prec: 3},
+			count("merges"), msec("merge dev"), count("lag off"), count("lag on")},
 	}
+	t.note("one Poisson stream of mixed reads+writes per point; both arms replay the identical arrival process (the engine never consumes the rng)")
+	t.note("offered load {} ops/s total (moderate: 8x the contention-free mean); ingest (w/s) = achieved writes/makespan on the merge arm",
+		perSecond("offered load", "ops/s").of(rate))
+	t.note("merge arm commits a threshold merge (delta >= {} records) at its trigger time on the shared device timelines — reads queue behind its uploads/decompress",
+		count("merge threshold").of(threshold))
+	t.note("no-merge arm lets the delta grow unboundedly: reads stay correct under snapshot isolation but pay the widening host-side reconcile cost")
+	t.note("avail = successful reads / read attempts on the merge arm; every read pins a consistent (segment, delta) snapshot across merge commits")
+	t.note("lag columns are residual unmerged delta records at end of run (the /healthz freshness signal)")
 
 	for _, wf := range []float64{0, 0.2, 0.4, 0.6} {
 		p := IngestSweepPoint{WriteFraction: wf}
@@ -203,16 +203,8 @@ func RunIngestSweep(cfg Config) (IngestSweepResult, *Table, error) {
 			}
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", wf),
-			fmt.Sprintf("%.0f", p.IngestRate),
-			ms(p.P99Off), ms(p.P99On), ms(p.MeanOn),
-			fmt.Sprintf("%.3f", p.AvailabilityOn),
-			fmt.Sprintf("%d", p.Merges),
-			ms(p.MergeDevice),
-			fmt.Sprintf("%d", p.LagOff),
-			fmt.Sprintf("%d", p.LagOn),
-		})
+		t.row(wf, p.IngestRate, p.P99Off, p.P99On, p.MeanOn, p.AvailabilityOn,
+			p.Merges, p.MergeDevice, p.LagOff, p.LagOn)
 	}
 	return res, t, nil
 }

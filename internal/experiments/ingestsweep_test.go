@@ -12,11 +12,11 @@ import "testing"
 func TestIngestSweepShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scale = 0.05
-	res, table, err := RunIngestSweep(cfg)
+	res, table, err := runIngestSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, table)
+	checkGolden(t, cfg, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}

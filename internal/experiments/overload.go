@@ -62,7 +62,7 @@ type OverloadSweepResult struct {
 	Points     []OverloadPoint
 }
 
-// RunOverloadSweep measures goodput (complete, on-deadline answers over
+// runOverloadSweep measures goodput (complete, on-deadline answers over
 // offered load) against offered load from 0.2x to 3x the calibrated
 // saturation rate on a 2-shard, 2-replica hybrid cluster. Each point
 // runs twice over the identical Poisson workload: hardened — deadline
@@ -74,7 +74,7 @@ type OverloadSweepResult struct {
 // answering interactive traffic within deadline by shedding batch and
 // spending CPU instead of the saturated device. Everything is seeded:
 // the same Config reproduces the identical table bit for bit.
-func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
+func runOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 	c, queries, err := studyCorpus(cfg, overloadShape)
 	if err != nil {
 		return OverloadSweepResult{}, nil, err
@@ -185,19 +185,19 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 	res := OverloadSweepResult{Deadline: deadline, Saturation: saturation}
 	t := &Table{
 		Title: "Extension: overload sweep (goodput vs offered load, hardened vs baseline)",
-		Header: []string{"load", "goodput", "goodput (base)", "batch goodput", "sheds", "cpu-degraded",
-			"misses", "P99", "P99 (base)", "retry+hedge", "tokens/bound"},
-		Notes: []string{
-			"2 shards x 2 replicas, hybrid engines; identical seeded Poisson workload (20% batch) for both columns of each row",
-			"hardened: per-query deadline propagated to device admission + CoDel admission shedding + token-budgeted retries/hedges (10%) + two-tier brownout (shed batch, then serve interactive via reduced-top-k CPU-only plans)",
-			"baseline: every overload control off — queries are only scored against the deadline after the fact",
-			"goodput = complete answers within the deadline over offered interactive queries",
-			fmt.Sprintf("deadline %s ms = max(8x clean mean %s ms, 4x cpu-only mean %s ms); saturation %.0f q/s from burst drain makespan",
-				ms(deadline), ms(cleanMean), ms(cpuMean), saturation),
-			fmt.Sprintf("%d arrivals per point (the %d-query sample replayed): an uncontrolled backlog at 2x reaches 3 deadlines",
-				len(arrivals), len(sample)),
-		},
+		Columns: []Column{Column{Name: "load", Unit: "x", Clock: Count, Prec: 1}, pct("goodput", 2), pct("goodput (base)", 2),
+			pct("batch goodput", 2), count("sheds"), count("cpu-degraded"), count("misses"), msec("P99"), msec("P99 (base)"),
+			count("retry+hedge"), count("tokens"), count("bound")},
 	}
+	t.note("2 shards x 2 replicas, hybrid engines; identical seeded Poisson workload (20% batch) for both columns of each row")
+	t.note("hardened: per-query deadline propagated to device admission + CoDel admission shedding + token-budgeted retries/hedges (10%) + two-tier brownout (shed batch, then serve interactive via reduced-top-k CPU-only plans)")
+	t.note("baseline: every overload control off — queries are only scored against the deadline after the fact")
+	t.note("goodput = complete answers within the deadline over offered interactive queries")
+	t.note("deadline {} ms = max(8x clean mean {} ms, 4x cpu-only mean {} ms); saturation {} q/s from burst drain makespan",
+		msec("deadline").of(deadline), msec("clean mean").of(cleanMean), msec("cpu-only mean").of(cpuMean),
+		perSecond("saturation", "q/s").of(saturation))
+	t.note("{} arrivals per point (the {}-query sample replayed): an uncontrolled backlog at 2x reaches 3 deadlines",
+		count("arrivals").of(len(arrivals)), count("sample").of(len(sample)))
 
 	for i, mult := range []float64{0.2, 0.5, 1, 1.5, 2, 3} {
 		rate := mult * saturation
@@ -254,18 +254,8 @@ func RunOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 			TokenBound:       float64(shards)*overload.DefaultRetryBurst + 0.1*float64(ost.RetryBudget.Admissions),
 		}
 		res.Points = append(res.Points, p)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1fx", mult),
-			fmt.Sprintf("%.2f%%", p.Goodput*100),
-			fmt.Sprintf("%.2f%%", p.BaselineGoodput*100),
-			fmt.Sprintf("%.2f%%", p.BatchGoodput*100),
-			fmt.Sprintf("%d", p.Sheds),
-			fmt.Sprintf("%d", p.BrownoutDegraded),
-			fmt.Sprintf("%d", p.DeadlineMisses),
-			ms(p.P99), ms(p.BaselineP99),
-			fmt.Sprintf("%d", p.RetryHedge),
-			fmt.Sprintf("%d/%.0f", p.TokensGranted, p.TokenBound),
-		})
+		t.row(mult, p.Goodput*100, p.BaselineGoodput*100, p.BatchGoodput*100, p.Sheds, p.BrownoutDegraded,
+			p.DeadlineMisses, p.P99, p.BaselineP99, p.RetryHedge, p.TokensGranted, p.TokenBound)
 	}
 	return res, t, nil
 }

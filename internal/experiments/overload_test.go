@@ -10,13 +10,9 @@ import (
 // the baseline collapses, nothing is shed at light load, and the
 // retry/hedge token grants never exceed the budget bound.
 func TestOverloadSweepShape(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scale = 0.05
-	res, table, err := RunOverloadSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, table)
+	run := overloadSweep(t)
+	res, table := run.res, run.table
+	checkGolden(t, run.cfg, table)
 	if len(res.Points) != 6 || len(table.Rows) != 6 {
 		t.Fatalf("expected 6 sweep points, got %d (%d rows)", len(res.Points), len(table.Rows))
 	}
@@ -78,20 +74,15 @@ func TestOverloadSweepShape(t *testing.T) {
 // TestOverloadSweepDeterministic pins seeded reproducibility: the same
 // Config yields the identical result and table bit for bit.
 func TestOverloadSweepDeterministic(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scale = 0.05
-	r1, t1, err := RunOverloadSweep(cfg)
+	run := overloadSweep(t)
+	r2, t2, err := runOverloadSweep(run.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, t2, err := RunOverloadSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r2) {
+	if !reflect.DeepEqual(run.res, r2) {
 		t.Fatal("overload sweep results differ across identical runs")
 	}
-	if !reflect.DeepEqual(t1.Rows, t2.Rows) {
+	if !reflect.DeepEqual(run.table.Rows, t2.Rows) {
 		t.Fatal("overload sweep tables differ across identical runs")
 	}
 }

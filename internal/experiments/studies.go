@@ -25,17 +25,17 @@ type Study struct {
 // from one study into the next. The shared-corpus studies are contiguous,
 // so a runner can let the Session go once it reaches the next study.
 var Studies = []Study{
-	{"table1", false, alone(RunTable1)},
-	{"fig7", false, alone(RunFig7)},
-	{"fig8", false, alone(RunFig8)},
-	{"fig12", false, alone(RunFig12)},
-	{"fig13", false, alone(RunFig13)},
+	{"table1", false, alone(runTable1)},
+	{"fig7", false, alone(runFig7)},
+	{"fig8", false, alone(runFig8)},
+	{"fig12", false, alone(runFig12)},
+	{"fig13", false, alone(runFig13)},
 	{"fig10", true, func(cfg Config, s *Session) ([]*Table, error) {
 		c, err := s.corpusOnce()
 		if err != nil {
 			return nil, err
 		}
-		_, t, err := RunFig10(cfg, c)
+		_, t, err := runFig10(cfg, c)
 		return []*Table{t}, err
 	}},
 	{"fig11", true, func(_ Config, s *Session) ([]*Table, error) {
@@ -52,19 +52,19 @@ var Studies = []Study{
 		if err != nil {
 			return nil, err
 		}
-		_, t := RunFig15(res.CPURecorder, res.GriffinRecorder)
+		_, t := runFig15(res.CPURecorder, res.GriffinRecorder)
 		return []*Table{t}, nil
 	}},
-	{"ablation", true, onLog(part(RunCrossoverAblation), part(RunMigrationAblation), part(RunPolicyAblation))},
-	{"load", true, onLog(part(RunLoadStudy), part(RunEngineLoadStudy), part(RunStreamSweep))},
-	{"cache", true, onLog(part(RunCacheStudy))},
-	{"cluster", false, alone(RunShardSweep)},
-	{"device", false, alone(RunDeviceSweep)},
-	{"batch", false, alone(RunBatchSweep)},
-	{"chaos", false, alone(RunChaosSweep)},
-	{"ingest", false, alone(RunIngestSweep)},
-	{"overload", false, alone(RunOverloadSweep)},
-	{"crash", false, alone(RunCrashSweep)},
+	{"ablation", true, onLog(part(runCrossoverAblation), part(runMigrationAblation), part(runPolicyAblation))},
+	{"load", true, onLog(part(runLoadStudy), part(runEngineLoadStudy), part(runStreamSweep))},
+	{"cache", true, onLog(part(runCacheStudy))},
+	{"cluster", false, alone(runShardSweep)},
+	{"device", false, alone(runDeviceSweep)},
+	{"batch", false, alone(runBatchSweep)},
+	{"chaos", false, alone(runChaosSweep)},
+	{"ingest", false, alone(runIngestSweep)},
+	{"overload", false, alone(runOverloadSweep)},
+	{"crash", false, alone(runCrashSweep)},
 }
 
 // alone, part and onLog fit the Run* functions to the list. Each returns
@@ -141,7 +141,7 @@ func (s *Session) log() (*workload.Corpus, []workload.Query, error) {
 		return nil, nil, err
 	}
 	if s.fig11 == nil {
-		_, t, qs, err := RunFig11(s.cfg, c)
+		_, t, qs, err := runFig11(s.cfg, c)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -156,7 +156,7 @@ func (s *Session) fig14Once() (*Fig14Result, *Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, t, err := RunFig14(s.cfg, c, qs)
+		res, t, err := runFig14(s.cfg, c, qs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"griffin/internal/ef"
 	"griffin/internal/pfordelta"
 	"griffin/internal/vbyte"
@@ -20,9 +18,9 @@ type Table1Result struct {
 	VByteRatio float64
 }
 
-// RunTable1 compresses every list of a Zipfian corpus sample with both
+// runTable1 compresses every list of a Zipfian corpus sample with both
 // codecs and reports the size-weighted average ratios.
-func RunTable1(cfg Config) (Table1Result, *Table, error) {
+func runTable1(cfg Config) (Table1Result, *Table, error) {
 	rng := cfg.rng(1)
 	numLists := cfg.scaled(500, 40)
 	maxLen := cfg.scaled(1_000_000, 20_000)
@@ -62,20 +60,14 @@ func RunTable1(cfg Config) (Table1Result, *Table, error) {
 		EFRatio:    float64(rawBits) / float64(efBits),
 		VByteRatio: float64(rawBits) / float64(vbBits),
 	}
+	ratio := func(name string) Column { return Column{Name: name, Clock: Count, Prec: 1} }
 	t := &Table{
-		Title:  "Table 1: Compression Ratio Comparison",
-		Header: []string{"Scheme", "PforDelta", "EF", "VByte (ref)"},
-		Rows: [][]string{{
-			"Compression Ratio",
-			fmt.Sprintf("%.1f", res.PFDRatio),
-			fmt.Sprintf("%.1f", res.EFRatio),
-			fmt.Sprintf("%.1f", res.VByteRatio),
-		}},
-		Notes: []string{
-			fmt.Sprintf("paper: 3.3 vs 4.6 (EF %.1fx better); measured EF advantage: %.2fx",
-				4.6/3.3, res.EFRatio/res.PFDRatio),
-			"VByte column added as the classic byte-aligned reference codec",
-		},
+		Title:   "Table 1: Compression Ratio Comparison",
+		Columns: []Column{label("Scheme"), ratio("PforDelta"), ratio("EF"), ratio("VByte (ref)")},
 	}
+	t.row("Compression Ratio", res.PFDRatio, res.EFRatio, res.VByteRatio)
+	t.note("paper: 3.3 vs 4.6 (EF 1.4x better); measured EF advantage: {}",
+		Column{Name: "EF advantage", Unit: "x", Clock: Count, Prec: 2}.of(res.EFRatio/res.PFDRatio))
+	t.note("VByte column added as the classic byte-aligned reference codec")
 	return res, t, nil
 }
