@@ -16,7 +16,10 @@
 // address and decompress blocks independently. A list keeps one Row per
 // block — the skip pointer and where the block's words lie, 12 bytes and no
 // pointer — in pages of 64 rows, each of which holds the words of its own
-// blocks (Page); a Block is made from a row when it is asked for.
+// blocks (Page); a Block is made from a row when it is asked for. A list
+// spliced from another (List.Splice) shares the pages below the splice
+// point and, in the page the point falls in, the words of the rows before
+// it: it owns the words of the blocks it encodes.
 package ef
 
 import (
@@ -60,10 +63,11 @@ type Block struct {
 
 // PageShift sizes the pages a list's block table is held in: 64 rows,
 // 8 192 postings. A list re-encoded from block k on shares the pages
-// below k with the list it was made from (List.Splice) and copies at most
-// the rows and words of the one page k falls in, whatever the list's
-// length. It is a constant, not a setting: the accessors below, which
-// every probe of a skip pointer goes through, index with it.
+// below k with the list it was made from (List.Splice), and the words of
+// the page k falls in that come before k; it copies that page's rows and
+// at most its words, whatever the list's length. It is a constant, not a setting: the
+// accessors below, which every probe of a skip pointer goes through,
+// index with it.
 const PageShift = 6
 
 // Row is a block's entry in its list's table: the paper's skip pointer
@@ -72,8 +76,8 @@ const PageShift = 6
 type Row struct {
 	// FirstDocID is the block's first docID: its skip pointer.
 	FirstDocID uint32
-	// Off is where the block's words start in its page's Words: HighWords
-	// words of high bits, then LowWords words of low bits.
+	// Off is where the block's words start in its page's run (Page.Span):
+	// HighWords words of high bits, then LowWords words of low bits.
 	Off uint16
 	// HighLen is the length of the high-bits array in bits.
 	HighLen uint16
@@ -84,20 +88,58 @@ type Row struct {
 }
 
 // Page is one page of a block table: up to 1<<PageShift rows of type R
-// and the words of their blocks, back to back in row order, which the
-// page holds — a view of a mapped file for a list that was opened, a
-// slice of an Arena's region for a list a shard split encoded, one
-// allocation of its own for any other encoded list. A row's offset is
-// relative to its page, so 64 blocks of at most 70 words each fit a u16.
+// and the words of their blocks, back to back in row order — the page's
+// run. A row's offset is relative to the run, so 64 blocks of at most 70
+// words each fit a u16.
 //
-// The rows are always on the heap. A page whose words lie in a region
+// The run is Words, then the page's owned run (Owned). Words is a view of
+// a mapped file for a list that was opened, a slice of an Arena's region
+// for a list a shard split encoded, one allocation of its own for any
+// other encoded list; such a page owns no run. A page that Pager.Seed
+// opened inside another (a splice) holds both: Words, the words of the
+// rows before the splice point as a view of that page's Words (mapped,
+// region or heap), and the owned run, one allocation of the words of the
+// rows it added. A block's words lie in one of the two, and Span finds
+// them. A spliced page's Words keep the capacity of the words they are a
+// view of: past their length lie the dead words the view keeps alive,
+// which a later splice of the page counts (Pager.Seed).
+//
+// The rows are always on the heap. A page whose Words lie in a region
 // refers to it, so the region stays mapped while any list (or a list
-// spliced from one, which shares its pages) can reach the page.
+// spliced from one, which shares its pages and words) can reach the page.
 type Page[R any] struct {
 	Rows  []R
 	Words []uint64
 
-	region *region // where Words lie; nil for the heap or a mapped file
+	ext *pageExt // nil for a page of the heap or a mapped file that owns no run
+}
+
+// pageExt is what a page refers to beyond its rows and words, behind one
+// pointer so that a page stays 56 bytes: the region its Words lie in (one
+// pageExt per region, shared by its pages) and, for a spliced page only,
+// its owned run.
+type pageExt struct {
+	region *region  // where Words lie; nil for the heap or a mapped file
+	owned  []uint64 // the words of the rows past Words
+}
+
+// Span returns the n words at offset off of the page's run: a block's
+// words, which lie in Words or in the owned run, never across the two.
+func (pg *Page[R]) Span(off, n int) []uint64 {
+	if end := off + n; end <= len(pg.Words) {
+		return pg.Words[off:end:end]
+	}
+	w := pg.ext.owned[off-len(pg.Words):]
+	return w[:n:n]
+}
+
+// Owned returns the page's owned run, the words of its rows past Words:
+// nil but for a page Pager.Seed opened inside another.
+func (pg *Page[R]) Owned() []uint64 {
+	if pg.ext == nil {
+		return nil
+	}
+	return pg.ext.owned
 }
 
 // List is a partitioned Elias-Fano compressed posting list.
@@ -122,11 +164,10 @@ func (l *List) First(i int) uint32 {
 func (l *List) Block(i int) Block {
 	pg := &l.Pages[i>>PageShift]
 	r := &pg.Rows[i&(1<<PageShift-1)]
-	lo := int(r.Off) + int(r.HighWords)
-	end := lo + int(r.LowWords)
+	w := pg.Span(int(r.Off), r.words())
 	return Block{
 		FirstDocID: r.FirstDocID, N: int(r.N), B: int(r.B), HighLen: int(r.HighLen),
-		HighBits: pg.Words[r.Off:lo:lo], LowBits: pg.Words[lo:end:end],
+		HighBits: w[:r.HighWords:r.HighWords], LowBits: w[r.HighWords:],
 	}
 }
 
@@ -144,10 +185,14 @@ func Compress(docIDs []uint32) (*List, error) {
 // Splice returns the list of l's blocks [0, k) followed by the encoding
 // of tail, which must be strictly ascending and above every docID of
 // those blocks; block k-1 must be full. The result shares every whole
-// page of l below block k as it is, holds copies of the rows and words of
-// the page k falls in that come before k, and encodes tail behind them
-// into pages of its own: it copies at most one page of l. With k == 0
-// nothing of l is used (it may be nil) and the result is Compress(tail).
+// page of l below block k as it is. Of the page k falls in it copies the
+// rows before k; their words it shares as a view of that page's Words and
+// copies only those the page owned itself (an earlier splice encoded
+// them) — unless the view would keep more than maxDead dead words alive,
+// when it copies them all (Pager.Seed). It encodes tail behind them into
+// words of its own, so it never chains to the list it was made from.
+// With k == 0 nothing of l is used (it may be nil) and the result is
+// Compress(tail).
 func (l *List) Splice(k int, tail []uint32) (*List, error) {
 	var e Encoder
 	if k > 0 {
@@ -287,28 +332,33 @@ func (e *Encoder) Finish() *List {
 // its words, each one exact allocation: the scratch they were written
 // into when that is exactly full — always, for pages Fill sized — else a
 // copy of it; with an Arena, its words are copied there instead and the
-// scratch kept. Pages are never shared with the pager's scratch, so a
-// list keeps alive only pages it can reach (and, seeded by Seed and
-// finished with nothing added, the page it was seeded from). The zero
+// scratch kept. The page Seed opens is the exception: its Words are a
+// view of the page it was opened in, and the words added behind them are
+// its owned run, on the heap whether or not there is an Arena. Pages are
+// never shared with the pager's scratch, so a list keeps alive the pages
+// it can reach and the words their Words are views of, and no dead page's
+// owned run (Seed's first Fill copies what it takes of one). The zero
 // value is ready for use.
 type Pager[R any] struct {
-	// Arena, if set, takes the words of every page the pager closes.
+	// Arena, if set, takes the words of every page the pager closes but
+	// a seeded one.
 	Arena *Arena
 
 	pages  []Page[R]
 	rows   []R      // the open page's
-	words  []uint64 // the open page's
-	region *region  // where words lie, while they are a seeded view of a region
+	words  []uint64 // the open page's own, past shared
+	shared []uint64 // the open page's Words, while it is a seeded page's view
+	region *region  // where shared lies
 }
 
 // Alloc returns the open page's next n words, zeroed, and where they
-// start in it.
+// start in its run.
 func (p *Pager[R]) Alloc(n int) (off int, w []uint64) {
-	off = len(p.words)
-	p.words = slices.Grow(p.words, n)[:off+n]
-	w = p.words[off:]
+	start := len(p.words)
+	p.words = slices.Grow(p.words, n)[:start+n]
+	w = p.words[start:]
 	clear(w)
-	return off, w
+	return len(p.shared) + start, w
 }
 
 // Add appends r as the open page's next row and closes the page once it
@@ -326,9 +376,12 @@ func (p *Pager[R]) Add(r R) {
 // Fill adds n rows, add(j) adding row j through Alloc and Add. Each
 // page's rows and words are counted first (words(j) is row j's word
 // count) and allocated once, exactly, so the page keeps those two
-// allocations as they are.
+// allocations as they are; the page array, unless it has room already,
+// is reallocated once, exactly, too.
 func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
-	p.pages = slices.Grow(p.pages, (len(p.rows)+n+1<<PageShift-1)>>PageShift)
+	if need := len(p.pages) + (len(p.rows)+n+1<<PageShift-1)>>PageShift; need > cap(p.pages) {
+		p.pages = append(make([]Page[R], 0, need), p.pages...)
+	}
 	for j := 0; j < n; {
 		m := min(n-j, 1<<PageShift-len(p.rows))
 		need := 0
@@ -336,8 +389,15 @@ func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
 			need += words(i)
 		}
 		p.rows = append(make([]R, 0, len(p.rows)+m), p.rows...)
-		p.words = append(make([]uint64, 0, len(p.words)+need), p.words...)
-		p.region = nil
+		var w []uint64
+		if cap(p.shared)-len(p.shared) > maxDead {
+			// The view would keep too much of a dead page alive: copy it.
+			w = append(make([]uint64, 0, len(p.shared)+len(p.words)+need), p.shared...)
+			p.shared, p.region = nil, nil
+		} else {
+			w = make([]uint64, 0, len(p.words)+need)
+		}
+		p.words = append(w, p.words...)
 		for end := j + m; j < end; j++ {
 			add(j)
 		}
@@ -345,36 +405,65 @@ func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
 }
 
 // Seed starts the table over as the first k rows of pages: the whole
-// pages below k shared as they are, then the rows of the page k falls in
-// that come before k and their words, which end at word end. Those two
-// are views of that page that nothing writes through: the first Fill
-// copies them into the open page's exact allocations, and a table
-// finished with nothing added keeps them as they are.
+// pages below k shared as they are, then the page k falls in opened with
+// its rows before k, whose words end at word end of its run. The open
+// page's Words are a view of that page's Words up to end; those of its
+// owned words that come before end are the open page's first owned
+// words. The rows and owned words are views that nothing writes through:
+// the first Fill copies them into the open page's exact allocations, and
+// a table finished with nothing added keeps them as they are. The page
+// array is allocated here, once, with room for the page k falls in.
+//
+// The view keeps alive the whole allocation (or mapping) it is cut from,
+// and the words past end are dead: the tail replaces them. The first
+// Fill keeps the view only if there are at most maxDead of those, counted
+// to the view's capacity; else it copies the view's words into the owned
+// run with the rest. A merge that appends re-encodes only a page's last,
+// partial block, so it shares the page it lands in; a splice far back
+// into a heap page copies what it keeps of it, and a list spliced again
+// and again, with tails, keeps alive at most maxDead words a page more
+// than it uses.
 func (p *Pager[R]) Seed(pages []Page[R], k, end int) {
 	full, r := k>>PageShift, k&(1<<PageShift-1)
-	p.pages = append(p.pages[:0], pages[:full]...)
-	p.rows, p.words, p.region = nil, nil, nil
+	p.pages = append(make([]Page[R], 0, full+1), pages[:full]...)
+	p.rows, p.words, p.shared, p.region = nil, nil, nil, nil
 	if r > 0 {
 		pg := &pages[full]
-		p.rows, p.words, p.region = pg.Rows[:r:r], pg.Words[:end:end], pg.region
+		p.rows = pg.Rows[:r:r]
+		if pg.ext != nil {
+			p.region = pg.ext.region
+		}
+		if end <= len(pg.Words) {
+			p.shared = pg.Words[:end] // the capacity past end: what the view pins
+		} else {
+			n := end - len(pg.Words)
+			p.shared, p.words = pg.Words, pg.ext.owned[:n:n]
+		}
 	}
 }
+
+// maxDead is how many dead words a seeded page's view may keep alive
+// past its own: 512 bytes, about one block's words at the widths lists
+// have.
+const maxDead = 64
 
 // close ends the open page, if it holds a row.
 func (p *Pager[R]) close() {
 	if len(p.rows) == 0 {
 		return
 	}
-	pg := Page[R]{Rows: own(&p.rows), region: p.region}
-	if pg.region == nil {
-		pg.Words, pg.region = p.Arena.place(p.words)
-	}
-	if pg.Words != nil {
+	pg := Page[R]{Rows: own(&p.rows)}
+	if p.shared != nil {
+		pg.Words = p.shared
+		if len(p.words) > 0 || p.region != nil {
+			pg.ext = &pageExt{region: p.region, owned: own(&p.words)}
+		}
+	} else if pg.Words, pg.ext = p.Arena.place(p.words); pg.Words != nil {
 		p.words = p.words[:0] // copied: the scratch serves the next page
 	} else {
 		pg.Words = own(&p.words)
 	}
-	p.region = nil
+	p.shared, p.region = nil, nil
 	p.pages = append(p.pages, pg)
 }
 
@@ -409,8 +498,8 @@ func (p *Pager[R]) Finish() []Page[R] {
 func (l *List) DecompressBlock(k int, dst []uint32) int {
 	pg := &l.Pages[k>>PageShift]
 	r := &pg.Rows[k&(1<<PageShift-1)]
-	lo := int(r.Off) + int(r.HighWords)
-	return decode(dst[:r.N], pg.Words[r.Off:lo], pg.Words[lo:lo+int(r.LowWords)], r.FirstDocID, int(r.B))
+	w := pg.Span(int(r.Off), r.words())
+	return decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], r.FirstDocID, int(r.B))
 }
 
 // decode is DecompressBlock with the block's fields as arguments: dst is
@@ -434,21 +523,22 @@ func decode(dst []uint32, high, low []uint64, first uint32, b int) int {
 // the row and its page's words where they lie and makes no Block.
 func (l *List) Get(k, j int) uint32 {
 	pg := &l.Pages[k>>PageShift]
-	return pg.Rows[k&(1<<PageShift-1)].get(pg.Words, j)
+	return pg.Rows[k&(1<<PageShift-1)].get(pg, j)
 }
 
-// get returns docID j of the row's block, whose page's words are words.
-func (r *Row) get(words []uint64, j int) uint32 {
+// get returns docID j of the row's block, whose page is pg.
+func (r *Row) get(pg *Page[Row], j int) uint32 {
+	words := pg.Span(int(r.Off), r.words())
 	// Select the (j+1)-th one-bit in the high bits.
-	off, seen := int(r.Off), 0
-	for wi, w := range words[off : off+int(r.HighWords)] {
+	seen := 0
+	for wi, w := range words[:r.HighWords] {
 		pc := bitutil.Popcount(w)
 		if seen+pc > j {
 			pos := wi*bitutil.WordBits + bitutil.SelectInWord(w, j-seen)
 			high := uint64(pos - j) // zeros before the element's one-bit
 			var low uint64
 			if b := int(r.B); b > 0 {
-				low = bitutil.GetBits(words, (off+int(r.HighWords))*bitutil.WordBits+j*b, b)
+				low = bitutil.GetBits(words, int(r.HighWords)*bitutil.WordBits+j*b, b)
 			}
 			return r.FirstDocID + uint32(high<<r.B|low)
 		}

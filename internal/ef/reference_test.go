@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"griffin/internal/bitutil"
 )
@@ -306,15 +308,52 @@ func TestCompressAllocations(t *testing.T) {
 	}
 }
 
+// run returns a page's run, Words and then its owned run, as one slice.
+func run[R any](pg *Page[R]) []uint64 { return append(slices.Clip(pg.Words), pg.Owned()...) }
+
+// sameList reports whether two lists hold the same rows and the same
+// run in every page, wherever the runs' words lie.
+func sameList(a, b *List) bool {
+	if a.N != b.N || len(a.Pages) != len(b.Pages) {
+		return false
+	}
+	for p := range a.Pages {
+		if !slices.Equal(a.Pages[p].Rows, b.Pages[p].Rows) || !slices.Equal(run(&a.Pages[p]), run(&b.Pages[p])) {
+			return false
+		}
+	}
+	return true
+}
+
+// A page is two slice headers and one pointer, 56 bytes, whatever it
+// holds: a spliced page's owned run lies behind the pointer a page in a
+// region uses for its region, so the page arrays a merge copies do not
+// grow with it.
+func TestPageDescriptorSize(t *testing.T) {
+	if got, want := unsafe.Sizeof(Page[Row]{}), 2*unsafe.Sizeof([]uint64(nil))+unsafe.Sizeof(uintptr(0)); got != want {
+		t.Errorf("a page is %d bytes, want %d", got, want)
+	}
+}
+
+// sharesBefore reports whether a page cut at word end of from keeps the
+// words before end as a view: whether what the view keeps alive past
+// them, to its capacity, is at most maxDead words (Pager.Seed).
+func sharesBefore(from *Page[Row], end int) bool { return cap(from.Words)-end <= maxDead }
+
 // A splice shares the whole pages below k with the list it was made
-// from, copies the rows and words of the page k falls in that come
-// before k, and leaves the list it was made from as it was.
+// from. Of the page k falls in it copies the rows that come before k; it
+// shares their words, the page's Words up to where they end, by address
+// when that view keeps few dead words alive (a cut near the page's end),
+// and copies them otherwise. Spliced again, a spliced page still shares
+// the first page's words, and copies only what it owns. It leaves the
+// list it was made from as it was.
 func TestSpliceSharesWholePages(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	ids := genAscending(rng, 200*BlockSize+17, 40)
 	old, _ := Compress(ids)
 	before := old.Decompress()
-	for _, k := range []int{0, 1, 63, 64, 65, 128, 150, 200} {
+	var shared, copied int
+	for _, k := range []int{0, 1, 63, 64, 65, 127, 128, 150, 191, 200} {
 		base := uint32(0)
 		if k > 0 {
 			base = ids[k*BlockSize-1]
@@ -327,8 +366,9 @@ func TestSpliceSharesWholePages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		want, _ := Compress(append(append([]uint32(nil), ids[:k*BlockSize]...), tail...))
-		if !reflect.DeepEqual(got, want) {
+		whole := append(append([]uint32(nil), ids[:k*BlockSize]...), tail...)
+		want, _ := Compress(whole)
+		if !sameList(got, want) {
 			t.Fatalf("k=%d: spliced list differs from the encoding of the whole", k)
 		}
 		for p := range k >> PageShift {
@@ -336,9 +376,55 @@ func TestSpliceSharesWholePages(t *testing.T) {
 				t.Fatalf("k=%d: page %d below the splice was copied, not shared", k, p)
 			}
 		}
-		if p := k >> PageShift; k&(1<<PageShift-1) != 0 && &got.Pages[p].Words[0] == &old.Pages[p].Words[0] {
-			t.Fatalf("k=%d: the page the splice falls in is shared, not copied", k)
+		p, r := k>>PageShift, k&(1<<PageShift-1)
+		if r == 0 {
+			continue
 		}
+		cut, from := &got.Pages[p], &old.Pages[p]
+		end := int(from.Rows[r-1].Off) + from.Rows[r-1].words()
+		if &cut.Rows[0] == &from.Rows[0] {
+			t.Fatalf("k=%d: the rows of the page the splice falls in are shared, not copied", k)
+		}
+		if !sharesBefore(from, end) {
+			copied++
+			if &cut.Words[0] == &from.Words[0] || cut.Owned() != nil {
+				t.Fatalf("k=%d: the page the splice falls in keeps a view of %d words alive for %d, want them copied", k, cap(from.Words), end)
+			}
+			continue
+		}
+		shared++
+		if &cut.Words[0] != &from.Words[0] || len(cut.Words) != end || len(cut.Owned()) == 0 {
+			t.Fatalf("k=%d: the page the splice falls in holds %d words before k, %d of its own; want the %d before k shared, the tail's owned",
+				k, len(cut.Words), len(cut.Owned()), end)
+		}
+
+		// Spliced again: inside the owned run (one block past k) and
+		// inside the shared run (one block before k). Neither reaches the
+		// owned run of the page it is spliced from.
+		for _, k2 := range []int{k + 1, k - 1} {
+			if k2&(1<<PageShift-1) == 0 || k2 >= got.NumBlocks() {
+				continue
+			}
+			again, err := got.Splice(k2, whole[k2*BlockSize:])
+			if err != nil {
+				t.Fatalf("k=%d k2=%d: %v", k, k2, err)
+			}
+			if !sameList(again, got) {
+				t.Fatalf("k=%d k2=%d: splicing the spliced list again changed it", k, k2)
+			}
+			pg, last := &again.Pages[k2>>PageShift], &cut.Rows[k2&(1<<PageShift-1)-1]
+			end2 := min(int(last.Off)+last.words(), end)
+			if (&pg.Words[0] == &from.Words[0]) != sharesBefore(from, end2) {
+				t.Fatalf("k=%d k2=%d: the twice-spliced page shares the first page's words: %v, want %v",
+					k, k2, &pg.Words[0] == &from.Words[0], sharesBefore(from, end2))
+			}
+			if len(pg.Owned()) > 0 && &pg.Owned()[0] == &cut.Owned()[0] {
+				t.Fatalf("k=%d k2=%d: the twice-spliced page shares the owned run it was spliced from", k, k2)
+			}
+		}
+	}
+	if shared == 0 || copied == 0 {
+		t.Fatalf("%d cut pages shared their words, %d copied them: want both", shared, copied)
 	}
 	if !reflect.DeepEqual(old.Decompress(), before) {
 		t.Fatal("splicing changed the list spliced from")

@@ -20,8 +20,8 @@ import (
 // holds it, is reachable.
 type Arena struct {
 	mu      sync.Mutex
-	cur     *region  // the region pages are being placed in
-	free    []uint64 // cur's words not yet taken
+	cur     *pageExt // what every page placed in the current region refers to
+	free    []uint64 // the current region's words not yet taken
 	regions []*region
 }
 
@@ -68,9 +68,10 @@ func newRegion(n int) (*region, []uint64) {
 	return r, words
 }
 
-// place copies words into the arena and returns the copy and the region
-// it lies in: nil, nil for a nil arena, no words, or a failed mapping.
-func (a *Arena) place(words []uint64) ([]uint64, *region) {
+// place copies words into the arena and returns the copy and the
+// pageExt of the region it lies in: nil, nil for a nil arena, no words,
+// or a failed mapping.
+func (a *Arena) place(words []uint64) ([]uint64, *pageExt) {
 	if a == nil || len(words) == 0 {
 		return nil, nil
 	}
@@ -82,14 +83,14 @@ func (a *Arena) place(words []uint64) ([]uint64, *region) {
 			a.mu.Unlock()
 			return nil, nil
 		}
-		a.cur, a.free = r, w
+		a.cur, a.free = &pageExt{region: r}, w
 		a.regions = append(a.regions, r)
 	}
-	dst, r := a.free[:n:n], a.cur
+	dst, x := a.free[:n:n], a.cur
 	a.free = a.free[n:]
 	a.mu.Unlock()
 	copy(dst, words)
-	return dst, r
+	return dst, x
 }
 
 // Seal makes every region the arena has mapped read-only, so that a

@@ -135,9 +135,11 @@ func TestRepeatedSplitsKeepRegionsBounded(t *testing.T) {
 }
 
 // A list spliced from a shard's shares the shard's whole pages below the
-// splice point and, spliced with no tail, keeps a view of the page the
-// point falls in: it keeps their regions mapped once the shard is gone.
-// With a tail, the page the point falls in is copied to the heap and
+// splice point and, spliced with no tail or near the end of the page the
+// point falls in, the words of that page before the point: it keeps
+// their regions mapped once the shard is gone, and owns the tail's words
+// on the heap. Spliced with a tail far back in a page, it copies that
+// page's words to the heap rather than keep its dead rest mapped, and
 // holds no region. Reading each successor back after the collections
 // that unmapped every region it does not reach faults if one was
 // unmapped under it.
@@ -149,6 +151,7 @@ func TestSplicedSuccessorOutlivesItsShard(t *testing.T) {
 	}{
 		{5, 0, true},
 		{5, 300, false},
+		{1<<ef.PageShift - 1, 300, true},
 		{1 << ef.PageShift, 0, true},
 		{1<<ef.PageShift + 5, 300, true},
 		{-1, 0, true},

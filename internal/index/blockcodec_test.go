@@ -241,12 +241,16 @@ func BenchmarkDecodeBlock(b *testing.B) {
 
 // A spliced list shares its untouched leading pages with the list it
 // replaces, and a page keeps alive the allocations its rows and words lie
-// in. Every page an encoder makes is two exact allocations of its own, so
-// a list merged again and again, each time a little further in, holds on
+// in. Every page an encoder makes is exact allocations of its own, so a
+// list merged again and again, each time a little further in, holds on
 // to the pages it can reach and to nothing of its predecessors' dead
-// tails. What a splice allocates is the tail's pages plus the one page of
-// each table that k falls in, copied up to k. (With one slab per list, 40
-// splices of the list below kept 15 times the list alive.)
+// tails. What a splice allocates is the tail's pages plus, per table, the
+// rows of the page k falls in (those before k copied), the words that
+// page owns and one small header: the words before k only where the page
+// copies them rather than share them (ef.Pager.Seed: where a view would
+// keep too much of the page they lie in alive, as every cut far back in
+// a page does here). (With one slab per list, 40 splices of the list
+// below kept 15 times the list alive.)
 func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 	heap := func() uint64 {
 		runtime.GC()
@@ -279,19 +283,19 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 				t.Fatalf("splice %d at block %d: page %d below it was copied, not shared", i, k, p)
 			}
 		}
-		// The tail's pages, from the start of the page k falls in: every
-		// row and word of them is new, the ones before k copies.
-		var tail uint64
-		for _, pg := range next.EF.Pages[k>>ef.PageShift:] {
-			tail += uint64(cap(pg.Rows))*uint64(unsafe.Sizeof(ef.Row{})) + uint64(cap(pg.Words))*8 + uint64(unsafe.Sizeof(pg))
+		if p := k >> ef.PageShift; k&(1<<ef.PageShift-1) != 0 &&
+			(&next.EF.Pages[p].Rows[0] == &old.EF.Pages[p].Rows[0] || &next.Freqs.pages[p].Rows[0] == &old.Freqs.pages[p].Rows[0]) {
+			t.Fatalf("splice %d at block %d: the rows of the page it falls in are shared, not copied", i, k)
 		}
-		for _, pg := range next.Freqs.pages[k>>ef.PageShift:] {
-			tail += uint64(cap(pg.Rows))*uint64(unsafe.Sizeof(freqRow{})) + uint64(cap(pg.Words))*8 + uint64(unsafe.Sizeof(pg))
-		}
+		// The tail's pages, from the page k falls in: every row of them is
+		// new (the ones before k copies), and every word they own.
+		tail := tableTail(next.EF.Pages, old.EF.Pages, k) + tableTail(next.Freqs.pages, old.Freqs.pages, k)
 		// Size classes round an allocation up by at most 1/8; the rest is
-		// the two page arrays' shared part and the headers.
-		if ceiling := tail*9/8 + uint64(k>>ef.PageShift)*2*uint64(unsafe.Sizeof(ef.Page[ef.Row]{})) + 4<<10; allocated > ceiling {
-			t.Fatalf("splice %d at block %d allocated %d bytes, want <= %d: the tail's pages and one copied page per table", i, k, allocated, ceiling)
+		// the two page arrays' shared part, one page extension per table
+		// (ef's: a region pointer and the owned run's slice header, 32 B)
+		// and the lists' headers.
+		if ceiling := tail*9/8 + uint64(k>>ef.PageShift)*2*uint64(unsafe.Sizeof(ef.Page[ef.Row]{})) + 2*32 + 2<<10; allocated > ceiling {
+			t.Fatalf("splice %d at block %d allocated %d bytes, want <= %d: the tail's pages and the rows of the page it falls in", i, k, allocated, ceiling)
 		}
 		pl = next
 	}
@@ -303,6 +307,22 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 	if ceiling := fresh + fresh/20; spliced > ceiling {
 		t.Errorf("after 40 splices the list keeps %d bytes alive, a fresh encoding of it %d, want <= %d: spliced lists pin dead pages", spliced, fresh, ceiling)
 	}
+}
+
+// tableTail returns the bytes of the pages of a table spliced from old at
+// block k, from the page k falls in: their rows, the words each page owns
+// — all of its run but where its Words are a view of old's page — and
+// their slots in the page array.
+func tableTail[R any](pages, old []ef.Page[R], k int) uint64 {
+	var n uint64
+	for p, pg := range pages[k>>ef.PageShift:] {
+		words := cap(pg.Words) + len(pg.Owned())
+		if p == 0 && k&(1<<ef.PageShift-1) != 0 && &pg.Words[0] == &old[k>>ef.PageShift].Words[0] {
+			words = len(pg.Owned())
+		}
+		n += uint64(cap(pg.Rows))*uint64(unsafe.Sizeof(pg.Rows[0])) + uint64(words)*8 + uint64(unsafe.Sizeof(pg))
+	}
+	return n
 }
 
 // allocatedBy returns the bytes f allocates.

@@ -20,15 +20,17 @@ type FreqStore struct {
 }
 
 // freqRow is a frequency block's entry in its table: where its words
-// start in its page, its width and its word count — 4 bytes, no pointer.
+// start in its page's run (ef.Page.Span), its width and its word count —
+// 4 bytes, no pointer.
 type freqRow struct {
 	off      uint16
 	b, words uint8
 }
 
 // spliceFreqs is ef.List.Splice for frequencies: old's blocks [0, k),
-// whole pages shared and the rows and words of the page k falls in
-// copied, then the encoding of tail. With k == 0, old may be nil, and the
+// whole pages shared, and of the page k falls in the rows before k copied
+// and their words shared as ef.Pager.Seed shares them, then the encoding
+// of tail into words of its own. With k == 0, old may be nil, and the
 // result packs tail alone. Like ef.Compress it sizes each page of blocks
 // first (a block's width is that of the OR of its values) and packs every
 // block, a word at a time, into that page's one allocation: nothing is
@@ -95,7 +97,7 @@ func (fs *FreqStore) At(i int) uint32 { return fs.inBlock(i/BlockSize, i%BlockSi
 func (fs *FreqStore) inBlock(k, i int) uint32 {
 	pg := &fs.pages[k>>ef.PageShift]
 	r := pg.Rows[k&(1<<ef.PageShift-1)]
-	return uint32(bitutil.GetBits(pg.Words[r.off:], i*int(r.b), int(r.b)))
+	return uint32(bitutil.GetBits(pg.Span(int(r.off), int(r.words)), i*int(r.b), int(r.b)))
 }
 
 // DecodeBlock unpacks the frequencies of block k — those of the postings
@@ -105,7 +107,7 @@ func (fs *FreqStore) DecodeBlock(k int, dst []uint32) int {
 	n := min(BlockSize, fs.n-k*BlockSize)
 	pg := &fs.pages[k>>ef.PageShift]
 	r := pg.Rows[k&(1<<ef.PageShift-1)]
-	bitutil.Unpack(dst[:n], pg.Words[r.off:int(r.off)+int(r.words)], int(r.b))
+	bitutil.Unpack(dst[:n], pg.Span(int(r.off), int(r.words)), int(r.b))
 	return n
 }
 

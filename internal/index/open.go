@@ -42,7 +42,8 @@ func Open(path string) (*Index, error) {
 // list once its neighbours are read too. It does nothing when ix is not
 // mapped, when pl's words do not lie in the mapping (a list built on the
 // heap, or spliced with a tail of its own), and where the kernel cannot
-// be told.
+// be told. A list spliced inside its last page ends in the words that
+// page owns, on the heap, so it is one of those.
 func (ix *Index) ReleaseList(pl *PostingList) {
 	nb := pl.EF.NumBlocks()
 	if ix.mapped == nil || nb == 0 {
@@ -50,8 +51,13 @@ func (ix *Index) ReleaseList(pl *PostingList) {
 	}
 	// The record is its header (n | numBlocks | termLen | term, padded to
 	// 8), its block table and its words, which end with its last frequency
-	// word (see the format above WriteTo).
-	last := pl.Freqs.pages[len(pl.Freqs.pages)-1].Words
+	// word (see the format above WriteTo): the last of its last page's
+	// run, in the words that page owns if it owns any.
+	lastPage := &pl.Freqs.pages[len(pl.Freqs.pages)-1]
+	last := lastPage.Owned()
+	if len(last) == 0 {
+		last = lastPage.Words
+	}
 	lo, okLo := offsetIn(ix.mapped, &pl.EF.Pages[0].Words[0])
 	hi, okHi := offsetIn(ix.mapped, &last[len(last)-1])
 	if !okLo || !okHi {

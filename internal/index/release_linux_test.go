@@ -62,7 +62,9 @@ func headOf(prev, pl *PostingList) []uint64 {
 // ReleaseList drops the pages of one list's record and nothing a reader
 // of another list, or of DocLens, still has resident; the list reads back
 // as written all the same. It leaves a heap-built list and a spliced one
-// as they are.
+// as they are — a list spliced inside its last page too, whose first and
+// last pages' Words both lie in the mapping but whose record ends in
+// words of its own.
 func TestReleaseList(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("big-endian host: every parse copies")
@@ -120,11 +122,24 @@ func TestReleaseList(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.ReleaseList(spliced)
-	if !reflect.DeepEqual(heapList, mapped) {
-		t.Error("releasing a heap-built list changed it")
+	last := mapped.EF.NumBlocks() - 1 // the last of a full page: a tail of one block stays in it
+	tailIDs, tailFreqs = mapped.DecodeFrom(last)
+	tailFreqs[0]++
+	inLast, err := SpliceList("a", mapped, last, tailIDs, tailFreqs, CodecEF)
+	if err != nil {
+		t.Fatal(err)
 	}
+	lastPage := &inLast.Freqs.pages[len(inLast.Freqs.pages)-1]
+	if _, ok := offsetIn(ix.mapped, &lastPage.Words[0]); !ok || len(lastPage.Owned()) == 0 {
+		t.Fatal("the list spliced inside its last page does not share that page's mapped words: the case is gone")
+	}
+	ix.ReleaseList(inLast)
+	// Residency first: reading a list back faults its pages in again.
 	if got := resident(); !reflect.DeepEqual(got, before) {
 		t.Errorf("releasing lists the index did not parse: %v pages resident, want %v", got, before)
+	}
+	if !reflect.DeepEqual(heapList, mapped) {
+		t.Error("releasing a heap-built list changed it")
 	}
 
 	middle, _ := ix.Lookup("b")

@@ -104,13 +104,16 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 				b: r.B, freqB: fr.b,
 			}.put(e)
 		}
-		// A page's words are its blocks' words back to back, so the pages
-		// in order are the list's two runs.
+		// A page's run, its Words and then its owned run, is its blocks'
+		// words back to back, so the pages in order are the list's two
+		// runs: a spliced page writes what a built one does.
 		for _, pg := range p.EF.Pages {
 			e.words(pg.Words)
+			e.words(pg.Owned())
 		}
 		for _, pg := range p.Freqs.pages {
 			e.words(pg.Words)
+			e.words(pg.Owned())
 		}
 	}
 	if e.err == nil {

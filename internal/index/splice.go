@@ -13,9 +13,10 @@ import (
 // one, frequencies at the block's own width), so a list whose first
 // k*BlockSize postings did not change keeps its first k blocks of all
 // three forms byte for byte — and, the three block tables being paged,
-// the pages below k as they are, rows and words: a spliced list allocates
-// its tail, one page per table for the rows and words around k, and a
-// page table; nothing the size of the list. The helpers below are what a
+// the pages below k as they are, rows and words, and in the page k falls
+// in the words before k: a spliced list allocates its tail's words, per
+// table the rows of the page k falls in, and a page table; nothing the
+// size of the list. The helpers below are what a
 // live merge builds on: decode a list from block k, re-encode only that
 // tail behind the shared prefix, and assemble an Index from the finished
 // lists. Builder.Build encodes through the same SpliceList (k = 0), which
@@ -36,13 +37,13 @@ func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
 }
 
 // SpliceList returns term's posting list made of old's blocks [0, k),
-// shared by reference (ef.List.Splice: whole pages as they are, the rows
-// and words of the page k falls in copied), followed by the encoding of
-// the tail postings (ids strictly ascending and above every prefix
-// docID, freqs parallel). With k == 0 nothing of old is used (it may be
-// nil) and the result is the plain encoding of the tail. codec selects
-// the compressed forms; CodecBoth with k > 0 needs old to carry its
-// PForDelta form.
+// shared by reference (ef.List.Splice: whole pages as they are, and of
+// the page k falls in the words before k as a view, its rows copied),
+// followed by the encoding of the tail postings (ids strictly ascending
+// and above every prefix docID, freqs parallel). With k == 0 nothing of
+// old is used (it may be nil) and the result is the plain encoding of the
+// tail. codec selects the compressed forms; CodecBoth with k > 0 needs
+// old to carry its PForDelta form.
 func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec Codec) (*PostingList, error) {
 	if len(freqs) != len(ids) {
 		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))

@@ -115,18 +115,19 @@ func TestPartitionIndexEqualsListAtATimeSplit(t *testing.T) {
 }
 
 // sameContents is reflect.DeepEqual but for the handle of the region a
-// page's words lie in (ef.Page's region): two splits of one index copy
-// the same words into different regions, and SpliceList into none. It
-// walks what DeepEqual walks, unexported fields included.
+// page's words lie in (ef.Page's ext): two splits of one index copy the
+// same words into different regions, and SpliceList into none. No page a
+// split makes owns a run behind that handle, so skipping it skips no
+// words. It walks what DeepEqual walks, unexported fields included.
 func sameContents(a, b any) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	return va.Type() == vb.Type() && sameValue(va, vb)
 }
 
 var regionHandle = func() reflect.Type {
-	f, ok := reflect.TypeOf(ef.Page[ef.Row]{}).FieldByName("region")
+	f, ok := reflect.TypeOf(ef.Page[ef.Row]{}).FieldByName("ext")
 	if !ok {
-		panic("ef.Page has no region field")
+		panic("ef.Page has no ext field")
 	}
 	return f.Type
 }()
@@ -258,7 +259,7 @@ func wordBytes(ixs []*index.Index) int {
 				walk(v.Elem())
 			}
 		case reflect.Struct:
-			if f, ok := v.Type().FieldByName("region"); ok && f.Type == regionHandle {
+			if f, ok := v.Type().FieldByName("ext"); ok && f.Type == regionHandle {
 				n += v.FieldByName("Words").Len() * 8
 				return
 			}
