@@ -13,8 +13,8 @@ import (
 // FuzzReadIndex hammers the parser with corrupt inputs: it must return
 // an error or an index that is safe to use — every block of every
 // accepted input is read through select, the serial decode and both
-// frequency lookups, none of which may panic — and whose serialization
-// is the input again. The seed corpus includes genuine serialized
+// frequency lookups, and every document's length through DocLen, none
+// of which may panic — and whose serialization is the input again. The seed corpus includes genuine serialized
 // indexes plus truncations, bit flips and a zeroed high-bits word (which
 // version 2 accepted, and Get then panicked on).
 func FuzzReadIndex(f *testing.F) {
@@ -52,6 +52,14 @@ func FuzzReadIndex(f *testing.F) {
 		ix, err := ReadIndex(bytes.NewReader(data))
 		if err != nil {
 			return // rejection is the expected outcome for garbage
+		}
+		if ix.DocLens.Len() != ix.NumDocs {
+			t.Fatalf("%d lengths for %d documents", ix.DocLens.Len(), ix.NumDocs)
+		}
+		for d := range min(ix.NumDocs, 1<<22) { // a byte of input can claim a page of 4 096
+			if l := ix.DocLen(uint32(d)); l == 0 {
+				t.Fatalf("DocLen(%d) = 0", d)
+			}
 		}
 		var ids [BlockSize]uint32
 		for _, term := range ix.Terms() {

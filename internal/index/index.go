@@ -20,7 +20,6 @@ import (
 
 	"griffin/internal/ef"
 	"griffin/internal/pfordelta"
-	"griffin/internal/pvec"
 )
 
 // BlockSize is the posting-list compression block size; both codecs share
@@ -110,15 +109,18 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 type Index struct {
 	// NumDocs is the collection size.
 	NumDocs int
-	// DocLens holds the token length of document d at index d, in pages
-	// of 1<<DocLenShift that a merged segment shares with the one it was
-	// merged from wherever no document changed.
-	DocLens pvec.Vec[uint32]
+	// DocLens holds the token length of document d at index d, in packed
+	// pages that a merged segment shares with the one it was merged from
+	// wherever no document changed.
+	DocLens LenTable
 	// AvgDocLen is the mean document length.
 	AvgDocLen float64
 
 	terms  map[string]*PostingList
 	mapped []byte // the file bytes Open parsed; nil for an index built or read in
+	// lensEnd is where in mapped the doc-length section ends and the
+	// first term record begins.
+	lensEnd int
 }
 
 // Lookup returns the posting list for term, if indexed.
@@ -151,32 +153,9 @@ func (ix *Index) ListSizes() []int {
 	return out
 }
 
-// DocLenShift sizes the pages of Index.DocLens: 4 096 lengths, 16 KB — a
-// merge copies one per page a mutated document falls in. A constant, not
-// a setting: DocLen, which scoring calls per candidate, indexes with it.
-const DocLenShift = 12
-
-// NewDocLens returns a document-length table over lens, which it keeps
-// and which must not be written again.
-func NewDocLens(lens []uint32) pvec.Vec[uint32] { return pvec.Of(DocLenShift, lens) }
-
 // DocLen returns document d's token length (1 if unknown, avoiding
 // divide-by-zero in scoring).
-func (ix *Index) DocLen(d uint32) uint32 {
-	if l := ix.RecordedLen(d); l > 0 {
-		return l
-	}
-	return 1
-}
-
-// RecordedLen returns document d's token length as the table has it: 0
-// for a docID the collection does not hold.
-func (ix *Index) RecordedLen(d uint32) uint32 {
-	if int(d) < ix.DocLens.Len() {
-		return ix.DocLens.Pages()[d>>DocLenShift][d&(1<<DocLenShift-1)]
-	}
-	return 0
-}
+func (ix *Index) DocLen(d uint32) uint32 { return max(ix.DocLens.At(d), 1) }
 
 // Codec selects which compressed forms the builder materializes.
 type Codec int
@@ -311,7 +290,7 @@ func (b *Builder) Build() (*Index, error) {
 			ix.AvgDocLen = float64(sum) / float64(cnt)
 		}
 	}
-	ix.DocLens = NewDocLens(lens)
+	ix.DocLens = NewLenTable(lens)
 
 	for term, raw := range b.postings {
 		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs, b.codec)

@@ -22,11 +22,11 @@ func Open(path string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := Parse(data)
+	ix, lensEnd, err := parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	ix.mapped = data
+	ix.mapped, ix.lensEnd = data, lensEnd
 	return ix, nil
 }
 
@@ -66,7 +66,7 @@ func (ix *Index) ReleaseList(pl *PostingList) {
 	lo -= (14+len(pl.Term)+7)&^7 + nb*blockEntryLen
 	hi += 8
 	page := os.Getpagesize()
-	lo = max(lo/page*page, (headerLen+4*ix.NumDocs+page-1)/page*page)
+	lo = max(lo/page*page, (ix.lensEnd+page-1)/page*page)
 	hi = min((hi+page-1)/page*page, len(ix.mapped))
 	if lo < hi {
 		dropResident(ix.mapped[lo:hi])

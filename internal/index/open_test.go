@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"griffin/internal/ef"
@@ -106,7 +107,7 @@ func TestOpenMapped(t *testing.T) {
 				t.Errorf("seed %d: %s: remembers a mapping: %v", seed, name, got.mapped != nil)
 			}
 			unmapped := *got
-			unmapped.mapped = nil // which Open keeps beside the index, for ReleaseList
+			unmapped.mapped, unmapped.lensEnd = nil, 0 // which Open keeps beside the index, for ReleaseList
 			if !reflect.DeepEqual(&unmapped, built) {
 				t.Errorf("seed %d: %s is not the built index", seed, name)
 			}
@@ -144,7 +145,7 @@ func TestOpenMappedViewsTheBuffer(t *testing.T) {
 		}
 		pl, _ := ix.Lookup(lay.term)
 		docLen, high := ix.DocLens.At(0), pl.EF.Block(0).HighBits[0]
-		tc.buf[lay.docLens] ^= 0xff
+		tc.buf[lay.lenWords] ^= 0xff
 		tc.buf[lay.words] ^= 0xff
 		changed := ix.DocLens.At(0) != docLen && pl.EF.Block(0).HighBits[0] != high
 		same := ix.DocLens.At(0) == docLen && pl.EF.Block(0).HighBits[0] == high
@@ -157,7 +158,9 @@ func TestOpenMappedViewsTheBuffer(t *testing.T) {
 // layout locates the sections of a serialized index's first list.
 type layout struct {
 	term              string
-	docLens, docPad   int // doc-length array and its padding
+	widthPad          int // padding after the doc-length widths
+	lenWords          int // doc-length words
+	lenLast           int // the last of them, before the trailing word
 	list              int // list record: n | numBlocks | termLen | term
 	termPad           int // padding after the term
 	table             int // block table
@@ -169,9 +172,15 @@ type layout struct {
 func layoutOf(t testing.TB, data []byte) layout {
 	t.Helper()
 	var l layout
-	l.docLens = 32
-	l.docPad = l.docLens + 4*int(binary.LittleEndian.Uint64(data[8:]))
-	l.list = (l.docPad + 7) &^ 7
+	numDocs := int(binary.LittleEndian.Uint64(data[8:]))
+	widths := data[headerLen:][:(numDocs+lenPageSize-1)>>DocLenShift]
+	l.widthPad = headerLen + len(widths)
+	l.lenWords = (l.widthPad + 7) &^ 7
+	l.lenLast = l.lenWords - 8
+	for p, w := range widths {
+		l.lenLast += 8 * packedWords(min(lenPageSize, numDocs-p<<DocLenShift), uint(w))
+	}
+	l.list = l.lenLast + 16
 	l.blocks = int(binary.LittleEndian.Uint32(data[l.list+8:]))
 	termLen := int(binary.LittleEndian.Uint16(data[l.list+12:]))
 	l.term = string(data[l.list+14 : l.list+14+termLen])
@@ -191,8 +200,9 @@ func layoutOf(t testing.TB, data []byte) layout {
 }
 
 // rejectIndex is an index whose first list in term order ("aaa") has
-// three blocks with low bits, behind an odd number of doc lengths (so
-// the array is followed by padding).
+// three blocks with low bits, behind a doc-length table of one page
+// (so its width is followed by padding) whose lengths end inside a word
+// (so that word has bits past them).
 func rejectIndex(t testing.TB) *Index {
 	t.Helper()
 	b := NewBuilder(CodecEF)
@@ -208,13 +218,14 @@ func rejectIndex(t testing.TB) *Index {
 	if err := b.AddPostings("zz", []uint32{3, 9, 4000}, nil); err != nil {
 		t.Fatal(err)
 	}
-	b.SetDocLen(ids[len(ids)-1]+1, 12) // NumDocs odd
+	b.SetDocLen(ids[len(ids)-1]+1, 12) // width 4
 	ix, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumDocs%2 == 0 {
-		t.Fatalf("fixture has %d docs, want an odd count", ix.NumDocs)
+	if _, width := ix.DocLens.Page(0); ix.NumDocs*width%64 == 0 || ix.DocLens.NumPages() != 1 {
+		t.Fatalf("fixture has %d docs of width %d in %d pages, want one page ending inside a word",
+			ix.NumDocs, width, ix.DocLens.NumPages())
 	}
 	return ix
 }
@@ -242,7 +253,7 @@ func mustReject(t *testing.T, name string, data []byte) {
 func TestOpenRejects(t *testing.T) {
 	_, good := fileOf(t, rejectIndex(t))
 	lay := layoutOf(t, good)
-	if lay.term != "aaa" || lay.blocks != 3 || lay.docPad == lay.list || lay.termPad == lay.table {
+	if lay.term != "aaa" || lay.blocks != 3 || lay.widthPad == lay.lenWords || lay.termPad == lay.table {
 		t.Fatalf("fixture layout: %+v", lay)
 	}
 	if _, err := Parse(good); err != nil {
@@ -258,7 +269,8 @@ func TestOpenRejects(t *testing.T) {
 
 	// Truncation: at every section boundary through all three entry
 	// points, and at every single length through the parser.
-	for _, at := range []int{0, 3, 4, 8, 31, lay.docLens, lay.docPad, lay.list, lay.list + 14, lay.termPad,
+	for _, at := range []int{0, 3, 4, 8, 31, headerLen, lay.widthPad, lay.lenWords, lay.lenLast, lay.lenLast + 8,
+		lay.list, lay.list + 14, lay.termPad,
 		lay.table, lay.table + blockEntryLen, lay.words, lay.words + 8, lay.freqWords, lay.next, len(good) - 1} {
 		mustReject(t, fmt.Sprintf("truncated at %d", at), good[:at])
 	}
@@ -269,25 +281,41 @@ func TestOpenRejects(t *testing.T) {
 	}
 	mustReject(t, "trailing byte", append(append([]byte(nil), good...), 0))
 
-	// Versions: anything but 3, and a genuine version-2 file.
-	for _, v := range []uint32{0, 2, 4} {
+	// Versions: anything but 4, and genuine files of versions 2 and 3,
+	// refused with an error that names the version and the way out.
+	for _, v := range []uint32{0, 2, 3, 5} {
 		mustReject(t, fmt.Sprintf("version %d", v), edit(func(d []byte) { le.PutUint32(d[4:], v) }))
 	}
-	v2, err := os.ReadFile("testdata/index_v2.grif")
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []int{2, 3} {
+		old, err := os.ReadFile(fmt.Sprintf("testdata/index_v%d.grif", v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustReject(t, fmt.Sprintf("version-%d file", v), old)
+		_, err = Parse(old)
+		if msg := err.Error(); !errors.Is(err, ErrVersion) || !strings.Contains(msg, fmt.Sprintf("version %d,", v)) || !strings.Contains(msg, "griffin-indexer") {
+			t.Errorf("version-%d file: %q names neither its version nor how to rebuild it", v, msg)
+		}
 	}
-	mustReject(t, "version-2 file", v2)
 
 	// Sections off their aligned offsets: padding that is not zero, and
 	// a writer that left the padding out so everything behind it shifts.
-	mustReject(t, "doc-length padding not zero", edit(func(d []byte) { d[lay.docPad] = 1 }))
+	mustReject(t, "doc-length padding not zero", edit(func(d []byte) { d[lay.widthPad] = 1 }))
 	mustReject(t, "term padding not zero", edit(func(d []byte) { d[lay.table-1] = 1 }))
 	mustReject(t, "table entry padding not zero", edit(func(d []byte) { entry(d, 1)[23] = 1 }))
 	mustReject(t, "term padding left out",
 		append(append([]byte(nil), good[:lay.termPad]...), good[lay.table:]...))
 	mustReject(t, "doc-length padding left out",
-		append(append([]byte(nil), good[:lay.docPad]...), good[lay.list:]...))
+		append(append([]byte(nil), good[:lay.widthPad]...), good[lay.lenWords:]...))
+
+	// The doc-length table: a width no length has, a width array that is
+	// missing, bits set where no length is, a page count past the file.
+	mustReject(t, "doc-length width over 32", edit(func(d []byte) { d[headerLen] = 33 }))
+	mustReject(t, "doc-length widths left out",
+		append(append([]byte(nil), good[:headerLen]...), good[lay.lenWords:]...))
+	mustReject(t, "bits past the last length not zero", edit(func(d []byte) { d[lay.lenLast+7] |= 0x80 }))
+	mustReject(t, "trailing doc-length word not zero", edit(func(d []byte) { d[lay.lenLast+8] = 1 }))
+	mustReject(t, "numDocs has more pages than the file has bytes", edit(func(d []byte) { le.PutUint64(d[8:], 1<<33) }))
 
 	// Headers that disagree with each other.
 	mustReject(t, "numDocs out of range", edit(func(d []byte) { le.PutUint64(d[8:], 1<<35) }))
@@ -370,7 +398,8 @@ func TestFreqForDocMatchesDecodedSearch(t *testing.T) {
 
 // pagedIndex is three lists of 64 whole pages of blocks each, 12 288
 // blocks in all: what an index costs per block, without size classes
-// rounding short tables up.
+// rounding short tables up. Every 64th document has a length, so every
+// page of the length table has words.
 func pagedIndex(t testing.TB) *Index {
 	t.Helper()
 	const terms, perTerm = 3, 64 << ef.PageShift * BlockSize
@@ -386,6 +415,9 @@ func pagedIndex(t testing.TB) *Index {
 		if err := b.AddPostings(string(rune('a'+term)), ids, freqs); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for d := uint32(0); d <= ids[len(ids)-1]; d += 64 {
+		b.SetDocLen(d, 100+d%700)
 	}
 	ix, err := b.Build()
 	if err != nil {

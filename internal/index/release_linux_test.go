@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"reflect"
+	"syscall"
 	"testing"
 	"unsafe"
 )
@@ -75,6 +76,14 @@ func TestReleaseList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A file folio the kernel maps with one page-table entry for 2 MB is
+	// unmapped whole when part of it is released, and with it whatever
+	// neighbours it holds: the law below is one of pages, so the mapping
+	// asks for pages, and what Open mapped before it asked is let go.
+	if err := syscall.Madvise(ix.mapped, syscall.MADV_NOHUGEPAGE); err != nil {
+		t.Fatal(err)
+	}
+	dropResident(ix.mapped)
 	var ids, freqs [BlockSize]uint32
 	for _, term := range ix.Terms() {
 		pl, _ := ix.Lookup(term)
@@ -86,11 +95,10 @@ func TestReleaseList(t *testing.T) {
 	for d := 0; d < ix.NumDocs; d += 512 {
 		ix.DocLen(uint32(d))
 	}
-	docLens := ix.DocLens.Pages()[0]
-	docLenWords := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(docLens))), ix.NumDocs/2)
+	lenWords := wordsOf(ix.mapped[headerLen:ix.lensEnd]) // the doc-length section: widths, words, trailing word
 
 	resident := func() map[string]int {
-		n := map[string]int{"DocLens": residentPages(t, docLenWords)}
+		n := map[string]int{"DocLens": residentPages(t, lenWords)}
 		for _, term := range ix.Terms() {
 			pl, _ := ix.Lookup(term)
 			n[term] = residentPages(t, wordsOfList(pl))
@@ -155,5 +163,19 @@ func TestReleaseList(t *testing.T) {
 	}
 	if want, _ := built.Lookup("b"); !reflect.DeepEqual(middle, want) {
 		t.Error("the released list no longer reads back as built")
+	}
+
+	// The first list begins where the doc lengths end: all of it goes but
+	// the page it shares with them.
+	first, _ := ix.Lookup("a")
+	ix.ReleaseList(first)
+	if n := residentPages(t, wordsOfList(first)); n != 0 {
+		t.Errorf("%d pages of the first list still resident after releasing it", n)
+	}
+	if n := residentPages(t, lenWords); n != before["DocLens"] {
+		t.Errorf("%d pages of DocLens resident after releasing the first list, want %d", n, before["DocLens"])
+	}
+	if want, _ := built.Lookup("a"); !reflect.DeepEqual(first, want) {
+		t.Error("the released first list no longer reads back as built")
 	}
 }

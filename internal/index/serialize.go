@@ -14,14 +14,17 @@ import (
 	"griffin/internal/ef"
 )
 
-// Binary on-disk format, version 3 (little-endian throughout). Every
-// u64 run and the u32 doc-length array sit at naturally aligned file
-// offsets, so a loaded index is a set of views into the file's bytes
-// rather than a decoded copy of them (see Parse and Open):
+// Binary on-disk format, version 4 (little-endian throughout). Every
+// u64 run sits at a naturally aligned file offset, so a loaded index is
+// a set of views into the file's bytes rather than a decoded copy of
+// them (see Parse and Open):
 //
 //	header, 32 B:
 //	  magic "GRIF" | version u32 | numDocs u64 | numTerms u64 | avgDocLen f64
-//	docLens [numDocs]u32 | zero pad to 8
+//	doc lengths, in pages of 1<<DocLenShift documents, the last one the rest:
+//	  width [numPages]u8 | zero pad to 8
+//	  per page: its lengths as width-bit fields, [ceil(count*width/64)]u64
+//	  one zero u64
 //	per term, in ascending term order (each record starts 8-aligned):
 //	  n u64 | numBlocks u32 | termLen u16 | term bytes | zero pad to 8
 //	  block table, numBlocks x 24 B:
@@ -30,9 +33,11 @@ import (
 //	  Elias-Fano words, per block: high [highWords]u64 | low [lowWords]u64
 //	  frequency words, per block:  packed [freqWords]u64
 //
-// The fields are version 2's at version 2's widths (its separate
-// numFreqBlocks had to equal numBlocks and is gone); what changed is
-// where they lie. Padding is implicit — a reader computes it, no offset
+// A page's width is the bit length of its largest length, at most 32, so
+// a page of zeros has no words; the bits past its last length and the
+// trailing word, which the last field of every page can be read with,
+// are zero. Version 3 held the lengths as [numDocs]u32; the term records
+// are version 3's. Padding is implicit — a reader computes it, no offset
 // is stored — and must be zero, and nothing may follow the last record,
 // so WriteTo of a parsed index reproduces the file byte for byte.
 //
@@ -41,7 +46,7 @@ import (
 
 const (
 	magic   = "GRIF"
-	version = 3
+	version = 4
 
 	headerLen     = 32 // magic | version | numDocs | numTerms | avgDocLen
 	minListLen    = 16 // n | numBlocks | termLen | empty term, padded to 8
@@ -57,6 +62,11 @@ const (
 
 // ErrBadFormat is returned when the input is not a valid index file.
 var ErrBadFormat = errors.New("index: bad file format")
+
+// ErrVersion is returned, wrapped, for a file of another format version:
+// one a build of another format wrote, not damage. It is ErrBadFormat
+// too.
+var ErrVersion = fmt.Errorf("%w: version", ErrBadFormat)
 
 // WriteTo serializes the index. It implements io.WriterTo. Every field
 // is encoded into the writer's own 1 MB buffer, so serializing allocates
@@ -80,12 +90,15 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	e.u64(uint64(ix.NumDocs))
 	e.u64(uint64(len(terms)))
 	e.u64(math.Float64bits(ix.AvgDocLen))
-	for _, pg := range ix.DocLens.Pages() {
-		for _, l := range pg {
-			e.u32(l)
-		}
+	lens := ix.DocLens
+	for _, pg := range lens.pages {
+		e.u8(uint8(pg.width))
 	}
 	e.pad8()
+	for p, pg := range lens.pages {
+		e.words(pg.words[:packedWords(lens.count(p), pg.width)])
+	}
+	e.u64(0)
 	for _, term := range terms {
 		p := ix.terms[term]
 		nb := p.EF.NumBlocks()
@@ -205,12 +218,13 @@ func readAll(r io.Reader) ([]byte, error) {
 
 // Parse decodes a serialized index held in data without copying its
 // payload: on a little-endian host with data 8-byte aligned, the words of
-// every page of every block table and the pages of DocLens are views into
-// data, and what is built on the heap is each list's two tables of
-// pointer-free rows — 12 bytes a block for the docIDs, 4 for the
-// frequencies — and their page arrays, one allocation apiece per list;
-// otherwise (big-endian host, misaligned buffer) the same parser decodes
-// each list's words into one fresh slice. Either way the returned index
+// every page of every block table and of DocLens are views into data,
+// and what is built on the heap is DocLens' page table, 32 bytes a page,
+// and each list's two tables of pointer-free rows — 12 bytes a block for
+// the docIDs, 4 for the frequencies — and their page arrays, one
+// allocation apiece per list; otherwise (big-endian host, misaligned
+// buffer) the same parser decodes the lengths' words, and each list's,
+// into one fresh slice. Either way the returned index
 // aliases data for as long as it — or any segment spliced from it, which
 // shares its pages by reference — is reachable, so data must never be
 // written again. Segments are immutable throughout the repo; Parse only
@@ -218,36 +232,43 @@ func readAll(r io.Reader) ([]byte, error) {
 //
 // All lengths in data are untrusted: every structural inconsistency is
 // reported as ErrBadFormat, and an accepted index cannot make
-// ef.List.Get, DecompressBlock, FreqStore.At or the device kernels index
-// out of range.
+// ef.List.Get, DecompressBlock, FreqStore.At, DocLen or the device
+// kernels index out of range.
 func Parse(data []byte) (*Index, error) {
+	ix, _, err := parse(data)
+	return ix, err
+}
+
+// parse is Parse, and where in data the doc-length section ends.
+func parse(data []byte) (ix *Index, lensEnd int, err error) {
 	d := &decoder{buf: data}
 	if string(d.next(4)) != magic {
-		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, data[:min(len(data), 4)])
+		return nil, 0, fmt.Errorf("%w: magic %q", ErrBadFormat, data[:min(len(data), 4)])
 	}
 	if ver := d.u32(); d.err == nil && ver != version {
-		return nil, fmt.Errorf("%w: version %d", ErrBadFormat, ver)
+		return nil, 0, fmt.Errorf("%w %d, this build reads version %d: rebuild the file with griffin-indexer",
+			ErrVersion, ver, version)
 	}
 	numDocs := d.u64()
 	numTerms := d.u64()
 	avgDocLen := math.Float64frombits(d.u64())
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, d.err)
+		return nil, 0, fmt.Errorf("%w: header: %v", ErrBadFormat, d.err)
 	}
 	if numDocs > 1<<34 {
-		return nil, fmt.Errorf("%w: numDocs %d", ErrBadFormat, numDocs)
+		return nil, 0, fmt.Errorf("%w: numDocs %d", ErrBadFormat, numDocs)
 	}
-	docLens := wordsOf(d.next(numDocs*4), binary.LittleEndian.Uint32)
-	d.pad8()
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: doc lengths: %v", ErrBadFormat, d.err)
+	docLens, err := d.lens(int(numDocs))
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: doc lengths: %v", ErrBadFormat, err)
 	}
+	lensEnd = d.off
 
 	// numTerms is untrusted: size the map by what the remaining bytes
 	// could hold, not by what the header claims.
-	ix := &Index{
+	ix = &Index{
 		NumDocs:   int(numDocs),
-		DocLens:   NewDocLens(docLens),
+		DocLens:   docLens,
 		AvgDocLen: avgDocLen,
 		terms:     make(map[string]*PostingList, min(numTerms, uint64(len(data))/minListLen)),
 	}
@@ -255,18 +276,69 @@ func Parse(data []byte) (*Index, error) {
 	for t := uint64(0); t < numTerms; t++ {
 		pl, err := d.list()
 		if err != nil {
-			return nil, fmt.Errorf("%w: term %d: %v", ErrBadFormat, t, err)
+			return nil, 0, fmt.Errorf("%w: term %d: %v", ErrBadFormat, t, err)
 		}
 		if t > 0 && pl.Term <= prev {
-			return nil, fmt.Errorf("%w: term %d: %q after %q", ErrBadFormat, t, pl.Term, prev)
+			return nil, 0, fmt.Errorf("%w: term %d: %q after %q", ErrBadFormat, t, pl.Term, prev)
 		}
 		prev = pl.Term
 		ix.terms[pl.Term] = pl
 	}
 	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-d.off)
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-d.off)
 	}
-	return ix, nil
+	return ix, lensEnd, nil
+}
+
+// lens parses the doc-length section of n documents. Its errors are
+// wrapped by the caller.
+func (d *decoder) lens(n int) (LenTable, error) {
+	t := LenTable{n: n}
+	// The widths are taken from the input before anything is allocated
+	// from their count, so a corrupt numDocs cannot demand more memory
+	// than the file is long.
+	widths := d.next(uint64(n+lenPageSize-1) >> DocLenShift)
+	d.pad8()
+	if d.err != nil {
+		return t, d.err
+	}
+	if len(widths) > 0 {
+		t.pages = make([]lenPage, len(widths))
+	}
+	total := 0
+	for p, w := range widths {
+		if w > 32 {
+			return t, fmt.Errorf("page %d: width %d", p, w)
+		}
+		t.pages[p].width = uint(w)
+		total += packedWords(t.count(p), uint(w))
+	}
+	words := wordsOf(d.next(uint64(total+1) * 8))
+	if d.err != nil {
+		return t, d.err
+	}
+	if words[total] != 0 {
+		return t, errors.New("trailing word not zero")
+	}
+	// Only the last page can end inside a word: 1<<DocLenShift fields of
+	// any width fill whole words.
+	if last := len(t.pages) - 1; last >= 0 {
+		if r := uint(t.count(last)) * t.pages[last].width & 63; r != 0 && words[total-1]>>r != 0 {
+			return t, fmt.Errorf("page %d: bits past its last length not zero", last)
+		}
+	}
+	at := 0
+	for p := range t.pages {
+		pg := &t.pages[p]
+		if pg.width == 0 {
+			pg.words = zeroWords
+			continue
+		}
+		k := packedWords(t.count(p), pg.width)
+		pg.words = words[at : at+k+1 : at+k+1]
+		at += k
+	}
+	return t, nil
 }
 
 // list parses one term record. Its errors are wrapped by the caller.
@@ -310,7 +382,7 @@ func (d *decoder) list() (*PostingList, error) {
 		efWords += uint64(e.highWords) + uint64(e.lowWords)
 		freqWords += uint64(e.freqWords)
 	}
-	words := wordsOf(d.next((efWords+freqWords)*8), binary.LittleEndian.Uint64)
+	words := wordsOf(d.next((efWords + freqWords) * 8))
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -135,7 +135,7 @@ func (e *ListEncoder) Finish(term string) *PostingList {
 // Assemble returns the Index over finished posting lists (shared with
 // the caller, one per term) and the collection statistics given — the
 // last step of a merge, which already knows all three exactly.
-func Assemble(lists []*PostingList, numDocs int, docLens pvec.Vec[uint32], avgDocLen float64) *Index {
+func Assemble(lists []*PostingList, numDocs int, docLens LenTable, avgDocLen float64) *Index {
 	ix := &Index{
 		NumDocs:   numDocs,
 		DocLens:   docLens,

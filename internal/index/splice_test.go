@@ -73,7 +73,7 @@ func pageRun[R any](pg *ef.Page[R]) []uint64 {
 func listBytes(t testing.TB, pl *PostingList) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := Assemble([]*PostingList{pl}, 0, NewDocLens(nil), 0).WriteTo(&buf); err != nil {
+	if _, err := Assemble([]*PostingList{pl}, 0, LenTable{}, 0).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -220,7 +220,9 @@ func TestWriteToAllocatesItsBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b.SetDocLen(2_000_000, 3)
+	for d := uint32(0); d <= 2_000_000; d += lenPageSize {
+		b.SetDocLen(d, 1<<31) // every page of lengths 32 bits wide: 8 MB of them
+	}
 	ix, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -11,22 +11,21 @@ import (
 
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// wordsOf returns the little-endian T values encoded in b (len(b) a
-// multiple of T's size; get decodes one): a view of b's own memory when
-// the host is little-endian and b is aligned for T, a decoded copy
-// otherwise. An empty b yields nil.
-func wordsOf[T uint32 | uint64](b []byte, get func([]byte) T) []T {
-	size := int(unsafe.Sizeof(T(0)))
-	n := len(b) / size
+// wordsOf returns the little-endian words encoded in b (len(b) a
+// multiple of 8): a view of b's own memory when the host is
+// little-endian and b is 8-byte aligned, a decoded copy otherwise. An
+// empty b yields nil.
+func wordsOf(b []byte) []uint64 {
+	n := len(b) / 8
 	if n == 0 {
 		return nil
 	}
-	if p := unsafe.Pointer(unsafe.SliceData(b)); hostLittleEndian && uintptr(p)%uintptr(size) == 0 {
-		return unsafe.Slice((*T)(p), n)
+	if p := unsafe.Pointer(unsafe.SliceData(b)); hostLittleEndian && uintptr(p)%8 == 0 {
+		return unsafe.Slice((*uint64)(p), n)
 	}
-	out := make([]T, n)
+	out := make([]uint64, n)
 	for i := range out {
-		out[i] = get(b[i*size:])
+		out[i] = binary.LittleEndian.Uint64(b[i*8:])
 	}
 	return out
 }

@@ -10,7 +10,6 @@ import (
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/kernels"
-	"griffin/internal/pvec"
 	"griffin/internal/rank"
 	"griffin/internal/wal"
 	"griffin/internal/workload"
@@ -112,7 +111,7 @@ type Cluster struct {
 	// starts as the seed's table and a merge snapshots it into the
 	// merged segment: a mutation copies the page it writes to if a
 	// segment still shares it, nothing copies the table.
-	liveLens *pvec.Editor[uint32]
+	liveLens *index.LenEditor
 	gen      uint64
 	// exact marks shard indexes whose global stamps (GlobalN, NumDocs,
 	// DocLens, AvgDocLen) are exact for the live corpus — true from the
@@ -179,9 +178,13 @@ func (c *Cluster) newTopo(global *index.Index, n int) (*topo, error) {
 		t.shards[0].live = c.stats.lenCnt
 		return t, nil
 	}
-	for d := 0; d < c.liveLens.Len(); d++ {
-		if c.liveLens.At(d) > 0 {
-			t.shards[workload.ShardOf(uint32(d), n)].live++
+	var buf [1 << index.DocLenShift]uint32
+	lens := c.liveLens.Table()
+	for p := range lens.NumPages() {
+		for i, l := range lensPage(lens, p, &buf) {
+			if l > 0 {
+				t.shards[workload.ShardOf(uint32(p<<index.DocLenShift+i), n)].live++
+			}
 		}
 	}
 	return t, nil
@@ -265,12 +268,7 @@ func (c *Cluster) Apply(op wal.Op, docID uint32, tokens []string) error {
 
 // liveLen returns docID's length at the writer's current state, 0 when
 // the document is not live. Caller holds c.mu.
-func (c *Cluster) liveLen(docID uint32) uint32 {
-	if int(docID) < c.liveLens.Len() {
-		return c.liveLens.At(int(docID))
-	}
-	return 0
-}
+func (c *Cluster) liveLen(docID uint32) uint32 { return c.liveLens.At(docID) }
 
 // applyLocked commits one mutation's record — validated by Apply, or
 // acknowledged earlier and now replayed from the WAL — to the delta of
@@ -285,7 +283,7 @@ func (c *Cluster) applyLocked(t *topo, docID uint32, old uint32, rec *docRecord)
 	if int(docID) >= c.liveLens.Len() {
 		c.liveLens.Resize(int(docID) + 1)
 	}
-	c.liveLens.Set(int(docID), rec.length)
+	c.liveLens.Set(docID, rec.length)
 	switch {
 	case old > 0 && rec.deleted:
 		sh.live--
@@ -298,7 +296,7 @@ func (c *Cluster) applyLocked(t *topo, docID uint32, old uint32, rec *docRecord)
 
 // topLive is corpusStats.replace's descent over the live length table,
 // which already holds the mutation just applied. Caller holds c.mu.
-func (c *Cluster) topLive(below int) int { return topLive(c.liveLens.Pages(), below) }
+func (c *Cluster) topLive(below int) int { return topLive(c.liveLens.Table(), below) }
 
 // publishLocked freezes the current per-shard views and publishes the
 // snapshot queries pin. Caller holds c.mu. Views of untouched shards are
@@ -599,8 +597,8 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 			return nil, fmt.Errorf("ingest: rebuild term %q: %w", term, err)
 		}
 	}
-	for d := 0; d < c.stats.numDocs && d < c.liveLens.Len(); d++ {
-		if l := c.liveLens.At(d); l > 0 {
+	for d := 0; d < c.stats.numDocs; d++ {
+		if l := c.liveLens.At(uint32(d)); l > 0 {
 			b.SetDocLen(uint32(d), l)
 		}
 	}

@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"runtime"
+	"sync"
+
+	"griffin/internal/bitutil"
 	"griffin/internal/index"
-	"griffin/internal/pvec"
 )
 
 // corpusStats are the live collection statistics — the raw ingredients
@@ -20,19 +23,54 @@ type corpusStats struct {
 	lenCnt int
 }
 
-// statsOf scans a seed segment's document-length table.
-func statsOf(lens pvec.Vec[uint32]) corpusStats {
-	var s corpusStats
-	for p, pg := range lens.Pages() {
-		for i, l := range pg {
-			if l > 0 {
-				s.lenSum += uint64(l)
-				s.lenCnt++
-				s.numDocs = p<<index.DocLenShift + i + 1
+// statsOf scans a seed segment's document-length table. The pages are
+// split into one run per GOMAXPROCS worker, each summing exact integer
+// partials, so the result is the serial scan's whatever the split: a
+// packed page costs an unpack, and a seed of millions of documents would
+// otherwise add its whole scan to a live server's start.
+func statsOf(lens index.LenTable) corpusStats {
+	np := lens.NumPages()
+	workers := max(1, min(runtime.GOMAXPROCS(0), np/16))
+	parts := make([]corpusStats, workers)
+	var wg sync.WaitGroup
+	for w := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf [1 << index.DocLenShift]uint32
+			var s corpusStats // a local, not parts[w]: the workers' partials share cache lines
+			for p := w * np / workers; p < (w+1)*np/workers; p++ {
+				for i, l := range lensPage(lens, p, &buf) {
+					if l > 0 {
+						s.lenSum += uint64(l)
+						s.lenCnt++
+						s.numDocs = p<<index.DocLenShift + i + 1
+					}
+				}
 			}
-		}
+			parts[w] = s
+		}()
+	}
+	wg.Wait()
+	var s corpusStats
+	for _, part := range parts {
+		s.lenSum += part.lenSum
+		s.lenCnt += part.lenCnt
+		s.numDocs = max(s.numDocs, part.numDocs)
 	}
 	return s
+}
+
+// lensPage returns page p of lens unpacked into buf, or nil when the page
+// is of width 0 and so holds only zeros.
+func lensPage(lens index.LenTable, p int, buf *[1 << index.DocLenShift]uint32) []uint32 {
+	words, width := lens.Page(p)
+	if width == 0 {
+		return nil
+	}
+	dst := buf[:min(len(buf), lens.Len()-p<<index.DocLenShift)]
+	bitutil.Unpack(dst, words, width)
+	return dst
 }
 
 // avgDocLen is the live mean document length with index.Builder's exact
@@ -65,28 +103,19 @@ func (s *corpusStats) replace(docID uint32, old, new uint32, top func(below int)
 	}
 }
 
-// topLive returns 1 + the highest d < below whose entry in a length
-// table's pages is nonzero, 0 when there is none — the descent that
-// finds the collection size when the top document dies. A page found all
-// zero is not scanned again where the table repeats it (pvec stretches a
-// table over a docID gap with one shared page of zeros, so a gap costs a
-// pointer compare per page, not a probe per docID).
-func topLive(pages [][]uint32, below int) int {
-	const size = 1 << index.DocLenShift
-	var zero []uint32
-	for p := min(len(pages), (below+size-1)>>index.DocLenShift) - 1; p >= 0; p-- {
-		pg := pages[p]
-		if len(pg) > 0 && len(pg) <= len(zero) && &pg[0] == &zero[0] {
-			continue
-		}
-		n := min(len(pg), below-p<<index.DocLenShift)
-		for i := n - 1; i >= 0; i-- {
+// topLive returns 1 + the highest d < below whose length in lens is
+// nonzero, 0 when there is none — the descent that finds the collection
+// size when the top document dies. A page of width 0 is skipped unread
+// (a table stretched over a docID gap is such pages, so a gap costs a
+// compare per page, not a probe per docID).
+func topLive(lens index.LenTable, below int) int {
+	var buf [1 << index.DocLenShift]uint32
+	for p := min(lens.NumPages(), (below+len(buf)-1)>>index.DocLenShift) - 1; p >= 0; p-- {
+		pg := lensPage(lens, p, &buf)
+		for i := min(len(pg), below-p<<index.DocLenShift) - 1; i >= 0; i-- {
 			if pg[i] != 0 {
 				return p<<index.DocLenShift + i + 1
 			}
-		}
-		if n == len(pg) {
-			zero = pg
 		}
 	}
 	return 0

@@ -47,7 +47,7 @@ func docLensIndex(t *testing.T, docs uint32) *index.Index {
 		t.Fatal(err)
 	}
 	for d := uint32(0); d < docs; d += 3 {
-		b.SetDocLen(d, 1+d%97)
+		b.SetDocLen(d, (1+d%97)<<25) // 32 bits wide: 4 bytes a document
 	}
 	ix, err := b.Build()
 	if err != nil {
@@ -186,5 +186,35 @@ func TestReadCheckpointParsesInPlace(t *testing.T) {
 	}
 	if _, _, err := readCheckpoint(path, 9); err == nil {
 		t.Error("a file shorter than the header loaded")
+	}
+}
+
+// TestOpenRefusesACheckpointOfAnotherFormat: a checkpoint whose payload
+// passes its checksum but is another index format version is not damage
+// to fall back past but a directory a build of another format wrote:
+// recovery refuses it with an error that names the version.
+func TestOpenRefusesACheckpointOfAnotherFormat(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{Site: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(docLensIndex(t, 1000), 1); err != nil {
+		t.Fatal(err)
+	}
+	path := s.ckptPath(1)
+	s.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := data[ckptHeaderLen:]
+	binary.LittleEndian.PutUint32(payload[4:], 3) // a version-3 payload, correctly framed
+	binary.LittleEndian.PutUint32(data[ckptHeaderLen-4:], crc32.Checksum(payload, castagnoli))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{Site: "t"}); !errors.Is(err, index.ErrVersion) || !strings.Contains(err.Error(), "version 3,") {
+		t.Errorf("recovering over a version-3 checkpoint: err = %v, want one naming the version", err)
 	}
 }

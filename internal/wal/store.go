@@ -305,7 +305,9 @@ func (s *Store) recover(mf manifest) (*Recovered, error) {
 // loadCheckpoint returns the newest checkpoint that passes validation,
 // skipping corrupt ones. A checkpoint with the wrong lineage is not
 // skippable damage — it is evidence the directory mixes histories — so
-// it refuses recovery entirely.
+// it refuses recovery entirely, and so does one whose intact payload is
+// another index format version: a directory an older build wrote is
+// rebuilt, not recovered past its checkpoints.
 func (s *Store) loadCheckpoint() (*index.Index, uint64, int, error) {
 	names, err := filepath.Glob(filepath.Join(s.dir, "ckpt-*.ckpt"))
 	if err != nil {
@@ -315,7 +317,7 @@ func (s *Store) loadCheckpoint() (*index.Index, uint64, int, error) {
 	skipped := 0
 	for _, name := range names {
 		ix, wm, err := readCheckpoint(name, s.lineage)
-		if errors.Is(err, ErrLineageMismatch) {
+		if errors.Is(err, ErrLineageMismatch) || errors.Is(err, index.ErrVersion) {
 			return nil, 0, 0, err
 		}
 		if err != nil {
@@ -488,7 +490,7 @@ func readCheckpoint(path string, lineage uint64) (*index.Index, uint64, error) {
 	}
 	ix, err := index.Parse(payload)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %s: %v", path, err)
+		return nil, 0, fmt.Errorf("wal: %s: %w", path, err)
 	}
 	return ix, wm, nil
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"syscall"
 	"testing"
 	"unsafe"
 
@@ -19,7 +20,8 @@ import (
 
 // longListIndex is three lists of 64 pages each (12 288 blocks), the
 // shape index's TestOpenHeapPerBlock opens: per-list costs vanish beside
-// per-block ones.
+// per-block ones. Every 64th document has a length, so every page of the
+// length table has words.
 func longListIndex(t testing.TB) *index.Index {
 	t.Helper()
 	const terms, perTerm = 3, 64 << ef.PageShift * index.BlockSize
@@ -35,6 +37,9 @@ func longListIndex(t testing.TB) *index.Index {
 		if err := b.AddPostings(TermName(term), ids, freqs); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for d := uint32(0); d <= ids[len(ids)-1]; d += 64 {
+		b.SetDocLen(d, 100+d%700)
 	}
 	ix, err := b.Build()
 	if err != nil {
@@ -128,9 +133,41 @@ func TestPartitionReleasesParentListPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reading makes pages resident: every list, and the first page of
-	// DocLens. A list's docID words are one run in the file, its pages'
-	// words back to back.
+	// The doc lengths are one run at the head of the file, their pages'
+	// words back to back and a trailing word; the mapping starts in the
+	// page they start in.
+	n := 1
+	for p := range ix.DocLens.NumPages() {
+		if words, width := ix.DocLens.Page(p); width > 0 {
+			n += len(words) - 1 // a page's words run one word past its lengths
+		}
+	}
+	first, width := ix.DocLens.Page(0)
+	if width == 0 {
+		t.Fatal("the fixture's first page of lengths has no words")
+	}
+	lenWords := unsafe.Slice(unsafe.SliceData(first), n)
+	// A file folio the kernel maps with one page-table entry for 2 MB is
+	// unmapped whole when part of it is released, and with it whatever
+	// neighbours it holds: the law below is one of pages, so the mapping
+	// asks for pages, and what Open mapped before it asked is let go.
+	head := unsafe.Pointer(unsafe.SliceData(first))
+	head = unsafe.Add(head, -int(uintptr(head)%uintptr(os.Getpagesize())))
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapping := unsafe.Slice((*byte)(head), fi.Size())
+	if err := syscall.Madvise(mapping, syscall.MADV_NOHUGEPAGE); err != nil {
+		t.Fatal(err)
+	}
+	if err := syscall.Madvise(mapping, syscall.MADV_DONTNEED); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reading makes pages resident: every list, and every page of the
+	// doc lengths. A list's docID words are one run in the file, its
+	// pages' words back to back.
 	var lists [][]uint64
 	var sum uint32
 	for _, term := range ix.Terms() {
@@ -144,8 +181,7 @@ func TestPartitionReleasesParentListPages(t *testing.T) {
 		}
 		lists = append(lists, unsafe.Slice(unsafe.SliceData(pl.EF.Pages[0].Words), n))
 	}
-	docLens := ix.DocLens.Pages()[0]
-	for d := 0; d < len(docLens); d += 512 {
+	for d := 0; d < ix.NumDocs; d += 256 {
 		sum += ix.DocLen(uint32(d))
 	}
 	residentLists := func() (n int) {
@@ -154,11 +190,10 @@ func TestPartitionReleasesParentListPages(t *testing.T) {
 		}
 		return n
 	}
-	docLenWords := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(docLens))), len(docLens)/2)
-	before := residentLists()
-	t.Logf("read the parent (sum %d): %d pages of its lists resident", sum, before)
-	if before == 0 || residentPages(t, docLenWords) == 0 {
-		t.Fatal("reading the index left none of its pages resident")
+	before, lensBefore := residentLists(), residentPages(t, lenWords)
+	t.Logf("read the parent (sum %d): %d pages of its lists and %d of its doc lengths resident", sum, before, lensBefore)
+	if before == 0 || lensBefore < len(lenWords)*8/os.Getpagesize()-1 {
+		t.Fatal("reading the index left its pages not resident")
 	}
 
 	shards, err := PartitionIndex(ix, 2)
@@ -168,8 +203,8 @@ func TestPartitionReleasesParentListPages(t *testing.T) {
 	if n := residentLists(); n != 0 {
 		t.Errorf("%d pages of the parent's lists still resident after the split", n)
 	}
-	if got, want := residentPages(t, docLenWords), (len(docLens)*4)/os.Getpagesize()-1; got < want {
-		t.Errorf("%d pages of the parent's DocLens resident after the split, want its %d", got, want)
+	if got := residentPages(t, lenWords); got != lensBefore {
+		t.Errorf("%d pages of the parent's DocLens resident after the split, want its %d", got, lensBefore)
 	}
 	for _, term := range built.Terms() {
 		got, _ := ix.Lookup(term)
