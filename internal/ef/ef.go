@@ -104,9 +104,12 @@ type Row struct {
 // view of: past their length lie the dead words the view keeps alive,
 // which a later splice of the page counts (Pager.Seed).
 //
-// The rows are always on the heap. A page whose Words lie in a region
-// refers to it, so the region stays mapped while any list (or a list
-// spliced from one, which shares its pages and words) can reach the page.
+// The rows are a view of a mapped file, beside the words, for a list
+// that was opened, and on the heap otherwise; either way nothing writes
+// them, and a page's Rows end at their capacity, so appending to them
+// copies. A page whose Words lie in a region refers to it, so the region
+// stays mapped while any list (or a list spliced from one, which shares
+// its pages and words) can reach the page.
 type Page[R any] struct {
 	Rows  []R
 	Words []uint64

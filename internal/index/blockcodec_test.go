@@ -1,9 +1,12 @@
 package index
 
 import (
+	"bufio"
+	"bytes"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -43,10 +46,11 @@ func refPackFreqs(freqs []uint32) *FreqStore {
 	return fs
 }
 
-// TestBlockRowsHoldNoPointers: a block table's rows are what an opened
-// index keeps on the heap, one per 128 postings, and the collector never
-// scans them — which holds only as long as no field of a row can hold a
-// pointer.
+// TestBlockRowsHoldNoPointers: a block table's rows are what a built or
+// merged index keeps on the heap, one per 128 postings, and the collector
+// never scans them — which holds only as long as no field of a row can
+// hold a pointer; an opened index's rows are views of the file's bytes
+// (rowsOf), where no pointer could lie.
 func TestBlockRowsHoldNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -67,6 +71,64 @@ func TestBlockRowsHoldNoPointers(t *testing.T) {
 	}
 	if size := reflect.TypeOf(ef.Row{}).Size() + reflect.TypeOf(freqRow{}).Size(); size != 16 {
 		t.Errorf("the two rows of a block take %d bytes, want 16", size)
+	}
+}
+
+// TestRowLayoutIsTheFile: Parse views a file's block rows as ef.Row and
+// freqRow values, so each type's size and every field's offset are the
+// file's (the format above WriteTo) — a field reordered or resized fails
+// here instead of misreading a mapped file — and the encoder's bytes and
+// the copying decoder agree with the memory of the row.
+func TestRowLayoutIsTheFile(t *testing.T) {
+	var r ef.Row
+	var fr freqRow
+	for _, c := range []struct {
+		field     string
+		got, want uintptr
+	}{
+		{"sizeof(ef.Row)", unsafe.Sizeof(r), rowLen},
+		{"ef.Row.FirstDocID", unsafe.Offsetof(r.FirstDocID), 0},
+		{"ef.Row.Off", unsafe.Offsetof(r.Off), 4},
+		{"ef.Row.HighLen", unsafe.Offsetof(r.HighLen), 6},
+		{"ef.Row.N", unsafe.Offsetof(r.N), 8},
+		{"ef.Row.B", unsafe.Offsetof(r.B), 9},
+		{"ef.Row.HighWords", unsafe.Offsetof(r.HighWords), 10},
+		{"ef.Row.LowWords", unsafe.Offsetof(r.LowWords), 11},
+		{"sizeof(freqRow)", unsafe.Sizeof(fr), freqRowLen},
+		{"freqRow.off", unsafe.Offsetof(fr.off), 0},
+		{"freqRow.b", unsafe.Offsetof(fr.b), 2},
+		{"freqRow.words", unsafe.Offsetof(fr.words), 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s at %d, the file has it at %d", c.field, c.got, c.want)
+		}
+	}
+
+	r = ef.Row{FirstDocID: 0x04030201, Off: 0x0605, HighLen: 0x0807, N: 9, B: 10, HighWords: 11, LowWords: 12}
+	fr = freqRow{off: 0x0201, b: 3, words: 4}
+	var buf bytes.Buffer
+	e := &encoder{w: bufio.NewWriter(&buf)}
+	e.row(r)
+	e.freqRow(fr)
+	if err := e.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1, 2, 3, 4}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("the encoder writes % x, want % x", buf.Bytes(), want)
+	}
+	if got := getRow(want); got != r {
+		t.Errorf("getRow = %+v, want %+v", got, r)
+	}
+	if got := getFreqRow(want[rowLen:]); got != fr {
+		t.Errorf("getFreqRow = %+v, want %+v", got, fr)
+	}
+	if hostLittleEndian {
+		mem := append(slices.Clip(unsafe.Slice((*byte)(unsafe.Pointer(&r)), rowLen)),
+			unsafe.Slice((*byte)(unsafe.Pointer(&fr)), freqRowLen)...)
+		if !bytes.Equal(mem, want) {
+			t.Errorf("the rows' memory is % x, the file's bytes % x", mem, want)
+		}
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // accepted input is read through select, the serial decode and both
 // frequency lookups, and every document's length through DocLen, none
 // of which may panic — and whose serialization is the input again. The seed corpus includes genuine serialized
-// indexes plus truncations, bit flips and a zeroed high-bits word (which
-// version 2 accepted, and Get then panicked on).
+// indexes plus truncations, bit flips, a zeroed high-bits word (which
+// version 2 accepted, and Get then panicked on) and a block row broken in
+// each way rowCorruptions lists.
 func FuzzReadIndex(f *testing.F) {
 	b := NewBuilder(CodecEF)
 	_ = b.AddDocument(0, []string{"alpha", "beta"})
@@ -41,9 +42,15 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(flipped)
 	_, blocks := fileOf(f, rejectIndex(f))
 	f.Add(blocks)
+	lay := layoutOf(f, blocks)
 	zeroed := append([]byte(nil), blocks...)
-	binary.LittleEndian.PutUint64(zeroed[layoutOf(f, blocks).words:], 0)
+	binary.LittleEndian.PutUint64(zeroed[lay.words:], 0)
 	f.Add(zeroed)
+	for _, c := range rowCorruptions(lay) {
+		bad := append([]byte(nil), blocks...)
+		c.edit(bad)
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -7,8 +7,9 @@ import (
 
 // Open loads the index file at path without decoding it: the file is
 // mapped read-only (read whole where there is no mmap) and parsed in
-// place, so what it costs on the heap is each list's block rows, 16
-// bytes a block, not the postings (see Parse).
+// place, so what it costs on the heap is each list's two arrays of page
+// headers, 112 bytes per 64 blocks, and the page table of DocLens — not
+// the block rows nor the postings, which stay in the mapping (see Parse).
 //
 // The mapping lives for the rest of the process and is never unmapped:
 // the index, and every segment later spliced from it, point into it, and
@@ -40,30 +41,30 @@ func Open(path string) (*Index, error) {
 // the file — and, where the kernel maps a whole large folio on a fault,
 // the pages around it, this list's among them; so a caller releases a
 // list once its neighbours are read too. It does nothing when ix is not
-// mapped, when pl's words do not lie in the mapping (a list built on the
-// heap, or spliced with a tail of its own), and where the kernel cannot
-// be told. A list spliced inside its last page ends in the words that
-// page owns, on the heap, so it is one of those.
+// mapped, when pl's first row or last word does not lie in the mapping
+// (a list built on the heap, or spliced with a tail of its own), and
+// where the kernel cannot be told. A list spliced inside its last page
+// ends in the words that page owns, on the heap, so it is one of those.
 func (ix *Index) ReleaseList(pl *PostingList) {
-	nb := pl.EF.NumBlocks()
-	if ix.mapped == nil || nb == 0 {
+	if ix.mapped == nil || pl.EF.NumBlocks() == 0 {
 		return
 	}
 	// The record is its header (n | numBlocks | termLen | term, padded to
-	// 8), its block table and its words, which end with its last frequency
-	// word (see the format above WriteTo): the last of its last page's
-	// run, in the words that page owns if it owns any.
+	// 8), its two tables of rows and its words, which end with its last
+	// frequency word (see the format above WriteTo): the last of its last
+	// page's run, in the words that page owns if it owns any. It is let go
+	// from its first row on; the few bytes of header before that lie in
+	// the same page or in the one the record before ends in.
 	lastPage := &pl.Freqs.pages[len(pl.Freqs.pages)-1]
 	last := lastPage.Owned()
 	if len(last) == 0 {
 		last = lastPage.Words
 	}
-	lo, okLo := offsetIn(ix.mapped, &pl.EF.Pages[0].Words[0])
+	lo, okLo := offsetIn(ix.mapped, &pl.EF.Pages[0].Rows[0])
 	hi, okHi := offsetIn(ix.mapped, &last[len(last)-1])
 	if !okLo || !okHi {
-		return // not a list of the mapping, or Parse copied its words (a big-endian host)
+		return // not a list of the mapping, or Parse copied its rows and words (a big-endian host)
 	}
-	lo -= (14+len(pl.Term)+7)&^7 + nb*blockEntryLen
 	hi += 8
 	page := os.Getpagesize()
 	lo = max(lo/page*page, (ix.lensEnd+page-1)/page*page)

@@ -123,8 +123,9 @@ func TestOpenMapped(t *testing.T) {
 }
 
 // TestOpenMappedViewsTheBuffer pins which path ran: parsed from an
-// aligned buffer the index aliases it (a change to the buffer shows
-// through), parsed from a misaligned one it holds copies.
+// aligned buffer the index aliases it — its doc lengths, block rows and
+// words alike (a change to the buffer shows through) — parsed from a
+// misaligned one it holds copies.
 func TestOpenMappedViewsTheBuffer(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("big-endian host: every parse copies")
@@ -144,11 +145,12 @@ func TestOpenMappedViewsTheBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl, _ := ix.Lookup(lay.term)
-		docLen, high := ix.DocLens.At(0), pl.EF.Block(0).HighBits[0]
+		docLen, first, high := ix.DocLens.At(0), pl.EF.First(0), pl.EF.Block(0).HighBits[0]
 		tc.buf[lay.lenWords] ^= 0xff
+		tc.buf[lay.table] ^= 0xff // block 0's first docID
 		tc.buf[lay.words] ^= 0xff
-		changed := ix.DocLens.At(0) != docLen && pl.EF.Block(0).HighBits[0] != high
-		same := ix.DocLens.At(0) == docLen && pl.EF.Block(0).HighBits[0] == high
+		changed := ix.DocLens.At(0) != docLen && pl.EF.First(0) != first && pl.EF.Block(0).HighBits[0] != high
+		same := ix.DocLens.At(0) == docLen && pl.EF.First(0) == first && pl.EF.Block(0).HighBits[0] == high
 		if tc.views && !changed || !tc.views && !same {
 			t.Errorf("%s buffer: views = %v, want %v", tc.name, changed, tc.views)
 		}
@@ -163,7 +165,8 @@ type layout struct {
 	lenLast           int // the last of them, before the trailing word
 	list              int // list record: n | numBlocks | termLen | term
 	termPad           int // padding after the term
-	table             int // block table
+	table             int // Elias-Fano rows
+	freqTable         int // frequency rows
 	words, freqWords  int // Elias-Fano words, frequency words
 	next              int // first byte after the list
 	blocks, highWords int // block count; block 0's high-bits words
@@ -186,21 +189,29 @@ func layoutOf(t testing.TB, data []byte) layout {
 	l.term = string(data[l.list+14 : l.list+14+termLen])
 	l.termPad = l.list + 14 + termLen
 	l.table = (l.termPad + 7) &^ 7
-	l.words = l.table + blockEntryLen*l.blocks
+	l.freqTable = (l.table + rowLen*l.blocks + 7) &^ 7
+	l.words = (l.freqTable + freqRowLen*l.blocks + 7) &^ 7
 	l.freqWords = l.words
 	l.next = l.words
 	for i := 0; i < l.blocks; i++ {
-		e := data[l.table+i*blockEntryLen:]
-		ef := 8 * int(binary.LittleEndian.Uint32(e[8:])+binary.LittleEndian.Uint32(e[12:]))
+		r, fr := data[l.table+i*rowLen:], data[l.freqTable+i*freqRowLen:]
+		ef := 8 * (int(r[10]) + int(r[11]))
 		l.freqWords += ef
-		l.next += ef + 8*int(binary.LittleEndian.Uint16(e[18:]))
+		l.next += ef + 8*int(fr[3])
 	}
-	l.highWords = int(binary.LittleEndian.Uint32(data[l.table+8:]))
+	l.highWords = int(data[l.table+10])
 	return l
 }
 
+// row returns the bytes of Elias-Fano row i of the list onward.
+func (l layout) row(data []byte, i int) []byte { return data[l.table+i*rowLen:] }
+
+// freqRow returns the bytes of frequency row i of the list onward.
+func (l layout) freqRow(data []byte, i int) []byte { return data[l.freqTable+i*freqRowLen:] }
+
 // rejectIndex is an index whose first list in term order ("aaa") has
-// three blocks with low bits, behind a doc-length table of one page
+// three blocks with low bits (an odd count, so padding follows each of
+// its row arrays), behind a doc-length table of one page
 // (so its width is followed by padding) whose lengths end inside a word
 // (so that word has bits past them).
 func rejectIndex(t testing.TB) *Index {
@@ -253,14 +264,15 @@ func mustReject(t *testing.T, name string, data []byte) {
 func TestOpenRejects(t *testing.T) {
 	_, good := fileOf(t, rejectIndex(t))
 	lay := layoutOf(t, good)
-	if lay.term != "aaa" || lay.blocks != 3 || lay.widthPad == lay.lenWords || lay.termPad == lay.table {
+	if lay.term != "aaa" || lay.blocks != 3 || lay.widthPad == lay.lenWords || lay.termPad == lay.table ||
+		lay.table+rowLen*lay.blocks == lay.freqTable || lay.freqTable+freqRowLen*lay.blocks == lay.words {
 		t.Fatalf("fixture layout: %+v", lay)
 	}
 	if _, err := Parse(good); err != nil {
 		t.Fatal(err)
 	}
 	le := binary.LittleEndian
-	entry := func(data []byte, i int) []byte { return data[lay.table+i*blockEntryLen:] }
+	row, freq := lay.row, lay.freqRow
 	edit := func(f func(data []byte)) []byte {
 		data := append([]byte(nil), good...)
 		f(data)
@@ -271,7 +283,8 @@ func TestOpenRejects(t *testing.T) {
 	// points, and at every single length through the parser.
 	for _, at := range []int{0, 3, 4, 8, 31, headerLen, lay.widthPad, lay.lenWords, lay.lenLast, lay.lenLast + 8,
 		lay.list, lay.list + 14, lay.termPad,
-		lay.table, lay.table + blockEntryLen, lay.words, lay.words + 8, lay.freqWords, lay.next, len(good) - 1} {
+		lay.table, lay.table + rowLen, lay.freqTable, lay.freqTable + freqRowLen,
+		lay.words, lay.words + 8, lay.freqWords, lay.next, len(good) - 1} {
 		mustReject(t, fmt.Sprintf("truncated at %d", at), good[:at])
 	}
 	for at := 0; at < len(good); at++ {
@@ -281,12 +294,12 @@ func TestOpenRejects(t *testing.T) {
 	}
 	mustReject(t, "trailing byte", append(append([]byte(nil), good...), 0))
 
-	// Versions: anything but 4, and genuine files of versions 2 and 3,
+	// Versions: anything but 5, and genuine files of versions 2 to 4,
 	// refused with an error that names the version and the way out.
-	for _, v := range []uint32{0, 2, 3, 5} {
+	for _, v := range []uint32{0, 2, 3, 4, 6} {
 		mustReject(t, fmt.Sprintf("version %d", v), edit(func(d []byte) { le.PutUint32(d[4:], v) }))
 	}
-	for _, v := range []int{2, 3} {
+	for _, v := range []int{2, 3, 4} {
 		old, err := os.ReadFile(fmt.Sprintf("testdata/index_v%d.grif", v))
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +315,6 @@ func TestOpenRejects(t *testing.T) {
 	// a writer that left the padding out so everything behind it shifts.
 	mustReject(t, "doc-length padding not zero", edit(func(d []byte) { d[lay.widthPad] = 1 }))
 	mustReject(t, "term padding not zero", edit(func(d []byte) { d[lay.table-1] = 1 }))
-	mustReject(t, "table entry padding not zero", edit(func(d []byte) { entry(d, 1)[23] = 1 }))
 	mustReject(t, "term padding left out",
 		append(append([]byte(nil), good[:lay.termPad]...), good[lay.table:]...))
 	mustReject(t, "doc-length padding left out",
@@ -323,23 +335,52 @@ func TestOpenRejects(t *testing.T) {
 	mustReject(t, "numTerms too small", edit(func(d []byte) { le.PutUint64(d[16:], 1) }))
 	mustReject(t, "block count does not fit n", edit(func(d []byte) { le.PutUint64(d[lay.list:], 5*BlockSize) }))
 	mustReject(t, "terms out of order", edit(func(d []byte) { copy(d[lay.list+14:], "zz") }))
-	mustReject(t, "short block in the middle", edit(func(d []byte) { le.PutUint16(entry(d, 1)[16:], BlockSize-1) }))
-	mustReject(t, "last block overfull", edit(func(d []byte) { le.PutUint16(entry(d, 2)[16:], 41) }))
-	mustReject(t, "low-bit width over 32", edit(func(d []byte) { entry(d, 0)[20] = 33 }))
-	mustReject(t, "frequency width zero", edit(func(d []byte) { entry(d, 0)[21] = 0 }))
-	mustReject(t, "high bits longer than their words", edit(func(d []byte) { le.PutUint32(entry(d, 0)[4:], 64*uint32(lay.highWords)+1) }))
-	mustReject(t, "first docIDs not ascending", edit(func(d []byte) { le.PutUint32(entry(d, 1)[0:], le.Uint32(entry(d, 0)[0:])) }))
+	mustReject(t, "short block in the middle", edit(func(d []byte) { row(d, 1)[8] = BlockSize - 1 }))
+	mustReject(t, "last block overfull", edit(func(d []byte) { row(d, 2)[8] = 41 }))
+	mustReject(t, "low-bit width over 32", edit(func(d []byte) { row(d, 0)[9] = 33 }))
+	mustReject(t, "frequency width zero", edit(func(d []byte) { freq(d, 0)[2] = 0 }))
+	mustReject(t, "first docIDs not ascending", edit(func(d []byte) { le.PutUint32(row(d, 1)[0:], le.Uint32(row(d, 0)[0:])) }))
+	for _, c := range rowCorruptions(lay) {
+		mustReject(t, c.name, edit(c.edit))
+	}
 
 	// The three checks that keep Get, DecompressBlock and Freqs.At in
 	// range: ones in the high bits == n, low words cover n*b bits,
-	// frequency words cover n*freqB bits.
+	// frequency words cover n*freqB bits (the last in rowCorruptions).
 	mustReject(t, "zeroed high-bits word", edit(func(d []byte) { le.PutUint64(d[lay.words:], 0) }))
 	mustReject(t, "one-bit beyond HighLen", edit(func(d []byte) {
 		last := lay.words + 8*(lay.highWords-1)
 		le.PutUint64(d[last:], le.Uint64(d[last:])|1<<63)
 	}))
-	mustReject(t, "low words short of n*b", edit(func(d []byte) { entry(d, 0)[20] = 32 }))
-	mustReject(t, "frequency words short of n*b", edit(func(d []byte) { entry(d, 0)[21] = 32 }))
+	mustReject(t, "low words short of n*b", edit(func(d []byte) { row(d, 0)[9] = 32 }))
+}
+
+// corruption is a named edit of a valid file.
+type corruption struct {
+	name string
+	edit func(data []byte)
+}
+
+// rowCorruptions are edits of the file rejectIndex writes (laid out as
+// lay) that break a block row in each way a v5 table can disagree with
+// itself: a row's words not where its predecessor's end, high bits longer
+// than their words, a full block where the last must be short, frequency
+// words short of n*b, and a pad byte after either array that is not
+// zero. TestOpenRejects holds each to ErrBadFormat, and FuzzReadIndex
+// starts from them.
+func rowCorruptions(lay layout) []corruption {
+	le := binary.LittleEndian
+	row, freq := lay.row, lay.freqRow
+	return []corruption{
+		{"row offset past its predecessor's words", func(d []byte) { le.PutUint16(row(d, 1)[4:], le.Uint16(row(d, 1)[4:])+1) }},
+		{"first row offset not zero", func(d []byte) { le.PutUint16(row(d, 0)[4:], 1) }},
+		{"frequency row offset inside its predecessor's words", func(d []byte) { le.PutUint16(freq(d, 2)[0:], le.Uint16(freq(d, 2)[0:])-1) }},
+		{"high bits longer than their words", func(d []byte) { le.PutUint16(row(d, 0)[6:], uint16(64*lay.highWords+1)) }},
+		{"full-size last block", func(d []byte) { row(d, 2)[8] = BlockSize }},
+		{"frequency words short of n*b", func(d []byte) { freq(d, 0)[2] = 32 }},
+		{"row padding not zero", func(d []byte) { d[lay.table+rowLen*lay.blocks] = 1 }},
+		{"frequency row padding not zero", func(d []byte) { d[lay.freqTable+freqRowLen*lay.blocks+3] = 1 }},
+	}
 }
 
 // TestFreqForDocMatchesDecodedSearch holds the select-probing lookup to

@@ -67,11 +67,11 @@ func TestOpenAllocationCeiling(t *testing.T) {
 	runtime.KeepAlive(ix)
 }
 
-// TestOpenHeapPerBlock: what an opened index keeps on the heap is its
-// block tables' rows — 12 bytes a block for the docIDs and 4 for the
-// frequencies, plus a page header per 64 blocks per table — and not a
-// per-block struct of slice headers, which takes over 100 bytes a block.
-// The file's words stay in the mapping.
+// TestOpenHeapPerBlock: what an opened index keeps on the heap is a
+// page header per 64 blocks per table, 56 bytes each, and the page table
+// of its doc lengths — not its block rows, 16 bytes a block, which stay
+// in the mapping with the file's words, and not a per-block struct of
+// slice headers, which takes over 100 bytes a block.
 func TestOpenHeapPerBlock(t *testing.T) {
 	if !hostLittleEndian {
 		t.Skip("big-endian host: every parse copies")
@@ -96,8 +96,8 @@ func TestOpenHeapPerBlock(t *testing.T) {
 	}
 	perBlock := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(blocks)
 	t.Logf("%d blocks: %.1f B of heap a block", blocks, perBlock)
-	if perBlock > 20 {
-		t.Errorf("Open left %.1f B of heap per block, want <= 20", perBlock)
+	if perBlock > 4 {
+		t.Errorf("Open left %.1f B of heap per block, want <= 4", perBlock)
 	}
 	runtime.KeepAlive(ix)
 }

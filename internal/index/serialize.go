@@ -14,7 +14,7 @@ import (
 	"griffin/internal/ef"
 )
 
-// Binary on-disk format, version 4 (little-endian throughout). Every
+// Binary on-disk format, version 5 (little-endian throughout). Every
 // u64 run sits at a naturally aligned file offset, so a loaded index is
 // a set of views into the file's bytes rather than a decoded copy of
 // them (see Parse and Open):
@@ -27,30 +27,38 @@ import (
 //	  one zero u64
 //	per term, in ascending term order (each record starts 8-aligned):
 //	  n u64 | numBlocks u32 | termLen u16 | term bytes | zero pad to 8
-//	  block table, numBlocks x 24 B:
-//	    firstDocID u32 | highLen u32 | highWords u32 | lowWords u32 |
-//	    n u16 | freqWords u16 | b u8 | freqB u8 | 2 zero bytes
+//	  Elias-Fano rows, [numBlocks]ef.Row, 12 B each | zero pad to 8
+//	    firstDocID u32 | off u16 | highLen u16 | n u8 | b u8 |
+//	    highWords u8 | lowWords u8
+//	  frequency rows, [numBlocks]freqRow, 4 B each | zero pad to 8
+//	    off u16 | b u8 | words u8
 //	  Elias-Fano words, per block: high [highWords]u64 | low [lowWords]u64
-//	  frequency words, per block:  packed [freqWords]u64
+//	  frequency words, per block:  packed [words]u64
 //
 // A page's width is the bit length of its largest length, at most 32, so
 // a page of zeros has no words; the bits past its last length and the
 // trailing word, which the last field of every page can be read with,
-// are zero. Version 3 held the lengths as [numDocs]u32; the term records
-// are version 3's. Padding is implicit — a reader computes it, no offset
-// is stored — and must be zero, and nothing may follow the last record,
-// so WriteTo of a parsed index reproduces the file byte for byte.
+// are zero. The rows are the ones a list holds in memory, byte for byte
+// (TestRowLayoutIsTheFile): a row's off is where its block's words start
+// in the run of its page of 1<<ef.PageShift rows, so Parse can make the
+// rows, like the words, views of the file. Version 4 held a 24-byte row
+// per block with absolute word counts in place of offsets; version 3
+// held the lengths as [numDocs]u32. Padding is implicit — a reader
+// computes it, no offset is stored — and must be zero, and nothing may
+// follow the last record, so WriteTo of a parsed index reproduces the
+// file byte for byte.
 //
 // Only the Elias-Fano form is serialized; a loaded index can re-derive the
 // PForDelta baseline on demand for experiments.
 
 const (
 	magic   = "GRIF"
-	version = 4
+	version = 5
 
-	headerLen     = 32 // magic | version | numDocs | numTerms | avgDocLen
-	minListLen    = 16 // n | numBlocks | termLen | empty term, padded to 8
-	blockEntryLen = 24
+	headerLen  = 32 // magic | version | numDocs | numTerms | avgDocLen
+	minListLen = 16 // n | numBlocks | termLen | empty term, padded to 8
+	rowLen     = 12 // an ef.Row
+	freqRowLen = 4  // a freqRow
 
 	// Per-block bounds: the high-bits array of an EF block is
 	// < 3*BlockSize bits (encoder invariant), low bits and packed
@@ -101,22 +109,23 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	e.u64(0)
 	for _, term := range terms {
 		p := ix.terms[term]
-		nb := p.EF.NumBlocks()
 		e.u64(uint64(p.N))
-		e.u32(uint32(nb))
+		e.u32(uint32(p.EF.NumBlocks()))
 		e.u16(uint16(len(term)))
 		e.str(term)
 		e.pad8()
-		for i := range nb {
-			r := &p.EF.Pages[i>>ef.PageShift].Rows[i&(1<<ef.PageShift-1)]
-			fr := &p.Freqs.pages[i>>ef.PageShift].Rows[i&(1<<ef.PageShift-1)]
-			blockEntry{
-				firstDocID: r.FirstDocID, highLen: uint32(r.HighLen),
-				highWords: uint32(r.HighWords), lowWords: uint32(r.LowWords),
-				n: uint16(r.N), freqWords: uint16(fr.words),
-				b: r.B, freqB: fr.b,
-			}.put(e)
+		for _, pg := range p.EF.Pages {
+			for _, r := range pg.Rows {
+				e.row(r)
+			}
 		}
+		e.pad8()
+		for _, pg := range p.Freqs.pages {
+			for _, r := range pg.Rows {
+				e.freqRow(r)
+			}
+		}
+		e.pad8()
 		// A page's run, its Words and then its owned run, is its blocks'
 		// words back to back, so the pages in order are the list's two
 		// runs: a spliced page writes what a built one does.
@@ -180,6 +189,22 @@ func (e *encoder) words(ws []uint64) {
 	}
 }
 
+// row writes r in its file layout, which is its memory layout on a
+// little-endian host.
+func (e *encoder) row(r ef.Row) {
+	e.u32(r.FirstDocID)
+	e.u16(r.Off)
+	e.u16(r.HighLen)
+	e.bytes(append(e.w.AvailableBuffer(), r.N, r.B, r.HighWords, r.LowWords))
+}
+
+// freqRow writes r in its file layout, which is its memory layout on a
+// little-endian host.
+func (e *encoder) freqRow(r freqRow) {
+	e.u16(r.off)
+	e.bytes(append(e.w.AvailableBuffer(), r.b, r.words))
+}
+
 // pad8 writes zeros up to the next multiple of 8 bytes.
 func (e *encoder) pad8() {
 	var zeros [8]byte
@@ -217,18 +242,17 @@ func readAll(r io.Reader) ([]byte, error) {
 }
 
 // Parse decodes a serialized index held in data without copying its
-// payload: on a little-endian host with data 8-byte aligned, the words of
-// every page of every block table and of DocLens are views into data,
-// and what is built on the heap is DocLens' page table, 32 bytes a page,
-// and each list's two tables of pointer-free rows — 12 bytes a block for
-// the docIDs, 4 for the frequencies — and their page arrays, one
-// allocation apiece per list; otherwise (big-endian host, misaligned
-// buffer) the same parser decodes the lengths' words, and each list's,
-// into one fresh slice. Either way the returned index
-// aliases data for as long as it — or any segment spliced from it, which
-// shares its pages by reference — is reachable, so data must never be
-// written again. Segments are immutable throughout the repo; Parse only
-// makes that contract load-bearing.
+// payload: on a little-endian host with data 8-byte aligned, the rows and
+// words of every page of every block table, and the words of DocLens,
+// are views into data, and what is built on the heap is DocLens' page
+// table, 32 bytes a page, and each list's two arrays of pages, 56 bytes
+// per 64 blocks apiece, one allocation each; otherwise (big-endian host,
+// misaligned buffer) the same parser decodes the lengths' words, and
+// each list's rows and words, into fresh slices. Either way the returned
+// index aliases data for as long as it — or any segment spliced from it,
+// which shares its pages by reference — is reachable, so data must never
+// be written again. Segments are immutable throughout the repo; Parse
+// only makes that contract load-bearing.
 //
 // All lengths in data are untrusted: every structural inconsistency is
 // reported as ErrBadFormat, and an accepted index cannot make
@@ -353,49 +377,60 @@ func (d *decoder) list() (*PostingList, error) {
 	if n > 1<<34 || numBlocks != (n+BlockSize-1)/BlockSize {
 		return nil, fmt.Errorf("n=%d blocks=%d", n, numBlocks)
 	}
-	// The table is taken from the input before anything is allocated
-	// from its counts, so a corrupt numBlocks cannot demand more memory
+	// The tables are taken from the input before anything is allocated
+	// from their counts, so a corrupt numBlocks cannot demand more memory
 	// than the file is long.
-	table := d.next(numBlocks * blockEntryLen)
+	table := d.next(numBlocks * rowLen)
+	d.pad8()
+	ftable := d.next(numBlocks * freqRowLen)
+	d.pad8()
 	if d.err != nil {
 		return nil, d.err
 	}
+	nb := int(numBlocks)
+	rows, frows := rowsOf(table, nb, getRow), rowsOf(ftable, nb, getFreqRow)
 	var efWords, freqWords uint64
-	for i := 0; i < int(numBlocks); i++ {
-		e := entryAt(table, i)
-		bn, b, fb := uint64(e.n), uint64(e.b), uint64(e.freqB)
+	var eOff, fOff int // word offsets in the two runs of the page block i is in
+	for i := range nb {
+		if i&(1<<ef.PageShift-1) == 0 {
+			eOff, fOff = 0, 0
+		}
+		r, fr := &rows[i], &frows[i]
+		bn, b, fb := uint64(r.N), uint64(r.B), uint64(fr.b)
 		// Every block is full except the last, which holds the rest.
 		if bn != min(BlockSize, n-uint64(i)*BlockSize) {
 			return nil, fmt.Errorf("block %d holds %d of n=%d", i, bn, n)
 		}
-		if b > 32 || e.highLen > maxHighLen || e.highWords > maxHighWords ||
-			uint64(e.highWords)*64 < uint64(e.highLen) ||
-			e.lowWords > maxValueWords || uint64(e.lowWords)*64 < bn*b {
+		if b > 32 || r.HighLen > maxHighLen || r.HighWords > maxHighWords ||
+			uint64(r.HighWords)*64 < uint64(r.HighLen) ||
+			r.LowWords > maxValueWords || uint64(r.LowWords)*64 < bn*b {
 			return nil, fmt.Errorf("block %d header out of bounds", i)
 		}
-		if fb == 0 || fb > 32 || e.freqWords > maxValueWords || uint64(e.freqWords)*64 < bn*fb {
+		if fb == 0 || fb > 32 || fr.words > maxValueWords || uint64(fr.words)*64 < bn*fb {
 			return nil, fmt.Errorf("freq block %d out of bounds", i)
 		}
-		if e.pad != 0 {
-			return nil, fmt.Errorf("block %d padding not zero", i)
+		// A row's words follow its predecessor's in the page's run.
+		if int(r.Off) != eOff || int(fr.off) != fOff {
+			return nil, fmt.Errorf("block %d at words %d and %d of its page, want %d and %d",
+				i, r.Off, fr.off, eOff, fOff)
 		}
-		efWords += uint64(e.highWords) + uint64(e.lowWords)
-		freqWords += uint64(e.freqWords)
+		eOff += int(r.HighWords) + int(r.LowWords)
+		fOff += int(fr.words)
+		efWords += uint64(r.HighWords) + uint64(r.LowWords)
+		freqWords += uint64(fr.words)
 	}
 	words := wordsOf(d.next((efWords + freqWords) * 8))
 	if d.err != nil {
 		return nil, d.err
 	}
 
-	// Each table is one array of rows and one array of pages, whatever the
-	// list's length: 5 600 small allocations on a fresh heap cost the
-	// server's start 10 ms (+25 %) where 1 000 large ones cost what one
-	// table per list did. A segment merged from this one shares pages with
-	// it and so keeps these arrays alive, their dead rows included — a
-	// bounded cost, this file's tables once over, since every page a merge
-	// makes is allocations of its own (ef.Pager).
-	nb := int(numBlocks)
-	rows, frows := make([]ef.Row, nb), make([]freqRow, nb)
+	// Each table is one array of pages whatever the list's length, and
+	// its rows are one array too: on a little-endian host with the input
+	// aligned a view of it, else one allocation of copies. A segment
+	// merged from this one shares pages with it and so keeps these arrays
+	// alive, their dead rows included — a bounded cost, this file's
+	// tables once over, since every page a merge makes is allocations of
+	// its own (ef.Pager).
 	var pages []ef.Page[ef.Row]
 	var fpages []ef.Page[freqRow]
 	if nb > 0 {
@@ -403,37 +438,29 @@ func (d *decoder) list() (*PostingList, error) {
 		pages, fpages = make([]ef.Page[ef.Row], np), make([]ef.Page[freqRow], np)
 	}
 	ew, fw := words[:efWords:efWords], words[efWords:]
-	var eAt, fAt, eStart, fStart int // word positions in the two runs; where the page began
-	for i := range nb {
-		e := entryAt(table, i)
-		if i&(1<<ef.PageShift-1) == 0 {
-			eStart, fStart = eAt, fAt
-		}
-		// The bounds above make every field fit its row.
-		r := ef.Row{
-			FirstDocID: e.firstDocID, Off: uint16(eAt - eStart), HighLen: uint16(e.highLen),
-			N: uint8(e.n), B: e.b, HighWords: uint8(e.highWords), LowWords: uint8(e.lowWords),
-		}
-		rows[i] = r
-		frows[i] = freqRow{off: uint16(fAt - fStart), b: e.freqB, words: uint8(e.freqWords)}
-		high := ew[eAt : eAt+int(e.highWords)]
-		eAt += int(e.highWords) + int(e.lowWords)
-		fAt += int(e.freqWords)
-		if i&(1<<ef.PageShift-1) == 1<<ef.PageShift-1 || i == nb-1 {
-			p, lo := i>>ef.PageShift, i&^(1<<ef.PageShift-1)
-			pages[p] = ef.Page[ef.Row]{Rows: rows[lo : i+1], Words: ew[eStart:eAt:eAt]}
-			fpages[p] = ef.Page[freqRow]{Rows: frows[lo : i+1], Words: fw[fStart:fAt:fAt]}
-		}
-
-		if i > 0 && r.FirstDocID <= rows[i-1].FirstDocID {
-			return nil, fmt.Errorf("block %d first docID %d after %d", i, r.FirstDocID, rows[i-1].FirstDocID)
-		}
-		// The unary high-bits array holds one one-bit per element, all
-		// below HighLen: select (Get), the serial decode and the device
-		// kernel's popcount scan all rely on exactly that.
-		if below, total := onesBelow(high, int(r.HighLen)); below != int(r.N) || total != int(r.N) {
-			return nil, fmt.Errorf("block %d: %d ones in %d high bits (%d in all) for n=%d",
-				i, below, r.HighLen, total, r.N)
+	var eAt, fAt int // where the page starts in the two runs
+	for p := range pages {
+		lo, hi := p<<ef.PageShift, min(nb, (p+1)<<ef.PageShift)
+		last, flast := &rows[hi-1], &frows[hi-1]
+		eEnd := eAt + int(last.Off) + int(last.HighWords) + int(last.LowWords)
+		fEnd := fAt + int(flast.off) + int(flast.words)
+		// Capped, so an append to a page's rows never writes the input.
+		pages[p] = ef.Page[ef.Row]{Rows: rows[lo:hi:hi], Words: ew[eAt:eEnd:eEnd]}
+		fpages[p] = ef.Page[freqRow]{Rows: frows[lo:hi:hi], Words: fw[fAt:fEnd:fEnd]}
+		eAt, fAt = eEnd, fEnd
+		for i := lo; i < hi; i++ {
+			r := &rows[i]
+			if i > 0 && r.FirstDocID <= rows[i-1].FirstDocID {
+				return nil, fmt.Errorf("block %d first docID %d after %d", i, r.FirstDocID, rows[i-1].FirstDocID)
+			}
+			// The unary high-bits array holds one one-bit per element, all
+			// below HighLen: select (Get), the serial decode and the device
+			// kernel's popcount scan all rely on exactly that.
+			high := pages[p].Words[r.Off:][:r.HighWords]
+			if below, total := onesBelow(high, int(r.HighLen)); below != int(r.N) || total != int(r.N) {
+				return nil, fmt.Errorf("block %d: %d ones in %d high bits (%d in all) for n=%d",
+					i, below, r.HighLen, total, r.N)
+			}
 		}
 	}
 	return &PostingList{
@@ -443,37 +470,19 @@ func (d *decoder) list() (*PostingList, error) {
 	}, nil
 }
 
-// blockEntry is one row of a list's block table: the header fields of
-// Elias-Fano block i and of frequency block i.
-type blockEntry struct {
-	firstDocID, highLen, highWords, lowWords uint32
-	n, freqWords                             uint16
-	b, freqB                                 uint8
-	pad                                      uint16 // must be zero
-}
-
-// entryAt decodes row i of a block table.
-func entryAt(table []byte, i int) blockEntry {
-	e, le := table[i*blockEntryLen:][:blockEntryLen], binary.LittleEndian
-	return blockEntry{
-		firstDocID: le.Uint32(e[0:]), highLen: le.Uint32(e[4:]),
-		highWords: le.Uint32(e[8:]), lowWords: le.Uint32(e[12:]),
-		n: le.Uint16(e[16:]), freqWords: le.Uint16(e[18:]),
-		b: e[20], freqB: e[21], pad: le.Uint16(e[22:]),
+// getRow decodes an ef.Row from its file layout, for a host or buffer
+// the rows cannot be viewed in (rowsOf).
+func getRow(b []byte) ef.Row {
+	return ef.Row{
+		FirstDocID: binary.LittleEndian.Uint32(b), Off: binary.LittleEndian.Uint16(b[4:]),
+		HighLen: binary.LittleEndian.Uint16(b[6:]),
+		N:       b[8], B: b[9], HighWords: b[10], LowWords: b[11],
 	}
 }
 
-// put appends the row to the encoder, in entryAt's layout.
-func (r blockEntry) put(e *encoder) {
-	e.u32(r.firstDocID)
-	e.u32(r.highLen)
-	e.u32(r.highWords)
-	e.u32(r.lowWords)
-	e.u16(r.n)
-	e.u16(r.freqWords)
-	e.u8(r.b)
-	e.u8(r.freqB)
-	e.u16(r.pad)
+// getFreqRow decodes a freqRow from its file layout, as getRow does.
+func getFreqRow(b []byte) freqRow {
+	return freqRow{off: binary.LittleEndian.Uint16(b), b: b[2], words: b[3]}
 }
 
 // onesBelow counts the one-bits of words at bit positions below nbits,

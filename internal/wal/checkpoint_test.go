@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -192,29 +193,46 @@ func TestReadCheckpointParsesInPlace(t *testing.T) {
 // TestOpenRefusesACheckpointOfAnotherFormat: a checkpoint whose payload
 // passes its checksum but is another index format version is not damage
 // to fall back past but a directory a build of another format wrote:
-// recovery refuses it with an error that names the version.
+// recovery refuses it with an error that names the version. The payloads
+// are this build's with the version field rewritten, and an intact file
+// of version 4 that a build of that format wrote.
 func TestOpenRefusesACheckpointOfAnotherFormat(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(dir, Options{Site: "t"})
+	v4, err := os.ReadFile("../index/testdata/index_v4.grif")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint(docLensIndex(t, 1000), 1); err != nil {
-		t.Fatal(err)
-	}
-	path := s.ckptPath(1)
-	s.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := data[ckptHeaderLen:]
-	binary.LittleEndian.PutUint32(payload[4:], 3) // a version-3 payload, correctly framed
-	binary.LittleEndian.PutUint32(data[ckptHeaderLen-4:], crc32.Checksum(payload, castagnoli))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{Site: "t"}); !errors.Is(err, index.ErrVersion) || !strings.Contains(err.Error(), "version 3,") {
-		t.Errorf("recovering over a version-3 checkpoint: err = %v, want one naming the version", err)
+	for _, tc := range []struct {
+		version uint32
+		payload func(current []byte) []byte
+	}{
+		{3, func(p []byte) []byte { binary.LittleEndian.PutUint32(p[4:], 3); return p }},
+		{4, func([]byte) []byte { return v4 }},
+	} {
+		dir := t.TempDir()
+		s, _, err := Open(dir, Options{Site: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(docLensIndex(t, 1000), 1); err != nil {
+			t.Fatal(err)
+		}
+		path := s.ckptPath(1)
+		s.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Correctly framed: the header's length and checksum are the payload's.
+		payload := tc.payload(data[ckptHeaderLen:])
+		hdr := append([]byte(nil), data[:ckptHeaderLen-12]...)
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
+		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
+		if err := os.WriteFile(path, append(hdr, payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d,", tc.version)
+		if _, _, err := Open(dir, Options{Site: "t"}); !errors.Is(err, index.ErrVersion) || !strings.Contains(err.Error(), want) {
+			t.Errorf("recovering over a version-%d checkpoint: err = %v, want one naming the version", tc.version, err)
+		}
 	}
 }
