@@ -37,7 +37,6 @@ func main() {
 			MaxListLen: *maxList,
 			MinListLen: *minList,
 			Alpha:      0.85,
-			Codec:      index.CodecEF,
 			Seed:       *seed,
 		})
 		exitOn(err)
@@ -45,7 +44,7 @@ func main() {
 	case *dir != "":
 		var paths []string
 		var err error
-		ix, paths, err = index.IndexDirectory(*dir, index.CodecEF)
+		ix, paths, err = index.IndexDirectory(*dir)
 		exitOn(err)
 		fmt.Printf("indexed %d documents from %s\n", len(paths), *dir)
 	default:

@@ -10,7 +10,6 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
-	"griffin/internal/index"
 	"griffin/internal/workload"
 )
 
@@ -30,7 +29,6 @@ func parityCorpus(t testing.TB) *workload.Corpus {
 		MaxListLen: 80_000,
 		MinListLen: 200,
 		Alpha:      1.0,
-		Codec:      index.CodecEF,
 		Seed:       42,
 	})
 	if err != nil {

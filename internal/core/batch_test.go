@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"griffin/internal/gpu"
-	"griffin/internal/index"
 	"griffin/internal/workload"
 )
 
@@ -84,7 +83,6 @@ func TestSearchBatchErrorIsolationAndOrder(t *testing.T) {
 		MaxListLen: 200_000,
 		MinListLen: 100_000,
 		Alpha:      0.3,
-		Codec:      index.CodecEF,
 		Seed:       64,
 	})
 	if err != nil {

@@ -24,7 +24,6 @@ func testCorpus(t testing.TB) *workload.Corpus {
 		MaxListLen: 80_000,
 		MinListLen: 200,
 		Alpha:      1.0,
-		Codec:      index.CodecEF,
 		Seed:       42,
 	})
 	if err != nil {
@@ -307,7 +306,6 @@ func TestGriffinNotSlowerThanBothBaselines(t *testing.T) {
 		MaxListLen: 1_000_000,
 		MinListLen: 20_000,
 		Alpha:      0.8,
-		Codec:      index.CodecEF,
 		Seed:       13,
 	})
 	if err != nil {

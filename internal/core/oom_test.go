@@ -6,7 +6,6 @@ import (
 
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
-	"griffin/internal/index"
 	"griffin/internal/workload"
 )
 
@@ -25,7 +24,6 @@ func TestGPUSearchPropagatesOOM(t *testing.T) {
 		MaxListLen: 200_000,
 		MinListLen: 100_000,
 		Alpha:      0.3,
-		Codec:      index.CodecEF,
 		Seed:       61,
 	})
 	if err != nil {
@@ -55,7 +53,6 @@ func TestHybridSearchPropagatesOOM(t *testing.T) {
 		MaxListLen: 200_000,
 		MinListLen: 100_000,
 		Alpha:      0.3,
-		Codec:      index.CodecEF,
 		Seed:       62,
 	})
 	if err != nil {
@@ -83,7 +80,6 @@ func TestCPUOnlyUnaffectedByTinyDevice(t *testing.T) {
 		MaxListLen: 20_000,
 		MinListLen: 5_000,
 		Alpha:      0.3,
-		Codec:      index.CodecEF,
 		Seed:       63,
 	})
 	if err != nil {

@@ -24,7 +24,7 @@ func regionCorpus(t *testing.T, seed int64) *index.Index {
 	t.Helper()
 	c, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs: 200_000, NumTerms: 20, MaxListLen: 60_000, MinListLen: 500,
-		Alpha: 0.9, Codec: index.CodecEF, Seed: seed,
+		Alpha: 0.9, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestSplicedSuccessorOutlivesItsShard(t *testing.T) {
 		for i := range tids {
 			tids[i], tfreqs[i] = ids[len(ids)-1]+uint32(1+i), uint32(1+i%7)
 		}
-		next, err := index.SpliceList(pl.Term, pl, k, tids, tfreqs, index.CodecEF)
+		next, err := index.SpliceList(pl.Term, pl, k, tids, tfreqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -286,7 +286,7 @@ func checkOverlapInvariants(t *testing.T, at string, st QueryStats) {
 func TestOverlapMatchesSerialReference(t *testing.T) {
 	c, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs: 300_000, NumTerms: 60, MaxListLen: 80_000, MinListLen: 200,
-		Alpha: 1.0, Codec: index.CodecEF, Seed: 42,
+		Alpha: 1.0, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
-	"griffin/internal/index"
 	"griffin/internal/workload"
 )
 
@@ -303,7 +302,6 @@ func (c Config) corpusSpec() workload.CorpusSpec {
 		MaxListLen: c.scaled(4_000_000, 1_000_000),
 		MinListLen: c.scaled(1_000, 1_000),
 		Alpha:      0.85,
-		Codec:      index.CodecEF,
 		Seed:       c.Seed,
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/index"
 	"griffin/internal/workload"
 )
 
@@ -224,7 +223,6 @@ func studyCorpus(cfg Config, sh studyShape) (*workload.Corpus, []workload.Query,
 		MaxListLen: cfg.scaled(sh.maxList[0], sh.maxList[1]),
 		MinListLen: cfg.scaled(sh.minList[0], sh.minList[1]),
 		Alpha:      0.6,
-		Codec:      index.CodecEF,
 		Seed:       cfg.Seed + sh.corpusSeed,
 	})
 	if err != nil {

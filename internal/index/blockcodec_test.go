@@ -211,37 +211,35 @@ func TestPackFreqsAllocations(t *testing.T) {
 
 // A ListEncoder fed a list block by block returns the list SpliceList
 // encodes from the whole of it — the same bytes in the same shapes — list
-// after list on the same scratch, for both codec configurations.
+// after list on the same scratch.
 func TestListEncoderEqualsSpliceList(t *testing.T) {
-	for _, codec := range []Codec{CodecEF, CodecBoth} {
-		r := rand.New(rand.NewSource(int64(79 + codec)))
-		enc := ListEncoder{Codec: codec}
-		for _, n := range []int{700, 1, 128, 129, 4000, 127, 256} {
-			ids, freqs := randomPostings(r, n)
-			for start := 0; start < n; start += BlockSize {
-				end := min(start+BlockSize, n)
-				if err := enc.Append(ids[start:end], freqs[start:end]); err != nil {
-					t.Fatalf("codec %d n=%d: Append at %d: %v", codec, n, start, err)
-				}
-			}
-			if enc.Len() != n {
-				t.Fatalf("codec %d n=%d: Len = %d", codec, n, enc.Len())
-			}
-			want, err := SpliceList("t", nil, 0, ids, freqs, codec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := enc.Finish("t"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("codec %d n=%d: the encoder's list differs from SpliceList's", codec, n)
+	r := rand.New(rand.NewSource(79))
+	var enc ListEncoder
+	for _, n := range []int{700, 1, 128, 129, 4000, 127, 256} {
+		ids, freqs := randomPostings(r, n)
+		for start := 0; start < n; start += BlockSize {
+			end := min(start+BlockSize, n)
+			if err := enc.Append(ids[start:end], freqs[start:end]); err != nil {
+				t.Fatalf("n=%d: Append at %d: %v", n, start, err)
 			}
 		}
-		if err := enc.Append([]uint32{1, 2}, []uint32{1}); err == nil {
-			t.Errorf("codec %d: %d freqs for 2 docIDs accepted", codec, 1)
+		if enc.Len() != n {
+			t.Fatalf("n=%d: Len = %d", n, enc.Len())
 		}
-		want, _ := SpliceList("e", nil, 0, nil, nil, codec)
-		if got := enc.Finish("e"); !reflect.DeepEqual(got, want) {
-			t.Errorf("codec %d: the empty list differs from SpliceList's:\n got %+v\nwant %+v", codec, got, want)
+		want, err := SpliceList("t", nil, 0, ids, freqs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := enc.Finish("t"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: the encoder's list differs from SpliceList's", n)
+		}
+	}
+	if err := enc.Append([]uint32{1, 2}, []uint32{1}); err == nil {
+		t.Error("1 freq for 2 docIDs accepted")
+	}
+	want, _ := SpliceList("e", nil, 0, nil, nil)
+	if got := enc.Finish("e"); !reflect.DeepEqual(got, want) {
+		t.Errorf("the empty list differs from SpliceList's:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -250,7 +248,7 @@ func TestListEncoderEqualsSpliceList(t *testing.T) {
 func TestDecodeFromMatchesElementAccess(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	ids, freqs := randomPostings(r, 3*BlockSize+17)
-	pl, err := SpliceList("t", nil, 0, ids, freqs, CodecEF)
+	pl, err := SpliceList("t", nil, 0, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +321,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	ids, freqs := randomPostings(r, 200_000)
 	before := heap()
-	pl, err := SpliceList("t", nil, 0, ids, freqs, CodecEF)
+	pl, err := SpliceList("t", nil, 0, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +332,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 		old := pl
 		var next *PostingList
 		allocated := allocatedBy(func() {
-			next, err = SpliceList("t", old, k, ids[k*BlockSize:], freqs[k*BlockSize:], CodecEF)
+			next, err = SpliceList("t", old, k, ids[k*BlockSize:], freqs[k*BlockSize:])
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,14 +1,12 @@
 package index
 
-import (
-	"griffin/internal/ef"
-	"griffin/internal/pfordelta"
-)
+import "griffin/internal/ef"
 
 // BlockList is the block-granular view of a compressed docID list that the
 // CPU intersection algorithms operate on: enumerate blocks, binary-search
 // their first docIDs (skip pointers), and decompress individual blocks on
-// demand. Both codecs satisfy it via the adapters below.
+// demand. EFView (the index's lists) and RawView (intermediate results)
+// satisfy it.
 type BlockList interface {
 	// Len returns the total element count.
 	Len() int
@@ -56,26 +54,6 @@ func (v EFView) DecompressBlock(i int, dst []uint32) int { return v.L.Decompress
 
 // Get implements RandomAccess via Elias-Fano select.
 func (v EFView) Get(b, i int) uint32 { return v.L.Get(b, i) }
-
-// PFDView adapts a PForDelta list to BlockList.
-type PFDView struct{ L *pfordelta.List }
-
-// Len implements BlockList.
-func (v PFDView) Len() int { return v.L.N }
-
-// NumBlocks implements BlockList.
-func (v PFDView) NumBlocks() int { return v.L.Blocks.Len() }
-
-// BlockLen implements BlockList.
-func (v PFDView) BlockLen(i int) int { return v.L.Block(i).N }
-
-// BlockFirst implements BlockList.
-func (v PFDView) BlockFirst(i int) uint32 { return v.L.Block(i).FirstDocID }
-
-// DecompressBlock implements BlockList.
-func (v PFDView) DecompressBlock(i int, dst []uint32) int {
-	return v.L.Block(i).DecompressInto(dst)
-}
 
 // RawView adapts an already-decompressed docID slice to BlockList (used
 // for intermediate results, which live uncompressed). Blocks are synthetic

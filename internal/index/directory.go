@@ -12,7 +12,7 @@ import (
 // (docIDs assigned in sorted path order, so rebuilds are stable) using
 // the parallel segment builder. It returns the index and the indexed
 // paths, where paths[docID] names the document.
-func IndexFS(fsys fs.FS, codec Codec) (*Index, []string, error) {
+func IndexFS(fsys fs.FS) (*Index, []string, error) {
 	var paths []string
 	err := fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -39,7 +39,7 @@ func IndexFS(fsys fs.FS, codec Codec) (*Index, []string, error) {
 		}
 		docs[i] = Document{ID: uint32(i), Tokens: Tokenize(string(data))}
 	}
-	ix, err := BuildParallel(docs, codec, runtime.GOMAXPROCS(0))
+	ix, err := BuildParallel(docs, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -47,6 +47,6 @@ func IndexFS(fsys fs.FS, codec Codec) (*Index, []string, error) {
 }
 
 // IndexDirectory indexes a directory tree on the host filesystem.
-func IndexDirectory(dir string, codec Codec) (*Index, []string, error) {
-	return IndexFS(os.DirFS(dir), codec)
+func IndexDirectory(dir string) (*Index, []string, error) {
+	return IndexFS(os.DirFS(dir))
 }

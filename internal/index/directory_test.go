@@ -12,7 +12,7 @@ func TestIndexFS(t *testing.T) {
 		"a/doc1.txt":     {Data: []byte("quick brown fox jumps")},
 		"c/nested/d.txt": {Data: []byte("lazy fox sleeps")},
 	}
-	ix, paths, err := IndexFS(fsys, CodecEF)
+	ix, paths, err := IndexFS(fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func TestIndexFSStableAcrossRebuilds(t *testing.T) {
 		"x.txt": {Data: []byte("alpha beta")},
 		"y.txt": {Data: []byte("beta gamma")},
 	}
-	ix1, _, err := IndexFS(fsys, CodecEF)
+	ix1, _, err := IndexFS(fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix2, _, err := IndexFS(fsys, CodecEF)
+	ix2, _, err := IndexFS(fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestIndexFSStableAcrossRebuilds(t *testing.T) {
 }
 
 func TestIndexFSEmpty(t *testing.T) {
-	if _, _, err := IndexFS(fstest.MapFS{}, CodecEF); err == nil {
+	if _, _, err := IndexFS(fstest.MapFS{}); err == nil {
 		t.Fatal("empty tree should error")
 	}
 }

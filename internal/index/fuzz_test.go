@@ -186,7 +186,7 @@ func FuzzSplice(f *testing.F) {
 				put(0, freq())
 			}
 
-			next, err := SpliceList("t", pl, k, tids, tfreqs, CodecEF)
+			next, err := SpliceList("t", pl, k, tids, tfreqs)
 			if err != nil {
 				t.Fatalf("step %d: splice at %d: %v", step, k, err)
 			}

@@ -7,9 +7,9 @@
 // pointer is the first docID in its table row (EFView.BlockFirst); no
 // separate array of them is kept.
 //
-// Each posting list stores its docIDs in Elias-Fano form (Griffin's codec)
-// and, optionally, in PForDelta form (the CPU baseline), so the
-// experiments can compare both on identical data.
+// Each posting list stores its docIDs in Elias-Fano form, Griffin's codec
+// and the index's only one; the PForDelta baseline that Table 1 and
+// Figure 12 compare it with is compressed by those experiments directly.
 package index
 
 import (
@@ -19,11 +19,10 @@ import (
 	"sort"
 
 	"griffin/internal/ef"
-	"griffin/internal/pfordelta"
 )
 
-// BlockSize is the posting-list compression block size; both codecs share
-// it (and §3.2 ties the GPU/CPU crossover threshold to it).
+// BlockSize is the posting-list compression block size (§3.2 ties the
+// GPU/CPU crossover threshold to it).
 const BlockSize = ef.BlockSize
 
 // PostingList holds one term's compressed postings.
@@ -33,11 +32,8 @@ type PostingList struct {
 	// N is the number of documents containing the term (its document
 	// frequency in the collection).
 	N int
-	// EF is the Elias-Fano-compressed docID list (always present).
+	// EF is the Elias-Fano-compressed docID list.
 	EF *ef.List
-	// PFD is the PForDelta-compressed docID list (present when the index
-	// was built with the Baseline codec enabled).
-	PFD *pfordelta.List
 	// Freqs stores the within-document frequency of the term in each
 	// posting's document (bit-packed), used by BM25 (§2.1.3).
 	Freqs *FreqStore
@@ -157,20 +153,15 @@ func (ix *Index) ListSizes() []int {
 // divide-by-zero in scoring).
 func (ix *Index) DocLen(d uint32) uint32 { return max(ix.DocLens.At(d), 1) }
 
-// Codec selects which compressed forms the builder materializes.
+// Codec names an index's compressed form. Elias-Fano is the only one;
+// the type stays only because the serving benchmark (bench/) names it.
 type Codec int
 
-const (
-	// CodecEF stores Elias-Fano only (Griffin's configuration).
-	CodecEF Codec = iota
-	// CodecBoth stores Elias-Fano plus the PForDelta baseline, for the
-	// comparison experiments (Table 1, Figure 12).
-	CodecBoth
-)
+// CodecEF is Elias-Fano, the only codec.
+const CodecEF Codec = 0
 
 // Builder accumulates documents and produces an Index.
 type Builder struct {
-	codec    Codec
 	postings map[string]*building
 	docLens  map[uint32]uint32
 	maxDocID uint32
@@ -182,10 +173,10 @@ type building struct {
 	freqs  []uint32
 }
 
-// NewBuilder returns a Builder using the given codec configuration.
-func NewBuilder(codec Codec) *Builder {
+// NewBuilder returns an empty Builder. Its parameter can only be
+// CodecEF, and stays only because the serving benchmark (bench/) passes it.
+func NewBuilder(Codec) *Builder {
 	return &Builder{
-		codec:    codec,
 		postings: make(map[string]*building),
 		docLens:  make(map[uint32]uint32),
 	}
@@ -293,7 +284,7 @@ func (b *Builder) Build() (*Index, error) {
 	ix.DocLens = NewLenTable(lens)
 
 	for term, raw := range b.postings {
-		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs, b.codec)
+		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs)
 		if err != nil {
 			return nil, err
 		}

@@ -62,7 +62,7 @@ func TestAddDocumentOrderEnforced(t *testing.T) {
 }
 
 func TestAddPostingsAndDocLens(t *testing.T) {
-	b := NewBuilder(CodecBoth)
+	b := NewBuilder(CodecEF)
 	ids := []uint32{1, 5, 9, 200}
 	freqs := []uint32{2, 1, 7, 3}
 	if err := b.AddPostings("zebra", ids, freqs); err != nil {
@@ -79,12 +79,6 @@ func TestAddPostingsAndDocLens(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p.Freqs.Decode(), freqs) {
 		t.Fatalf("freqs = %v", p.Freqs.Decode())
-	}
-	if p.PFD == nil {
-		t.Fatal("CodecBoth must materialize the PForDelta baseline")
-	}
-	if !reflect.DeepEqual(p.PFD.Decompress(), ids) {
-		t.Fatal("PFD round trip mismatch")
 	}
 	if ix.DocLen(200) != 50 {
 		t.Fatalf("DocLen(200) = %d", ix.DocLen(200))
@@ -148,7 +142,7 @@ func TestBlockListViews(t *testing.T) {
 		cur += 1 + uint32(rng.Intn(50))
 		ids[i] = cur
 	}
-	b := NewBuilder(CodecBoth)
+	b := NewBuilder(CodecEF)
 	if err := b.AddPostings("t", ids, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +151,6 @@ func TestBlockListViews(t *testing.T) {
 
 	views := map[string]BlockList{
 		"ef":  EFView{p.EF},
-		"pfd": PFDView{p.PFD},
 		"raw": RawView{ids},
 	}
 	for name, v := range views {

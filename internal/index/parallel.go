@@ -23,12 +23,12 @@ type Document struct {
 //
 // Documents may arrive in any order; they are sorted by ID first.
 // Duplicate IDs are rejected. workers <= 0 selects GOMAXPROCS.
-func BuildParallel(docs []Document, codec Codec, workers int) (*Index, error) {
+func BuildParallel(docs []Document, workers int) (*Index, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if len(docs) == 0 {
-		return NewBuilder(codec).Build()
+		return NewBuilder(CodecEF).Build()
 	}
 
 	sorted := make([]Document, len(docs))
@@ -96,7 +96,7 @@ func BuildParallel(docs []Document, codec Codec, workers int) (*Index, error) {
 
 	// Merge: segments cover ascending disjoint docID ranges, so per-term
 	// lists concatenate in segment order.
-	b := NewBuilder(codec)
+	b := NewBuilder(CodecEF)
 	for _, s := range segs {
 		for id, l := range s.docLens {
 			b.docLens[id] = l

@@ -62,7 +62,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 16} {
-		got, err := BuildParallel(docs, CodecEF, workers)
+		got, err := BuildParallel(docs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -78,11 +78,11 @@ func TestBuildParallelUnorderedInput(t *testing.T) {
 	rng.Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 	})
-	a, err := BuildParallel(docs, CodecEF, 4)
+	a, err := BuildParallel(docs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildParallel(shuffled, CodecEF, 4)
+	b, err := BuildParallel(shuffled, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestBuildParallelRejectsDuplicates(t *testing.T) {
 		{ID: 1, Tokens: []string{"aa"}},
 		{ID: 1, Tokens: []string{"bb"}},
 	}
-	if _, err := BuildParallel(docs, CodecEF, 4); err == nil {
+	if _, err := BuildParallel(docs, 4); err == nil {
 		t.Fatal("duplicate docIDs accepted")
 	}
 }
 
 func TestBuildParallelEmpty(t *testing.T) {
-	ix, err := BuildParallel(nil, CodecEF, 4)
+	ix, err := BuildParallel(nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBuildParallelMoreWorkersThanDocs(t *testing.T) {
 		{ID: 3, Tokens: []string{"xx", "yy"}},
 		{ID: 7, Tokens: []string{"yy"}},
 	}
-	ix, err := BuildParallel(docs, CodecEF, 64)
+	ix, err := BuildParallel(docs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	docs := genDocs(rng, 20000, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BuildParallel(docs, CodecEF, 0); err != nil {
+		if _, err := BuildParallel(docs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

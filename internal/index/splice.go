@@ -4,15 +4,13 @@ import (
 	"fmt"
 
 	"griffin/internal/ef"
-	"griffin/internal/pfordelta"
-	"griffin/internal/pvec"
 )
 
-// Elias-Fano, PForDelta and FreqStore blocks are each encoded from their
-// own <= BlockSize elements alone (docIDs relative to the block's first
-// one, frequencies at the block's own width), so a list whose first
-// k*BlockSize postings did not change keeps its first k blocks of all
-// three forms byte for byte — and, the three block tables being paged,
+// Elias-Fano and FreqStore blocks are each encoded from their own
+// <= BlockSize elements alone (docIDs relative to the block's first one,
+// frequencies at the block's own width), so a list whose first
+// k*BlockSize postings did not change keeps its first k blocks of both
+// forms byte for byte — and, the two block tables being paged,
 // the pages below k as they are, rows and words, and in the page k falls
 // in the words before k: a spliced list allocates its tail's words, per
 // table the rows of the page k falls in, and a page table; nothing the
@@ -42,49 +40,31 @@ func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
 // followed by the encoding of the tail postings (ids strictly ascending
 // and above every prefix docID, freqs parallel). With k == 0 nothing of
 // old is used (it may be nil) and the result is the plain encoding of the
-// tail. codec selects the compressed forms; CodecBoth with k > 0 needs
-// old to carry its PForDelta form.
-func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32, codec Codec) (*PostingList, error) {
+// tail.
+func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32) (*PostingList, error) {
 	if len(freqs) != len(ids) {
 		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))
 	}
 	var oldEF *ef.List
 	var oldFreqs *FreqStore
 	if k > 0 {
-		if codec == CodecBoth && old.PFD == nil {
-			return nil, fmt.Errorf("index: term %q: splice at block %d without a PForDelta prefix", term, k)
-		}
 		oldEF, oldFreqs = old.EF, old.Freqs
 	}
 	l, err := oldEF.Splice(k, ids)
 	if err != nil {
 		return nil, fmt.Errorf("index: term %q: %w", term, err)
 	}
-	pl := &PostingList{Term: term, N: l.N, EF: l, Freqs: spliceFreqs(oldFreqs, k, freqs)}
-	if codec == CodecBoth {
-		pl.PFD, err = pfordelta.Compress(ids)
-		if err != nil {
-			return nil, fmt.Errorf("term %q: %w", term, err)
-		}
-		if k > 0 {
-			pl.PFD = &pfordelta.List{N: pl.N, Blocks: old.PFD.Blocks.Splice(k, pl.PFD.Blocks)}
-		}
-	}
-	return pl, nil
+	return &PostingList{Term: term, N: l.N, EF: l, Freqs: spliceFreqs(oldFreqs, k, freqs)}, nil
 }
 
 // ListEncoder encodes posting lists from postings handed over a block at
 // a time, for a caller that never holds a whole list (the shard split):
 // Append as many blocks as the list has, then Finish. The list is the one
 // SpliceList(term, nil, 0, ...) encodes from the same postings, page for
-// page (see ef.Encoder). The zero value encodes CodecEF.
+// page (see ef.Encoder). The zero value is ready to use.
 type ListEncoder struct {
-	// Codec selects the compressed forms, as for SpliceList.
-	Codec Codec
-
 	ef    ef.Encoder
 	freqs freqEncoder
-	pfd   []pfordelta.Block
 }
 
 // Append encodes the list's next block: BlockSize postings — fewer only
@@ -98,15 +78,6 @@ func (e *ListEncoder) Append(ids, freqs []uint32) error {
 		return err
 	}
 	e.freqs.append(freqs)
-	if e.Codec == CodecBoth {
-		// A PForDelta block is encoded from its own elements alone, so
-		// the one-block list of ids holds exactly the list's next block.
-		l, err := pfordelta.Compress(ids)
-		if err != nil {
-			return err
-		}
-		e.pfd = append(e.pfd, *l.Block(0))
-	}
 	return nil
 }
 
@@ -123,13 +94,8 @@ func (e *ListEncoder) Len() int { return e.freqs.n }
 // Finish returns term's list of the blocks appended since the last
 // Finish and readies the encoder for the next list.
 func (e *ListEncoder) Finish(term string) *PostingList {
-	pl := &PostingList{Term: term, EF: e.ef.Finish(), Freqs: e.freqs.finish()}
-	pl.N = pl.EF.N
-	if e.Codec == CodecBoth {
-		pl.PFD = &pfordelta.List{N: pl.N, Blocks: pvec.Of(pfordelta.PageShift, e.pfd)}
-		e.pfd = nil
-	}
-	return pl
+	l := e.ef.Finish()
+	return &PostingList{Term: term, N: l.N, EF: l, Freqs: e.freqs.finish()}
 }
 
 // Assemble returns the Index over finished posting lists (shared with

@@ -28,9 +28,9 @@ func randomPostings(r *rand.Rand, n int) (ids, freqs []uint32) {
 
 // build encodes one list through the Builder, the reference every splice
 // must equal.
-func buildList(t testing.TB, ids, freqs []uint32, codec Codec) *PostingList {
+func buildList(t testing.TB, ids, freqs []uint32) *PostingList {
 	t.Helper()
-	b := NewBuilder(codec)
+	b := NewBuilder(CodecEF)
 	if err := b.AddPostings("t", ids, freqs); err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func buildList(t testing.TB, ids, freqs []uint32, codec Codec) *PostingList {
 }
 
 // sameList reports whether two lists hold the same postings in the same
-// encoding: term and counts, the PForDelta form, and in both block tables
-// the same rows and the same run (ef.Page.Span) in every page, wherever
-// the runs' words lie — a spliced page's Words are a prefix of its run.
+// encoding: term and counts, and in both block tables the same rows and
+// the same run (ef.Page.Span) in every page, wherever the runs' words lie
+// — a spliced page's Words are a prefix of its run.
 func sameList(a, b *PostingList) bool {
-	return a.Term == b.Term && a.N == b.N && a.GlobalN == b.GlobalN && reflect.DeepEqual(a.PFD, b.PFD) &&
+	return a.Term == b.Term && a.N == b.N && a.GlobalN == b.GlobalN &&
 		a.EF.N == b.EF.N && samePages(a.EF.Pages, b.EF.Pages) &&
 		a.Freqs.n == b.Freqs.n && samePages(a.Freqs.pages, b.Freqs.pages)
 }
@@ -84,51 +84,49 @@ func listBytes(t testing.TB, pl *PostingList) []byte {
 // of a list and re-encoding an edited tail gives exactly the list the
 // Builder produces from the edited postings as a whole.
 func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
-	for _, codec := range []Codec{CodecEF, CodecBoth} {
-		r := rand.New(rand.NewSource(int64(16 + codec)))
-		for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 700, 65*BlockSize + 3} {
-			ids, freqs := randomPostings(r, n)
-			old := buildList(t, ids, freqs, codec)
-			nb := old.EF.NumBlocks()
-			for k := 0; k <= nb; k++ {
-				if k > 0 && old.EF.Block(k-1).N != BlockSize {
-					continue // a prefix must end on a full block
+	r := rand.New(rand.NewSource(16))
+	for _, n := range []int{1, 127, 128, 129, 255, 256, 257, 700, 65*BlockSize + 3} {
+		ids, freqs := randomPostings(r, n)
+		old := buildList(t, ids, freqs)
+		nb := old.EF.NumBlocks()
+		for k := 0; k <= nb; k++ {
+			if k > 0 && old.EF.Block(k-1).N != BlockSize {
+				continue // a prefix must end on a full block
+			}
+			tailIDs, tailFreqs := old.DecodeFrom(k)
+			if !reflect.DeepEqual(tailIDs, ids[k*BlockSize:]) || !reflect.DeepEqual(tailFreqs, freqs[k*BlockSize:]) {
+				t.Fatalf("n=%d: DecodeFrom(%d) diverges from the input", n, k)
+			}
+			// Edit the tail: drop every third posting, squeeze a new docID
+			// into each gap that has room, append two past the end.
+			var eIDs, eFreqs []uint32
+			for i, d := range tailIDs {
+				if i%3 != 1 {
+					eIDs = append(eIDs, d)
+					eFreqs = append(eFreqs, tailFreqs[i])
 				}
-				tailIDs, tailFreqs := old.DecodeFrom(k)
-				if !reflect.DeepEqual(tailIDs, ids[k*BlockSize:]) || !reflect.DeepEqual(tailFreqs, freqs[k*BlockSize:]) {
-					t.Fatalf("codec %d n=%d: DecodeFrom(%d) diverges from the input", codec, n, k)
+				if i%5 == 0 {
+					eIDs = append(eIDs, d+1)
+					eFreqs = append(eFreqs, 300)
 				}
-				// Edit the tail: drop every third posting, squeeze a new docID
-				// into each gap that has room, append two past the end.
-				var eIDs, eFreqs []uint32
-				for i, d := range tailIDs {
-					if i%3 != 1 {
-						eIDs = append(eIDs, d)
-						eFreqs = append(eFreqs, tailFreqs[i])
-					}
-					if i%5 == 0 {
-						eIDs = append(eIDs, d+1)
-						eFreqs = append(eFreqs, 300)
-					}
-				}
-				last := ids[n-1]
-				eIDs = append(eIDs, last+7, last+9)
-				eFreqs = append(eFreqs, 1, 2)
+			}
+			last := ids[n-1]
+			eIDs = append(eIDs, last+7, last+9)
+			eFreqs = append(eFreqs, 1, 2)
 
-				got, err := SpliceList("t", old, k, eIDs, eFreqs, codec)
-				if err != nil {
-					t.Fatalf("codec %d n=%d k=%d: %v", codec, n, k, err)
-				}
-				wantIDs := append(append([]uint32(nil), ids[:k*BlockSize]...), eIDs...)
-				wantFreqs := append(append([]uint32(nil), freqs[:k*BlockSize]...), eFreqs...)
-				want := buildList(t, wantIDs, wantFreqs, codec)
-				if !sameList(got, want) || !bytes.Equal(listBytes(t, got), listBytes(t, want)) {
-					t.Fatalf("codec %d n=%d k=%d: spliced list differs from the rebuilt one", codec, n, k)
-				}
-				for p := range k >> ef.PageShift {
-					if &got.EF.Pages[p].Words[0] != &old.EF.Pages[p].Words[0] || &got.Freqs.pages[p].Words[0] != &old.Freqs.pages[p].Words[0] {
-						t.Fatalf("codec %d n=%d k=%d: prefix page %d was copied, not shared", codec, n, k, p)
-					}
+			got, err := SpliceList("t", old, k, eIDs, eFreqs)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			wantIDs := append(append([]uint32(nil), ids[:k*BlockSize]...), eIDs...)
+			wantFreqs := append(append([]uint32(nil), freqs[:k*BlockSize]...), eFreqs...)
+			want := buildList(t, wantIDs, wantFreqs)
+			if !sameList(got, want) || !bytes.Equal(listBytes(t, got), listBytes(t, want)) {
+				t.Fatalf("n=%d k=%d: spliced list differs from the rebuilt one", n, k)
+			}
+			for p := range k >> ef.PageShift {
+				if &got.EF.Pages[p].Words[0] != &old.EF.Pages[p].Words[0] || &got.Freqs.pages[p].Words[0] != &old.Freqs.pages[p].Words[0] {
+					t.Fatalf("n=%d k=%d: prefix page %d was copied, not shared", n, k, p)
 				}
 			}
 		}
@@ -138,20 +136,17 @@ func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
 func TestSpliceListRejectsBadJoins(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ids, freqs := randomPostings(r, 300)
-	old := buildList(t, ids, freqs, CodecEF)
-	if _, err := SpliceList("t", old, 1, []uint32{ids[127]}, []uint32{1}, CodecEF); !errors.Is(err, ef.ErrNotAscending) {
+	old := buildList(t, ids, freqs)
+	if _, err := SpliceList("t", old, 1, []uint32{ids[127]}, []uint32{1}); !errors.Is(err, ef.ErrNotAscending) {
 		t.Errorf("tail starting at the prefix's last docID: err = %v, want ErrNotAscending", err)
 	}
-	if _, err := SpliceList("t", old, 3, nil, nil, CodecEF); err == nil {
+	if _, err := SpliceList("t", old, 3, nil, nil); err == nil {
 		t.Error("splice behind a partial block accepted")
 	}
-	if _, err := SpliceList("t", old, 4, nil, nil, CodecEF); err == nil {
+	if _, err := SpliceList("t", old, 4, nil, nil); err == nil {
 		t.Error("splice past the last block accepted")
 	}
-	if _, err := SpliceList("t", old, 1, []uint32{ids[299] + 1}, []uint32{1}, CodecBoth); err == nil {
-		t.Error("CodecBoth splice over a list without a PForDelta form accepted")
-	}
-	if _, err := SpliceList("t", old, 0, []uint32{1, 2}, []uint32{1}, CodecEF); err == nil {
+	if _, err := SpliceList("t", old, 0, []uint32{1, 2}, []uint32{1}); err == nil {
 		t.Error("freqs shorter than docIDs accepted")
 	}
 }

@@ -569,7 +569,7 @@ func (c *Cluster) globalBuildLocked(t *topo) (*index.Index, error) {
 		}
 	}
 
-	b := index.NewBuilder(c.codec)
+	b := index.NewBuilder(index.CodecEF)
 	for term, parts := range terms {
 		// Shard slices are ascending and docID-disjoint (modulo routing):
 		// a k-way min-merge restores the global ascending order.

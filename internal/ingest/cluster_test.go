@@ -8,7 +8,6 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/index"
 	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
@@ -23,7 +22,7 @@ func TestClusterQuiescedGoldenParity(t *testing.T) {
 	script := genScript(32, lc.clone(), 60, vocab)
 
 	ccfg := cluster.Config{Engine: core.Config{Mode: core.Hybrid}}
-	live, err := OpenCluster(lc.build(t, index.CodecBoth), ClusterConfig{
+	live, err := OpenCluster(lc.build(t), ClusterConfig{
 		Shards: 2, Cluster: ccfg,
 	})
 	if err != nil {
@@ -51,7 +50,7 @@ func TestClusterQuiescedGoldenParity(t *testing.T) {
 		t.Errorf("rebuilds = %d, want 1", st.Rebuilds)
 	}
 
-	ixs, err := workload.PartitionIndex(lc.build(t, index.CodecBoth), 2)
+	ixs, err := workload.PartitionIndex(lc.build(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func clusterGolden(r *cluster.Result) string {
 func TestClusterSplit(t *testing.T) {
 	const vocab = 16
 	lc := seedCorpus(41, 60, vocab)
-	c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
+	c, err := OpenCluster(lc.build(t), ClusterConfig{
 		Shards:         2,
 		Cluster:        cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 		SplitWatermark: 45,
@@ -154,7 +153,7 @@ func TestClusterConcurrentSnapshotIsolation(t *testing.T) {
 
 	expected := byGen(base, script, queries)
 
-	c, err := OpenCluster(base.build(t, index.CodecEF), ClusterConfig{
+	c, err := OpenCluster(base.build(t), ClusterConfig{
 		Shards:         2,
 		Cluster:        cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 		MergeThreshold: 8,

@@ -298,7 +298,7 @@ func (s *schedule) run(t *testing.T) {
 	x.queries = queryLog(x.vocab)
 	if s.mapped {
 		x.seedF = filepath.Join(x.dir, "seed.grif")
-		if err := os.WriteFile(x.seedF, serialized(t, x.base.build(t, index.CodecEF)), 0o644); err != nil {
+		if err := os.WriteFile(x.seedF, serialized(t, x.base.build(t)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,7 +450,7 @@ func (x *explorer) reopen(i int) {
 			cfg.WALSyncEvery = -1
 		}
 	}
-	seed := x.base.build(t, index.CodecEF)
+	seed := x.base.build(t)
 	if s.mapped {
 		var err error
 		if seed, err = index.Open(x.seedF); err != nil {
@@ -817,7 +817,7 @@ func (x *explorer) rebuilt(grow bool) {
 // checkSegments holds every shard segment to a fresh build of the
 // oracle's documents, partitioned as the cluster is.
 func (x *explorer) checkSegments() {
-	want := []*index.Index{x.o.build(x.t, index.CodecEF)}
+	want := []*index.Index{x.o.build(x.t)}
 	if x.shards > 1 {
 		var err error
 		if want, err = workload.PartitionIndex(want[0], x.shards); err != nil {

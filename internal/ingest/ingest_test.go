@@ -16,7 +16,6 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
-	"griffin/internal/index"
 	"griffin/internal/wal"
 )
 
@@ -85,7 +84,7 @@ func TestQuiescedGoldenParity(t *testing.T) {
 					}
 				}
 				c := base.clone()
-				e, err := New(c.build(t, index.CodecEF), Config{Engine: mkCfg()})
+				e, err := New(c.build(t), Config{Engine: mkCfg()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +106,7 @@ func TestQuiescedGoldenParity(t *testing.T) {
 					t.Fatalf("post-quiesce lag = %d", lag)
 				}
 
-				fresh, err := core.New(c.build(t, index.CodecEF), mkCfg())
+				fresh, err := core.New(c.build(t), mkCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +149,7 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 	for _, b := range backends[:2] {
 		t.Run(b.name, func(t *testing.T) {
 			c := c.clone()
-			e, err := b.open(c.build(t, index.CodecBoth), Config{Engine: core.Config{Mode: core.CPUOnly}})
+			e, err := b.open(c.build(t), Config{Engine: core.Config{Mode: core.CPUOnly}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +172,7 @@ func TestMergedIndexMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("post-merge lag = %d", lag)
 			}
 
-			got, want := segment(e, 0), c.build(t, index.CodecBoth)
+			got, want := segment(e, 0), c.build(t)
 			if _, ok := got.Lookup("rare"); ok {
 				t.Error("fully tombstoned term 'rare' still in merged dictionary")
 			}
@@ -204,7 +203,7 @@ func TestMergeInterferenceOnSharedDevice(t *testing.T) {
 	const vocab = 16
 	base := seedCorpus(51, 400, vocab)
 	c := base.clone()
-	e, err := New(c.build(t, index.CodecEF), Config{
+	e, err := New(c.build(t), Config{
 		Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
 	})
 	if err != nil {
@@ -256,7 +255,7 @@ func testQueryOnePath(t *testing.T, rows []backend, overlayCase string) {
 	script := genScript(54, base.clone(), 60, vocab)
 	live := func(t *testing.T, b backend) *Cluster {
 		c := base.clone()
-		e, err := b.open(c.build(t, index.CodecEF), Config{
+		e, err := b.open(c.build(t), Config{
 			Engine: core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
 		})
 		if err != nil {
@@ -319,7 +318,7 @@ func testQueryOnePath(t *testing.T, rows []backend, overlayCase string) {
 
 func TestMutationValidation(t *testing.T) {
 	c := seedCorpus(61, 10, 8)
-	e, err := New(c.build(t, index.CodecEF), Config{Engine: core.Config{Mode: core.CPUOnly}})
+	e, err := New(c.build(t), Config{Engine: core.Config{Mode: core.CPUOnly}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +365,7 @@ func TestAutoMergeBackground(t *testing.T) {
 	const vocab = 12
 	base := seedCorpus(71, 50, vocab)
 	c := base.clone()
-	e, err := New(c.build(t, index.CodecEF), Config{
+	e, err := New(c.build(t), Config{
 		Engine:         core.Config{Mode: core.CPUOnly},
 		MergeThreshold: 10,
 		AutoMerge:      true,
@@ -411,7 +410,7 @@ func TestConcurrentSnapshotIsolation(t *testing.T) {
 	expected := byGen(base, script, queries)
 
 	c := base.clone()
-	e, err := New(c.build(t, index.CodecEF), Config{
+	e, err := New(c.build(t), Config{
 		Engine:         core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0)},
 		MergeThreshold: 8,
 		AutoMerge:      true,
@@ -463,7 +462,7 @@ func TestConcurrentCheckpointIngestReads(t *testing.T) {
 
 	dir := t.TempDir()
 	cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir}
-	e, err := Open(base.clone().build(t, index.CodecEF), cfg)
+	e, err := Open(base.clone().build(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +503,7 @@ func TestConcurrentCheckpointIngestReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Crash()
-	r, err := Open(base.clone().build(t, index.CodecEF), cfg)
+	r, err := Open(base.clone().build(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +527,7 @@ func TestConcurrentCheckpointIngestReads(t *testing.T) {
 // recovers: the document is found again after a restart.
 func TestCheckpointAcrossADocIDGap(t *testing.T) {
 	const far = 1 << 28
-	seed := seedCorpus(391, 40, 10).build(t, index.CodecEF)
+	seed := seedCorpus(391, 40, 10).build(t)
 	dir := t.TempDir()
 	cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: dir}
 	e, err := Open(seed, cfg)
@@ -584,7 +583,7 @@ func TestAutoCheckpointCadence(t *testing.T) {
 		WALDir: dir, CheckpointEvery: 8,
 	}
 	c := base.clone()
-	e, err := Open(base.clone().build(t, index.CodecEF), cfg)
+	e, err := Open(base.clone().build(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +592,7 @@ func TestAutoCheckpointCadence(t *testing.T) {
 	}
 	eventually(t, "an automatic checkpoint at cadence 8", func() bool { return e.Stats().WAL.Checkpoints > 0 })
 	e.Close() // drains the background checkpoint goroutine
-	r, err := Open(base.clone().build(t, index.CodecEF), cfg)
+	r, err := Open(base.clone().build(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,10 +136,10 @@ type mergePlan struct {
 // is. Any other list is spliced at its first affected block k: blocks
 // [0,k) are shared, blocks [k,end) are decoded, filtered through the
 // shadow set, merged with the delta's live postings and re-encoded.
-// Every block of all three codecs is encoded from its own elements alone,
+// Every docID and frequency block is encoded from its own elements alone,
 // so the result equals an index.Builder run over the same logical corpus
 // — k = 0 is that run.
-func planMerge(main *index.Index, v *View, codec index.Codec) (*mergePlan, error) {
+func planMerge(main *index.Index, v *View) (*mergePlan, error) {
 	p := &mergePlan{}
 	shadow := make([]uint32, 0, len(v.docs))
 	for id := range v.docs {
@@ -160,11 +160,8 @@ func planMerge(main *index.Index, v *View, codec index.Codec) (*mergePlan, error
 			p.lists = append(p.lists, pl)
 			continue
 		}
-		if codec == index.CodecBoth && pl.PFD == nil {
-			k = 0 // a segment loaded from disk has no PForDelta prefix to share
-		}
 		tailIDs, tailFreqs := pl.DecodeFrom(k)
-		if err := p.splice(term, pl, k, tailIDs, tailFreqs, v, codec); err != nil {
+		if err := p.splice(term, pl, k, tailIDs, tailFreqs, v); err != nil {
 			return nil, err
 		}
 	}
@@ -179,7 +176,7 @@ func planMerge(main *index.Index, v *View, codec index.Codec) (*mergePlan, error
 	}
 	sort.Strings(fresh)
 	for _, term := range fresh {
-		if err := p.splice(term, nil, 0, nil, nil, v, codec); err != nil {
+		if err := p.splice(term, nil, 0, nil, nil, v); err != nil {
 			return nil, err
 		}
 	}
@@ -189,7 +186,7 @@ func planMerge(main *index.Index, v *View, codec index.Codec) (*mergePlan, error
 // splice merges one changed term's decoded tail with the delta, records
 // its price inputs and, unless every posting died (the term leaves the
 // dictionary), its re-encoded list.
-func (p *mergePlan) splice(term string, old *index.PostingList, k int, tailIDs, tailFreqs []uint32, v *View, codec index.Codec) error {
+func (p *mergePlan) splice(term string, old *index.PostingList, k int, tailIDs, tailFreqs []uint32, v *View) error {
 	ids, freqs := mergePostings(tailIDs, tailFreqs, v, term)
 	ch := changedList{term: term, old: old, merged: k*index.BlockSize + len(ids)}
 	if old != nil {
@@ -199,7 +196,7 @@ func (p *mergePlan) splice(term string, old *index.PostingList, k int, tailIDs, 
 	if ch.merged == 0 {
 		return nil
 	}
-	pl, err := index.SpliceList(term, old, k, ids, freqs, codec)
+	pl, err := index.SpliceList(term, old, k, ids, freqs)
 	if err != nil {
 		return err
 	}

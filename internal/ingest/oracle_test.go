@@ -57,9 +57,9 @@ func (o *oracle) ids() []uint32 {
 	return ids
 }
 
-func (o *oracle) build(t testing.TB, codec index.Codec) *index.Index {
+func (o *oracle) build(t testing.TB) *index.Index {
 	t.Helper()
-	b := index.NewBuilder(codec)
+	b := index.NewBuilder(index.CodecEF)
 	for _, id := range o.ids() {
 		if err := b.AddDocument(id, o.docs[id]); err != nil {
 			t.Fatal(err)

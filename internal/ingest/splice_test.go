@@ -53,9 +53,9 @@ func lensOf(lens index.LenTable) []uint32 {
 	return out
 }
 
-func rebuildMerge(t testing.TB, main *index.Index, v *View, codec index.Codec) (*index.Index, []pricedList) {
+func rebuildMerge(t testing.TB, main *index.Index, v *View) (*index.Index, []pricedList) {
 	t.Helper()
-	b := index.NewBuilder(codec)
+	b := index.NewBuilder(index.CodecEF)
 	for d, l := range lensOf(main.DocLens) {
 		if l > 0 && v.docs[uint32(d)] == nil {
 			b.SetDocLen(uint32(d), l)
@@ -255,18 +255,18 @@ func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 }
 
 // mergeShardAgainstRebuild merges shard s's whole delta and checks the
-// new segment, its aggregates, its compressed forms and the priced
-// changed set against the rebuild. At one shard the merged segment is
-// the rebuild, statistics and all; at more the cluster stamps it with the
-// global statistics, so the rebuild's are overwritten the same way.
-func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec, tag string) {
+// new segment, its aggregates and the priced changed set against the
+// rebuild. At one shard the merged segment is the rebuild, statistics and
+// all; at more the cluster stamps it with the global statistics, so the
+// rebuild's are overwritten the same way.
+func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, tag string) {
 	t.Helper()
 	c.mu.Lock()
 	sh, n := c.t.shards[s], c.t.n
 	main, v := sh.ix, sh.d.freeze()
 	c.mu.Unlock()
-	want, wantPriced := rebuildMerge(t, main, v, codec)
-	plan, err := planMerge(main, v, codec)
+	want, wantPriced := rebuildMerge(t, main, v)
+	plan, err := planMerge(main, v)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
 	}
@@ -300,11 +300,6 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, codec index.Codec
 		want.AvgDocLen = c.stats.avgDocLen()
 	}
 	checkSameIndex(t, sh.ix, want, tag)
-	for _, term := range sh.ix.Terms() {
-		if pl, _ := sh.ix.Lookup(term); (pl.PFD != nil) != (codec == index.CodecBoth) {
-			t.Errorf("%s: term %q has a PForDelta form: %v, the seed's codec: %v", tag, term, pl.PFD != nil, codec)
-		}
-	}
 	if scan := statsOf(sh.ix.DocLens); c.stats != scan {
 		t.Errorf("%s: running aggregates %+v, a scan of the merged shard gives %+v", tag, c.stats, scan)
 	}
@@ -380,121 +375,78 @@ var followUp = []mutation{
 // publishes, and the changed set the modeled clock bills, must be exactly
 // what decoding and rebuilding the whole corpus gives.
 func TestSpliceMergeEqualsRebuild(t *testing.T) {
-	codecs := map[string]index.Codec{"ef": index.CodecEF, "both": index.CodecBoth}
-	for cname, codec := range codecs {
-		t.Run("engine/"+cname, func(t *testing.T) {
-			for _, tc := range spliceCases {
-				lc := spliceCorpus()
-				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, m := range tc.muts {
-					apply(t, e, lc, m)
-				}
-				mergeShardAgainstRebuild(t, e, 0, codec, tc.name)
-				checkSameIndex(t, segment(e, 0), lc.build(t, codec), tc.name+": vs logical corpus")
-				for _, m := range followUp {
-					apply(t, e, lc, m)
-				}
-				mergeShardAgainstRebuild(t, e, 0, codec, tc.name+", follow-up")
-				checkSameIndex(t, segment(e, 0), lc.build(t, codec), tc.name+", follow-up: vs logical corpus")
-				e.Close()
+	t.Run("engine/ef", func(t *testing.T) {
+		for _, tc := range spliceCases {
+			lc := spliceCorpus()
+			e, err := New(lc.build(t), Config{Engine: core.Config{Mode: core.CPUOnly}})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-		t.Run("shard/"+cname, func(t *testing.T) {
-			for _, tc := range spliceCases {
-				lc := spliceCorpus()
-				c, err := OpenCluster(lc.build(t, codec), ClusterConfig{
-					Shards:  2,
-					Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for round, muts := range [][]mutation{tc.muts, followUp} {
-					for _, m := range muts {
-						apply(t, c, lc, m)
-					}
-					for s := 0; s < 2; s++ {
-						mergeShardAgainstRebuild(t, c, s, codec, fmt.Sprintf("%s, round %d, shard %d", tc.name, round, s))
-					}
-				}
-				c.Close()
+			for _, m := range tc.muts {
+				apply(t, e, lc, m)
 			}
-		})
-		t.Run("seeded/"+cname, func(t *testing.T) {
-			const vocab = 12
-			for seed := int64(1); seed <= 4; seed++ {
-				lc := seedCorpus(seed, 600, vocab)
-				script := genScript(seed+100, lc.clone(), 240, vocab)
-				e, err := New(lc.build(t, codec), Config{Engine: core.Config{Mode: core.CPUOnly}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := OpenCluster(lc.build(t, codec), ClusterConfig{
-					Shards:  3,
-					Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				clc := lc.clone()
-				for i, m := range script {
-					apply(t, e, lc, m)
-					apply(t, c, clc, m)
-					if i%60 == 59 {
-						tag := fmt.Sprintf("seed %d, mutation %d", seed, i)
-						mergeShardAgainstRebuild(t, e, 0, codec, tag)
-						mergeShardAgainstRebuild(t, c, i/60%3, codec, tag)
-					}
-				}
-				checkSameIndex(t, segment(e, 0), lc.build(t, codec), fmt.Sprintf("seed %d: vs logical corpus", seed))
-				e.Close()
-				c.Close()
+			mergeShardAgainstRebuild(t, e, 0, tc.name)
+			checkSameIndex(t, segment(e, 0), lc.build(t), tc.name+": vs logical corpus")
+			for _, m := range followUp {
+				apply(t, e, lc, m)
 			}
-		})
-	}
-}
-
-// A checkpoint segment comes back from disk without its PForDelta form;
-// a merge over it still takes the seed's codec, has no prefix to share
-// and re-encodes changed lists whole, as the rebuild does.
-func TestSpliceOverSegmentWithoutPForDelta(t *testing.T) {
-	lc := spliceCorpus()
-	seed := lc.build(t, index.CodecBoth)
-	cfg := Config{Engine: core.Config{Mode: core.CPUOnly}, WALDir: t.TempDir()}
-	e, err := Open(seed, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply(t, e, lc, mutation{kind: wal.OpUpdate, docID: 4, tokens: []string{"big", word(4)}})
-	if err := e.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	e.Crash()
-	if e, err = Open(seed, cfg); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if pl, _ := segment(e, 0).Lookup("big"); pl.PFD != nil {
-		t.Fatal("the recovered checkpoint segment carries a PForDelta form")
-	}
-	apply(t, e, lc, mutation{kind: wal.OpAdd, docID: 1400, tokens: []string{"big", "l128"}})
-	if err := e.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	want := lc.build(t, index.CodecBoth)
-	for _, term := range []string{"big", "l128"} {
-		gp, _ := segment(e, 0).Lookup(term)
-		wp, _ := want.Lookup(term)
-		if !sameContents(gp, wp) {
-			t.Errorf("term %q: changed list over a PForDelta-less segment differs from the rebuild", term)
+			mergeShardAgainstRebuild(t, e, 0, tc.name+", follow-up")
+			checkSameIndex(t, segment(e, 0), lc.build(t), tc.name+", follow-up: vs logical corpus")
+			e.Close()
 		}
-	}
-	if !bytes.Equal(serialized(t, segment(e, 0)), serialized(t, want)) {
-		t.Error("serialized bytes diverge")
-	}
+	})
+	t.Run("shard/ef", func(t *testing.T) {
+		for _, tc := range spliceCases {
+			lc := spliceCorpus()
+			c, err := OpenCluster(lc.build(t), ClusterConfig{
+				Shards:  2,
+				Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round, muts := range [][]mutation{tc.muts, followUp} {
+				for _, m := range muts {
+					apply(t, c, lc, m)
+				}
+				for s := 0; s < 2; s++ {
+					mergeShardAgainstRebuild(t, c, s, fmt.Sprintf("%s, round %d, shard %d", tc.name, round, s))
+				}
+			}
+			c.Close()
+		}
+	})
+	t.Run("seeded/ef", func(t *testing.T) {
+		const vocab = 12
+		for seed := int64(1); seed <= 4; seed++ {
+			lc := seedCorpus(seed, 600, vocab)
+			script := genScript(seed+100, lc.clone(), 240, vocab)
+			e, err := New(lc.build(t), Config{Engine: core.Config{Mode: core.CPUOnly}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := OpenCluster(lc.build(t), ClusterConfig{
+				Shards:  3,
+				Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clc := lc.clone()
+			for i, m := range script {
+				apply(t, e, lc, m)
+				apply(t, c, clc, m)
+				if i%60 == 59 {
+					tag := fmt.Sprintf("seed %d, mutation %d", seed, i)
+					mergeShardAgainstRebuild(t, e, 0, tag)
+					mergeShardAgainstRebuild(t, c, i/60%3, tag)
+				}
+			}
+			checkSameIndex(t, segment(e, 0), lc.build(t), fmt.Sprintf("seed %d: vs logical corpus", seed))
+			e.Close()
+			c.Close()
+		}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -508,7 +460,7 @@ func appendFixture(t testing.TB, scale int) (*workload.Corpus, func(r *rand.Rand
 	t.Helper()
 	corpus, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs: scale * 400_000, NumTerms: 64, MaxListLen: scale * 160_000, MinListLen: scale * 2_000,
-		Alpha: 0.85, Codec: index.CodecEF, Seed: 16,
+		Alpha: 0.85, Seed: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +524,7 @@ func TestMergeAllocationCeiling(t *testing.T) {
 	e.mu.Unlock()
 
 	var want *index.Index
-	rebuild := allocatedBy(func() { want, _ = rebuildMerge(t, main, v, index.CodecEF) })
+	rebuild := allocatedBy(func() { want, _ = rebuildMerge(t, main, v) })
 	splice := allocatedBy(func() {
 		if err := e.Merge(); err != nil {
 			t.Fatal(err)
@@ -646,7 +598,7 @@ func TestMergeAllocationIndependentOfCorpus(t *testing.T) {
 // pages cut from one array per splice, fifty merges that each touch the
 // long lists a little further in would chain fifty dead tables to the
 // live one (tried: 42 MB against the 14.5 MB of a fresh build). Pages a
-// merge makes are allocations of their own (ef.Pager, pvec), so the
+// merge makes are allocations of their own (ef.Pager), so the
 // segment after fifty merges keeps alive what a fresh build of its corpus
 // does plus the pages it still shares with the seed — 1.07x here.
 func TestMergedSegmentsDoNotPinDeadTables(t *testing.T) {

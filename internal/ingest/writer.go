@@ -29,8 +29,6 @@ type writer struct {
 	// cfg holds the knobs with their defaults resolved (open).
 	cfg Config
 	cpu hwmodel.CPUModel
-	// codec is the seed's: every merge and rebuild encodes its forms.
-	codec index.Codec
 
 	// gate is the commit gate: queries hold it shared for their whole
 	// execution; segment swaps (cluster.ReplaceShard) and topology changes
@@ -72,31 +70,12 @@ type writer struct {
 	st      Stats
 }
 
-// detectCodec mirrors workload.PartitionIndex's probe: any term with a
-// PForDelta form means the index was built with CodecBoth.
-func detectCodec(ix *index.Index) index.Codec {
-	for _, t := range ix.Terms() {
-		pl, _ := ix.Lookup(t)
-		if pl.PFD != nil {
-			return index.CodecBoth
-		}
-		return index.CodecEF
-	}
-	return index.CodecEF
-}
-
 // open resolves cfg's defaults and, with a WAL directory, opens the log
 // and recovers it. It returns the segment to build on — the newest valid
 // checkpoint, else the seed — and what to replay over it (nothing without
 // a WAL), and starts the running statistics from that segment.
-//
-// The codec is detected here, on the caller's seed and not the
-// checkpoint: a checkpoint round-trips through the EF-only serialized
-// form, and detection on it would silently drop a CodecBoth seed's
-// PForDelta forms after the first recovery. With it a quiesced cluster is
-// byte-identical to a fresh build in the seed's codec.
 func (w *writer) open(seed *index.Index, cfg Config, shards int) (*index.Index, *wal.Recovered, error) {
-	w.cfg, w.cpu, w.codec = cfg, cfg.Engine.CPU, detectCodec(seed)
+	w.cfg, w.cpu = cfg, cfg.Engine.CPU
 	if w.cpu == (hwmodel.CPUModel{}) {
 		w.cpu = hwmodel.DefaultCPU()
 	}
@@ -294,7 +273,7 @@ func (w *writer) prepare(site string, node *gpu.NodeRuntime, main *index.Index, 
 	if cost.stall, err = w.cfg.Fault.AdmitQuery(site, arrival); err != nil {
 		return nil, cost, err
 	}
-	plan, err := planMerge(main, v, w.codec)
+	plan, err := planMerge(main, v)
 	if err != nil {
 		return nil, cost, fmt.Errorf("ingest: merge build (%s): %w", site, err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
-	"griffin/internal/index"
 	"griffin/internal/wal"
 	"griffin/internal/workload"
 )
@@ -33,7 +32,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 	for name, shards := range map[string]int{"engine": 1, "cluster": 2} {
 		t.Run(name, func(t *testing.T) {
 			start := time.Now()
-			c, err := OpenCluster(lc.build(t, index.CodecEF), ClusterConfig{
+			c, err := OpenCluster(lc.build(t), ClusterConfig{
 				Shards: shards, Cluster: cluster.Config{Engine: core.Config{Mode: core.CPUOnly}},
 			})
 			if err != nil {
@@ -57,7 +56,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 			final := lc.clone()
 			final.docs[5] = []string{"a", "d"}
 			checkOracle(t, c, final, [][]string{{"a"}}, "after the delete")
-			fresh := final.build(t, index.CodecEF)
+			fresh := final.build(t)
 			if st, scan := running(&c.writer), statsOf(fresh.DocLens); st != scan || st.numDocs != fresh.NumDocs {
 				t.Errorf("running aggregates %+v, a fresh build has %+v (NumDocs %d)", st, scan, fresh.NumDocs)
 			}
@@ -87,7 +86,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 // per mutation whether a checkpoint is running or not.
 func TestAcceptedStartsDueWorkOnce(t *testing.T) {
 	var w writer
-	if _, _, err := w.open(newOracle().build(t, index.CodecEF), Config{
+	if _, _, err := w.open(newOracle().build(t), Config{
 		AutoMerge: true, MergeThreshold: 3, CheckpointEvery: 2, WALDir: t.TempDir(),
 	}, 1); err != nil {
 		t.Fatal(err)

@@ -34,8 +34,6 @@ func chargeDecode(v index.BlockList, n int, w *hwmodel.CPUWork) {
 	switch v.(type) {
 	case index.EFView:
 		w.EFDecodedElems += int64(n)
-	case index.PFDView:
-		w.PFDDecodedElems += int64(n)
 	default:
 		// Raw intermediate results: a streaming copy, not a decode.
 		w.BytesTouched += int64(4 * n)

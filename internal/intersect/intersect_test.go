@@ -9,7 +9,6 @@ import (
 
 	"griffin/internal/ef"
 	"griffin/internal/index"
-	"griffin/internal/pfordelta"
 )
 
 func refIntersect(a, b []uint32) []uint32 {
@@ -66,15 +65,6 @@ func efView(t testing.TB, ids []uint32) index.BlockList {
 	return index.EFView{L: l}
 }
 
-func pfdView(t testing.TB, ids []uint32) index.BlockList {
-	t.Helper()
-	l, err := pfordelta.Compress(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return index.PFDView{L: l}
-}
-
 func TestMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	for _, tc := range []struct {
@@ -90,10 +80,10 @@ func TestMergeMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(got.IDs, want) {
 			t.Fatalf("nA=%d nB=%d: merge mismatch", tc.nA, tc.nB)
 		}
-		// Mixed codecs must agree too.
-		got2 := Merge(pfdView(t, a), efView(t, b))
+		// Two different BlockLists must agree too.
+		got2 := Merge(index.RawView{IDs: a}, efView(t, b))
 		if !reflect.DeepEqual(got2.IDs, want) {
-			t.Fatalf("nA=%d nB=%d: mixed-codec merge mismatch", tc.nA, tc.nB)
+			t.Fatalf("nA=%d nB=%d: raw-by-EF merge mismatch", tc.nA, tc.nB)
 		}
 	}
 }
@@ -115,9 +105,10 @@ func TestMergeWorkAccounting(t *testing.T) {
 	if got.Work.MergedElements == 0 {
 		t.Fatal("merge reported zero merged elements")
 	}
-	got2 := Merge(pfdView(t, a), pfdView(t, b))
-	if got2.Work.PFDDecodedElems != 10 || got2.Work.EFDecodedElems != 0 {
-		t.Fatalf("PFD charge wrong: %+v", got2.Work)
+	// Raw views are copied, not decoded: 4 bytes an element, no decode.
+	got2 := Merge(index.RawView{IDs: a}, index.RawView{IDs: b})
+	if got2.Work.BytesTouched != 4*10 || got2.Work.EFDecodedElems != 0 {
+		t.Fatalf("raw charge wrong: %+v", got2.Work)
 	}
 }
 

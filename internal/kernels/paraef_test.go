@@ -243,7 +243,7 @@ func paraEFCases(t *testing.T) map[string]*ef.List {
 		}
 		return f
 	}
-	old, err := index.SpliceList("t", nil, 0, ids, ones(len(ids)), index.CodecEF)
+	old, err := index.SpliceList("t", nil, 0, ids, ones(len(ids)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func paraEFCases(t *testing.T) map[string]*ef.List {
 		for i := range tail {
 			tail[i] += last
 		}
-		pl, err := index.SpliceList("t", old, k, tail, ones(len(tail)), index.CodecEF)
+		pl, err := index.SpliceList("t", old, k, tail, ones(len(tail)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
-	"griffin/internal/index"
 	"griffin/internal/workload"
 )
 
@@ -21,7 +20,6 @@ func engineFixture(t testing.TB) ([][]string, func(spill time.Duration) *core.En
 		MaxListLen: 60_000,
 		MinListLen: 200,
 		Alpha:      1.0,
-		Codec:      index.CodecEF,
 		Seed:       21,
 	})
 	if err != nil {

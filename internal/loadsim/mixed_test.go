@@ -7,7 +7,6 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
-	"griffin/internal/index"
 	"griffin/internal/ingest"
 	"griffin/internal/wal"
 	"griffin/internal/workload"
@@ -24,7 +23,6 @@ func mixedFixture(t testing.TB) ([][]string, []Mutation, func(threshold int) *in
 		MaxListLen: 20_000,
 		MinListLen: 100,
 		Alpha:      1.0,
-		Codec:      index.CodecEF,
 		Seed:       71,
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 // Package pfordelta implements the PForDelta inverted-list compression
-// scheme (Zukowski et al., ICDE 2006), the CPU-side baseline codec in
-// Griffin.
+// scheme (Zukowski et al., ICDE 2006), the CPU-side baseline that Table 1
+// and Figure 12 compare Elias-Fano against. It is not an index form: the
+// index holds Elias-Fano only, and those experiments compress their lists
+// here directly.
 //
 // Lists of ascending docIDs are first turned into d-gaps, then packed into
 // fixed-size blocks of BlockSize gaps. Within a block a bit width b is
@@ -18,7 +20,6 @@ import (
 	"fmt"
 
 	"griffin/internal/bitutil"
-	"griffin/internal/pvec"
 )
 
 // BlockSize is the number of d-gaps per compressed block. Both codecs in
@@ -49,22 +50,12 @@ type Block struct {
 	Exceptions []uint32
 }
 
-// PageShift sizes the pages a list's block table is held in, as
-// ef.PageShift does for the Elias-Fano form: 64 blocks.
-const PageShift = 6
-
 // List is a PForDelta-compressed posting list.
 type List struct {
 	// N is the total number of docIDs.
 	N int
-	// Blocks are the compressed blocks in docID order, in pages of
-	// 1<<PageShift.
-	Blocks pvec.Vec[Block]
-}
-
-// Block returns block i of the list.
-func (l *List) Block(i int) *Block {
-	return &l.Blocks.Pages()[i>>PageShift][i&(1<<PageShift-1)]
+	// Blocks are the compressed blocks in docID order.
+	Blocks []Block
 }
 
 // ErrNotAscending is returned when input docIDs are not strictly ascending.
@@ -79,9 +70,9 @@ func Compress(docIDs []uint32) (*List, error) {
 		}
 	}
 	nb := (len(docIDs) + BlockSize - 1) / BlockSize
-	l := &List{N: len(docIDs), Blocks: pvec.Make[Block](PageShift, nb)}
+	l := &List{N: len(docIDs), Blocks: make([]Block, nb)}
 	for k := range nb {
-		*l.Block(k) = compressBlock(docIDs[k*BlockSize : min((k+1)*BlockSize, len(docIDs))])
+		l.Blocks[k] = compressBlock(docIDs[k*BlockSize : min((k+1)*BlockSize, len(docIDs))])
 	}
 	return l, nil
 }
@@ -187,11 +178,9 @@ func packBlock(firstDocID uint32, gaps []uint32) Block {
 func (l *List) Decompress() []uint32 {
 	out := make([]uint32, 0, l.N)
 	buf := make([]uint32, BlockSize)
-	for _, pg := range l.Blocks.Pages() {
-		for i := range pg {
-			n := pg[i].DecompressInto(buf)
-			out = append(out, buf[:n]...)
-		}
+	for i := range l.Blocks {
+		n := l.Blocks[i].DecompressInto(buf)
+		out = append(out, buf[:n]...)
 	}
 	return out
 }
@@ -229,11 +218,9 @@ func (b *Block) DecompressInto(dst []uint32) int {
 // for Table 1's compression-ratio comparison.
 func (l *List) CompressedBits() int64 {
 	var bits int64
-	for _, pg := range l.Blocks.Pages() {
-		for i := range pg {
-			b := &pg[i]
-			bits += int64(b.N*b.B) + int64(len(b.Exceptions))*32 + blockHeaderBits
-		}
+	for i := range l.Blocks {
+		b := &l.Blocks[i]
+		bits += int64(b.N*b.B) + int64(len(b.Exceptions))*32 + blockHeaderBits
 	}
 	return bits
 }

@@ -75,8 +75,8 @@ func TestPackedWordsPinned(t *testing.T) {
 				t.Fatalf("b=%d exc=%d: %v", b, exc, err)
 			}
 			h := fnv.New64a()
-			for k := range l.Blocks.Len() {
-				blk := l.Block(k)
+			for k := range l.Blocks {
+				blk := &l.Blocks[k]
 				if want := min(exc, 1+blk.N/BlockSize); blk.B != b || len(blk.Exceptions) != want {
 					t.Fatalf("b=%d exc=%d: block %d encodes at b=%d with %d exceptions, want b=%d with %d: the case does not test what it is named for",
 						b, exc, k, blk.B, len(blk.Exceptions), b, want)

@@ -111,13 +111,15 @@ func TestReachRules(t *testing.T) {
 		"a.Config.Defaulted", // a field only its own package defaults
 		"a.Config.SetInTest", // a field only a test sets
 		"a.OnlyTest",         // a func only a test calls
+		"a.Probe",            // a type roots only type-switch on
 		"a.Square.Perimeter", // a method nothing selects
+		"a.Tested",           // a const roots only compare against
 		"a.Unused",           // a const nobody uses
 	}
 	// Reached, so on neither list: a.Shape, a.Square, a.New, a.Aliased (the
 	// alias reaches the type), a.Square.Area (selected only through Shape),
 	// a.Square.String (fmt dispatches through Stringer), a.Config.SetByRoot
-	// (a root writes it).
+	// (a root writes it), a.Kind and a.Made (a root assigns it).
 	wantFrozen := []string{"a.OnlyBench"} // a symbol only bench/ reaches
 	if !reflect.DeepEqual(rep.dead, wantDead) {
 		t.Errorf("dead = %q, want %q", rep.dead, wantDead)

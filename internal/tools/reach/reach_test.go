@@ -17,6 +17,12 @@
 //     write inside the field's own package, in the body of an if that tests
 //     the field against its zero value, only fills in a default and does
 //     not count.
+//   - a value is live only when reached code produces it. A constant of a
+//     module-defined type that reached code only compares against (an
+//     operand of == or !=, or a case of an expression switch) is never
+//     held by anything compared with it, so those uses do not reach it;
+//     nor does naming a type as a case of a type switch, which only tests
+//     for values something else must make.
 //
 // Names reached only because bench/ reaches them are reported as frozen by
 // the benchmark; they are not gated.
@@ -295,7 +301,7 @@ func (r *reacher) walk(d decl) {
 		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.Ident:
-			if obj := info.Uses[n]; obj != nil {
+			if obj := info.Uses[n]; obj != nil && !r.onlyTests(obj, stack) {
 				r.mark(obj)
 			}
 		case *ast.AssignStmt:
@@ -327,6 +333,54 @@ func (r *reacher) walk(d decl) {
 		}
 		return true
 	})
+}
+
+// onlyTests reports whether the use of obj at the top of stack only tests
+// for a value: a module constant of a module-defined type compared with
+// == or != or named as an expression switch's case, or a module type named
+// as a type switch's case.
+func (r *reacher) onlyTests(obj types.Object, stack []ast.Node) bool {
+	if obj.Pkg() == nil {
+		return false
+	}
+	if _, local := r.p.pkgs[obj.Pkg().Path()]; !local {
+		return false
+	}
+	i := len(stack) - 2 // the parent of the identifier
+	if sel, ok := stack[i].(*ast.SelectorExpr); ok && sel.Sel == stack[i+1] {
+		i--
+	}
+	for {
+		switch stack[i].(type) {
+		case *ast.ParenExpr, *ast.StarExpr:
+			i--
+			continue
+		}
+		break
+	}
+	switch obj := obj.(type) {
+	case *types.Const:
+		named, ok := obj.Type().(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return false
+		}
+		if _, local := r.p.pkgs[named.Obj().Pkg().Path()]; !local {
+			return false
+		}
+		switch p := stack[i].(type) {
+		case *ast.BinaryExpr:
+			return p.Op == token.EQL || p.Op == token.NEQ
+		case *ast.CaseClause:
+			_, ok := stack[i-2].(*ast.SwitchStmt)
+			return ok
+		}
+	case *types.TypeName:
+		if _, ok := stack[i].(*ast.CaseClause); ok {
+			_, ok := stack[i-2].(*ast.TypeSwitchStmt)
+			return ok
+		}
+	}
+	return false
 }
 
 // write records an assignment to expr, unless it is a field's own package

@@ -47,3 +47,14 @@ const Unused = 7
 
 // OnlyBench is called only from bench/.
 func OnlyBench() {}
+
+// Kind is an enum of which roots produce one value.
+type Kind int
+
+const (
+	Made   Kind = iota // a root assigns it
+	Tested             // roots only compare against it
+)
+
+// Probe is a type roots only type-switch on.
+type Probe struct{}

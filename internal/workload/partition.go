@@ -57,14 +57,6 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 	terms := ix.Terms()
 	var arena ef.Arena
 
-	codec := index.CodecEF
-	for _, t := range terms {
-		if pl, ok := ix.Lookup(t); ok && pl.PFD != nil {
-			codec = index.CodecBoth
-		}
-		break
-	}
-
 	// Terms are independent, so they are split on GOMAXPROCS workers, each
 	// with its own splitter; perTerm keeps the results in term order, which
 	// makes the shard indexes the ones a single goroutine would build.
@@ -89,7 +81,7 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := newSplitter(shards, codec, &arena)
+			sp := newSplitter(shards, &arena)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(terms) {
@@ -151,10 +143,9 @@ type stage struct {
 	enc        index.ListEncoder
 }
 
-func newSplitter(shards int, codec index.Codec, arena *ef.Arena) *splitter {
+func newSplitter(shards int, arena *ef.Arena) *splitter {
 	sp := &splitter{shard: newModulus(uint32(shards)), stages: make([]stage, shards)}
 	for s := range sp.stages {
-		sp.stages[s].enc.Codec = codec
 		sp.stages[s].enc.SetArena(arena)
 	}
 	return sp

@@ -3,8 +3,6 @@ package workload
 import (
 	"bytes"
 	"testing"
-
-	"griffin/internal/index"
 )
 
 func partitionTestCorpus(t *testing.T) *Corpus {
@@ -15,7 +13,6 @@ func partitionTestCorpus(t *testing.T) *Corpus {
 		MaxListLen: 20_000,
 		MinListLen: 200,
 		Alpha:      0.9,
-		Codec:      index.CodecEF,
 		Seed:       11,
 	})
 	if err != nil {

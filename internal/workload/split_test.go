@@ -15,7 +15,7 @@ import (
 // decode each list whole, deal its postings into per-shard arrays by
 // ShardOf, and encode every shard's array through index.SpliceList. The
 // block-streaming split must build the same shard indexes.
-func refPartitionIndex(t testing.TB, ix *index.Index, shards int, codec index.Codec) []*index.Index {
+func refPartitionIndex(t testing.TB, ix *index.Index, shards int) []*index.Index {
 	t.Helper()
 	lists := make([][]*index.PostingList, shards)
 	for _, term := range ix.Terms() {
@@ -30,7 +30,7 @@ func refPartitionIndex(t testing.TB, ix *index.Index, shards int, codec index.Co
 			if len(ids[s]) == 0 {
 				continue
 			}
-			spl, err := index.SpliceList(term, nil, 0, ids[s], freqs[s], codec)
+			spl, err := index.SpliceList(term, nil, 0, ids[s], freqs[s])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,70 +46,68 @@ func refPartitionIndex(t testing.TB, ix *index.Index, shards int, codec index.Co
 }
 
 func TestPartitionIndexEqualsListAtATimeSplit(t *testing.T) {
-	for _, codec := range []index.Codec{index.CodecEF, index.CodecBoth} {
-		c, err := GenerateCorpus(CorpusSpec{
-			NumDocs: 50_000, NumTerms: 60, MaxListLen: 20_000, MinListLen: 200,
-			Alpha: 0.9, Codec: codec, Seed: 12,
-		})
-		if err != nil {
+	c, err := GenerateCorpus(CorpusSpec{
+		NumDocs: 50_000, NumTerms: 60, MaxListLen: 20_000, MinListLen: 200,
+		Alpha: 0.9, Seed: 12,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Lists the generator does not make: one posting, exactly one
+	// block, a term whose postings all land on one shard of 2, 3, 4
+	// and 7 (multiples of 84).
+	b := index.NewBuilder(index.CodecEF)
+	for _, term := range c.Index.Terms() {
+		pl, _ := c.Index.Lookup(term)
+		ids, freqs := pl.DecodeFrom(0)
+		if err := b.AddPostings(term, ids, freqs); err != nil {
 			t.Fatal(err)
 		}
-		// Lists the generator does not make: one posting, exactly one
-		// block, a term whose postings all land on one shard of 2, 3, 4
-		// and 7 (multiples of 84).
-		b := index.NewBuilder(codec)
-		for _, term := range c.Index.Terms() {
-			pl, _ := c.Index.Lookup(term)
-			ids, freqs := pl.DecodeFrom(0)
-			if err := b.AddPostings(term, ids, freqs); err != nil {
-				t.Fatal(err)
-			}
+	}
+	r := rand.New(rand.NewSource(13))
+	extra := map[string][]uint32{
+		"x-single":    {77},
+		"x-block":     make([]uint32, index.BlockSize),
+		"x-one-shard": make([]uint32, 1000),
+	}
+	for i := range extra["x-block"] {
+		extra["x-block"][i] = uint32(5 + 3*i)
+	}
+	for i := range extra["x-one-shard"] {
+		extra["x-one-shard"][i] = uint32(84 * (i + 1))
+	}
+	for term, ids := range extra {
+		freqs := make([]uint32, len(ids))
+		for i := range freqs {
+			freqs[i] = 1 + uint32(r.Intn(300))
 		}
-		r := rand.New(rand.NewSource(13))
-		extra := map[string][]uint32{
-			"x-single":    {77},
-			"x-block":     make([]uint32, index.BlockSize),
-			"x-one-shard": make([]uint32, 1000),
-		}
-		for i := range extra["x-block"] {
-			extra["x-block"][i] = uint32(5 + 3*i)
-		}
-		for i := range extra["x-one-shard"] {
-			extra["x-one-shard"][i] = uint32(84 * (i + 1))
-		}
-		for term, ids := range extra {
-			freqs := make([]uint32, len(ids))
-			for i := range freqs {
-				freqs[i] = 1 + uint32(r.Intn(300))
-			}
-			if err := b.AddPostings(term, ids, freqs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ix, err := b.Build()
-		if err != nil {
+		if err := b.AddPostings(term, ids, freqs); err != nil {
 			t.Fatal(err)
 		}
+	}
+	ix, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		for _, shards := range []int{1, 2, 3, 4, 7} {
-			got, err := PartitionIndex(ix, shards)
-			if err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 2, 3, 4, 7} {
+		got, err := PartitionIndex(ix, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refPartitionIndex(t, ix, shards)
+		for s := range want {
+			if sameContents(got[s], want[s]) {
+				continue
 			}
-			want := refPartitionIndex(t, ix, shards, codec)
-			for s := range want {
-				if sameContents(got[s], want[s]) {
-					continue
+			for _, term := range want[s].Terms() {
+				g, _ := got[s].Lookup(term)
+				w, _ := want[s].Lookup(term)
+				if !sameContents(g, w) {
+					t.Fatalf("shards=%d shard %d term %q: list differs from the list-at-a-time split's", shards, s, term)
 				}
-				for _, term := range want[s].Terms() {
-					g, _ := got[s].Lookup(term)
-					w, _ := want[s].Lookup(term)
-					if !sameContents(g, w) {
-						t.Fatalf("codec %d shards=%d shard %d term %q: list differs from the list-at-a-time split's", codec, shards, s, term)
-					}
-				}
-				t.Fatalf("codec %d shards=%d: shard %d differs from the list-at-a-time split's", codec, shards, s)
 			}
+			t.Fatalf("shards=%d: shard %d differs from the list-at-a-time split's", shards, s)
 		}
 	}
 }
@@ -196,7 +194,7 @@ func splitBenchCorpus(tb testing.TB) *Corpus {
 	tb.Helper()
 	c, err := GenerateCorpus(CorpusSpec{
 		NumDocs: 1_000_000, NumTerms: 100, MaxListLen: 200_000, MinListLen: 2_000,
-		Alpha: 0.85, Codec: index.CodecEF, Seed: 15,
+		Alpha: 0.85, Seed: 15,
 	})
 	if err != nil {
 		tb.Fatal(err)

@@ -35,7 +35,9 @@ type CorpusSpec struct {
 	// Alpha is the Zipf exponent of document frequency by term rank
 	// (web text: ~0.7-1.1).
 	Alpha float64
-	// Codec selects which compressed forms to materialize.
+	// Codec can only be index.CodecEF, the zero value: Elias-Fano is the
+	// only codec, and the field stays only because the serving benchmark
+	// (bench/) sets it.
 	Codec index.Codec
 	// Seed makes generation reproducible.
 	Seed int64
@@ -51,7 +53,6 @@ func DefaultCorpusSpec() CorpusSpec {
 		MaxListLen: 2_000_000,
 		MinListLen: 1_000,
 		Alpha:      0.85,
-		Codec:      index.CodecEF,
 		Seed:       1,
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"griffin/internal/index"
 	"griffin/internal/stats"
 )
 
@@ -17,7 +16,6 @@ func smallSpec() CorpusSpec {
 		MaxListLen: 50_000,
 		MinListLen: 100,
 		Alpha:      0.9,
-		Codec:      index.CodecEF,
 		Seed:       7,
 	}
 }
