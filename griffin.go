@@ -221,7 +221,9 @@ const (
 
 // PartitionIndex document-partitions an index into shards (d mod n),
 // preserving global collection statistics so shard engines score
-// identically to the unpartitioned engine.
+// identically to the unpartitioned engine. Shard lists are stored at
+// stride n, as dense as the lists they were split from; WriteTo refuses
+// a shard.
 func PartitionIndex(ix *Index, shards int) ([]*Index, error) {
 	return workload.PartitionIndex(ix, shards)
 }

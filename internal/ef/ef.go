@@ -20,6 +20,12 @@
 // spliced from another (List.Splice) shares the pages below the splice
 // point and, in the page the point falls in, the words of the rows before
 // it: it owns the words of the blocks it encodes.
+//
+// A list may be strided (List.Stride): every docID of a block lies a
+// multiple of the stride past the block's first, and the block stores
+// that multiple. The shards of a d-mod-n document partition are lists at
+// stride n, which spend the low bits a posting of the list they were
+// split from spends rather than log2(n) more.
 package ef
 
 import (
@@ -37,16 +43,24 @@ const BlockSize = 128
 // ErrNotAscending is returned when input docIDs are not strictly ascending.
 var ErrNotAscending = errors.New("ef: docIDs not strictly ascending")
 
+// ErrOffStride is returned when a docID does not lie a multiple of the
+// list's stride past its block's first docID.
+var ErrOffStride = errors.New("ef: docID off the list's stride")
+
 // Block is one Elias-Fano-encoded block of up to BlockSize docIDs, as
 // List.Block hands it out: a value made from the block's row, its two
 // arrays cut from its page's words. No list stores one.
 //
-// Values are encoded relative to FirstDocID (the block's first value):
-// element i stores v_i = docID_i - FirstDocID, so v_0 = 0 and the local
-// universe is LastDocID - FirstDocID.
+// Values are encoded relative to FirstDocID (the block's first value)
+// at the list's stride: element i stores v_i = (docID_i - FirstDocID) /
+// Stride, so v_0 = 0 and the local universe is (LastDocID - FirstDocID) /
+// Stride.
 type Block struct {
 	// FirstDocID is the first docID in the block, stored uncompressed.
 	FirstDocID uint32
+	// Stride is the list's stride, at least 1: docID_i is FirstDocID +
+	// Stride*v_i.
+	Stride uint32
 	// N is the number of encoded values.
 	N int
 	// B is the number of low bits per element.
@@ -149,12 +163,20 @@ func (pg *Page[R]) Owned() []uint64 {
 type List struct {
 	// N is the total number of docIDs.
 	N int
+	// Stride is what a block's docIDs are stored divided by, past the
+	// block's first: 0 for a list stored as it is (stride 1), the shard
+	// count for a shard of a document partition. A file has no place for
+	// it (index.WriteTo refuses a strided list).
+	Stride uint32
 	// Pages is the block table: every page full but the last.
 	Pages []Page[Row]
 }
 
 // NumBlocks returns the number of blocks.
 func (l *List) NumBlocks() int { return (l.N + BlockSize - 1) / BlockSize }
+
+// stride returns the list's stride, at least 1.
+func (l *List) stride() uint32 { return max(l.Stride, 1) }
 
 // First returns the first docID of block i: its skip pointer.
 func (l *List) First(i int) uint32 {
@@ -169,7 +191,7 @@ func (l *List) Block(i int) Block {
 	r := &pg.Rows[i&(1<<PageShift-1)]
 	w := pg.Span(int(r.Off), r.words())
 	return Block{
-		FirstDocID: r.FirstDocID, N: int(r.N), B: int(r.B), HighLen: int(r.HighLen),
+		FirstDocID: r.FirstDocID, Stride: l.stride(), N: int(r.N), B: int(r.B), HighLen: int(r.HighLen),
 		HighBits: w[:r.HighWords:r.HighWords], LowBits: w[r.HighWords:],
 	}
 }
@@ -186,22 +208,25 @@ func Compress(docIDs []uint32) (*List, error) {
 }
 
 // Splice returns the list of l's blocks [0, k) followed by the encoding
-// of tail, which must be strictly ascending and above every docID of
-// those blocks; block k-1 must be full. The result shares every whole
-// page of l below block k as it is. Of the page k falls in it copies the
-// rows before k; their words it shares as a view of that page's Words and
-// copies only those the page owned itself (an earlier splice encoded
-// them) — unless the view would keep more than maxDead dead words alive,
-// when it copies them all (Pager.Seed). It encodes tail behind them into
-// words of its own, so it never chains to the list it was made from.
-// With k == 0 nothing of l is used (it may be nil) and the result is
-// Compress(tail).
-func (l *List) Splice(k int, tail []uint32) (*List, error) {
+// of tail at l's stride; tail must be strictly ascending and above every
+// docID of those blocks, and block k-1 must be full. The result shares
+// every whole page of l below block k as it is. Of the page k falls in it
+// copies the rows before k; their words it shares as a view of that
+// page's Words and copies only those the page owned itself (an earlier
+// splice encoded them) — unless the view would keep more than maxDead
+// dead words alive, when it copies them all (Pager.Seed). It encodes tail
+// behind them into words of its own, so it never chains to the list it
+// was made from. With k == 0 nothing of l is used (it may be nil) and the
+// result is the encoding of tail alone at stride (0 or 1: docIDs as they
+// are), the one case that reads the argument.
+func (l *List) Splice(k int, stride uint32, tail []uint32) (*List, error) {
 	var e Encoder
+	e.SetStride(stride)
 	if k > 0 {
 		if k > l.NumBlocks() || l.Block(k-1).N != BlockSize {
 			return nil, fmt.Errorf("ef: splice at block %d of %d", k, l.NumBlocks())
 		}
+		e.SetStride(l.Stride) // a splice keeps its list's stride
 		last := &l.Pages[(k-1)>>PageShift].Rows[(k-1)&(1<<PageShift-1)]
 		e.pager.Seed(l.Pages, k, int(last.Off)+int(last.HighWords)+int(last.LowWords))
 		e.n, e.last = k*BlockSize, l.Get(k-1, BlockSize-1)
@@ -218,11 +243,11 @@ func blockOf(docIDs []uint32, k int) []uint32 {
 }
 
 // shape returns the row of the block of ids (1 to BlockSize ascending
-// docIDs), but for its offset: a block's shape follows from its first and
-// last docID alone.
-func shape(ids []uint32) Row {
+// docIDs, each a multiple of d's stride past the first), but for its
+// offset: a block's shape follows from its first and last docID alone.
+func shape(ids []uint32, d divider) Row {
 	n := len(ids)
-	u := uint64(ids[n-1] - ids[0]) // local universe (v_{n-1})
+	u := uint64(d.quo(ids[n-1] - ids[0])) // local universe (v_{n-1})
 	// b = floor(log2(U/n)) per the paper; 0 when U < n (dense runs).
 	b := 0
 	if u/uint64(n) >= 1 {
@@ -240,19 +265,23 @@ func shape(ids []uint32) Row {
 // words returns how many words the row's block takes.
 func (r *Row) words() int { return int(r.HighWords) + int(r.LowWords) }
 
-// encode writes ids, the block r was shaped from, into w — its words,
-// which must be zero. Each high bit is set where it belongs and the low
-// parts are packed a word at a time; no bit is appended to anything.
-func encode(r *Row, ids []uint32, w []uint64) {
-	high, low := w[:r.HighWords], w[r.HighWords:]
+// encode writes ids, the block r was shaped from at d's stride, into w —
+// its words, which must be zero. Each high bit is set where it belongs and
+// the low parts are packed a word at a time; no bit is appended to
+// anything.
+func encode(r *Row, ids []uint32, w []uint64, d divider) {
+	high := w[:r.HighWords]
 	var vs [BlockSize]uint32
+	// In locals, which the writes to high cannot alias; b < 32, and the
+	// mask spares each shift by it a test for 32 and more.
+	first, b := r.FirstDocID, r.B&31
 	for i, id := range ids {
-		v := id - r.FirstDocID
+		v := d.quo(id - first)
 		vs[i] = v
-		h := uint(v>>r.B) + uint(i)
+		h := uint(v>>b) + uint(i)
 		high[h/bitutil.WordBits] |= 1 << (h % bitutil.WordBits)
 	}
-	bitutil.Pack(low, vs[:len(ids)], int(r.B)) // no-op when B == 0
+	bitutil.Pack(w[r.HighWords:], vs[:len(ids)], int(r.B)) // no-op when B == 0
 }
 
 // Encoder builds Lists from blocks handed over one at a time, for a
@@ -261,62 +290,97 @@ func encode(r *Row, ids []uint32, w []uint64) {
 // lists are the ones Compress returns, page for page, but a page's words
 // may be a copy of the Encoder's scratch where Compress sizes them before
 // writing them. Compress and List.Splice are this encoder fed a whole
-// list. The zero value is ready for use.
+// list. The zero value is ready for use, at stride 1.
 type Encoder struct {
-	n     int
-	last  uint32 // the last docID appended
-	pager Pager[Row]
+	n      int
+	last   uint32 // the last docID appended
+	stride uint32 // the lists' stride; 0 or 1: docIDs as they are
+	pager  Pager[Row]
 }
 
 // SetArena has the pages the encoder closes keep their words in a (nil:
 // on the heap).
 func (e *Encoder) SetArena(a *Arena) { e.pager.Arena = a }
 
+// SetStride has the lists the encoder finishes store their docIDs at
+// stride (0 or 1: as they are): every docID appended must lie a multiple
+// of it past its block's first.
+func (e *Encoder) SetStride(stride uint32) { e.stride = stride }
+
 // Append encodes ids as the list's next block: BlockSize docIDs — fewer
-// only in a list's last block — strictly ascending and above every docID
-// appended before.
+// only in a list's last block — strictly ascending, above every docID
+// appended before and each a multiple of the stride past the first.
 func (e *Encoder) Append(ids []uint32) error {
 	if len(ids) == 0 || len(ids) > BlockSize || e.n%BlockSize != 0 {
 		return fmt.Errorf("ef: block of %d docIDs appended after %d", len(ids), e.n)
 	}
-	if err := e.check(ids); err != nil {
+	d := newDivider(e.stride)
+	if err := e.check(ids, d); err != nil {
 		return err
 	}
-	e.put(ids)
+	e.put(ids, d)
 	return nil
 }
 
 // appendAll encodes ids as the list's next blocks, sizing each page's
 // words before it writes them.
 func (e *Encoder) appendAll(ids []uint32) error {
-	if err := e.check(ids); err != nil {
+	d := newDivider(e.stride)
+	if err := e.check(ids, d); err != nil {
 		return err
 	}
 	e.pager.Fill((len(ids)+BlockSize-1)/BlockSize,
-		func(k int) int { r := shape(blockOf(ids, k)); return r.words() },
-		func(k int) { e.put(blockOf(ids, k)) })
+		func(k int) int { r := shape(blockOf(ids, k), d); return r.words() },
+		func(k int) { e.put(blockOf(ids, k), d) })
 	return nil
 }
 
 // check returns ErrNotAscending unless ids are strictly ascending and
-// above every docID appended before.
-func (e *Encoder) check(ids []uint32) error {
+// above every docID appended before, and ErrOffStride unless each lies a
+// multiple of d's stride past the first of its block (ids start a
+// block).
+func (e *Encoder) check(ids []uint32, d divider) error {
 	prev, hasPrev := e.last, e.n > 0
-	for i, id := range ids {
-		if hasPrev && id <= prev {
-			return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, id, prev)
+	for k := 0; k < len(ids); k += BlockSize {
+		blk := blockOf(ids, k/BlockSize)
+		first := blk[0]
+		if hasPrev && first <= prev {
+			return e.refusal(ids, k)
 		}
-		prev, hasPrev = id, true
+		prev, hasPrev = first, true
+		for i, id := range blk[1:] {
+			if id <= prev || !d.exact(id-first) {
+				return e.refusal(ids, k+1+i)
+			}
+			prev = id
+		}
 	}
 	return nil
 }
 
-// put encodes the checked block ids as the list's next one.
-func (e *Encoder) put(ids []uint32) {
-	r := shape(ids)
+// refusal returns the error check found at ids[i]: out of order, or off
+// the stride. It is kept out of check's loop, so that the loop holds
+// fewer values in registers.
+func (e *Encoder) refusal(ids []uint32, i int) error {
+	prev := e.last
+	if i > 0 {
+		prev = ids[i-1]
+	}
+	if id := ids[i]; id <= prev {
+		return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, id, prev)
+	}
+	first := ids[i&^(BlockSize-1)]
+	return fmt.Errorf("%w: ids[%d]=%d is %d past its block's first docID, not a multiple of %d",
+		ErrOffStride, e.n+i, ids[i], ids[i]-first, e.stride)
+}
+
+// put encodes the checked block ids, at d's stride, as the list's next
+// one.
+func (e *Encoder) put(ids []uint32, d divider) {
+	r := shape(ids, d)
 	off, w := e.pager.Alloc(r.words())
 	r.Off = uint16(off)
-	encode(&r, ids, w)
+	encode(&r, ids, w, d)
 	e.pager.Add(r)
 	e.n, e.last = e.n+len(ids), ids[len(ids)-1]
 }
@@ -325,6 +389,9 @@ func (e *Encoder) put(ids []uint32) {
 // and readies the Encoder for the next list.
 func (e *Encoder) Finish() *List {
 	l := &List{N: e.n, Pages: e.pager.Finish()}
+	if e.stride > 1 {
+		l.Stride = e.stride
+	}
 	e.n, e.last = 0, 0
 	return l
 }
@@ -502,10 +569,20 @@ func (l *List) DecompressBlock(k int, dst []uint32) int {
 	pg := &l.Pages[k>>PageShift]
 	r := &pg.Rows[k&(1<<PageShift-1)]
 	w := pg.Span(int(r.Off), r.words())
-	return decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], r.FirstDocID, int(r.B))
+	if l.Stride <= 1 {
+		return decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], r.FirstDocID, int(r.B))
+	}
+	// A shard's list: its values, then scaled in a pass of their own, which
+	// leaves decode's walk the one every other list takes.
+	n := decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], 0, int(r.B))
+	for j, v := range dst[:n] {
+		dst[j] = r.FirstDocID + v*l.Stride
+	}
+	return n
 }
 
-// decode is DecompressBlock with the block's fields as arguments: dst is
+// decode is DecompressBlock of a list at stride 1 with the block's fields
+// as arguments — with first 0, the values of a strided block: dst is
 // exactly as long as the block.
 func decode(dst []uint32, high, low []uint64, first uint32, b int) int {
 	bitutil.Unpack(dst, low, b)
@@ -526,11 +603,12 @@ func decode(dst []uint32, high, low []uint64, first uint32, b int) int {
 // the row and its page's words where they lie and makes no Block.
 func (l *List) Get(k, j int) uint32 {
 	pg := &l.Pages[k>>PageShift]
-	return pg.Rows[k&(1<<PageShift-1)].get(pg, j)
+	return pg.Rows[k&(1<<PageShift-1)].get(pg, j, l.stride())
 }
 
-// get returns docID j of the row's block, whose page is pg.
-func (r *Row) get(pg *Page[Row], j int) uint32 {
+// get returns docID j of the row's block, whose page is pg, in a list at
+// stride.
+func (r *Row) get(pg *Page[Row], j int, stride uint32) uint32 {
 	words := pg.Span(int(r.Off), r.words())
 	// Select the (j+1)-th one-bit in the high bits.
 	seen := 0
@@ -543,7 +621,7 @@ func (r *Row) get(pg *Page[Row], j int) uint32 {
 			if b := int(r.B); b > 0 {
 				low = bitutil.GetBits(words, int(r.HighWords)*bitutil.WordBits+j*b, b)
 			}
-			return r.FirstDocID + uint32(high<<r.B|low)
+			return r.FirstDocID + uint32(high<<r.B|low)*stride
 		}
 		seen += pc
 	}
@@ -579,3 +657,42 @@ const blockHeaderBits = 32 + 8 + 6
 func (l *List) CompressedBytes() int64 {
 	return (l.CompressedBits() + 7) / 8
 }
+
+// divider divides the distances of a strided list's docIDs from their
+// block's first by the stride, with no division (Granlund and
+// Montgomery, "Division by invariant integers using multiplication",
+// 1994, §9). Let the stride be o·2^t, o odd, and inv the inverse of o mod
+// 2^32: for v a multiple of the stride, v·inv mod 2^32 is the quotient
+// times 2^t, at most lim = ⌊(2^32-1)/stride⌋·2^t; any other v either has
+// one of its low t bits set or, having none, a product above lim (the
+// product is 2^t times v/2^t·inv mod 2^(32-t), which is at most
+// ⌊(2^(32-t)-1)/o⌋ — the same bound — for exactly the multiples of o).
+// At stride 1 (inv 1, t 0) quo is the identity and exact always holds,
+// so every list runs the same loops. It has four fields, few enough for
+// the compiler to keep a divider in registers.
+type divider struct {
+	inv   uint32 // o's inverse mod 2^32
+	shift uint32 // t
+	low   uint32 // 2^t - 1
+	lim   uint32 // ⌊(2^32-1)/stride⌋·2^t
+}
+
+func newDivider(stride uint32) divider {
+	stride = max(stride, 1)
+	shift := bits.TrailingZeros32(stride)
+	odd := stride >> shift
+	inv := odd // right to 3 bits; each Newton step doubles that
+	for range 4 {
+		inv *= 2 - odd*inv
+	}
+	return divider{inv: inv, shift: uint32(shift), low: 1<<shift - 1, lim: ^uint32(0) / stride << shift}
+}
+
+// quo returns v / stride, for a v the stride divides. The shift is
+// masked, which it never needs (t < 32), so that it compiles to one
+// instruction, not a test for shifts of 32 and more.
+func (d divider) quo(v uint32) uint32 { return v * d.inv >> (d.shift & 31) }
+
+// exact reports whether the stride divides v. Neither test shifts, so
+// neither needs the one register x86 shifts by.
+func (d divider) exact(v uint32) bool { return v&d.low == 0 && v*d.inv <= d.lim }

@@ -26,10 +26,12 @@ func putBits(words []uint64, p, width int, v uint64) {
 	}
 }
 
-func refCompressBlock(ids []uint32) Block {
+// refCompressBlock encodes ids at stride, dividing each distance from the
+// first docID by it with the division operator.
+func refCompressBlock(ids []uint32, stride uint32) Block {
 	n := len(ids)
 	first := ids[0]
-	u := uint64(ids[n-1] - first)
+	u := uint64((ids[n-1] - first) / stride)
 	b := 0
 	if u/uint64(n) >= 1 {
 		b = bitutil.Log2Floor(u / uint64(n))
@@ -37,20 +39,24 @@ func refCompressBlock(ids []uint32) Block {
 	highLen := int(u>>uint(b)) + n
 	low, high := make([]uint64, bitutil.WordsFor(n*b)), make([]uint64, bitutil.WordsFor(highLen))
 	for i, id := range ids {
-		v := uint64(id - first)
+		v := uint64((id - first) / stride)
 		putBits(low, i*b, b, v)
 		putBits(high, int(v>>uint(b))+i, 1, 1)
 	}
-	return Block{FirstDocID: first, N: n, B: b, HighBits: high, HighLen: highLen, LowBits: low}
+	return Block{FirstDocID: first, Stride: stride, N: n, B: b, HighBits: high, HighLen: highLen, LowBits: low}
 }
 
-// refCompress encodes ids a block at a time and lays the blocks out as a
-// list holds them: 64 rows a page, each page's words its blocks' high
-// then low words, back to back, each row's offset relative to its page.
-func refCompress(ids []uint32) *List {
+// refCompress encodes ids a block at a time at stride and lays the
+// blocks out as a list holds them: 64 rows a page, each page's words its
+// blocks' high then low words, back to back, each row's offset relative to
+// its page.
+func refCompress(ids []uint32, stride uint32) *List {
 	l := &List{N: len(ids)}
+	if stride > 1 {
+		l.Stride = stride
+	}
 	for start := 0; start < len(ids); start += BlockSize {
-		b := refCompressBlock(ids[start:min(start+BlockSize, len(ids))])
+		b := refCompressBlock(ids[start:min(start+BlockSize, len(ids))], stride)
 		if start%(BlockSize<<PageShift) == 0 {
 			l.Pages = append(l.Pages, Page[Row]{})
 		}
@@ -78,27 +84,31 @@ func refDecompressInto(b Block, dst []uint32) int {
 			low = bitutil.GetBits(b.LowBits, lowPos, b.B)
 			lowPos += b.B
 		}
-		dst[i] = b.FirstDocID + uint32(high<<uint(b.B)|low)
+		dst[i] = b.FirstDocID + uint32(high<<uint(b.B)|low)*b.Stride
 	}
 	return b.N
 }
 
-// checkAgainstReference holds Compress(ids) to the reference encoding,
-// field by field (reflect.DeepEqual tells a nil slice from an empty one),
-// and both decoders and Get to ids.
-func checkAgainstReference(t testing.TB, ids []uint32) {
+// checkAgainstReference holds the encoding of ids at stride (Compress's
+// at stride 1) to the reference encoding, field by field
+// (reflect.DeepEqual tells a nil slice from an empty one), and both
+// decoders and Get to ids.
+func checkAgainstReference(t testing.TB, ids []uint32, stride uint32) {
 	t.Helper()
 	l, err := Compress(ids)
+	if stride > 1 {
+		l, err = compressAt(ids, stride)
+	}
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	want := refCompress(ids)
+	want := refCompress(ids, stride)
 	if !reflect.DeepEqual(l, want) {
 		t.Fatalf("N=%d blocks=%d: the list differs from the reference's rows and pages", l.N, l.NumBlocks())
 	}
 	var got, ref [BlockSize]uint32
 	for k := range l.NumBlocks() {
-		blk, wb := l.Block(k), refCompressBlock(ids[k*BlockSize:min((k+1)*BlockSize, len(ids))])
+		blk, wb := l.Block(k), refCompressBlock(ids[k*BlockSize:min((k+1)*BlockSize, len(ids))], stride)
 		if !reflect.DeepEqual(blk, wb) {
 			t.Fatalf("block %d:\n got %+v\nwant %+v", k, blk, wb)
 		}
@@ -183,8 +193,8 @@ func TestCompressMatchesReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			checkAgainstReference(t, c.ids)
-			if got := refCompressBlock(c.ids[:min(BlockSize, len(c.ids))]).B; c.b >= 0 && got != c.b {
+			checkAgainstReference(t, c.ids, 1)
+			if got := refCompressBlock(c.ids[:min(BlockSize, len(c.ids))], 1).B; c.b >= 0 && got != c.b {
 				t.Fatalf("the case encodes at b = %d, not the b = %d it is named for", got, c.b)
 			}
 		})
@@ -210,13 +220,13 @@ func TestEncoderKeepsNilAndEmptyShapes(t *testing.T) {
 	if l = e.Finish(); l.Pages != nil || l.N != 0 {
 		t.Errorf("Encoder.Finish() of nothing = %+v, want an empty list with no pages", l)
 	}
-	if !reflect.DeepEqual(l, refCompress(nil)) {
-		t.Errorf("Encoder.Finish() of nothing = %+v, reference %+v", l, refCompress(nil))
+	if !reflect.DeepEqual(l, refCompress(nil, 1)) {
+		t.Errorf("Encoder.Finish() of nothing = %+v, reference %+v", l, refCompress(nil, 1))
 	}
 
 	dense := ascending(BlockSize, 10, func(int) uint32 { return 1 })
 	l, _ = Compress(dense)
-	blk, ref := l.Block(0), refCompressBlock(dense)
+	blk, ref := l.Block(0), refCompressBlock(dense, 1)
 	if blk.B != 0 || blk.LowBits == nil || len(blk.LowBits) != 0 {
 		t.Errorf("b == 0 block: B=%d LowBits=%#v, want B=0 and an empty, non-nil LowBits", blk.B, blk.LowBits)
 	}
@@ -238,7 +248,7 @@ func TestEncoderMatchesCompress(t *testing.T) {
 				t.Fatalf("n=%d: Append at %d: %v", n, start, err)
 			}
 		}
-		got, want := e.Finish(), refCompress(ids)
+		got, want := e.Finish(), refCompress(ids, 1)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: the Encoder's list differs from the reference encoding", n)
 		}
@@ -275,7 +285,7 @@ func TestEncoderRejectsBadBlocks(t *testing.T) {
 		t.Error("block accepted after a short block")
 	}
 	// The rejected blocks left nothing behind.
-	if got, want := e.Finish(), refCompress(append(full, 1<<30)); !reflect.DeepEqual(got, want) {
+	if got, want := e.Finish(), refCompress(append(full, 1<<30), 1); !reflect.DeepEqual(got, want) {
 		t.Error("list after rejected blocks differs from the encoding of the accepted ones")
 	}
 }
@@ -312,9 +322,9 @@ func TestCompressAllocations(t *testing.T) {
 func run[R any](pg *Page[R]) []uint64 { return append(slices.Clip(pg.Words), pg.Owned()...) }
 
 // sameList reports whether two lists hold the same rows and the same
-// run in every page, wherever the runs' words lie.
+// run in every page, wherever the runs' words lie, at the same stride.
 func sameList(a, b *List) bool {
-	if a.N != b.N || len(a.Pages) != len(b.Pages) {
+	if a.N != b.N || a.Stride != b.Stride || len(a.Pages) != len(b.Pages) {
 		return false
 	}
 	for p := range a.Pages {
@@ -362,7 +372,7 @@ func TestSpliceSharesWholePages(t *testing.T) {
 		for i := range tail {
 			tail[i] += base
 		}
-		got, err := old.Splice(k, tail)
+		got, err := old.Splice(k, 0, tail)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -405,7 +415,7 @@ func TestSpliceSharesWholePages(t *testing.T) {
 			if k2&(1<<PageShift-1) == 0 || k2 >= got.NumBlocks() {
 				continue
 			}
-			again, err := got.Splice(k2, whole[k2*BlockSize:])
+			again, err := got.Splice(k2, 0, whole[k2*BlockSize:])
 			if err != nil {
 				t.Fatalf("k=%d k2=%d: %v", k, k2, err)
 			}
@@ -429,10 +439,10 @@ func TestSpliceSharesWholePages(t *testing.T) {
 	if !reflect.DeepEqual(old.Decompress(), before) {
 		t.Fatal("splicing changed the list spliced from")
 	}
-	if _, err := old.Splice(3, []uint32{ids[3*BlockSize-1]}); !errors.Is(err, ErrNotAscending) {
+	if _, err := old.Splice(3, 0, []uint32{ids[3*BlockSize-1]}); !errors.Is(err, ErrNotAscending) {
 		t.Errorf("tail at the prefix's last docID: err = %v, want ErrNotAscending", err)
 	}
-	if _, err := old.Splice(201, nil); err == nil {
+	if _, err := old.Splice(201, 0, nil); err == nil {
 		t.Error("splice behind the partial last block accepted")
 	}
 }

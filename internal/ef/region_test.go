@@ -174,10 +174,10 @@ func TestSplicedSuccessorOutlivesItsShard(t *testing.T) {
 		ids, freqs := pl.DecodeFrom(0)
 		ids, freqs = ids[:k*ef.BlockSize], freqs[:k*ef.BlockSize]
 		tids, tfreqs := make([]uint32, tc.tail), make([]uint32, tc.tail)
-		for i := range tids {
-			tids[i], tfreqs[i] = ids[len(ids)-1]+uint32(1+i), uint32(1+i%7)
+		for i := range tids { // the shard's next docIDs: its list's stride apart
+			tids[i], tfreqs[i] = ids[len(ids)-1]+pl.EF.Stride*uint32(1+i), uint32(1+i%7)
 		}
-		next, err := index.SpliceList(pl.Term, pl, k, tids, tfreqs)
+		next, err := index.SpliceList(pl.Term, pl, k, pl.EF.Stride, tids, tfreqs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -226,7 +226,7 @@ func TestListEncoderEqualsSpliceList(t *testing.T) {
 		if enc.Len() != n {
 			t.Fatalf("n=%d: Len = %d", n, enc.Len())
 		}
-		want, err := SpliceList("t", nil, 0, ids, freqs)
+		want, err := SpliceList("t", nil, 0, 1, ids, freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestListEncoderEqualsSpliceList(t *testing.T) {
 	if err := enc.Append([]uint32{1, 2}, []uint32{1}); err == nil {
 		t.Error("1 freq for 2 docIDs accepted")
 	}
-	want, _ := SpliceList("e", nil, 0, nil, nil)
+	want, _ := SpliceList("e", nil, 0, 1, nil, nil)
 	if got := enc.Finish("e"); !reflect.DeepEqual(got, want) {
 		t.Errorf("the empty list differs from SpliceList's:\n got %+v\nwant %+v", got, want)
 	}
@@ -248,7 +248,7 @@ func TestListEncoderEqualsSpliceList(t *testing.T) {
 func TestDecodeFromMatchesElementAccess(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	ids, freqs := randomPostings(r, 3*BlockSize+17)
-	pl, err := SpliceList("t", nil, 0, ids, freqs)
+	pl, err := SpliceList("t", nil, 0, 1, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	ids, freqs := randomPostings(r, 200_000)
 	before := heap()
-	pl, err := SpliceList("t", nil, 0, ids, freqs)
+	pl, err := SpliceList("t", nil, 0, 1, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 		old := pl
 		var next *PostingList
 		allocated := allocatedBy(func() {
-			next, err = SpliceList("t", old, k, ids[k*BlockSize:], freqs[k*BlockSize:])
+			next, err = SpliceList("t", old, k, 1, ids[k*BlockSize:], freqs[k*BlockSize:])
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -284,7 +284,7 @@ func (b *Builder) Build() (*Index, error) {
 	ix.DocLens = NewLenTable(lens)
 
 	for term, raw := range b.postings {
-		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs)
+		pl, err := SpliceList(term, nil, 0, 1, raw.docIDs, raw.freqs)
 		if err != nil {
 			return nil, err
 		}

@@ -125,7 +125,7 @@ func TestReleaseList(t *testing.T) {
 	ix.ReleaseList(heapList)
 	k := mapped.EF.NumBlocks() / 2
 	tailIDs, tailFreqs := mapped.DecodeFrom(k)
-	spliced, err := SpliceList("a", mapped, k, tailIDs, tailFreqs)
+	spliced, err := SpliceList("a", mapped, k, 1, tailIDs, tailFreqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestReleaseList(t *testing.T) {
 	last := mapped.EF.NumBlocks() - 1 // the last of a full page: a tail of one block stays in it
 	tailIDs, tailFreqs = mapped.DecodeFrom(last)
 	tailFreqs[0]++
-	inLast, err := SpliceList("a", mapped, last, tailIDs, tailFreqs)
+	inLast, err := SpliceList("a", mapped, last, 1, tailIDs, tailFreqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,16 +80,24 @@ var ErrVersion = fmt.Errorf("%w: version", ErrBadFormat)
 // is encoded into the writer's own 1 MB buffer, so serializing allocates
 // that buffer and the sorted term list whatever the index size.
 //
-// The file has no place for PostingList.GlobalN, so an index holding a
-// list whose scoring frequency is not its own — a shard of a document
-// partition — is refused before anything is written: read back, it would
-// score with the shard's frequencies instead of the collection's.
+// The file has no place for PostingList.GlobalN or ef.List.Stride, so an
+// index holding a list whose scoring frequency is not its own, or whose
+// docIDs are stored at a stride — a shard of a document partition — is
+// refused before anything is written: read back, it would score with the
+// shard's frequencies instead of the collection's, or decode to docIDs
+// that are not its own. A term whose postings all landed on one shard
+// scores as the list it holds; its stride still refuses it.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	terms := ix.Terms()
 	for _, term := range terms {
-		if p := ix.terms[term]; p.ScoringN() != p.N {
+		p := ix.terms[term]
+		if p.ScoringN() != p.N {
 			return 0, fmt.Errorf("index: term %q scores as %d postings but holds %d: a shard of a partitioned index cannot be written",
 				term, p.ScoringN(), p.N)
+		}
+		if p.EF.Stride > 1 {
+			return 0, fmt.Errorf("index: term %q is stored at stride %d: a shard of a partitioned index cannot be written",
+				term, p.EF.Stride)
 		}
 	}
 	e := &encoder{w: bufio.NewWriterSize(w, 1<<20)}

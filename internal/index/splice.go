@@ -38,10 +38,11 @@ func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
 // shared by reference (ef.List.Splice: whole pages as they are, and of
 // the page k falls in the words before k as a view, its rows copied),
 // followed by the encoding of the tail postings (ids strictly ascending
-// and above every prefix docID, freqs parallel). With k == 0 nothing of
-// old is used (it may be nil) and the result is the plain encoding of the
-// tail.
-func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32) (*PostingList, error) {
+// and above every prefix docID, freqs parallel) at old's stride
+// (ef.List.Splice). With k == 0 nothing of old is used (it may be nil) and
+// the result is the plain encoding of the tail at stride: 0 or 1 for a
+// list stored as it is, the shard count for a shard's.
+func SpliceList(term string, old *PostingList, k int, stride uint32, ids, freqs []uint32) (*PostingList, error) {
 	if len(freqs) != len(ids) {
 		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))
 	}
@@ -50,7 +51,7 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32) (*Pos
 	if k > 0 {
 		oldEF, oldFreqs = old.EF, old.Freqs
 	}
-	l, err := oldEF.Splice(k, ids)
+	l, err := oldEF.Splice(k, stride, ids)
 	if err != nil {
 		return nil, fmt.Errorf("index: term %q: %w", term, err)
 	}
@@ -60,8 +61,9 @@ func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32) (*Pos
 // ListEncoder encodes posting lists from postings handed over a block at
 // a time, for a caller that never holds a whole list (the shard split):
 // Append as many blocks as the list has, then Finish. The list is the one
-// SpliceList(term, nil, 0, ...) encodes from the same postings, page for
-// page (see ef.Encoder). The zero value is ready to use.
+// SpliceList(term, nil, 0, stride, ...) encodes from the same postings at
+// the encoder's stride, page for page (see ef.Encoder). The zero value is
+// ready to use, at stride 1.
 type ListEncoder struct {
 	ef    ef.Encoder
 	freqs freqEncoder
@@ -87,6 +89,11 @@ func (e *ListEncoder) SetArena(a *ef.Arena) {
 	e.ef.SetArena(a)
 	e.freqs.pager.Arena = a
 }
+
+// SetStride has the lists the encoder finishes store their docIDs at
+// stride (ef.Encoder.SetStride): a shard split encodes shard s of n at
+// stride n.
+func (e *ListEncoder) SetStride(stride uint32) { e.ef.SetStride(stride) }
 
 // Len returns the number of postings appended since the last Finish.
 func (e *ListEncoder) Len() int { return e.freqs.n }

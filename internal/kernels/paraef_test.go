@@ -243,7 +243,7 @@ func paraEFCases(t *testing.T) map[string]*ef.List {
 		}
 		return f
 	}
-	old, err := index.SpliceList("t", nil, 0, ids, ones(len(ids)))
+	old, err := index.SpliceList("t", nil, 0, 1, ids, ones(len(ids)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +253,36 @@ func paraEFCases(t *testing.T) map[string]*ef.List {
 		for i := range tail {
 			tail[i] += last
 		}
-		pl, err := index.SpliceList("t", old, k, tail, ones(len(tail)))
+		pl, err := index.SpliceList("t", old, k, 1, tail, ones(len(tail)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		lists[fmt.Sprintf("spliced at %d", k)] = pl.EF
+	}
+
+	// Shard lists: docIDs of one residue mod the shard count, stored at
+	// that stride, whole and spliced.
+	srng := rand.New(rand.NewSource(50))
+	for _, stride := range []uint32{3, 4} {
+		ids := genAscending(srng, 70*ef.BlockSize+33, 30)
+		for i := range ids {
+			ids[i] = stride - 1 + stride*ids[i]
+		}
+		whole, err := index.SpliceList("t", nil, 0, stride, ids, ones(len(ids)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spliced, err := index.SpliceList("t", whole, 65, stride, ids[65*ef.BlockSize:], ones(len(ids)-65*ef.BlockSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range []*ef.List{whole.EF, spliced.EF} {
+			if l.Stride != stride || !reflect.DeepEqual(l.Decompress(), ids) {
+				t.Fatalf("stride %d: a list at stride %d does not decode to its docIDs", stride, l.Stride)
+			}
+		}
+		lists[fmt.Sprintf("stride %d", stride)] = whole.EF
+		lists[fmt.Sprintf("stride %d spliced at 65", stride)] = spliced.EF
 	}
 	return lists
 }

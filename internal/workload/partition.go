@@ -39,7 +39,13 @@ func ShardOf(docID uint32, shards int) int {
 // (ShardOf placement). Shard indexes keep the global docID space and
 // global collection statistics; they are in-memory views for cluster
 // serving, which WriteTo refuses to serialize (the file cannot carry
-// GlobalN).
+// GlobalN or a stride).
+//
+// A shard's lists are encoded at stride shards (ef.List.Stride): a
+// block's docIDs are all one residue mod shards, so the block stores
+// their distances from its first docID divided by shards, and spends the
+// low bits a posting of the source list spends rather than log2(shards)
+// more.
 //
 // The shard lists' words are copied into regions off the Go heap (an
 // ef.Arena), sealed read-only before PartitionIndex returns; what the
@@ -143,10 +149,14 @@ type stage struct {
 	enc        index.ListEncoder
 }
 
+// newSplitter returns a splitter whose shard lists are encoded at stride
+// shards: the docIDs of a shard's list are all one residue mod shards, so
+// each lies a multiple of shards past its block's first.
 func newSplitter(shards int, arena *ef.Arena) *splitter {
 	sp := &splitter{shard: newModulus(uint32(shards)), stages: make([]stage, shards)}
 	for s := range sp.stages {
 		sp.stages[s].enc.SetArena(arena)
+		sp.stages[s].enc.SetStride(uint32(shards))
 	}
 	return sp
 }

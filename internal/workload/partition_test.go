@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"testing"
+
+	"griffin/internal/index"
 )
 
 func partitionTestCorpus(t *testing.T) *Corpus {
@@ -153,5 +155,79 @@ func TestPartitionedShardsRefuseWriteTo(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Error("a 1-shard partition does not write the file of the index it was split from")
+	}
+
+	// Every posting on an even docID: shard 0 of 2 holds each list whole,
+	// so every list there scores as the postings it holds, and only its
+	// stride keeps it from being written as a file that decodes to other
+	// docIDs.
+	b := index.NewBuilder(index.CodecEF)
+	for _, term := range c.Index.Terms() {
+		pl, _ := c.Index.Lookup(term)
+		ids, freqs := pl.DecodeFrom(0)
+		var eids, efreqs []uint32
+		for i, d := range ids {
+			if d%2 == 0 {
+				eids, efreqs = append(eids, d), append(efreqs, freqs[i])
+			}
+		}
+		if err := b.AddPostings(term, eids, efreqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	even, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	evenShards, err := PartitionIndex(even, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, term := range evenShards[0].Terms() {
+		if pl, _ := evenShards[0].Lookup(term); pl.ScoringN() != pl.N || (pl.N > 1 && pl.EF.Stride != 2) {
+			t.Fatalf("term %q on shard 0 of 2: scores as %d of %d postings at stride %d, want all of them at stride 2",
+				term, pl.ScoringN(), pl.N, pl.EF.Stride)
+		}
+	}
+	var buf bytes.Buffer
+	if n, err := evenShards[0].WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Errorf("shard 0 of 2 holding every posting: WriteTo wrote %d bytes (%v), want a refusal and nothing written", buf.Len(), err)
+	}
+}
+
+// A shard's list stores its docIDs at the shard count's stride, so its
+// blocks spend the low bits a posting of the source list spends, not
+// log2(shards) more: the shards of a split take no more bits than the
+// index they were split from, but for the header of each block the split
+// adds (a shard's last block is partial).
+func TestShardListsKeepTheSourceDensity(t *testing.T) {
+	c := partitionTestCorpus(t)
+	var srcBits int64
+	srcBlocks, postings := 0, 0
+	for _, term := range c.Index.Terms() {
+		pl, _ := c.Index.Lookup(term)
+		srcBits += pl.EF.CompressedBits()
+		srcBlocks += pl.EF.NumBlocks()
+		postings += pl.N
+	}
+	for _, shards := range []int{2, 3, 4} {
+		ixs, err := PartitionCorpus(c, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bits int64
+		blocks := 0
+		for _, ix := range ixs {
+			for _, term := range ix.Terms() {
+				pl, _ := ix.Lookup(term)
+				bits += pl.EF.CompressedBits()
+				blocks += pl.EF.NumBlocks()
+			}
+		}
+		t.Logf("%d shards: %d bits in %d blocks, the source %d in %d", shards, bits, blocks, srcBits, srcBlocks)
+		if limit := srcBits + int64(46*(blocks-srcBlocks)); bits > limit {
+			t.Errorf("%d shards: %d bits (%.3f a posting) in %d blocks, want at most the source's %d in %d blocks plus 46 a block more: %d",
+				shards, bits, float64(bits)/float64(postings), blocks, srcBits, srcBlocks, limit)
+		}
 	}
 }

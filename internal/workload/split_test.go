@@ -30,7 +30,7 @@ func refPartitionIndex(t testing.TB, ix *index.Index, shards int) []*index.Index
 			if len(ids[s]) == 0 {
 				continue
 			}
-			spl, err := index.SpliceList(term, nil, 0, ids[s], freqs[s])
+			spl, err := index.SpliceList(term, nil, 0, uint32(shards), ids[s], freqs[s])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,8 +283,9 @@ func wordBytes(ixs []*index.Index) int {
 }
 
 // BenchmarkPartitionIndex reports, beside the time a posting, what the
-// shards keep: heap a block (rows and page tables) and words a posting
-// (the regions).
+// shards keep: heap a block (rows and page tables), words a posting (the
+// regions) and Elias–Fano bits a posting (CompressedBits: what a shard
+// uploads).
 func BenchmarkPartitionIndex(b *testing.B) {
 	c := splitBenchCorpus(b)
 	postings := 0
@@ -309,12 +310,15 @@ func BenchmarkPartitionIndex(b *testing.B) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	blocks := 0
+	var bits int64
 	for _, ix := range shards {
 		for _, term := range ix.Terms() {
 			pl, _ := ix.Lookup(term)
 			blocks += pl.EF.NumBlocks()
+			bits += pl.EF.CompressedBits()
 		}
 	}
+	b.ReportMetric(float64(bits)/float64(postings), "shard_bits/posting")
 	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(blocks), "heap-B/block")
 	b.ReportMetric(float64(wordBytes(shards))/float64(postings), "region-B/posting")
 	runtime.KeepAlive(shards)
