@@ -118,12 +118,17 @@ type Row struct {
 // view of: past their length lie the dead words the view keeps alive,
 // which a later splice of the page counts (Pager.Seed).
 //
-// The rows are a view of a mapped file, beside the words, for a list
-// that was opened, and on the heap otherwise; either way nothing writes
-// them, and a page's Rows end at their capacity, so appending to them
-// copies. A page whose Words lie in a region refers to it, so the region
-// stays mapped while any list (or a list spliced from one, which shares
-// its pages and words) can reach the page.
+// The rows lie where the words do: a view of a mapped file, beside the
+// words, for a list that was opened; for a list encoded into an Arena, a
+// view of the same region run as the words, ahead of them; on the heap
+// otherwise. A spliced page's rows are a heap copy, or, while nothing has
+// been added behind them, a view of the rows of the page it was opened in.
+// Nothing writes them, and a page's Rows end at their capacity, so
+// appending to them copies. A page whose rows or Words lie in a region
+// refers to it, so the region stays mapped while any list (or a list
+// spliced from one, which shares its pages, rows and words) can reach the
+// page; a slice of its rows or a pointer to one keeps the region mapped
+// only through its page.
 type Page[R any] struct {
 	Rows  []R
 	Words []uint64
@@ -132,11 +137,11 @@ type Page[R any] struct {
 }
 
 // pageExt is what a page refers to beyond its rows and words, behind one
-// pointer so that a page stays 56 bytes: the region its Words lie in (one
-// pageExt per region, shared by its pages) and, for a spliced page only,
-// its owned run.
+// pointer so that a page stays 56 bytes: the region its rows and Words
+// lie in (one pageExt per region, shared by its pages) and, for a spliced
+// page only, its owned run.
 type pageExt struct {
-	region *region  // where Words lie; nil for the heap or a mapped file
+	region *region  // where rows and Words lie; nil for the heap or a mapped file
 	owned  []uint64 // the words of the rows past Words
 }
 
@@ -401,24 +406,25 @@ func (e *Encoder) Finish() *List {
 // the row that addresses them, Finish. A page it closes owns its rows and
 // its words, each one exact allocation: the scratch they were written
 // into when that is exactly full — always, for pages Fill sized — else a
-// copy of it; with an Arena, its words are copied there instead and the
-// scratch kept. The page Seed opens is the exception: its Words are a
-// view of the page it was opened in, and the words added behind them are
-// its owned run, on the heap whether or not there is an Arena. Pages are
-// never shared with the pager's scratch, so a list keeps alive the pages
-// it can reach and the words their Words are views of, and no dead page's
-// owned run (Seed's first Fill copies what it takes of one). The zero
-// value is ready for use.
+// copy of it; with an Arena, its rows and words are copied from the
+// scratch into one run of a region instead (Arena), and the scratch kept.
+// The page Seed opens is the exception: its Words are a view of the page
+// it was opened in, and the words added behind them are its owned run,
+// on the heap whether or not there is an Arena. Pages are never shared
+// with the pager's scratch, so a list keeps alive the pages it can reach
+// and the rows and words they are views of, and no dead page's owned run
+// (Seed's first Fill copies what it takes of one). The zero value is
+// ready for use.
 type Pager[R any] struct {
-	// Arena, if set, takes the words of every page the pager closes but
-	// a seeded one.
+	// Arena, if set, takes the rows and words of every page the pager
+	// closes but a seeded one. R must then hold no pointer.
 	Arena *Arena
 
 	pages  []Page[R]
 	rows   []R      // the open page's
 	words  []uint64 // the open page's own, past shared
 	shared []uint64 // the open page's Words, while it is a seeded page's view
-	region *region  // where shared lies
+	region *region  // where shared, and rows while they are a view, lie
 }
 
 // Alloc returns the open page's next n words, zeroed, and where they
@@ -522,16 +528,16 @@ func (p *Pager[R]) close() {
 	if len(p.rows) == 0 {
 		return
 	}
-	pg := Page[R]{Rows: own(&p.rows)}
-	if p.shared != nil {
-		pg.Words = p.shared
+	var pg Page[R]
+	if p.shared != nil || p.region != nil { // a seeded page
+		pg.Rows, pg.Words = own(&p.rows), p.shared
 		if len(p.words) > 0 || p.region != nil {
 			pg.ext = &pageExt{region: p.region, owned: own(&p.words)}
 		}
-	} else if pg.Words, pg.ext = p.Arena.place(p.words); pg.Words != nil {
-		p.words = p.words[:0] // copied: the scratch serves the next page
+	} else if pg.Rows, pg.Words, pg.ext = place(p.Arena, p.rows, p.words); pg.ext != nil {
+		p.rows, p.words = p.rows[:0], p.words[:0] // copied: the scratch serves the next page
 	} else {
-		pg.Words = own(&p.words)
+		pg.Rows, pg.Words = own(&p.rows), own(&p.words)
 	}
 	p.shared, p.region = nil, nil
 	p.pages = append(p.pages, pg)

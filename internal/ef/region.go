@@ -4,20 +4,28 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Arena keeps the words of the pages its pagers close outside the Go
-// heap: each page's words are copied into a region, an anonymous mapping
-// of regionWords words (more for a page that needs more), which the page
-// refers to (Page). The collector neither scans region memory nor counts
-// it toward its goal, so a list encoded into an arena costs the heap its
-// rows alone. Where nothing can be mapped the pages keep their words on
-// the heap, as they do without an arena. The zero value is ready for use
+// Arena keeps the pages its pagers close outside the Go heap: each page's
+// rows and words are copied into one run of a region, an anonymous
+// mapping of regionWords words (more for a page that needs more) — the
+// rows first, padded to a word, then the words — and the page's Rows and
+// Words are views of that run (Page). The collector neither scans region
+// memory nor counts it toward its goal, so a list encoded into an arena
+// costs the heap its page headers alone. The zero value is ready for use
 // and safe for concurrent use by several pagers.
 //
+// Only rows that hold no pointer may lie in a region: the collector does
+// not scan it, so a pointer stored there would not keep what it points to
+// alive. Both row types, Row and the index's frequency rows, hold none
+// (index.TestBlockRowsHoldNoPointers). A page placed in an arena always
+// has its rows there; where nothing can be mapped, both its rows and its
+// words stay on the heap, as they do without an arena.
+//
 // A region is unmapped by a finalizer once no page refers to it, so a
-// slice of a page's words is valid only while its page, or a list that
-// holds it, is reachable.
+// slice of a page's rows or words, or a pointer to one of its rows, is
+// valid only while its page, or a list that holds it, is reachable.
 type Arena struct {
 	mu      sync.Mutex
 	cur     *pageExt // what every page placed in the current region refers to
@@ -30,10 +38,10 @@ const regionWords = 1 << 19
 
 // regionGCBytes is how much region memory may be mapped between two
 // collections this package forces. The pacer sizes its goal by the heap
-// alone, and a shard list's words outweigh its rows tenfold, so a process
-// that splits again and again would map region after region before the
-// heap grew enough for a collection to run the finalizers that unmap the
-// dropped ones.
+// alone, and a shard list leaves the heap only its page headers, so a
+// process that splits again and again would map region after region
+// before the heap grew enough for a collection to run the finalizers that
+// unmap the dropped ones.
 const regionGCBytes = 64 << 20
 
 var (
@@ -41,7 +49,7 @@ var (
 	mappedSinceGC atomic.Int64 // region bytes mapped since the last forced collection
 )
 
-// region is one anonymous mapping that pages' words lie in.
+// region is one anonymous mapping that pages' rows and words lie in.
 type region struct {
 	mem []byte
 }
@@ -68,34 +76,41 @@ func newRegion(n int) (*region, []uint64) {
 	return r, words
 }
 
-// place copies words into the arena and returns the copy and the
-// pageExt of the region it lies in: nil, nil for a nil arena, no words,
-// or a failed mapping.
-func (a *Arena) place(words []uint64) ([]uint64, *pageExt) {
-	if a == nil || len(words) == 0 {
-		return nil, nil
+// place copies a page's rows and words into one run of the arena's
+// current region, the rows first and padded to a word, and returns views
+// of the two copies, each capped at its length, and the pageExt of the
+// region: nils for a nil arena or a failed mapping. R must hold no
+// pointer (Arena).
+func place[R any](a *Arena, rows []R, words []uint64) ([]R, []uint64, *pageExt) {
+	if a == nil {
+		return nil, nil, nil
 	}
-	n := len(words)
+	var row R
+	rowWords := (len(rows)*int(unsafe.Sizeof(row)) + 7) / 8
+	n := rowWords + len(words)
 	a.mu.Lock()
 	if len(a.free) < n {
 		r, w := newRegion(n)
 		if r == nil {
 			a.mu.Unlock()
-			return nil, nil
+			return nil, nil, nil
 		}
 		a.cur, a.free = &pageExt{region: r}, w
 		a.regions = append(a.regions, r)
 	}
-	dst, x := a.free[:n:n], a.cur
+	run, x := a.free[:n:n], a.cur
 	a.free = a.free[n:]
 	a.mu.Unlock()
-	copy(dst, words)
-	return dst, x
+	dst := unsafe.Slice((*R)(unsafe.Pointer(unsafe.SliceData(run))), len(rows))
+	copy(dst, rows)
+	w := run[rowWords:]
+	copy(w, words)
+	return dst, w, x
 }
 
 // Seal makes every region the arena has mapped read-only, so that a
-// stray write through a page's words faults as it does on a mapped index
-// file. Pages placed after Seal go into new regions.
+// stray write through a page's rows or words faults as it does on a
+// mapped index file. Pages placed after Seal go into new regions.
 func (a *Arena) Seal() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

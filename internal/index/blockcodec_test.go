@@ -49,8 +49,10 @@ func refPackFreqs(freqs []uint32) *FreqStore {
 // TestBlockRowsHoldNoPointers: a block table's rows are what a built or
 // merged index keeps on the heap, one per 128 postings, and the collector
 // never scans them — which holds only as long as no field of a row can
-// hold a pointer; an opened index's rows are views of the file's bytes
-// (rowsOf), where no pointer could lie.
+// hold a pointer. An opened index's rows are views of the file's bytes
+// (rowsOf), and a shard split's are copied into ef.Arena regions, which
+// the collector does not scan: a pointer stored in either would not keep
+// what it points to alive.
 func TestBlockRowsHoldNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/ingest"
+	"griffin/internal/wal"
 )
 
 func newDurableServer(t *testing.T, cfg ingest.Config) (*Server, *ingest.Cluster) {
@@ -136,5 +138,28 @@ func TestServerShutdownDurability(t *testing.T) {
 	getJSON(t, s2, "/search?q=savanna", &res)
 	if len(res.Results) != 1 || res.Results[0].DocID != 100 {
 		t.Fatalf("restart lost the acknowledged update: %+v", res.Results)
+	}
+}
+
+// A mutation whose log record would be over wal.MaxPayload is refused
+// before anything is logged or applied, and the next one is served at
+// the generation it would have taken. (Lowercasing can make a body's
+// tokens outgrow the body, so a body under the cap can still carry one.)
+func TestIngestRefusesRecordOverPayloadLimit(t *testing.T) {
+	s, e := newDurableServer(t, ingest.Config{WALDir: t.TempDir()})
+	defer e.Close()
+	mb := string(make([]byte, 1<<20))
+	tokens := make([]string, wal.MaxPayload>>20)
+	for i := range tokens {
+		tokens[i] = mb
+	}
+	if err := s.writer.Apply(wal.OpAdd, 100, tokens); !errors.Is(err, wal.ErrTooLarge) {
+		t.Fatalf("a %d-byte record: %v, want wal.ErrTooLarge", wal.MaxPayload+len(tokens), err)
+	}
+	if w := postIngest(t, s, `{"op":"add","doc_id":100,"text":"zebra habitat"}`); w.Code != http.StatusOK {
+		t.Fatalf("ingest after the refusal: %d %s", w.Code, w.Body.String())
+	}
+	if gen, _ := s.writer.Progress(); gen != 1 {
+		t.Errorf("writer at generation %d after one acknowledged mutation, want 1", gen)
 	}
 }

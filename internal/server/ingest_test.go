@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/ingest"
+	"griffin/internal/wal"
 )
 
 func newLiveServer(t *testing.T, freshness int) (*Server, *ingest.Cluster) {
@@ -250,5 +253,33 @@ func TestIngestLagIsPendingRecords(t *testing.T) {
 					ack, health["ingest_lag"], st.Ingest)
 			}
 		})
+	}
+}
+
+// fill reads as an endless run of one byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// A body one byte over the WAL's payload limit is refused with a 413
+// that names the limit, and nothing is applied: its mutation could never
+// be logged, so it is not decoded to the end or tokenized.
+func TestIngestRefusesBodyOverPayloadLimit(t *testing.T) {
+	s, _ := newLiveServer(t, 0)
+	head, tail := `{"op":"add","doc_id":7,"text":"`, `"}`
+	body := io.MultiReader(strings.NewReader(head),
+		io.LimitReader(fill('a'), int64(wal.MaxPayload+1-len(head)-len(tail))), strings.NewReader(tail))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest("POST", "/ingest", body))
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), strconv.Itoa(wal.MaxPayload)) {
+		t.Fatalf("a body of %d bytes: %d %q, want 413 naming the %d-byte limit", wal.MaxPayload+1, w.Code, w.Body.String(), wal.MaxPayload)
+	}
+	if gen, _ := s.writer.Progress(); gen != 0 {
+		t.Errorf("the refused body was applied: writer at generation %d", gen)
 	}
 }

@@ -408,10 +408,16 @@ var ingestOps = map[string]wal.Op{"add": wal.OpAdd, "update": wal.OpUpdate, "del
 
 // handleIngest serves POST /ingest (live backends only). Mutations are
 // visible to the next /search immediately through the delta; merges
-// fold them into the compressed main segment in the background.
+// fold them into the compressed main segment in the background. A body
+// over wal.MaxPayload is refused with 413 as soon as that much of it has
+// been read: its mutation could never be logged.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wal.MaxPayload)).Decode(&req); err != nil {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			http.Error(w, "request body over the "+strconv.FormatInt(tooLarge.Limit, 10)+"-byte limit", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -433,6 +439,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case ingest.IsInvalid(err):
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	case errors.Is(err, wal.ErrTooLarge):
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	case errors.Is(err, ingest.ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

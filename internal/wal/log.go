@@ -164,12 +164,17 @@ func readAll(f *os.File) ([]byte, error) {
 // Sync). A fired append-site fault writes the deterministically
 // corrupted frame — torn prefix or flipped bit — syncs it (the model:
 // those bytes reached the platter wrong), wedges the log, and returns
-// the fault; the caller must not acknowledge the mutation.
+// the fault; the caller must not acknowledge the mutation. A record over
+// MaxPayload is refused with ErrTooLarge before anything is written, and
+// the log stays usable.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.wedged != nil {
 		return l.wedged
+	}
+	if n := payloadSize(r); n > MaxPayload {
+		return fmt.Errorf("%w: %s doc %d is %d bytes, the limit %d", ErrTooLarge, r.Op, r.DocID, n, MaxPayload)
 	}
 	l.buf = appendFrame(l.buf[:0], r)
 	frame := l.buf

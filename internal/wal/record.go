@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 )
 
 // Op enumerates the mutation classes a WAL record can carry. Values
@@ -64,9 +65,12 @@ type Record struct {
 // ntokens × (uvarint len | bytes).
 const (
 	frameHeaderSize = 8
-	// maxPayload bounds a frame's claimed length so a corrupt length
-	// prefix cannot drive a multi-gigabyte allocation during recovery.
-	maxPayload = 1 << 26
+	// MaxPayload is the longest payload a frame may carry, 64 MB: a
+	// longer claimed length is corruption, so a bad length prefix cannot
+	// drive a multi-gigabyte allocation during recovery. Append refuses a
+	// record over it (ErrTooLarge), and the ingest endpoint a request
+	// body over it.
+	MaxPayload = 1 << 26
 )
 
 // castagnoli is the CRC32C polynomial table — the same checksum disk
@@ -83,6 +87,24 @@ var (
 	// truncates here — nothing after a corrupt record is trustworthy.
 	errCorrupt = errors.New("wal: corrupt frame")
 )
+
+// ErrTooLarge is Append's refusal of a record whose payload would be
+// over MaxPayload: recovery would read its frame as corrupt and truncate
+// the log there, dropping it and every record after it.
+var ErrTooLarge = errors.New("wal: record over the payload limit")
+
+// payloadSize returns the length of r's frame payload, as appendFrame
+// encodes it, without encoding it.
+func payloadSize(r Record) int {
+	n := 8 + 1 + 4 + uvarintLen(len(r.Tokens))
+	for _, tok := range r.Tokens {
+		n += uvarintLen(len(tok)) + len(tok)
+	}
+	return n
+}
+
+// uvarintLen returns how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v int) int { return max(1, (bits.Len(uint(v))+6)/7) }
 
 // appendFrame encodes r as one frame onto buf.
 func appendFrame(buf []byte, r Record) []byte {
@@ -111,7 +133,7 @@ func decodeFrame(b []byte) (Record, int, error) {
 		return Record{}, 0, errShort
 	}
 	n := binary.LittleEndian.Uint32(b[0:4])
-	if n == 0 || n > maxPayload {
+	if n == 0 || n > MaxPayload {
 		return Record{}, 0, errCorrupt
 	}
 	if uint64(len(b)) < frameHeaderSize+uint64(n) {

@@ -596,3 +596,55 @@ func TestManifestRoundTripBytes(t *testing.T) {
 		t.Fatalf("corrupt manifest accepted")
 	}
 }
+
+// payloadSize is the length appendFrame gives a record's payload, across
+// the widths of the token counts and lengths.
+func TestPayloadSizeIsTheFrame(t *testing.T) {
+	recs := mkRecords(10, 1)
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		recs = append(recs, Record{Gen: 99, Op: OpAdd, DocID: 5, Tokens: []string{string(make([]byte, n)), "x"}})
+	}
+	recs = append(recs, Record{Gen: 100, Op: OpAdd, Tokens: make([]string, 200)})
+	for i, r := range recs {
+		if got, want := payloadSize(r), len(appendFrame(nil, r))-frameHeaderSize; got != want {
+			t.Errorf("record %d: payloadSize %d, frame payload %d", i, got, want)
+		}
+	}
+}
+
+// A record whose payload would be over MaxPayload is refused before a
+// byte is written, and the log stays usable: the records around it
+// recover. Written, its frame would read back as corrupt and recovery
+// would truncate the log there, losing it and the acknowledged record
+// after it.
+func TestAppendRefusesRecordOverPayloadLimit(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{Shards: 1, SyncEvery: 1, Site: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := string(make([]byte, 1<<20))
+	big := Record{Gen: 2, Op: OpAdd, DocID: 9, Tokens: make([]string, MaxPayload>>20)}
+	for i := range big.Tokens {
+		big.Tokens[i] = mb // one string, its header repeated: 64 MB of payload, 1 MB allocated
+	}
+	// A refused record takes no generation: the writer gives the next one
+	// the same.
+	recs := mkRecords(2, 1)
+	recs[1].Gen = big.Gen
+	for i, r := range []Record{recs[0], big, recs[1]} {
+		err := s.Append(0, r)
+		if want := i == 1; errors.Is(err, ErrTooLarge) != want || (err != nil) != want {
+			t.Fatalf("append %d (gen %d): %v, want ErrTooLarge: %v", i, r.Gen, err, want)
+		}
+	}
+	s.Crash()
+	s2, rec, err := Open(dir, Options{Site: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if len(rec.Records) != 2 || rec.Records[0].Gen != 1 || rec.Records[1].Gen != 2 || rec.Records[1].DocID != recs[1].DocID {
+		t.Fatalf("recovered %+v, want generations 1 and 2, doc %d", rec.Records, recs[1].DocID)
+	}
+}

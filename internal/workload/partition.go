@@ -47,11 +47,14 @@ func ShardOf(docID uint32, shards int) int {
 // low bits a posting of the source list spends rather than log2(shards)
 // more.
 //
-// The shard lists' words are copied into regions off the Go heap (an
-// ef.Arena), sealed read-only before PartitionIndex returns; what the
-// heap keeps of a shard is its block rows, 16 B a block. A region is
-// unmapped once no list, no list spliced from one and no device cache
-// entry can reach a page in it. When ix was opened from a file, a list's
+// Each page of a shard list, its block rows and its words together, is
+// copied into one run of a region off the Go heap (an ef.Arena), sealed
+// read-only before PartitionIndex returns; what the heap keeps of a shard
+// is its page headers, about 2 B a block. Rows and words share the run,
+// so a page is never half in a region, and the rows hold no pointer, so
+// memory the collector does not scan can hold them. A region is unmapped
+// once no list, no list spliced from one and no device cache entry can
+// reach a page in it. When ix was opened from a file, a list's
 // pages of the mapping are released as soon as it and its neighbours in
 // the file have been split (index.Index.ReleaseList), so the split never
 // holds much more than one copy of the postings; reading ix again faults

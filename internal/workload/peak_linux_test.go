@@ -50,7 +50,7 @@ func TestPartitionPeakRSS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if words := wordBytes([]*index.Index{built}); words < 16<<20 {
+	if words := runBytes([]*index.Index{built}); words < 16<<20 {
 		t.Fatalf("the lists hold %d bytes, want >= 16 MB", words)
 	}
 	path := filepath.Join(t.TempDir(), "index.grif")
@@ -114,7 +114,7 @@ func partitionPeakChild(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("peak %d regions %d\n", statusBytes(t, "VmHWM:")-before, wordBytes(shards))
+	fmt.Printf("peak %d regions %d\n", statusBytes(t, "VmHWM:")-before, runBytes(shards))
 }
 
 // statusBytes reads a kB field of /proc/self/status.
