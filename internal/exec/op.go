@@ -24,6 +24,7 @@ import (
 
 	"griffin/internal/hwmodel"
 	"griffin/internal/index"
+	"griffin/internal/intersect"
 	"griffin/internal/kernels"
 	"griffin/internal/sched"
 )
@@ -193,15 +194,14 @@ func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Dura
 	case OpFetch:
 		return cpuM.Time(hwmodel.CPUWork{CachedProbes: 1})
 	case OpUpload:
-		var bytes int64
+		bytes := int64(op.ShortLen) * 4
 		if op.Arg.List != nil {
-			bytes = sched.CompressedBytes(op.Arg.List.N)
-		} else {
-			bytes = int64(op.ShortLen) * 4
+			bytes = kernels.EstimateUploadEF(op.Arg.List.N)
 		}
 		return gpuM.TransferTime(bytes)
 	case OpDecompress:
-		return sched.DecompressTime(op.LongLen, gpuM)
+		st := kernels.EstimateParaEF(op.LongLen)
+		return gpuM.KernelTime(&st)
 	case OpIntersect:
 		return estimateIntersect(op, cpuM, gpuM)
 	case OpMigrate:
@@ -221,31 +221,23 @@ func (op *Op) Estimate(cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Dura
 	return 0
 }
 
-// estimateIntersect prices one intersection under either placement.
+// estimateIntersect prices one intersection under either placement with
+// the closed form of the algorithm that runs it.
 func estimateIntersect(op *Op, cpuM *hwmodel.CPUModel, gpuM *hwmodel.GPUModel) time.Duration {
 	short, long := op.ShortLen, op.LongLen
-	switch op.Algo {
-	case AlgoCPUDecode:
+	switch {
+	case op.Algo == AlgoCPUDecode:
 		return cpuM.Time(hwmodel.CPUWork{EFDecodedElems: int64(long)})
-	case AlgoCPUAdaptive:
-		if long < intersectSkipRatio*short {
-			return cpuM.Time(hwmodel.CPUWork{
-				EFDecodedElems: int64(short + long),
-				MergedElements: int64(short + long),
-			})
-		}
-		return cpuM.Time(hwmodel.CPUWork{
-			CachedProbes: int64(4 * short),
-			SelectProbes: int64(7 * short),
-		})
-	case AlgoMergePath:
-		return kernels.EstimateMergePath(short, long, gpuM)
-	case AlgoBinarySkips:
-		return kernels.EstimateBinarySkips(short, long, gpuM)
+	case op.Algo == AlgoCPUAdaptive:
+		return cpuM.Time(intersect.EstimatePair(short, long))
+	case short == 0 || long == 0:
+		return 0 // an empty operand launches no kernel
+	case op.Algo == AlgoMergePath:
+		st := kernels.EstimateMergePath(short, long, gpuM)
+		return gpuM.KernelTime(&st)
+	case op.Algo == AlgoBinarySkips:
+		st := kernels.EstimateBinarySkips(short, long)
+		return gpuM.KernelTime(&st[0]) + gpuM.KernelTime(&st[1])
 	}
 	return 0
 }
-
-// intersectSkipRatio mirrors the CPU merge-vs-skip estimator switch used
-// by sched.CostPolicy (the host's own adaptive threshold neighbourhood).
-const intersectSkipRatio = 16

@@ -183,7 +183,10 @@ func TestFig13Shape(t *testing.T) {
 	}
 }
 
-func TestFig14Fig15Shapes(t *testing.T) {
+// fig14Inputs is Figure 14's corpus and query log at the shape tests'
+// scale: 120 queries over a 0.06-scale corpus.
+func fig14Inputs(t *testing.T) (Config, *workload.Corpus, []workload.Query) {
+	t.Helper()
 	cfg := testConfig()
 	cfg.Scale = 0.06
 	c, err := cfg.BuildCorpus()
@@ -193,6 +196,11 @@ func TestFig14Fig15Shapes(t *testing.T) {
 	queries := workload.GenerateQueryLog(c, workload.QuerySpec{
 		NumQueries: 120, PopularityAlpha: 0.45, Seed: cfg.Seed + 11,
 	})
+	return cfg, c, queries
+}
+
+func TestFig14Fig15Shapes(t *testing.T) {
+	cfg, c, queries := fig14Inputs(t)
 	res14, t14, err := runFig14(cfg, c, queries)
 	if err != nil {
 		t.Fatal(err)

@@ -261,6 +261,25 @@ func Pair(a, b index.BlockList, threshold int) Result {
 	return Merge(short, long)
 }
 
+// EstimatePair is Pair's closed form at DefaultSkipThreshold: the work of
+// intersecting lists of short <= long postings, from their lengths alone.
+// Below the threshold Merge decodes and scans both lists; at or above it
+// SkipSearch gallops ~4 cached skip probes and runs ~7 in-block select
+// probes per short element. exec.Op.Estimate and sched.CostPolicy price it
+// with CPUModel.Time.
+func EstimatePair(short, long int) hwmodel.CPUWork {
+	if long < DefaultSkipThreshold*short {
+		return hwmodel.CPUWork{
+			EFDecodedElems: int64(short + long),
+			MergedElements: int64(short + long),
+		}
+	}
+	return hwmodel.CPUWork{
+		CachedProbes: int64(4 * short),
+		SelectProbes: int64(7 * short),
+	}
+}
+
 // OrderByLength returns indices of the lists sorted ascending by length —
 // the SvS ordering that starts with the two rarest terms (§2.1.2).
 func OrderByLength(lists []index.BlockList) []int {

@@ -2,35 +2,31 @@ package kernels
 
 import (
 	"math/bits"
-	"time"
 
 	"griffin/internal/ef"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 )
 
-// Closed-form costs of the device kernels, computed from operand lengths
-// alone. They live next to the kernels because they mirror the kernels'
-// launch geometry and counter charges line by line: exec.Op.Estimate and
-// sched.CostPolicy price plans with them, and a kernel change that moves
-// the modeled time moves its estimate in the same commit. The match count
-// is unknown before execution, so the terms proportional to it (the staged
-// matches and the gather) are left out; they are a few percent of a launch.
+// Closed-form counters of the device intersection kernels from operand
+// lengths alone (Para-EF's sit beside it in paraef.go), mirroring the
+// kernels' launch geometry and counter charges line by line:
+// exec.Op.Estimate and sched.CostPolicy price them with KernelTime, and a
+// kernel change that moves its charges moves its estimate in the same
+// commit. The match-proportional terms (the staged matches and the gather,
+// a few percent of a launch) are left out. An empty operand launches nothing.
 
-// EstimateMergePath predicts IntersectMergePath's modeled time for operands
-// of the given lengths.
-func EstimateMergePath(short, long int, m *hwmodel.GPUModel) time.Duration {
-	if short == 0 {
-		return 0
-	}
+// EstimateMergePath predicts the counters of IntersectMergePath's launch
+// for operands of the given lengths.
+func EstimateMergePath(short, long int, m *hwmodel.GPUModel) hwmodel.LaunchStats {
 	total := short + long
-	g := MergePathGeometry(short, long, m)
+	g := mergePathGeometry(short, long, m)
 	threads := (total + g.VT - 1) / g.VT // the ones with steps to walk
 	// Coarse boundaries search a range the shorter list bounds; the fine
 	// search sees the shorter list's share of one tile.
 	coarse := g.Blocks * bits.Len(uint(short))
 	fine := threads * bits.Len(uint(g.Tile()*short/total))
-	st := hwmodel.LaunchStats{
+	return hwmodel.LaunchStats{
 		Blocks:           g.Blocks,
 		ThreadsPerBlock:  ThreadsPerBlock,
 		Phases:           g.Phases,
@@ -41,17 +37,15 @@ func EstimateMergePath(short, long int, m *hwmodel.GPUModel) time.Duration {
 		GlobalWriteBytes: int64(8 * g.Blocks),
 		SharedBytes:      int64(4*total + 8*fine + 4*total + 12*threads + 8*g.Threads()),
 	}
-	return m.KernelTime(&st)
 }
 
-// EstimateBinarySkips predicts IntersectBinarySkips' modeled time for a
-// decompressed short list probing a compressed long one: its two launches,
-// assuming the short list's elements land in distinct blocks of the long
-// list (the high-ratio case the kernel exists for).
-func EstimateBinarySkips(short, long int, m *hwmodel.GPUModel) time.Duration {
-	if short == 0 || long == 0 {
-		return 0
-	}
+// EstimateBinarySkips predicts the counters of IntersectBinarySkips' two
+// launches, skips_route then skips_probe, for a decompressed short list
+// probing a compressed long one, assuming the short list's elements land
+// in distinct blocks of the long list (the high-ratio case the kernel
+// exists for). The launches are priced one by one: KernelTime is not
+// additive across launches.
+func EstimateBinarySkips(short, long int) [2]hwmodel.LaunchStats {
 	numBlocks := gpu.GridFor(long, ef.BlockSize)
 	needed := min(short, numBlocks)
 	grid := gpu.GridFor(short, ThreadsPerBlock)
@@ -81,5 +75,5 @@ func EstimateBinarySkips(short, long int, m *hwmodel.GPUModel) time.Duration {
 		GlobalWriteBytes: int64(4*decoded + 8*grid2),
 		SharedBytes:      int64(10*decoded + 8*grid2*ThreadsPerBlock),
 	}
-	return m.KernelTime(&route) + m.KernelTime(&probe)
+	return [2]hwmodel.LaunchStats{route, probe}
 }

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -20,7 +21,7 @@ func smallDevice() *gpu.Device {
 	return gpu.New(m, 0)
 }
 
-// vtSwitch is the smallest total length at which MergePathGeometry picks
+// vtSwitch is the smallest total length at which mergePathGeometry picks
 // vt: the first whose ceil(total/vt) threads fill the device.
 func vtSwitch(m *hwmodel.GPUModel, vt int) int { return (m.SaturationThreads-1)*vt + 1 }
 
@@ -28,7 +29,7 @@ func TestMergePathGeometryRule(t *testing.T) {
 	m := hwmodel.DefaultGPU()
 	// Below the first switch the smallest VT spreads the work widest.
 	for _, total := range []int{1, 2, 511, 512, 513, 10_000, vtSwitch(&m, 8) - 1} {
-		g := MergePathGeometry(total/3, total-total/3, &m)
+		g := mergePathGeometry(total/3, total-total/3, &m)
 		if g.VT != 4 {
 			t.Fatalf("total %d: VT = %d, want 4 (device not yet full)", total, g.VT)
 		}
@@ -38,7 +39,7 @@ func TestMergePathGeometryRule(t *testing.T) {
 		sw := vtSwitch(&m, vt)
 		below := []int{4, 8, 16}[i]
 		for total, want := range map[int]int{sw - 1: below, sw: vt, sw + 1: vt} {
-			if g := MergePathGeometry(total/2, total-total/2, &m); g.VT != want {
+			if g := mergePathGeometry(total/2, total-total/2, &m); g.VT != want {
 				t.Errorf("total %d (switch to %d at %d): VT = %d, want %d", total, vt, sw, g.VT, want)
 			}
 		}
@@ -46,10 +47,10 @@ func TestMergePathGeometryRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	for i := 0; i < 2000; i++ {
 		a, b := rng.Intn(3_000_000), 1+rng.Intn(3_000_000)
-		g := MergePathGeometry(a, b, &m)
+		g := mergePathGeometry(a, b, &m)
 		total := a + b
 		// A pure function of the summed length, whichever side is longer.
-		if g != MergePathGeometry(b, a, &m) || g != MergePathGeometry(0, total, &m) {
+		if g != mergePathGeometry(b, a, &m) || g != mergePathGeometry(0, total, &m) {
 			t.Fatalf("(%d,%d): geometry depends on more than the total length", a, b)
 		}
 		if g.Phases != mergePathPhases || g.Tile() != g.VT*ThreadsPerBlock {
@@ -81,7 +82,7 @@ func TestMergePathGeometryMatchesLaunch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := MergePathGeometry(len(a), len(b), dev.Model())
+		g := mergePathGeometry(len(a), len(b), dev.Model())
 		st := res.Stats
 		if st.Blocks != g.Blocks || st.ThreadsPerBlock != ThreadsPerBlock || st.Phases != g.Phases {
 			t.Fatalf("total %d: launched %dx%d/%d phases, geometry says %+v", total, st.Blocks, st.ThreadsPerBlock, st.Phases, g)
@@ -112,7 +113,7 @@ func fusedCase(t *testing.T, dev *gpu.Device, name string, a, b []uint32) int {
 	aBuf.Free()
 	bBuf.Free()
 	res.Out.Free()
-	return MergePathGeometry(len(a), len(b), dev.Model()).VT
+	return mergePathGeometry(len(a), len(b), dev.Model()).VT
 }
 
 // evens returns n ascending even values starting at from.
@@ -155,7 +156,7 @@ func mergeCases(t *testing.T, m *hwmodel.GPUModel) []mergeCase {
 	for _, vt := range mergePathVTs {
 		tile := vt * ThreadsPerBlock
 		for _, total := range []int{2*tile - 2, 2 * tile, 2*tile + 2, 2*tile + tile/2, 3 * tile, 3*tile + 2} {
-			if got := MergePathGeometry(0, total, m).VT; got != vt {
+			if got := mergePathGeometry(0, total, m).VT; got != vt {
 				t.Fatalf("total %d runs at VT %d, meant to exercise VT %d", total, got, vt)
 			}
 			n := total / 2
@@ -369,7 +370,7 @@ func TestIntersectFusedModeledTimeMonotone(t *testing.T) {
 		}
 		// The launch's own time: a pool miss on the output is not part of
 		// the curve.
-		cur := point{total, MergePathGeometry(nA, total-nA, m).VT, float64(m.KernelTime(&res.Stats))}
+		cur := point{total, mergePathGeometry(nA, total-nA, m).VT, float64(m.KernelTime(&res.Stats))}
 		aBuf.Free()
 		bBuf.Free()
 		res.Out.Free()
@@ -391,7 +392,10 @@ func TestIntersectFusedModeledTimeMonotone(t *testing.T) {
 }
 
 // TestIntersectEstimatesTrackKernels holds the closed forms the plan
-// layers price intersections with to the kernels they describe.
+// layers price device work with to the kernels they describe: each
+// estimate's launch geometry (blocks, threads per block, phases) is the
+// launch's exactly, and its volume counters price within a band of what
+// the launch charged.
 func TestIntersectEstimatesTrackKernels(t *testing.T) {
 	dev := gpu.New(hwmodel.DefaultGPU(), 0)
 	m := dev.Model()
@@ -405,7 +409,9 @@ func TestIntersectEstimatesTrackKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		took, est := m.KernelTime(&res.Stats), EstimateMergePath(tc.short, tc.long, m)
+		st := EstimateMergePath(tc.short, tc.long, m)
+		checkGeometry(t, fmt.Sprintf("merge path %dx%d", tc.short, tc.long), st, res.Stats)
+		took, est := m.KernelTime(&res.Stats), m.KernelTime(&st)
 		if r := float64(took) / float64(est); r < 0.9 || r > 1.15 {
 			t.Errorf("merge path %dx%d: took %v, estimated %v (ratio %.2f)", tc.short, tc.long, took, est, r)
 		}
@@ -434,12 +440,43 @@ func TestIntersectEstimatesTrackKernels(t *testing.T) {
 		}
 		warm.Out.Free()
 		base := s.Elapsed()
-		if _, err := IntersectBinarySkips(s, aBuf, longBuf); err != nil {
+		res, err := IntersectBinarySkips(s, aBuf, longBuf)
+		if err != nil {
 			t.Fatal(err)
 		}
-		took, est := s.Elapsed()-base, EstimateBinarySkips(tc.short, tc.long, m)
+		// The kernel reports its two launches as one: the route launch's
+		// geometry, both launches' phases.
+		st := EstimateBinarySkips(tc.short, tc.long)
+		both := st[0]
+		both.Phases += st[1].Phases
+		checkGeometry(t, fmt.Sprintf("binary skips %dx%d", tc.short, tc.long), both, res.Stats)
+		took, est := s.Elapsed()-base, m.KernelTime(&st[0])+m.KernelTime(&st[1])
 		if r := float64(took) / float64(est); r < 0.85 || r > 1.15 {
 			t.Errorf("binary skips %dx%d: took %v, estimated %v (ratio %.2f)", tc.short, tc.long, took, est, r)
 		}
+	}
+	for _, n := range []int{1000, 100_000, 1_000_000} {
+		l, err := ef.Compress(genAscending(rng, n, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Pinned exception: the estimate prices one bandwidth-bound pass,
+		// 0 phases against the kernel's 4 barrier phases.
+		st, launch := EstimateParaEF(n), *paraEFStats(l)
+		if st.Phases != 0 || launch.Phases != 4 {
+			t.Errorf("para-ef %d: estimated %d phases, the kernel runs %d; the pinned exception is 0 against 4", n, st.Phases, launch.Phases)
+		}
+		st.Phases = launch.Phases
+		checkGeometry(t, fmt.Sprintf("para-ef %d", n), st, launch)
+	}
+}
+
+// checkGeometry fails the test when a closed form's launch geometry is not
+// exactly the launch's.
+func checkGeometry(t *testing.T, name string, est, launch hwmodel.LaunchStats) {
+	t.Helper()
+	if est.Blocks != launch.Blocks || est.ThreadsPerBlock != launch.ThreadsPerBlock || est.Phases != launch.Phases {
+		t.Errorf("%s: estimated %d blocks x %d threads in %d phases, the launch ran %d x %d in %d",
+			name, est.Blocks, est.ThreadsPerBlock, est.Phases, launch.Blocks, launch.ThreadsPerBlock, launch.Phases)
 	}
 }

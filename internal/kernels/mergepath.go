@@ -41,12 +41,12 @@ func (g Geometry) Threads() int { return g.Blocks * ThreadsPerBlock }
 // Tile is the number of merge-path steps one block covers.
 func (g Geometry) Tile() int { return g.VT * ThreadsPerBlock }
 
-// MergePathGeometry sizes the MergePath launch to its operands: the
+// mergePathGeometry sizes the MergePath launch to its operands: the
 // largest VT whose thread count still fills the device
 // (GPUModel.SaturationThreads), else the smallest, so a 10 K-element merge
 // spreads over 20 blocks instead of idling on 3 while a multi-million one
 // keeps the long serial merges that amortize its partition searches.
-func MergePathGeometry(lenA, lenB int, m *hwmodel.GPUModel) Geometry {
+func mergePathGeometry(lenA, lenB int, m *hwmodel.GPUModel) Geometry {
 	total := lenA + lenB
 	vt := mergePathVTs[len(mergePathVTs)-1]
 	for _, v := range mergePathVTs {
@@ -135,7 +135,7 @@ type mergeScratch struct{ a, b, found []uint32 }
 // (Green, McColl, Bader — ICS 2012), the load-balanced parallel
 // intersection Griffin-GPU uses when list lengths are comparable (§3.1.2).
 // One intersection is one launch, its grid sized to the operands
-// (MergePathGeometry).
+// (mergePathGeometry).
 //
 // Partitioning is two-level, as in the reference CUDA implementations:
 //
@@ -169,7 +169,7 @@ func IntersectMergePath(s *gpu.Stream, aBuf, bBuf *gpu.Buffer) (*IntersectResult
 	}
 
 	total := a.n + b.n
-	g := MergePathGeometry(a.n, b.n, s.Device().Model())
+	g := mergePathGeometry(a.n, b.n, s.Device().Model())
 	vt, tile := g.VT, g.Tile()
 	blockA := make([]int32, g.Blocks+1) // coarse boundaries in A
 	blockA[g.Blocks] = int32(a.n)       // the path ends having consumed A

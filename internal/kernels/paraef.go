@@ -26,6 +26,13 @@ func UploadEF(s *gpu.Stream, l *ef.List) (*gpu.Buffer, error) {
 	return s.H2D(l, l.CompressedBytes())
 }
 
+// EstimateUploadEF is UploadEF's payload for a list of n postings when only
+// its length is known: 7 bits a posting, the paper's collections (the
+// serving benchmark's synthetic fixture measures 7.44). The plan layers'
+// closed forms (exec.Op.Estimate, sched.CostPolicy) price uploads with it;
+// admission (core.estimateDeviceCost) has the list and reads its real size.
+func EstimateUploadEF(n int) int64 { return int64(n) * 7 / 8 }
+
 // paraEFName is the Para-EF launch's name in profiles, counted or run.
 const paraEFName = "para_ef_decompress"
 
@@ -72,6 +79,21 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 	st := paraEFStats(l)
 	s.Charge(paraEFName, st)
 	return out, st, nil
+}
+
+// EstimateParaEF predicts the counters of ParaEFDecompress's launch over
+// an n-posting list from its length alone: one thread per element
+// streaming the compressed input in and the docIDs out, bandwidth-bound.
+// The output buffer comes from the device's pool, so no cudaMalloc is
+// priced.
+func EstimateParaEF(n int) hwmodel.LaunchStats {
+	return hwmodel.LaunchStats{
+		Blocks:           (n + ef.BlockSize - 1) / ef.BlockSize,
+		ThreadsPerBlock:  ThreadsPerBlock,
+		Ops:              int64(6 * n),
+		GlobalReadBytes:  EstimateUploadEF(n),
+		GlobalWriteBytes: int64(4 * n),
+	}
 }
 
 // paraEFStats returns the counters of paraEFSIMT's launch over l, phase

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"griffin/internal/hwmodel"
+	"griffin/internal/intersect"
 	"griffin/internal/kernels"
 )
 
@@ -19,8 +20,7 @@ import (
 //
 // Estimates assume the short operand is already device-resident (true
 // mid-query: the intermediate result lives where the previous op ran) and
-// use the average compressed size of Elias-Fano postings (~7 bits/doc) for
-// transfer costs.
+// price the long list's upload at kernels.EstimateUploadEF's ~7 bits/doc.
 type CostPolicy struct {
 	// GPU and CPU are the models to estimate against.
 	GPU hwmodel.GPUModel
@@ -37,53 +37,20 @@ func NewCostPolicy() *CostPolicy {
 	return &CostPolicy{GPU: hwmodel.DefaultGPU(), CPU: hwmodel.DefaultCPU(), Sticky: true}
 }
 
-// CompressedBytes estimates the PCIe payload of an Elias-Fano-compressed
-// list of n postings at 7 bits/posting — the paper's collections; the
-// serving benchmark's synthetic fixture measures 7.44. Every closed-form
-// estimator (this policy, exec.Op.Estimate) prices transfers with it.
-func CompressedBytes(n int) int64 { return int64(n) * 7 / 8 }
-
-// DecompressTime estimates the Para-EF decompression of an n-posting list:
-// one thread per element streaming the compressed input in and the docIDs
-// out, bandwidth-bound. The output buffer comes from the device's pool, so
-// no cudaMalloc is priced.
-func DecompressTime(n int, m *hwmodel.GPUModel) time.Duration {
-	st := hwmodel.LaunchStats{
-		Blocks:           (n + 127) / 128,
-		ThreadsPerBlock:  128,
-		Ops:              int64(6 * n),
-		GlobalReadBytes:  CompressedBytes(n),
-		GlobalWriteBytes: int64(4 * n),
-	}
-	return m.KernelTime(&st)
-}
-
 // estimateGPU approximates the device cost of one intersection: upload
 // the long list compressed, decompress it, and run the fused MergePath
-// launch, priced by the kernel's own closed form.
+// launch, each priced by the kernel's own closed form.
 func (p *CostPolicy) estimateGPU(shortLen, longLen int) time.Duration {
-	return p.GPU.TransferTime(CompressedBytes(longLen)) +
-		DecompressTime(longLen, &p.GPU) +
-		kernels.EstimateMergePath(shortLen, longLen, &p.GPU)
+	decompress := kernels.EstimateParaEF(longLen)
+	merge := kernels.EstimateMergePath(shortLen, longLen, &p.GPU)
+	return p.GPU.TransferTime(kernels.EstimateUploadEF(longLen)) +
+		p.GPU.KernelTime(&decompress) + p.GPU.KernelTime(&merge)
 }
 
-// estimateCPU approximates the host cost: below the CPU's own merge/skip
-// switch it scans both lists; above it, it probes per short element.
+// estimateCPU approximates the host cost: the CPU intersection's own
+// closed form, merge or skip search by its threshold.
 func (p *CostPolicy) estimateCPU(shortLen, longLen int) time.Duration {
-	if longLen < 16*shortLen {
-		// Block-wise merge: decode both lists + scan.
-		w := hwmodel.CPUWork{
-			EFDecodedElems: int64(shortLen + longLen),
-			MergedElements: int64(shortLen + longLen),
-		}
-		return p.CPU.Time(w)
-	}
-	// Skip search: galloping cached probes + in-block select probes.
-	w := hwmodel.CPUWork{
-		CachedProbes: int64(4 * shortLen),
-		SelectProbes: int64(7 * shortLen),
-	}
-	return p.CPU.Time(w)
+	return p.CPU.Time(intersect.EstimatePair(shortLen, longLen))
 }
 
 // Decide implements Policy.
