@@ -7,6 +7,8 @@
 // bit i of the stream is bit (i % 64) of word (i / 64).
 package bitutil
 
+//go:generate go run gen_pack.go
+
 import "math/bits"
 
 // WordBits is the number of bits in a bit-stream word.
@@ -35,14 +37,19 @@ func GetBits(words []uint64, p, width int) uint64 {
 }
 
 // Pack stores the low width bits of every src value as contiguous
-// width-bit fields from bit 0 of words, a word at a time: fields gather in
-// a register and each word of words is stored once. words must hold
+// width-bit fields from bit 0 of words. 64 fields fill exactly width
+// words, so each whole group of 64 is packed by straight-line code
+// generated for its width (pack_gen.go, written by gen_pack.go), and only
+// a tail of fewer than 64 by the loop below, whose fields gather in a
+// register and which stores each word once. words must hold
 // len(src)*width bits; every word the fields touch is overwritten, none
 // is read. width must be in [0, 32].
 func Pack(words []uint64, src []uint32, width int) {
 	if width == 0 {
 		return
 	}
+	n := packGroups(words, src, width)
+	words, src = words[n/WordBits*width:], src[n:]
 	w, mask := uint(width), uint64(1)<<uint(width)-1
 	var acc uint64
 	fill, wi := uint(0), 0
@@ -62,15 +69,19 @@ func Pack(words []uint64, src []uint32, width int) {
 }
 
 // Unpack reads len(dst) contiguous width-bit fields from bit 0 of words
-// into dst: GetBits(words, i*width, width) for every i, a word at a time
-// — the fields that lie inside one word are shifted out of a register,
-// and only the field that straddles two words reads both. width must be
-// in [0, 32].
+// into dst: GetBits(words, i*width, width) for every i. Each whole group
+// of 64 fields is unpacked by the generated straight-line code for its
+// width, as Pack packs it; a tail of fewer than 64 is read a word at a
+// time — the fields that lie inside one word are shifted out of a
+// register, and only the field that straddles two words reads both.
+// width must be in [0, 32].
 func Unpack(dst []uint32, words []uint64, width int) {
 	if width == 0 {
 		clear(dst)
 		return
 	}
+	n := unpackGroups(dst, words, width)
+	dst, words = dst[n:], words[n/WordBits*width:]
 	w, mask := uint(width), uint64(1)<<uint(width)-1
 	i, off := 0, uint(0) // off: bit position in words[wi] of field i
 	for wi := 0; i < len(dst); wi++ {

@@ -31,6 +31,7 @@ package ef
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -247,46 +248,44 @@ func blockOf(docIDs []uint32, k int) []uint32 {
 	return docIDs[k*BlockSize : min((k+1)*BlockSize, len(docIDs))]
 }
 
-// shape returns the row of the block of ids (1 to BlockSize ascending
-// docIDs, each a multiple of d's stride past the first), but for its
-// offset: a block's shape follows from its first and last docID alone.
-func shape(ids []uint32, d divider) Row {
-	n := len(ids)
-	u := uint64(d.quo(ids[n-1] - ids[0])) // local universe (v_{n-1})
+// shape returns the row of a block of n values (1 to BlockSize), the
+// first docID first and the last value u, but for its offset: a block's
+// shape follows from its first docID and its last value alone.
+func shape(first, u uint32, n int) Row {
 	// b = floor(log2(U/n)) per the paper; 0 when U < n (dense runs).
 	b := 0
-	if u/uint64(n) >= 1 {
-		b = bitutil.Log2Floor(u / uint64(n))
+	if q := uint64(u) / uint64(n); q >= 1 {
+		b = bitutil.Log2Floor(q)
 	}
 	// Element i's one-bit sits at (v_i >> b) + i, so the last element ends
 	// the array: fewer than 3n bits.
 	highLen := int(u>>uint(b)) + n
 	return Row{
-		FirstDocID: ids[0], HighLen: uint16(highLen), N: uint8(n), B: uint8(b),
+		FirstDocID: first, HighLen: uint16(highLen), N: uint8(n), B: uint8(b),
 		HighWords: uint8(bitutil.WordsFor(highLen)), LowWords: uint8(bitutil.WordsFor(n * b)),
 	}
+}
+
+// shapeIDs returns the shape of the block of ids, ascending docIDs each a
+// multiple of d's stride past the first.
+func shapeIDs(ids []uint32, d divider) Row {
+	return shape(ids[0], d.quo(ids[len(ids)-1]-ids[0]), len(ids))
 }
 
 // words returns how many words the row's block takes.
 func (r *Row) words() int { return int(r.HighWords) + int(r.LowWords) }
 
-// encode writes ids, the block r was shaped from at d's stride, into w —
-// its words, which must be zero. Each high bit is set where it belongs and
-// the low parts are packed a word at a time; no bit is appended to
-// anything.
-func encode(r *Row, ids []uint32, w []uint64, d divider) {
-	high := w[:r.HighWords]
-	var vs [BlockSize]uint32
-	// In locals, which the writes to high cannot alias; b < 32, and the
-	// mask spares each shift by it a test for 32 and more.
-	first, b := r.FirstDocID, r.B&31
-	for i, id := range ids {
-		v := d.quo(id - first)
-		vs[i] = v
-		h := uint(v>>b) + uint(i)
-		high[h/bitutil.WordBits] |= 1 << (h % bitutil.WordBits)
-	}
-	bitutil.Pack(w[r.HighWords:], vs[:len(ids)], int(r.B)) // no-op when B == 0
+// highBits gathers a block's high bits before they are stored: element
+// i's one-bit is set in copy i mod 2, on the stack, and the two copies
+// are ORed into the block's words once, whole. Consecutive elements' bits
+// mostly share a word, and setting a bit in memory loads the word the
+// last store to it wrote: with one copy, each element waited for the one
+// before it. A block's high bits take at most 6 words.
+type highBits [2][8]uint64
+
+// set sets element i's one-bit, at position h.
+func (hb *highBits) set(i int, h uint) {
+	hb[i&1][h/bitutil.WordBits&7] |= 1 << (h % bitutil.WordBits)
 }
 
 // Encoder builds Lists from blocks handed over one at a time, for a
@@ -301,6 +300,9 @@ type Encoder struct {
 	last   uint32 // the last docID appended
 	stride uint32 // the lists' stride; 0 or 1: docIDs as they are
 	pager  Pager[Row]
+	// vs holds the values of the block being encoded: scratch a block
+	// needs, which a local array would have zeroed for every block.
+	vs [BlockSize]uint32
 }
 
 // SetArena has the pages the encoder closes keep their words in a (nil:
@@ -308,22 +310,48 @@ type Encoder struct {
 func (e *Encoder) SetArena(a *Arena) { e.pager.Arena = a }
 
 // SetStride has the lists the encoder finishes store their docIDs at
-// stride (0 or 1: as they are): every docID appended must lie a multiple
-// of it past its block's first.
+// stride (0 or 1: as they are), which Append takes them by.
 func (e *Encoder) SetStride(stride uint32) { e.stride = stride }
 
-// Append encodes ids as the list's next block: BlockSize docIDs — fewer
-// only in a list's last block — strictly ascending, above every docID
-// appended before and each a multiple of the stride past the first.
-func (e *Encoder) Append(ids []uint32) error {
-	if len(ids) == 0 || len(ids) > BlockSize || e.n%BlockSize != 0 {
-		return fmt.Errorf("ef: block of %d docIDs appended after %d", len(ids), e.n)
+// Append encodes the docIDs qs[i]*stride + residue as the list's next
+// block: BlockSize of them — fewer only in a list's last block — strictly
+// ascending and above every docID appended before, residue below the
+// stride. At stride 1, the zero value's, qs are the docIDs themselves and
+// residue is 0. A d-mod-n shard split, which encodes shard s's lists at
+// stride n, holds each docID as its quotient by n, which comes with its
+// shard; a block's values are then qs[i] - qs[0], with no division.
+func (e *Encoder) Append(qs []uint32, residue uint32) error {
+	n := len(qs)
+	if n == 0 || n > BlockSize || e.n%BlockSize != 0 {
+		return fmt.Errorf("ef: block of %d docIDs appended after %d", n, e.n)
 	}
-	d := newDivider(e.stride)
-	if err := e.check(ids, d); err != nil {
-		return err
+	stride := max(e.stride, 1)
+	if residue >= stride {
+		return fmt.Errorf("ef: residue %d not below the stride %d", residue, stride)
 	}
-	e.put(ids, d)
+	if uint64(qs[n-1])*uint64(stride)+uint64(residue) > math.MaxUint32 {
+		return fmt.Errorf("ef: docID %d*%d + %d past 2^32", qs[n-1], stride, residue)
+	}
+	first := qs[0]
+	r := shape(first*stride+residue, qs[n-1]-first, n)
+	if e.n > 0 && r.FirstDocID <= e.last {
+		return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n, r.FirstDocID, e.last)
+	}
+	// One loop checks the order, takes the values and sets their high
+	// bits: the shape, and so b, follows from the first and last alone.
+	vs := &e.vs
+	var hb highBits
+	b, prev := r.B&31, first
+	for i, q := range qs {
+		if i > 0 && q <= prev {
+			return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, q*stride+residue, prev*stride+residue)
+		}
+		prev = q
+		v := q - first
+		vs[i&(BlockSize-1)] = v
+		hb.set(i, uint(v>>b)+uint(i))
+	}
+	e.add(r, &hb, vs[:n])
 	return nil
 }
 
@@ -335,8 +363,8 @@ func (e *Encoder) appendAll(ids []uint32) error {
 		return err
 	}
 	e.pager.Fill((len(ids)+BlockSize-1)/BlockSize,
-		func(k int) int { r := shape(blockOf(ids, k), d); return r.words() },
-		func(k int) { e.put(blockOf(ids, k), d) })
+		func(k int) int { r := shapeIDs(blockOf(ids, k), d); return r.words() },
+		func(k int) { e.putIDs(blockOf(ids, k), d) })
 	return nil
 }
 
@@ -379,15 +407,38 @@ func (e *Encoder) refusal(ids []uint32, i int) error {
 		ErrOffStride, e.n+i, ids[i], ids[i]-first, e.stride)
 }
 
-// put encodes the checked block ids, at d's stride, as the list's next
-// one.
-func (e *Encoder) put(ids []uint32, d divider) {
-	r := shape(ids, d)
+// putIDs encodes the checked block ids, at d's stride, as the list's
+// next one.
+func (e *Encoder) putIDs(ids []uint32, d divider) {
+	vs := &e.vs
+	first := ids[0]
+	for i, id := range ids {
+		vs[i&(BlockSize-1)] = d.quo(id - first)
+	}
+	n := len(ids)
+	r := shape(first, vs[n-1], n)
+	var hb highBits
+	b := r.B & 31 // b < 32, and the mask spares each shift by it a test for 32 and more
+	for i, v := range vs[:n] {
+		hb.set(i, uint(v>>b)+uint(i))
+	}
+	e.add(r, &hb, vs[:n])
+}
+
+// add encodes the block of values vs, shaped r, whose high bits hb holds,
+// as the list's next one: its words are allocated and written over, the
+// high words stored whole and the low parts packed. No bit is appended to
+// anything.
+func (e *Encoder) add(r Row, hb *highBits, vs []uint32) {
 	off, w := e.pager.Alloc(r.words())
 	r.Off = uint16(off)
-	encode(&r, ids, w, d)
+	for j := range w[:r.HighWords] {
+		w[j] = hb[0][j&7] | hb[1][j&7]
+	}
+	bitutil.Pack(w[r.HighWords:], vs, int(r.B)) // no-op when B == 0
 	e.pager.Add(r)
-	e.n, e.last = e.n+len(ids), ids[len(ids)-1]
+	n := len(vs)
+	e.n, e.last = e.n+n, r.FirstDocID+vs[n-1]*max(e.stride, 1)
 }
 
 // Finish returns the list of the blocks appended since the last Finish
@@ -427,14 +478,13 @@ type Pager[R any] struct {
 	region *region  // where shared, and rows while they are a view, lie
 }
 
-// Alloc returns the open page's next n words, zeroed, and where they
-// start in its run.
+// Alloc returns the open page's next n words and where they start in
+// its run. The words hold whatever they held: the caller writes every
+// one of them.
 func (p *Pager[R]) Alloc(n int) (off int, w []uint64) {
 	start := len(p.words)
 	p.words = slices.Grow(p.words, n)[:start+n]
-	w = p.words[start:]
-	clear(w)
-	return len(p.shared) + start, w
+	return len(p.shared) + start, p.words[start:]
 }
 
 // Add appends r as the open page's next row and closes the page once it

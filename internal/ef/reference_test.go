@@ -244,7 +244,7 @@ func TestEncoderMatchesCompress(t *testing.T) {
 	for _, n := range []int{1000, 1, 127, 128, 129, 5000, 256, 3, 200_000, 77} {
 		ids := genAscending(rng, n, 1+uint32(rng.Intn(5000)))
 		for start := 0; start < n; start += BlockSize {
-			if err := e.Append(ids[start:min(start+BlockSize, n)]); err != nil {
+			if err := e.Append(ids[start:min(start+BlockSize, n)], 0); err != nil {
 				t.Fatalf("n=%d: Append at %d: %v", n, start, err)
 			}
 		}
@@ -263,25 +263,25 @@ func TestEncoderMatchesCompress(t *testing.T) {
 func TestEncoderRejectsBadBlocks(t *testing.T) {
 	full := ascending(BlockSize, 100, func(int) uint32 { return 2 })
 	var e Encoder
-	if err := e.Append(nil); err == nil {
+	if err := e.Append(nil, 0); err == nil {
 		t.Error("empty block accepted")
 	}
-	if err := e.Append(make([]uint32, BlockSize+1)); err == nil {
+	if err := e.Append(make([]uint32, BlockSize+1), 0); err == nil {
 		t.Error("oversized block accepted")
 	}
-	if err := e.Append([]uint32{5, 5}); !errors.Is(err, ErrNotAscending) {
+	if err := e.Append([]uint32{5, 5}, 0); !errors.Is(err, ErrNotAscending) {
 		t.Errorf("repeated docID: err = %v, want ErrNotAscending", err)
 	}
-	if err := e.Append(full); err != nil {
+	if err := e.Append(full, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Append([]uint32{full[BlockSize-1]}); !errors.Is(err, ErrNotAscending) {
+	if err := e.Append([]uint32{full[BlockSize-1]}, 0); !errors.Is(err, ErrNotAscending) {
 		t.Errorf("docID not above the previous block's last: err = %v, want ErrNotAscending", err)
 	}
-	if err := e.Append([]uint32{1 << 30}); err != nil {
+	if err := e.Append([]uint32{1 << 30}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Append([]uint32{1<<30 + 1}); err == nil {
+	if err := e.Append([]uint32{1<<30 + 1}, 0); err == nil {
 		t.Error("block accepted after a short block")
 	}
 	// The rejected blocks left nothing behind.

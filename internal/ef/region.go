@@ -30,8 +30,15 @@ type Arena struct {
 	mu      sync.Mutex
 	cur     *pageExt // what every page placed in the current region refers to
 	free    []uint64 // the current region's words not yet taken
+	ready   int      // how many of the current region's words were asked for ahead
 	regions []*region
 }
+
+// populateWords is how many words of a region the arena asks the kernel
+// to fault in at a time (populate), ahead of the runs it hands out: 256 KB,
+// so that a page a run is copied into has mostly been faulted in by one
+// call for 64 pages, not by a trap of its own.
+const populateWords = 1 << 15
 
 // regionWords sizes a region: 4 MB.
 const regionWords = 1 << 19
@@ -95,12 +102,22 @@ func place[R any](a *Arena, rows []R, words []uint64) ([]R, []uint64, *pageExt) 
 			a.mu.Unlock()
 			return nil, nil, nil
 		}
-		a.cur, a.free = &pageExt{region: r}, w
+		a.cur, a.free, a.ready = &pageExt{region: r}, w, 0
 		a.regions = append(a.regions, r)
+	}
+	// The words up to the next multiple of populateWords past the run are
+	// asked for ahead, unless they were already: whole pages, since each
+	// ask starts where the last one ended.
+	var ahead []uint64
+	total := len(a.cur.region.mem) / 8
+	if used := total - len(a.free); a.ready < used+n {
+		end := min(total, (used+n+populateWords-1)/populateWords*populateWords)
+		ahead, a.ready = a.free[a.ready-used:end-used], end
 	}
 	run, x := a.free[:n:n], a.cur
 	a.free = a.free[n:]
 	a.mu.Unlock()
+	populate(ahead)
 	dst := unsafe.Slice((*R)(unsafe.Pointer(unsafe.SliceData(run))), len(rows))
 	copy(dst, rows)
 	w := run[rowWords:]
@@ -119,6 +136,6 @@ func (a *Arena) Seal() error {
 			return err
 		}
 	}
-	a.cur, a.free, a.regions = nil, nil, nil
+	a.cur, a.free, a.ready, a.regions = nil, nil, 0, nil
 	return nil
 }

@@ -221,7 +221,7 @@ func TestListEncoderEqualsSpliceList(t *testing.T) {
 		ids, freqs := randomPostings(r, n)
 		for start := 0; start < n; start += BlockSize {
 			end := min(start+BlockSize, n)
-			if err := enc.Append(ids[start:end], freqs[start:end]); err != nil {
+			if err := enc.Append(ids[start:end], freqs[start:end], 0); err != nil {
 				t.Fatalf("n=%d: Append at %d: %v", n, start, err)
 			}
 		}
@@ -236,7 +236,7 @@ func TestListEncoderEqualsSpliceList(t *testing.T) {
 			t.Fatalf("n=%d: the encoder's list differs from SpliceList's", n)
 		}
 	}
-	if err := enc.Append([]uint32{1, 2}, []uint32{1}); err == nil {
+	if err := enc.Append([]uint32{1, 2}, []uint32{1}, 0); err == nil {
 		t.Error("1 freq for 2 docIDs accepted")
 	}
 	want, _ := SpliceList("e", nil, 0, 1, nil, nil)
@@ -394,4 +394,47 @@ func allocatedBy(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// The block codecs take the caller's buffers as they are: a block decoded
+// into, or appended from, arrays on the caller's stack allocates nothing.
+// A codec that dispatched its widths through a table of functions would
+// move such arrays to the heap, an allocation every call.
+func TestBlockCodecsAllocateNothing(t *testing.T) {
+	ids, freqs := randomPostings(rand.New(rand.NewSource(81)), 61*BlockSize)
+	pl, err := SpliceList("t", nil, 0, 1, ids, freqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	if a := testing.AllocsPerRun(100, func() {
+		var d, f [BlockSize]uint32
+		pl.EF.DecompressBlock(k%61, d[:])
+		pl.Freqs.DecodeBlock(k%61, f[:])
+		k++
+	}); a != 0 {
+		t.Errorf("DecompressBlock and DecodeBlock allocated %.0f times a block, want 0", a)
+	}
+	// A first list grows the encoder's scratch to the blocks measured
+	// after it: what the encoder itself allocates is then its pages, when
+	// they close, and Finish.
+	var enc ListEncoder
+	for k := 0; k < 61; k++ {
+		if err := enc.Append(ids[k*BlockSize:(k+1)*BlockSize], freqs[k*BlockSize:(k+1)*BlockSize], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc.Finish("w")
+	k = 0
+	if a := testing.AllocsPerRun(60, func() {
+		var d, f [BlockSize]uint32
+		copy(d[:], ids[k*BlockSize:])
+		copy(f[:], freqs[k*BlockSize:])
+		if err := enc.Append(d[:], f[:], 0); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}); a != 0 {
+		t.Errorf("ListEncoder.Append allocated %.0f times a block, want 0", a)
+	}
 }

@@ -69,14 +69,16 @@ type ListEncoder struct {
 	freqs freqEncoder
 }
 
-// Append encodes the list's next block: BlockSize postings — fewer only
-// in its last block — with ids strictly ascending and above every docID
-// appended before, and freqs parallel.
-func (e *ListEncoder) Append(ids, freqs []uint32) error {
-	if len(freqs) != len(ids) {
-		return fmt.Errorf("index: %d freqs for %d docIDs", len(freqs), len(ids))
+// Append encodes the list's next block: the docIDs qs[i]*stride +
+// residue (ef.Encoder.Append) — BlockSize of them, fewer only in its last
+// block, strictly ascending and above every docID appended before — and
+// freqs parallel. At stride 1 qs are the docIDs and residue is 0; a shard
+// split appends each docID's quotient by the shard count, and the shard.
+func (e *ListEncoder) Append(qs, freqs []uint32, residue uint32) error {
+	if len(freqs) != len(qs) {
+		return fmt.Errorf("index: %d freqs for %d docIDs", len(freqs), len(qs))
 	}
-	if err := e.ef.Append(ids); err != nil {
+	if err := e.ef.Append(qs, residue); err != nil {
 		return err
 	}
 	e.freqs.append(freqs)

@@ -145,11 +145,13 @@ type splitter struct {
 }
 
 // stage is one shard's share of the list being split: the postings of its
-// block in progress and the encoder that has taken the full ones.
+// block in progress, each docID held as its quotient by the shard count
+// (the shard is its remainder), and the encoder that has taken the full
+// ones.
 type stage struct {
-	ids, freqs [index.BlockSize]uint32
-	n          int // postings staged
-	enc        index.ListEncoder
+	qs, freqs [index.BlockSize]uint32
+	n         int // postings staged
+	enc       index.ListEncoder
 }
 
 // newSplitter returns a splitter whose shard lists are encoded at stride
@@ -171,19 +173,23 @@ func (sp *splitter) split(pl *index.PostingList) ([]*index.PostingList, error) {
 	var err error
 	flush := func(s int) {
 		st := &sp.stages[s]
-		if e := st.enc.Append(st.ids[:st.n], st.freqs[:st.n]); e != nil && err == nil {
+		if e := st.enc.Append(st.qs[:st.n], st.freqs[:st.n], uint32(s)); e != nil && err == nil {
 			err = fmt.Errorf("workload: shard %d: %w", s, e)
 		}
 		st.n = 0
 	}
+	mod, stages, freqs := sp.shard, sp.stages, &sp.freqs
 	for k := 0; k < pl.EF.NumBlocks() && err == nil; k++ {
 		n := pl.EF.DecompressBlock(k, sp.ids[:])
-		pl.Freqs.DecodeBlock(k, sp.freqs[:])
+		pl.Freqs.DecodeBlock(k, freqs[:])
+		// A stage holds fewer than BlockSize postings between flushes, so
+		// the masks change no index: they spare each store a bounds check.
 		for i, d := range sp.ids[:n] {
-			s := sp.shard.of(d)
-			st := &sp.stages[s]
-			st.ids[st.n], st.freqs[st.n] = d, sp.freqs[i]
-			if st.n++; st.n == index.BlockSize {
+			q, s := mod.divmod(d)
+			st := &stages[s]
+			j := st.n & (index.BlockSize - 1)
+			st.qs[j], st.freqs[j] = q, freqs[i&(index.BlockSize-1)]
+			if st.n = j + 1; st.n == index.BlockSize {
 				flush(s)
 			}
 		}
@@ -207,22 +213,31 @@ func (sp *splitter) split(pl *index.PostingList) ([]*index.PostingList, error) {
 	return out, nil
 }
 
-// modulus computes d mod a divisor fixed up front with two multiplications
+// modulus divides by a divisor fixed up front with two multiplications
 // instead of a division per posting (Lemire, Kaser and Kurz, "Faster
 // remainder by direct computation", 2019: exact for every 32-bit d and
-// divisor). of(d) == ShardOf(d, divisor).
+// divisor). divmod(d) is d / divisor and ShardOf(d, divisor).
 type modulus struct {
 	divisor uint64
 	m       uint64 // ceil(2^64 / divisor), 0 for divisor 1 (2^64 wraps)
+	one     uint32 // all ones for divisor 1, whose quotient m cannot give
 }
 
 func newModulus(divisor uint32) modulus {
-	return modulus{divisor: uint64(divisor), m: ^uint64(0)/uint64(divisor) + 1}
+	m := modulus{divisor: uint64(divisor), m: ^uint64(0)/uint64(divisor) + 1}
+	if divisor == 1 {
+		m.one = ^uint32(0)
+	}
+	return m
 }
 
-func (m modulus) of(d uint32) int {
-	hi, _ := bits.Mul64(m.m*uint64(d), m.divisor)
-	return int(hi)
+// divmod returns d's quotient and remainder by the divisor: the high
+// word of m·d is the quotient, and its low word, times the divisor, has
+// the remainder as its high word.
+func (m modulus) divmod(d uint32) (q uint32, r int) {
+	hi, lo := bits.Mul64(m.m, uint64(d))
+	rem, _ := bits.Mul64(lo, m.divisor)
+	return uint32(hi) | d&m.one, int(rem)
 }
 
 // PartitionCorpus partitions a generated corpus's index (the experiment

@@ -168,15 +168,16 @@ func sameValue(a, b reflect.Value) bool {
 	return a.Equal(b)
 }
 
-// The multiply-only remainder the split uses per posting is ShardOf.
+// The multiply-only quotient and remainder the split takes of each
+// posting are d / shards and ShardOf.
 func TestModulusIsShardOf(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	edges := []uint32{0, 1, 2, 127, 128, 1<<16 - 1, 1 << 16, 1<<31 - 1, 1 << 31, 1<<32 - 2, 1<<32 - 1}
 	for _, shards := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 31, 64, 100, 641, 1000, 65537, 1<<31 - 1} {
 		m := newModulus(uint32(shards))
 		check := func(d uint32) {
-			if got, want := m.of(d), ShardOf(d, shards); got != want {
-				t.Fatalf("%d mod %d = %d, want %d", d, shards, got, want)
+			if q, r := m.divmod(d); r != ShardOf(d, shards) || q != d/uint32(shards) {
+				t.Fatalf("%d divmod %d = %d, %d, want %d, %d", d, shards, q, r, d/uint32(shards), ShardOf(d, shards))
 			}
 		}
 		for _, d := range edges {
