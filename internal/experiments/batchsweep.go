@@ -1,14 +1,6 @@
 package experiments
 
-import (
-	"time"
-
-	"griffin/internal/cluster"
-	"griffin/internal/core"
-	"griffin/internal/gpu"
-	"griffin/internal/loadsim"
-	"griffin/internal/workload"
-)
+import "time"
 
 // BatchSweepPoint compares one shard count with the device batching
 // stage off and on, everything else identical.
@@ -40,8 +32,8 @@ type BatchSweepPoint struct {
 }
 
 // BatchSweepResult is the cross-query batching study: the shard sweep's
-// saturated scatter-gather workload re-run with the per-device batching
-// stage off and on at each shard count.
+// saturated scatter-gather workload, whose off arm is the shard sweep
+// itself, beside the same clusters with the per-device batching stage on.
 //
 // The mechanism under test: under saturation every shard's device sees a
 // steady interleaving of compatible ops (uploads, decompress and
@@ -58,9 +50,8 @@ type BatchSweepPoint struct {
 // latencies barely move — batching is a throughput optimization that is
 // latency-neutral when the device is idle.
 type BatchSweepResult struct {
-	// Rate is the offered saturating load in queries/second, calibrated
-	// off the 1-shard batching-off isolated mean exactly like the shard
-	// sweep.
+	// Rate is the offered saturating load in queries/second: the shard
+	// sweep's, calibrated off the 1-shard batching-off isolated mean.
 	Rate float64
 	// Window and Max are the batching-on arm's configuration.
 	Window time.Duration
@@ -69,39 +60,18 @@ type BatchSweepResult struct {
 }
 
 // runBatchSweep measures the batching stage's saturated-throughput win
-// and isolated-latency neutrality across shard counts.
+// and isolated-latency neutrality across shard counts: both arms of
+// runShardArms.
 func runBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
-	const window, max = 2 * time.Millisecond, gpu.DefaultBatchMax
-
-	c, queries, err := studyCorpus(cfg, shardSweepShape)
+	_, res, err := runShardArms(cfg, true)
 	if err != nil {
 		return BatchSweepResult{}, nil, err
 	}
-	sample := termsOf(queries, len(queries))
+	return res, batchTable(res), nil
+}
 
-	mkCluster := func(shards int, batched bool) (*cluster.Cluster, error) {
-		ixs, err := workload.PartitionCorpus(c, shards)
-		if err != nil {
-			return nil, err
-		}
-		ecfg := core.Config{Mode: core.Hybrid, CPU: cfg.CPU}
-		if batched {
-			ecfg.BatchWindow = window
-			ecfg.BatchMax = max
-		}
-		return cluster.New(ixs, cluster.Config{Engine: ecfg, TopK: 10, CPU: cfg.CPU})
-	}
-
-	isolated := func(shards int, batched bool) (time.Duration, error) {
-		cl, err := mkCluster(shards, batched)
-		if err != nil {
-			return 0, err
-		}
-		defer cl.Close()
-		return meanLatency(sample, clusterSearch(cl))
-	}
-
-	res := BatchSweepResult{Window: window, Max: max}
+// batchTable prints the batching sweep.
+func batchTable(res BatchSweepResult) *Table {
 	t := &Table{
 		Title: "Extension: cross-query batching sweep (saturated scatter-gather)",
 		Columns: []Column{count("shards"), msec("iso off"), msec("iso on"), perSecond("thr off (q/s)", "q/s"),
@@ -109,62 +79,15 @@ func runBatchSweep(cfg Config) (BatchSweepResult, *Table, error) {
 			msec("saved/query"), count("win flush"), count("size flush")},
 	}
 	t.note("batching-on arm: window {}ms, max {} members; batching-off arm is the unbatched submission path bit for bit",
-		Column{Name: "window", Unit: "ms", Clock: Count}.of(window), count("max members").of(max))
+		Column{Name: "window", Unit: "ms", Clock: Count}.of(res.Window), count("max members").of(res.Max))
 	t.note("isolated columns: contention-free sequential queries — nothing concurrent to coalesce with, so batching is latency-neutral")
 	t.note("saturated columns: common Poisson load far past the 1-shard drain rate; throughput = completed/makespan")
 	t.note("gain = thr on / thr off: batching refunds the fixed per-op costs (launch, DMA setup, cudaMalloc) all but one batch member would repeat")
 	t.note("mean batch and saved/query aggregate every replica device's BatchStats over the saturated batching-on pass")
 	t.note("results are byte-identical across both arms — batching moves only the simulated timeline")
-
-	var rate float64
-	for _, shards := range []int{1, 2, 4, 8} {
-		p := BatchSweepPoint{Shards: shards}
-		if p.IsolatedOff, err = isolated(shards, false); err != nil {
-			return BatchSweepResult{}, nil, err
-		}
-		if p.IsolatedOn, err = isolated(shards, true); err != nil {
-			return BatchSweepResult{}, nil, err
-		}
-		if rate == 0 {
-			// Same calibration as the shard sweep: deep overload relative
-			// to the 1-shard unbatched drain rate, held fixed across shard
-			// counts and arms so every run sees the same arrival process.
-			rate = 24 / p.IsolatedOff.Seconds()
-			res.Rate = rate
-		}
-
-		for _, batched := range []bool{false, true} {
-			cl, err := mkCluster(shards, batched)
-			if err != nil {
-				return BatchSweepResult{}, nil, err
-			}
-			r, err := loadsim.Drive(loadsim.ClusterTarget(cl), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
-			if err != nil {
-				cl.Close()
-				return BatchSweepResult{}, nil, err
-			}
-			thr := float64(r.Latencies.Count()) / r.Makespan.Seconds()
-			if batched {
-				p.ThroughputOn = thr
-				st := cl.BatchStats()
-				if st.Batches > 0 {
-					p.MeanBatch = float64(st.Members) / float64(st.Batches)
-				}
-				if n := r.Latencies.Count(); n > 0 {
-					p.SavedPerQuery = st.Saved / time.Duration(n)
-				}
-				p.WindowFlushes = st.WindowFlushes
-				p.SizeFlushes = st.SizeFlushes
-			} else {
-				p.ThroughputOff = thr
-			}
-			cl.Close()
-		}
-		p.Gain = p.ThroughputOn / p.ThroughputOff
-
-		res.Points = append(res.Points, p)
-		t.row(shards, p.IsolatedOff, p.IsolatedOn, p.ThroughputOff, p.ThroughputOn,
+	for _, p := range res.Points {
+		t.row(p.Shards, p.IsolatedOff, p.IsolatedOn, p.ThroughputOff, p.ThroughputOn,
 			p.Gain, p.MeanBatch, p.SavedPerQuery, p.WindowFlushes, p.SizeFlushes)
 	}
-	return res, t, nil
+	return t
 }

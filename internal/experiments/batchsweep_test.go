@@ -9,13 +9,9 @@ import "testing"
 // timeline. The simulation is deterministic, so these are exact
 // assertions, not tolerances.
 func TestBatchSweepShape(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scale = 0.05
-	res, table, err := runBatchSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, cfg, table)
+	run := shardArmsSweep(t)
+	res, table := run.res.batch, batchTable(run.res.batch)
+	checkGolden(t, run.cfg, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}
@@ -47,6 +43,25 @@ func TestBatchSweepShape(t *testing.T) {
 		}
 		if p.WindowFlushes+p.SizeFlushes == 0 {
 			t.Fatalf("%d shards: no batch ever flushed\n%s", p.Shards, table.Render())
+		}
+	}
+}
+
+// The batching sweep's off arm is the shard-count sweep, measured once:
+// its columns are the shard-count table's, at full precision, and both
+// studies load the cluster at the one calibrated rate.
+func TestBatchSweepOffArmIsShardSweep(t *testing.T) {
+	run := shardArmsSweep(t)
+	shard, batch := run.res.shard, run.res.batch
+	if batch.Rate != shard.Rate || len(batch.Points) != len(shard.Points) {
+		t.Fatalf("batching sweep at %v q/s over %d points, shard-count sweep at %v q/s over %d",
+			batch.Rate, len(batch.Points), shard.Rate, len(shard.Points))
+	}
+	for i, b := range batch.Points {
+		s := shard.Points[i]
+		if b.Shards != s.Shards || b.IsolatedOff != s.IsolatedMean || b.ThroughputOff != s.Throughput {
+			t.Fatalf("point %d: batching off arm (%d shards, iso %v, thr %v) is not the shard-count row (%d shards, iso %v, thr %v)",
+				i, b.Shards, b.IsolatedOff, b.ThroughputOff, s.Shards, s.IsolatedMean, s.Throughput)
 		}
 	}
 }

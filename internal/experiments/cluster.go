@@ -5,6 +5,7 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
+	"griffin/internal/gpu"
 	"griffin/internal/loadsim"
 	"griffin/internal/workload"
 )
@@ -59,27 +60,80 @@ type ShardSweepResult struct {
 }
 
 // runShardSweep measures contention-free latency and saturated
-// throughput against shard count.
+// throughput against shard count: the batching-off arm of runShardArms.
 func runShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
-	c, queries, err := studyCorpus(cfg, shardSweepShape)
+	res, _, err := runShardArms(cfg, false)
 	if err != nil {
 		return ShardSweepResult{}, nil, err
 	}
-	sample := termsOf(queries, len(queries))
+	return res, shardTable(res), nil
+}
 
-	mkCluster := func(shards int) (*cluster.Cluster, error) {
-		ixs, err := workload.PartitionCorpus(c, shards)
-		if err != nil {
-			return nil, err
+// runShardArms is the one run behind the shard-count and batching sweeps.
+// At each shard count it measures the cluster with the device batching
+// stage off and, when batching, on too, everything else identical. The
+// off arm is the shard-count sweep; the batching sweep reads both arms.
+func runShardArms(cfg Config, batching bool) (ShardSweepResult, BatchSweepResult, error) {
+	const window, max = 2 * time.Millisecond, gpu.DefaultBatchMax
+
+	c, queries, err := studyCorpus(cfg, shardSweepShape)
+	if err != nil {
+		return ShardSweepResult{}, BatchSweepResult{}, err
+	}
+	sw := scaling{sample: termsOf(queries, len(queries)), seed: cfg.Seed + 331}
+	arm := func(shards int, batched bool) func() (*cluster.Cluster, error) {
+		return func() (*cluster.Cluster, error) {
+			ixs, err := workload.PartitionCorpus(c, shards)
+			if err != nil {
+				return nil, err
+			}
+			ecfg := core.Config{Mode: core.Hybrid, CPU: cfg.CPU}
+			if batched {
+				ecfg.BatchWindow, ecfg.BatchMax = window, max
+			}
+			return cluster.New(ixs, cluster.Config{Engine: ecfg, TopK: 10, CPU: cfg.CPU})
 		}
-		return cluster.New(ixs, cluster.Config{
-			Engine: core.Config{Mode: core.Hybrid, CPU: cfg.CPU},
-			TopK:   10,
-			CPU:    cfg.CPU,
-		})
 	}
 
-	res := ShardSweepResult{}
+	res, batch := ShardSweepResult{}, BatchSweepResult{Window: window, Max: max}
+	for _, shards := range []int{1, 2, 4, 8} {
+		off, cl, err := measure(&sw, arm(shards, false), clusterSearch, loadsim.ClusterTarget)
+		if err != nil {
+			return ShardSweepResult{}, BatchSweepResult{}, err
+		}
+		cl.Close()
+		p := ShardSweepPoint{Shards: shards, IsolatedMean: off.iso, Throughput: off.throughput(),
+			Mean: off.sat.Latencies.Mean(), P99: off.sat.Latencies.Percentile(99),
+			MaxShardMean: off.sat.MaxShardMean, MergeMean: off.sat.MergeMean, Utilization: off.sat.GPUBusy}
+		res.Points = append(res.Points, p)
+		if !batching {
+			continue
+		}
+
+		on, cl, err := measure(&sw, arm(shards, true), clusterSearch, loadsim.ClusterTarget)
+		if err != nil {
+			return ShardSweepResult{}, BatchSweepResult{}, err
+		}
+		st := cl.BatchStats()
+		cl.Close()
+		b := BatchSweepPoint{Shards: shards, IsolatedOff: off.iso, IsolatedOn: on.iso,
+			ThroughputOff: p.Throughput, ThroughputOn: on.throughput(),
+			WindowFlushes: st.WindowFlushes, SizeFlushes: st.SizeFlushes}
+		b.Gain = b.ThroughputOn / b.ThroughputOff
+		if st.Batches > 0 {
+			b.MeanBatch = float64(st.Members) / float64(st.Batches)
+		}
+		if n := on.sat.Latencies.Count(); n > 0 {
+			b.SavedPerQuery = st.Saved / time.Duration(n)
+		}
+		batch.Points = append(batch.Points, b)
+	}
+	res.Rate, batch.Rate = sw.rate, sw.rate
+	return res, batch, nil
+}
+
+// shardTable prints the shard-count sweep.
+func shardTable(res ShardSweepResult) *Table {
 	t := &Table{
 		Title: "Extension: shard-count sweep (scatter-gather scaling)",
 		Columns: []Column{count("shards"), msec("isolated mean"), perSecond("throughput (q/s)", "q/s"), times("speedup", 2),
@@ -90,51 +144,9 @@ func runShardSweep(cfg Config) (ShardSweepResult, *Table, error) {
 	t.note("saturated columns: Poisson load far past the 1-shard drain rate; throughput = completed/makespan")
 	t.note("throughput grows monotonically but sublinearly: fixed per-kernel costs repeat on every shard")
 	t.note("per-query results are byte-identical across shard counts (global statistics preserved by the partitioner)")
-
-	var rate, base float64
-	for _, shards := range []int{1, 2, 4, 8} {
-		// Contention-free pass: fresh cluster, sequential searches.
-		iso, err := mkCluster(shards)
-		if err != nil {
-			return ShardSweepResult{}, nil, err
-		}
-		isoMean, err := meanLatency(sample, clusterSearch(iso))
-		iso.Close()
-		if err != nil {
-			return ShardSweepResult{}, nil, err
-		}
-		p := ShardSweepPoint{Shards: shards, IsolatedMean: isoMean}
-
-		if rate == 0 {
-			// Calibrate the saturating load off the 1-shard mean: deep
-			// overload so completed/makespan measures drain capacity.
-			rate = 24 / p.IsolatedMean.Seconds()
-			res.Rate = rate
-		}
-
-		// Saturated pass: fresh cluster under the common Poisson load.
-		cl, err := mkCluster(shards)
-		if err != nil {
-			return ShardSweepResult{}, nil, err
-		}
-		r, err := loadsim.Drive(loadsim.ClusterTarget(cl), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
-		if err != nil {
-			cl.Close()
-			return ShardSweepResult{}, nil, err
-		}
-		cl.Close()
-		p.Throughput = float64(r.Latencies.Count()) / r.Makespan.Seconds()
-		p.Mean = r.Latencies.Mean()
-		p.P99 = r.Latencies.Percentile(99)
-		p.MaxShardMean = r.MaxShardMean
-		p.MergeMean = r.MergeMean
-		p.Utilization = r.GPUBusy
-		if base == 0 {
-			base = p.Throughput
-		}
-		res.Points = append(res.Points, p)
-		t.row(shards, p.IsolatedMean, p.Throughput, p.Throughput/base,
+	for _, p := range res.Points {
+		t.row(p.Shards, p.IsolatedMean, p.Throughput, p.Throughput/res.Points[0].Throughput,
 			p.Mean, p.P99, p.MaxShardMean, p.MergeMean, p.Utilization)
 	}
-	return res, t, nil
+	return t
 }

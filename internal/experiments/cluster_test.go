@@ -5,14 +5,22 @@ import (
 	"time"
 )
 
+// shardArms is the shard-count and batching sweeps' one run at the test
+// scale: both arms, which the two shape tests read.
+type shardArms struct {
+	shard ShardSweepResult
+	batch BatchSweepResult
+}
+
+var shardArmsSweep = onceAtTestScale(func(cfg Config) (shardArms, *Table, error) {
+	shard, batch, err := runShardArms(cfg, true)
+	return shardArms{shard, batch}, nil, err
+})
+
 func TestShardSweepScalingShape(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scale = 0.05
-	res, table, err := runShardSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, cfg, table)
+	run := shardArmsSweep(t)
+	res, table := run.res.shard, shardTable(run.res.shard)
+	checkGolden(t, run.cfg, table)
 	if len(res.Points) != 4 {
 		t.Fatalf("expected 4 sweep points, got %d", len(res.Points))
 	}

@@ -58,18 +58,7 @@ func runDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 	if err != nil {
 		return DeviceSweepResult{}, nil, err
 	}
-	sample := termsOf(queries, len(queries))
-
-	// Fresh device per engine: a shared one would leak timeline state
-	// (and cache contents) across configurations.
-	mkEngine := func(devices int) (*core.Engine, error) {
-		return core.New(c.Index, core.Config{
-			Mode: core.Hybrid, CPU: cfg.CPU,
-			Device:     gpu.New(hwmodel.DefaultGPU(), 0),
-			Devices:    devices,
-			CacheLists: true, CacheBytes: 1 << 30,
-		})
-	}
+	sw := scaling{sample: termsOf(queries, len(queries)), seed: cfg.Seed + 331}
 
 	res := DeviceSweepResult{}
 	t := &Table{
@@ -83,49 +72,28 @@ func runDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 	t.note("peer copies: cache misses served device-to-device over the modeled interconnect instead of host PCIe")
 	t.note("per-query results are byte-identical across device counts (placement moves work, never changes answers)")
 
-	var rate, base float64
 	for _, devices := range []int{1, 2, 4, 8} {
-		// Contention-free pass: fresh engine, sequential searches.
-		iso, err := mkEngine(devices)
+		// Fresh device per engine: a shared one would leak timeline state
+		// (and cache contents) across configurations.
+		pass, e, err := measure(&sw, func() (*core.Engine, error) {
+			return core.New(c.Index, core.Config{
+				Mode: core.Hybrid, CPU: cfg.CPU,
+				Device:     gpu.New(hwmodel.DefaultGPU(), 0),
+				Devices:    devices,
+				CacheLists: true, CacheBytes: 1 << 30,
+			})
+		}, engineSearch, loadsim.EngineTarget)
 		if err != nil {
 			return DeviceSweepResult{}, nil, err
 		}
-		isoMean, err := meanLatency(sample, engineSearch(iso))
-		iso.Close()
-		if err != nil {
-			return DeviceSweepResult{}, nil, err
-		}
-		p := DeviceSweepPoint{Devices: devices, IsolatedMean: isoMean}
-
-		if rate == 0 {
-			// Calibrate the saturating load off the 1-device mean: deep
-			// overload so completed/makespan measures drain capacity.
-			rate = 24 / p.IsolatedMean.Seconds()
-			res.Rate = rate
-		}
-
-		// Saturated pass: fresh engine under the common Poisson load.
-		e, err := mkEngine(devices)
-		if err != nil {
-			return DeviceSweepResult{}, nil, err
-		}
-		r, err := loadsim.Drive(loadsim.EngineTarget(e), sample, loadsim.Spec{ArrivalRate: rate, Seed: cfg.Seed + 331})
-		if err != nil {
-			e.Close()
-			return DeviceSweepResult{}, nil, err
-		}
-		p.Throughput = float64(r.Latencies.Count()) / r.Makespan.Seconds()
-		p.Mean = r.Latencies.Mean()
-		p.P99 = r.Latencies.Percentile(99)
-		p.Utilization = r.GPUBusy
-		p.PeerCopies = e.CacheStats().PeerCopies
+		p := DeviceSweepPoint{Devices: devices, IsolatedMean: pass.iso, Throughput: pass.throughput(),
+			Mean: pass.sat.Latencies.Mean(), P99: pass.sat.Latencies.Percentile(99),
+			Utilization: pass.sat.GPUBusy, PeerCopies: e.CacheStats().PeerCopies}
 		e.Close()
-		if base == 0 {
-			base = p.Throughput
-		}
 		res.Points = append(res.Points, p)
-		t.row(devices, p.IsolatedMean, p.Throughput, p.Throughput/base,
+		t.row(devices, p.IsolatedMean, p.Throughput, p.Throughput/res.Points[0].Throughput,
 			p.Mean, p.P99, p.Utilization, p.PeerCopies)
 	}
+	res.Rate = sw.rate
 	return res, t, nil
 }

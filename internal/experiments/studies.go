@@ -6,6 +6,7 @@ import (
 
 	"griffin/internal/cluster"
 	"griffin/internal/core"
+	"griffin/internal/loadsim"
 	"griffin/internal/workload"
 )
 
@@ -260,6 +261,63 @@ func meanLatency(sample [][]string, search func(terms []string) (time.Duration, 
 		sum += lat
 	}
 	return sum / time.Duration(len(sample)), nil
+}
+
+// scaling is what the shard, device and batching sweeps share: one sample
+// and one Poisson load over it. The rate is fixed at the first point
+// measured, at 24 / its isolated mean — overload deep enough that
+// completed/makespan measures drain capacity — and held for every later
+// point and arm, so each sees the same arrival process.
+type scaling struct {
+	sample [][]string
+	seed   int64
+	rate   float64
+}
+
+// sweepPass is one point of a scaling sweep: the contention-free mean and
+// the saturated pass's result.
+type sweepPass struct {
+	iso time.Duration
+	sat loadsim.Result
+}
+
+// throughput is the saturated drain rate: completed queries per second of
+// makespan.
+func (p sweepPass) throughput() float64 {
+	return float64(p.sat.Latencies.Count()) / p.sat.Makespan.Seconds()
+}
+
+// measure runs one point of sw on two fresh systems from build: the
+// sample one query at a time on the first, the common load on the second.
+// The second comes back open, for the caller to read its counters and
+// close.
+func measure[S interface{ Close() }](sw *scaling, build func() (S, error),
+	search func(S) func([]string) (time.Duration, error), target func(S) loadsim.Target) (sweepPass, S, error) {
+	var (
+		p    sweepPass
+		none S
+	)
+	iso, err := build()
+	if err != nil {
+		return p, none, err
+	}
+	p.iso, err = meanLatency(sw.sample, search(iso))
+	iso.Close()
+	if err != nil {
+		return p, none, err
+	}
+	if sw.rate == 0 {
+		sw.rate = 24 / p.iso.Seconds()
+	}
+	sat, err := build()
+	if err != nil {
+		return p, none, err
+	}
+	if p.sat, err = loadsim.Drive(target(sat), sw.sample, loadsim.Spec{ArrivalRate: sw.rate, Seed: sw.seed}); err != nil {
+		sat.Close()
+		return p, none, err
+	}
+	return p, sat, nil
 }
 
 // engineSearch and clusterSearch are meanLatency's search over an engine

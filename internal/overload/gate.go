@@ -7,24 +7,22 @@ import (
 )
 
 // Gate bounds the HTTP server's in-flight query count with a FIFO
-// waiter queue and a CoDel-style shed rule on wall-clock wait: requests
-// beyond MaxInflight wait their turn, and once the oldest waiter's age
-// has exceeded the target continuously for a full interval, new
-// arrivals are shed instead of queued. A nil *Gate admits everything
+// waiter queue and a Shedder fed the wall-clock wait: requests beyond
+// MaxInflight wait their turn, and once the oldest waiter's age has
+// exceeded the target continuously for a full interval, new arrivals
+// are shed instead of queued. A nil *Gate admits everything
 // immediately. Safe for concurrent use.
 type Gate struct {
-	max      int
-	target   time.Duration
-	interval time.Duration
-	now      func() time.Time
+	max  int
+	shed *Shedder
+	// The shedder's clock is the wall time since epoch.
+	epoch time.Time
+	now   func() time.Time
 
-	mu         sync.Mutex
-	inflight   int
-	waiters    []*waiter
-	above      bool
-	aboveSince time.Time
-	admitted   int64
-	sheds      int64
+	mu       sync.Mutex
+	inflight int
+	waiters  []*waiter
+	admitted int64
 }
 
 type waiter struct {
@@ -46,10 +44,7 @@ func NewGate(max int, target, interval time.Duration) *Gate {
 	if target <= 0 {
 		target = DefaultGateTarget
 	}
-	if interval <= 0 {
-		interval = 2 * target
-	}
-	return &Gate{max: max, target: target, interval: interval, now: time.Now}
+	return &Gate{max: max, shed: NewShedder(target, interval), epoch: time.Now(), now: time.Now}
 }
 
 // Enter blocks until a slot is free, the context is done, or the shed
@@ -61,30 +56,21 @@ func (g *Gate) Enter(ctx context.Context) error {
 	}
 	g.mu.Lock()
 	now := g.now()
-	if g.inflight < g.max && len(g.waiters) == 0 {
-		g.inflight++
-		g.admitted++
-		g.above = false
-		g.mu.Unlock()
-		return nil
-	}
-	// Queue is non-empty (or full): apply the CoDel rule to the oldest
-	// waiter's age before joining.
+	// The shedder sees the oldest waiter's age: zero when nobody waits,
+	// which ends any overage window.
 	age := time.Duration(0)
 	if len(g.waiters) > 0 {
 		age = now.Sub(g.waiters[0].since)
 	}
-	if age > g.target {
-		if !g.above {
-			g.above = true
-			g.aboveSince = now
-		} else if now.Sub(g.aboveSince) >= g.interval {
-			g.sheds++
-			g.mu.Unlock()
-			return ErrShed
-		}
-	} else {
-		g.above = false
+	if !g.shed.Offer(now.Sub(g.epoch), age) {
+		g.mu.Unlock()
+		return ErrShed
+	}
+	if g.inflight < g.max && len(g.waiters) == 0 {
+		g.inflight++
+		g.admitted++
+		g.mu.Unlock()
+		return nil
 	}
 	w := &waiter{ready: make(chan struct{}), since: now}
 	g.waiters = append(g.waiters, w)
@@ -163,7 +149,7 @@ func (g *Gate) Stats() GateStats {
 		Inflight:    g.inflight,
 		QueueDepth:  len(g.waiters),
 		Admitted:    g.admitted,
-		Sheds:       g.sheds,
+		Sheds:       g.shed.Stats().Sheds,
 	}
 	if len(g.waiters) > 0 {
 		st.OldestWait = g.now().Sub(g.waiters[0].since)

@@ -24,7 +24,8 @@
 // Everything except Gate runs on the cluster's modeled clock
 // (time.Duration positions supplied by the caller), so overload behavior
 // under a seeded workload is as deterministic as the workload itself.
-// Gate guards the HTTP server's wall-clock admission queue.
+// Gate guards the HTTP server's wall-clock admission queue and sheds
+// through a Shedder whose clock is wall time.
 package overload
 
 import (
