@@ -247,8 +247,8 @@ func main() {
 
 	ix, err := index.Open(o.indexPath)
 	exitOn(err)
-	// Read now: partitioned, ix is unreachable once the shards are built,
-	// and the collector frees its block rows.
+	// Read now: partitioned, ix is unreachable once the split ends, and
+	// the collector frees its block rows.
 	numDocs, numTerms := ix.NumDocs, ix.NumTerms()
 
 	var inj *fault.Injector
@@ -317,14 +317,28 @@ func main() {
 		// One shard serves the opened index itself: partitioning it into
 		// one shard would copy it.
 		ixs := []*index.Index{ix}
+		var part *workload.Partition
 		if o.shards > 1 {
-			ixs, err = workload.PartitionIndex(ix, o.shards)
+			// The split runs while the server listens: a query waits
+			// for its own terms' lists only.
+			part, err = workload.StartPartition(ix, o.shards)
 			exitOn(err)
+			ixs = part.Shards()
 		}
 		cl, err := cluster.New(ixs, ccfg)
 		exitOn(err)
 		defer cl.Close()
 		handler = server.NewCluster(cl)
+		if part != nil {
+			go func() {
+				// A shard whose split failed must not answer: exit as a
+				// failed start would.
+				exitOn(part.Wait())
+				st := part.Stats()
+				log.Printf("griffin-server: split into %d shards in %.3f s wall, %.3f s CPU; %d lookups waited for it, %.3f s in all",
+					o.shards, st.Wall.Seconds(), st.CPU.Seconds(), st.Waits, st.Waited.Seconds())
+			}()
+		}
 	}
 	log.Printf("griffin-server: %d docs, %d terms, mode=%s, %d shards x %d replicas (%s)%s, listening on %s",
 		numDocs, numTerms, mode, o.shards, o.replicas, routing, extra, o.addr)

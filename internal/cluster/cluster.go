@@ -332,14 +332,22 @@ func (c *Cluster) NumDocs() int {
 
 // NumTerms returns the corpus' distinct term count: the shard's
 // dictionary size at one shard, the union of the shards' dictionaries
-// otherwise.
+// otherwise. It does not wait for a split still filling the shards
+// (index.PendingTerms): the union is then the source's dictionary.
 func (c *Cluster) NumTerms() int {
-	if len(c.shards) == 1 {
-		return c.shards[0].replicas[0].engine().Index().NumTerms()
+	ixs := make([]*index.Index, len(c.shards))
+	for s, g := range c.shards {
+		ixs[s] = g.replicas[0].engine().Index()
+	}
+	if n, ok := index.PendingTerms(ixs); ok {
+		return n
+	}
+	if len(ixs) == 1 {
+		return ixs[0].NumTerms()
 	}
 	terms := make(map[string]struct{})
-	for _, g := range c.shards {
-		for _, t := range g.replicas[0].engine().Index().Terms() {
+	for _, ix := range ixs {
+		for _, t := range ix.Terms() {
 			terms[t] = struct{}{}
 		}
 	}

@@ -61,12 +61,13 @@ func runChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 		return ChaosSweepResult{}, nil, err
 	}
 	sample := termsOf(queries, len(queries))
+	// Every cluster serves one split: a cluster never writes to its shards.
+	ixs, err := workload.PartitionCorpus(c, 4)
+	if err != nil {
+		return ChaosSweepResult{}, nil, err
+	}
 
 	mkCluster := func(inj *fault.Injector, hardened bool, hedge time.Duration) (*cluster.Cluster, error) {
-		ixs, err := workload.PartitionCorpus(c, 4)
-		if err != nil {
-			return nil, err
-		}
 		clCfg := cluster.Config{
 			Engine:   core.Config{Mode: core.Hybrid, CPU: cfg.CPU},
 			TopK:     10,

@@ -6,6 +6,7 @@ import (
 	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/gpu"
+	"griffin/internal/index"
 	"griffin/internal/loadsim"
 	"griffin/internal/workload"
 )
@@ -81,12 +82,10 @@ func runShardArms(cfg Config, batching bool) (ShardSweepResult, BatchSweepResult
 		return ShardSweepResult{}, BatchSweepResult{}, err
 	}
 	sw := scaling{sample: termsOf(queries, len(queries)), seed: cfg.Seed + 331}
-	arm := func(shards int, batched bool) func() (*cluster.Cluster, error) {
+	// Every cluster of a shard count serves one split of the corpus: a
+	// cluster never writes to the shard indexes it is given.
+	arm := func(ixs []*index.Index, batched bool) func() (*cluster.Cluster, error) {
 		return func() (*cluster.Cluster, error) {
-			ixs, err := workload.PartitionCorpus(c, shards)
-			if err != nil {
-				return nil, err
-			}
 			ecfg := core.Config{Mode: core.Hybrid, CPU: cfg.CPU}
 			if batched {
 				ecfg.BatchWindow, ecfg.BatchMax = window, max
@@ -97,7 +96,11 @@ func runShardArms(cfg Config, batching bool) (ShardSweepResult, BatchSweepResult
 
 	res, batch := ShardSweepResult{}, BatchSweepResult{Window: window, Max: max}
 	for _, shards := range []int{1, 2, 4, 8} {
-		off, cl, err := measure(&sw, arm(shards, false), clusterSearch, loadsim.ClusterTarget)
+		ixs, err := workload.PartitionCorpus(c, shards)
+		if err != nil {
+			return ShardSweepResult{}, BatchSweepResult{}, err
+		}
+		off, cl, err := measure(&sw, arm(ixs, false), clusterSearch, loadsim.ClusterTarget)
 		if err != nil {
 			return ShardSweepResult{}, BatchSweepResult{}, err
 		}
@@ -110,7 +113,7 @@ func runShardArms(cfg Config, batching bool) (ShardSweepResult, BatchSweepResult
 			continue
 		}
 
-		on, cl, err := measure(&sw, arm(shards, true), clusterSearch, loadsim.ClusterTarget)
+		on, cl, err := measure(&sw, arm(ixs, true), clusterSearch, loadsim.ClusterTarget)
 		if err != nil {
 			return ShardSweepResult{}, BatchSweepResult{}, err
 		}

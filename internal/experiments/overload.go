@@ -81,12 +81,13 @@ func runOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 	}
 	sample := termsOf(queries, len(queries))
 	const shards, replicas = 2, 2
+	// Every cluster serves one split: a cluster never writes to its shards.
+	ixs, err := workload.PartitionCorpus(c, shards)
+	if err != nil {
+		return OverloadSweepResult{}, nil, err
+	}
 
 	mk := func(mode core.Mode, olc overload.Config, hedge time.Duration) (*cluster.Cluster, error) {
-		ixs, err := workload.PartitionCorpus(c, shards)
-		if err != nil {
-			return nil, err
-		}
 		return cluster.New(ixs, cluster.Config{
 			Engine:     core.Config{Mode: mode, CPU: cfg.CPU},
 			TopK:       10,

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"griffin/internal/ef"
 )
@@ -117,19 +118,30 @@ type Index struct {
 	// lensEnd is where in mapped the doc-length section ends and the
 	// first term record begins.
 	lensEnd int
+	// pending is set while ix is a shard of a ShardSet still being
+	// filled, and terms is not yet written.
+	pending atomic.Pointer[pendingShard]
 }
 
-// Lookup returns the posting list for term, if indexed.
+// Lookup returns the posting list for term, if indexed. On a shard of a
+// ShardSet still being filled it waits until term is published.
 func (ix *Index) Lookup(term string) (*PostingList, bool) {
+	if p := ix.pending.Load(); p != nil {
+		return p.lookup(term)
+	}
 	p, ok := ix.terms[term]
 	return p, ok
 }
 
 // NumTerms returns the dictionary size.
-func (ix *Index) NumTerms() int { return len(ix.terms) }
+func (ix *Index) NumTerms() int {
+	ix.settled()
+	return len(ix.terms)
+}
 
 // Terms returns all dictionary terms in sorted order.
 func (ix *Index) Terms() []string {
+	ix.settled()
 	out := make([]string, 0, len(ix.terms))
 	for t := range ix.terms {
 		out = append(out, t)
@@ -141,6 +153,7 @@ func (ix *Index) Terms() []string {
 // ListSizes returns the posting-list lengths of every term (the Figure 10
 // distribution input).
 func (ix *Index) ListSizes() []int {
+	ix.settled()
 	out := make([]int, 0, len(ix.terms))
 	for _, p := range ix.terms {
 		out = append(out, p.N)

@@ -20,7 +20,10 @@ import (
 //     the postings dealt to it: a region unmapped under a live page faults
 //     here;
 //   - a splice over a sealed shard page decodes to the postings it was
-//     given: it copies the page's rows and words before it writes.
+//     given: it copies the page's rows and words before it writes;
+//   - split again behind StartPartition, the lists read the same to
+//     lookups made in a fuzzed order from a fuzzed number of goroutines
+//     while the split runs (lookupsWhileSplitting).
 //
 // Run with `go test -fuzz=FuzzPartition ./internal/workload/`; the seed
 // corpus runs as a normal test.
@@ -33,7 +36,7 @@ func FuzzPartition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, lists, shards uint8) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + int(shards)%8
-		got, want := fuzzSplit(t, r, 1+int(lists)%3, n)
+		got, want := fuzzSplit(t, r, rand.New(rand.NewSource(^seed)), 1+int(lists)%3, n)
 
 		// Only the shards can keep their regions mapped now.
 		runtime.GC()
@@ -76,10 +79,11 @@ func FuzzPartition(f *testing.F) {
 }
 
 // fuzzSplit splits an index of lists fuzzed lists across n shards,
-// checks the split against the list-at-a-time split, and returns the
+// checks the split against the list-at-a-time split, waited for and
+// looked up while it runs in an order drawn from order, and returns the
 // shards and, per shard and term, the docIDs and frequencies dealt to it.
 // Nothing else it made is reachable once it returns.
-func fuzzSplit(t *testing.T, r *rand.Rand, lists, n int) ([]*index.Index, []map[string][2][]uint32) {
+func fuzzSplit(t *testing.T, r, order *rand.Rand, lists, n int) ([]*index.Index, []map[string][2][]uint32) {
 	t.Helper()
 	b := index.NewBuilder(index.CodecEF)
 	want := make([]map[string][2][]uint32, n)
@@ -104,11 +108,13 @@ func fuzzSplit(t *testing.T, r *rand.Rand, lists, n int) ([]*index.Index, []map[
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, ref := range refPartitionIndex(t, ix, n) {
-		if !sameContents(got[s], ref) {
+	ref := refPartitionIndex(t, ix, n)
+	for s := range ref {
+		if !sameContents(got[s], ref[s]) {
 			t.Fatalf("%d shards: shard %d differs from the list-at-a-time split's", n, s)
 		}
 	}
+	lookupsWhileSplitting(t, order, ix, ref)
 	return got, want
 }
 

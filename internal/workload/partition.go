@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"griffin/internal/ef"
 	"griffin/internal/index"
@@ -36,10 +37,10 @@ func ShardOf(docID uint32, shards int) int {
 }
 
 // PartitionIndex splits ix into shards document-partitioned sub-indexes
-// (ShardOf placement). Shard indexes keep the global docID space and
-// global collection statistics; they are in-memory views for cluster
-// serving, which WriteTo refuses to serialize (the file cannot carry
-// GlobalN or a stride).
+// (ShardOf placement): StartPartition, then Wait. Shard indexes keep the
+// global docID space and global collection statistics; they are
+// in-memory views for cluster serving, which WriteTo refuses to
+// serialize (the file cannot carry GlobalN or a stride).
 //
 // A shard's lists are encoded at stride shards (ef.List.Stride): a
 // block's docIDs are all one residue mod shards, so the block stores
@@ -49,7 +50,7 @@ func ShardOf(docID uint32, shards int) int {
 //
 // Each page of a shard list, its block rows and its words together, is
 // copied into one run of a region off the Go heap (an ef.Arena), sealed
-// read-only before PartitionIndex returns; what the heap keeps of a shard
+// read-only before Wait returns; what the heap keeps of a shard
 // is its page headers, about 2 B a block. Rows and words share the run,
 // so a page is never half in a region, and the rows hold no pointer, so
 // memory the collector does not scan can hold them. A region is unmapped
@@ -60,17 +61,61 @@ func ShardOf(docID uint32, shards int) int {
 // holds much more than one copy of the postings; reading ix again faults
 // them back in.
 func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
+	p, err := StartPartition(ix, shards)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Wait(); err != nil {
+		return nil, err
+	}
+	return p.Shards(), nil
+}
+
+// Partition is a split of one index into shards (PartitionIndex) that
+// runs behind StartPartition: its shards can serve at once, a lookup
+// waiting until its own term is split (index.ShardSet).
+type Partition struct {
+	set   *index.ShardSet
+	arena ef.Arena
+	start time.Time
+	wg    sync.WaitGroup
+	errs  []error      // per term: why its split failed
+	cpuNs atomic.Int64 // the workers' threads' CPU time
+
+	once  sync.Once
+	err   error
+	stats PartitionStats
+}
+
+// PartitionStats is what a finished partition cost.
+type PartitionStats struct {
+	// Wall runs from StartPartition until the shard lists are sealed;
+	// CPU is the CPU time of the threads that split them (0 where the
+	// platform does not report a thread's).
+	Wall, CPU time.Duration
+	// Waits counts the lookups that found their term not yet split, and
+	// Waited is how long they waited for it in all.
+	Waits  int
+	Waited time.Duration
+}
+
+// StartPartition starts splitting ix into shards, as PartitionIndex does,
+// and returns at once. Terms are split on GOMAXPROCS workers in the
+// order of the file, and each is published to the shards as its split
+// ends. ix must not change until Wait returns.
+func StartPartition(ix *index.Index, shards int) (*Partition, error) {
+	return startPartition(ix, shards, nil)
+}
+
+// startPartition is StartPartition with a hook each worker calls, when
+// it is set, before it splits term t: tests hold the split there.
+func startPartition(ix *index.Index, shards int, hold func(t int)) (*Partition, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("workload: shard count %d must be positive", shards)
 	}
-	terms := ix.Terms()
-	var arena ef.Arena
-
-	// Terms are independent, so they are split on GOMAXPROCS workers, each
-	// with its own splitter; perTerm keeps the results in term order, which
-	// makes the shard indexes the ones a single goroutine would build.
-	perTerm := make([][]*index.PostingList, len(terms))
-	errs := make([]error, len(terms))
+	p := &Partition{set: index.NewShardSet(ix, shards), start: time.Now()}
+	terms := p.set.Terms()
+	p.errs = make([]error, len(terms))
 	// A list's pages are released once it and both its neighbours in the
 	// file, which is in term order, have been split — failed or not, the
 	// pages read back from the file. Its release drops the pages it shares
@@ -85,19 +130,31 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 		}
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
 	for w := min(runtime.GOMAXPROCS(0), len(terms)); w > 0; w-- {
-		wg.Add(1)
+		p.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			sp := newSplitter(shards, &arena)
+			defer p.wg.Done()
+			// The thread is the worker's alone, so its CPU time is the
+			// split's.
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			cpu := threadCPU()
+			defer func() { p.cpuNs.Add(int64(threadCPU() - cpu)) }()
+			sp := newSplitter(shards, &p.arena)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= len(terms) {
 					return
 				}
+				if hold != nil {
+					hold(t)
+				}
 				pl, _ := ix.Lookup(terms[t])
-				perTerm[t], errs[t] = sp.split(pl)
+				if lists, err := sp.split(pl); err != nil {
+					p.errs[t] = err
+				} else {
+					p.set.Publish(t, lists)
+				}
 				done[t].Store(true)
 				release(t - 1)
 				release(t)
@@ -105,30 +162,43 @@ func PartitionIndex(ix *index.Index, shards int) ([]*index.Index, error) {
 			}
 		}()
 	}
-	wg.Wait()
+	return p, nil
+}
 
-	lists := make([][]*index.PostingList, shards)
-	for t := range terms {
-		if errs[t] != nil {
-			return nil, errs[t]
-		}
-		for s, spl := range perTerm[t] {
-			if spl != nil {
-				lists[s] = append(lists[s], spl)
+// Shards returns the shard indexes, shard s at index s. Until Wait
+// returns, a lookup on one waits for its term's split.
+func (p *Partition) Shards() []*index.Index { return p.set.Shards() }
+
+// Wait returns once every term is split and the shard lists are sealed,
+// with the first error in term order: a shard list that could not be
+// encoded, or a region that could not be sealed. A term whose split
+// failed is never published, so its lookups go on waiting: the shards of
+// a failed partition must not serve. Wait may be called from several
+// goroutines, and again.
+func (p *Partition) Wait() error {
+	p.once.Do(func() {
+		p.wg.Wait()
+		for _, err := range p.errs {
+			if err != nil {
+				p.err = err
+				break
 			}
 		}
-	}
-	if err := arena.Seal(); err != nil {
-		return nil, fmt.Errorf("workload: sealing shard lists: %w", err)
-	}
+		if p.err == nil {
+			if err := p.arena.Seal(); err != nil {
+				p.err = fmt.Errorf("workload: sealing shard lists: %w", err)
+			}
+		}
+		waits, waited := p.set.Waits()
+		p.stats = PartitionStats{Wall: time.Since(p.start), CPU: time.Duration(p.cpuNs.Load()), Waits: waits, Waited: waited}
+	})
+	return p.err
+}
 
-	// Global statistics: shard engines score against the whole
-	// collection, not their slice of it.
-	out := make([]*index.Index, shards)
-	for s := range out {
-		out[s] = index.Assemble(lists[s], ix.NumDocs, ix.DocLens, ix.AvgDocLen)
-	}
-	return out, nil
+// Stats waits for the partition (Wait) and returns what it cost.
+func (p *Partition) Stats() PartitionStats {
+	p.Wait()
+	return p.stats
 }
 
 // splitter splits posting lists across shards a block at a time: a source
@@ -180,6 +250,13 @@ func (sp *splitter) split(pl *index.PostingList) ([]*index.PostingList, error) {
 	}
 	mod, stages, freqs := sp.shard, sp.stages, &sp.freqs
 	for k := 0; k < pl.EF.NumBlocks() && err == nil; k++ {
+		// Every 512 blocks (64 K postings, about a millisecond) the
+		// worker yields: a server that splits behind its listener
+		// (StartPartition) answers in between, not a scheduler's time
+		// slice (10 ms) later.
+		if k&511 == 511 {
+			runtime.Gosched()
+		}
 		n := pl.EF.DecompressBlock(k, sp.ids[:])
 		pl.Freqs.DecodeBlock(k, freqs[:])
 		// A stage holds fewer than BlockSize postings between flushes, so
