@@ -1,6 +1,6 @@
 // Command griffin-search runs interactive or one-shot conjunctive queries
 // over a serialized Griffin index, reporting per-query simulated latency
-// and the scheduler's per-operation placement decisions. With -log it
+// and, with -trace, the physical plan the scheduler placed. With -log it
 // replays a query file (one query per line) and prints the latency
 // distribution — the §4.5 tail study over your own workload.
 //
@@ -31,7 +31,7 @@ func main() {
 	modeName := flag.String("mode", "griffin", "execution mode: cpu, gpu, or griffin")
 	topK := flag.Int("k", 10, "number of results")
 	compare := flag.Bool("compare", false, "run the query under all three modes and compare latencies")
-	trace := flag.Bool("trace", false, "print per-intersection scheduling decisions")
+	trace := flag.Bool("trace", false, "print the physical plan: one row per executed operator")
 	logFile := flag.String("log", "", "replay a query-log file (one query per line) and print the latency distribution")
 	flag.Parse()
 
@@ -75,9 +75,9 @@ func main() {
 			float64(res.Stats.CPUTime.Microseconds())/1000,
 			float64(res.Stats.GPUTime.Microseconds())/1000)
 		if *trace {
-			for _, op := range res.Stats.Ops {
-				fmt.Printf("  %-12s on %-3s ratio=%-8.1f %d x %d -> %d (%v)\n",
-					op.Stage, op.Where, op.Ratio, op.ShortLen, op.LongLen, op.OutLen, op.Took)
+			for _, op := range res.Stats.Plan {
+				fmt.Printf("  %-10s on %-3s %-12s %-10s in=%-8d out=%-8d at %-10v took %v (est %v)\n",
+					op.Kind, op.Where, op.Algo, op.Term, op.NIn, op.NOut, op.Start, op.Took, op.Est)
 			}
 		}
 		for rank, d := range res.Docs {

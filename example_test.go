@@ -27,8 +27,8 @@ func ExampleNewEngine() {
 	// matching docs: [0 1]
 }
 
-// ExampleEngine_Search shows the per-query scheduling trace Griffin
-// exposes: each intersection records where it ran and why.
+// ExampleEngine_Search shows the physical plan Griffin records for each
+// query: the intersection's record says where it ran and how.
 func ExampleEngine_Search() {
 	b := griffin.NewIndexBuilder()
 	// Two comparable lists and the ratio between them below 128: the
@@ -47,10 +47,14 @@ func ExampleEngine_Search() {
 
 	eng, _ := griffin.NewEngine(ix, griffin.Config{Mode: griffin.Hybrid, Device: griffin.NewDevice()})
 	res, _ := eng.Search([]string{"alpha", "gamma"})
-	op := res.Stats.Ops[0]
-	fmt.Printf("%s ratio<128=%v matches=%d\n", op.Where, op.Ratio < 128, op.OutLen)
+	for _, op := range res.Stats.Plan {
+		if op.Kind.String() == "intersect" {
+			fmt.Printf("%s %s matches=%d\n", op.Where, op.Algo, op.NOut)
+			break
+		}
+	}
 	// Output:
-	// GPU ratio<128=true matches=200
+	// GPU merge-path matches=200
 }
 
 // ExampleGenerateCorpus synthesizes a benchmark collection shaped like

@@ -78,12 +78,7 @@ func main() {
 		pl, _ := ix.Lookup(s.term)
 		fmt.Printf("%s=%d ", s.term, pl.Len())
 	}
-	fmt.Printf("\n\nscheduler trace (crossover ratio = 128, sticky migration):\n")
-	for _, op := range res.Stats.Ops {
-		fmt.Printf("  %-12s -> %-3s  ratio %7.1f  |short|=%-8d |long|=%-8d out=%-7d %v\n",
-			op.Stage, op.Where, op.Ratio, op.ShortLen, op.LongLen, op.OutLen, op.Took)
-	}
-	fmt.Printf("\nphysical plan (one line per executed operator; device operators of a step overlap):\n")
+	fmt.Printf("\n\nphysical plan (crossover ratio = 128, sticky migration; one line per executed operator;\ndevice operators of a step overlap):\n")
 	for _, op := range res.Stats.Plan {
 		algo := op.Algo.String()
 		if algo != "" {

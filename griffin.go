@@ -84,13 +84,10 @@ type Result = core.Result
 // QueryStats is the per-query simulated execution record.
 type QueryStats = core.QueryStats
 
-// OpTrace records one scheduled intersection of a query (QueryStats.Ops).
-type OpTrace = core.OpTrace
-
 // PlanRecord is one executed operator of a query's physical plan
-// (QueryStats.Plan): the finer-grained trace beneath OpTrace, covering
-// fetches, uploads, decompressions, intersections, migrations, scoring,
-// and top-k selection, each with its measured and estimated cost.
+// (QueryStats.Plan), the query's trace: fetches, uploads, decompressions,
+// intersections, migrations, scoring, and top-k selection, each with its
+// measured and estimated cost.
 type PlanRecord = core.PlanRecord
 
 // ScoredDoc pairs a document with its BM25 relevance score.

@@ -59,14 +59,16 @@ type Config struct {
 	// Routing picks the replica for each shard of a query (default
 	// RoundRobin).
 	Routing Routing
-	// Engine is the per-replica engine template. Engine.Device is
-	// ignored: every replica gets a private device (its own DeviceModel
-	// instance) and builds its own node from Engine.Streams, because a
-	// shard *is* a serving node in this layer. Engine.Devices and
-	// Engine.Placement pass through, so replicas can be multi-GPU nodes:
-	// a replica is then a (node, device-set) pair — the router picks the
-	// replica, the engine's placement policy picks the device — and the
-	// fault injector names each device's site "s<shard>r<replica>.g<dev>".
+	// Engine is the per-replica engine template. Engine.Device is not
+	// shared: every replica gets a private device of its model
+	// (hwmodel.DefaultGPU() when nil) and builds its own node from
+	// Engine.Streams, because a shard *is* a serving node in this layer.
+	// Engine.CPU also prices the gather-side merge (zero value =
+	// hwmodel.DefaultCPU()). Engine.Devices and Engine.Placement pass
+	// through, so replicas can be multi-GPU nodes: a replica is then a
+	// (node, device-set) pair — the router picks the replica, the
+	// engine's placement policy picks the device — and the fault
+	// injector names each device's site "s<shard>r<replica>.g<dev>".
 	// Engine.TopK is overridden by TopK so shard selections cover the
 	// cluster result size.
 	Engine core.Config
@@ -78,11 +80,6 @@ type Config struct {
 	// latency charges the full timeout for having waited. Zero disables
 	// timeouts.
 	ShardTimeout time.Duration
-	// CPU prices the gather-side merge (zero value = hwmodel.DefaultCPU()).
-	CPU hwmodel.CPUModel
-	// DeviceModel builds each replica's private simulated device (zero
-	// value = hwmodel.DefaultGPU()).
-	DeviceModel hwmodel.GPUModel
 
 	// Fault is the cluster's fault injector (nil = no injection, the
 	// zero-cost default). Each replica's device runtime gets the
@@ -164,15 +161,16 @@ func New(ixs []*index.Index, cfg Config) (*Cluster, error) {
 	if cfg.TopK <= 0 {
 		cfg.TopK = 10
 	}
-	if cfg.DeviceModel == (hwmodel.GPUModel{}) {
-		cfg.DeviceModel = hwmodel.DefaultGPU()
+	model := hwmodel.DefaultGPU()
+	if cfg.Engine.Device != nil {
+		model = *cfg.Engine.Device.Model()
 	}
 	return assemble(cfg, len(ixs), func(s int) (*core.Engine, error) {
 		ecfg := cfg.Engine
 		ecfg.TopK = cfg.TopK
 		ecfg.Device = nil
 		if ecfg.Mode != core.CPUOnly {
-			ecfg.Device = gpu.New(cfg.DeviceModel, 0)
+			ecfg.Device = gpu.New(model, 0)
 		}
 		return core.New(ixs[s], ecfg)
 	})
@@ -193,8 +191,8 @@ func OfEngine(eng *core.Engine) *Cluster {
 // assemble builds the cluster around engine(s), called once per replica
 // of each of the shards; cfg has Replicas and TopK resolved.
 func assemble(cfg Config, shards int, engine func(shard int) (*core.Engine, error)) (*Cluster, error) {
-	if cfg.CPU == (hwmodel.CPUModel{}) {
-		cfg.CPU = hwmodel.DefaultCPU()
+	if cfg.Engine.CPU == (hwmodel.CPUModel{}) {
+		cfg.Engine.CPU = hwmodel.DefaultCPU()
 	}
 	c := &Cluster{cfg: cfg}
 	olc := cfg.Overload
@@ -692,7 +690,7 @@ func (c *Cluster) Query(ctx context.Context, req Request) (*Result, error) {
 		}
 		var work hwmodel.CPUWork
 		docs, work = MergeTopK(parts, topK)
-		st.MergeTime = c.cfg.CPU.Time(work)
+		st.MergeTime = c.cfg.Engine.CPU.Time(work)
 	case len(parts) == 1:
 		// One shard has nothing to gather: its top-k is the answer, and
 		// the critical path is the shard's own.

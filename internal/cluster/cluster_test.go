@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"griffin/internal/core"
+	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/workload"
 )
@@ -137,7 +138,7 @@ func TestClusterAllShardsFailedReturnsError(t *testing.T) {
 	model := hwmodel.DefaultGPU()
 	model.MemoryBytes = 16
 	cl, err := New(ixs, Config{
-		Engine: core.Config{Mode: core.GPUOnly}, TopK: 10, DeviceModel: model,
+		Engine: core.Config{Mode: core.GPUOnly, Device: gpu.New(model, 0)}, TopK: 10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func (c *Cluster) worstMergeCost() time.Duration {
 		parts[s] = docs
 	}
 	_, work := MergeTopK(parts, c.cfg.TopK)
-	return c.cfg.CPU.Time(work)
+	return c.cfg.Engine.CPU.Time(work)
 }
 
 // OverloadStats is the cluster's overload-control snapshot, the /statz

@@ -28,7 +28,7 @@ func TestAllShardsFailedReportsFirstErr(t *testing.T) {
 	model := hwmodel.DefaultGPU()
 	model.MemoryBytes = 16 // every upload fails (resource error, no fallback)
 	cl, err := New(ixs, Config{
-		Engine: core.Config{Mode: core.GPUOnly}, TopK: 10, DeviceModel: model,
+		Engine: core.Config{Mode: core.GPUOnly, Device: gpu.New(model, 0)}, TopK: 10,
 	})
 	if err != nil {
 		t.Fatal(err)

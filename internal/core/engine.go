@@ -261,11 +261,6 @@ func (e *Engine) TopK() int { return e.cfg.TopK }
 // Mode returns the engine's placement mode.
 func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
-// OpTrace records one intersection's placement and outcome — the
-// scheduler visibility the examples and experiments inspect. It is the
-// exec layer's trace type re-exported for engine callers.
-type OpTrace = exec.OpTrace
-
 // QueryStats aggregates one query's simulated execution (the exec
 // layer's record, including the full physical-plan trace in Plan).
 type QueryStats = exec.QueryStats

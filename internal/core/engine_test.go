@@ -59,6 +59,17 @@ func docIDsOf(r *Result) []uint32 {
 	return out
 }
 
+// intersects returns the plan's intersection records in execution order.
+func intersects(plan []PlanRecord) []PlanRecord {
+	var out []PlanRecord
+	for _, rec := range plan {
+		if rec.Kind == exec.OpIntersect {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 func TestModesAgreeOnResults(t *testing.T) {
 	c := testCorpus(t)
 	cpuE, gpuE, hybE := newEngines(t, c)
@@ -215,14 +226,15 @@ func TestHybridMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Stats.Ops) != 2 {
-		t.Fatalf("expected 2 intersections, got %d", len(res.Stats.Ops))
+	ops := intersects(res.Stats.Plan)
+	if len(ops) != 2 {
+		t.Fatalf("expected 2 intersections, got %d", len(ops))
 	}
-	if res.Stats.Ops[0].Where != sched.GPU {
-		t.Fatalf("first op on %v, want GPU (ratio %.1f)", res.Stats.Ops[0].Where, res.Stats.Ops[0].Ratio)
+	if ops[0].Where != sched.GPU {
+		t.Fatalf("first intersection on %v, want GPU (short side %d)", ops[0].Where, ops[0].NIn)
 	}
-	if res.Stats.Ops[1].Where != sched.CPU {
-		t.Fatalf("second op on %v, want CPU (ratio %.1f)", res.Stats.Ops[1].Where, res.Stats.Ops[1].Ratio)
+	if ops[1].Where != sched.CPU {
+		t.Fatalf("second intersection on %v, want CPU (short side %d)", ops[1].Where, ops[1].NIn)
 	}
 	if !res.Stats.Migrated {
 		t.Fatal("Migrated flag not set")
@@ -248,9 +260,9 @@ func TestHybridAllCPUWhenFirstRatioHigh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range res.Stats.Ops {
+	for i, op := range intersects(res.Stats.Plan) {
 		if op.Where != sched.CPU {
-			t.Fatalf("op %s on %v, want CPU", op.Stage, op.Where)
+			t.Fatalf("intersection %d on %v, want CPU", i, op.Where)
 		}
 	}
 	if res.Stats.GPUTime != 0 {

@@ -11,9 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
+	"griffin/internal/exec"
 	"griffin/internal/gpu"
 	"griffin/internal/hwmodel"
 	"griffin/internal/sched"
@@ -22,10 +25,13 @@ import (
 
 // The golden-equivalence corpus pins the engine's observable behaviour —
 // top-k results (exact score bits), candidate counts, migration flags, and
-// the per-intersection scheduler trace — for a seeded corpus and query log
-// across all four execution modes. The goldens were generated from the
-// pre-plan-refactor engine (the four search* monoliths); the refactored
-// plan-builder/executor pipeline must reproduce them bit for bit.
+// one row per intersection (placement, operand sizes, ratio, output size,
+// time; a GPU row spans its whole step) — for a seeded corpus and query
+// log across all four execution modes. The goldens were generated from
+// the pre-plan-refactor engine (the four search* monoliths); the
+// refactored plan-builder/executor pipeline must reproduce them bit for
+// bit. The rows are derived from the query's plan alone (goldenOps), so
+// the corpus also pins that the plan determines them.
 //
 // Regenerate (only when intentionally changing the modeled timeline) with:
 //
@@ -131,18 +137,55 @@ func goldenRecord(res *Result) goldenQuery {
 	for _, d := range res.Docs {
 		g.Docs = append(g.Docs, goldenDoc{DocID: d.DocID, ScoreBits: math.Float32bits(d.Score)})
 	}
-	for _, op := range res.Stats.Ops {
-		g.Ops = append(g.Ops, goldenOp{
-			Stage:    op.Stage,
-			Where:    op.Where.String(),
-			Ratio:    op.Ratio,
-			ShortLen: op.ShortLen,
-			LongLen:  op.LongLen,
-			OutLen:   op.OutLen,
-			TookNS:   int64(op.Took),
-		})
-	}
+	g.Ops = goldenOps(res.Stats.Plan)
 	return g
+}
+
+// goldenOps reads the golden's rows off the plan alone, so the golden
+// also pins that the plan determines them. The golden's log has only
+// multi-term queries, so there is one row per intersection. The lists'
+// lengths are the fetches' NOut in SvS order (ascending), and row i's
+// long side is list i+1. A CPU row took its record's Took. A device
+// record ends on the device clock at Start less the host time billed
+// before it plus Took, and the host joins the device after every GPU
+// intersect and every migrate. A GPU row took the clock's advance from
+// the previous join to its end.
+func goldenOps(plan []PlanRecord) []goldenOp {
+	var lens []int
+	for _, rec := range plan {
+		if rec.Kind == exec.OpFetch {
+			lens = append(lens, rec.NOut)
+		}
+	}
+	slices.Sort(lens)
+	var ops []goldenOp
+	var host, joined time.Duration
+	for _, rec := range plan {
+		end := rec.Start - host + rec.Took
+		if rec.Kind == exec.OpIntersect {
+			long := lens[len(ops)+1]
+			took := rec.Took
+			if rec.Where == sched.GPU {
+				took = end - joined
+			}
+			ops = append(ops, goldenOp{
+				Stage:    fmt.Sprintf("intersect#%d", len(ops)),
+				Where:    rec.Where.String(),
+				Ratio:    sched.Ratio(rec.NIn, long),
+				ShortLen: rec.NIn,
+				LongLen:  long,
+				OutLen:   rec.NOut,
+				TookNS:   int64(took),
+			})
+		}
+		switch {
+		case rec.Where == sched.CPU:
+			host += rec.Took
+		case rec.Kind == exec.OpIntersect || rec.Kind == exec.OpMigrate:
+			joined = end
+		}
+	}
+	return ops
 }
 
 func TestGoldenEquivalence(t *testing.T) {

@@ -60,9 +60,9 @@ func TestPerQueryNeverMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range res.Stats.Ops {
+	for i, op := range intersects(res.Stats.Plan) {
 		if op.Where != sched.GPU {
-			t.Fatalf("per-query placement moved op %s to %v", op.Stage, op.Where)
+			t.Fatalf("per-query placement moved intersection %d to %v", i, op.Where)
 		}
 	}
 	if res.Stats.Migrated {

@@ -103,8 +103,7 @@ func (b *builder) Next(st State) []Op {
 	sl, ll := min(shortLen, long.N), max(shortLen, long.N)
 	return append(ops, Op{
 		Kind: OpIntersect, Where: sched.CPU, Algo: AlgoCPUAdaptive,
-		Short: short, Long: ListOperand(long),
-		Ratio: sched.Ratio(sl, ll), ShortLen: sl, LongLen: ll,
+		Short: short, Long: ListOperand(long), ShortLen: sl, LongLen: ll,
 	})
 }
 
@@ -118,14 +117,12 @@ func (b *builder) single() []Op {
 		return []Op{
 			{Kind: OpUpload, Where: sched.GPU, Arg: ListOperand(pl), Cacheable: true},
 			{Kind: OpDecompress, Where: sched.GPU, Arg: ListOperand(pl), LongLen: pl.N},
-			{Kind: OpMigrate, Where: sched.GPU, Arg: ListOperand(pl), Final: true,
-				Ratio: 1, ShortLen: pl.N, LongLen: pl.N},
+			{Kind: OpMigrate, Where: sched.GPU, Arg: ListOperand(pl), Final: true, ShortLen: pl.N},
 		}
 	}
 	return []Op{{
 		Kind: OpIntersect, Where: sched.CPU, Algo: AlgoCPUDecode,
-		Short: ListOperand(pl), Long: ListOperand(pl),
-		Ratio: 1, ShortLen: pl.N, LongLen: pl.N,
+		Short: ListOperand(pl), Long: ListOperand(pl), ShortLen: pl.N, LongLen: pl.N,
 	}}
 }
 
@@ -138,20 +135,19 @@ func (b *builder) single() []Op {
 // its uploads are small relative to the short side's decompression, so
 // caching them would evict hotter merge-path lists.
 func gpuIntersectOps(short Operand, long *index.PostingList, shortLen int, crossover float64) []Op {
-	ratio := sched.Ratio(shortLen, long.N)
-	if ratio < crossover {
+	if sched.Ratio(shortLen, long.N) < crossover {
 		return []Op{
 			{Kind: OpUpload, Where: sched.GPU, Arg: ListOperand(long), Cacheable: true},
 			{Kind: OpDecompress, Where: sched.GPU, Arg: ListOperand(long), LongLen: long.N},
 			{Kind: OpIntersect, Where: sched.GPU, Algo: AlgoMergePath,
 				Short: short, Long: Operand{List: long, OnDevice: true},
-				Ratio: ratio, ShortLen: shortLen, LongLen: long.N},
+				ShortLen: shortLen, LongLen: long.N},
 		}
 	}
 	return []Op{
 		{Kind: OpUpload, Where: sched.GPU, Arg: ListOperand(long)},
 		{Kind: OpIntersect, Where: sched.GPU, Algo: AlgoBinarySkips,
 			Short: short, Long: Operand{List: long, OnDevice: true},
-			Ratio: ratio, ShortLen: shortLen, LongLen: long.N},
+			ShortLen: shortLen, LongLen: long.N},
 	}
 }

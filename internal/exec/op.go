@@ -150,14 +150,7 @@ type Op struct {
 	// Final marks the end-of-plan drain Migrate: it does not set the
 	// Migrated flag and skips the transfer when the intermediate is empty.
 	Final bool
-	// Ratio, ShortLen and LongLen are the operand geometry the cost hook
-	// prices and the legacy intersection trace (QueryStats.Ops) reports.
-	// The executor traces every Intersect and the single-term drain (a
-	// Migrate of a posting list); on the GPU the entry's Took spans
-	// everything since the previous trace boundary — upload,
-	// decompression, and kernels of the whole step — matching how the
-	// paper's prototype accounts a scheduled operation.
-	Ratio             float64
+	// ShortLen and LongLen are the operand geometry the cost hook prices.
 	ShortLen, LongLen int
 }
 

@@ -265,7 +265,7 @@ type devEntry struct {
 
 // runner is the executor's per-query state: the running intermediate
 // (host slice or device IntersectResult), device-buffer ownership, and
-// the device-clock watermark that splits GPU time between trace entries.
+// the device clock at the last join, from which GPUTime advances.
 type runner struct {
 	ctx     *Context
 	streams *gpu.StreamSet
@@ -407,31 +407,8 @@ func (r *runner) gpuModel() *hwmodel.GPUModel {
 
 var fallbackGPU = hwmodel.DefaultGPU()
 
-// traceOp appends a legacy intersection trace entry (QueryStats.Ops).
-func (r *runner) traceOp(op *Op, outLen int, took time.Duration) {
-	r.stats.Ops = append(r.stats.Ops, OpTrace{
-		Stage:    fmt.Sprintf("intersect#%d", len(r.stats.Ops)),
-		Where:    op.Where,
-		Ratio:    op.Ratio,
-		ShortLen: op.ShortLen,
-		LongLen:  op.LongLen,
-		OutLen:   outLen,
-		Took:     took,
-	})
-}
-
-// traceStep joins the streams and emits the legacy trace entry of a
-// device operator, spanning the makespan of everything issued since the
-// previous join — upload, decompression and kernels of the whole step, as
-// the paper's prototype accounts a scheduled operation.
-func (r *runner) traceStep(op *Op, outLen int) {
-	before := r.last
-	r.traceOp(op, outLen, r.settle()-before)
-}
-
 // exec issues one operator, advancing the query's timeline and emitting
-// its plan record (and, for intersections and the single-term drain, the
-// legacy trace entry).
+// its plan record.
 func (r *runner) exec(op *Op) error {
 	rec := OpRecord{Kind: op.Kind, Algo: op.Algo, Where: op.Where, Est: op.Estimate(&r.ctx.CPU, r.gpuModel())}
 
@@ -555,7 +532,6 @@ func (r *runner) intersectCPU(op *Op, rec *OpRecord) error {
 	rec.NIn, rec.NOut = op.ShortLen, len(step.IDs)
 	rec.Took = r.ctx.CPU.Time(step.Work)
 	r.recordCPU(*rec)
-	r.traceOp(op, len(step.IDs), rec.Took)
 	return nil
 }
 
@@ -595,7 +571,7 @@ func (r *runner) intersectGPU(op *Op, rec *OpRecord) error {
 	rec.NIn, rec.NOut = op.ShortLen, out.Count
 	r.record(*rec)
 	// The host reads the match count before it plans the next step.
-	r.traceStep(op, out.Count)
+	r.settle()
 	return nil
 }
 
@@ -641,13 +617,7 @@ func (r *runner) migrate(op *Op, rec *OpRecord) error {
 	r.onDevice = false
 	r.started = true
 	r.record(*rec)
-	// The host consumes the drained intermediate next. Single-term device
-	// plans trace the drain as their one operation, spanning the whole
-	// upload+decompress+transfer step.
-	if op.Arg.List != nil {
-		r.traceStep(op, len(r.hostIDs))
-	} else {
-		r.settle()
-	}
+	// The host consumes the drained intermediate next.
+	r.settle()
 	return nil
 }

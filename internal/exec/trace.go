@@ -6,26 +6,13 @@ import (
 	"griffin/internal/sched"
 )
 
-// OpTrace records one intersection's placement and outcome — the
-// scheduler-visibility record the examples and experiments inspect
-// (one entry per scheduled intersection, as in the paper's prototype).
-type OpTrace struct {
-	Stage    string
-	Where    sched.Processor
-	Ratio    float64
-	ShortLen int
-	LongLen  int
-	OutLen   int
-	Took     time.Duration
-}
-
-// OpRecord is one executed operator of a physical plan — the
-// finer-grained trace beneath OpTrace. Every operator the executor runs
-// (including uploads, decompressions, migrations, scoring, and top-k)
-// produces one record, so the records replay the query's full resource
-// timeline: summing Took over the host records reproduces CPUTime, and
-// summing it over the device records gives GPUTime plus
-// QueryStats.Overlapped, the device work that ran side by side.
+// OpRecord is one executed operator of a physical plan — the query's
+// trace. Every operator the executor runs (including uploads,
+// decompressions, migrations, scoring, and top-k) produces one record, so
+// the records replay the query's full resource timeline: summing Took
+// over the host records reproduces CPUTime, and summing it over the
+// device records gives GPUTime plus QueryStats.Overlapped, the device
+// work that ran side by side.
 type OpRecord struct {
 	// Kind and Algo identify the operator.
 	Kind OpKind
@@ -40,7 +27,8 @@ type OpRecord struct {
 	// interconnect from a sibling device's cache instead of the host
 	// PCIe path (multi-GPU nodes only).
 	Peer bool
-	// Term is the fetched term (OpFetch only).
+	// Term is the posting list's term (Fetch, and the Upload and
+	// Decompress of a list; empty for operators on the intermediate).
 	Term string
 	// NIn and NOut are the element counts entering and leaving the
 	// operator (for Intersect, NIn is the short side).
@@ -107,8 +95,6 @@ type QueryStats struct {
 	Fault string
 	// Candidates is the final intersection size entering ranking.
 	Candidates int
-	// Ops traces each intersection.
-	Ops []OpTrace
 	// Plan traces every executed operator of the physical plan.
 	Plan []OpRecord
 }

@@ -71,7 +71,6 @@ func runChaosSweep(cfg Config) (ChaosSweepResult, *Table, error) {
 		clCfg := cluster.Config{
 			Engine:   core.Config{Mode: core.Hybrid, CPU: cfg.CPU},
 			TopK:     10,
-			CPU:      cfg.CPU,
 			Replicas: 2,
 			Routing:  cluster.LeastPending,
 			Fault:    inj,

@@ -90,7 +90,7 @@ func runShardArms(cfg Config, batching bool) (ShardSweepResult, BatchSweepResult
 			if batched {
 				ecfg.BatchWindow, ecfg.BatchMax = window, max
 			}
-			return cluster.New(ixs, cluster.Config{Engine: ecfg, TopK: 10, CPU: cfg.CPU})
+			return cluster.New(ixs, cluster.Config{Engine: ecfg, TopK: 10})
 		}
 	}
 

@@ -91,7 +91,6 @@ func runOverloadSweep(cfg Config) (OverloadSweepResult, *Table, error) {
 		return cluster.New(ixs, cluster.Config{
 			Engine:     core.Config{Mode: mode, CPU: cfg.CPU},
 			TopK:       10,
-			CPU:        cfg.CPU,
 			Replicas:   replicas,
 			Routing:    cluster.LeastPending,
 			HedgeDelay: hedge,

@@ -248,7 +248,7 @@ func (h *QueryStream) Waited() time.Duration {
 func (h *QueryStream) Device() int { return h.rt.index }
 
 // Submit runs one unkeyed work item on the given engine — SubmitOp
-// without batch participation (warmup preloads and legacy callers).
+// without batch participation (ingest prices its merges with it).
 func (h *QueryStream) Submit(class EngineClass, fn func(*Stream) error) error {
 	_, err := h.SubmitOp(class, "", fn)
 	return err

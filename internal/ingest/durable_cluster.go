@@ -27,7 +27,7 @@ import (
 // Stats().WAL, never replayed.
 func OpenCluster(seed *index.Index, cfg ClusterConfig) (*Cluster, error) {
 	return openCluster(seed, cfg.Shards, cfg.SplitWatermark, cfg.Cluster, Config{
-		Engine:         core.Config{CPU: cfg.Cluster.CPU},
+		Engine:         core.Config{CPU: cfg.Cluster.Engine.CPU},
 		Fault:          cfg.Cluster.Fault,
 		MergeThreshold: cfg.MergeThreshold, AutoMerge: cfg.AutoMerge,
 		WALDir: cfg.WALDir, WALSyncEvery: cfg.WALSyncEvery, CheckpointEvery: cfg.CheckpointEvery,

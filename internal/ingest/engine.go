@@ -109,9 +109,5 @@ func New(ix *index.Index, cfg Config) (*Cluster, error) {
 // cfg.WALDir set, recovers it from the directory as OpenCluster does.
 // With cfg.WALDir empty, Open is exactly New.
 func Open(ix *index.Index, cfg Config) (*Cluster, error) {
-	serving := cluster.Config{Engine: cfg.Engine, TopK: cfg.Engine.TopK, CPU: cfg.Engine.CPU}
-	if cfg.Engine.Device != nil {
-		serving.DeviceModel = *cfg.Engine.Device.Model()
-	}
-	return openCluster(ix, 1, 0, serving, cfg)
+	return openCluster(ix, 1, 0, cluster.Config{Engine: cfg.Engine, TopK: cfg.Engine.TopK}, cfg)
 }

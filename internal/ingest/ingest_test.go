@@ -36,7 +36,7 @@ func engineResult(r *ClusterResult) *core.Result {
 }
 
 // golden renders what a quiesced engine must repeat of a fresh one's
-// answer: docs, candidates, migration, waits, latency, op trace and plan.
+// answer: docs, candidates, migration, waits, latency and plan.
 // BatchID is a device-lifetime counter, deliberately left out: the live
 // engine's devices served merge traffic before the quiesced queries ran.
 func golden(r *core.Result) string {
@@ -44,8 +44,8 @@ func golden(r *core.Result) string {
 	for i := range plan {
 		plan[i].BatchID = 0
 	}
-	return fmt.Sprintf("docs=%v cand=%d migrated=%v wait=%v lat=%v ops=%+v plan=%+v",
-		bitsOf(r.Docs), r.Stats.Candidates, r.Stats.Migrated, r.Stats.GPUWait, r.Stats.Latency, r.Stats.Ops, plan)
+	return fmt.Sprintf("docs=%v cand=%d migrated=%v wait=%v lat=%v plan=%+v",
+		bitsOf(r.Docs), r.Stats.Candidates, r.Stats.Migrated, r.Stats.GPUWait, r.Stats.Latency, plan)
 }
 
 // checkGolden holds a drained live engine's answers to a fresh engine's.
