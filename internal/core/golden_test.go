@@ -99,6 +99,7 @@ type goldenOp struct {
 
 type goldenQuery struct {
 	Terms      []string    `json:"terms"`
+	K          int         `json:"k,omitempty"`
 	Candidates int         `json:"candidates"`
 	Migrated   bool        `json:"migrated"`
 	Docs       []goldenDoc `json:"docs"`
@@ -142,15 +143,30 @@ func goldenRecord(res *Result) goldenQuery {
 }
 
 // goldenOps reads the golden's rows off the plan alone, so the golden
-// also pins that the plan determines them. The golden's log has only
-// multi-term queries, so there is one row per intersection. The lists'
-// lengths are the fetches' NOut in SvS order (ascending), and row i's
-// long side is list i+1. A CPU row took its record's Took. A device
-// record ends on the device clock at Start less the host time billed
-// before it plus Took, and the host joins the device after every GPU
-// intersect and every migrate. A GPU row took the clock's advance from
-// the previous join to its end.
-func goldenOps(plan []PlanRecord) []goldenOp {
+// also pins that the plan determines them. A multi-term query has one
+// row per intersection: the lists' lengths are the fetches' NOut in SvS
+// order (ascending), and row i's long side is list i+1. A single-term
+// query has one "single" row: its host decode, or its device drain (the
+// migrate that brings the decompressed list home). A CPU row took its
+// record's Took. A device record ends on the device clock at Start less
+// the host time billed before it plus Took, and the host joins the device
+// after every GPU intersect and every migrate. A GPU row took the clock's
+// advance from the previous join to its end.
+func goldenOps(plan []PlanRecord) []goldenOp { return mutatedGoldenOps(plan, intact) }
+
+// goldenMutation names a deliberate defect of goldenOps. The edge golden
+// must catch each one (TestGoldenEdgesCatchMutations).
+type goldenMutation int
+
+const (
+	intact goldenMutation = iota
+	// noDrainRow leaves out a single-term query's device drain row.
+	noDrainRow
+	// noMigrateJoin forgets that the host joins the device after a migrate.
+	noMigrateJoin
+)
+
+func mutatedGoldenOps(plan []PlanRecord, m goldenMutation) []goldenOp {
 	var lens []int
 	for _, rec := range plan {
 		if rec.Kind == exec.OpFetch {
@@ -158,18 +174,24 @@ func goldenOps(plan []PlanRecord) []goldenOp {
 		}
 	}
 	slices.Sort(lens)
+	single := len(lens) == 1
 	var ops []goldenOp
 	var host, joined time.Duration
 	for _, rec := range plan {
 		end := rec.Start - host + rec.Took
-		if rec.Kind == exec.OpIntersect {
-			long := lens[len(ops)+1]
+		if rec.Kind == exec.OpIntersect || single && rec.Kind == exec.OpMigrate && m != noDrainRow {
+			stage, long := fmt.Sprintf("intersect#%d", len(ops)), lens[len(lens)-1]
+			if single {
+				stage = "single"
+			} else {
+				long = lens[len(ops)+1]
+			}
 			took := rec.Took
 			if rec.Where == sched.GPU {
 				took = end - joined
 			}
 			ops = append(ops, goldenOp{
-				Stage:    fmt.Sprintf("intersect#%d", len(ops)),
+				Stage:    stage,
 				Where:    rec.Where.String(),
 				Ratio:    sched.Ratio(rec.NIn, long),
 				ShortLen: rec.NIn,
@@ -181,7 +203,7 @@ func goldenOps(plan []PlanRecord) []goldenOp {
 		switch {
 		case rec.Where == sched.CPU:
 			host += rec.Took
-		case rec.Kind == exec.OpIntersect || rec.Kind == exec.OpMigrate:
+		case rec.Kind == exec.OpIntersect || rec.Kind == exec.OpMigrate && m != noMigrateJoin:
 			joined = end
 		}
 	}
@@ -222,37 +244,45 @@ func TestGoldenEquivalence(t *testing.T) {
 		got.Modes[name] = rows
 	}
 
+	checkGoldenFile(t, goldenPath, &got)
+}
+
+// checkGoldenFile holds got to the corpus at path, or rewrites the corpus
+// under -update-goldens. Regeneration refuses any difference but the
+// took_ns of GPU-placed ops.
+func checkGoldenFile(t *testing.T, path string, got *goldenFile) {
+	t.Helper()
 	if *updateGoldens {
-		if data, err := readGolden(goldenPath); err == nil {
+		if data, err := readGolden(path); err == nil {
 			var committed goldenFile
 			if err := json.Unmarshal(data, &committed); err != nil {
 				t.Fatal(err)
 			}
-			if semantic, _ := diffGoldenFiles(&got, &committed); len(semantic) > 0 {
+			if semantic, _ := diffGoldenFiles(got, &committed); len(semantic) > 0 {
 				for _, m := range semantic {
 					t.Error(m)
 				}
 				t.Fatalf("refusing to rewrite %s: %d fields other than the took_ns of GPU-placed ops differ from the committed corpus",
-					goldenPath, len(semantic))
+					path, len(semantic))
 			}
 		} else if !os.IsNotExist(err) {
 			t.Fatalf("read committed goldens: %v", err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		data, err := json.MarshalIndent(&got, "", " ")
+		data, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeGolden(goldenPath, data); err != nil {
+		if err := writeGolden(path, data); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d modes x %d queries)", goldenPath, len(got.Modes), len(queries))
+		t.Logf("wrote %s (%d modes)", path, len(got.Modes))
 		return
 	}
 
-	data, err := readGolden(goldenPath)
+	data, err := readGolden(path)
 	if err != nil {
 		t.Fatalf("read goldens (regenerate with -update-goldens): %v", err)
 	}
@@ -260,7 +290,7 @@ func TestGoldenEquivalence(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	semantic, timing := diffGoldenFiles(&got, &want)
+	semantic, timing := diffGoldenFiles(got, &want)
 	for _, m := range semantic {
 		t.Errorf("semantic: %s", m)
 	}
@@ -305,8 +335,8 @@ func sortedModes(f *goldenFile) []string {
 // change can move — is semantic.
 func diffGolden(mode string, qi int, got, want goldenQuery) (semantic, timing []string) {
 	at := fmt.Sprintf("%s q%d %v", mode, qi, want.Terms)
-	if !reflect.DeepEqual(got.Terms, want.Terms) {
-		semantic = append(semantic, fmt.Sprintf("%s: terms %v", at, got.Terms))
+	if !reflect.DeepEqual(got.Terms, want.Terms) || got.K != want.K {
+		semantic = append(semantic, fmt.Sprintf("%s: terms %v k %d", at, got.Terms, got.K))
 	}
 	if got.Candidates != want.Candidates {
 		semantic = append(semantic, fmt.Sprintf("%s: candidates %d != golden %d", at, got.Candidates, want.Candidates))

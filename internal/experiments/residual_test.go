@@ -84,14 +84,6 @@ func TestEstimateResiduals(t *testing.T) {
 				t.Errorf("%v: %v %v %v has no residual band", mode, k.kind, k.algo, k.where)
 				continue
 			}
-			if mode == core.CPUOnly && k.algo == exec.AlgoCPUAdaptive {
-				// Pinned exception, a max of 18.5: the skip arm prices select
-				// probes, but SkipSearch decodes candidate blocks once the
-				// short list holds 2 or more elements per long block, and
-				// CPU-only runs the comparable-length steps Griffin sends to
-				// the GPU.
-				b.max = 19
-			}
 			if med < b.medLo || med > b.medHi || hi > b.max {
 				t.Errorf("%v: %v %v %v Took/Est median %.3f, max %.3f; band [%.2f, %.2f], max %.2f",
 					mode, k.kind, k.algo, k.where, med, hi, b.medLo, b.medHi, b.max)

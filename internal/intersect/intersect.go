@@ -1,8 +1,10 @@
 // Package intersect implements the CPU-side list-intersection algorithms
 // of §2.1.2/§2.2: block-wise sorted merge for comparable-length lists, and
-// skip-pointer binary search ("CPU binary") that decompresses only
-// candidate blocks when the length difference is large — the behaviour
-// that makes the CPU win at high length ratios (Figure 8).
+// skip-pointer binary search ("CPU binary") that touches only candidate
+// blocks when the length difference is large, reading them in place with
+// Elias-Fano select — the behaviour that makes the CPU win at high length
+// ratios (Figure 8). Both switches, merge to skip search in Pair and
+// decode to select inside SkipSearch, sit at DefaultSkipThreshold.
 //
 // Every function returns both the matches and the hwmodel.CPUWork counts
 // that drive the simulated-latency model: the algorithms do the real work,
@@ -114,90 +116,109 @@ func Merge(a, b index.BlockList) Result {
 // skip array), then the candidate block is probed (Figure 2's "fast locate
 // the required blocks"; the λ > 128 block-skipping effect of Figure 9).
 //
-// The in-block strategy adapts to probe density:
+// The in-block arm follows the same DefaultSkipThreshold rule that routes
+// Pair:
 //
-//   - sparse probes (fewer short elements than ~2 per long block — the
-//     high-ratio regime of Figure 8) use Elias-Fano select to read single
-//     elements of the compressed block in place, so the bulk of the long
-//     list is never decoded;
-//   - dense probes (the comparable-length regime of Figure 13's "CPU
-//     binary") decode each candidate block once, cache it, and binary
-//     search the decoded values — per-block decode amortizes across the
-//     many probes landing in it, but the decode volume approaches the
-//     whole list, which is why the paper finds CPU binary slowest there.
+//   - at a length ratio of 16 or more, with a long list that has random
+//     access, Elias-Fano select reads single elements of the compressed
+//     block in place (skipSelect). There a long block holds at most 8
+//     probes on average, and a probe's binary search selects ~7 elements
+//     where decoding the block reads 128. Every call Pair makes lands here;
+//   - below 16x — reached only by a caller that forces a skip search on
+//     comparable lengths, Figure 13's "CPU binary" — each candidate block
+//     is decoded once and binary searched (skipDecode): the decode volume
+//     approaches the whole list, which is why the paper finds CPU binary
+//     slowest there. A long list without random access always decodes.
 func SkipSearch(short, long index.BlockList) Result {
-	var res Result
-	var bufS, bufL [index.BlockSize]uint32
-	nBlocks := long.NumBlocks()
-	if nBlocks == 0 || short.Len() == 0 {
-		// Still bill the short-list scan that discovers emptiness.
-		return res
+	if ra, ok := long.(index.RandomAccess); ok && long.Len() >= DefaultSkipThreshold*short.Len() {
+		return skipSelect(short, long, ra)
 	}
+	return skipDecode(short, long)
+}
 
-	ra, hasRA := long.(index.RandomAccess)
-	useSelect := hasRA && short.Len() < 2*nBlocks
+// skipSelect is SkipSearch's select arm: it binary searches each candidate
+// block in place through ra, one select probe per element read.
+func skipSelect(short, long index.BlockList, ra index.RandomAccess) Result {
+	var res Result
+	skipWalk(short, long, &res, func(blk int, v uint32) bool {
+		lo, hi := 0, long.BlockLen(blk)
+		for lo < hi {
+			res.Work.SelectProbes++
+			mid := (lo + hi) / 2
+			switch x := ra.Get(blk, mid); {
+			case x < v:
+				lo = mid + 1
+			case x > v:
+				hi = mid
+			default:
+				return true
+			}
+		}
+		return false
+	})
+	return res
+}
 
-	curBlock := -1 // decompressed long block cached across probes (decode path)
+// skipDecode is SkipSearch's decode arm: it decodes each candidate block
+// once, keeps it across the consecutive probes that land in it, and binary
+// searches the decoded values.
+func skipDecode(short, long index.BlockList) Result {
+	var res Result
+	var buf [index.BlockSize]uint32
+	cur := -1
 	var lv []uint32
-	hint := 0 // galloping seek position in the skip array
+	skipWalk(short, long, &res, func(blk int, v uint32) bool {
+		if blk != cur {
+			n := long.DecompressBlock(blk, buf[:])
+			chargeDecode(long, n, &res.Work)
+			lv = buf[:n]
+			cur = blk
+		}
+		lo, hi := 0, len(lv)
+		for lo < hi {
+			res.Work.BinaryProbes++
+			mid := (lo + hi) / 2
+			switch {
+			case lv[mid] < v:
+				lo = mid + 1
+			case lv[mid] > v:
+				hi = mid
+			default:
+				return true
+			}
+		}
+		return false
+	})
+	return res
+}
 
+// skipWalk decodes the short list block by block, routes each element v to
+// its candidate long block through the skip pointers, and appends v to
+// res.IDs when probe(blk, v) finds it there. It bills the short list's
+// decode and the skip-array probes; probe bills its own in-block work.
+func skipWalk(short, long index.BlockList, res *Result, probe func(blk int, v uint32) bool) {
+	if long.NumBlocks() == 0 {
+		return
+	}
+	var buf [index.BlockSize]uint32
+	first := long.BlockFirst(0)
+	hint := 0 // galloping seek position in the skip array
 	for sb := 0; sb < short.NumBlocks(); sb++ {
-		sn := short.DecompressBlock(sb, bufS[:])
-		chargeDecode(short, sn, &res.Work)
-		for _, v := range bufS[:sn] {
-			if long.BlockFirst(0) > v {
+		n := short.DecompressBlock(sb, buf[:])
+		chargeDecode(short, n, &res.Work)
+		for _, v := range buf[:n] {
+			if first > v {
 				res.Work.CachedProbes++
 				continue // v precedes every long-list element
 			}
 			blk, probes := seekBlock(long, v, hint)
 			res.Work.CachedProbes += int64(probes)
 			hint = blk
-
-			if useSelect {
-				// Probe the compressed block in place via EF select.
-				blo, bhi := 0, long.BlockLen(blk)
-				for blo < bhi {
-					res.Work.SelectProbes++
-					mid := (blo + bhi) / 2
-					x := ra.Get(blk, mid)
-					switch {
-					case x < v:
-						blo = mid + 1
-					case x > v:
-						bhi = mid
-					default:
-						res.IDs = append(res.IDs, v)
-						blo = bhi
-					}
-				}
-				continue
-			}
-
-			// Decode the candidate block once and binary search the
-			// decoded values (cached across consecutive probes).
-			if blk != curBlock {
-				n := long.DecompressBlock(blk, bufL[:])
-				chargeDecode(long, n, &res.Work)
-				lv = bufL[:n]
-				curBlock = blk
-			}
-			blo, bhi := 0, len(lv)
-			for blo < bhi {
-				res.Work.BinaryProbes++
-				mid := (blo + bhi) / 2
-				switch {
-				case lv[mid] < v:
-					blo = mid + 1
-				case lv[mid] > v:
-					bhi = mid
-				default:
-					res.IDs = append(res.IDs, v)
-					blo = bhi
-				}
+			if probe(blk, v) {
+				res.IDs = append(res.IDs, v)
 			}
 		}
 	}
-	return res
 }
 
 // seekBlock returns the index of the last block whose first docID is <= v,
@@ -265,8 +286,10 @@ func Pair(a, b index.BlockList, threshold int) Result {
 // intersecting lists of short <= long postings, from their lengths alone.
 // Below the threshold Merge decodes and scans both lists; at or above it
 // SkipSearch gallops ~4 cached skip probes and runs ~7 in-block select
-// probes per short element. exec.Op.Estimate and sched.CostPolicy price it
-// with CPUModel.Time.
+// probes per short element — its select arm, which it runs at every ratio
+// at or above the same threshold, so the estimate prices the arm every
+// adaptive call takes. exec.Op.Estimate and sched.CostPolicy price it with
+// CPUModel.Time.
 func EstimatePair(short, long int) hwmodel.CPUWork {
 	if long < DefaultSkipThreshold*short {
 		return hwmodel.CPUWork{

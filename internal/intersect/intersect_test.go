@@ -1,8 +1,12 @@
 package intersect
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -165,12 +169,24 @@ func TestPairChoosesAlgorithmByRatio(t *testing.T) {
 	if got.Work.CachedProbes == 0 || got.Work.SelectProbes == 0 {
 		t.Fatalf("sparse high-ratio Pair did not use select-based skip search: %+v", got.Work)
 	}
-	// High ratio but dense probes (more short elements than long blocks):
-	// skip search decodes candidate blocks instead of selecting.
-	short2, long2 := genWithOverlap(rng, 3_000, 3_000*DefaultSkipThreshold*2, 0.5)
-	got = Pair(efView(t, short2), efView(t, long2), 0)
-	if got.Work.CachedProbes == 0 || got.Work.BinaryProbes == 0 || got.Work.SelectProbes != 0 {
-		t.Fatalf("dense high-ratio Pair did not use decode-based skip search: %+v", got.Work)
+	// Dense probes (more short elements than long blocks) at exactly the
+	// threshold and at twice it: still select, and no long block decoded.
+	for _, ratio := range []int{DefaultSkipThreshold, 2 * DefaultSkipThreshold} {
+		short2, long2 := genWithOverlap(rng, 3_000, 3_000*ratio, 0.5)
+		got = Pair(efView(t, short2), efView(t, long2), 0)
+		if got.Work.SelectProbes == 0 || got.Work.BinaryProbes != 0 || got.Work.EFDecodedElems != int64(len(short2)) {
+			t.Fatalf("ratio %d: Pair did not probe the long list in place: %+v", ratio, got.Work)
+		}
+	}
+	// A forced skip search below the threshold (Figure 13's CPU binary on
+	// comparable lengths) decodes its candidate blocks.
+	short3, long3 := genWithOverlap(rng, 3_000, 3_000*DefaultSkipThreshold/2, 0.5)
+	got = SkipSearch(efView(t, short3), efView(t, long3))
+	if got.Work.BinaryProbes == 0 || got.Work.SelectProbes != 0 || got.Work.EFDecodedElems <= int64(len(short3)) {
+		t.Fatalf("8x SkipSearch did not decode candidate blocks: %+v", got.Work)
+	}
+	if !reflect.DeepEqual(got.IDs, refIntersect(short3, long3)) {
+		t.Fatal("8x SkipSearch result mismatch")
 	}
 	// Comparable lengths: merge profile (no probes).
 	a, b := genWithOverlap(rng, 1000, 1200, 0.3)
@@ -181,6 +197,128 @@ func TestPairChoosesAlgorithmByRatio(t *testing.T) {
 	if !reflect.DeepEqual(got.IDs, refIntersect(a, b)) {
 		t.Fatal("Pair result mismatch")
 	}
+}
+
+// checkArms holds Merge, both in-block arms of SkipSearch, SkipSearch and
+// Pair (both orientations) to want on short and long, with the short list
+// compressed and raw.
+func checkArms(t *testing.T, name string, short, long, want []uint32) {
+	t.Helper()
+	l := efView(t, long)
+	ra := l.(index.RandomAccess)
+	for _, s := range []index.BlockList{efView(t, short), index.RawView{IDs: short}} {
+		for arm, got := range map[string]Result{
+			"merge":      Merge(s, l),
+			"select":     skipSelect(s, l, ra),
+			"decode":     skipDecode(s, l),
+			"skipsearch": SkipSearch(s, l),
+			"pair":       Pair(s, l, 0),
+			"pair-swap":  Pair(l, s, 0),
+		} {
+			if !slices.Equal(got.IDs, want) {
+				t.Fatalf("%s: %s over %T %d x %d: got %d IDs %v, want %d %v",
+					name, arm, s, len(short), len(long), len(got.IDs), head(got.IDs), len(want), head(want))
+			}
+		}
+	}
+}
+
+func head(ids []uint32) []uint32 { return ids[:min(len(ids), 8)] }
+
+func TestSkipArmsMatchMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(86))
+	for ratio := 1; ratio <= 1024; ratio *= 2 {
+		for _, n := range []int{1, 40, 300} {
+			if n*ratio > 200_000 {
+				continue
+			}
+			for _, overlap := range []float64{0, 0.5, 1} {
+				short, long := genWithOverlap(rng, n, n*ratio, overlap)
+				checkArms(t, fmt.Sprintf("ratio %d n %d overlap %.1f", ratio, n, overlap),
+					short, long, refIntersect(short, long))
+			}
+		}
+	}
+
+	// The last block holds 37 of 677 postings: probes on its first and
+	// last elements, between them, and past the end of the list.
+	long := make([]uint32, 5*index.BlockSize+37)
+	for i := range long {
+		long[i] = uint32(100 + 3*i)
+	}
+	last := long[len(long)-1]
+	for _, tc := range []struct {
+		name        string
+		short, long []uint32
+		want        []uint32
+	}{
+		{"both empty", nil, nil, nil},
+		{"empty short", nil, long, nil},
+		{"empty long", []uint32{5}, nil, nil},
+		{"one and one, equal", []uint32{7}, []uint32{7}, []uint32{7}},
+		{"one and one, apart", []uint32{7}, []uint32{8}, nil},
+		{"one in a long list", []uint32{long[300]}, long, []uint32{long[300]}},
+		{"before the first block", []uint32{0, 1, 99, 100}, long, []uint32{100}},
+		{"last, partial block", []uint32{long[639], long[640], long[641] + 1, long[660], last, last + 1, last + 100},
+			long, []uint32{long[639], long[640], long[660], last}},
+		{"only past the end", []uint32{last + 1, last + 2}, long, nil},
+	} {
+		checkArms(t, tc.name, tc.short, tc.long, tc.want)
+	}
+}
+
+// FuzzSkipSearch builds a long list from gap bytes repeated up to 32
+// times and a short list that walks it — each byte advances an index by
+// up to 63 strides of 1 to 128 postings and lands on the posting there or
+// up to 3 below it, or past the end — and holds both in-block arms,
+// SkipSearch, Pair and Merge to a map-based reference intersection. Run
+// with `go test -fuzz=FuzzSkipSearch ./internal/intersect/`; the seed
+// corpus runs as a normal test.
+func FuzzSkipSearch(f *testing.F) {
+	f.Add([]byte{0, 4, 9}, []byte{1, 2, 3}, uint8(0))
+	f.Add([]byte{}, []byte{7}, uint8(3))
+	f.Add([]byte{1, 255, 4, 8, 255}, bytes.Repeat([]byte{2, 200, 0}, 50), uint8(31))
+	f.Add(bytes.Repeat([]byte{4}, 200), bytes.Repeat([]byte{0, 1}, 100), uint8(0x83))
+	f.Add(bytes.Repeat([]byte{252, 3}, 40), bytes.Repeat([]byte{9}, 300), uint8(0xff))
+	f.Fuzz(func(t *testing.T, shortSteps, longGaps []byte, shape uint8) {
+		if len(shortSteps) > 4096 || len(longGaps) > 2048 {
+			return
+		}
+		var long []uint32
+		cur := uint32(0)
+		for r := 0; r <= int(shape%32); r++ {
+			for _, g := range longGaps {
+				cur += uint32(g) + 1
+				long = append(long, cur)
+			}
+		}
+		stride := 1 << (shape >> 5)
+		var short []uint32
+		prev, idx := int64(-1), 0
+		for _, b := range shortSteps {
+			idx += int(b>>2) * stride
+			v := int64(cur) + int64(idx-len(long)) + 1
+			if idx < len(long) {
+				v = int64(long[idx]) - int64(b&3)
+			}
+			if v <= prev || v > math.MaxUint32 {
+				continue
+			}
+			short = append(short, uint32(v))
+			prev = v
+		}
+		in := make(map[uint32]bool, len(long))
+		for _, v := range long {
+			in[v] = true
+		}
+		var want []uint32
+		for _, v := range short {
+			if in[v] {
+				want = append(want, v)
+			}
+		}
+		checkArms(t, "fuzz", short, long, want)
+	})
 }
 
 func TestPairOrientationIrrelevant(t *testing.T) {
