@@ -111,6 +111,7 @@ import (
 	"griffin/internal/core"
 	"griffin/internal/fault"
 	"griffin/internal/gpu"
+	"griffin/internal/hwmodel"
 	"griffin/internal/index"
 	"griffin/internal/ingest"
 	"griffin/internal/overload"
@@ -278,6 +279,13 @@ func main() {
 	extra := ""
 	if o.devices > 1 {
 		extra += fmt.Sprintf(", %d devices (%s placement)", o.devices, o.placementName)
+	}
+	if mode != core.CPUOnly {
+		// Each device reserves its memory once, when it is created; no
+		// query pays for an allocation.
+		m := hwmodel.DefaultGPU()
+		extra += fmt.Sprintf(", each device reserves its %d MB at start (one modeled cudaMalloc, %v, charged to no query)",
+			m.MemoryBytes>>20, m.AllocTime(m.MemoryBytes))
 	}
 	if o.batchWindow > 0 {
 		extra += fmt.Sprintf(", batching window=%v max=%d", o.batchWindow, o.batchMax)

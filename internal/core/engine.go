@@ -109,7 +109,7 @@ type Config struct {
 	// compatible device ops (same engine class and batch key) from
 	// concurrently admitted queries whose submissions fall within this
 	// window of each other coalesce into one batched launch, paying the
-	// fixed launch/DMA/alloc costs once plus a per-member marginal cost
+	// fixed launch/DMA costs once plus a per-member marginal cost
 	// (hwmodel.GPUModel.BatchMemberOverhead). Per-query results are
 	// byte-identical to unbatched execution — batching moves simulated
 	// time, never bytes. Zero disables batching (the pre-batching
@@ -216,19 +216,10 @@ func newEngine(ix *index.Index, cfg Config, node *gpu.NodeRuntime) *Engine {
 	return e
 }
 
-// Close releases the device memory the engine holds: the list caches, and
-// the free blocks its queries left in the devices' memory pools, whose
-// sizes fit this engine's lists and nobody else's. A Successor sharing
-// the node (a live index swap) therefore starts, like a fresh build, from
-// an empty pool.
+// Close releases the device memory the engine's list caches hold.
 func (e *Engine) Close() {
 	for _, c := range e.caches {
 		c.drop()
-	}
-	if e.node != nil {
-		for d := 0; d < e.node.Devices(); d++ {
-			e.node.Runtime(d).Device().Trim()
-		}
 	}
 }
 

@@ -110,9 +110,7 @@ type goldenFile struct {
 	Modes map[string][]goldenQuery `json:"modes"`
 }
 
-// goldenModes builds one engine per mode, each on a device of its own: a
-// query's device time depends on which blocks the device's memory pool
-// already holds, so modes sharing a device would pin each other's history.
+// goldenModes builds one engine per mode, each on a device of its own.
 func goldenModes(t testing.TB, c *workload.Corpus) map[string]*Engine {
 	t.Helper()
 	out := make(map[string]*Engine)

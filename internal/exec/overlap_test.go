@@ -281,8 +281,8 @@ func checkOverlapInvariants(t *testing.T, at string, st QueryStats) {
 // every device-placing mode and every way a query can reach the device,
 // and checks the asynchronous executor against the serial reference: same
 // answers and the same physical plan operator by operator — each with the
-// same service time, since both sides pay the same pool misses — with only
-// the makespan shorter, by exactly Overlapped.
+// same service time — with only the makespan shorter, by exactly
+// Overlapped.
 func TestOverlapMatchesSerialReference(t *testing.T) {
 	c, err := workload.GenerateCorpus(workload.CorpusSpec{
 		NumDocs: 300_000, NumTerms: 60, MaxListLen: 80_000, MinListLen: 200,

@@ -39,7 +39,7 @@ type BatchSweepPoint struct {
 // steady interleaving of compatible ops (uploads, decompress and
 // intersect kernels of the same family) from concurrently admitted
 // queries. Unbatched, each op pays its full fixed costs — launch
-// overhead, DMA setup, cudaMalloc. The batching stage coalesces ops of
+// overhead and DMA setup. The batching stage coalesces ops of
 // one kernel family whose ready times fall within the window into one
 // launch, so the batch pays those fixed costs once and each extra member
 // only a small marginal overhead. Throughput rises by the share of
@@ -82,7 +82,7 @@ func batchTable(res BatchSweepResult) *Table {
 		Column{Name: "window", Unit: "ms", Clock: Count}.of(res.Window), count("max members").of(res.Max))
 	t.note("isolated columns: contention-free sequential queries — nothing concurrent to coalesce with, so batching is latency-neutral")
 	t.note("saturated columns: common Poisson load far past the 1-shard drain rate; throughput = completed/makespan")
-	t.note("gain = thr on / thr off: batching refunds the fixed per-op costs (launch, DMA setup, cudaMalloc) all but one batch member would repeat")
+	t.note("gain = thr on / thr off: batching refunds the fixed per-op costs (launch, DMA setup) all but one batch member would repeat")
 	t.note("mean batch and saved/query aggregate every replica device's BatchStats over the saturated batching-on pass")
 	t.note("results are byte-identical across both arms — batching moves only the simulated timeline")
 	for _, p := range res.Points {

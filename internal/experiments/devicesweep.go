@@ -73,8 +73,8 @@ func runDeviceSweep(cfg Config) (DeviceSweepResult, *Table, error) {
 	t.note("per-query results are byte-identical across device counts (placement moves work, never changes answers)")
 
 	for _, devices := range []int{1, 2, 4, 8} {
-		// Fresh device per engine: a shared one would leak timeline state
-		// (and cache contents) across configurations.
+		// Fresh device per engine: a shared one would hold the previous
+		// configuration's cached lists in its memory.
 		pass, e, err := measure(&sw, func() (*core.Engine, error) {
 			return core.New(c.Index, core.Config{
 				Mode: core.Hybrid, CPU: cfg.CPU,

@@ -20,9 +20,10 @@ type Study struct {
 	Run    func(cfg Config, s *Session) ([]*Table, error)
 }
 
-// Studies is the suite in run order — which is part of what it reports:
-// every study prices device work on cfg.Device, whose memory pool carries
-// from one study into the next. The shared-corpus studies are contiguous,
+// Studies is the suite in run order. Every study prices device work on
+// cfg.Device, which carries no timing from one study into the next (its
+// memory is reserved once, at creation), so a study's tables do not
+// depend on what ran before it. The shared-corpus studies are contiguous,
 // so a runner can let the Session go once it reaches the next study.
 var Studies = []Study{
 	{"table1", false, alone(runTable1)},

@@ -1,7 +1,7 @@
 // Cross-query batching: amortizing fixed per-op costs across queries.
 //
 // Every device op pays fixed costs — kernel launch overhead, DMA setup
-// latency, cudaMalloc overhead — that do not shrink with the op's size.
+// latency — that do not shrink with the op's size.
 // Under load those costs repeat for every query on every shard, which is
 // why saturated throughput scales sublinearly (the shard and device sweeps). Real GPU
 // retrieval systems answer with cross-query batching: compatible ops from

@@ -20,9 +20,9 @@
 // Device memory is explicit: data reaches the device through H2D, leaves
 // through D2H, both charged at modeled PCIe cost, and the 5 GB capacity of
 // the K20 is enforced — exactly the overheads the Griffin scheduler weighs
-// when it decides where a query operation should run. Allocations go
-// through the device's caching pool (pool.go), so only a pool miss pays
-// the modeled cudaMalloc.
+// when it decides where a query operation should run. Allocations carve
+// blocks out of the memory the device reserved when it was created
+// (pool.go), so no operation pays a modeled cudaMalloc.
 package gpu
 
 import (
@@ -44,7 +44,7 @@ type Device struct {
 
 	mu        sync.Mutex
 	allocated int64 // live bytes, as requested by callers
-	pool      pool
+	reserved  int64 // live bytes at their bucket sizes (pool.go)
 
 	workers int
 
@@ -71,8 +71,7 @@ func (d *Device) Model() *hwmodel.GPUModel { return &d.model }
 func (d *Device) Clone() *Device { return New(d.model, d.workers) }
 
 // Allocated returns the live device memory in bytes: what callers asked
-// for and have not freed. Blocks the pool retains are not counted (see
-// Reserved).
+// for and have not freed, before bucket rounding (see Reserved).
 func (d *Device) Allocated() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -90,10 +89,10 @@ type Stream struct {
 	dev     *Device
 	elapsed time.Duration
 	// fixed accumulates the *fixed* component of every charged operation —
-	// launch overhead, DMA setup latency, cudaMalloc overhead — separately
-	// from elapsed. It is what a cross-query batching stage can amortize: a
-	// work item coalesced into an already-open batch pays these costs once
-	// per batch instead of once per op (see DeviceRuntime.EnableBatching).
+	// launch overhead, DMA setup latency — separately from elapsed. It is
+	// what a cross-query batching stage can amortize: a work item
+	// coalesced into an already-open batch pays these costs once per batch
+	// instead of once per op (see DeviceRuntime.EnableBatching).
 	fixed time.Duration
 
 	// lane names the stream in profile reports; log is where its events go
@@ -127,30 +126,23 @@ type Buffer struct {
 	dev   *Device
 	Bytes int64
 	Data  any
-	block int64 // the pool block backing the buffer (Bytes rounded up)
+	block int64 // the arena block backing the buffer (Bytes rounded up)
 	freed bool
 }
 
-// Alloc takes bytes of device memory from the device's pool. A block
-// reused from the pool costs no device time; only a miss charges the
-// modeled cudaMalloc. The payload starts nil; kernels or copies fill it.
+// Alloc takes bytes of device memory from the device's arena. It costs
+// no device time: the memory was reserved when the device was created.
+// The payload starts nil; kernels or copies fill it.
 func (s *Stream) Alloc(bytes int64) (*Buffer, error) {
-	d := s.dev
-	block, miss, err := d.take(bytes)
+	block, err := s.dev.take(bytes)
 	if err != nil {
 		return nil, err
 	}
-	if miss {
-		took := d.model.AllocTime(bytes)
-		s.record("alloc", "", bytes, s.elapsed, took)
-		s.elapsed += took
-		s.fixed += d.model.AllocOverhead
-	}
-	return &Buffer{dev: d, Bytes: bytes, block: block}, nil
+	return &Buffer{dev: s.dev, Bytes: bytes, block: block}, nil
 }
 
-// H2D copies host data to a fresh device buffer, charging allocation plus
-// PCIe transfer for bytes.
+// H2D copies host data to a fresh device buffer, charging the PCIe
+// transfer for bytes.
 func (s *Stream) H2D(data any, bytes int64) (*Buffer, error) {
 	b, err := s.Alloc(bytes)
 	if err != nil {
@@ -176,9 +168,9 @@ func (s *Stream) D2H(b *Buffer, bytes int64) any {
 }
 
 // PeerIn copies data from a sibling device of the same node into a fresh
-// buffer on this stream's device, charging allocation plus peer-
-// interconnect transfer (hwmodel.GPUModel.PeerTransferTime) instead of
-// the host PCIe path — the priced alternative to re-uploading a list that
+// buffer on this stream's device, charging the peer-interconnect
+// transfer (hwmodel.GPUModel.PeerTransferTime) instead of the host PCIe
+// path — the priced alternative to re-uploading a list that
 // is already resident on another device. The source device's engines are
 // not occupied: the model charges the transfer to the destination query's
 // timeline only, which keeps per-device timelines independent (see
@@ -196,7 +188,7 @@ func (s *Stream) PeerIn(data any, bytes int64) (*Buffer, error) {
 	return b, nil
 }
 
-// Free returns the buffer's block to the device's pool and drops the
+// Free returns the buffer's block to the device's arena and drops the
 // payload. Freeing twice is a no-op.
 func (b *Buffer) Free() {
 	if b == nil || b.freed {

@@ -167,11 +167,11 @@ func TestNodePeerTransferPricing(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := model.AllocTime(bytes) + model.PeerTransferTime(bytes)
+	want := model.PeerTransferTime(bytes)
 	if peerElapsed != want {
-		t.Fatalf("PeerIn charged %v, want alloc+peer %v", peerElapsed, want)
+		t.Fatalf("PeerIn charged %v, want the peer transfer's %v", peerElapsed, want)
 	}
-	if hostPath := model.AllocTime(bytes) + model.TransferTime(bytes); peerElapsed >= hostPath {
+	if hostPath := model.TransferTime(bytes); peerElapsed >= hostPath {
 		t.Fatalf("peer path %v not cheaper than host path %v for %d bytes",
 			peerElapsed, hostPath, bytes)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"griffin/internal/hwmodel"
 )
@@ -15,75 +16,46 @@ func poolDevice(memory int64) *Device {
 	return New(m, 1)
 }
 
-// A pool miss pays the modeled cudaMalloc; a hit costs no device time and
-// adds nothing to the stream's batchable fixed costs.
-func TestPoolHitIsFreeMissPays(t *testing.T) {
+// The device's memory was reserved when it was created: Alloc costs no
+// device time and adds nothing to the stream's batchable fixed costs, on
+// a fresh device and on one whose arena is in use.
+func TestArenaAllocationIsFree(t *testing.T) {
 	d := poolDevice(1 << 20)
-	s := d.NewStream()
-	b, err := s.Alloc(1000)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		s := d.NewStream()
+		if _, err := s.Alloc(1000); err != nil {
+			t.Fatal(err)
+		}
+		if s.Elapsed() != 0 || s.fixed != 0 {
+			t.Fatalf("alloc #%d charged %v (fixed %v)", i, s.Elapsed(), s.fixed)
+		}
 	}
-	if got, want := s.Elapsed(), d.Model().AllocTime(1000); got != want {
-		t.Fatalf("miss charged %v, want %v", got, want)
-	}
-	if s.fixed != d.Model().AllocOverhead {
-		t.Fatalf("miss added %v to the fixed costs, want %v", s.fixed, d.Model().AllocOverhead)
-	}
-	b.Free()
-	if d.Allocated() != 0 || d.Reserved() != bucketSize(1000) {
-		t.Fatalf("after free: %d live, %d reserved", d.Allocated(), d.Reserved())
-	}
-
-	before, fixed := s.Elapsed(), s.fixed
-	// Same bucket, not the same size: 1000 and 990 both round to 1024.
-	b2, err := s.Alloc(990)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Elapsed() != before || s.fixed != fixed {
-		t.Fatalf("hit charged %v (fixed %v)", s.Elapsed()-before, s.fixed-fixed)
-	}
-	if d.Allocated() != 990 {
-		t.Fatalf("Allocated = %d, want the 990 live bytes", d.Allocated())
-	}
-	// The pooled block is in use: a second request of the bucket misses.
-	if _, err := s.Alloc(1000); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := s.Elapsed()-before, d.Model().AllocTime(1000); got != want {
-		t.Fatalf("second miss charged %v, want %v", got, want)
-	}
-	if st := d.PoolStats(); st.Hits != 1 || st.Misses != 2 || st.Trims != 0 || st.Reserved != 2*bucketSize(1000) {
-		t.Fatalf("stats %+v", st)
-	}
-	b2.Free()
-	b2.Free() // double free: a no-op
-	if st := d.PoolStats(); d.Allocated() != 1000 || st.Reserved != 2*bucketSize(1000) {
-		t.Fatalf("after double free: %d live, stats %+v", d.Allocated(), st)
+	if d.Allocated() != 2000 || d.Reserved() != 2*bucketSize(1000) {
+		t.Fatalf("two live blocks: %d live, %d reserved", d.Allocated(), d.Reserved())
 	}
 }
 
-// H2D and PeerIn allocate through the pool too: a repeat upload pays the
-// transfer only.
+// H2D and PeerIn allocate from the arena too: each charges its transfer
+// alone, the first time and every time.
 func TestPoolServesTransfers(t *testing.T) {
-	for name, copyIn := range map[string]func(*Stream) (*Buffer, error){
-		"h2d": func(s *Stream) (*Buffer, error) { return s.H2D(nil, 4096) },
-		"p2p": func(s *Stream) (*Buffer, error) { return s.PeerIn(nil, 4096) },
+	d := poolDevice(1 << 20)
+	m := d.Model()
+	for _, c := range []struct {
+		name        string
+		copyIn      func(*Stream) (*Buffer, error)
+		took, fixed time.Duration
+	}{
+		{"h2d", func(s *Stream) (*Buffer, error) { return s.H2D(nil, 4096) }, m.TransferTime(4096), m.PCIeLatency},
+		{"p2p", func(s *Stream) (*Buffer, error) { return s.PeerIn(nil, 4096) }, m.PeerTransferTime(4096), m.PeerLatency},
 	} {
-		d := poolDevice(1 << 20)
-		s := d.NewStream()
-		b, err := copyIn(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := s.Elapsed()
-		b.Free()
-		if _, err := copyIn(s); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := s.Elapsed()-first, first-d.Model().AllocTime(4096); got != want {
-			t.Errorf("%s: repeat transfer charged %v, want %v (the first's %v minus the cudaMalloc)", name, got, want, first)
+		for i := 0; i < 2; i++ {
+			s := d.NewStream()
+			if _, err := c.copyIn(s); err != nil {
+				t.Fatal(err)
+			}
+			if s.Elapsed() != c.took || s.fixed != c.fixed {
+				t.Fatalf("%s #%d: charged %v (fixed %v), want the transfer's %v (fixed %v)", c.name, i, s.Elapsed(), s.fixed, c.took, c.fixed)
+			}
 		}
 	}
 }
@@ -100,109 +72,96 @@ func TestPoolBucketRounding(t *testing.T) {
 	}
 }
 
-// Reserved bytes never exceed capacity: when free blocks stand in the way
-// of an allocation the pool releases them and retries, and only live
-// blocks can make it fail.
-func TestPoolTrimsBeforeOutOfMemory(t *testing.T) {
+// Capacity is enforced on the live blocks at their bucket sizes, and Free
+// gives a block's capacity back: an allocation fails exactly when the
+// live blocks leave no room for its bucket.
+func TestArenaOutOfMemoryOnLiveBuckets(t *testing.T) {
 	const capacity = 64 << 10
 	d := poolDevice(capacity)
 	s := d.NewStream()
 
-	// Stock the pool with 48 KB of free 16 KB blocks.
+	// 17 KB rounds to an 18 KB bucket: three of them hold 54 KB.
 	var bufs []*Buffer
 	for i := 0; i < 3; i++ {
-		b, err := s.Alloc(16 << 10)
+		b, err := s.Alloc(17 << 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bufs = append(bufs, b)
 	}
-	for _, b := range bufs {
-		b.Free()
+	if d.Allocated() != 51<<10 || d.Reserved() != 54<<10 {
+		t.Fatalf("three live blocks: %d live, %d reserved", d.Allocated(), d.Reserved())
 	}
-	if d.Allocated() != 0 || d.Reserved() != 48<<10 {
-		t.Fatalf("stocked pool: %d live, %d reserved", d.Allocated(), d.Reserved())
-	}
-
-	// 40 KB fits the device but not next to the pooled blocks: the pool
-	// gives them up, as a device with no pool would never have held them.
-	big, err := s.Alloc(40 << 10)
-	if err != nil {
-		t.Fatalf("allocation that fits an empty device failed: %v", err)
-	}
-	if st := d.PoolStats(); st.Trims != 1 || st.Reserved != 40<<10 {
-		t.Fatalf("after trim: %+v", st)
-	}
-	// The trimmed blocks are gone: the next 16 KB request is a miss again.
-	before := s.Elapsed()
-	small, err := s.Alloc(16 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Elapsed() == before {
-		t.Fatal("allocation after a trim was served from a released block")
-	}
-
-	// 56 KB live: nothing can be freed for another 16 KB.
-	if _, err := s.Alloc(16 << 10); !errors.Is(err, ErrOutOfMemory) {
+	// 10 KB and a byte of payload would fit next to 51 KB of payload, not
+	// in the 10 KB the buckets leave: its own bucket is 11 KB.
+	if _, err := s.Alloc(10<<10 + 1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
-	if st := d.PoolStats(); st.Trims != 1 || st.Reserved > capacity {
-		t.Fatalf("failed allocation moved the pool: %+v", st)
+	if d.Allocated() != 51<<10 || d.Reserved() != 54<<10 {
+		t.Fatalf("failed allocation moved the arena: %d live, %d reserved", d.Allocated(), d.Reserved())
 	}
-	big.Free()
-	small.Free()
-	if d.Allocated() != 0 {
-		t.Fatalf("leaked %d bytes", d.Allocated())
+	last, err := s.Alloc(10 << 10)
+	if err != nil {
+		t.Fatalf("allocation of the remaining capacity failed: %v", err)
+	}
+
+	// Free returns capacity: the freed bucket fits a request of its size.
+	bufs[0].Free()
+	bufs[0].Free() // double free: a no-op
+	if d.Reserved() != capacity-18<<10 {
+		t.Fatalf("after free: %d reserved", d.Reserved())
+	}
+	if _, err := s.Alloc(18 << 10); err != nil {
+		t.Fatalf("freed capacity not returned: %v", err)
+	}
+	if s.Elapsed() != 0 {
+		t.Fatalf("allocations charged %v", s.Elapsed())
+	}
+	for _, b := range append(bufs[1:], last) {
+		b.Free()
+	}
+	if d.Allocated() != 18<<10 || d.Reserved() != 18<<10 {
+		t.Fatalf("after freeing all but one: %d live, %d reserved", d.Allocated(), d.Reserved())
 	}
 }
 
-// Pool decisions are a pure function of the Alloc/Free call sequence:
-// replaying one sequence on two devices gives the same hits, misses,
-// trims and stream clock, which is what keeps replayed timelines
-// reproducible.
-func TestPoolDeterministic(t *testing.T) {
-	run := func() (PoolStats, []bool, int64) {
-		d := poolDevice(1 << 20)
-		s := d.NewStream()
-		rng := rand.New(rand.NewSource(5))
-		var live []*Buffer
-		var missed []bool
-		for i := 0; i < 2000; i++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				j := rng.Intn(len(live))
-				live[j].Free()
-				live = append(live[:j], live[j+1:]...)
-				continue
-			}
-			before := s.Elapsed()
-			b, err := s.Alloc(int64(rng.Intn(96 << 10)))
-			if err != nil {
-				if !errors.Is(err, ErrOutOfMemory) {
-					t.Fatal(err)
-				}
-				continue
-			}
-			live = append(live, b)
-			missed = append(missed, s.Elapsed() != before)
-			if r := d.Reserved(); r > 1<<20 || r < d.Allocated() {
-				t.Fatalf("step %d: reserved %d with %d live of %d", i, r, d.Allocated(), 1<<20)
-			}
+// Over a seeded sequence of Allocs and Frees, an allocation succeeds
+// exactly when the live blocks, each at its bucket size, leave room for
+// its bucket; Reserved is their sum; and the stream's clock never moves.
+func TestArenaRandomSequenceAccounting(t *testing.T) {
+	const capacity = 1 << 20
+	d := poolDevice(capacity)
+	s := d.NewStream()
+	rng := rand.New(rand.NewSource(5))
+	var live []*Buffer
+	var buckets int64
+	failed := 0
+	for i := 0; i < 2000; i++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(len(live))
+			buckets -= bucketSize(live[j].Bytes)
+			live[j].Free()
+			live = append(live[:j], live[j+1:]...)
+			continue
 		}
-		return d.PoolStats(), missed, int64(s.Elapsed())
-	}
-	st1, m1, c1 := run()
-	st2, m2, c2 := run()
-	if st1 != st2 || c1 != c2 || len(m1) != len(m2) {
-		t.Fatalf("replay diverged: %+v clock %d vs %+v clock %d", st1, c1, st2, c2)
-	}
-	for i := range m1 {
-		if m1[i] != m2[i] {
-			t.Fatalf("allocation %d: miss=%v on one replay, %v on the other", i, m1[i], m2[i])
+		n := int64(rng.Intn(96 << 10))
+		fits := buckets+bucketSize(n) <= capacity
+		b, err := s.Alloc(n)
+		if fits != (err == nil) || err != nil && !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("step %d: %d bytes with %d of %d reserved: err = %v", i, n, buckets, capacity, err)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		live = append(live, b)
+		buckets += bucketSize(n)
+		if d.Reserved() != buckets {
+			t.Fatalf("step %d: Reserved %d, live buckets %d", i, d.Reserved(), buckets)
 		}
 	}
-	if st1.Hits == 0 || st1.Misses == 0 || st1.Trims == 0 {
-		t.Fatalf("sequence exercised nothing: %+v", st1)
+	if s.Elapsed() != 0 || failed == 0 {
+		t.Fatalf("clock %v, %d failed allocations: the sequence must reach capacity and charge nothing", s.Elapsed(), failed)
 	}
 }
 
@@ -234,8 +193,7 @@ func TestPoolConcurrentAccounting(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := d.PoolStats()
-	if d.Allocated() != 0 || st.Reserved > capacity || st.Hits+st.Misses == 0 {
-		t.Fatalf("after concurrent load: %d live, %+v", d.Allocated(), st)
+	if d.Allocated() != 0 || d.Reserved() != 0 {
+		t.Fatalf("after concurrent load: %d live, %d reserved", d.Allocated(), d.Reserved())
 	}
 }

@@ -8,7 +8,7 @@ type ProfileEvent struct {
 	// the streams of a StreamSet ("copy-in", "compute", "copy-out"),
 	// "stream" for a standalone one.
 	Stream string
-	// Kind is "launch", "h2d", "d2h", "p2p", "alloc", or "wait".
+	// Kind is "launch", "h2d", "d2h", "p2p", or "wait".
 	Kind string
 	// Name is the kernel name for launches, empty otherwise.
 	Name string

@@ -20,10 +20,10 @@ func TestProfilingRecordsTimeline(t *testing.T) {
 	s.D2H(buf, 1024)
 
 	events := s.Profile()
-	if len(events) != 4 { // alloc (inside H2D) + h2d + launch + d2h
+	if len(events) != 3 { // h2d + launch + d2h: H2D's allocation costs nothing
 		t.Fatalf("got %d events: %+v", len(events), events)
 	}
-	wantKinds := []string{"alloc", "h2d", "launch", "d2h"}
+	wantKinds := []string{"h2d", "launch", "d2h"}
 	var prevEnd int64
 	for i, e := range events {
 		if e.Kind != wantKinds[i] {
@@ -37,8 +37,8 @@ func TestProfilingRecordsTimeline(t *testing.T) {
 		}
 		prevEnd = int64(e.Start + e.Took)
 	}
-	if events[2].Name != "probe" {
-		t.Fatalf("launch name %q", events[2].Name)
+	if events[1].Name != "probe" {
+		t.Fatalf("launch name %q", events[1].Name)
 	}
 	// The timeline must account for the whole stream clock.
 	last := events[len(events)-1]

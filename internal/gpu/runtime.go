@@ -33,8 +33,8 @@ const (
 	// CopyOutEngine serializes device-to-host PCIe traffic (downloads,
 	// migrations, result drains).
 	CopyOutEngine
-	// ComputeEngine runs kernels (and their device-side allocations) on
-	// one of the runtime's bounded compute lanes.
+	// ComputeEngine runs kernels on one of the runtime's bounded compute
+	// lanes.
 	ComputeEngine
 )
 
@@ -269,7 +269,7 @@ func (h *QueryStream) Submit(class EngineClass, fn func(*Stream) error) error {
 // covers its ready position and that holds no other op of this query
 // (batching is strictly cross-query): the batch leader pays full cost,
 // while followers are rebated the fixed component of their charged time
-// (launch/DMA/alloc overheads) minus the per-member marginal cost —
+// (launch/DMA overheads) minus the per-member marginal cost —
 // their kernels ride the leader's launch. The rebate shrinks both the
 // query's stream clock and the lane occupancy, which is where batched
 // throughput comes from; results are untouched. An empty key, a disabled
@@ -430,8 +430,8 @@ type RuntimeStats struct {
 	// Utilization is ComputeBusy over the compute lanes' total timeline
 	// capacity (Streams x Horizon), in [0,1].
 	Utilization float64
-	// Pool is the device's memory-pool telemetry.
-	Pool PoolStats
+	// Reserved is the device memory its live blocks occupy (Device.Reserved).
+	Reserved int64
 }
 
 // Stats returns a telemetry snapshot.
@@ -446,7 +446,7 @@ func (rt *DeviceRuntime) Stats() RuntimeStats {
 		CopyBusy:    rt.copyBusy,
 		Waited:      rt.waited,
 		Horizon:     rt.horizon,
-		Pool:        rt.dev.PoolStats(),
+		Reserved:    rt.dev.Reserved(),
 	}
 	if rt.active > 0 {
 		st.Backlog = rt.pendingLocked(rt.clock)

@@ -49,14 +49,12 @@ func runQueryOps(t *testing.T, h *QueryStream) time.Duration {
 
 // A query running alone through the runtime must reproduce the private-
 // stream clock exactly: no queueing delay, bit-identical elapsed time.
-// The reference runs on its own device so both sides start with a cold
-// memory pool; the runtime's later queries reuse the first one's block.
 func TestRuntimeContentionFreeParity(t *testing.T) {
 	dev := New(hwmodel.DefaultGPU(), 0)
 	rt := NewRuntime(dev, 1)
 
 	// Reference: the same ops on a raw private stream.
-	ref := dev.Clone().NewStream()
+	ref := dev.NewStream()
 	b, err := ref.H2D(make([]uint32, 1024), 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +67,6 @@ func TestRuntimeContentionFreeParity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		h := rt.Admit()
 		got, want := runQueryOps(t, h), ref.Elapsed()
-		if i > 0 {
-			want -= dev.Model().AllocTime(4096)
-		}
 		if got != want {
 			t.Fatalf("query %d: runtime clock %v != private stream %v", i, got, want)
 		}

@@ -106,7 +106,7 @@ func TestOverlapSubmitReadyIsPerStream(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := rt.Device().Model().AllocTime(4096) + rt.Device().Model().TransferTime(4096); up.at != want {
+	if want := rt.Device().Model().TransferTime(4096); up.at != want {
 		t.Fatalf("upload ended at %v, want %v: it must start at its own stream's clock, not behind the kernel (%v)", up.at, want, kernel)
 	}
 	if h.Waited() != 0 {

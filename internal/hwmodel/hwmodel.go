@@ -68,7 +68,10 @@ type GPUModel struct {
 	// LaunchOverhead is the fixed cost of one kernel launch (driver +
 	// dispatch). CUDA launch latency on Kepler-era parts is 5-10 us.
 	LaunchOverhead time.Duration
-	// AllocOverhead is the fixed cost of one cudaMalloc.
+	// AllocOverhead is the fixed cost of one cudaMalloc. A device makes
+	// one, when it is created: it reserves its whole memory then, and
+	// queries carve blocks out of it (gpu's arena), so the price is paid
+	// at start-up and charged to no query.
 	AllocOverhead time.Duration
 	// AllocPerByte models first-touch/allocation throughput.
 	AllocPerByte time.Duration
@@ -123,7 +126,7 @@ type GPUModel struct {
 	PeerBytesPerSec float64
 	// BatchMemberOverhead is the marginal fixed cost each additional
 	// member of a coalesced cross-query batch pays instead of the full
-	// per-op fixed costs (launch, DMA setup, cudaMalloc). When compatible
+	// per-op fixed costs (launch, DMA setup). When compatible
 	// ops from concurrently queued queries are packed into one grid /
 	// one DMA program, the followers skip the driver round trip and pay
 	// only the indexing prologue that routes their slice of the combined

@@ -368,8 +368,7 @@ func TestIntersectFusedModeledTimeMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The launch's own time: a pool miss on the output is not part of
-		// the curve.
+		// The launch's own time, without the uploads.
 		cur := point{total, mergePathGeometry(nA, total-nA, m).VT, float64(m.KernelTime(&res.Stats))}
 		aBuf.Free()
 		bBuf.Free()

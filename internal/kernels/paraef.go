@@ -84,7 +84,7 @@ func ParaEFDecompress(s *gpu.Stream, compressed *gpu.Buffer) (*gpu.Buffer, *hwmo
 // EstimateParaEF predicts the counters of ParaEFDecompress's launch over
 // an n-posting list from its length alone: one thread per element
 // streaming the compressed input in and the docIDs out, bandwidth-bound.
-// The output buffer comes from the device's pool, so no cudaMalloc is
+// The output buffer comes from the device's arena, so no allocation is
 // priced.
 func EstimateParaEF(n int) hwmodel.LaunchStats {
 	return hwmodel.LaunchStats{

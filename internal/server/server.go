@@ -652,10 +652,10 @@ type CacheStatsJSON struct {
 
 // DeviceStatsJSON reports one device runtime's state: how busy the
 // modeled GPU has been, how much queueing delay concurrent queries paid
-// for it, the backlog a query admitted now would face, and its memory
-// pool — allocations served from a free block (pool_hits) against the
-// ones that paid a cudaMalloc (pool_misses), the device memory the pool
-// holds (live plus free blocks) and how often it gave its free blocks up.
+// for it, the backlog a query admitted now would face, and the device
+// memory its live blocks occupy at their bucket sizes (pool_reserved_mb).
+// The device reserved all of its memory at start, so no query pays for
+// an allocation.
 type DeviceStatsJSON struct {
 	Streams        int     `json:"streams"`
 	ActiveQueries  int     `json:"active_queries"`
@@ -666,10 +666,7 @@ type DeviceStatsJSON struct {
 	QueueWaitMS    float64 `json:"queue_wait_ms"`
 	BacklogMS      float64 `json:"backlog_ms"`
 	TimelineSpanMS float64 `json:"timeline_span_ms"`
-	PoolHits       int64   `json:"pool_hits"`
-	PoolMisses     int64   `json:"pool_misses"`
 	PoolReservedMB float64 `json:"pool_reserved_mb"`
-	PoolTrims      int64   `json:"pool_trims"`
 }
 
 // ShardStatsJSON is one shard replica's telemetry row.
@@ -690,7 +687,7 @@ type ShardStatsJSON struct {
 
 // BatchingJSON reports the cross-query batching stage: its window/size
 // configuration plus lifetime coalescing telemetry. saved_us is simulated
-// device time the combined launches did not spend (fixed launch/DMA/alloc
+// device time the combined launches did not spend (fixed launch/DMA
 // costs rebated to batch followers); window_flushes and size_flushes
 // split batch closings by cause.
 type BatchingJSON struct {
@@ -737,10 +734,7 @@ func deviceJSON(st gpu.RuntimeStats) DeviceStatsJSON {
 		QueueWaitMS:    ms(st.Waited),
 		BacklogMS:      ms(st.Backlog),
 		TimelineSpanMS: ms(st.Horizon),
-		PoolHits:       st.Pool.Hits,
-		PoolMisses:     st.Pool.Misses,
-		PoolReservedMB: float64(st.Pool.Reserved) / (1 << 20),
-		PoolTrims:      st.Pool.Trims,
+		PoolReservedMB: float64(st.Reserved) / (1 << 20),
 	}
 }
 
