@@ -148,7 +148,7 @@ func register(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.batchWindow, "batch-window", 0, "coalesce compatible device ops from concurrent queries submitted within this window into one batched launch (0 = off)")
 	fs.IntVar(&o.batchMax, "batch-max", gpu.DefaultBatchMax, "member ops per batch before an early flush (with -batch-window)")
 	fs.IntVar(&o.topK, "k", 10, "default result count")
-	fs.IntVar(&o.shards, "shards", 1, "document partitions; > 1 serves scatter-gather over a sharded cluster")
+	fs.IntVar(&o.shards, "shards", 1, "document partitions: shard s of N owns the docIDs [s·U/N, (s+1)·U/N) of the index's U, the last also those above; > 1 serves scatter-gather over a sharded cluster")
 	fs.IntVar(&o.replicas, "replicas", 1, "engine replicas per shard")
 	fs.StringVar(&o.routingName, "routing", "rr", "replica routing: rr or least-pending")
 	fs.DurationVar(&o.shardTimeout, "shard-timeout", 0, "per-shard latency budget; slower shards degrade the result (0 = none)")
@@ -283,9 +283,7 @@ func main() {
 	if mode != core.CPUOnly {
 		// Each device reserves its memory once, when it is created; no
 		// query pays for an allocation.
-		m := hwmodel.DefaultGPU()
-		extra += fmt.Sprintf(", each device reserves its %d MB at start (one modeled cudaMalloc, %v, charged to no query)",
-			m.MemoryBytes>>20, m.AllocTime(m.MemoryBytes))
+		extra += fmt.Sprintf(", each device reserves its %d MB at start", hwmodel.DefaultGPU().MemoryBytes>>20)
 	}
 	if o.batchWindow > 0 {
 		extra += fmt.Sprintf(", batching window=%v max=%d", o.batchWindow, o.batchMax)
@@ -322,31 +320,17 @@ func main() {
 				st.WAL.TruncatedBytes)
 		}
 	} else {
-		// One shard serves the opened index itself: partitioning it into
-		// one shard would copy it.
+		// One shard serves the opened index itself; more are docID
+		// windows of it, whose lists are views of its blocks.
 		ixs := []*index.Index{ix}
-		var part *workload.Partition
 		if o.shards > 1 {
-			// The split runs while the server listens: a query waits
-			// for its own terms' lists only.
-			part, err = workload.StartPartition(ix, o.shards)
+			ixs, err = workload.PartitionIndex(ix, o.shards)
 			exitOn(err)
-			ixs = part.Shards()
 		}
 		cl, err := cluster.New(ixs, ccfg)
 		exitOn(err)
 		defer cl.Close()
 		handler = server.NewCluster(cl)
-		if part != nil {
-			go func() {
-				// A shard whose split failed must not answer: exit as a
-				// failed start would.
-				exitOn(part.Wait())
-				st := part.Stats()
-				log.Printf("griffin-server: split into %d shards in %.3f s wall, %.3f s CPU; %d lookups waited for it, %.3f s in all",
-					o.shards, st.Wall.Seconds(), st.CPU.Seconds(), st.Waits, st.Waited.Seconds())
-			}()
-		}
 	}
 	log.Printf("griffin-server: %d docs, %d terms, mode=%s, %d shards x %d replicas (%s)%s, listening on %s",
 		numDocs, numTerms, mode, o.shards, o.replicas, routing, extra, o.addr)

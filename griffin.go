@@ -216,11 +216,12 @@ const (
 	LeastPending = cluster.LeastPending
 )
 
-// PartitionIndex document-partitions an index into shards (d mod n),
-// preserving global collection statistics so shard engines score
-// identically to the unpartitioned engine. Shard lists are stored at
-// stride n, as dense as the lists they were split from; WriteTo refuses
-// a shard.
+// PartitionIndex document-partitions an index into shards of equal docID
+// windows — shard s of n owns [s·U/n, (s+1)·U/n) of the index's U docIDs,
+// the last shard those above too — preserving global collection
+// statistics so shard engines score identically to the unpartitioned
+// engine. A shard's lists are views of the source's whole blocks that
+// overlap its window: nothing is copied. WriteTo refuses a shard.
 func PartitionIndex(ix *Index, shards int) ([]*Index, error) {
 	return workload.PartitionIndex(ix, shards)
 }

@@ -330,15 +330,11 @@ func (c *Cluster) NumDocs() int {
 
 // NumTerms returns the corpus' distinct term count: the shard's
 // dictionary size at one shard, the union of the shards' dictionaries
-// otherwise. It does not wait for a split still filling the shards
-// (index.PendingTerms): the union is then the source's dictionary.
+// otherwise.
 func (c *Cluster) NumTerms() int {
 	ixs := make([]*index.Index, len(c.shards))
 	for s, g := range c.shards {
 		ixs[s] = g.replicas[0].engine().Index()
-	}
-	if n, ok := index.PendingTerms(ixs); ok {
-		return n
 	}
 	if len(ixs) == 1 {
 		return ixs[0].NumTerms()

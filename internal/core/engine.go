@@ -426,6 +426,7 @@ func (e *Engine) search(cancel context.Context, req Request, h *gpu.QueryStream)
 		Scorer:        e.scorer,
 		SkipThreshold: intersect.DefaultSkipThreshold,
 		TopK:          topK,
+		Window:        e.ix.Window,
 	}
 	if ov := req.Overlay; ov != nil {
 		ctx.Delta = ov.Delta

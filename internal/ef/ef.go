@@ -19,19 +19,14 @@
 // blocks (Page); a Block is made from a row when it is asked for. A list
 // spliced from another (List.Splice) shares the pages below the splice
 // point and, in the page the point falls in, the words of the rows before
-// it: it owns the words of the blocks it encodes.
-//
-// A list may be strided (List.Stride): every docID of a block lies a
-// multiple of the stride past the block's first, and the block stores
-// that multiple. The shards of a d-mod-n document partition are lists at
-// stride n, which spend the low bits a posting of the list they were
-// split from spends rather than log2(n) more.
+// it: it owns the words of the blocks it encodes. A view of a run of a
+// list's blocks (List.View) shares all of them: a shard of a docID range
+// partition is made of such views.
 package ef
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -44,24 +39,16 @@ const BlockSize = 128
 // ErrNotAscending is returned when input docIDs are not strictly ascending.
 var ErrNotAscending = errors.New("ef: docIDs not strictly ascending")
 
-// ErrOffStride is returned when a docID does not lie a multiple of the
-// list's stride past its block's first docID.
-var ErrOffStride = errors.New("ef: docID off the list's stride")
-
 // Block is one Elias-Fano-encoded block of up to BlockSize docIDs, as
 // List.Block hands it out: a value made from the block's row, its two
 // arrays cut from its page's words. No list stores one.
 //
-// Values are encoded relative to FirstDocID (the block's first value)
-// at the list's stride: element i stores v_i = (docID_i - FirstDocID) /
-// Stride, so v_0 = 0 and the local universe is (LastDocID - FirstDocID) /
-// Stride.
+// Values are encoded relative to FirstDocID (the block's first value):
+// element i stores v_i = docID_i - FirstDocID, so v_0 = 0 and the local
+// universe is LastDocID - FirstDocID.
 type Block struct {
 	// FirstDocID is the first docID in the block, stored uncompressed.
 	FirstDocID uint32
-	// Stride is the list's stride, at least 1: docID_i is FirstDocID +
-	// Stride*v_i.
-	Stride uint32
 	// N is the number of encoded values.
 	N int
 	// B is the number of low bits per element.
@@ -108,42 +95,33 @@ type Row struct {
 // words each fit a u16.
 //
 // The run is Words, then the page's owned run (Owned). Words is a view of
-// a mapped file for a list that was opened, a slice of an Arena's region
-// for a list a shard split encoded, one allocation of its own for any
-// other encoded list; such a page owns no run. A page that Pager.Seed
-// opened inside another (a splice) holds both: Words, the words of the
-// rows before the splice point as a view of that page's Words (mapped,
-// region or heap), and the owned run, one allocation of the words of the
-// rows it added. A block's words lie in one of the two, and Span finds
-// them. A spliced page's Words keep the capacity of the words they are a
-// view of: past their length lie the dead words the view keeps alive,
-// which a later splice of the page counts (Pager.Seed).
+// a mapped file for a list that was opened, one allocation of its own for
+// an encoded list; such a page owns no run. A page that Pager.Seed opened
+// inside another (a splice) holds both: Words, the words of the rows
+// before the splice point as a view of that page's Words (mapped or
+// heap), and the owned run, one allocation of the words of the rows it
+// added. A block's words lie in one of the two, and Span finds them. A
+// spliced page's Words keep the capacity of the words they are a view
+// of: past their length lie the dead words the view keeps alive, which a
+// later splice of the page counts (Pager.Seed).
 //
 // The rows lie where the words do: a view of a mapped file, beside the
-// words, for a list that was opened; for a list encoded into an Arena, a
-// view of the same region run as the words, ahead of them; on the heap
-// otherwise. A spliced page's rows are a heap copy, or, while nothing has
-// been added behind them, a view of the rows of the page it was opened in.
-// Nothing writes them, and a page's Rows end at their capacity, so
-// appending to them copies. A page whose rows or Words lie in a region
-// refers to it, so the region stays mapped while any list (or a list
-// spliced from one, which shares its pages, rows and words) can reach the
-// page; a slice of its rows or a pointer to one keeps the region mapped
-// only through its page.
+// words, for a list that was opened; on the heap otherwise. A spliced
+// page's rows are a heap copy, or, while nothing has been added behind
+// them, a view of the rows of the page it was opened in. Nothing writes
+// them, and a page's Rows end at their capacity, so appending to them
+// copies.
 type Page[R any] struct {
 	Rows  []R
 	Words []uint64
 
-	ext *pageExt // nil for a page of the heap or a mapped file that owns no run
+	ext *pageExt // nil for a page that owns no run
 }
 
-// pageExt is what a page refers to beyond its rows and words, behind one
-// pointer so that a page stays 56 bytes: the region its rows and Words
-// lie in (one pageExt per region, shared by its pages) and, for a spliced
-// page only, its owned run.
+// pageExt is a spliced page's owned run, behind one pointer so that a
+// page stays 56 bytes.
 type pageExt struct {
-	region *region  // where rows and Words lie; nil for the heap or a mapped file
-	owned  []uint64 // the words of the rows past Words
+	owned []uint64 // the words of the rows past Words
 }
 
 // Span returns the n words at offset off of the page's run: a block's
@@ -165,15 +143,14 @@ func (pg *Page[R]) Owned() []uint64 {
 	return pg.ext.owned
 }
 
-// List is a partitioned Elias-Fano compressed posting list.
+// List is a partitioned Elias-Fano compressed posting list: every block
+// full but the last.
 type List struct {
 	// N is the total number of docIDs.
 	N int
-	// Stride is what a block's docIDs are stored divided by, past the
-	// block's first: 0 for a list stored as it is (stride 1), the shard
-	// count for a shard of a document partition. A file has no place for
-	// it (index.WriteTo refuses a strided list).
-	Stride uint32
+	// Base is the row of the first page that holds block 0: 0 but for a
+	// view (View), which can start mid-page.
+	Base int
 	// Pages is the block table: every page full but the last.
 	Pages []Page[Row]
 }
@@ -181,11 +158,16 @@ type List struct {
 // NumBlocks returns the number of blocks.
 func (l *List) NumBlocks() int { return (l.N + BlockSize - 1) / BlockSize }
 
-// stride returns the list's stride, at least 1.
-func (l *List) stride() uint32 { return max(l.Stride, 1) }
+// Row returns block i's row and the page it lies in.
+func (l *List) Row(i int) (*Row, *Page[Row]) {
+	i += l.Base
+	pg := &l.Pages[i>>PageShift]
+	return &pg.Rows[i&(1<<PageShift-1)], pg
+}
 
 // First returns the first docID of block i: its skip pointer.
 func (l *List) First(i int) uint32 {
+	i += l.Base
 	return l.Pages[i>>PageShift].Rows[i&(1<<PageShift-1)].FirstDocID
 }
 
@@ -193,54 +175,66 @@ func (l *List) First(i int) uint32 {
 // row, its two arrays cut from the page's words. The device kernels read
 // its fields; the CPU's Get and DecompressBlock make none.
 func (l *List) Block(i int) Block {
-	pg := &l.Pages[i>>PageShift]
-	r := &pg.Rows[i&(1<<PageShift-1)]
+	r, pg := l.Row(i)
 	w := pg.Span(int(r.Off), r.words())
 	return Block{
-		FirstDocID: r.FirstDocID, Stride: l.stride(), N: int(r.N), B: int(r.B), HighLen: int(r.HighLen),
+		FirstDocID: r.FirstDocID, N: int(r.N), B: int(r.B), HighLen: int(r.HighLen),
 		HighBits: w[:r.HighWords:r.HighWords], LowBits: w[r.HighWords:],
 	}
+}
+
+// View returns the list of l's blocks [k, end), k < end: it shares l's
+// pages, their rows and their words, and copies nothing. Every block of
+// it is full but the last, as in l.
+func (l *List) View(k, end int) *List {
+	n := (end - k) * BlockSize
+	if end == l.NumBlocks() {
+		n = l.N - k*BlockSize
+	}
+	first, last := l.Base+k, l.Base+end-1
+	return &List{N: n, Base: first & (1<<PageShift - 1), Pages: l.Pages[first>>PageShift : last>>PageShift+1]}
 }
 
 // Compress encodes a strictly ascending docID list. Nothing is allocated
 // per block: each page's words are sized before any of them is written
 // and are one exact allocation, its rows another.
 func Compress(docIDs []uint32) (*List, error) {
-	var e Encoder
+	var e encoder
 	if err := e.appendAll(docIDs); err != nil {
 		return nil, err
 	}
-	return e.Finish(), nil
+	return e.finish(), nil
 }
 
 // Splice returns the list of l's blocks [0, k) followed by the encoding
-// of tail at l's stride; tail must be strictly ascending and above every
-// docID of those blocks, and block k-1 must be full. The result shares
-// every whole page of l below block k as it is. Of the page k falls in it
-// copies the rows before k; their words it shares as a view of that
-// page's Words and copies only those the page owned itself (an earlier
-// splice encoded them) — unless the view would keep more than maxDead
-// dead words alive, when it copies them all (Pager.Seed). It encodes tail
-// behind them into words of its own, so it never chains to the list it
-// was made from. With k == 0 nothing of l is used (it may be nil) and the
-// result is the encoding of tail alone at stride (0 or 1: docIDs as they
-// are), the one case that reads the argument.
-func (l *List) Splice(k int, stride uint32, tail []uint32) (*List, error) {
-	var e Encoder
-	e.SetStride(stride)
+// of tail; tail must be strictly ascending and above every docID of those
+// blocks, and block k-1 must be full. The result shares every whole page
+// of l below block k as it is. Of the page k falls in it copies the rows
+// before k; their words it shares as a view of that page's Words and
+// copies only those the page owned itself (an earlier splice encoded
+// them) — unless the view would keep more than maxDead dead words alive,
+// when it copies them all (Pager.Seed). It encodes tail behind them into
+// words of its own, so it never chains to the list it was made from. A
+// view's splice keeps its Base. With k == 0 nothing of l is used (it may
+// be nil) and the result is the encoding of tail alone.
+func (l *List) Splice(k int, tail []uint32) (*List, error) {
+	var e encoder
+	base := 0
 	if k > 0 {
 		if k > l.NumBlocks() || l.Block(k-1).N != BlockSize {
 			return nil, fmt.Errorf("ef: splice at block %d of %d", k, l.NumBlocks())
 		}
-		e.SetStride(l.Stride) // a splice keeps its list's stride
-		last := &l.Pages[(k-1)>>PageShift].Rows[(k-1)&(1<<PageShift-1)]
-		e.pager.Seed(l.Pages, k, int(last.Off)+int(last.HighWords)+int(last.LowWords))
+		last, _ := l.Row(k - 1)
+		base = l.Base
+		e.pager.Seed(l.Pages, base+k, int(last.Off)+last.words())
 		e.n, e.last = k*BlockSize, l.Get(k-1, BlockSize-1)
 	}
 	if err := e.appendAll(tail); err != nil {
 		return nil, err
 	}
-	return e.Finish(), nil
+	out := e.finish()
+	out.Base = base
+	return out, nil
 }
 
 // blockOf returns the docIDs of block k of a list.
@@ -266,10 +260,9 @@ func shape(first, u uint32, n int) Row {
 	}
 }
 
-// shapeIDs returns the shape of the block of ids, ascending docIDs each a
-// multiple of d's stride past the first.
-func shapeIDs(ids []uint32, d divider) Row {
-	return shape(ids[0], d.quo(ids[len(ids)-1]-ids[0]), len(ids))
+// shapeIDs returns the shape of the block of ascending docIDs ids.
+func shapeIDs(ids []uint32) Row {
+	return shape(ids[0], ids[len(ids)-1]-ids[0], len(ids))
 }
 
 // words returns how many words the row's block takes.
@@ -288,132 +281,49 @@ func (hb *highBits) set(i int, h uint) {
 	hb[i&1][h/bitutil.WordBits&7] |= 1 << (h % bitutil.WordBits)
 }
 
-// Encoder builds Lists from blocks handed over one at a time, for a
-// caller that produces a list's docIDs in block-sized pieces and never
-// holds them all (a shard split): Append every block, then Finish. The
-// lists are the ones Compress returns, page for page, but a page's words
-// may be a copy of the Encoder's scratch where Compress sizes them before
-// writing them. Compress and List.Splice are this encoder fed a whole
-// list. The zero value is ready for use, at stride 1.
-type Encoder struct {
-	n      int
-	last   uint32 // the last docID appended
-	stride uint32 // the lists' stride; 0 or 1: docIDs as they are
-	pager  Pager[Row]
+// encoder builds a List from docIDs handed over a run at a time: Compress
+// and List.Splice feed it a whole list or a splice's tail. The zero value
+// is ready for use.
+type encoder struct {
+	n     int
+	last  uint32 // the last docID appended
+	pager Pager[Row]
 	// vs holds the values of the block being encoded: scratch a block
 	// needs, which a local array would have zeroed for every block.
 	vs [BlockSize]uint32
 }
 
-// SetArena has the pages the encoder closes keep their words in a (nil:
-// on the heap).
-func (e *Encoder) SetArena(a *Arena) { e.pager.Arena = a }
-
-// SetStride has the lists the encoder finishes store their docIDs at
-// stride (0 or 1: as they are), which Append takes them by.
-func (e *Encoder) SetStride(stride uint32) { e.stride = stride }
-
-// Append encodes the docIDs qs[i]*stride + residue as the list's next
-// block: BlockSize of them — fewer only in a list's last block — strictly
-// ascending and above every docID appended before, residue below the
-// stride. At stride 1, the zero value's, qs are the docIDs themselves and
-// residue is 0. A d-mod-n shard split, which encodes shard s's lists at
-// stride n, holds each docID as its quotient by n, which comes with its
-// shard; a block's values are then qs[i] - qs[0], with no division.
-func (e *Encoder) Append(qs []uint32, residue uint32) error {
-	n := len(qs)
-	if n == 0 || n > BlockSize || e.n%BlockSize != 0 {
-		return fmt.Errorf("ef: block of %d docIDs appended after %d", n, e.n)
-	}
-	stride := max(e.stride, 1)
-	if residue >= stride {
-		return fmt.Errorf("ef: residue %d not below the stride %d", residue, stride)
-	}
-	if uint64(qs[n-1])*uint64(stride)+uint64(residue) > math.MaxUint32 {
-		return fmt.Errorf("ef: docID %d*%d + %d past 2^32", qs[n-1], stride, residue)
-	}
-	first := qs[0]
-	r := shape(first*stride+residue, qs[n-1]-first, n)
-	if e.n > 0 && r.FirstDocID <= e.last {
-		return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n, r.FirstDocID, e.last)
-	}
-	// One loop checks the order, takes the values and sets their high
-	// bits: the shape, and so b, follows from the first and last alone.
-	vs := &e.vs
-	var hb highBits
-	b, prev := r.B&31, first
-	for i, q := range qs {
-		if i > 0 && q <= prev {
-			return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, q*stride+residue, prev*stride+residue)
-		}
-		prev = q
-		v := q - first
-		vs[i&(BlockSize-1)] = v
-		hb.set(i, uint(v>>b)+uint(i))
-	}
-	e.add(r, &hb, vs[:n])
-	return nil
-}
-
 // appendAll encodes ids as the list's next blocks, sizing each page's
 // words before it writes them.
-func (e *Encoder) appendAll(ids []uint32) error {
-	d := newDivider(e.stride)
-	if err := e.check(ids, d); err != nil {
+func (e *encoder) appendAll(ids []uint32) error {
+	if err := e.check(ids); err != nil {
 		return err
 	}
 	e.pager.Fill((len(ids)+BlockSize-1)/BlockSize,
-		func(k int) int { r := shapeIDs(blockOf(ids, k), d); return r.words() },
-		func(k int) { e.putIDs(blockOf(ids, k), d) })
+		func(k int) int { r := shapeIDs(blockOf(ids, k)); return r.words() },
+		func(k int) { e.putIDs(blockOf(ids, k)) })
 	return nil
 }
 
 // check returns ErrNotAscending unless ids are strictly ascending and
-// above every docID appended before, and ErrOffStride unless each lies a
-// multiple of d's stride past the first of its block (ids start a
-// block).
-func (e *Encoder) check(ids []uint32, d divider) error {
+// above every docID appended before.
+func (e *encoder) check(ids []uint32) error {
 	prev, hasPrev := e.last, e.n > 0
-	for k := 0; k < len(ids); k += BlockSize {
-		blk := blockOf(ids, k/BlockSize)
-		first := blk[0]
-		if hasPrev && first <= prev {
-			return e.refusal(ids, k)
+	for i, id := range ids {
+		if hasPrev && id <= prev {
+			return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, id, prev)
 		}
-		prev, hasPrev = first, true
-		for i, id := range blk[1:] {
-			if id <= prev || !d.exact(id-first) {
-				return e.refusal(ids, k+1+i)
-			}
-			prev = id
-		}
+		prev, hasPrev = id, true
 	}
 	return nil
 }
 
-// refusal returns the error check found at ids[i]: out of order, or off
-// the stride. It is kept out of check's loop, so that the loop holds
-// fewer values in registers.
-func (e *Encoder) refusal(ids []uint32, i int) error {
-	prev := e.last
-	if i > 0 {
-		prev = ids[i-1]
-	}
-	if id := ids[i]; id <= prev {
-		return fmt.Errorf("%w: ids[%d]=%d after %d", ErrNotAscending, e.n+i, id, prev)
-	}
-	first := ids[i&^(BlockSize-1)]
-	return fmt.Errorf("%w: ids[%d]=%d is %d past its block's first docID, not a multiple of %d",
-		ErrOffStride, e.n+i, ids[i], ids[i]-first, e.stride)
-}
-
-// putIDs encodes the checked block ids, at d's stride, as the list's
-// next one.
-func (e *Encoder) putIDs(ids []uint32, d divider) {
+// putIDs encodes the checked block ids as the list's next one.
+func (e *encoder) putIDs(ids []uint32) {
 	vs := &e.vs
 	first := ids[0]
 	for i, id := range ids {
-		vs[i&(BlockSize-1)] = d.quo(id - first)
+		vs[i&(BlockSize-1)] = id - first
 	}
 	n := len(ids)
 	r := shape(first, vs[n-1], n)
@@ -429,7 +339,7 @@ func (e *Encoder) putIDs(ids []uint32, d divider) {
 // as the list's next one: its words are allocated and written over, the
 // high words stored whole and the low parts packed. No bit is appended to
 // anything.
-func (e *Encoder) add(r Row, hb *highBits, vs []uint32) {
+func (e *encoder) add(r Row, hb *highBits, vs []uint32) {
 	off, w := e.pager.Alloc(r.words())
 	r.Off = uint16(off)
 	for j := range w[:r.HighWords] {
@@ -438,18 +348,12 @@ func (e *Encoder) add(r Row, hb *highBits, vs []uint32) {
 	bitutil.Pack(w[r.HighWords:], vs, int(r.B)) // no-op when B == 0
 	e.pager.Add(r)
 	n := len(vs)
-	e.n, e.last = e.n+n, r.FirstDocID+vs[n-1]*max(e.stride, 1)
+	e.n, e.last = e.n+n, r.FirstDocID+vs[n-1]
 }
 
-// Finish returns the list of the blocks appended since the last Finish
-// and readies the Encoder for the next list.
-func (e *Encoder) Finish() *List {
-	l := &List{N: e.n, Pages: e.pager.Finish()}
-	if e.stride > 1 {
-		l.Stride = e.stride
-	}
-	e.n, e.last = 0, 0
-	return l
+// finish returns the list of the blocks appended.
+func (e *encoder) finish() *List {
+	return &List{N: e.n, Pages: e.pager.Finish()}
 }
 
 // Pager builds a block table a row at a time, for the Elias-Fano and
@@ -457,25 +361,17 @@ func (e *Encoder) Finish() *List {
 // the row that addresses them, Finish. A page it closes owns its rows and
 // its words, each one exact allocation: the scratch they were written
 // into when that is exactly full — always, for pages Fill sized — else a
-// copy of it; with an Arena, its rows and words are copied from the
-// scratch into one run of a region instead (Arena), and the scratch kept.
-// The page Seed opens is the exception: its Words are a view of the page
-// it was opened in, and the words added behind them are its owned run,
-// on the heap whether or not there is an Arena. Pages are never shared
-// with the pager's scratch, so a list keeps alive the pages it can reach
-// and the rows and words they are views of, and no dead page's owned run
-// (Seed's first Fill copies what it takes of one). The zero value is
-// ready for use.
+// copy of it. The page Seed opens is the exception: its Words are a view
+// of the page it was opened in, and the words added behind them are its
+// owned run. Pages are never shared with the pager's scratch, so a list
+// keeps alive the pages it can reach and the rows and words they are
+// views of, and no dead page's owned run (Seed's first Fill copies what
+// it takes of one). The zero value is ready for use.
 type Pager[R any] struct {
-	// Arena, if set, takes the rows and words of every page the pager
-	// closes but a seeded one. R must then hold no pointer.
-	Arena *Arena
-
 	pages  []Page[R]
 	rows   []R      // the open page's
 	words  []uint64 // the open page's own, past shared
 	shared []uint64 // the open page's Words, while it is a seeded page's view
-	region *region  // where shared, and rows while they are a view, lie
 }
 
 // Alloc returns the open page's next n words and where they start in
@@ -519,7 +415,7 @@ func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
 		if cap(p.shared)-len(p.shared) > maxDead {
 			// The view would keep too much of a dead page alive: copy it.
 			w = append(make([]uint64, 0, len(p.shared)+len(p.words)+need), p.shared...)
-			p.shared, p.region = nil, nil
+			p.shared = nil
 		} else {
 			w = make([]uint64, 0, len(p.words)+need)
 		}
@@ -552,13 +448,10 @@ func (p *Pager[R]) Fill(n int, words func(j int) int, add func(j int)) {
 func (p *Pager[R]) Seed(pages []Page[R], k, end int) {
 	full, r := k>>PageShift, k&(1<<PageShift-1)
 	p.pages = append(make([]Page[R], 0, full+1), pages[:full]...)
-	p.rows, p.words, p.shared, p.region = nil, nil, nil, nil
+	p.rows, p.words, p.shared = nil, nil, nil
 	if r > 0 {
 		pg := &pages[full]
 		p.rows = pg.Rows[:r:r]
-		if pg.ext != nil {
-			p.region = pg.ext.region
-		}
 		if end <= len(pg.Words) {
 			p.shared = pg.Words[:end] // the capacity past end: what the view pins
 		} else {
@@ -579,17 +472,15 @@ func (p *Pager[R]) close() {
 		return
 	}
 	var pg Page[R]
-	if p.shared != nil || p.region != nil { // a seeded page
+	if p.shared != nil { // a seeded page
 		pg.Rows, pg.Words = own(&p.rows), p.shared
-		if len(p.words) > 0 || p.region != nil {
-			pg.ext = &pageExt{region: p.region, owned: own(&p.words)}
+		if len(p.words) > 0 {
+			pg.ext = &pageExt{owned: own(&p.words)}
 		}
-	} else if pg.Rows, pg.Words, pg.ext = place(p.Arena, p.rows, p.words); pg.ext != nil {
-		p.rows, p.words = p.rows[:0], p.words[:0] // copied: the scratch serves the next page
 	} else {
 		pg.Rows, pg.Words = own(&p.rows), own(&p.words)
 	}
-	p.shared, p.region = nil, nil
+	p.shared = nil
 	p.pages = append(p.pages, pg)
 }
 
@@ -622,23 +513,12 @@ func (p *Pager[R]) Finish() []Page[R] {
 // bits of the high words are walked with a trailing-zeros count — element
 // i's one-bit at position p gives its high part p - i.
 func (l *List) DecompressBlock(k int, dst []uint32) int {
-	pg := &l.Pages[k>>PageShift]
-	r := &pg.Rows[k&(1<<PageShift-1)]
+	r, pg := l.Row(k)
 	w := pg.Span(int(r.Off), r.words())
-	if l.Stride <= 1 {
-		return decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], r.FirstDocID, int(r.B))
-	}
-	// A shard's list: its values, then scaled in a pass of their own, which
-	// leaves decode's walk the one every other list takes.
-	n := decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], 0, int(r.B))
-	for j, v := range dst[:n] {
-		dst[j] = r.FirstDocID + v*l.Stride
-	}
-	return n
+	return decode(dst[:r.N], w[:r.HighWords], w[r.HighWords:], r.FirstDocID, int(r.B))
 }
 
-// decode is DecompressBlock of a list at stride 1 with the block's fields
-// as arguments — with first 0, the values of a strided block: dst is
+// decode is DecompressBlock with the block's fields as arguments: dst is
 // exactly as long as the block.
 func decode(dst []uint32, high, low []uint64, first uint32, b int) int {
 	bitutil.Unpack(dst, low, b)
@@ -658,13 +538,12 @@ func decode(dst []uint32, high, low []uint64, first uint32, b int) int {
 // high bits — the random-access path skip-pointer searches use. It reads
 // the row and its page's words where they lie and makes no Block.
 func (l *List) Get(k, j int) uint32 {
-	pg := &l.Pages[k>>PageShift]
-	return pg.Rows[k&(1<<PageShift-1)].get(pg, j, l.stride())
+	r, pg := l.Row(k)
+	return r.get(pg, j)
 }
 
-// get returns docID j of the row's block, whose page is pg, in a list at
-// stride.
-func (r *Row) get(pg *Page[Row], j int, stride uint32) uint32 {
+// get returns docID j of the row's block, whose page is pg.
+func (r *Row) get(pg *Page[Row], j int) uint32 {
 	words := pg.Span(int(r.Off), r.words())
 	// Select the (j+1)-th one-bit in the high bits.
 	seen := 0
@@ -677,7 +556,7 @@ func (r *Row) get(pg *Page[Row], j int, stride uint32) uint32 {
 			if b := int(r.B); b > 0 {
 				low = bitutil.GetBits(words, int(r.HighWords)*bitutil.WordBits+j*b, b)
 			}
-			return r.FirstDocID + uint32(high<<r.B|low)*stride
+			return r.FirstDocID + uint32(high<<r.B|low)
 		}
 		seen += pc
 	}
@@ -698,10 +577,9 @@ func (l *List) Decompress() []uint32 {
 // count 8b, width 6b).
 func (l *List) CompressedBits() int64 {
 	var bits int64
-	for _, pg := range l.Pages {
-		for _, r := range pg.Rows {
-			bits += int64(r.HighLen) + int64(r.N)*int64(r.B) + blockHeaderBits
-		}
+	for i := range l.NumBlocks() {
+		r, _ := l.Row(i)
+		bits += int64(r.HighLen) + int64(r.N)*int64(r.B) + blockHeaderBits
 	}
 	return bits
 }
@@ -713,42 +591,3 @@ const blockHeaderBits = 32 + 8 + 6
 func (l *List) CompressedBytes() int64 {
 	return (l.CompressedBits() + 7) / 8
 }
-
-// divider divides the distances of a strided list's docIDs from their
-// block's first by the stride, with no division (Granlund and
-// Montgomery, "Division by invariant integers using multiplication",
-// 1994, §9). Let the stride be o·2^t, o odd, and inv the inverse of o mod
-// 2^32: for v a multiple of the stride, v·inv mod 2^32 is the quotient
-// times 2^t, at most lim = ⌊(2^32-1)/stride⌋·2^t; any other v either has
-// one of its low t bits set or, having none, a product above lim (the
-// product is 2^t times v/2^t·inv mod 2^(32-t), which is at most
-// ⌊(2^(32-t)-1)/o⌋ — the same bound — for exactly the multiples of o).
-// At stride 1 (inv 1, t 0) quo is the identity and exact always holds,
-// so every list runs the same loops. It has four fields, few enough for
-// the compiler to keep a divider in registers.
-type divider struct {
-	inv   uint32 // o's inverse mod 2^32
-	shift uint32 // t
-	low   uint32 // 2^t - 1
-	lim   uint32 // ⌊(2^32-1)/stride⌋·2^t
-}
-
-func newDivider(stride uint32) divider {
-	stride = max(stride, 1)
-	shift := bits.TrailingZeros32(stride)
-	odd := stride >> shift
-	inv := odd // right to 3 bits; each Newton step doubles that
-	for range 4 {
-		inv *= 2 - odd*inv
-	}
-	return divider{inv: inv, shift: uint32(shift), low: 1<<shift - 1, lim: ^uint32(0) / stride << shift}
-}
-
-// quo returns v / stride, for a v the stride divides. The shift is
-// masked, which it never needs (t < 32), so that it compiles to one
-// instruction, not a test for shifts of 32 and more.
-func (d divider) quo(v uint32) uint32 { return v * d.inv >> (d.shift & 31) }
-
-// exact reports whether the stride divides v. Neither test shifts, so
-// neither needs the one register x86 shifts by.
-func (d divider) exact(v uint32) bool { return v&d.low == 0 && v*d.inv <= d.lim }

@@ -1,7 +1,6 @@
 package ef
 
 import (
-	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -10,10 +9,8 @@ import (
 // FuzzRoundTrip feeds arbitrary gap bytes through compress/decompress and
 // checks the identity, plus random-access agreement, and holds the
 // encoding and both decoders to the reference codec (reference_test.go).
-// The first byte also draws a stride from 1 to 8: the gaps again, that
-// many times as wide from an offset below it (a shard's docIDs), must
-// encode at that stride to the reference's bytes and decode back, and a
-// docID moved off the stride must be refused. Run with
+// The first byte also draws a run of blocks, whose view must read as the
+// postings of those blocks and share the list's pages. Run with
 // `go test -fuzz=FuzzRoundTrip ./internal/ef/` for continuous fuzzing;
 // the seed corpus runs as a normal test.
 func FuzzRoundTrip(f *testing.F) {
@@ -21,9 +18,10 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{255, 255, 255, 255, 0, 0, 1})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
-	f.Add(append([]byte{2}, make([]byte, 300)...)) // stride 3, three blocks
+	f.Add(append([]byte{2}, make([]byte, 300)...))           // three blocks
+	f.Add(append([]byte{70}, make([]byte, 70*BlockSize)...)) // two pages
 	f.Fuzz(func(t *testing.T, gapBytes []byte) {
-		if len(gapBytes) == 0 || len(gapBytes) > 4096 {
+		if len(gapBytes) == 0 || len(gapBytes) > 10_000 {
 			return
 		}
 		ids := make([]uint32, len(gapBytes))
@@ -47,7 +45,7 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		// The same bytes as the bit-at-a-time reference encoder, and the
 		// same docIDs from both decoders and from Get at every position.
-		checkAgainstReference(t, ids, 1)
+		checkAgainstReference(t, ids)
 		// The gaps again, 2^20 times as wide: low-bit fields of 20 bits
 		// and more, docIDs up to the top of the 32-bit space.
 		wide := make([]uint32, 0, len(ids))
@@ -57,42 +55,30 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 			wide = append(wide, id<<20|id&0xfffff)
 		}
-		checkAgainstReference(t, wide, 1)
+		checkAgainstReference(t, wide)
 
-		stride := 1 + uint32(gapBytes[0]%8)
-		strided := make([]uint32, len(ids))
-		for i, id := range ids {
-			strided[i] = uint32(gapBytes[0]/8)%stride + stride*id
+		// A view of blocks [k, end), and a view of that view.
+		nb := l.NumBlocks()
+		k := int(gapBytes[0]) % nb
+		end := k + 1 + int(gapBytes[len(gapBytes)-1])%(nb-k)
+		v := l.View(k, end)
+		want := ids[k*BlockSize : min(end*BlockSize, len(ids))]
+		if !slices.Equal(v.Decompress(), want) || v.NumBlocks() != end-k {
+			t.Fatalf("view [%d, %d) of %d blocks does not read as its postings", k, end, nb)
 		}
-		checkAgainstReference(t, strided, stride)
-		if sl, _ := compressAt(strided, stride); sl.NumBlocks() > 1 {
-			// The stride argument is read at k == 0 only: a splice keeps
-			// its list's.
-			again, err := sl.Splice(1, 0, strided[BlockSize:])
-			if err != nil || !sameList(again, sl) {
-				t.Fatalf("stride %d: a splice at block 1 is not the list (%v)", stride, err)
+		if r, _ := v.Row(0); r != &l.Pages[k>>PageShift].Rows[k&(1<<PageShift-1)] {
+			t.Fatalf("view [%d, %d) does not share the list's rows", k, end)
+		}
+		for b := range v.NumBlocks() {
+			if v.First(b) != want[b*BlockSize] || v.Get(b, 0) != want[b*BlockSize] {
+				t.Fatalf("view [%d, %d): block %d's skip pointer is off", k, end, b)
 			}
 		}
-		if stride > 1 && len(strided) > 1 {
-			// A docID that does not start a block, moved to 1 past the
-			// one before it: still ascending, since the next one is at
-			// least stride past that, and off the stride.
-			i := 1 + int(gapBytes[len(gapBytes)-1])%(len(strided)-1)
-			if i%BlockSize == 0 {
-				i++
-			}
-			if i < len(strided) {
-				off := slices.Clone(strided)
-				off[i] = off[i-1] + 1
-				if _, err := compressAt(off, stride); !errors.Is(err, ErrOffStride) {
-					t.Fatalf("stride %d, docID %d moved off it: %v, want ErrOffStride", stride, i, err)
-				}
-			}
+		if vv := v.View(end-k-1, end-k); !slices.Equal(vv.Decompress(), ids[(end-1)*BlockSize:min(end*BlockSize, len(ids))]) {
+			t.Fatalf("the last block of view [%d, %d), viewed again, does not read as its postings", k, end)
+		}
+		if v.CompressedBytes() > l.CompressedBytes() || (k == 0 && end == nb && v.CompressedBytes() != l.CompressedBytes()) {
+			t.Fatalf("view [%d, %d) prices %d bytes of the list's %d", k, end, v.CompressedBytes(), l.CompressedBytes())
 		}
 	})
-}
-
-// compressAt is Compress at stride.
-func compressAt(ids []uint32, stride uint32) (*List, error) {
-	return (*List)(nil).Splice(0, stride, ids)
 }

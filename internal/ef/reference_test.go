@@ -26,12 +26,11 @@ func putBits(words []uint64, p, width int, v uint64) {
 	}
 }
 
-// refCompressBlock encodes ids at stride, dividing each distance from the
-// first docID by it with the division operator.
-func refCompressBlock(ids []uint32, stride uint32) Block {
+// refCompressBlock encodes the block ids.
+func refCompressBlock(ids []uint32) Block {
 	n := len(ids)
 	first := ids[0]
-	u := uint64((ids[n-1] - first) / stride)
+	u := uint64(ids[n-1] - first)
 	b := 0
 	if u/uint64(n) >= 1 {
 		b = bitutil.Log2Floor(u / uint64(n))
@@ -39,24 +38,20 @@ func refCompressBlock(ids []uint32, stride uint32) Block {
 	highLen := int(u>>uint(b)) + n
 	low, high := make([]uint64, bitutil.WordsFor(n*b)), make([]uint64, bitutil.WordsFor(highLen))
 	for i, id := range ids {
-		v := uint64((id - first) / stride)
+		v := uint64(id - first)
 		putBits(low, i*b, b, v)
 		putBits(high, int(v>>uint(b))+i, 1, 1)
 	}
-	return Block{FirstDocID: first, Stride: stride, N: n, B: b, HighBits: high, HighLen: highLen, LowBits: low}
+	return Block{FirstDocID: first, N: n, B: b, HighBits: high, HighLen: highLen, LowBits: low}
 }
 
-// refCompress encodes ids a block at a time at stride and lays the
-// blocks out as a list holds them: 64 rows a page, each page's words its
-// blocks' high then low words, back to back, each row's offset relative to
-// its page.
-func refCompress(ids []uint32, stride uint32) *List {
+// refCompress encodes ids a block at a time and lays the blocks out as a
+// list holds them: 64 rows a page, each page's words its blocks' high
+// then low words, back to back, each row's offset relative to its page.
+func refCompress(ids []uint32) *List {
 	l := &List{N: len(ids)}
-	if stride > 1 {
-		l.Stride = stride
-	}
 	for start := 0; start < len(ids); start += BlockSize {
-		b := refCompressBlock(ids[start:min(start+BlockSize, len(ids))], stride)
+		b := refCompressBlock(ids[start:min(start+BlockSize, len(ids))])
 		if start%(BlockSize<<PageShift) == 0 {
 			l.Pages = append(l.Pages, Page[Row]{})
 		}
@@ -84,31 +79,27 @@ func refDecompressInto(b Block, dst []uint32) int {
 			low = bitutil.GetBits(b.LowBits, lowPos, b.B)
 			lowPos += b.B
 		}
-		dst[i] = b.FirstDocID + uint32(high<<uint(b.B)|low)*b.Stride
+		dst[i] = b.FirstDocID + uint32(high<<uint(b.B)|low)
 	}
 	return b.N
 }
 
-// checkAgainstReference holds the encoding of ids at stride (Compress's
-// at stride 1) to the reference encoding, field by field
-// (reflect.DeepEqual tells a nil slice from an empty one), and both
-// decoders and Get to ids.
-func checkAgainstReference(t testing.TB, ids []uint32, stride uint32) {
+// checkAgainstReference holds Compress's encoding of ids to the
+// reference encoding, field by field (reflect.DeepEqual tells a nil slice
+// from an empty one), and both decoders and Get to ids.
+func checkAgainstReference(t testing.TB, ids []uint32) {
 	t.Helper()
 	l, err := Compress(ids)
-	if stride > 1 {
-		l, err = compressAt(ids, stride)
-	}
 	if err != nil {
 		t.Fatalf("Compress: %v", err)
 	}
-	want := refCompress(ids, stride)
+	want := refCompress(ids)
 	if !reflect.DeepEqual(l, want) {
 		t.Fatalf("N=%d blocks=%d: the list differs from the reference's rows and pages", l.N, l.NumBlocks())
 	}
 	var got, ref [BlockSize]uint32
 	for k := range l.NumBlocks() {
-		blk, wb := l.Block(k), refCompressBlock(ids[k*BlockSize:min((k+1)*BlockSize, len(ids))], stride)
+		blk, wb := l.Block(k), refCompressBlock(ids[k*BlockSize:min((k+1)*BlockSize, len(ids))])
 		if !reflect.DeepEqual(blk, wb) {
 			t.Fatalf("block %d:\n got %+v\nwant %+v", k, blk, wb)
 		}
@@ -193,8 +184,8 @@ func TestCompressMatchesReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			checkAgainstReference(t, c.ids, 1)
-			if got := refCompressBlock(c.ids[:min(BlockSize, len(c.ids))], 1).B; c.b >= 0 && got != c.b {
+			checkAgainstReference(t, c.ids)
+			if got := refCompressBlock(c.ids[:min(BlockSize, len(c.ids))]).B; c.b >= 0 && got != c.b {
 				t.Fatalf("the case encodes at b = %d, not the b = %d it is named for", got, c.b)
 			}
 		})
@@ -216,77 +207,22 @@ func TestEncoderKeepsNilAndEmptyShapes(t *testing.T) {
 	if l, _ = Compress([]uint32{}); l.Pages != nil {
 		t.Errorf("Compress(empty).Pages = %#v, want none", l.Pages)
 	}
-	var e Encoder
-	if l = e.Finish(); l.Pages != nil || l.N != 0 {
-		t.Errorf("Encoder.Finish() of nothing = %+v, want an empty list with no pages", l)
+	var e encoder
+	if l = e.finish(); l.Pages != nil || l.N != 0 {
+		t.Errorf("encoder.finish() of nothing = %+v, want an empty list with no pages", l)
 	}
-	if !reflect.DeepEqual(l, refCompress(nil, 1)) {
-		t.Errorf("Encoder.Finish() of nothing = %+v, reference %+v", l, refCompress(nil, 1))
+	if !reflect.DeepEqual(l, refCompress(nil)) {
+		t.Errorf("encoder.finish() of nothing = %+v, reference %+v", l, refCompress(nil))
 	}
 
 	dense := ascending(BlockSize, 10, func(int) uint32 { return 1 })
 	l, _ = Compress(dense)
-	blk, ref := l.Block(0), refCompressBlock(dense, 1)
+	blk, ref := l.Block(0), refCompressBlock(dense)
 	if blk.B != 0 || blk.LowBits == nil || len(blk.LowBits) != 0 {
 		t.Errorf("b == 0 block: B=%d LowBits=%#v, want B=0 and an empty, non-nil LowBits", blk.B, blk.LowBits)
 	}
 	if ref.LowBits == nil || len(ref.LowBits) != 0 {
 		t.Fatalf("the reference's b == 0 LowBits is %#v: the test's premise is gone", ref.LowBits)
-	}
-}
-
-// An Encoder fed a list block by block returns the list Compress builds
-// from the whole of it, list after list, short lists sharing a chunk and
-// long ones running over several.
-func TestEncoderMatchesCompress(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var e Encoder
-	for _, n := range []int{1000, 1, 127, 128, 129, 5000, 256, 3, 200_000, 77} {
-		ids := genAscending(rng, n, 1+uint32(rng.Intn(5000)))
-		for start := 0; start < n; start += BlockSize {
-			if err := e.Append(ids[start:min(start+BlockSize, n)], 0); err != nil {
-				t.Fatalf("n=%d: Append at %d: %v", n, start, err)
-			}
-		}
-		got, want := e.Finish(), refCompress(ids, 1)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: the Encoder's list differs from the reference encoding", n)
-		}
-		for k := range got.NumBlocks() {
-			if blk := got.Block(k); cap(blk.HighBits) != len(blk.HighBits) || cap(blk.LowBits) != len(blk.LowBits) {
-				t.Fatalf("n=%d block %d: an append to its words would reach the neighbour's", n, k)
-			}
-		}
-	}
-}
-
-func TestEncoderRejectsBadBlocks(t *testing.T) {
-	full := ascending(BlockSize, 100, func(int) uint32 { return 2 })
-	var e Encoder
-	if err := e.Append(nil, 0); err == nil {
-		t.Error("empty block accepted")
-	}
-	if err := e.Append(make([]uint32, BlockSize+1), 0); err == nil {
-		t.Error("oversized block accepted")
-	}
-	if err := e.Append([]uint32{5, 5}, 0); !errors.Is(err, ErrNotAscending) {
-		t.Errorf("repeated docID: err = %v, want ErrNotAscending", err)
-	}
-	if err := e.Append(full, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Append([]uint32{full[BlockSize-1]}, 0); !errors.Is(err, ErrNotAscending) {
-		t.Errorf("docID not above the previous block's last: err = %v, want ErrNotAscending", err)
-	}
-	if err := e.Append([]uint32{1 << 30}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Append([]uint32{1<<30 + 1}, 0); err == nil {
-		t.Error("block accepted after a short block")
-	}
-	// The rejected blocks left nothing behind.
-	if got, want := e.Finish(), refCompress(append(full, 1<<30), 1); !reflect.DeepEqual(got, want) {
-		t.Error("list after rejected blocks differs from the encoding of the accepted ones")
 	}
 }
 
@@ -322,9 +258,9 @@ func TestCompressAllocations(t *testing.T) {
 func run[R any](pg *Page[R]) []uint64 { return append(slices.Clip(pg.Words), pg.Owned()...) }
 
 // sameList reports whether two lists hold the same rows and the same
-// run in every page, wherever the runs' words lie, at the same stride.
+// run in every page, wherever the runs' words lie, from the same row.
 func sameList(a, b *List) bool {
-	if a.N != b.N || a.Stride != b.Stride || len(a.Pages) != len(b.Pages) {
+	if a.N != b.N || a.Base != b.Base || len(a.Pages) != len(b.Pages) {
 		return false
 	}
 	for p := range a.Pages {
@@ -372,7 +308,7 @@ func TestSpliceSharesWholePages(t *testing.T) {
 		for i := range tail {
 			tail[i] += base
 		}
-		got, err := old.Splice(k, 0, tail)
+		got, err := old.Splice(k, tail)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -415,7 +351,7 @@ func TestSpliceSharesWholePages(t *testing.T) {
 			if k2&(1<<PageShift-1) == 0 || k2 >= got.NumBlocks() {
 				continue
 			}
-			again, err := got.Splice(k2, 0, whole[k2*BlockSize:])
+			again, err := got.Splice(k2, whole[k2*BlockSize:])
 			if err != nil {
 				t.Fatalf("k=%d k2=%d: %v", k, k2, err)
 			}
@@ -439,10 +375,10 @@ func TestSpliceSharesWholePages(t *testing.T) {
 	if !reflect.DeepEqual(old.Decompress(), before) {
 		t.Fatal("splicing changed the list spliced from")
 	}
-	if _, err := old.Splice(3, 0, []uint32{ids[3*BlockSize-1]}); !errors.Is(err, ErrNotAscending) {
+	if _, err := old.Splice(3, []uint32{ids[3*BlockSize-1]}); !errors.Is(err, ErrNotAscending) {
 		t.Errorf("tail at the prefix's last docID: err = %v, want ErrNotAscending", err)
 	}
-	if _, err := old.Splice(201, 0, nil); err == nil {
+	if _, err := old.Splice(201, nil); err == nil {
 		t.Error("splice behind the partial last block accepted")
 	}
 }

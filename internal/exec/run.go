@@ -129,6 +129,12 @@ type Context struct {
 	SkipThreshold int
 	// TopK is the result count.
 	TopK int
+	// Window, when set, is the docIDs the queried index owns as a shard of
+	// a range partition (index.Index.Window): the final intersection is
+	// cut to it before the delta scan and scoring. Its lists' boundary
+	// blocks hold postings of the shards beside it, and since every list
+	// is clamped alike, cutting the intersection once is exact.
+	Window *index.Window
 }
 
 // Outcome is a completed plan execution.
@@ -210,6 +216,11 @@ func Run(ctx *Context, fetches []Fetch, mkBuilder func(ordered []*index.PostingL
 				}
 			}
 		}
+	}
+
+	if ctx.Window != nil {
+		lo, hi := ctx.Window.Span(r.hostIDs)
+		r.hostIDs = r.hostIDs[lo:hi]
 	}
 
 	// Delta scan: reconcile the main-segment intersection with the

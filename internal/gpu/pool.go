@@ -6,9 +6,8 @@
 // path: it reserves the device's memory when it starts and sub-allocates
 // from that reservation (TensorFlow's BFC allocator, a cudaMallocAsync
 // pool that is pre-grown and never trimmed). Each Device models such an
-// arena. The reservation's price, one AllocTime of the device's capacity,
-// is paid before the first query and charged to none; a block costs no
-// device time. The arena is byte accounting only, so no query's modeled
+// arena. The reservation is made before the first query, and a block
+// costs no device time. The arena is byte accounting only, so no query's modeled
 // time depends on what earlier queries allocated.
 package gpu
 

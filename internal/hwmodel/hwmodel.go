@@ -68,13 +68,6 @@ type GPUModel struct {
 	// LaunchOverhead is the fixed cost of one kernel launch (driver +
 	// dispatch). CUDA launch latency on Kepler-era parts is 5-10 us.
 	LaunchOverhead time.Duration
-	// AllocOverhead is the fixed cost of one cudaMalloc. A device makes
-	// one, when it is created: it reserves its whole memory then, and
-	// queries carve blocks out of it (gpu's arena), so the price is paid
-	// at start-up and charged to no query.
-	AllocOverhead time.Duration
-	// AllocPerByte models first-touch/allocation throughput.
-	AllocPerByte time.Duration
 	// PCIeLatency is the fixed DMA setup latency per transfer.
 	PCIeLatency time.Duration
 	// PCIeBytesPerSec is the host<->device bandwidth (paper: 8 GB/s).
@@ -138,8 +131,6 @@ type GPUModel struct {
 func DefaultGPU() GPUModel {
 	return GPUModel{
 		LaunchOverhead:      8 * time.Microsecond,
-		AllocOverhead:       10 * time.Microsecond,
-		AllocPerByte:        time.Duration(0), // folded into first-touch traffic
 		PCIeLatency:         10 * time.Microsecond,
 		PCIeBytesPerSec:     8e9,
 		GlobalBytesPerSec:   208e9,
@@ -217,11 +208,6 @@ func (m *GPUModel) PeerTransferTime(bytes int64) time.Duration {
 		return m.TransferTime(bytes)
 	}
 	return m.PeerLatency + time.Duration(float64(bytes)/m.PeerBytesPerSec*float64(time.Second))
-}
-
-// AllocTime returns the device-allocation time for n bytes.
-func (m *GPUModel) AllocTime(bytes int64) time.Duration {
-	return m.AllocOverhead + time.Duration(float64(bytes)*float64(m.AllocPerByte))
 }
 
 // CPUModel is the Xeon-E5-2609v2-calibrated host model. The CPU algorithms

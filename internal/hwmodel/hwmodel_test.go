@@ -114,13 +114,6 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
-func TestAllocTime(t *testing.T) {
-	m := DefaultGPU()
-	if m.AllocTime(1<<20) < m.AllocOverhead {
-		t.Fatal("alloc below fixed overhead")
-	}
-}
-
 func TestCPUTimeComposition(t *testing.T) {
 	m := DefaultCPU()
 	w := CPUWork{MergedElements: 1000, BinaryProbes: 10, PFDDecodedElems: 100}

@@ -50,9 +50,8 @@ func refPackFreqs(freqs []uint32) *FreqStore {
 // merged index keeps on the heap, one per 128 postings, and the collector
 // never scans them — which holds only as long as no field of a row can
 // hold a pointer. An opened index's rows are views of the file's bytes
-// (rowsOf), and a shard split's are copied into ef.Arena regions, which
-// the collector does not scan: a pointer stored in either would not keep
-// what it points to alive.
+// (rowsOf), which the collector does not scan: a pointer stored in one
+// would not keep what it points to alive.
 func TestBlockRowsHoldNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -211,46 +210,12 @@ func TestPackFreqsAllocations(t *testing.T) {
 	}
 }
 
-// A ListEncoder fed a list block by block returns the list SpliceList
-// encodes from the whole of it — the same bytes in the same shapes — list
-// after list on the same scratch.
-func TestListEncoderEqualsSpliceList(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	var enc ListEncoder
-	for _, n := range []int{700, 1, 128, 129, 4000, 127, 256} {
-		ids, freqs := randomPostings(r, n)
-		for start := 0; start < n; start += BlockSize {
-			end := min(start+BlockSize, n)
-			if err := enc.Append(ids[start:end], freqs[start:end], 0); err != nil {
-				t.Fatalf("n=%d: Append at %d: %v", n, start, err)
-			}
-		}
-		if enc.Len() != n {
-			t.Fatalf("n=%d: Len = %d", n, enc.Len())
-		}
-		want, err := SpliceList("t", nil, 0, 1, ids, freqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := enc.Finish("t"); !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: the encoder's list differs from SpliceList's", n)
-		}
-	}
-	if err := enc.Append([]uint32{1, 2}, []uint32{1}, 0); err == nil {
-		t.Error("1 freq for 2 docIDs accepted")
-	}
-	want, _ := SpliceList("e", nil, 0, 1, nil, nil)
-	if got := enc.Finish("e"); !reflect.DeepEqual(got, want) {
-		t.Errorf("the empty list differs from SpliceList's:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // DecodeFrom goes through the block decoders; it must return what the
 // per-element accessors return.
 func TestDecodeFromMatchesElementAccess(t *testing.T) {
 	r := rand.New(rand.NewSource(81))
 	ids, freqs := randomPostings(r, 3*BlockSize+17)
-	pl, err := SpliceList("t", nil, 0, 1, ids, freqs)
+	pl, err := SpliceList("t", nil, 0, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +288,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 	r := rand.New(rand.NewSource(83))
 	ids, freqs := randomPostings(r, 200_000)
 	before := heap()
-	pl, err := SpliceList("t", nil, 0, 1, ids, freqs)
+	pl, err := SpliceList("t", nil, 0, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +299,7 @@ func TestSplicedListsDoNotPinDeadSlabs(t *testing.T) {
 		old := pl
 		var next *PostingList
 		allocated := allocatedBy(func() {
-			next, err = SpliceList("t", old, k, 1, ids[k*BlockSize:], freqs[k*BlockSize:])
+			next, err = SpliceList("t", old, k, ids[k*BlockSize:], freqs[k*BlockSize:])
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -397,12 +362,12 @@ func allocatedBy(f func()) uint64 {
 }
 
 // The block codecs take the caller's buffers as they are: a block decoded
-// into, or appended from, arrays on the caller's stack allocates nothing.
+// into arrays on the caller's stack allocates nothing.
 // A codec that dispatched its widths through a table of functions would
 // move such arrays to the heap, an allocation every call.
 func TestBlockCodecsAllocateNothing(t *testing.T) {
 	ids, freqs := randomPostings(rand.New(rand.NewSource(81)), 61*BlockSize)
-	pl, err := SpliceList("t", nil, 0, 1, ids, freqs)
+	pl, err := SpliceList("t", nil, 0, ids, freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,27 +379,5 @@ func TestBlockCodecsAllocateNothing(t *testing.T) {
 		k++
 	}); a != 0 {
 		t.Errorf("DecompressBlock and DecodeBlock allocated %.0f times a block, want 0", a)
-	}
-	// A first list grows the encoder's scratch to the blocks measured
-	// after it: what the encoder itself allocates is then its pages, when
-	// they close, and Finish.
-	var enc ListEncoder
-	for k := 0; k < 61; k++ {
-		if err := enc.Append(ids[k*BlockSize:(k+1)*BlockSize], freqs[k*BlockSize:(k+1)*BlockSize], 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	enc.Finish("w")
-	k = 0
-	if a := testing.AllocsPerRun(60, func() {
-		var d, f [BlockSize]uint32
-		copy(d[:], ids[k*BlockSize:])
-		copy(f[:], freqs[k*BlockSize:])
-		if err := enc.Append(d[:], f[:], 0); err != nil {
-			t.Fatal(err)
-		}
-		k++
-	}); a != 0 {
-		t.Errorf("ListEncoder.Append allocated %.0f times a block, want 0", a)
 	}
 }

@@ -43,7 +43,8 @@ func (v EFView) NumBlocks() int { return v.L.NumBlocks() }
 
 // BlockLen implements BlockList.
 func (v EFView) BlockLen(i int) int {
-	return int(v.L.Pages[i>>ef.PageShift].Rows[i&(1<<ef.PageShift-1)].N)
+	r, _ := v.L.Row(i)
+	return int(r.N)
 }
 
 // BlockFirst implements BlockList.

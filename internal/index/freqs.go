@@ -14,6 +14,9 @@ import (
 // like the docIDs they annotate.
 type FreqStore struct {
 	n int
+	// base is the row of the first page that holds block 0, as
+	// ef.List.Base is for the docIDs: 0 but for a view.
+	base int
 	// pages is the table of frequency blocks, paged like the Elias-Fano
 	// block table beside it (ef.PageShift) and spliced with it.
 	pages []ef.Page[freqRow]
@@ -30,22 +33,41 @@ type freqRow struct {
 // spliceFreqs is ef.List.Splice for frequencies: old's blocks [0, k),
 // whole pages shared, and of the page k falls in the rows before k copied
 // and their words shared as ef.Pager.Seed shares them, then the encoding
-// of tail into words of its own. With k == 0, old may be nil, and the
-// result packs tail alone. Like ef.Compress it sizes each page of blocks
-// first (a block's width is that of the OR of its values) and packs every
-// block, a word at a time, into that page's one allocation: nothing is
-// allocated per block.
+// of tail into words of its own; a view's splice keeps its base. With
+// k == 0, old may be nil, and the result packs tail alone. Like
+// ef.Compress it sizes each page of blocks first (a block's width is that
+// of the OR of its values) and packs every block, a word at a time, into
+// that page's one allocation: nothing is allocated per block.
 func spliceFreqs(old *FreqStore, k int, tail []uint32) *FreqStore {
 	var e freqEncoder
+	base := 0
 	if k > 0 {
-		last := &old.pages[(k-1)>>ef.PageShift].Rows[(k-1)&(1<<ef.PageShift-1)]
-		e.pager.Seed(old.pages, k, int(last.off)+int(last.words))
+		last, _ := old.row(k - 1)
+		base = old.base
+		e.pager.Seed(old.pages, base+k, int(last.off)+int(last.words))
 		e.n = k * BlockSize
 	}
 	e.pager.Fill((len(tail)+BlockSize-1)/BlockSize,
 		func(j int) int { _, w := freqShape(freqBlockOf(tail, j)); return w },
 		func(j int) { e.append(freqBlockOf(tail, j)) })
-	return e.finish()
+	fs := e.finish()
+	fs.base = base
+	return fs
+}
+
+// view returns the store of fs's blocks [k, end), k < end, sharing its
+// pages, as ef.List.View does.
+func (fs *FreqStore) view(k, end int) *FreqStore {
+	n := min(end*BlockSize, fs.n) - k*BlockSize
+	first, last := fs.base+k, fs.base+end-1
+	return &FreqStore{n: n, base: first & (1<<ef.PageShift - 1), pages: fs.pages[first>>ef.PageShift : last>>ef.PageShift+1]}
+}
+
+// row returns block k's row and the page it lies in.
+func (fs *FreqStore) row(k int) (freqRow, *ef.Page[freqRow]) {
+	k += fs.base
+	pg := &fs.pages[k>>ef.PageShift]
+	return pg.Rows[k&(1<<ef.PageShift-1)], pg
 }
 
 // freqBlockOf returns the frequencies of block k of a list.
@@ -63,8 +85,7 @@ func freqShape(chunk []uint32) (b, words int) {
 	return b, bitutil.WordsFor(len(chunk) * b)
 }
 
-// freqEncoder is spliceFreqs for lists that arrive a block at a time, the
-// frequency half of what ef.Encoder is for docIDs.
+// freqEncoder packs the blocks spliceFreqs hands it, a block at a time.
 type freqEncoder struct {
 	n     int
 	pager ef.Pager[freqRow]
@@ -79,12 +100,9 @@ func (e *freqEncoder) append(chunk []uint32) {
 	e.n += len(chunk)
 }
 
-// finish returns the store of the blocks appended since the last finish
-// and readies the encoder for the next list.
+// finish returns the store of the blocks appended.
 func (e *freqEncoder) finish() *FreqStore {
-	fs := &FreqStore{n: e.n, pages: e.pager.Finish()}
-	e.n = 0
-	return fs
+	return &FreqStore{n: e.n, pages: e.pager.Finish()}
 }
 
 // Len returns the number of stored frequencies.
@@ -95,8 +113,7 @@ func (fs *FreqStore) At(i int) uint32 { return fs.inBlock(i/BlockSize, i%BlockSi
 
 // inBlock returns the frequency of posting i of block k.
 func (fs *FreqStore) inBlock(k, i int) uint32 {
-	pg := &fs.pages[k>>ef.PageShift]
-	r := pg.Rows[k&(1<<ef.PageShift-1)]
+	r, pg := fs.row(k)
 	return uint32(bitutil.GetBits(pg.Span(int(r.off), int(r.words)), i*int(r.b), int(r.b)))
 }
 
@@ -105,8 +122,7 @@ func (fs *FreqStore) inBlock(k, i int) uint32 {
 // returns their count.
 func (fs *FreqStore) DecodeBlock(k int, dst []uint32) int {
 	n := min(BlockSize, fs.n-k*BlockSize)
-	pg := &fs.pages[k>>ef.PageShift]
-	r := pg.Rows[k&(1<<ef.PageShift-1)]
+	r, pg := fs.row(k)
 	bitutil.Unpack(dst[:n], pg.Span(int(r.off), int(r.words)), int(r.b))
 	return n
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"griffin/internal/ef"
 )
@@ -39,11 +38,10 @@ type PostingList struct {
 	// posting's document (bit-packed), used by BM25 (§2.1.3).
 	Freqs *FreqStore
 	// GlobalN overrides N as the document frequency used for BM25 scoring
-	// (0 = use N). A document-partitioned shard index sets it to the
-	// term's collection-wide frequency so per-shard scores are
-	// bit-identical to scoring against the unpartitioned index; every
-	// structural use of the list (intersection, cost estimation) keeps
-	// seeing the shard-local N.
+	// (0 = use N). A shard's list (Index.Shard) sets it to the term's
+	// collection-wide frequency so per-shard scores are bit-identical to
+	// scoring against the unpartitioned index; every structural use of
+	// the list (intersection, cost estimation) keeps seeing the view's N.
 	GlobalN int
 }
 
@@ -67,12 +65,12 @@ func (p *PostingList) ScoringN() int {
 func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool) {
 	// The table is indexed in place with the constant page shift: the
 	// probe sequence is that of a search over a flat table.
-	pages := p.EF.Pages
+	pages, base := p.EF.Pages, p.EF.Base
 	lo, hi := 0, p.EF.NumBlocks()
 	for lo < hi {
 		probes++
 		mid := (lo + hi) / 2
-		if pages[mid>>ef.PageShift].Rows[mid&(1<<ef.PageShift-1)].FirstDocID <= d {
+		if j := mid + base; pages[j>>ef.PageShift].Rows[j&(1<<ef.PageShift-1)].FirstDocID <= d {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -85,7 +83,8 @@ func (p *PostingList) FreqForDoc(d uint32) (freq uint32, probes int, found bool)
 	// Probe the compressed block in place (Elias-Fano select) rather
 	// than decoding all of it to look at ~7 elements; the comparison
 	// sequence, and so probes, is that of a search over the decoded block.
-	blo, bhi := 0, int(pages[bi>>ef.PageShift].Rows[bi&(1<<ef.PageShift-1)].N)
+	r, _ := p.EF.Row(bi)
+	blo, bhi := 0, int(r.N)
 	for blo < bhi {
 		probes++
 		mid := (blo + bhi) / 2
@@ -112,36 +111,26 @@ type Index struct {
 	DocLens LenTable
 	// AvgDocLen is the mean document length.
 	AvgDocLen float64
+	// Window, set on a shard of a range partition (Shard), is the docIDs
+	// the shard owns. Its lists are whole blocks of the source's, so they
+	// may hold postings of the shards beside it, which a query's
+	// candidates are cut to the window to drop (Window.Span).
+	Window *Window
 
-	terms  map[string]*PostingList
-	mapped []byte // the file bytes Open parsed; nil for an index built or read in
-	// lensEnd is where in mapped the doc-length section ends and the
-	// first term record begins.
-	lensEnd int
-	// pending is set while ix is a shard of a ShardSet still being
-	// filled, and terms is not yet written.
-	pending atomic.Pointer[pendingShard]
+	terms map[string]*PostingList
 }
 
-// Lookup returns the posting list for term, if indexed. On a shard of a
-// ShardSet still being filled it waits until term is published.
+// Lookup returns the posting list for term, if indexed.
 func (ix *Index) Lookup(term string) (*PostingList, bool) {
-	if p := ix.pending.Load(); p != nil {
-		return p.lookup(term)
-	}
 	p, ok := ix.terms[term]
 	return p, ok
 }
 
 // NumTerms returns the dictionary size.
-func (ix *Index) NumTerms() int {
-	ix.settled()
-	return len(ix.terms)
-}
+func (ix *Index) NumTerms() int { return len(ix.terms) }
 
 // Terms returns all dictionary terms in sorted order.
 func (ix *Index) Terms() []string {
-	ix.settled()
 	out := make([]string, 0, len(ix.terms))
 	for t := range ix.terms {
 		out = append(out, t)
@@ -153,7 +142,6 @@ func (ix *Index) Terms() []string {
 // ListSizes returns the posting-list lengths of every term (the Figure 10
 // distribution input).
 func (ix *Index) ListSizes() []int {
-	ix.settled()
 	out := make([]int, 0, len(ix.terms))
 	for _, p := range ix.terms {
 		out = append(out, p.N)
@@ -297,7 +285,7 @@ func (b *Builder) Build() (*Index, error) {
 	ix.DocLens = NewLenTable(lens)
 
 	for term, raw := range b.postings {
-		pl, err := SpliceList(term, nil, 0, 1, raw.docIDs, raw.freqs)
+		pl, err := SpliceList(term, nil, 0, raw.docIDs, raw.freqs)
 		if err != nil {
 			return nil, err
 		}

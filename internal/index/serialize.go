@@ -80,24 +80,22 @@ var ErrVersion = fmt.Errorf("%w: version", ErrBadFormat)
 // is encoded into the writer's own 1 MB buffer, so serializing allocates
 // that buffer and the sorted term list whatever the index size.
 //
-// The file has no place for PostingList.GlobalN or ef.List.Stride, so an
-// index holding a list whose scoring frequency is not its own, or whose
-// docIDs are stored at a stride — a shard of a document partition — is
-// refused before anything is written: read back, it would score with the
-// shard's frequencies instead of the collection's, or decode to docIDs
-// that are not its own. A term whose postings all landed on one shard
-// scores as the list it holds; its stride still refuses it.
+// The file has no place for a shard's Window or PostingList.GlobalN, so a
+// shard of a range partition, or an index holding a list whose scoring
+// frequency is not its own, is refused before anything is written: read
+// back, it would serve the postings its lists share with its neighbours,
+// or score with a shard's frequencies instead of the collection's. The
+// one shard of a 1-shard partition owns every docID: it is its source.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+	if ix.Window != nil && *ix.Window != (Window{0, 1 << 32}) {
+		return 0, fmt.Errorf("index: a shard of docIDs [%d, %d) of a partitioned index cannot be written", ix.Window.Lo, ix.Window.Hi)
+	}
 	terms := ix.Terms()
 	for _, term := range terms {
 		p := ix.terms[term]
 		if p.ScoringN() != p.N {
 			return 0, fmt.Errorf("index: term %q scores as %d postings but holds %d: a shard of a partitioned index cannot be written",
 				term, p.ScoringN(), p.N)
-		}
-		if p.EF.Stride > 1 {
-			return 0, fmt.Errorf("index: term %q is stored at stride %d: a shard of a partitioned index cannot be written",
-				term, p.EF.Stride)
 		}
 	}
 	e := &encoder{w: bufio.NewWriterSize(w, 1<<20)}
@@ -267,38 +265,31 @@ func readAll(r io.Reader) ([]byte, error) {
 // ef.List.Get, DecompressBlock, FreqStore.At, DocLen or the device
 // kernels index out of range.
 func Parse(data []byte) (*Index, error) {
-	ix, _, err := parse(data)
-	return ix, err
-}
-
-// parse is Parse, and where in data the doc-length section ends.
-func parse(data []byte) (ix *Index, lensEnd int, err error) {
 	d := &decoder{buf: data}
 	if string(d.next(4)) != magic {
-		return nil, 0, fmt.Errorf("%w: magic %q", ErrBadFormat, data[:min(len(data), 4)])
+		return nil, fmt.Errorf("%w: magic %q", ErrBadFormat, data[:min(len(data), 4)])
 	}
 	if ver := d.u32(); d.err == nil && ver != version {
-		return nil, 0, fmt.Errorf("%w %d, this build reads version %d: rebuild the file with griffin-indexer",
+		return nil, fmt.Errorf("%w %d, this build reads version %d: rebuild the file with griffin-indexer",
 			ErrVersion, ver, version)
 	}
 	numDocs := d.u64()
 	numTerms := d.u64()
 	avgDocLen := math.Float64frombits(d.u64())
 	if d.err != nil {
-		return nil, 0, fmt.Errorf("%w: header: %v", ErrBadFormat, d.err)
+		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, d.err)
 	}
 	if numDocs > 1<<34 {
-		return nil, 0, fmt.Errorf("%w: numDocs %d", ErrBadFormat, numDocs)
+		return nil, fmt.Errorf("%w: numDocs %d", ErrBadFormat, numDocs)
 	}
 	docLens, err := d.lens(int(numDocs))
 	if err != nil {
-		return nil, 0, fmt.Errorf("%w: doc lengths: %v", ErrBadFormat, err)
+		return nil, fmt.Errorf("%w: doc lengths: %v", ErrBadFormat, err)
 	}
-	lensEnd = d.off
 
 	// numTerms is untrusted: size the map by what the remaining bytes
 	// could hold, not by what the header claims.
-	ix = &Index{
+	ix := &Index{
 		NumDocs:   int(numDocs),
 		DocLens:   docLens,
 		AvgDocLen: avgDocLen,
@@ -308,18 +299,18 @@ func parse(data []byte) (ix *Index, lensEnd int, err error) {
 	for t := uint64(0); t < numTerms; t++ {
 		pl, err := d.list()
 		if err != nil {
-			return nil, 0, fmt.Errorf("%w: term %d: %v", ErrBadFormat, t, err)
+			return nil, fmt.Errorf("%w: term %d: %v", ErrBadFormat, t, err)
 		}
 		if t > 0 && pl.Term <= prev {
-			return nil, 0, fmt.Errorf("%w: term %d: %q after %q", ErrBadFormat, t, pl.Term, prev)
+			return nil, fmt.Errorf("%w: term %d: %q after %q", ErrBadFormat, t, pl.Term, prev)
 		}
 		prev = pl.Term
 		ix.terms[pl.Term] = pl
 	}
 	if d.off != len(data) {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-d.off)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(data)-d.off)
 	}
-	return ix, lensEnd, nil
+	return ix, nil
 }
 
 // lens parses the doc-length section of n documents. Its errors are

@@ -38,11 +38,10 @@ func (p *PostingList) DecodeFrom(k int) (ids, freqs []uint32) {
 // shared by reference (ef.List.Splice: whole pages as they are, and of
 // the page k falls in the words before k as a view, its rows copied),
 // followed by the encoding of the tail postings (ids strictly ascending
-// and above every prefix docID, freqs parallel) at old's stride
-// (ef.List.Splice). With k == 0 nothing of old is used (it may be nil) and
-// the result is the plain encoding of the tail at stride: 0 or 1 for a
-// list stored as it is, the shard count for a shard's.
-func SpliceList(term string, old *PostingList, k int, stride uint32, ids, freqs []uint32) (*PostingList, error) {
+// and above every prefix docID, freqs parallel). With k == 0 nothing of
+// old is used (it may be nil) and the result is the plain encoding of the
+// tail.
+func SpliceList(term string, old *PostingList, k int, ids, freqs []uint32) (*PostingList, error) {
 	if len(freqs) != len(ids) {
 		return nil, fmt.Errorf("index: term %q: %d freqs for %d docIDs", term, len(freqs), len(ids))
 	}
@@ -51,60 +50,11 @@ func SpliceList(term string, old *PostingList, k int, stride uint32, ids, freqs 
 	if k > 0 {
 		oldEF, oldFreqs = old.EF, old.Freqs
 	}
-	l, err := oldEF.Splice(k, stride, ids)
+	l, err := oldEF.Splice(k, ids)
 	if err != nil {
 		return nil, fmt.Errorf("index: term %q: %w", term, err)
 	}
 	return &PostingList{Term: term, N: l.N, EF: l, Freqs: spliceFreqs(oldFreqs, k, freqs)}, nil
-}
-
-// ListEncoder encodes posting lists from postings handed over a block at
-// a time, for a caller that never holds a whole list (the shard split):
-// Append as many blocks as the list has, then Finish. The list is the one
-// SpliceList(term, nil, 0, stride, ...) encodes from the same postings at
-// the encoder's stride, page for page (see ef.Encoder). The zero value is
-// ready to use, at stride 1.
-type ListEncoder struct {
-	ef    ef.Encoder
-	freqs freqEncoder
-}
-
-// Append encodes the list's next block: the docIDs qs[i]*stride +
-// residue (ef.Encoder.Append) — BlockSize of them, fewer only in its last
-// block, strictly ascending and above every docID appended before — and
-// freqs parallel. At stride 1 qs are the docIDs and residue is 0; a shard
-// split appends each docID's quotient by the shard count, and the shard.
-func (e *ListEncoder) Append(qs, freqs []uint32, residue uint32) error {
-	if len(freqs) != len(qs) {
-		return fmt.Errorf("index: %d freqs for %d docIDs", len(freqs), len(qs))
-	}
-	if err := e.ef.Append(qs, residue); err != nil {
-		return err
-	}
-	e.freqs.append(freqs)
-	return nil
-}
-
-// SetArena has the pages of the docID and frequency tables the encoder
-// closes keep their words in a (nil: on the heap); see ef.Arena.
-func (e *ListEncoder) SetArena(a *ef.Arena) {
-	e.ef.SetArena(a)
-	e.freqs.pager.Arena = a
-}
-
-// SetStride has the lists the encoder finishes store their docIDs at
-// stride (ef.Encoder.SetStride): a shard split encodes shard s of n at
-// stride n.
-func (e *ListEncoder) SetStride(stride uint32) { e.ef.SetStride(stride) }
-
-// Len returns the number of postings appended since the last Finish.
-func (e *ListEncoder) Len() int { return e.freqs.n }
-
-// Finish returns term's list of the blocks appended since the last
-// Finish and readies the encoder for the next list.
-func (e *ListEncoder) Finish(term string) *PostingList {
-	l := e.ef.Finish()
-	return &PostingList{Term: term, N: l.N, EF: l, Freqs: e.freqs.finish()}
 }
 
 // Assemble returns the Index over finished posting lists (shared with

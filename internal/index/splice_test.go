@@ -114,7 +114,7 @@ func TestSpliceMergeEqualsRebuildPerList(t *testing.T) {
 			eIDs = append(eIDs, last+7, last+9)
 			eFreqs = append(eFreqs, 1, 2)
 
-			got, err := SpliceList("t", old, k, 1, eIDs, eFreqs)
+			got, err := SpliceList("t", old, k, eIDs, eFreqs)
 			if err != nil {
 				t.Fatalf("n=%d k=%d: %v", n, k, err)
 			}
@@ -137,16 +137,16 @@ func TestSpliceListRejectsBadJoins(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ids, freqs := randomPostings(r, 300)
 	old := buildList(t, ids, freqs)
-	if _, err := SpliceList("t", old, 1, 1, []uint32{ids[127]}, []uint32{1}); !errors.Is(err, ef.ErrNotAscending) {
+	if _, err := SpliceList("t", old, 1, []uint32{ids[127]}, []uint32{1}); !errors.Is(err, ef.ErrNotAscending) {
 		t.Errorf("tail starting at the prefix's last docID: err = %v, want ErrNotAscending", err)
 	}
-	if _, err := SpliceList("t", old, 3, 1, nil, nil); err == nil {
+	if _, err := SpliceList("t", old, 3, nil, nil); err == nil {
 		t.Error("splice behind a partial block accepted")
 	}
-	if _, err := SpliceList("t", old, 4, 1, nil, nil); err == nil {
+	if _, err := SpliceList("t", old, 4, nil, nil); err == nil {
 		t.Error("splice past the last block accepted")
 	}
-	if _, err := SpliceList("t", old, 0, 1, []uint32{1, 2}, []uint32{1}); err == nil {
+	if _, err := SpliceList("t", old, 0, []uint32{1, 2}, []uint32{1}); err == nil {
 		t.Error("freqs shorter than docIDs accepted")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // This file is the package's only use of unsafe: reinterpreting bytes of
 // a serialized index as the little-endian words and block rows they
-// encode, and finding where in those bytes a value lies.
+// encode.
 
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
@@ -54,11 +54,4 @@ func rowsOf[R any](b []byte, n int, get func([]byte) R) []R {
 		out[i] = get(b[i*size:])
 	}
 	return out
-}
-
-// offsetIn returns the offset of *v in data, and whether v lies in data
-// at all (it does not in a copy wordsOf or rowsOf made, nor on the heap).
-func offsetIn[T any](data []byte, v *T) (int, bool) {
-	off := uintptr(unsafe.Pointer(v)) - uintptr(unsafe.Pointer(unsafe.SliceData(data)))
-	return int(off), off < uintptr(len(data))
 }

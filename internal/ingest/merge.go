@@ -82,14 +82,16 @@ func (c *Cluster) mergeShardOnce(s int, arrival time.Duration, timed bool) error
 	}
 	// Priced on the shard's replica-0 node — the same copy/compute lanes
 	// that replica's queries use.
-	plan, cost, err := c.prepare(mergeSite, t.c.ShardNode(s), main, v, uint32(t.n), arrival, timed)
+	plan, cost, err := c.prepare(mergeSite, t.c.ShardNode(s), main, v, arrival, timed)
 	if err != nil {
 		return err
 	}
 	// At one shard these are the merged corpus' exact statistics; at more
 	// they are the global ones at the freeze, a best-effort stamp that
-	// overlays correct while the cluster is dirty.
+	// overlays correct while the cluster is dirty. The merged shard owns
+	// the window the old one did.
 	ix2 := index.Assemble(plan.lists, st.numDocs, lens, st.avgDocLen())
+	ix2.Window = main.Window
 
 	// Commit: drain in-flight queries at the gate, swap the segment into
 	// every replica — each engine's successor keeps its device node, so
@@ -129,7 +131,6 @@ type changedList struct {
 type mergePlan struct {
 	changed []changedList
 	lists   []*index.PostingList
-	stride  uint32 // every list's: the shard count
 }
 
 // planMerge folds the view into the main segment's lists. A list none of
@@ -139,11 +140,11 @@ type mergePlan struct {
 // shadow set, merged with the delta's live postings and re-encoded.
 // Every docID and frequency block is encoded from its own elements alone,
 // so the result equals an index.Builder run over the same logical corpus
-// — k = 0 is that run — or, for shard s of n, that run's shard s of a
-// workload.PartitionIndex: every list, spliced or new, is encoded at
-// stride n, the stride of the lists the partition made.
-func planMerge(main *index.Index, v *View, stride uint32) (*mergePlan, error) {
-	p := &mergePlan{stride: stride}
+// — k = 0 is that run. A shard's delta lies in its window, and the
+// postings of its lists' boundary blocks outside it are kept as they are:
+// a query cuts its candidates to the window.
+func planMerge(main *index.Index, v *View) (*mergePlan, error) {
+	p := &mergePlan{}
 	shadow := make([]uint32, 0, len(v.docs))
 	for id := range v.docs {
 		shadow = append(shadow, id)
@@ -199,7 +200,7 @@ func (p *mergePlan) splice(term string, old *index.PostingList, k int, tailIDs, 
 	if ch.merged == 0 {
 		return nil
 	}
-	pl, err := index.SpliceList(term, old, k, p.stride, ids, freqs)
+	pl, err := index.SpliceList(term, old, k, ids, freqs)
 	if err != nil {
 		return err
 	}

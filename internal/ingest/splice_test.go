@@ -221,8 +221,8 @@ func sameValue(a, b reflect.Value) bool {
 // words lie (sameContents), and the serialized bytes equal. GlobalN is
 // left out — a shard's shared lists keep their partition-time stamp, a
 // rebuilt list has none — and so both are serialized without it, which
-// WriteTo refuses to drop. A shard of several has lists at a stride,
-// which have no file form (WriteTo refuses them): its lists are held by
+// WriteTo refuses to drop. A shard of several is a docID window, which
+// has no file form (WriteTo refuses it): its lists are held by
 // sameContents alone, and the rest of the file — the doc lengths packed
 // as NewLenTable packs them — by the bytes of both serialized without
 // lists.
@@ -251,7 +251,7 @@ func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 			t.Errorf("%s: term %q (N %d, want %d) is not the list a rebuild encodes", tag, term, gp.N, wp.N)
 		}
 		gs, ws = append(gs, &g), append(ws, &w)
-		writable = writable && g.EF.Stride <= 1 && w.EF.Stride <= 1
+		writable = writable && got.Window == nil && want.Window == nil
 	}
 	if !writable {
 		gs, ws = nil, nil
@@ -263,12 +263,34 @@ func checkSameIndex(t *testing.T, got, want *index.Index, tag string) {
 	}
 }
 
+// sameBlocks holds got's lists to want's block for block: the same terms,
+// and per list the same blocks (ef.Block: skip pointer, shape and words)
+// and frequencies, wherever their pages begin.
+func sameBlocks(t *testing.T, got, want *index.Index, tag string) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Terms(), want.Terms()) {
+		t.Fatalf("%s: dictionaries diverge:\n got=%v\nwant=%v", tag, got.Terms(), want.Terms())
+	}
+	for _, term := range want.Terms() {
+		gp, _ := got.Lookup(term)
+		wp, _ := want.Lookup(term)
+		same := gp.N == wp.N && slices.Equal(gp.Freqs.Decode(), wp.Freqs.Decode())
+		for b := 0; same && b < wp.EF.NumBlocks(); b++ {
+			same = reflect.DeepEqual(gp.EF.Block(b), wp.EF.Block(b))
+		}
+		if !same {
+			t.Errorf("%s: term %q (N %d, want %d) is not the list a rebuild encodes", tag, term, gp.N, wp.N)
+		}
+	}
+}
+
 // mergeShardAgainstRebuild merges shard s's whole delta and checks the
 // new segment, its aggregates and the priced changed set against the
 // rebuild. At one shard the merged segment is the rebuild, statistics and
-// all; at n it is shard s of the rebuild partitioned n ways — every list at
-// stride n — and the cluster stamps it with the global statistics, so the
-// rebuild's are overwritten the same way.
+// all. At n its lists are the rebuild's block for block — a view's
+// postings, its boundary blocks' included, merged with the delta — but
+// views of the pages of the source they were cut from (sameBlocks), and
+// the cluster stamps it with the global statistics.
 func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, tag string) {
 	t.Helper()
 	c.mu.Lock()
@@ -276,16 +298,9 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, tag string) {
 	main, v := sh.ix, sh.d.freeze()
 	c.mu.Unlock()
 	want, wantPriced := rebuildMerge(t, main, v)
-	plan, err := planMerge(main, v, uint32(n))
+	plan, err := planMerge(main, v)
 	if err != nil {
 		t.Fatalf("%s: %v", tag, err)
-	}
-	if n > 1 {
-		parts, err := workload.PartitionIndex(want, n)
-		if err != nil {
-			t.Fatalf("%s: %v", tag, err)
-		}
-		want = parts[s]
 	}
 	if got := pricedOf(plan.changed); !reflect.DeepEqual(got, wantPriced) {
 		t.Errorf("%s: priced lists diverge:\n got=%+v\nwant=%+v", tag, got, wantPriced)
@@ -308,15 +323,14 @@ func mergeShardAgainstRebuild(t *testing.T, c *Cluster, s int, tag string) {
 		t.Errorf("%s: merged index is not deep-equal to the rebuild", tag)
 	}
 	if n > 1 {
-		want.NumDocs = c.stats.numDocs
-		lens := make([]uint32, c.stats.numDocs)
-		for d := range lens {
-			lens[d] = c.liveLens.At(uint32(d))
+		if sh.ix.NumDocs != c.stats.numDocs || sh.ix.AvgDocLen != c.stats.avgDocLen() || sh.ix.Window != main.Window {
+			t.Errorf("%s: merged shard stamped %d docs, mean length %v, window %v; want %d, %v, %v", tag,
+				sh.ix.NumDocs, sh.ix.AvgDocLen, sh.ix.Window, c.stats.numDocs, c.stats.avgDocLen(), main.Window)
 		}
-		want.DocLens = index.NewLenTable(lens)
-		want.AvgDocLen = c.stats.avgDocLen()
+		sameBlocks(t, sh.ix, want, tag)
+	} else {
+		checkSameIndex(t, sh.ix, want, tag)
 	}
-	checkSameIndex(t, sh.ix, want, tag)
 	if scan := statsOf(sh.ix.DocLens); c.stats != scan {
 		t.Errorf("%s: running aggregates %+v, a scan of the merged shard gives %+v", tag, c.stats, scan)
 	}

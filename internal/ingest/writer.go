@@ -266,15 +266,14 @@ type mergeCost struct{ device, cpu, stall time.Duration }
 // queries use (interference both ways) and passes the per-device fault
 // hooks (a device fault aborts the merge). Unchanged lists are
 // segment-copied for free. Encoding itself is host work, billed on the
-// CPU model. The lists are encoded at stride, the shard count
-// (planMerge).
-func (w *writer) prepare(site string, node *gpu.NodeRuntime, main *index.Index, v *View, stride uint32, arrival time.Duration, timed bool) (*mergePlan, mergeCost, error) {
+// CPU model.
+func (w *writer) prepare(site string, node *gpu.NodeRuntime, main *index.Index, v *View, arrival time.Duration, timed bool) (*mergePlan, mergeCost, error) {
 	var cost mergeCost
 	var err error
 	if cost.stall, err = w.cfg.Fault.AdmitQuery(site, arrival); err != nil {
 		return nil, cost, err
 	}
-	plan, err := planMerge(main, v, stride)
+	plan, err := planMerge(main, v)
 	if err != nil {
 		return nil, cost, fmt.Errorf("ingest: merge build (%s): %w", site, err)
 	}

@@ -9,7 +9,6 @@ import (
 	"griffin/internal/cluster"
 	"griffin/internal/core"
 	"griffin/internal/wal"
-	"griffin/internal/workload"
 )
 
 // running reads the writer's running collection statistics.
@@ -39,7 +38,7 @@ func TestHugeDocIDGapCostsNothingAfterDelete(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			s := workload.ShardOf(top, shards)
+			s := shards - 1 // top lies above the corpus: in the last shard's window
 			must := func(err error) {
 				t.Helper()
 				if err != nil {

@@ -86,7 +86,7 @@ func perThreadParaEF(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats)
 					low = bitutil.GetBits(blk.LowBits, i*blk.B, blk.B)
 					c.GlobalRead(4)
 				}
-				dst[c.Block*ef.BlockSize+i] = blk.FirstDocID + uint32(high<<uint(blk.B)|low)*blk.Stride
+				dst[c.Block*ef.BlockSize+i] = blk.FirstDocID + uint32(high<<uint(blk.B)|low)
 				c.SharedAccess(6)
 				c.Op(6)
 				c.GlobalWrite(4)

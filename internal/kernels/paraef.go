@@ -109,12 +109,11 @@ func EstimateParaEF(n int) hwmodel.LaunchStats {
 func paraEFStats(l *ef.List) *hwmodel.LaunchStats {
 	elems := int64(l.N)
 	var words, lowElems int64
-	for _, pg := range l.Pages {
-		for _, r := range pg.Rows {
-			words += int64(words32(int(r.HighLen)))
-			if r.B > 0 {
-				lowElems += int64(r.N)
-			}
+	for i := range l.NumBlocks() {
+		r, _ := l.Row(i)
+		words += int64(words32(int(r.HighLen)))
+		if r.B > 0 {
+			lowElems += int64(r.N)
 		}
 	}
 	return &hwmodel.LaunchStats{
@@ -154,9 +153,8 @@ type paraEFShared struct {
 //  3. scheduling: word w writes its word index into index_array slots
 //     [ps[w-1], ps[w]) so each element knows its source word (lines 4-8).
 //  4. decompress: thread i recovers high bits via an in-word select on its
-//     scheduled word, fetches its low bits, concatenates, scales by the
-//     list's stride (1 but for a shard's list), and writes the final docID
-//     (lines 9-10).
+//     scheduled word, fetches its low bits, concatenates, and writes the
+//     final docID (lines 9-10).
 //
 // Every barrier is a __syncthreads — a block reads only its own shared
 // memory — and every phase is invoked once per block and loops over the
@@ -252,7 +250,7 @@ func paraEFSIMT(s *gpu.Stream, l *ef.List) ([]uint32, *hwmodel.LaunchStats) {
 						low = bitutil.GetBits(blk.LowBits, lowPos, blk.B)
 						lowPos += blk.B
 					}
-					out[i] = blk.FirstDocID + uint32(high<<uint(blk.B)|low)*blk.Stride
+					out[i] = blk.FirstDocID + uint32(high<<uint(blk.B)|low)
 				}
 				if blk.B > 0 {
 					c.GlobalRead(4 * blk.N) // low-bits fetch (consecutive threads coalesce)

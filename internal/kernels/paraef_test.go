@@ -243,7 +243,7 @@ func paraEFCases(t *testing.T) map[string]*ef.List {
 		}
 		return f
 	}
-	old, err := index.SpliceList("t", nil, 0, 1, ids, ones(len(ids)))
+	old, err := index.SpliceList("t", nil, 0, ids, ones(len(ids)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,37 +253,33 @@ func paraEFCases(t *testing.T) map[string]*ef.List {
 		for i := range tail {
 			tail[i] += last
 		}
-		pl, err := index.SpliceList("t", old, k, 1, tail, ones(len(tail)))
+		pl, err := index.SpliceList("t", old, k, tail, ones(len(tail)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		lists[fmt.Sprintf("spliced at %d", k)] = pl.EF
 	}
 
-	// Shard lists: docIDs of one residue mod the shard count, stored at
-	// that stride, whole and spliced.
-	srng := rand.New(rand.NewSource(50))
-	for _, stride := range []uint32{3, 4} {
-		ids := genAscending(srng, 70*ef.BlockSize+33, 30)
-		for i := range ids {
-			ids[i] = stride - 1 + stride*ids[i]
-		}
-		whole, err := index.SpliceList("t", nil, 0, stride, ids, ones(len(ids)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spliced, err := index.SpliceList("t", whole, 65, stride, ids[65*ef.BlockSize:], ones(len(ids)-65*ef.BlockSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range []*ef.List{whole.EF, spliced.EF} {
-			if l.Stride != stride || !reflect.DeepEqual(l.Decompress(), ids) {
-				t.Fatalf("stride %d: a list at stride %d does not decode to its docIDs", stride, l.Stride)
-			}
-		}
-		lists[fmt.Sprintf("stride %d", stride)] = whole.EF
-		lists[fmt.Sprintf("stride %d spliced at 65", stride)] = spliced.EF
+	// A shard's list: a view of a list's blocks from mid-page, whole and
+	// spliced.
+	ids = genAscending(rand.New(rand.NewSource(50)), 140*ef.BlockSize+33, 30)
+	src, err := index.SpliceList("t", nil, 0, ids, ones(len(ids)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	w := index.Window{Lo: uint64(ids[70*ef.BlockSize+5]), Hi: 1 << 32}
+	view, _ := index.Assemble([]*index.PostingList{src}, int(ids[len(ids)-1])+1, index.LenTable{}, 1).Shard(w).Lookup("t")
+	spliced, err := index.SpliceList("t", view, 40, ids[110*ef.BlockSize:], ones(len(ids)-110*ef.BlockSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*ef.List{view.EF, spliced.EF} {
+		if l.Base == 0 || !reflect.DeepEqual(l.Decompress(), ids[70*ef.BlockSize:]) {
+			t.Fatalf("a view from row %d does not decode to its docIDs", l.Base)
+		}
+	}
+	lists["view from mid-page"] = view.EF
+	lists["view spliced at 40"] = spliced.EF
 	return lists
 }
 

@@ -57,7 +57,13 @@ func newTestServer(t *testing.T) *Server {
 
 func newTestClusterServer(t *testing.T, shards, replicas int, timeout time.Duration) *Server {
 	t.Helper()
-	ixs, err := workload.PartitionIndex(testIndex(t), shards)
+	return newClusterServerOver(t, testIndex(t), shards, replicas, timeout)
+}
+
+// newClusterServerOver is newTestClusterServer over ix.
+func newClusterServerOver(t *testing.T, ix *index.Index, shards, replicas int, timeout time.Duration) *Server {
+	t.Helper()
+	ixs, err := workload.PartitionIndex(ix, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,20 +95,26 @@ type backend struct {
 // in the background every two mutations.
 func backends(t *testing.T) []backend {
 	t.Helper()
+	return backendsOver(t, testIndex)
+}
+
+// backendsOver is backends over the indexes mk builds, one per backend.
+func backendsOver(t *testing.T, mk func(*testing.T) *index.Index) []backend {
+	t.Helper()
 	hybrid := func() core.Config {
 		return core.Config{Mode: core.Hybrid, Device: gpu.New(hwmodel.DefaultGPU(), 0), CacheLists: true}
 	}
-	e, err := core.New(testIndex(t), hybrid())
+	e, err := core.New(mk(t), hybrid())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
-	live, err := ingest.New(testIndex(t), ingest.Config{Engine: hybrid(), MergeThreshold: 2, AutoMerge: true})
+	live, err := ingest.New(mk(t), ingest.Config{Engine: hybrid(), MergeThreshold: 2, AutoMerge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(live.Close)
-	lc, err := ingest.OpenCluster(testIndex(t), ingest.ClusterConfig{
+	lc, err := ingest.OpenCluster(mk(t), ingest.ClusterConfig{
 		Shards:         2,
 		Cluster:        cluster.Config{Engine: core.Config{Mode: core.Hybrid, CacheLists: true}},
 		MergeThreshold: 2, AutoMerge: true,
@@ -113,7 +125,7 @@ func backends(t *testing.T) []backend {
 	t.Cleanup(lc.Close)
 	return []backend{
 		{"New", 1, 1, New(e)},
-		{"NewCluster", 2, 2, newTestClusterServer(t, 2, 2, 0)},
+		{"NewCluster", 2, 2, newClusterServerOver(t, mk(t), 2, 2, 0)},
 		{"NewLive", 1, 1, NewLive(live, 0)},
 		// NewLive over a 2-shard live cluster; the row keeps the name of
 		// the constructor NewLive absorbed.
@@ -385,9 +397,44 @@ func TestConcurrentRequests(t *testing.T) {
 // burst of concurrent searches each modeled GPU shows utilization and
 // admissions (the acceptance probe for the runtime being wired through
 // the service path), the cache aggregate is the sum of the rows, and a
-// CPU-only engine reports no device at all.
+// CPU-only engine reports no device at all. The corpus is the test
+// corpus and one more document, so that both query terms have postings
+// in each of two shards' docID windows: every shard's device works.
 func TestStatsDeviceTelemetry(t *testing.T) {
-	for _, b := range backends(t) {
+	withTail := func(t *testing.T) *index.Index {
+		ix := testIndex(t)
+		b := index.NewBuilder(index.CodecEF)
+		for _, term := range ix.Terms() {
+			pl, _ := ix.Lookup(term)
+			ids, freqs := pl.DecodeFrom(0)
+			if err := b.AddPostings(term, ids, freqs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for d := range ix.NumDocs {
+			b.SetDocLen(uint32(d), ix.DocLens.At(uint32(d)))
+		}
+		if err := b.AddDocument(uint32(ix.NumDocs), index.Tokenize("a quick fox naps")); err != nil {
+			t.Fatal(err)
+		}
+		out, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	shards, err := workload.PartitionIndex(withTail(t), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, ix := range shards {
+		for _, term := range []string{"quick", "fox"} {
+			if pl, ok := ix.Lookup(term); !ok || ix.Window.Count(pl) == 0 {
+				t.Fatalf("%q has no posting in shard %d's window %v", term, s, *ix.Window)
+			}
+		}
+	}
+	for _, b := range backendsOver(t, withTail) {
 		t.Run(b.name, func(t *testing.T) {
 			const queries = 16
 			var wg sync.WaitGroup

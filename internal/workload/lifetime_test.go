@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 // caches, device batching and two replicas takes sequential, timed and
 // concurrent queries, then one under injected faults with CPU fallback
 // does, each closed in turn. Nothing a cluster does writes to the shard
-// indexes it was given: they end sameContents-equal to a fresh split,
+// indexes it was given: they end deep-equal to a fresh split,
 // which is what lets a study build all its clusters over one split.
 func TestClusterLeavesItsShardsAsSplit(t *testing.T) {
 	c := partitionTestCorpus(t)
@@ -65,7 +66,7 @@ func TestClusterLeavesItsShardsAsSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := range fresh {
-		if !sameContents(ixs[s], fresh[s]) {
+		if !reflect.DeepEqual(ixs[s], fresh[s]) {
 			t.Errorf("shard %d differs from a fresh split after the clusters over it closed", s)
 		}
 	}
