@@ -57,6 +57,36 @@ func (o *oracle) ids() []uint32 {
 	return ids
 }
 
+// cuts returns where each of n shards' docID windows starts when they
+// hold o's documents evenly: the first at 0, shard s at the document of
+// rank s·L/n of the L live ones.
+func (o *oracle) cuts(n int) []uint32 {
+	ids := o.ids()
+	lo := make([]uint32, n)
+	for s := 1; s < n && len(ids) > 0; s++ {
+		lo[s] = ids[s*len(ids)/n]
+	}
+	return lo
+}
+
+// partition cuts ix, built over o, into the n shards a live cluster over
+// o serves; one shard is ix itself.
+func (o *oracle) partition(ix *index.Index, n int) []*index.Index {
+	if n == 1 {
+		return []*index.Index{ix}
+	}
+	lo := o.cuts(n)
+	out := make([]*index.Index, n)
+	for s := range out {
+		w := index.Window{Lo: uint64(lo[s]), Hi: 1 << 32}
+		if s+1 < n {
+			w.Hi = uint64(lo[s+1])
+		}
+		out[s] = ix.Shard(w)
+	}
+	return out
+}
+
 func (o *oracle) build(t testing.TB) *index.Index {
 	t.Helper()
 	b := index.NewBuilder(index.CodecEF)
